@@ -191,7 +191,7 @@ func run() int {
 		checkpoint = flag.String("checkpoint", "", "checkpoint file: resume from it if present, write progress to it")
 		cpEvery    = flag.Int("checkpoint-every", 0, "checkpoint every N executions (0 = off)")
 		cpInterval = flag.Duration("checkpoint-interval", 0, "checkpoint every interval (0 = default 30s when -checkpoint is set)")
-		wedge      = flag.Duration("wedge-timeout", 0, "watchdog for callbacks blocking outside the simulated API (0 = off)")
+		wedge      = flag.Duration("wedge-timeout", 0, "watchdog for callbacks blocking outside the simulated API: a thread stalled this long is reported within twice it (0 = off)")
 		replay     = flag.String("replay", "", "replay a bug's repro token against -bench instead of exploring")
 		checkers   = flag.Int("workers", 0, "parallel exploration workers (0 = GOMAXPROCS)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the exploration to this file")

@@ -14,6 +14,14 @@ func mustRun(t *testing.T, cfg cxlmc.Config, prog func(*cxlmc.Program)) *cxlmc.R
 	if cfg.MaxExecutions == 0 {
 		cfg.MaxExecutions = 200000
 	}
+	// Serial unless the test says otherwise: the programs record what they
+	// observe into slices and maps their thread closures capture, which
+	// parallel workers (the default is GOMAXPROCS) would write concurrently,
+	// and several compare execution counts of bug-aborted runs, which only
+	// a serial run pins (see core.Stats).
+	if cfg.Workers == 0 {
+		cfg.Workers = 1
+	}
 	res, err := cxlmc.Run(cfg, prog)
 	if err != nil {
 		t.Fatalf("Run: %v", err)

@@ -59,7 +59,7 @@ type Checker struct {
 	mutexes  []*Mutex
 	failed   memmodel.FailSet
 	heapNext Addr
-	current  *Thread // thread holding the baton, nil in scheduler context
+	current  *Thread // thread running its own code, nil while scheduler steps run
 	aborted  bool    // current execution ended early (bug)
 	poisoned map[memmodel.LineID]bool
 	// traceLog is the current execution's event ring when CaptureTrace
@@ -109,15 +109,17 @@ type Checker struct {
 	// candidates (loadLog) and the scheduler step of each decision depth
 	// (pathStep). After a backtrack, armFork translates the pending
 	// decision's depth into the step the next execution first diverges
-	// at (forkStep); the next execution replays everything before it
-	// from the logs — skipping the thread/buffer scans and the per-load
-	// candidate search — and switches to live execution there. forkOK
-	// marks the logs as describing the previous execution completely;
-	// unit adoption, dirty resets and strict replay clear it.
+	// at (forkStep); the next execution adopts it as fastUntil and replays
+	// everything before it from the logs — skipping the thread/buffer
+	// scans and the per-load candidate search — and switches to live
+	// execution there. forkOK marks the logs as describing the previous
+	// execution completely; unit adoption, dirty resets and strict replay
+	// clear it.
 	forkEnabled bool
 	forkOK      bool
 	forkStep    int
 	fast        bool
+	fastUntil   int
 	stepLog     []stepRec
 	loadLog     []loadRec
 	loadPos     int
@@ -248,6 +250,7 @@ func (ck *Checker) resetExecution() {
 	if ck.sch == nil {
 		ck.sch = sched.New()
 		ck.sch.OnPanic = ck.onThreadPanic
+		ck.sch.OnExit = ck.onThreadExit
 	} else {
 		ck.sch.Reset()
 	}
@@ -318,10 +321,10 @@ func (ck *Checker) runExecutionLoop() {
 	// logs stay untouched while fast — they ARE the prefix — and are
 	// truncated to the consumed prefix at the fork point; without a fork
 	// they restart empty.
-	fastUntil := 0
+	ck.fastUntil = 0
 	if ck.forkOK && ck.forkStep > 1 && ck.forkEnabled && !ck.dirty {
-		fastUntil = ck.forkStep
-		if fastUntil-1 > len(ck.stepLog) {
+		ck.fastUntil = ck.forkStep
+		if ck.fastUntil-1 > len(ck.stepLog) {
 			internalPanic("prefix-fork: step log shorter than the armed fork point")
 		}
 		ck.fast = true
@@ -343,15 +346,51 @@ func (ck *Checker) runExecutionLoop() {
 		ck.forkOK = ck.forkEnabled && !ck.dirty
 	}()
 
-	// timedOut also ends the loop: after the grant watchdog abandons a
-	// thread on deadline expiry, granting again would block forever on the
-	// abandoned thread's resume channel.
+	// The engine goroutine runs the scheduler steps up to the first grant
+	// and hands that thread the baton. From there the thread holding the
+	// baton runs the steps itself (Thread.enter, onThreadExit), and the
+	// baton only comes back here when the execution is over — or never,
+	// when the watchdog finds its holder stalled.
+	first := ck.advance()
+	if first == nil {
+		return
+	}
+	stalled := ck.sch.GrantWatched(first.st, ck.grantBudget)
+	if stalled == nil {
+		return
+	}
+	// The abandoned goroutine may still touch the scheduler, arenas and
+	// memory; quarantine them all at the next reset.
+	ck.current = nil
+	ck.dirty = true
+	if !ck.deadline.IsZero() && !time.Now().Before(ck.deadline) {
+		// The deadline was the binding budget: the run is out of time,
+		// whatever the holder is doing.
+		ck.timedOut = true
+		return
+	}
+	t := ck.threads[stalled.ID]
+	ck.reportBug(BugWedged, fmt.Sprintf(
+		"thread %s/%s did not yield within %v: callback blocking outside the simulated API?",
+		t.mach.name, t.name, ck.cfg.WedgeTimeout), t)
+}
+
+// advance runs scheduler steps under the seeded schedule — buffer commits
+// and their fast-replayed recordings inline — until a step grants a
+// thread, which it returns; nil means the execution is over (a bug
+// aborted it, nothing can make progress, or a limit was hit). It is
+// called by whichever goroutine holds the baton, at its instruction
+// boundary; ck.current is nil while it runs and the granted thread when
+// it returns, and the caller passes the baton to that thread.
+func (ck *Checker) advance() *Thread {
+	ck.current = nil
+	// timedOut also ends the loop: the run is out of time mid-execution.
 	for !ck.aborted && !ck.timedOut {
 		ck.stepNo++
 		ck.stats.Steps++
 		if ck.stepNo > ck.cfg.MaxStepsPerExec {
 			ck.reportBug(BugLivelock, fmt.Sprintf("step limit exceeded (%d): livelock in checked program?", ck.cfg.MaxStepsPerExec), nil)
-			return
+			return nil
 		}
 		// A per-execution decision-event budget turns state-space blowup in
 		// one execution (a flush/fence storm multiplying crash branches)
@@ -359,27 +398,30 @@ func (ck *Checker) runExecutionLoop() {
 		if ck.cfg.MaxEventsPerExec > 0 && ck.tree.Depth() > ck.cfg.MaxEventsPerExec {
 			ck.reportBug(BugResourceExhausted, fmt.Sprintf(
 				"decision-event limit exceeded (%d): per-execution state-space blowup in checked program?", ck.cfg.MaxEventsPerExec), nil)
-			return
+			return nil
 		}
 		// Honor MaxTime mid-execution, at step granularity; the check is
 		// throttled so the hot loop does not pay a clock read per step.
 		if !ck.deadline.IsZero() && ck.stepNo&1023 == 0 && time.Now().After(ck.deadline) {
 			ck.timedOut = true
-			return
+			return nil
 		}
 
 		if ck.fast {
-			if ck.stepNo < fastUntil {
-				ck.replayStep(ck.stepLog[ck.stepNo-1])
+			if ck.stepNo < ck.fastUntil {
 				ck.stats.StepsSaved++
+				if t := ck.replayStep(ck.stepLog[ck.stepNo-1]); t != nil {
+					ck.current = t
+					return t
+				}
 				continue
 			}
 			// Fork point reached: drop the log suffix belonging to the
 			// previous execution and record live from here on.
 			ck.fast = false
-			ck.stepLog = ck.stepLog[:fastUntil-1]
+			ck.stepLog = ck.stepLog[:ck.fastUntil-1]
 			ck.loadLog = ck.loadLog[:ck.loadPos]
-			ck.om.stepsSaved.Add(int64(fastUntil - 1))
+			ck.om.stepsSaved.Add(int64(ck.fastUntil - 1))
 		}
 
 		runnable := ck.runnableThreads()
@@ -394,7 +436,7 @@ func (ck *Checker) runExecutionLoop() {
 				}
 				ck.reportBug(BugDeadlock, "deadlock: all live threads blocked:"+names, nil)
 			}
-			return
+			return nil
 		case len(runnable) == 0:
 			commit = true
 		case len(committable) == 0:
@@ -403,21 +445,7 @@ func (ck *Checker) runExecutionLoop() {
 			chance = true
 			commit = ck.rng.Intn(100) < ck.cfg.CommitChance
 		}
-		if commit {
-			i := ck.rng.Intn(len(committable))
-			c := committable[i]
-			if ck.forkEnabled {
-				op := opCommitSB
-				if c.fb {
-					op = opCommitFB
-				}
-				ck.stepLog = append(ck.stepLog, stepRec{
-					op: op, chance: chance, pickN: int32(len(committable)), pick: int32(i),
-					thread: int32(c.t.st.ID),
-				})
-			}
-			ck.commitTo(c)
-		} else {
+		if !commit {
 			i := ck.rng.Intn(len(runnable))
 			t := runnable[i]
 			if ck.forkEnabled {
@@ -426,18 +454,34 @@ func (ck *Checker) runExecutionLoop() {
 					thread: int32(t.st.ID),
 				})
 			}
-			ck.grantTo(t)
+			ck.current = t
+			return t
 		}
+		i := ck.rng.Intn(len(committable))
+		c := committable[i]
+		if ck.forkEnabled {
+			op := opCommitSB
+			if c.fb {
+				op = opCommitFB
+			}
+			ck.stepLog = append(ck.stepLog, stepRec{
+				op: op, chance: chance, pickN: int32(len(committable)), pick: int32(i),
+				thread: int32(c.t.st.ID),
+			})
+		}
+		ck.commitTo(c)
 	}
+	return nil
 }
 
 // replayStep re-executes one recorded scheduler step on the fast path:
 // the RNG draws are reproduced and validated against the recording (the
 // streams must be identical or the prefix property is broken), the
-// thread/buffer scans are skipped, and the step's effect — a grant or a
-// commit — runs fully live, so every memory-model mutation, failure
+// thread/buffer scans are skipped, and the step's effect runs fully live
+// — a commit here, a grant by returning the thread for advance's caller
+// to pass the baton to — so every memory-model mutation, failure
 // injection and pruning decision is recomputed exactly as recorded.
-func (ck *Checker) replayStep(rec stepRec) {
+func (ck *Checker) replayStep(rec stepRec) *Thread {
 	if rec.chance {
 		commit := ck.rng.Intn(100) < ck.cfg.CommitChance
 		if commit != (rec.op != opGrant) {
@@ -451,12 +495,14 @@ func (ck *Checker) replayStep(rec stepRec) {
 		internalPanic("prefix-fork: recorded thread index out of range")
 	}
 	t := ck.threads[rec.thread]
-	switch rec.op {
-	case opGrant:
-		ck.grantTo(t)
-	default:
-		ck.commitTo(commitTarget{t: t, fb: rec.op == opCommitFB})
+	if rec.op == opGrant {
+		if t.mach.failed || t.st.State() != sched.Runnable {
+			internalPanic("prefix-fork: recorded grant of a thread that cannot run")
+		}
+		return t
 	}
+	ck.commitTo(commitTarget{t: t, fb: rec.op == opCommitFB})
+	return nil
 }
 
 // choose resolves a decision point through the tree, recording the
@@ -554,52 +600,37 @@ func (ck *Checker) committableBuffers() []commitTarget {
 	return out
 }
 
-// grantTo hands the baton to t, then processes completion wakeups. When
-// a watchdog budget applies, a thread that fails to yield in time is
-// abandoned: either it wedged (blocked outside the simulated API —
-// reported as a bug) or the run's deadline expired while it ran.
-func (ck *Checker) grantTo(t *Thread) {
-	ck.current = t
-	if d, isWedgeBudget := ck.grantBudget(); d > 0 {
-		if !ck.sch.GrantTimeout(t.st, d) {
-			ck.current = nil
-			// The abandoned goroutine may still touch the scheduler,
-			// arenas and memory; quarantine them all at the next reset.
-			ck.dirty = true
-			if isWedgeBudget {
-				ck.reportBug(BugWedged, fmt.Sprintf(
-					"thread %s/%s did not yield within %v: callback blocking outside the simulated API?",
-					t.mach.name, t.name, d), t)
-			} else {
-				ck.timedOut = true
-			}
-			return
-		}
-	} else {
-		ck.sch.Grant(t.st)
-	}
-	ck.current = nil
-	if t.quiesced() {
+// onThreadExit is the scheduler's successor hook: st's goroutine is
+// exiting — its function returned, a failure or bug unwound it, or it
+// panicked — while holding the baton, so it runs the scheduler steps that
+// pick who gets it next.
+func (ck *Checker) onThreadExit(st *sched.Thread) *sched.Thread {
+	if t := ck.threads[st.ID]; t.quiesced() {
 		ck.wakeJoiners(t.mach)
 	}
+	if next := ck.advance(); next != nil {
+		return next.st
+	}
+	return nil
 }
 
-// grantBudget returns the watchdog budget for one grant and whether the
-// binding constraint is WedgeTimeout (true) or the run deadline (false).
-// 0 means no watchdog: the plain, timer-free grant path.
-func (ck *Checker) grantBudget() (time.Duration, bool) {
+// grantBudget returns the watchdog's current period: WedgeTimeout or the
+// time left until the run deadline, whichever is shorter. The watchdog
+// asks again each time it re-arms. 0 means no watchdog: the plain,
+// timer-free path.
+func (ck *Checker) grantBudget() time.Duration {
 	w := ck.cfg.WedgeTimeout
 	if ck.deadline.IsZero() {
-		return w, true
+		return w
 	}
 	m := time.Until(ck.deadline)
 	if m < time.Millisecond {
 		m = time.Millisecond
 	}
 	if w > 0 && w < m {
-		return w, true
+		return w
 	}
-	return m, false
+	return m
 }
 
 // commitTo commits buffer head c.
@@ -677,10 +708,12 @@ func (ck *Checker) failMachine(m *Machine, why string) {
 
 // onThreadPanic converts a Go panic escaping benchmark code into a bug
 // report (e.g. a division by zero — the class of Table 4's bug 2).
-// Checker-invariant panics and replay divergence are not program bugs:
-// they become the run's InternalError instead of a Bug, so the caller
-// gets a structured report (with seed and decision path) rather than a
-// crashed process or a misattributed finding.
+// Checker-invariant panics and replay divergence are not program bugs —
+// they are raised by the instruction the thread was executing or by the
+// scheduler steps it ran at its instruction boundary — and become the
+// run's InternalError instead of a Bug, so the caller gets a structured
+// report (with seed and decision path) rather than a crashed process or a
+// misattributed finding.
 func (ck *Checker) onThreadPanic(st *sched.Thread, v any) {
 	if iv, ok := v.(internalInvariant); ok {
 		ck.internalErr = ck.newInternalError(iv.msg)
@@ -696,12 +729,13 @@ func (ck *Checker) onThreadPanic(st *sched.Thread, v any) {
 		ck.aborted = true
 		return
 	}
-	var t *Thread
-	for _, c := range ck.threads {
-		if c.st == st {
-			t = c
-			break
-		}
+	t := ck.threads[st.ID]
+	if ck.current != t {
+		// The thread was carrying the baton through scheduler steps, not
+		// running its own code: the panic is the checker's.
+		ck.internalErr = ck.newInternalError(fmt.Sprintf("panic in a scheduler step: %v", v))
+		ck.aborted = true
+		return
 	}
 	ck.reportBug(BugPanic, fmt.Sprintf("runtime panic in benchmark code: %v", v), t)
 }

@@ -237,11 +237,15 @@ type Config struct {
 	Chaos *chaos.Injector
 
 	// WedgeTimeout bounds the wall-clock time a simulated thread may run
-	// between scheduler yields. A checked-program callback that blocks
-	// outside the simulated API (a real channel receive, a syscall) hangs
-	// the lock-step scheduler forever without it; with it, the watchdog
-	// abandons the thread, reports a BugWedged, and the run continues.
-	// It must be generous relative to a single callback's compute time
+	// between instruction boundaries. A checked-program callback that
+	// blocks outside the simulated API (a real channel receive, a syscall)
+	// hangs the lock-step scheduler forever without it; with it, the
+	// watchdog abandons the thread, reports a BugWedged, and the run
+	// continues. The watchdog does not time each turn: it looks once per
+	// WedgeTimeout whether the baton has moved since its last look, so a
+	// thread stalled for d is reported after more than d and at most 2d,
+	// and an execution of many short instructions may take any multiple of
+	// it. It must be generous relative to a single callback's compute time
 	// (the watchdog cannot tell "blocked" from "still computing"); values
 	// under a second are for tests. 0 disables the watchdog, unless
 	// MaxTime is set — the same mechanism makes MaxTime effective
@@ -551,6 +555,34 @@ func (b Bug) String() string {
 
 // Stats aggregates exploration statistics — the quantities Table 5 of the
 // paper reports.
+//
+// Invariance contract — which fields two runs of the same program, seed
+// and digest-relevant Config may be compared on. What a run explores is a
+// function of those three alone; Workers, GOMAXPROCS and the host only
+// decide which worker explores which subtree, and when.
+//
+//   - A complete run (Complete true) visits every execution exactly once,
+//     so Executions, FailurePoints, ReadFromPoints, PoisonPoints, Steps,
+//     Pruned, RaceReports and the set of distinct bugs (kind and message)
+//     are identical for every worker count and host, with PrefixFork on or
+//     off, interrupted and resumed or not, in one process or distributed.
+//   - A serial run (Workers: 1 — the zero value means GOMAXPROCS, not
+//     serial) is deterministic whether it completes or not: a run that
+//     stops at its first bug or at MaxExecutions stops at the same
+//     execution every time, so all of the above, PrefixForks, StepsSaved
+//     and each Bug.Execution can be compared as well. Only the cutoffs
+//     that read the clock or the heap (MaxTime, Stop, the memory
+//     governor) move a serial run's stopping point.
+//   - A parallel run that stops early promises only that what it reports
+//     is true: every bug is one the complete run reports too, with a repro
+//     token that replays. How far the other workers had got when one of
+//     them stopped the run — Executions and every other counter — depends
+//     on timing and must not be compared between runs.
+//   - Never invariant: Elapsed; across worker counts PrefixForks and
+//     StepsSaved (a worker adopting a subtree starts without a prefix
+//     log), Bug.Execution and the order bugs are discovered in (Result.Bugs
+//     is sorted for that reason); and the operational fields from
+//     Interrupted down, which describe how bumpy the road was.
 type Stats struct {
 	// Executions is the number of program executions explored (#Execs).
 	Executions int

@@ -30,7 +30,7 @@ func (mu *Mutex) Lock(t *Thread) (ownerFailed bool) {
 	t.enter()
 	for mu.owner != nil {
 		mu.waiters = append(mu.waiters, t)
-		t.st.Block("mutex " + mu.name)
+		t.block("mutex " + mu.name)
 	}
 	mu.owner = t
 	ck := t.ck

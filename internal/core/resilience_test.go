@@ -395,7 +395,7 @@ func TestMaxTimeStopsMidExecution(t *testing.T) {
 
 // TestMaxTimeUnblocksFromBlockedCallback: MaxTime is honored even while
 // a callback holds the baton without yielding (here: a real sleep) — the
-// grant watchdog doubles as the deadline enforcement, and the expiry is
+// baton watchdog doubles as the deadline enforcement, and the expiry is
 // not misreported as a wedge bug.
 func TestMaxTimeUnblocksFromBlockedCallback(t *testing.T) {
 	start := time.Now()
@@ -419,6 +419,158 @@ func TestMaxTimeUnblocksFromBlockedCallback(t *testing.T) {
 	}
 	if res.Complete {
 		t.Fatal("timed-out run claimed completeness")
+	}
+}
+
+// TestWatchdogToleratesLongExecutionOfShortSteps: WedgeTimeout bounds the
+// time between instruction boundaries, not an execution's — the baton
+// never passes the engine goroutine mid-execution, so the watchdog counts
+// its movements instead of timing turns.
+func TestWatchdogToleratesLongExecutionOfShortSteps(t *testing.T) {
+	const d = 50 * time.Millisecond
+	start := time.Now()
+	res, err := Run(Config{WedgeTimeout: d, MaxExecutions: 1, Workers: 1}, func(p *Program) {
+		for _, name := range []string{"A", "B"} {
+			p.NewMachine(name).Thread("slow", func(th *Thread) {
+				for i := 0; i < 10; i++ {
+					time.Sleep(d / 5)
+					th.Yield()
+				}
+			})
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < 4*d {
+		t.Fatalf("execution took %v, want several watchdog periods", took)
+	}
+	if res.Buggy() {
+		t.Fatalf("a live execution was reported: %v", res.Bugs)
+	}
+}
+
+// TestWedgedSecondThreadBlamed: the thread the watchdog blames is the one
+// holding the baton when it stopped moving — here the thread that got it
+// by direct handoff, not the one the engine goroutine granted — and the
+// stall is reported within two watchdog periods.
+func TestWedgedSecondThreadBlamed(t *testing.T) {
+	const d = 100 * time.Millisecond
+	unblock := make(chan struct{})
+	defer close(unblock) // let the abandoned goroutine unwind eventually
+	type stall struct {
+		machine string
+		at      time.Time
+	}
+	stuck := make(chan stall, 1)
+	started := 0
+	res, err := Run(Config{WedgeTimeout: d, MaxExecutions: 1, Workers: 1}, func(p *Program) {
+		for _, name := range []string{"A", "B"} {
+			p.NewMachine(name).Thread("t", func(th *Thread) {
+				started++
+				if started == 2 {
+					stuck <- stall{th.Machine().Name(), time.Now()}
+					<-unblock // blocks outside the simulated API
+				}
+				for i := 0; i < 50; i++ {
+					th.Yield()
+				}
+			})
+		}
+	})
+	want := <-stuck
+	took := time.Since(want.at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Bugs) != 1 || res.Bugs[0].Kind != BugWedged {
+		t.Fatalf("bugs = %v, want one wedged report", res.Bugs)
+	}
+	if res.Bugs[0].Machine != want.machine || res.Bugs[0].Thread != "t" {
+		t.Fatalf("blamed %s/%s, want %s/t", res.Bugs[0].Machine, res.Bugs[0].Thread, want.machine)
+	}
+	if took <= d || took > 2*d+250*time.Millisecond {
+		t.Fatalf("stall reported after %v, want within (%v, %v]", took, d, 2*d)
+	}
+}
+
+// TestStaleTokenDivergesOnExitPath: the scheduler steps that follow a
+// thread's last instruction run in its goroutine wrapper's deferred exit.
+// A strict replay diverging there — the buffered flush commits, and asks
+// for a failure point the token does not have — is still a bad token,
+// not a crashed process.
+func TestStaleTokenDivergesOnExitPath(t *testing.T) {
+	// One thread, and no reduction so that its failure point survives
+	// without an observer: every step after CLFlushOpt is on the exit path.
+	prog := func(p *Program) {
+		a := p.NewMachine("A")
+		x := p.Alloc(8)
+		a.Thread("w", func(th *Thread) {
+			th.Store64(x, 1)
+			th.CLFlushOpt(x)
+		})
+	}
+	cfg := Config{Reduction: SwitchOff}
+	res, err := Run(cfg, prog)
+	if err != nil || res.FailurePoints != 1 {
+		t.Fatalf("want one failure point, at the flush commit: %+v, %v", res, err)
+	}
+	cfg.fillDefaults()
+	digest, err := programDigestOf(cfg, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	token := encodeReproToken(reproToken{
+		Seed: cfg.Seed, Config: configDigest(cfg), Program: digest,
+		Path: decision.EncodePath([]decision.Step{{Kind: decision.KindReadFrom, N: 2}}),
+	})
+	if _, err := Replay(token, Config{Reduction: SwitchOff}, prog); err == nil || !strings.Contains(err.Error(), "does not replay") {
+		t.Fatalf("err = %v, want a does-not-replay error", err)
+	}
+}
+
+// TestPrefixForkInvariantOnExitPath: a prefix-fork log check that fails in
+// a scheduler step run by an exiting thread's goroutine surfaces as an
+// InternalError. The program forces it by breaking the one thing the
+// checker assumes of it — that setup rebuilds it identically: from the
+// second execution on, the thread the recorded prefix grants next is gone
+// or has already returned.
+func TestPrefixForkInvariantOnExitPath(t *testing.T) {
+	onExitPath := false
+	for seed := int64(0); seed < 16 && !onExitPath; seed++ {
+		var rFirst, wStarted, wDone, returned bool
+		_, err := Run(Config{Seed: seed, Workers: 1}, func(p *Program) {
+			a := p.NewMachine("A")
+			b := p.NewMachine("B")
+			x := p.Alloc(8)
+			if wDone { // every execution after the first
+				b.Thread("r", func(*Thread) { returned = true })
+				return
+			}
+			b.Thread("r", func(th *Thread) {
+				rFirst = !wStarted
+				th.Join(a)
+				th.Load64(x)
+			})
+			a.Thread("w", func(th *Thread) {
+				wStarted = true
+				th.Store64(x, 1)
+				th.CLFlush(x)
+				th.SFence()
+				wDone = true
+			})
+		})
+		ie, ok := err.(*InternalError)
+		if !ok || !strings.Contains(ie.Msg, "prefix-fork: recorded") {
+			t.Fatalf("seed %d: err = %v, want the prefix-fork invariant as an InternalError", seed, err)
+		}
+		// The recorded prefix granted r first: in the second execution the
+		// engine goroutine replays that grant, r returns at once, and the
+		// replay of the next step — another grant — runs in r's exit.
+		onExitPath = rFirst && returned
+	}
+	if !onExitPath {
+		t.Fatal("no seed put the failing step on a thread's exit path")
 	}
 }
 

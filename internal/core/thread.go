@@ -22,16 +22,37 @@ type Thread struct {
 	tb   *memmodel.ThreadBuf
 }
 
-// enter marks an instruction boundary: the thread yields to the scheduler
-// and resumes when granted again. Every simulated instruction starts
-// here. A thread the watchdog abandoned unwinds inside Pause instead of
-// yielding.
-func (t *Thread) enter() { t.st.Pause() }
+// enter marks an instruction boundary; every simulated instruction starts
+// here. The thread holds the baton, so it runs the scheduler steps itself:
+// buffer commits happen inline, and the step that grants a thread either
+// picks t again (no goroutine switch), picks another thread (the baton is
+// handed to it directly and t parks until it is granted again), or finds
+// the execution over (the baton goes back to the engine goroutine and t
+// parks until teardown unwinds it). A thread unwinding from a kill, or one
+// the watchdog abandoned, unwinds inside Boundary instead.
+func (t *Thread) enter() {
+	t.st.Boundary()
+	switch next := t.ck.advance(); next {
+	case t:
+		t.st.Continue()
+	case nil:
+		t.st.Pause()
+	default:
+		t.st.SwitchTo(next.st)
+	}
+}
+
+// block marks the thread blocked on note and gives the baton away; the
+// caller re-checks its condition when block returns.
+func (t *Thread) block(note string) {
+	t.st.SetBlocked(note)
+	t.enter()
+}
 
 // guard unwinds a watchdog-abandoned thread before it can touch shared
 // checker state. It backs the few Thread methods that deliberately do
 // not yield (Assert, Fail, Alloc) — everything else is covered by the
-// same check inside enter/Pause.
+// same check inside enter's Boundary.
 func (t *Thread) guard() {
 	if t.st.Wedged() {
 		t.st.KillSelf()
@@ -192,7 +213,7 @@ func (t *Thread) Join(m *Machine) (failedMachine bool) {
 			return false
 		}
 		m.joiners = append(m.joiners, t)
-		t.st.Block("join " + m.name)
+		t.block("join " + m.name)
 	}
 }
 
@@ -241,7 +262,7 @@ func (t *Thread) JoinThreads(targets ...*Thread) {
 				tgt.mach.joiners = append(tgt.mach.joiners, t)
 			}
 		}
-		t.st.Block("join-threads")
+		t.block("join-threads")
 	}
 }
 

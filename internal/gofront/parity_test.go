@@ -53,13 +53,15 @@ func bugSet(res *core.Result) []string {
 
 // TestSourceCCEHParity is the tentpole acceptance check: the
 // source-loaded CCEH must report exactly the bug set of the hand-ported
-// benchmark, with the same execution count, and its repro tokens must
-// replay — against the source program AND against the hand-ported one
-// (the two share a program digest because their setup streams are
-// identical). Run serial and with Workers:4 to cover the parallel
-// engine.
+// benchmark, and its repro tokens must replay — against the source
+// program AND against the hand-ported one (the two share a program digest
+// because their setup streams are identical). Run serial (Workers:1 — 0
+// would mean GOMAXPROCS) and with Workers:4 to cover the parallel engine.
+// Both runs stop at the seeded bug, so only the serial leg can also pin
+// the execution count: how far the other workers got when one found the
+// bug is a matter of timing (see core.Stats for the contract).
 func TestSourceCCEHParity(t *testing.T) {
-	for _, workers := range []int{0, 4} {
+	for _, workers := range []int{1, 4} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			t.Parallel()
@@ -83,7 +85,7 @@ func TestSourceCCEHParity(t *testing.T) {
 			if got, want := bugSet(srcRes), bugSet(handRes); !reflect.DeepEqual(got, want) {
 				t.Errorf("bug set mismatch:\n  source:      %v\n  hand-ported: %v", got, want)
 			}
-			if srcRes.Stats.Executions != handRes.Stats.Executions {
+			if (workers == 1 || srcRes.Complete && handRes.Complete) && srcRes.Stats.Executions != handRes.Stats.Executions {
 				t.Errorf("execution count mismatch: source %d, hand-ported %d",
 					srcRes.Stats.Executions, handRes.Stats.Executions)
 			}

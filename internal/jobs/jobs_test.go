@@ -134,7 +134,7 @@ func TestQueueBound429(t *testing.T) {
 	url := "http://" + s.Addr() + "/jobs"
 
 	slow := Spec{
-		Tenant: "alice", Bench: "P-BwTree", Keys: 8, InsertWorkers: 2,
+		Tenant: "alice", Bench: "P-BwTree", Keys: 10, InsertWorkers: 2,
 		Bugs: 1, Seed: 1, ContinueAfterBug: true, Reduction: cxlmc.SwitchOff,
 	}
 	post := func(sp Spec) *http.Response {
@@ -203,7 +203,7 @@ func TestCancel(t *testing.T) {
 	ctx := ctxT(t, 30*time.Second)
 
 	slow := Spec{
-		Tenant: "a", Bench: "P-BwTree", Keys: 8, InsertWorkers: 2,
+		Tenant: "a", Bench: "P-BwTree", Keys: 10, InsertWorkers: 2,
 		Bugs: 1, Seed: 1, ContinueAfterBug: true, Reduction: cxlmc.SwitchOff,
 	}
 	running, err := c.Submit(ctx, slow)
@@ -357,7 +357,7 @@ func TestDrainAndRestart(t *testing.T) {
 	ctx := ctxT(t, 60*time.Second)
 
 	slow := Spec{
-		Tenant: "a", Bench: "P-BwTree", Keys: 8, InsertWorkers: 2,
+		Tenant: "a", Bench: "P-BwTree", Keys: 10, InsertWorkers: 2,
 		Bugs: 1, Seed: 1, ContinueAfterBug: true, Reduction: cxlmc.SwitchOff,
 	}
 	j1, err := c.Submit(ctx, slow)

@@ -48,10 +48,10 @@ func TestRestartParity(t *testing.T) {
 	dir := t.TempDir()
 
 	// Two deliberately slow jobs (reduction off blows the P-BwTree space
-	// up to ~2.7k executions) and one fast one that stays queued behind
+	// up to ~4.8k executions) and one fast one that stays queued behind
 	// them on a two-worker pool.
 	slowA := Spec{
-		Tenant: "alice", Bench: "P-BwTree", Keys: 8, InsertWorkers: 2,
+		Tenant: "alice", Bench: "P-BwTree", Keys: 10, InsertWorkers: 2,
 		Bugs: 1, Seed: 1, ContinueAfterBug: true, Reduction: cxlmc.SwitchOff,
 	}
 	slowB := slowA
@@ -219,7 +219,7 @@ func TestCrashBeforeFirstCheckpoint(t *testing.T) {
 	c1 := NewClient(s1.Addr())
 	ctx := ctxT(t, 60*time.Second)
 	sp := Spec{
-		Tenant: "a", Bench: "P-BwTree", Keys: 8, InsertWorkers: 2,
+		Tenant: "a", Bench: "P-BwTree", Keys: 10, InsertWorkers: 2,
 		Bugs: 1, Seed: 1, ContinueAfterBug: true, Reduction: cxlmc.SwitchOff,
 	}
 	st, err := c1.Submit(ctx, sp)
