@@ -13,15 +13,19 @@ import (
 )
 
 // Checker holds the exploration state across executions (decision tree,
-// statistics, distinct bugs) and the per-execution simulation state
-// (memory, scheduler, machines, threads).
+// the tally of counters and distinct bugs) and the per-execution simulation
+// state (memory, scheduler, machines, threads).
 type Checker struct {
 	cfg     Config
 	program func(*Program)
 	tree    *decision.Tree
-	stats   Stats
-	bugs    []Bug
-	seen    map[string]bool
+	// stats is everything this checker has counted and found; the engine
+	// drains it incrementally at execution boundaries. The tree counts the
+	// decision points; whoever retires the tree adds them (TreeCounters).
+	// execNo is the current execution's 1-based ordinal in the whole run,
+	// the engine's to assign.
+	stats  Tally
+	execNo int
 	// cfgDigest and progDigest identify what is being explored; they are
 	// stamped into checkpoints and repro tokens and validated on
 	// resume/replay. fp is only non-nil while programDigestOf records.
@@ -188,14 +192,6 @@ func Run(cfg Config, program func(*Program)) (*Result, error) {
 	return newEngine(cfg, program, progDigest).run()
 }
 
-// finalizeStats fills the derived statistics fields.
-func (ck *Checker) finalizeStats(start time.Time, prior time.Duration) {
-	ck.stats.FailurePoints = ck.tree.Created(decision.KindFailure)
-	ck.stats.ReadFromPoints = ck.tree.Created(decision.KindReadFrom)
-	ck.stats.PoisonPoints = ck.tree.Created(decision.KindPoison)
-	ck.stats.Elapsed = prior + time.Since(start)
-}
-
 // stopRequested polls the graceful-interruption channel.
 func stopRequested(stop <-chan struct{}) bool {
 	if stop == nil {
@@ -215,7 +211,7 @@ func (ck *Checker) newInternalError(msg string) *InternalError {
 	return &InternalError{
 		Msg:       msg,
 		Seed:      ck.cfg.Seed,
-		Execution: ck.stats.Executions,
+		Execution: ck.execNo,
 		Path:      base64.RawURLEncoding.EncodeToString(decision.EncodePath(ck.tree.Path())),
 	}
 }
@@ -302,12 +298,13 @@ func (ck *Checker) resetExecution() {
 // The observability calls bracketing the loop are per-execution, never
 // per-step, and are nil checks when observability is off.
 func (ck *Checker) runOneExecution() {
-	ck.tracer.Record(ck.workerID, obs.EvExecStart, int64(ck.stats.Executions), 0)
+	ck.tracer.Record(ck.workerID, obs.EvExecStart, int64(ck.execNo), 0)
+	ck.stats.Executions++
 	stepsBefore := ck.stats.Steps
 	ck.runExecutionLoop()
 	ck.om.execSteps.Observe(float64(ck.stats.Steps - stepsBefore))
 	ck.om.execDepth.Observe(float64(ck.tree.Depth()))
-	ck.tracer.Record(ck.workerID, obs.EvExecEnd, int64(ck.stats.Executions), ck.stats.Steps-stepsBefore)
+	ck.tracer.Record(ck.workerID, obs.EvExecEnd, int64(ck.execNo), ck.stats.Steps-stepsBefore)
 }
 
 func (ck *Checker) runExecutionLoop() {
@@ -329,7 +326,6 @@ func (ck *Checker) runExecutionLoop() {
 		}
 		ck.fast = true
 		ck.stats.PrefixForks++
-		ck.om.prefixForks.Inc()
 	} else {
 		ck.stepLog = ck.stepLog[:0]
 		ck.loadLog = ck.loadLog[:0]
@@ -421,7 +417,6 @@ func (ck *Checker) advance() *Thread {
 			ck.fast = false
 			ck.stepLog = ck.stepLog[:ck.fastUntil-1]
 			ck.loadLog = ck.loadLog[:ck.loadPos]
-			ck.om.stepsSaved.Add(int64(ck.fastUntil - 1))
 		}
 
 		runnable := ck.runnableThreads()
@@ -744,15 +739,13 @@ func (ck *Checker) onThreadPanic(st *sched.Thread, v any) {
 // exploration) and aborts the current execution.
 func (ck *Checker) reportBug(kind BugKind, msg string, t *Thread) {
 	ck.aborted = true
-	key := kind.String() + ":" + msg
-	if ck.seen[key] {
+	if !ck.stats.note(kind, msg) {
 		return
 	}
-	ck.seen[key] = true
 	if kind == BugDataRace || kind == BugUnflushedPublish {
-		ck.tracer.Record(ck.workerID, obs.EvDataRace, int64(ck.stats.Executions), 0)
+		ck.tracer.Record(ck.workerID, obs.EvDataRace, int64(ck.execNo), 0)
 	}
-	b := Bug{Kind: kind, Message: msg, Execution: ck.stats.Executions}
+	b := Bug{Kind: kind, Message: msg, Execution: ck.execNo}
 	if t != nil {
 		b.Machine = t.mach.name
 		b.Thread = t.name
@@ -768,7 +761,7 @@ func (ck *Checker) reportBug(kind BugKind, msg string, t *Thread) {
 			Path:    decision.EncodePath(ck.tree.Path()),
 		})
 	}
-	ck.bugs = append(ck.bugs, b)
+	ck.stats.Bugs = append(ck.stats.Bugs, b)
 	ck.tracef("BUG %s", b)
 }
 

@@ -9,6 +9,7 @@ import (
 	"hash"
 	"io/fs"
 	"os"
+	"strings"
 	"syscall"
 	"time"
 
@@ -102,6 +103,17 @@ func configDigest(cfg Config) string {
 	return hex.EncodeToString(h[:8])
 }
 
+// digestFields names the Config fields configDigest hashes, in its order.
+// The checkpoint and repro-token mismatch errors both list exactly these,
+// so the advice they give cannot drift from what is actually compared.
+var digestFields = []string{
+	"GPF", "Poison", "MaxStepsPerExec", "MemSize", "CommitChance", "EagerReadSet",
+	"MaxEventsPerExec", "Reduction", "RaceDetect", "UnflushedLines",
+}
+
+// digestFieldList renders digestFields for an error message.
+func digestFieldList() string { return strings.Join(digestFields, "/") }
+
 // fingerprint hashes the structural events of program setup (machines,
 // threads, allocations, initial writes, mutexes) into the program
 // digest. A nil fingerprint records nothing, so the per-execution setup
@@ -125,7 +137,6 @@ func programDigestOf(cfg Config, program func(*Program)) (digest string, err err
 		cfg:     cfg,
 		program: program,
 		tree:    decision.NewTree(),
-		seen:    make(map[string]bool),
 		fp:      fp,
 	}
 	defer func() {
@@ -376,8 +387,68 @@ func writeCheckpointOnce(path string, raw []byte, inj *chaos.Injector) error {
 	return nil
 }
 
-// The engine in parallel.go assembles and adopts checkpointData; this
-// file only defines the format and the crash-safe file I/O.
+// CheckIdentity reports whether the checkpoint read from path belongs to
+// the exploration identified by seed and the two digests; the error says
+// which of the three differs and what to do about it.
+func (cp *checkpointData) CheckIdentity(path string, seed int64, cfgDigest, progDigest string) error {
+	if cp.Seed != seed {
+		return fmt.Errorf("cxlmc: checkpoint %s was written for seed %d, this run uses seed %d: delete the checkpoint or match the seed",
+			path, cp.Seed, seed)
+	}
+	if cp.ConfigDigest != cfgDigest {
+		return fmt.Errorf("cxlmc: checkpoint %s was written under a different configuration (digest %s, this run %s): %s must match",
+			path, cp.ConfigDigest, cfgDigest, digestFieldList())
+	}
+	if cp.ProgramDigest != progDigest {
+		return fmt.Errorf("cxlmc: checkpoint %s was written for a different program (digest %s, this program %s): the program structure changed since the checkpoint",
+			path, cp.ProgramDigest, progDigest)
+	}
+	return nil
+}
+
+// SetTotals stores an exploration's cumulative tally and resilience record
+// in the envelope; Totals reads them back. This pair is the only place the
+// checkpoint keys meet the Counters fields: the engine and the dist
+// coordinator both write and resume through it, so a counter carried here
+// survives every kind of resume. Point counts go to BaseCreated, which by
+// the format's contract excludes what the outstanding Units embed — the
+// caller passes totals net of those.
+func (cp *checkpointData) SetTotals(t Tally, r Resilience) {
+	cp.BaseCreated[decision.KindReadFrom] = t.ReadFromPoints
+	cp.BaseCreated[decision.KindFailure] = t.FailurePoints
+	cp.BaseCreated[decision.KindPoison] = t.PoisonPoints
+	cp.Executions, cp.Steps = t.Executions, t.Steps
+	cp.Pruned, cp.PrefixForks, cp.StepsSaved = t.Pruned, t.PrefixForks, t.StepsSaved
+	cp.RaceReports = t.RaceReports
+	cp.Bugs = t.Bugs
+	cp.Degraded, cp.Spills = r.Degraded, r.Spills
+	cp.CheckpointErrors, cp.Quarantined = r.CheckpointErrors, r.Quarantined
+}
+
+// Totals is the inverse of SetTotals. The tally owns a copy of the bug
+// list, so merging into it never writes through to the decoded envelope.
+func (cp *checkpointData) Totals() (Tally, Resilience) {
+	t := Tally{
+		Counters: Counters{
+			Executions:     cp.Executions,
+			FailurePoints:  cp.BaseCreated[decision.KindFailure],
+			ReadFromPoints: cp.BaseCreated[decision.KindReadFrom],
+			PoisonPoints:   cp.BaseCreated[decision.KindPoison],
+			Steps:          cp.Steps,
+			Pruned:         cp.Pruned,
+			PrefixForks:    cp.PrefixForks,
+			StepsSaved:     cp.StepsSaved,
+			RaceReports:    cp.RaceReports,
+		},
+		Bugs: append([]Bug(nil), cp.Bugs...),
+	}
+	return t, Resilience{
+		Degraded:         cp.Degraded,
+		Spills:           cp.Spills,
+		CheckpointErrors: cp.CheckpointErrors,
+		Quarantined:      cp.Quarantined,
+	}
+}
 
 // Checkpoint is the exported name of the version-2 checkpoint envelope,
 // for callers outside the engine — notably the distributed coordinator,

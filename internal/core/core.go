@@ -583,7 +583,46 @@ func (b Bug) String() string {
 //     log), Bug.Execution and the order bugs are discovered in (Result.Bugs
 //     is sorted for that reason); and the operational fields from
 //     Interrupted down, which describe how bumpy the road was.
+//
+// The counts arrive here through one carrier, Counters (below); DESIGN.md,
+// "How a count travels", follows one from the checker to this struct.
 type Stats struct {
+	Counters
+	// Elapsed is the wall-clock time of the whole exploration.
+	Elapsed time.Duration
+	// Complete reports whether the decision tree was fully explored
+	// (false when MaxExecutions stopped the run or a bug aborted it).
+	Complete bool
+	// Interrupted reports that the run was stopped via Config.Stop.
+	Interrupted bool
+	// Resumed reports that the run restored earlier progress from
+	// Config.CheckpointPath. Executions, Steps and Elapsed are cumulative
+	// across the original run and every resumption.
+	Resumed bool
+	Resilience
+	// LeaseReclaims counts distributed work-unit leases reclaimed after
+	// their holder missed the lease deadline (a crashed or wedged
+	// worker); each reclaimed unit was re-issued under a new epoch.
+	LeaseReclaims int
+	// RPCRetries counts distributed transport calls that were retried
+	// after a transient failure (timeout, connection error, 5xx).
+	RPCRetries int
+	// StaleCompletions counts completion reports rejected for carrying a
+	// stale lease epoch — a worker finishing a unit that had already been
+	// reclaimed and re-issued. Rejection is idempotent and harmless.
+	StaleCompletions int
+}
+
+// Counters are the additive exploration counts: the numbers that mean the
+// same thing summed over executions, workers, leases, processes and
+// resumptions. They move as one value — a checker accumulates them, the
+// engine folds worker deltas into its total, and checkpoints, unit reports,
+// the frontier, the dist coordinator, Stats and the metrics all take the
+// whole struct — so adding a counter is adding a field here, one line in
+// addScaled, its checkpoint key (checkpoint.go) and, if it is to be
+// scraped, its metric (observe.go); TestCountersEveryFieldTravels fails
+// while any of those is missing.
+type Counters struct {
 	// Executions is the number of program executions explored (#Execs).
 	Executions int
 	// FailurePoints is the number of failure-injection decision points
@@ -612,17 +651,38 @@ type Stats struct {
 	// and crash-exposed unflushed publishes) before deduplication, so the
 	// count is invariant across worker counts for runs that complete.
 	RaceReports int64
-	// Elapsed is the wall-clock time of the whole exploration.
-	Elapsed time.Duration
-	// Complete reports whether the decision tree was fully explored
-	// (false when MaxExecutions stopped the run or a bug aborted it).
-	Complete bool
-	// Interrupted reports that the run was stopped via Config.Stop.
-	Interrupted bool
-	// Resumed reports that the run restored earlier progress from
-	// Config.CheckpointPath. Executions, Steps and Elapsed are cumulative
-	// across the original run and every resumption.
-	Resumed bool
+}
+
+// addScaled adds k times o to c. It is the one list of the fields: Add and
+// Sub are its two uses.
+func (c *Counters) addScaled(o Counters, k int) {
+	c.Executions += k * o.Executions
+	c.FailurePoints += k * o.FailurePoints
+	c.ReadFromPoints += k * o.ReadFromPoints
+	c.PoisonPoints += k * o.PoisonPoints
+	c.Steps += int64(k) * o.Steps
+	c.Pruned += int64(k) * o.Pruned
+	c.PrefixForks += int64(k) * o.PrefixForks
+	c.StepsSaved += int64(k) * o.StepsSaved
+	c.RaceReports += int64(k) * o.RaceReports
+}
+
+// Add folds o into c.
+func (c *Counters) Add(o Counters) { c.addScaled(o, 1) }
+
+// Sub returns c minus o: what accumulated since o was read off c. A
+// decision-point field can be negative in a distributed worker's delta (a
+// leased unit arrives with counts its previous holder already reported);
+// only sums of deltas are meaningful there.
+func (c Counters) Sub(o Counters) Counters {
+	c.addScaled(o, -1)
+	return c
+}
+
+// Resilience is the cumulative record of how bumpy the road was. Like
+// Counters it describes the whole exploration, not the last process, so it
+// rides in every checkpoint and a resumed run starts from it.
+type Resilience struct {
 	// Degraded reports that the memory-budget governor had to act:
 	// pooled arenas were released, work units were spilled, or the run
 	// was stopped early to stay within MemBudgetBytes. A degraded run
@@ -643,17 +703,6 @@ type Stats struct {
 	// startup, renamed to <path>.corrupt, and the run started fresh
 	// instead of failing.
 	Quarantined bool
-	// LeaseReclaims counts distributed work-unit leases reclaimed after
-	// their holder missed the lease deadline (a crashed or wedged
-	// worker); each reclaimed unit was re-issued under a new epoch.
-	LeaseReclaims int
-	// RPCRetries counts distributed transport calls that were retried
-	// after a transient failure (timeout, connection error, 5xx).
-	RPCRetries int
-	// StaleCompletions counts completion reports rejected for carrying a
-	// stale lease epoch — a worker finishing a unit that had already been
-	// reclaimed and re-issued. Rejection is idempotent and harmless.
-	StaleCompletions int
 }
 
 // Result is the outcome of a model-checking run.

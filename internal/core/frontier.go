@@ -27,10 +27,6 @@ import (
 	"time"
 )
 
-// NumDecisionKinds is the number of decision.Kind values; exported so
-// frontier implementations outside this package can size Created arrays.
-const NumDecisionKinds = numDecisionKinds
-
 // ErrStopped is returned by Frontier.Lease when the run's stop channel
 // fired while waiting for work.
 var ErrStopped = errors.New("cxlmc: stopped while waiting for a work-unit lease")
@@ -50,24 +46,13 @@ type LeasedUnit struct {
 }
 
 // UnitReport is what a worker hands back when every unit derived from a
-// lease has been explored (or released early on a graceful stop). Stats
-// fields are deltas since the worker's previous report, so summing
-// reports across workers yields exact totals when nothing crashes.
+// lease has been explored (or released early on a graceful stop).
 type UnitReport struct {
-	Executions int
-	Steps      int64
-	// Pruned/PrefixForks/StepsSaved are the worker's state-space
-	// reduction and prefix-fork replay deltas (see Stats).
-	Pruned      int64
-	PrefixForks int64
-	StepsSaved  int64
-	// RaceReports is the worker's happens-before race-report delta
-	// (pre-dedup, see Stats.RaceReports).
-	RaceReports int64
-	Created     [NumDecisionKinds]int
-	// Bugs are the distinct bugs found since the previous report, with
-	// repro tokens attached. The frontier deduplicates globally.
-	Bugs []Bug
+	// Tally is the worker's delta since its previous report: counters, so
+	// summing reports across workers yields exact totals when nothing
+	// crashes, and the distinct bugs found since, repro tokens attached.
+	// The frontier deduplicates globally.
+	Tally
 	// Remainder holds unexplored residue snapshots when the worker
 	// stopped before exhausting the lease: requeued as fresh units so no
 	// work is lost on a graceful shutdown.
@@ -155,16 +140,9 @@ type MemFrontier struct {
 	stopping bool
 
 	stats FrontierStats
-	// Accumulated results from completion reports.
-	execs        int
-	steps        int64
-	pruned       int64
-	prefixForks  int64
-	stepsSaved   int64
-	races        int64
-	created      [NumDecisionKinds]int
-	bugs         []Bug
-	seen         map[string]bool
+	// tally accumulates the accepted completion reports (and whatever
+	// Credit seeded it with).
+	tally        Tally
 	unitsAdded   int
 	unitsDone    int
 	janitorStop  chan struct{}
@@ -180,7 +158,6 @@ func NewMemFrontier(cfg MemFrontierConfig, units [][]byte) *MemFrontier {
 	f := &MemFrontier{
 		cfg:          cfg,
 		leased:       make(map[uint64]*frontierUnit),
-		seen:         make(map[string]bool),
 		janitorStop:  make(chan struct{}),
 		janitorEnded: make(chan struct{}),
 	}
@@ -275,13 +252,18 @@ func (f *MemFrontier) TryLease(holder string) (u *LeasedUnit, done bool) {
 	if len(f.queue) == 0 {
 		return nil, len(f.leased) == 0
 	}
+	return f.grantLocked(holder), false
+}
+
+// grantLocked leases the head of the (non-empty) queue to holder.
+func (f *MemFrontier) grantLocked(holder string) *LeasedUnit {
 	fu := f.queue[0]
 	f.queue = f.queue[1:]
 	fu.deadline = time.Now().Add(f.cfg.LeaseTTL)
 	fu.holder = holder
 	f.leased[fu.id] = fu
 	f.event("grant", fu.id, fu.epoch)
-	return &LeasedUnit{ID: fu.id, Epoch: fu.epoch, Snapshot: fu.snap, Deadline: fu.deadline}, false
+	return &LeasedUnit{ID: fu.id, Epoch: fu.epoch, Snapshot: fu.snap, Deadline: fu.deadline}
 }
 
 // Lease implements Frontier: it blocks until a unit is available, the
@@ -299,13 +281,7 @@ func (f *MemFrontier) Lease(stop <-chan struct{}) (*LeasedUnit, error) {
 			return nil, nil
 		}
 		if len(f.queue) > 0 {
-			fu := f.queue[0]
-			f.queue = f.queue[1:]
-			fu.deadline = time.Now().Add(f.cfg.LeaseTTL)
-			fu.holder = "local"
-			f.leased[fu.id] = fu
-			f.event("grant", fu.id, fu.epoch)
-			return &LeasedUnit{ID: fu.id, Epoch: fu.epoch, Snapshot: fu.snap, Deadline: fu.deadline}, nil
+			return f.grantLocked("local"), nil
 		}
 		if len(f.leased) == 0 {
 			return nil, nil
@@ -344,23 +320,8 @@ func (f *MemFrontier) CompleteReport(id, epoch uint64, rep UnitReport) (stale bo
 	}
 	delete(f.leased, id)
 	f.unitsDone++
-	f.execs += rep.Executions
-	f.steps += rep.Steps
-	f.pruned += rep.Pruned
-	f.prefixForks += rep.PrefixForks
-	f.stepsSaved += rep.StepsSaved
-	f.races += rep.RaceReports
-	for i, c := range rep.Created {
-		f.created[i] += c
-	}
+	f.tally.Fold(rep.Tally)
 	f.stats.RPCRetries += rep.RPCRetries
-	for _, b := range rep.Bugs {
-		key := b.Kind.String() + ":" + b.Message
-		if !f.seen[key] {
-			f.seen[key] = true
-			f.bugs = append(f.bugs, b)
-		}
-	}
 	f.addLocked(rep.Remainder)
 	f.event("complete", id, epoch)
 	f.cond.Broadcast()
@@ -424,30 +385,23 @@ func (f *MemFrontier) Idle() bool {
 	return len(f.queue) == 0 && len(f.leased) == 0
 }
 
-// Progress returns the frontier's accumulated totals: executions, steps,
-// per-kind decision-point counts, the deduplicated bugs so far, and the
+// Credit folds results obtained before this frontier existed — a resumed
+// checkpoint's totals — into its tally, so Progress reports the whole
+// exploration and the frontier's owner keeps no second set of books.
+func (f *MemFrontier) Credit(t Tally) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.tally.Fold(t)
+}
+
+// Progress returns everything the frontier has accumulated — the tally of
+// accepted reports, as a copy the caller may keep and merge into — and the
 // queued/leased unit counts.
-func (f *MemFrontier) Progress() (execs int, steps int64, created [NumDecisionKinds]int, bugs []Bug, queued, leased int) {
+func (f *MemFrontier) Progress() (t Tally, queued, leased int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.execs, f.steps, f.created, append([]Bug(nil), f.bugs...), len(f.queue), len(f.leased)
-}
-
-// ReductionTotals returns the accumulated state-space reduction and
-// prefix-fork counters from completion reports; the distributed
-// coordinator folds them into its final Stats.
-func (f *MemFrontier) ReductionTotals() (pruned, prefixForks, stepsSaved int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.pruned, f.prefixForks, f.stepsSaved
-}
-
-// RaceReportTotal returns the accumulated happens-before race-report
-// count (pre-dedup) from completion reports.
-func (f *MemFrontier) RaceReportTotal() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.races
+	t = Tally{Counters: f.tally.Counters, Bugs: append([]Bug(nil), f.tally.Bugs...)}
+	return t, len(f.queue), len(f.leased)
 }
 
 // UnitCounts returns how many units were ever added and how many were

@@ -43,6 +43,11 @@ func newTestFrontier(t *testing.T, ttl time.Duration) *MemFrontier {
 	return f
 }
 
+// execReport is a completion report carrying n executions and nothing else.
+func execReport(n int) UnitReport {
+	return UnitReport{Tally: Tally{Counters: Counters{Executions: n}}}
+}
+
 // TestFrontierLeaseLifecycle: a unit is granted once, completing it
 // under the granted epoch is accepted, and the frontier then reports
 // done.
@@ -55,15 +60,15 @@ func TestFrontierLeaseLifecycle(t *testing.T) {
 	if u2, done2 := f.TryLease("w2"); u2 != nil || done2 {
 		t.Fatalf("second TryLease = (%v, %v), want (nil, false): the only unit is leased", u2, done2)
 	}
-	if stale := f.CompleteReport(u.ID, u.Epoch, UnitReport{Executions: 7}); stale {
+	if stale := f.CompleteReport(u.ID, u.Epoch, execReport(7)); stale {
 		t.Fatal("in-epoch completion rejected as stale")
 	}
 	if !f.Done() {
 		t.Fatal("frontier not done after its only unit completed")
 	}
-	execs, _, _, _, queued, leased := f.Progress()
-	if execs != 7 || queued != 0 || leased != 0 {
-		t.Fatalf("Progress = (execs %d, queued %d, leased %d), want (7, 0, 0)", execs, queued, leased)
+	got, queued, leased := f.Progress()
+	if got.Executions != 7 || queued != 0 || leased != 0 {
+		t.Fatalf("Progress = (execs %d, queued %d, leased %d), want (7, 0, 0)", got.Executions, queued, leased)
 	}
 	if added, done := f.UnitCounts(); added != 1 || done != 1 {
 		t.Fatalf("UnitCounts = (%d, %d), want (1, 1)", added, done)
@@ -106,23 +111,23 @@ func TestFrontierExpiryReclaim(t *testing.T) {
 
 	// The crasher comes back from the dead and reports: rejected, and
 	// nothing is double-counted.
-	if stale := f.CompleteReport(u.ID, u.Epoch, UnitReport{Executions: 99}); !stale {
+	if stale := f.CompleteReport(u.ID, u.Epoch, execReport(99)); !stale {
 		t.Fatal("stale-epoch completion accepted")
 	}
 	if f.Stats().StaleRejects != 1 {
 		t.Fatalf("StaleRejects = %d, want 1", f.Stats().StaleRejects)
 	}
-	if execs, _, _, _, _, _ := f.Progress(); execs != 0 {
-		t.Fatalf("stale completion leaked %d executions into the totals", execs)
+	if got, _, _ := f.Progress(); got.Executions != 0 {
+		t.Fatalf("stale completion leaked %d executions into the totals", got.Executions)
 	}
 
 	// The successor's completion under the current epoch is the
 	// authoritative one.
-	if stale := f.CompleteReport(u2.ID, u2.Epoch, UnitReport{Executions: 3}); stale {
+	if stale := f.CompleteReport(u2.ID, u2.Epoch, execReport(3)); stale {
 		t.Fatal("current-epoch completion rejected")
 	}
-	if execs, _, _, _, _, _ := f.Progress(); execs != 3 {
-		t.Fatalf("executions = %d, want 3 (successor's report only)", execs)
+	if got, _, _ := f.Progress(); got.Executions != 3 {
+		t.Fatalf("executions = %d, want 3 (successor's report only)", got.Executions)
 	}
 	if !f.Done() {
 		t.Fatal("frontier not done after the authoritative completion")
@@ -196,11 +201,11 @@ func TestFrontierBugDedup(t *testing.T) {
 	bug := Bug{Kind: BugAssertion, Message: "same everywhere"}
 	u1, _ := f.TryLease("a")
 	u2, _ := f.TryLease("b")
-	f.CompleteReport(u1.ID, u1.Epoch, UnitReport{Bugs: []Bug{bug}})
-	f.CompleteReport(u2.ID, u2.Epoch, UnitReport{Bugs: []Bug{bug}})
-	_, _, _, bugs, _, _ := f.Progress()
-	if len(bugs) != 1 {
-		t.Fatalf("got %d bugs after dedup, want 1", len(bugs))
+	f.CompleteReport(u1.ID, u1.Epoch, UnitReport{Tally: Tally{Bugs: []Bug{bug}}})
+	f.CompleteReport(u2.ID, u2.Epoch, UnitReport{Tally: Tally{Bugs: []Bug{bug}}})
+	got, _, _ := f.Progress()
+	if len(got.Bugs) != 1 {
+		t.Fatalf("got %d bugs after dedup, want 1", len(got.Bugs))
 	}
 }
 

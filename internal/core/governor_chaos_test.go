@@ -135,8 +135,8 @@ func TestSpillRoundTrip(t *testing.T) {
 	e.mu.Lock()
 	e.spillLocked(0)
 	e.mu.Unlock()
-	if len(e.queue) != 0 || len(e.spilled) != 3 || e.spills != 3 {
-		t.Fatalf("after spill: queue=%d spilled=%d spills=%d", len(e.queue), len(e.spilled), e.spills)
+	if len(e.queue) != 0 || len(e.spilled) != 3 || e.res.Spills != 3 {
+		t.Fatalf("after spill: queue=%d spilled=%d spills=%d", len(e.queue), len(e.spilled), e.res.Spills)
 	}
 	files, err := filepath.Glob(filepath.Join(spill, "cxlmc-spill-*.bin"))
 	if err != nil || len(files) != 3 {

@@ -88,7 +88,6 @@ func (ck *Checker) maybeInjectFailure(t *Thread, eff memmodel.FlushEffect) bool 
 	}
 	if ck.reduce && ck.pruneFailurePoint(t) {
 		ck.stats.Pruned++
-		ck.om.pruned.Inc()
 		// Report only observer-free prunes to the op-stream observer:
 		// those are the author-actionable "a crash here is untestable"
 		// sites. Flush-chain subsumption (the first condition inside

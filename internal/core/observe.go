@@ -109,6 +109,21 @@ func newCoreMetrics(reg *obs.Registry) coreMetrics {
 	return m
 }
 
+// publish adds a delta of the run's tally to the scraped counters. The
+// engine calls it with exactly what it folds into its total — a worker's
+// merge at an execution boundary, a resumed checkpoint's inheritance — so
+// these series cannot disagree with Stats. Decision points are published
+// by checkerHook as they are created, not from here.
+func (m coreMetrics) publish(d Counters, bugs int) {
+	m.execs.Add(int64(d.Executions))
+	m.steps.Add(d.Steps)
+	m.pruned.Add(d.Pruned)
+	m.prefixForks.Add(d.PrefixForks)
+	m.stepsSaved.Add(d.StepsSaved)
+	m.races.Add(d.RaceReports)
+	m.bugs.Add(int64(bugs))
+}
+
 // checkerHook forwards decision-tree structure events (fresh decision
 // points, backtracks) into the metrics and the event trace. One hook is
 // boxed per worker at pool start, so attaching it to each claimed unit
@@ -313,23 +328,27 @@ func (e *engine) progress() Progress {
 	defer e.mu.Unlock()
 	sinceStart := time.Since(e.start)
 	p := Progress{
-		Executions:       e.execs,
-		Steps:            e.steps,
-		Bugs:             len(e.bugs),
+		Executions:       e.total.Executions,
+		Steps:            e.total.Steps,
+		Bugs:             len(e.total.Bugs),
 		Queued:           len(e.queue),
 		Spilled:          len(e.spilled),
 		Active:           e.active,
 		Frontier:         len(e.queue) + len(e.spilled) + e.active,
 		GovernorStage:    e.govStage,
-		Degraded:         e.degraded,
-		CheckpointErrors: e.cpErrs,
+		Degraded:         e.res.Degraded,
+		CheckpointErrors: e.res.CheckpointErrors,
 		HeapBytes:        ms.HeapAlloc,
 		Elapsed:          e.prior + sinceStart,
 		TraceEvents:      e.tracer.Total(),
 		Workers:          append([]WorkerStatus(nil), e.workers...),
 	}
 	e.om.heapBytes.Set(int64(ms.HeapAlloc))
-	localExecs := e.execs - e.baseExecs
+	// The rate is this process's: what it started, not what it inherited.
+	localExecs := 0
+	for _, w := range e.workers {
+		localExecs += w.Executions
+	}
 	if sec := sinceStart.Seconds(); sec > 0 {
 		p.ExecRate = float64(localExecs) / sec
 	}

@@ -37,7 +37,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -51,7 +50,7 @@ import (
 // final totals even if the unit is never reloaded).
 type spillEntry struct {
 	path    string
-	created [numDecisionKinds]int
+	created Counters
 }
 
 // engine coordinates the worker pool for one Run.
@@ -74,24 +73,21 @@ type engine struct {
 	queue  []*decision.Tree
 	active int
 	hungry int
-	// execs is the global execution counter; workers reserve an ordinal
-	// under mu before each execution, which makes MaxExecutions an exact
-	// global cutoff (no overshoot even with many workers).
-	execs int
-	steps int64
-	// pruned/prefixForks/stepsSaved accumulate the reduction and
-	// prefix-fork counters merged from workers at execution boundaries
-	// (plus a resumed checkpoint's cumulative totals); races accumulates
-	// the pre-dedup happens-before race-report count the same way.
-	pruned      int64
-	prefixForks int64
-	stepsSaved  int64
-	races       int64
-	// created accumulates decision-point counters of completed units,
-	// plus the BaseCreated of a resumed checkpoint.
-	created [numDecisionKinds]int
-	bugs    []Bug
-	seen    map[string]bool
+	// total is the run's result so far: a resumed checkpoint's totals,
+	// plus every finished execution's counters and bugs, folded in from the
+	// worker's checker at its next execution boundary (mergeLocked), plus
+	// the decision points of every unit explored to the end. Units still
+	// queued, spilled or being explored carry their points inside.
+	total Tally
+	// res is the cumulative resilience record: this process's governor,
+	// spill, checkpoint-error and quarantine history on top of a resumed
+	// checkpoint's.
+	res Resilience
+	// nextExec numbers executions: workers reserve an ordinal under mu
+	// before each one, which makes MaxExecutions an exact global cutoff (no
+	// overshoot even with many workers). It runs ahead of total.Executions
+	// by the executions in flight.
+	nextExec int
 	// stopFlag tells workers to release their units and exit; set on
 	// bug-stop, MaxExecutions, MaxTime, Stop and failure.
 	stopFlag    bool
@@ -124,34 +120,25 @@ type engine struct {
 	// worker compares its own epoch at the next boundary and marks its
 	// checker dirty, which makes resetExecution rebuild from scratch.
 	poolEpoch int
-	degraded  bool
 	// spilled holds frontier units parked on disk, LIFO; spillFail latches
 	// after a persistent spill I/O error and disables further spilling
 	// (units then just stay in memory).
 	spilled   []spillEntry
 	spillSeq  int
-	spills    int
 	spillFail bool
-	// cpErrs counts tolerated periodic-checkpoint write failures; the
-	// previously-installed checkpoint stays valid (atomic rename), so the
-	// run keeps exploring. Only a failed *final* write fails the run.
-	cpErrs      int
-	quarantined bool
 
 	// Observability plumbing (see observe.go). om's instruments are nil
 	// (valid no-ops) when neither Config.Obs nor Config.MetricsAddr is
 	// set; tracer is nil without Config.EventTrace. workers is the live
 	// per-worker status served by /statusz, mutated only under mu at
-	// execution boundaries. unitsDone and baseExecs feed the crude ETA:
-	// units fully explored this process, and the execution count
-	// inherited from a resumed checkpoint.
+	// execution boundaries. unitsDone feeds the crude ETA: units fully
+	// explored this process.
 	om        coreMetrics
 	reg       *obs.Registry
 	tracer    *obs.Tracer
 	server    *obs.Server
 	workers   []WorkerStatus
 	unitsDone int
-	baseExecs int
 
 	// Distributed-mode state (cfg.Frontier non-nil). The engine leases
 	// subtree units from rf instead of seeding a local tree; leases maps
@@ -164,18 +151,21 @@ type engine struct {
 	// Lease call (cond.Wait cannot watch a channel, and neither can an
 	// HTTP long-poll watch our mutex). pending tracks in-flight
 	// completion/donation RPC goroutines so run() can drain them.
+	//
+	// reported is how much of total has gone out in completion reports.
+	// owed corrects the next report's decision points for units crossing
+	// this process's border: a leased unit arrives with the points of its
+	// past life embedded (its previous holder reports those, so they are
+	// subtracted here), and a unit donated or flushed back leaves with
+	// points that only this worker can report (added). What remains is
+	// what this worker contributed, so the coordinator's sum of deltas
+	// partitions exactly no matter how often units migrate.
 	rf              Frontier
 	remoteDone      bool
 	leaseOut        bool
 	leases          map[*decision.Tree]*leaseRef
-	pendingCreated  [numDecisionKinds]int
-	repExecs        int
-	repSteps        int64
-	repBugs         int
-	repPruned       int64
-	repForks        int64
-	repSaved        int64
-	repRaces        int64
+	reported        mark
+	owed            Counters
 	leaseStop       chan struct{}
 	leaseStopClosed bool
 	pending         sync.WaitGroup
@@ -185,14 +175,6 @@ type engine struct {
 type leaseRef struct {
 	lu          *LeasedUnit
 	outstanding int
-}
-
-// treeCreated reads a tree's per-kind decision-point counters.
-func treeCreated(tr *decision.Tree) (c [numDecisionKinds]int) {
-	c[decision.KindReadFrom] = tr.Created(decision.KindReadFrom)
-	c[decision.KindFailure] = tr.Created(decision.KindFailure)
-	c[decision.KindPoison] = tr.Created(decision.KindPoison)
-	return c
 }
 
 // worker is the per-goroutine exploration state.
@@ -205,15 +187,9 @@ type worker struct {
 	hook decision.Hook
 	// lastRound is the last checkpoint round this worker deposited in.
 	lastRound int
-	// mergedSteps/mergedBugs (and the reduction counters below) track how
-	// much of the private checker's state has been folded into the
-	// engine, so boundary merges are incremental.
-	mergedSteps  int64
-	mergedBugs   int
-	mergedPruned int64
-	mergedForks  int64
-	mergedSaved  int64
-	mergedRaces  int64
+	// merged is how much of the private checker's tally has been folded
+	// into the engine, so boundary merges are incremental.
+	merged mark
 	// poolEpoch lags engine.poolEpoch; a mismatch at a boundary means the
 	// governor asked for pooled arenas to be released.
 	poolEpoch int
@@ -225,8 +201,6 @@ func newEngine(cfg Config, program func(*Program), progDigest string) *engine {
 		program:    program,
 		cfgDigest:  configDigest(cfg),
 		progDigest: progDigest,
-		seen:       make(map[string]bool),
-		cpRound:    0,
 	}
 	e.cond = sync.NewCond(&e.mu)
 	if cfg.Frontier != nil {
@@ -253,7 +227,7 @@ func (e *engine) seedFrontier() (*Result, error) {
 	if e.rf != nil {
 		// Distributed worker: the frontier's owner seeds and persists the
 		// exploration; this process only leases units from it.
-		e.lastCPExecs, e.lastCPTime = e.execs, e.start
+		e.lastCPTime = e.start
 		return nil, nil
 	}
 	if e.cfg.CheckpointPath != "" {
@@ -277,7 +251,7 @@ func (e *engine) seedFrontier() (*Result, error) {
 			if qerr := quarantineCheckpoint(e.cfg.CheckpointPath, e.cfg.Chaos); qerr != nil {
 				return nil, fmt.Errorf("%w (and quarantining it failed: %v)", err, qerr)
 			}
-			e.quarantined = true
+			e.res.Quarantined = true
 			e.om.cpQuarantines.Inc()
 			e.tracer.RecordS(-1, obs.EvCheckpointQuarantine, 0, e.cfg.CheckpointPath)
 		}
@@ -285,7 +259,7 @@ func (e *engine) seedFrontier() (*Result, error) {
 	if !e.resumed {
 		e.queue = []*decision.Tree{decision.NewTree()}
 	}
-	e.lastCPExecs, e.lastCPTime = e.execs, e.start
+	e.lastCPExecs, e.lastCPTime = e.total.Executions, e.start
 	return nil, nil
 }
 
@@ -336,7 +310,6 @@ func (e *engine) run() (*Result, error) {
 			ck: &Checker{
 				cfg:        e.cfg,
 				program:    e.program,
-				seen:       make(map[string]bool),
 				cfgDigest:  e.cfgDigest,
 				progDigest: e.progDigest,
 				deadline:   e.deadline,
@@ -386,18 +359,13 @@ func (e *engine) run() (*Result, error) {
 	if e.cfg.Workers > 1 {
 		// Discovery order is nondeterministic across workers; report bugs
 		// in a stable order instead.
-		sort.SliceStable(e.bugs, func(i, j int) bool {
-			if e.bugs[i].Kind != e.bugs[j].Kind {
-				return e.bugs[i].Kind < e.bugs[j].Kind
-			}
-			return e.bugs[i].Message < e.bugs[j].Message
-		})
+		SortBugs(e.total.Bugs)
 	}
 	if e.rf == nil {
 		// In distributed mode the coordinator minimizes the globally
 		// merged bug set instead, so every worker finding the same bug
 		// doesn't pay the replay cost; see dist.Coordinator.
-		minimizeBugTokens(e.cfg, e.program, e.progDigest, e.bugs)
+		minimizeBugTokens(e.cfg, e.program, e.progDigest, e.total.Bugs)
 	}
 	res := e.result(complete)
 	if e.cfg.CheckpointPath != "" {
@@ -430,35 +398,20 @@ func (e *engine) cleanupSpills() {
 // counters are the completed units' totals plus whatever the still-queued
 // (or still-spilled) units created before being released.
 func (e *engine) result(complete bool) *Result {
-	created := e.created
+	c := e.total.Counters
 	for _, tr := range e.queue {
-		created[decision.KindReadFrom] += tr.Created(decision.KindReadFrom)
-		created[decision.KindFailure] += tr.Created(decision.KindFailure)
-		created[decision.KindPoison] += tr.Created(decision.KindPoison)
+		c.Add(TreeCounters(tr))
 	}
 	for _, ent := range e.spilled {
-		for i, c := range ent.created {
-			created[i] += c
-		}
+		c.Add(ent.created)
 	}
 	stats := Stats{
-		Executions:       e.execs,
-		FailurePoints:    created[decision.KindFailure],
-		ReadFromPoints:   created[decision.KindReadFrom],
-		PoisonPoints:     created[decision.KindPoison],
-		Steps:            e.steps,
-		Pruned:           e.pruned,
-		PrefixForks:      e.prefixForks,
-		StepsSaved:       e.stepsSaved,
-		RaceReports:      e.races,
-		Elapsed:          e.prior + time.Since(e.start),
-		Complete:         complete,
-		Interrupted:      e.interrupted,
-		Resumed:          e.resumed,
-		Degraded:         e.degraded,
-		Spills:           e.spills,
-		CheckpointErrors: e.cpErrs,
-		Quarantined:      e.quarantined,
+		Counters:    c,
+		Resilience:  e.res,
+		Elapsed:     e.prior + time.Since(e.start),
+		Complete:    complete,
+		Interrupted: e.interrupted,
+		Resumed:     e.resumed,
 	}
 	if e.rf != nil {
 		fs := e.rf.Stats()
@@ -466,7 +419,7 @@ func (e *engine) result(complete bool) *Result {
 		stats.RPCRetries = fs.RPCRetries
 		stats.StaleCompletions = fs.StaleRejects
 	}
-	return &Result{Stats: stats, Bugs: e.bugs, Seed: e.cfg.Seed, GPF: e.cfg.GPF}
+	return &Result{Stats: stats, Bugs: e.total.Bugs, Seed: e.cfg.Seed, GPF: e.cfg.GPF}
 }
 
 // frontierSnapshotsLocked collects the full unexplored frontier as unit
@@ -501,52 +454,28 @@ func (e *engine) checkpointData(complete bool) (*checkpointData, error) {
 }
 
 func (e *engine) envelope(units [][]byte, complete bool) *checkpointData {
-	return &checkpointData{
-		Version:          checkpointVersion,
-		Seed:             e.cfg.Seed,
-		ConfigDigest:     e.cfgDigest,
-		ProgramDigest:    e.progDigest,
-		Units:            units,
-		BaseCreated:      e.created,
-		Executions:       e.execs,
-		Steps:            e.steps,
-		Pruned:           e.pruned,
-		PrefixForks:      e.prefixForks,
-		StepsSaved:       e.stepsSaved,
-		RaceReports:      e.races,
-		Elapsed:          e.prior + time.Since(e.start),
-		Complete:         complete,
-		Interrupted:      e.interrupted,
-		Degraded:         e.degraded,
-		Spills:           e.spills,
-		CheckpointErrors: e.cpErrs,
-		Quarantined:      e.quarantined,
-		Bugs:             e.bugs,
-	}
+	cp := NewCheckpoint(e.cfg.Seed, e.cfgDigest, e.progDigest)
+	cp.Units = units
+	cp.SetTotals(e.total, e.res)
+	cp.Elapsed = e.prior + time.Since(e.start)
+	cp.Complete = complete
+	cp.Interrupted = e.interrupted
+	return cp
 }
 
 // adoptCheckpoint validates cp against this run's identity and restores
 // the exploration frontier from it.
 func (e *engine) adoptCheckpoint(cp *checkpointData) error {
 	path := e.cfg.CheckpointPath
-	if cp.Seed != e.cfg.Seed {
-		return fmt.Errorf("cxlmc: checkpoint %s was written for seed %d, this run uses seed %d: delete the checkpoint or match the seed",
-			path, cp.Seed, e.cfg.Seed)
-	}
-	if cp.ConfigDigest != e.cfgDigest {
-		return fmt.Errorf("cxlmc: checkpoint %s was written under a different configuration (digest %s, this run %s): GPF/Poison/EagerReadSet/CommitChance/MaxStepsPerExec/MemSize/Reduction/RaceDetect must match",
-			path, cp.ConfigDigest, e.cfgDigest)
-	}
-	if cp.ProgramDigest != e.progDigest {
-		return fmt.Errorf("cxlmc: checkpoint %s was written for a different program (digest %s, this program %s): the program structure changed since the checkpoint",
-			path, cp.ProgramDigest, e.progDigest)
+	if err := cp.CheckIdentity(path, e.cfg.Seed, e.cfgDigest, e.progDigest); err != nil {
+		return err
 	}
 	// Stage every unit before mutating engine state: a snapshot that does
 	// not decode marks the whole checkpoint corrupt (quarantined by the
 	// caller), and a half-adopted frontier must not leak into the fresh
 	// start that follows.
 	var queue []*decision.Tree
-	var finished [numDecisionKinds]int
+	var finished Counters
 	for _, raw := range cp.Units {
 		tr := decision.NewTree()
 		if err := tr.Restore(raw); err != nil {
@@ -556,52 +485,20 @@ func (e *engine) adoptCheckpoint(cp *checkpointData) error {
 			queue = append(queue, tr)
 		} else {
 			// A finished unit's counters still belong in the totals.
-			finished[decision.KindReadFrom] += tr.Created(decision.KindReadFrom)
-			finished[decision.KindFailure] += tr.Created(decision.KindFailure)
-			finished[decision.KindPoison] += tr.Created(decision.KindPoison)
+			finished.Add(TreeCounters(tr))
 		}
 	}
 	e.queue = queue
-	for i, c := range finished {
-		e.created[i] += c
-	}
-	e.execs = cp.Executions
-	e.steps = cp.Steps
-	e.pruned = cp.Pruned
-	e.prefixForks = cp.PrefixForks
-	e.stepsSaved = cp.StepsSaved
-	e.races = cp.RaceReports
+	e.total, e.res = cp.Totals()
+	e.total.Add(finished)
+	e.nextExec = e.total.Executions
 	e.prior = cp.Elapsed
-	// Resilience counters are cumulative across the whole exploration,
-	// not per-process: a resumed run must carry forward how degraded the
-	// road here was, or Stats would under-report spills, checkpoint
-	// failures and quarantines that happened before the interruption.
-	// (Checkpoints written by older builds decode these as zeros.)
-	e.degraded = e.degraded || cp.Degraded
-	e.spills += cp.Spills
-	e.cpErrs += cp.CheckpointErrors
-	e.quarantined = e.quarantined || cp.Quarantined
-	for i, c := range cp.BaseCreated {
-		e.created[i] += c
-	}
-	e.bugs = append([]Bug(nil), cp.Bugs...)
-	for _, b := range e.bugs {
-		e.seen[b.Kind.String()+":"+b.Message] = true
-	}
 	e.resumed = true
 	// Seed the process-lifetime metrics with the inherited totals so
-	// /statusz and /metrics agree with Stats; baseExecs keeps the
-	// exec-rate estimate honest about what THIS process has done.
-	e.baseExecs = cp.Executions
-	e.om.execs.Add(int64(cp.Executions))
-	e.om.steps.Add(cp.Steps)
-	e.om.pruned.Add(cp.Pruned)
-	e.om.prefixForks.Add(cp.PrefixForks)
-	e.om.stepsSaved.Add(cp.StepsSaved)
-	e.om.races.Add(cp.RaceReports)
-	e.om.bugs.Add(int64(len(cp.Bugs)))
-	e.om.spillsC.Add(int64(cp.Spills))
-	e.om.cpErrors.Add(int64(cp.CheckpointErrors))
+	// /statusz and /metrics agree with Stats.
+	e.om.publish(e.total.Counters, len(e.total.Bugs))
+	e.om.spillsC.Add(int64(e.res.Spills))
+	e.om.cpErrors.Add(int64(e.res.CheckpointErrors))
 	return nil
 }
 
@@ -719,17 +616,11 @@ func (e *engine) leasePumpLocked(w *worker) {
 			// can carry them): complete it immediately, crediting its
 			// embedded decision-point counts, and pump again.
 			var rep UnitReport
-			rep.Created = treeCreated(tr)
+			rep.Counters = TreeCounters(tr)
 			e.completeAsync(lu, rep)
 			return
 		}
-		// The unit arrives with the decision-point counts of its past
-		// life embedded; subtracting them here means reports only ever
-		// carry what THIS worker contributed, so the coordinator's sum of
-		// deltas partitions exactly no matter how often units migrate.
-		for k, c := range treeCreated(tr) {
-			e.pendingCreated[k] -= c
-		}
+		e.owed = e.owed.Sub(TreeCounters(tr))
 		e.leases[tr] = &leaseRef{lu: lu, outstanding: 1}
 		e.queue = append(e.queue, tr)
 	}
@@ -752,27 +643,16 @@ func (e *engine) adoptSplitLocked(parent *decision.Tree, units []*decision.Tree)
 	}
 }
 
-// reportDeltaLocked assembles the stats delta since the previous report:
-// executions, steps, decision points and newly found bugs. An individual
-// report's Created can go negative (a lease adopted with large embedded
+// reportDeltaLocked assembles what the run found since the previous
+// report: counter deltas and newly found bugs. An individual report's
+// decision points can go negative (a lease adopted with large embedded
 // counts, most of which were donated onward); the coordinator only ever
 // sums deltas, so partition-exactness is what matters.
 func (e *engine) reportDeltaLocked() UnitReport {
-	rep := UnitReport{
-		Executions:  e.execs - e.repExecs,
-		Steps:       e.steps - e.repSteps,
-		Pruned:      e.pruned - e.repPruned,
-		PrefixForks: e.prefixForks - e.repForks,
-		StepsSaved:  e.stepsSaved - e.repSaved,
-		RaceReports: e.races - e.repRaces,
-		Created:     e.pendingCreated,
-		Bugs:        append([]Bug(nil), e.bugs[e.repBugs:]...),
-	}
-	e.repExecs, e.repSteps, e.repBugs = e.execs, e.steps, len(e.bugs)
-	e.repPruned, e.repForks, e.repSaved = e.pruned, e.prefixForks, e.stepsSaved
-	e.repRaces = e.races
-	e.pendingCreated = [numDecisionKinds]int{}
-	return rep
+	d, fresh := e.total.since(&e.reported)
+	d.Add(e.owed)
+	e.owed = Counters{}
+	return UnitReport{Tally: Tally{Counters: d, Bugs: append([]Bug(nil), fresh...)}}
 }
 
 // completeAsync dispatches a completion report without holding e.mu (a
@@ -836,11 +716,7 @@ func (e *engine) donateLocked() {
 			return
 		}
 		for _, tr := range trees {
-			// The donated subtree's counts leave with it (its next holder
-			// baselines them away), so they are this worker's to report.
-			for k, c := range treeCreated(tr) {
-				e.pendingCreated[k] += c
-			}
+			e.owed.Add(TreeCounters(tr))
 			e.retireShareLocked(tr)
 		}
 	}()
@@ -865,9 +741,7 @@ func (e *engine) flushRemote() {
 		}
 		delete(e.leases, tr)
 		ref.outstanding--
-		for k, c := range treeCreated(tr) {
-			e.pendingCreated[k] += c
-		}
+		e.owed.Add(TreeCounters(tr))
 		i, ok := byRef[ref]
 		if !ok {
 			i = len(outs)
@@ -989,7 +863,7 @@ func (e *engine) runUnit(w *worker, tr *decision.Tree) {
 			// below only carves off un-taken branches; the pending path —
 			// and therefore the armed fork — survives it.)
 			ck.armFork()
-			if e.cfg.MaxExecutions > 0 && e.execs >= e.cfg.MaxExecutions {
+			if e.cfg.MaxExecutions > 0 && e.nextExec >= e.cfg.MaxExecutions {
 				e.stopLocked()
 				e.endUnitLocked(w, tr, true)
 				released = true
@@ -1024,8 +898,8 @@ func (e *engine) runUnit(w *worker, tr *decision.Tree) {
 			// (stage 3); the unit then returns to the queue for the final
 			// checkpoint like any other stop.
 			if (e.cfg.MemBudgetBytes > 0 || e.cfg.SpillDir != "") &&
-				e.execs-e.lastGovExecs >= e.cfg.GovernorEvery {
-				e.lastGovExecs = e.execs
+				e.total.Executions-e.lastGovExecs >= e.cfg.GovernorEvery {
+				e.lastGovExecs = e.total.Executions
 				e.governLocked()
 				if e.stopFlag {
 					e.endUnitLocked(w, tr, true)
@@ -1076,16 +950,15 @@ func (e *engine) runUnit(w *worker, tr *decision.Tree) {
 			return
 		}
 		// Reserve a global execution ordinal; exact MaxExecutions cutoff.
-		if e.cfg.MaxExecutions > 0 && e.execs >= e.cfg.MaxExecutions {
+		if e.cfg.MaxExecutions > 0 && e.nextExec >= e.cfg.MaxExecutions {
 			e.stopLocked()
 			e.endUnitLocked(w, tr, true)
 			released = true
 			e.mu.Unlock()
 			return
 		}
-		e.execs++
-		ck.stats.Executions = e.execs
-		e.om.execs.Inc()
+		e.nextExec++
+		ck.execNo = e.nextExec
 		e.workers[w.id].Executions++
 		e.mu.Unlock()
 
@@ -1094,47 +967,28 @@ func (e *engine) runUnit(w *worker, tr *decision.Tree) {
 	}
 }
 
-// mergeLocked folds the worker's per-execution deltas into the engine:
-// step counts and newly reported bugs (deduplicated globally).
+// mergeLocked folds what the worker's checker counted and found since its
+// last boundary into the engine's total (bugs deduplicated globally) and
+// publishes exactly that delta to the metrics, so /metrics is the sum of
+// the same numbers Stats is.
 func (e *engine) mergeLocked(w *worker) {
-	ck := w.ck
-	delta := ck.stats.Steps - w.mergedSteps
-	e.steps += delta
-	e.om.steps.Add(delta)
-	w.mergedSteps = ck.stats.Steps
-	e.pruned += ck.stats.Pruned - w.mergedPruned
-	w.mergedPruned = ck.stats.Pruned
-	e.prefixForks += ck.stats.PrefixForks - w.mergedForks
-	w.mergedForks = ck.stats.PrefixForks
-	e.stepsSaved += ck.stats.StepsSaved - w.mergedSaved
-	w.mergedSaved = ck.stats.StepsSaved
-	e.races += ck.stats.RaceReports - w.mergedRaces
-	w.mergedRaces = ck.stats.RaceReports
-	for _, b := range ck.bugs[w.mergedBugs:] {
-		key := b.Kind.String() + ":" + b.Message
-		if !e.seen[key] {
-			e.seen[key] = true
-			e.bugs = append(e.bugs, b)
-			// Counted post-dedup, so the metric matches len(Result.Bugs).
-			e.om.bugs.Inc()
-			e.tracer.RecordS(w.id, obs.EvBugFound, int64(b.Execution), b.Message)
-		}
+	d, fresh := w.ck.stats.since(&w.merged)
+	e.total.Add(d)
+	added := e.total.Merge(fresh)
+	for _, b := range e.total.Bugs[len(e.total.Bugs)-added:] {
+		e.tracer.RecordS(w.id, obs.EvBugFound, int64(b.Execution), b.Message)
 	}
-	w.mergedBugs = len(ck.bugs)
-	e.workers[w.id].Depth = ck.tree.Depth()
+	// Bugs are counted post-dedup, so the metric matches len(Result.Bugs).
+	e.om.publish(d, added)
+	e.workers[w.id].Depth = w.ck.tree.Depth()
 	e.syncGaugesLocked()
 }
 
 // finishUnitLocked retires an exhausted unit: its decision-point
 // counters move to the engine's completed totals.
 func (e *engine) finishUnitLocked(w *worker, tr *decision.Tree) {
-	for k, c := range treeCreated(tr) {
-		e.created[k] += c
-	}
+	e.total.Add(TreeCounters(tr))
 	if e.rf != nil {
-		for k, c := range treeCreated(tr) {
-			e.pendingCreated[k] += c
-		}
 		e.retireShareLocked(tr)
 	}
 	e.unitsDone++
@@ -1185,7 +1039,7 @@ func (e *engine) governLocked() {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		if ms.HeapAlloc > e.cfg.MemBudgetBytes {
-			e.degraded = true
+			e.res.Degraded = true
 			e.govStage++
 			e.om.govEscalations.Inc()
 			e.om.heapBytes.Set(int64(ms.HeapAlloc))
@@ -1252,12 +1106,8 @@ func (e *engine) spillOneLocked(tr *decision.Tree) bool {
 		os.Remove(path)
 		return false
 	}
-	var created [numDecisionKinds]int
-	created[decision.KindReadFrom] = tr.Created(decision.KindReadFrom)
-	created[decision.KindFailure] = tr.Created(decision.KindFailure)
-	created[decision.KindPoison] = tr.Created(decision.KindPoison)
-	e.spilled = append(e.spilled, spillEntry{path: path, created: created})
-	e.spills++
+	e.spilled = append(e.spilled, spillEntry{path: path, created: TreeCounters(tr)})
+	e.res.Spills++
 	e.om.spillsC.Inc()
 	e.tracer.Record(-1, obs.EvSpill, int64(e.spillSeq), int64(len(e.spilled)))
 	return true
@@ -1268,7 +1118,7 @@ func (e *engine) dueLocked() bool {
 	if e.cfg.CheckpointPath == "" {
 		return false
 	}
-	if e.cfg.CheckpointEvery > 0 && e.execs-e.lastCPExecs >= e.cfg.CheckpointEvery {
+	if e.cfg.CheckpointEvery > 0 && e.total.Executions-e.lastCPExecs >= e.cfg.CheckpointEvery {
 		return true
 	}
 	return e.cfg.CheckpointInterval > 0 && time.Since(e.lastCPTime) >= e.cfg.CheckpointInterval
@@ -1309,9 +1159,9 @@ func (e *engine) finishRoundLocked() {
 	}
 	e.cpArmed = false
 	e.cpUnits = e.cpUnits[:0]
-	e.lastCPExecs, e.lastCPTime = e.execs, time.Now()
+	e.lastCPExecs, e.lastCPTime = e.total.Executions, time.Now()
 	if err != nil {
-		e.cpErrs++
+		e.res.CheckpointErrors++
 		e.om.cpErrors.Inc()
 	}
 	e.cond.Broadcast()

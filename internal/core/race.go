@@ -282,7 +282,6 @@ func (ck *Checker) reportRace(t *Thread, kind string, a Addr, size uint8, prevKi
 	prev := ck.threads[e.tid]
 	base := w << 3
 	ck.stats.RaceReports++
-	ck.om.races.Inc()
 	ck.reportBugHere(BugDataRace, fmt.Sprintf(
 		"data race: %s of [%#x,%#x) by %s/%s is unordered with %s of [%#x,%#x) by %s/%s",
 		kind, a, a+Addr(size), t.mach.name, t.name,
@@ -310,7 +309,6 @@ func (ck *Checker) raceCheckExposed(t *Thread, b Addr, c memmodel.Candidate) {
 				return
 			}
 			ck.stats.RaceReports++
-			ck.om.races.Inc()
 			ck.reportBugHere(BugUnflushedPublish, fmt.Sprintf(
 				"unflushed publish exposed by crash: %s/%s reads σ%d at %#x on flagged line %d, losing unflushed store σ%d by failed machine %s",
 				t.mach.name, t.name, c.Seq, b, ln, s.Seq, ck.machines[s.Machine].name))

@@ -78,8 +78,8 @@ func Replay(token string, cfg Config, program func(*Program)) (*Result, error) {
 	cfg.CaptureTrace = true
 	cfg.fillDefaults()
 	if d := configDigest(cfg); d != tok.Config {
-		return nil, fmt.Errorf("cxlmc: repro token was recorded under a different configuration (digest %s, this run %s): GPF/Poison/EagerReadSet/CommitChance/MaxStepsPerExec/MemSize/MaxEventsPerExec/Reduction/RaceDetect must match the recording run",
-			tok.Config, d)
+		return nil, fmt.Errorf("cxlmc: repro token was recorded under a different configuration (digest %s, this run %s): %s must match the recording run",
+			tok.Config, d, digestFieldList())
 	}
 	progDigest, err := programDigestOf(cfg, program)
 	if err != nil {
@@ -102,7 +102,6 @@ func replayPath(cfg Config, program func(*Program), progDigest string, steps []d
 		cfg:        cfg,
 		program:    program,
 		tree:       decision.NewReplayTree(steps, lenient),
-		seen:       make(map[string]bool),
 		cfgDigest:  configDigest(cfg),
 		progDigest: progDigest,
 		replaying:  !lenient,
@@ -135,7 +134,7 @@ func replayPath(cfg Config, program func(*Program), progDigest string, steps []d
 		}
 	}()
 	ck.tree.Begin()
-	ck.stats.Executions = 1
+	ck.execNo = 1
 	ck.runOneExecution()
 	if ck.replayDiverged != nil {
 		return nil, nil, fmt.Errorf(
@@ -144,8 +143,9 @@ func replayPath(cfg Config, program func(*Program), progDigest string, steps []d
 	if ck.internalErr != nil {
 		return nil, nil, ck.internalErr
 	}
-	ck.finalizeStats(start, 0)
-	return &Result{Stats: ck.stats, Bugs: ck.bugs, Seed: cfg.Seed, GPF: cfg.GPF}, ck.tree.Path(), nil
+	ck.stats.Add(TreeCounters(ck.tree))
+	stats := Stats{Counters: ck.stats.Counters, Elapsed: time.Since(start)}
+	return &Result{Stats: stats, Bugs: ck.stats.Bugs, Seed: cfg.Seed, GPF: cfg.GPF}, ck.tree.Path(), nil
 }
 
 // minimizeBugTokens rewrites every found bug's repro token after the

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -64,25 +63,16 @@ type Coordinator struct {
 	mu          sync.Mutex
 	stopFlag    bool
 	interrupted bool
-	// Resumed-checkpoint baselines; live totals are base + frontier.
-	baseExecs   int
-	baseSteps   int64
-	basePruned  int64
-	baseForks   int64
-	baseSaved   int64
-	baseRaces   int64
-	baseCreated [core.NumDecisionKinds]int
-	baseBugs    []core.Bug
-	prior       time.Duration
-	resumed     bool
+	// What a resumed checkpoint handed down, other than its tally (which
+	// the frontier is credited with, so f.Progress is always the whole
+	// exploration): elapsed time and the resilience record.
+	prior   time.Duration
+	resumed bool
+	res     core.Resilience
 	// emptySeed marks a resume from a checkpoint with no outstanding
 	// units: the exploration is already complete and Wait returns at once
 	// (the frontier itself never reports Done without having held units).
-	emptySeed   bool
-	quarantined bool
-	degraded    bool
-	spills      int
-	cpErrs      int
+	emptySeed bool
 	// starved tracks workers whose lease ask recently came up empty;
 	// its size is the donation demand broadcast to busy workers.
 	starved map[string]time.Time
@@ -148,7 +138,7 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c.mGrants = c.reg.Counter("cxlmc_lease_grants_total", "work-unit leases granted")
 	c.mDonated = c.reg.Counter("cxlmc_units_donated_total", "surplus work units donated back by workers")
 
-	units, err := c.seedUnits()
+	units, inherited, err := c.seedUnits()
 	if err != nil {
 		return nil, err
 	}
@@ -156,6 +146,7 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		LeaseTTL: cfg.LeaseTTL,
 		OnEvent:  c.onLeaseEvent,
 	}, units)
+	c.f.Credit(inherited)
 
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
@@ -170,91 +161,63 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 }
 
 // seedUnits loads the initial frontier: the checkpoint's outstanding
-// units when resuming, otherwise a single fresh whole-tree unit.
-// Already-finished units from a checkpoint fold into the baselines
-// instead of being re-issued.
-func (c *Coordinator) seedUnits() ([][]byte, error) {
-	if c.cfg.CheckpointPath == "" {
-		return [][]byte{decision.NewTree().Snapshot()}, nil
+// units when resuming, otherwise a single fresh whole-tree unit. It also
+// returns the tally the checkpoint had reached, for the frontier to be
+// credited with; already-finished units fold into it instead of being
+// re-issued.
+func (c *Coordinator) seedUnits() (units [][]byte, inherited core.Tally, err error) {
+	fresh := [][]byte{decision.NewTree().Snapshot()}
+	path := c.cfg.CheckpointPath
+	if path == "" {
+		return fresh, inherited, nil
 	}
-	cp, err := core.LoadCheckpoint(c.cfg.CheckpointPath, c.cfg.Chaos)
+	quarantine := func(cause error) ([][]byte, core.Tally, error) {
+		if qerr := core.QuarantineCheckpoint(path, c.cfg.Chaos); qerr != nil {
+			return nil, core.Tally{}, fmt.Errorf("%w (and quarantining it failed: %v)", cause, qerr)
+		}
+		c.res.Quarantined = true
+		return fresh, core.Tally{}, nil
+	}
+	cp, err := core.LoadCheckpoint(path, c.cfg.Chaos)
 	if err != nil {
 		if !core.IsCorruptCheckpoint(err) {
-			return nil, err
+			return nil, inherited, err
 		}
-		if qerr := core.QuarantineCheckpoint(c.cfg.CheckpointPath, c.cfg.Chaos); qerr != nil {
-			return nil, fmt.Errorf("%w (and quarantining it failed: %v)", err, qerr)
-		}
-		c.quarantined = true
-		return [][]byte{decision.NewTree().Snapshot()}, nil
+		return quarantine(err)
 	}
 	if cp == nil {
-		return [][]byte{decision.NewTree().Snapshot()}, nil
+		return fresh, inherited, nil
 	}
-	if cp.Seed != c.cfg.Check.Seed {
-		return nil, fmt.Errorf("dist: checkpoint %s was written for seed %d, this run uses seed %d",
-			c.cfg.CheckpointPath, cp.Seed, c.cfg.Check.Seed)
+	if err := cp.CheckIdentity(path, c.cfg.Check.Seed, c.cfgDigest, c.progDigest); err != nil {
+		return nil, inherited, err
 	}
-	if cp.ConfigDigest != c.cfgDigest || cp.ProgramDigest != c.progDigest {
-		return nil, fmt.Errorf("dist: checkpoint %s was written under a different configuration or program (digests %s/%s, this run %s/%s)",
-			c.cfg.CheckpointPath, cp.ConfigDigest, cp.ProgramDigest, c.cfgDigest, c.progDigest)
-	}
-	var units [][]byte
+	inherited, res := cp.Totals()
 	for _, raw := range cp.Units {
 		tr := decision.NewTree()
 		if err := tr.Restore(raw); err != nil {
 			// One undecodable unit marks the whole file corrupt, exactly
 			// like the single-process engine treats it.
-			if qerr := core.QuarantineCheckpoint(c.cfg.CheckpointPath, c.cfg.Chaos); qerr == nil {
-				c.quarantined = true
-				return [][]byte{decision.NewTree().Snapshot()}, nil
-			}
-			return nil, fmt.Errorf("dist: checkpoint %s unit does not decode: %w", c.cfg.CheckpointPath, err)
+			return quarantine(fmt.Errorf("dist: checkpoint %s unit does not decode: %w", path, err))
 		}
 		// The unit's embedded decision-point counts fold into the
-		// baseline whether or not it still has work: a checkpoint's
+		// inherited tally whether or not it still has work: a checkpoint's
 		// BaseCreated excluded them (the single-process resume engine
 		// re-adds them at unit completion), but remote workers baseline
 		// embedded counts away at adoption and report net-new only, so
 		// the coordinator must credit them exactly once, here.
-		for k, n := range treeCounts(tr) {
-			c.baseCreated[k] += n
-		}
+		inherited.Add(core.TreeCounters(tr))
 		if tr.Done() {
 			continue
 		}
 		units = append(units, raw)
 	}
-	for k, n := range cp.BaseCreated {
-		c.baseCreated[k] += n
-	}
-	c.baseExecs = cp.Executions
-	c.baseSteps = cp.Steps
-	c.basePruned = cp.Pruned
-	c.baseForks = cp.PrefixForks
-	c.baseSaved = cp.StepsSaved
-	c.baseRaces = cp.RaceReports
+	c.res = res
 	c.prior = cp.Elapsed
-	c.baseBugs = append([]core.Bug(nil), cp.Bugs...)
-	c.degraded = cp.Degraded
-	c.spills = cp.Spills
-	c.cpErrs = cp.CheckpointErrors
-	c.quarantined = c.quarantined || cp.Quarantined
 	c.resumed = true
-	if len(units) == 0 {
-		// Nothing left: Wait finishes immediately with the checkpointed
-		// result, and joining workers are told Done on their first lease.
-		c.emptySeed = true
-		return nil, nil
-	}
-	return units, nil
-}
-
-func treeCounts(tr *decision.Tree) (c [core.NumDecisionKinds]int) {
-	c[decision.KindReadFrom] = tr.Created(decision.KindReadFrom)
-	c[decision.KindFailure] = tr.Created(decision.KindFailure)
-	c[decision.KindPoison] = tr.Created(decision.KindPoison)
-	return c
+	// Nothing left: Wait finishes immediately with the checkpointed
+	// result, and joining workers are told Done on their first lease.
+	c.emptySeed = len(units) == 0
+	return units, inherited, nil
 }
 
 // onLeaseEvent observes MemFrontier lease-table transitions (called with
@@ -316,15 +279,15 @@ func (c *Coordinator) withChaos(h http.HandlerFunc) http.HandlerFunc {
 }
 
 func (c *Coordinator) statusz() map[string]any {
-	execs, steps, _, bugs, queued, leased := c.f.Progress()
+	t, queued, leased := c.f.Progress()
 	fs := c.f.Stats()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return map[string]any{
 		"role":       "coordinator",
-		"executions": c.baseExecs + execs,
-		"steps":      c.baseSteps + steps,
-		"bugs":       len(bugs),
+		"executions": t.Executions,
+		"steps":      t.Steps,
+		"bugs":       len(t.Bugs),
 		"queued":     queued,
 		"leased":     leased,
 		"reclaims":   fs.Reclaims,
@@ -523,7 +486,7 @@ func (c *Coordinator) checkpointLoop() {
 		case <-t.C:
 			if err := c.writeCheckpoint(false); err != nil {
 				c.mu.Lock()
-				c.cpErrs++
+				c.res.CheckpointErrors++
 				c.mu.Unlock()
 			}
 		}
@@ -536,58 +499,24 @@ func (c *Coordinator) checkpointLoop() {
 // totals MINUS those embedded counts — a resume (by a coordinator or a
 // plain single-process run) sums them back to exactly the same totals.
 func (c *Coordinator) writeCheckpoint(complete bool) error {
-	execs, steps, created, bugs, _, _ := c.f.Progress()
-	pruned, forks, saved := c.f.ReductionTotals()
-	races := c.f.RaceReportTotal()
+	t, _, _ := c.f.Progress()
 	units := c.f.OutstandingSnapshots()
-	cp := core.NewCheckpoint(c.cfg.Check.Seed, c.cfgDigest, c.progDigest)
-	cp.Units = units
-	c.mu.Lock()
-	for k := range cp.BaseCreated {
-		cp.BaseCreated[k] = c.baseCreated[k] + created[k]
-	}
-	cp.Executions = c.baseExecs + execs
-	cp.Steps = c.baseSteps + steps
-	cp.Pruned = c.basePruned + pruned
-	cp.PrefixForks = c.baseForks + forks
-	cp.StepsSaved = c.baseSaved + saved
-	cp.RaceReports = c.baseRaces + races
-	cp.Elapsed = c.prior + time.Since(c.start)
-	cp.Complete = complete
-	cp.Interrupted = c.interrupted
-	cp.Degraded = c.degraded
-	cp.Spills = c.spills
-	cp.CheckpointErrors = c.cpErrs
-	cp.Quarantined = c.quarantined
-	cp.Bugs = mergeBugs(c.baseBugs, bugs)
-	c.mu.Unlock()
 	for _, raw := range units {
 		tr := decision.NewTree()
 		if err := tr.Restore(raw); err != nil {
 			continue
 		}
-		for k, n := range treeCounts(tr) {
-			cp.BaseCreated[k] -= n
-		}
+		t.Counters = t.Sub(core.TreeCounters(tr))
 	}
+	cp := core.NewCheckpoint(c.cfg.Check.Seed, c.cfgDigest, c.progDigest)
+	cp.Units = units
+	c.mu.Lock()
+	cp.SetTotals(t, c.res)
+	cp.Elapsed = c.prior + time.Since(c.start)
+	cp.Complete = complete
+	cp.Interrupted = c.interrupted
+	c.mu.Unlock()
 	return core.WriteCheckpoint(c.cfg.CheckpointPath, cp, c.cfg.Chaos)
-}
-
-// mergeBugs deduplicates base + fresh by (kind, message), keeping base's
-// instances first.
-func mergeBugs(base, fresh []core.Bug) []core.Bug {
-	seen := make(map[string]bool, len(base)+len(fresh))
-	out := make([]core.Bug, 0, len(base)+len(fresh))
-	for _, bs := range [][]core.Bug{base, fresh} {
-		for _, b := range bs {
-			key := b.Kind.String() + ":" + b.Message
-			if !seen[key] {
-				seen[key] = true
-				out = append(out, b)
-			}
-		}
-	}
-	return out
 }
 
 // Wait blocks until the exploration completes (every unit explored and
@@ -623,7 +552,7 @@ func (c *Coordinator) Wait(stop <-chan struct{}) (*core.Result, error) {
 			// Stopping: wait for outstanding leases to resolve (complete,
 			// flush, or expire and be reclaimed) so the final checkpoint
 			// holds every unexplored unit.
-			if _, _, _, _, _, leased := c.f.Progress(); leased == 0 {
+			if _, _, leased := c.f.Progress(); leased == 0 {
 				break
 			}
 		}
@@ -637,46 +566,24 @@ func (c *Coordinator) Wait(stop <-chan struct{}) (*core.Result, error) {
 	// their give-up timer fires.
 	time.Sleep(stopLinger)
 	c.srv.Close()
-	execs, steps, created, bugs, _, _ := c.f.Progress()
-	pruned, forks, saved := c.f.ReductionTotals()
-	races := c.f.RaceReportTotal()
+	t, _, _ := c.f.Progress()
 	fs := c.f.Stats()
 	c.f.Close()
 	c.mu.Lock()
-	merged := mergeBugs(c.baseBugs, bugs)
 	stats := core.Stats{
-		Executions:       c.baseExecs + execs,
-		Steps:            c.baseSteps + steps,
-		Pruned:           c.basePruned + pruned,
-		PrefixForks:      c.baseForks + forks,
-		StepsSaved:       c.baseSaved + saved,
-		RaceReports:      c.baseRaces + races,
+		Counters:         t.Counters,
+		Resilience:       c.res,
 		Elapsed:          c.prior + time.Since(c.start),
 		Complete:         complete,
 		Interrupted:      c.interrupted,
 		Resumed:          c.resumed,
-		Degraded:         c.degraded,
-		Spills:           c.spills,
-		CheckpointErrors: c.cpErrs,
-		Quarantined:      c.quarantined,
 		LeaseReclaims:    fs.Reclaims,
 		RPCRetries:       fs.RPCRetries,
 		StaleCompletions: fs.StaleRejects,
 	}
-	for k := range created {
-		created[k] += c.baseCreated[k]
-	}
 	c.mu.Unlock()
-	stats.FailurePoints = created[decision.KindFailure]
-	stats.ReadFromPoints = created[decision.KindReadFrom]
-	stats.PoisonPoints = created[decision.KindPoison]
-	sort.SliceStable(merged, func(i, j int) bool {
-		if merged[i].Kind != merged[j].Kind {
-			return merged[i].Kind < merged[j].Kind
-		}
-		return merged[i].Message < merged[j].Message
-	})
-	core.MinimizeBugs(c.cfg.Check, c.cfg.Program, merged)
+	core.SortBugs(t.Bugs)
+	core.MinimizeBugs(c.cfg.Check, c.cfg.Program, t.Bugs)
 	if c.cfg.CheckpointPath != "" {
 		if err := c.writeCheckpoint(complete); err != nil {
 			// Like the engine, only a failed FINAL write fails the run:
@@ -685,13 +592,13 @@ func (c *Coordinator) Wait(stop <-chan struct{}) (*core.Result, error) {
 				return nil, err
 			}
 			c.mu.Lock()
-			c.cpErrs++
-			stats.CheckpointErrors = c.cpErrs
+			c.res.CheckpointErrors++
+			stats.CheckpointErrors = c.res.CheckpointErrors
 			c.mu.Unlock()
 		}
 	}
 	c.tracer.Flush()
-	return &core.Result{Stats: stats, Bugs: merged, Seed: c.cfg.Check.Seed, GPF: c.cfg.Check.GPF}, nil
+	return &core.Result{Stats: stats, Bugs: t.Bugs, Seed: c.cfg.Check.Seed, GPF: c.cfg.Check.GPF}, nil
 }
 
 // requestStop flips the stop flag; interrupted marks it operator-driven.

@@ -304,7 +304,7 @@ func TestDistAbandonedLeaseReclaim(t *testing.T) {
 	err = tr.Call("/v1/complete", completeRequest{
 		Worker: "crasher", ReqID: "crasher-complete-1",
 		UnitID: lr.Unit.ID, Epoch: lr.Unit.Epoch,
-		Report: core.UnitReport{Executions: 999999},
+		Report: core.UnitReport{Tally: core.Tally{Counters: core.Counters{Executions: 999999}}},
 	}, &cr)
 	if err == nil && !cr.Stale {
 		t.Fatal("stale completion from the dead worker was accepted")
@@ -380,7 +380,7 @@ func TestDistCoordinatorCrashResume(t *testing.T) {
 	// real coordinator would have on disk.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, _, _, _, _, leased := c1.f.Progress(); leased == 0 {
+		if _, _, leased := c1.f.Progress(); leased == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -391,9 +391,9 @@ func TestDistCoordinatorCrashResume(t *testing.T) {
 	if err := c1.writeCheckpoint(false); err != nil {
 		t.Fatal(err)
 	}
-	midExecs, _, _, _, _, _ := c1.f.Progress()
-	if midExecs <= 0 || midExecs >= base.Executions {
-		t.Fatalf("mid-run checkpoint covers %d of %d executions; wanted a strict middle", midExecs, base.Executions)
+	mid, _, _ := c1.f.Progress()
+	if mid.Executions <= 0 || mid.Executions >= base.Executions {
+		t.Fatalf("mid-run checkpoint covers %d of %d executions; wanted a strict middle", mid.Executions, base.Executions)
 	}
 	// SIGKILL: no Wait, no final checkpoint, no graceful anything.
 	c1.srv.Close()

@@ -656,33 +656,41 @@ func (s *Server) worker() {
 }
 
 // finishJob moves a job to a terminal state: journal first, then drop
-// the now-useless checkpoint, then count and publish. The ordering means
-// a crash can only ever leave extra work (a re-run from a complete
-// checkpoint, which returns the identical result), never a lost job.
+// the now-useless checkpoint, then count, and only then let status
+// readers see the state and publish it. The ordering means a crash can
+// only ever leave extra work (a re-run from a complete checkpoint, which
+// returns the identical result), never a lost job — and that whoever has
+// seen the terminal state also finds it in the journal and in the
+// cxlmc_jobs_done/_failed/_cancelled counters.
 func (s *Server) finishJob(j *job, state State, res *cxlmc.Result, errMsg string) {
+	finished := time.Now().UTC()
+	crashed := s.crashed.Load()
+	if !crashed {
+		j.mu.Lock()
+		retries := j.retries
+		j.mu.Unlock()
+		s.journal(record{ID: j.id, Tenant: j.tenant, State: state, Retries: retries, Error: errMsg, Result: res, Time: finished})
+		s.st.removeCheckpoint(j.id)
+		switch state {
+		case StateDone:
+			s.m.done.Inc()
+			s.trace(obs.EvJobDone, j.id)
+		case StateFailed:
+			s.m.failed.Inc()
+			s.trace(obs.EvJobFail, j.id)
+		case StateCancelled:
+			s.m.cancelled.Inc()
+			s.trace(obs.EvJobCancel, j.id)
+		}
+	}
 	j.mu.Lock()
 	j.state = state
 	j.result = res
 	j.errMsg = errMsg
-	j.finished = time.Now().UTC()
-	retries := j.retries
+	j.finished = finished
 	j.mu.Unlock()
-
-	if s.crashed.Load() {
+	if crashed {
 		return
-	}
-	s.journal(record{ID: j.id, Tenant: j.tenant, State: state, Retries: retries, Error: errMsg, Result: res, Time: j.finished})
-	s.st.removeCheckpoint(j.id)
-	switch state {
-	case StateDone:
-		s.m.done.Inc()
-		s.trace(obs.EvJobDone, j.id)
-	case StateFailed:
-		s.m.failed.Inc()
-		s.trace(obs.EvJobFail, j.id)
-	case StateCancelled:
-		s.m.cancelled.Inc()
-		s.trace(obs.EvJobCancel, j.id)
 	}
 	s.logf("jobs: %s %s%s", j.id, state, errSuffix(errMsg))
 	s.publishState(j)
