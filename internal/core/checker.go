@@ -65,7 +65,6 @@ type Checker struct {
 	heapNext Addr
 	current  *Thread // thread running its own code, nil while scheduler steps run
 	aborted  bool    // current execution ended early (bug)
-	poisoned map[memmodel.LineID]bool
 	// traceLog is the current execution's event ring when CaptureTrace
 	// is on.
 	traceLog []string
@@ -231,7 +230,9 @@ func (ck *Checker) resetExecution() {
 		ck.machines = nil
 		ck.threads = nil
 		ck.mutexes = nil
-		ck.poisoned = nil
+		// The race detector's word table is keyed by the memory's line
+		// slots, which a fresh memory numbers afresh.
+		ck.race = raceDetector{}
 		ck.runnableBuf = nil
 		ck.blockedBuf = nil
 		ck.commitBuf = nil
@@ -240,6 +241,8 @@ func (ck *Checker) resetExecution() {
 	}
 	if ck.mem == nil {
 		ck.mem = memmodel.NewMemory()
+		// Bound the line tables by the region before set-up touches them.
+		ck.mem.Reserve(heapBase, Addr(ck.cfg.MemSize))
 	} else {
 		ck.mem.Reset()
 	}
@@ -262,13 +265,6 @@ func (ck *Checker) resetExecution() {
 	ck.heapNext = heapBase
 	ck.current = nil
 	ck.aborted = false
-	if ck.cfg.Poison {
-		if ck.poisoned == nil {
-			ck.poisoned = make(map[memmodel.LineID]bool)
-		} else {
-			clear(ck.poisoned)
-		}
-	}
 	ck.traceLog = ck.traceLog[:0]
 	ck.tracing = ck.cfg.Trace != nil || ck.cfg.CaptureTrace
 
@@ -279,14 +275,14 @@ func (ck *Checker) resetExecution() {
 	}()
 	ck.prog.ck = ck
 	ck.program(&ck.prog)
+	// The bump allocator's mark is known now: size the line index for the
+	// whole allocation in one step rather than by doubling under the loads.
+	ck.mem.Reserve(ck.heapNext, Addr(ck.cfg.MemSize))
 
 	// Detector state sizes to the threads and mutexes setup just created.
 	ck.observing = ck.cfg.Observer != nil
 	ck.inRMW = false
 	if ck.cfg.raceDetectOn() {
-		if ck.race.flagged == nil && len(ck.cfg.UnflushedLines) > 0 {
-			ck.race.setFlagged(ck.cfg.UnflushedLines)
-		}
 		ck.race.begin(len(ck.threads), len(ck.mutexes))
 	} else {
 		ck.race.on = false

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/decision"
 	"repro/internal/memmodel"
@@ -188,9 +189,9 @@ func (ck *Checker) load(t *Thread, a Addr, size uint8) uint64 {
 	if ck.observing && !ck.inRMW {
 		ck.observeOp(t, OpLoad, a, size, 0, 0, "")
 	}
-	// The read context is pooled on the checker (its store scratch buffer
-	// carries over between loads); only one load is ever in flight because
-	// threads run in lock-step.
+	// The read context is pooled on the checker (the cache line it
+	// resolved last carries over between bytes and loads); only one load is
+	// ever in flight because threads run in lock-step.
 	rc := &ck.readCtx
 	rc.Mem = ck.mem
 	rc.Curr = t.mach.id
@@ -216,12 +217,13 @@ func (ck *Checker) load(t *Thread, a Addr, size uint8) uint64 {
 				ck.loadLog = append(ck.loadLog, loadRec{c: c, chain: int32(ck.tree.Depth() - d)})
 			}
 		}
-		for _, mid := range c.Fail.Diff(ck.failed).Machines() {
-			ck.failMachine(ck.machines[mid], fmt.Sprintf("required for %s/%s to read σ%d at %#x", t.mach.name, t.name, c.Seq, b))
+		for need := uint64(c.Fail.Diff(ck.failed)); need != 0; need &= need - 1 {
+			m := ck.machines[bits.TrailingZeros64(need)]
+			ck.failMachine(m, fmt.Sprintf("required for %s/%s to read σ%d at %#x", t.mach.name, t.name, c.Seq, b))
 		}
 		rc.Failed = ck.failed
 		rc.ApplyReadConstraint(b, c, ck.failed.Has(c.Machine))
-		if ck.race.flagged != nil {
+		if len(ck.cfg.UnflushedLines) > 0 {
 			ck.raceCheckExposed(t, b, c)
 		}
 		val |= uint64(c.Val) << (8 * i)
@@ -285,13 +287,11 @@ func (ck *Checker) fastCandidate() memmodel.Candidate {
 // poisonCheck implements the memory-poisoning option (§4.2 side note):
 // before byte b is read from the cache, decide whether its line is
 // poisoned because the latest store to the line, by a failed machine, was
-// lost. Reading a poisoned line raises a runtime exception.
+// lost. Reading a poisoned line raises a runtime exception, which ends the
+// execution: no later load can meet the line again, so nothing remembers
+// which lines are poisoned.
 func (ck *Checker) poisonCheck(t *Thread, b Addr) {
 	ln := memmodel.LineOf(b)
-	if ck.poisoned[ln] {
-		ck.reportBugHere(BugPoison, fmt.Sprintf("read of poisoned cache line %d at %#x", ln, b))
-		return
-	}
 	stores := ck.mem.StoresOn(ln)
 	if len(stores) == 0 {
 		return
@@ -304,13 +304,11 @@ func (ck *Checker) poisonCheck(t *Thread, b Addr) {
 	switch {
 	case s.Seq >= c.End:
 		// The last store was definitely lost: the line must be poisoned.
-		ck.poisoned[ln] = true
 		ck.reportBugHere(BugPoison, fmt.Sprintf("read of poisoned cache line %d at %#x (store σ%d lost)", ln, b, s.Seq))
 	case s.Seq > c.Begin:
 		// In doubt: branch on whether the write-back covered it.
 		if ck.choose(decision.KindPoison, 2) == 1 {
 			ck.mem.LowerEnd(s.Machine, ln, s.Seq)
-			ck.poisoned[ln] = true
 			ck.reportBugHere(BugPoison, fmt.Sprintf("read of poisoned cache line %d at %#x (store σ%d chosen lost)", ln, b, s.Seq))
 		} else {
 			ck.mem.RaiseBegin(s.Machine, ln, s.Seq)

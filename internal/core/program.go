@@ -118,8 +118,11 @@ func (p *Program) AllocAligned(size, align uint64) Addr {
 // execution began. Use thread code, not Init64, for anything whose
 // crash consistency is being checked.
 func (p *Program) Init64(addr Addr, val uint64) {
-	p.ck.checkRange(addr, 8)
-	p.ck.mem.InitWrite(addr, 8, val)
+	// Set-up runs outside any thread, so an out-of-range write is reported
+	// without unwinding anything; it must still not reach the memory.
+	if p.ck.checkRange(addr, 8) {
+		p.ck.mem.InitWrite(addr, 8, val)
+	}
 	p.ck.fp.record("init", addr, val)
 }
 
@@ -168,12 +171,16 @@ func (ck *Checker) alloc(size, align uint64) Addr {
 }
 
 // checkRange verifies [a, a+size) lies within allocated memory; a
-// violation is the simulated analogue of a segmentation fault.
-func (ck *Checker) checkRange(a Addr, size uint64) {
-	if a < heapBase || uint64(a)+size > uint64(ck.heapNext) {
+// violation is the simulated analogue of a segmentation fault. In thread
+// context the report unwinds the thread; from set-up code it returns
+// false and the caller must drop the access.
+func (ck *Checker) checkRange(a Addr, size uint64) bool {
+	if a < heapBase || uint64(a)+size > uint64(ck.heapNext) || uint64(a)+size < uint64(a) {
 		ck.reportBugHere(BugSegfault, fmt.Sprintf("segmentation fault: access to [%#x,%#x) outside allocated region [%#x,%#x)",
 			a, uint64(a)+size, heapBase, ck.heapNext))
+		return false
 	}
+	return true
 }
 
 // heapBase is the first allocatable address; everything below it is the

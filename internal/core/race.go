@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/memmodel"
 )
@@ -57,6 +58,9 @@ type raceWord struct {
 	writes []raceEpoch
 	sync   vclock
 	isSync bool
+	// key is the word's position in raceDetector.words, so begin can
+	// unlink the words an execution touched without sweeping the table.
+	key int32
 }
 
 // raceDetector holds all detector state. It is pooled on the Checker and
@@ -67,25 +71,17 @@ type raceDetector struct {
 	// tvc[i] is thread i's vector clock; mvc[i] is mutex i's release clock.
 	tvc []vclock
 	mvc []vclock
-	// words maps word index (Addr>>3) to an entry in the pooled slab.
-	words map[Addr]int32
+	// words links a word to its entry in the pooled slab, plus one (0: no
+	// history this execution). A word's position is its line's slot in
+	// the memory model (Memory.Slot) times the words per line plus its
+	// index in the line, so the table is as long as the touched set, not
+	// the region.
+	words []int32
 	slab  []raceWord
-	// flagged marks cache lines the static pre-pass reported as
-	// unflushed-publish hazards (Config.UnflushedLines): a post-crash load
-	// that loses a newer store on one of them is a BugUnflushedPublish.
-	flagged map[memmodel.LineID]bool
 }
 
-// setFlagged installs the static pre-pass line set (once per Run).
-func (rd *raceDetector) setFlagged(lines []uint64) {
-	if len(lines) == 0 {
-		return
-	}
-	rd.flagged = make(map[memmodel.LineID]bool, len(lines))
-	for _, ln := range lines {
-		rd.flagged[memmodel.LineID(ln)] = true
-	}
-}
+// wordsPerLine is how many 8-byte race-history words a cache line holds.
+const wordsPerLine = memmodel.LineSize / 8
 
 // begin resets the detector for a fresh execution after program setup has
 // created all threads and mutexes. All storage is reused across
@@ -98,10 +94,8 @@ func (rd *raceDetector) begin(nthreads, nmutexes int) {
 		rd.tvc[i][i] = 1
 	}
 	rd.mvc = growVCs(rd.mvc, nmutexes, nthreads)
-	if rd.words == nil {
-		rd.words = make(map[Addr]int32)
-	} else {
-		clear(rd.words)
+	for i := range rd.slab {
+		rd.words[rd.slab[i].key] = 0
 	}
 	rd.slab = rd.slab[:0]
 }
@@ -125,10 +119,15 @@ func growVCs(vcs []vclock, n, wide int) []vclock {
 	return vcs
 }
 
-// wordFor returns the (pooled) history entry for word index w.
-func (rd *raceDetector) wordFor(w Addr) *raceWord {
-	if i, ok := rd.words[w]; ok {
-		return &rd.slab[i]
+// wordFor returns the (pooled) history entry for word index w (Addr>>3).
+func (ck *Checker) wordFor(w Addr) *raceWord {
+	rd := &ck.race
+	key := ck.mem.Slot(memmodel.LineID(w/wordsPerLine))*wordsPerLine + int32(w%wordsPerLine)
+	for len(rd.words) <= int(key) {
+		rd.words = append(rd.words, 0)
+	}
+	if i := rd.words[key]; i != 0 {
+		return &rd.slab[i-1]
 	}
 	if len(rd.slab) < cap(rd.slab) {
 		rd.slab = rd.slab[:len(rd.slab)+1]
@@ -139,8 +138,10 @@ func (rd *raceDetector) wordFor(w Addr) *raceWord {
 	} else {
 		rd.slab = append(rd.slab, raceWord{})
 	}
-	rd.words[w] = int32(len(rd.slab) - 1)
-	return &rd.slab[len(rd.slab)-1]
+	rd.words[key] = int32(len(rd.slab))
+	rw := &rd.slab[len(rd.slab)-1]
+	rw.key = key
+	return rw
 }
 
 // recordEpoch updates thread tid's epoch in eps with an access to [lo,hi]
@@ -180,7 +181,7 @@ func (ck *Checker) raceRead(t *Thread, a Addr, size uint8) {
 	tid := int32(t.idx)
 	vc := rd.tvc[t.idx]
 	eachWordRange(a, size, func(w Addr, lo, hi uint8) {
-		rw := rd.wordFor(w)
+		rw := ck.wordFor(w)
 		if rw.isSync {
 			return
 		}
@@ -198,7 +199,7 @@ func (ck *Checker) raceWrite(t *Thread, a Addr, size uint8) {
 	tid := int32(t.idx)
 	vc := rd.tvc[t.idx]
 	eachWordRange(a, size, func(w Addr, lo, hi uint8) {
-		rw := rd.wordFor(w)
+		rw := ck.wordFor(w)
 		if rw.isSync {
 			return
 		}
@@ -220,7 +221,7 @@ func (ck *Checker) raceWrite(t *Thread, a Addr, size uint8) {
 // first RMW are dropped (mixed plain/atomic use is out of scope).
 func (ck *Checker) raceRMW(t *Thread, a Addr) {
 	rd := &ck.race
-	rw := rd.wordFor(a >> 3)
+	rw := ck.wordFor(a >> 3)
 	vc := rd.tvc[t.idx]
 	if !rw.isSync {
 		rw.isSync = true
@@ -290,12 +291,13 @@ func (ck *Checker) reportRace(t *Thread, kind string, a Addr, size uint8, prevKi
 
 // raceCheckExposed implements the dynamic half of the unflushed-publish
 // lint: byte b is being read post-crash and resolved to candidate c. If
-// b's line was flagged by the static pass and a failed machine issued a
-// newer store covering b that the crash lost, the hazard is real — the
-// line was published while dirty and the crash exposed it.
+// b's line was flagged by the static pass (Config.UnflushedLines, sorted
+// by fillDefaults) and a failed machine issued a newer store covering b
+// that the crash lost, the hazard is real — the line was published while
+// dirty and the crash exposed it.
 func (ck *Checker) raceCheckExposed(t *Thread, b Addr, c memmodel.Candidate) {
 	ln := memmodel.LineOf(b)
-	if !ck.race.flagged[ln] {
+	if _, flagged := slices.BinarySearch(ck.cfg.UnflushedLines, uint64(ln)); !flagged {
 		return
 	}
 	stores := ck.mem.StoresOn(ln)

@@ -425,15 +425,18 @@ func TestMaxTimeUnblocksFromBlockedCallback(t *testing.T) {
 // TestWatchdogToleratesLongExecutionOfShortSteps: WedgeTimeout bounds the
 // time between instruction boundaries, not an execution's — the baton
 // never passes the engine goroutine mid-execution, so the watchdog counts
-// its movements instead of timing turns.
+// its movements instead of timing turns. A step sleeps a twenty-fifth of
+// the watchdog period: on a host whose cores are all busy a 10 ms sleep
+// can overrun severalfold, and only a stall of a whole period may trip
+// the watchdog.
 func TestWatchdogToleratesLongExecutionOfShortSteps(t *testing.T) {
-	const d = 50 * time.Millisecond
+	const d = 250 * time.Millisecond
 	start := time.Now()
 	res, err := Run(Config{WedgeTimeout: d, MaxExecutions: 1, Workers: 1}, func(p *Program) {
 		for _, name := range []string{"A", "B"} {
 			p.NewMachine(name).Thread("slow", func(th *Thread) {
-				for i := 0; i < 10; i++ {
-					time.Sleep(d / 5)
+				for i := 0; i < 60; i++ {
+					time.Sleep(d / 25)
 					th.Yield()
 				}
 			})

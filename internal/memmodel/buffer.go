@@ -70,23 +70,24 @@ type ThreadBuf struct {
 	// TSfence is t_τ: the timestamp of the last sfence committed by the
 	// thread.
 	TSfence Seq
-	// TLine is t_{τ,CacheID}: per cache line, the timestamp of the last
-	// store or clflush committed by the thread to that line.
-	TLine map[LineID]Seq
+	// tline is t_{τ,CacheID}: per cache line, the timestamp of the last
+	// store or clflush committed by the thread to that line (0: none). It
+	// is indexed by the line's slot in the Memory the thread commits to
+	// (Memory.Slot), so it is as long as that memory's touched set; a
+	// ThreadBuf must not be shared between memories.
+	tline []Seq
 }
 
 // NewThreadBuf returns an empty buffer state.
-func NewThreadBuf() *ThreadBuf {
-	return &ThreadBuf{TLine: make(map[LineID]Seq)}
-}
+func NewThreadBuf() *ThreadBuf { return &ThreadBuf{} }
 
 // Reset empties the buffer state in place, keeping the entry slices and
-// timestamp map allocated for the next execution.
+// timestamp table allocated for the next execution.
 func (tb *ThreadBuf) Reset() {
 	tb.SB = tb.SB[:0]
 	tb.FB = tb.FB[:0]
 	tb.TSfence = 0
-	clear(tb.TLine)
+	clear(tb.tline)
 }
 
 // ExecStore enqueues a store (Algorithm 1). The value must fit in size
@@ -173,8 +174,20 @@ func (tb *ThreadBuf) Discard() {
 	tb.FB = tb.FB[:0]
 }
 
-// lineOp records that the thread committed a store or clflush to line ln
-// at timestamp s (updates t_{τ,line}).
-func (tb *ThreadBuf) lineOp(ln LineID, s Seq) {
-	tb.TLine[ln] = s
+// lineOp records that the thread committed a store or clflush to the line
+// in slot at timestamp s (updates t_{τ,line}).
+func (tb *ThreadBuf) lineOp(slot int32, s Seq) {
+	for len(tb.tline) <= int(slot) {
+		tb.tline = append(tb.tline, 0)
+	}
+	tb.tline[slot] = s
+}
+
+// lastLineOp returns t_{τ,line} for the line in slot; slot is -1 for a
+// line the memory has no record of.
+func (tb *ThreadBuf) lastLineOp(slot int32) Seq {
+	if uint(slot) < uint(len(tb.tline)) {
+		return tb.tline[slot]
+	}
+	return 0
 }

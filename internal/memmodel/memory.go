@@ -5,51 +5,167 @@ package memmodel
 // line, scanned per byte), the per-machine cache-line constraints, and the
 // global sequence counter σ_curr.
 //
+// Everything the model knows about one cache line lives in one lineRec —
+// its store log, its constraint row (one Constraint per machine) and its
+// device-resident initial image. A line gets a record the first time it is
+// touched and keeps it, and its dense slot number, for the life of the
+// Memory. Records are reached through index, one int32 per cache line of
+// the region: the region is a bump allocator starting at address 0, so the
+// table is as long as the allocator's high-water mark and a lookup is a
+// slice index, never a hash. Reserve, called by the checker after program
+// set-up with the allocator's mark and the region size, sizes the index
+// once and bounds it; without a bound (tests, probes) it grows on demand
+// by doubling. A 16 MiB region costs 1 MiB of index however sparsely it is
+// used; the records cost only what is touched.
+//
+// Reset walks the dirty list — the records written since the last Reset —
+// so an execution pays for what it touched, not for what is reserved, and
+// keeps every record, slot and slice allocated for the next one.
+//
 // Memory knows nothing about threads or scheduling; the checker drives it
 // through the Exec* methods on ThreadBuf and the Commit* methods here
 // (Algorithms 1 and 2 of the paper).
 type Memory struct {
-	seq   Seq
-	lines map[LineID]*lineLog
-	// cons holds per-machine cache-line constraints; absent entries mean
-	// the default [0, ∞).
-	cons map[conKey]Constraint
-	// initial holds device-resident initial memory contents (attributed
-	// to DeviceID at σ=0, always persisted). Absent lines read as zero.
-	initial map[LineID]*[LineSize]byte
+	seq Seq
+	// index maps a LineID to its slot number plus one; 0 means the line
+	// has no record yet.
+	index []int32
+	// limit is the greatest length index may grow to (0: unbounded).
+	limit int
+	// recs maps a slot number to its record. Records are carved out of
+	// chunk, a block at a time, and never move: a *lineRec stays valid for
+	// the life of the Memory.
+	recs  []*lineRec
+	chunk []lineRec
+	// dirty lists the records that hold anything Reset must clear.
+	dirty []*lineRec
 }
 
-type conKey struct {
-	m  MachineID
-	ln LineID
+// lineRec is everything the model knows about one cache line.
+type lineRec struct {
+	// stores is the line's store log, ordered by Seq ascending.
+	stores []Store
+	// cons is the constraint row, indexed by MachineID; machines past its
+	// length have the default [0, ∞). It starts out aliasing consBuf, so a
+	// row of up to four machines costs no allocation of its own.
+	cons    []Constraint
+	consBuf [4]Constraint
+	// img holds the device-resident initial contents (attributed to
+	// DeviceID at σ=0, always persisted).
+	img [LineSize]byte
+	// dirty: the record is on the memory's dirty list.
+	dirty bool
 }
 
-type lineLog struct {
-	stores []Store // ordered by Seq, ascending
-}
+// recChunk is how many line records one allocation carves.
+const recChunk = 32
 
 // NewMemory returns an empty memory with σ_curr = 0 and all-zero contents.
-func NewMemory() *Memory {
-	return &Memory{
-		lines:   make(map[LineID]*lineLog),
-		cons:    make(map[conKey]Constraint),
-		initial: make(map[LineID]*[LineSize]byte),
+// Its line index is unbounded and grows on demand; see Reserve.
+func NewMemory() *Memory { return &Memory{} }
+
+// Reserve sizes the line index to cover addresses [0, used) at once and
+// forbids it to ever cover more than [0, limit): the checker passes the
+// bump allocator's high-water mark and the region size, having
+// range-checked every address it hands the model. Touching a line at or
+// past limit is a caller bug and panics instead of sizing a table from
+// the address.
+func (m *Memory) Reserve(used, limit Addr) {
+	m.limit = linesIn(limit)
+	if n := linesIn(used); n > len(m.index) {
+		m.growIndex(n)
 	}
 }
 
-// Reset returns the memory to the all-zero initial state while keeping
-// the allocated store logs, constraint table and line images for reuse —
-// the per-execution hot path of the checker pays no allocations for
-// memory it already touched in an earlier execution.
+// linesIn returns how many cache lines the addresses [0, end) span.
+func linesIn(end Addr) int {
+	if end == 0 {
+		return 0
+	}
+	return int(LineOf(end-1)) + 1
+}
+
+// growIndex reallocates the index at n entries, clamped to the limit.
+func (m *Memory) growIndex(n int) {
+	if m.limit > 0 && n > m.limit {
+		n = m.limit
+	}
+	idx := make([]int32, n)
+	copy(idx, m.index)
+	m.index = idx
+}
+
+// slotOf returns the slot of line ln, or -1 when it has no record.
+func (m *Memory) slotOf(ln LineID) int32 {
+	if ln < LineID(len(m.index)) {
+		return m.index[ln] - 1
+	}
+	return -1
+}
+
+// Slot returns the dense slot number of cache line ln, giving the line a
+// record (and the next free slot) if it has none. Slots count up from 0 in
+// first-touch order and survive Reset, so side tables about touched lines
+// — t_{τ,line}, the race detector's words — index by slot and stay as
+// small as the touched set.
+func (m *Memory) Slot(ln LineID) int32 {
+	if s := m.slotOf(ln); s >= 0 {
+		return s
+	}
+	if ln >= LineID(len(m.index)) {
+		if m.limit > 0 && ln >= LineID(m.limit) {
+			panic("memmodel: cache line beyond the reserved region")
+		}
+		n := max(2*len(m.index), 64)
+		for LineID(n) <= ln {
+			n *= 2
+		}
+		m.growIndex(n)
+	}
+	if len(m.chunk) == 0 {
+		m.chunk = make([]lineRec, recChunk)
+	}
+	r := &m.chunk[0]
+	m.chunk = m.chunk[1:]
+	r.cons = r.consBuf[:0]
+	m.recs = append(m.recs, r)
+	m.index[ln] = int32(len(m.recs))
+	return int32(len(m.recs) - 1)
+}
+
+// rec returns the record of line ln, or nil when it was never touched.
+func (m *Memory) rec(ln LineID) *lineRec {
+	if s := m.slotOf(ln); s >= 0 {
+		return m.recs[s]
+	}
+	return nil
+}
+
+// touch returns the record of line ln, creating it if needed.
+func (m *Memory) touch(ln LineID) *lineRec { return m.recs[m.Slot(ln)] }
+
+// mark puts r on the dirty list; every write to a record goes through it.
+func (m *Memory) mark(r *lineRec) {
+	if !r.dirty {
+		r.dirty = true
+		m.dirty = append(m.dirty, r)
+	}
+}
+
+// Reset returns the memory to the all-zero initial state. It clears the
+// records written since the last Reset and nothing else; records, slots,
+// store logs and constraint rows stay allocated, so the per-execution hot
+// path of the checker pays no allocations for memory it already touched in
+// an earlier execution.
 func (m *Memory) Reset() {
 	m.seq = 0
-	for _, l := range m.lines {
-		l.stores = l.stores[:0]
+	for _, r := range m.dirty {
+		r.stores = r.stores[:0]
+		r.cons = r.cons[:0]
+		r.img = [LineSize]byte{}
+		r.dirty = false
 	}
-	clear(m.cons)
-	for _, img := range m.initial {
-		*img = [LineSize]byte{}
-	}
+	m.dirty = m.dirty[:0]
 }
 
 // Seq returns σ_curr, the timestamp of the most recent instruction that
@@ -68,30 +184,62 @@ func (m *Memory) nextSeq() Seq {
 func (m *Memory) InitWrite(a Addr, size uint8, val uint64) {
 	for i := Addr(0); i < Addr(size); i++ {
 		b := a + i
-		ln := LineOf(b)
-		img := m.initial[ln]
-		if img == nil {
-			img = new([LineSize]byte)
-			m.initial[ln] = img
-		}
-		img[b-LineBase(ln)] = byte(val >> (8 * i))
+		r := m.touch(LineOf(b))
+		m.mark(r)
+		r.img[b%LineSize] = byte(val >> (8 * i))
 	}
 }
 
 // InitialByte returns the device-resident initial value of byte b.
 func (m *Memory) InitialByte(b Addr) byte {
-	img := m.initial[LineOf(b)]
-	if img == nil {
-		return 0
+	if r := m.rec(LineOf(b)); r != nil {
+		return r.img[b%LineSize]
 	}
-	return img[b-LineBase(LineOf(b))]
+	return 0
+}
+
+// constraint returns mach's constraint for the record's line.
+func (r *lineRec) constraint(mach MachineID) Constraint {
+	if uint(mach) < uint(len(r.cons)) {
+		return r.cons[mach]
+	}
+	return DefaultConstraint
+}
+
+// con returns mach's entry of r's constraint row for writing, extending
+// the row with defaults up to it.
+func (m *Memory) con(r *lineRec, mach MachineID) *Constraint {
+	for len(r.cons) <= int(mach) {
+		r.cons = append(r.cons, DefaultConstraint)
+	}
+	m.mark(r)
+	return &r.cons[mach]
+}
+
+// raiseBegin is RaiseBegin on a resolved record.
+func (m *Memory) raiseBegin(r *lineRec, mach MachineID, s Seq) (old, now Constraint) {
+	old = r.constraint(mach)
+	now = old
+	if s > now.Begin {
+		now.Begin = s
+		*m.con(r, mach) = now
+	}
+	return old, now
+}
+
+// lowerEnd is LowerEnd on a resolved record.
+func (m *Memory) lowerEnd(r *lineRec, mach MachineID, s Seq) {
+	if c := r.constraint(mach); s < c.End {
+		c.End = s
+		*m.con(r, mach) = c
+	}
 }
 
 // Constraint returns machine mach's constraint for cache line ln
 // (default [0, ∞) when never refined).
 func (m *Memory) Constraint(mach MachineID, ln LineID) Constraint {
-	if c, ok := m.cons[conKey{mach, ln}]; ok {
-		return c
+	if r := m.rec(ln); r != nil {
+		return r.constraint(mach)
 	}
 	return DefaultConstraint
 }
@@ -99,25 +247,13 @@ func (m *Memory) Constraint(mach MachineID, ln LineID) Constraint {
 // RaiseBegin raises the lower bound of mach's constraint for line ln to at
 // least s, returning the previous and new constraint.
 func (m *Memory) RaiseBegin(mach MachineID, ln LineID, s Seq) (old, now Constraint) {
-	k := conKey{mach, ln}
-	old = m.Constraint(mach, ln)
-	now = old
-	if s > now.Begin {
-		now.Begin = s
-		m.cons[k] = now
-	}
-	return old, now
+	return m.raiseBegin(m.touch(ln), mach, s)
 }
 
 // LowerEnd lowers the upper bound of mach's constraint for line ln to at
 // most s.
 func (m *Memory) LowerEnd(mach MachineID, ln LineID, s Seq) {
-	k := conKey{mach, ln}
-	c := m.Constraint(mach, ln)
-	if s < c.End {
-		c.End = s
-		m.cons[k] = c
-	}
+	m.lowerEnd(m.touch(ln), mach, s)
 }
 
 // PersistAll snaps every constraint of machine mach to "fully persisted as
@@ -125,10 +261,13 @@ func (m *Memory) LowerEnd(mach MachineID, ln LineID, s Seq) {
 // implements GPF mode's always-successful global persistent flush at
 // failure time (paper §6.2).
 func (m *Memory) PersistAll(mach MachineID) {
-	for ln, log := range m.lines {
-		for i := range log.stores {
-			if log.stores[i].Machine == mach {
-				m.RaiseBegin(mach, ln, m.seq)
+	// Every line with a store is on the dirty list, and raising its
+	// constraint marks a record that is already there: the list does not
+	// grow under the loop.
+	for _, r := range m.dirty {
+		for i := range r.stores {
+			if r.stores[i].Machine == mach {
+				m.raiseBegin(r, mach, m.seq)
 				break
 			}
 		}
@@ -138,21 +277,11 @@ func (m *Memory) PersistAll(mach MachineID) {
 	// stores from mach above the old Begin.
 }
 
-// line returns the store log for ln, creating it if needed.
-func (m *Memory) line(ln LineID) *lineLog {
-	l := m.lines[ln]
-	if l == nil {
-		l = &lineLog{}
-		m.lines[ln] = l
-	}
-	return l
-}
-
 // StoresOn returns the store log of cache line ln, ordered by Seq
 // ascending. The returned slice must not be modified.
 func (m *Memory) StoresOn(ln LineID) []Store {
-	if l := m.lines[ln]; l != nil {
-		return l.stores
+	if r := m.rec(ln); r != nil {
+		return r.stores
 	}
 	return nil
 }
@@ -162,12 +291,9 @@ func (m *Memory) StoresOn(ln LineID) []Store {
 // line 16) uses this to decide whether a flush crossing the interval
 // reduces future post-failure load results.
 func (m *Memory) HasStoreBy(mach MachineID, ln LineID, lo, hi Seq) bool {
-	l := m.lines[ln]
-	if l == nil {
-		return false
-	}
-	for i := len(l.stores) - 1; i >= 0; i-- {
-		s := &l.stores[i]
+	stores := m.StoresOn(ln)
+	for i := len(stores) - 1; i >= 0; i-- {
+		s := &stores[i]
 		if s.Seq <= lo {
 			break
 		}
@@ -180,19 +306,21 @@ func (m *Memory) HasStoreBy(mach MachineID, ln LineID, lo, hi Seq) bool {
 
 // NextStoreAfter returns the sequence number of the first store covering
 // byte b with Seq > after, and whether one exists (used by Algorithm 4 to
-// lower the End of a failed machine's constraint).
-func (m *Memory) NextStoreAfter(b Addr, after Seq) (Seq, bool) {
-	l := m.lines[LineOf(b)]
-	if l == nil {
-		return 0, false
-	}
-	for i := range l.stores {
-		s := &l.stores[i]
-		if s.Seq > after && s.Covers(b) {
-			return s.Seq, true
+// lower the End of a failed machine's constraint). It walks back from the
+// newest store and stops at σ ≤ after: the stores a load asks about are
+// the newest ones.
+func (m *Memory) NextStoreAfter(b Addr, after Seq) (next Seq, ok bool) {
+	stores := m.StoresOn(LineOf(b))
+	for i := len(stores) - 1; i >= 0; i-- {
+		s := &stores[i]
+		if s.Seq <= after {
+			break
+		}
+		if s.Covers(b) {
+			next, ok = s.Seq, true
 		}
 	}
-	return 0, false
+	return next, ok
 }
 
 // FlushEffect describes the constraint update a flush commit would apply
@@ -228,10 +356,18 @@ func (m *Memory) CommitStore(tb *ThreadBuf, mach MachineID) Store {
 	st := e.St
 	st.Seq = m.nextSeq()
 	st.Machine = mach
-	l := m.line(LineOf(st.Addr))
-	l.stores = append(l.stores, st)
-	tb.lineOp(LineOf(st.Addr), st.Seq)
+	m.appendStore(tb, st)
 	return st
+}
+
+// appendStore appends a sequenced store to its line's log and updates
+// the committing thread's t_{τ,line}.
+func (m *Memory) appendStore(tb *ThreadBuf, st Store) {
+	slot := m.Slot(LineOf(st.Addr))
+	r := m.recs[slot]
+	m.mark(r)
+	r.stores = append(r.stores, st)
+	tb.lineOp(slot, st.Seq)
 }
 
 // PreviewClflush returns the constraint effect committing the clflush at
@@ -262,8 +398,9 @@ func (m *Memory) CommitClflush(tb *ThreadBuf, mach MachineID) FlushEffect {
 	}
 	ln := LineOf(e.Addr)
 	s := m.nextSeq()
-	old, now := m.RaiseBegin(mach, ln, s)
-	tb.lineOp(ln, s)
+	slot := m.Slot(ln)
+	old, now := m.raiseBegin(m.recs[slot], mach, s)
+	tb.lineOp(slot, s)
 	return FlushEffect{Machine: mach, Line: ln, OldBegin: old.Begin, NewBegin: now.Begin}
 }
 
@@ -279,7 +416,7 @@ func (m *Memory) CommitClflushopt(tb *ThreadBuf) {
 		panic("memmodel: CommitClflushopt on non-clflushopt head")
 	}
 	eff := e.ExecSeq
-	if t := tb.TLine[LineOf(e.Addr)]; t > eff {
+	if t := tb.lastLineOp(m.slotOf(LineOf(e.Addr))); t > eff {
 		eff = t
 	}
 	if tb.TSfence > eff {
@@ -336,8 +473,6 @@ func (m *Memory) CommitFB(tb *ThreadBuf, mach MachineID) FlushEffect {
 // surrounding fences mean the store takes effect on the cache at once).
 func (m *Memory) CommitDirectStore(tb *ThreadBuf, mach MachineID, a Addr, size uint8, val uint64) Store {
 	st := Store{Addr: a, Size: size, Val: val, Seq: m.nextSeq(), Machine: mach}
-	l := m.line(LineOf(a))
-	l.stores = append(l.stores, st)
-	tb.lineOp(LineOf(a), st.Seq)
+	m.appendStore(tb, st)
 	return st
 }

@@ -68,7 +68,7 @@ func TestCommitStoreAssignsSeqAndMachine(t *testing.T) {
 	if len(got) != 1 || got[0] != st {
 		t.Fatalf("store log = %v", got)
 	}
-	if tb.TLine[LineOf(8)] != st.Seq {
+	if tb.lastLineOp(m.slotOf(LineOf(8))) != st.Seq {
 		t.Fatal("t_line not updated")
 	}
 }
@@ -220,4 +220,50 @@ func TestCommitPanicsOnWrongHead(t *testing.T) {
 	tb2.ExecStore(0, 8, 1)
 	assertPanics("CommitSfence", func() { m.CommitSfence(tb2) })
 	assertPanics("PreviewClflush", func() { m.PreviewClflush(tb2, 0) })
+}
+
+// TestReserveSizesAndBoundsTheIndex: Reserve sizes the line index for the
+// allocated part of the region at once, on-demand growth never takes it
+// past the region, and a line beyond the region panics rather than
+// growing anything.
+func TestReserveSizesAndBoundsTheIndex(t *testing.T) {
+	m := NewMemory()
+	m.Reserve(3*LineSize+1, 100*LineSize)
+	if len(m.index) != 4 {
+		t.Fatalf("index spans %d lines after Reserve of 3 lines and a byte, want 4", len(m.index))
+	}
+	m.InitWrite(70*LineSize, 8, 1) // allocated later in the execution
+	if len(m.index) != 100 {
+		t.Fatalf("index spans %d lines, want growth by doubling clamped to the 100-line region", len(m.index))
+	}
+	m.InitWrite(99*LineSize+56, 8, 2)
+	if m.InitialByte(99*LineSize+56) != 2 || m.InitialByte(70*LineSize) != 1 {
+		t.Fatal("writes at the end of the region lost")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a line beyond the reserved region did not panic")
+		}
+		if len(m.index) != 100 {
+			t.Fatalf("index spans %d lines after the refused access, want 100", len(m.index))
+		}
+	}()
+	m.InitWrite(100*LineSize, 1, 3)
+}
+
+// TestUnboundedIndexGrowsByDoubling: a direct user that never calls
+// Reserve gets an index that doubles up to the line it needs.
+func TestUnboundedIndexGrowsByDoubling(t *testing.T) {
+	m := NewMemory()
+	m.Slot(0)
+	if len(m.index) != 64 {
+		t.Fatalf("first index spans %d lines, want 64", len(m.index))
+	}
+	m.Slot(1000)
+	if len(m.index) != 1024 {
+		t.Fatalf("index spans %d lines after touching line 1000, want 1024", len(m.index))
+	}
+	if m.Slot(0) != 0 || m.Slot(1000) != 1 {
+		t.Fatalf("slots %d, %d: growth must keep assignments", m.Slot(0), m.Slot(1000))
+	}
 }

@@ -41,17 +41,34 @@ type ReadContext struct {
 	Curr   MachineID
 	Failed FailSet
 	GPF    bool
-	// storesBuf is scratch reused by coveringStores; at most one result
-	// is live at a time (the lazy iterator consumes it before the next
-	// byte's search starts, and Algorithm 3 calls are sequential).
+	// storesBuf is scratch reused by coveringStores, the Algorithm 3
+	// specification path; its calls are sequential, so at most one result
+	// is live at a time.
 	storesBuf []Store
+	// A one-entry cache: rec is the record of line ln in mem. The bytes of
+	// a load share a cache line (or two), so the line is resolved on the
+	// first byte and kept for the rest — and for the constraint refinement
+	// that follows each. Records never move, so an entry only goes stale
+	// by Mem being swapped.
+	mem *Memory
+	ln  LineID
+	rec *lineRec
 }
 
-// coveringStores returns the stores covering byte b in ascending Seq
-// order. The result aliases the context's scratch buffer and is
-// invalidated by the next call.
+// line returns the record of cache line ln, resolving it through the
+// memory's index only when the previous call asked for a different line.
+func (rc *ReadContext) line(ln LineID) *lineRec {
+	if rc.rec == nil || rc.ln != ln || rc.mem != rc.Mem {
+		rc.mem, rc.ln, rc.rec = rc.Mem, ln, rc.Mem.touch(ln)
+	}
+	return rc.rec
+}
+
+// coveringStores returns a copy of the stores covering byte b in
+// ascending Seq order. The result aliases the context's scratch buffer
+// and is invalidated by the next call.
 func (rc *ReadContext) coveringStores(b Addr) []Store {
-	all := rc.Mem.StoresOn(LineOf(b))
+	all := rc.line(LineOf(b)).stores
 	out := rc.storesBuf[:0]
 	for i := range all {
 		if all[i].Covers(b) {
@@ -65,14 +82,15 @@ func (rc *ReadContext) coveringStores(b Addr) []Store {
 // initialCandidate is the device-resident value of byte b: an implicit
 // always-persisted store at σ=0 by the memory device.
 func (rc *ReadContext) initialCandidate(b Addr, phi FailSet) Candidate {
-	return Candidate{Val: rc.Mem.InitialByte(b), Seq: 0, Machine: DeviceID, Fail: phi}
+	return Candidate{Val: rc.line(LineOf(b)).img[b%LineSize], Seq: 0, Machine: DeviceID, Fail: phi}
 }
 
-// overwrites reports whether store s permanently overwrites all earlier
-// stores under failure set phi: it does so when its machine is live (its
-// cache holds the value, visible through coherence) or when it must have
-// been persisted before its machine's failure (σ ≤ Begin).
-func (rc *ReadContext) overwrites(s *Store, phi FailSet) bool {
+// overwrites reports whether store s, on the line of record r,
+// permanently overwrites all earlier stores under failure set phi: it does
+// so when its machine is live (its cache holds the value, visible through
+// coherence) or when it must have been persisted before its machine's
+// failure (σ ≤ Begin).
+func (rc *ReadContext) overwrites(r *lineRec, s *Store, phi FailSet) bool {
 	if rc.GPF {
 		// With GPF, failure never loses cached values: every committed
 		// store is effectively persistent.
@@ -81,18 +99,18 @@ func (rc *ReadContext) overwrites(s *Store, phi FailSet) bool {
 	if s.Machine == DeviceID || !phi.Has(s.Machine) {
 		return true
 	}
-	return s.Seq <= rc.Mem.Constraint(s.Machine, LineOf(s.Addr)).Begin
+	return s.Seq <= r.constraint(s.Machine).Begin
 }
 
-// mayPersist reports whether store s may be visible after its machine's
-// failure under phi (Algorithm 3, line 6): live machines' stores always
-// are; a failed machine's store only if it precedes the latest possible
-// write-back (σ < End).
-func (rc *ReadContext) mayPersist(s *Store, phi FailSet) bool {
+// mayPersist reports whether store s, on the line of record r, may be
+// visible after its machine's failure under phi (Algorithm 3, line 6):
+// live machines' stores always are; a failed machine's store only if it
+// precedes the latest possible write-back (σ < End).
+func (rc *ReadContext) mayPersist(r *lineRec, s *Store, phi FailSet) bool {
 	if rc.GPF || s.Machine == DeviceID || !phi.Has(s.Machine) {
 		return true
 	}
-	return s.Seq < rc.Mem.Constraint(s.Machine, LineOf(s.Addr)).End
+	return s.Seq < r.constraint(s.Machine).End
 }
 
 // ScanStores implements Algorithm 3's SCANSTORES(addr, Φ, σ_start)
@@ -100,7 +118,7 @@ func (rc *ReadContext) mayPersist(s *Store, phi FailSet) bool {
 // under Φ and is not permanently overwritten by a later store in the
 // queue, plus the initial device value when nothing overwrites it.
 func (rc *ReadContext) ScanStores(b Addr, phi FailSet, start Seq) []Candidate {
-	stores := rc.coveringStores(b)
+	r, stores := rc.line(LineOf(b)), rc.coveringStores(b)
 	var out []Candidate
 	for i := len(stores) - 1; i >= 0; i-- {
 		s := &stores[i]
@@ -109,7 +127,7 @@ func (rc *ReadContext) ScanStores(b Addr, phi FailSet, start Seq) []Candidate {
 		}
 		blocked := false
 		for j := i + 1; j < len(stores); j++ {
-			if rc.overwrites(&stores[j], phi) {
+			if rc.overwrites(r, &stores[j], phi) {
 				blocked = true
 				break
 			}
@@ -117,10 +135,10 @@ func (rc *ReadContext) ScanStores(b Addr, phi FailSet, start Seq) []Candidate {
 		if blocked {
 			continue
 		}
-		if rc.mayPersist(s, phi) {
+		if rc.mayPersist(r, s, phi) {
 			out = append(out, Candidate{Val: s.Byte(b), Seq: s.Seq, Machine: s.Machine, Fail: phi})
 		}
-		if rc.overwrites(s, phi) {
+		if rc.overwrites(r, s, phi) {
 			return out
 		}
 	}
@@ -128,7 +146,7 @@ func (rc *ReadContext) ScanStores(b Addr, phi FailSet, start Seq) []Candidate {
 	// reachable too.
 	blocked := false
 	for j := range stores {
-		if rc.overwrites(&stores[j], phi) {
+		if rc.overwrites(r, &stores[j], phi) {
 			blocked = true
 			break
 		}
@@ -161,7 +179,7 @@ func (rc *ReadContext) BuildMayReadFrom(b Addr) []Candidate {
 			if c.Machine == DeviceID || c.Machine == rc.Curr || phi.Has(c.Machine) {
 				continue
 			}
-			if c.Seq > rc.Mem.Constraint(c.Machine, LineOf(b)).Begin {
+			if c.Seq > rc.line(LineOf(b)).constraint(c.Machine).Begin {
 				phi = phi.With(c.Machine)
 				r = append(r, rc.ScanStores(b, phi, c.Seq-1)...)
 				expanded = true
@@ -179,10 +197,14 @@ func (rc *ReadContext) BuildMayReadFrom(b Addr) []Candidate {
 // past a live remote machine's un-written-back store implicitly adds that
 // machine to the tentative failure set, exactly like the expansion loop.
 type CandidateIter struct {
-	rc     *ReadContext
-	b      Addr
-	stores []Store // ascending
-	idx    int     // next index to examine (descending walk)
+	rc *ReadContext
+	b  Addr
+	// rec is b's line; stores is its store log itself, ascending, not a
+	// copy: the walk skips the stores that do not cover b. Nothing commits
+	// to the log while a load is choosing its candidate.
+	rec    *lineRec
+	stores []Store
+	idx    int // next index to examine (descending walk)
 	phi    FailSet
 	// pending holds the lookahead candidate; ok is false once exhausted.
 	pending   Candidate
@@ -199,12 +221,15 @@ func (rc *ReadContext) Candidates(b Addr) *CandidateIter {
 }
 
 // CandidatesInto (re)initializes it in place for byte b, so a caller can
-// reuse one iterator across loads instead of allocating per byte. Only
-// one iterator per context may be live at a time: the enumeration reads
-// the context's shared store scratch buffer.
+// reuse one iterator across loads instead of allocating per byte.
 func (rc *ReadContext) CandidatesInto(it *CandidateIter, b Addr) {
-	*it = CandidateIter{rc: rc, b: b, stores: rc.coveringStores(b), phi: rc.Failed}
+	it.rc = rc
+	it.b = b
+	it.rec = rc.line(LineOf(b))
+	it.stores = it.rec.stores
 	it.idx = len(it.stores) - 1
+	it.phi = rc.Failed
+	it.exhausted = false
 	it.advance()
 }
 
@@ -218,11 +243,14 @@ func (it *CandidateIter) advance() {
 	for it.idx >= 0 {
 		s := &it.stores[it.idx]
 		it.idx--
-		if !rc.mayPersist(s, it.phi) {
+		if !s.Covers(it.b) {
+			continue
+		}
+		if !rc.mayPersist(it.rec, s, it.phi) {
 			continue // definitely lost (σ ≥ End): skip, keep searching
 		}
 		if !rc.GPF && !it.phi.Has(s.Machine) && s.Machine != rc.Curr && s.Machine != DeviceID &&
-			s.Seq > rc.Mem.Constraint(s.Machine, LineOf(s.Addr)).Begin {
+			s.Seq > it.rec.constraint(s.Machine).Begin {
 			// Live remote store not known written back: readable as-is
 			// now; continuing past it means failing its machine
 			// (Algorithm 3, lines 13–16).
@@ -231,7 +259,7 @@ func (it *CandidateIter) advance() {
 			it.phi = it.phi.With(s.Machine)
 			return
 		}
-		if rc.overwrites(s, it.phi) {
+		if rc.overwrites(it.rec, s, it.phi) {
 			// Terminal candidate: permanently overwrites everything
 			// earlier, so the search ends after it.
 			it.exhausted = true
@@ -287,10 +315,16 @@ func (rc *ReadContext) ApplyReadConstraint(b Addr, c Candidate, failedNow bool) 
 	if rc.GPF {
 		return
 	}
-	ln := LineOf(b)
-	for _, s := range rc.Mem.StoresOn(ln) {
-		if s.Seq > c.Seq && s.Covers(b) && rc.Failed.Has(s.Machine) {
-			rc.Mem.LowerEnd(s.Machine, ln, s.Seq)
+	m, r := rc.Mem, rc.line(LineOf(b))
+	// Only stores newer than the chosen one matter, and they are at the
+	// tail of the log: walk back from the newest and stop at σ.
+	for i := len(r.stores) - 1; i >= 0; i-- {
+		s := &r.stores[i]
+		if s.Seq <= c.Seq {
+			break
+		}
+		if s.Covers(b) && rc.Failed.Has(s.Machine) {
+			m.lowerEnd(r, s.Machine, s.Seq)
 		}
 	}
 	if c.Machine == DeviceID {
@@ -300,13 +334,13 @@ func (rc *ReadContext) ApplyReadConstraint(b Addr, c Candidate, failedNow bool) 
 		// Algorithm 4, lines 7–10: lock the write-back into [σ, σ_next).
 		// The next store (from any machine) bounds the write-back because
 		// coherence serializes it before a later owner's store.
-		rc.Mem.RaiseBegin(c.Machine, ln, c.Seq)
-		if next, ok := rc.Mem.NextStoreAfter(b, c.Seq); ok {
-			rc.Mem.LowerEnd(c.Machine, ln, next)
+		m.raiseBegin(r, c.Machine, c.Seq)
+		if next, ok := m.NextStoreAfter(b, c.Seq); ok {
+			m.lowerEnd(r, c.Machine, next)
 		}
 		return
 	}
 	if c.Machine != rc.Curr {
-		rc.Mem.RaiseBegin(c.Machine, ln, c.Seq)
+		m.raiseBegin(r, c.Machine, c.Seq)
 	}
 }

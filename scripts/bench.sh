@@ -22,9 +22,15 @@ set -eu
 cd "$(dirname "$0")/.."
 
 benchtime=3x
+# The memmodel micro-benchmarks (internal/memmodel/bench_test.go:
+# BenchmarkLoadByte/{s1,s8,s64,m4}, BenchmarkCommitStore, BenchmarkFlush,
+# BenchmarkReset) are nanosecond-scale ops named like cxlbench's
+# memmodel.* ledger rows; they run by time, not by count, except in CI.
+microtime=1s
 pattern='BenchmarkTable5|BenchmarkParallelScaling|BenchmarkFigure|BenchmarkObsOverhead'
 if [ "${1:-}" = "--short" ]; then
     benchtime=1x
+    microtime=1x
     pattern='BenchmarkTable5/CCEH$|BenchmarkTable5/CCEH_ReductionOff$|BenchmarkTable5/CCEH_RaceDetectOff$|BenchmarkParallelScaling|BenchmarkFigure3|BenchmarkObsOverhead'
 fi
 
@@ -53,6 +59,7 @@ done
 # file (the failure still fails the script, after the write).
 status=0
 wait "$pid" || status=$?
+go test -run '^$' -bench . -benchtime "$microtime" ./internal/memmodel >> "$txt" 2>&1 || status=$?
 cat "$txt"
 
 # Convert the benchmark lines to JSON. Format of a line:
