@@ -452,23 +452,11 @@ func run() int {
 		}
 	} else if *bench == "vet-demo" {
 		program = analyze.DemoProgram
-	} else if b, ok := harness.ByName(*bench); ok {
-		program = recipe.Program(b, recipe.Config{
-			Keys: *keys, Workers: *insWorkers, Stride: *stride, Bugs: recipe.Bug(bugs),
-		})
-	} else {
-		found := false
-		for _, c := range cxlshm.Cases {
-			if c.Name == *bench {
-				program = c.Program(cxlshm.Bug(bugs))
-				found = true
-				break
-			}
-		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "cxlmc: unknown benchmark %q (try -list)\n", *bench)
-			return 2
-		}
+	} else if program, ok = harness.ProgramByName(*bench, recipe.Config{
+		Keys: *keys, Workers: *insWorkers, Stride: *stride, Bugs: recipe.Bug(bugs),
+	}); !ok {
+		fmt.Fprintf(os.Stderr, "cxlmc: unknown benchmark %q (try -list)\n", *bench)
+		return 2
 	}
 
 	if *vetOnly {

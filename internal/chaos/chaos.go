@@ -15,7 +15,9 @@
 //
 // The package deliberately knows nothing about the checker; internal/core
 // consults a *Injector through nil-safe methods, so a nil injector is the
-// zero-cost "chaos off" mode.
+// zero-cost "chaos off" mode. The file operations every durable file of
+// the checker goes through (fileops.go) live here too, next to the fault
+// points they draw.
 package chaos
 
 import (

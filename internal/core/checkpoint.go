@@ -8,9 +8,7 @@ import (
 	"fmt"
 	"hash"
 	"io/fs"
-	"os"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/chaos"
@@ -153,145 +151,33 @@ func programDigestOf(cfg Config, program func(*Program)) (digest string, err err
 	return hex.EncodeToString(fp.h.Sum(nil))[:16], nil
 }
 
-// corruptCheckpointError classifies a checkpoint that cannot be decoded
-// — truncated, bit-flipped, or carrying undecodable unit snapshots. The
-// engine reacts by quarantining the file (rename to <path>.corrupt) and
-// starting fresh, because a corrupt checkpoint is recoverable state
-// loss, not an unrecoverable configuration problem. Identity mismatches
-// (wrong seed/config/program) and version skew stay hard errors: those
-// files are fine, the run is asking for the wrong thing.
-type corruptCheckpointError struct {
-	path string
-	err  error
+// errCorruptCheckpoint marks a checkpoint that cannot be decoded —
+// truncated, bit-flipped, or carrying undecodable unit snapshots.
+// ResumeCheckpoint reacts by quarantining the file and starting fresh,
+// because a corrupt checkpoint is recoverable state loss, not an
+// unrecoverable configuration problem. Identity mismatches (wrong
+// seed/config/program) and version skew stay hard errors: those files are
+// fine, the run is asking for the wrong thing.
+var errCorruptCheckpoint = errors.New("corrupt checkpoint")
+
+func corruptCheckpoint(path string, cause error) error {
+	return fmt.Errorf("cxlmc: checkpoint %s: %w: %v", path, errCorruptCheckpoint, cause)
 }
 
-func (e *corruptCheckpointError) Error() string {
-	return fmt.Sprintf("cxlmc: checkpoint %s is corrupt: %v", e.path, e.err)
-}
-
-func (e *corruptCheckpointError) Unwrap() error { return e.err }
-
-// I/O retry policy for checkpoint and spill files: transient errors
-// (chaos-injected ones, and the usual interruptible-syscall suspects)
-// are retried a few times with exponential backoff; permanent errors
-// (ENOSPC, EACCES, ...) surface immediately.
-const ioAttempts = 5
-
-func ioBackoff(attempt int) time.Duration {
-	return time.Millisecond << uint(attempt-1) // 1, 2, 4, 8 ms
-}
-
-func transientIO(err error) bool {
-	return chaos.IsTransient(err) ||
-		errors.Is(err, syscall.EINTR) || errors.Is(err, syscall.EAGAIN)
-}
-
-// readFileRetry reads a whole file through the chaos injector, retrying
-// transient faults. A missing file is returned as the os error
-// unwrapped to fs.ErrNotExist, untouched by injection, so "no checkpoint
-// yet" stays distinguishable.
-func readFileRetry(path string, inj *chaos.Injector) ([]byte, error) {
-	var lastErr error
-	for attempt := 1; attempt <= ioAttempts; attempt++ {
-		if attempt > 1 {
-			time.Sleep(ioBackoff(attempt - 1))
-		}
-		if err := inj.ReadFault(); err != nil {
-			lastErr = err
-			if !transientIO(err) {
-				break
-			}
-			continue
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				return nil, err
-			}
-			lastErr = err
-			if !transientIO(err) {
-				break
-			}
-			continue
-		}
-		return inj.Corrupt(raw), nil
-	}
-	return nil, lastErr
-}
-
-// writeFileRetry writes data to path (plain, non-atomic — used for spill
-// files, which are process-local scratch) with the same retry policy.
-func writeFileRetry(path string, data []byte, inj *chaos.Injector) error {
-	var lastErr error
-	for attempt := 1; attempt <= ioAttempts; attempt++ {
-		if attempt > 1 {
-			time.Sleep(ioBackoff(attempt - 1))
-		}
-		if n, err := inj.WriteFault(len(data)); err != nil {
-			lastErr = err
-			if n > 0 {
-				// Torn write: leave the prefix behind, like a real crash
-				// would; the retry's O_TRUNC rewrite heals it.
-				os.WriteFile(path, data[:n], 0o644)
-			}
-			if !transientIO(err) {
-				break
-			}
-			continue
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			lastErr = err
-			if !transientIO(err) {
-				break
-			}
-			continue
-		}
-		return nil
-	}
-	return lastErr
-}
-
-// renameRetry renames with the retry policy.
-func renameRetry(oldpath, newpath string, inj *chaos.Injector) error {
-	var lastErr error
-	for attempt := 1; attempt <= ioAttempts; attempt++ {
-		if attempt > 1 {
-			time.Sleep(ioBackoff(attempt - 1))
-		}
-		if err := inj.RenameFault(); err != nil {
-			lastErr = err
-			if !transientIO(err) {
-				break
-			}
-			continue
-		}
-		if err := os.Rename(oldpath, newpath); err != nil {
-			lastErr = err
-			if !transientIO(err) {
-				break
-			}
-			continue
-		}
-		return nil
-	}
-	return lastErr
-}
-
-// loadCheckpoint reads and validates the checkpoint file at path. A
-// missing file is not an error (the run simply starts fresh); an
-// undecodable file is returned as a *corruptCheckpointError so the
-// engine can quarantine it; version skew is a hard error.
-func loadCheckpoint(path string, inj *chaos.Injector) (*checkpointData, error) {
-	raw, err := readFileRetry(path, inj)
+// LoadCheckpoint reads and validates the checkpoint file at path. A
+// missing file returns (nil, nil); an undecodable file is an error
+// wrapping errCorruptCheckpoint; version skew is a hard error.
+func LoadCheckpoint(path string, inj *chaos.Injector) (*Checkpoint, error) {
+	raw, err := inj.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("cxlmc: reading checkpoint %s: %w", path, err)
 	}
-	var cp checkpointData
+	var cp Checkpoint
 	if err := json.Unmarshal(raw, &cp); err != nil {
-		return nil, &corruptCheckpointError{path: path, err: err}
+		return nil, corruptCheckpoint(path, err)
 	}
 	if cp.Version != checkpointVersion {
 		return nil, fmt.Errorf("cxlmc: checkpoint %s has version %d, this build reads version %d",
@@ -300,90 +186,90 @@ func loadCheckpoint(path string, inj *chaos.Injector) (*checkpointData, error) {
 	return &cp, nil
 }
 
-// quarantineCheckpoint moves an undecodable checkpoint aside (rename to
-// <path>.corrupt, preserved for post-mortems) so the run can start
-// fresh with the path free for new checkpoints.
-func quarantineCheckpoint(path string, inj *chaos.Injector) error {
-	return renameRetry(path, path+".corrupt", inj)
+// Resume is a checkpoint ready to be continued from, as ResumeCheckpoint
+// returns it.
+type Resume struct {
+	// Units are the subtree units still to be explored, decoded. The
+	// decision points a unit created in its past life are embedded in it
+	// and are NOT in Total: whoever explores the unit to the end adds
+	// TreeCounters of it then (the engine), or credits them up front because
+	// its workers report net of them (the dist coordinator).
+	Units []*decision.Tree
+	// Total and Res are the checkpointed totals, with the points of units
+	// that arrived already finished folded in.
+	Total    Tally
+	Res      Resilience
+	Elapsed  time.Duration
+	Complete bool
 }
 
-// writeCheckpointFile writes cp crash-safely: the bytes go to a sibling
-// temp file which is fsynced and atomically renamed over path, so a
-// crash at any point leaves either the old checkpoint or the new one,
-// never a torn file. Transient I/O errors — injected by chaos, or the
-// interruptible-syscall kind — are absorbed by a bounded
-// retry-with-backoff; each attempt rebuilds the temp file from scratch,
-// so a torn earlier attempt cannot leak into the installed checkpoint.
+// ResumeCheckpoint is the one way an exploration picks up a checkpoint. It
+// returns nil when there is nothing to resume: no path, no file, or an
+// undecodable file — which is moved to <path>.corrupt (preserved for
+// post-mortems, the path free for new checkpoints) and reported through
+// quarantined, so the caller starts fresh. A checkpoint of another
+// exploration (seed, configuration or program) or format version is an
+// error. Every unit decodes or none is used: one bad snapshot marks the
+// whole file corrupt, and a half-restored frontier never leaks into the
+// fresh start that follows.
+func ResumeCheckpoint(path string, seed int64, cfgDigest, progDigest string, inj *chaos.Injector) (r *Resume, quarantined bool, err error) {
+	if path == "" {
+		return nil, false, nil
+	}
+	cp, err := LoadCheckpoint(path, inj)
+	if err == nil && cp != nil {
+		if err = cp.CheckIdentity(path, seed, cfgDigest, progDigest); err != nil {
+			return nil, false, err
+		}
+		r, err = cp.resume(path)
+	}
+	if errors.Is(err, errCorruptCheckpoint) {
+		if qerr := inj.Rename(path, path+".corrupt"); qerr != nil {
+			return nil, false, fmt.Errorf("%w (and quarantining it failed: %v)", err, qerr)
+		}
+		return nil, true, nil
+	}
+	return r, false, err
+}
+
+// resume decodes cp's units and totals into a Resume.
+func (cp *Checkpoint) resume(path string) (*Resume, error) {
+	r := &Resume{Elapsed: cp.Elapsed, Complete: cp.Complete}
+	r.Total, r.Res = cp.Totals()
+	for _, raw := range cp.Units {
+		tr := decision.NewTree()
+		if err := tr.Restore(raw); err != nil {
+			return nil, corruptCheckpoint(path, err)
+		}
+		if tr.Done() {
+			// A finished unit's points still belong in the totals.
+			r.Total.Add(TreeCounters(tr))
+		} else {
+			r.Units = append(r.Units, tr)
+		}
+	}
+	return r, nil
+}
+
+// writeCheckpointFile installs cp at path through ReplaceFile (temp file,
+// fsync, atomic rename; transient faults retried with backoff), counting
+// and tracing each retry and the installed file.
 func writeCheckpointFile(path string, cp *checkpointData, inj *chaos.Injector, om coreMetrics, tracer *obs.Tracer) error {
 	raw, err := json.Marshal(cp)
 	if err != nil {
 		return fmt.Errorf("cxlmc: encoding checkpoint: %w", err)
 	}
-	var lastErr error
-	for attempt := 1; attempt <= ioAttempts; attempt++ {
-		if attempt > 1 {
-			time.Sleep(ioBackoff(attempt - 1))
-			om.cpRetries.Inc()
-			tracer.Record(-1, obs.EvCheckpointRetry, int64(attempt), 0)
-		}
-		err := writeCheckpointOnce(path, raw, inj)
-		if err == nil {
-			om.cpWrites.Inc()
-			tracer.Record(-1, obs.EvCheckpointWrite, int64(len(raw)), int64(cp.Executions))
-			return nil
-		}
-		lastErr = err
-		if !transientIO(err) {
-			break
-		}
-	}
-	return lastErr
-}
-
-// writeCheckpointOnce is one temp-file + fsync + rename attempt. On any
-// failure the temp file is removed, so no partial .tmp outlives the
-// attempt.
-func writeCheckpointOnce(path string, raw []byte, inj *chaos.Injector) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	attempt := 1
+	err = inj.ReplaceFile(path, raw, func() {
+		attempt++
+		om.cpRetries.Inc()
+		tracer.Record(-1, obs.EvCheckpointRetry, int64(attempt), 0)
+	})
 	if err != nil {
-		return fmt.Errorf("cxlmc: writing checkpoint: %w", err)
+		return fmt.Errorf("cxlmc: writing checkpoint %s: %w", path, err)
 	}
-	if n, ferr := inj.WriteFault(len(raw)); ferr != nil {
-		if n > 0 {
-			f.Write(raw[:n]) // the torn prefix a real short write leaves
-		}
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("cxlmc: writing checkpoint: %w", ferr)
-	}
-	if _, err := f.Write(raw); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("cxlmc: writing checkpoint: %w", err)
-	}
-	if err := inj.SyncFault(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("cxlmc: syncing checkpoint: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("cxlmc: syncing checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("cxlmc: closing checkpoint: %w", err)
-	}
-	if err := inj.RenameFault(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("cxlmc: installing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("cxlmc: installing checkpoint: %w", err)
-	}
+	om.cpWrites.Inc()
+	tracer.Record(-1, obs.EvCheckpointWrite, int64(len(raw)), int64(cp.Executions))
 	return nil
 }
 
@@ -456,42 +342,30 @@ func (cp *checkpointData) Totals() (Tally, Resilience) {
 // can resume a coordinator's checkpoint and vice versa.
 type Checkpoint = checkpointData
 
-// NewCheckpoint returns an empty current-version checkpoint stamped with
-// the given identity.
-func NewCheckpoint(seed int64, cfgDigest, progDigest string) *Checkpoint {
-	return &Checkpoint{
+// NewCheckpoint assembles the current-version envelope of an exploration
+// at rest: its identity, the snapshots of the units still outstanding, the
+// totals net of the points those units embed (see SetTotals), the
+// wall-clock time spent so far and how the exploration stands.
+func NewCheckpoint(seed int64, cfgDigest, progDigest string, units [][]byte,
+	t Tally, r Resilience, elapsed time.Duration, complete, interrupted bool) *Checkpoint {
+	cp := &Checkpoint{
 		Version:       checkpointVersion,
 		Seed:          seed,
 		ConfigDigest:  cfgDigest,
 		ProgramDigest: progDigest,
+		Units:         units,
+		Elapsed:       elapsed,
+		Complete:      complete,
+		Interrupted:   interrupted,
 	}
-}
-
-// LoadCheckpoint reads and validates the checkpoint at path. A missing
-// file returns (nil, nil); an undecodable file returns an error for
-// which IsCorruptCheckpoint reports true (quarantine it and start
-// fresh); version skew is a hard error.
-func LoadCheckpoint(path string, inj *chaos.Injector) (*Checkpoint, error) {
-	return loadCheckpoint(path, inj)
+	cp.SetTotals(t, r)
+	return cp
 }
 
 // WriteCheckpoint writes cp crash-safely (temp file + fsync + atomic
 // rename, transient faults retried with backoff).
 func WriteCheckpoint(path string, cp *Checkpoint, inj *chaos.Injector) error {
 	return writeCheckpointFile(path, cp, inj, coreMetrics{}, nil)
-}
-
-// QuarantineCheckpoint moves an undecodable checkpoint to
-// <path>.corrupt, preserving it for post-mortems.
-func QuarantineCheckpoint(path string, inj *chaos.Injector) error {
-	return quarantineCheckpoint(path, inj)
-}
-
-// IsCorruptCheckpoint reports whether err classifies a checkpoint file
-// as corrupt (as opposed to mismatched identity or version skew).
-func IsCorruptCheckpoint(err error) bool {
-	var c *corruptCheckpointError
-	return errors.As(err, &c)
 }
 
 // ExplorationDigests computes the configuration and program digests that

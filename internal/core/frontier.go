@@ -377,14 +377,6 @@ func (f *MemFrontier) Done() bool {
 	return !f.stopping && len(f.queue) == 0 && len(f.leased) == 0 && f.unitsAdded > 0
 }
 
-// Idle reports whether the frontier currently has nothing queued and
-// nothing leased, regardless of how it got there.
-func (f *MemFrontier) Idle() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.queue) == 0 && len(f.leased) == 0
-}
-
 // Credit folds results obtained before this frontier existed — a resumed
 // checkpoint's totals — into its tally, so Progress reports the whole
 // exploration and the frontier's owner keeps no second set of books.
@@ -400,8 +392,11 @@ func (f *MemFrontier) Credit(t Tally) {
 func (f *MemFrontier) Progress() (t Tally, queued, leased int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	t = Tally{Counters: f.tally.Counters, Bugs: append([]Bug(nil), f.tally.Bugs...)}
-	return t, len(f.queue), len(f.leased)
+	return f.tallyLocked(), len(f.queue), len(f.leased)
+}
+
+func (f *MemFrontier) tallyLocked() Tally {
+	return Tally{Counters: f.tally.Counters, Bugs: append([]Bug(nil), f.tally.Bugs...)}
 }
 
 // UnitCounts returns how many units were ever added and how many were
@@ -413,22 +408,25 @@ func (f *MemFrontier) UnitCounts() (added, done int) {
 	return f.unitsAdded, f.unitsDone
 }
 
-// OutstandingSnapshots returns the snapshots of every queued and leased
-// unit — the unexplored frontier a checkpoint must capture. Leased units
-// are included with their *pre-lease* snapshot: their holder's progress
-// is unreported until completion, so the checkpoint conservatively
-// re-explores them on resume rather than losing them.
-func (f *MemFrontier) OutstandingSnapshots() [][]byte {
+// Outstanding returns, from one locked read, the tally and the snapshots
+// of every queued and leased unit — the unexplored frontier a checkpoint
+// must capture. Taking both under one lock is what keeps a checkpoint
+// whole: a completion landing between two reads would leave its unit in
+// neither the tally nor the list. Leased units are included with their
+// *pre-lease* snapshot: their holder's progress is unreported until
+// completion, so the checkpoint conservatively re-explores them on resume
+// rather than losing them.
+func (f *MemFrontier) Outstanding() (t Tally, units [][]byte) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([][]byte, 0, len(f.queue)+len(f.leased))
+	units = make([][]byte, 0, len(f.queue)+len(f.leased))
 	for _, u := range f.queue {
-		out = append(out, u.snap)
+		units = append(units, u.snap)
 	}
 	for _, u := range f.leased {
-		out = append(out, u.snap)
+		units = append(units, u.snap)
 	}
-	return out
+	return f.tallyLocked(), units
 }
 
 // Close stops the janitor and wakes every blocked Lease call.

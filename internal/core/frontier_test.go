@@ -209,6 +209,51 @@ func TestFrontierBugDedup(t *testing.T) {
 	}
 }
 
+// TestFrontierOutstandingIsOneRead: while a worker leases and completes
+// units, every Outstanding read must account for all of them — a unit is
+// either still in the list or already in the tally. Reading the tally and
+// the list under two lock acquisitions (what the coordinator's periodic
+// checkpoint did) lets a completion land in between and vanish from both:
+// a checkpoint written then resumes to a verdict that silently misses the
+// unit's executions and bugs.
+func TestFrontierOutstandingIsOneRead(t *testing.T) {
+	const n = 20000
+	snap := decision.NewTree().Snapshot()
+	units := make([][]byte, n)
+	for i := range units {
+		units[i] = snap
+	}
+	f := NewMemFrontier(MemFrontierConfig{LeaseTTL: time.Minute}, units)
+	defer f.Close()
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			u, fin := f.TryLease("w")
+			if u == nil {
+				if fin {
+					return
+				}
+				continue
+			}
+			f.CompleteReport(u.ID, u.Epoch, execReport(1))
+		}
+	}()
+	for reads, running := 1, true; running; reads++ {
+		select {
+		case <-done:
+			running = false // one last read, of the finished frontier
+		default:
+		}
+		tally, out := f.Outstanding()
+		if tally.Executions+len(out) != n {
+			t.Fatalf("read %d: %d executions in the tally + %d units outstanding = %d, want %d",
+				reads, tally.Executions, len(out), tally.Executions+len(out), n)
+		}
+	}
+}
+
 // TestEngineAgainstMemFrontier: a Config.Frontier run is a distributed
 // worker in miniature. Driving the engine against an in-process
 // MemFrontier seeded with the whole tree must reproduce exactly the

@@ -153,7 +153,8 @@ func TestSpillRoundTrip(t *testing.T) {
 		}
 		got++
 		e.mu.Lock()
-		e.finishUnitLocked(&worker{}, tr)
+		e.finishUnitLocked(tr)
+		e.endUnitLocked(&worker{}, tr, false)
 		e.mu.Unlock()
 	}
 	if got != 3 {

@@ -230,34 +230,33 @@ func (e *engine) seedFrontier() (*Result, error) {
 		e.lastCPTime = e.start
 		return nil, nil
 	}
-	if e.cfg.CheckpointPath != "" {
-		cp, err := loadCheckpoint(e.cfg.CheckpointPath, e.cfg.Chaos)
-		if err == nil && cp != nil {
-			err = e.adoptCheckpoint(cp)
-			if err == nil && (cp.Complete || len(e.queue) == 0) {
-				// The checkpointed exploration already finished; return its
-				// result without re-exploring anything.
-				return e.result(true), nil
-			}
-		}
-		if err != nil {
-			// An undecodable checkpoint is quarantined (renamed aside for
-			// post-mortems) and the run starts fresh; identity mismatches
-			// and version skew stay hard errors — see loadCheckpoint.
-			var corrupt *corruptCheckpointError
-			if !errors.As(err, &corrupt) {
-				return nil, err
-			}
-			if qerr := quarantineCheckpoint(e.cfg.CheckpointPath, e.cfg.Chaos); qerr != nil {
-				return nil, fmt.Errorf("%w (and quarantining it failed: %v)", err, qerr)
-			}
-			e.res.Quarantined = true
-			e.om.cpQuarantines.Inc()
-			e.tracer.RecordS(-1, obs.EvCheckpointQuarantine, 0, e.cfg.CheckpointPath)
-		}
+	r, quarantined, err := ResumeCheckpoint(e.cfg.CheckpointPath, e.cfg.Seed, e.cfgDigest, e.progDigest, e.cfg.Chaos)
+	if err != nil {
+		return nil, err
 	}
-	if !e.resumed {
+	if quarantined {
+		e.res.Quarantined = true
+		e.om.cpQuarantines.Inc()
+		e.tracer.RecordS(-1, obs.EvCheckpointQuarantine, 0, e.cfg.CheckpointPath)
+	}
+	if r == nil {
 		e.queue = []*decision.Tree{decision.NewTree()}
+	} else {
+		e.queue = r.Units
+		e.total, e.res = r.Total, r.Res
+		e.nextExec = e.total.Executions
+		e.prior = r.Elapsed
+		e.resumed = true
+		// Seed the process-lifetime metrics with the inherited totals so
+		// /statusz and /metrics agree with Stats.
+		e.om.publish(e.total.Counters, len(e.total.Bugs))
+		e.om.spillsC.Add(int64(e.res.Spills))
+		e.om.cpErrors.Add(int64(e.res.CheckpointErrors))
+		if r.Complete || len(e.queue) == 0 {
+			// The checkpointed exploration already finished; return its
+			// result without re-exploring anything.
+			return e.result(true), nil
+		}
 	}
 	e.lastCPExecs, e.lastCPTime = e.total.Executions, e.start
 	return nil, nil
@@ -433,7 +432,7 @@ func (e *engine) frontierSnapshotsLocked(deposited [][]byte) ([][]byte, error) {
 		units = append(units, tr.Snapshot())
 	}
 	for _, ent := range e.spilled {
-		raw, err := readFileRetry(ent.path, e.cfg.Chaos)
+		raw, err := e.cfg.Chaos.ReadFile(ent.path)
 		if err != nil {
 			return nil, fmt.Errorf("cxlmc: reading spilled unit %s: %w", ent.path, err)
 		}
@@ -454,52 +453,8 @@ func (e *engine) checkpointData(complete bool) (*checkpointData, error) {
 }
 
 func (e *engine) envelope(units [][]byte, complete bool) *checkpointData {
-	cp := NewCheckpoint(e.cfg.Seed, e.cfgDigest, e.progDigest)
-	cp.Units = units
-	cp.SetTotals(e.total, e.res)
-	cp.Elapsed = e.prior + time.Since(e.start)
-	cp.Complete = complete
-	cp.Interrupted = e.interrupted
-	return cp
-}
-
-// adoptCheckpoint validates cp against this run's identity and restores
-// the exploration frontier from it.
-func (e *engine) adoptCheckpoint(cp *checkpointData) error {
-	path := e.cfg.CheckpointPath
-	if err := cp.CheckIdentity(path, e.cfg.Seed, e.cfgDigest, e.progDigest); err != nil {
-		return err
-	}
-	// Stage every unit before mutating engine state: a snapshot that does
-	// not decode marks the whole checkpoint corrupt (quarantined by the
-	// caller), and a half-adopted frontier must not leak into the fresh
-	// start that follows.
-	var queue []*decision.Tree
-	var finished Counters
-	for _, raw := range cp.Units {
-		tr := decision.NewTree()
-		if err := tr.Restore(raw); err != nil {
-			return &corruptCheckpointError{path: path, err: err}
-		}
-		if !tr.Done() {
-			queue = append(queue, tr)
-		} else {
-			// A finished unit's counters still belong in the totals.
-			finished.Add(TreeCounters(tr))
-		}
-	}
-	e.queue = queue
-	e.total, e.res = cp.Totals()
-	e.total.Add(finished)
-	e.nextExec = e.total.Executions
-	e.prior = cp.Elapsed
-	e.resumed = true
-	// Seed the process-lifetime metrics with the inherited totals so
-	// /statusz and /metrics agree with Stats.
-	e.om.publish(e.total.Counters, len(e.total.Bugs))
-	e.om.spillsC.Add(int64(e.res.Spills))
-	e.om.cpErrors.Add(int64(e.res.CheckpointErrors))
-	return nil
+	return NewCheckpoint(e.cfg.Seed, e.cfgDigest, e.progDigest, units,
+		e.total, e.res, e.prior+time.Since(e.start), complete, e.interrupted)
 }
 
 // take blocks until a unit is available (returning it) or the run is
@@ -567,7 +522,7 @@ func (e *engine) take(w *worker) *decision.Tree {
 func (e *engine) unspillLocked() {
 	ent := e.spilled[len(e.spilled)-1]
 	e.spilled = e.spilled[:len(e.spilled)-1]
-	raw, err := readFileRetry(ent.path, e.cfg.Chaos)
+	raw, err := e.cfg.Chaos.ReadFile(ent.path)
 	if err != nil {
 		e.failLocked(fmt.Errorf("cxlmc: reading spilled unit %s: %w", ent.path, err))
 		return
@@ -822,137 +777,34 @@ func (e *engine) runUnit(w *worker, tr *decision.Tree) {
 			w.poolEpoch = e.poolEpoch
 			ck.dirty = true
 		}
+		leave, spent := false, false
 		if !first {
-			// Execution boundary: fold the finished execution into the
-			// engine, then run the serial loop's cutoff checks in the
-			// serial loop's order.
-			e.mergeLocked(w)
-			if ck.internalErr != nil {
-				e.failLocked(ck.internalErr)
-				e.endUnitLocked(w, tr, false)
-				released = true
-				e.mu.Unlock()
-				return
-			}
-			foundBug := ck.aborted && !ck.timedOut
-			if foundBug && !e.cfg.ContinueAfterBug {
-				e.stopLocked()
-				e.endUnitLocked(w, tr, true)
-				released = true
-				e.mu.Unlock()
-				return
-			}
-			if ck.timedOut {
-				// The deadline fired mid-execution; the partial path must
-				// not advance the tree (it would mark an unexplored subtree
-				// done). Release the un-advanced unit for the checkpoint.
-				e.stopLocked()
-				e.endUnitLocked(w, tr, true)
-				released = true
-				e.mu.Unlock()
-				return
-			}
-			if !tr.Advance() {
-				e.finishUnitLocked(w, tr)
-				released = true
-				e.mu.Unlock()
-				return
-			}
-			// The next pending path shares a prefix with the one just run:
-			// arm the prefix-fork so the shared steps fast-replay. (Split
-			// below only carves off un-taken branches; the pending path —
-			// and therefore the armed fork — survives it.)
-			ck.armFork()
-			if e.cfg.MaxExecutions > 0 && e.nextExec >= e.cfg.MaxExecutions {
-				e.stopLocked()
-				e.endUnitLocked(w, tr, true)
-				released = true
-				e.mu.Unlock()
-				return
-			}
-			if e.cfg.MaxTime > 0 && time.Since(e.start) > e.cfg.MaxTime {
-				e.stopLocked()
-				e.endUnitLocked(w, tr, true)
-				released = true
-				e.mu.Unlock()
-				return
-			}
-			if stopRequested(e.cfg.Stop) {
-				e.interrupted = true
-				e.stopLocked()
-				e.endUnitLocked(w, tr, true)
-				released = true
-				e.mu.Unlock()
-				return
-			}
-			if e.stopFlag || e.failErr != nil {
-				// Another worker stopped the run.
-				e.endUnitLocked(w, tr, true)
-				released = true
-				e.mu.Unlock()
-				return
-			}
-			// Resource governor: sample the heap against the budget every
-			// GovernorEvery executions, at a boundary so its reactions are
-			// deterministic under a fixed schedule. It may stop the run
-			// (stage 3); the unit then returns to the queue for the final
-			// checkpoint like any other stop.
-			if (e.cfg.MemBudgetBytes > 0 || e.cfg.SpillDir != "") &&
-				e.total.Executions-e.lastGovExecs >= e.cfg.GovernorEvery {
-				e.lastGovExecs = e.total.Executions
-				e.governLocked()
-				if e.stopFlag {
-					e.endUnitLocked(w, tr, true)
-					released = true
-					e.mu.Unlock()
-					return
-				}
-			}
-			// Donate work: peers are starving and the in-memory queue is
-			// dry, so carve unexplored branches off this unit (spilled
-			// units stay parked — reloading them costs I/O; splitting is
-			// free). With one worker nobody is ever hungry and the serial
-			// DFS order is untouched.
-			if (e.hungry > 0 || (e.rf != nil && e.rf.Demand() > 0)) && len(e.queue) == 0 {
-				if units := tr.Split(); len(units) > 0 {
-					e.adoptSplitLocked(tr, units)
-					e.queue = append(e.queue, units...)
-					e.cond.Broadcast()
-				}
-			}
-			// Re-donate to the cluster: local peers are fed but the
-			// frontier reports hungry workers elsewhere.
-			if e.rf != nil && e.hungry == 0 && len(e.queue) > 0 {
-				e.donateLocked()
-			}
-			// Chaos: a spurious barrier arms a checkpoint round off
-			// cadence, exercising the stop-the-world machinery under load.
-			if !e.cpArmed && e.cfg.CheckpointPath != "" &&
-				(e.dueLocked() || e.cfg.Chaos.SpuriousBarrier()) {
-				e.armRoundLocked()
-			}
+			leave, spent = e.boundaryLocked(w, tr)
 		}
 		first = false
-		// If a checkpoint round is armed (by this worker just now or by a
-		// peer), deposit this unit's snapshot and wait the round out.
-		for e.cpArmed {
-			if w.lastRound != e.cpRound {
-				e.depositLocked(w, tr.Snapshot())
-			} else {
-				e.cond.Wait()
+		if !leave {
+			// If a checkpoint round is armed (by this worker just now or by
+			// a peer), deposit this unit's snapshot and wait the round out.
+			for e.cpArmed {
+				if w.lastRound != e.cpRound {
+					e.depositLocked(w, tr.Snapshot())
+				} else {
+					e.cond.Wait()
+				}
 			}
+			// Reserve a global execution ordinal: exact MaxExecutions cutoff.
+			// The run may also have ended while this worker waited at the
+			// barrier.
+			if e.cfg.MaxExecutions > 0 && e.nextExec >= e.cfg.MaxExecutions {
+				e.stopLocked()
+			}
+			leave = e.stopFlag || e.failErr != nil
 		}
-		if e.stopFlag || e.failErr != nil {
-			// The run ended while this worker waited at the barrier.
-			e.endUnitLocked(w, tr, true)
-			released = true
-			e.mu.Unlock()
-			return
-		}
-		// Reserve a global execution ordinal; exact MaxExecutions cutoff.
-		if e.cfg.MaxExecutions > 0 && e.nextExec >= e.cfg.MaxExecutions {
-			e.stopLocked()
-			e.endUnitLocked(w, tr, true)
+		if leave {
+			// The one place a worker lets go of its unit: unless the unit is
+			// spent it goes back to the queue, whatever stopped the run, so a
+			// checkpoint's frontier is whole.
+			e.endUnitLocked(w, tr, !spent)
 			released = true
 			e.mu.Unlock()
 			return
@@ -965,6 +817,92 @@ func (e *engine) runUnit(w *worker, tr *decision.Tree) {
 		tr.Begin()
 		ck.runOneExecution()
 	}
+}
+
+// boundaryLocked is the critical section after an execution: it folds the
+// execution into the engine and decides whether the worker lets go of the
+// unit (leave). spent marks a unit that must not return to the queue: an
+// exhausted one, or one a checker invariant broke under. The checks run in
+// the serial loop's order.
+func (e *engine) boundaryLocked(w *worker, tr *decision.Tree) (leave, spent bool) {
+	ck := w.ck
+	e.mergeLocked(w)
+	if ck.internalErr != nil {
+		e.failLocked(ck.internalErr)
+		return true, true
+	}
+	if ck.timedOut || (ck.aborted && !e.cfg.ContinueAfterBug) {
+		// The first bug stops the run; or the deadline fired mid-execution,
+		// and the partial path must not advance the tree (it would mark an
+		// unexplored subtree done): the un-advanced unit goes back for the
+		// checkpoint.
+		e.stopLocked()
+		return true, false
+	}
+	if !tr.Advance() {
+		e.finishUnitLocked(tr)
+		return true, true
+	}
+	// The next pending path shares a prefix with the one just run: arm the
+	// prefix-fork so the shared steps fast-replay. (Split below only carves
+	// off un-taken branches; the pending path — and therefore the armed
+	// fork — survives it.)
+	ck.armFork()
+	if e.cutoffLocked() {
+		return true, false
+	}
+	// Donate work: peers are starving and the in-memory queue is dry, so
+	// carve unexplored branches off this unit (spilled units stay parked —
+	// reloading them costs I/O; splitting is free). With one worker nobody
+	// is ever hungry and the serial DFS order is untouched.
+	if (e.hungry > 0 || (e.rf != nil && e.rf.Demand() > 0)) && len(e.queue) == 0 {
+		if units := tr.Split(); len(units) > 0 {
+			e.adoptSplitLocked(tr, units)
+			e.queue = append(e.queue, units...)
+			e.cond.Broadcast()
+		}
+	}
+	// Re-donate to the cluster: local peers are fed but the frontier
+	// reports hungry workers elsewhere.
+	if e.rf != nil && e.hungry == 0 && len(e.queue) > 0 {
+		e.donateLocked()
+	}
+	// Chaos: a spurious barrier arms a checkpoint round off cadence,
+	// exercising the stop-the-world machinery under load.
+	if !e.cpArmed && e.cfg.CheckpointPath != "" &&
+		(e.dueLocked() || e.cfg.Chaos.SpuriousBarrier()) {
+		e.armRoundLocked()
+	}
+	return false, false
+}
+
+// cutoffLocked reports whether the run is over at this execution boundary,
+// raising the stop flag if this worker is the first to notice. The order —
+// execution budget, time budget, Config.Stop, a peer's stop, the resource
+// governor — is the serial loop's, and a documented contract.
+func (e *engine) cutoffLocked() bool {
+	switch {
+	case e.cfg.MaxExecutions > 0 && e.nextExec >= e.cfg.MaxExecutions:
+	case e.cfg.MaxTime > 0 && time.Since(e.start) > e.cfg.MaxTime:
+	case stopRequested(e.cfg.Stop):
+		e.interrupted = true
+	case e.stopFlag || e.failErr != nil:
+		return true // another worker stopped the run
+	default:
+		// Resource governor: sample the heap against the budget every
+		// GovernorEvery executions, at a boundary so its reactions are
+		// deterministic under a fixed schedule. It may stop the run (stage
+		// 3); the unit then returns to the queue for the final checkpoint
+		// like any other stop.
+		if (e.cfg.MemBudgetBytes > 0 || e.cfg.SpillDir != "") &&
+			e.total.Executions-e.lastGovExecs >= e.cfg.GovernorEvery {
+			e.lastGovExecs = e.total.Executions
+			e.governLocked()
+		}
+		return e.stopFlag
+	}
+	e.stopLocked()
+	return true
 }
 
 // mergeLocked folds what the worker's checker counted and found since its
@@ -984,16 +922,15 @@ func (e *engine) mergeLocked(w *worker) {
 	e.syncGaugesLocked()
 }
 
-// finishUnitLocked retires an exhausted unit: its decision-point
-// counters move to the engine's completed totals.
-func (e *engine) finishUnitLocked(w *worker, tr *decision.Tree) {
+// finishUnitLocked accounts an exhausted unit: its decision-point counters
+// move to the engine's completed totals, and its lease share retires.
+func (e *engine) finishUnitLocked(tr *decision.Tree) {
 	e.total.Add(TreeCounters(tr))
 	if e.rf != nil {
 		e.retireShareLocked(tr)
 	}
 	e.unitsDone++
 	e.om.unitsFinished.Inc()
-	e.releaseLocked(w)
 }
 
 // endUnitLocked releases a unit the worker will not continue. With
@@ -1004,10 +941,6 @@ func (e *engine) endUnitLocked(w *worker, tr *decision.Tree, pushback bool) {
 	if pushback {
 		e.queue = append(e.queue, tr)
 	}
-	e.releaseLocked(w)
-}
-
-func (e *engine) releaseLocked(w *worker) {
 	e.active--
 	// A worker leaving mid-round still owes the barrier its arrival; its
 	// unit is accounted via the queue (pushback) or the completed totals.
@@ -1101,7 +1034,7 @@ func (e *engine) spillOneLocked(tr *decision.Tree) bool {
 	e.spillSeq++
 	path := filepath.Join(e.cfg.SpillDir,
 		fmt.Sprintf("cxlmc-spill-%d-%d.bin", os.Getpid(), e.spillSeq))
-	if err := writeFileRetry(path, tr.Snapshot(), e.cfg.Chaos); err != nil {
+	if err := e.cfg.Chaos.WriteFile(path, tr.Snapshot()); err != nil {
 		e.spillFail = true
 		os.Remove(path)
 		return false

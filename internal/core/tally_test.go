@@ -56,8 +56,7 @@ func TestCountersEveryFieldTravels(t *testing.T) {
 	}
 
 	bugs := []Bug{{Kind: BugSegfault, Message: "m", Execution: 3, ReproToken: "tok"}}
-	cp := NewCheckpoint(1, "cfg", "prog")
-	cp.SetTotals(Tally{Counters: c, Bugs: bugs}, r)
+	cp := NewCheckpoint(1, "cfg", "prog", nil, Tally{Counters: c, Bugs: bugs}, r, 0, false, false)
 	raw, err := json.Marshal(cp)
 	if err != nil {
 		t.Fatal(err)

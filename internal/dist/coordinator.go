@@ -88,6 +88,7 @@ type Coordinator struct {
 	mCompletes   *obs.Counter
 	mGrants      *obs.Counter
 	mDonated     *obs.Counter
+	mQuarantines *obs.Counter
 }
 
 // starvedWindow is how long an empty lease response marks its worker as
@@ -137,6 +138,7 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c.mCompletes = c.reg.Counter("cxlmc_lease_completions_total", "work units completed by workers")
 	c.mGrants = c.reg.Counter("cxlmc_lease_grants_total", "work-unit leases granted")
 	c.mDonated = c.reg.Counter("cxlmc_units_donated_total", "surplus work units donated back by workers")
+	c.mQuarantines = c.reg.Counter("cxlmc_checkpoint_quarantines_total", "corrupt checkpoints quarantined at startup")
 
 	units, inherited, err := c.seedUnits()
 	if err != nil {
@@ -163,57 +165,31 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 // seedUnits loads the initial frontier: the checkpoint's outstanding
 // units when resuming, otherwise a single fresh whole-tree unit. It also
 // returns the tally the checkpoint had reached, for the frontier to be
-// credited with; already-finished units fold into it instead of being
-// re-issued.
+// credited with.
 func (c *Coordinator) seedUnits() (units [][]byte, inherited core.Tally, err error) {
-	fresh := [][]byte{decision.NewTree().Snapshot()}
 	path := c.cfg.CheckpointPath
-	if path == "" {
-		return fresh, inherited, nil
-	}
-	quarantine := func(cause error) ([][]byte, core.Tally, error) {
-		if qerr := core.QuarantineCheckpoint(path, c.cfg.Chaos); qerr != nil {
-			return nil, core.Tally{}, fmt.Errorf("%w (and quarantining it failed: %v)", cause, qerr)
-		}
-		c.res.Quarantined = true
-		return fresh, core.Tally{}, nil
-	}
-	cp, err := core.LoadCheckpoint(path, c.cfg.Chaos)
+	r, quarantined, err := core.ResumeCheckpoint(path, c.cfg.Check.Seed, c.cfgDigest, c.progDigest, c.cfg.Chaos)
 	if err != nil {
-		if !core.IsCorruptCheckpoint(err) {
-			return nil, inherited, err
-		}
-		return quarantine(err)
-	}
-	if cp == nil {
-		return fresh, inherited, nil
-	}
-	if err := cp.CheckIdentity(path, c.cfg.Check.Seed, c.cfgDigest, c.progDigest); err != nil {
 		return nil, inherited, err
 	}
-	inherited, res := cp.Totals()
-	for _, raw := range cp.Units {
-		tr := decision.NewTree()
-		if err := tr.Restore(raw); err != nil {
-			// One undecodable unit marks the whole file corrupt, exactly
-			// like the single-process engine treats it.
-			return quarantine(fmt.Errorf("dist: checkpoint %s unit does not decode: %w", path, err))
-		}
-		// The unit's embedded decision-point counts fold into the
-		// inherited tally whether or not it still has work: a checkpoint's
-		// BaseCreated excluded them (the single-process resume engine
-		// re-adds them at unit completion), but remote workers baseline
-		// embedded counts away at adoption and report net-new only, so
-		// the coordinator must credit them exactly once, here.
-		inherited.Add(core.TreeCounters(tr))
-		if tr.Done() {
-			continue
-		}
-		units = append(units, raw)
+	if quarantined {
+		c.res.Quarantined = true
+		c.mQuarantines.Inc()
+		c.tracer.RecordS(-1, obs.EvCheckpointQuarantine, 0, path)
 	}
-	c.res = res
-	c.prior = cp.Elapsed
+	if r == nil {
+		return [][]byte{decision.NewTree().Snapshot()}, inherited, nil
+	}
+	inherited, c.res = r.Total, r.Res
+	c.prior = r.Elapsed
 	c.resumed = true
+	for _, tr := range r.Units {
+		// Remote workers baseline a leased unit's embedded points away and
+		// report net-new only, so the frontier is credited with them once,
+		// here; writeCheckpoint takes them back out.
+		inherited.Add(core.TreeCounters(tr))
+		units = append(units, tr.Snapshot())
+	}
 	// Nothing left: Wait finishes immediately with the checkpointed
 	// result, and joining workers are told Done on their first lease.
 	c.emptySeed = len(units) == 0
@@ -495,12 +471,13 @@ func (c *Coordinator) checkpointLoop() {
 
 // writeCheckpoint persists the current frontier in the single-process
 // checkpoint format. Outstanding units keep their embedded
-// decision-point counts, so the BaseCreated written here is the reported
-// totals MINUS those embedded counts — a resume (by a coordinator or a
-// plain single-process run) sums them back to exactly the same totals.
+// decision-point counts, so the totals written here are the frontier's
+// MINUS those embedded counts — a resume (by a coordinator or a plain
+// single-process run) sums them back to exactly the same totals. Tally and
+// units come from one locked read, so a completion can never fall between
+// them.
 func (c *Coordinator) writeCheckpoint(complete bool) error {
-	t, _, _ := c.f.Progress()
-	units := c.f.OutstandingSnapshots()
+	t, units := c.f.Outstanding()
 	for _, raw := range units {
 		tr := decision.NewTree()
 		if err := tr.Restore(raw); err != nil {
@@ -508,13 +485,9 @@ func (c *Coordinator) writeCheckpoint(complete bool) error {
 		}
 		t.Counters = t.Sub(core.TreeCounters(tr))
 	}
-	cp := core.NewCheckpoint(c.cfg.Check.Seed, c.cfgDigest, c.progDigest)
-	cp.Units = units
 	c.mu.Lock()
-	cp.SetTotals(t, c.res)
-	cp.Elapsed = c.prior + time.Since(c.start)
-	cp.Complete = complete
-	cp.Interrupted = c.interrupted
+	cp := core.NewCheckpoint(c.cfg.Check.Seed, c.cfgDigest, c.progDigest, units,
+		t, c.res, c.prior+time.Since(c.start), complete, c.interrupted)
 	c.mu.Unlock()
 	return core.WriteCheckpoint(c.cfg.CheckpointPath, cp, c.cfg.Chaos)
 }

@@ -1,17 +1,22 @@
 package dist
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/decision"
+	"repro/internal/obs"
 	"repro/internal/recipe"
 	"repro/internal/recipe/cceh"
 )
@@ -323,7 +328,7 @@ func TestDistIdempotentRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := NewTransport(c.Addr(), TransportConfig{})
-	snap := [][]byte{c.f.OutstandingSnapshots()[0]}
+	_, snap := c.f.Outstanding()
 
 	addedBefore, _ := c.f.UnitCounts()
 	var dr donateResponse
@@ -342,20 +347,15 @@ func TestDistIdempotentRequests(t *testing.T) {
 	c.Wait(stop)
 }
 
-// TestDistCoordinatorCrashResume: a coordinator is "SIGKILLed" mid-run
-// — its server and frontier are torn down with no final checkpoint,
-// leaving only the last periodic write — and a fresh coordinator
-// resuming from that file finishes the exploration with a result
-// identical to an uninterrupted single-process run.
-func TestDistCoordinatorCrashResume(t *testing.T) {
-	check := core.Config{ContinueAfterBug: true}
-	prog := ccehProgram(10)
-	base, err := core.Run(check, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+// killedCoordinatorCheckpoint runs a coordinator on prog until a worker has
+// explored a strict prefix of the tree, takes the periodic checkpoint a
+// real coordinator would have on disk at that moment, and "SIGKILLs" it —
+// server and frontier torn down with no final checkpoint. It returns the
+// checkpoint's path; base is the uninterrupted run the prefix is checked
+// against.
+func killedCoordinatorCheckpoint(t *testing.T, check core.Config, prog func(*core.Program), base *core.Result) string {
+	t.Helper()
 	cpPath := filepath.Join(t.TempDir(), "dist.cp")
-
 	c1, err := StartCoordinator(CoordinatorConfig{
 		Check: check, Program: prog, Addr: "127.0.0.1:0",
 		CheckpointPath: cpPath, CheckpointInterval: time.Hour, // written by hand below
@@ -399,28 +399,199 @@ func TestDistCoordinatorCrashResume(t *testing.T) {
 	c1.srv.Close()
 	close(c1.cpStop)
 	c1.f.Close()
+	return cpPath
+}
 
-	c2, err := StartCoordinator(CoordinatorConfig{
-		Check: check, Program: prog, Addr: "127.0.0.1:0",
-		CheckpointPath: cpPath,
-	})
+// finishDistributed resumes cpPath with a fresh coordinator and one worker
+// and returns the coordinator (for its registry) and the merged result.
+func finishDistributed(t *testing.T, cfg CoordinatorConfig) (*Coordinator, *core.Result) {
+	t.Helper()
+	cfg.Addr = "127.0.0.1:0"
+	c, err := StartCoordinator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	go func() {
 		RunWorker(WorkerConfig{
-			Check: check, Program: prog,
-			Coordinator: c2.Addr(), Name: "finisher",
+			Check: cfg.Check, Program: cfg.Program,
+			Coordinator: c.Addr(), Name: "finisher",
 		})
 	}()
-	res, err := c2.Wait(nil)
+	res, err := c.Wait(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return c, res
+}
+
+// TestDistCoordinatorCrashResume: a coordinator is "SIGKILLed" mid-run
+// — its server and frontier are torn down with no final checkpoint,
+// leaving only the last periodic write — and a fresh coordinator
+// resuming from that file finishes the exploration with a result
+// identical to an uninterrupted single-process run.
+func TestDistCoordinatorCrashResume(t *testing.T) {
+	check := core.Config{ContinueAfterBug: true}
+	prog := ccehProgram(10)
+	base, err := core.Run(check, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpPath := killedCoordinatorCheckpoint(t, check, prog, base)
+	_, res := finishDistributed(t, CoordinatorConfig{Check: check, Program: prog, CheckpointPath: cpPath})
 	if !res.Resumed {
 		t.Fatal("resumed run not marked Resumed")
 	}
 	assertParity(t, "crash-resume", res, base)
+}
+
+// TestCrossModeResume: the checkpoint format is one format. A mid-run
+// checkpoint a coordinator wrote is finished by a plain single-process run,
+// and one the engine wrote is finished by a coordinator and a worker; either
+// way every counter a serial run reports the same on every host — and the
+// distinct-bug set — equals the uninterrupted serial run's. It pins the
+// embedded-points convention of core.ResumeCheckpoint from both sides.
+func TestCrossModeResume(t *testing.T) {
+	check := core.Config{ContinueAfterBug: true, Workers: 1}
+	prog := ccehProgram(10)
+	base, err := core.Run(check, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSerialParity := func(t *testing.T, res *core.Result) {
+		t.Helper()
+		if !res.Resumed {
+			t.Fatal("resumed run not marked Resumed")
+		}
+		assertParity(t, "cross-mode", res, base)
+		if res.Steps != base.Steps {
+			t.Fatalf("steps %d != uninterrupted serial run's %d", res.Steps, base.Steps)
+		}
+	}
+	t.Run("coordinator to engine", func(t *testing.T) {
+		cfg := check
+		cfg.CheckpointPath = killedCoordinatorCheckpoint(t, check, prog, base)
+		res, err := core.Run(cfg, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSerialParity(t, res)
+	})
+	t.Run("engine to coordinator", func(t *testing.T) {
+		cfg := check
+		cfg.CheckpointPath = filepath.Join(t.TempDir(), "engine.cp")
+		cfg.MaxExecutions = 40
+		mid, err := core.Run(cfg, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mid.Complete || mid.Executions != 40 {
+			t.Fatalf("engine leg: complete=%v after %d executions; wanted a strict middle", mid.Complete, mid.Executions)
+		}
+		_, res := finishDistributed(t, CoordinatorConfig{Check: check, Program: prog, CheckpointPath: cfg.CheckpointPath})
+		assertSerialParity(t, res)
+	})
+}
+
+// lockedBuffer is an event-trace sink safe to read while handler
+// goroutines may still be draining into it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestDistCorruptCheckpointQuarantine: the coordinator treats an
+// undecodable checkpoint — the file itself, or one unit inside a
+// well-formed envelope of the right identity — exactly as the engine does:
+// the file moves to <path>.corrupt, the exploration starts fresh and
+// completes with baseline parity, and the quarantine shows in Stats, the
+// metrics and the event trace. A checkpoint of another exploration is not
+// corruption: a wrong seed stays a hard error naming both seeds.
+func TestDistCorruptCheckpointQuarantine(t *testing.T) {
+	check := core.Config{ContinueAfterBug: true}
+	prog := ccehProgram(8)
+	base, err := core.Run(check, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgDigest, progDigest, err := core.ExplorationDigests(check, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	envelope := func(units [][]byte) *core.Checkpoint {
+		return core.NewCheckpoint(check.Seed, cfgDigest, progDigest, units, core.Tally{}, core.Resilience{}, 0, false, false)
+	}
+	whole := [][]byte{decision.NewTree().Snapshot()}
+
+	for name, corrupt := range map[string]func(path string){
+		"bit-flipped file": func(path string) {
+			if err := core.WriteCheckpoint(path, envelope(whole), nil); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[0] ^= 0x20 // '{' becomes '[': no longer the envelope object
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"undecodable unit": func(path string) {
+			if err := core.WriteCheckpoint(path, envelope([][]byte{whole[0], {0xDE, 0xAD, 0xBE, 0xEF}}), nil); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "dist.cp")
+			corrupt(path)
+			var trace lockedBuffer
+			c, res := finishDistributed(t, CoordinatorConfig{
+				Check: check, Program: prog, CheckpointPath: path, EventTrace: &trace,
+			})
+			if !res.Quarantined || res.Resumed {
+				t.Fatalf("quarantined=%v resumed=%v", res.Quarantined, res.Resumed)
+			}
+			assertParity(t, "post-quarantine", res, base)
+			if _, err := os.Stat(path + ".corrupt"); err != nil {
+				t.Fatalf("corrupt file not preserved: %v", err)
+			}
+			if n := c.Registry().Snapshot()["cxlmc_checkpoint_quarantines_total"]; n != 1 {
+				t.Fatalf("cxlmc_checkpoint_quarantines_total = %v, want 1", n)
+			}
+			if !strings.Contains(trace.String(), obs.EvCheckpointQuarantine.String()) {
+				t.Fatalf("no %s event in the trace:\n%s", obs.EvCheckpointQuarantine, trace.String())
+			}
+		})
+	}
+
+	t.Run("wrong seed", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "dist.cp")
+		if err := core.WriteCheckpoint(path, envelope(whole), nil); err != nil {
+			t.Fatal(err)
+		}
+		other := check
+		other.Seed = 5
+		_, err := StartCoordinator(CoordinatorConfig{Check: other, Program: prog, Addr: "127.0.0.1:0", CheckpointPath: path})
+		if err == nil || !strings.Contains(err.Error(), "seed 0") || !strings.Contains(err.Error(), "seed 5") {
+			t.Fatalf("err = %v, want a hard error naming seed 0 and seed 5", err)
+		}
+		if _, serr := os.Stat(path + ".corrupt"); !os.IsNotExist(serr) {
+			t.Fatal("a checkpoint of another seed was quarantined")
+		}
+	})
 }
 
 // TestDistChaosSweep: every network fault class at once — client-side

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"syscall"
 	"time"
 
 	cxlmc "repro"
@@ -43,7 +42,7 @@ type record struct {
 type store struct {
 	dir     string
 	inj     *chaos.Injector
-	onRetry func() // observability hook: one call per retried journal append
+	onRetry func() // observability hook (may be nil): one call per retried journal write
 	f       *os.File
 	// torn is set when the previous append may have left a partial line
 	// behind (a short write or an ambiguous error); the next append then
@@ -53,18 +52,6 @@ type store struct {
 }
 
 const journalName = "journal.jsonl"
-
-// ioAttempts / ioBackoff mirror the checkpoint layer's retry policy.
-const ioAttempts = 5
-
-func ioBackoff(attempt int) time.Duration {
-	return time.Millisecond << uint(attempt-1)
-}
-
-func transientIO(err error) bool {
-	return chaos.IsTransient(err) ||
-		errors.Is(err, syscall.EINTR) || errors.Is(err, syscall.EAGAIN)
-}
 
 // openStore opens (creating if needed) the store in dir, recovers the
 // journal, compacts it to one merged record per job, and returns the
@@ -182,60 +169,10 @@ func (st *store) compact(recs []record) error {
 		buf.Write(data)
 		buf.WriteByte('\n')
 	}
-	tmp := st.journalPath() + ".tmp"
-	var lastErr error
-	for attempt := 1; attempt <= ioAttempts; attempt++ {
-		if attempt > 1 {
-			st.noteRetry()
-			time.Sleep(ioBackoff(attempt - 1))
-		}
-		if err := st.writeTmp(tmp, buf.Bytes()); err != nil {
-			lastErr = err
-			if !transientIO(err) {
-				break
-			}
-			continue
-		}
-		if err := st.inj.RenameFault(); err != nil {
-			lastErr = err
-			if !transientIO(err) {
-				break
-			}
-			continue
-		}
-		if err := os.Rename(tmp, st.journalPath()); err != nil {
-			lastErr = err
-			if !transientIO(err) {
-				break
-			}
-			continue
-		}
-		return nil
+	if err := st.inj.ReplaceFile(st.journalPath(), buf.Bytes(), st.onRetry); err != nil {
+		return fmt.Errorf("jobs: compacting journal: %w", err)
 	}
-	os.Remove(tmp)
-	return fmt.Errorf("jobs: compacting journal: %w", lastErr)
-}
-
-func (st *store) writeTmp(tmp string, data []byte) error {
-	if n, err := st.inj.WriteFault(len(data)); err != nil {
-		if n > 0 {
-			os.WriteFile(tmp, data[:n], 0o644)
-		}
-		return err
-	}
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return nil
 }
 
 // append journals one transition durably: marshal, write the line,
@@ -250,12 +187,7 @@ func (st *store) append(rec record) error {
 		return fmt.Errorf("jobs: encoding journal record: %w", err)
 	}
 	data = append(data, '\n')
-	var lastErr error
-	for attempt := 1; attempt <= ioAttempts; attempt++ {
-		if attempt > 1 {
-			st.noteRetry()
-			time.Sleep(ioBackoff(attempt - 1))
-		}
+	err = chaos.Retry(st.onRetry, func() error {
 		line := data
 		if st.torn {
 			line = append([]byte("\n"), data...)
@@ -266,22 +198,14 @@ func (st *store) append(rec record) error {
 				st.f.Write(line[:n])
 				st.torn = true
 			}
-			lastErr = err
-			if !transientIO(err) {
-				break
-			}
-			continue
+			return err
 		}
 		n, err := st.f.Write(line)
 		if err != nil {
 			if n > 0 && n < len(line) {
 				st.torn = true
 			}
-			lastErr = err
-			if !transientIO(err) {
-				break
-			}
-			continue
+			return err
 		}
 		st.torn = false
 		// A failed fsync is tolerated like a failed periodic checkpoint:
@@ -291,14 +215,11 @@ func (st *store) append(rec record) error {
 			st.f.Sync()
 		}
 		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("jobs: journal append: %w", err)
 	}
-	return fmt.Errorf("jobs: journal append: %w", lastErr)
-}
-
-func (st *store) noteRetry() {
-	if st.onRetry != nil {
-		st.onRetry()
-	}
+	return nil
 }
 
 func (st *store) close() error {
