@@ -99,14 +99,15 @@ func runJobVerb(verb string, args []string) int {
 		govEvery   = fs.Int("governor-every", 0, "check the budget governor every N executions")
 		maxEvents  = fs.Int("max-events", 0, "cap on decision points per execution")
 		contBug    = fs.Bool("continue", false, "keep exploring after the first bug")
-		reduction  = fs.String("reduction", "", "state-space reduction (on|off; empty = server default)")
-		prefixFork = fs.String("prefix-fork", "", "prefix-fork replay (on|off; empty = server default)")
-		raceDetect = fs.String("race-detect", "", "race detection (on|off; empty = server default)")
 		doWait     = fs.Bool("wait", false, "block until the submitted job is terminal")
 		// wait / submit -wait flags
 		poll    = fs.Duration("poll", 200*time.Millisecond, "status poll interval")
 		timeout = fs.Duration("timeout", time.Hour, "give up waiting after this long")
 	)
+	var reduction, prefixFork, raceDetect switchFlag
+	fs.Var(&reduction, "reduction", "state-space reduction (on|off; default = server default)")
+	fs.Var(&prefixFork, "prefix-fork", "prefix-fork replay (on|off; default = server default)")
+	fs.Var(&raceDetect, "race-detect", "race detection (on|off; default = server default)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -138,26 +139,6 @@ func runJobVerb(verb string, args []string) int {
 			fmt.Fprintf(os.Stderr, "cxlmc: bad -bugs %q: %v\n", *bugsFlag, err)
 			return 2
 		}
-		parse := func(name, v string) (cxlmc.Switch, bool) {
-			var sw cxlmc.Switch
-			if err := sw.UnmarshalText([]byte(v)); err != nil {
-				fmt.Fprintf(os.Stderr, "cxlmc: bad -%s %q: want on, off or empty\n", name, v)
-				return sw, false
-			}
-			return sw, true
-		}
-		reductionSw, ok := parse("reduction", *reduction)
-		if !ok {
-			return 2
-		}
-		prefixForkSw, ok := parse("prefix-fork", *prefixFork)
-		if !ok {
-			return 2
-		}
-		raceDetectSw, ok := parse("race-detect", *raceDetect)
-		if !ok {
-			return 2
-		}
 		spec := jobs.Spec{
 			Tenant: *tenant,
 			Bench:  *bench, Keys: *keys, InsertWorkers: *insWorkers,
@@ -167,7 +148,7 @@ func runJobVerb(verb string, args []string) int {
 			MemBudgetBytes: *memBudget, GovernorEvery: *govEvery,
 			MaxEventsPerExec: *maxEvents,
 			ContinueAfterBug: *contBug,
-			Reduction:        reductionSw, PrefixFork: prefixForkSw, RaceDetect: raceDetectSw,
+			Reduction:        cxlmc.Switch(reduction), PrefixFork: cxlmc.Switch(prefixFork), RaceDetect: cxlmc.Switch(raceDetect),
 		}
 		if *gen {
 			spec.Bench = ""

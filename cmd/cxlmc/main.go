@@ -95,9 +95,12 @@
 // coordinator — it owns the frontier of subtree work units, serves the
 // lease API on addr, and (with -checkpoint) persists the frontier so a
 // SIGKILL'd coordinator resumes losslessly. -join addr runs a worker
-// that leases units from the coordinator at addr, explores them with its
-// local -workers pool, streams results back, and re-donates splits when
-// the cluster is hungry. Every lease carries a deadline (-lease-ttl) and
+// that leases units from the coordinator at addr one at a time, explores
+// each with its local -workers pool as an ordinary resumable run, reports
+// the result, and — when the coordinator says other workers are waiting —
+// stops early and returns what is left for the coordinator to split.
+// -max-execs, -max-time and -metrics-addr span the worker's lifetime, not
+// one lease. Every lease carries a deadline (-lease-ttl) and
 // an epoch: units leased to crashed or wedged workers are reclaimed and
 // re-issued, stale completions are rejected idempotently, and the
 // distributed run reports exactly the bug set and repro tokens a
@@ -199,9 +202,6 @@ func run() int {
 		memBudget  = flag.Uint64("mem-budget", 0, "soft heap budget in bytes; over it the run degrades gracefully instead of OOMing (0 = off)")
 		spillDir   = flag.String("spill-dir", "", "directory the governor may spill cold frontier units to under memory pressure")
 		maxEvents  = flag.Int("max-events", 0, "cap on decision points per execution; exceeding it is reported as a resource-exhausted bug (0 = off)")
-		reduction  = flag.String("reduction", "on", "state-space reduction: prune failure points no surviving thread can observe (on|off)")
-		prefixFork = flag.String("prefix-fork", "on", "prefix-fork replay: resume sibling executions from the shared decision prefix instead of re-running it (on|off)")
-		raceDetect = flag.String("race-detect", "on", "happens-before data-race detection during exploration (on|off)")
 		vetOnly    = flag.Bool("vet", false, "run only the cxlvet static pre-pass and print its findings (exit 1 if any)")
 		chaosOn    = flag.Bool("chaos", false, "inject seeded faults into checkpoint I/O and worker scheduling (with -stress: add the resume-under-chaos leg)")
 		chaosSeed  = flag.Int64("chaos-seed", 1, "seed for the -chaos fault injector")
@@ -223,6 +223,10 @@ func run() int {
 		eventLog     = flag.String("event-log", "", "stream the structured exploration event trace to this file as JSON lines")
 		metricsSnap  = flag.String("metrics-snapshot", "", "write the final metric values to this file as JSON when the run ends")
 	)
+	reduction, prefixFork, raceDetect := switchFlag(cxlmc.SwitchOn), switchFlag(cxlmc.SwitchOn), switchFlag(cxlmc.SwitchOn)
+	flag.Var(&reduction, "reduction", "state-space reduction: prune failure points no surviving thread can observe (on|off)")
+	flag.Var(&prefixFork, "prefix-fork", "prefix-fork replay: resume sibling executions from the shared decision prefix instead of re-running it (on|off)")
+	flag.Var(&raceDetect, "race-detect", "happens-before data-race detection during exploration (on|off)")
 	flag.Parse()
 
 	if *list {
@@ -286,28 +290,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "cxlmc: bad -bugs %q: %v\n", *bugsFlag, err)
 		return 2
 	}
-	parseSwitch := func(name, v string) (cxlmc.Switch, bool) {
-		switch v {
-		case "on", "":
-			return cxlmc.SwitchOn, true
-		case "off":
-			return cxlmc.SwitchOff, true
-		}
-		fmt.Fprintf(os.Stderr, "cxlmc: bad -%s %q: want on or off\n", name, v)
-		return cxlmc.SwitchDefault, false
-	}
-	reductionSw, ok := parseSwitch("reduction", *reduction)
-	if !ok {
-		return 2
-	}
-	prefixForkSw, ok := parseSwitch("prefix-fork", *prefixFork)
-	if !ok {
-		return 2
-	}
-	raceDetectSw, ok := parseSwitch("race-detect", *raceDetect)
-	if !ok {
-		return 2
-	}
 
 	cfg := cxlmc.Config{
 		Seed: *seed, GPF: *gpf, Poison: *poison, Workers: *checkers,
@@ -315,7 +297,7 @@ func run() int {
 		CheckpointPath: *checkpoint, CheckpointEvery: *cpEvery, CheckpointInterval: *cpInterval,
 		WedgeTimeout:   *wedge,
 		MemBudgetBytes: *memBudget, SpillDir: *spillDir, MaxEventsPerExec: *maxEvents,
-		Reduction: reductionSw, PrefixFork: prefixForkSw, RaceDetect: raceDetectSw,
+		Reduction: cxlmc.Switch(reduction), PrefixFork: cxlmc.Switch(prefixFork), RaceDetect: cxlmc.Switch(raceDetect),
 	}
 	if *trace {
 		cfg.Trace = os.Stdout
@@ -452,11 +434,14 @@ func run() int {
 		}
 	} else if *bench == "vet-demo" {
 		program = analyze.DemoProgram
-	} else if program, ok = harness.ProgramByName(*bench, recipe.Config{
-		Keys: *keys, Workers: *insWorkers, Stride: *stride, Bugs: recipe.Bug(bugs),
-	}); !ok {
-		fmt.Fprintf(os.Stderr, "cxlmc: unknown benchmark %q (try -list)\n", *bench)
-		return 2
+	} else {
+		var ok bool
+		if program, ok = harness.ProgramByName(*bench, recipe.Config{
+			Keys: *keys, Workers: *insWorkers, Stride: *stride, Bugs: recipe.Bug(bugs),
+		}); !ok {
+			fmt.Fprintf(os.Stderr, "cxlmc: unknown benchmark %q (try -list)\n", *bench)
+			return 2
+		}
 	}
 
 	if *vetOnly {
@@ -467,7 +452,7 @@ func run() int {
 	// unflushed-publish lines arm the checker's crash-exposure check. The
 	// pre-pass is deterministic and runs identically in every mode (run,
 	// replay, coordinator, worker), so the resulting config digests match.
-	if raceDetectSw == cxlmc.SwitchOn {
+	if cfg.RaceDetect == cxlmc.SwitchOn {
 		rep, err := analyze.Vet(cfg, program)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cxlmc: vet pre-pass: %v\n", err)
@@ -686,6 +671,16 @@ func run() int {
 	}
 	return 0
 }
+
+// switchFlag is the flag.Value every on/off flag of the CLI parses through:
+// the words Switch.UnmarshalText accepts (on, off, default), and on anything
+// else the flag package's message naming the flag and exit code 2. The value
+// a flag is declared with is what it means when absent.
+type switchFlag cxlmc.Switch
+
+func (f *switchFlag) String() string { return cxlmc.Switch(*f).String() }
+
+func (f *switchFlag) Set(v string) error { return (*cxlmc.Switch)(f).UnmarshalText([]byte(v)) }
 
 func listBenchmarks() {
 	for _, b := range harness.Benchmarks {

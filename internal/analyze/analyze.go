@@ -139,13 +139,12 @@ func Vet(cfg core.Config, program func(*core.Program)) (*Report, error) {
 	cfg.Workers = 1
 	cfg.MaxExecutions = 1
 	cfg.MaxTime = 0
-	// One execution, no exploration: the detector, the frontier and all
+	// One execution, no exploration: the detector and all
 	// persistence/observability plumbing are exploration concerns.
 	cfg.RaceDetect = core.SwitchOff
 	cfg.UnflushedLines = nil
 	cfg.ContinueAfterBug = true
 	cfg.CheckpointPath = ""
-	cfg.Frontier = nil
 	cfg.SpillDir = ""
 	cfg.MetricsAddr = ""
 	cfg.EventTrace = nil

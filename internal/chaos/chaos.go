@@ -67,7 +67,7 @@ type Config struct {
 	// NetDelayDur is the injected network delay; 0 means a default of 5ms.
 	NetDelayDur time.Duration
 	// NetDupPct delivers a call twice, exercising the coordinator's
-	// request idempotency (a duplicated lease, completion or donation
+	// request idempotency (a duplicated lease or completion
 	// must not double its effect).
 	NetDupPct int
 	// Net5xxPct makes the coordinator answer a call with a retryable
@@ -75,8 +75,8 @@ type Config struct {
 	Net5xxPct int
 	// NetPartitionPct opens a network partition window of NetPartitionDur
 	// during which every call fails, modelling a coordinator that is
-	// briefly unreachable; workers must degrade to local draining and
-	// reconnect when the window closes.
+	// briefly unreachable; workers must keep exploring the unit they hold
+	// and reconnect when the window closes.
 	NetPartitionPct int
 	// NetPartitionDur is the partition window length; 0 means a default
 	// of 100ms.

@@ -192,8 +192,7 @@ type Resume struct {
 	// Units are the subtree units still to be explored, decoded. The
 	// decision points a unit created in its past life are embedded in it
 	// and are NOT in Total: whoever explores the unit to the end adds
-	// TreeCounters of it then (the engine), or credits them up front because
-	// its workers report net of them (the dist coordinator).
+	// TreeCounters of it then.
 	Units []*decision.Tree
 	// Total and Res are the checkpointed totals, with the points of units
 	// that arrived already finished folded in.
@@ -203,8 +202,8 @@ type Resume struct {
 	Complete bool
 }
 
-// ResumeCheckpoint is the one way an exploration picks up a checkpoint. It
-// returns nil when there is nothing to resume: no path, no file, or an
+// ResumeCheckpoint is the one way an exploration picks up a checkpoint
+// file. It returns nil when there is nothing to resume: no path, no file, or an
 // undecodable file — which is moved to <path>.corrupt (preserved for
 // post-mortems, the path free for new checkpoints) and reported through
 // quarantined, so the caller starts fresh. A checkpoint of another
@@ -218,10 +217,7 @@ func ResumeCheckpoint(path string, seed int64, cfgDigest, progDigest string, inj
 	}
 	cp, err := LoadCheckpoint(path, inj)
 	if err == nil && cp != nil {
-		if err = cp.CheckIdentity(path, seed, cfgDigest, progDigest); err != nil {
-			return nil, false, err
-		}
-		r, err = cp.resume(path)
+		r, err = cp.resume(path, seed, cfgDigest, progDigest)
 	}
 	if errors.Is(err, errCorruptCheckpoint) {
 		if qerr := inj.Rename(path, path+".corrupt"); qerr != nil {
@@ -232,8 +228,14 @@ func ResumeCheckpoint(path string, seed int64, cfgDigest, progDigest string, inj
 	return r, false, err
 }
 
-// resume decodes cp's units and totals into a Resume.
-func (cp *Checkpoint) resume(path string) (*Resume, error) {
+// resume checks that cp — read from path, or however path describes it —
+// belongs to the exploration (CheckIdentity) and decodes its units and totals
+// into a Resume. The file and a checkpoint held in memory (Continue) both
+// come through here.
+func (cp *Checkpoint) resume(path string, seed int64, cfgDigest, progDigest string) (*Resume, error) {
+	if err := cp.CheckIdentity(path, seed, cfgDigest, progDigest); err != nil {
+		return nil, err
+	}
 	r := &Resume{Elapsed: cp.Elapsed, Complete: cp.Complete}
 	r.Total, r.Res = cp.Totals()
 	for _, raw := range cp.Units {
@@ -337,9 +339,10 @@ func (cp *checkpointData) Totals() (Tally, Resilience) {
 }
 
 // Checkpoint is the exported name of the version-2 checkpoint envelope,
-// for callers outside the engine — notably the distributed coordinator,
-// which persists its frontier in the same format so a single-process run
-// can resume a coordinator's checkpoint and vice versa.
+// for callers outside the engine: the distributed coordinator, which
+// persists its frontier in the same format so a single-process run can
+// resume a coordinator's checkpoint and vice versa, and its workers, which
+// hand each leased unit to Continue as a one-unit checkpoint.
 type Checkpoint = checkpointData
 
 // NewCheckpoint assembles the current-version envelope of an exploration

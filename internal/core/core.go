@@ -377,18 +377,6 @@ type Config struct {
 	// excluded from the configuration digest (observation never changes
 	// exploration semantics).
 	Observer OpObserver
-
-	// Frontier, when non-nil, turns the run into a distributed worker:
-	// instead of seeding a fresh decision tree, the engine leases subtree
-	// work units from the frontier, explores them with its local worker
-	// pool, re-donates surplus splits when the frontier reports demand,
-	// and reports each lease's results (stats deltas, deduplicated bugs,
-	// unexplored remainders) back on completion. The frontier's owner —
-	// typically the dist coordinator — holds the durable state, so
-	// Frontier is mutually exclusive with CheckpointPath and SpillDir.
-	// Not part of the configuration digest: the same exploration is being
-	// checked, merely sharded.
-	Frontier Frontier
 }
 
 func (c *Config) fillDefaults() {
@@ -480,7 +468,7 @@ const (
 	// BugDeadlock, where no thread could make progress at all.
 	BugLivelock
 	// BugWedged means a checked-program callback blocked outside the
-	// simulated API for longer than the watchdog allowed (WedgeTimeout),
+	// simulated API for longer than the watchdog permits (WedgeTimeout),
 	// so the lock-step scheduler abandoned it instead of hanging.
 	BugWedged
 	// BugResourceExhausted means a single execution created more
@@ -670,10 +658,7 @@ func (c *Counters) addScaled(o Counters, k int) {
 // Add folds o into c.
 func (c *Counters) Add(o Counters) { c.addScaled(o, 1) }
 
-// Sub returns c minus o: what accumulated since o was read off c. A
-// decision-point field can be negative in a distributed worker's delta (a
-// leased unit arrives with counts its previous holder already reported);
-// only sums of deltas are meaningful there.
+// Sub returns c minus o: what accumulated since o was read off c.
 func (c Counters) Sub(o Counters) Counters {
 	c.addScaled(o, -1)
 	return c

@@ -1,18 +1,11 @@
 package core
 
-// This file promotes the engine's work-unit frontier into an interface.
-// The engine's own in-memory queue remains the fast path for
-// single-process runs; a Frontier plugged in via Config.Frontier turns
-// the run into a distributed worker that leases subtree work units from
-// an external owner, explores them with its local pool, and reports
-// results back. Two implementations exist:
-//
-//   - MemFrontier (below): an in-process lease table with time-bounded
-//     leases, per-unit epochs and expiry reclamation. The distributed
-//     coordinator (repro/internal/dist) embeds one as its source of
-//     truth; tests drive the engine against one directly.
-//   - dist.RemoteFrontier: the worker-side client that speaks the
-//     coordinator's HTTP protocol through a retrying transport.
+// This file is the lease table a distributed exploration's frontier lives
+// in: MemFrontier holds the subtree work units nobody has finished, hands
+// them out under time-bounded leases and folds the holders' reports into one
+// tally. The distributed coordinator (repro/internal/dist) owns one as its
+// source of truth; a worker turns each lease into an ordinary resumable run
+// (Continue) and never sees this type.
 //
 // The lease protocol is what makes distribution safe: every lease
 // carries a deadline and an epoch. A unit whose holder goes quiet past
@@ -22,14 +15,13 @@ package core
 // and re-execution after a crash is harmless.
 
 import (
-	"errors"
 	"sync"
 	"time"
 )
 
-// ErrStopped is returned by Frontier.Lease when the run's stop channel
-// fired while waiting for work.
-var ErrStopped = errors.New("cxlmc: stopped while waiting for a work-unit lease")
+// DefaultLeaseTTL is how long a lease lives without renewal when its owner
+// configures none.
+const DefaultLeaseTTL = 5 * time.Second
 
 // LeasedUnit is one subtree work unit held under a time-bounded lease.
 type LeasedUnit struct {
@@ -41,29 +33,29 @@ type LeasedUnit struct {
 	// Snapshot is the unit's decision-tree snapshot (decision.Tree
 	// Snapshot/Restore encoding).
 	Snapshot []byte
-	// Deadline is when the lease expires unless renewed.
-	Deadline time.Time
 }
 
-// UnitReport is what a worker hands back when every unit derived from a
-// lease has been explored (or released early on a graceful stop).
+// UnitReport is what a worker hands back for a lease: the totals and the
+// units of the checkpoint its run of the leased unit ended with.
 type UnitReport struct {
-	// Tally is the worker's delta since its previous report: counters, so
-	// summing reports across workers yields exact totals when nothing
-	// crashes, and the distinct bugs found since, repro tokens attached.
-	// The frontier deduplicates globally.
+	// Tally is what exploring the lease found: counters, so summing reports
+	// across workers yields exact totals, and the distinct bugs, repro tokens
+	// attached. Decision points follow the checkpoint convention — those of
+	// the units in Remainder stay embedded in them, to be reported by whoever
+	// exhausts them — so no counter is ever negative. The frontier
+	// deduplicates bugs globally.
 	Tally
-	// Remainder holds unexplored residue snapshots when the worker
-	// stopped before exhausting the lease: requeued as fresh units so no
-	// work is lost on a graceful shutdown.
+	// Remainder holds the snapshots of what the worker left unexplored when
+	// it stopped before exhausting the lease (its budget ran out, it was
+	// stopped, or hungry peers made it yield): requeued as fresh units.
 	Remainder [][]byte
 	// RPCRetries is the worker's transport-retry delta, aggregated by
 	// the coordinator into the final Stats.
 	RPCRetries int
 }
 
-// FrontierStats are cumulative robustness counters a frontier
-// implementation accumulates; the engine folds them into Result.Stats.
+// FrontierStats are the cumulative robustness counters a MemFrontier
+// accumulates; its owner folds them into Result.Stats.
 type FrontierStats struct {
 	// Reclaims counts leases reclaimed after their deadline passed.
 	Reclaims int
@@ -72,32 +64,6 @@ type FrontierStats struct {
 	// StaleRejects counts completion reports rejected for carrying a
 	// stale epoch.
 	StaleRejects int
-}
-
-// Frontier is the engine's upstream source of subtree work units in a
-// distributed run. Implementations must be safe for concurrent use; the
-// engine calls them outside its own lock.
-type Frontier interface {
-	// Lease blocks until a work unit is available (returning it), the
-	// exploration is complete (nil, nil), or stop fires (nil,
-	// ErrStopped). Implementations retry transient transport faults
-	// internally — an idle worker has nothing better to do than wait for
-	// the frontier to come back.
-	Lease(stop <-chan struct{}) (*LeasedUnit, error)
-	// Complete reports every unit derived from lease u explored, along
-	// with the worker's stats delta. A stale epoch is swallowed (counted,
-	// not an error): the unit was reclaimed and re-issued, and this
-	// worker's results must not be double-counted.
-	Complete(u *LeasedUnit, rep UnitReport) error
-	// Donate hands surplus split-off subtree snapshots back to the
-	// frontier as fresh independent units, rebalancing work toward
-	// hungry peers.
-	Donate(snaps [][]byte) error
-	// Demand reports how many units the frontier currently wants donated
-	// (0 = nobody is hungry). Advisory; sampled at execution boundaries.
-	Demand() int
-	// Stats returns the cumulative robustness counters.
-	Stats() FrontierStats
 }
 
 // frontierUnit is one work unit in a MemFrontier's lease table.
@@ -111,7 +77,8 @@ type frontierUnit struct {
 
 // MemFrontierConfig configures a MemFrontier.
 type MemFrontierConfig struct {
-	// LeaseTTL is how long a lease lives without renewal; 0 means 5s.
+	// LeaseTTL is how long a lease lives without renewal; 0 means
+	// DefaultLeaseTTL.
 	LeaseTTL time.Duration
 	// OnEvent, when non-nil, observes lease-table transitions with one of
 	// the class labels "grant", "renew", "complete", "reclaim", "stale".
@@ -120,21 +87,18 @@ type MemFrontierConfig struct {
 	OnEvent func(class string, unit, epoch uint64)
 }
 
-// MemFrontier is the in-memory Frontier implementation: a lease table
-// with time-bounded leases, per-unit epochs, and a janitor that reclaims
-// expired leases so a crashed or wedged holder cannot strand work. It is
-// the coordinator's source of truth and directly usable in-process.
+// MemFrontier is the in-memory lease table: time-bounded leases, per-unit
+// epochs, and a janitor that reclaims expired leases so a crashed or wedged
+// holder cannot strand work.
 type MemFrontier struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	cfg  MemFrontierConfig
+	mu  sync.Mutex
+	cfg MemFrontierConfig
 
-	nextID  uint64
-	queue   []*frontierUnit
-	leased  map[uint64]*frontierUnit
-	waiters int
-	closed  bool
-	// stopping makes Lease return "complete" without handing out more
+	nextID uint64
+	queue  []*frontierUnit
+	leased map[uint64]*frontierUnit
+	closed bool
+	// stopping makes TryLease report done without handing out more
 	// units (bug-stop or graceful coordinator shutdown); leased units
 	// stay tracked so late completions are still folded in.
 	stopping bool
@@ -153,7 +117,7 @@ type MemFrontier struct {
 // snapshots and starts its reclaim janitor. Close it when done.
 func NewMemFrontier(cfg MemFrontierConfig, units [][]byte) *MemFrontier {
 	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = 5 * time.Second
+		cfg.LeaseTTL = DefaultLeaseTTL
 	}
 	f := &MemFrontier{
 		cfg:          cfg,
@@ -161,16 +125,13 @@ func NewMemFrontier(cfg MemFrontierConfig, units [][]byte) *MemFrontier {
 		janitorStop:  make(chan struct{}),
 		janitorEnded: make(chan struct{}),
 	}
-	f.cond = sync.NewCond(&f.mu)
 	f.addLocked(units)
 	go f.janitor()
 	return f
 }
 
-// janitor periodically reclaims expired leases and wakes blocked Lease
-// calls so they can re-check their stop channels. The tick is fast
-// relative to any sane TTL, so reclamation latency is bounded by roughly
-// TTL + tick.
+// janitor periodically reclaims expired leases. The tick is fast relative
+// to any sane TTL, so reclamation latency is bounded by roughly TTL + tick.
 func (f *MemFrontier) janitor() {
 	defer close(f.janitorEnded)
 	tick := f.cfg.LeaseTTL / 4
@@ -189,9 +150,6 @@ func (f *MemFrontier) janitor() {
 		case <-t.C:
 			f.mu.Lock()
 			f.reclaimExpiredLocked(time.Now())
-			// Wake waiters even without reclaims: blocked Lease calls
-			// re-check their stop channels on every wakeup.
-			f.cond.Broadcast()
 			f.mu.Unlock()
 		}
 	}
@@ -225,13 +183,9 @@ func (f *MemFrontier) addLocked(snaps [][]byte) {
 		f.queue = append(f.queue, &frontierUnit{id: f.nextID, snap: s})
 		f.unitsAdded++
 	}
-	if len(snaps) > 0 {
-		f.cond.Broadcast()
-	}
 }
 
-// Add registers fresh work-unit snapshots (seeding, donations, returned
-// remainders).
+// Add registers fresh work-unit snapshots.
 func (f *MemFrontier) Add(snaps [][]byte) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -252,42 +206,13 @@ func (f *MemFrontier) TryLease(holder string) (u *LeasedUnit, done bool) {
 	if len(f.queue) == 0 {
 		return nil, len(f.leased) == 0
 	}
-	return f.grantLocked(holder), false
-}
-
-// grantLocked leases the head of the (non-empty) queue to holder.
-func (f *MemFrontier) grantLocked(holder string) *LeasedUnit {
 	fu := f.queue[0]
 	f.queue = f.queue[1:]
 	fu.deadline = time.Now().Add(f.cfg.LeaseTTL)
 	fu.holder = holder
 	f.leased[fu.id] = fu
 	f.event("grant", fu.id, fu.epoch)
-	return &LeasedUnit{ID: fu.id, Epoch: fu.epoch, Snapshot: fu.snap, Deadline: fu.deadline}
-}
-
-// Lease implements Frontier: it blocks until a unit is available, the
-// exploration completes, or stop fires.
-func (f *MemFrontier) Lease(stop <-chan struct{}) (*LeasedUnit, error) {
-	f.mu.Lock()
-	f.waiters++
-	defer func() { f.waiters--; f.mu.Unlock() }()
-	for {
-		if stopRequested(stop) {
-			return nil, ErrStopped
-		}
-		f.reclaimExpiredLocked(time.Now())
-		if f.closed || f.stopping {
-			return nil, nil
-		}
-		if len(f.queue) > 0 {
-			return f.grantLocked("local"), nil
-		}
-		if len(f.leased) == 0 {
-			return nil, nil
-		}
-		f.cond.Wait()
-	}
+	return &LeasedUnit{ID: fu.id, Epoch: fu.epoch, Snapshot: fu.snap}, false
 }
 
 // Renew extends the lease on (id, epoch), reporting whether it is still
@@ -324,48 +249,28 @@ func (f *MemFrontier) CompleteReport(id, epoch uint64, rep UnitReport) (stale bo
 	f.stats.RPCRetries += rep.RPCRetries
 	f.addLocked(rep.Remainder)
 	f.event("complete", id, epoch)
-	f.cond.Broadcast()
 	return false
 }
 
-// Complete implements Frontier.
+// Complete is CompleteReport for the holder of u. It cannot fail.
 func (f *MemFrontier) Complete(u *LeasedUnit, rep UnitReport) error {
 	f.CompleteReport(u.ID, u.Epoch, rep)
 	return nil
 }
 
-// Donate implements Frontier: donated snapshots become fresh units.
-func (f *MemFrontier) Donate(snaps [][]byte) error {
-	f.Add(snaps)
-	return nil
-}
-
-// Demand implements Frontier: how many units blocked Lease calls are
-// waiting for, net of what is already queued.
-func (f *MemFrontier) Demand() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	d := f.waiters - len(f.queue)
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
-// Stats implements Frontier.
+// Stats returns the cumulative robustness counters.
 func (f *MemFrontier) Stats() FrontierStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.stats
 }
 
-// Stop makes the frontier hand out no further units: Lease reports the
-// exploration complete, TryLease reports done. Outstanding leases stay
-// tracked so in-flight completions still fold in.
+// Stop makes the frontier hand out no further units: TryLease reports
+// done. Outstanding leases stay tracked so in-flight completions still
+// fold in.
 func (f *MemFrontier) Stop() {
 	f.mu.Lock()
 	f.stopping = true
-	f.cond.Broadcast()
 	f.mu.Unlock()
 }
 
@@ -429,7 +334,7 @@ func (f *MemFrontier) Outstanding() (t Tally, units [][]byte) {
 	return f.tallyLocked(), units
 }
 
-// Close stops the janitor and wakes every blocked Lease call.
+// Close stops the janitor; TryLease reports done from now on.
 func (f *MemFrontier) Close() {
 	f.mu.Lock()
 	if f.closed {
@@ -437,7 +342,6 @@ func (f *MemFrontier) Close() {
 		return
 	}
 	f.closed = true
-	f.cond.Broadcast()
 	f.mu.Unlock()
 	close(f.janitorStop)
 	<-f.janitorEnded

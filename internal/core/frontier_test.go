@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -10,30 +8,7 @@ import (
 )
 
 // The MemFrontier lease-protocol suite: grants, renewal, expiry
-// reclamation with epoch bumps, stale-completion rejection, and the
-// engine running against a frontier producing exactly the results of a
-// plain run.
-
-func frontierProgram(p *Program) {
-	a := p.NewMachine("A")
-	b := p.NewMachine("B")
-	data := p.Alloc(8)
-	flag := p.AllocAligned(8, 64)
-	a.Thread("writer", func(t *Thread) {
-		t.Store64(data, 42)
-		// Missing CLFlush(data): the classic lost-update bug.
-		t.SFence()
-		t.Store64(flag, 1)
-		t.CLFlush(flag)
-		t.SFence()
-	})
-	b.Thread("reader", func(t *Thread) {
-		t.Join(a)
-		if t.Load64(flag) == 1 {
-			t.Assert(t.Load64(data) == 42, "flag set but data lost")
-		}
-	})
-}
+// reclamation with epoch bumps and stale-completion rejection.
 
 func newTestFrontier(t *testing.T, ttl time.Duration) *MemFrontier {
 	t.Helper()
@@ -161,36 +136,6 @@ func TestFrontierRenewKeepsLease(t *testing.T) {
 	}
 }
 
-// TestFrontierLeaseBlocksUntilStop: a blocking Lease call with nothing
-// queued returns ErrStopped when the stop channel fires.
-func TestFrontierLeaseBlocksUntilStop(t *testing.T) {
-	f := newTestFrontier(t, time.Minute)
-	u, _ := f.TryLease("holder") // drain the queue; a lease stays out
-	if u == nil {
-		t.Fatal("no lease")
-	}
-	stop := make(chan struct{})
-	errc := make(chan error, 1)
-	go func() {
-		_, err := f.Lease(stop)
-		errc <- err
-	}()
-	select {
-	case err := <-errc:
-		t.Fatalf("Lease returned early: %v", err)
-	case <-time.After(30 * time.Millisecond):
-	}
-	close(stop)
-	select {
-	case err := <-errc:
-		if err != ErrStopped {
-			t.Fatalf("Lease error = %v, want ErrStopped", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Lease did not observe stop")
-	}
-}
-
 // TestFrontierBugDedup: duplicate (kind, message) bugs across reports
 // collapse to one.
 func TestFrontierBugDedup(t *testing.T) {
@@ -252,141 +197,4 @@ func TestFrontierOutstandingIsOneRead(t *testing.T) {
 				reads, tally.Executions, len(out), tally.Executions+len(out), n)
 		}
 	}
-}
-
-// TestEngineAgainstMemFrontier: a Config.Frontier run is a distributed
-// worker in miniature. Driving the engine against an in-process
-// MemFrontier seeded with the whole tree must reproduce exactly the
-// stats and distinct bug set of a plain run — the engine-level form of
-// the cross-process parity the dist package proves over HTTP.
-func TestEngineAgainstMemFrontier(t *testing.T) {
-	base := Config{ContinueAfterBug: true}
-	plain, err := Run(base, frontierProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plain.Buggy() {
-		t.Fatal("baseline found no bugs; the fixture is supposed to be buggy")
-	}
-
-	for _, workers := range []int{1, 4} {
-		f := NewMemFrontier(MemFrontierConfig{LeaseTTL: time.Minute}, nil)
-		f.Add([][]byte{decision.NewTree().Snapshot()})
-		cfg := base
-		cfg.Workers = workers
-		cfg.Frontier = f
-		res, err := Run(cfg, frontierProgram)
-		f.Close()
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !res.Complete {
-			t.Fatalf("workers=%d: frontier run incomplete", workers)
-		}
-		if res.Executions != plain.Executions ||
-			res.FailurePoints != plain.FailurePoints ||
-			res.ReadFromPoints != plain.ReadFromPoints {
-			t.Fatalf("workers=%d: stats (execs %d, fp %d, rfp %d) != plain (execs %d, fp %d, rfp %d)",
-				workers, res.Executions, res.FailurePoints, res.ReadFromPoints,
-				plain.Executions, plain.FailurePoints, plain.ReadFromPoints)
-		}
-		if got, want := distinctMsgs(res.Bugs), distinctMsgs(plain.Bugs); !equalStrings(got, want) {
-			t.Fatalf("workers=%d: bugs %v != plain %v", workers, got, want)
-		}
-		if added, done := f.UnitCounts(); added != done {
-			t.Fatalf("workers=%d: %d units added but %d completed — work lost or duplicated", workers, added, done)
-		}
-	}
-}
-
-// TestEngineFrontierConfigExclusive: Config.Frontier excludes the
-// engine's own durable state.
-func TestEngineFrontierConfigExclusive(t *testing.T) {
-	f := NewMemFrontier(MemFrontierConfig{}, nil)
-	defer f.Close()
-	if _, err := Run(Config{Frontier: f, CheckpointPath: t.TempDir() + "/cp"}, frontierProgram); err == nil {
-		t.Fatal("Frontier + CheckpointPath accepted")
-	}
-	if _, err := Run(Config{Frontier: f, SpillDir: t.TempDir()}, frontierProgram); err == nil {
-		t.Fatal("Frontier + SpillDir accepted")
-	}
-}
-
-// TestEngineFrontierSplitsUnderDemand: with the frontier reporting
-// donation demand, an engine exploring a large unit re-donates splits —
-// and every donated unit is eventually completed by someone.
-func TestEngineFrontierSplitsUnderDemand(t *testing.T) {
-	f := NewMemFrontier(MemFrontierConfig{LeaseTTL: time.Minute}, nil)
-	defer f.Close()
-	f.Add([][]byte{decision.NewTree().Snapshot()})
-
-	// A second consumer leasing concurrently keeps Demand above zero
-	// while the first engine explores, so its boundary check donates.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	stop := make(chan struct{})
-	var consumed int
-	go func() {
-		defer wg.Done()
-		for {
-			u, err := f.Lease(stop)
-			if err != nil || u == nil {
-				return
-			}
-			// Complete without exploring: the unit snapshot is returned
-			// as remainder so no work is lost, exercising requeue.
-			f.CompleteReport(u.ID, u.Epoch, UnitReport{Remainder: [][]byte{u.Snapshot}})
-			consumed++
-			if consumed >= 3 {
-				return
-			}
-		}
-	}()
-
-	cfg := Config{ContinueAfterBug: true, Workers: 2, Frontier: f}
-	res, err := Run(cfg, frontierProgram)
-	close(stop)
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Complete {
-		t.Fatal("frontier run incomplete")
-	}
-	plain, err := Run(Config{ContinueAfterBug: true}, frontierProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Executions != plain.Executions {
-		t.Fatalf("executions %d != plain %d despite donation churn", res.Executions, plain.Executions)
-	}
-	if added, done := f.UnitCounts(); added != done {
-		t.Fatalf("%d units added, %d completed — work lost or duplicated", added, done)
-	}
-}
-
-func distinctMsgs(bugs []Bug) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, b := range bugs {
-		k := b.Kind.String() + ": " + b.Message
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -32,7 +32,6 @@ package core
 // so there is exactly one exploration code path for all worker counts.
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -91,6 +90,7 @@ type engine struct {
 	// stopFlag tells workers to release their units and exit; set on
 	// bug-stop, MaxExecutions, MaxTime, Stop and failure.
 	stopFlag    bool
+	drained     bool // the pool has exited; see run
 	interrupted bool
 	resumed     bool
 	failErr     error
@@ -140,41 +140,11 @@ type engine struct {
 	workers   []WorkerStatus
 	unitsDone int
 
-	// Distributed-mode state (cfg.Frontier non-nil). The engine leases
-	// subtree units from rf instead of seeding a local tree; leases maps
-	// every live tree back to the lease it derives from (Split children
-	// inherit the parent's ref), and when a lease's last tree retires a
-	// completion report carrying the engine's unreported stats deltas is
-	// dispatched. leaseOut serializes the blocking Lease fetch across
-	// hungry workers; remoteDone latches once the frontier reports the
-	// exploration finished. leaseStop mirrors a local stop into a blocked
-	// Lease call (cond.Wait cannot watch a channel, and neither can an
-	// HTTP long-poll watch our mutex). pending tracks in-flight
-	// completion/donation RPC goroutines so run() can drain them.
-	//
-	// reported is how much of total has gone out in completion reports.
-	// owed corrects the next report's decision points for units crossing
-	// this process's border: a leased unit arrives with the points of its
-	// past life embedded (its previous holder reports those, so they are
-	// subtracted here), and a unit donated or flushed back leaves with
-	// points that only this worker can report (added). What remains is
-	// what this worker contributed, so the coordinator's sum of deltas
-	// partitions exactly no matter how often units migrate.
-	rf              Frontier
-	remoteDone      bool
-	leaseOut        bool
-	leases          map[*decision.Tree]*leaseRef
-	reported        mark
-	owed            Counters
-	leaseStop       chan struct{}
-	leaseStopClosed bool
-	pending         sync.WaitGroup
-}
-
-// leaseRef tracks how many live trees still derive from one leased unit.
-type leaseRef struct {
-	lu          *LeasedUnit
-	outstanding int
+	// inMemory makes from stand in for the checkpoint file: the run resumes
+	// it (nil: nothing to resume) instead of reading CheckpointPath and
+	// returns what it would have written at the end. See Continue.
+	inMemory bool
+	from     *Checkpoint
 }
 
 // worker is the per-goroutine exploration state.
@@ -203,11 +173,6 @@ func newEngine(cfg Config, program func(*Program), progDigest string) *engine {
 		progDigest: progDigest,
 	}
 	e.cond = sync.NewCond(&e.mu)
-	if cfg.Frontier != nil {
-		e.rf = cfg.Frontier
-		e.leases = make(map[*decision.Tree]*leaseRef)
-		e.leaseStop = make(chan struct{})
-	}
 	e.workers = make([]WorkerStatus, cfg.Workers)
 	for i := range e.workers {
 		e.workers[i] = WorkerStatus{ID: i, State: "wait"}
@@ -215,24 +180,24 @@ func newEngine(cfg Config, program func(*Program), progDigest string) *engine {
 	return e
 }
 
-// seedFrontier loads any checkpoint and seeds the initial work queue.
-// It returns a non-nil Result when the checkpointed exploration had
-// already finished (nothing left to explore). It holds e.mu throughout:
-// once initObs has run, the monitor goroutine and the status server may
-// call progress() at any moment, so even startup-time engine mutations
-// need the lock.
-func (e *engine) seedFrontier() (*Result, error) {
+// seedFrontier resumes any checkpoint — the file, or the one handed to
+// Continue — and seeds the initial work queue. done reports that the
+// checkpointed exploration had already finished (nothing left to explore).
+// It holds e.mu throughout: once initObs has run, the monitor goroutine and
+// the status server may call progress() at any moment, so even startup-time
+// engine mutations need the lock.
+func (e *engine) seedFrontier() (done bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.rf != nil {
-		// Distributed worker: the frontier's owner seeds and persists the
-		// exploration; this process only leases units from it.
-		e.lastCPTime = e.start
-		return nil, nil
+	var r *Resume
+	var quarantined bool
+	if !e.inMemory {
+		r, quarantined, err = ResumeCheckpoint(e.cfg.CheckpointPath, e.cfg.Seed, e.cfgDigest, e.progDigest, e.cfg.Chaos)
+	} else if e.from != nil {
+		r, err = e.from.resume("handed to Continue", e.cfg.Seed, e.cfgDigest, e.progDigest)
 	}
-	r, quarantined, err := ResumeCheckpoint(e.cfg.CheckpointPath, e.cfg.Seed, e.cfgDigest, e.progDigest, e.cfg.Chaos)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
 	if quarantined {
 		e.res.Quarantined = true
@@ -253,38 +218,38 @@ func (e *engine) seedFrontier() (*Result, error) {
 		e.om.spillsC.Add(int64(e.res.Spills))
 		e.om.cpErrors.Add(int64(e.res.CheckpointErrors))
 		if r.Complete || len(e.queue) == 0 {
-			// The checkpointed exploration already finished; return its
-			// result without re-exploring anything.
-			return e.result(true), nil
+			// The checkpointed exploration already finished: there is nothing
+			// to re-explore.
+			return true, nil
 		}
 	}
 	e.lastCPExecs, e.lastCPTime = e.total.Executions, e.start
-	return nil, nil
+	return false, nil
 }
 
-// run drives the whole exploration and assembles the Result.
-func (e *engine) run() (*Result, error) {
+// run drives the whole exploration and assembles the Result, next to the
+// final checkpoint when the run keeps one (CheckpointPath, or in memory).
+func (e *engine) run() (*Checkpoint, *Result, error) {
 	e.start = time.Now()
 	if e.cfg.MaxTime > 0 {
 		e.deadline = e.start.Add(e.cfg.MaxTime)
 	}
 	obsDown, err := e.initObs()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer obsDown()
 	if done, err := e.seedFrontier(); err != nil {
-		return nil, err
-	} else if done != nil {
-		return done, nil
+		return nil, nil, err
+	} else if done {
+		return e.envelope(nil, true), e.result(true), nil
 	}
 
 	// Watch Config.Stop from its own goroutine: workers parked in take
-	// wait on a condition variable and a remote lease fetch blocks in an
-	// HTTP long-poll, and neither can select on a channel. Without this,
-	// a SIGTERM while every worker was parked waiting for a steal went
-	// unnoticed until the next donation; now the watcher flips the stop
-	// flag (and leaseStop) immediately and the broadcast drains the pool.
+	// wait on a condition variable, which cannot select on a channel.
+	// Without this, a SIGTERM while every worker was parked waiting for a
+	// steal went unnoticed until the next donation; now the watcher flips
+	// the stop flag immediately and the broadcast drains the pool.
 	if e.cfg.Stop != nil {
 		watchDone := make(chan struct{})
 		defer close(watchDone)
@@ -292,7 +257,7 @@ func (e *engine) run() (*Result, error) {
 			select {
 			case <-e.cfg.Stop:
 				e.mu.Lock()
-				if !e.stopFlag && e.failErr == nil {
+				if !e.drained && !e.stopFlag && e.failErr == nil {
 					e.interrupted = true
 					e.stopLocked()
 				}
@@ -334,55 +299,49 @@ func (e *engine) run() (*Result, error) {
 		}()
 	}
 	wg.Wait()
+	// From here on the run's state is read without the lock; a Stop that
+	// fires now has nothing left to stop and must leave it alone.
+	e.mu.Lock()
+	e.drained = true
+	e.mu.Unlock()
 
 	if e.haveP {
-		e.pending.Wait()
 		e.cleanupSpills()
 		panic(e.panicked)
 	}
 	if e.failErr != nil {
-		e.pending.Wait()
 		e.cleanupSpills()
-		return nil, e.failErr
+		return nil, nil, e.failErr
 	}
-	if e.rf != nil {
-		// Resolve in-flight donations first (a failed one re-queues its
-		// trees), then return every still-queued tree to the frontier as
-		// its lease's remainder, so a graceful stop loses no work.
-		e.pending.Wait()
-		e.flushRemote()
-		e.pending.Wait()
-	}
-	complete := !e.stopFlag && len(e.queue) == 0 && len(e.spilled) == 0 &&
-		(e.rf == nil || e.remoteDone)
+	complete := !e.stopFlag && len(e.queue) == 0 && len(e.spilled) == 0
 	if e.cfg.Workers > 1 {
 		// Discovery order is nondeterministic across workers; report bugs
 		// in a stable order instead.
 		SortBugs(e.total.Bugs)
 	}
-	if e.rf == nil {
-		// In distributed mode the coordinator minimizes the globally
-		// merged bug set instead, so every worker finding the same bug
-		// doesn't pay the replay cost; see dist.Coordinator.
+	if !e.inMemory {
+		// Whoever chains Continue calls minimizes the merged bug set once,
+		// at the end, instead of paying the replays in every call.
 		minimizeBugTokens(e.cfg, e.program, e.progDigest, e.total.Bugs)
 	}
 	res := e.result(complete)
-	if e.cfg.CheckpointPath != "" {
-		cp, err := e.checkpointData(complete)
-		if err == nil {
+	var cp *Checkpoint
+	if e.inMemory || e.cfg.CheckpointPath != "" {
+		cp, err = e.checkpointData(complete)
+		if err == nil && !e.inMemory {
 			err = writeCheckpointFile(e.cfg.CheckpointPath, cp, e.cfg.Chaos, e.om, e.tracer)
 		}
 		if err != nil {
-			// The final write must succeed: without it the run's remaining
-			// frontier (including anything still spilled) would be lost.
-			// Spill files are kept so the failure is inspectable.
-			return nil, err
+			// The final checkpoint must succeed: without it the run's
+			// remaining frontier (including anything still spilled) would be
+			// lost. Spill files are kept so the failure is inspectable.
+			return nil, nil, err
 		}
 	}
 	// Spill files are process-local scratch — checkpoints embed their
 	// bytes, never reference the paths — so they never outlive the run.
 	e.cleanupSpills()
-	return res, nil
+	return cp, res, nil
 }
 
 // cleanupSpills removes any remaining spill files. Called after the pool
@@ -411,12 +370,6 @@ func (e *engine) result(complete bool) *Result {
 		Complete:    complete,
 		Interrupted: e.interrupted,
 		Resumed:     e.resumed,
-	}
-	if e.rf != nil {
-		fs := e.rf.Stats()
-		stats.LeaseReclaims = fs.Reclaims
-		stats.RPCRetries = fs.RPCRetries
-		stats.StaleCompletions = fs.StaleRejects
 	}
 	return &Result{Stats: stats, Bugs: e.total.Bugs, Seed: e.cfg.Seed, GPF: e.cfg.GPF}
 }
@@ -486,8 +439,7 @@ func (e *engine) take(w *worker) *decision.Tree {
 			e.unspillLocked()
 			continue
 		}
-		if len(e.queue) == 0 && len(e.spilled) == 0 && e.active == 0 &&
-			(e.rf == nil || (e.remoteDone && !e.leaseOut)) {
+		if len(e.queue) == 0 && len(e.spilled) == 0 && e.active == 0 {
 			e.workers[w.id].State = "done"
 			return nil
 		}
@@ -500,10 +452,6 @@ func (e *engine) take(w *worker) *decision.Tree {
 			e.workers[w.id].State = "run"
 			e.workers[w.id].Units++
 			return tr
-		}
-		if e.rf != nil && !e.remoteDone && !e.leaseOut && len(e.queue) == 0 {
-			e.leasePumpLocked(w)
-			continue
 		}
 		if !parked {
 			// First wait of this dry spell: record the park once, not per
@@ -537,186 +485,6 @@ func (e *engine) unspillLocked() {
 	e.om.unspills.Inc()
 	e.tracer.Record(-1, obs.EvUnspill, int64(len(e.spilled)), 0)
 	e.cond.Broadcast()
-}
-
-// leasePumpLocked fetches the next work unit from the remote frontier.
-// Called with e.mu held and leaseOut false; the blocking Lease call
-// itself runs unlocked, with leaseOut keeping peers from racing a second
-// fetch (they park on the condition variable instead).
-func (e *engine) leasePumpLocked(w *worker) {
-	e.leaseOut = true
-	e.workers[w.id].State = "lease"
-	e.mu.Unlock()
-	lu, err := e.rf.Lease(e.leaseStop)
-	e.mu.Lock()
-	e.leaseOut = false
-	defer e.cond.Broadcast()
-	switch {
-	case errors.Is(err, ErrStopped):
-		// leaseStop closes on any local stop; only a genuine Config.Stop
-		// should mark the run interrupted, and the stop watcher already
-		// did that before closing the channel.
-	case err != nil:
-		e.failLocked(err)
-	case lu == nil:
-		e.remoteDone = true
-	default:
-		tr := decision.NewTree()
-		if rerr := tr.Restore(lu.Snapshot); rerr != nil {
-			e.failLocked(fmt.Errorf("cxlmc: leased unit %d does not decode: %w", lu.ID, rerr))
-			return
-		}
-		if tr.Done() {
-			// A unit with nothing left to explore (a resumed checkpoint
-			// can carry them): complete it immediately, crediting its
-			// embedded decision-point counts, and pump again.
-			var rep UnitReport
-			rep.Counters = TreeCounters(tr)
-			e.completeAsync(lu, rep)
-			return
-		}
-		e.owed = e.owed.Sub(TreeCounters(tr))
-		e.leases[tr] = &leaseRef{lu: lu, outstanding: 1}
-		e.queue = append(e.queue, tr)
-	}
-}
-
-// adoptSplitLocked registers freshly split-off children under their
-// parent's lease: the lease completes only when every tree derived from
-// it has retired.
-func (e *engine) adoptSplitLocked(parent *decision.Tree, units []*decision.Tree) {
-	if e.rf == nil {
-		return
-	}
-	ref := e.leases[parent]
-	if ref == nil {
-		return
-	}
-	ref.outstanding += len(units)
-	for _, u := range units {
-		e.leases[u] = ref
-	}
-}
-
-// reportDeltaLocked assembles what the run found since the previous
-// report: counter deltas and newly found bugs. An individual report's
-// decision points can go negative (a lease adopted with large embedded
-// counts, most of which were donated onward); the coordinator only ever
-// sums deltas, so partition-exactness is what matters.
-func (e *engine) reportDeltaLocked() UnitReport {
-	d, fresh := e.total.since(&e.reported)
-	d.Add(e.owed)
-	e.owed = Counters{}
-	return UnitReport{Tally: Tally{Counters: d, Bugs: append([]Bug(nil), fresh...)}}
-}
-
-// completeAsync dispatches a completion report without holding e.mu (a
-// remote Complete is an HTTP call with retries). pending lets run drain
-// the dispatch before assembling the final result.
-func (e *engine) completeAsync(lu *LeasedUnit, rep UnitReport) {
-	e.pending.Add(1)
-	go func() {
-		defer e.pending.Done()
-		// A permanently failed completion is survivable: the lease
-		// expires, the coordinator reclaims and re-issues the unit, and
-		// the deterministic re-execution reports the same bugs.
-		e.rf.Complete(lu, rep)
-	}()
-}
-
-// retireShareLocked drops tr's claim on its lease; when the last tree
-// derived from the lease retires, the completion report goes out.
-func (e *engine) retireShareLocked(tr *decision.Tree) {
-	ref := e.leases[tr]
-	if ref == nil {
-		return
-	}
-	delete(e.leases, tr)
-	ref.outstanding--
-	if ref.outstanding > 0 {
-		return
-	}
-	e.completeAsync(ref.lu, e.reportDeltaLocked())
-}
-
-// donateLocked sends surplus queued trees back to the frontier, bounded
-// by its reported demand. The trees leave the queue immediately (local
-// workers must not race the donation) but stay charged to their leases
-// until the RPC succeeds; on failure they simply return to the queue —
-// degraded to local draining, nothing lost.
-func (e *engine) donateLocked() {
-	want := e.rf.Demand()
-	if want <= 0 || len(e.queue) == 0 {
-		return
-	}
-	if want > len(e.queue) {
-		want = len(e.queue)
-	}
-	trees := make([]*decision.Tree, want)
-	copy(trees, e.queue[len(e.queue)-want:])
-	e.queue = e.queue[:len(e.queue)-want]
-	snaps := make([][]byte, len(trees))
-	for i, tr := range trees {
-		snaps[i] = tr.Snapshot()
-	}
-	e.pending.Add(1)
-	go func() {
-		defer e.pending.Done()
-		err := e.rf.Donate(snaps)
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		if err != nil {
-			e.queue = append(e.queue, trees...)
-			e.cond.Broadcast()
-			return
-		}
-		for _, tr := range trees {
-			e.owed.Add(TreeCounters(tr))
-			e.retireShareLocked(tr)
-		}
-	}()
-}
-
-// flushRemote returns every still-queued tree to the frontier as its
-// lease's remainder: requeued there as fresh units, so a graceful local
-// stop (Config.Stop, MaxExecutions, MaxTime, bug-stop) strands no work.
-// Called after the pool has drained; completions run synchronously.
-func (e *engine) flushRemote() {
-	e.mu.Lock()
-	type flush struct {
-		lu  *LeasedUnit
-		rep UnitReport
-	}
-	byRef := make(map[*leaseRef]int)
-	var outs []flush
-	for _, tr := range e.queue {
-		ref := e.leases[tr]
-		if ref == nil {
-			continue
-		}
-		delete(e.leases, tr)
-		ref.outstanding--
-		e.owed.Add(TreeCounters(tr))
-		i, ok := byRef[ref]
-		if !ok {
-			i = len(outs)
-			byRef[ref] = i
-			outs = append(outs, flush{lu: ref.lu})
-		}
-		outs[i].rep.Remainder = append(outs[i].rep.Remainder, tr.Snapshot())
-	}
-	e.queue = nil
-	if len(outs) > 0 {
-		// Attach the final stats delta to the first flushed lease; the
-		// others carry only their remainders.
-		remainder := outs[0].rep.Remainder
-		outs[0].rep = e.reportDeltaLocked()
-		outs[0].rep.Remainder = remainder
-	}
-	e.mu.Unlock()
-	for _, o := range outs {
-		e.rf.Complete(o.lu, o.rep)
-	}
 }
 
 // runUnit explores one subtree unit on w's private checker until the
@@ -855,17 +623,11 @@ func (e *engine) boundaryLocked(w *worker, tr *decision.Tree) (leave, spent bool
 	// carve unexplored branches off this unit (spilled units stay parked —
 	// reloading them costs I/O; splitting is free). With one worker nobody
 	// is ever hungry and the serial DFS order is untouched.
-	if (e.hungry > 0 || (e.rf != nil && e.rf.Demand() > 0)) && len(e.queue) == 0 {
+	if e.hungry > 0 && len(e.queue) == 0 {
 		if units := tr.Split(); len(units) > 0 {
-			e.adoptSplitLocked(tr, units)
 			e.queue = append(e.queue, units...)
 			e.cond.Broadcast()
 		}
-	}
-	// Re-donate to the cluster: local peers are fed but the frontier
-	// reports hungry workers elsewhere.
-	if e.rf != nil && e.hungry == 0 && len(e.queue) > 0 {
-		e.donateLocked()
 	}
 	// Chaos: a spurious barrier arms a checkpoint round off cadence,
 	// exercising the stop-the-world machinery under load.
@@ -923,12 +685,9 @@ func (e *engine) mergeLocked(w *worker) {
 }
 
 // finishUnitLocked accounts an exhausted unit: its decision-point counters
-// move to the engine's completed totals, and its lease share retires.
+// move to the engine's completed totals.
 func (e *engine) finishUnitLocked(tr *decision.Tree) {
 	e.total.Add(TreeCounters(tr))
-	if e.rf != nil {
-		e.retireShareLocked(tr)
-	}
 	e.unitsDone++
 	e.om.unitsFinished.Inc()
 }
@@ -1102,12 +861,6 @@ func (e *engine) finishRoundLocked() {
 
 func (e *engine) stopLocked() {
 	e.stopFlag = true
-	if e.leaseStop != nil && !e.leaseStopClosed {
-		// Unblock a worker waiting inside Frontier.Lease: it cannot see
-		// the stop flag from there.
-		e.leaseStopClosed = true
-		close(e.leaseStop)
-	}
 	e.cond.Broadcast()
 }
 

@@ -186,7 +186,6 @@ func MinimizeBugs(cfg Config, program func(*Program), bugs []Bug) {
 		return
 	}
 	cfg.fillDefaults()
-	cfg.Frontier = nil
 	progDigest, err := programDigestOf(cfg, program)
 	if err != nil {
 		return

@@ -205,6 +205,32 @@ func TestStopChannelInterrupts(t *testing.T) {
 	}
 }
 
+// TestStopRacingTheFinish: Stop may fire at any moment, including just as
+// the last worker leaves the pool. Whatever it cuts off, the checkpoint the
+// run ends with continues to the full exploration — and under -race this is
+// the check that a Stop firing after the pool has drained leaves the state
+// the run is then reading alone.
+func TestStopRacingTheFinish(t *testing.T) {
+	full, err := Run(Config{Workers: 1}, resilientClean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for delay := time.Duration(0); delay < 2*time.Millisecond; delay += 40 * time.Microsecond {
+		stop := make(chan struct{})
+		timer := time.AfterFunc(delay, func() { close(stop) })
+		cp, res, err := Continue(Config{Workers: 1, Stop: stop}, resilientClean, nil)
+		timer.Stop()
+		if err == nil && !res.Complete {
+			_, res, err = Continue(Config{Workers: 1}, resilientClean, cp)
+		}
+		// A resumed run rebuilds its prefix log, so it forks less.
+		res.PrefixForks, res.StepsSaved = full.PrefixForks, full.StepsSaved
+		if err != nil || !res.Complete || res.Counters != full.Counters {
+			t.Fatalf("stop after %v: %v, complete=%v, %+v; uninterrupted %+v", delay, err, res.Complete, res.Counters, full.Counters)
+		}
+	}
+}
+
 // TestResumeOfCompleteCheckpoint returns the stored result without
 // re-exploring.
 func TestResumeOfCompleteCheckpoint(t *testing.T) {
@@ -712,7 +738,10 @@ func TestTokenMinimization(t *testing.T) {
 
 // TestReplayRejectsBadTokens covers the token validation surface.
 func TestReplayRejectsBadTokens(t *testing.T) {
-	res, err := Run(Config{}, resilientBuggy)
+	// Serial: which witness of the bug a parallel run that stops at its
+	// first bug reports depends on which worker got there first, and not
+	// every witness diverges on the fixed program below.
+	res, err := Run(Config{Workers: 1}, resilientBuggy)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 )
 
 // spineProgram is CCEH with its seeded missing-flush bug, checked from a
-// second machine, followed on a third by a flush nobody is left to observe
+// second machine, then on a third a flush nobody is left to observe
 // (which reduction prunes) and two threads that race on a plain word —
 // last, so the race aborts nothing and every execution that gets that far
 // reports it. One run moves every counter.
@@ -226,4 +226,98 @@ func TestMetricsEqualStats(t *testing.T) {
 		t.Fatalf("second leg: %v, resumed=%v", err, res.Resumed)
 	}
 	check(t, cfg.Obs, res)
+}
+
+// invariant drops the two counters the contract on core.Stats calls
+// schedule-dependent: a run that adopts a unit starts without a prefix log.
+func invariant(c core.Counters) core.Counters { c.PrefixForks, c.StepsSaved = 0, 0; return c }
+
+// TestContinueRoundTrip: Continue is the checkpoint round trip without the
+// file. Chained calls that each stop after seven more executions and hand
+// their checkpoint to the next reach the uninterrupted run's counters —
+// decision points included — and bug set, serial and parallel; and at one cut
+// the checkpoint Continue returns and the file Run writes are the same
+// frontier, each finishing under the other.
+func TestContinueRoundTrip(t *testing.T) {
+	full, err := core.Run(spineConfig(), spineProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAsFull := func(t *testing.T, what string, res *core.Result) {
+		t.Helper()
+		if !res.Complete || invariant(res.Counters) != invariant(full.Counters) ||
+			!reflect.DeepEqual(bugSet(res.Bugs), bugSet(full.Bugs)) {
+			t.Fatalf("%s: complete=%v %+v %v\n  uninterrupted: %+v %v",
+				what, res.Complete, res.Counters, bugSet(res.Bugs), full.Counters, bugSet(full.Bugs))
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		cfg := spineConfig()
+		cfg.Workers = workers
+		var cp *core.Checkpoint
+		for calls := 1; ; calls++ {
+			cfg.MaxExecutions += 7 // the budget is cumulative, like the count
+			next, res, err := core.Continue(cfg, spineProgram, cp)
+			if err != nil {
+				t.Fatalf("workers=%d call %d: %v", workers, calls, err)
+			}
+			if res.Resumed != (cp != nil) {
+				t.Fatalf("workers=%d call %d: Resumed=%v", workers, calls, res.Resumed)
+			}
+			cp = next
+			tally, _ := cp.Totals()
+			if res.Complete {
+				sameAsFull(t, "chained Continue", res)
+				if !cp.Complete || len(cp.Units) != 0 || tally.Counters != res.Counters {
+					t.Fatalf("workers=%d: final checkpoint complete=%v, %d units, totals %+v; result %+v",
+						workers, cp.Complete, len(cp.Units), tally.Counters, res.Counters)
+				}
+				break
+			}
+			if res.Executions != cfg.MaxExecutions || tally.Executions != res.Executions || len(cp.Units) == 0 {
+				t.Fatalf("workers=%d call %d: stopped at %d executions (budget %d), checkpoint has %d and %d units",
+					workers, calls, res.Executions, cfg.MaxExecutions, tally.Executions, len(cp.Units))
+			}
+			if calls > full.Executions {
+				t.Fatalf("workers=%d: still incomplete after %d calls", workers, calls)
+			}
+		}
+	}
+
+	cfg := spineConfig()
+	cfg.MaxExecutions = 20
+	mem, _, err := core.Continue(cfg, spineProgram, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.CheckpointPath = filepath.Join(t.TempDir(), "disk.ck")
+	if _, err := core.Run(cfg, spineProgram); err != nil {
+		t.Fatal(err)
+	}
+	disk, err := core.LoadCheckpoint(cfg.CheckpointPath, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memT, _ := mem.Totals()
+	diskT, _ := disk.Totals()
+	if !reflect.DeepEqual(mem.Units, disk.Units) || memT.Counters != diskT.Counters ||
+		!reflect.DeepEqual(bugSet(memT.Bugs), bugSet(diskT.Bugs)) {
+		t.Fatalf("same cut, different checkpoints:\n memory %+v %d units\n   disk %+v %d units",
+			memT.Counters, len(mem.Units), diskT.Counters, len(disk.Units))
+	}
+	_, fromDisk, err := core.Continue(spineConfig(), spineProgram, disk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAsFull(t, "Run's file continued in memory", fromDisk)
+	cfg = spineConfig()
+	cfg.CheckpointPath = filepath.Join(t.TempDir(), "mem.ck")
+	if err := core.WriteCheckpoint(cfg.CheckpointPath, mem, nil); err != nil {
+		t.Fatal(err)
+	}
+	fromMem, err := core.Run(cfg, spineProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAsFull(t, "Continue's checkpoint resumed from a file", fromMem)
 }

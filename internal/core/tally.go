@@ -62,8 +62,7 @@ func (t *Tally) Fold(o Tally) {
 }
 
 // mark is a consumer's watermark into a Tally it drains incrementally: the
-// engine keeps one per worker checker (what it has merged) and one over its
-// own total (what it has reported to the frontier).
+// engine keeps one per worker checker (what it has merged).
 type mark struct {
 	Counters
 	bugs int

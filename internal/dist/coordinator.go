@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"sync"
 	"time"
@@ -27,7 +26,8 @@ type CoordinatorConfig struct {
 	// Addr is the listen address (":0" picks a free port; see Addr).
 	Addr string
 	// LeaseTTL bounds how long a worker may sit on a work unit without
-	// renewing; 0 means 5s. Expired leases are reclaimed and re-issued.
+	// renewing; 0 means core.DefaultLeaseTTL. Expired leases are reclaimed
+	// and re-issued.
 	LeaseTTL time.Duration
 	// CheckpointPath, when set, persists the frontier in the version-2
 	// checkpoint format: SIGKILL-ing the coordinator mid-run loses at
@@ -46,16 +46,16 @@ type CoordinatorConfig struct {
 	Stop <-chan struct{}
 }
 
-// Coordinator owns the distributed frontier and serves the worker API:
-// /v1/join, /v1/lease, /v1/renew, /v1/complete, /v1/donate, plus
-// /metrics (Prometheus text) and /statusz (JSON) for observability.
+// Coordinator owns the distributed frontier and serves the worker API —
+// /v1/join, /v1/lease, /v1/renew, /v1/complete — on the status server every
+// cxlmc process has: /metrics (Prometheus text), /statusz (JSON) and
+// /debug/pprof come with it.
 type Coordinator struct {
 	cfg        CoordinatorConfig
 	cfgDigest  string
 	progDigest string
 	f          *core.MemFrontier
-	ln         net.Listener
-	srv        *http.Server
+	srv        *obs.Server
 	reg        *obs.Registry
 	tracer     *obs.Tracer
 	start      time.Time
@@ -73,8 +73,9 @@ type Coordinator struct {
 	// units: the exploration is already complete and Wait returns at once
 	// (the frontier itself never reports Done without having held units).
 	emptySeed bool
-	// starved tracks workers whose lease ask recently came up empty;
-	// its size is the donation demand broadcast to busy workers.
+	// starved tracks workers whose lease ask recently came up empty: busy
+	// workers are told of them on renew and yield, and the remainders they
+	// return are split until everyone can be fed.
 	starved map[string]time.Time
 	idem    *idemCache
 
@@ -92,7 +93,7 @@ type Coordinator struct {
 }
 
 // starvedWindow is how long an empty lease response marks its worker as
-// hungry for donation purposes.
+// hungry.
 const starvedWindow = 2 * time.Second
 
 // stopLinger is how long the coordinator keeps answering (with Stop or
@@ -108,7 +109,7 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		return nil, fmt.Errorf("dist: nil program")
 	}
 	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = 5 * time.Second
+		cfg.LeaseTTL = core.DefaultLeaseTTL
 	}
 	if cfg.CheckpointInterval <= 0 {
 		cfg.CheckpointInterval = 2 * time.Second
@@ -137,7 +138,7 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c.mRPCRetries = c.reg.Counter("cxlmc_rpc_retries_total", "transport retries reported by workers")
 	c.mCompletes = c.reg.Counter("cxlmc_lease_completions_total", "work units completed by workers")
 	c.mGrants = c.reg.Counter("cxlmc_lease_grants_total", "work-unit leases granted")
-	c.mDonated = c.reg.Counter("cxlmc_units_donated_total", "surplus work units donated back by workers")
+	c.mDonated = c.reg.Counter("cxlmc_units_donated_total", "unexplored work units returned by workers completing a lease early")
 	c.mQuarantines = c.reg.Counter("cxlmc_checkpoint_quarantines_total", "corrupt checkpoints quarantined at startup")
 
 	units, inherited, err := c.seedUnits()
@@ -150,14 +151,15 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}, units)
 	c.f.Credit(inherited)
 
-	ln, err := net.Listen("tcp", cfg.Addr)
+	c.srv, err = obs.NewServerRoutes(cfg.Addr, c.reg, func() any { return c.statusz() },
+		obs.Route{Pattern: "POST /v1/join", Handler: c.withChaos(c.handleJoin)},
+		obs.Route{Pattern: "POST /v1/lease", Handler: c.withChaos(c.handleLease)},
+		obs.Route{Pattern: "POST /v1/renew", Handler: c.withChaos(c.handleRenew)},
+		obs.Route{Pattern: "POST /v1/complete", Handler: c.withChaos(c.handleComplete)})
 	if err != nil {
 		c.f.Close()
-		return nil, fmt.Errorf("dist: listening on %s: %w", cfg.Addr, err)
+		return nil, fmt.Errorf("dist: %w", err)
 	}
-	c.ln = ln
-	c.srv = &http.Server{Handler: c.mux()}
-	go c.srv.Serve(ln)
 	go c.checkpointLoop()
 	return c, nil
 }
@@ -184,10 +186,6 @@ func (c *Coordinator) seedUnits() (units [][]byte, inherited core.Tally, err err
 	c.prior = r.Elapsed
 	c.resumed = true
 	for _, tr := range r.Units {
-		// Remote workers baseline a leased unit's embedded points away and
-		// report net-new only, so the frontier is credited with them once,
-		// here; writeCheckpoint takes them back out.
-		inherited.Add(core.TreeCounters(tr))
 		units = append(units, tr.Snapshot())
 	}
 	// Nothing left: Wait finishes immediately with the checkpointed
@@ -221,25 +219,7 @@ func (c *Coordinator) onLeaseEvent(class string, unit, epoch uint64) {
 }
 
 // Addr returns the bound "host:port" address.
-func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
-
-func (c *Coordinator) mux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/join", c.withChaos(c.handleJoin))
-	mux.HandleFunc("/v1/lease", c.withChaos(c.handleLease))
-	mux.HandleFunc("/v1/renew", c.withChaos(c.handleRenew))
-	mux.HandleFunc("/v1/complete", c.withChaos(c.handleComplete))
-	mux.HandleFunc("/v1/donate", c.withChaos(c.handleDonate))
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		c.reg.WritePrometheus(w)
-	})
-	mux.HandleFunc("/statusz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(c.statusz())
-	})
-	return mux
-}
+func (c *Coordinator) Addr() string { return c.srv.Addr() }
 
 // withChaos wraps a handler with server-side fault injection: a chaos
 // 5xx makes the coordinator answer 503 without processing the request,
@@ -333,16 +313,22 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// wanted returns the current donation demand (workers recently starved
-// for units). Caller must hold c.mu.
-func (c *Coordinator) wantedLocked() int {
+// unfed returns how many workers recently asked for a unit, got none, and
+// will not find one queued when they ask again.
+func (c *Coordinator) unfed() int {
+	_, queued, _ := c.f.Progress()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	now := time.Now()
 	for wk, t := range c.starved {
 		if now.Sub(t) > starvedWindow {
 			delete(c.starved, wk)
 		}
 	}
-	return len(c.starved)
+	if n := len(c.starved) - queued; n > 0 {
+		return n
+	}
+	return 0
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -372,12 +358,11 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		resp.Done = true
 	default:
 		// Nothing free right now but leases are outstanding: mark this
-		// worker starved (its hunger becomes donation demand) and have it
-		// ask again shortly.
+		// worker starved (the holders hear of it on renew) and have it ask
+		// again shortly.
 		c.starved[req.Worker] = time.Now()
 		resp.WaitMs = 25
 	}
-	resp.Wanted = c.wantedLocked()
 	c.mu.Unlock()
 	c.reply(w, req.ReqID, resp)
 }
@@ -396,11 +381,24 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 			resp.StaleIDs = append(resp.StaleIDs, l.ID)
 		}
 	}
+	resp.Wanted = c.unfed()
 	c.mu.Lock()
 	resp.Stop = c.stopFlag
-	resp.Wanted = c.wantedLocked()
 	c.mu.Unlock()
 	c.reply(w, req.ReqID, resp)
+}
+
+// restoreUnits decodes unit snapshots; one that does not decode fails them
+// all.
+func restoreUnits(snaps [][]byte) ([]*decision.Tree, error) {
+	trees := make([]*decision.Tree, len(snaps))
+	for i, raw := range snaps {
+		trees[i] = decision.NewTree()
+		if err := trees[i].Restore(raw); err != nil {
+			return nil, fmt.Errorf("unit %d of %d: %w", i+1, len(snaps), err)
+		}
+	}
+	return trees, nil
 }
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
@@ -411,12 +409,40 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if c.replayed(w, req.ReqID) {
 		return
 	}
-	stale := c.f.CompleteReport(req.UnitID, req.Epoch, req.Report)
+	// A returned snapshot nobody can restore would fail whichever worker
+	// leased it next: every one decodes or nothing is applied, and the lease
+	// stays out for its holder to retry or the janitor to reclaim.
+	trees, err := restoreUnits(req.Report.Remainder)
+	if err != nil {
+		http.Error(w, fmt.Sprintf("bad request: remainder %v", err), http.StatusBadRequest)
+		return
+	}
+	returned := len(trees)
+	if returned > 0 {
+		// Feed the waiting, and the worker that just made room for them:
+		// split what came back until there is a unit for each, or nothing
+		// splits further.
+		want := c.unfed() + 1
+		for i := 0; i < len(trees) && len(trees) < want; {
+			if kids := trees[i].Split(); len(kids) > 0 {
+				trees = append(trees, kids...)
+			} else {
+				i++
+			}
+		}
+		if len(trees) > returned {
+			req.Report.Remainder = req.Report.Remainder[:0]
+			for _, tr := range trees {
+				req.Report.Remainder = append(req.Report.Remainder, tr.Snapshot())
+			}
+		}
+	}
 	var resp completeResponse
-	resp.Stale = stale
+	resp.Stale = c.f.CompleteReport(req.UnitID, req.Epoch, req.Report)
 	c.mu.Lock()
-	if !stale {
+	if !resp.Stale {
 		c.mRPCRetries.Add(int64(req.Report.RPCRetries))
+		c.mDonated.Add(int64(returned))
 		if len(req.Report.Bugs) > 0 && !c.cfg.Check.ContinueAfterBug {
 			// Mirror the single-process engine: first bug stops the run.
 			c.stopFlag = true
@@ -424,25 +450,6 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp.Stop = c.stopFlag
-	resp.Wanted = c.wantedLocked()
-	c.mu.Unlock()
-	c.reply(w, req.ReqID, resp)
-}
-
-func (c *Coordinator) handleDonate(w http.ResponseWriter, r *http.Request) {
-	var req donateRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if c.replayed(w, req.ReqID) {
-		return
-	}
-	c.f.Add(req.Units)
-	c.mDonated.Add(int64(len(req.Units)))
-	var resp donateResponse
-	c.mu.Lock()
-	resp.Stop = c.stopFlag
-	resp.Wanted = c.wantedLocked()
 	c.mu.Unlock()
 	c.reply(w, req.ReqID, resp)
 }
@@ -470,21 +477,12 @@ func (c *Coordinator) checkpointLoop() {
 }
 
 // writeCheckpoint persists the current frontier in the single-process
-// checkpoint format. Outstanding units keep their embedded
-// decision-point counts, so the totals written here are the frontier's
-// MINUS those embedded counts — a resume (by a coordinator or a plain
-// single-process run) sums them back to exactly the same totals. Tally and
-// units come from one locked read, so a completion can never fall between
-// them.
+// checkpoint format. The frontier's tally is the sum of the workers' final
+// checkpoints' totals, so like those it excludes the points the outstanding
+// units embed — exactly what the format asks for. Tally and units come from
+// one locked read, so a completion can never fall between them.
 func (c *Coordinator) writeCheckpoint(complete bool) error {
 	t, units := c.f.Outstanding()
-	for _, raw := range units {
-		tr := decision.NewTree()
-		if err := tr.Restore(raw); err != nil {
-			continue
-		}
-		t.Counters = t.Sub(core.TreeCounters(tr))
-	}
 	c.mu.Lock()
 	cp := core.NewCheckpoint(c.cfg.Check.Seed, c.cfgDigest, c.progDigest, units,
 		t, c.res, c.prior+time.Since(c.start), complete, c.interrupted)
@@ -523,7 +521,7 @@ func (c *Coordinator) Wait(stop <-chan struct{}) (*core.Result, error) {
 		c.mu.Unlock()
 		if stopping {
 			// Stopping: wait for outstanding leases to resolve (complete,
-			// flush, or expire and be reclaimed) so the final checkpoint
+			// or expire and be reclaimed) so the final checkpoint
 			// holds every unexplored unit.
 			if _, _, leased := c.f.Progress(); leased == 0 {
 				break
@@ -539,7 +537,14 @@ func (c *Coordinator) Wait(stop <-chan struct{}) (*core.Result, error) {
 	// their give-up timer fires.
 	time.Sleep(stopLinger)
 	c.srv.Close()
-	t, _, _ := c.f.Progress()
+	t, units := c.f.Outstanding()
+	// Like the engine's result, Stats counts the points of the units a
+	// stopped run leaves unexplored. (Every unit in the frontier decodes:
+	// ResumeCheckpoint and handleComplete let no other in.)
+	left, _ := restoreUnits(units)
+	for _, tr := range left {
+		t.Add(core.TreeCounters(tr))
+	}
 	fs := c.f.Stats()
 	c.f.Close()
 	c.mu.Lock()

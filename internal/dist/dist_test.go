@@ -2,14 +2,18 @@ package dist
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -112,6 +116,34 @@ func assertParity(t *testing.T, label string, res, base *core.Result) {
 	if got, want := distinctBugs(res.Bugs), distinctBugs(base.Bugs); !equal(got, want) {
 		t.Fatalf("%s: bug set %v != baseline %v", label, got, want)
 	}
+}
+
+// tap stands between one worker and the coordinator at addr. While refuse
+// (when non-nil) returns true for a call's path the call is answered 503
+// and not forwarded — a partition, as that worker sees it; see is shown
+// every forwarded call with its response before the worker is. It returns
+// the address the worker should join.
+func tap(t *testing.T, addr string, refuse func(path string) bool, see func(path string, req, resp []byte)) string {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		req, _ := io.ReadAll(r.Body)
+		if refuse != nil && refuse(r.URL.Path) {
+			http.Error(w, "tap: refused", http.StatusServiceUnavailable)
+			return
+		}
+		res, err := http.Post("http://"+addr+r.URL.Path, "application/json", bytes.NewReader(req))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer res.Body.Close()
+		resp, _ := io.ReadAll(res.Body)
+		see(r.URL.Path, req, resp)
+		w.WriteHeader(res.StatusCode)
+		w.Write(resp)
+	}))
+	t.Cleanup(srv.Close)
+	return srv.URL
 }
 
 // TestTransportRetriesTransientFaults: 5xx and connection failures are
@@ -238,16 +270,19 @@ func TestDistDigestMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestDistAbandonedLeaseReclaim is the crashed-worker story end to end:
-// a fake worker joins, leases the only unit and dies silently. The
-// coordinator reclaims the lease after the TTL, a real worker finishes
-// the exploration, the dead worker's late completion is rejected as
-// stale, and the global result still matches the single-process
-// baseline exactly — LeaseReclaims and StaleCompletions record the
-// recovery.
+// TestDistAbandonedLeaseReclaim is the lost-worker story end to end. A
+// worker leases the only unit and is then partitioned away — it keeps
+// exploring, but its renewals stop arriving. The coordinator reclaims the
+// lease after the TTL and a healthy worker takes the unit over. When the
+// partition heals the victim's next renewal is answered stale, and it
+// abandons the unit within one execution boundary instead of exploring to the
+// end a lease whose completion will be rejected; that completion, and a
+// replay of it much later, are rejected as stale, and the global result still
+// matches the single-process baseline exactly — LeaseReclaims and
+// StaleCompletions record the recovery.
 func TestDistAbandonedLeaseReclaim(t *testing.T) {
 	check := core.Config{ContinueAfterBug: true}
-	prog := ccehProgram(8)
+	prog := ccehProgram(32)
 	base, err := core.Run(check, prog)
 	if err != nil {
 		t.Fatal(err)
@@ -261,58 +296,271 @@ func TestDistAbandonedLeaseReclaim(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The fake worker: join, lease, crash (never renew, never complete).
-	tr := NewTransport(c.Addr(), TransportConfig{})
-	cfgDigest, progDigest, err := core.ExplorationDigests(check, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var jr joinResponse
-	if err := tr.Call("/v1/join", joinRequest{Worker: "crasher", Seed: 0, ConfigDigest: cfgDigest, ProgramDigest: progDigest}, &jr); err != nil {
-		t.Fatal(err)
-	}
-	var lr leaseResponse
-	if err := tr.Call("/v1/lease", leaseRequest{Worker: "crasher", ReqID: "crasher-lease-1"}, &lr); err != nil {
-		t.Fatal(err)
-	}
-	if lr.Unit == nil {
-		t.Fatal("fake worker got no lease")
-	}
-
-	// A healthy worker arrives; it can only make progress once the dead
-	// worker's lease is reclaimed and re-issued.
-	done := make(chan error, 1)
+	// The victim's view of the wire: renewals are cut until the partition
+	// heals; its first lease, what it had executed when the coordinator told
+	// it that lease was stale, and its completion of it are recorded.
+	var (
+		partitioned atomic.Bool
+		mu          sync.Mutex
+		first       *wireUnit
+		atStale     = -1
+		abandoned   *completeRequest
+	)
+	partitioned.Store(true)
+	reg := obs.NewRegistry()
+	viaTap := tap(t, c.Addr(),
+		func(path string) bool { return path == "/v1/renew" && partitioned.Load() },
+		func(path string, req, resp []byte) {
+			mu.Lock()
+			defer mu.Unlock()
+			switch path {
+			case "/v1/lease":
+				var lr leaseResponse
+				if first == nil && json.Unmarshal(resp, &lr) == nil {
+					first = lr.Unit
+				}
+			case "/v1/renew":
+				var rr renewResponse
+				if atStale < 0 && json.Unmarshal(resp, &rr) == nil && len(rr.StaleIDs) > 0 {
+					atStale = int(reg.Snapshot()["cxlmc_executions_total"])
+				}
+			case "/v1/complete":
+				var cr completeRequest
+				if abandoned == nil && first != nil && json.Unmarshal(req, &cr) == nil &&
+					cr.UnitID == first.ID && cr.Epoch == first.Epoch {
+					abandoned = &cr
+				}
+			}
+		})
+	// One engine worker, slowed to 200ms an execution while the story plays
+	// out, so "one boundary" is one execution and relaying the stale answer
+	// (tens of milliseconds when every goroutine shares one P) takes no time
+	// by comparison.
+	victim := check
+	victim.Workers = 1
+	victim.Obs = reg
+	victim.Chaos = chaos.New(chaos.Config{StallPct: 100, StallDur: 200 * time.Millisecond, MaxFaults: 8})
+	done := make(chan error, 2)
 	go func() {
 		_, err := RunWorker(WorkerConfig{
-			Check: check, Program: prog,
+			Check: victim, Program: prog, Coordinator: viaTap, Name: "victim",
+			Transport: TransportConfig{Attempts: 1}, // a cut renewal fails at once
+		})
+		done <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatal(what)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	waitFor("the victim never leased the tree", func() bool { mu.Lock(); defer mu.Unlock(); return first != nil })
+	// A healthy worker arrives; it can only make progress once the
+	// victim's lease is reclaimed and re-issued. (At 2ms an execution it
+	// cannot finish the run before the victim has been heard from again.)
+	healthy := check
+	healthy.Chaos = chaos.New(chaos.Config{StallPct: 100, StallDur: 2 * time.Millisecond})
+	go func() {
+		_, err := RunWorker(WorkerConfig{
+			Check: healthy, Program: prog,
 			Coordinator: c.Addr(), Name: "healthy",
 		})
 		done <- err
 	}()
+	waitFor("the partitioned worker's lease was never reclaimed", func() bool { return c.f.Stats().Reclaims > 0 })
+	partitioned.Store(false)
 
 	res, err := c.Wait(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if werr := <-done; werr != nil {
-		t.Fatalf("healthy worker: %v", werr)
+	for i := 0; i < 2; i++ {
+		if werr := <-done; werr != nil {
+			t.Fatalf("worker: %v", werr)
+		}
 	}
-	assertParity(t, "post-crash", res, base)
-	if res.LeaseReclaims < 1 {
-		t.Fatalf("LeaseReclaims = %d, want >= 1", res.LeaseReclaims)
+	assertParity(t, "post-reclaim", res, base)
+	if res.LeaseReclaims < 1 || res.StaleCompletions < 1 {
+		t.Fatalf("LeaseReclaims = %d, StaleCompletions = %d, want >= 1 each", res.LeaseReclaims, res.StaleCompletions)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if atStale < 0 || abandoned == nil {
+		t.Fatalf("the victim was told of the stale lease: %v; completed it: %v", atStale >= 0, abandoned != nil)
+	}
+	if after := abandoned.Report.Executions - atStale; after > 1 || len(abandoned.Report.Remainder) == 0 {
+		t.Fatalf("told its lease was stale, the victim ran %d more executions and returned %d units; want at most 1 and the unexplored rest",
+			after, len(abandoned.Report.Remainder))
 	}
 
-	// The crasher rises from the dead: its completion must be rejected
-	// (the coordinator lingers briefly after the run for exactly this
-	// kind of straggler).
+	// The victim's completion arrives once more, long after the fact (the
+	// coordinator lingers briefly after the run for exactly this kind of
+	// straggler): still rejected.
 	var cr completeResponse
-	err = tr.Call("/v1/complete", completeRequest{
-		Worker: "crasher", ReqID: "crasher-complete-1",
-		UnitID: lr.Unit.ID, Epoch: lr.Unit.Epoch,
-		Report: core.UnitReport{Tally: core.Tally{Counters: core.Counters{Executions: 999999}}},
-	}, &cr)
+	abandoned.ReqID = "victim-complete-again"
+	err = NewTransport(c.Addr(), TransportConfig{}).Call("/v1/complete", abandoned, &cr)
 	if err == nil && !cr.Stale {
-		t.Fatal("stale completion from the dead worker was accepted")
+		t.Fatal("stale completion from the reclaimed lease was accepted")
+	}
+}
+
+// TestDistBadRemainderRejected: a completion whose remainder does not decode
+// is refused whole — 400, nothing requeued, nothing tallied, the lease still
+// out — instead of parking a unit in the frontier that fails whichever worker
+// leases it next. The holder's proper completion then goes through and the
+// run finishes to the serial totals.
+func TestDistBadRemainderRejected(t *testing.T) {
+	check := core.Config{ContinueAfterBug: true}
+	prog := ccehProgram(8)
+	base, err := core.Run(check, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := StartCoordinator(CoordinatorConfig{Check: check, Program: prog, Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTransport(c.Addr(), TransportConfig{})
+	var lr leaseResponse
+	if err := tr.Call("/v1/lease", leaseRequest{Worker: "mangler", ReqID: "mangler-lease-1"}, &lr); err != nil || lr.Unit == nil {
+		t.Fatalf("lease: %v, unit %v", err, lr.Unit)
+	}
+	flipped := append([]byte(nil), lr.Unit.Snapshot...)
+	flipped[0] ^= 0x01
+	complete := func(reqID string, remainder ...[]byte) error {
+		return tr.Call("/v1/complete", completeRequest{
+			Worker: "mangler", ReqID: reqID, UnitID: lr.Unit.ID, Epoch: lr.Unit.Epoch,
+			Report: core.UnitReport{Tally: core.Tally{Counters: core.Counters{Executions: 5}}, Remainder: remainder},
+		}, nil)
+	}
+	if err := complete("mangler-complete-1", lr.Unit.Snapshot, flipped); !IsRejected(err) {
+		t.Fatalf("a bit-flipped remainder was answered %v, want a 4xx rejection", err)
+	}
+	added, done := c.f.UnitCounts()
+	tally, queued, leased := c.f.Progress()
+	if added != 1 || done != 0 || tally.Executions != 0 || queued != 0 || leased != 1 {
+		t.Fatalf("after the rejected completion: %d added, %d done, %d executions, %d queued, %d leased; want 1 0 0 0 1",
+			added, done, tally.Executions, queued, leased)
+	}
+	if err := complete("mangler-complete-2", lr.Unit.Snapshot); err != nil {
+		t.Fatal(err)
+	}
+	go RunWorker(WorkerConfig{Check: check, Program: prog, Coordinator: c.Addr(), Name: "finisher"})
+	res, err := c.Wait(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.Executions += 5 // the mangler's claimed five, taken at its word
+	assertParity(t, "after a rejected remainder", res, base)
+}
+
+// TestWorkerYieldsOnDemand: donation is completing early. With two workers
+// and one unit, the second starves, the first hears of it on its next
+// renewal, stops at an execution boundary and returns what is left, and the
+// coordinator splits that for both — over and over, since the leases are
+// short. Units come back (cxlmc_units_donated_total), none is lost, no report
+// carries a negative counter, and totals and bugs equal the serial run's,
+// every token replaying.
+func TestWorkerYieldsOnDemand(t *testing.T) {
+	check := core.Config{ContinueAfterBug: true}
+	prog := ccehProgram(32)
+	base, err := core.Run(check, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := StartCoordinator(CoordinatorConfig{
+		Check: check, Program: prog, Addr: "127.0.0.1:0",
+		LeaseTTL: 60 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var negative []string
+	viaTap := tap(t, c.Addr(), nil, func(path string, req, _ []byte) {
+		var cr completeRequest
+		if path != "/v1/complete" || json.Unmarshal(req, &cr) != nil {
+			return
+		}
+		counters := reflect.ValueOf(cr.Report.Counters)
+		for i := 0; i < counters.NumField(); i++ {
+			if counters.Field(i).Int() < 0 {
+				mu.Lock()
+				negative = append(negative, fmt.Sprintf("%s: %s = %d", cr.ReqID, counters.Type().Field(i).Name, counters.Field(i).Int()))
+				mu.Unlock()
+			}
+		}
+	})
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := RunWorker(WorkerConfig{
+				Check: check, Program: prog, Coordinator: viaTap, Name: fmt.Sprintf("w%d", i),
+			}); err != nil {
+				t.Errorf("worker %d: %v", i, err)
+			}
+		}(i)
+	}
+	res, err := c.Wait(nil)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertParity(t, "yielding", res, base)
+	if res.Steps != base.Steps {
+		t.Fatalf("steps %d != serial run's %d", res.Steps, base.Steps)
+	}
+	if donated := c.Registry().Snapshot()["cxlmc_units_donated_total"]; donated == 0 {
+		t.Fatal("no worker ever returned a remainder: nothing was donated")
+	}
+	if added, done := c.f.UnitCounts(); added != done {
+		t.Fatalf("%d units added but %d completed — work lost or duplicated", added, done)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(negative) > 0 {
+		t.Fatalf("reports with negative counters: %v", negative)
+	}
+	for _, b := range res.Bugs {
+		if rr, err := core.Replay(b.ReproToken, core.Config{}, prog); err != nil || !rr.Buggy() {
+			t.Fatalf("token of %q does not replay to a bug: %v", b.Message, err)
+		}
+	}
+}
+
+// TestCoordinatorStatusSurface: the coordinator's address is a cxlmc status
+// server like any other — /metrics, /statusz and pprof answer next to the
+// worker API.
+func TestCoordinatorStatusSurface(t *testing.T) {
+	c, err := StartCoordinator(CoordinatorConfig{Check: core.Config{}, Program: fixture(2), Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		stop := make(chan struct{})
+		close(stop)
+		c.Wait(stop)
+	}()
+	for path, want := range map[string]string{
+		"/metrics":      "cxlmc_lease_active",
+		"/statusz":      `"coordinator"`,
+		"/debug/pprof/": "goroutine",
+	} {
+		res, err := http.Get("http://" + c.Addr() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(res.Body)
+		res.Body.Close()
+		if res.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
+			t.Fatalf("GET %s: %d, body lacks %q:\n%.300s", path, res.StatusCode, want, body)
+		}
 	}
 }
 
@@ -328,18 +576,37 @@ func TestDistIdempotentRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := NewTransport(c.Addr(), TransportConfig{})
-	_, snap := c.f.Outstanding()
 
-	addedBefore, _ := c.f.UnitCounts()
-	var dr donateResponse
+	// Three deliveries of one lease request grant one lease...
+	var lr leaseResponse
 	for i := 0; i < 3; i++ {
-		if err := tr.Call("/v1/donate", donateRequest{Worker: "w", ReqID: "dup-donate-1", Units: snap}, &dr); err != nil {
+		if err := tr.Call("/v1/lease", leaseRequest{Worker: "w", ReqID: "dup-lease-1"}, &lr); err != nil {
 			t.Fatal(err)
 		}
+		if lr.Unit == nil {
+			t.Fatalf("delivery %d of the lease request got no unit", i+1)
+		}
 	}
-	addedAfter, _ := c.f.UnitCounts()
-	if addedAfter != addedBefore+1 {
-		t.Fatalf("3 deliveries of one donate added %d units, want 1", addedAfter-addedBefore)
+	if grants := c.Registry().Snapshot()["cxlmc_lease_grants_total"]; grants != 1 {
+		t.Fatalf("3 deliveries of one lease request granted %v leases, want 1", grants)
+	}
+	// ...and three of its completion requeue the remainder once.
+	addedBefore, _ := c.f.UnitCounts()
+	var cr completeResponse
+	for i := 0; i < 3; i++ {
+		if err := tr.Call("/v1/complete", completeRequest{
+			Worker: "w", ReqID: "dup-complete-1", UnitID: lr.Unit.ID, Epoch: lr.Unit.Epoch,
+			Report: core.UnitReport{Remainder: [][]byte{lr.Unit.Snapshot}},
+		}, &cr); err != nil {
+			t.Fatal(err)
+		}
+		if cr.Stale {
+			t.Fatalf("delivery %d of the completion was answered stale, not replayed", i+1)
+		}
+	}
+	addedAfter, done := c.f.UnitCounts()
+	if addedAfter != addedBefore+1 || done != 1 {
+		t.Fatalf("3 deliveries of one completion: %d units added, %d done; want 1 and 1", addedAfter-addedBefore, done)
 	}
 
 	stop := make(chan struct{})

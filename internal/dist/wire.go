@@ -1,8 +1,11 @@
 // Package dist implements fault-tolerant distributed exploration: an
 // HTTP coordinator that owns the frontier of subtree work units, and
-// worker processes that lease units from it, explore them with the core
-// engine's local pool, stream back stats and bugs, and re-donate splits
-// when the cluster is hungry.
+// worker processes that lease units from it one at a time. A lease is a
+// checkpoint: the worker resumes a one-unit checkpoint as an ordinary run
+// (core.Continue) and reports what that run's final checkpoint holds — its
+// totals, and as remainder whatever it left unexplored. A worker asked to
+// make room for hungry peers simply stops early; the coordinator splits the
+// remainder it gets back.
 //
 // The robustness model follows the lease/ownership-recovery idiom of
 // disaggregated-memory systems: every lease carries a deadline and an
@@ -13,7 +16,7 @@
 // retry, exponential backoff with jitter and per-call timeouts, so
 // transient network faults (which internal/chaos can inject: drops,
 // delays, duplicates, partitions, 5xx) never kill a run; a worker that
-// cannot reach the coordinator degrades to draining its local queue.
+// cannot reach the coordinator keeps exploring the unit it holds.
 // The coordinator checkpoints its frontier in the same version-2 format
 // single-process runs use, so a SIGKILL'd coordinator resumes losslessly
 // — and a single-process run can even resume a coordinator's checkpoint.
@@ -66,8 +69,6 @@ type leaseResponse struct {
 	// Stop reports the coordinator is halting the run (bug found without
 	// ContinueAfterBug, or operator stop); workers drain and exit.
 	Stop bool `json:"stop,omitempty"`
-	// Wanted is how many units the coordinator would like donated.
-	Wanted int `json:"wanted,omitempty"`
 	// WaitMs suggests how long to wait before asking again when no unit
 	// was available.
 	WaitMs int64 `json:"wait_ms,omitempty"`
@@ -85,9 +86,8 @@ type completeResponse struct {
 	// Stale reports the completion was rejected: the unit's lease had
 	// expired and was re-issued under a newer epoch. Harmless — the
 	// re-execution's results are the authoritative ones.
-	Stale  bool `json:"stale,omitempty"`
-	Stop   bool `json:"stop,omitempty"`
-	Wanted int  `json:"wanted,omitempty"`
+	Stale bool `json:"stale,omitempty"`
+	Stop  bool `json:"stop,omitempty"`
 }
 
 type renewRequest struct {
@@ -103,20 +103,12 @@ type wireLease struct {
 
 type renewResponse struct {
 	// StaleIDs lists leases that could not be renewed (reclaimed and
-	// re-issued); the worker stops renewing them and its eventual
-	// completions for them will be rejected.
+	// re-issued); the worker abandons them, and its completions for them
+	// will be rejected.
 	StaleIDs []uint64 `json:"stale_ids,omitempty"`
 	Stop     bool     `json:"stop,omitempty"`
-	Wanted   int      `json:"wanted,omitempty"`
-}
-
-type donateRequest struct {
-	Worker string   `json:"worker"`
-	ReqID  string   `json:"req_id"`
-	Units  [][]byte `json:"units"`
-}
-
-type donateResponse struct {
-	Stop   bool `json:"stop,omitempty"`
-	Wanted int  `json:"wanted,omitempty"`
+	// Wanted is how many workers are waiting for a unit the queue cannot
+	// give them. A holder that sees it above zero completes its lease
+	// early, and the coordinator splits the remainder it returns.
+	Wanted int `json:"wanted,omitempty"`
 }
