@@ -9,7 +9,7 @@
 //	      [-workers 0] [-cpuprofile file] [-memprofile file]
 //	      [-checkpoint file] [-checkpoint-every N] [-checkpoint-interval d]
 //	      [-wedge-timeout d] [-replay token]
-//	      [-mem-budget bytes] [-spill-dir dir] [-max-events N]
+//	      [-mem-budget bytes] [-governor-every N] [-max-events N]
 //	      [-reduction on|off] [-prefix-fork on|off] [-race-detect on|off]
 //	      [-chaos] [-chaos-seed N]
 //	      [-metrics-addr host:port] [-progress d] [-event-log file]
@@ -19,7 +19,8 @@
 //	cxlmc -vet -bench NAME | -vet -check file.go
 //	cxlmc -stress N [-seed 0] [-chaos]
 //	cxlmc -jobserver addr -jobs-dir dir [-job-workers 2] [-queue-depth 32]
-//	cxlmc submit -addr host:port -bench NAME [flags] [-wait]
+//	cxlmc submit -addr host:port -bench NAME | -source file.go | -gen
+//	      [the program and exploration flags above] [-tenant name] [-wait]
 //	cxlmc status|cancel|wait -addr host:port JOB-ID
 //	cxlmc jobs -addr host:port [-tenant name]
 //
@@ -56,9 +57,9 @@
 // bug's repro token witnessed, with tracing on.
 //
 // Resource governance: -mem-budget caps the exploration's heap — over
-// budget, pooled state is released, cold frontier units spill to
-// -spill-dir, and as a last resort the run stops degraded with a valid
-// checkpoint instead of OOMing. -max-events bounds the decision points
+// budget, pooled state is released, and if that is not enough by the next
+// sample (-governor-every executions later) the run stops degraded with
+// a valid checkpoint instead of OOMing. -max-events bounds the decision points
 // one execution may create, turning per-execution state-space blowup
 // into a structured resource-exhausted bug report.
 //
@@ -119,7 +120,11 @@
 // followed by a restart on the same directory resumes running jobs from
 // their last checkpoint and re-queues queued ones, losing and
 // duplicating nothing. SIGTERM drains gracefully (exit 0); a second
-// signal force-exits with code 3.
+// signal force-exits with code 3. The program and exploration flags
+// (-bench ... -race-detect) are declared once, by jobs.Spec.BindFlags, and
+// mean the same on the flag-driven run and on submit; given to -jobserver,
+// the budget ones (-workers, -max-time, -mem-budget, -governor-every,
+// -max-events) are the defaults of jobs whose spec leaves them unset.
 //
 // -stress N runs the self-fuzzing harness over N seeded random
 // programs (starting at -seed), checking the checker's own invariants:
@@ -140,7 +145,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -151,7 +155,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/gofront"
 	"repro/internal/harness"
-	"repro/internal/recipe"
+	"repro/internal/jobs"
 )
 
 func main() {
@@ -174,20 +178,18 @@ func dispatch() int {
 	return run()
 }
 
+// cliSpec is the spec both the flag-driven run and the submit verb bind
+// their flags to: what a flag means when absent is the same in every mode
+// (cmd/cxlmc explores with race detection on).
+func cliSpec() jobs.Spec {
+	return jobs.Spec{Reduction: cxlmc.SwitchOn, PrefixFork: cxlmc.SwitchOn, RaceDetect: cxlmc.SwitchOn}
+}
+
 func run() int {
+	spec := cliSpec()
+	spec.BindFlags(flag.CommandLine)
 	var (
-		bench      = flag.String("bench", "", "benchmark name (CCEH, FAST_FAIR, P-ART, P-BwTree, P-CLHT, P-MassTree, kv, test_stress)")
 		checkFile  = flag.String("check", "", "check a Go source file written against the gofront/cxl API instead of a named benchmark")
-		entryName  = flag.String("entry", "", "entry function in the -check file, signature func(*cxl.Region) (default Program)")
-		keys       = flag.Int("keys", 10, "total keys inserted")
-		insWorkers = flag.Int("insert-workers", 1, "insert workers per machine (simulated workload shape)")
-		stride     = flag.Int("stride", 1, "key stride")
-		bugsFlag   = flag.String("bugs", "0", "seeded-bug bitmask (e.g. 0x3); 0 = all fixed")
-		gpf        = flag.Bool("gpf", false, "assume global persistent flush always succeeds")
-		poison     = flag.Bool("poison", false, "enable CXL memory poisoning")
-		seed       = flag.Int64("seed", 0, "schedule seed")
-		maxExecs   = flag.Int("max-execs", 0, "cap on explored executions (0 = exhaustive)")
-		maxTime    = flag.Duration("max-time", 0, "wall-clock budget for the exploration (0 = unlimited)")
 		trace      = flag.Bool("trace", false, "stream a per-event trace to stdout")
 		seeds      = flag.Int("seeds", 1, "fuzz across this many schedule seeds (§4.6)")
 		list       = flag.Bool("list", false, "list benchmarks and their seeded bugs")
@@ -196,12 +198,8 @@ func run() int {
 		cpInterval = flag.Duration("checkpoint-interval", 0, "checkpoint every interval (0 = default 30s when -checkpoint is set)")
 		wedge      = flag.Duration("wedge-timeout", 0, "watchdog for callbacks blocking outside the simulated API: a thread stalled this long is reported within twice it (0 = off)")
 		replay     = flag.String("replay", "", "replay a bug's repro token against -bench instead of exploring")
-		checkers   = flag.Int("workers", 0, "parallel exploration workers (0 = GOMAXPROCS)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the exploration to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile (after the exploration) to this file")
-		memBudget  = flag.Uint64("mem-budget", 0, "soft heap budget in bytes; over it the run degrades gracefully instead of OOMing (0 = off)")
-		spillDir   = flag.String("spill-dir", "", "directory the governor may spill cold frontier units to under memory pressure")
-		maxEvents  = flag.Int("max-events", 0, "cap on decision points per execution; exceeding it is reported as a resource-exhausted bug (0 = off)")
 		vetOnly    = flag.Bool("vet", false, "run only the cxlvet static pre-pass and print its findings (exit 1 if any)")
 		chaosOn    = flag.Bool("chaos", false, "inject seeded faults into checkpoint I/O and worker scheduling (with -stress: add the resume-under-chaos leg)")
 		chaosSeed  = flag.Int64("chaos-seed", 1, "seed for the -chaos fault injector")
@@ -210,7 +208,6 @@ func run() int {
 		serveAddr  = flag.String("serve", "", "run as distributed coordinator: own the work-unit frontier and serve the lease API on this address (\":0\" picks a port)")
 		joinAddr   = flag.String("join", "", "run as distributed worker: lease work units from the coordinator at this address")
 		leaseTTL   = flag.Duration("lease-ttl", 0, "work-unit lease duration before an unrenewed lease is reclaimed and re-issued (with -serve; 0 = 5s)")
-		contBug    = flag.Bool("continue", false, "keep exploring after the first bug instead of stopping")
 		workerName = flag.String("worker-name", "", "name this worker reports to the coordinator (with -join; default worker-<pid>)")
 
 		jobServer  = flag.String("jobserver", "", "run as a multi-tenant job server: accept exploration jobs over a REST API on this address (\":0\" picks a port)")
@@ -223,10 +220,6 @@ func run() int {
 		eventLog     = flag.String("event-log", "", "stream the structured exploration event trace to this file as JSON lines")
 		metricsSnap  = flag.String("metrics-snapshot", "", "write the final metric values to this file as JSON when the run ends")
 	)
-	reduction, prefixFork, raceDetect := switchFlag(cxlmc.SwitchOn), switchFlag(cxlmc.SwitchOn), switchFlag(cxlmc.SwitchOn)
-	flag.Var(&reduction, "reduction", "state-space reduction: prune failure points no surviving thread can observe (on|off)")
-	flag.Var(&prefixFork, "prefix-fork", "prefix-fork replay: resume sibling executions from the shared decision prefix instead of re-running it (on|off)")
-	flag.Var(&raceDetect, "race-detect", "happens-before data-race detection during exploration (on|off)")
 	flag.Parse()
 
 	if *list {
@@ -234,28 +227,28 @@ func run() int {
 		return 0
 	}
 	if *stress > 0 {
-		bad := harness.Swarm(os.Stdout, *seed, *stress, harness.StressOptions{Chaos: *chaosOn})
+		bad := harness.Swarm(os.Stdout, spec.Seed, *stress, harness.StressOptions{Chaos: *chaosOn})
 		if len(bad) > 0 {
 			fmt.Fprintf(os.Stderr, "cxlmc: %d of %d stress programs violated checker invariants\n", len(bad), *stress)
 			return 1
 		}
 		fmt.Printf("stress      %d programs (seeds %d..%d), zero checker-invariant violations\n",
-			*stress, *seed, *seed+int64(*stress)-1)
+			*stress, spec.Seed, spec.Seed+int64(*stress)-1)
 		return 0
 	}
-	if *bench == "" && *checkFile == "" && *jobServer == "" {
+	if spec.Bench == "" && *checkFile == "" && *jobServer == "" {
 		fmt.Fprintln(os.Stderr, "cxlmc: -bench or -check is required (try -list)")
 		return 2
 	}
-	if *bench != "" && *checkFile != "" {
+	if spec.Bench != "" && *checkFile != "" {
 		fmt.Fprintln(os.Stderr, "cxlmc: -bench and -check are mutually exclusive (a run checks one program)")
 		return 2
 	}
-	if *entryName != "" && *checkFile == "" {
+	if spec.Entry != "" && *checkFile == "" {
 		fmt.Fprintln(os.Stderr, "cxlmc: -entry names a function in the -check file; it needs -check")
 		return 2
 	}
-	if *jobServer != "" && (*serveAddr != "" || *joinAddr != "" || *replay != "" || *vetOnly || *bench != "" || *checkFile != "") {
+	if *jobServer != "" && (*serveAddr != "" || *joinAddr != "" || *replay != "" || *vetOnly || spec.Bench != "" || *checkFile != "") {
 		fmt.Fprintln(os.Stderr, "cxlmc: -jobserver is a standalone mode; submit programs as jobs (cxlmc submit) instead of -bench/-check/-serve/-join/-replay/-vet")
 		return 2
 	}
@@ -276,8 +269,8 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "cxlmc: -replay is a local single-execution re-run; drop -serve/-join")
 		return 2
 	}
-	if *joinAddr != "" && (*checkpoint != "" || *spillDir != "") {
-		fmt.Fprintln(os.Stderr, "cxlmc: workers hold no durable state; put -checkpoint (and -spill-dir) on the coordinator")
+	if *joinAddr != "" && *checkpoint != "" {
+		fmt.Fprintln(os.Stderr, "cxlmc: workers hold no durable state; put -checkpoint on the coordinator")
 		return 2
 	}
 	if *vetOnly && (distMode || *replay != "") {
@@ -285,24 +278,12 @@ func run() int {
 		return 2
 	}
 
-	bugs, err := strconv.ParseUint(*bugsFlag, 0, 32)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cxlmc: bad -bugs %q: %v\n", *bugsFlag, err)
-		return 2
-	}
-
-	cfg := cxlmc.Config{
-		Seed: *seed, GPF: *gpf, Poison: *poison, Workers: *checkers,
-		MaxExecutions: *maxExecs, MaxTime: *maxTime,
+	// The plumbing flags make the base; the spec lays its knobs over it —
+	// as it does over the job server's base for a submitted job.
+	cfg := spec.Config(cxlmc.Config{
 		CheckpointPath: *checkpoint, CheckpointEvery: *cpEvery, CheckpointInterval: *cpInterval,
-		WedgeTimeout:   *wedge,
-		MemBudgetBytes: *memBudget, SpillDir: *spillDir, MaxEventsPerExec: *maxEvents,
-		Reduction: cxlmc.Switch(reduction), PrefixFork: cxlmc.Switch(prefixFork), RaceDetect: cxlmc.Switch(raceDetect),
-	}
-	if *trace {
-		cfg.Trace = os.Stdout
-	}
-	cfg.ContinueAfterBug = *contBug
+		WedgeTimeout: *wedge, ProgressEvery: *progressEach,
+	})
 	if *chaosOn {
 		ccfg := cxlmc.ChaosConfig{
 			Seed:          *chaosSeed,
@@ -326,20 +307,12 @@ func run() int {
 		cfg.Chaos = cxlmc.NewChaos(ccfg)
 	}
 
-	var reg *cxlmc.MetricsRegistry
 	if *metricsAddr != "" || *metricsSnap != "" {
-		reg = cxlmc.NewMetricsRegistry()
-		cfg.Obs = reg
-	}
-	cfg.MetricsAddr = *metricsAddr
-	if *metricsAddr != "" {
-		cfg.OnStatusServer = func(addr string) {
-			fmt.Fprintf(os.Stderr, "cxlmc: status server on http://%s/ (/metrics /statusz /debug/pprof)\n", addr)
-		}
+		cfg.Obs = cxlmc.NewMetricsRegistry()
 	}
 	if *metricsSnap != "" {
 		defer func() {
-			data, _ := json.MarshalIndent(reg.Snapshot(), "", "  ")
+			data, _ := json.MarshalIndent(cfg.Obs.Snapshot(), "", "  ")
 			if err := os.WriteFile(*metricsSnap, append(data, '\n'), 0o644); err != nil {
 				fmt.Fprintf(os.Stderr, "cxlmc: -metrics-snapshot: %v\n", err)
 			}
@@ -356,13 +329,22 @@ func run() int {
 		defer evw.Flush()
 		cfg.EventTrace = evw
 	}
-	cfg.ProgressEvery = *progressEach
 
 	if *jobServer != "" {
-		// Checking as a service: cfg carries the server-owned part of
-		// every job's engine config (governor defaults, chaos, metrics);
-		// specs arrive over the API.
-		return runJobServer(*jobServer, *jobsDir, *jobWorkers, *queueDepth, cfg, cfg.EventTrace)
+		// Checking as a service: cfg is the base every job's run starts
+		// from (governor defaults, cadences, chaos, metrics); specs arrive
+		// over the API.
+		return runJobServer(jobs.Config{Addr: *jobServer, Dir: *jobsDir, PoolWorkers: *jobWorkers, QueueDepth: *queueDepth, Base: cfg})
+	}
+
+	if *trace {
+		cfg.Trace = os.Stdout
+	}
+	cfg.MetricsAddr = *metricsAddr
+	if *metricsAddr != "" {
+		cfg.OnStatusServer = func(addr string) {
+			fmt.Fprintf(os.Stderr, "cxlmc: status server on http://%s/ (/metrics /statusz /debug/pprof)\n", addr)
+		}
 	}
 
 	if *cpuprofile != "" {
@@ -396,70 +378,57 @@ func run() int {
 	// benchName labels output lines; reproFlags is the flag prefix a
 	// printed repro token needs to replay (the source path replays with
 	// -check/-entry instead of -bench).
-	benchName := *bench
-	reproFlags := "-bench " + *bench
-	var program func(*cxlmc.Program)
+	benchName := spec.Bench
+	reproFlags := "-bench " + spec.Bench
 	if *checkFile != "" {
-		entry := *entryName
-		if entry == "" {
-			entry = "Program"
+		if spec.Entry == "" {
+			spec.Entry = "Program"
 		}
 		benchName = *checkFile
-		reproFlags = fmt.Sprintf("-check %s -entry %s", *checkFile, entry)
-		srcBytes, err := os.ReadFile(*checkFile)
+		reproFlags = fmt.Sprintf("-check %s -entry %s", *checkFile, spec.Entry)
+		src, err := os.ReadFile(*checkFile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cxlmc: -check: %v\n", err)
 			return 2
 		}
-		s, err := gofront.Load(*checkFile, srcBytes)
-		if err != nil {
-			printDiagnostics(os.Stderr, err)
-			return 2
-		}
+		spec.Source, spec.SourceName = string(src), *checkFile
 		if *vetOnly {
 			// The vet dry run doubles as the site-recording pass: the
 			// SiteMap annotates each finding with the source position of
 			// the store/flush/mutex it is about.
-			vprog, sites, err := s.VetProgram(entry)
+			s, err := gofront.Load(*checkFile, src)
+			if err != nil {
+				printDiagnostics(os.Stderr, err)
+				return 2
+			}
+			vprog, sites, err := s.VetProgram(spec.Entry)
 			if err != nil {
 				printDiagnostics(os.Stderr, err)
 				return 2
 			}
 			return runVet(cfg, vprog, sites.Annotate, os.Stdout, os.Stderr)
 		}
-		program, err = s.Program(entry)
-		if err != nil {
+	}
+	program, err := spec.Program()
+	if err != nil {
+		if *checkFile != "" {
 			printDiagnostics(os.Stderr, err)
-			return 2
+		} else {
+			fmt.Fprintf(os.Stderr, "cxlmc: %v (try -list)\n", err)
 		}
-	} else if *bench == "vet-demo" {
-		program = analyze.DemoProgram
-	} else {
-		var ok bool
-		if program, ok = harness.ProgramByName(*bench, recipe.Config{
-			Keys: *keys, Workers: *insWorkers, Stride: *stride, Bugs: recipe.Bug(bugs),
-		}); !ok {
-			fmt.Fprintf(os.Stderr, "cxlmc: unknown benchmark %q (try -list)\n", *bench)
-			return 2
-		}
+		return 2
 	}
 
 	if *vetOnly {
 		return runVet(cfg, program, nil, os.Stdout, os.Stderr)
 	}
 
-	// With race detection on, run the cxlvet pre-pass once up front: its
-	// unflushed-publish lines arm the checker's crash-exposure check. The
-	// pre-pass is deterministic and runs identically in every mode (run,
-	// replay, coordinator, worker), so the resulting config digests match.
-	if cfg.RaceDetect == cxlmc.SwitchOn {
-		rep, err := analyze.Vet(cfg, program)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cxlmc: vet pre-pass: %v\n", err)
-			return 1
-		}
-		cfg.UnflushedLines = rep.FlaggedLines()
-		reg.Counter("cxlmc_vet_findings_total", "cxlvet static analysis findings").Add(int64(len(rep.Findings)))
+	// The one arming step of every mode (run, replay, coordinator, worker;
+	// the job server takes it per job), so the config digests they stamp
+	// match.
+	if cfg, err = cxlmc.Arm(cfg, program); err != nil {
+		fmt.Fprintf(os.Stderr, "cxlmc: %v\n", strings.TrimPrefix(err.Error(), "cxlmc: "))
+		return 1
 	}
 
 	if *replay != "" {
@@ -537,7 +506,7 @@ func run() int {
 	// bugs; shared by local, coordinator and worker modes so their output
 	// is comparable line for line.
 	printResult := func(res *cxlmc.Result, s int64) bool {
-		fmt.Printf("benchmark   %s (bugs=%#x, gpf=%v, seed=%d)\n", benchName, bugs, *gpf, s)
+		fmt.Printf("benchmark   %s (bugs=%#x, gpf=%v, seed=%d)\n", benchName, spec.Bugs, spec.GPF, s)
 		fmt.Printf("executions  %d (complete=%v)\n", res.Executions, res.Complete)
 		fmt.Printf("fpoints     %d\n", res.FailurePoints)
 		fmt.Printf("rfpoints    %d\n", res.ReadFromPoints)
@@ -557,8 +526,7 @@ func run() int {
 			fmt.Printf("quarantined corrupt checkpoint moved to %s.corrupt, started fresh\n", *checkpoint)
 		}
 		if res.Degraded {
-			fmt.Printf("degraded    memory governor acted (budget %d bytes, %d unit(s) spilled)\n",
-				*memBudget, res.Spills)
+			fmt.Printf("degraded    memory governor acted (budget %d bytes)\n", spec.MemBudgetBytes)
 		}
 		if res.CheckpointErrors > 0 {
 			fmt.Printf("cp-errors   %d periodic checkpoint write(s) failed and were tolerated\n", res.CheckpointErrors)
@@ -590,24 +558,9 @@ func run() int {
 
 	if *serveAddr != "" {
 		// Coordinator: own the frontier, serve the lease API, persist the
-		// checkpoint. The Check config carries only exploration semantics;
-		// durable state and stop wiring live on the coordinator itself.
-		checkCfg := cfg
-		checkCfg.CheckpointPath = ""
-		checkCfg.CheckpointEvery = 0
-		checkCfg.Stop = nil
-		checkCfg.StatusRequests = nil
-		checkCfg.Chaos = nil // keep final repro-token minimization fault-free
+		// checkpoint — all of it read off the one configuration.
 		coord, err := dist.StartCoordinator(dist.CoordinatorConfig{
-			Check:              checkCfg,
-			Program:            program,
-			Addr:               *serveAddr,
-			LeaseTTL:           *leaseTTL,
-			CheckpointPath:     *checkpoint,
-			CheckpointInterval: *cpInterval,
-			Chaos:              cfg.Chaos,
-			EventTrace:         cfg.EventTrace,
-			Stop:               stop,
+			Check: cfg, Program: program, Addr: *serveAddr, LeaseTTL: *leaseTTL,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cxlmc: %v\n", strings.TrimPrefix(err.Error(), "dist: "))
@@ -620,12 +573,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "cxlmc: %v\n", strings.TrimPrefix(err.Error(), "dist: "))
 			return 1
 		}
-		if reg != nil {
-			// The deferred -metrics-snapshot dump captures reg; point it at
-			// the coordinator's registry (lease gauges, reclaim counters).
-			reg = coord.Registry()
-		}
-		if printResult(res, *seed) {
+		if printResult(res, spec.Seed) {
 			return 1
 		}
 		return 0
@@ -633,26 +581,21 @@ func run() int {
 
 	if *joinAddr != "" {
 		res, err := dist.RunWorker(dist.WorkerConfig{
-			Check:       cfg,
-			Program:     program,
-			Coordinator: *joinAddr,
-			Name:        *workerName,
-			Chaos:       cfg.Chaos,
-			Registry:    reg,
+			Check: cfg, Program: program, Coordinator: *joinAddr, Name: *workerName,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cxlmc: %v\n", strings.TrimPrefix(err.Error(), "dist: "))
 			return 1
 		}
 		fmt.Println("worker      local view below; the coordinator reports the authoritative global result")
-		if printResult(res, *seed) {
+		if printResult(res, spec.Seed) {
 			return 1
 		}
 		return 0
 	}
 
 	buggy := false
-	for s := *seed; s < *seed+int64(*seeds); s++ {
+	for s := spec.Seed; s < spec.Seed+int64(*seeds); s++ {
 		cfg.Seed = s
 		res, err := cxlmc.Run(cfg, program)
 		if err != nil {
@@ -671,16 +614,6 @@ func run() int {
 	}
 	return 0
 }
-
-// switchFlag is the flag.Value every on/off flag of the CLI parses through:
-// the words Switch.UnmarshalText accepts (on, off, default), and on anything
-// else the flag package's message naming the flag and exit code 2. The value
-// a flag is declared with is what it means when absent.
-type switchFlag cxlmc.Switch
-
-func (f *switchFlag) String() string { return cxlmc.Switch(*f).String() }
-
-func (f *switchFlag) Set(v string) error { return (*cxlmc.Switch)(f).UnmarshalText([]byte(v)) }
 
 func listBenchmarks() {
 	for _, b := range harness.Benchmarks {

@@ -59,6 +59,8 @@
 package cxlmc
 
 import (
+	"fmt"
+
 	"repro/internal/analyze"
 	"repro/internal/chaos"
 	"repro/internal/core"
@@ -229,10 +231,31 @@ type VetFinding = analyze.Finding
 // Vet runs the cxlvet static pre-pass on the program built by setup:
 // one instrumented deterministic dry run, then lock-order-cycle,
 // unflushed-publish and dead-failure-point analyses over the recorded
-// op stream. Feed Report.FlaggedLines() to Config.UnflushedLines to
-// have a subsequent Run report crashes that expose a flagged line.
+// op stream. Arm feeds its unflushed-publish lines to a subsequent Run.
 func Vet(cfg Config, setup func(*Program)) (*VetReport, error) {
 	return analyze.Vet(cfg, setup)
+}
+
+// Arm completes cfg for exploring or replaying the program setup builds:
+// with RaceDetect on, the Vet pre-pass runs once and the lines it flags
+// become Config.UnflushedLines, so a crash that exposes one is reported
+// (its findings are counted into cfg.Obs). The pre-pass is deterministic
+// and UnflushedLines is digest-relevant, so this is the one arming step
+// of every mode — local run, replay, dist coordinator and worker, a job
+// and each of its retries: the same knobs then stamp the same digest, and
+// tokens and checkpoints pass between modes. A pre-pass that fails is an
+// error, never an unarmed run under a different digest.
+func Arm(cfg Config, setup func(*Program)) (Config, error) {
+	if cfg.RaceDetect != SwitchOn {
+		return cfg, nil
+	}
+	rep, err := Vet(cfg, setup)
+	if err != nil {
+		return cfg, fmt.Errorf("cxlmc: vet pre-pass: %w", err)
+	}
+	cfg.UnflushedLines = rep.FlaggedLines()
+	cfg.Obs.Counter("cxlmc_vet_findings_total", "cxlvet static analysis findings").Add(int64(len(rep.Findings)))
+	return cfg, nil
 }
 
 // ProgramFromSource loads one Go source file written against the

@@ -145,7 +145,6 @@ func Vet(cfg core.Config, program func(*core.Program)) (*Report, error) {
 	cfg.UnflushedLines = nil
 	cfg.ContinueAfterBug = true
 	cfg.CheckpointPath = ""
-	cfg.SpillDir = ""
 	cfg.MetricsAddr = ""
 	cfg.EventTrace = nil
 	cfg.Stop = nil

@@ -1,6 +1,6 @@
 // Package chaos implements a deterministic, seed-driven fault injector
 // for exercising the checker's own resilience machinery. The injector is
-// threaded behind the engine's checkpoint/spill filesystem calls and the
+// threaded behind the engine's checkpoint filesystem calls and the
 // worker loop: it can fail reads, writes, syncs and renames (transiently
 // or permanently), truncate writes, flip bits in read data, stall workers
 // and provoke spurious wakeups and checkpoint barriers.
@@ -35,9 +35,9 @@ type Config struct {
 	// produce the same decision sequence.
 	Seed int64
 
-	// ReadErrPct fails a checkpoint/spill file read.
+	// ReadErrPct fails a checkpoint or journal file read.
 	ReadErrPct int
-	// WriteErrPct fails a checkpoint/spill file write.
+	// WriteErrPct fails a checkpoint or journal file write.
 	WriteErrPct int
 	// SyncErrPct fails the fsync of a checkpoint temp file.
 	SyncErrPct int

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// This file is the checker's durable-state layer: every checkpoint, spill
+// This file is the checker's durable-state layer: every checkpoint
 // and journal file is read, written, renamed or replaced through it, so
 // there is one retry policy, one crash-safe replace recipe, and every fault
 // point is drawn in one fixed order. The operations are methods on the
@@ -64,23 +64,6 @@ func (in *Injector) ReadFile(path string) ([]byte, error) {
 		return nil, err
 	}
 	return in.Corrupt(raw), nil
-}
-
-// WriteFile writes data to path in place — not atomically, not fsynced:
-// for process-local scratch such as spill files, which never outlive the
-// run that wrote them.
-func (in *Injector) WriteFile(path string, data []byte) error {
-	return Retry(nil, func() error {
-		if n, err := in.WriteFault(len(data)); err != nil {
-			if n > 0 {
-				// Torn write: leave the prefix behind, like a real crash
-				// would; the retry's truncating rewrite heals it.
-				os.WriteFile(path, data[:n], 0o644)
-			}
-			return err
-		}
-		return os.WriteFile(path, data, 0o644)
-	})
 }
 
 // Rename renames oldpath to newpath, retrying transient faults.

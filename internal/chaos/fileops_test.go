@@ -156,7 +156,7 @@ func TestFileOpsOnNilInjector(t *testing.T) {
 	var in *Injector
 	dir := t.TempDir()
 	a, b := filepath.Join(dir, "a"), filepath.Join(dir, "b")
-	if err := in.WriteFile(a, []byte("scratch")); err != nil {
+	if err := os.WriteFile(a, []byte("scratch"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := in.Rename(a, b); err != nil {

@@ -806,7 +806,7 @@ func (ck *Checker) tracef(format string, args ...any) {
 		fmt.Fprintln(ck.cfg.Trace, line)
 	}
 	if ck.cfg.CaptureTrace {
-		if len(ck.traceLog) >= ck.cfg.TraceDepth {
+		if len(ck.traceLog) >= traceDepth {
 			copy(ck.traceLog, ck.traceLog[1:])
 			ck.traceLog = ck.traceLog[:len(ck.traceLog)-1]
 		}

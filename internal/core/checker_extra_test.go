@@ -256,14 +256,19 @@ func TestStepLimitReportsLivelock(t *testing.T) {
 	}
 }
 
-// TestCaptureTrace attaches the buggy execution's events to the report.
+// TestCaptureTrace attaches the buggy execution's events to the report:
+// the most recent traceDepth of them, here of an execution that logs more.
 func TestCaptureTrace(t *testing.T) {
-	res := run(t, Config{CaptureTrace: true, TraceDepth: 64}, func(p *Program) {
+	res := run(t, Config{CaptureTrace: true}, func(p *Program) {
 		a := p.NewMachine("A")
 		b := p.NewMachine("B")
 		data := p.Alloc(8)
+		pad := p.Alloc(8)
 		flag := p.AllocAligned(8, 64)
 		a.Thread("w", func(th *Thread) {
+			for i := 0; i < traceDepth; i++ {
+				th.Store64(pad, uint64(i))
+			}
 			th.Store64(data, 42)
 			th.Store64(flag, 1)
 			th.CLFlush(flag)
@@ -286,8 +291,8 @@ func TestCaptureTrace(t *testing.T) {
 	if !strings.Contains(joined, "FAIL machine") {
 		t.Fatalf("trace lacks the failure event:\n%s", joined)
 	}
-	if len(res.Bugs[0].Trace) > 64 {
-		t.Fatalf("trace exceeds depth: %d", len(res.Bugs[0].Trace))
+	if len(res.Bugs[0].Trace) != traceDepth {
+		t.Fatalf("captured %d lines of a longer execution, want the last %d", len(res.Bugs[0].Trace), traceDepth)
 	}
 }
 

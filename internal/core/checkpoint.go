@@ -58,7 +58,6 @@ type checkpointData struct {
 	// process's. Added after version 2 shipped; omitted fields decode as
 	// zeros, so older checkpoints stay readable without a version bump.
 	Degraded         bool  `json:"degraded,omitempty"`
-	Spills           int   `json:"spills,omitempty"`
 	CheckpointErrors int   `json:"checkpoint_errors,omitempty"`
 	Quarantined      bool  `json:"quarantined,omitempty"`
 	Bugs             []Bug `json:"bugs,omitempty"`
@@ -79,7 +78,7 @@ const numDecisionKinds = 3
 
 // configDigest fingerprints the configuration fields that shape the
 // decision tree. Budget and reporting knobs (MaxExecutions, MaxTime,
-// Stop, checkpoint cadence, tracing, MemBudgetBytes/SpillDir, Chaos) are
+// Stop, checkpoint cadence, tracing, MemBudgetBytes, Chaos) are
 // deliberately excluded: resuming with a different budget — or without
 // the chaos that interrupted the original run — is the point of
 // checkpoints. MaxEventsPerExec is included because, like
@@ -94,23 +93,45 @@ const numDecisionKinds = 3
 // tree shape and a token recorded in one mode must not replay in the
 // other. The seed is checked separately for a clearer error message.
 func configDigest(cfg Config) string {
-	h := sha256.Sum256([]byte(fmt.Sprintf(
-		"cxlmc-config-v4 gpf=%t poison=%t maxsteps=%d memsize=%d commit=%d eager=%t maxevents=%d reduction=%t racedetect=%t flagged=%v",
-		cfg.GPF, cfg.Poison, cfg.MaxStepsPerExec, cfg.MemSize, cfg.CommitChance, cfg.EagerReadSet,
-		cfg.MaxEventsPerExec, cfg.reductionOn(), cfg.raceDetectOn(), cfg.UnflushedLines)))
+	b := append(make([]byte, 0, 256), "cxlmc-config-v4"...)
+	for _, f := range digestFields {
+		b = append(append(append(b, ' '), f.label...), '=')
+		b = fmt.Append(b, f.get(&cfg))
+	}
+	h := sha256.Sum256(b)
 	return hex.EncodeToString(h[:8])
 }
 
-// digestFields names the Config fields configDigest hashes, in its order.
-// The checkpoint and repro-token mismatch errors both list exactly these,
-// so the advice they give cannot drift from what is actually compared.
-var digestFields = []string{
-	"GPF", "Poison", "MaxStepsPerExec", "MemSize", "CommitChance", "EagerReadSet",
-	"MaxEventsPerExec", "Reduction", "RaceDetect", "UnflushedLines",
+// digestFields is the one list of what configDigest hashes, in hashing
+// order: the Config field, the label it is hashed under and the value read
+// off a Config that fillDefaults has resolved. The checkpoint and repro-token
+// mismatch errors list exactly these names, so the advice they give cannot
+// drift from what is compared. A digest-relevant field is one more row; a
+// new row changes every digest, so it comes with a new version prefix.
+var digestFields = []struct {
+	name, label string
+	get         func(*Config) any
+}{
+	{"GPF", "gpf", func(c *Config) any { return c.GPF }},
+	{"Poison", "poison", func(c *Config) any { return c.Poison }},
+	{"MaxStepsPerExec", "maxsteps", func(c *Config) any { return c.MaxStepsPerExec }},
+	{"MemSize", "memsize", func(c *Config) any { return c.MemSize }},
+	{"CommitChance", "commit", func(c *Config) any { return c.CommitChance }},
+	{"EagerReadSet", "eager", func(c *Config) any { return c.EagerReadSet }},
+	{"MaxEventsPerExec", "maxevents", func(c *Config) any { return c.MaxEventsPerExec }},
+	{"Reduction", "reduction", func(c *Config) any { return c.reductionOn() }},
+	{"RaceDetect", "racedetect", func(c *Config) any { return c.raceDetectOn() }},
+	{"UnflushedLines", "flagged", func(c *Config) any { return c.UnflushedLines }},
 }
 
-// digestFieldList renders digestFields for an error message.
-func digestFieldList() string { return strings.Join(digestFields, "/") }
+// digestFieldList renders digestFields' names for an error message.
+func digestFieldList() string {
+	names := make([]string, len(digestFields))
+	for i, f := range digestFields {
+		names[i] = f.name
+	}
+	return strings.Join(names, "/")
+}
 
 // fingerprint hashes the structural events of program setup (machines,
 // threads, allocations, initial writes, mutexes) into the program
@@ -309,8 +330,7 @@ func (cp *checkpointData) SetTotals(t Tally, r Resilience) {
 	cp.Pruned, cp.PrefixForks, cp.StepsSaved = t.Pruned, t.PrefixForks, t.StepsSaved
 	cp.RaceReports = t.RaceReports
 	cp.Bugs = t.Bugs
-	cp.Degraded, cp.Spills = r.Degraded, r.Spills
-	cp.CheckpointErrors, cp.Quarantined = r.CheckpointErrors, r.Quarantined
+	cp.Degraded, cp.CheckpointErrors, cp.Quarantined = r.Degraded, r.CheckpointErrors, r.Quarantined
 }
 
 // Totals is the inverse of SetTotals. The tally owns a copy of the bug
@@ -332,7 +352,6 @@ func (cp *checkpointData) Totals() (Tally, Resilience) {
 	}
 	return t, Resilience{
 		Degraded:         cp.Degraded,
-		Spills:           cp.Spills,
 		CheckpointErrors: cp.CheckpointErrors,
 		Quarantined:      cp.Quarantined,
 	}

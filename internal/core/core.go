@@ -144,14 +144,10 @@ type Config struct {
 	// programs only; it grows quickly.
 	Trace io.Writer
 
-	// CaptureTrace records the buggy execution's recent events (up to
-	// TraceDepth lines) into Bug.Trace, so a report shows how the
+	// CaptureTrace records the buggy execution's recent events (the last
+	// traceDepth lines) into Bug.Trace, so a report shows how the
 	// failure state was reached without re-running with Trace.
 	CaptureTrace bool
-
-	// TraceDepth bounds the captured trace; 0 means the default of 256
-	// lines.
-	TraceDepth int
 
 	// CheckpointPath names a file the checker writes crash-safe
 	// exploration checkpoints to (temp file + rename). When the file
@@ -193,28 +189,21 @@ type Config struct {
 
 	// MemBudgetBytes is a soft heap budget for the whole exploration; 0
 	// means unbounded. When the process heap exceeds it, a governor in
-	// the parallel coordinator degrades gracefully in stages rather than
-	// letting the run be OOM-killed: pooled per-execution arenas are
-	// released, cold subtree work units are spilled to SpillDir, and as a
-	// last resort the run stops with a valid final checkpoint and
-	// Stats.Degraded set. The budget governs the checker's own memory,
-	// not the simulated region (MemSize); it never changes WHAT is
-	// explored, only how much of it this process gets through.
+	// the parallel coordinator degrades gracefully rather than letting
+	// the run be OOM-killed: pooled per-execution arenas are released,
+	// and if the heap is still over budget at the next sample the run
+	// stops with a valid final checkpoint and Stats.Degraded set. (The
+	// frontier is not worth evicting: CXLMC is stateless, so a queued
+	// unit is a decision path of a few hundred bytes.) The budget governs
+	// the checker's own memory, not the simulated region (MemSize); it
+	// never changes WHAT is explored, only how much of it this process
+	// gets through.
 	MemBudgetBytes uint64
 
-	// SpillDir names a directory the governor may spill cold subtree
-	// work units to (snapshot-encoded, one file per unit) when the
-	// memory budget is under pressure or the work-stealing frontier
-	// grows large; spilled units are reloaded transparently as workers
-	// drain the in-memory frontier. Empty disables spilling (the
-	// governor skips straight from arena release to a degraded stop).
-	SpillDir string
-
 	// GovernorEvery is the governor's sampling cadence in executions;
-	// the worker crossing the boundary samples heap use and frontier
-	// size and escalates the degradation stage while the budget stays
-	// exceeded. 0 means the default of 256. Only meaningful with
-	// MemBudgetBytes set.
+	// the worker crossing the boundary samples heap use and escalates
+	// while the budget stays exceeded. 0 means the default of 256. Only
+	// meaningful with MemBudgetBytes set.
 	GovernorEvery int
 
 	// MaxEventsPerExec bounds the decision points a single execution may
@@ -229,7 +218,7 @@ type Config struct {
 
 	// Chaos, when non-nil, injects deterministic faults into the
 	// checker's own resilience machinery: transient or permanent I/O
-	// errors behind checkpoint and spill file operations, torn writes,
+	// errors behind checkpoint file operations, torn writes,
 	// bit flips on read, worker stalls, and spurious wakeups and
 	// checkpoint barriers. It exists to prove the error paths work —
 	// chaos never changes the explored execution set, only how bumpy the
@@ -254,8 +243,8 @@ type Config struct {
 
 	// Obs, when non-nil, is the metrics registry the run instruments
 	// itself into: execution/step/bug counters, decision-point counters by
-	// kind, frontier and governor gauges, checkpoint and spill counters,
-	// and step/depth histograms. A nil registry is the zero-cost
+	// kind, frontier and governor gauges, checkpoint counters, and
+	// step/depth histograms. A nil registry is the zero-cost
 	// "observability off" mode — every instrument call is a nil check.
 	// The registry is caller-owned, so several runs may share one and the
 	// caller can read or serve it after Run returns. Observability knobs
@@ -279,17 +268,14 @@ type Config struct {
 
 	// EventTrace, when non-nil, enables the structured exploration event
 	// trace: execution boundaries, decision-point creation, backtracks,
-	// bugs, checkpoint/governor/spill activity, chaos fault injections and
+	// bugs, checkpoint/governor activity, chaos fault injections and
 	// worker scheduling events are recorded into bounded per-worker ring
-	// buffers and drained to this writer as JSON lines. Unlike Trace it
+	// buffers (eventBufferSize events each) and drained to this writer as
+	// JSON lines. Unlike Trace it
 	// does not force Workers to 1 — events carry the worker index. The
 	// writer must be safe for use from the draining goroutine; a write
 	// error silences the sink without disturbing the run.
 	EventTrace io.Writer
-
-	// EventBufferSize is the per-worker event ring capacity in events; 0
-	// means the default of 4096.
-	EventBufferSize int
 
 	// ProgressEvery emits a Progress snapshot to OnProgress at this
 	// wall-clock cadence; 0 disables periodic progress. A final snapshot
@@ -379,6 +365,14 @@ type Config struct {
 	Observer OpObserver
 }
 
+// How many lines of the buggy execution a captured trace keeps
+// (Config.CaptureTrace), and the capacity in events of each worker's ring
+// of the structured event trace (Config.EventTrace).
+const (
+	traceDepth      = 256
+	eventBufferSize = 4096
+)
+
 func (c *Config) fillDefaults() {
 	if c.MaxStepsPerExec == 0 {
 		c.MaxStepsPerExec = 2_000_000
@@ -393,9 +387,6 @@ func (c *Config) fillDefaults() {
 		// Leave a residual chance of running threads or the scheduler
 		// could starve programs whose buffers never empty.
 		c.CommitChance = 99
-	}
-	if c.TraceDepth == 0 {
-		c.TraceDepth = 256
 	}
 	if c.CheckpointPath != "" && c.CheckpointEvery == 0 && c.CheckpointInterval == 0 {
 		c.CheckpointInterval = 30 * time.Second
@@ -669,14 +660,11 @@ func (c Counters) Sub(o Counters) Counters {
 // rides in every checkpoint and a resumed run starts from it.
 type Resilience struct {
 	// Degraded reports that the memory-budget governor had to act:
-	// pooled arenas were released, work units were spilled, or the run
-	// was stopped early to stay within MemBudgetBytes. A degraded run
-	// with Complete false covered only part of the state space; its
-	// checkpoint resumes exactly where it stopped.
+	// pooled arenas were released, or the run was stopped early to stay
+	// within MemBudgetBytes. A degraded run with Complete false covered
+	// only part of the state space; its checkpoint resumes exactly where
+	// it stopped.
 	Degraded bool
-	// Spills counts subtree work units the governor spilled to SpillDir
-	// over the run.
-	Spills int
 	// CheckpointErrors counts periodic checkpoint writes that failed
 	// even after retries. The run keeps exploring — the previous
 	// checkpoint file is still valid and a later cadence retries — but a

@@ -4,18 +4,16 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
 
 	"repro/internal/chaos"
-	"repro/internal/decision"
 )
 
-// This file tests the resource governor (memory budgets, spill-to-disk,
-// degraded stop) and the chaos-facing resilience paths (checkpoint I/O
-// retry, corrupt-checkpoint quarantine, fault-injected parity).
+// This file tests the resource governor (memory budgets, degraded stop)
+// and the chaos-facing resilience paths (checkpoint I/O retry,
+// corrupt-checkpoint quarantine, fault-injected parity).
 
 // referenceRun explores prog to completion with no budget, no chaos and
 // no checkpointing — the ground truth the degraded/chaotic runs must
@@ -59,13 +57,11 @@ func TestGovernorDegradedStopAndResume(t *testing.T) {
 	want := referenceRun(t, resilientNoisy)
 
 	path := cpPath(t)
-	spill := filepath.Join(t.TempDir(), "spill")
 	constrained := Config{
 		Workers:          2,
 		ContinueAfterBug: true,
 		MemBudgetBytes:   1, // always over budget: forces full escalation
 		GovernorEvery:    1,
-		SpillDir:         spill,
 		CheckpointPath:   path,
 	}
 	res, err := Run(constrained, resilientNoisy)
@@ -113,60 +109,6 @@ func TestGovernorUnderBudgetIsInvisible(t *testing.T) {
 		t.Fatalf("degraded=%v complete=%v under a 16 GiB budget", res.Degraded, res.Complete)
 	}
 	sameExploration(t, "budgeted", res, want)
-}
-
-// TestSpillRoundTrip drives the engine's spill path directly: parked
-// units must hit the disk, their counters must stay visible to result(),
-// and take() must transparently reload them once the in-memory queue is
-// dry.
-func TestSpillRoundTrip(t *testing.T) {
-	spill := filepath.Join(t.TempDir(), "spill")
-	cfg := Config{SpillDir: spill, Workers: 1}
-	cfg.fillDefaults()
-	e := newEngine(cfg, resilientClean, "test-digest")
-
-	// Three units with distinct fixed prefixes, as Split would produce.
-	for i := 0; i < 3; i++ {
-		e.queue = append(e.queue, decision.NewSubtree([]decision.Step{
-			{Kind: decision.KindFailure, N: 4, Chosen: i},
-		}))
-	}
-
-	e.mu.Lock()
-	e.spillLocked(0)
-	e.mu.Unlock()
-	if len(e.queue) != 0 || len(e.spilled) != 3 || e.res.Spills != 3 {
-		t.Fatalf("after spill: queue=%d spilled=%d spills=%d", len(e.queue), len(e.spilled), e.res.Spills)
-	}
-	files, err := filepath.Glob(filepath.Join(spill, "cxlmc-spill-*.bin"))
-	if err != nil || len(files) != 3 {
-		t.Fatalf("spill files on disk: %v (%v)", files, err)
-	}
-
-	// take() must reload spilled units one by one and hand them out.
-	got := 0
-	w := &worker{}
-	for {
-		tr := e.take(w)
-		if tr == nil {
-			break
-		}
-		got++
-		e.mu.Lock()
-		e.finishUnitLocked(tr)
-		e.endUnitLocked(&worker{}, tr, false)
-		e.mu.Unlock()
-	}
-	if got != 3 {
-		t.Fatalf("take returned %d units, want 3", got)
-	}
-	if len(e.spilled) != 0 {
-		t.Fatalf("%d units still spilled after drain", len(e.spilled))
-	}
-	files, _ = filepath.Glob(filepath.Join(spill, "cxlmc-spill-*.bin"))
-	if len(files) != 0 {
-		t.Fatalf("spill files not removed after reload: %v", files)
-	}
 }
 
 // TestChaosIOParity: with a single worker and a fixed chaos seed the run

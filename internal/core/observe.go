@@ -38,8 +38,6 @@ type coreMetrics struct {
 
 	unitClaims    *obs.Counter
 	unitsFinished *obs.Counter
-	spillsC       *obs.Counter
-	unspills      *obs.Counter
 
 	cpWrites      *obs.Counter
 	cpRetries     *obs.Counter
@@ -50,7 +48,6 @@ type coreMetrics struct {
 	chaosFaults    *obs.Counter
 
 	frontier    *obs.Gauge
-	spilledG    *obs.Gauge
 	activeG     *obs.Gauge
 	hungryG     *obs.Gauge
 	govStageG   *obs.Gauge
@@ -79,8 +76,6 @@ func newCoreMetrics(reg *obs.Registry) coreMetrics {
 
 		unitClaims:    reg.Counter("cxlmc_unit_claims_total", "subtree work units claimed by workers"),
 		unitsFinished: reg.Counter("cxlmc_units_finished_total", "subtree work units fully explored"),
-		spillsC:       reg.Counter("cxlmc_spills_total", "work units spilled to disk by the governor"),
-		unspills:      reg.Counter("cxlmc_unspills_total", "spilled work units reloaded from disk"),
 
 		cpWrites:      reg.Counter("cxlmc_checkpoint_writes_total", "checkpoint files installed"),
 		cpRetries:     reg.Counter("cxlmc_checkpoint_retries_total", "checkpoint write attempts retried after transient faults"),
@@ -91,7 +86,6 @@ func newCoreMetrics(reg *obs.Registry) coreMetrics {
 		chaosFaults:    reg.Counter("cxlmc_chaos_faults_total", "faults injected by the chaos engine"),
 
 		frontier:    reg.Gauge("cxlmc_frontier_units", "unexplored subtree units queued in memory"),
-		spilledG:    reg.Gauge("cxlmc_spilled_units", "unexplored subtree units parked on disk"),
 		activeG:     reg.Gauge("cxlmc_active_workers", "workers currently exploring a unit"),
 		hungryG:     reg.Gauge("cxlmc_hungry_workers", "workers waiting for work"),
 		govStageG:   reg.Gauge("cxlmc_governor_stage", "current memory-governor degradation stage"),
@@ -167,11 +161,10 @@ type Progress struct {
 	Executions int   `json:"executions"`
 	Steps      int64 `json:"steps"`
 	Bugs       int   `json:"bugs"`
-	// Frontier counts unexplored subtree units: queued in memory,
-	// actively being explored, and spilled to disk.
+	// Frontier counts unexplored subtree units: queued and actively being
+	// explored.
 	Frontier int `json:"frontier"`
 	Queued   int `json:"queued"`
-	Spilled  int `json:"spilled"`
 	Active   int `json:"active_workers"`
 
 	GovernorStage    int    `json:"governor_stage"`
@@ -198,8 +191,8 @@ type Progress struct {
 
 // String renders the one-line form cmd/cxlmc prints at -progress ticks.
 func (p Progress) String() string {
-	s := fmt.Sprintf("execs=%d rate=%.0f/s steps=%d frontier=%d(q%d+s%d) workers=%d bugs=%d",
-		p.Executions, p.ExecRate, p.Steps, p.Frontier, p.Queued, p.Spilled, p.Active, p.Bugs)
+	s := fmt.Sprintf("execs=%d rate=%.0f/s steps=%d frontier=%d(q%d) workers=%d bugs=%d",
+		p.Executions, p.ExecRate, p.Steps, p.Frontier, p.Queued, p.Active, p.Bugs)
 	if p.GovernorStage > 0 || p.Degraded {
 		s += fmt.Sprintf(" gov=%d", p.GovernorStage)
 	}
@@ -233,7 +226,7 @@ func (e *engine) initObs() (func(), error) {
 		e.om.workerCount.Set(int64(e.cfg.Workers))
 	}
 	if e.cfg.EventTrace != nil {
-		e.tracer = obs.NewTracer(e.cfg.Workers, e.cfg.EventBufferSize, e.cfg.EventTrace)
+		e.tracer = obs.NewTracer(e.cfg.Workers, eventBufferSize, e.cfg.EventTrace)
 	}
 	if e.cfg.Chaos != nil && (reg != nil || e.tracer != nil) {
 		om, tr := e.om, e.tracer
@@ -332,9 +325,8 @@ func (e *engine) progress() Progress {
 		Steps:            e.total.Steps,
 		Bugs:             len(e.total.Bugs),
 		Queued:           len(e.queue),
-		Spilled:          len(e.spilled),
 		Active:           e.active,
-		Frontier:         len(e.queue) + len(e.spilled) + e.active,
+		Frontier:         len(e.queue) + e.active,
 		GovernorStage:    e.govStage,
 		Degraded:         e.res.Degraded,
 		CheckpointErrors: e.res.CheckpointErrors,
@@ -369,7 +361,6 @@ func (e *engine) progress() Progress {
 // observability off every Set is a nil check.
 func (e *engine) syncGaugesLocked() {
 	e.om.frontier.Set(int64(len(e.queue)))
-	e.om.spilledG.Set(int64(len(e.spilled)))
 	e.om.activeG.Set(int64(e.active))
 	e.om.hungryG.Set(int64(e.hungry))
 	e.om.govStageG.Set(int64(e.govStage))

@@ -32,9 +32,6 @@ package core
 // so there is exactly one exploration code path for all worker counts.
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
@@ -42,15 +39,6 @@ import (
 	"repro/internal/decision"
 	"repro/internal/obs"
 )
-
-// spillEntry is a frontier unit parked on disk by the resource governor:
-// the snapshot bytes live in a file under Config.SpillDir, and only the
-// unit's decision-point counters stay in memory (they feed Stats and the
-// final totals even if the unit is never reloaded).
-type spillEntry struct {
-	path    string
-	created Counters
-}
 
 // engine coordinates the worker pool for one Run.
 type engine struct {
@@ -76,10 +64,10 @@ type engine struct {
 	// plus every finished execution's counters and bugs, folded in from the
 	// worker's checker at its next execution boundary (mergeLocked), plus
 	// the decision points of every unit explored to the end. Units still
-	// queued, spilled or being explored carry their points inside.
+	// queued or being explored carry their points inside.
 	total Tally
 	// res is the cumulative resilience record: this process's governor,
-	// spill, checkpoint-error and quarantine history on top of a resumed
+	// checkpoint-error and quarantine history on top of a resumed
 	// checkpoint's.
 	res Resilience
 	// nextExec numbers executions: workers reserve an ordinal under mu
@@ -112,20 +100,13 @@ type engine struct {
 	// critical section every GovernorEvery executions (boundary-driven, not
 	// a timer, so budget behaviour is deterministic in tests) and escalates
 	// through govStage while the heap stays over MemBudgetBytes: release
-	// pooled arenas, spill cold frontier units, finally stop with a valid
-	// checkpoint.
+	// pooled arenas, then stop with a valid checkpoint.
 	govStage     int
 	lastGovExecs int
 	// poolEpoch asks workers to drop their pooled per-checker arenas: each
 	// worker compares its own epoch at the next boundary and marks its
 	// checker dirty, which makes resetExecution rebuild from scratch.
 	poolEpoch int
-	// spilled holds frontier units parked on disk, LIFO; spillFail latches
-	// after a persistent spill I/O error and disables further spilling
-	// (units then just stay in memory).
-	spilled   []spillEntry
-	spillSeq  int
-	spillFail bool
 
 	// Observability plumbing (see observe.go). om's instruments are nil
 	// (valid no-ops) when neither Config.Obs nor Config.MetricsAddr is
@@ -215,7 +196,6 @@ func (e *engine) seedFrontier() (done bool, err error) {
 		// Seed the process-lifetime metrics with the inherited totals so
 		// /statusz and /metrics agree with Stats.
 		e.om.publish(e.total.Counters, len(e.total.Bugs))
-		e.om.spillsC.Add(int64(e.res.Spills))
 		e.om.cpErrors.Add(int64(e.res.CheckpointErrors))
 		if r.Complete || len(e.queue) == 0 {
 			// The checkpointed exploration already finished: there is nothing
@@ -306,14 +286,12 @@ func (e *engine) run() (*Checkpoint, *Result, error) {
 	e.mu.Unlock()
 
 	if e.haveP {
-		e.cleanupSpills()
 		panic(e.panicked)
 	}
 	if e.failErr != nil {
-		e.cleanupSpills()
 		return nil, nil, e.failErr
 	}
-	complete := !e.stopFlag && len(e.queue) == 0 && len(e.spilled) == 0
+	complete := !e.stopFlag && len(e.queue) == 0
 	if e.cfg.Workers > 1 {
 		// Discovery order is nondeterministic across workers; report bugs
 		// in a stable order instead.
@@ -327,41 +305,25 @@ func (e *engine) run() (*Checkpoint, *Result, error) {
 	res := e.result(complete)
 	var cp *Checkpoint
 	if e.inMemory || e.cfg.CheckpointPath != "" {
-		cp, err = e.checkpointData(complete)
-		if err == nil && !e.inMemory {
-			err = writeCheckpointFile(e.cfg.CheckpointPath, cp, e.cfg.Chaos, e.om, e.tracer)
-		}
-		if err != nil {
+		cp = e.envelope(e.frontierSnapshotsLocked(nil), complete)
+		if !e.inMemory {
 			// The final checkpoint must succeed: without it the run's
-			// remaining frontier (including anything still spilled) would be
-			// lost. Spill files are kept so the failure is inspectable.
-			return nil, nil, err
+			// remaining frontier would be lost.
+			if err := writeCheckpointFile(e.cfg.CheckpointPath, cp, e.cfg.Chaos, e.om, e.tracer); err != nil {
+				return nil, nil, err
+			}
 		}
 	}
-	// Spill files are process-local scratch — checkpoints embed their
-	// bytes, never reference the paths — so they never outlive the run.
-	e.cleanupSpills()
 	return cp, res, nil
-}
-
-// cleanupSpills removes any remaining spill files. Called after the pool
-// has drained, so no locking is needed.
-func (e *engine) cleanupSpills() {
-	for _, ent := range e.spilled {
-		os.Remove(ent.path)
-	}
 }
 
 // result assembles the Result from the engine's final state. Point
 // counters are the completed units' totals plus whatever the still-queued
-// (or still-spilled) units created before being released.
+// units created before being released.
 func (e *engine) result(complete bool) *Result {
 	c := e.total.Counters
 	for _, tr := range e.queue {
 		c.Add(TreeCounters(tr))
-	}
-	for _, ent := range e.spilled {
-		c.Add(ent.created)
 	}
 	stats := Stats{
 		Counters:    c,
@@ -375,34 +337,16 @@ func (e *engine) result(complete bool) *Result {
 }
 
 // frontierSnapshotsLocked collects the full unexplored frontier as unit
-// snapshots: the caller's deposited snapshots, the in-memory queue, and
-// the spilled files read back from disk (their bytes ARE snapshots, so
-// they embed directly — a checkpoint never references a spill path).
-func (e *engine) frontierSnapshotsLocked(deposited [][]byte) ([][]byte, error) {
-	units := make([][]byte, 0, len(deposited)+len(e.queue)+len(e.spilled))
+// snapshots: the caller's deposited snapshots and the queue. The caller
+// guarantees no worker owns a unit (run end, nil deposited) or that every
+// owned unit is deposited (finishRoundLocked passes cpUnits).
+func (e *engine) frontierSnapshotsLocked(deposited [][]byte) [][]byte {
+	units := make([][]byte, 0, len(deposited)+len(e.queue))
 	units = append(units, deposited...)
 	for _, tr := range e.queue {
 		units = append(units, tr.Snapshot())
 	}
-	for _, ent := range e.spilled {
-		raw, err := e.cfg.Chaos.ReadFile(ent.path)
-		if err != nil {
-			return nil, fmt.Errorf("cxlmc: reading spilled unit %s: %w", ent.path, err)
-		}
-		units = append(units, raw)
-	}
-	return units, nil
-}
-
-// checkpointData captures the current frontier; the caller guarantees no
-// worker owns a unit (run end) or holds every owned unit deposited
-// (finishRoundLocked passes deposited snapshots via cpUnits instead).
-func (e *engine) checkpointData(complete bool) (*checkpointData, error) {
-	units, err := e.frontierSnapshotsLocked(nil)
-	if err != nil {
-		return nil, err
-	}
-	return e.envelope(units, complete), nil
+	return units
 }
 
 func (e *engine) envelope(units [][]byte, complete bool) *checkpointData {
@@ -432,14 +376,7 @@ func (e *engine) take(w *worker) *decision.Tree {
 			e.workers[w.id].State = "done"
 			return nil
 		}
-		if len(e.queue) == 0 && len(e.spilled) > 0 && !e.cpArmed {
-			// The in-memory frontier is dry but units are parked on disk:
-			// reload one and hand it out. Holding mu through the read keeps
-			// the unspill serialized; the queue is empty anyway.
-			e.unspillLocked()
-			continue
-		}
-		if len(e.queue) == 0 && len(e.spilled) == 0 && e.active == 0 {
+		if len(e.queue) == 0 && e.active == 0 {
 			e.workers[w.id].State = "done"
 			return nil
 		}
@@ -462,29 +399,6 @@ func (e *engine) take(w *worker) *decision.Tree {
 		}
 		e.cond.Wait()
 	}
-}
-
-// unspillLocked reloads the most recently spilled unit into the queue.
-// A unit that cannot be read back or decoded fails the run: its subtree
-// would otherwise silently vanish from the exploration.
-func (e *engine) unspillLocked() {
-	ent := e.spilled[len(e.spilled)-1]
-	e.spilled = e.spilled[:len(e.spilled)-1]
-	raw, err := e.cfg.Chaos.ReadFile(ent.path)
-	if err != nil {
-		e.failLocked(fmt.Errorf("cxlmc: reading spilled unit %s: %w", ent.path, err))
-		return
-	}
-	tr := decision.NewTree()
-	if err := tr.Restore(raw); err != nil {
-		e.failLocked(fmt.Errorf("cxlmc: spilled unit %s: %w", ent.path, err))
-		return
-	}
-	os.Remove(ent.path)
-	e.queue = append(e.queue, tr)
-	e.om.unspills.Inc()
-	e.tracer.Record(-1, obs.EvUnspill, int64(len(e.spilled)), 0)
-	e.cond.Broadcast()
 }
 
 // runUnit explores one subtree unit on w's private checker until the
@@ -619,10 +533,9 @@ func (e *engine) boundaryLocked(w *worker, tr *decision.Tree) (leave, spent bool
 	if e.cutoffLocked() {
 		return true, false
 	}
-	// Donate work: peers are starving and the in-memory queue is dry, so
-	// carve unexplored branches off this unit (spilled units stay parked —
-	// reloading them costs I/O; splitting is free). With one worker nobody
-	// is ever hungry and the serial DFS order is untouched.
+	// Donate work: peers are starving and the queue is dry, so carve
+	// unexplored branches off this unit. With one worker nobody is ever
+	// hungry and the serial DFS order is untouched.
 	if e.hungry > 0 && len(e.queue) == 0 {
 		if units := tr.Split(); len(units) > 0 {
 			e.queue = append(e.queue, units...)
@@ -654,10 +567,9 @@ func (e *engine) cutoffLocked() bool {
 		// Resource governor: sample the heap against the budget every
 		// GovernorEvery executions, at a boundary so its reactions are
 		// deterministic under a fixed schedule. It may stop the run (stage
-		// 3); the unit then returns to the queue for the final checkpoint
+		// 2); the unit then returns to the queue for the final checkpoint
 		// like any other stop.
-		if (e.cfg.MemBudgetBytes > 0 || e.cfg.SpillDir != "") &&
-			e.total.Executions-e.lastGovExecs >= e.cfg.GovernorEvery {
+		if e.cfg.MemBudgetBytes > 0 && e.total.Executions-e.lastGovExecs >= e.cfg.GovernorEvery {
 			e.lastGovExecs = e.total.Executions
 			e.governLocked()
 		}
@@ -714,95 +626,33 @@ func (e *engine) endUnitLocked(w *worker, tr *decision.Tree, pushback bool) {
 }
 
 // governLocked is the resource governor's decision step. While the heap
-// stays over MemBudgetBytes it escalates one stage per invocation —
-// gentler measures first, each given a governor period to take effect:
+// stays over MemBudgetBytes it escalates one stage per invocation, the
+// gentler measure first and given a governor period to take effect:
 //
 //	stage 1: release pooled per-worker arenas (poolEpoch bump) and GC
-//	stage 2: spill cold frontier units to SpillDir and GC
-//	stage 3: stop the run; the normal stop path writes a valid
+//	stage 2: stop the run; the normal stop path writes a valid
 //	         checkpoint, so progress survives and a later run (with a
 //	         bigger budget, or more machines) resumes it
 //
-// Dropping back under budget resets the escalation. Independent of the
-// budget, a frontier that outgrows a high-water mark is trimmed to disk
-// so the queue itself cannot become the memory problem.
+// Dropping back under budget resets the escalation.
 func (e *engine) governLocked() {
-	if e.cfg.MemBudgetBytes > 0 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		if ms.HeapAlloc > e.cfg.MemBudgetBytes {
-			e.res.Degraded = true
-			e.govStage++
-			e.om.govEscalations.Inc()
-			e.om.heapBytes.Set(int64(ms.HeapAlloc))
-			e.tracer.Record(-1, obs.EvGovernor, int64(e.govStage), int64(ms.HeapAlloc))
-			switch {
-			case e.govStage == 1:
-				e.poolEpoch++
-				runtime.GC()
-			case e.govStage == 2 && e.canSpillLocked():
-				e.spillLocked(e.cfg.Workers)
-				runtime.GC()
-			default:
-				e.stopLocked()
-			}
-			return
-		}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	if ms.HeapAlloc <= e.cfg.MemBudgetBytes {
 		e.govStage = 0
+		return
 	}
-	if e.canSpillLocked() && len(e.queue) > 8*e.cfg.Workers+32 {
-		e.spillLocked(2 * e.cfg.Workers)
+	e.res.Degraded = true
+	e.govStage++
+	e.om.govEscalations.Inc()
+	e.om.heapBytes.Set(int64(ms.HeapAlloc))
+	e.tracer.Record(-1, obs.EvGovernor, int64(e.govStage), int64(ms.HeapAlloc))
+	if e.govStage == 1 {
+		e.poolEpoch++
+		runtime.GC()
+	} else {
+		e.stopLocked()
 	}
-}
-
-func (e *engine) canSpillLocked() bool {
-	return e.cfg.SpillDir != "" && !e.spillFail
-}
-
-// spillLocked parks frontier units on disk until at most keep remain in
-// memory, taking from the queue's tail (the most recently donated, i.e.
-// coldest, work). I/O happens under mu: spilling is a degradation path,
-// and serializing it keeps the frontier bookkeeping trivially consistent.
-func (e *engine) spillLocked(keep int) {
-	if keep < 0 {
-		keep = 0
-	}
-	for len(e.queue) > keep {
-		tr := e.queue[len(e.queue)-1]
-		if !e.spillOneLocked(tr) {
-			return
-		}
-		e.queue[len(e.queue)-1] = nil
-		e.queue = e.queue[:len(e.queue)-1]
-	}
-}
-
-// spillOneLocked writes one unit's snapshot to a spill file. A failure
-// latches spillFail (further spilling is pointless if the directory is
-// unusable) and leaves the unit in memory — degraded, not broken.
-func (e *engine) spillOneLocked(tr *decision.Tree) bool {
-	if !e.canSpillLocked() {
-		return false
-	}
-	if e.spillSeq == 0 {
-		if err := os.MkdirAll(e.cfg.SpillDir, 0o755); err != nil {
-			e.spillFail = true
-			return false
-		}
-	}
-	e.spillSeq++
-	path := filepath.Join(e.cfg.SpillDir,
-		fmt.Sprintf("cxlmc-spill-%d-%d.bin", os.Getpid(), e.spillSeq))
-	if err := e.cfg.Chaos.WriteFile(path, tr.Snapshot()); err != nil {
-		e.spillFail = true
-		os.Remove(path)
-		return false
-	}
-	e.spilled = append(e.spilled, spillEntry{path: path, created: TreeCounters(tr)})
-	e.res.Spills++
-	e.om.spillsC.Inc()
-	e.tracer.Record(-1, obs.EvSpill, int64(e.spillSeq), int64(len(e.spilled)))
-	return true
 }
 
 // dueLocked reports whether either checkpoint cadence is due.
@@ -839,16 +689,14 @@ func (e *engine) depositLocked(w *worker, snap []byte) {
 }
 
 // finishRoundLocked writes the checkpoint assembled from the round's
-// deposits plus the queued and spilled units, then releases the barrier.
+// deposits plus the queued units, then releases the barrier.
 // A failed periodic write is tolerated — the previously installed
 // checkpoint is still intact thanks to the atomic rename, so the run
 // keeps exploring and just counts the miss; only the final write (in
 // run) is load-bearing.
 func (e *engine) finishRoundLocked() {
-	units, err := e.frontierSnapshotsLocked(e.cpUnits)
-	if err == nil {
-		err = writeCheckpointFile(e.cfg.CheckpointPath, e.envelope(units, false), e.cfg.Chaos, e.om, e.tracer)
-	}
+	cp := e.envelope(e.frontierSnapshotsLocked(e.cpUnits), false)
+	err := writeCheckpointFile(e.cfg.CheckpointPath, cp, e.cfg.Chaos, e.om, e.tracer)
 	e.cpArmed = false
 	e.cpUnits = e.cpUnits[:0]
 	e.lastCPExecs, e.lastCPTime = e.total.Executions, time.Now()

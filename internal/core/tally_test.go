@@ -159,39 +159,37 @@ func TestDigestMismatchMessagesNameEveryField(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s accepted under a different CommitChance", what)
 		}
-		for _, name := range digestFields {
-			if !strings.Contains(err.Error(), name) {
-				t.Errorf("%s mismatch error does not name %s: %v", what, name, err)
+		for _, f := range digestFields {
+			if !strings.Contains(err.Error(), f.name) {
+				t.Errorf("%s mismatch error does not name %s: %v", what, f.name, err)
 			}
 		}
 	}
 
 	base := Config{RaceDetect: SwitchOn}
 	base.fillDefaults()
-	flips := map[string]func(*Config){
-		"GPF":              func(c *Config) { c.GPF = true },
-		"Poison":           func(c *Config) { c.Poison = true },
-		"MaxStepsPerExec":  func(c *Config) { c.MaxStepsPerExec++ },
-		"MemSize":          func(c *Config) { c.MemSize++ },
-		"CommitChance":     func(c *Config) { c.CommitChance++ },
-		"EagerReadSet":     func(c *Config) { c.EagerReadSet = true },
-		"MaxEventsPerExec": func(c *Config) { c.MaxEventsPerExec++ },
-		"Reduction":        func(c *Config) { c.Reduction = SwitchOff },
-		"RaceDetect":       func(c *Config) { c.RaceDetect = SwitchOff },
-		"UnflushedLines":   func(c *Config) { c.UnflushedLines = []uint64{1} },
-	}
-	if len(flips) != len(digestFields) {
-		t.Fatalf("digestFields has %d names, this test flips %d", len(digestFields), len(flips))
-	}
-	for _, name := range digestFields {
-		flip, ok := flips[name]
-		if !ok {
-			t.Fatalf("digestFields names %s, which this test does not know how to flip", name)
-		}
+	for _, f := range digestFields {
 		c := base
-		flip(&c)
+		fv := reflect.ValueOf(&c).Elem().FieldByName(f.name)
+		if !fv.IsValid() {
+			t.Fatalf("digestFields names %s, which is not a Config field", f.name)
+		}
+		switch v := fv.Addr().Interface().(type) {
+		case *bool:
+			*v = !*v
+		case *int:
+			*v++
+		case *uint64:
+			*v++
+		case *Switch:
+			*v = SwitchOff
+		case *[]uint64:
+			*v = []uint64{1}
+		default:
+			t.Fatalf("digestFields names %s, whose type %s this test does not know how to flip", f.name, fv.Type())
+		}
 		if configDigest(c) == configDigest(base) {
-			t.Errorf("digestFields names %s but configDigest ignores it", name)
+			t.Errorf("digestFields names %s but configDigest ignores it", f.name)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/decision"
 	"repro/internal/obs"
@@ -16,9 +15,18 @@ import (
 
 // CoordinatorConfig configures a Coordinator.
 type CoordinatorConfig struct {
-	// Check is the exploration configuration every worker must match
-	// (seed, GPF/Poison, step limits, ...). Worker-pool and local-only
-	// knobs (Workers, CheckpointPath, Stop, ...) are ignored here.
+	// Check is the run's configuration, held once. Its digest-relevant
+	// part (seed, GPF/Poison, step limits, ...) is what every worker must
+	// match; the coordinator explores nothing itself, so of the rest it
+	// reads only the plumbing: CheckpointPath persists the frontier in the
+	// version-2 checkpoint format every CheckpointInterval (0 means 2s) —
+	// SIGKILL-ing the coordinator mid-run loses at most that much, and the
+	// file is interchangeable with single-process checkpoints; Chaos
+	// injects 5xx responses on the API and I/O faults on checkpoint writes;
+	// EventTrace receives lease-lifecycle events as JSONL; Obs is the
+	// registry the lease metrics go to (nil creates a private one, read
+	// back with Registry); Stop requests a graceful shutdown — stop issuing
+	// leases, wait for outstanding ones to resolve, checkpoint, return.
 	Check core.Config
 	// Program is the program under test; the coordinator runs it only to
 	// compute digests and to minimize repro tokens at the end.
@@ -29,21 +37,6 @@ type CoordinatorConfig struct {
 	// renewing; 0 means core.DefaultLeaseTTL. Expired leases are reclaimed
 	// and re-issued.
 	LeaseTTL time.Duration
-	// CheckpointPath, when set, persists the frontier in the version-2
-	// checkpoint format: SIGKILL-ing the coordinator mid-run loses at
-	// most CheckpointInterval of progress, and the file is
-	// interchangeable with single-process checkpoints.
-	CheckpointPath string
-	// CheckpointInterval is the periodic write cadence; 0 means 2s.
-	CheckpointInterval time.Duration
-	// Chaos, when non-nil, injects server-side faults: 5xx responses on
-	// the API and I/O faults on checkpoint writes.
-	Chaos *chaos.Injector
-	// EventTrace, when non-nil, receives lease-lifecycle events as JSONL.
-	EventTrace io.Writer
-	// Stop, when non-nil, requests a graceful shutdown: stop issuing
-	// leases, wait for outstanding ones to resolve, checkpoint, return.
-	Stop <-chan struct{}
 }
 
 // Coordinator owns the distributed frontier and serves the worker API —
@@ -100,7 +93,7 @@ const starvedWindow = 2 * time.Second
 // Done) after the run resolves, so polling workers observe the outcome.
 const stopLinger = 250 * time.Millisecond
 
-// StartCoordinator seeds the frontier (resuming CheckpointPath if it
+// StartCoordinator seeds the frontier (resuming Check.CheckpointPath if it
 // holds a valid checkpoint; a corrupt one is quarantined), starts the
 // HTTP server and the checkpoint loop, and returns immediately. Call
 // Wait for the result.
@@ -111,8 +104,11 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = core.DefaultLeaseTTL
 	}
-	if cfg.CheckpointInterval <= 0 {
-		cfg.CheckpointInterval = 2 * time.Second
+	if cfg.Check.CheckpointInterval <= 0 {
+		cfg.Check.CheckpointInterval = 2 * time.Second
+	}
+	if cfg.Check.Obs == nil {
+		cfg.Check.Obs = obs.NewRegistry()
 	}
 	cfgDigest, progDigest, err := core.ExplorationDigests(cfg.Check, cfg.Program)
 	if err != nil {
@@ -122,15 +118,15 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cfg:        cfg,
 		cfgDigest:  cfgDigest,
 		progDigest: progDigest,
-		reg:        obs.NewRegistry(),
+		reg:        cfg.Check.Obs,
 		start:      time.Now(),
 		starved:    make(map[string]time.Time),
 		idem:       newIdemCache(512),
 		cpStop:     make(chan struct{}),
 		cpDone:     make(chan struct{}),
 	}
-	if cfg.EventTrace != nil {
-		c.tracer = obs.NewTracer(0, 1024, cfg.EventTrace)
+	if cfg.Check.EventTrace != nil {
+		c.tracer = obs.NewTracer(0, 1024, cfg.Check.EventTrace)
 	}
 	c.mLeaseActive = c.reg.Gauge("cxlmc_lease_active", "work-unit leases currently held by workers")
 	c.mReclaims = c.reg.Counter("cxlmc_lease_reclaims_total", "leases reclaimed after their holder missed the deadline")
@@ -169,8 +165,8 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 // returns the tally the checkpoint had reached, for the frontier to be
 // credited with.
 func (c *Coordinator) seedUnits() (units [][]byte, inherited core.Tally, err error) {
-	path := c.cfg.CheckpointPath
-	r, quarantined, err := core.ResumeCheckpoint(path, c.cfg.Check.Seed, c.cfgDigest, c.progDigest, c.cfg.Chaos)
+	path := c.cfg.Check.CheckpointPath
+	r, quarantined, err := core.ResumeCheckpoint(path, c.cfg.Check.Seed, c.cfgDigest, c.progDigest, c.cfg.Check.Chaos)
 	if err != nil {
 		return nil, inherited, err
 	}
@@ -226,7 +222,7 @@ func (c *Coordinator) Addr() string { return c.srv.Addr() }
 // exercising the workers' retry path.
 func (c *Coordinator) withChaos(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if c.cfg.Chaos.Net5xx() {
+		if c.cfg.Check.Chaos.Net5xx() {
 			http.Error(w, "chaos: injected 5xx", http.StatusServiceUnavailable)
 			return
 		}
@@ -457,10 +453,10 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 // checkpointLoop periodically persists the frontier.
 func (c *Coordinator) checkpointLoop() {
 	defer close(c.cpDone)
-	if c.cfg.CheckpointPath == "" {
+	if c.cfg.Check.CheckpointPath == "" {
 		return
 	}
-	t := time.NewTicker(c.cfg.CheckpointInterval)
+	t := time.NewTicker(c.cfg.Check.CheckpointInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -487,11 +483,11 @@ func (c *Coordinator) writeCheckpoint(complete bool) error {
 	cp := core.NewCheckpoint(c.cfg.Check.Seed, c.cfgDigest, c.progDigest, units,
 		t, c.res, c.prior+time.Since(c.start), complete, c.interrupted)
 	c.mu.Unlock()
-	return core.WriteCheckpoint(c.cfg.CheckpointPath, cp, c.cfg.Chaos)
+	return core.WriteCheckpoint(c.cfg.Check.CheckpointPath, cp, c.cfg.Check.Chaos)
 }
 
 // Wait blocks until the exploration completes (every unit explored and
-// reported), the coordinator stops on a bug, or stop/cfg.Stop fires;
+// reported), the coordinator stops on a bug, or stop/Check.Stop fires;
 // then it shuts the server down, writes the final checkpoint and returns
 // the merged result. The bug set is sorted (kind, message) and repro
 // tokens are minimized over the global set, so a distributed run's
@@ -499,7 +495,7 @@ func (c *Coordinator) writeCheckpoint(complete bool) error {
 func (c *Coordinator) Wait(stop <-chan struct{}) (*core.Result, error) {
 	tick := time.NewTicker(10 * time.Millisecond)
 	defer tick.Stop()
-	stopCh, cfgStop := stop, c.cfg.Stop
+	stopCh, cfgStop := stop, c.cfg.Check.Stop
 	complete := c.emptySeed
 	for !complete {
 		select {
@@ -562,7 +558,7 @@ func (c *Coordinator) Wait(stop <-chan struct{}) (*core.Result, error) {
 	c.mu.Unlock()
 	core.SortBugs(t.Bugs)
 	core.MinimizeBugs(c.cfg.Check, c.cfg.Program, t.Bugs)
-	if c.cfg.CheckpointPath != "" {
+	if c.cfg.Check.CheckpointPath != "" {
 		if err := c.writeCheckpoint(complete); err != nil {
 			// Like the engine, only a failed FINAL write fails the run:
 			// without it the remaining frontier would be lost.

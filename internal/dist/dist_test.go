@@ -623,10 +623,9 @@ func TestDistIdempotentRequests(t *testing.T) {
 func killedCoordinatorCheckpoint(t *testing.T, check core.Config, prog func(*core.Program), base *core.Result) string {
 	t.Helper()
 	cpPath := filepath.Join(t.TempDir(), "dist.cp")
-	c1, err := StartCoordinator(CoordinatorConfig{
-		Check: check, Program: prog, Addr: "127.0.0.1:0",
-		CheckpointPath: cpPath, CheckpointInterval: time.Hour, // written by hand below
-	})
+	persisted := check
+	persisted.CheckpointPath, persisted.CheckpointInterval = cpPath, time.Hour // written by hand below
+	c1, err := StartCoordinator(CoordinatorConfig{Check: persisted, Program: prog, Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -678,9 +677,12 @@ func finishDistributed(t *testing.T, cfg CoordinatorConfig) (*Coordinator, *core
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The coordinator's durable state and event log are its own.
+	wcheck := cfg.Check
+	wcheck.CheckpointPath, wcheck.EventTrace = "", nil
 	go func() {
 		RunWorker(WorkerConfig{
-			Check: cfg.Check, Program: cfg.Program,
+			Check: wcheck, Program: cfg.Program,
 			Coordinator: c.Addr(), Name: "finisher",
 		})
 	}()
@@ -704,7 +706,8 @@ func TestDistCoordinatorCrashResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	cpPath := killedCoordinatorCheckpoint(t, check, prog, base)
-	_, res := finishDistributed(t, CoordinatorConfig{Check: check, Program: prog, CheckpointPath: cpPath})
+	check.CheckpointPath = cpPath
+	_, res := finishDistributed(t, CoordinatorConfig{Check: check, Program: prog})
 	if !res.Resumed {
 		t.Fatal("resumed run not marked Resumed")
 	}
@@ -754,7 +757,8 @@ func TestCrossModeResume(t *testing.T) {
 		if mid.Complete || mid.Executions != 40 {
 			t.Fatalf("engine leg: complete=%v after %d executions; wanted a strict middle", mid.Complete, mid.Executions)
 		}
-		_, res := finishDistributed(t, CoordinatorConfig{Check: check, Program: prog, CheckpointPath: cfg.CheckpointPath})
+		cfg.MaxExecutions = 0
+		_, res := finishDistributed(t, CoordinatorConfig{Check: cfg, Program: prog})
 		assertSerialParity(t, res)
 	})
 }
@@ -825,9 +829,9 @@ func TestDistCorruptCheckpointQuarantine(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "dist.cp")
 			corrupt(path)
 			var trace lockedBuffer
-			c, res := finishDistributed(t, CoordinatorConfig{
-				Check: check, Program: prog, CheckpointPath: path, EventTrace: &trace,
-			})
+			traced := check
+			traced.CheckpointPath, traced.EventTrace = path, &trace
+			c, res := finishDistributed(t, CoordinatorConfig{Check: traced, Program: prog})
 			if !res.Quarantined || res.Resumed {
 				t.Fatalf("quarantined=%v resumed=%v", res.Quarantined, res.Resumed)
 			}
@@ -850,8 +854,8 @@ func TestDistCorruptCheckpointQuarantine(t *testing.T) {
 			t.Fatal(err)
 		}
 		other := check
-		other.Seed = 5
-		_, err := StartCoordinator(CoordinatorConfig{Check: other, Program: prog, Addr: "127.0.0.1:0", CheckpointPath: path})
+		other.Seed, other.CheckpointPath = 5, path
+		_, err := StartCoordinator(CoordinatorConfig{Check: other, Program: prog, Addr: "127.0.0.1:0"})
 		if err == nil || !strings.Contains(err.Error(), "seed 0") || !strings.Contains(err.Error(), "seed 5") {
 			t.Fatalf("err = %v, want a hard error naming seed 0 and seed 5", err)
 		}
@@ -875,14 +879,15 @@ func TestDistChaosSweep(t *testing.T) {
 	}
 
 	serverInj := chaos.New(chaos.Config{Seed: 7, Net5xxPct: 25, MaxFaults: 500})
+	served := check
+	served.Chaos = serverInj
 	c, err := StartCoordinator(CoordinatorConfig{
-		Check: check, Program: prog, Addr: "127.0.0.1:0",
+		Check: served, Program: prog, Addr: "127.0.0.1:0",
 		// Short enough that renewals run (they carry the coordinator's
 		// demand signal, which is what triggers donation splits), long
 		// enough that no live worker's lease lapses under injected
 		// delays — reclaim-under-fire is the abandoned-lease test's job.
 		LeaseTTL: 500 * time.Millisecond,
-		Chaos:    serverInj,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -906,8 +911,7 @@ func TestDistChaosSweep(t *testing.T) {
 			if _, err := RunWorker(WorkerConfig{
 				Check: check, Program: prog,
 				Coordinator: c.Addr(), Name: fmt.Sprintf("chaotic-%d", i),
-				Chaos:     injs[i],
-				Transport: TransportConfig{Attempts: 10, Backoff: time.Millisecond},
+				Transport: TransportConfig{Attempts: 10, Backoff: time.Millisecond, Chaos: injs[i]},
 			}); err != nil {
 				t.Errorf("chaotic worker %d: %v", i, err)
 			}

@@ -7,18 +7,18 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
 
 // WorkerConfig configures RunWorker.
 type WorkerConfig struct {
-	// Check is the exploration configuration; its digests must match the
-	// coordinator's or the join is rejected. CheckpointPath and SpillDir
-	// must be empty (the coordinator owns durable state). MaxExecutions,
-	// MaxTime, Stop and the MetricsAddr status server span the worker's
-	// lifetime, not one lease.
+	// Check is the run's configuration, held once; its digests must match
+	// the coordinator's or the join is rejected. CheckpointPath must be
+	// empty (the coordinator owns durable state). MaxExecutions, MaxTime,
+	// Stop and the MetricsAddr status server span the worker's lifetime,
+	// not one lease. Chaos also injects network faults into this worker's
+	// transport, and Obs also gets a cxlmc_rpc_retries_total counter.
 	Check core.Config
 	// Program is the program under test.
 	Program func(*core.Program)
@@ -27,15 +27,8 @@ type WorkerConfig struct {
 	// Name identifies this worker in leases and logs; defaults to
 	// "worker-<pid>".
 	Name string
-	// Chaos, when non-nil, injects network faults into this worker's
-	// transport (and I/O faults into anything else it touches).
-	Chaos *chaos.Injector
 	// Transport tunes retry/backoff/timeouts; zero values are fine.
 	Transport TransportConfig
-	// Tracer, when non-nil, receives rpc-retry events.
-	Tracer *obs.Tracer
-	// Registry, when non-nil, gets a cxlmc_rpc_retries_total counter.
-	Registry *obs.Registry
 }
 
 // RemoteFrontier is the worker's end of the coordinator's HTTP API, spoken
@@ -232,21 +225,17 @@ func RunWorker(cfg WorkerConfig) (*core.Result, error) {
 	if cfg.Name == "" {
 		cfg.Name = "worker-" + strconv.Itoa(os.Getpid())
 	}
-	if cfg.Check.CheckpointPath != "" || cfg.Check.SpillDir != "" {
-		return nil, fmt.Errorf("dist: worker Check must not set CheckpointPath or SpillDir")
+	if cfg.Check.CheckpointPath != "" {
+		return nil, fmt.Errorf("dist: worker Check must not set CheckpointPath")
 	}
 	tcfg := cfg.Transport
 	if tcfg.Chaos == nil {
-		tcfg.Chaos = cfg.Chaos
+		tcfg.Chaos = cfg.Check.Chaos
 	}
-	var retryCounter *obs.Counter
-	if cfg.Registry != nil {
-		retryCounter = cfg.Registry.Counter("cxlmc_rpc_retries_total", "transport calls retried after transient faults")
-	}
+	retryCounter := cfg.Check.Obs.Counter("cxlmc_rpc_retries_total", "transport calls retried after transient faults")
 	userRetry := tcfg.OnRetry
 	tcfg.OnRetry = func(path string, err error) {
 		retryCounter.Inc()
-		cfg.Tracer.RecordS(-1, obs.EvRPCRetry, 0, path)
 		if userRetry != nil {
 			userRetry(path, err)
 		}

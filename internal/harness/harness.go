@@ -10,6 +10,7 @@ import (
 	"time"
 
 	cxlmc "repro"
+	"repro/internal/analyze"
 	"repro/internal/cxlshm"
 	"repro/internal/recipe"
 	"repro/internal/recipe/cceh"
@@ -43,7 +44,8 @@ func ByName(name string) (recipe.Benchmark, bool) {
 
 // ProgramByName resolves a benchmark name to its program constructor:
 // first the six RECIPE benchmarks (rc shapes the workload and seeds its
-// bugs), then the CXL-SHM cases (which take only the bug mask). It is
+// bugs), then the CXL-SHM cases (which take only the bug mask), then
+// vet-demo, the static-analysis example (which takes nothing). It is
 // the single name→program mapping the CLI and the job server share, so
 // a job submitted by name runs exactly the program `cxlmc -bench` does.
 func ProgramByName(name string, rc recipe.Config) (func(*cxlmc.Program), bool) {
@@ -54,6 +56,9 @@ func ProgramByName(name string, rc recipe.Config) (func(*cxlmc.Program), bool) {
 		if c.Name == name {
 			return c.Program(cxlshm.Bug(rc.Bugs)), true
 		}
+	}
+	if name == "vet-demo" {
+		return analyze.DemoProgram, true
 	}
 	return nil, false
 }

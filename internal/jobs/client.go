@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 )
@@ -110,11 +111,11 @@ func (c *Client) Status(ctx context.Context, id string) (Status, error) {
 // List fetches every job's summary status, optionally filtered by
 // tenant ("" = all).
 func (c *Client) List(ctx context.Context, tenant string) ([]Status, error) {
-	url := c.base + "/jobs"
+	u := c.base + "/jobs"
 	if tenant != "" {
-		url += "?tenant=" + tenant
+		u += "?tenant=" + url.QueryEscape(tenant)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -29,14 +29,14 @@ func testServer(t *testing.T, cfg Config) *Server {
 	if cfg.RetryCap == 0 {
 		cfg.RetryCap = 100 * time.Millisecond
 	}
-	if cfg.CheckpointEvery == 0 {
-		cfg.CheckpointEvery = 8
+	if cfg.Base.CheckpointEvery == 0 {
+		cfg.Base.CheckpointEvery = 8
 	}
-	if cfg.CheckpointInterval == 0 {
-		cfg.CheckpointInterval = 50 * time.Millisecond
+	if cfg.Base.CheckpointInterval == 0 {
+		cfg.Base.CheckpointInterval = 50 * time.Millisecond
 	}
-	if cfg.ProgressEvery == 0 {
-		cfg.ProgressEvery = 20 * time.Millisecond
+	if cfg.Base.ProgressEvery == 0 {
+		cfg.Base.ProgressEvery = 20 * time.Millisecond
 	}
 	s, err := Start(cfg)
 	if err != nil {
@@ -294,7 +294,7 @@ func TestEventsSSE(t *testing.T) {
 // and still completes with the right bugs.
 func TestTransientRetry(t *testing.T) {
 	inj := chaos.New(chaos.Config{Seed: 7, WriteErrPct: 20, RenameErrPct: 20})
-	s := testServer(t, Config{Chaos: inj, MaxRetries: 8})
+	s := testServer(t, Config{Base: cxlmc.Config{Chaos: inj}, MaxRetries: 8})
 	c := NewClient(s.Addr())
 	ctx := ctxT(t, 60*time.Second)
 
@@ -318,7 +318,7 @@ func TestTransientRetry(t *testing.T) {
 // its checkpoint each time, and still finishes with the full result —
 // the governor pauses healthy work, it does not kill it.
 func TestDegradedJobCompletes(t *testing.T) {
-	s := testServer(t, Config{RetryBase: time.Millisecond, CheckpointEvery: 1})
+	s := testServer(t, Config{RetryBase: time.Millisecond, Base: cxlmc.Config{CheckpointEvery: 1}})
 	c := NewClient(s.Addr())
 	ctx := ctxT(t, 60*time.Second)
 

@@ -85,8 +85,11 @@ func TestRestartParity(t *testing.T) {
 	// and one queued, then crash.
 	cfg := Config{
 		Addr: "127.0.0.1:0", Dir: dir, PoolWorkers: 2,
-		CheckpointEvery: 25, CheckpointInterval: 50 * time.Millisecond,
-		ProgressEvery: 10 * time.Millisecond, RetryBase: 5 * time.Millisecond,
+		RetryBase: 5 * time.Millisecond,
+		Base: cxlmc.Config{
+			CheckpointEvery: 25, CheckpointInterval: 50 * time.Millisecond,
+			ProgressEvery: 10 * time.Millisecond,
+		},
 	}
 	s1, err := Start(cfg)
 	if err != nil {
@@ -209,8 +212,10 @@ func TestCrashBeforeFirstCheckpoint(t *testing.T) {
 	cfg := Config{
 		Addr: "127.0.0.1:0", Dir: dir, PoolWorkers: 1,
 		// A checkpoint cadence the short run will never reach.
-		CheckpointEvery: 1 << 20, CheckpointInterval: time.Hour,
-		ProgressEvery: 5 * time.Millisecond,
+		Base: cxlmc.Config{
+			CheckpointEvery: 1 << 20, CheckpointInterval: time.Hour,
+			ProgressEvery: 5 * time.Millisecond,
+		},
 	}
 	s1, err := Start(cfg)
 	if err != nil {

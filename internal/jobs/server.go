@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -42,37 +41,20 @@ type Config struct {
 	RetryBase time.Duration
 	RetryCap  time.Duration
 
-	// CheckpointEvery / CheckpointInterval are each job's engine
-	// checkpoint cadence; defaults 64 executions and 2s.
-	CheckpointEvery    int
-	CheckpointInterval time.Duration
-	// ProgressEvery is each job's Progress snapshot cadence; default
-	// 250ms.
-	ProgressEvery time.Duration
-	// WedgeTimeout is each job's watchdog for callbacks that block
-	// outside the simulated API; default 30s.
-	WedgeTimeout time.Duration
-	// MaxJobTime caps every job's MaxTime deadline (and is the default
-	// for specs that set none); 0 = no cap.
-	MaxJobTime time.Duration
-	// DefaultMemBudget is the governor budget for specs that set none;
-	// 0 = unbounded.
-	DefaultMemBudget uint64
-	// JobWorkers is the engine worker count for specs that set none;
-	// default 1, so concurrent jobs share the host's cores instead of
-	// each grabbing GOMAXPROCS.
-	JobWorkers int
+	// Base is the engine configuration every job's run starts from: the
+	// spec's knobs are laid over it (Spec.Config), then the server's own
+	// wiring of one job — its checkpoint file, stop channel and progress
+	// feed. Its zero fields take the server's defaults: CheckpointEvery 64
+	// and CheckpointInterval 2s, ProgressEvery 250ms, WedgeTimeout 30s,
+	// and Workers 1, so concurrent jobs share the host's cores instead of
+	// each grabbing GOMAXPROCS. MaxTime caps every job's deadline and
+	// MemBudgetBytes is the governor budget of specs that set none. Chaos
+	// also injects faults into the journal's I/O and the pool's
+	// scheduling; Obs is the server's registry (nil creates a private one,
+	// read back with Registry); EventTrace receives the job lifecycle
+	// events as JSON lines, and no run's exploration events.
+	Base cxlmc.Config
 
-	// Chaos, when non-nil, injects faults into the job store's journal
-	// I/O, the pool's scheduling, and each job run's checkpoint I/O —
-	// the server's own resilience paths under test.
-	Chaos *chaos.Injector
-	// Obs is the metrics registry; nil creates a private one (read it
-	// back with Registry).
-	Obs *obs.Registry
-	// EventTrace, when non-nil, receives job lifecycle events as JSON
-	// lines, alongside the exploration events of each run.
-	EventTrace io.Writer
 	// Logf, when non-nil, receives one line per notable server event.
 	Logf func(format string, args ...any)
 }
@@ -93,20 +75,23 @@ func (c *Config) fillDefaults() {
 	if c.RetryCap <= 0 {
 		c.RetryCap = 5 * time.Second
 	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 64
+	if c.Base.CheckpointEvery <= 0 {
+		c.Base.CheckpointEvery = 64
 	}
-	if c.CheckpointInterval <= 0 {
-		c.CheckpointInterval = 2 * time.Second
+	if c.Base.CheckpointInterval <= 0 {
+		c.Base.CheckpointInterval = 2 * time.Second
 	}
-	if c.ProgressEvery <= 0 {
-		c.ProgressEvery = 250 * time.Millisecond
+	if c.Base.ProgressEvery <= 0 {
+		c.Base.ProgressEvery = 250 * time.Millisecond
 	}
-	if c.WedgeTimeout <= 0 {
-		c.WedgeTimeout = 30 * time.Second
+	if c.Base.WedgeTimeout <= 0 {
+		c.Base.WedgeTimeout = 30 * time.Second
 	}
-	if c.JobWorkers <= 0 {
-		c.JobWorkers = 1
+	if c.Base.Workers <= 0 {
+		c.Base.Workers = 1
+	}
+	if c.Base.Obs == nil {
+		c.Base.Obs = obs.NewRegistry()
 	}
 }
 
@@ -239,7 +224,6 @@ func (j *job) publish(ev sseEvent, terminal bool) {
 // Drain (graceful) or Close (hard).
 type Server struct {
 	cfg    Config
-	reg    *obs.Registry
 	m      metrics
 	tracer *obs.Tracer
 	st     *store
@@ -270,22 +254,20 @@ func Start(cfg Config) (*Server, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("jobs: Config.Dir is required")
 	}
-	reg := cfg.Obs
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	s := &Server{
 		cfg:    cfg,
-		reg:    reg,
-		m:      newMetrics(reg),
+		m:      newMetrics(cfg.Base.Obs),
 		q:      newFairQueue(cfg.QueueDepth),
 		jobs:   make(map[string]*job),
 		nextID: 1,
 	}
-	if cfg.EventTrace != nil {
-		s.tracer = obs.NewTracer(1, 1024, cfg.EventTrace)
+	if cfg.Base.EventTrace != nil {
+		s.tracer = obs.NewTracer(1, 1024, cfg.Base.EventTrace)
+		// The sink is the server's tracer's alone: engine tracers do not
+		// share a writer.
+		s.cfg.Base.EventTrace = nil
 	}
-	st, recs, err := openStore(cfg.Dir, cfg.Chaos, func() {
+	st, recs, err := openStore(cfg.Dir, cfg.Base.Chaos, func() {
 		s.m.journalRetries.Inc()
 		s.trace(obs.EvJobJournalRetry, "")
 	})
@@ -305,7 +287,7 @@ func Start(cfg Config) (*Server, error) {
 		{Pattern: "DELETE /jobs/{id}", Handler: http.HandlerFunc(s.handleCancel)},
 		{Pattern: "GET /jobs/{id}/events", Handler: http.HandlerFunc(s.handleEvents)},
 	}
-	srv, err := obs.NewServerRoutes(cfg.Addr, reg, s.statusz, routes...)
+	srv, err := obs.NewServerRoutes(cfg.Addr, cfg.Base.Obs, s.statusz, routes...)
 	if err != nil {
 		st.close()
 		return nil, err
@@ -364,7 +346,7 @@ func (s *Server) adopt(recs []record) {
 func (s *Server) Addr() string { return s.http.Addr() }
 
 // Registry returns the server's metrics registry.
-func (s *Server) Registry() *obs.Registry { return s.reg }
+func (s *Server) Registry() *obs.Registry { return s.cfg.Base.Obs }
 
 func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {
@@ -692,11 +674,12 @@ func (s *Server) finishJob(j *job, state State, res *cxlmc.Result, errMsg string
 	if crashed {
 		return
 	}
-	s.logf("jobs: %s %s%s", j.id, state, errSuffix(errMsg))
+	s.logf("jobs: %s %s%s", j.id, state, ErrSuffix(errMsg))
 	s.publishState(j)
 }
 
-func errSuffix(msg string) string {
+// ErrSuffix renders a job's error for the end of a log or listing line.
+func ErrSuffix(msg string) string {
 	if msg == "" {
 		return ""
 	}
@@ -766,7 +749,7 @@ func (s *Server) setQueuedForRestart(j *job) {
 func (s *Server) runJob(j *job) {
 	// Chaos in the pool: a seeded stall before the claim turns into work,
 	// shaking out ordering assumptions between claim, cancel and drain.
-	s.cfg.Chaos.Stall()
+	s.cfg.Base.Chaos.Stall()
 
 	j.mu.Lock()
 	if j.cancelled {
@@ -788,12 +771,14 @@ func (s *Server) runJob(j *job) {
 	s.trace(obs.EvJobStart, j.id)
 	s.publishState(j)
 
-	program, ok := j.spec.program()
-	if !ok {
-		s.finishJob(j, StateFailed, nil, fmt.Sprintf("unresolvable program (%s)", specName(&j.spec)))
+	// normalize resolved the program at submit time; an error here means a
+	// hand-edited journal record.
+	program, err := j.spec.Program()
+	if err != nil {
+		s.finishJob(j, StateFailed, nil, fmt.Sprintf("unresolvable program (%s): %v", specName(&j.spec), err))
 		return
 	}
-	cfg := j.spec.checkConfig(s.baseConfig())
+	cfg := j.spec.Config(s.cfg.Base)
 	cfg.CheckpointPath = s.st.checkpointPath(j.id)
 	cfg.Stop = j.stop
 	cfg.OnProgress = func(p cxlmc.Progress) {
@@ -803,34 +788,17 @@ func (s *Server) runJob(j *job) {
 		j.mu.Unlock()
 		s.publishProgress(j, p)
 	}
-	if cfg.RaceDetect == cxlmc.SwitchOn {
-		// Mirror the CLI: the vet pre-pass arms the crash-exposure check,
-		// and runs identically on every retry so the config digest is
-		// stable across resumes.
-		if rep, err := cxlmc.Vet(cfg, program); err == nil {
-			cfg.UnflushedLines = rep.FlaggedLines()
-		}
+	// Armed identically on every retry, so the config digest is stable
+	// across resumes; a pre-pass that fails fails on every retry too.
+	if cfg, err = cxlmc.Arm(cfg, program); err != nil {
+		s.finishJob(j, StateFailed, nil, err.Error())
+		return
 	}
 
 	start := time.Now()
 	res, err := cxlmc.Run(cfg, program)
 	s.noteDuration(time.Since(start))
 	s.classify(j, res, err)
-}
-
-// baseConfig is the server-owned part of every job's engine config.
-func (s *Server) baseConfig() cxlmc.Config {
-	return cxlmc.Config{
-		Workers:            s.cfg.JobWorkers,
-		MaxTime:            s.cfg.MaxJobTime,
-		MemBudgetBytes:     s.cfg.DefaultMemBudget,
-		WedgeTimeout:       s.cfg.WedgeTimeout,
-		CheckpointEvery:    s.cfg.CheckpointEvery,
-		CheckpointInterval: s.cfg.CheckpointInterval,
-		ProgressEvery:      s.cfg.ProgressEvery,
-		Obs:                s.reg,
-		Chaos:              s.cfg.Chaos,
-	}
 }
 
 // classify turns one run's outcome into the job's next state:

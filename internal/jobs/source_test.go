@@ -198,8 +198,11 @@ func TestSourceJobRestartParity(t *testing.T) {
 
 	cfg := Config{
 		Addr: "127.0.0.1:0", Dir: dir, PoolWorkers: 1,
-		CheckpointEvery: 10, CheckpointInterval: 20 * time.Millisecond,
-		ProgressEvery: 5 * time.Millisecond, RetryBase: 5 * time.Millisecond,
+		RetryBase: 5 * time.Millisecond,
+		Base: cxlmc.Config{
+			CheckpointEvery: 10, CheckpointInterval: 20 * time.Millisecond,
+			ProgressEvery: 5 * time.Millisecond,
+		},
 	}
 	s1, err := Start(cfg)
 	if err != nil {

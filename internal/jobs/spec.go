@@ -21,7 +21,9 @@ package jobs
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
+	"strconv"
 	"time"
 
 	cxlmc "repro"
@@ -72,12 +74,16 @@ type GenSpec struct {
 	Flushes           int   `json:"flushes,omitempty"`
 }
 
-// Spec is an exploration job as a client submits it: a program — a named
-// RECIPE/CXL-SHM benchmark with its workload shape, or a generated
-// recipe — plus the whitelisted subset of the checker's Config a tenant
-// may set. Everything else (checkpoint paths and cadence, stop wiring,
-// observability, chaos) belongs to the server, so a spec can neither
-// touch the host filesystem nor break another tenant's job.
+// Spec is an exploration as its owner describes it: a program — a named
+// RECIPE/CXL-SHM benchmark with its workload shape, a generated recipe, or
+// an inline source file — plus the knobs of the checker's Config a tenant
+// may set. It is what a client submits, and it is also how cmd/cxlmc reads
+// its own command line: BindFlags is the one declaration of every knob's
+// flag, Program and Config the one way a run gets its program and its
+// engine configuration, so the same flags mean the same run in every mode.
+// Everything else (checkpoint paths and cadence, stop wiring,
+// observability, chaos) belongs to whoever runs the spec, so a submitted
+// one can neither touch the host filesystem nor break another tenant's job.
 type Spec struct {
 	// Tenant is the fairness and quota key; empty means "default".
 	Tenant string `json:"tenant,omitempty"`
@@ -108,7 +114,7 @@ type Spec struct {
 	Entry      string `json:"entry,omitempty"`
 
 	// Whitelisted exploration knobs, mirroring the checker Config fields
-	// of the same names.
+	// of the same names. Config lays them over a base configuration.
 	Seed             int64        `json:"seed,omitempty"`
 	GPF              bool         `json:"gpf,omitempty"`
 	Poison           bool         `json:"poison,omitempty"`
@@ -122,6 +128,44 @@ type Spec struct {
 	Reduction        cxlmc.Switch `json:"reduction,omitempty"`
 	PrefixFork       cxlmc.Switch `json:"prefix_fork,omitempty"`
 	RaceDetect       cxlmc.Switch `json:"race_detect,omitempty"`
+}
+
+// bugsFlag parses -bugs: a 32-bit mask in any base strconv accepts (0x3).
+type bugsFlag uint32
+
+func (b *bugsFlag) String() string { return fmt.Sprintf("%#x", uint32(*b)) }
+
+func (b *bugsFlag) Set(s string) error {
+	v, err := strconv.ParseUint(s, 0, 32)
+	*b = bugsFlag(v)
+	return err
+}
+
+// BindFlags declares on fs the flag of every program and knob field a
+// command line can set (Tenant, a generated program and the source file's
+// bytes are the verb's own business). What a field holds when it is bound
+// is what its flag means when absent: zero takes the default Program and
+// Config document, and cmd/cxlmc binds a spec with RaceDetect on.
+func (sp *Spec) BindFlags(fs *flag.FlagSet) {
+	fs.StringVar(&sp.Bench, "bench", sp.Bench, "benchmark name (CCEH, FAST_FAIR, P-ART, P-BwTree, P-CLHT, P-MassTree, kv, test_stress, vet-demo)")
+	fs.IntVar(&sp.Keys, "keys", sp.Keys, "total keys inserted (0 = 10)")
+	fs.IntVar(&sp.InsertWorkers, "insert-workers", sp.InsertWorkers, "insert workers per machine, the simulated workload's shape (0 = 1)")
+	fs.IntVar(&sp.Stride, "stride", sp.Stride, "key stride (0 = 1)")
+	fs.Var((*bugsFlag)(&sp.Bugs), "bugs", "seeded-bug bitmask (e.g. 0x3); 0 = all fixed")
+	fs.StringVar(&sp.Entry, "entry", sp.Entry, "entry function in the source file, signature func(*cxl.Region) (default Program)")
+	fs.Int64Var(&sp.Seed, "seed", sp.Seed, "schedule seed")
+	fs.BoolVar(&sp.GPF, "gpf", sp.GPF, "assume global persistent flush always succeeds")
+	fs.BoolVar(&sp.Poison, "poison", sp.Poison, "enable CXL memory poisoning")
+	fs.IntVar(&sp.Workers, "workers", sp.Workers, "parallel exploration workers (0 = GOMAXPROCS; for a submitted job, the server's default)")
+	fs.IntVar(&sp.MaxExecutions, "max-execs", sp.MaxExecutions, "cap on explored executions (0 = exhaustive)")
+	fs.DurationVar((*time.Duration)(&sp.MaxTime), "max-time", time.Duration(sp.MaxTime), "wall-clock budget for the exploration (0 = unlimited)")
+	fs.Uint64Var(&sp.MemBudgetBytes, "mem-budget", sp.MemBudgetBytes, "soft heap budget in bytes; over it the run degrades gracefully instead of OOMing (0 = off)")
+	fs.IntVar(&sp.GovernorEvery, "governor-every", sp.GovernorEvery, "sample the heap against -mem-budget every N executions (0 = 256)")
+	fs.IntVar(&sp.MaxEventsPerExec, "max-events", sp.MaxEventsPerExec, "cap on decision points per execution; exceeding it is reported as a resource-exhausted bug (0 = off)")
+	fs.BoolVar(&sp.ContinueAfterBug, "continue", sp.ContinueAfterBug, "keep exploring after the first bug instead of stopping")
+	fs.TextVar(&sp.Reduction, "reduction", sp.Reduction, "state-space reduction: prune failure points no surviving thread can observe (on|off)")
+	fs.TextVar(&sp.PrefixFork, "prefix-fork", sp.PrefixFork, "prefix-fork replay: resume sibling executions from the shared decision prefix instead of re-running it (on|off)")
+	fs.TextVar(&sp.RaceDetect, "race-detect", sp.RaceDetect, "happens-before data-race detection during exploration (on|off)")
 }
 
 // maxWorkersPerJob caps one job's exploration workers so a single
@@ -183,16 +227,11 @@ func (sp *Spec) normalize() error {
 		if len(sp.SourceName) > 128 || !validSourceName(sp.SourceName) {
 			return fmt.Errorf("jobs: bad source_name %q: want a short printable name with no path separators", sp.SourceName)
 		}
-		// Front-load the whole front-end: a spec that queues is a spec
-		// that runs.
-		if _, err := cxlmc.ProgramFromSource(sp.SourceName, []byte(sp.Source), sp.Entry); err != nil {
-			return fmt.Errorf("jobs: bad source program: %w", err)
-		}
 	}
-	if sp.Bench != "" {
-		if _, ok := sp.program(); !ok {
-			return fmt.Errorf("jobs: unknown benchmark %q", sp.Bench)
-		}
+	// Front-load the whole front-end: a spec that queues is a spec that
+	// runs.
+	if _, err := sp.Program(); err != nil {
+		return fmt.Errorf("jobs: %w", err)
 	}
 	if sp.Keys < 0 || sp.InsertWorkers < 0 || sp.Stride < 0 ||
 		sp.Workers < 0 || sp.MaxExecutions < 0 || sp.MaxTime < 0 ||
@@ -216,16 +255,14 @@ func validSourceName(name string) bool {
 	return true
 }
 
-// program resolves the spec to the checker's program constructor.
-func (sp *Spec) program() (func(*cxlmc.Program), bool) {
+// Program resolves the spec to the checker's program constructor: the
+// source file through the gofront front-end (its errors are positioned
+// file:line diagnostics), the generated program, or the named benchmark
+// with its workload shape (zero Keys, InsertWorkers and Stride are the
+// paper's 10, 1 and 1).
+func (sp *Spec) Program() (func(*cxlmc.Program), error) {
 	if sp.Source != "" {
-		prog, err := cxlmc.ProgramFromSource(sp.SourceName, []byte(sp.Source), sp.Entry)
-		if err != nil {
-			// normalize vetted the source at submit time; reaching this
-			// means a hand-edited journal record.
-			return nil, false
-		}
-		return prog, true
+		return cxlmc.ProgramFromSource(sp.SourceName, []byte(sp.Source), sp.Entry)
 	}
 	if sp.Gen != nil {
 		gc := harness.GenConfig{
@@ -235,29 +272,32 @@ func (sp *Spec) program() (func(*cxlmc.Program), bool) {
 			MaxCells:             sp.Gen.Cells,
 			FlushBudget:          sp.Gen.Flushes,
 		}
-		return harness.Generate(sp.Gen.Seed, gc), true
+		return harness.Generate(sp.Gen.Seed, gc), nil
 	}
-	return harness.ProgramByName(sp.Bench, recipe.Config{
+	prog, ok := harness.ProgramByName(sp.Bench, recipe.Config{
 		Keys:    sp.Keys,
 		Workers: sp.InsertWorkers,
 		Stride:  sp.Stride,
 		Bugs:    recipe.Bug(sp.Bugs),
 	})
+	if !ok {
+		return nil, fmt.Errorf("unknown benchmark %q", sp.Bench)
+	}
+	return prog, nil
 }
 
-// checkConfig merges the whitelisted spec knobs onto the server's base
-// configuration for one run of the job. The server fills in durable
-// state (checkpoint path and cadence), stop wiring and observability
-// afterwards.
-func (sp *Spec) checkConfig(base cxlmc.Config) cxlmc.Config {
+// Config lays the spec's knobs over base, the configuration of whoever runs
+// the spec — the job server's Config.Base, or what cmd/cxlmc built from its
+// plumbing flags — which keeps everything a spec cannot name: durable state
+// (checkpoint path and cadence), stop wiring, observability, chaos. The
+// knobs that identify the exploration are the spec's outright; a budget
+// the spec leaves at zero is base's, and base's MaxTime caps the spec's.
+func (sp *Spec) Config(base cxlmc.Config) cxlmc.Config {
 	cfg := base
 	cfg.Seed = sp.Seed
 	cfg.GPF = sp.GPF
 	cfg.Poison = sp.Poison
 	if sp.Workers > 0 {
-		// The server's base pins each job to a modest worker count so
-		// concurrent jobs share the host; a spec may widen one job up to
-		// the per-job cap.
 		cfg.Workers = sp.Workers
 	}
 	cfg.MaxExecutions = sp.MaxExecutions

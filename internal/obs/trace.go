@@ -23,20 +23,17 @@ const (
 	EvCheckpointRetry
 	EvCheckpointQuarantine
 	EvGovernor
-	EvSpill
-	EvUnspill
 	EvChaosFault
 	EvSteal
 	EvPark
 	// Distributed-exploration events: work-unit lease lifecycle on the
 	// coordinator (grant, renew, complete, reclaim-after-expiry, stale
-	// completion rejected) and transport retries on either side.
+	// completion rejected).
 	EvLeaseGrant
 	EvLeaseRenew
 	EvLeaseComplete
 	EvLeaseReclaim
 	EvLeaseStale
-	EvRPCRetry
 	// Analysis events: a happens-before race (or crash-exposed unflushed
 	// publish) reported by the dynamic detector, and a finding emitted by
 	// the cxlvet static pre-pass.
@@ -77,10 +74,6 @@ func (k EventKind) String() string {
 		return "checkpoint-quarantine"
 	case EvGovernor:
 		return "governor"
-	case EvSpill:
-		return "spill"
-	case EvUnspill:
-		return "unspill"
 	case EvChaosFault:
 		return "chaos-fault"
 	case EvSteal:
@@ -97,8 +90,6 @@ func (k EventKind) String() string {
 		return "lease-reclaim"
 	case EvLeaseStale:
 		return "lease-stale"
-	case EvRPCRetry:
-		return "rpc-retry"
 	case EvDataRace:
 		return "data-race"
 	case EvVetFinding:
