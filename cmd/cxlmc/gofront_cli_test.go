@@ -72,19 +72,23 @@ func TestCheckVetSourceGolden(t *testing.T) {
 }
 
 // TestCheckUnsupportedGolden pins the unsupported-construct contract:
-// a go statement is rejected with a positioned diagnostic on stderr and
-// exit code 2, never a panic.
+// what the subset check rejects (a go statement) and what the compiler
+// cannot lower (a method value, a struct by value, ...) are positioned
+// diagnostics on stderr and exit code 2, never a panic and never a bug
+// found mid-exploration.
 func TestCheckUnsupportedGolden(t *testing.T) {
-	want, err := os.ReadFile("testdata/unsupported.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, stderr, code := runCLI2(t, "-check", "testdata/unsupported.go")
-	if stderr != string(want) {
-		t.Errorf("-check diagnostic differs from testdata/unsupported.golden:\ngot:\n%s\nwant:\n%s", stderr, want)
-	}
-	if code != 2 {
-		t.Errorf("-check on an unsupported program exited %d, want 2", code)
+	for _, name := range []string{"unsupported", "unsupported_lowering"} {
+		want, err := os.ReadFile("testdata/" + name + ".golden")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, stderr, code := runCLI2(t, "-check", "testdata/"+name+".go")
+		if stderr != string(want) {
+			t.Errorf("-check diagnostic differs from testdata/%s.golden:\ngot:\n%s\nwant:\n%s", name, stderr, want)
+		}
+		if code != 2 {
+			t.Errorf("-check testdata/%s.go exited %d, want 2", name, code)
+		}
 	}
 }
 

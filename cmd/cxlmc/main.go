@@ -32,8 +32,8 @@
 // -check points the checker at a real Go source file instead of a named
 // benchmark: the file is written against the public gofront/cxl API
 // (import "cxl" or "repro/gofront/cxl"), type-checked against the
-// supported subset, and interpreted so every load, store, flush, fence,
-// atomic and lock becomes a checker event — reduction, prefix-fork,
+// supported subset, and compiled once at load so every load, store,
+// flush, fence, atomic and lock is a checker event — reduction, prefix-fork,
 // race detection, repro tokens and -replay all work unchanged. -entry
 // names the entry function (signature func(*cxl.Region); default
 // Program). Parse errors, type errors and unsupported constructs are

@@ -4,7 +4,7 @@
 // either run it natively (RunNative, this file: a plain in-process
 // runtime over a byte slice, no model checking) or point the checker at
 // the source file (cxlmc -check file.go), where internal/gofront
-// interprets the same code and lowers every operation to simulated
+// compiles the same code and lowers every operation to simulated
 // x86-TSO + CXL flush events.
 //
 // The split mirrors the checker's own API: Region methods are
@@ -67,7 +67,7 @@ type Mutex struct {
 
 // active is the region package-level operations act on: set for the
 // duration of RunNative (and, under the checker, bound implicitly to
-// the interpreted thread).
+// the simulated thread).
 var (
 	activeMu sync.Mutex
 	active   *Region
@@ -86,7 +86,7 @@ func activeRegion() *Region {
 // first, then every spawned thread runs as a goroutine, and RunNative
 // returns when all of them finish. A panic in any thread (including a
 // failed Assert) is re-raised here. Under the checker this function is
-// never interpreted — the checker calls the entry function itself — so
+// never run — the checker calls the entry function itself — so
 // a main that wraps the entry in RunNative keeps the file a buildable,
 // runnable ordinary Go program.
 func RunNative(program func(*Region)) *Region {

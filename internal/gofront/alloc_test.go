@@ -1,0 +1,126 @@
+package gofront_test
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/gofront"
+)
+
+// ccehConfig is the exploration cxlbench's source_cceh workload runs:
+// serial, every execution rather than up to the first bug.
+var ccehConfig = core.Config{Workers: 1, ContinueAfterBug: true}
+
+// TestSourceCCEHAllocBudget is the tier-1 ceiling on what compiled code
+// allocates: one full exploration of examples/src/cceh.go (54
+// executions, 14 196 steps). The tree-walking interpreter this replaced
+// made 412 189 allocations here; the hand-ported twin makes 3 856.
+func TestSourceCCEHAllocBudget(t *testing.T) {
+	prog := loadExampleCCEH(t)
+	var res *core.Result
+	allocs := testing.AllocsPerRun(3, func() {
+		var err error
+		if res, err = core.Run(ccehConfig, prog); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	})
+	if res.Stats.Executions != 54 || res.Stats.Steps != 14196 || len(res.Bugs) != 1 {
+		t.Fatalf("explored %d executions, %d steps, %d bugs; want 54, 14196, 1",
+			res.Stats.Executions, res.Stats.Steps, len(res.Bugs))
+	}
+	if allocs > 80000 {
+		t.Errorf("one source-CCEH exploration made %.0f allocations, budget 80000", allocs)
+	}
+}
+
+// spinSource is bench/testdata/loop.go's shape: a thread spinning an
+// arithmetic loop with no memory events.
+func spinSource(iterations int) string {
+	return fmt.Sprintf(`package main
+
+import "cxl"
+
+const iterations = %d
+
+func Program(r *cxl.Region) {
+	cell := r.Alloc(8)
+	m := r.NewMachine("m0")
+	m.Spawn("spin", func() {
+		var acc uint64
+		for i := uint64(0); i < iterations; i++ {
+			acc = acc*31 + i
+		}
+		cxl.Store64(cell, acc)
+	})
+}
+`, iterations)
+}
+
+// TestCompiledLoopAllocatesNothing: an iteration of compiled code walks
+// no syntax and boxes no integer, so a loop's allocations do not grow
+// with its trip count.
+func TestCompiledLoopAllocatesNothing(t *testing.T) {
+	mallocsFor := func(iterations int) uint64 {
+		prog, err := load(t, spinSource(iterations)).Program("Program")
+		if err != nil {
+			t.Fatalf("Program: %v", err)
+		}
+		cfg := core.Config{Workers: 1, MaxExecutions: 1}
+		if _, err := core.Run(cfg, prog); err != nil { // warm the checker's pools
+			t.Fatalf("Run: %v", err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := core.Run(cfg, prog); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	short, long := mallocsFor(10), mallocsFor(10000)
+	if long > short+50 {
+		t.Errorf("a 10000-iteration loop made %d allocations, a 10-iteration one %d: the loop body allocates", long, short)
+	}
+}
+
+func BenchmarkSourceCCEH(b *testing.B) {
+	prog := loadExampleCCEH(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Run(ccehConfig, prog); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkHandPortedCCEH(b *testing.B) {
+	prog := handPortedCCEH()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Run(ccehConfig, prog); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSpinLoop(b *testing.B) {
+	s, err := gofront.Load("loop.go", []byte(spinSource(100000)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := s.Program("Program")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.Config{Workers: 1, MaxExecutions: 1}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Run(cfg, prog); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -8,403 +8,636 @@ import (
 	"repro/internal/core"
 )
 
-// evalCall resolves and immediately performs a call expression.
-func (ic *interp) evalCall(fr *frame, sc *scope, call *ast.CallExpr) []value {
-	return ic.prepareCall(fr, sc, call)()
-}
-
-// prepareCall resolves the callee and evaluates the arguments (and any
-// method receiver) eagerly, returning a closure that performs the call:
-// the split is what gives defer its Go semantics (arguments at defer
-// time, call at unwind time).
-func (ic *interp) prepareCall(fr *frame, sc *scope, call *ast.CallExpr) func() []value {
-	info := ic.ec.src.info
+// call compiles a call expression. Every kind of call first compiles
+// its operands (function value or receiver, then arguments, in Go's
+// evaluation order) and then builds the call over them; sub, when set,
+// replaces the operands in between — which is how defer gets its Go
+// semantics (operands at defer time, the call at unwind).
+func (fc *fnCompiler) call(call *ast.CallExpr, sub func([]expr) []expr) expr {
+	if sub == nil {
+		sub = func(ops []expr) []expr { return ops }
+	}
 	pos := call.Pos()
+	t := fc.info.TypeOf(call)
+	args := func(sig *types.Signature, first ...expr) []expr {
+		for k, a := range call.Args {
+			first = append(first, fc.as(fc.expr(a), paramType(sig, k, call.Ellipsis.IsValid())))
+		}
+		return sub(first)
+	}
 
 	// Type conversion: T(x).
-	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-		arg := ic.evalExpr(fr, sc, call.Args[0])
-		return func() []value { return []value{ic.convert(arg, tv.Type, pos)} }
+	if tv, ok := fc.info.Types[call.Fun]; ok && tv.IsType() {
+		return fc.convert(sub([]expr{fc.expr(call.Args[0])})[0], tv.Type, pos)
 	}
 
-	// Builtin: len/cap/append/make.
-	if id, ok := call.Fun.(*ast.Ident); ok {
-		if b, ok := info.Uses[id].(*types.Builtin); ok {
-			return ic.prepareBuiltin(fr, sc, b.Name(), call)
+	fun := call.Fun
+	for {
+		p, ok := fun.(*ast.ParenExpr)
+		if !ok {
+			break
 		}
+		fun = p.X
 	}
-
-	// Selector: cxl package function, cxl method, or user method.
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if fn, ok := info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() == ic.ec.src.cxlPkg {
-			if selInfo, isMethod := info.Selections[sel]; isMethod && selInfo.Kind() == types.MethodVal {
-				recv := ic.evalExpr(fr, sc, sel.X)
-				args := ic.evalArgs(fr, sc, call)
-				return func() []value { return ic.cxlMethod(fn.Name(), recv, args, pos) }
+	switch f := fun.(type) {
+	case *ast.Ident:
+		switch o := fc.info.Uses[f].(type) {
+		case *types.Builtin:
+			return fc.builtin(o.Name(), call, t, sub)
+		case *types.Func:
+			if code, ok := fc.funcs[o]; ok {
+				sig := o.Type().(*types.Signature)
+				return fc.invoke(code, nil, args(sig), sig, pos)
 			}
-			args := ic.evalArgs(fr, sc, call)
-			expand := call.Ellipsis.IsValid()
-			return func() []value { return ic.cxlFunc(fn.Name(), args, expand, pos) }
 		}
-		if selInfo, ok := info.Selections[sel]; ok && selInfo.Kind() == types.MethodVal {
-			recv := ic.evalExpr(fr, sc, sel.X)
-			tname := namedTypeName(selInfo.Recv())
-			decl, ok := ic.ec.src.methods[methodKey{typeName: tname, method: sel.Sel.Name}]
+	case *ast.SelectorExpr:
+		fn, isFunc := fc.info.Uses[f.Sel].(*types.Func)
+		if !isFunc {
+			break // a field holding a function value
+		}
+		sig := fn.Type().(*types.Signature)
+		sel, isMethod := fc.info.Selections[f]
+		isMethod = isMethod && sel.Kind() == types.MethodVal
+		switch {
+		case fn.Pkg() == fc.s.cxlPkg && isMethod:
+			return fc.cxlMethod(fn, args(sig, fc.expr(f.X)), t, pos)
+		case fn.Pkg() == fc.s.cxlPkg:
+			return fc.cxlFunc(fn.Name(), args(sig), call.Ellipsis.IsValid(), t, pos)
+		case isMethod:
+			code, ok := fc.funcs[fn]
 			if !ok {
-				ic.faultf(pos, "method %s.%s has no interpretable body", tname, sel.Sel.Name)
+				fc.errorf(pos, "method %s has no interpretable body", fn.FullName())
+				return expr{}
 			}
-			fn := funcVal{decl: decl, recv: recv, hasRecv: true}
-			args := ic.evalArgs(fr, sc, call)
-			return func() []value { return ic.invoke(fn, args, pos) }
+			return fc.invoke(code, nil, args(sig, fc.expr(f.X)), sig, pos)
 		}
-		ic.faultf(pos, "unsupported call target")
 	}
 
-	// Plain function value: named function or a closure in a variable.
-	fnv, ok := ic.evalExpr(fr, sc, call.Fun).(funcVal)
+	// A function value: a closure in a variable, a field, a call result.
+	fnv := fc.expr(call.Fun)
+	sig, ok := fnv.t.Underlying().(*types.Signature)
 	if !ok {
-		ic.faultf(pos, "call of non-function value")
+		if fnv.r != nil {
+			fc.errorf(pos, "call of non-function value")
+		}
+		return expr{}
 	}
-	args := ic.evalArgs(fr, sc, call)
-	return func() []value { return ic.invoke(fnv, args, pos) }
+	ops := args(sig, fnv)
+	return fc.invoke(nil, ops[0].r, ops[1:], sig, pos)
 }
 
-func (ic *interp) evalArgs(fr *frame, sc *scope, call *ast.CallExpr) []value {
-	args := make([]value, len(call.Args))
-	for i, a := range call.Args {
-		args[i] = ic.evalExpr(fr, sc, a)
+// paramType is the type argument k of a call to sig is assigned to.
+func paramType(sig *types.Signature, k int, spread bool) types.Type {
+	last := sig.Params().Len() - 1
+	if !sig.Variadic() || k < last {
+		return sig.Params().At(k).Type()
 	}
-	return args
+	t := sig.Params().At(last).Type()
+	if spread {
+		return t
+	}
+	return t.(*types.Slice).Elem()
 }
 
-func namedTypeName(t types.Type) string {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
+// as compiles the implicit conversion of e to t where a value is
+// assigned, passed or returned. The one such conversion the subset has
+// is of nil, which the type checker leaves untyped, to t's own nil.
+func (fc *fnCompiler) as(e expr, t types.Type) expr {
+	if _, ok := reprOf(t); ok && isUntypedNil(e.t) && e.r != nil {
+		return fc.zero(t)
 	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj().Name()
-	}
-	return t.String()
+	return e
 }
 
-func (ic *interp) convert(v value, t types.Type, pos token.Pos) value {
-	k, ok := basicKindOf(t)
-	if !ok {
-		ic.faultf(pos, "unsupported conversion to %s", t)
-	}
-	switch x := v.(type) {
-	case num:
-		if !isIntegerKind(k) {
-			ic.faultf(pos, "unsupported conversion of integer to %s", t)
-		}
-		// Conversion semantics: signed sources sign-extend, then the
-		// target kind truncates.
-		bits := x.bits
-		if kindSigned(x.kind) {
-			bits = uint64(x.signed())
-		}
-		return makeNum(bits, k)
-	case boolVal:
-		if k == types.Bool {
-			return x
-		}
-	case strVal:
-		if k == types.String {
-			return x
-		}
-	}
-	ic.faultf(pos, "unsupported conversion to %s", t)
-	return nil
+// callSite is one compiled call of interpreted code: a static callee,
+// or a function value evaluated at the call.
+type callSite struct {
+	pos  token.Pos
+	fn   *fnCode
+	fnv  refFn
+	args []argCode
 }
 
-func (ic *interp) prepareBuiltin(fr *frame, sc *scope, name string, call *ast.CallExpr) func() []value {
+// argCode evaluates one argument into its parameter slot.
+type argCode struct {
+	slot int
+	i    intFn
+	r    refFn
+}
+
+func (cs *callSite) invoke(fr *frame) {
+	m := fr.m
+	fn := cs.fn
+	var cl *closure
+	if fn == nil {
+		if cl = cs.fnv(fr).(*closure); cl == nil {
+			for k := range cs.args { // the arguments' effects come first, as in Go
+				if a := &cs.args[k]; a.i != nil {
+					a.i(fr)
+				} else {
+					a.r(fr)
+				}
+			}
+			m.faultf(cs.pos, "call of nil function")
+		}
+		fn = cl.fn
+	}
+	cf := m.get(fn)
+	for k := range cs.args {
+		if a := &cs.args[k]; a.i != nil {
+			cf.ints[a.slot] = a.i(fr)
+		} else {
+			cf.refs[a.slot] = a.r(fr)
+		}
+	}
+	if cl != nil {
+		for j, s := range fn.capSlots {
+			cf.refs[s] = cl.caps[j]
+		}
+	}
+	m.exec(fn, cf, cs.pos)
+}
+
+// invoke builds the call of fn (or of the function value fnv) over
+// compiled arguments, receiver first.
+func (fc *fnCompiler) invoke(fn *fnCode, fnv refFn, args []expr, sig *types.Signature, pos token.Pos) expr {
+	cs := &callSite{pos: pos, fn: fn, fnv: fnv, args: make([]argCode, len(args))}
+	var lay layout
+	for k, a := range args {
+		if a.t != nil {
+			if _, isTuple := a.t.(*types.Tuple); isTuple {
+				fc.errorf(pos, "a multi-value call as an argument list is unsupported")
+				return expr{}
+			}
+		}
+		if a.r != nil {
+			cs.args[k] = argCode{slot: lay.slot(rRef), r: a.r}
+		} else {
+			cs.args[k] = argCode{slot: lay.slot(rInt), i: a.slotInt()}
+		}
+	}
+	res := sig.Results()
+	switch res.Len() {
+	case 0:
+		return expr{t: res, do: cs.invoke}
+	case 1:
+		return stored(res.At(0).Type(),
+			func(fr *frame) uint64 { cs.invoke(fr); return fr.m.ri[0] },
+			func(fr *frame) any { cs.invoke(fr); return fr.m.rr[0] })
+	}
+	if res.Len() > fc.maxResults {
+		fc.compiler.maxResults = res.Len()
+	}
+	return expr{t: res, do: cs.invoke}
+}
+
+func (fc *fnCompiler) convert(v expr, t types.Type, pos token.Pos) expr {
+	if isUntypedNil(v.t) {
+		return fc.as(v, t)
+	}
+	if k, ok := intKind(t); ok && v.i != nil {
+		// Both forms are canonical, so converting is renormalising.
+		return expr{t: t, i: normalised(v.i, k)}
+	}
+	rep, ok := reprOf(t)
+	_, basic := t.Underlying().(*types.Basic)
+	switch {
+	case ok && basic && rep == rBool && v.b != nil:
+		return expr{t: t, b: v.b}
+	case ok && basic && rep == rRef && v.r != nil && types.Identical(t.Underlying(), v.t.Underlying()):
+		return expr{t: t, r: v.r}
+	case v.i != nil || v.b != nil || v.r != nil:
+		fc.errorf(pos, "unsupported conversion to %s", t)
+	}
+	return expr{}
+}
+
+func (fc *fnCompiler) builtin(name string, call *ast.CallExpr, t types.Type, sub func([]expr) []expr) expr {
 	pos := call.Pos()
 	switch name {
 	case "len", "cap":
-		arg := ic.evalExpr(fr, sc, call.Args[0])
-		return func() []value {
-			switch x := arg.(type) {
-			case sliceVal:
-				if name == "cap" {
-					return []value{makeNum(uint64(cap(x.elems)), types.Int)}
-				}
-				return []value{makeNum(uint64(len(x.elems)), types.Int)}
-			case strVal:
-				return []value{makeNum(uint64(len(x)), types.Int)}
+		x := sub([]expr{fc.expr(call.Args[0])})[0]
+		v := x.r
+		var n intFn
+		switch u := x.t.Underlying().(type) {
+		case *types.Slice:
+			rep, _ := reprOf(u.Elem())
+			switch {
+			case rep == rRef && name == "len":
+				n = func(fr *frame) uint64 { return uint64(len(v(fr).([]any))) }
+			case rep == rRef:
+				n = func(fr *frame) uint64 { return uint64(cap(v(fr).([]any))) }
+			case name == "len":
+				n = func(fr *frame) uint64 { return uint64(len(v(fr).([]uint64))) }
+			default:
+				n = func(fr *frame) uint64 { return uint64(cap(v(fr).([]uint64))) }
 			}
-			ic.faultf(pos, "%s of unsupported value", name)
-			return nil
+		case *types.Basic:
+			if u.Info()&types.IsString != 0 && name == "len" {
+				n = func(fr *frame) uint64 { return uint64(len(v(fr).(string))) }
+			}
 		}
+		if n == nil {
+			if v != nil {
+				fc.errorf(pos, "%s of unsupported value", name)
+			}
+			return expr{}
+		}
+		return expr{t: t, i: n}
+
 	case "append":
-		base, ok := ic.evalExpr(fr, sc, call.Args[0]).(sliceVal)
+		ops := make([]expr, len(call.Args))
+		for k, a := range call.Args {
+			ops[k] = fc.expr(a)
+		}
+		ops = sub(ops)
+		sl, ok := t.Underlying().(*types.Slice)
 		if !ok {
-			ic.faultf(pos, "append to non-slice value")
+			fc.errorf(pos, "append to non-slice value")
+			return expr{}
 		}
-		var extra []value
-		if call.Ellipsis.IsValid() {
-			s2, ok := ic.evalExpr(fr, sc, call.Args[1]).(sliceVal)
-			if !ok {
-				ic.faultf(pos, "append of non-slice with ...")
+		spread := call.Ellipsis.IsValid()
+		if rep, _ := reprOf(sl.Elem()); rep == rRef {
+			if spread {
+				return expr{t: t, r: appendSlice[any](ops[0].r, fc.as(ops[1], t).r, pos)}
 			}
-			extra = s2.elems
-		} else {
-			for _, a := range call.Args[1:] {
-				extra = append(extra, ic.evalExpr(fr, sc, a))
+			elems := make([]refFn, len(ops)-1)
+			for k, op := range ops[1:] {
+				elems[k] = fc.as(op, sl.Elem()).r
 			}
+			return expr{t: t, r: appendTo(ops[0].r, elems, pos)}
 		}
-		return func() []value {
-			return []value{sliceVal{elems: append(base.elems, extra...), elem: base.elem}}
+		if spread {
+			return expr{t: t, r: appendSlice[uint64](ops[0].r, fc.as(ops[1], t).r, pos)}
 		}
+		elems := make([]intFn, len(ops)-1)
+		for k, op := range ops[1:] {
+			elems[k] = op.slotInt()
+		}
+		return expr{t: t, r: appendTo(ops[0].r, elems, pos)}
+
 	case "make":
-		tv := ic.ec.src.info.Types[call.Args[0]]
-		st, ok := tv.Type.Underlying().(*types.Slice)
+		sl, ok := t.Underlying().(*types.Slice)
 		if !ok {
-			ic.faultf(pos, "make of non-slice type is unsupported")
+			fc.errorf(pos, "make of non-slice type is unsupported")
+			return expr{}
 		}
-		n, okN := ic.evalExpr(fr, sc, call.Args[1]).(num)
-		if !okN || n.signed() < 0 {
-			ic.faultf(pos, "make with invalid length")
+		var sizes []expr
+		for _, a := range call.Args[1:] {
+			sizes = append(sizes, fc.expr(a))
 		}
-		if len(call.Args) > 2 {
-			ic.evalExpr(fr, sc, call.Args[2]) // capacity: evaluated, not modeled
+		sizes = sub(sizes)
+		length := sizes[0].i
+		capacity := length
+		if len(sizes) > 1 {
+			capacity = sizes[1].i
 		}
-		return func() []value {
-			elems := make([]value, n.signed())
-			for i := range elems {
-				zv, ok := zeroValue(st.Elem())
-				if !ok {
-					ic.faultf(pos, "make of slice with unsupported element type %s", st.Elem())
-				}
-				elems[i] = zv
+		size := func(fr *frame) (int, int) {
+			n, c := length(fr), capacity(fr)
+			if n > c || c > maxHostElems {
+				fr.m.faultf(pos, "make with invalid length")
 			}
-			return []value{sliceVal{elems: elems, elem: st.Elem()}}
+			fr.m.grow(c, pos)
+			return int(n), int(c)
+		}
+		if rep := fc.repr(sl.Elem(), pos); rep != rRef {
+			return expr{t: t, r: func(fr *frame) any { n, c := size(fr); return make([]uint64, n, c) }}
+		}
+		zero := zeroRef(sl.Elem())
+		return expr{t: t, r: func(fr *frame) any {
+			n, c := size(fr)
+			s := make([]any, n, c)
+			for i := range s {
+				s[i] = zero
+			}
+			return s
+		}}
+	}
+	fc.errorf(pos, "unsupported builtin %s", name)
+	return expr{}
+}
+
+// appendTo compiles append(base, elems...) as one host append, so
+// growth and aliasing are Go's own.
+func appendTo[T any](base refFn, elems []func(*frame) T, pos token.Pos) refFn {
+	if len(elems) == 1 {
+		elem := elems[0]
+		return func(fr *frame) any {
+			s, x := base(fr).([]T), elem(fr)
+			fr.m.grow(1, pos)
+			return append(s, x)
 		}
 	}
-	ic.faultf(pos, "unsupported builtin %s", name)
-	return nil
+	return func(fr *frame) any {
+		s, xs := base(fr).([]T), evalAll(elems, fr)
+		fr.m.grow(uint64(len(xs)), pos)
+		return append(s, xs...)
+	}
+}
+
+// appendSlice compiles append(base, other...).
+func appendSlice[T any](base, other refFn, pos token.Pos) refFn {
+	return func(fr *frame) any {
+		s, o := base(fr).([]T), other(fr).([]T)
+		fr.m.grow(uint64(len(o)), pos)
+		return append(s, o...)
+	}
 }
 
 // ---- cxl API lowering ----
 
-func (ic *interp) setupOnly(name string, pos token.Pos) *core.Program {
-	if ic.t != nil {
-		ic.faultf(pos, "cxl: %s is setup-only (call it from the entry function, not from a spawned thread)", name)
+// thread returns the simulated thread a cxl operation runs on.
+func (m *machine) thread(name string, pos token.Pos) *core.Thread {
+	if m.t == nil {
+		m.faultf(pos, "cxl.%s runs on a simulated thread; it cannot be called during setup (use Machine.Spawn)", name)
 	}
-	return ic.ec.prog
+	return m.t
 }
 
-func (ic *interp) threadOnly(name string, pos token.Pos) *core.Thread {
-	if ic.t == nil {
-		ic.faultf(pos, "cxl.%s runs on a simulated thread; it cannot be called during setup (use Machine.Spawn)", name)
+// setup checks that a Region or Machine method runs in the entry
+// function's phase.
+func (m *machine) setup(name string, pos token.Pos) {
+	if m.t != nil {
+		m.faultf(pos, "cxl: %s is setup-only (call it from the entry function, not from a spawned thread)", name)
 	}
-	return ic.t
 }
 
-func (ic *interp) argNum(args []value, i int, what string, pos token.Pos) num {
-	n, ok := args[i].(num)
-	if !ok {
-		ic.faultf(pos, "cxl: %s argument %d must be an integer", what, i+1)
+// The thread operations, bound to their core.Thread methods by shape.
+var (
+	cxlLoads = map[string]func(*core.Thread, core.Addr) uint64{
+		"Load8":  func(t *core.Thread, a core.Addr) uint64 { return uint64(t.Load8(a)) },
+		"Load16": func(t *core.Thread, a core.Addr) uint64 { return uint64(t.Load16(a)) },
+		"Load32": func(t *core.Thread, a core.Addr) uint64 { return uint64(t.Load32(a)) },
+		"Load64": (*core.Thread).Load64,
 	}
-	return n
-}
-
-func (ic *interp) argAddr(args []value, i int, what string, pos token.Pos) core.Addr {
-	return core.Addr(ic.argNum(args, i, what, pos).bits)
-}
-
-func (ic *interp) argStr(args []value, i int, what string, pos token.Pos) string {
-	s, ok := args[i].(strVal)
-	if !ok {
-		ic.faultf(pos, "cxl: %s argument %d must be a string", what, i+1)
+	cxlStores = map[string]func(*core.Thread, core.Addr, uint64){
+		"Store8":  func(t *core.Thread, a core.Addr, v uint64) { t.Store8(a, uint8(v)) },
+		"Store16": func(t *core.Thread, a core.Addr, v uint64) { t.Store16(a, uint16(v)) },
+		"Store32": func(t *core.Thread, a core.Addr, v uint64) { t.Store32(a, uint32(v)) },
+		"Store64": (*core.Thread).Store64,
 	}
-	return string(s)
-}
+	cxlFlushes = map[string]func(*core.Thread, core.Addr){
+		"Flush":    (*core.Thread).CLFlush,
+		"FlushOpt": (*core.Thread).CLFlushOpt,
+		"CLWB":     (*core.Thread).CLWB,
+	}
+	cxlFences = map[string]func(*core.Thread){
+		"Fence":     (*core.Thread).SFence,
+		"MFence":    (*core.Thread).MFence,
+		"Yield":     (*core.Thread).Yield,
+		"Failpoint": (*core.Thread).Yield,
+	}
+	cxlRMWs = map[string]func(*core.Thread, core.Addr, uint64) uint64{
+		"Swap64":     (*core.Thread).Swap64,
+		"FetchAdd64": (*core.Thread).FetchAdd64,
+		"FetchAdd32": func(t *core.Thread, a core.Addr, d uint64) uint64 { return uint64(t.FetchAdd32(a, uint32(d))) },
+	}
+	cxlCASes = map[string]func(*core.Thread, core.Addr, uint64, uint64) (uint64, bool){
+		"CAS64": (*core.Thread).CAS64,
+		"CAS32": func(t *core.Thread, a core.Addr, old, new uint64) (uint64, bool) {
+			prev, ok := t.CAS32(a, uint32(old), uint32(new))
+			return uint64(prev), ok
+		},
+	}
+)
 
-// cxlMethod dispatches methods on cxl API objects (Region, Machine,
-// Mutex).
-func (ic *interp) cxlMethod(name string, recv value, args []value, pos token.Pos) []value {
-	switch r := recv.(type) {
-	case regionVal:
-		p := ic.setupOnly("Region."+name, pos)
-		switch name {
-		case "Alloc":
-			return []value{makeNum(uint64(p.Alloc(ic.argNum(args, 0, name, pos).bits)), types.Uint64)}
-		case "AllocAligned":
-			return []value{makeNum(uint64(p.AllocAligned(
-				ic.argNum(args, 0, name, pos).bits, ic.argNum(args, 1, name, pos).bits)), types.Uint64)}
-		case "Init64":
-			p.Init64(ic.argAddr(args, 0, name, pos), ic.argNum(args, 1, name, pos).bits)
-			return nil
-		case "NewMachine":
-			return []value{machineVal{m: p.NewMachine(ic.argStr(args, 0, name, pos))}}
-		case "NewMutex":
-			mname := ic.argStr(args, 0, name, pos)
-			ic.ec.sites.recordMutex(mname, pos)
-			return []value{mutexVal{mu: p.NewMutex(mname)}}
+// cxlFunc compiles a package-level cxl function — the thread operations
+// that lower to simulated events. Arguments are evaluated before the
+// phase check, the phase check comes before the event.
+func (fc *fnCompiler) cxlFunc(name string, ops []expr, spread bool, t types.Type, pos token.Pos) expr {
+	ints := make([]intFn, len(ops))
+	for k, op := range ops {
+		ints[k] = op.i
+	}
+	if f, ok := cxlLoads[name]; ok {
+		p := ints[0]
+		return expr{t: t, i: func(fr *frame) uint64 { a := core.Addr(p(fr)); return f(fr.m.thread(name, pos), a) }}
+	}
+	if f, ok := cxlStores[name]; ok {
+		p, val := ints[0], ints[1]
+		return expr{t: t, do: func(fr *frame) {
+			a, v := core.Addr(p(fr)), val(fr)
+			th := fr.m.thread(name, pos)
+			fr.m.sites.recordStore(a, pos)
+			f(th, a, v)
+		}}
+	}
+	if f, ok := cxlFlushes[name]; ok {
+		p := ints[0]
+		return expr{t: t, do: func(fr *frame) {
+			a := core.Addr(p(fr))
+			th := fr.m.thread(name, pos)
+			fr.m.sites.recordFlush(a, pos)
+			f(th, a)
+		}}
+	}
+	if f, ok := cxlFences[name]; ok {
+		var arg func(*frame)
+		if len(ops) > 0 {
+			arg = ops[0].run() // Failpoint's name
 		}
-
-	case machineVal:
-		if name != "Spawn" {
-			break
-		}
-		ic.setupOnly("Machine.Spawn", pos)
-		tname := ic.argStr(args, 0, name, pos)
-		fn, ok := args[1].(funcVal)
-		if !ok {
-			ic.faultf(pos, "cxl: Machine.Spawn needs a func() argument")
-		}
-		ec := ic.ec
-		t := r.m.Thread(tname, func(t *core.Thread) {
-			tic := &interp{ec: ec, t: t}
-			tic.invoke(fn, nil, pos)
-		})
-		return []value{threadVal{t: t}}
-
-	case mutexVal:
-		t := ic.threadOnly("Mutex."+name, pos)
-		switch name {
-		case "Lock":
-			return []value{boolVal(r.mu.Lock(t))}
-		case "TryLock":
-			acquired, ownerFailed := r.mu.TryLock(t)
-			return []value{boolVal(acquired), boolVal(ownerFailed)}
-		case "Unlock":
-			r.mu.Unlock(t)
-			return nil
-		case "OwnerFailed":
-			return []value{boolVal(r.mu.OwnerFailed())}
-		}
+		return expr{t: t, do: func(fr *frame) {
+			if arg != nil {
+				arg(fr)
+			}
+			f(fr.m.thread(name, pos))
+		}}
 	}
-	ic.faultf(pos, "unsupported cxl method %s", name)
-	return nil
-}
-
-// cxlFunc dispatches the package-level cxl functions — the thread
-// operations that lower to simulated events.
-func (ic *interp) cxlFunc(name string, args []value, expandEllipsis bool, pos token.Pos) []value {
-	if name == "RunNative" {
-		ic.faultf(pos, "cxl.RunNative is native-only: the checker calls the entry function directly (keep RunNative inside func main)")
+	if f, ok := cxlRMWs[name]; ok {
+		p, val := ints[0], ints[1]
+		return expr{t: t, i: func(fr *frame) uint64 {
+			a, v := core.Addr(p(fr)), val(fr)
+			return f(fr.m.thread(name, pos), a, v)
+		}}
 	}
-	t := ic.threadOnly(name, pos)
+	if f, ok := cxlCASes[name]; ok {
+		p, old, new := ints[0], ints[1], ints[2]
+		return expr{t: t, do: func(fr *frame) {
+			a, o, n := core.Addr(p(fr)), old(fr), new(fr)
+			prev, swapped := f(fr.m.thread(name, pos), a, o, n)
+			fr.m.ri[0], fr.m.ri[1] = prev, b2u(swapped)
+		}}
+	}
 	switch name {
-	case "Load8":
-		return []value{makeNum(uint64(t.Load8(ic.argAddr(args, 0, name, pos))), types.Uint8)}
-	case "Load16":
-		return []value{makeNum(uint64(t.Load16(ic.argAddr(args, 0, name, pos))), types.Uint16)}
-	case "Load32":
-		return []value{makeNum(uint64(t.Load32(ic.argAddr(args, 0, name, pos))), types.Uint32)}
-	case "Load64":
-		return []value{makeNum(t.Load64(ic.argAddr(args, 0, name, pos)), types.Uint64)}
-	case "Store8", "Store16", "Store32", "Store64":
-		a := ic.argAddr(args, 0, name, pos)
-		v := ic.argNum(args, 1, name, pos).bits
-		ic.ec.sites.recordStore(a, pos)
-		switch name {
-		case "Store8":
-			t.Store8(a, uint8(v))
-		case "Store16":
-			t.Store16(a, uint16(v))
-		case "Store32":
-			t.Store32(a, uint32(v))
-		case "Store64":
-			t.Store64(a, v)
-		}
-		return nil
-	case "Flush":
-		a := ic.argAddr(args, 0, name, pos)
-		ic.ec.sites.recordFlush(a, pos)
-		t.CLFlush(a)
-		return nil
-	case "FlushOpt":
-		a := ic.argAddr(args, 0, name, pos)
-		ic.ec.sites.recordFlush(a, pos)
-		t.CLFlushOpt(a)
-		return nil
-	case "CLWB":
-		a := ic.argAddr(args, 0, name, pos)
-		ic.ec.sites.recordFlush(a, pos)
-		t.CLWB(a)
-		return nil
-	case "Fence":
-		t.SFence()
-		return nil
-	case "MFence":
-		t.MFence()
-		return nil
-	case "CAS64":
-		prev, swapped := t.CAS64(ic.argAddr(args, 0, name, pos),
-			ic.argNum(args, 1, name, pos).bits, ic.argNum(args, 2, name, pos).bits)
-		return []value{makeNum(prev, types.Uint64), boolVal(swapped)}
-	case "CAS32":
-		prev, swapped := t.CAS32(ic.argAddr(args, 0, name, pos),
-			uint32(ic.argNum(args, 1, name, pos).bits), uint32(ic.argNum(args, 2, name, pos).bits))
-		return []value{makeNum(uint64(prev), types.Uint32), boolVal(swapped)}
-	case "Swap64":
-		return []value{makeNum(t.Swap64(ic.argAddr(args, 0, name, pos),
-			ic.argNum(args, 1, name, pos).bits), types.Uint64)}
-	case "FetchAdd64":
-		return []value{makeNum(t.FetchAdd64(ic.argAddr(args, 0, name, pos),
-			ic.argNum(args, 1, name, pos).bits), types.Uint64)}
-	case "FetchAdd32":
-		return []value{makeNum(uint64(t.FetchAdd32(ic.argAddr(args, 0, name, pos),
-			uint32(ic.argNum(args, 1, name, pos).bits))), types.Uint32)}
 	case "Alloc":
-		return []value{makeNum(uint64(t.Alloc(ic.argNum(args, 0, name, pos).bits)), types.Uint64)}
+		size := ints[0]
+		return expr{t: t, i: func(fr *frame) uint64 { n := size(fr); return uint64(fr.m.thread(name, pos).Alloc(n)) }}
 	case "AllocAligned":
-		return []value{makeNum(uint64(t.AllocAligned(
-			ic.argNum(args, 0, name, pos).bits, ic.argNum(args, 1, name, pos).bits)), types.Uint64)}
+		size, align := ints[0], ints[1]
+		return expr{t: t, i: func(fr *frame) uint64 {
+			n, al := size(fr), align(fr)
+			return uint64(fr.m.thread(name, pos).AllocAligned(n, al))
+		}}
 	case "Assert":
-		cond, ok := args[0].(boolVal)
-		if !ok {
-			ic.faultf(pos, "cxl.Assert needs a boolean first argument")
-		}
-		t.Assert(bool(cond), ic.argStr(args, 1, name, pos), boxArgs(args[2:])...)
-		return nil
+		cond, format, rest := ops[0].b, ops[1].r, boxers(ops[2:])
+		return expr{t: t, do: func(fr *frame) {
+			c, f, args := cond(fr), format(fr).(string), evalAll(rest, fr)
+			fr.m.thread(name, pos).Assert(c, f, args...)
+		}}
 	case "Fail":
-		t.Fail(ic.argStr(args, 0, name, pos), boxArgs(args[1:])...)
-		return nil
+		format, rest := ops[0].r, boxers(ops[1:])
+		return expr{t: t, do: func(fr *frame) {
+			f, args := format(fr).(string), evalAll(rest, fr)
+			fr.m.thread(name, pos).Fail(f, args...)
+		}}
 	case "Join":
-		m, ok := args[0].(machineVal)
-		if !ok {
-			ic.faultf(pos, "cxl.Join needs a *cxl.Machine argument")
-		}
-		return []value{boolVal(t.Join(m.m))}
+		mach := ops[0].r
+		return expr{t: t, b: func(fr *frame) bool {
+			target := mach(fr).(*core.Machine)
+			th := fr.m.thread(name, pos)
+			if target == nil {
+				fr.m.faultf(pos, "cxl.Join needs a *cxl.Machine argument")
+			}
+			return th.Join(target)
+		}}
 	case "JoinAll":
-		var vs []value
-		if expandEllipsis {
-			s, ok := args[len(args)-1].(sliceVal)
-			if !ok {
-				ic.faultf(pos, "cxl.JoinAll with ... needs a slice")
-			}
-			vs = append(args[:len(args)-1:len(args)-1], s.elems...)
-		} else {
-			vs = args
+		refs := make([]refFn, len(ops))
+		for k, op := range ops {
+			refs[k] = op.r
 		}
-		targets := make([]*core.Thread, len(vs))
-		for i, v := range vs {
-			tv, ok := v.(threadVal)
-			if !ok {
-				ic.faultf(pos, "cxl.JoinAll argument %d is not a *cxl.Thread", i+1)
+		return expr{t: t, do: func(fr *frame) {
+			vals := evalAll(refs, fr)
+			if spread {
+				vals = append(vals[:len(vals)-1:len(vals)-1], vals[len(vals)-1].([]any)...)
 			}
-			targets[i] = tv.t
-		}
-		t.JoinThreads(targets...)
-		return nil
-	case "Yield", "Failpoint":
-		t.Yield()
-		return nil
+			th := fr.m.thread(name, pos)
+			targets := make([]*core.Thread, len(vals))
+			for i, v := range vals {
+				if targets[i] = v.(*core.Thread); targets[i] == nil {
+					fr.m.faultf(pos, "cxl.JoinAll argument %d is not a *cxl.Thread", i+1)
+				}
+			}
+			th.JoinThreads(targets...)
+		}}
+	case "RunNative":
+		fc.errorf(pos, "cxl.RunNative is native-only: the checker calls the entry function directly (keep RunNative inside func main)")
+		return expr{}
 	}
-	ic.faultf(pos, "unsupported cxl function %s", name)
-	return nil
+	fc.errorf(pos, "unsupported cxl function %s", name)
+	return expr{}
 }
 
-// boxArgs converts interpreter values to the Go values Assert/Fail
-// format, matching what compiled code passing the same expressions
-// would hand to fmt.
-func boxArgs(args []value) []any {
-	out := make([]any, len(args))
-	for i, a := range args {
-		out[i] = goValue(a)
+// boxers compiles Assert/Fail's variadic arguments to the Go values
+// compiled code passing the same expressions would hand to fmt.
+func boxers(ops []expr) []refFn {
+	out := make([]refFn, len(ops))
+	for k, op := range ops {
+		switch {
+		case op.i != nil:
+			val, kind := op.i, types.Uint64
+			if k, ok := intKind(op.t); ok {
+				kind = k
+			}
+			out[k] = func(fr *frame) any { return boxInt(val(fr), kind) }
+		case op.b != nil:
+			val := op.b
+			out[k] = func(fr *frame) any { return val(fr) }
+		default:
+			val := op.r
+			if _, ok := op.t.Underlying().(*types.Basic); ok {
+				out[k] = val // a string, or the untyped nil
+				break
+			}
+			name := op.t.String()
+			out[k] = func(fr *frame) any { val(fr); return name }
+		}
 	}
 	return out
+}
+
+// cxlMethod compiles a method on a cxl API object (Region, Machine,
+// Mutex); ops[0] is the receiver.
+func (fc *fnCompiler) cxlMethod(fn *types.Func, ops []expr, t types.Type, pos token.Pos) expr {
+	recv := fn.Type().(*types.Signature).Recv().Type().(*types.Pointer).Elem().(*types.Named).Obj().Name()
+	name := recv + "." + fn.Name()
+	self := ops[0].r
+	arg := func(k int) intFn { return ops[k].i }
+	str := func(k int) refFn { return ops[k].r }
+	switch name {
+	case "Region.Alloc":
+		size := arg(1)
+		return expr{t: t, i: func(fr *frame) uint64 {
+			r, n := self(fr), size(fr)
+			return uint64(region(r, fr, name, pos).Alloc(n))
+		}}
+	case "Region.AllocAligned":
+		size, align := arg(1), arg(2)
+		return expr{t: t, i: func(fr *frame) uint64 {
+			r, n, al := self(fr), size(fr), align(fr)
+			return uint64(region(r, fr, name, pos).AllocAligned(n, al))
+		}}
+	case "Region.Init64":
+		addr, val := arg(1), arg(2)
+		return expr{t: t, do: func(fr *frame) {
+			r, a, v := self(fr), addr(fr), val(fr)
+			region(r, fr, name, pos).Init64(core.Addr(a), v)
+		}}
+	case "Region.NewMachine":
+		mname := str(1)
+		return expr{t: t, r: func(fr *frame) any {
+			r, n := self(fr), mname(fr).(string)
+			return region(r, fr, name, pos).NewMachine(n)
+		}}
+	case "Region.NewMutex":
+		mname := str(1)
+		return expr{t: t, r: func(fr *frame) any {
+			r, n := self(fr), mname(fr).(string)
+			p := region(r, fr, name, pos)
+			fr.m.grow(1, pos)
+			fr.m.sites.recordMutex(n, pos)
+			return p.NewMutex(n)
+		}}
+
+	case "Machine.Spawn":
+		tname, body := str(1), str(2)
+		return expr{t: t, r: func(fr *frame) any {
+			mach, n, cl := self(fr).(*core.Machine), tname(fr).(string), body(fr).(*closure)
+			m := fr.m
+			m.setup(name, pos)
+			if mach == nil || cl == nil {
+				m.faultf(pos, "cxl: Machine.Spawn needs a func() argument")
+			}
+			m.grow(1, pos)
+			return mach.Thread(n, func(t *core.Thread) {
+				m.src.newMachine(m.prog, t, m.sites).call(cl, pos)
+			})
+		}}
+
+	case "Mutex.Lock":
+		return expr{t: t, b: func(fr *frame) bool { mu := self(fr); return mutex(mu, fr, pos).Lock(fr.m.thread(name, pos)) }}
+	case "Mutex.TryLock":
+		return expr{t: t, do: func(fr *frame) {
+			mu := self(fr)
+			acquired, ownerFailed := mutex(mu, fr, pos).TryLock(fr.m.thread(name, pos))
+			fr.m.ri[0], fr.m.ri[1] = b2u(acquired), b2u(ownerFailed)
+		}}
+	case "Mutex.Unlock":
+		return expr{t: t, do: func(fr *frame) { mu := self(fr); mutex(mu, fr, pos).Unlock(fr.m.thread(name, pos)) }}
+	case "Mutex.OwnerFailed":
+		return expr{t: t, b: func(fr *frame) bool {
+			mu := self(fr)
+			fr.m.thread(name, pos)
+			return mutex(mu, fr, pos).OwnerFailed()
+		}}
+	}
+	fc.errorf(pos, "unsupported cxl method %s", fn.Name())
+	return expr{}
+}
+
+// region unwraps a *cxl.Region receiver during setup.
+func region(v any, fr *frame, name string, pos token.Pos) *core.Program {
+	fr.m.setup(name, pos)
+	p := v.(*core.Program)
+	if p == nil {
+		fr.m.faultf(pos, "cxl: %s on a nil *cxl.Region", name)
+	}
+	return p
+}
+
+func mutex(v any, fr *frame, pos token.Pos) *core.Mutex {
+	mu := v.(*core.Mutex)
+	if mu == nil {
+		fr.m.faultf(pos, "cxl: operation on a nil *cxl.Mutex")
+	}
+	return mu
 }

@@ -1,0 +1,1555 @@
+package gofront
+
+import (
+	"fmt"
+	"go/ast"
+	"go/constant"
+	"go/token"
+	"go/types"
+	"sort"
+
+	"repro/internal/core"
+)
+
+// The compile step of Load: every checked function is lowered once into
+// closures with everything static resolved — locals to frame slots,
+// constants folded, struct fields to indexes, integer kinds baked into
+// the closure, calls bound to their callee — so running a program walks
+// no syntax and boxes no integer. Whatever cannot be lowered is a
+// positioned Diagnostic here, never a fault mid-exploration.
+
+type (
+	intFn  = func(*frame) uint64
+	boolFn = func(*frame) bool
+	refFn  = func(*frame) any
+	stmt   = func(*frame) ctl
+)
+
+// ctl is statement-level control flow.
+type ctl uint8
+
+const (
+	ctlNext ctl = iota
+	ctlBreak
+	ctlContinue
+	ctlReturn
+)
+
+// expr is one compiled expression: its static type and the closure
+// matching the type's repr, or do for a call yielding no value or
+// several (which it leaves in the machine's result registers). An expr
+// with no closure is the residue of a reported diagnostic.
+type expr struct {
+	t  types.Type
+	i  intFn
+	b  boolFn
+	r  refFn
+	do func(*frame)
+}
+
+// run returns the closure evaluating e for its effects alone.
+func (e expr) run() func(*frame) {
+	switch {
+	case e.i != nil:
+		return func(fr *frame) { e.i(fr) }
+	case e.b != nil:
+		return func(fr *frame) { e.b(fr) }
+	case e.r != nil:
+		return func(fr *frame) { e.r(fr) }
+	}
+	return e.do
+}
+
+// slotInt returns e as the integer a slot stores (bools as 0 or 1).
+func (e expr) slotInt() intFn {
+	if b := e.b; b != nil {
+		return func(fr *frame) uint64 { return b2u(b(fr)) }
+	}
+	return e.i
+}
+
+// stored is the expr reading a value of type t back from where values
+// are kept — a slot, a cell, a slice element, a register: i reads an
+// integer or a bool (kept as 0 or 1), r anything else.
+func stored(t types.Type, i intFn, r refFn) expr {
+	switch rep, _ := reprOf(t); rep {
+	case rRef:
+		return expr{t: t, r: r}
+	case rBool:
+		return expr{t: t, b: func(fr *frame) bool { return i(fr) != 0 }}
+	}
+	return expr{t: t, i: i}
+}
+
+// layout counts the slots of a frame.
+type layout struct{ nInts, nRefs int }
+
+func (l *layout) slot(rep repr) int {
+	if rep == rRef {
+		l.nRefs++
+		return l.nRefs - 1
+	}
+	l.nInts++
+	return l.nInts - 1
+}
+
+type compiler struct {
+	s          *Source
+	info       *types.Info
+	diags      DiagnosticList
+	funcs      map[*types.Func]*fnCode // every declared function and method
+	boxed      map[*types.Var]bool     // locals some func literal captures
+	nfuncs     int
+	maxResults int
+}
+
+// varRef is where a local lives: a slot of its repr's array, or — for a
+// captured variable — a refs slot holding its *cell.
+type varRef struct {
+	slot  int
+	rep   repr
+	boxed bool
+	t     types.Type
+}
+
+// fnCompiler compiles one function body; vars is its symbol table.
+type fnCompiler struct {
+	*compiler
+	code    *fnCode
+	lay     layout
+	parent  *fnCompiler // the enclosing function of a func literal
+	sig     *types.Signature
+	vars    map[*types.Var]varRef
+	capFrom []int // per captured cell, the parent's refs slot holding it
+}
+
+// errorf reports what cannot be lowered: one diagnostic per source line,
+// the first found, since what else a line then draws (the variable a
+// failed value was to initialise, say) is mostly the same mistake again.
+func (c *compiler) errorf(pos token.Pos, format string, args ...any) {
+	p := c.s.pos(pos)
+	for _, d := range c.diags {
+		if d.Pos.Line == p.Line {
+			return
+		}
+	}
+	c.diags = append(c.diags, Diagnostic{Pos: p, Msg: fmt.Sprintf(format, args...)})
+}
+
+// compile lowers every declared function except main (native-only glue
+// the checker never runs) and returns what could not be lowered.
+func (s *Source) compile(file *ast.File, info *types.Info) DiagnosticList {
+	// The registers hold two results at least: cxl.CAS64 and Mutex.TryLock
+	// leave theirs there.
+	c := &compiler{s: s, info: info, funcs: map[*types.Func]*fnCode{}, boxed: map[*types.Var]bool{}, maxResults: 2}
+	var decls []*ast.FuncDecl
+	for _, decl := range file.Decls {
+		fd, ok := decl.(*ast.FuncDecl)
+		if !ok || fd.Recv == nil && fd.Name.Name == "main" {
+			continue
+		}
+		obj, ok := info.Defs[fd.Name].(*types.Func)
+		if !ok {
+			continue
+		}
+		code := c.newCode(fd.Pos())
+		code.self = &closure{fn: code}
+		c.funcs[obj] = code
+		if fd.Recv == nil {
+			s.funcs[fd.Name.Name] = entryFunc{code: code, entry: s.entrySignature(obj.Type().(*types.Signature))}
+		}
+		decls = append(decls, fd)
+	}
+	for _, fd := range decls {
+		c.findCaptures(fd)
+	}
+	for _, fd := range decls {
+		obj := info.Defs[fd.Name].(*types.Func)
+		fc := &fnCompiler{compiler: c, code: c.funcs[obj], sig: obj.Type().(*types.Signature), vars: map[*types.Var]varRef{}}
+		fc.compileBody(fd.Recv, fd.Type, fd.Body)
+	}
+	s.nfuncs, s.maxResults = c.nfuncs, c.maxResults
+	sort.SliceStable(c.diags, func(i, j int) bool {
+		a, b := c.diags[i].Pos, c.diags[j].Pos
+		return a.Line < b.Line || a.Line == b.Line && a.Column < b.Column
+	})
+	if len(c.diags) > maxDiagnostics {
+		c.diags = c.diags[:maxDiagnostics]
+	}
+	return c.diags
+}
+
+func (c *compiler) newCode(pos token.Pos) *fnCode {
+	c.nfuncs++
+	return &fnCode{id: c.nfuncs - 1, pos: pos}
+}
+
+// findCaptures marks every local that a func literal uses from an
+// enclosing function: those live in heap cells, all others in slots.
+func (c *compiler) findCaptures(fd *ast.FuncDecl) {
+	owner := map[*types.Var]ast.Node{}
+	stack := []ast.Node{fd}
+	var visit func(n ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.FuncLit:
+			stack = append(stack, x)
+			ast.Inspect(x.Type, visit)
+			ast.Inspect(x.Body, visit)
+			stack = stack[:len(stack)-1]
+			return false
+		case *ast.Ident:
+			if v, ok := c.info.Defs[x].(*types.Var); ok {
+				owner[v] = stack[len(stack)-1]
+			} else if v, ok := c.info.Uses[x].(*types.Var); ok {
+				if o, local := owner[v]; local && o != stack[len(stack)-1] {
+					c.boxed[v] = true
+				}
+			}
+		}
+		return true
+	}
+	ast.Inspect(fd, visit)
+}
+
+// reprOf maps a static type to its run-time representation; false means
+// the subset has no values of that type.
+func reprOf(t types.Type) (repr, bool) {
+	switch u := t.Underlying().(type) {
+	case *types.Basic:
+		if _, ok := intKind(t); ok {
+			return rInt, true
+		}
+		switch u.Kind() {
+		case types.Bool, types.UntypedBool:
+			return rBool, true
+		case types.String, types.UntypedString, types.UntypedNil:
+			return rRef, true
+		}
+	case *types.Slice:
+		_, ok := reprOf(u.Elem())
+		return rRef, ok
+	case *types.Pointer:
+		_, ok := u.Elem().Underlying().(*types.Struct)
+		return rRef, ok
+	case *types.Signature:
+		return rRef, true
+	}
+	return 0, false
+}
+
+// repr is reprOf with the diagnostic.
+func (c *compiler) repr(t types.Type, pos token.Pos) repr {
+	rep, ok := reprOf(t)
+	if !ok {
+		c.errorf(pos, "values of type %s are unsupported", t)
+	}
+	return rep
+}
+
+// ---- functions and variables ----
+
+// compileBody lays out the parameters, compiles the body and fills in
+// fc.code.
+func (fc *fnCompiler) compileBody(recv *ast.FieldList, ft *ast.FuncType, body *ast.BlockStmt) {
+	// Parameters take the first slots in declaration order; a captured
+	// one is then moved into its cell by the prologue.
+	var prologue []stmt
+	var boxedParams []*types.Var
+	for _, fl := range []*ast.FieldList{recv, ft.Params} {
+		if fl == nil {
+			continue
+		}
+		for _, field := range fl.List {
+			if len(field.Names) == 0 {
+				fc.lay.slot(fc.repr(fc.info.TypeOf(field.Type), field.Pos()))
+			}
+			for _, name := range field.Names {
+				v := fc.info.Defs[name].(*types.Var)
+				ref := varRef{rep: fc.repr(v.Type(), name.Pos()), t: v.Type()}
+				ref.slot = fc.lay.slot(ref.rep)
+				fc.vars[v] = ref
+				if fc.boxed[v] {
+					boxedParams = append(boxedParams, v)
+				}
+			}
+		}
+	}
+	for _, v := range boxedParams {
+		raw := fc.vars[v]
+		prologue = append(prologue, plain(fc.initVar(fc.declare(v, v.Pos()), fc.loadVar(raw))))
+	}
+	if res := fc.sig.Results(); res != nil {
+		if res.Len() > fc.maxResults {
+			fc.compiler.maxResults = res.Len()
+		}
+		for i := 0; i < res.Len(); i++ {
+			fc.repr(res.At(i).Type(), ft.Results.Pos())
+		}
+	}
+	stmts := append(prologue, fc.stmts(body.List)...)
+	fc.code.body = seq(stmts)
+	if code := fc.code; code.hasDefer {
+		code.nResults = fc.sig.Results().Len()
+		code.saveInts, code.saveRefs = fc.lay.nInts, fc.lay.nRefs
+		fc.lay.nInts += code.nResults
+		fc.lay.nRefs += code.nResults
+	}
+	fc.code.nInts, fc.code.nRefs = fc.lay.nInts, fc.lay.nRefs
+}
+
+// declare gives a newly declared local its slot.
+func (fc *fnCompiler) declare(v *types.Var, pos token.Pos) varRef {
+	ref := varRef{rep: fc.repr(v.Type(), pos), boxed: fc.boxed[v], t: v.Type()}
+	if ref.boxed {
+		ref.slot = fc.lay.slot(rRef)
+	} else {
+		ref.slot = fc.lay.slot(ref.rep)
+	}
+	fc.vars[v] = ref
+	return ref
+}
+
+// lookup resolves a use of a local. One declared by an enclosing
+// function is captured: its cell gets a refs slot here, filled at call
+// time from the closure value, and every function in between captures
+// it too.
+func (fc *fnCompiler) lookup(v *types.Var) (varRef, bool) {
+	if ref, ok := fc.vars[v]; ok {
+		return ref, true
+	}
+	if fc.parent == nil {
+		return varRef{}, false
+	}
+	outer, ok := fc.parent.lookup(v)
+	if !ok {
+		return varRef{}, false
+	}
+	ref := outer
+	ref.slot = fc.lay.slot(rRef)
+	fc.vars[v] = ref
+	fc.code.capSlots = append(fc.code.capSlots, ref.slot)
+	fc.capFrom = append(fc.capFrom, outer.slot)
+	return ref, true
+}
+
+func (fc *fnCompiler) loadVar(ref varRef) expr {
+	s := ref.slot
+	if ref.boxed {
+		return stored(ref.t,
+			func(fr *frame) uint64 { return fr.refs[s].(*cell).n },
+			func(fr *frame) any { return fr.refs[s].(*cell).r })
+	}
+	return stored(ref.t,
+		func(fr *frame) uint64 { return fr.ints[s] },
+		func(fr *frame) any { return fr.refs[s] })
+}
+
+func (fc *fnCompiler) storeVar(ref varRef, v expr) func(*frame) {
+	s := ref.slot
+	if ref.rep == rRef {
+		val := v.r
+		if ref.boxed {
+			return func(fr *frame) { fr.refs[s].(*cell).r = val(fr) }
+		}
+		return func(fr *frame) { fr.refs[s] = val(fr) }
+	}
+	val := v.slotInt()
+	if ref.boxed {
+		return func(fr *frame) { fr.refs[s].(*cell).n = val(fr) }
+	}
+	return func(fr *frame) { fr.ints[s] = val(fr) }
+}
+
+// initVar is storeVar for a declaration: a captured variable gets a
+// fresh cell each time its declaration runs, so closures made by an
+// earlier iteration keep theirs.
+func (fc *fnCompiler) initVar(ref varRef, v expr) func(*frame) {
+	if !ref.boxed {
+		return fc.storeVar(ref, v)
+	}
+	s := ref.slot
+	if ref.rep == rRef {
+		val := v.r
+		return func(fr *frame) { fr.refs[s] = &cell{r: val(fr)} }
+	}
+	val := v.slotInt()
+	return func(fr *frame) { fr.refs[s] = &cell{n: val(fr)} }
+}
+
+// spill compiles "evaluate e once into a fresh slot of lay": save does
+// that (reading operands from one frame, writing the slot in another —
+// the same one for an assignment's temporaries, the deferred call's own
+// for a defer statement), and the returned expr reads the slot back.
+func spill(e expr, lay *layout) (save func(from, to *frame), tmp expr) {
+	if val := e.r; val != nil {
+		s := lay.slot(rRef)
+		return func(from, to *frame) { to.refs[s] = val(from) },
+			expr{t: e.t, r: func(fr *frame) any { return fr.refs[s] }}
+	}
+	s, val := lay.slot(rInt), e.slotInt()
+	tmp = expr{t: e.t, i: func(fr *frame) uint64 { return fr.ints[s] }}
+	if e.b != nil {
+		tmp = expr{t: e.t, b: func(fr *frame) bool { return fr.ints[s] != 0 }}
+	}
+	return func(from, to *frame) { to.ints[s] = val(from) }, tmp
+}
+
+// ---- statements ----
+
+func seq(list []stmt) stmt {
+	switch len(list) {
+	case 0:
+		return func(*frame) ctl { return ctlNext }
+	case 1:
+		return list[0]
+	}
+	return func(fr *frame) ctl {
+		for _, s := range list {
+			if c := s(fr); c != ctlNext {
+				return c
+			}
+		}
+		return ctlNext
+	}
+}
+
+// plain lifts an effect into a statement that falls through.
+func plain(f func(*frame)) stmt {
+	return func(fr *frame) ctl { f(fr); return ctlNext }
+}
+
+func (fc *fnCompiler) stmts(list []ast.Stmt) []stmt {
+	out := make([]stmt, 0, len(list))
+	for _, s := range list {
+		if st := fc.stmt(s); st != nil {
+			out = append(out, st)
+		}
+	}
+	return out
+}
+
+func (fc *fnCompiler) block(b *ast.BlockStmt) stmt { return seq(fc.stmts(b.List)) }
+
+// stmt compiles one statement; nil means it needs no code.
+func (fc *fnCompiler) stmt(s ast.Stmt) stmt {
+	switch st := s.(type) {
+	case *ast.EmptyStmt:
+		return nil
+	case *ast.BlockStmt:
+		return fc.block(st)
+	case *ast.ExprStmt:
+		return plain(fc.expr(st.X).run())
+	case *ast.DeclStmt:
+		return fc.declStmt(st)
+	case *ast.AssignStmt:
+		return fc.assignStmt(st)
+	case *ast.IncDecStmt:
+		op := token.ADD
+		if st.Tok == token.DEC {
+			op = token.SUB
+		}
+		t := fc.info.TypeOf(st.X)
+		one := fc.constant(constant.MakeInt64(1), t, st.Pos())
+		return fc.opAssign(st.X, op, one, st.Pos())
+	case *ast.IfStmt:
+		return fc.ifStmt(st)
+	case *ast.ForStmt:
+		return fc.forStmt(st)
+	case *ast.RangeStmt:
+		return fc.rangeStmt(st)
+	case *ast.SwitchStmt:
+		return fc.switchStmt(st)
+	case *ast.BranchStmt:
+		switch st.Tok {
+		case token.BREAK:
+			return func(*frame) ctl { return ctlBreak }
+		case token.CONTINUE:
+			return func(*frame) ctl { return ctlContinue }
+		}
+		fc.errorf(st.Pos(), "unsupported branch statement %s", st.Tok)
+		return nil
+	case *ast.ReturnStmt:
+		return fc.returnStmt(st)
+	case *ast.DeferStmt:
+		return fc.deferStmt(st)
+	}
+	fc.errorf(s.Pos(), "unsupported statement")
+	return nil
+}
+
+func (fc *fnCompiler) declStmt(st *ast.DeclStmt) stmt {
+	gd := st.Decl.(*ast.GenDecl)
+	if gd.Tok != token.VAR {
+		return nil // constants are folded, types need no code
+	}
+	var out []stmt
+	for _, spec := range gd.Specs {
+		vs := spec.(*ast.ValueSpec)
+		lhs := make([]ast.Expr, len(vs.Names))
+		for i, name := range vs.Names {
+			lhs[i] = name
+		}
+		if len(vs.Values) > 0 {
+			out = append(out, fc.assign(lhs, vs.Values, true, vs.Pos()))
+			continue
+		}
+		for _, name := range vs.Names {
+			v := fc.info.Defs[name].(*types.Var)
+			if _, ok := reprOf(v.Type()); !ok {
+				fc.errorf(name.Pos(), "cannot zero-initialize a variable of type %s", v.Type())
+			}
+			if name.Name == "_" {
+				continue
+			}
+			out = append(out, plain(fc.initVar(fc.declare(v, name.Pos()), fc.zero(v.Type()))))
+		}
+	}
+	return seq(out)
+}
+
+func (fc *fnCompiler) ifStmt(st *ast.IfStmt) stmt {
+	var init stmt
+	if st.Init != nil {
+		init = fc.stmt(st.Init)
+	}
+	cond := fc.cond(st.Cond)
+	then := fc.block(st.Body)
+	var els stmt
+	if st.Else != nil {
+		els = fc.stmt(st.Else)
+	}
+	return func(fr *frame) ctl {
+		if init != nil {
+			init(fr)
+		}
+		if cond(fr) {
+			return then(fr)
+		}
+		if els != nil {
+			return els(fr)
+		}
+		return ctlNext
+	}
+}
+
+// cond compiles a boolean expression to its closure.
+func (fc *fnCompiler) cond(e ast.Expr) boolFn { return fc.expr(e).b }
+
+func (fc *fnCompiler) forStmt(st *ast.ForStmt) stmt {
+	var init, post stmt
+	// Go ≥1.22: each iteration has its own copy of the variables the
+	// init statement declares. Only a captured one can tell, and for
+	// those "its own copy" is a fresh cell seeded from the previous
+	// iteration's, made just before the post statement.
+	var fresh []int
+	if st.Init != nil {
+		init = fc.stmt(st.Init)
+		if as, ok := st.Init.(*ast.AssignStmt); ok && as.Tok == token.DEFINE {
+			for _, lhs := range as.Lhs {
+				if v, ok := fc.info.Defs[lhs.(*ast.Ident)].(*types.Var); ok && fc.boxed[v] {
+					fresh = append(fresh, fc.vars[v].slot)
+				}
+			}
+		}
+	}
+	var cond boolFn
+	if st.Cond != nil {
+		cond = fc.cond(st.Cond)
+	}
+	if st.Post != nil {
+		post = fc.stmt(st.Post)
+	}
+	body := fc.block(st.Body)
+	pos := st.Pos()
+	return func(fr *frame) ctl {
+		if init != nil {
+			init(fr)
+		}
+		for {
+			fr.m.tick(pos)
+			if cond != nil && !cond(fr) {
+				return ctlNext
+			}
+			switch body(fr) {
+			case ctlBreak:
+				return ctlNext
+			case ctlReturn:
+				return ctlReturn
+			}
+			for _, s := range fresh {
+				prev := fr.refs[s].(*cell)
+				fr.refs[s] = &cell{n: prev.n, r: prev.r}
+			}
+			if post != nil {
+				post(fr)
+			}
+		}
+	}
+}
+
+func (fc *fnCompiler) rangeStmt(st *ast.RangeStmt) stmt {
+	if st.Tok == token.ASSIGN {
+		fc.errorf(st.Pos(), "range with = assignment is unsupported (use :=)")
+		return nil
+	}
+	x := fc.expr(st.X)
+	// bind declares a := range variable and returns its initialiser
+	// from the per-iteration value.
+	bind := func(e ast.Expr, val func(t types.Type) expr) func(*frame) {
+		id, ok := e.(*ast.Ident)
+		if !ok || id.Name == "_" {
+			return nil
+		}
+		v := fc.info.Defs[id].(*types.Var)
+		return fc.initVar(fc.declare(v, id.Pos()), val(v.Type()))
+	}
+	// The iteration state lives in two temporaries of the frame.
+	iSlot := fc.lay.slot(rInt)
+	index := func(t types.Type) expr { return expr{t: t, i: func(fr *frame) uint64 { return fr.ints[iSlot] }} }
+	pos := st.Pos()
+	loop := func(n func(*frame) int, setKey, setVal func(*frame), body stmt) stmt {
+		return func(fr *frame) ctl {
+			for i, end := 0, n(fr); i < end; i++ {
+				fr.m.tick(pos)
+				fr.ints[iSlot] = uint64(i)
+				if setKey != nil {
+					setKey(fr)
+				}
+				if setVal != nil {
+					setVal(fr)
+				}
+				switch body(fr) {
+				case ctlBreak:
+					return ctlNext
+				case ctlReturn:
+					return ctlReturn
+				}
+			}
+			return ctlNext
+		}
+	}
+
+	if _, ok := intKind(x.t); ok && x.i != nil {
+		// Range over an integer: the key takes 0..n-1, a negative n
+		// iterates zero times.
+		setKey := bind(st.Key, index)
+		count := x.i
+		return loop(func(fr *frame) int { return int(int64(count(fr))) }, setKey, nil, fc.block(st.Body))
+	}
+	sl, ok := x.t.Underlying().(*types.Slice)
+	if !ok || x.r == nil {
+		if x.r != nil || x.i != nil || x.b != nil {
+			fc.errorf(st.X.Pos(), "range over unsupported value")
+		}
+		return nil
+	}
+	// The slice is evaluated once; each iteration reads its element
+	// from the shared backing array as it then is.
+	sSlot := fc.lay.slot(rRef)
+	src := x.r
+	setKey := bind(st.Key, index)
+	setVal := bind(st.Value, func(t types.Type) expr {
+		return stored(t,
+			func(fr *frame) uint64 { return fr.refs[sSlot].([]uint64)[fr.ints[iSlot]] },
+			func(fr *frame) any { return fr.refs[sSlot].([]any)[fr.ints[iSlot]] })
+	})
+	length := func(fr *frame) int { s := src(fr).([]uint64); fr.refs[sSlot] = s; return len(s) }
+	if rep, _ := reprOf(sl.Elem()); rep == rRef {
+		length = func(fr *frame) int { s := src(fr).([]any); fr.refs[sSlot] = s; return len(s) }
+	}
+	return loop(length, setKey, setVal, fc.block(st.Body))
+}
+
+func (fc *fnCompiler) switchStmt(st *ast.SwitchStmt) stmt {
+	var init stmt
+	if st.Init != nil {
+		init = fc.stmt(st.Init)
+	}
+	// The tag is evaluated once into a temporary the cases compare to.
+	var saveTag func(from, to *frame)
+	var tag expr
+	if st.Tag != nil {
+		saveTag, tag = spill(fc.expr(st.Tag), &fc.lay)
+	}
+	type clause struct {
+		match []boolFn
+		body  stmt
+	}
+	var clauses []clause
+	deflt := -1
+	for _, s := range st.Body.List {
+		cc := s.(*ast.CaseClause)
+		cl := clause{body: seq(fc.stmts(cc.Body))}
+		if cc.List == nil {
+			deflt = len(clauses)
+		}
+		for _, e := range cc.List {
+			if st.Tag != nil {
+				cl.match = append(cl.match, fc.equal(tag, fc.expr(e), e.Pos()))
+			} else {
+				cl.match = append(cl.match, fc.cond(e))
+			}
+		}
+		clauses = append(clauses, cl)
+	}
+	return func(fr *frame) ctl {
+		if init != nil {
+			init(fr)
+		}
+		if saveTag != nil {
+			saveTag(fr, fr)
+		}
+		chosen := deflt
+	search:
+		for k := range clauses {
+			for _, m := range clauses[k].match {
+				if m(fr) {
+					chosen = k
+					break search
+				}
+			}
+		}
+		if chosen < 0 {
+			return ctlNext
+		}
+		if c := clauses[chosen].body(fr); c != ctlBreak {
+			return c
+		}
+		return ctlNext // break inside a switch leaves the switch
+	}
+}
+
+func (fc *fnCompiler) returnStmt(st *ast.ReturnStmt) stmt {
+	n := len(st.Results)
+	if n == 0 {
+		return func(*frame) ctl { return ctlReturn }
+	}
+	if n == 1 && fc.sig.Results().Len() > 1 {
+		// return f() forwarding several values: f's own return left them
+		// in the registers, in this function's result order.
+		do := fc.expr(st.Results[0]).do
+		return func(fr *frame) ctl { do(fr); return ctlReturn }
+	}
+	// All but the last result wait in temporaries while the later ones
+	// are evaluated (their calls overwrite the registers).
+	var saves []func(from, to *frame)
+	sets := make([]func(*frame), n)
+	for j, res := range st.Results {
+		e := fc.as(fc.expr(res), fc.sig.Results().At(j).Type())
+		if j < n-1 {
+			var save func(from, to *frame)
+			save, e = spill(e, &fc.lay)
+			saves = append(saves, save)
+		}
+		sets[j] = setResult(j, e)
+	}
+	if n == 1 {
+		set := sets[0]
+		return func(fr *frame) ctl { set(fr); return ctlReturn }
+	}
+	return func(fr *frame) ctl {
+		for _, save := range saves {
+			save(fr, fr)
+		}
+		for j := n - 1; j >= 0; j-- {
+			sets[j](fr)
+		}
+		return ctlReturn
+	}
+}
+
+// setResult stores e into result register j.
+func setResult(j int, e expr) func(*frame) {
+	if val := e.r; val != nil {
+		return func(fr *frame) { v := val(fr); fr.m.rr[j] = v }
+	}
+	val := e.slotInt()
+	return func(fr *frame) { v := val(fr); fr.m.ri[j] = v }
+}
+
+// result reads result register j as a value of type t.
+func result(j int, t types.Type) expr {
+	return stored(t,
+		func(fr *frame) uint64 { return fr.m.ri[j] },
+		func(fr *frame) any { return fr.m.rr[j] })
+}
+
+// deferStmt evaluates callee and arguments now, into a small frame of
+// the deferred call's own (a defer statement in a loop runs many times
+// before any of its calls do), and queues the call for the unwind.
+func (fc *fnCompiler) deferStmt(st *ast.DeferStmt) stmt {
+	var lay layout
+	var saves []func(from, to *frame)
+	run := fc.call(st.Call, func(ops []expr) []expr {
+		out := make([]expr, len(ops))
+		for k, op := range ops {
+			var save func(from, to *frame)
+			save, out[k] = spill(op, &lay)
+			saves = append(saves, save)
+		}
+		return out
+	}).run()
+	fc.code.hasDefer = true
+	pos := st.Pos()
+	return func(fr *frame) ctl {
+		if fr.m.pending++; fr.m.pending > maxPendingDefers {
+			fr.m.faultf(pos, "more than %d deferred calls pending: possible defer in an unbounded loop", maxPendingDefers)
+		}
+		d := &frame{m: fr.m, ints: make([]uint64, lay.nInts), refs: make([]any, lay.nRefs)}
+		for _, save := range saves {
+			save(fr, d)
+		}
+		fr.defers = append(fr.defers, deferred{run: run, fr: d})
+		return ctlNext
+	}
+}
+
+// ---- assignment ----
+
+// place is a compiled assignment target: the operands it evaluates
+// first (slice and index, struct pointer; none for a variable) and the
+// constructors of its load and store over them. Building both from one
+// operand list is what lets op-assign and ++ evaluate the operands once
+// and a tuple assignment evaluate every operand before any store.
+type place struct {
+	t     types.Type
+	ops   []expr
+	load  func(ops []expr) expr
+	store func(ops []expr, v expr) func(*frame)
+}
+
+// target compiles an assignment target. define says := declared it.
+func (fc *fnCompiler) target(lhs ast.Expr, define bool) place {
+	switch e := lhs.(type) {
+	case *ast.ParenExpr:
+		return fc.target(e.X, define)
+	case *ast.Ident:
+		if e.Name == "_" {
+			return place{store: func(_ []expr, v expr) func(*frame) { return v.run() }}
+		}
+		if v, ok := fc.info.Defs[e].(*types.Var); ok && define {
+			ref := fc.declare(v, e.Pos())
+			return place{t: ref.t, store: func(_ []expr, val expr) func(*frame) { return fc.initVar(ref, val) }}
+		}
+		v, _ := fc.info.Uses[e].(*types.Var)
+		ref, ok := fc.lookup(v)
+		if !ok {
+			fc.errorf(e.Pos(), "assignment to undeclared variable %s", e.Name)
+			return place{}
+		}
+		return place{
+			t:     ref.t,
+			load:  func([]expr) expr { return fc.loadVar(ref) },
+			store: func(_ []expr, val expr) func(*frame) { return fc.storeVar(ref, val) },
+		}
+	case *ast.SelectorExpr:
+		obj, idx, ok := fc.field(e)
+		if !ok {
+			return place{}
+		}
+		t := fc.info.TypeOf(e)
+		return place{
+			t:     t,
+			ops:   []expr{obj},
+			load:  func(ops []expr) expr { return fieldLoad(ops[0], idx, t, e.Pos()) },
+			store: func(ops []expr, v expr) func(*frame) { return fieldStore(ops[0], idx, v, e.Pos()) },
+		}
+	case *ast.IndexExpr:
+		s, idx := fc.expr(e.X), fc.expr(e.Index)
+		if _, ok := s.t.Underlying().(*types.Slice); !ok {
+			fc.errorf(e.Pos(), "index assignment on non-slice value")
+			return place{}
+		}
+		t, pos := fc.info.TypeOf(e), e.Index.Pos()
+		return place{
+			t:     t,
+			ops:   []expr{s, idx},
+			load:  func(ops []expr) expr { return indexLoad(ops[0], ops[1], t, pos) },
+			store: func(ops []expr, v expr) func(*frame) { return indexStore(ops[0], ops[1], v, pos) },
+		}
+	}
+	fc.errorf(lhs.Pos(), "unsupported assignment target")
+	return place{}
+}
+
+func (fc *fnCompiler) assignStmt(st *ast.AssignStmt) stmt {
+	if st.Tok == token.ASSIGN || st.Tok == token.DEFINE {
+		return fc.assign(st.Lhs, st.Rhs, st.Tok == token.DEFINE, st.Pos())
+	}
+	return fc.opAssign(st.Lhs[0], assignOp(st.Tok), fc.expr(st.Rhs[0]), st.Pos())
+}
+
+// assign compiles lhs... = rhs... in Go's order: first the operands of
+// index expressions and field selections on the left and the
+// expressions on the right, left to right; then the stores, left to
+// right.
+func (fc *fnCompiler) assign(lhs, rhs []ast.Expr, define bool, pos token.Pos) stmt {
+	// With := the right side cannot see the variables being declared,
+	// so it is compiled before they enter the symbol table.
+	vals := make([]expr, len(rhs))
+	for k, e := range rhs {
+		vals[k] = fc.expr(e)
+	}
+	places := make([]place, len(lhs))
+	for k, e := range lhs {
+		places[k] = fc.target(e, define)
+		if places[k].store == nil {
+			return nil
+		}
+	}
+
+	if len(lhs) == len(rhs) {
+		for k, p := range places {
+			if p.t != nil {
+				vals[k] = fc.as(vals[k], p.t)
+			}
+		}
+	}
+	if len(lhs) == 1 && len(rhs) == 1 {
+		return plain(places[0].store(places[0].ops, vals[0]))
+	}
+
+	// Several targets: every operand and value is evaluated into a
+	// temporary before the first store.
+	var saves []func(from, to *frame)
+	temp := func(e expr) expr {
+		save, tmp := spill(e, &fc.lay)
+		saves = append(saves, save)
+		return tmp
+	}
+	ops := make([][]expr, len(places))
+	for k, p := range places {
+		for _, op := range p.ops {
+			ops[k] = append(ops[k], temp(op))
+		}
+	}
+	var call func(*frame)
+	if len(rhs) == 1 {
+		// One call yielding a value per target, read from the registers.
+		tuple, ok := vals[0].t.(*types.Tuple)
+		if !ok || tuple.Len() != len(lhs) || vals[0].do == nil {
+			if ok {
+				fc.errorf(pos, "assignment mismatch: %d targets, %d values", len(lhs), tuple.Len())
+			}
+			return nil
+		}
+		call = vals[0].do
+		vals = make([]expr, len(lhs))
+		for j := range vals {
+			vals[j] = result(j, tuple.At(j).Type())
+		}
+	} else {
+		for k := range vals {
+			vals[k] = temp(vals[k])
+		}
+	}
+	stores := make([]func(*frame), len(places))
+	for k, p := range places {
+		stores[k] = p.store(ops[k], vals[k])
+	}
+	return func(fr *frame) ctl {
+		for _, save := range saves {
+			save(fr, fr)
+		}
+		if call != nil {
+			call(fr)
+		}
+		for _, store := range stores {
+			store(fr)
+		}
+		return ctlNext
+	}
+}
+
+// opAssign compiles lhs op= v (and ++/--): the target's operands are
+// evaluated once into temporaries, then lhs = lhs op v over them.
+func (fc *fnCompiler) opAssign(lhs ast.Expr, op token.Token, v expr, pos token.Pos) stmt {
+	p := fc.target(lhs, false)
+	if p.load == nil {
+		if p.store != nil {
+			fc.errorf(pos, "unsupported assignment target")
+		}
+		return nil
+	}
+	var saves []func(from, to *frame)
+	ops := make([]expr, len(p.ops))
+	for k, operand := range p.ops {
+		var save func(from, to *frame)
+		save, ops[k] = spill(operand, &fc.lay)
+		saves = append(saves, save)
+	}
+	store := p.store(ops, fc.binop(op, p.load(ops), v, p.t, pos))
+	if len(saves) == 0 {
+		return plain(store)
+	}
+	return func(fr *frame) ctl {
+		for _, save := range saves {
+			save(fr, fr)
+		}
+		store(fr)
+		return ctlNext
+	}
+}
+
+// assignOp is the binary operator of an op-assign token; go/token lists
+// the two families in the same order.
+func assignOp(tok token.Token) token.Token {
+	if token.ADD_ASSIGN <= tok && tok <= token.AND_NOT_ASSIGN {
+		return tok + (token.ADD - token.ADD_ASSIGN)
+	}
+	return token.ILLEGAL
+}
+
+// ---- struct fields and slice elements ----
+
+// field resolves x.f to the struct pointer expression and the field's
+// index; it reports anything else a selector can be.
+func (fc *fnCompiler) field(x *ast.SelectorExpr) (obj expr, idx int, ok bool) {
+	sel, isSel := fc.info.Selections[x]
+	switch {
+	case isSel && sel.Kind() == types.FieldVal && len(sel.Index()) == 1:
+		if _, ok := reprOf(sel.Type()); !ok {
+			fc.errorf(x.Sel.Pos(), "values of type %s are unsupported", sel.Type())
+			return expr{}, 0, false
+		}
+		obj = fc.expr(x.X)
+		if _, isPtr := obj.t.Underlying().(*types.Pointer); !isPtr && obj.r != nil {
+			fc.errorf(x.Pos(), "field access on nil or non-struct value")
+			return expr{}, 0, false
+		}
+		return obj, sel.Index()[0], true
+	case isSel:
+		fc.errorf(x.Pos(), "unsupported selector %s (method values must be called directly)", x.Sel.Name)
+	default:
+		fc.errorf(x.Pos(), "unsupported selector %s (cxl functions can only be called)", x.Sel.Name)
+	}
+	return expr{}, 0, false
+}
+
+// fields dereferences a struct pointer.
+func fields(v any, fr *frame, pos token.Pos) []cell {
+	o := v.(*object)
+	if o == nil {
+		fr.m.faultf(pos, "field access on nil or non-struct value")
+	}
+	return o.f
+}
+
+func fieldLoad(obj expr, idx int, t types.Type, pos token.Pos) expr {
+	o := obj.r
+	return stored(t,
+		func(fr *frame) uint64 { return fields(o(fr), fr, pos)[idx].n },
+		func(fr *frame) any { return fields(o(fr), fr, pos)[idx].r })
+}
+
+func fieldStore(obj expr, idx int, v expr, pos token.Pos) func(*frame) {
+	o := obj.r
+	if val := v.r; val != nil {
+		return func(fr *frame) { p, x := o(fr), val(fr); fields(p, fr, pos)[idx].r = x }
+	}
+	val := v.slotInt()
+	return func(fr *frame) { p, x := o(fr), val(fr); fields(p, fr, pos)[idx].n = x }
+}
+
+// at bounds-checks an index against a length.
+func at(i uint64, n int, fr *frame, pos token.Pos) uint64 {
+	if i >= uint64(n) {
+		fr.m.faultf(pos, "index out of range [%d] with length %d", int64(i), n)
+	}
+	return i
+}
+
+func indexLoad(s, idx expr, t types.Type, pos token.Pos) expr {
+	sl, i := s.r, idx.i
+	return stored(t,
+		func(fr *frame) uint64 { a := sl(fr).([]uint64); return a[at(i(fr), len(a), fr, pos)] },
+		func(fr *frame) any { a := sl(fr).([]any); return a[at(i(fr), len(a), fr, pos)] })
+}
+
+// indexStore evaluates slice, index and value, then checks and stores:
+// the value's calls happen even when the index is out of range, as in
+// compiled Go.
+func indexStore(s, idx, v expr, pos token.Pos) func(*frame) {
+	sl, i := s.r, idx.i
+	if val := v.r; val != nil {
+		return func(fr *frame) { a, k, x := sl(fr).([]any), i(fr), val(fr); a[at(k, len(a), fr, pos)] = x }
+	}
+	val := v.slotInt()
+	return func(fr *frame) { a, k, x := sl(fr).([]uint64), i(fr), val(fr); a[at(k, len(a), fr, pos)] = x }
+}
+
+// ---- expressions ----
+
+// expr compiles one expression. A failure is reported once, where it is
+// found; enclosing expressions pass the empty expr along silently.
+func (fc *fnCompiler) expr(e ast.Expr) expr {
+	tv, ok := fc.info.Types[e]
+	if ok && tv.Value != nil {
+		return fc.constant(tv.Value, tv.Type, e.Pos())
+	}
+	before := len(fc.diags)
+	var out expr
+	switch x := e.(type) {
+	case *ast.ParenExpr:
+		return fc.expr(x.X)
+	case *ast.Ident:
+		out = fc.ident(x)
+	case *ast.FuncLit:
+		out = fc.funcLit(x)
+	case *ast.UnaryExpr:
+		out = fc.unary(x)
+	case *ast.BinaryExpr:
+		out = fc.binary(x)
+	case *ast.CallExpr:
+		out = fc.call(x, nil)
+	case *ast.SelectorExpr:
+		if obj, idx, ok := fc.field(x); ok {
+			out = fieldLoad(obj, idx, tv.Type, x.Pos())
+		}
+	case *ast.IndexExpr:
+		s, idx := fc.expr(x.X), fc.expr(x.Index)
+		if _, ok := s.t.Underlying().(*types.Slice); ok {
+			out = indexLoad(s, idx, tv.Type, x.Index.Pos())
+		} else if s.r != nil {
+			fc.errorf(x.Pos(), "index of non-slice value")
+		}
+	case *ast.CompositeLit:
+		out = fc.compositeLit(x, false)
+	}
+	if out.i == nil && out.b == nil && out.r == nil && out.do == nil && len(fc.diags) == before {
+		fc.errorf(e.Pos(), "unsupported expression")
+	}
+	if out.t == nil {
+		out.t = tv.Type
+	}
+	if out.t == nil {
+		out.t = types.Typ[types.Invalid]
+	}
+	return out
+}
+
+// constant folds a type-checker constant into a closure of its type's
+// repr.
+func (fc *fnCompiler) constant(cv constant.Value, t types.Type, pos token.Pos) expr {
+	e := expr{t: t}
+	switch cv.Kind() {
+	case constant.Bool:
+		v := constant.BoolVal(cv)
+		e.b = func(*frame) bool { return v }
+		return e
+	case constant.String:
+		var v any = constant.StringVal(cv)
+		e.r = func(*frame) any { return v }
+		return e
+	case constant.Int:
+		if k, ok := intKind(t); ok {
+			// A constant fits its type, so one of the two conversions is
+			// exact; either way the bits are the value's two's complement.
+			bits, exact := constant.Uint64Val(cv)
+			if !exact {
+				i, _ := constant.Int64Val(cv)
+				bits = uint64(i)
+			}
+			v := norm(bits, k)
+			e.i = func(*frame) uint64 { return v }
+			return e
+		}
+	}
+	if _, ok := reprOf(t); !ok {
+		fc.errorf(pos, "values of type %s are unsupported", t)
+	} else {
+		fc.errorf(pos, "unsupported constant")
+	}
+	return e
+}
+
+// zero is the zero value of t.
+func (fc *fnCompiler) zero(t types.Type) expr {
+	e := expr{t: t}
+	switch rep, _ := reprOf(t); rep {
+	case rInt:
+		e.i = func(*frame) uint64 { return 0 }
+	case rBool:
+		e.b = func(*frame) bool { return false }
+	default:
+		v := zeroRef(t)
+		e.r = func(*frame) any { return v }
+	}
+	return e
+}
+
+// zeroRef is the typed nil (or empty string) a ref type starts as.
+func zeroRef(t types.Type) any {
+	switch u := t.Underlying().(type) {
+	case *types.Basic:
+		if u.Info()&types.IsString != 0 {
+			return ""
+		}
+	case *types.Slice:
+		if rep, _ := reprOf(u.Elem()); rep == rRef {
+			return []any(nil)
+		}
+		return []uint64(nil)
+	case *types.Signature:
+		return (*closure)(nil)
+	case *types.Pointer:
+		if named, ok := u.Elem().(*types.Named); ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Name() == "cxl" {
+			switch named.Obj().Name() {
+			case "Region":
+				return (*core.Program)(nil)
+			case "Machine":
+				return (*core.Machine)(nil)
+			case "Thread":
+				return (*core.Thread)(nil)
+			case "Mutex":
+				return (*core.Mutex)(nil)
+			}
+		}
+		return (*object)(nil)
+	}
+	return nil
+}
+
+func (fc *fnCompiler) ident(id *ast.Ident) expr {
+	switch o := fc.info.Uses[id].(type) {
+	case *types.Nil:
+		return fc.zero(fc.info.TypeOf(id))
+	case *types.Var:
+		if ref, ok := fc.lookup(o); ok {
+			return fc.loadVar(ref)
+		}
+		fc.errorf(id.Pos(), "variable %s is not initialized here", id.Name)
+	case *types.Func:
+		if code, ok := fc.funcs[o]; ok {
+			var v any = code.self
+			return expr{t: o.Type(), r: func(*frame) any { return v }}
+		}
+		fc.errorf(id.Pos(), "function %s has no interpretable body", id.Name)
+	default:
+		fc.errorf(id.Pos(), "unsupported identifier %s", id.Name)
+	}
+	return expr{}
+}
+
+func (fc *fnCompiler) funcLit(lit *ast.FuncLit) expr {
+	sig := fc.info.TypeOf(lit).(*types.Signature)
+	inner := &fnCompiler{compiler: fc.compiler, code: fc.newCode(lit.Pos()), parent: fc, sig: sig, vars: map[*types.Var]varRef{}}
+	inner.compileBody(nil, lit.Type, lit.Body)
+	code, from := inner.code, inner.capFrom
+	if len(from) == 0 {
+		var v any = &closure{fn: code}
+		return expr{t: sig, r: func(*frame) any { return v }}
+	}
+	pos := lit.Pos()
+	return expr{t: sig, r: func(fr *frame) any {
+		fr.m.grow(uint64(len(from)), pos)
+		caps := make([]any, len(from))
+		for j, s := range from {
+			caps[j] = fr.refs[s]
+		}
+		return &closure{fn: code, caps: caps}
+	}}
+}
+
+func (fc *fnCompiler) unary(x *ast.UnaryExpr) expr {
+	if x.Op == token.AND {
+		cl, ok := x.X.(*ast.CompositeLit)
+		if !ok {
+			fc.errorf(x.Pos(), "& is only supported on struct literals")
+			return expr{}
+		}
+		return fc.compositeLit(cl, true)
+	}
+	v := fc.expr(x.X)
+	t := fc.info.TypeOf(x)
+	if x.Op == token.NOT {
+		b := v.b
+		return expr{t: t, b: func(fr *frame) bool { return !b(fr) }}
+	}
+	k, ok := intKind(t)
+	if !ok || v.i == nil {
+		if v.i != nil || v.b != nil || v.r != nil {
+			fc.errorf(x.Pos(), "unary %s on non-integer value", x.Op)
+		}
+		return expr{}
+	}
+	i := v.i
+	var f intFn
+	switch x.Op {
+	case token.ADD:
+		return v
+	case token.SUB:
+		f = func(fr *frame) uint64 { return -i(fr) }
+	case token.XOR:
+		f = func(fr *frame) uint64 { return ^i(fr) }
+	default:
+		fc.errorf(x.Pos(), "unsupported unary operator %s", x.Op)
+		return expr{}
+	}
+	return expr{t: t, i: normalised(f, k)}
+}
+
+// normalised wraps f to return kind k's canonical form.
+func normalised(f intFn, k types.BasicKind) intFn {
+	n := normFn(k)
+	if n == nil {
+		return f
+	}
+	return func(fr *frame) uint64 { return n(f(fr)) }
+}
+
+func (fc *fnCompiler) binary(x *ast.BinaryExpr) expr {
+	t := fc.info.TypeOf(x)
+	if x.Op == token.LAND || x.Op == token.LOR {
+		l, r := fc.cond(x.X), fc.cond(x.Y)
+		if x.Op == token.LAND {
+			return expr{t: t, b: func(fr *frame) bool { return l(fr) && r(fr) }}
+		}
+		return expr{t: t, b: func(fr *frame) bool { return l(fr) || r(fr) }}
+	}
+	return fc.binop(x.Op, fc.expr(x.X), fc.expr(x.Y), t, x.Pos())
+}
+
+// binop compiles l op r, of type t, for already compiled operands.
+func (fc *fnCompiler) binop(op token.Token, l, r expr, t types.Type, pos token.Pos) expr {
+	if l.i == nil && l.b == nil && l.r == nil || r.i == nil && r.b == nil && r.r == nil {
+		return expr{} // an operand already failed
+	}
+	switch op {
+	case token.EQL:
+		return expr{t: t, b: fc.equal(l, r, pos)}
+	case token.NEQ:
+		eq := fc.equal(l, r, pos)
+		return expr{t: t, b: func(fr *frame) bool { return !eq(fr) }}
+	}
+	if l.r != nil && r.r != nil && op == token.ADD {
+		if b, ok := l.t.Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
+			x, y := l.r, r.r
+			return expr{t: t, r: func(fr *frame) any {
+				a, b := x(fr).(string), y(fr).(string)
+				fr.m.grow(uint64(len(a)+len(b))/8, pos)
+				return a + b
+			}}
+		}
+	}
+	k, ok := intKind(l.t)
+	if !ok || l.i == nil || r.i == nil {
+		fc.errorf(pos, "unsupported binary operator %s", op)
+		return expr{}
+	}
+	x, y := l.i, r.i
+	signed := kindSigned(k)
+	var f intFn
+	var cmp boolFn
+	switch op {
+	case token.ADD:
+		f = func(fr *frame) uint64 { return x(fr) + y(fr) }
+	case token.SUB:
+		f = func(fr *frame) uint64 { return x(fr) - y(fr) }
+	case token.MUL:
+		f = func(fr *frame) uint64 { return x(fr) * y(fr) }
+	case token.AND:
+		f = func(fr *frame) uint64 { return x(fr) & y(fr) }
+	case token.OR:
+		f = func(fr *frame) uint64 { return x(fr) | y(fr) }
+	case token.XOR:
+		f = func(fr *frame) uint64 { return x(fr) ^ y(fr) }
+	case token.AND_NOT:
+		f = func(fr *frame) uint64 { return x(fr) &^ y(fr) }
+	case token.QUO, token.REM:
+		rem := op == token.REM
+		f = func(fr *frame) uint64 {
+			a, b := x(fr), y(fr)
+			if b == 0 {
+				fr.m.faultf(pos, "runtime error: integer divide by zero")
+			}
+			switch {
+			case signed && rem:
+				return uint64(int64(a) % int64(b))
+			case signed:
+				return uint64(int64(a) / int64(b))
+			case rem:
+				return a % b
+			}
+			return a / b
+		}
+	case token.SHL, token.SHR:
+		// Go's run-time shift semantics: a negative count is a fault, a
+		// count at or beyond the width shifts out to 0 (or to the sign
+		// for signed >>) — which the host's own 64-bit shifts of the
+		// canonical form give once the result is normalised.
+		ck, _ := intKind(r.t)
+		countSigned, left := kindSigned(ck), op == token.SHL
+		f = func(fr *frame) uint64 {
+			a, c := x(fr), y(fr)
+			if countSigned && int64(c) < 0 {
+				fr.m.faultf(pos, "negative shift amount")
+			}
+			switch {
+			case left:
+				return a << c
+			case signed:
+				return uint64(int64(a) >> c)
+			}
+			return a >> c
+		}
+	case token.LSS, token.LEQ, token.GTR, token.GEQ:
+		if signed {
+			cmp = ordered[int64](op, x, y)
+		} else {
+			cmp = ordered[uint64](op, x, y)
+		}
+	default:
+		fc.errorf(pos, "unsupported binary operator %s", op)
+		return expr{}
+	}
+	if cmp != nil {
+		return expr{t: t, b: cmp}
+	}
+	return expr{t: t, i: normalised(f, k)}
+}
+
+// ordered compiles x op y for an ordering operator, comparing as T.
+func ordered[T int64 | uint64](op token.Token, x, y intFn) boolFn {
+	switch op {
+	case token.LSS:
+		return func(fr *frame) bool { return T(x(fr)) < T(y(fr)) }
+	case token.LEQ:
+		return func(fr *frame) bool { return T(x(fr)) <= T(y(fr)) }
+	case token.GTR:
+		return func(fr *frame) bool { return T(x(fr)) > T(y(fr)) }
+	}
+	return func(fr *frame) bool { return T(x(fr)) >= T(y(fr)) }
+}
+
+// equal compiles l == r for any comparable pair the subset has.
+func (fc *fnCompiler) equal(l, r expr, pos token.Pos) boolFn {
+	// The type checker leaves a nil operand of a comparison untyped: it
+	// is the other operand's typed nil.
+	if isUntypedNil(l.t) && r.r != nil {
+		l = fc.zero(r.t)
+	} else if isUntypedNil(r.t) && l.r != nil {
+		r = fc.zero(l.t)
+	}
+	switch {
+	case l.i != nil && r.i != nil:
+		x, y := l.i, r.i
+		return func(fr *frame) bool { return x(fr) == y(fr) }
+	case l.b != nil && r.b != nil:
+		x, y := l.b, r.b
+		return func(fr *frame) bool { return x(fr) == y(fr) }
+	case l.r == nil || r.r == nil:
+		if (l.i != nil || l.b != nil || l.r != nil) && (r.i != nil || r.b != nil || r.r != nil) {
+			fc.errorf(pos, "mixed operand types in comparison")
+		}
+		return nil
+	}
+	x, y := l.r, r.r
+	switch u := l.t.Underlying().(type) {
+	case *types.Basic: // strings
+		return func(fr *frame) bool { a, b := x(fr), y(fr); return a.(string) == b.(string) }
+	case *types.Pointer:
+		// One dynamic type per static type, so interface equality is
+		// pointer equality (typed nils included).
+		return func(fr *frame) bool { a, b := x(fr), y(fr); return a == b }
+	case *types.Slice:
+		// Slices compare to nil only (the checker saw to that); both
+		// sides are evaluated, one of them is the nil.
+		if rep, _ := reprOf(u.Elem()); rep == rRef {
+			return func(fr *frame) bool { a, b := x(fr), y(fr); return a.([]any) == nil && b.([]any) == nil }
+		}
+		return func(fr *frame) bool { a, b := x(fr), y(fr); return a.([]uint64) == nil && b.([]uint64) == nil }
+	case *types.Signature:
+		return func(fr *frame) bool { a, b := x(fr), y(fr); return a.(*closure) == nil && b.(*closure) == nil }
+	}
+	fc.errorf(pos, "unsupported comparison")
+	return nil
+}
+
+func isUntypedNil(t types.Type) bool {
+	b, ok := t.(*types.Basic)
+	return ok && b.Kind() == types.UntypedNil
+}
+
+func (fc *fnCompiler) compositeLit(cl *ast.CompositeLit, addressed bool) expr {
+	t := fc.info.TypeOf(cl)
+	if ptr, ok := t.Underlying().(*types.Pointer); ok && cl.Type == nil {
+		t, addressed = ptr.Elem(), true // &T elided inside a []*T literal
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Slice:
+		rep := fc.repr(u.Elem(), cl.Pos())
+		var ints []intFn
+		var refs []refFn
+		for _, e := range cl.Elts {
+			if _, ok := e.(*ast.KeyValueExpr); ok {
+				fc.errorf(e.Pos(), "keyed slice literals are unsupported")
+				return expr{}
+			}
+			if v := fc.as(fc.expr(e), u.Elem()); rep == rRef {
+				refs = append(refs, v.r)
+			} else {
+				ints = append(ints, v.slotInt())
+			}
+		}
+		if rep == rRef {
+			return expr{t: t, r: func(fr *frame) any { return evalAll(refs, fr) }}
+		}
+		return expr{t: t, r: func(fr *frame) any { return evalAll(ints, fr) }}
+
+	case *types.Struct:
+		if !addressed {
+			fc.errorf(cl.Pos(), "struct values must be created with &T{...} (structs are pointer-shaped in the checked subset)")
+			return expr{}
+		}
+		zero := make([]cell, u.NumFields())
+		for i := range zero {
+			f := u.Field(i)
+			if rep, ok := reprOf(f.Type()); !ok {
+				fc.errorf(cl.Pos(), "struct field %s has unsupported type %s", f.Name(), f.Type())
+				return expr{}
+			} else if rep == rRef {
+				zero[i].r = zeroRef(f.Type())
+			}
+		}
+		sets := make([]func(fr *frame, f []cell), len(cl.Elts))
+		for i, e := range cl.Elts {
+			idx := i
+			if kv, ok := e.(*ast.KeyValueExpr); ok {
+				e = kv.Value
+				name := kv.Key.(*ast.Ident).Name
+				for idx = 0; u.Field(idx).Name() != name; idx++ {
+				}
+			}
+			if v := fc.as(fc.expr(e), u.Field(idx).Type()); v.r != nil {
+				val := v.r
+				sets[i] = func(fr *frame, f []cell) { f[idx].r = val(fr) }
+			} else {
+				val := v.slotInt()
+				sets[i] = func(fr *frame, f []cell) { f[idx].n = val(fr) }
+			}
+		}
+		pos := cl.Pos()
+		return expr{t: types.NewPointer(t), r: func(fr *frame) any {
+			fr.m.grow(uint64(len(zero))+1, pos)
+			f := make([]cell, len(zero))
+			copy(f, zero)
+			for _, set := range sets {
+				set(fr, f)
+			}
+			return &object{f: f}
+		}}
+	}
+	fc.errorf(cl.Pos(), "unsupported composite literal type %s", t)
+	return expr{}
+}
+
+// evalAll evaluates element closures into a new slice.
+func evalAll[T any](elems []func(*frame) T, fr *frame) []T {
+	out := make([]T, len(elems))
+	for i, e := range elems {
+		out[i] = e(fr)
+	}
+	return out
+}

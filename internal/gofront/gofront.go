@@ -1,18 +1,36 @@
 // Package gofront is the native Go source front-end: it loads an
 // ordinary Go file written against the gofront/cxl API, type-checks it
 // with a synthetic importer (no compiled export data, no external
-// dependencies — go/parser + go/types only), and interprets the checked
-// functions with an AST-walking interpreter whose loads, stores,
-// atomics, flushes and locks lower directly to core.Thread events. The
-// checker's machinery — state-space reduction, prefix-fork replay, the
-// race detector, repro tokens, Replay — works unchanged on
-// source-loaded programs, because by the time the engine sees them they
-// are just another func(*core.Program).
+// dependencies — go/parser + go/types only), and compiles the checked
+// functions, once, at Load, into closures whose loads, stores, atomics,
+// flushes and locks are bound directly to core.Thread events: locals are
+// frame slots, constants are folded, integers and bools never leave a
+// uint64 or a bool, and running a program walks no syntax. The checker's
+// machinery — state-space reduction, prefix-fork replay, the race
+// detector, repro tokens, Replay — works unchanged on source-loaded
+// programs, because by the time the engine sees them they are just
+// another func(*core.Program).
 //
-// The supported subset is deliberately small and fully diagnosed:
-// anything outside it is reported as a positioned file:line error at
-// load time (statically detectable constructs) or as a positioned
-// fault when reached (dynamic errors), never as a bare panic.
+// The supported subset is deliberately small and fully diagnosed. What
+// is outside it fails at load time with positioned file:line
+// diagnostics (at most ten, one per source line): anything the type
+// checker rejects, syntax outside the subset (subset.go), and
+// constructs in it that the compiler cannot lower — a method value, a
+// struct by value, a keyed slice literal. What only a run can tell is a
+// positioned fault when reached, never a bare panic: an index out of
+// range, a nil dereference or nil call, a division by zero, a negative
+// shift count, a cxl operation in the wrong phase, and the budgets that
+// keep a hostile source from costing the host more than a report (call
+// depth, loop iterations, memory, pending deferred calls).
+//
+// Compiled code keeps Go's order of evaluation where a checked program
+// can tell the difference, which is wherever cxl operations are
+// operands: function calls, and with them cxl operations, happen in
+// lexical left-to-right order; an assignment evaluates the index and
+// pointer operands on its left and then the values on its right before
+// it stores anything; an op-assignment or ++ evaluates its target's
+// operands once; a deferred call's function and arguments are evaluated
+// at the defer statement.
 package gofront
 
 import (
@@ -60,31 +78,32 @@ func (l DiagnosticList) Error() string {
 	return strings.Join(msgs, "\n")
 }
 
-// methodKey identifies a method declaration by receiver type name and
-// method name.
-type methodKey struct {
-	typeName string
-	method   string
-}
-
-// Source is one loaded, type-checked source file, ready to be turned
-// into checker programs.
+// Source is one loaded, type-checked and compiled source file, ready to
+// be turned into checker programs. The syntax tree and the type
+// information are gone by the time Load returns: what remains is the
+// compiled code of every package-level function.
 type Source struct {
 	Filename string
 
-	fset    *token.FileSet
-	file    *ast.File
-	pkg     *types.Package
-	info    *types.Info
-	cxlPkg  *types.Package
-	funcs   map[string]*ast.FuncDecl
-	methods map[methodKey]*ast.FuncDecl
+	fset       *token.FileSet
+	cxlPkg     *types.Package
+	funcs      map[string]entryFunc
+	nfuncs     int // compiled functions, func literals included
+	maxResults int // widest result list, which sizes a machine's registers
+}
+
+// entryFunc is one package-level function: its code, and whether its
+// signature makes it usable as -entry.
+type entryFunc struct {
+	code  *fnCode
+	entry bool
 }
 
 // Load parses and type-checks one Go source file against the synthetic
-// cxl API and subset-checks every function in it (except main, which is
-// native-only glue and never interpreted). A nil error means every
-// declared function is interpretable.
+// cxl API, subset-checks every function in it (except main, which is
+// native-only glue and never run by the checker) and compiles them. A
+// nil error means every declared function runs: whatever the compiler
+// cannot lower is a diagnostic here.
 func Load(filename string, src []byte) (*Source, error) {
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, filename, src, parser.SkipObjectResolution)
@@ -112,42 +131,22 @@ func Load(filename string, src []byte) (*Source, error) {
 				diags = append(diags, Diagnostic{Msg: err.Error()})
 				return
 			}
-			if te.Soft || len(diags) >= maxDiagnostics {
+			if len(diags) >= maxDiagnostics {
 				return
 			}
 			diags = append(diags, Diagnostic{Pos: fset.Position(te.Pos), Msg: te.Msg})
 		},
 	}
-	pkg, _ := conf.Check(file.Name.Name, fset, []*ast.File{file}, info)
+	conf.Check(file.Name.Name, fset, []*ast.File{file}, info) // errors arrive through conf.Error
 	if len(diags) > 0 {
 		return nil, diags
 	}
 
-	s := &Source{
-		Filename: filename,
-		fset:     fset,
-		file:     file,
-		pkg:      pkg,
-		info:     info,
-		cxlPkg:   cxlPkg,
-		funcs:    map[string]*ast.FuncDecl{},
-		methods:  map[methodKey]*ast.FuncDecl{},
+	s := &Source{Filename: filename, fset: fset, cxlPkg: cxlPkg, funcs: map[string]entryFunc{}}
+	if diags := s.subsetCheck(file, info); len(diags) > 0 {
+		return nil, diags
 	}
-	for _, decl := range file.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok {
-			continue
-		}
-		if fd.Recv == nil {
-			s.funcs[fd.Name.Name] = fd
-			continue
-		}
-		if name, ok := recvTypeName(fd.Recv); ok {
-			s.methods[methodKey{typeName: name, method: fd.Name.Name}] = fd
-		}
-	}
-
-	if diags := s.subsetCheck(); len(diags) > 0 {
+	if diags := s.compile(file, info); len(diags) > 0 {
 		return nil, diags
 	}
 	return s, nil
@@ -170,28 +169,13 @@ func parseDiagnostics(fset *token.FileSet, err error) error {
 	return diags
 }
 
-// recvTypeName extracts the named type of a method receiver (*T or T).
-func recvTypeName(recv *ast.FieldList) (string, bool) {
-	if len(recv.List) != 1 {
-		return "", false
-	}
-	t := recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name, true
-	}
-	return "", false
-}
-
 // Entries returns the names of functions usable as -entry: package-level
 // functions taking exactly one *cxl.Region parameter and returning
 // nothing.
 func (s *Source) Entries() []string {
 	var out []string
-	for name, fd := range s.funcs {
-		if s.entrySignatureOK(fd) {
+	for name, f := range s.funcs {
+		if f.entry {
 			out = append(out, name)
 		}
 	}
@@ -199,12 +183,8 @@ func (s *Source) Entries() []string {
 	return out
 }
 
-func (s *Source) entrySignatureOK(fd *ast.FuncDecl) bool {
-	obj, ok := s.info.Defs[fd.Name].(*types.Func)
-	if !ok {
-		return false
-	}
-	sig := obj.Type().(*types.Signature)
+// entrySignature reports whether sig is func(*cxl.Region).
+func (s *Source) entrySignature(sig *types.Signature) bool {
 	if sig.Results().Len() != 0 || sig.Params().Len() != 1 {
 		return false
 	}
@@ -218,14 +198,14 @@ func (s *Source) entrySignatureOK(fd *ast.FuncDecl) bool {
 
 // Program returns the checker program for entry (a function with
 // signature func(*cxl.Region)). The returned func is safe to run many
-// times and from many exploration workers: every call builds fresh
-// interpreter state.
+// times and from many exploration workers: the compiled code is
+// immutable, and every call runs it on fresh machines.
 func (s *Source) Program(entry string) (func(*core.Program), error) {
 	return s.program(entry, nil)
 }
 
 // VetProgram is Program plus a SiteMap: while the program runs, the
-// interpreter records the source position of the first store and the
+// compiled cxl operations record the source position of the first store and the
 // first flush touching each cache line and of every mutex creation, so
 // cxlvet findings can be annotated with real file:line positions.
 func (s *Source) VetProgram(entry string) (func(*core.Program), *SiteMap, error) {
@@ -235,21 +215,22 @@ func (s *Source) VetProgram(entry string) (func(*core.Program), *SiteMap, error)
 }
 
 func (s *Source) program(entry string, sites *SiteMap) (func(*core.Program), error) {
-	fd, ok := s.funcs[entry]
+	f, ok := s.funcs[entry]
 	if !ok {
 		return nil, fmt.Errorf("gofront: %s has no function %q (entry candidates: %s)",
 			s.Filename, entry, strings.Join(s.Entries(), ", "))
 	}
-	if !s.entrySignatureOK(fd) {
+	if !f.entry {
 		return nil, DiagnosticList{{
-			Pos: s.fset.Position(fd.Pos()),
+			Pos: s.fset.Position(f.code.pos),
 			Msg: fmt.Sprintf("entry function %s must have signature func(*cxl.Region)", entry),
 		}}
 	}
 	return func(p *core.Program) {
-		ec := &execCtx{src: s, prog: p, sites: sites}
-		ic := &interp{ec: ec, t: nil}
-		ic.invoke(funcVal{decl: fd}, []value{regionVal{}}, fd.Pos())
+		m := s.newMachine(p, nil, sites)
+		fr := m.get(f.code)
+		fr.refs[0] = p
+		m.exec(f.code, fr, f.code.pos)
 	}, nil
 }
 
@@ -357,10 +338,3 @@ func trimPos(pos token.Position) string {
 
 // pos formats a token.Pos for diagnostics.
 func (s *Source) pos(p token.Pos) token.Position { return s.fset.Position(p) }
-
-// faultf panics with a positioned runtime fault. During setup the
-// checker converts it into a setup error; on a simulated thread it
-// becomes a BugPanic with the position in the message.
-func (s *Source) faultf(p token.Pos, format string, args ...any) {
-	panic(Diagnostic{Pos: s.pos(p), Msg: fmt.Sprintf(format, args...)})
-}

@@ -1,6 +1,7 @@
 package gofront_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 	"repro/internal/gofront"
 )
 
-func load(t *testing.T, src string) *gofront.Source {
+func load(t testing.TB, src string) *gofront.Source {
 	t.Helper()
 	s, err := gofront.Load("prog.go", []byte(src))
 	if err != nil {
@@ -31,7 +32,7 @@ func run(t *testing.T, src string, cfg core.Config) *core.Result {
 	return res
 }
 
-// TestInterpSemantics drives the interpreter through the Go semantics
+// TestInterpSemantics drives compiled code through the Go semantics
 // corner cases that must match compiled code exactly: sized-integer
 // wraparound, shift counts at and beyond the width, signed division
 // overflow, closures, per-iteration loop variables, slices, structs and
@@ -49,6 +50,28 @@ type counter struct {
 
 func (c *counter) bump() uint64 {
 	return cxl.FetchAdd64(c.addr, c.step)
+}
+
+type node struct {
+	v    uint64
+	next *node
+	kids []*node
+}
+
+func (n *node) sum() uint64 {
+	if n == nil {
+		return 0
+	}
+	return n.v + n.next.sum()
+}
+
+func seven() uint64 { return 7 }
+
+// A deferred call uses the result registers too; the function's own
+// results must survive it.
+func deferring(n *node) (uint64, bool) {
+	defer func() { n.v = seven() }()
+	return 5, true
 }
 
 func Program(r *cxl.Region) {
@@ -136,6 +159,41 @@ func Program(r *cxl.Region) {
 			check = 9
 		}()
 		cxl.Assert(check == 921, "defer LIFO order: %d", check)
+		nd := &node{}
+		got, ok := deferring(nd)
+		cxl.Assert(got == 5 && ok && nd.v == 7, "results survive a deferred call: %d %d", got, nd.v)
+		var log []uint64
+		func() {
+			for i := uint64(0); i < 3; i++ {
+				defer func(k uint64) { log = append(log, k) }(i * 10)
+			}
+		}()
+		cxl.Assert(len(log) == 3 && log[0] == 20 && log[2] == 0, "defer arguments are evaluated at the defer")
+
+		// Assignment evaluates the target's operands once, and index
+		// operands and right-hand calls in lexical order.
+		cxl.Store64(cell, 0)
+		a := make([]uint64, 4)
+		a[cxl.FetchAdd64(cell, 1)] += 5
+		cxl.Assert(cxl.Load64(cell) == 1 && a[0] == 5, "op-assign index evaluated %d times", cxl.Load64(cell))
+		a[cxl.FetchAdd64(cell, 1)] = cxl.FetchAdd64(cell, 1)
+		cxl.Assert(a[1] == 2 && a[2] == 0, "index before right-hand side: a[1]=%d a[2]=%d", a[1], a[2])
+		a[cxl.FetchAdd64(cell, 1)]++
+		cxl.Assert(cxl.Load64(cell) == 4 && a[3] == 1, "++ index evaluated once")
+		i := 0
+		i, a[i] = 2, 9
+		cxl.Assert(i == 2 && a[0] == 9, "tuple assignment reads operands before it stores")
+
+		// nil is the typed nil of wherever it flows.
+		list := &node{v: 1, next: &node{v: 2, next: nil}}
+		cxl.Assert(list.sum() == 3, "method on a nil receiver: %d", list.sum())
+		list.kids = append(list.kids, nil, list)
+		cxl.Assert(list.kids[0] == nil && list.kids[1] == list, "nil slice element")
+		list.kids = []*node{nil, {v: 9}}
+		cxl.Assert(list.kids[0] == nil && list.kids[1].v == 9, "nil literal element")
+		var fn func()
+		var empty []uint64
+		cxl.Assert(fn == nil && empty == nil && list.next.next == nil, "zero values are nil")
 	})
 }
 `
@@ -144,6 +202,39 @@ func Program(r *cxl.Region) {
 		for _, b := range res.Bugs {
 			t.Errorf("unexpected bug: %s: %s", b.Kind, b.Message)
 		}
+	}
+}
+
+// TestAssignmentEvaluation pins, one program each, the two places the
+// tree-walking interpreter checked a different program than the Go
+// compiler builds: it evaluated an op-assignment's index twice (an extra
+// fetch-add, so an extra simulated event), and every right-hand side
+// before any left-hand index.
+func TestAssignmentEvaluation(t *testing.T) {
+	const tmpl = `package main
+
+import "cxl"
+
+func Program(r *cxl.Region) {
+	c := r.Alloc(8)
+	m := r.NewMachine("m0")
+	m.Spawn("t", func() {
+		a := make([]uint64, 2)
+		BODY
+	})
+}
+`
+	for name, body := range map[string]string{
+		"index evaluated once": `a[cxl.FetchAdd64(c, 1)] += 5
+		cxl.Assert(cxl.Load64(c) == 1 && a[0] == 5, "c = %d, a[0] = %d", cxl.Load64(c), a[0])`,
+		"index before right-hand side": `a[cxl.FetchAdd64(c, 1)] = cxl.FetchAdd64(c, 1)
+		cxl.Assert(a[0] == 1 && a[1] == 0, "a = [%d %d]", a[0], a[1])`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			for _, b := range run(t, strings.Replace(tmpl, "BODY", body, 1), core.Config{}).Bugs {
+				t.Errorf("diverged from compiled Go: %s: %s", b.Kind, b.Message)
+			}
+		})
 	}
 }
 
@@ -253,6 +344,105 @@ func Program(r *cxl.Region) { _ = r }
 `,
 			want: "package-level variables are unsupported",
 		},
+		// In the subset's syntax, but nothing the compiler can lower: still
+		// a load-time diagnostic, not a fault mid-exploration.
+		{
+			name: "method value",
+			src: `package main
+import "cxl"
+type pair struct{ a, b uint64 }
+func (p *pair) first() uint64 { return p.a }
+func Program(r *cxl.Region) {
+	_ = r
+	p := &pair{}
+	get := p.first
+	_ = get
+}
+`,
+			want: "prog.go:8:9: unsupported selector first (method values must be called directly)",
+		},
+		{
+			name: "range assigning",
+			src: `package main
+import "cxl"
+type pair struct{ a, b uint64 }
+func Program(r *cxl.Region) {
+	_ = r
+	var i int
+	for i = range []uint64{1} {
+	}
+	_ = i
+}
+`,
+			want: "prog.go:7:2: range with = assignment is unsupported (use :=)",
+		},
+		{
+			name: "struct variable",
+			src: `package main
+import "cxl"
+type pair struct{ a, b uint64 }
+func Program(r *cxl.Region) {
+	_ = r
+	var p pair
+	_ = p
+}
+`,
+			want: "prog.go:6:6: cannot zero-initialize a variable of type main.pair",
+		},
+		{
+			name: "struct literal by value",
+			src: `package main
+import "cxl"
+type pair struct{ a, b uint64 }
+func Program(r *cxl.Region) {
+	_ = r
+	p := pair{a: 1}
+	_ = p
+}
+`,
+			want: "prog.go:6:7: struct values must be created with &T{...}",
+		},
+		{
+			name: "keyed slice literal",
+			src: `package main
+import "cxl"
+type pair struct{ a, b uint64 }
+func Program(r *cxl.Region) {
+	_ = r
+	xs := []uint64{1: 5}
+	_ = xs
+}
+`,
+			want: "prog.go:6:17: keyed slice literals are unsupported",
+		},
+		{
+			name: "make of a non-slice",
+			src: `package main
+import "cxl"
+type pair struct{ a, b uint64 }
+type table map[uint64]uint64
+func Program(r *cxl.Region) {
+	_ = r
+	t := make(table)
+	_ = t
+}
+`,
+			want: "prog.go:7:7: make of non-slice type is unsupported",
+		},
+		{
+			name: "conversion",
+			src: `package main
+import "cxl"
+type pair struct{ a, b uint64 }
+func Program(r *cxl.Region) {
+	_ = r
+	n := len("x")
+	s := string(rune(n))
+	_ = s
+}
+`,
+			want: "prog.go:7:7: unsupported conversion to string",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -262,6 +452,10 @@ func Program(r *cxl.Region) { _ = r }
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("diagnostics = %q, want substring %q", err, tc.want)
+			}
+			var list gofront.DiagnosticList
+			if !errors.As(err, &list) || len(list) == 0 || len(list) > 10 {
+				t.Fatalf("Load error %T (%d diagnostics), want a DiagnosticList of 1 to 10", err, len(list))
 			}
 		})
 	}

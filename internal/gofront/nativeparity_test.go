@@ -12,21 +12,23 @@ import (
 )
 
 // The native-parity property test: a seeded generator produces small
-// deterministic programs over a few shared cells and locals as an op
-// IR. Each program is executed twice — natively, as compiled Go calling
-// the real gofront/cxl runtime, and rendered to source and interpreted
-// by the front-end under the checker. The native run's final locals and
-// cell values are baked into the rendered source as cxl.Assert calls,
-// so any semantic divergence between the interpreter and compiled Go
-// (arithmetic, shifts, control flow, closures, the cxl ops themselves)
-// is a reported assertion bug. The programs are single-machine and
-// single-thread: under failure injection the thread dies before its
-// asserts, so a correct interpreter yields zero bugs in every explored
-// execution.
+// deterministic programs over a few shared cells, locals and one local
+// slice as an op IR. Each program is executed twice — natively, as
+// compiled Go calling the real gofront/cxl runtime, and rendered to
+// source and run by the front-end under the checker. The native run's
+// final locals, slice elements and cell values are baked into the
+// rendered source as cxl.Assert calls, so any semantic divergence
+// between the front-end and compiled Go (arithmetic, shifts, control
+// flow, closures, the cxl ops themselves, the order and number of times
+// an assignment evaluates its operands) is a reported assertion bug. The
+// programs are single-machine and single-thread: under failure injection
+// the thread dies before its asserts, so a correct front-end yields zero
+// bugs in every explored execution.
 
 const (
 	npCells = 4
 	npVars  = 4
+	npArr   = 4 // elements of the local slice arr
 )
 
 type npKind int
@@ -40,6 +42,8 @@ const (
 	npFetchAdd
 	npSwap
 	npCAS
+	npIdxAssign   // arr[cxl op] = cxl op, on one cell: pins evaluation order
+	npIdxOpAssign // arr[cxl op] op= cxl op: pins single evaluation of the index
 	npIf
 	npLoop
 	npClosure
@@ -63,7 +67,7 @@ func npGen(rng *rand.Rand, n, depth int) []npStmt {
 			d: rng.Intn(npVars), a: rng.Intn(npVars), b: rng.Intn(npVars),
 			c: rng.Intn(npCells),
 		}
-		k := rng.Intn(14)
+		k := rng.Intn(16)
 		switch {
 		case k < 2:
 			s.kind = npConst
@@ -86,6 +90,11 @@ func npGen(rng *rand.Rand, n, depth int) []npStmt {
 			case 1:
 				s.kind = npCAS
 			}
+		case k < 13:
+			s.kind = npIdxAssign
+		case k < 14:
+			s.kind = npIdxOpAssign
+			s.op = []string{"+", "*", "^"}[rng.Intn(3)]
 		default:
 			if depth == 0 {
 				continue
@@ -110,7 +119,7 @@ func npGen(rng *rand.Rand, n, depth int) []npStmt {
 
 // npExec executes the IR natively: compiled Go over the real cxl
 // runtime. Every case mirrors its npRender rendering exactly.
-func npExec(vars *[npVars]uint64, cells *[npCells]cxl.Ptr, stmts []npStmt) {
+func npExec(vars *[npVars]uint64, arr []uint64, cells *[npCells]cxl.Ptr, stmts []npStmt) {
 	for _, s := range stmts {
 		switch s.kind {
 		case npConst:
@@ -154,20 +163,31 @@ func npExec(vars *[npVars]uint64, cells *[npCells]cxl.Ptr, stmts []npStmt) {
 			vars[s.d] = cxl.Swap64(cells[s.c], vars[s.a])
 		case npCAS:
 			vars[s.d], _ = cxl.CAS64(cells[s.c], vars[s.a], vars[s.b])
+		case npIdxAssign:
+			arr[cxl.FetchAdd64(cells[s.c], 1)%npArr] = cxl.FetchAdd64(cells[s.c], vars[s.a])
+		case npIdxOpAssign:
+			switch s.op {
+			case "+":
+				arr[cxl.FetchAdd64(cells[s.c], 1)%npArr] += cxl.FetchAdd64(cells[s.c], vars[s.a])
+			case "*":
+				arr[cxl.FetchAdd64(cells[s.c], 1)%npArr] *= cxl.FetchAdd64(cells[s.c], vars[s.a])
+			case "^":
+				arr[cxl.FetchAdd64(cells[s.c], 1)%npArr] ^= cxl.FetchAdd64(cells[s.c], vars[s.a])
+			}
 		case npIf:
 			if vars[s.a]%2 == 0 {
-				npExec(vars, cells, s.body)
+				npExec(vars, arr, cells, s.body)
 			} else {
-				npExec(vars, cells, s.alt)
+				npExec(vars, arr, cells, s.alt)
 			}
 		case npLoop:
 			for i := uint64(0); i < vars[s.a]%3+1; i++ {
-				npExec(vars, cells, s.body)
+				npExec(vars, arr, cells, s.body)
 				vars[s.d] += i
 			}
 		case npClosure:
 			func() {
-				npExec(vars, cells, s.body)
+				npExec(vars, arr, cells, s.body)
 			}()
 		}
 	}
@@ -201,6 +221,10 @@ func npRender(w *strings.Builder, stmts []npStmt, indent string, depth int) {
 			fmt.Fprintf(w, "%sv%d = cxl.Swap64(c%d, v%d)\n", indent, s.d, s.c, s.a)
 		case npCAS:
 			fmt.Fprintf(w, "%sv%d, _ = cxl.CAS64(c%d, v%d, v%d)\n", indent, s.d, s.c, s.a, s.b)
+		case npIdxAssign:
+			fmt.Fprintf(w, "%sarr[cxl.FetchAdd64(c%d, 1)%%%d] = cxl.FetchAdd64(c%d, v%d)\n", indent, s.c, npArr, s.c, s.a)
+		case npIdxOpAssign:
+			fmt.Fprintf(w, "%sarr[cxl.FetchAdd64(c%d, 1)%%%d] %s= cxl.FetchAdd64(c%d, v%d)\n", indent, s.c, npArr, s.op, s.c, s.a)
 		case npIf:
 			fmt.Fprintf(w, "%sif v%d%%2 == 0 {\n", indent, s.a)
 			npRender(w, s.body, indent+"\t", depth)
@@ -221,9 +245,9 @@ func npRender(w *strings.Builder, stmts []npStmt, indent string, depth int) {
 }
 
 // npSource renders the full checked program: allocations, the seeded
-// locals, the generated body, and asserts pinning every local and cell
-// to the native run's final values.
-func npSource(stmts []npStmt, init [npVars]uint64, finalVars [npVars]uint64, finalCells [npCells]uint64) string {
+// locals and slice, the generated body, and asserts pinning every
+// local, slice element and cell to the native run's final values.
+func npSource(stmts []npStmt, init [npVars]uint64, finalVars [npVars]uint64, finalArr []uint64, finalCells [npCells]uint64) string {
 	var w strings.Builder
 	w.WriteString("package main\n\nimport \"cxl\"\n\nfunc Program(r *cxl.Region) {\n")
 	for i := 0; i < npCells; i++ {
@@ -234,10 +258,15 @@ func npSource(stmts []npStmt, init [npVars]uint64, finalVars [npVars]uint64, fin
 	for i := 0; i < npVars; i++ {
 		fmt.Fprintf(&w, "\t\tv%d := uint64(%#x)\n", i, init[i])
 	}
+	fmt.Fprintf(&w, "\t\tarr := make([]uint64, %d)\n", npArr)
 	npRender(&w, stmts, "\t\t", 0)
 	for i := 0; i < npVars; i++ {
 		fmt.Fprintf(&w, "\t\tcxl.Assert(v%d == %#x, \"v%d = %%#x, want %#x\", v%d)\n",
 			i, finalVars[i], i, finalVars[i], i)
+	}
+	for i, want := range finalArr {
+		fmt.Fprintf(&w, "\t\tcxl.Assert(arr[%d] == %#x, \"arr[%d] = %%#x, want %#x\", arr[%d])\n",
+			i, want, i, want, i)
 	}
 	for i := 0; i < npCells; i++ {
 		fmt.Fprintf(&w, "\t\tcxl.Assert(cxl.Load64(c%d) == %#x, \"c%d = %%#x, want %#x\", cxl.Load64(c%d))\n",
@@ -248,7 +277,7 @@ func npSource(stmts []npStmt, init [npVars]uint64, finalVars [npVars]uint64, fin
 }
 
 // TestNativeInterpreterParity is the property test: for many seeds,
-// the interpreted program must reach exactly the final state the
+// the checked program must reach exactly the final state the
 // native runtime computed.
 func TestNativeInterpreterParity(t *testing.T) {
 	seeds := 60
@@ -265,6 +294,7 @@ func TestNativeInterpreterParity(t *testing.T) {
 
 		// Native leg: compiled Go against the real cxl runtime.
 		var finalVars [npVars]uint64
+		finalArr := make([]uint64, npArr)
 		var cellAddrs [npCells]cxl.Ptr
 		region := cxl.RunNative(func(r *cxl.Region) {
 			for i := range cellAddrs {
@@ -273,7 +303,7 @@ func TestNativeInterpreterParity(t *testing.T) {
 			m := r.NewMachine("m0")
 			m.Spawn("t0", func() {
 				vars := init
-				npExec(&vars, &cellAddrs, stmts)
+				npExec(&vars, finalArr, &cellAddrs, stmts)
 				finalVars = vars
 			})
 		})
@@ -282,9 +312,9 @@ func TestNativeInterpreterParity(t *testing.T) {
 			finalCells[i] = region.Peek64(p)
 		}
 
-		// Interpreted leg: the same program from source, with the native
+		// Checked leg: the same program from source, with the native
 		// final state pinned by asserts, explored under failure injection.
-		src := npSource(stmts, init, finalVars, finalCells)
+		src := npSource(stmts, init, finalVars, finalArr, finalCells)
 		s, err := gofront.Load("gen.go", []byte(src))
 		if err != nil {
 			t.Fatalf("seed %d: Load: %v\nsource:\n%s", seed, err, src)
@@ -298,7 +328,7 @@ func TestNativeInterpreterParity(t *testing.T) {
 			t.Fatalf("seed %d: Run: %v\nsource:\n%s", seed, err, src)
 		}
 		for _, b := range res.Bugs {
-			t.Errorf("seed %d: interpreter diverged from native: %s: %s\nsource:\n%s",
+			t.Errorf("seed %d: front-end diverged from native: %s: %s\nsource:\n%s",
 				seed, b.Kind, b.Message, src)
 		}
 		if t.Failed() {

@@ -16,7 +16,7 @@ import (
 
 // loadExampleCCEH loads examples/src/cceh.go through the front-end and
 // returns its checker program.
-func loadExampleCCEH(t *testing.T) func(*core.Program) {
+func loadExampleCCEH(t testing.TB) func(*core.Program) {
 	t.Helper()
 	path := filepath.Join("..", "..", "examples", "src", "cceh.go")
 	src, err := os.ReadFile(path)

@@ -7,14 +7,15 @@ import (
 	"go/types"
 )
 
-// subsetCheck statically rejects constructs the interpreter does not
-// support, with a positioned diagnostic per occurrence. It covers
-// everything detectable without running the program; dynamic problems
-// (out-of-range indexes, division by zero, phase violations) surface as
-// positioned faults at interpretation time instead. func main is
+// subsetCheck statically rejects the syntax outside the subset, with a
+// positioned diagnostic per occurrence, before the compiler sees the
+// file; what is in the subset's syntax but cannot be lowered (a method
+// value, a struct by value) is the compiler's to report. Dynamic
+// problems (out-of-range indexes, division by zero, phase violations)
+// surface as positioned faults at run time instead. func main is
 // exempt: it is native-only glue (cxl.RunNative) that the checker never
-// interprets.
-func (s *Source) subsetCheck() DiagnosticList {
+// runs.
+func (s *Source) subsetCheck(file *ast.File, info *types.Info) DiagnosticList {
 	var diags DiagnosticList
 	addf := func(pos token.Pos, format string, args ...any) {
 		if len(diags) < maxDiagnostics {
@@ -22,7 +23,7 @@ func (s *Source) subsetCheck() DiagnosticList {
 		}
 	}
 
-	for _, decl := range s.file.Decls {
+	for _, decl := range file.Decls {
 		switch d := decl.(type) {
 		case *ast.GenDecl:
 			if d.Tok == token.VAR {
@@ -32,13 +33,13 @@ func (s *Source) subsetCheck() DiagnosticList {
 			if d.Recv == nil && d.Name.Name == "main" {
 				continue // native-only glue, never interpreted
 			}
-			s.checkFunc(d, addf)
+			s.checkFunc(d, info, addf)
 		}
 	}
 	return diags
 }
 
-func (s *Source) checkFunc(fd *ast.FuncDecl, addf func(token.Pos, string, ...any)) {
+func (s *Source) checkFunc(fd *ast.FuncDecl, info *types.Info, addf func(token.Pos, string, ...any)) {
 	if fd.Type.TypeParams != nil {
 		addf(fd.Type.TypeParams.Pos(), "generic functions are unsupported")
 	}
@@ -47,7 +48,7 @@ func (s *Source) checkFunc(fd *ast.FuncDecl, addf func(token.Pos, string, ...any
 		addf(fd.Pos(), "function %s has no body", fd.Name.Name)
 		return
 	}
-	s.checkBody(fd.Body, fd.Type, addf)
+	s.checkBody(fd.Body, fd.Type, info, addf)
 }
 
 func (s *Source) checkSignature(ft *ast.FuncType, addf func(token.Pos, string, ...any)) {
@@ -67,10 +68,10 @@ func (s *Source) checkSignature(ft *ast.FuncType, addf func(token.Pos, string, .
 	}
 }
 
-// interpBuiltins are the builtins the interpreter implements.
+// interpBuiltins are the builtins the compiler lowers.
 var interpBuiltins = map[string]bool{"len": true, "cap": true, "append": true, "make": true}
 
-func (s *Source) checkBody(body *ast.BlockStmt, ftype *ast.FuncType, addf func(token.Pos, string, ...any)) {
+func (s *Source) checkBody(body *ast.BlockStmt, ftype *ast.FuncType, info *types.Info, addf func(token.Pos, string, ...any)) {
 	hasResults := ftype.Results != nil && len(ftype.Results.List) > 0
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch x := n.(type) {
@@ -120,7 +121,7 @@ func (s *Source) checkBody(body *ast.BlockStmt, ftype *ast.FuncType, addf func(t
 		case *ast.StarExpr:
 			// *T in type position is fine (pointer-shaped structs); a
 			// dereference expression is not.
-			if tv, ok := s.info.Types[x]; !ok || !tv.IsType() {
+			if tv, ok := info.Types[x]; !ok || !tv.IsType() {
 				addf(x.Pos(), "pointer dereference is unsupported (structs are pointer-shaped: access fields directly)")
 			}
 		case *ast.UnaryExpr:
@@ -142,12 +143,12 @@ func (s *Source) checkBody(body *ast.BlockStmt, ftype *ast.FuncType, addf func(t
 			}
 		case *ast.CallExpr:
 			if id, ok := x.Fun.(*ast.Ident); ok {
-				if b, ok := s.info.Uses[id].(*types.Builtin); ok && !interpBuiltins[b.Name()] {
+				if b, ok := info.Uses[id].(*types.Builtin); ok && !interpBuiltins[b.Name()] {
 					addf(x.Pos(), "builtin %s is unsupported", b.Name())
 				}
 			}
 			if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
-				if fn, ok := s.info.Uses[sel.Sel].(*types.Func); ok &&
+				if fn, ok := info.Uses[sel.Sel].(*types.Func); ok &&
 					fn.Pkg() == s.cxlPkg && fn.Name() == "RunNative" {
 					addf(x.Pos(), "cxl.RunNative is native-only: call it from func main, which the checker never interprets")
 				}

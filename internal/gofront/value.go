@@ -2,124 +2,287 @@ package gofront
 
 import (
 	"fmt"
-	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 
 	"repro/internal/core"
 )
 
-// value is the interpreter's runtime value: one of the concrete types
-// below. Numbers carry their Go basic kind so sized-integer truncation,
-// signedness and formatting match compiled Go exactly; slices are host
-// Go slices of values, so header copying, aliasing and append growth
-// follow Go's own semantics for free.
-type value any
+// Run-time representation. Integers and bools are unboxed: a uint64 in
+// canonical form (sign-extended for signed kinds, zero-extended for
+// unsigned ones, so equality and conversion never look at the kind
+// again; bools are 0 or 1). Everything else travels as an any holding a
+// host Go value of one fixed dynamic type per static type:
+//
+//	string                    string
+//	[]T, T integer or bool    []uint64
+//	[]T, any other T          []any
+//	*T, T a declared struct   *object
+//	func(...)                 *closure
+//	*cxl.Region               *core.Program
+//	*cxl.Machine/Thread/Mutex *core.Machine / *core.Thread / *core.Mutex
+//
+// Slices are host slices, so header copying, aliasing and append growth
+// follow Go's own semantics for free; nil is the typed nil of the row.
 
-type (
-	boolVal bool
-	strVal  string
+// repr says where a value of a static type lives.
+type repr uint8
 
-	// num is an integer value of a specific basic kind, stored as its
-	// two's-complement bit pattern zero-extended to 64 bits (always
-	// masked to the kind's width).
-	num struct {
-		bits uint64
-		kind types.BasicKind
-	}
-
-	// sliceVal wraps a host slice of values: copying a sliceVal copies
-	// the header (sharing the backing array), exactly like Go.
-	sliceVal struct {
-		elems []value
-		elem  types.Type
-	}
-
-	// structVal is a struct instance; structs are pointer-shaped in the
-	// subset (created by &T{...}), so *structVal is the value.
-	structVal struct {
-		typeName string
-		fields   map[string]*value
-	}
-
-	// funcVal is a function or method value: a declaration or a literal
-	// plus its captured environment and (for methods) bound receiver.
-	funcVal struct {
-		decl    *ast.FuncDecl
-		lit     *ast.FuncLit
-		env     *scope
-		recv    value
-		hasRecv bool
-	}
-
-	// nilVal is the untyped nil (usable where the subset allows nil:
-	// slice/pointer comparisons and zero values).
-	nilVal struct{}
-
-	// API object wrappers.
-	regionVal  struct{}
-	machineVal struct{ m *core.Machine }
-	threadVal  struct{ t *core.Thread }
-	mutexVal   struct{ mu *core.Mutex }
+const (
+	rInt  repr = iota // frame.ints, canonical integer
+	rBool             // frame.ints, 0 or 1
+	rRef              // frame.refs
 )
 
-// scope is one lexical environment frame: a parent chain of
-// object→cell bindings, keyed by the go/types object so shadowing
-// resolves exactly as the type checker decided. Cells are pointers so
-// closures share mutations with their defining frame; per-iteration
-// loop variables get a fresh cell each iteration (Go ≥1.22 semantics).
-type scope struct {
-	parent *scope
-	vars   map[types.Object]*value
+// cell is one heap variable: a local some func literal captures, or a
+// struct field. Only the half matching the variable's repr is used.
+type cell struct {
+	n uint64
+	r any
 }
 
-func newScope(parent *scope) *scope {
-	return &scope{parent: parent, vars: map[types.Object]*value{}}
+// object is a struct instance; structs are pointer-shaped in the subset
+// (created by &T{...}), so *object is the value and fields are indexed
+// as types.Struct orders them.
+type object struct{ f []cell }
+
+// closure is a function value: compiled code plus the cells it
+// captured, in the order of fnCode.capSlots.
+type closure struct {
+	fn   *fnCode
+	caps []any
 }
 
-func (s *scope) lookup(obj types.Object) (*value, bool) {
-	for sc := s; sc != nil; sc = sc.parent {
-		if cell, ok := sc.vars[obj]; ok {
-			return cell, true
+// fnCode is one compiled function, method or func literal. Parameters
+// (receiver first) occupy the first slots of their repr's array in
+// declaration order, so a caller can place arguments knowing only the
+// signature.
+type fnCode struct {
+	id       int
+	pos      token.Pos
+	nInts    int
+	nRefs    int
+	capSlots []int // refs slots the captured cells are copied into
+	body     stmt
+	self     *closure // the capture-free function value, for named functions
+	// A function that defers keeps the results its return statement left
+	// in the registers in nResults slots of its own frame (from saveInts
+	// and saveRefs on) while the deferred calls, which use the registers
+	// too, run.
+	hasDefer           bool
+	nResults           int
+	saveInts, saveRefs int
+}
+
+// frame is one call activation. Frames never outlive their call (what a
+// func literal captures lives in cells), so a machine recycles them per
+// function.
+type frame struct {
+	m      *machine
+	ints   []uint64
+	refs   []any
+	defers []deferred
+}
+
+// deferred is one pending deferred call: callee and arguments were
+// evaluated into fr at defer time, run performs the call at unwind.
+type deferred struct {
+	run func(*frame)
+	fr  *frame
+}
+
+// machine is the state of one phase of one execution: setup (t nil,
+// Region methods legal, thread operations not) or one simulated thread.
+// Compiled code is immutable and shared by every machine of every
+// exploration worker.
+type machine struct {
+	src     *Source
+	prog    *core.Program
+	t       *core.Thread
+	sites   *SiteMap
+	depth   int
+	steps   int
+	elems   uint64 // charged against maxHostElems
+	pending int    // deferred calls not yet run, bounded by maxPendingDefers
+	// failedDefers counts the deferred calls that panicked.
+	failedDefers int
+	free         [][]*frame // recycled frames, by fnCode.id
+	// Result registers: a call leaves result j in ri[j] or rr[j] by its
+	// repr; the caller reads them before evaluating anything else.
+	ri []uint64
+	rr []any
+}
+
+// maxInterpDepth bounds call recursion; maxInterpSteps bounds calls
+// plus loop iterations per machine, so a loop that never touches a cxl
+// operation (and therefore never yields to the checker's own livelock
+// detection) still dies with a positioned fault instead of wedging the
+// scheduler.
+const (
+	maxInterpDepth = 4096
+	maxInterpSteps = 50_000_000
+)
+
+// maxPendingDefers bounds the deferred calls one machine has waiting (a
+// defer statement in a runaway loop must not queue the host's memory),
+// maxFailedDefers those that may panic (see runDefers).
+const (
+	maxPendingDefers = 1 << 16
+	maxFailedDefers  = 16
+)
+
+// maxHostElems bounds what one machine may take from the host, in
+// 8-byte words more or less: slice elements made or appended, string
+// bytes concatenated, struct fields, captured variables, deferred calls,
+// and threads and mutexes created. Sizes and loops a source file made up
+// must cost a positioned fault, not the host's memory.
+const maxHostElems = 1 << 24
+
+func (s *Source) newMachine(p *core.Program, t *core.Thread, sites *SiteMap) *machine {
+	return &machine{
+		src: s, prog: p, t: t, sites: sites,
+		free: make([][]*frame, s.nfuncs),
+		ri:   make([]uint64, s.maxResults),
+		rr:   make([]any, s.maxResults),
+	}
+}
+
+// faultf panics with a positioned run-time fault. During setup the
+// checker converts it into a setup error; on a simulated thread it
+// becomes a BugPanic with the position in the message.
+func (m *machine) faultf(pos token.Pos, format string, args ...any) {
+	panic(Diagnostic{Pos: m.src.pos(pos), Msg: fmt.Sprintf(format, args...)})
+}
+
+func (m *machine) tick(pos token.Pos) {
+	m.steps++
+	if m.steps > maxInterpSteps {
+		m.faultf(pos, "statement budget exceeded (%d): possible infinite loop with no cxl operations", maxInterpSteps)
+	}
+}
+
+// grow charges n elements of host memory to the machine.
+func (m *machine) grow(n uint64, pos token.Pos) {
+	m.elems += n
+	if n > maxHostElems || m.elems > maxHostElems {
+		m.faultf(pos, "memory budget exceeded (%d words): possible unbounded growth", maxHostElems)
+	}
+}
+
+func (m *machine) get(fn *fnCode) *frame {
+	if l := m.free[fn.id]; len(l) > 0 {
+		fr := l[len(l)-1]
+		m.free[fn.id] = l[:len(l)-1]
+		return fr
+	}
+	return &frame{m: m, ints: make([]uint64, fn.nInts), refs: make([]any, fn.nRefs)}
+}
+
+// exec runs fn on a frame whose parameter slots are filled, leaving the
+// results in the registers. Deferred calls run via a real Go defer, so
+// when a reported bug unwinds the simulated thread (KillSelf panics
+// through the compiled code), interpreted defers execute exactly like
+// the hand-ported benchmarks' Go defers do — mutexes get unlocked during
+// bug unwinding, keeping op streams and decision trees identical.
+func (m *machine) exec(fn *fnCode, fr *frame, pos token.Pos) {
+	m.depth++
+	if m.depth > maxInterpDepth {
+		m.faultf(pos, "interpreted call stack exceeds %d frames", maxInterpDepth)
+	}
+	m.tick(pos)
+	if fn.hasDefer {
+		fr.runDeferring(fn)
+	} else {
+		fn.body(fr)
+	}
+	m.depth--
+	m.free[fn.id] = append(m.free[fn.id], fr)
+}
+
+func (fr *frame) runDeferring(fn *fnCode) {
+	defer fr.unwind(fn, fr.m.depth)
+	fn.body(fr)
+}
+
+// unwind runs the deferred calls with the function's results set aside.
+// depth is the function's own: when a fault or a killed thread unwinds
+// through deeper calls, their decrements never ran.
+func (fr *frame) unwind(fn *fnCode, depth int) {
+	m, n := fr.m, fn.nResults
+	m.depth = depth
+	copy(fr.ints[fn.saveInts:], m.ri[:n])
+	copy(fr.refs[fn.saveRefs:], m.rr[:n])
+	fr.runDefers()
+	copy(m.ri, fr.ints[fn.saveInts:fn.saveInts+n])
+	copy(m.rr, fr.refs[fn.saveRefs:fn.saveRefs+n])
+}
+
+// runDefers runs the pending deferred calls last-in first-out. One that
+// panics does not skip the rest: they run while its panic unwinds. The
+// host never frees the stack of a panic that a deferred call's own panic
+// replaced, so a machine is allowed maxFailedDefers of those; past that
+// (code that faults again in every deferred call it keeps making) the
+// calls still pending are dropped.
+func (fr *frame) runDefers() {
+	for len(fr.defers) > 0 {
+		if fr.m.failedDefers > maxFailedDefers {
+			fr.m.pending -= len(fr.defers)
+			fr.defers = fr.defers[:0]
+			return
 		}
+		fr.runLastDefer()
 	}
-	return nil, false
 }
 
-func (s *scope) define(obj types.Object, v value) *value {
-	cell := new(value)
-	*cell = v
-	if obj != nil && obj.Name() != "_" {
-		s.vars[obj] = cell
-	}
-	return cell
+func (fr *frame) runLastDefer() {
+	n := len(fr.defers)
+	d := fr.defers[n-1]
+	fr.defers = fr.defers[:n-1]
+	fr.m.pending--
+	returned := false
+	defer func() {
+		if !returned {
+			fr.m.failedDefers++
+			fr.runDefers()
+		}
+	}()
+	d.run(d.fr)
+	returned = true
 }
 
-// basicKindOf resolves a type to its underlying basic kind, seeing
-// through named types (cxl.Ptr → uint64).
-func basicKindOf(t types.Type) (types.BasicKind, bool) {
+// call invokes a function value from host code (the entry function, a
+// spawned thread body).
+func (m *machine) call(cl *closure, pos token.Pos) {
+	fr := m.get(cl.fn)
+	for j, s := range cl.fn.capSlots {
+		fr.refs[s] = cl.caps[j]
+	}
+	m.exec(cl.fn, fr, pos)
+}
+
+// ---- integer kinds ----
+
+// intKind resolves a type to its integer basic kind, seeing through
+// named types (cxl.Ptr → uint64). The model is 64-bit: int, uint and
+// uintptr are 8 bytes, matching the platforms the checker runs on and
+// the hand-ported benchmarks assume.
+func intKind(t types.Type) (types.BasicKind, bool) {
 	b, ok := t.Underlying().(*types.Basic)
 	if !ok {
 		return 0, false
 	}
-	k := b.Kind()
-	switch k {
+	switch k := b.Kind(); k {
 	case types.UntypedInt:
-		k = types.Int
-	case types.UntypedBool:
-		k = types.Bool
-	case types.UntypedString:
-		k = types.String
+		return types.Int, true
 	case types.UntypedRune:
-		k = types.Int32
+		return types.Int32, true
+	case types.Int, types.Int8, types.Int16, types.Int32, types.Int64,
+		types.Uint, types.Uint8, types.Uint16, types.Uint32, types.Uint64, types.Uintptr:
+		return k, true
 	}
-	return k, true
+	return 0, false
 }
 
-// kindWidth returns the bit width of an integer kind. The model is
-// 64-bit: int, uint and uintptr are 8 bytes, matching the platforms the
-// checker runs on and the hand-ported benchmarks assume.
 func kindWidth(k types.BasicKind) uint {
 	switch k {
 	case types.Int8, types.Uint8:
@@ -141,277 +304,62 @@ func kindSigned(k types.BasicKind) bool {
 	return false
 }
 
-func isIntegerKind(k types.BasicKind) bool {
-	switch k {
-	case types.Int, types.Int8, types.Int16, types.Int32, types.Int64,
-		types.Uint, types.Uint8, types.Uint16, types.Uint32, types.Uint64, types.Uintptr:
-		return true
-	}
-	return false
-}
-
-// truncate masks bits to the kind's width (two's complement: the sign
-// interpretation happens at use).
-func truncate(bits uint64, k types.BasicKind) uint64 {
+// normFn returns the function bringing a 64-bit result back to kind k's
+// canonical form, or nil when k is 64 bits wide and every result
+// already is.
+func normFn(k types.BasicKind) func(uint64) uint64 {
 	w := kindWidth(k)
 	if w == 64 {
-		return bits
-	}
-	return bits & (1<<w - 1)
-}
-
-// signedOf interprets a num's bit pattern as its signed value.
-func (n num) signed() int64 {
-	w := kindWidth(n.kind)
-	if w == 64 {
-		return int64(n.bits)
-	}
-	shift := 64 - w
-	return int64(n.bits<<shift) >> shift
-}
-
-func makeNum(bits uint64, k types.BasicKind) num {
-	return num{bits: truncate(bits, k), kind: k}
-}
-
-// goValue boxes a value as the Go value of its own type, so fmt
-// formatting of Assert/Fail arguments matches what compiled code
-// passing the same expression would print.
-func goValue(v value) any {
-	switch x := v.(type) {
-	case boolVal:
-		return bool(x)
-	case strVal:
-		return string(x)
-	case num:
-		switch x.kind {
-		case types.Int:
-			return int(x.signed())
-		case types.Int8:
-			return int8(x.signed())
-		case types.Int16:
-			return int16(x.signed())
-		case types.Int32:
-			return int32(x.signed())
-		case types.Int64:
-			return x.signed()
-		case types.Uint:
-			return uint(x.bits)
-		case types.Uint8:
-			return uint8(x.bits)
-		case types.Uint16:
-			return uint16(x.bits)
-		case types.Uint32:
-			return uint32(x.bits)
-		case types.Uintptr:
-			return uintptr(x.bits)
-		default:
-			return x.bits
-		}
-	case nilVal:
 		return nil
+	}
+	if kindSigned(k) {
+		shift := 64 - w
+		return func(x uint64) uint64 { return uint64(int64(x<<shift) >> shift) }
+	}
+	mask := uint64(1)<<w - 1
+	return func(x uint64) uint64 { return x & mask }
+}
+
+func norm(x uint64, k types.BasicKind) uint64 {
+	if f := normFn(k); f != nil {
+		return f(x)
+	}
+	return x
+}
+
+// boxInt boxes a canonical integer as the Go value of its own kind, so
+// fmt formatting of Assert/Fail arguments matches what compiled code
+// passing the same expression would print.
+func boxInt(x uint64, k types.BasicKind) any {
+	switch k {
+	case types.Int:
+		return int(x)
+	case types.Int8:
+		return int8(x)
+	case types.Int16:
+		return int16(x)
+	case types.Int32:
+		return int32(x)
+	case types.Int64:
+		return int64(x)
+	case types.Uint:
+		return uint(x)
+	case types.Uint8:
+		return uint8(x)
+	case types.Uint16:
+		return uint16(x)
+	case types.Uint32:
+		return uint32(x)
+	case types.Uintptr:
+		return uintptr(x)
 	default:
-		return fmt.Sprintf("%T", v)
+		return x
 	}
 }
 
-// constValue converts a go/types constant into a runtime value of the
-// expression's resolved type.
-func constValue(cv constant.Value, t types.Type) (value, bool) {
-	k, ok := basicKindOf(t)
-	if !ok {
-		return nil, false
+func b2u(b bool) uint64 {
+	if b {
+		return 1
 	}
-	switch cv.Kind() {
-	case constant.Bool:
-		return boolVal(constant.BoolVal(cv)), true
-	case constant.String:
-		return strVal(constant.StringVal(cv)), true
-	case constant.Int:
-		if kindSigned(k) {
-			i, exact := constant.Int64Val(cv)
-			if !exact {
-				return nil, false
-			}
-			return makeNum(uint64(i), k), true
-		}
-		u, exact := constant.Uint64Val(cv)
-		if !exact {
-			// A negative constant converted to an unsigned kind (legal
-			// in shifts of constants); fall back through int64.
-			i, exact2 := constant.Int64Val(cv)
-			if !exact2 {
-				return nil, false
-			}
-			return makeNum(uint64(i), k), true
-		}
-		return makeNum(u, k), true
-	}
-	return nil, false
-}
-
-// zeroValue builds the zero value of t, for make([]T, n) and var decls.
-func zeroValue(t types.Type) (value, bool) {
-	switch u := t.Underlying().(type) {
-	case *types.Basic:
-		k, _ := basicKindOf(t)
-		switch {
-		case k == types.Bool:
-			return boolVal(false), true
-		case k == types.String:
-			return strVal(""), true
-		case isIntegerKind(k):
-			return makeNum(0, k), true
-		}
-	case *types.Slice:
-		return sliceVal{elems: nil, elem: u.Elem()}, true
-	case *types.Pointer, *types.Signature:
-		return nilVal{}, true
-	}
-	return nil, false
-}
-
-// arith applies a binary arithmetic/bitwise operator to two nums of the
-// same kind, with Go's exact wraparound semantics. Division by zero is
-// reported by the caller (ok=false).
-func arith(op token.Token, x, y num) (num, bool) {
-	k := x.kind
-	signed := kindSigned(k)
-	var bits uint64
-	switch op {
-	case token.ADD:
-		bits = x.bits + y.bits
-	case token.SUB:
-		bits = x.bits - y.bits
-	case token.MUL:
-		bits = x.bits * y.bits
-	case token.QUO:
-		if y.bits == 0 {
-			return num{}, false
-		}
-		if signed {
-			bits = uint64(x.signed() / y.signed())
-		} else {
-			bits = x.bits / y.bits
-		}
-	case token.REM:
-		if y.bits == 0 {
-			return num{}, false
-		}
-		if signed {
-			bits = uint64(x.signed() % y.signed())
-		} else {
-			bits = x.bits % y.bits
-		}
-	case token.AND:
-		bits = x.bits & y.bits
-	case token.OR:
-		bits = x.bits | y.bits
-	case token.XOR:
-		bits = x.bits ^ y.bits
-	case token.AND_NOT:
-		bits = x.bits &^ y.bits
-	default:
-		return num{}, false
-	}
-	return makeNum(bits, k), true
-}
-
-// shift applies << or >> with Go's runtime semantics: negative counts
-// are a fault (ok=false), counts at or beyond the width shift out to
-// 0 (or to the sign for signed >>).
-func shift(op token.Token, x num, count num) (num, bool) {
-	if kindSigned(count.kind) && count.signed() < 0 {
-		return num{}, false
-	}
-	c := count.bits
-	w := uint64(kindWidth(x.kind))
-	switch op {
-	case token.SHL:
-		if c >= w {
-			return makeNum(0, x.kind), true
-		}
-		return makeNum(x.bits<<c, x.kind), true
-	case token.SHR:
-		if kindSigned(x.kind) {
-			if c >= w {
-				c = w - 1
-			}
-			return makeNum(uint64(x.signed()>>c), x.kind), true
-		}
-		if c >= w {
-			return makeNum(0, x.kind), true
-		}
-		return makeNum(x.bits>>c, x.kind), true
-	}
-	return num{}, false
-}
-
-// compare applies a comparison operator to two nums of the same kind.
-func compare(op token.Token, x, y num) (bool, bool) {
-	var lt, eq bool
-	if kindSigned(x.kind) {
-		lt, eq = x.signed() < y.signed(), x.bits == y.bits
-	} else {
-		lt, eq = x.bits < y.bits, x.bits == y.bits
-	}
-	switch op {
-	case token.EQL:
-		return eq, true
-	case token.NEQ:
-		return !eq, true
-	case token.LSS:
-		return lt, true
-	case token.LEQ:
-		return lt || eq, true
-	case token.GTR:
-		return !lt && !eq, true
-	case token.GEQ:
-		return !lt, true
-	}
-	return false, false
-}
-
-// equalValues implements == on the non-numeric comparable subset
-// (bools, strings, API handles, nil against pointer-shaped values).
-func equalValues(x, y value) (bool, bool) {
-	switch a := x.(type) {
-	case boolVal:
-		b, ok := y.(boolVal)
-		return a == b, ok
-	case strVal:
-		b, ok := y.(strVal)
-		return a == b, ok
-	case threadVal:
-		b, ok := y.(threadVal)
-		return a.t == b.t, ok
-	case machineVal:
-		b, ok := y.(machineVal)
-		return a.m == b.m, ok
-	case mutexVal:
-		b, ok := y.(mutexVal)
-		return a.mu == b.mu, ok
-	case *structVal:
-		if _, isNil := y.(nilVal); isNil {
-			return a == nil, true
-		}
-		b, ok := y.(*structVal)
-		return a == b, ok
-	case nilVal:
-		switch b := y.(type) {
-		case nilVal:
-			return true, true
-		case *structVal:
-			return b == nil, true
-		case sliceVal:
-			return b.elems == nil, true
-		case funcVal:
-			return false, true
-		}
-	case sliceVal:
-		if _, isNil := y.(nilVal); isNil {
-			return a.elems == nil, true
-		}
-	}
-	return false, false
+	return 0
 }
