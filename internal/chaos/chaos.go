@@ -3,7 +3,7 @@
 // threaded behind the engine's checkpoint filesystem calls and the
 // worker loop: it can fail reads, writes, syncs and renames (transiently
 // or permanently), truncate writes, flip bits in read data, stall workers
-// and provoke spurious wakeups and checkpoint barriers.
+// and provoke spurious wakeups.
 //
 // Faults are drawn from a seeded RNG behind a mutex, so a single-worker
 // run consumes faults in a reproducible order: the same seed yields the
@@ -51,7 +51,8 @@ type Config struct {
 	CorruptPct int
 
 	// StallPct makes a worker sleep StallDur at an execution boundary,
-	// perturbing the work-stealing and barrier schedules.
+	// perturbing the work-stealing schedule and which boundary a checkpoint
+	// cadence falls on.
 	StallPct int
 	// StallDur is the stall length; 0 means a default of 1ms.
 	StallDur time.Duration
@@ -84,9 +85,6 @@ type Config struct {
 	// SpuriousWakePct broadcasts the engine's condition variable for no
 	// reason, exercising every wait loop's recheck path.
 	SpuriousWakePct int
-	// SpuriousBarrierPct arms a checkpoint round that no cadence asked
-	// for, exercising the stop-the-world barrier off-schedule.
-	SpuriousBarrierPct int
 
 	// Permanent, when non-nil, makes every injected I/O fault permanent
 	// (non-retryable) and wraps this error — e.g. syscall.ENOSPC to
@@ -102,10 +100,10 @@ type Config struct {
 
 	// OnFault, when non-nil, is invoked after every injected fault with a
 	// short class label ("read", "write", "short-write", "sync", "rename",
-	// "corrupt", "stall", "wake", "barrier"). It is called with the
-	// injector's lock held: the callback must be fast and must not call
-	// back into the injector. internal/core wires the observability
-	// subsystem here (see also SetOnFault).
+	// "corrupt", "stall", "wake"). It is called with the injector's lock
+	// held: the callback must be fast and must not call back into the
+	// injector. internal/core wires the observability subsystem here (see
+	// also SetOnFault).
 	OnFault func(class string)
 }
 
@@ -113,7 +111,7 @@ type Config struct {
 type Stats struct {
 	Reads, Writes, Syncs, Renames int
 	ShortWrites, Corruptions      int
-	Stalls, Wakes, Barriers       int
+	Stalls, Wakes                 int
 	// Network fault classes (distributed transport).
 	NetDrops, NetDelays, NetDups int
 	Net5xxs, NetPartitions       int
@@ -122,7 +120,7 @@ type Stats struct {
 // Total returns the total number of injected faults.
 func (s Stats) Total() int {
 	return s.Reads + s.Writes + s.Syncs + s.Renames + s.Corruptions +
-		s.Stalls + s.Wakes + s.Barriers +
+		s.Stalls + s.Wakes +
 		s.NetDrops + s.NetDelays + s.NetDups + s.Net5xxs + s.NetPartitions
 }
 
@@ -341,22 +339,6 @@ func (in *Injector) SpuriousWake() bool {
 	}
 	in.stats.Wakes++
 	in.note("wake")
-	return true
-}
-
-// SpuriousBarrier reports whether to arm an off-schedule checkpoint
-// round.
-func (in *Injector) SpuriousBarrier() bool {
-	if in == nil {
-		return false
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if !in.hit(in.cfg.SpuriousBarrierPct) {
-		return false
-	}
-	in.stats.Barriers++
-	in.note("barrier")
 	return true
 }
 

@@ -28,7 +28,7 @@ func TestNilInjectorIsQuiet(t *testing.T) {
 		t.Fatalf("nil Corrupt changed data: %v", got)
 	}
 	in.Stall()
-	if in.SpuriousWake() || in.SpuriousBarrier() {
+	if in.SpuriousWake() {
 		t.Fatal("nil injector produced spurious events")
 	}
 	if s := in.Stats(); s.Total() != 0 {

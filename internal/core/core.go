@@ -171,7 +171,10 @@ type Config struct {
 	// Stop, when non-nil, requests graceful interruption: when the
 	// channel is closed (or sent to), the run stops at the next execution
 	// boundary, writes a final checkpoint (if CheckpointPath is set) and
-	// returns with Stats.Interrupted true. cmd/cxlmc wires SIGINT here.
+	// returns with Stats.Interrupted true. Nothing watches the channel:
+	// workers poll it at every execution boundary and before claiming a
+	// unit, so a stop is noticed within one execution (WedgeTimeout bounds
+	// that). cmd/cxlmc wires SIGINT here.
 	Stop <-chan struct{}
 
 	// Workers is the number of exploration workers that check independent
@@ -218,11 +221,10 @@ type Config struct {
 
 	// Chaos, when non-nil, injects deterministic faults into the
 	// checker's own resilience machinery: transient or permanent I/O
-	// errors behind checkpoint file operations, torn writes,
-	// bit flips on read, worker stalls, and spurious wakeups and
-	// checkpoint barriers. It exists to prove the error paths work —
-	// chaos never changes the explored execution set, only how bumpy the
-	// road there is. See package repro/internal/chaos.
+	// errors behind checkpoint file operations, torn writes, bit flips on
+	// read, worker stalls and spurious wakeups. It exists to prove the
+	// error paths work — chaos never changes the explored execution set,
+	// only how bumpy the road there is. See package repro/internal/chaos.
 	Chaos *chaos.Injector
 
 	// WedgeTimeout bounds the wall-clock time a simulated thread may run

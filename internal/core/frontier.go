@@ -87,9 +87,10 @@ type MemFrontierConfig struct {
 	OnEvent func(class string, unit, epoch uint64)
 }
 
-// MemFrontier is the in-memory lease table: time-bounded leases, per-unit
-// epochs, and a janitor that reclaims expired leases so a crashed or wedged
-// holder cannot strand work.
+// MemFrontier is the in-memory lease table: time-bounded leases and per-unit
+// epochs. An expired lease is reclaimed by whoever next looks at the table
+// (TryLease, Renew, CompleteReport, Progress), so a crashed or wedged holder
+// cannot strand work as long as anyone is still asking.
 type MemFrontier struct {
 	mu  sync.Mutex
 	cfg MemFrontierConfig
@@ -106,53 +107,19 @@ type MemFrontier struct {
 	stats FrontierStats
 	// tally accumulates the accepted completion reports (and whatever
 	// Credit seeded it with).
-	tally        Tally
-	unitsAdded   int
-	unitsDone    int
-	janitorStop  chan struct{}
-	janitorEnded chan struct{}
+	tally      Tally
+	unitsAdded int
+	unitsDone  int
 }
 
-// NewMemFrontier returns a frontier seeded with the given unit
-// snapshots and starts its reclaim janitor. Close it when done.
+// NewMemFrontier returns a frontier seeded with the given unit snapshots.
 func NewMemFrontier(cfg MemFrontierConfig, units [][]byte) *MemFrontier {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = DefaultLeaseTTL
 	}
-	f := &MemFrontier{
-		cfg:          cfg,
-		leased:       make(map[uint64]*frontierUnit),
-		janitorStop:  make(chan struct{}),
-		janitorEnded: make(chan struct{}),
-	}
+	f := &MemFrontier{cfg: cfg, leased: make(map[uint64]*frontierUnit)}
 	f.addLocked(units)
-	go f.janitor()
 	return f
-}
-
-// janitor periodically reclaims expired leases. The tick is fast relative
-// to any sane TTL, so reclamation latency is bounded by roughly TTL + tick.
-func (f *MemFrontier) janitor() {
-	defer close(f.janitorEnded)
-	tick := f.cfg.LeaseTTL / 4
-	if tick > 50*time.Millisecond {
-		tick = 50 * time.Millisecond
-	}
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-f.janitorStop:
-			return
-		case <-t.C:
-			f.mu.Lock()
-			f.reclaimExpiredLocked(time.Now())
-			f.mu.Unlock()
-		}
-	}
 }
 
 // reclaimExpiredLocked moves every lease whose deadline has passed back
@@ -199,7 +166,8 @@ func (f *MemFrontier) Add(snaps [][]byte) {
 func (f *MemFrontier) TryLease(holder string) (u *LeasedUnit, done bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.reclaimExpiredLocked(time.Now())
+	now := time.Now()
+	f.reclaimExpiredLocked(now)
 	if f.closed || f.stopping {
 		return nil, true
 	}
@@ -208,7 +176,7 @@ func (f *MemFrontier) TryLease(holder string) (u *LeasedUnit, done bool) {
 	}
 	fu := f.queue[0]
 	f.queue = f.queue[1:]
-	fu.deadline = time.Now().Add(f.cfg.LeaseTTL)
+	fu.deadline = now.Add(f.cfg.LeaseTTL)
 	fu.holder = holder
 	f.leased[fu.id] = fu
 	f.event("grant", fu.id, fu.epoch)
@@ -221,11 +189,13 @@ func (f *MemFrontier) TryLease(holder string) (u *LeasedUnit, done bool) {
 func (f *MemFrontier) Renew(id, epoch uint64) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	now := time.Now()
+	f.reclaimExpiredLocked(now)
 	u, ok := f.leased[id]
 	if !ok || u.epoch != epoch {
 		return false
 	}
-	u.deadline = time.Now().Add(f.cfg.LeaseTTL)
+	u.deadline = now.Add(f.cfg.LeaseTTL)
 	f.event("renew", id, epoch)
 	return true
 }
@@ -237,6 +207,7 @@ func (f *MemFrontier) Renew(id, epoch uint64) bool {
 func (f *MemFrontier) CompleteReport(id, epoch uint64, rep UnitReport) (stale bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.reclaimExpiredLocked(time.Now())
 	u, ok := f.leased[id]
 	if !ok || u.epoch != epoch {
 		f.stats.StaleRejects++
@@ -297,6 +268,7 @@ func (f *MemFrontier) Credit(t Tally) {
 func (f *MemFrontier) Progress() (t Tally, queued, leased int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.reclaimExpiredLocked(time.Now())
 	return f.tallyLocked(), len(f.queue), len(f.leased)
 }
 
@@ -334,15 +306,9 @@ func (f *MemFrontier) Outstanding() (t Tally, units [][]byte) {
 	return f.tallyLocked(), units
 }
 
-// Close stops the janitor; TryLease reports done from now on.
+// Close makes TryLease report done from now on.
 func (f *MemFrontier) Close() {
 	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return
-	}
 	f.closed = true
 	f.mu.Unlock()
-	close(f.janitorStop)
-	<-f.janitorEnded
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -61,7 +62,7 @@ func TestFrontierExpiryReclaim(t *testing.T) {
 		t.Fatal("no initial lease")
 	}
 
-	// The crashed holder never renews; the janitor must reclaim.
+	// The crashed holder never renews; the successor's own TryLease reclaims.
 	deadline := time.Now().Add(5 * time.Second)
 	var u2 *LeasedUnit
 	for time.Now().Before(deadline) {
@@ -151,6 +152,52 @@ func TestFrontierBugDedup(t *testing.T) {
 	got, _, _ := f.Progress()
 	if len(got.Bugs) != 1 {
 		t.Fatalf("got %d bugs after dedup, want 1", len(got.Bugs))
+	}
+}
+
+// TestFrontierWhoeverLooksReclaims: the frontier runs no goroutine of its
+// own; an expired lease is reclaimed by the next call that looks at the
+// lease table, whichever it is.
+func TestFrontierWhoeverLooksReclaims(t *testing.T) {
+	looks := map[string]func(t *testing.T, f *MemFrontier, u *LeasedUnit){
+		"Renew": func(t *testing.T, f *MemFrontier, u *LeasedUnit) {
+			if f.Renew(u.ID, u.Epoch) {
+				t.Error("renewed a lease past its deadline")
+			}
+		},
+		"CompleteReport": func(t *testing.T, f *MemFrontier, u *LeasedUnit) {
+			if stale := f.CompleteReport(u.ID, u.Epoch, execReport(1)); !stale {
+				t.Error("accepted a completion past the lease's deadline")
+			}
+		},
+		"TryLease": func(t *testing.T, f *MemFrontier, u *LeasedUnit) {
+			if u2, _ := f.TryLease("successor"); u2 == nil || u2.ID != u.ID || u2.Epoch != u.Epoch+1 {
+				t.Errorf("TryLease = %+v, want unit %d re-issued under epoch %d", u2, u.ID, u.Epoch+1)
+			}
+		},
+		"Progress": func(t *testing.T, f *MemFrontier, u *LeasedUnit) {
+			if _, queued, leased := f.Progress(); queued != 1 || leased != 0 {
+				t.Errorf("Progress = (queued %d, leased %d), want (1, 0)", queued, leased)
+			}
+		},
+	}
+	for name, look := range looks {
+		t.Run(name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			f := newTestFrontier(t, time.Millisecond)
+			if after := runtime.NumGoroutine(); after > before {
+				t.Errorf("NewMemFrontier started %d goroutine(s)", after-before)
+			}
+			u, _ := f.TryLease("crasher")
+			if u == nil {
+				t.Fatal("no initial lease")
+			}
+			time.Sleep(5 * time.Millisecond) // the lease's wall-clock deadline passes
+			look(t, f, u)
+			if got := f.Stats().Reclaims; got != 1 {
+				t.Errorf("Reclaims = %d after %s looked, want 1", got, name)
+			}
+		})
 	}
 }
 

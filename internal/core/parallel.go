@@ -19,13 +19,17 @@ package core
 // differ; bugs are reported in a stable (kind, message) order when more
 // than one worker ran.
 //
-// Checkpointing is a stop-the-world barrier: when a cadence is due, a
-// worker arms a round, every active worker deposits a snapshot of its
-// unit at its next execution boundary (or releases the unit back to the
-// queue), and the last depositor writes the file. A checkpoint is
-// therefore always a consistent frontier: deposited units + queued
-// units partition exactly the unexplored part of the tree, and
-// BaseCreated carries the finished units' decision-point counts.
+// Every engine decision is taken at an execution boundary, under the one
+// lock, by the worker that is there; nothing waits for a peer and the
+// only goroutines the engine starts are the workers (and, with
+// observability on, the monitor). Checkpointing follows from one
+// invariant: with the lock free, every unexplored unit is in the queue or
+// in held — the snapshot its owner took when it claimed the unit and
+// again at each boundary, after Advance and Split. A due cadence writes
+// held ∪ queue next to total on the spot. That is a consistent frontier:
+// total holds exactly the executions merged at those same boundaries, an
+// execution in flight is still pending in its owner's held snapshot, and
+// the finished units' decision-point counts are already in total.
 //
 // A single worker degenerates to the serial loop — same boundary-check
 // order, no donation (nobody is hungry), exact MaxExecutions cutoff —
@@ -78,7 +82,6 @@ type engine struct {
 	// stopFlag tells workers to release their units and exit; set on
 	// bug-stop, MaxExecutions, MaxTime, Stop and failure.
 	stopFlag    bool
-	drained     bool // the pool has exited; see run
 	interrupted bool
 	resumed     bool
 	failErr     error
@@ -87,12 +90,11 @@ type engine struct {
 	panicked any
 	haveP    bool
 
-	// Stop-the-world checkpoint barrier state. cpRound numbers rounds so
-	// a worker deposits at most once per round (worker.lastRound).
-	cpArmed     bool
-	cpRound     int
-	cpWait      int
-	cpUnits     [][]byte
+	// held[i] is the snapshot of the unit worker i owns, as of its last
+	// execution boundary; empty while it owns none or the run keeps no
+	// checkpoint file. The buffers are reused, so a boundary allocates
+	// nothing.
+	held        [][]byte
 	lastCPExecs int
 	lastCPTime  time.Time
 
@@ -136,8 +138,6 @@ type worker struct {
 	// nil when observability is off. Boxed once here so attaching it to
 	// each claimed unit costs nothing.
 	hook decision.Hook
-	// lastRound is the last checkpoint round this worker deposited in.
-	lastRound int
 	// merged is how much of the private checker's tally has been folded
 	// into the engine, so boundary merges are incremental.
 	merged mark
@@ -154,6 +154,7 @@ func newEngine(cfg Config, program func(*Program), progDigest string) *engine {
 		progDigest: progDigest,
 	}
 	e.cond = sync.NewCond(&e.mu)
+	e.held = make([][]byte, cfg.Workers)
 	e.workers = make([]WorkerStatus, cfg.Workers)
 	for i := range e.workers {
 		e.workers[i] = WorkerStatus{ID: i, State: "wait"}
@@ -225,28 +226,6 @@ func (e *engine) run() (*Checkpoint, *Result, error) {
 		return e.envelope(nil, true), e.result(true), nil
 	}
 
-	// Watch Config.Stop from its own goroutine: workers parked in take
-	// wait on a condition variable, which cannot select on a channel.
-	// Without this, a SIGTERM while every worker was parked waiting for a
-	// steal went unnoticed until the next donation; now the watcher flips
-	// the stop flag immediately and the broadcast drains the pool.
-	if e.cfg.Stop != nil {
-		watchDone := make(chan struct{})
-		defer close(watchDone)
-		go func() {
-			select {
-			case <-e.cfg.Stop:
-				e.mu.Lock()
-				if !e.drained && !e.stopFlag && e.failErr == nil {
-					e.interrupted = true
-					e.stopLocked()
-				}
-				e.mu.Unlock()
-			case <-watchDone:
-			}
-		}()
-	}
-
 	var wg sync.WaitGroup
 	for i := 0; i < e.cfg.Workers; i++ {
 		w := &worker{
@@ -261,7 +240,6 @@ func (e *engine) run() (*Checkpoint, *Result, error) {
 				tracer:     e.tracer,
 				workerID:   i,
 			},
-			lastRound: -1,
 		}
 		if e.reg != nil || e.tracer != nil {
 			w.hook = &checkerHook{om: e.om, tracer: e.tracer, worker: i}
@@ -279,11 +257,6 @@ func (e *engine) run() (*Checkpoint, *Result, error) {
 		}()
 	}
 	wg.Wait()
-	// From here on the run's state is read without the lock; a Stop that
-	// fires now has nothing left to stop and must leave it alone.
-	e.mu.Lock()
-	e.drained = true
-	e.mu.Unlock()
 
 	if e.haveP {
 		panic(e.panicked)
@@ -305,7 +278,7 @@ func (e *engine) run() (*Checkpoint, *Result, error) {
 	res := e.result(complete)
 	var cp *Checkpoint
 	if e.inMemory || e.cfg.CheckpointPath != "" {
-		cp = e.envelope(e.frontierSnapshotsLocked(nil), complete)
+		cp = e.envelope(e.frontierSnapshotsLocked(), complete)
 		if !e.inMemory {
 			// The final checkpoint must succeed: without it the run's
 			// remaining frontier would be lost.
@@ -337,12 +310,16 @@ func (e *engine) result(complete bool) *Result {
 }
 
 // frontierSnapshotsLocked collects the full unexplored frontier as unit
-// snapshots: the caller's deposited snapshots and the queue. The caller
-// guarantees no worker owns a unit (run end, nil deposited) or that every
-// owned unit is deposited (finishRoundLocked passes cpUnits).
-func (e *engine) frontierSnapshotsLocked(deposited [][]byte) [][]byte {
-	units := make([][]byte, 0, len(deposited)+len(e.queue))
-	units = append(units, deposited...)
+// snapshots: held ∪ queue. The held entries alias the engine's reused
+// buffers, so the caller encodes them before it lets go of the lock (at run
+// end no worker is left and none is held).
+func (e *engine) frontierSnapshotsLocked() [][]byte {
+	units := make([][]byte, 0, len(e.held)+len(e.queue))
+	for _, snap := range e.held {
+		if len(snap) > 0 {
+			units = append(units, snap)
+		}
+	}
 	for _, tr := range e.queue {
 		units = append(units, tr.Snapshot())
 	}
@@ -355,8 +332,7 @@ func (e *engine) envelope(units [][]byte, complete bool) *checkpointData {
 }
 
 // take blocks until a unit is available (returning it) or the run is
-// over (returning nil). Units are not handed out while a checkpoint
-// round is armed, so the round's active set stays fixed.
+// over (returning nil).
 func (e *engine) take(w *worker) *decision.Tree {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -364,10 +340,10 @@ func (e *engine) take(w *worker) *decision.Tree {
 	defer func() { e.hungry-- }()
 	parked := false
 	for {
-		// A worker parked here must notice Config.Stop itself — the next
-		// donation may never come. (The stop watcher in run covers the
-		// waiting case; this check covers the entry path, so a run whose
-		// stop already fired claims no unit at all.)
+		// Poll Config.Stop on the way in, so a run whose stop already fired
+		// claims no unit at all. A worker parked below needs no watcher: it
+		// parks only while a peer is active, that peer polls Stop at its next
+		// boundary (cutoffLocked), and its stopLocked wakes everyone.
 		if !e.stopFlag && e.failErr == nil && stopRequested(e.cfg.Stop) {
 			e.interrupted = true
 			e.stopLocked()
@@ -380,10 +356,14 @@ func (e *engine) take(w *worker) *decision.Tree {
 			e.workers[w.id].State = "done"
 			return nil
 		}
-		if len(e.queue) > 0 && !e.cpArmed {
+		if len(e.queue) > 0 {
 			tr := e.queue[0]
 			e.queue = e.queue[1:]
 			e.active++
+			// The unit leaves the queue and enters held in one critical
+			// section: a checkpoint a peer writes before this worker's first
+			// boundary must still contain it.
+			e.holdLocked(w, tr)
 			e.om.unitClaims.Inc()
 			e.tracer.Record(w.id, obs.EvSteal, int64(len(e.queue)), 0)
 			e.workers[w.id].State = "run"
@@ -465,18 +445,9 @@ func (e *engine) runUnit(w *worker, tr *decision.Tree) {
 		}
 		first = false
 		if !leave {
-			// If a checkpoint round is armed (by this worker just now or by
-			// a peer), deposit this unit's snapshot and wait the round out.
-			for e.cpArmed {
-				if w.lastRound != e.cpRound {
-					e.depositLocked(w, tr.Snapshot())
-				} else {
-					e.cond.Wait()
-				}
-			}
 			// Reserve a global execution ordinal: exact MaxExecutions cutoff.
-			// The run may also have ended while this worker waited at the
-			// barrier.
+			// (A freshly claimed unit has passed no boundary yet, and the run
+			// may have ended since the claim.)
 			if e.cfg.MaxExecutions > 0 && e.nextExec >= e.cfg.MaxExecutions {
 				e.stopLocked()
 			}
@@ -542,11 +513,9 @@ func (e *engine) boundaryLocked(w *worker, tr *decision.Tree) (leave, spent bool
 			e.cond.Broadcast()
 		}
 	}
-	// Chaos: a spurious barrier arms a checkpoint round off cadence,
-	// exercising the stop-the-world machinery under load.
-	if !e.cpArmed && e.cfg.CheckpointPath != "" &&
-		(e.dueLocked() || e.cfg.Chaos.SpuriousBarrier()) {
-		e.armRoundLocked()
+	e.holdLocked(w, tr)
+	if e.dueLocked() {
+		e.writePeriodicLocked()
 	}
 	return false, false
 }
@@ -613,15 +582,7 @@ func (e *engine) endUnitLocked(w *worker, tr *decision.Tree, pushback bool) {
 		e.queue = append(e.queue, tr)
 	}
 	e.active--
-	// A worker leaving mid-round still owes the barrier its arrival; its
-	// unit is accounted via the queue (pushback) or the completed totals.
-	if e.cpArmed && w.lastRound != e.cpRound {
-		w.lastRound = e.cpRound
-		e.cpWait--
-		if e.cpWait == 0 {
-			e.finishRoundLocked()
-		}
-	}
+	e.held[w.id] = e.held[w.id][:0]
 	e.cond.Broadcast()
 }
 
@@ -666,45 +627,28 @@ func (e *engine) dueLocked() bool {
 	return e.cfg.CheckpointInterval > 0 && time.Since(e.lastCPTime) >= e.cfg.CheckpointInterval
 }
 
-// armRoundLocked opens a checkpoint round: every currently-active worker
-// must deposit (or release) before the file is written, and no new units
-// are handed out meanwhile.
-func (e *engine) armRoundLocked() {
-	e.cpArmed = true
-	e.cpRound++
-	e.cpWait = e.active
-	e.cpUnits = e.cpUnits[:0]
-	e.cond.Broadcast()
-}
-
-// depositLocked records one active worker's unit snapshot for the
-// current round; the last depositor completes the round.
-func (e *engine) depositLocked(w *worker, snap []byte) {
-	w.lastRound = e.cpRound
-	e.cpUnits = append(e.cpUnits, snap)
-	e.cpWait--
-	if e.cpWait == 0 {
-		e.finishRoundLocked()
+// holdLocked records w's unit as it stands at this boundary (see the held
+// ∪ queue invariant in the file header). Runs that keep no checkpoint file
+// skip the snapshot.
+func (e *engine) holdLocked(w *worker, tr *decision.Tree) {
+	if e.cfg.CheckpointPath != "" {
+		e.held[w.id] = tr.AppendSnapshot(e.held[w.id][:0])
 	}
 }
 
-// finishRoundLocked writes the checkpoint assembled from the round's
-// deposits plus the queued units, then releases the barrier.
-// A failed periodic write is tolerated — the previously installed
-// checkpoint is still intact thanks to the atomic rename, so the run
-// keeps exploring and just counts the miss; only the final write (in
-// run) is load-bearing.
-func (e *engine) finishRoundLocked() {
-	cp := e.envelope(e.frontierSnapshotsLocked(e.cpUnits), false)
+// writePeriodicLocked writes the checkpoint as of now: held ∪ queue and the
+// totals merged so far. A failed periodic write is tolerated — the
+// previously installed checkpoint is still intact thanks to the atomic
+// rename, so the run keeps exploring and just counts the miss; only the
+// final write (in run) is load-bearing.
+func (e *engine) writePeriodicLocked() {
+	cp := e.envelope(e.frontierSnapshotsLocked(), false)
 	err := writeCheckpointFile(e.cfg.CheckpointPath, cp, e.cfg.Chaos, e.om, e.tracer)
-	e.cpArmed = false
-	e.cpUnits = e.cpUnits[:0]
 	e.lastCPExecs, e.lastCPTime = e.total.Executions, time.Now()
 	if err != nil {
 		e.res.CheckpointErrors++
 		e.om.cpErrors.Inc()
 	}
-	e.cond.Broadcast()
 }
 
 func (e *engine) stopLocked() {

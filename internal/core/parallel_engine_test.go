@@ -7,7 +7,7 @@ import (
 )
 
 // Tests for the parallel exploration engine with an explicit worker
-// count > 1, so the donation, reservation and barrier paths are
+// count > 1, so the donation, reservation and checkpoint paths are
 // exercised even on a single-CPU host (workers are goroutines; they
 // interleave at the engine mutex and inside simulations regardless of
 // GOMAXPROCS). The core contract under test: worker count must not
@@ -210,8 +210,7 @@ func TestParallelCheckpointResume(t *testing.T) {
 // TestParallelPreClosedStop: a Stop channel that is already closed
 // stops the run before any execution starts — workers check the stop
 // on the way into the claim loop, so a SIGTERM that races run startup
-// (or fires while every worker is parked waiting for a steal) drains
-// the pool immediately instead of waiting for the next donation.
+// ends the run before the first claim.
 func TestParallelPreClosedStop(t *testing.T) {
 	stop := make(chan struct{})
 	close(stop)

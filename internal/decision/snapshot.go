@@ -95,8 +95,12 @@ func parseNodes(buf []byte) ([]node, []byte, error) {
 // Snapshot serializes the tree's full exploration state. It is intended
 // to be taken between executions (after Advance); the replay cursor is
 // not part of the snapshot and restores to the root.
-func (t *Tree) Snapshot() []byte {
-	buf := []byte{snapshotMagic, snapshotVersion}
+func (t *Tree) Snapshot() []byte { return t.AppendSnapshot(nil) }
+
+// AppendSnapshot appends the tree's Snapshot to buf and returns the
+// extended slice: with a reused buffer a snapshot allocates nothing.
+func (t *Tree) AppendSnapshot(buf []byte) []byte {
+	buf = append(buf, snapshotMagic, snapshotVersion)
 	buf = binary.AppendUvarint(buf, uint64(t.execs))
 	if t.done {
 		buf = append(buf, 1)

@@ -1,6 +1,8 @@
 package decision
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -55,6 +57,48 @@ func TestSnapshotRoundTripMidEnumeration(t *testing.T) {
 			resumed.Created(KindPoison) != ref.Created(KindPoison) {
 			t.Fatalf("cut %d: creation counters diverge from uninterrupted run", cut)
 		}
+	}
+}
+
+// deepTree returns a tree whose pending path holds depth decision points.
+func deepTree(depth int) *Tree {
+	tr := NewTree()
+	tr.Begin()
+	for i := 0; i < depth; i++ {
+		tr.Choose(KindReadFrom, 3)
+	}
+	tr.Advance()
+	return tr
+}
+
+// TestAppendSnapshotReusesBuffer: AppendSnapshot is Snapshot into the
+// caller's buffer, and with a buffer that has grown to size it allocates
+// nothing — the engine takes one per worker per execution boundary.
+func TestAppendSnapshotReusesBuffer(t *testing.T) {
+	tr := deepTree(64)
+	buf := tr.AppendSnapshot(nil)
+	if !bytes.Equal(buf, tr.Snapshot()) {
+		t.Fatal("AppendSnapshot(nil) differs from Snapshot()")
+	}
+	if got := tr.AppendSnapshot(append(buf[:0], "prefix"...)); !bytes.Equal(got[6:], tr.Snapshot()) || string(got[:6]) != "prefix" {
+		t.Fatal("AppendSnapshot does not append to what the buffer holds")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { buf = tr.AppendSnapshot(buf[:0]) }); allocs != 0 {
+		t.Fatalf("AppendSnapshot into a sized buffer allocates %.0f times, want 0", allocs)
+	}
+}
+
+func BenchmarkAppendSnapshot(b *testing.B) {
+	for _, depth := range []int{32, 256} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			tr := deepTree(depth)
+			buf := tr.AppendSnapshot(nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = tr.AppendSnapshot(buf[:0])
+			}
+		})
 	}
 }
 

@@ -407,7 +407,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	// A returned snapshot nobody can restore would fail whichever worker
 	// leased it next: every one decodes or nothing is applied, and the lease
-	// stays out for its holder to retry or the janitor to reclaim.
+	// stays out for its holder to retry, or to expire and be reclaimed.
 	trees, err := restoreUnits(req.Report.Remainder)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("bad request: remainder %v", err), http.StatusBadRequest)

@@ -2,10 +2,15 @@ package jobs
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -51,6 +56,27 @@ func ctxT(t *testing.T, d time.Duration) context.Context {
 	ctx, cancel := context.WithTimeout(context.Background(), d)
 	t.Cleanup(cancel)
 	return ctx
+}
+
+// journalRecords parses the journal in dir line by line, in file order.
+func journalRecords(t *testing.T, dir string) []record {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []record
+	for _, line := range bytes.Split(raw, []byte("\n")) {
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		var rec record
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		recs = append(recs, rec)
+	}
+	return recs
 }
 
 // fastSpec is a small CCEH exploration that finds two seeded bugs in a
@@ -130,7 +156,8 @@ func TestSubmitValidation(t *testing.T) {
 func TestQueueBound429(t *testing.T) {
 	// A single slow pool worker keeps the queue from draining while we
 	// fill it: the first job occupies the worker, the rest sit queued.
-	s := testServer(t, Config{PoolWorkers: 1, QueueDepth: 2})
+	dir := t.TempDir()
+	s := testServer(t, Config{Dir: dir, PoolWorkers: 1, QueueDepth: 2})
 	url := "http://" + s.Addr() + "/jobs"
 
 	slow := Spec{
@@ -169,6 +196,67 @@ func TestQueueBound429(t *testing.T) {
 	}
 	if snap := s.Registry().Snapshot(); snap["cxlmc_jobs_rejected"] != 1 {
 		t.Fatalf("rejected = %v, want 1", snap["cxlmc_jobs_rejected"])
+	}
+	// The rejected submission left no record: four ids, the four accepted.
+	s.Close()
+	ids := make(map[string]bool)
+	for _, rec := range journalRecords(t, dir) {
+		ids[rec.ID] = true
+	}
+	if len(ids) != 4 {
+		t.Fatalf("journal holds records of %d jobs, want the 4 accepted: %v", len(ids), ids)
+	}
+}
+
+// A job's queued record, the one that carries its spec, is in the journal
+// before the job can be claimed: with idle pool workers popping each job the
+// moment it is pushed, no running record may precede it. Recovery is
+// last-writer-wins, so a queued record landing after the running one made a
+// restart forget that the job had been running.
+func TestQueuedIsJournaledFirst(t *testing.T) {
+	dir := t.TempDir()
+	s := testServer(t, Config{Dir: dir, PoolWorkers: 4})
+	c := NewClient(s.Addr())
+	ctx := ctxT(t, 60*time.Second)
+
+	const n = 24
+	ids := make([]string, n)
+	var wg sync.WaitGroup
+	for i := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st, err := c.Submit(ctx, fastSpec(fmt.Sprintf("t%d", i%3)))
+			if err != nil {
+				t.Errorf("submit %d: %v", i, err)
+				return
+			}
+			ids[i] = st.ID
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for _, id := range ids {
+		if _, err := c.Wait(ctx, id, 5*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	first := make(map[string]record)
+	for _, rec := range journalRecords(t, dir) {
+		if _, seen := first[rec.ID]; !seen {
+			first[rec.ID] = rec
+		}
+	}
+	for _, id := range ids {
+		if rec := first[id]; rec.State != StateQueued || rec.Spec == nil {
+			t.Errorf("%s: first journal line is %q (spec %v), want queued with the spec", id, rec.State, rec.Spec != nil)
+		}
 	}
 }
 
@@ -369,12 +457,14 @@ func TestDrainAndRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Let j1 start, then drain.
+	var started time.Time
 	for {
 		st, err := c.Status(ctx, j1.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.State == StateRunning {
+			started = st.Started
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -392,14 +482,23 @@ func TestDrainAndRestart(t *testing.T) {
 	// from its drain checkpoint rather than starting over.
 	s2 := testServer(t, Config{Dir: dir, PoolWorkers: 2})
 	c2 := NewClient(s2.Addr())
-	for _, id := range []string{j1.ID, j2.ID} {
-		fin, err := c2.Wait(ctx, id, 10*time.Millisecond)
+	final := make(map[string]Status)
+	for _, sub := range []Status{j1, j2} {
+		fin, err := c2.Wait(ctx, sub.ID, 10*time.Millisecond)
 		if err != nil {
-			t.Fatalf("wait %s after restart: %v", id, err)
+			t.Fatalf("wait %s after restart: %v", sub.ID, err)
 		}
 		if fin.State != StateDone {
-			t.Fatalf("%s after restart: %s (%s), want done", id, fin.State, fin.Error)
+			t.Fatalf("%s after restart: %s (%s), want done", sub.ID, fin.State, fin.Error)
 		}
+		// A job's times are the job's, not the process's.
+		if !fin.Submitted.Equal(sub.Submitted) {
+			t.Errorf("%s: submitted %v after the restart, %v before", sub.ID, fin.Submitted, sub.Submitted)
+		}
+		final[sub.ID] = fin
+	}
+	if got := final[j1.ID].Started; !got.Equal(started) {
+		t.Errorf("%s: started %v after the restart, %v before (its first run)", j1.ID, got, started)
 	}
 	// A clean drain needs no crash recovery: the running job was
 	// journaled back to queued with its checkpoint on disk, so the
@@ -410,6 +509,22 @@ func TestDrainAndRestart(t *testing.T) {
 	}
 	if snap["cxlmc_jobs_done"] != 2 {
 		t.Fatalf("done = %v, want 2", snap["cxlmc_jobs_done"])
+	}
+
+	// And once more, over a compacted journal holding only finished jobs.
+	if err := s2.Drain(ctxT(t, 30*time.Second)); err != nil {
+		t.Fatalf("second Drain: %v", err)
+	}
+	c3 := NewClient(testServer(t, Config{Dir: dir}).Addr())
+	for id, want := range final {
+		got, err := c3.Status(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Submitted.Equal(want.Submitted) || !got.Started.Equal(want.Started) || !got.Finished.Equal(want.Finished) {
+			t.Errorf("%s after a second restart: submitted/started/finished %v / %v / %v, want %v / %v / %v", id,
+				got.Submitted, got.Started, got.Finished, want.Submitted, want.Started, want.Finished)
+		}
 	}
 }
 

@@ -230,7 +230,7 @@ type Server struct {
 	q      *fairQueue
 	http   *obs.Server
 
-	jmu sync.Mutex // orders journal appends
+	jmu sync.Mutex // orders journal appends; handleSubmit takes it before mu
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -315,8 +315,14 @@ func (s *Server) adopt(recs []record) {
 			retries:   rec.Retries,
 			errMsg:    rec.Error,
 			result:    rec.Result,
-			submitted: rec.Time,
+			submitted: *rec.Submitted,
 			stop:      make(chan struct{}),
+		}
+		if rec.Started != nil {
+			j.started = *rec.Started
+		}
+		if rec.State.Terminal() {
+			j.finished = rec.Time
 		}
 		if j.tenant == "" {
 			j.tenant = j.spec.Tenant
@@ -365,13 +371,17 @@ func (s *Server) trace(kind obs.EventKind, id string) {
 // state stays authoritative for this process, and the next transition's
 // append re-asserts the job's state.
 func (s *Server) journal(rec record) {
+	s.jmu.Lock()
+	defer s.jmu.Unlock()
+	s.journalLocked(rec)
+}
+
+// journalLocked is journal for a caller that holds jmu.
+func (s *Server) journalLocked(rec record) {
 	if s.crashed.Load() {
 		return
 	}
-	s.jmu.Lock()
-	err := s.st.append(rec)
-	s.jmu.Unlock()
-	if err != nil {
+	if err := s.st.append(rec); err != nil {
 		s.logf("jobs: journal append for %s: %v", rec.ID, err)
 	}
 }
@@ -457,9 +467,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// The journal lock is held from before the job can be popped until its
+	// queued record is appended: a pool worker's running record landing first
+	// would lose recovery's last-writer-wins and the job its resume.
+	s.jmu.Lock()
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
+		s.jmu.Unlock()
 		httpError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
@@ -473,6 +488,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.q.push(j) {
 		s.nextID-- // id never escaped; reuse it
 		s.mu.Unlock()
+		s.jmu.Unlock()
 		s.m.rejected.Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 		httpError(w, http.StatusTooManyRequests, "queue full for tenant %q (depth %d)", spec.Tenant, s.cfg.QueueDepth)
@@ -481,8 +497,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.mu.Unlock()
-
-	s.journal(record{ID: id, Tenant: j.tenant, State: StateQueued, Spec: &spec, Time: j.submitted})
+	s.journalLocked(record{ID: id, Tenant: j.tenant, State: StateQueued, Spec: &spec, Time: j.submitted})
+	s.jmu.Unlock()
 	s.m.queued.Inc()
 	s.m.queueDepth.Set(int64(s.q.len()))
 	s.trace(obs.EvJobSubmit, id)
@@ -758,13 +774,14 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 	j.state = StateRunning
+	now := time.Now().UTC()
 	if j.started.IsZero() {
-		j.started = time.Now().UTC()
+		j.started = now
 	}
 	retries := j.retries
 	j.mu.Unlock()
 
-	s.journal(record{ID: j.id, Tenant: j.tenant, State: StateRunning, Retries: retries, Time: time.Now().UTC()})
+	s.journal(record{ID: j.id, Tenant: j.tenant, State: StateRunning, Retries: retries, Time: now})
 	s.m.running.Inc()
 	s.m.active.Add(1)
 	defer s.m.active.Add(-1)

@@ -36,6 +36,12 @@ type record struct {
 	Error   string        `json:"error,omitempty"`
 	Result  *cxlmc.Result `json:"result,omitempty"`
 	Time    time.Time     `json:"t"`
+	// Submitted and Started are written on a compacted line only, which
+	// stands for every record of its job: the time of the job's first record
+	// and of its first running one. Recovery derives them from the appended
+	// lines, whose own time is Time.
+	Submitted *time.Time `json:"submitted,omitempty"`
+	Started   *time.Time `json:"started,omitempty"`
 }
 
 // store owns the journal file and the per-job checkpoint paths.
@@ -107,7 +113,7 @@ func (st *store) recover() ([]record, error) {
 	lines := bytes.Split(raw, []byte("\n"))
 	merged := make(map[string]*record)
 	var order []string
-	for i, line := range lines {
+	for _, line := range lines {
 		line = bytes.TrimSpace(line)
 		if len(line) == 0 {
 			continue
@@ -117,15 +123,19 @@ func (st *store) recover() ([]record, error) {
 			// The final line tearing is the expected kill -9 artifact;
 			// anything else is skipped the same way — later records for
 			// the same job carry the truth.
-			_ = i
 			continue
 		}
 		prev, ok := merged[rec.ID]
 		if !ok {
-			cp := rec
-			merged[rec.ID] = &cp
+			prev = &record{ID: rec.ID, Submitted: rec.Submitted, Started: rec.Started}
+			if prev.Submitted == nil {
+				prev.Submitted = &rec.Time
+			}
+			merged[rec.ID] = prev
 			order = append(order, rec.ID)
-			continue
+		}
+		if prev.Started == nil && rec.State == StateRunning {
+			prev.Started = &rec.Time
 		}
 		// Last writer wins for lifecycle fields; identity fields stick
 		// from whichever record carried them.
@@ -179,7 +189,7 @@ func (st *store) compact(recs []record) error {
 // fsync. Transient faults (chaos-injected or EINTR-class) are retried
 // with backoff; a short write marks the journal torn so the retry —
 // and any later append — starts on a fresh line the recovery scan can
-// parse. The caller holds the server's state lock, so appends are
+// parse. The caller holds the server's journal lock (jmu), so appends are
 // ordered.
 func (st *store) append(rec record) error {
 	data, err := json.Marshal(rec)
