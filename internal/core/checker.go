@@ -151,15 +151,21 @@ const (
 	opCommitFB
 )
 
-// loadRec is one recorded non-bypass load byte: the candidate the lazy
-// search resolved and how many read-from decision points the search
-// consumed. The fast path skips the search, fast-forwards the decision
-// cursor past the chain, and re-applies the constraint refinement live —
-// ApplyReadConstraint is deterministic given the candidate, so no
-// memory-model state needs snapshotting.
+// loadRec is one recorded run of a load's bytes that did not come from the
+// store buffer. A settled run (memmodel.SettledRun) is n bytes worth val
+// from one possible source, σ c.Seq, and touched nothing, so the fast path
+// takes val and n as they stand. Otherwise the record is a byte step: n is
+// 1, c is the candidate the lazy search resolved and chain counts the
+// read-from decision points the search consumed. The fast path skips the
+// search, fast-forwards the decision cursor past the chain, and re-applies
+// the constraint refinement live — ApplyReadConstraint is deterministic
+// given the candidate, so no memory-model state needs snapshotting.
 type loadRec struct {
-	c     memmodel.Candidate
-	chain int32
+	c       memmodel.Candidate
+	val     uint64
+	chain   int32
+	n       uint8
+	settled bool
 }
 
 // Run explores the program under cfg and returns the aggregated result.
@@ -691,14 +697,17 @@ func (ck *Checker) wakeJoiners(m *Machine) {
 // failMachine fails machine m: its threads stop, its buffered stores are
 // lost, its mutexes are force-released, and (in GPF mode) its cached
 // stores are written back in full. If the currently running thread
-// belongs to m, the call unwinds it and does not return.
-func (ck *Checker) failMachine(m *Machine, why string) {
+// belongs to m, the call unwinds it and does not return. why formats the
+// reason and is called only when a trace will show it.
+func (ck *Checker) failMachine(m *Machine, why func() string) {
 	if m.failed {
 		return
 	}
 	m.failed = true
 	ck.failed = ck.failed.With(m.id)
-	ck.tracef("FAIL machine %s: %s", m.name, why)
+	if ck.tracing {
+		ck.tracef("FAIL machine %s: %s", m.name, why())
+	}
 	if ck.cfg.GPF {
 		ck.mem.PersistAll(m.id)
 	}
@@ -783,7 +792,9 @@ func (ck *Checker) reportBug(kind BugKind, msg string, t *Thread) {
 		})
 	}
 	ck.stats.Bugs = append(ck.stats.Bugs, b)
-	ck.tracef("BUG %s", b)
+	if ck.tracing {
+		ck.tracef("BUG %s", b)
+	}
 }
 
 // reportBugHere reports a bug attributed to the currently running thread

@@ -38,15 +38,18 @@ func TestEagerReadSetEquivalentDetection(t *testing.T) {
 	}
 }
 
-// TestTraceOutput smoke-checks the event trace: loads, stores, flush
-// commits and failures all appear.
+// TestTraceOutput checks the event trace: loads, stores, flush commits and
+// failures all appear, and the two failure lines — whose reasons are only
+// formatted while tracing — read as they always have.
 func TestTraceOutput(t *testing.T) {
 	var buf bytes.Buffer
 	_, err := Run(Config{Trace: &buf, MaxExecutions: 10}, func(p *Program) {
 		a := p.NewMachine("A")
 		b := p.NewMachine("B")
 		x := p.Alloc(8)
+		y := p.AllocAligned(8, 64)
 		a.Thread("w", func(th *Thread) {
+			th.Store64(y, 2)
 			th.Store64(x, 1)
 			th.CLFlush(x)
 			th.SFence()
@@ -54,13 +57,16 @@ func TestTraceOutput(t *testing.T) {
 		b.Thread("r", func(th *Thread) {
 			th.Join(a)
 			th.Load64(x)
+			th.Load64(y)
 		})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"exec store", "commit store", "commit clflush", "load [", "FAIL machine"} {
+	for _, want := range []string{"exec store", "commit store", "commit clflush", "load [",
+		"σ2      FAIL machine A: injected instead of flush of line 1\n",
+		"σ4      FAIL machine A: required for B/r to read σ0 at 0x80\n"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace missing %q", want)
 		}

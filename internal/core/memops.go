@@ -102,7 +102,7 @@ func (ck *Checker) maybeInjectFailure(t *Thread, eff memmodel.FlushEffect) bool 
 		ck.observeOp(t, OpFailurePoint, 0, 0, eff.Line, 0, "")
 	}
 	if ck.choose(decision.KindFailure, 2) == 1 {
-		ck.failMachine(t.mach, fmt.Sprintf("injected instead of flush of line %d", eff.Line))
+		ck.failMachine(t.mach, func() string { return fmt.Sprintf("injected instead of flush of line %d", eff.Line) })
 		return true
 	}
 	ck.fbChainDecided = ck.fbChain
@@ -178,9 +178,12 @@ func (ck *Checker) execMFence(t *Thread) {
 	}
 }
 
-// load performs a size-byte load at a for thread t, resolving each byte
-// through local bypass or the lazy read-from search with binary decision
-// points (§4.5). Values are little-endian.
+// load performs a size-byte load at a for thread t. Per §4.4 it is an
+// atomic sequence of single-byte loads, each resolved through local bypass
+// or the lazy read-from search (§4.5); the loop takes those bytes a run at a
+// time — the longest prefix of the bytes left that one source settles, which
+// is state for state the byte sequence (see cacheRun). Values are
+// little-endian.
 func (ck *Checker) load(t *Thread, a Addr, size uint8) uint64 {
 	ck.checkRange(a, uint64(size))
 	if ck.race.on && !ck.inRMW {
@@ -190,7 +193,7 @@ func (ck *Checker) load(t *Thread, a Addr, size uint8) uint64 {
 		ck.observeOp(t, OpLoad, a, size, 0, 0, "")
 	}
 	// The read context is pooled on the checker (the cache line it
-	// resolved last carries over between bytes and loads); only one load is
+	// resolved last carries over between runs and loads); only one load is
 	// ever in flight because threads run in lock-step.
 	rc := &ck.readCtx
 	rc.Mem = ck.mem
@@ -198,40 +201,96 @@ func (ck *Checker) load(t *Thread, a Addr, size uint8) uint64 {
 	rc.Failed = ck.failed
 	rc.GPF = ck.cfg.GPF
 	var val uint64
-	for i := 0; i < int(size); i++ {
+	for i, n := 0, int(size); i < n; {
 		b := a + Addr(i)
-		if v, ok := t.tb.BypassByte(b); ok {
-			val |= uint64(v) << (8 * i)
-			continue
+		v, k, buffered := t.tb.BypassRun(b, n-i)
+		if !buffered {
+			// No buffered store covers these k: to the cache, a line at a time.
+			v, k = ck.cacheRun(t, rc, b, min(k, memmodel.LineSize-int(b%memmodel.LineSize)))
 		}
-		if ck.cfg.Poison {
-			ck.poisonCheck(t, b)
-		}
-		var c memmodel.Candidate
-		if ck.fast {
-			c = ck.fastCandidate()
-		} else {
-			d := ck.tree.Depth()
-			c = ck.chooseCandidate(rc, b)
-			if ck.forkEnabled {
-				ck.loadLog = append(ck.loadLog, loadRec{c: c, chain: int32(ck.tree.Depth() - d)})
-			}
-		}
-		for need := uint64(c.Fail.Diff(ck.failed)); need != 0; need &= need - 1 {
-			m := ck.machines[bits.TrailingZeros64(need)]
-			ck.failMachine(m, fmt.Sprintf("required for %s/%s to read σ%d at %#x", t.mach.name, t.name, c.Seq, b))
-		}
-		rc.Failed = ck.failed
-		rc.ApplyReadConstraint(b, c, ck.failed.Has(c.Machine))
-		if len(ck.cfg.UnflushedLines) > 0 {
-			ck.raceCheckExposed(t, b, c)
-		}
-		val |= uint64(c.Val) << (8 * i)
+		val |= v << (8 * i)
+		i += k
 	}
 	if ck.tracing {
 		ck.tracef("load [%#x]×%d = %d by %s/%s", a, size, val, t.mach.name, t.name)
 	}
 	return val
+}
+
+// cacheRun resolves a prefix of the span bytes at b — bytes of one load that
+// share a cache line and that no buffered store covers — and returns its
+// value and length. Where one source settles the prefix (memmodel.SettledRun)
+// each byte would have found that one candidate, placed no decision point,
+// required no failure, refined no constraint and exposed no unflushed
+// publish: taken together they leave tree and memory model where the bytes
+// taken singly would (DESIGN.md, "Runs"). Poison asks its question of every
+// byte, so it forms no such runs. Any other byte is a run of one, resolved as
+// §4.5 says, and the bytes after it are tried as a run again. Either way the
+// run is one loadLog record, and on the prefix-fork fast path one replayed.
+func (ck *Checker) cacheRun(t *Thread, rc *memmodel.ReadContext, b Addr, span int) (uint64, int) {
+	var rec loadRec
+	if ck.fast {
+		rec = ck.recordedRun(span)
+	} else if !ck.cfg.Poison {
+		var k int
+		rec.val, k, rec.c.Seq = rc.SettledRun(b, span)
+		rec.n, rec.settled = uint8(k), k > 0
+	}
+	if rec.settled {
+		ck.logRun(rec)
+		return rec.val, int(rec.n)
+	}
+	if ck.cfg.Poison {
+		ck.poisonCheck(t, b)
+	}
+	c := rec.c
+	if ck.fast {
+		// The recorded candidate is taken as-is and the decision cursor
+		// fast-forwards past the read-from chain the search consumed; the
+		// refinement below runs live, so memory-model state evolves exactly
+		// as in the recording.
+		if !ck.tree.FastForward(int(rec.chain)) {
+			internalPanic("prefix-fork: recorded read-from chain runs past the decision prefix")
+		}
+	} else {
+		d := ck.tree.Depth()
+		c = ck.chooseCandidate(rc, b)
+		ck.logRun(loadRec{c: c, chain: int32(ck.tree.Depth() - d), n: 1})
+	}
+	for need := uint64(c.Fail.Diff(ck.failed)); need != 0; need &= need - 1 {
+		ck.failMachine(ck.machines[bits.TrailingZeros64(need)], func() string {
+			return fmt.Sprintf("required for %s/%s to read σ%d at %#x", t.mach.name, t.name, c.Seq, b)
+		})
+	}
+	rc.Failed = ck.failed
+	rc.ApplyReadConstraint(b, c, ck.failed.Has(c.Machine))
+	if len(ck.cfg.UnflushedLines) > 0 {
+		ck.raceCheckExposed(t, b, c)
+	}
+	return uint64(c.Val), 1
+}
+
+// logRun records a run resolved live for the prefix-fork fast path.
+func (ck *Checker) logRun(rec loadRec) {
+	if ck.forkEnabled && !ck.fast {
+		ck.loadLog = append(ck.loadLog, rec)
+	}
+}
+
+// recordedRun consumes the loadLog record of the run the recording execution
+// resolved where the fast path now stands, span bytes left to it. A record
+// that cannot be that run — none left, no or too many bytes, a σ not yet
+// committed — means the log and the replay have parted ways.
+func (ck *Checker) recordedRun(span int) loadRec {
+	if ck.loadPos >= len(ck.loadLog) {
+		internalPanic("prefix-fork: load log exhausted before the fork point")
+	}
+	rec := ck.loadLog[ck.loadPos]
+	ck.loadPos++
+	if rec.n == 0 || int(rec.n) > span || rec.c.Seq > ck.mem.Seq() {
+		internalPanic("prefix-fork: recorded run does not fit the load replaying it")
+	}
+	return rec
 }
 
 // chooseCandidate walks the lazy candidate enumeration newest-first,
@@ -265,23 +324,6 @@ func (ck *Checker) chooseCandidate(rc *memmodel.ReadContext, b Addr) memmodel.Ca
 		c, _ = it.Next()
 	}
 	return c
-}
-
-// fastCandidate resolves one non-bypass load byte on the prefix-fork
-// fast path: the recorded candidate is taken as-is and the decision
-// cursor fast-forwards past the read-from chain the lazy search consumed
-// when it was recorded. The caller re-applies the constraint refinement
-// live, so memory-model state evolves exactly as in the recording.
-func (ck *Checker) fastCandidate() memmodel.Candidate {
-	if ck.loadPos >= len(ck.loadLog) {
-		internalPanic("prefix-fork: load log exhausted before the fork point")
-	}
-	rec := ck.loadLog[ck.loadPos]
-	ck.loadPos++
-	if !ck.tree.FastForward(int(rec.chain)) {
-		internalPanic("prefix-fork: recorded read-from chain runs past the decision prefix")
-	}
-	return rec.c
 }
 
 // poisonCheck implements the memory-poisoning option (§4.2 side note):

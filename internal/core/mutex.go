@@ -13,7 +13,8 @@ package core
 type Mutex struct {
 	ck                *Checker
 	name              string
-	idx               int // creation index: position in ck.mutexes
+	blockNote         string // "mutex "+name, what a blocked waiter shows in a deadlock report
+	idx               int    // creation index: position in ck.mutexes
 	owner             *Thread
 	releasedByFailure bool
 	waiters           []*Thread
@@ -30,7 +31,7 @@ func (mu *Mutex) Lock(t *Thread) (ownerFailed bool) {
 	t.enter()
 	for mu.owner != nil {
 		mu.waiters = append(mu.waiters, t)
-		t.block("mutex " + mu.name)
+		t.block(mu.blockNote)
 	}
 	mu.owner = t
 	ck := t.ck

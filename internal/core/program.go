@@ -143,6 +143,9 @@ func (p *Program) NewMutex(name string) *Mutex {
 		ck.mutexes = append(ck.mutexes, mu)
 	}
 	mu.ck = ck
+	if mu.name != name || mu.blockNote == "" {
+		mu.blockNote = "mutex " + name
+	}
 	mu.name = name
 	mu.idx = n
 	mu.owner = nil

@@ -616,7 +616,8 @@ func TestLivelockReportKeepsDeadlockDistinct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !live.Buggy() || live.Bugs[0].Kind != BugLivelock {
+	if !live.Buggy() || live.Bugs[0].Kind != BugLivelock ||
+		live.Bugs[0].Message != "step limit exceeded (200): livelock in checked program?" {
 		t.Fatalf("spin: bugs = %v, want livelock", live.Bugs)
 	}
 
@@ -631,7 +632,9 @@ func TestLivelockReportKeepsDeadlockDistinct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dead.Buggy() || dead.Bugs[0].Kind != BugDeadlock {
+	// The note in parentheses is the mutex's block note, built in NewMutex.
+	if !dead.Buggy() || dead.Bugs[0].Kind != BugDeadlock ||
+		dead.Bugs[0].Message != "deadlock: all live threads blocked: A/self(mutex m)" {
 		t.Fatalf("self-lock: bugs = %v, want deadlock", dead.Bugs)
 	}
 }

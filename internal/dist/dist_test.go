@@ -467,7 +467,10 @@ func TestDistBadRemainderRejected(t *testing.T) {
 // every token replaying.
 func TestWorkerYieldsOnDemand(t *testing.T) {
 	check := core.Config{ContinueAfterBug: true}
-	prog := ccehProgram(32)
+	// Sized to outlast a few renewals (every LeaseTTL/3) on one P: 320
+	// executions, ~65 ms serially since loads resolve a run at a time (32
+	// keys, 197 executions, took that long before and take 30 ms now).
+	prog := ccehProgram(48)
 	base, err := core.Run(check, prog)
 	if err != nil {
 		t.Fatal(err)

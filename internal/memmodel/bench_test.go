@@ -10,19 +10,19 @@ import (
 // `go test -bench . ./internal/memmodel` and `cxlbench -traced` tell one
 // story: LoadByte/{s1,s8,s64,m4} ↔ memmodel.load_ns.*, CommitStore ↔
 // memmodel.commit_store_ns, Flush ↔ memmodel.flush_ns, Reset ↔
-// memmodel.reset_ns. The op bodies are shared with
-// TestHotPathAllocatesNothing, which pins each at zero allocations once
-// the first pass has sized the tables.
+// memmodel.reset_ns; LoadWord has no ledger row yet. The op bodies are
+// shared with TestHotPathAllocatesNothing, which pins each at zero
+// allocations once the first pass has sized the tables.
 
 const benchAddr Addr = 64
 
-// buildLine resets m and commits stores 8-byte stores to one address,
-// round-robin from the writers' store buffers.
-func buildLine(m *Memory, writers []*ThreadBuf, stores int) {
+// buildLine resets m and commits stores 8-byte stores to the one address
+// at, round-robin from the writers' store buffers.
+func buildLine(m *Memory, writers []*ThreadBuf, at Addr, stores int) {
 	m.Reset()
 	for i := 0; i < stores; i++ {
 		w := i % len(writers)
-		writers[w].ExecStore(benchAddr, 8, uint64(i+1))
+		writers[w].ExecStore(at, 8, uint64(i+1))
 		m.CommitStore(writers[w], MachineID(w))
 	}
 }
@@ -41,9 +41,9 @@ func loadByteOps(stores, machines int) (build, full func()) {
 	failed := FailSet(0).With(0)
 	rc := ReadContext{Mem: m, Curr: MachineID(machines - 1)}
 	var it CandidateIter
-	build = func() { buildLine(m, writers, stores) }
+	build = func() { buildLine(m, writers, benchAddr, stores) }
 	full = func() {
-		buildLine(m, writers, stores)
+		buildLine(m, writers, benchAddr, stores)
 		rc.Failed = failed
 		rc.CandidatesInto(&it, benchAddr)
 		var last Candidate
@@ -99,9 +99,9 @@ func flushOp() func(i int) {
 // difference is the Reset of a memory holding that line.
 func resetOps() (build, full func()) {
 	m, writers := NewMemory(), []*ThreadBuf{NewThreadBuf()}
-	build = func() { buildLine(m, writers, 64) }
+	build = func() { buildLine(m, writers, benchAddr, 64) }
 	full = func() {
-		buildLine(m, writers, 64)
+		buildLine(m, writers, benchAddr, 64)
 		m.Reset()
 		writers[0].Reset()
 	}
@@ -142,6 +142,106 @@ func BenchmarkLoadByte(b *testing.B) {
 	}
 }
 
+// takeNewest is one byte of §4.4's sequence with the newest candidate
+// taken: the search's first answer and its refinement.
+func takeNewest(rc *ReadContext, it *CandidateIter, b Addr) byte {
+	rc.CandidatesInto(it, b)
+	c, _ := it.Next()
+	rc.ApplyReadConstraint(b, c, rc.Failed.Has(c.Machine))
+	return c.Val
+}
+
+// loadWordOps returns, for one line shape, the body that builds it and the
+// two that build it and then load the word at benchAddr: a run at a time
+// (BypassRun, SettledRun, a byte step where neither settles the byte) and
+// byte by byte (BypassByte, then the search and refinement per byte). The
+// lines are the load_ns shapes: eight stores by machine 0 (s8), sixty-four
+// (s64), eight by three machines in turn (m4); the last machine loads.
+//
+//	terminal     s8, written back by a clflush: one settled run
+//	device       s64 on the next word: the whole log walked, then the image
+//	bypass       s8, and the loader's own store to the word still buffered
+//	partial      s8 written back, then a one-byte store inside the word:
+//	             three runs
+//	live_remote  m4, nothing written back: byte 0 takes the newest store and
+//	             so writes it back, the other seven are a run
+func loadWordOps(shape string) (build, runs, bytes func()) {
+	stores, machines, at := 8, 2, benchAddr
+	switch shape {
+	case "device":
+		stores, at = 64, benchAddr+8
+	case "live_remote":
+		machines = 4
+	}
+	m, loader := NewMemory(), NewThreadBuf()
+	writers := make([]*ThreadBuf, machines-1)
+	for i := range writers {
+		writers[i] = NewThreadBuf()
+	}
+	rc := ReadContext{Mem: m, Curr: MachineID(machines - 1)}
+	var it CandidateIter
+	build = func() {
+		buildLine(m, writers, at, stores)
+		loader.Reset()
+		switch shape {
+		case "terminal", "partial":
+			writers[0].ExecClflush(at)
+			m.CommitClflush(writers[0], 0)
+			if shape == "partial" {
+				m.CommitDirectStore(loader, rc.Curr, at+3, 1, 0xff)
+			}
+		case "bypass":
+			loader.ExecStore(at, 8, 99)
+		}
+	}
+	runs = func() {
+		build()
+		var val uint64
+		for i := 0; i < 8; {
+			b := benchAddr + Addr(i)
+			v, k, buffered := loader.BypassRun(b, 8-i)
+			if !buffered {
+				if v, k, _ = rc.SettledRun(b, k); k == 0 {
+					v, k = uint64(takeNewest(&rc, &it, b)), 1
+				}
+			}
+			val |= v << (8 * i)
+			i += k
+		}
+		benchSink = val
+	}
+	bytes = func() {
+		build()
+		var val uint64
+		for i := 0; i < 8; i++ {
+			b := benchAddr + Addr(i)
+			v, ok := loader.BypassByte(b)
+			if !ok {
+				v = takeNewest(&rc, &it, b)
+			}
+			val |= uint64(v) << (8 * i)
+		}
+		benchSink = val
+	}
+	return build, runs, bytes
+}
+
+var benchSink uint64
+
+var loadWordShapes = []string{"terminal", "device", "bypass", "partial", "live_remote"}
+
+// BenchmarkLoadWord prices one 8-byte load per line shape both ways; net-ns
+// is the load alone. The ledger has no row for it yet: memmodel.load_ns.*
+// call CandidatesInto and ApplyReadConstraint for one byte, which the run
+// path leaves as they were.
+func BenchmarkLoadWord(b *testing.B) {
+	for _, shape := range loadWordShapes {
+		build, runs, bytes := loadWordOps(shape)
+		b.Run(shape+"/runs", func(b *testing.B) { benchNet(b, build, runs) })
+		b.Run(shape+"/bytes", func(b *testing.B) { benchNet(b, build, bytes) })
+	}
+}
+
 // benchOp times b.N calls of op after one that sizes the tables.
 func benchOp(b *testing.B, op func(i int)) {
 	b.ReportAllocs()
@@ -164,7 +264,8 @@ func BenchmarkReset(b *testing.B) {
 // TestHotPathAllocatesNothing: after one warm-up pass has created the
 // line records and grown the logs, committing a store to a known line,
 // committing flushes, enumerating and refining a byte load on a 64-store
-// line, and resetting the memory and the thread buffers allocate nothing.
+// line, loading a word a run at a time, and resetting the memory and the
+// thread buffers allocate nothing.
 func TestHotPathAllocatesNothing(t *testing.T) {
 	guard := func(name string, op func(i int)) {
 		t.Helper()
@@ -181,6 +282,10 @@ func TestHotPathAllocatesNothing(t *testing.T) {
 	for _, s := range loadByteShapes {
 		_, full := loadByteOps(s.stores, s.machines)
 		guard("CandidatesInto+drain+ApplyReadConstraint, "+s.name, func(int) { full() })
+	}
+	for _, shape := range loadWordShapes {
+		_, runs, _ := loadWordOps(shape)
+		guard("a word loaded a run at a time, "+shape, func(int) { runs() })
 	}
 	_, reset := resetOps()
 	guard("Memory.Reset+ThreadBuf.Reset of a 64-store line", func(int) { reset() })

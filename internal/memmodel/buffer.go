@@ -132,6 +132,26 @@ func (tb *ThreadBuf) BypassByte(b Addr) (val byte, ok bool) {
 	return 0, false
 }
 
+// BypassRun is BypassByte for the n bytes at b at once. The newest store in
+// S_τ covering b supplies every byte up to its own end, or up to the first
+// byte a still newer buffered store covers: ok is true and val holds those k
+// bytes, exactly the bytes BypassByte would return one by one. When no
+// buffered store covers b, ok is false and k counts the bytes from b on that
+// none covers — the run the load must take to the cache.
+func (tb *ThreadBuf) BypassRun(b Addr, n int) (val uint64, k int, ok bool) {
+	end := b + Addr(n)
+	for i := len(tb.SB) - 1; i >= 0; i-- {
+		e := &tb.SB[i]
+		if e.Kind != SBStore {
+			continue
+		}
+		if val, end, ok = e.St.run(b, end); ok {
+			break
+		}
+	}
+	return val, int(end - b), ok
+}
+
 // Empty reports whether both S_τ and F_τ are drained.
 func (tb *ThreadBuf) Empty() bool { return len(tb.SB) == 0 && len(tb.FB) == 0 }
 

@@ -19,7 +19,9 @@ package memmodel
 // Both operate on a single byte address: per §4.4, CXLMC executes a
 // multi-byte load as an atomic sequence of single-byte loads, which is
 // also what makes cache-line-straddling objects (Table 3 bugs #4 and #12)
-// expressible.
+// expressible. SettledRun answers for several consecutive bytes at once
+// where that sequence has nothing to decide and nothing to write: one
+// source, the only candidate of each byte.
 
 // Candidate is one possible source for a load: the ⟨val, σ, μ, Φ⟩ tuple of
 // Algorithm 3. Fail is the failure set that must be in force for the load
@@ -111,6 +113,15 @@ func (rc *ReadContext) mayPersist(r *lineRec, s *Store, phi FailSet) bool {
 		return true
 	}
 	return s.Seq < r.constraint(s.Machine).End
+}
+
+// revocable reports whether store s, on the line of record r, is a live
+// remote machine's store not known written back (σ > Begin): readable as it
+// stands, and revoked — exposing what lies beneath it — by failing its
+// machine (Algorithm 3, lines 13–16).
+func (rc *ReadContext) revocable(r *lineRec, s *Store, phi FailSet) bool {
+	return !rc.GPF && !phi.Has(s.Machine) && s.Machine != rc.Curr && s.Machine != DeviceID &&
+		s.Seq > r.constraint(s.Machine).Begin
 }
 
 // ScanStores implements Algorithm 3's SCANSTORES(addr, Φ, σ_start)
@@ -233,6 +244,41 @@ func (rc *ReadContext) CandidatesInto(it *CandidateIter, b Addr) {
 	it.advance()
 }
 
+// SettledRun resolves the n bytes at b, which must share a cache line, as
+// one run when a single source settles them: the longest prefix [b, b+k)
+// whose every byte has that source as its only read-from candidate. The
+// source is the newest store of the line covering b — the run cut short at
+// the first byte a still newer store covers — provided it may persist, is
+// not revocable and overwrites everything beneath it; or the device image
+// when no store overlaps the bytes left. For each such byte CandidatesInto
+// yields that one candidate, and ApplyReadConstraint on it changes nothing:
+// no newer store covers the byte and Begin already stands at or above σ. So
+// val is the per-byte sequence's value, little-endian, with no decision to
+// place and no state to write; seq is the source's σ (0: the device). k is 0
+// when b's newest covering store does not settle it: the byte needs the
+// candidate search.
+func (rc *ReadContext) SettledRun(b Addr, n int) (val uint64, k int, seq Seq) {
+	r := rc.line(LineOf(b))
+	end := b + Addr(n)
+	for i := len(r.stores) - 1; i >= 0; i-- {
+		s := &r.stores[i]
+		var covers bool
+		if val, end, covers = s.run(b, end); !covers {
+			continue
+		}
+		phi := rc.Failed
+		if !rc.mayPersist(r, s, phi) || rc.revocable(r, s, phi) || !rc.overwrites(r, s, phi) {
+			return 0, 0, 0
+		}
+		return val, int(end - b), s.Seq
+	}
+	k = int(end - b)
+	for i := k - 1; i >= 0; i-- {
+		val = val<<8 | uint64(r.img[(b+Addr(i))%LineSize])
+	}
+	return val, k, 0
+}
+
 // advance computes the next candidate into it.pending.
 func (it *CandidateIter) advance() {
 	it.ok = false
@@ -249,8 +295,7 @@ func (it *CandidateIter) advance() {
 		if !rc.mayPersist(it.rec, s, it.phi) {
 			continue // definitely lost (σ ≥ End): skip, keep searching
 		}
-		if !rc.GPF && !it.phi.Has(s.Machine) && s.Machine != rc.Curr && s.Machine != DeviceID &&
-			s.Seq > it.rec.constraint(s.Machine).Begin {
+		if rc.revocable(it.rec, s, it.phi) {
 			// Live remote store not known written back: readable as-is
 			// now; continuing past it means failing its machine
 			// (Algorithm 3, lines 13–16).

@@ -135,6 +135,30 @@ func (s *Store) Byte(b Addr) byte {
 	return byte(s.Val >> (8 * (b - s.Addr)))
 }
 
+// run narrows a run of bytes [b, end) — end already at most the first byte
+// of any newer store that overlaps it — by store s. When s lies outside the
+// bytes, or covers only bytes past b (the run must stop short of them: they
+// are s's, not an older store's), covers is false and end is what is left.
+// When s covers b it is the source of [b, end), up to its own last byte,
+// and val is those bytes, little-endian.
+func (s *Store) run(b, end Addr) (val uint64, newEnd Addr, covers bool) {
+	last := s.Addr + Addr(s.Size)
+	if s.Addr >= end || last <= b {
+		return 0, end, false
+	}
+	if s.Addr > b {
+		return 0, s.Addr, false
+	}
+	if last < end {
+		end = last
+	}
+	val = s.Val >> (8 * (b - s.Addr))
+	if k := end - b; k < 8 {
+		val &= 1<<(8*k) - 1
+	}
+	return val, end, true
+}
+
 // ValidSize reports whether sz is a supported access size.
 func ValidSize(sz uint8) bool {
 	return sz == 1 || sz == 2 || sz == 4 || sz == 8
