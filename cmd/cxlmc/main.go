@@ -338,7 +338,7 @@ func run() int {
 	}
 
 	if *trace {
-		cfg.Trace = os.Stdout
+		cfg.Observer = cxlmc.TraceTo(os.Stdout)
 	}
 	cfg.MetricsAddr = *metricsAddr
 	if *metricsAddr != "" {

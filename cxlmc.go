@@ -60,6 +60,7 @@ package cxlmc
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/analyze"
 	"repro/internal/chaos"
@@ -212,14 +213,29 @@ func Run(cfg Config, setup func(*Program)) (*Result, error) {
 	return core.Run(cfg, setup)
 }
 
-// Replay re-runs exactly the execution a Bug's ReproToken witnessed,
-// with CaptureTrace forced on, and returns that single execution's
-// result. The token pins the seed and is validated against the
+// Replay re-runs exactly the execution a Bug's ReproToken witnessed and
+// returns that single execution's result, the bug's Trace holding the last
+// lines of its text trace. The token pins the seed and is validated against the
 // configuration and the program's structure; a mismatch is rejected with
 // a descriptive error.
 func Replay(token string, cfg Config, setup func(*Program)) (*Result, error) {
 	return core.Replay(token, cfg, setup)
 }
+
+// OpObserver, as Config.Observer, receives a run's op stream: one OpEvent per
+// simulated instruction of interest when it issues and one per effect — commit,
+// writeback, load result, machine failure, bug — in order. It forces Workers
+// to 1. Vet's dry run and Replay deliver their one execution to it as well.
+// An event's Kind prints its name; DESIGN.md lists the fifteen.
+type (
+	OpObserver = core.OpObserver
+	OpEvent    = core.OpEvent
+	OpKind     = core.OpKind
+)
+
+// TraceTo returns the observer that writes the text trace to w: a line per
+// store, commit, writeback, load result, machine failure and bug report.
+func TraceTo(w io.Writer) OpObserver { return core.TraceTo(w) }
 
 // VetReport is the outcome of the cxlvet static pre-pass: the findings
 // plus the number of op-stream events the dry run recorded.

@@ -119,22 +119,32 @@ func (r *Report) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "cxlvet: %d finding(s)\n", len(r.Findings))
 }
 
-// recorder collects the dry run's op stream.
+// recorder collects the dry run's issue-time events — all the analyses read —
+// and passes the whole stream on to the caller's observer, if any.
 type recorder struct {
 	events []core.OpEvent
+	next   core.OpObserver
 }
 
-func (r *recorder) Op(ev core.OpEvent) { r.events = append(r.events, ev) }
+func (r *recorder) Op(ev core.OpEvent) {
+	if !ev.Kind.Effect() {
+		r.events = append(r.events, ev)
+	}
+	if r.next != nil {
+		r.next.Op(ev)
+	}
+}
 
 // Vet runs the cxlvet static pre-pass: one instrumented dry run of
 // program under cfg's exploration-relevant knobs (seed, GPF, Poison,
 // memory size, ...), then the three analyses over the recorded op
 // stream. The dry run takes decision branch 0 everywhere, so no
 // failures are injected and the stream is the program's failure-free
-// skeleton. cfg is taken by value; the observer, worker-pool and
-// persistence knobs it carries are overridden for the dry run.
+// skeleton. cfg is taken by value: its observer, if any, is handed the dry
+// run's stream too, and the worker-pool and persistence knobs it carries are
+// overridden for the dry run.
 func Vet(cfg core.Config, program func(*core.Program)) (*Report, error) {
-	rec := &recorder{}
+	rec := &recorder{next: cfg.Observer}
 	cfg.Observer = rec
 	cfg.Workers = 1
 	cfg.MaxExecutions = 1

@@ -64,13 +64,6 @@ type Checker struct {
 	heapNext Addr
 	current  *Thread // thread running its own code, nil while scheduler steps run
 	aborted  bool    // current execution ended early (bug)
-	// traceLog is the current execution's event ring when CaptureTrace
-	// is on.
-	traceLog []string
-	// tracing caches "is any tracing sink configured", so hot-path call
-	// sites can skip the variadic tracef call (and its argument boxing)
-	// entirely.
-	tracing bool
 	// dirty quarantines reusable state after a watchdog abandoned a
 	// thread: the wedged goroutine may still hold references into the
 	// scheduler, arenas and memory, so the next reset discards them all
@@ -296,8 +289,6 @@ func (ck *Checker) resetExecution() {
 	ck.heapNext = heapBase
 	ck.current = nil
 	ck.aborted = false
-	ck.traceLog = ck.traceLog[:0]
-	ck.tracing = ck.cfg.Trace != nil || ck.cfg.CaptureTrace
 
 	defer func() {
 		if v := recover(); v != nil {
@@ -697,16 +688,18 @@ func (ck *Checker) wakeJoiners(m *Machine) {
 // failMachine fails machine m: its threads stop, its buffered stores are
 // lost, its mutexes are force-released, and (in GPF mode) its cached
 // stores are written back in full. If the currently running thread
-// belongs to m, the call unwinds it and does not return. why formats the
-// reason and is called only when a trace will show it.
-func (ck *Checker) failMachine(m *Machine, why func() string) {
+// belongs to m, the call unwinds it and does not return. why carries the
+// cause — the OpFail event's Cause and what it names — and by is the thread
+// whose flush or load it was.
+func (ck *Checker) failMachine(m *Machine, by *Thread, why OpEvent) {
 	if m.failed {
 		return
 	}
 	m.failed = true
 	ck.failed = ck.failed.With(m.id)
-	if ck.tracing {
-		ck.tracef("FAIL machine %s: %s", m.name, why())
+	if ck.observing {
+		why.Kind, why.Failed, why.FailedName = OpFail, m.id, m.name
+		ck.observeOp(by, why)
 	}
 	if ck.cfg.GPF {
 		ck.mem.PersistAll(m.id)
@@ -780,9 +773,6 @@ func (ck *Checker) reportBug(kind BugKind, msg string, t *Thread) {
 		b.Machine = t.mach.name
 		b.Thread = t.name
 	}
-	if ck.cfg.CaptureTrace {
-		b.Trace = append([]string(nil), ck.traceLog...)
-	}
 	if ck.progDigest != "" {
 		b.ReproToken = encodeReproToken(reproToken{
 			Seed:    ck.cfg.Seed,
@@ -792,8 +782,9 @@ func (ck *Checker) reportBug(kind BugKind, msg string, t *Thread) {
 		})
 	}
 	ck.stats.Bugs = append(ck.stats.Bugs, b)
-	if ck.tracing {
-		ck.tracef("BUG %s", b)
+	if ck.observing {
+		reported := b
+		ck.observeOp(t, OpEvent{Kind: OpBug, Bug: &reported})
 	}
 }
 
@@ -805,22 +796,5 @@ func (ck *Checker) reportBugHere(kind BugKind, msg string) {
 	ck.reportBug(kind, msg, t)
 	if t != nil {
 		t.st.KillSelf()
-	}
-}
-
-func (ck *Checker) tracef(format string, args ...any) {
-	if !ck.tracing {
-		return
-	}
-	line := fmt.Sprintf("σ%-6d "+format, append([]any{ck.mem.Seq()}, args...)...)
-	if ck.cfg.Trace != nil {
-		fmt.Fprintln(ck.cfg.Trace, line)
-	}
-	if ck.cfg.CaptureTrace {
-		if len(ck.traceLog) >= traceDepth {
-			copy(ck.traceLog, ck.traceLog[1:])
-			ck.traceLog = ck.traceLog[:len(ck.traceLog)-1]
-		}
-		ck.traceLog = append(ck.traceLog, line)
 	}
 }

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -38,37 +41,78 @@ func TestEagerReadSetEquivalentDetection(t *testing.T) {
 	}
 }
 
-// TestTraceOutput checks the event trace: loads, stores, flush commits and
-// failures all appear, and the two failure lines — whose reasons are only
-// formatted while tracing — read as they always have.
-func TestTraceOutput(t *testing.T) {
-	var buf bytes.Buffer
-	_, err := Run(Config{Trace: &buf, MaxExecutions: 10}, func(p *Program) {
-		a := p.NewMachine("A")
-		b := p.NewMachine("B")
-		x := p.Alloc(8)
-		y := p.AllocAligned(8, 64)
-		a.Thread("w", func(th *Thread) {
-			th.Store64(y, 2)
-			th.Store64(x, 1)
-			th.CLFlush(x)
-			th.SFence()
-		})
-		b.Thread("r", func(th *Thread) {
-			th.Join(a)
-			th.Load64(x)
-			th.Load64(y)
-		})
+// traceProgramFlush is the program testdata/trace_flush.golden was recorded
+// from: buffered stores, a clflush commit and both ways a machine fails.
+func traceProgramFlush(p *Program) {
+	a := p.NewMachine("A")
+	b := p.NewMachine("B")
+	x := p.Alloc(8)
+	y := p.AllocAligned(8, 64)
+	a.Thread("w", func(th *Thread) {
+		th.Store64(y, 2)
+		th.Store64(x, 1)
+		th.CLFlush(x)
+		th.SFence()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"exec store", "commit store", "commit clflush", "load [",
-		"σ2      FAIL machine A: injected instead of flush of line 1\n",
-		"σ4      FAIL machine A: required for B/r to read σ0 at 0x80\n"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace missing %q", want)
+	b.Thread("r", func(th *Thread) {
+		th.Join(a)
+		th.Load64(x)
+		th.Load64(y)
+	})
+}
+
+// traceProgramRMW is the program testdata/trace_rmw.golden was recorded from:
+// a clflushopt written back through an sfence, a locked RMW with its internal
+// load and its store, and a bug.
+func traceProgramRMW(p *Program) {
+	a := p.NewMachine("A")
+	b := p.NewMachine("B")
+	x := p.Alloc(8)
+	y := p.AllocAligned(8, 64)
+	a.Thread("w", func(th *Thread) {
+		th.Store64(x, 1)
+		th.CLFlushOpt(x)
+		th.SFence()
+		th.FetchAdd64(y, 5)
+	})
+	b.Thread("r", func(th *Thread) {
+		th.Join(a)
+		th.Assert(th.Load64(x) == 1, "x lost")
+	})
+}
+
+// TestTraceOutput pins the text trace to what the last commit with
+// Config.Trace printed for two programs, every execution of each: the goldens
+// are that commit's output, byte for byte. With PrefixFork on the replayed
+// prefixes must say the same as a full re-execution, and removing the
+// observeOp call of any effect kind turns a golden red.
+func TestTraceOutput(t *testing.T) {
+	for _, c := range []struct {
+		golden string
+		cfg    Config
+		prog   func(*Program)
+	}{
+		{"trace_flush.golden", Config{MaxExecutions: 10}, traceProgramFlush},
+		{"trace_rmw.golden", Config{MaxExecutions: 10, ContinueAfterBug: true}, traceProgramRMW},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", c.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fork := range []Switch{SwitchOn, SwitchOff} {
+			var buf bytes.Buffer
+			cfg := c.cfg
+			cfg.Observer, cfg.PrefixFork = TraceTo(&buf), fork
+			res, err := Run(cfg, c.prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if forked := res.PrefixForks > 0; forked != (fork == SwitchOn) {
+				t.Errorf("%s, PrefixFork %v: %d prefix forks", c.golden, fork, res.PrefixForks)
+			}
+			if got := buf.String(); got != string(want) {
+				t.Errorf("%s, PrefixFork %v: trace differs from the golden\n got:\n%s\nwant:\n%s", c.golden, fork, got, want)
+			}
 		}
 	}
 }
@@ -262,10 +306,12 @@ func TestStepLimitReportsLivelock(t *testing.T) {
 	}
 }
 
-// TestCaptureTrace attaches the buggy execution's events to the report:
-// the most recent traceDepth of them, here of an execution that logs more.
+// TestCaptureTrace: Replay attaches the buggy execution's trace to the
+// report — the last traceDepth lines of it, here of an execution that has
+// more, up to the load that failed the assertion — and they are the lines the
+// caller's own observer was handed for the same execution.
 func TestCaptureTrace(t *testing.T) {
-	res := run(t, Config{CaptureTrace: true}, func(p *Program) {
+	prog := func(p *Program) {
 		a := p.NewMachine("A")
 		b := p.NewMachine("B")
 		data := p.Alloc(8)
@@ -286,19 +332,37 @@ func TestCaptureTrace(t *testing.T) {
 				th.Assert(th.Load64(data) == 42, "lost data")
 			}
 		})
-	})
-	if !res.Buggy() {
+	}
+	found := run(t, Config{}, prog)
+	if !found.Buggy() {
 		t.Fatal("bug not found")
 	}
-	if len(res.Bugs[0].Trace) == 0 {
+	if len(found.Bugs[0].Trace) != 0 {
+		t.Fatalf("an exploring run captured %d trace lines", len(found.Bugs[0].Trace))
+	}
+	var full bytes.Buffer
+	res, err := Replay(found.Bugs[0].ReproToken, Config{Observer: TraceTo(&full)}, prog)
+	if err != nil || !res.Buggy() {
+		t.Fatalf("replay: %v, %+v", err, res)
+	}
+	trace := res.Bugs[0].Trace
+	if len(trace) == 0 {
 		t.Fatal("no trace captured")
 	}
-	joined := strings.Join(res.Bugs[0].Trace, "\n")
+	joined := strings.Join(trace, "\n")
 	if !strings.Contains(joined, "FAIL machine") {
 		t.Fatalf("trace lacks the failure event:\n%s", joined)
 	}
-	if len(res.Bugs[0].Trace) != traceDepth {
-		t.Fatalf("captured %d lines of a longer execution, want the last %d", len(res.Bugs[0].Trace), traceDepth)
+	if len(trace) != traceDepth {
+		t.Fatalf("captured %d lines of a longer execution, want the last %d", len(trace), traceDepth)
+	}
+	if last := trace[len(trace)-1]; !strings.Contains(last, "load [0x40]×8 = 0 by B/r") {
+		t.Fatalf("trace ends in %q, want the load that lost the data", last)
+	}
+	lines := strings.Split(strings.TrimSuffix(full.String(), "\n"), "\n")
+	if n := len(lines) - 1; n <= traceDepth || !strings.Contains(lines[n], "BUG [assertion] lost data") ||
+		!slices.Equal(trace, lines[n-traceDepth:n]) {
+		t.Fatalf("Bug.Trace is not the %d lines before the report in the %d-line full trace:\n%s", traceDepth, len(lines), joined)
 	}
 }
 

@@ -139,16 +139,6 @@ type Config struct {
 	// only the cost per load differs. Exists for the ablation benchmark.
 	EagerReadSet bool
 
-	// Trace, when non-nil, receives a line per simulated event — loads,
-	// stores, flushes, failures, bug reports. For debugging small
-	// programs only; it grows quickly.
-	Trace io.Writer
-
-	// CaptureTrace records the buggy execution's recent events (the last
-	// traceDepth lines) into Bug.Trace, so a report shows how the
-	// failure state was reached without re-running with Trace.
-	CaptureTrace bool
-
 	// CheckpointPath names a file the checker writes crash-safe
 	// exploration checkpoints to (temp file + rename). When the file
 	// already exists at the start of a run, the run transparently resumes
@@ -273,8 +263,8 @@ type Config struct {
 	// bugs, checkpoint/governor activity, chaos fault injections and
 	// worker scheduling events are recorded into bounded per-worker ring
 	// buffers (eventBufferSize events each) and drained to this writer as
-	// JSON lines. Unlike Trace it
-	// does not force Workers to 1 — events carry the worker index. The
+	// JSON lines. Unlike Observer it does not force Workers to 1 —
+	// events carry the worker index. The
 	// writer must be safe for use from the draining goroutine; a write
 	// error silences the sink without disturbing the run.
 	EventTrace io.Writer
@@ -358,18 +348,19 @@ type Config struct {
 	// perturb the digest.
 	UnflushedLines []uint64
 
-	// Observer, when non-nil, receives the op stream of the run — one
-	// OpEvent per simulated load, store, flush, fence, RMW, mutex op and
-	// failure point, in issue order. It exists for the cxlvet static
-	// pre-pass's instrumented dry run; it forces Workers to 1 and is
-	// excluded from the configuration digest (observation never changes
-	// exploration semantics).
+	// Observer, when non-nil, receives the op stream of the run's explored
+	// executions — one OpEvent per simulated load, store, flush, fence, RMW,
+	// mutex op and failure point, in issue order, and one per commit,
+	// writeback, load result, machine failure and bug. The cxlvet pre-pass's
+	// dry run and the text trace (TraceTo) read it; it forces Workers to 1
+	// and is excluded from the configuration digest (observation never
+	// changes exploration semantics).
 	Observer OpObserver
 }
 
-// How many lines of the buggy execution a captured trace keeps
-// (Config.CaptureTrace), and the capacity in events of each worker's ring
-// of the structured event trace (Config.EventTrace).
+// How many trace lines of the buggy execution Replay keeps (Bug.Trace), and
+// the capacity in events of each worker's ring of the structured event
+// trace (Config.EventTrace).
 const (
 	traceDepth      = 256
 	eventBufferSize = 4096
@@ -398,9 +389,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.GovernorEvery <= 0 {
 		c.GovernorEvery = 256
-	}
-	if c.Trace != nil {
-		c.Workers = 1
 	}
 	if c.Observer != nil {
 		c.Workers = 1
@@ -432,11 +420,9 @@ func (c *Config) reductionOn() bool { return c.Reduction != SwitchOff }
 func (c *Config) raceDetectOn() bool { return c.RaceDetect == SwitchOn }
 
 // prefixForkOn reports whether prefix-fork fast replay may be used.
-// Poison mode mutates constraints during the load path's poison check,
-// and tracing wants every event re-emitted, so both force full replay.
-func (c *Config) prefixForkOn() bool {
-	return c.PrefixFork != SwitchOff && !c.Poison && c.Trace == nil && !c.CaptureTrace
-}
+// Poison mode mutates constraints during the load path's poison check, so
+// it forces full replay.
+func (c *Config) prefixForkOn() bool { return c.PrefixFork != SwitchOff && !c.Poison }
 
 // BugKind classifies a reported bug.
 type BugKind uint8
@@ -517,8 +503,8 @@ type Bug struct {
 	Execution int    // 1-based execution index where first found
 	Machine   string // machine name of the reporting thread, if any
 	Thread    string // thread name, if any
-	// Trace holds the buggy execution's most recent events when
-	// Config.CaptureTrace was set.
+	// Trace holds the buggy execution's most recent trace lines when Replay
+	// re-ran it.
 	Trace []string
 	// ReproToken is a self-contained, base64-encoded witness of the buggy
 	// execution: seed, configuration and program digests, and the

@@ -24,8 +24,8 @@ func (ck *Checker) commitSBHead(t *Thread) {
 	switch h.Kind {
 	case memmodel.SBStore:
 		st := ck.mem.CommitStore(t.tb, t.mach.id)
-		if ck.tracing {
-			ck.tracef("commit store [%#x]=%d (σ%d) by %s/%s", st.Addr, st.Val, st.Seq, t.mach.name, t.name)
+		if ck.observing {
+			ck.observeOp(t, OpEvent{Kind: OpCommit, Cause: OpStore, Addr: st.Addr, Size: st.Size, Val: st.Val, Ref: st.Seq})
 		}
 	case memmodel.SBClflush:
 		eff := ck.mem.PreviewClflush(t.tb, t.mach.id)
@@ -33,8 +33,8 @@ func (ck *Checker) commitSBHead(t *Thread) {
 			return
 		}
 		eff = ck.mem.CommitClflush(t.tb, t.mach.id)
-		if ck.tracing {
-			ck.tracef("commit clflush line %d → begin %d by %s/%s", eff.Line, eff.NewBegin, t.mach.name, t.name)
+		if ck.observing {
+			ck.observeOp(t, OpEvent{Kind: OpWriteback, Line: eff.Line, Ref: eff.NewBegin})
 		}
 	case memmodel.SBClflushopt:
 		ck.mem.CommitClflushopt(t.tb)
@@ -52,8 +52,8 @@ func (ck *Checker) commitFBHead(t *Thread) {
 		return
 	}
 	eff = ck.mem.CommitFB(t.tb, t.mach.id)
-	if ck.tracing {
-		ck.tracef("commit clflushopt line %d → begin %d by %s/%s", eff.Line, eff.NewBegin, t.mach.name, t.name)
+	if ck.observing {
+		ck.observeOp(t, OpEvent{Kind: OpWriteback, Opt: true, Line: eff.Line, Ref: eff.NewBegin})
 	}
 }
 
@@ -94,15 +94,15 @@ func (ck *Checker) maybeInjectFailure(t *Thread, eff memmodel.FlushEffect) bool 
 		// sites. Flush-chain subsumption (the first condition inside
 		// pruneFailurePoint) is a mechanical dedup within one drain.
 		if ck.observing && !(ck.fbChainDecided && !ck.cfg.Poison) {
-			ck.observeOp(t, OpDeadFailurePoint, 0, 0, eff.Line, 0, "")
+			ck.observeOp(t, OpEvent{Kind: OpDeadFailurePoint, Line: eff.Line})
 		}
 		return false
 	}
 	if ck.observing {
-		ck.observeOp(t, OpFailurePoint, 0, 0, eff.Line, 0, "")
+		ck.observeOp(t, OpEvent{Kind: OpFailurePoint, Line: eff.Line})
 	}
 	if ck.choose(decision.KindFailure, 2) == 1 {
-		ck.failMachine(t.mach, func() string { return fmt.Sprintf("injected instead of flush of line %d", eff.Line) })
+		ck.failMachine(t.mach, t, OpEvent{Cause: OpFlush, Line: eff.Line})
 		return true
 	}
 	ck.fbChainDecided = ck.fbChain
@@ -174,7 +174,7 @@ func (ck *Checker) execMFence(t *Thread) {
 	// above, and a fence that never completed must not appear in the
 	// op stream.
 	if ck.observing {
-		ck.observeOp(t, OpMFence, 0, 0, 0, 0, "")
+		ck.observeOp(t, OpEvent{Kind: OpMFence})
 	}
 }
 
@@ -190,7 +190,7 @@ func (ck *Checker) load(t *Thread, a Addr, size uint8) uint64 {
 		ck.raceRead(t, a, size)
 	}
 	if ck.observing && !ck.inRMW {
-		ck.observeOp(t, OpLoad, a, size, 0, 0, "")
+		ck.observeOp(t, OpEvent{Kind: OpLoad, Addr: a, Size: size})
 	}
 	// The read context is pooled on the checker (the cache line it
 	// resolved last carries over between runs and loads); only one load is
@@ -211,8 +211,8 @@ func (ck *Checker) load(t *Thread, a Addr, size uint8) uint64 {
 		val |= v << (8 * i)
 		i += k
 	}
-	if ck.tracing {
-		ck.tracef("load [%#x]×%d = %d by %s/%s", a, size, val, t.mach.name, t.name)
+	if ck.observing {
+		ck.observeOp(t, OpEvent{Kind: OpLoaded, Addr: a, Size: size, Val: val})
 	}
 	return val
 }
@@ -258,9 +258,7 @@ func (ck *Checker) cacheRun(t *Thread, rc *memmodel.ReadContext, b Addr, span in
 		ck.logRun(loadRec{c: c, chain: int32(ck.tree.Depth() - d), n: 1})
 	}
 	for need := uint64(c.Fail.Diff(ck.failed)); need != 0; need &= need - 1 {
-		ck.failMachine(ck.machines[bits.TrailingZeros64(need)], func() string {
-			return fmt.Sprintf("required for %s/%s to read σ%d at %#x", t.mach.name, t.name, c.Seq, b)
-		})
+		ck.failMachine(ck.machines[bits.TrailingZeros64(need)], t, OpEvent{Cause: OpLoad, Addr: b, Ref: c.Seq})
 	}
 	rc.Failed = ck.failed
 	rc.ApplyReadConstraint(b, c, ck.failed.Has(c.Machine))
@@ -369,10 +367,7 @@ func (ck *Checker) store(t *Thread, a Addr, size uint8, val uint64) {
 		ck.raceWrite(t, a, size)
 	}
 	if ck.observing {
-		ck.observeOp(t, OpStore, a, size, 0, 0, "")
-	}
-	if ck.tracing {
-		ck.tracef("exec store [%#x]×%d=%d by %s/%s", a, size, val, t.mach.name, t.name)
+		ck.observeOp(t, OpEvent{Kind: OpStore, Addr: a, Size: size, Val: val})
 	}
 	for size > 0 {
 		lineEnd := memmodel.LineBase(memmodel.LineOf(a)) + memmodel.LineSize
@@ -406,7 +401,7 @@ func (ck *Checker) rmw(t *Thread, a Addr, size uint8, fn func(cur uint64) (uint6
 			ck.raceRMW(t, a)
 		}
 		if ck.observing {
-			ck.observeOp(t, OpRMW, a, size, 0, 0, "")
+			ck.observeOp(t, OpEvent{Kind: OpRMW, Addr: a, Size: size})
 		}
 		// The internal load below is half of one atomic instruction, not
 		// a plain access; the deferred reset also covers an injected
@@ -418,8 +413,8 @@ func (ck *Checker) rmw(t *Thread, a Addr, size uint8, fn func(cur uint64) (uint6
 	cur := ck.load(t, a, size)
 	if nv, doStore := fn(cur); doStore {
 		st := ck.mem.CommitDirectStore(t.tb, t.mach.id, a, size, nv)
-		if ck.tracing {
-			ck.tracef("rmw store [%#x]=%d (σ%d) by %s/%s", a, nv, st.Seq, t.mach.name, t.name)
+		if ck.observing {
+			ck.observeOp(t, OpEvent{Kind: OpCommit, Cause: OpRMW, Addr: a, Size: size, Val: nv, Ref: st.Seq})
 		}
 	}
 	ck.execMFence(t)

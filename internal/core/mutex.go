@@ -39,7 +39,7 @@ func (mu *Mutex) Lock(t *Thread) (ownerFailed bool) {
 		ck.raceAcquire(t, mu)
 	}
 	if ck.observing {
-		ck.observeOp(t, OpMutexLock, 0, 0, 0, mu.idx, mu.name)
+		ck.observeOp(t, OpEvent{Kind: OpMutexLock, Mutex: mu.idx, MutexName: mu.name})
 	}
 	return mu.releasedByFailure
 }
@@ -56,7 +56,7 @@ func (mu *Mutex) TryLock(t *Thread) (acquired, ownerFailed bool) {
 		ck.raceAcquire(t, mu)
 	}
 	if ck.observing {
-		ck.observeOp(t, OpMutexLock, 0, 0, 0, mu.idx, mu.name)
+		ck.observeOp(t, OpEvent{Kind: OpMutexLock, Mutex: mu.idx, MutexName: mu.name})
 	}
 	return true, mu.releasedByFailure
 }
@@ -85,7 +85,7 @@ func (mu *Mutex) Unlock(t *Thread) {
 		ck.raceRelease(t, mu)
 	}
 	if ck.observing {
-		ck.observeOp(t, OpMutexUnlock, 0, 0, 0, mu.idx, mu.name)
+		ck.observeOp(t, OpEvent{Kind: OpMutexUnlock, Mutex: mu.idx, MutexName: mu.name})
 	}
 	mu.owner = nil
 	mu.releasedByFailure = false

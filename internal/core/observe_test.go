@@ -166,7 +166,7 @@ func TestEventTraceStructure(t *testing.T) {
 }
 
 // TestEventTraceKeepsParallelism: tracing must not silently serialize
-// the run (unlike Config.Trace) — a traced 4-worker run explores the
+// the run (unlike Config.Observer) — a traced 4-worker run explores the
 // same state space as the untraced reference.
 func TestEventTraceKeepsParallelism(t *testing.T) {
 	want := referenceRun(t, resilientNoisy)

@@ -53,8 +53,9 @@ func decodeReproToken(s string) (*reproToken, error) {
 }
 
 // Replay re-runs exactly the execution a Bug's ReproToken witnessed,
-// with CaptureTrace forced on so the result's bug carries its event
-// trace. The token pins the seed; the remaining exploration-relevant
+// observing it so the result's bug carries the last traceDepth lines of its
+// text trace (cfg.Observer, if set, sees the whole stream). The token pins
+// the seed; the remaining exploration-relevant
 // configuration (GPF, Poison, EagerReadSet, CommitChance,
 // MaxStepsPerExec, MemSize, MaxEventsPerExec, Reduction, RaceDetect and
 // its UnflushedLines) and the program
@@ -75,7 +76,8 @@ func Replay(token string, cfg Config, program func(*Program)) (*Result, error) {
 		return nil, fmt.Errorf("cxlmc: bad repro token path: %w", err)
 	}
 	cfg.Seed = tok.Seed
-	cfg.CaptureTrace = true
+	last := &lastOps{next: cfg.Observer}
+	cfg.Observer = last
 	cfg.fillDefaults()
 	if d := configDigest(cfg); d != tok.Config {
 		return nil, fmt.Errorf("cxlmc: repro token was recorded under a different configuration (digest %s, this run %s): %s must match the recording run",
@@ -90,6 +92,12 @@ func Replay(token string, cfg Config, program func(*Program)) (*Result, error) {
 			tok.Program, progDigest)
 	}
 	res, _, err := replayPath(cfg, program, progDigest, steps, false)
+	if err == nil && res.Buggy() {
+		trace := last.lines()
+		for i := range res.Bugs {
+			res.Bugs[i].Trace = trace
+		}
+	}
 	return res, err
 }
 
@@ -161,9 +169,9 @@ func minimizeBugTokens(cfg Config, program func(*Program), progDigest string, bu
 		return
 	}
 	// Strip run-control knobs that must not fire during minimization
-	// replays; none of them are part of the config digest.
-	cfg.Trace = nil
-	cfg.CaptureTrace = false
+	// replays — the caller's op stream is of the executions explored, not
+	// of these; none of them are part of the config digest.
+	cfg.Observer = nil
 	cfg.Stop = nil
 	cfg.CheckpointPath = ""
 	cfg.MaxTime = 0

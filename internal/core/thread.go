@@ -96,7 +96,7 @@ func (t *Thread) CLFlush(a Addr) {
 	t.ck.checkRange(a, 1)
 	t.tb.ExecClflush(a)
 	if t.ck.observing {
-		t.ck.observeOp(t, OpFlush, a, 0, memmodel.LineOf(a), 0, "")
+		t.ck.observeOp(t, OpEvent{Kind: OpFlush, Addr: a, Line: memmodel.LineOf(a)})
 	}
 }
 
@@ -108,7 +108,7 @@ func (t *Thread) CLFlushOpt(a Addr) {
 	t.ck.checkRange(a, 1)
 	t.tb.ExecClflushopt(a, t.ck.mem.Seq())
 	if t.ck.observing {
-		t.ck.observeOp(t, OpFlush, a, 0, memmodel.LineOf(a), 0, "")
+		t.ck.observeOp(t, OpEvent{Kind: OpFlush, Addr: a, Line: memmodel.LineOf(a)})
 	}
 }
 
@@ -123,7 +123,7 @@ func (t *Thread) SFence() {
 	t.enter()
 	t.tb.ExecSfence()
 	if t.ck.observing {
-		t.ck.observeOp(t, OpSFence, 0, 0, 0, 0, "")
+		t.ck.observeOp(t, OpEvent{Kind: OpSFence})
 	}
 }
 

@@ -34,11 +34,9 @@ const (
 	EvLeaseComplete
 	EvLeaseReclaim
 	EvLeaseStale
-	// Analysis events: a happens-before race (or crash-exposed unflushed
-	// publish) reported by the dynamic detector, and a finding emitted by
-	// the cxlvet static pre-pass.
+	// Analysis event: a happens-before race (or crash-exposed unflushed
+	// publish) reported by the dynamic detector.
 	EvDataRace
-	EvVetFinding
 	// Job-server events: the lifecycle of one submitted exploration job
 	// (submit, start on a pool worker, terminal states, a retry after a
 	// transient failure or degraded stop, and a restart-recovery
@@ -92,8 +90,6 @@ func (k EventKind) String() string {
 		return "lease-stale"
 	case EvDataRace:
 		return "data-race"
-	case EvVetFinding:
-		return "vet-finding"
 	case EvJobSubmit:
 		return "job-submit"
 	case EvJobStart:
