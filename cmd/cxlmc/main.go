@@ -97,9 +97,10 @@
 // lease API on addr, and (with -checkpoint) persists the frontier so a
 // SIGKILL'd coordinator resumes losslessly. -join addr runs a worker
 // that leases units from the coordinator at addr one at a time, explores
-// each with its local -workers pool as an ordinary resumable run, reports
-// the result, and — when the coordinator says other workers are waiting —
-// stops early and returns what is left for the coordinator to split.
+// each with its local -workers pool as an ordinary resumable run under an
+// execution budget of its own choosing (one execution at first, doubled
+// while leases finish well inside the TTL), reports the result and returns
+// what is left for the coordinator to split among whoever is waiting.
 // -max-execs, -max-time and -metrics-addr span the worker's lifetime, not
 // one lease. Every lease carries a deadline (-lease-ttl) and
 // an epoch: units leased to crashed or wedged workers are reclaimed and
@@ -207,7 +208,7 @@ func run() int {
 
 		serveAddr  = flag.String("serve", "", "run as distributed coordinator: own the work-unit frontier and serve the lease API on this address (\":0\" picks a port)")
 		joinAddr   = flag.String("join", "", "run as distributed worker: lease work units from the coordinator at this address")
-		leaseTTL   = flag.Duration("lease-ttl", 0, "work-unit lease duration before an unrenewed lease is reclaimed and re-issued (with -serve; 0 = 5s)")
+		leaseTTL   = flag.Duration("lease-ttl", 0, "a lease not completed within this long is reclaimed and re-issued; a worker sizes its leases to fit, but one execution must (with -serve; 0 = 5s)")
 		workerName = flag.String("worker-name", "", "name this worker reports to the coordinator (with -join; default worker-<pid>)")
 
 		jobServer  = flag.String("jobserver", "", "run as a multi-tenant job server: accept exploration jobs over a REST API on this address (\":0\" picks a port)")

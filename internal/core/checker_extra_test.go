@@ -306,11 +306,12 @@ func TestStepLimitReportsLivelock(t *testing.T) {
 	}
 }
 
-// TestCaptureTrace: Replay attaches the buggy execution's trace to the
-// report — the last traceDepth lines of it, here of an execution that has
-// more, up to the load that failed the assertion — and they are the lines the
-// caller's own observer was handed for the same execution.
-func TestCaptureTrace(t *testing.T) {
+// TestReplayAttachesBugTrace: Replay attaches the buggy execution's trace to
+// the report (Bug.Trace) — the last traceDepth lines of it, here of an
+// execution that has more, up to the load that failed the assertion — and
+// they are the lines the caller's own observer was handed for the same
+// execution.
+func TestReplayAttachesBugTrace(t *testing.T) {
 	prog := func(p *Program) {
 		a := p.NewMachine("A")
 		b := p.NewMachine("B")

@@ -175,9 +175,9 @@ type Config struct {
 	// decision-point counts are identical for every worker count, and the
 	// distinct-bug set (with replayable tokens) is too; Bug.Execution
 	// ordinals and which-duplicate-wins may differ. Workers is forced to 1
-	// when Trace is set (interleaved traces would be useless) and is not
-	// part of the checkpoint identity: a checkpoint written with one worker
-	// count resumes under any other.
+	// when Observer is set (an interleaved op stream would be useless) and
+	// is not part of the checkpoint identity: a checkpoint written with one
+	// worker count resumes under any other.
 	Workers int
 
 	// MemBudgetBytes is a soft heap budget for the whole exploration; 0
@@ -322,9 +322,8 @@ type Config struct {
 	// (the fast path validates the RNG stream and decision cursor as it
 	// goes), so PrefixFork is pure performance and deliberately excluded
 	// from the configuration digest — unlike Reduction it cannot change
-	// the tree shape. Strict Replay, Poison mode and event tracing fall
-	// back to full re-execution. Saved work is visible as
-	// Stats.PrefixForks/StepsSaved.
+	// the tree shape. Strict Replay and Poison mode fall back to full
+	// re-execution. Saved work is visible as Stats.PrefixForks/StepsSaved.
 	PrefixFork Switch
 
 	// RaceDetect controls the dynamic happens-before race detector

@@ -8,8 +8,8 @@ package core
 // (Continue) and never sees this type.
 //
 // The lease protocol is what makes distribution safe: every lease
-// carries a deadline and an epoch. A unit whose holder goes quiet past
-// the deadline is reclaimed — its epoch is bumped and it is re-issued to
+// carries a deadline and an epoch. A unit whose holder has not completed it
+// by the deadline is reclaimed — its epoch is bumped and it is re-issued to
 // another worker — and any late completion from the old epoch is
 // rejected idempotently, so a unit's results are accepted exactly once
 // and re-execution after a crash is harmless.
@@ -19,8 +19,8 @@ import (
 	"time"
 )
 
-// DefaultLeaseTTL is how long a lease lives without renewal when its owner
-// configures none.
+// DefaultLeaseTTL is how long a lease lives when its owner configures no
+// other.
 const DefaultLeaseTTL = 5 * time.Second
 
 // LeasedUnit is one subtree work unit held under a time-bounded lease.
@@ -77,11 +77,11 @@ type frontierUnit struct {
 
 // MemFrontierConfig configures a MemFrontier.
 type MemFrontierConfig struct {
-	// LeaseTTL is how long a lease lives without renewal; 0 means
+	// LeaseTTL is how long a holder has to complete a lease; 0 means
 	// DefaultLeaseTTL.
 	LeaseTTL time.Duration
 	// OnEvent, when non-nil, observes lease-table transitions with one of
-	// the class labels "grant", "renew", "complete", "reclaim", "stale".
+	// the class labels "grant", "complete", "reclaim", "stale".
 	// Called with the frontier's lock held; it must be fast and must not
 	// call back in. The coordinator wires metrics and tracing here.
 	OnEvent func(class string, unit, epoch uint64)
@@ -89,7 +89,7 @@ type MemFrontierConfig struct {
 
 // MemFrontier is the in-memory lease table: time-bounded leases and per-unit
 // epochs. An expired lease is reclaimed by whoever next looks at the table
-// (TryLease, Renew, CompleteReport, Progress), so a crashed or wedged holder
+// (TryLease, CompleteReport, Progress), so a crashed or wedged holder
 // cannot strand work as long as anyone is still asking.
 type MemFrontier struct {
 	mu  sync.Mutex
@@ -181,23 +181,6 @@ func (f *MemFrontier) TryLease(holder string) (u *LeasedUnit, done bool) {
 	f.leased[fu.id] = fu
 	f.event("grant", fu.id, fu.epoch)
 	return &LeasedUnit{ID: fu.id, Epoch: fu.epoch, Snapshot: fu.snap}, false
-}
-
-// Renew extends the lease on (id, epoch), reporting whether it is still
-// valid. A renewal with a stale epoch fails: the unit was reclaimed and
-// belongs to someone else now.
-func (f *MemFrontier) Renew(id, epoch uint64) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	now := time.Now()
-	f.reclaimExpiredLocked(now)
-	u, ok := f.leased[id]
-	if !ok || u.epoch != epoch {
-		return false
-	}
-	u.deadline = now.Add(f.cfg.LeaseTTL)
-	f.event("renew", id, epoch)
-	return true
 }
 
 // CompleteReport folds one completion report into the frontier. A report

@@ -8,7 +8,7 @@ import (
 	"repro/internal/decision"
 )
 
-// The MemFrontier lease-protocol suite: grants, renewal, expiry
+// The MemFrontier lease-protocol suite: grants, expiry
 // reclamation with epoch bumps and stale-completion rejection.
 
 func newTestFrontier(t *testing.T, ttl time.Duration) *MemFrontier {
@@ -62,7 +62,7 @@ func TestFrontierExpiryReclaim(t *testing.T) {
 		t.Fatal("no initial lease")
 	}
 
-	// The crashed holder never renews; the successor's own TryLease reclaims.
+	// The crashed holder never completes; the successor's own TryLease reclaims.
 	deadline := time.Now().Add(5 * time.Second)
 	var u2 *LeasedUnit
 	for time.Now().Before(deadline) {
@@ -110,33 +110,6 @@ func TestFrontierExpiryReclaim(t *testing.T) {
 	}
 }
 
-// TestFrontierRenewKeepsLease: renewing inside the TTL prevents
-// reclamation; renewing a reclaimed lease fails.
-func TestFrontierRenewKeepsLease(t *testing.T) {
-	f := newTestFrontier(t, 40*time.Millisecond)
-	u, _ := f.TryLease("w")
-	if u == nil {
-		t.Fatal("no lease")
-	}
-	for i := 0; i < 8; i++ {
-		time.Sleep(15 * time.Millisecond)
-		if !f.Renew(u.ID, u.Epoch) {
-			t.Fatalf("renew %d failed inside the TTL", i)
-		}
-	}
-	if f.Stats().Reclaims != 0 {
-		t.Fatalf("renewed lease was reclaimed %d time(s)", f.Stats().Reclaims)
-	}
-	// Let it lapse; the next renew must fail.
-	time.Sleep(120 * time.Millisecond)
-	if f.Renew(u.ID, u.Epoch) {
-		t.Fatal("renew of an expired (reclaimed) lease succeeded")
-	}
-	if f.Stats().Reclaims != 1 {
-		t.Fatalf("Reclaims = %d, want 1 after the lapse", f.Stats().Reclaims)
-	}
-}
-
 // TestFrontierBugDedup: duplicate (kind, message) bugs across reports
 // collapse to one.
 func TestFrontierBugDedup(t *testing.T) {
@@ -160,11 +133,6 @@ func TestFrontierBugDedup(t *testing.T) {
 // lease table, whichever it is.
 func TestFrontierWhoeverLooksReclaims(t *testing.T) {
 	looks := map[string]func(t *testing.T, f *MemFrontier, u *LeasedUnit){
-		"Renew": func(t *testing.T, f *MemFrontier, u *LeasedUnit) {
-			if f.Renew(u.ID, u.Epoch) {
-				t.Error("renewed a lease past its deadline")
-			}
-		},
 		"CompleteReport": func(t *testing.T, f *MemFrontier, u *LeasedUnit) {
 			if stale := f.CompleteReport(u.ID, u.Epoch, execReport(1)); !stale {
 				t.Error("accepted a completion past the lease's deadline")

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -33,14 +34,13 @@ type CoordinatorConfig struct {
 	Program func(*core.Program)
 	// Addr is the listen address (":0" picks a free port; see Addr).
 	Addr string
-	// LeaseTTL bounds how long a worker may sit on a work unit without
-	// renewing; 0 means core.DefaultLeaseTTL. Expired leases are reclaimed
-	// and re-issued.
+	// LeaseTTL bounds how long a worker may take to complete a lease; 0
+	// means core.DefaultLeaseTTL. Expired leases are reclaimed and re-issued.
 	LeaseTTL time.Duration
 }
 
 // Coordinator owns the distributed frontier and serves the worker API —
-// /v1/join, /v1/lease, /v1/renew, /v1/complete — on the status server every
+// /v2/join, /v2/lease, /v2/complete — on the status server every
 // cxlmc process has: /metrics (Prometheus text), /statusz (JSON) and
 // /debug/pprof come with it.
 type Coordinator struct {
@@ -66,11 +66,18 @@ type Coordinator struct {
 	// units: the exploration is already complete and Wait returns at once
 	// (the frontier itself never reports Done without having held units).
 	emptySeed bool
-	// starved tracks workers whose lease ask recently came up empty: busy
-	// workers are told of them on renew and yield, and the remainders they
-	// return are split until everyone can be fed.
-	starved map[string]time.Time
-	idem    *idemCache
+	// parked counts the lease requests waiting for a unit — the waiting set a
+	// returned remainder is split for — and wake is closed (and replaced) by
+	// every completion and stop, for them and for Wait to look again.
+	parked int
+	wake   chan struct{}
+	// owing names the workers whose last answer told them to call lease
+	// (again) and who have not yet: on their way, between two calls. Wait
+	// does not return until they have arrived and heard the outcome, and
+	// none of the inflight requests is still being answered.
+	owing    map[string]bool
+	inflight int
+	idem     *idemCache
 
 	cpStop chan struct{}
 	cpDone chan struct{}
@@ -84,14 +91,6 @@ type Coordinator struct {
 	mDonated     *obs.Counter
 	mQuarantines *obs.Counter
 }
-
-// starvedWindow is how long an empty lease response marks its worker as
-// hungry.
-const starvedWindow = 2 * time.Second
-
-// stopLinger is how long the coordinator keeps answering (with Stop or
-// Done) after the run resolves, so polling workers observe the outcome.
-const stopLinger = 250 * time.Millisecond
 
 // StartCoordinator seeds the frontier (resuming Check.CheckpointPath if it
 // holds a valid checkpoint; a corrupt one is quarantined), starts the
@@ -114,13 +113,15 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
+	retire(nil)
 	c := &Coordinator{
 		cfg:        cfg,
 		cfgDigest:  cfgDigest,
 		progDigest: progDigest,
 		reg:        cfg.Check.Obs,
 		start:      time.Now(),
-		starved:    make(map[string]time.Time),
+		wake:       make(chan struct{}),
+		owing:      make(map[string]bool),
 		idem:       newIdemCache(512),
 		cpStop:     make(chan struct{}),
 		cpDone:     make(chan struct{}),
@@ -148,10 +149,9 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c.f.Credit(inherited)
 
 	c.srv, err = obs.NewServerRoutes(cfg.Addr, c.reg, func() any { return c.statusz() },
-		obs.Route{Pattern: "POST /v1/join", Handler: c.withChaos(c.handleJoin)},
-		obs.Route{Pattern: "POST /v1/lease", Handler: c.withChaos(c.handleLease)},
-		obs.Route{Pattern: "POST /v1/renew", Handler: c.withChaos(c.handleRenew)},
-		obs.Route{Pattern: "POST /v1/complete", Handler: c.withChaos(c.handleComplete)})
+		obs.Route{Pattern: "POST /v2/join", Handler: c.api(c.handleJoin)},
+		obs.Route{Pattern: "POST /v2/lease", Handler: c.api(c.handleLease)},
+		obs.Route{Pattern: "POST /v2/complete", Handler: c.api(c.handleComplete)})
 	if err != nil {
 		c.f.Close()
 		return nil, fmt.Errorf("dist: %w", err)
@@ -198,8 +198,6 @@ func (c *Coordinator) onLeaseEvent(class string, unit, epoch uint64) {
 		c.mLeaseActive.Add(1)
 		c.mGrants.Inc()
 		c.tracer.Record(-1, obs.EvLeaseGrant, int64(unit), int64(epoch))
-	case "renew":
-		c.tracer.Record(-1, obs.EvLeaseRenew, int64(unit), int64(epoch))
 	case "complete":
 		c.mLeaseActive.Add(-1)
 		c.mCompletes.Inc()
@@ -217,16 +215,29 @@ func (c *Coordinator) onLeaseEvent(class string, unit, epoch uint64) {
 // Addr returns the bound "host:port" address.
 func (c *Coordinator) Addr() string { return c.srv.Addr() }
 
-// withChaos wraps a handler with server-side fault injection: a chaos
-// 5xx makes the coordinator answer 503 without processing the request,
-// exercising the workers' retry path.
-func (c *Coordinator) withChaos(h http.HandlerFunc) http.HandlerFunc {
+// api wraps a worker-API handler. Server-side fault injection: a chaos 5xx
+// makes the coordinator answer 503 without processing the request, exercising
+// the workers' retry path. And the count of requests being answered, which
+// Wait lets reach zero — each answer flushed to its connection first — before
+// it returns.
+func (c *Coordinator) api(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if c.cfg.Check.Chaos.Net5xx() {
 			http.Error(w, "chaos: injected 5xx", http.StatusServiceUnavailable)
 			return
 		}
+		c.mu.Lock()
+		c.inflight++
+		c.mu.Unlock()
 		h(w, r)
+		if f, ok := w.(http.Flusher); ok {
+			f.Flush()
+		}
+		c.mu.Lock()
+		if c.inflight--; c.inflight == 0 {
+			c.wakeLocked()
+		}
+		c.mu.Unlock()
 	}
 }
 
@@ -303,30 +314,43 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 			c.cfgDigest, c.progDigest, req.Worker, req.ConfigDigest, req.ProgramDigest), http.StatusConflict)
 		return
 	}
-	c.reply(w, "", joinResponse{
+	resp := joinResponse{
 		LeaseTTLMs:       c.cfg.LeaseTTL.Milliseconds(),
 		ContinueAfterBug: c.cfg.Check.ContinueAfterBug,
-	})
+	}
+	resp.Done, resp.Stop = c.outcome(req.Worker, true)
+	c.reply(w, "", resp)
 }
 
-// unfed returns how many workers recently asked for a unit, got none, and
-// will not find one queued when they ask again.
-func (c *Coordinator) unfed() int {
-	_, queued, _ := c.f.Progress()
+// outcome reports how the run has resolved, if it has: explored to the end
+// (done) or stopping. While it has not, a worker whose answer sends it off to
+// call lease (again) is recorded as owing that call. One critical section
+// decides both, and Wait reads owing in another once it has seen the run
+// resolve — so a worker is either told the outcome or waited for, never
+// sent off to an address that is about to close.
+func (c *Coordinator) outcome(worker string, again bool) (done, stop bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := time.Now()
-	for wk, t := range c.starved {
-		if now.Sub(t) > starvedWindow {
-			delete(c.starved, wk)
-		}
+	stop = c.stopFlag
+	done = !stop && (c.emptySeed || c.f.Done())
+	if again && !done && !stop {
+		c.owing[worker] = true
 	}
-	if n := len(c.starved) - queued; n > 0 {
-		return n
-	}
-	return 0
+	return done, stop
 }
 
+// wakeLocked wakes every parked lease request and Wait. Called with c.mu held.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
+}
+
+// handleLease answers with a unit, Done or Stop as soon as one exists. Until
+// then the request parks here, as engine.take parks on its cond: every
+// completion and stop wakes it to look again, and when the park the caller
+// allowed runs out it is answered empty and asks again. Nobody parks longer
+// than a lease lives — an expired lease is reclaimed by whoever looks next,
+// and a parked request is who looks.
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req leaseRequest
 	if !decode(w, r, &req) {
@@ -336,51 +360,46 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.mu.Lock()
-	stopping := c.stopFlag
-	c.mu.Unlock()
-	var resp leaseResponse
-	if stopping {
-		resp.Stop = true
-		c.reply(w, req.ReqID, resp)
-		return
-	}
-	u, done := c.f.TryLease(req.Worker)
-	c.mu.Lock()
-	switch {
-	case u != nil:
-		delete(c.starved, req.Worker)
-		resp.Unit = &wireUnit{ID: u.ID, Epoch: u.Epoch, Snapshot: u.Snapshot}
-	case done:
-		resp.Done = true
-	default:
-		// Nothing free right now but leases are outstanding: mark this
-		// worker starved (the holders hear of it on renew) and have it ask
-		// again shortly.
-		c.starved[req.Worker] = time.Now()
-		resp.WaitMs = 25
-	}
-	c.mu.Unlock()
-	c.reply(w, req.ReqID, resp)
-}
-
-func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
-	var req renewRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if c.replayed(w, req.ReqID) {
-		return
-	}
-	var resp renewResponse
-	for _, l := range req.Leases {
-		if !c.f.Renew(l.ID, l.Epoch) {
-			resp.StaleIDs = append(resp.StaleIDs, l.ID)
+	if c.owing[req.Worker] {
+		if delete(c.owing, req.Worker); len(c.owing) == 0 {
+			c.wakeLocked() // the last call Wait may be waiting for
 		}
 	}
-	resp.Wanted = c.unfed()
-	c.mu.Lock()
-	resp.Stop = c.stopFlag
 	c.mu.Unlock()
+	park := time.Duration(req.ParkMs) * time.Millisecond
+	if park > c.cfg.LeaseTTL {
+		park = c.cfg.LeaseTTL
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), park)
+	defer cancel()
+	var resp leaseResponse
+	for {
+		// The wake-up is read before looking, so a completion that lands
+		// between the look and the wait is not slept through.
+		c.mu.Lock()
+		wake := c.wake
+		c.mu.Unlock()
+		if u, _ := c.f.TryLease(req.Worker); u != nil {
+			resp.Unit = &wireUnit{ID: u.ID, Epoch: u.Epoch, Snapshot: u.Snapshot}
+			break
+		}
+		// Out of park, the answer is empty and the worker asks again —
+		// unless the run has resolved, and the answer is that.
+		spent := ctx.Err() != nil
+		if resp.Done, resp.Stop = c.outcome(req.Worker, spent); resp.Done || resp.Stop || spent {
+			break
+		}
+		c.mu.Lock()
+		c.parked++
+		c.mu.Unlock()
+		select {
+		case <-wake:
+		case <-ctx.Done():
+		}
+		c.mu.Lock()
+		c.parked--
+		c.mu.Unlock()
+	}
 	c.reply(w, req.ReqID, resp)
 }
 
@@ -418,7 +437,9 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		// Feed the waiting, and the worker that just made room for them:
 		// split what came back until there is a unit for each, or nothing
 		// splits further.
-		want := c.unfed() + 1
+		c.mu.Lock()
+		want := c.parked + 1
+		c.mu.Unlock()
 		for i := 0; i < len(trees) && len(trees) < want; {
 			if kids := trees[i].Split(); len(kids) > 0 {
 				trees = append(trees, kids...)
@@ -445,8 +466,9 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 			c.f.Stop()
 		}
 	}
-	resp.Stop = c.stopFlag
+	c.wakeLocked()
 	c.mu.Unlock()
+	resp.Done, resp.Stop = c.outcome(req.Worker, req.Again)
 	c.reply(w, req.ReqID, resp)
 }
 
@@ -487,52 +509,61 @@ func (c *Coordinator) writeCheckpoint(complete bool) error {
 }
 
 // Wait blocks until the exploration completes (every unit explored and
-// reported), the coordinator stops on a bug, or stop/Check.Stop fires;
-// then it shuts the server down, writes the final checkpoint and returns
-// the merged result. The bug set is sorted (kind, message) and repro
-// tokens are minimized over the global set, so a distributed run's
-// output is comparable line-for-line with a single-process run's.
+// reported), the coordinator stops on a bug, or stop/Check.Stop fires; then
+// it sees every worker told, retires the server (see lingering), writes the
+// final checkpoint and returns the merged result. The bug set is sorted
+// (kind, message) and repro tokens are minimized over the global set, so a
+// distributed run's output is comparable line-for-line with a
+// single-process run's.
 func (c *Coordinator) Wait(stop <-chan struct{}) (*core.Result, error) {
-	tick := time.NewTicker(10 * time.Millisecond)
-	defer tick.Stop()
 	stopCh, cfgStop := stop, c.cfg.Check.Stop
-	complete := c.emptySeed
-	for !complete {
+	// patience is armed when the run resolves or begins to stop, and bounds
+	// whatever Wait still waits for: no lease is granted past a stop, so one
+	// TTL on every lease still out has lapsed, whoever held it, and a worker
+	// that owes a call and has not made it died between two.
+	var patience <-chan time.Time
+	complete, spent := false, false
+	for {
+		c.mu.Lock()
+		wake, stopping := c.wake, c.stopFlag
+		busy := len(c.owing) > 0 || c.inflight > 0
+		c.mu.Unlock()
+		complete = c.emptySeed || c.f.Done()
+		resolved := complete
+		if stopping && !complete {
+			// Stopping: outstanding leases resolve first (complete, or expire
+			// and are reclaimed) so the final checkpoint holds every
+			// unexplored unit.
+			_, _, leased := c.f.Progress()
+			resolved = leased == 0
+		}
+		// Resolved, every parked lease request has been woken to Done or Stop
+		// and the last completer heard it in its completion; whoever was
+		// between two calls is about to ask and be told.
+		if resolved && (!busy || spent) {
+			break
+		}
+		if resolved {
+			stopCh, cfgStop = nil, nil // a stop has nothing left to stop
+		}
+		if (resolved || stopping) && patience == nil {
+			patience = time.After(c.cfg.LeaseTTL)
+		}
 		select {
 		case <-stopCh:
 			stopCh = nil // fire once; a closed channel must not spin the loop
-			c.requestStop(true)
+			c.requestStop()
 		case <-cfgStop:
 			// A nil channel blocks forever; only a real stop lands here.
 			cfgStop = nil
-			c.requestStop(true)
-		case <-tick.C:
-		}
-		if c.f.Done() {
-			complete = true
-			break
-		}
-		c.mu.Lock()
-		stopping := c.stopFlag
-		c.mu.Unlock()
-		if stopping {
-			// Stopping: wait for outstanding leases to resolve (complete,
-			// or expire and be reclaimed) so the final checkpoint
-			// holds every unexplored unit.
-			if _, _, leased := c.f.Progress(); leased == 0 {
-				break
-			}
+			c.requestStop()
+		case <-wake:
+		case <-patience:
+			spent = true
 		}
 	}
-	c.requestStop(false)
 	close(c.cpStop)
 	<-c.cpDone
-	// Linger briefly with the stop flag set before tearing the server
-	// down: idle workers poll every ~25ms and need to see one Stop/Done
-	// response to exit promptly, instead of retrying a dead address until
-	// their give-up timer fires.
-	time.Sleep(stopLinger)
-	c.srv.Close()
 	t, units := c.f.Outstanding()
 	// Like the engine's result, Stats counts the points of the units a
 	// stopped run leaves unexplored. (Every unit in the frontier decodes:
@@ -543,6 +574,7 @@ func (c *Coordinator) Wait(stop <-chan struct{}) (*core.Result, error) {
 	}
 	fs := c.f.Stats()
 	c.f.Close()
+	retire(c.srv)
 	c.mu.Lock()
 	stats := core.Stats{
 		Counters:         t.Counters,
@@ -575,15 +607,37 @@ func (c *Coordinator) Wait(stop <-chan struct{}) (*core.Result, error) {
 	return &core.Result{Stats: stats, Bugs: t.Bugs, Seed: c.cfg.Check.Seed, GPF: c.cfg.Check.GPF}, nil
 }
 
-// requestStop flips the stop flag; interrupted marks it operator-driven.
-func (c *Coordinator) requestStop(interrupted bool) {
+// lingering is the last coordinator in this process to have finished. Its
+// address stays up — lease and join are answered with the outcome, nothing
+// else moves — until the next one starts or finishes, or the process exits.
+// A worker started alongside a run of a few milliseconds may not have been
+// scheduled before the run was over, and there is no moment at which a
+// coordinator knows nobody else is coming; closing at once would turn that
+// worker's join into a connection error.
+var lingering struct {
+	sync.Mutex
+	srv *obs.Server
+}
+
+func retire(srv *obs.Server) {
+	lingering.Lock()
+	old := lingering.srv
+	lingering.srv = srv
+	lingering.Unlock()
+	old.Close()
+}
+
+// requestStop is the operator's stop: no further leases, and the run is
+// marked interrupted unless a bug had already stopped it.
+func (c *Coordinator) requestStop() {
 	c.mu.Lock()
-	if interrupted && !c.stopFlag {
+	if !c.stopFlag {
 		c.interrupted = true
 	}
 	c.stopFlag = true
-	c.mu.Unlock()
 	c.f.Stop()
+	c.wakeLocked()
+	c.mu.Unlock()
 }
 
 // Registry exposes the coordinator's metrics registry (tests, snapshot

@@ -13,7 +13,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,6 +22,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/recipe"
 	"repro/internal/recipe/cceh"
+	"repro/internal/recipe/pbwtree"
 )
 
 // The distributed-exploration suite: end-to-end parity over real HTTP,
@@ -270,16 +270,16 @@ func TestDistDigestMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestDistAbandonedLeaseReclaim is the lost-worker story end to end. A
-// worker leases the only unit and is then partitioned away — it keeps
-// exploring, but its renewals stop arriving. The coordinator reclaims the
-// lease after the TTL and a healthy worker takes the unit over. When the
-// partition heals the victim's next renewal is answered stale, and it
-// abandons the unit within one execution boundary instead of exploring to the
-// end a lease whose completion will be rejected; that completion, and a
-// replay of it much later, are rejected as stale, and the global result still
-// matches the single-process baseline exactly — LeaseReclaims and
-// StaleCompletions record the recovery.
+// TestDistAbandonedLeaseReclaim is the lost-worker story end to end. A worker
+// leases the only unit and then goes slow: its one-execution lease outlasts
+// the TTL. The coordinator reclaims the lease and a healthy worker, parked
+// until then, takes the unit over. The victim's completion — and a replay of
+// it under a fresh request ID — is rejected as stale, and all the victim lost
+// to the reclaim is that one lease's budget: it reports its single execution
+// and the unexplored rest instead of having run the tree to the end on a
+// lease nobody would accept. The global result still matches the
+// single-process baseline exactly — LeaseReclaims and StaleCompletions record
+// the recovery.
 func TestDistAbandonedLeaseReclaim(t *testing.T) {
 	check := core.Config{ContinueAfterBug: true}
 	prog := ccehProgram(32)
@@ -296,57 +296,45 @@ func TestDistAbandonedLeaseReclaim(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The victim's view of the wire: renewals are cut until the partition
-	// heals; its first lease, what it had executed when the coordinator told
-	// it that lease was stale, and its completion of it are recorded.
+	// The victim's view of the wire: its first lease, and its completion of
+	// it with the coordinator's answer.
 	var (
-		partitioned atomic.Bool
-		mu          sync.Mutex
-		first       *wireUnit
-		atStale     = -1
-		abandoned   *completeRequest
+		mu        sync.Mutex
+		first     *wireUnit
+		abandoned *completeRequest
+		answer    completeResponse
 	)
-	partitioned.Store(true)
-	reg := obs.NewRegistry()
-	viaTap := tap(t, c.Addr(),
-		func(path string) bool { return path == "/v1/renew" && partitioned.Load() },
-		func(path string, req, resp []byte) {
-			mu.Lock()
-			defer mu.Unlock()
-			switch path {
-			case "/v1/lease":
-				var lr leaseResponse
-				if first == nil && json.Unmarshal(resp, &lr) == nil {
-					first = lr.Unit
-				}
-			case "/v1/renew":
-				var rr renewResponse
-				if atStale < 0 && json.Unmarshal(resp, &rr) == nil && len(rr.StaleIDs) > 0 {
-					atStale = int(reg.Snapshot()["cxlmc_executions_total"])
-				}
-			case "/v1/complete":
-				var cr completeRequest
-				if abandoned == nil && first != nil && json.Unmarshal(req, &cr) == nil &&
-					cr.UnitID == first.ID && cr.Epoch == first.Epoch {
-					abandoned = &cr
-				}
+	viaTap := tap(t, c.Addr(), nil, func(path string, req, resp []byte) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch path {
+		case "/v2/lease":
+			var lr leaseResponse
+			if first == nil && json.Unmarshal(resp, &lr) == nil {
+				first = lr.Unit
 			}
-		})
-	// One engine worker, slowed to 200ms an execution while the story plays
-	// out, so "one boundary" is one execution and relaying the stale answer
-	// (tens of milliseconds when every goroutine shares one P) takes no time
-	// by comparison.
+		case "/v2/complete":
+			var cr completeRequest
+			if abandoned == nil && first != nil && json.Unmarshal(req, &cr) == nil &&
+				cr.UnitID == first.ID && cr.Epoch == first.Epoch {
+				abandoned = &cr
+				json.Unmarshal(resp, &answer)
+			}
+		}
+	})
+	// One engine worker, stalled 200ms at each of its first boundaries: twice
+	// the TTL before its first execution has even begun.
 	victim := check
 	victim.Workers = 1
-	victim.Obs = reg
-	victim.Chaos = chaos.New(chaos.Config{StallPct: 100, StallDur: 200 * time.Millisecond, MaxFaults: 8})
-	done := make(chan error, 2)
+	victim.Chaos = chaos.New(chaos.Config{StallPct: 100, StallDur: 200 * time.Millisecond, MaxFaults: 4})
+	type outcome struct {
+		res *core.Result
+		err error
+	}
+	victimDone, healthyDone := make(chan outcome, 1), make(chan outcome, 1)
 	go func() {
-		_, err := RunWorker(WorkerConfig{
-			Check: victim, Program: prog, Coordinator: viaTap, Name: "victim",
-			Transport: TransportConfig{Attempts: 1}, // a cut renewal fails at once
-		})
-		done <- err
+		res, err := RunWorker(WorkerConfig{Check: victim, Program: prog, Coordinator: viaTap, Name: "victim"})
+		victimDone <- outcome{res, err}
 	}()
 	deadline := time.Now().Add(10 * time.Second)
 	waitFor := func(what string, cond func() bool) {
@@ -359,52 +347,49 @@ func TestDistAbandonedLeaseReclaim(t *testing.T) {
 		}
 	}
 	waitFor("the victim never leased the tree", func() bool { mu.Lock(); defer mu.Unlock(); return first != nil })
-	// A healthy worker arrives; it can only make progress once the
-	// victim's lease is reclaimed and re-issued. (At 2ms an execution it
-	// cannot finish the run before the victim has been heard from again.)
+	// A healthy worker arrives; it can only make progress once the victim's
+	// lease is reclaimed and re-issued. (One engine worker at 5ms a boundary:
+	// it cannot finish the run before the victim has been heard from again.)
 	healthy := check
-	healthy.Chaos = chaos.New(chaos.Config{StallPct: 100, StallDur: 2 * time.Millisecond})
+	healthy.Workers = 1
+	healthy.Chaos = chaos.New(chaos.Config{StallPct: 100, StallDur: 5 * time.Millisecond})
 	go func() {
-		_, err := RunWorker(WorkerConfig{
-			Check: healthy, Program: prog,
-			Coordinator: c.Addr(), Name: "healthy",
-		})
-		done <- err
+		res, err := RunWorker(WorkerConfig{Check: healthy, Program: prog, Coordinator: c.Addr(), Name: "healthy"})
+		healthyDone <- outcome{res, err}
 	}()
-	waitFor("the partitioned worker's lease was never reclaimed", func() bool { return c.f.Stats().Reclaims > 0 })
-	partitioned.Store(false)
+	waitFor("the slow worker's lease was never reclaimed", func() bool { return c.f.Stats().Reclaims > 0 })
+	waitFor("the victim never completed its first lease", func() bool { mu.Lock(); defer mu.Unlock(); return abandoned != nil })
+	mu.Lock()
+	if !answer.Stale {
+		t.Fatal("the victim's completion of its reclaimed lease was accepted")
+	}
+	if abandoned.Report.Executions > 1 || len(abandoned.Report.Remainder) == 0 {
+		t.Fatalf("the reclaimed lease cost the victim %d executions and it returned %d units; want its budget of 1 and the unexplored rest",
+			abandoned.Report.Executions, len(abandoned.Report.Remainder))
+	}
+	// The same completion arrives once more, as a new request: still rejected.
+	again := *abandoned
+	mu.Unlock()
+	var cr completeResponse
+	again.ReqID = "victim-complete-again"
+	if err := NewTransport(c.Addr(), TransportConfig{}).Call("/v2/complete", again, &cr); err != nil || !cr.Stale {
+		t.Fatalf("replayed stale completion: err %v, stale %v; want a stale rejection", err, cr.Stale)
+	}
 
 	res, err := c.Wait(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		if werr := <-done; werr != nil {
-			t.Fatalf("worker: %v", werr)
-		}
+	v, h := <-victimDone, <-healthyDone
+	if v.err != nil || h.err != nil {
+		t.Fatalf("workers: victim %v, healthy %v", v.err, h.err)
 	}
 	assertParity(t, "post-reclaim", res, base)
-	if res.LeaseReclaims < 1 || res.StaleCompletions < 1 {
-		t.Fatalf("LeaseReclaims = %d, StaleCompletions = %d, want >= 1 each", res.LeaseReclaims, res.StaleCompletions)
+	if res.LeaseReclaims < 1 || res.StaleCompletions < 2 {
+		t.Fatalf("LeaseReclaims = %d, StaleCompletions = %d, want >= 1 and >= 2", res.LeaseReclaims, res.StaleCompletions)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if atStale < 0 || abandoned == nil {
-		t.Fatalf("the victim was told of the stale lease: %v; completed it: %v", atStale >= 0, abandoned != nil)
-	}
-	if after := abandoned.Report.Executions - atStale; after > 1 || len(abandoned.Report.Remainder) == 0 {
-		t.Fatalf("told its lease was stale, the victim ran %d more executions and returned %d units; want at most 1 and the unexplored rest",
-			after, len(abandoned.Report.Remainder))
-	}
-
-	// The victim's completion arrives once more, long after the fact (the
-	// coordinator lingers briefly after the run for exactly this kind of
-	// straggler): still rejected.
-	var cr completeResponse
-	abandoned.ReqID = "victim-complete-again"
-	err = NewTransport(c.Addr(), TransportConfig{}).Call("/v1/complete", abandoned, &cr)
-	if err == nil && !cr.Stale {
-		t.Fatal("stale completion from the reclaimed lease was accepted")
+	if v.res.StaleCompletions < 1 {
+		t.Fatal("the victim's own stats do not record its stale completion")
 	}
 }
 
@@ -426,13 +411,13 @@ func TestDistBadRemainderRejected(t *testing.T) {
 	}
 	tr := NewTransport(c.Addr(), TransportConfig{})
 	var lr leaseResponse
-	if err := tr.Call("/v1/lease", leaseRequest{Worker: "mangler", ReqID: "mangler-lease-1"}, &lr); err != nil || lr.Unit == nil {
+	if err := tr.Call("/v2/lease", leaseRequest{Worker: "mangler", ReqID: "mangler-lease-1"}, &lr); err != nil || lr.Unit == nil {
 		t.Fatalf("lease: %v, unit %v", err, lr.Unit)
 	}
 	flipped := append([]byte(nil), lr.Unit.Snapshot...)
 	flipped[0] ^= 0x01
 	complete := func(reqID string, remainder ...[]byte) error {
-		return tr.Call("/v1/complete", completeRequest{
+		return tr.Call("/v2/complete", completeRequest{
 			Worker: "mangler", ReqID: reqID, UnitID: lr.Unit.ID, Epoch: lr.Unit.Epoch,
 			Report: core.UnitReport{Tally: core.Tally{Counters: core.Counters{Executions: 5}}, Remainder: remainder},
 		}, nil)
@@ -458,63 +443,101 @@ func TestDistBadRemainderRejected(t *testing.T) {
 	assertParity(t, "after a rejected remainder", res, base)
 }
 
-// TestWorkerYieldsOnDemand: donation is completing early. With two workers
-// and one unit, the second starves, the first hears of it on its next
-// renewal, stops at an execution boundary and returns what is left, and the
-// coordinator splits that for both — over and over, since the leases are
-// short. Units come back (cxlmc_units_donated_total), none is lost, no report
-// carries a negative counter, and totals and bugs equal the serial run's,
-// every token replaying.
+// budgetTap is a tap for any number of workers that checks every completion
+// against what its worker may have chosen: a budget starts at one execution
+// and at most doubles from one lease to the next, so a worker's k-th report
+// (from zero) never holds more than 1<<k executions, and no counter in it is
+// negative. It returns the address to join and a func listing the violations.
+func budgetTap(t *testing.T, addr string) (string, func() []string) {
+	var mu sync.Mutex
+	var bad []string
+	reports := map[string]int{}
+	via := tap(t, addr, nil, func(path string, req, _ []byte) {
+		var cr completeRequest
+		if path != "/v2/complete" || json.Unmarshal(req, &cr) != nil {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		k := reports[cr.Worker]
+		reports[cr.Worker]++
+		if k < 30 && cr.Report.Executions > 1<<k {
+			bad = append(bad, fmt.Sprintf("%s: %d executions on the worker's lease %d, budget at most %d", cr.ReqID, cr.Report.Executions, k, 1<<k))
+		}
+		counters := reflect.ValueOf(cr.Report.Counters)
+		for i := 0; i < counters.NumField(); i++ {
+			if counters.Field(i).Int() < 0 {
+				bad = append(bad, fmt.Sprintf("%s: %s = %d", cr.ReqID, counters.Type().Field(i).Name, counters.Field(i).Int()))
+			}
+		}
+	})
+	return via, func() []string { mu.Lock(); defer mu.Unlock(); return bad }
+}
+
+// twoWorkers starts a default-TTL coordinator for prog, runs two workers
+// against it through a budgetTap and returns the coordinator, its result,
+// each worker's local result and how long after the last worker returned
+// Wait did.
+func twoWorkers(t *testing.T, check core.Config, prog func(*core.Program)) (*Coordinator, *core.Result, []*core.Result, time.Duration) {
+	t.Helper()
+	c, err := StartCoordinator(CoordinatorConfig{Check: check, Program: prog, Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	via, violations := budgetTap(t, c.Addr())
+	var wg sync.WaitGroup
+	locals := make([]*core.Result, 2)
+	returned := make([]time.Time, 2)
+	for i := range locals {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var err error
+			if locals[i], err = RunWorker(WorkerConfig{
+				Check: check, Program: prog, Coordinator: via, Name: fmt.Sprintf("w%d", i),
+			}); err != nil {
+				t.Errorf("worker %d: %v", i, err)
+			}
+			returned[i] = time.Now()
+		}(i)
+	}
+	res, err := c.Wait(nil)
+	waited := time.Now()
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	if bad := violations(); len(bad) > 0 {
+		t.Fatalf("dishonest reports: %v", bad)
+	}
+	if added, done := c.f.UnitCounts(); added != done {
+		t.Fatalf("%d units added but %d completed — work lost or duplicated", added, done)
+	}
+	last := returned[0]
+	if returned[1].After(last) {
+		last = returned[1]
+	}
+	return c, res, locals, waited.Sub(last)
+}
+
+// TestWorkerYieldsOnDemand: donation is completing at the budget. With two
+// workers and one unit, the second parks, the first completes its
+// one-execution lease and returns what is left, and the coordinator splits
+// that for both — at every completion that finds someone waiting, with no
+// timer involved. Units come back (cxlmc_units_donated_total), none is lost,
+// no report carries a negative counter or more than its budget, and totals
+// and bugs equal the serial run's, every token replaying.
 func TestWorkerYieldsOnDemand(t *testing.T) {
 	check := core.Config{ContinueAfterBug: true}
-	// Sized to outlast a few renewals (every LeaseTTL/3) on one P: 320
-	// executions, ~65 ms serially since loads resolve a run at a time (32
-	// keys, 197 executions, took that long before and take 30 ms now).
 	prog := ccehProgram(48)
 	base, err := core.Run(check, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := StartCoordinator(CoordinatorConfig{
-		Check: check, Program: prog, Addr: "127.0.0.1:0",
-		LeaseTTL: 60 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var negative []string
-	viaTap := tap(t, c.Addr(), nil, func(path string, req, _ []byte) {
-		var cr completeRequest
-		if path != "/v1/complete" || json.Unmarshal(req, &cr) != nil {
-			return
-		}
-		counters := reflect.ValueOf(cr.Report.Counters)
-		for i := 0; i < counters.NumField(); i++ {
-			if counters.Field(i).Int() < 0 {
-				mu.Lock()
-				negative = append(negative, fmt.Sprintf("%s: %s = %d", cr.ReqID, counters.Type().Field(i).Name, counters.Field(i).Int()))
-				mu.Unlock()
-			}
-		}
-	})
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := RunWorker(WorkerConfig{
-				Check: check, Program: prog, Coordinator: viaTap, Name: fmt.Sprintf("w%d", i),
-			}); err != nil {
-				t.Errorf("worker %d: %v", i, err)
-			}
-		}(i)
-	}
-	res, err := c.Wait(nil)
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, res, _, _ := twoWorkers(t, check, prog)
 	assertParity(t, "yielding", res, base)
 	if res.Steps != base.Steps {
 		t.Fatalf("steps %d != serial run's %d", res.Steps, base.Steps)
@@ -522,18 +545,145 @@ func TestWorkerYieldsOnDemand(t *testing.T) {
 	if donated := c.Registry().Snapshot()["cxlmc_units_donated_total"]; donated == 0 {
 		t.Fatal("no worker ever returned a remainder: nothing was donated")
 	}
-	if added, done := c.f.UnitCounts(); added != done {
-		t.Fatalf("%d units added but %d completed — work lost or duplicated", added, done)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(negative) > 0 {
-		t.Fatalf("reports with negative counters: %v", negative)
-	}
 	for _, b := range res.Bugs {
 		if rr, err := core.Replay(b.ReproToken, core.Config{}, prog); err != nil || !rr.Buggy() {
 			t.Fatalf("token of %q does not replay to a bug: %v", b.Message, err)
 		}
+	}
+}
+
+// table5BwTree is the Table 5 P-BwTree program as the benchmark's dist_2w
+// workload runs it: 246 executions, 152 601 steps, some 30 ms serially.
+func table5BwTree() (core.Config, func(*core.Program)) {
+	return core.Config{Workers: 1}, recipe.Program(pbwtree.Benchmark, recipe.Config{Keys: 10, Workers: 1})
+}
+
+// TestShortRunIsShared: a run far shorter than any lease TTL is still
+// explored by both workers. The first lease of the fresh tree is one
+// execution, its remainder comes back split, and from then on every
+// completion feeds whoever is parked — so both workers execute, units are
+// donated, none is lost, and the totals are the serial run's to the step.
+func TestShortRunIsShared(t *testing.T) {
+	check, prog := table5BwTree()
+	base, err := core.Run(check, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, res, locals, _ := twoWorkers(t, check, prog)
+	assertParity(t, "shared", res, base)
+	if res.Steps != base.Steps {
+		t.Fatalf("steps %d != serial run's %d", res.Steps, base.Steps)
+	}
+	for i, l := range locals {
+		if l.Executions == 0 {
+			t.Errorf("worker %d explored nothing: the run was not shared (%d, %d of %d executions)",
+				i, locals[0].Executions, locals[1].Executions, res.Executions)
+		}
+	}
+	if locals[0].Executions+locals[1].Executions != res.Executions {
+		t.Errorf("the workers report %d + %d executions, the coordinator %d", locals[0].Executions, locals[1].Executions, res.Executions)
+	}
+	if donated := c.Registry().Snapshot()["cxlmc_units_donated_total"]; donated == 0 {
+		t.Error("cxlmc_units_donated_total = 0")
+	}
+}
+
+// TestNobodyLingers: everyone hears the outcome in an answer to a call they
+// had already made — the parked worker in its lease, the last completer in
+// its completion — so both report the run complete without a retry, and the
+// coordinator is gone as soon as they are.
+func TestNobodyLingers(t *testing.T) {
+	check, prog := table5BwTree()
+	_, res, locals, lag := twoWorkers(t, check, prog)
+	if !res.Complete {
+		t.Fatal("run incomplete")
+	}
+	for i, l := range locals {
+		if !l.Complete || l.RPCRetries != 0 {
+			t.Errorf("worker %d: complete=%v after %d rpc retries; want true and 0", i, l.Complete, l.RPCRetries)
+		}
+	}
+	if lag > 100*time.Millisecond {
+		t.Errorf("Wait returned %v after the last worker had", lag)
+	}
+}
+
+// TestLeaseParks: a lease request waits where the work is. With the only
+// unit out, an idle worker's request parks at the coordinator for half its
+// transport timeout — a call a second, not forty — and the completion that
+// returns the unit answers the request parked at that moment: no further ask
+// is needed.
+func TestLeaseParks(t *testing.T) {
+	check := core.Config{ContinueAfterBug: true}
+	prog := ccehProgram(8)
+	base, err := core.Run(check, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := StartCoordinator(CoordinatorConfig{Check: check, Program: prog, Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	holder := NewTransport(c.Addr(), TransportConfig{})
+	var lr leaseResponse
+	if err := holder.Call("/v2/lease", leaseRequest{Worker: "holder", ReqID: "holder-lease-1"}, &lr); err != nil || lr.Unit == nil {
+		t.Fatalf("lease: %v, unit %v", err, lr.Unit)
+	}
+
+	var mu sync.Mutex
+	var asks []time.Time // when each of the idle worker's lease requests set out
+	var grantedAt time.Time
+	grantedAsk := 0 // how many it had made when one was granted
+	secondAsk := make(chan struct{})
+	via := tap(t, c.Addr(),
+		func(path string) bool {
+			if path == "/v2/lease" {
+				mu.Lock()
+				if asks = append(asks, time.Now()); len(asks) == 2 {
+					close(secondAsk)
+				}
+				mu.Unlock()
+			}
+			return false
+		},
+		func(path string, _, resp []byte) {
+			var got leaseResponse
+			if path == "/v2/lease" && json.Unmarshal(resp, &got) == nil && got.Unit != nil {
+				mu.Lock()
+				if grantedAt.IsZero() {
+					grantedAt, grantedAsk = time.Now(), len(asks)
+				}
+				mu.Unlock()
+			}
+		})
+	go RunWorker(WorkerConfig{Check: check, Program: prog, Coordinator: via, Name: "idle"})
+
+	select {
+	case <-secondAsk:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the idle worker never asked twice")
+	}
+	// The second request has just parked, with its whole park ahead of it:
+	// hand the unit back now.
+	completed := time.Now()
+	if err := holder.Call("/v2/complete", completeRequest{
+		Worker: "holder", ReqID: "holder-complete-1", UnitID: lr.Unit.ID, Epoch: lr.Unit.Epoch,
+		Report: core.UnitReport{Remainder: [][]byte{lr.Unit.Snapshot}},
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Wait(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertParity(t, "after parking", res, base)
+	mu.Lock()
+	defer mu.Unlock()
+	if parked := asks[1].Sub(asks[0]); parked < 900*time.Millisecond {
+		t.Fatalf("the first request came back empty after %v; want it parked for half the 2s transport timeout", parked)
+	}
+	if grantedAsk != 2 || grantedAt.Sub(completed) > 100*time.Millisecond {
+		t.Fatalf("granted on ask %d, %v after the completion; want the parked ask 2 answered at once", grantedAsk, grantedAt.Sub(completed))
 	}
 }
 
@@ -583,7 +733,7 @@ func TestDistIdempotentRequests(t *testing.T) {
 	// Three deliveries of one lease request grant one lease...
 	var lr leaseResponse
 	for i := 0; i < 3; i++ {
-		if err := tr.Call("/v1/lease", leaseRequest{Worker: "w", ReqID: "dup-lease-1"}, &lr); err != nil {
+		if err := tr.Call("/v2/lease", leaseRequest{Worker: "w", ReqID: "dup-lease-1"}, &lr); err != nil {
 			t.Fatal(err)
 		}
 		if lr.Unit == nil {
@@ -597,7 +747,7 @@ func TestDistIdempotentRequests(t *testing.T) {
 	addedBefore, _ := c.f.UnitCounts()
 	var cr completeResponse
 	for i := 0; i < 3; i++ {
-		if err := tr.Call("/v1/complete", completeRequest{
+		if err := tr.Call("/v2/complete", completeRequest{
 			Worker: "w", ReqID: "dup-complete-1", UnitID: lr.Unit.ID, Epoch: lr.Unit.Epoch,
 			Report: core.UnitReport{Remainder: [][]byte{lr.Unit.Snapshot}},
 		}, &cr); err != nil {
@@ -886,9 +1036,7 @@ func TestDistChaosSweep(t *testing.T) {
 	served.Chaos = serverInj
 	c, err := StartCoordinator(CoordinatorConfig{
 		Check: served, Program: prog, Addr: "127.0.0.1:0",
-		// Short enough that renewals run (they carry the coordinator's
-		// demand signal, which is what triggers donation splits), long
-		// enough that no live worker's lease lapses under injected
+		// Long enough that no live worker's lease lapses under injected
 		// delays — reclaim-under-fire is the abandoned-lease test's job.
 		LeaseTTL: 500 * time.Millisecond,
 	})
@@ -950,7 +1098,6 @@ func TestDistWorkerGivesUpOnDeadCoordinator(t *testing.T) {
 	}
 	tr := NewTransport("127.0.0.1:1", TransportConfig{Attempts: 1, Backoff: time.Millisecond, Timeout: 50 * time.Millisecond})
 	rf := NewRemoteFrontier(tr, "orphan", 100*time.Millisecond)
-	defer rf.Close()
 	start := time.Now()
 	u, err := rf.Lease(nil)
 	if u != nil || err != nil {

@@ -179,9 +179,7 @@ func (t *Transport) once(path string, body []byte, resp any) error {
 		time.Sleep(d)
 	}
 	if t.inj.NetDup() {
-		if raw, err := t.post(path, body); err == nil {
-			_ = raw
-		}
+		t.post(path, body) // the duplicate's answer, or failure, is nobody's
 	}
 	raw, err := t.post(path, body)
 	if err != nil {

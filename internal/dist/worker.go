@@ -32,33 +32,17 @@ type WorkerConfig struct {
 }
 
 // RemoteFrontier is the worker's end of the coordinator's HTTP API, spoken
-// through the retrying transport. It holds one lease at a time: Lease
-// fetches a unit and renews it in the background, Complete (or Close) ends
-// the renewal.
+// through the retrying transport: Lease fetches a unit, Complete hands it
+// back. It belongs to the one goroutine that calls them.
 type RemoteFrontier struct {
 	t    *Transport
 	name string
 	ttl  time.Duration
 
-	reqSeq atomic.Int64
-	// The rest belongs to the goroutine that calls Lease, Complete and Close.
-	held    *lease
+	reqSeq  int
 	done    bool // the coordinator reported the exploration finished
 	stales  int  // completions rejected for a stale epoch
 	lastRep int  // transport retries already reported upstream
-}
-
-// lease is the unit a worker holds, and the renewer that keeps it.
-type lease struct {
-	core.LeasedUnit
-	// yield is closed when the holder should stop exploring at its next
-	// execution boundary and complete with whatever is left: the worker was
-	// told to stop, the coordinator is stopping, other workers are waiting
-	// for units, or the lease went stale (reclaimed and re-issued, so the
-	// completion will be rejected and exploring on is wasted).
-	yield chan struct{}
-	quit  chan struct{}
-	ended chan struct{}
 }
 
 // NewRemoteFrontier returns a client for the coordinator behind t. ttl is
@@ -67,71 +51,22 @@ func NewRemoteFrontier(t *Transport, name string, ttl time.Duration) *RemoteFron
 	return &RemoteFrontier{t: t, name: name, ttl: ttl}
 }
 
-// Close abandons the held lease, if any: it stops being renewed, expires,
-// and the coordinator re-issues the unit.
-func (rf *RemoteFrontier) Close() {
-	if l := rf.held; l != nil {
-		rf.held = nil
-		close(l.quit)
-		<-l.ended
-	}
-}
-
 func (rf *RemoteFrontier) reqID(kind string) string {
-	return rf.name + "-" + kind + "-" + strconv.FormatInt(rf.reqSeq.Add(1), 10)
+	rf.reqSeq++
+	return rf.name + "-" + kind + "-" + strconv.Itoa(rf.reqSeq)
 }
 
-// renew extends l each ttl/3, well inside the deadline even with a retry or
-// two, and closes l.yield when the response (or stop) says the unit should
-// go back. The first renewal is a full period after the grant, so a lease
-// always buys that much exploration before it can be asked to yield.
-func (rf *RemoteFrontier) renew(l *lease, stop <-chan struct{}) {
-	defer close(l.ended)
-	period := rf.ttl / 3
-	if period < 10*time.Millisecond {
-		period = 10 * time.Millisecond
-	}
-	t := time.NewTicker(period)
-	defer t.Stop()
-	yielded := false
-	for {
-		var resp renewResponse
-		select {
-		case <-l.quit:
-			return
-		case <-stop:
-			stop = nil // fire once; keep renewing until the holder completes
-			resp.Stop = true
-		case <-t.C:
-			req := renewRequest{Worker: rf.name, ReqID: rf.reqID("renew"), Leases: []wireLease{{ID: l.ID, Epoch: l.Epoch}}}
-			if err := rf.t.Call("/v1/renew", req, &resp); err != nil {
-				// Unreachable coordinator: keep exploring; the next tick
-				// retries, and worst case the lease expires and the unit is
-				// re-issued — deterministic re-execution keeps that harmless.
-				continue
-			}
-		}
-		stale := len(resp.StaleIDs) > 0
-		if (stale || resp.Stop || resp.Wanted > 0) && !yielded {
-			yielded = true
-			close(l.yield)
-		}
-		if stale {
-			return
-		}
-	}
-}
-
-// Lease polls the coordinator until a unit is granted (returned, and renewed
-// in the background from now on), or there is nothing to wait for (nil): the
-// run is done or stopping, or stop fired. Transport errors degrade to
-// capped-backoff retrying — an idle worker has nothing better to do than
-// wait for the coordinator to come back (a restarted coordinator on the same
-// address is rejoined transparently) — but an outage outlasting several lease
-// TTLs makes the worker give up and finish with its local results: its leases
-// have long been reclaimed, so nothing is lost, and the process never hangs
-// on a dead address.
-func (rf *RemoteFrontier) Lease(stop <-chan struct{}) (*lease, error) {
+// Lease asks the coordinator for a unit until one is granted, or there is
+// nothing to wait for (nil): the run is done or stopping, or stop fired. The
+// waiting happens at the coordinator — a request parks there for up to half a
+// transport timeout, and an empty answer means ask again now. Transport
+// errors degrade to capped-backoff retrying — an idle worker has nothing
+// better to do than wait for the coordinator to come back (a restarted
+// coordinator on the same address is rejoined transparently) — but an outage
+// outlasting several lease TTLs makes the worker give up and finish with its
+// local results: its leases have long been reclaimed, so nothing is lost, and
+// the process never hangs on a dead address.
+func (rf *RemoteFrontier) Lease(stop <-chan struct{}) (*core.LeasedUnit, error) {
 	backoff := 25 * time.Millisecond
 	giveUp := 4 * rf.ttl
 	if giveUp < 2*time.Second {
@@ -140,8 +75,9 @@ func (rf *RemoteFrontier) Lease(stop <-chan struct{}) (*lease, error) {
 	var failSince time.Time
 	for !fired(stop) {
 		var resp leaseResponse
-		wait := backoff
-		err := rf.t.Call("/v1/lease", leaseRequest{Worker: rf.name, ReqID: rf.reqID("lease")}, &resp)
+		err := rf.t.Call("/v2/lease", leaseRequest{
+			Worker: rf.name, ReqID: rf.reqID("lease"), ParkMs: (rf.t.timeout / 2).Milliseconds(),
+		}, &resp)
 		switch {
 		case IsRejected(err):
 			return nil, fmt.Errorf("dist: lease rejected: %w", err)
@@ -151,6 +87,12 @@ func (rf *RemoteFrontier) Lease(stop <-chan struct{}) (*lease, error) {
 			} else if time.Since(failSince) > giveUp {
 				return nil, nil
 			}
+			t := time.NewTimer(backoff)
+			select {
+			case <-stop:
+			case <-t.C:
+			}
+			t.Stop()
 			if backoff *= 2; backoff > time.Second {
 				backoff = time.Second
 			}
@@ -158,27 +100,10 @@ func (rf *RemoteFrontier) Lease(stop <-chan struct{}) (*lease, error) {
 			rf.done = resp.Done
 			return nil, nil
 		case resp.Unit != nil:
-			l := &lease{
-				LeasedUnit: core.LeasedUnit{ID: resp.Unit.ID, Epoch: resp.Unit.Epoch, Snapshot: resp.Unit.Snapshot},
-				yield:      make(chan struct{}),
-				quit:       make(chan struct{}),
-				ended:      make(chan struct{}),
-			}
-			rf.held = l
-			go rf.renew(l, stop)
-			return l, nil
+			return &core.LeasedUnit{ID: resp.Unit.ID, Epoch: resp.Unit.Epoch, Snapshot: resp.Unit.Snapshot}, nil
 		default:
 			backoff, failSince = 25*time.Millisecond, time.Time{}
-			if wait = time.Duration(resp.WaitMs) * time.Millisecond; wait <= 0 {
-				wait = 25 * time.Millisecond
-			}
 		}
-		t := time.NewTimer(wait)
-		select {
-		case <-stop:
-		case <-t.C:
-		}
-		t.Stop()
 	}
 	return nil, nil
 }
@@ -195,32 +120,44 @@ func fired(stop <-chan struct{}) bool {
 
 // Complete ends lease l with its report, attaching the transport retries
 // accrued since the last report (so the coordinator's sum stays exact across
-// workers). A stale rejection is counted, not an error. A transport failure
-// after retries is survivable — the lease expires and the unit is re-issued —
-// so it is swallowed too; the lease stops being renewed either way.
-func (rf *RemoteFrontier) Complete(l *lease, rep core.UnitReport) {
-	rf.Close()
+// workers), and reports whether the coordinator said the run is over (done or
+// stopping): there is nothing further to lease. again tells the coordinator
+// this worker means to lease again unless so told. A stale rejection is counted,
+// not an error. A transport failure after retries is survivable — the lease
+// expires and the unit is re-issued — so it is swallowed too.
+func (rf *RemoteFrontier) Complete(l *core.LeasedUnit, rep core.UnitReport, again bool) (over bool) {
 	cur := rf.t.Retries()
 	rep.RPCRetries, rf.lastRep = cur-rf.lastRep, cur
 	var resp completeResponse
-	err := rf.t.Call("/v1/complete", completeRequest{
+	err := rf.t.Call("/v2/complete", completeRequest{
 		Worker: rf.name,
 		ReqID:  rf.reqID("complete"),
 		UnitID: l.ID,
 		Epoch:  l.Epoch,
 		Report: rep,
+		Again:  again,
 	}, &resp)
-	if err == nil && resp.Stale {
+	if err != nil {
+		return false
+	}
+	if resp.Stale {
 		rf.stales++
 	}
+	rf.done = resp.Done
+	return resp.Done || resp.Stop
 }
 
 // RunWorker joins the coordinator and works for it until there is nothing
 // left to lease or its own budget runs out: lease a unit, resume it as an
-// ordinary run from a one-unit checkpoint (core.Continue), report the final
-// checkpoint's totals and return its units as the remainder, lease again. It
-// returns this worker's local view — the sum of what it reported; the
-// coordinator's Wait result is the authoritative global one.
+// ordinary run from a one-unit checkpoint (core.Continue) under an execution
+// budget, report the final checkpoint's totals and return its units as the
+// remainder, lease again. The budget is the worker's own: one execution for
+// its first lease — so a fresh tree comes back, split for everyone waiting,
+// at once — doubled while a lease that spent it completes inside a sixth of
+// the TTL, halved when one takes more than a third; a lease is never extended
+// and a live worker's completion stays well inside the deadline. It returns
+// this worker's local view — the sum of what it reported; the coordinator's
+// Wait result is the authoritative global one.
 func RunWorker(cfg WorkerConfig) (*core.Result, error) {
 	if cfg.Name == "" {
 		cfg.Name = "worker-" + strconv.Itoa(os.Getpid())
@@ -247,7 +184,7 @@ func RunWorker(cfg WorkerConfig) (*core.Result, error) {
 		return nil, err
 	}
 	var jr joinResponse
-	if err := t.Call("/v1/join", joinRequest{
+	if err := t.Call("/v2/join", joinRequest{
 		Worker:        cfg.Name,
 		Seed:          cfg.Check.Seed,
 		ConfigDigest:  cfgDigest,
@@ -256,7 +193,7 @@ func RunWorker(cfg WorkerConfig) (*core.Result, error) {
 		return nil, fmt.Errorf("dist: joining %s: %w", cfg.Coordinator, err)
 	}
 	rf := NewRemoteFrontier(t, cfg.Name, time.Duration(jr.LeaseTTLMs)*time.Millisecond)
-	defer rf.Close()
+	rf.done = jr.Done
 
 	// check configures each lease's run. What spans the worker's lifetime is
 	// held here instead: the status server and its registry, the budgets
@@ -292,11 +229,10 @@ func RunWorker(cfg WorkerConfig) (*core.Result, error) {
 	start := time.Now()
 	var local core.Tally
 	degraded := false
-	for {
-		if cfg.Check.MaxExecutions > 0 {
-			if check.MaxExecutions = cfg.Check.MaxExecutions - local.Executions; check.MaxExecutions <= 0 {
-				break
-			}
+	for budget := 1; !jr.Done && !jr.Stop; {
+		check.MaxExecutions = budget
+		if left := cfg.Check.MaxExecutions - local.Executions; cfg.Check.MaxExecutions > 0 && left < budget {
+			check.MaxExecutions = left
 		}
 		if cfg.Check.MaxTime > 0 {
 			if check.MaxTime = cfg.Check.MaxTime - time.Since(start); check.MaxTime <= 0 {
@@ -311,7 +247,7 @@ func RunWorker(cfg WorkerConfig) (*core.Result, error) {
 			break
 		}
 		leases.Add(1)
-		check.Stop = l.yield
+		leased := time.Now()
 		cp, res, err := core.Continue(check, cfg.Program, core.NewCheckpoint(check.Seed, cfgDigest, progDigest,
 			[][]byte{l.Snapshot}, core.Tally{}, core.Resilience{}, 0, false, false))
 		if err != nil {
@@ -321,13 +257,22 @@ func RunWorker(cfg WorkerConfig) (*core.Result, error) {
 		}
 		rep := core.UnitReport{Remainder: cp.Units}
 		rep.Tally, _ = cp.Totals()
-		rf.Complete(l, rep)
 		local.Fold(rep.Tally)
 		degraded = degraded || res.Degraded
-		if !res.Complete && !fired(l.yield) {
-			// The lease ended on this worker's own account — its budget, the
-			// memory governor, the first bug — so another would end the same.
+		spent := rep.Executions >= check.MaxExecutions
+		// The lease ended short of its budget on this worker's own account —
+		// Stop, its time budget, the memory governor, the first bug — so
+		// another would end the same; or its own execution budget is used up.
+		last := !res.Complete && !spent ||
+			cfg.Check.MaxExecutions > 0 && local.Executions >= cfg.Check.MaxExecutions
+		if over := rf.Complete(l, rep, !last); over || last {
 			break
+		}
+		switch took := time.Since(leased); {
+		case spent && took < rf.ttl/6:
+			budget *= 2
+		case took > rf.ttl/3 && budget > 1:
+			budget /= 2
 		}
 	}
 	core.SortBugs(local.Bugs)

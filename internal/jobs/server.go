@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -250,6 +251,36 @@ type Server struct {
 // non-terminal job from the journal, and begins serving the REST API on
 // cfg.Addr.
 func Start(cfg Config) (*Server, error) {
+	s, err := recoverServer(cfg)
+	if err != nil {
+		return nil, err
+	}
+	routes := []obs.Route{
+		{Pattern: "POST /jobs", Handler: http.HandlerFunc(s.handleSubmit)},
+		{Pattern: "GET /jobs", Handler: http.HandlerFunc(s.handleList)},
+		{Pattern: "GET /jobs/{id}", Handler: http.HandlerFunc(s.handleGet)},
+		{Pattern: "POST /jobs/{id}/cancel", Handler: http.HandlerFunc(s.handleCancel)},
+		{Pattern: "DELETE /jobs/{id}", Handler: http.HandlerFunc(s.handleCancel)},
+		{Pattern: "GET /jobs/{id}/events", Handler: http.HandlerFunc(s.handleEvents)},
+	}
+	srv, err := obs.NewServerRoutes(s.cfg.Addr, s.cfg.Base.Obs, s.statusz, routes...)
+	if err != nil {
+		s.st.close()
+		return nil, err
+	}
+	s.http = srv
+
+	for i := 0; i < s.cfg.PoolWorkers; i++ {
+		s.wg.Add(1)
+		go s.worker()
+	}
+	return s, nil
+}
+
+// recoverServer is the half of Start that reads: the store opened, the
+// journal recovered and every job in it adopted, with nothing served and
+// nothing running yet.
+func recoverServer(cfg Config) (*Server, error) {
 	cfg.fillDefaults()
 	if cfg.Dir == "" {
 		return nil, errors.New("jobs: Config.Dir is required")
@@ -278,26 +309,6 @@ func Start(cfg Config) (*Server, error) {
 	sortRecords(recs)
 	s.nextID = nextIDAfter(recs)
 	s.adopt(recs)
-
-	routes := []obs.Route{
-		{Pattern: "POST /jobs", Handler: http.HandlerFunc(s.handleSubmit)},
-		{Pattern: "GET /jobs", Handler: http.HandlerFunc(s.handleList)},
-		{Pattern: "GET /jobs/{id}", Handler: http.HandlerFunc(s.handleGet)},
-		{Pattern: "POST /jobs/{id}/cancel", Handler: http.HandlerFunc(s.handleCancel)},
-		{Pattern: "DELETE /jobs/{id}", Handler: http.HandlerFunc(s.handleCancel)},
-		{Pattern: "GET /jobs/{id}/events", Handler: http.HandlerFunc(s.handleEvents)},
-	}
-	srv, err := obs.NewServerRoutes(cfg.Addr, cfg.Base.Obs, s.statusz, routes...)
-	if err != nil {
-		st.close()
-		return nil, err
-	}
-	s.http = srv
-
-	for i := 0; i < cfg.PoolWorkers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
 	return s, nil
 }
 
@@ -330,6 +341,13 @@ func (s *Server) adopt(recs []record) {
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
 		if rec.State.Terminal() {
+			continue
+		}
+		// The spec was valid when it was journaled; one that is not now was
+		// damaged or edited on disk, and is refused here as it would have
+		// been at submit rather than handed to a pool worker.
+		if err := j.spec.normalize(); err != nil {
+			s.finishJob(j, StateFailed, nil, err.Error())
 			continue
 		}
 		// A job that was mid-run when the last process died resumes from
@@ -455,14 +473,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // whitelist), admit it under the tenant's queue bound, journal it, and
 // answer 202 with the job id.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "bad spec: %v", err)
-		return
-	}
-	if err := spec.normalize(); err != nil {
+	spec, err := parseSpec(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -504,6 +516,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.trace(obs.EvJobSubmit, id)
 	s.logf("jobs: %s submitted by %s (%s)", id, j.tenant, specName(&spec))
 	writeJSON(w, http.StatusAccepted, j.status(false))
+}
+
+// parseSpec decodes a submitted spec — unknown fields refused — validates it
+// and fills its defaults.
+func parseSpec(body io.Reader) (Spec, error) {
+	var spec Spec
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return spec, fmt.Errorf("bad spec: %v", err)
+	}
+	return spec, spec.normalize()
 }
 
 func specName(sp *Spec) string {

@@ -211,6 +211,22 @@ func (sp *Spec) normalize() error {
 	if programs != 1 {
 		return fmt.Errorf("jobs: a spec names exactly one program: set bench, gen or source")
 	}
+	if g := sp.Gen; g != nil {
+		// The generator rolls the whole program when asked for it: its bounds
+		// are checked before it is. It needs three cells when it plants its
+		// writer/reader pattern on the first two.
+		for _, f := range []struct {
+			name        string
+			v, min, max int
+		}{
+			{"machines", g.Machines, 1, 8}, {"threads_per_machine", g.ThreadsPerMachine, 1, 8},
+			{"ops_per_thread", g.OpsPerThread, 1, 64}, {"cells", g.Cells, 3, 64}, {"flushes", g.Flushes, 1, 16},
+		} {
+			if f.v != 0 && (f.v < f.min || f.v > f.max) {
+				return fmt.Errorf("jobs: gen.%s = %d: want 0 (the default) or %d..%d", f.name, f.v, f.min, f.max)
+			}
+		}
+	}
 	if sp.Source == "" && (sp.SourceName != "" || sp.Entry != "") {
 		return fmt.Errorf("jobs: source_name and entry describe an inline source program; set source")
 	}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 
 	cxlmc "repro"
@@ -119,10 +120,15 @@ func (st *store) recover() ([]record, error) {
 			continue
 		}
 		var rec record
-		if err := json.Unmarshal(line, &rec); err != nil || rec.ID == "" || !rec.State.valid() {
+		if err := json.Unmarshal(line, &rec); err != nil || !rec.State.valid() {
 			// The final line tearing is the expected kill -9 artifact;
 			// anything else is skipped the same way — later records for
 			// the same job carry the truth.
+			continue
+		}
+		if _, minted := idOrdinal(rec.ID); !minted {
+			// Not an id this server hands out: the id names the job's
+			// checkpoint file, so nothing else is let near a path.
 			continue
 		}
 		prev, ok := merged[rec.ID]
@@ -239,13 +245,28 @@ func (st *store) close() error {
 	return st.f.Close()
 }
 
+// idOrdinal parses a job id as the server mints them: "j-" and a decimal
+// ordinal, of at most 18 digits so that it and its successor fit an int.
+func idOrdinal(id string) (n int, ok bool) {
+	digits, ok := strings.CutPrefix(id, "j-")
+	if !ok || len(digits) == 0 || len(digits) > 18 {
+		return 0, false
+	}
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int(c-'0')
+	}
+	return n, true
+}
+
 // nextIDAfter picks the next job ordinal given the recovered records, so
 // restarted servers never reuse an id.
 func nextIDAfter(recs []record) int {
 	next := 1
 	for _, rec := range recs {
-		var n int
-		if _, err := fmt.Sscanf(rec.ID, "j-%d", &n); err == nil && n >= next {
+		if n, ok := idOrdinal(rec.ID); ok && n >= next {
 			next = n + 1
 		}
 	}

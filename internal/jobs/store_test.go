@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -224,7 +225,7 @@ func TestStoreAppendChaos(t *testing.T) {
 	sp := testSpec("CCEH")
 	const n = 30
 	for i := 0; i < n; i++ {
-		id := "j-" + string(rune('A'+i%26)) + "00001"
+		id := fmt.Sprintf("j-%06d", 1+i%26)
 		rec := record{ID: id, Tenant: "t", State: StateQueued, Spec: sp, Time: time.Now().UTC()}
 		if i%3 == 0 {
 			rec.State = StateDone

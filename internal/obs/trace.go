@@ -27,10 +27,9 @@ const (
 	EvSteal
 	EvPark
 	// Distributed-exploration events: work-unit lease lifecycle on the
-	// coordinator (grant, renew, complete, reclaim-after-expiry, stale
+	// coordinator (grant, complete, reclaim-after-expiry, stale
 	// completion rejected).
 	EvLeaseGrant
-	EvLeaseRenew
 	EvLeaseComplete
 	EvLeaseReclaim
 	EvLeaseStale
@@ -80,8 +79,6 @@ func (k EventKind) String() string {
 		return "park"
 	case EvLeaseGrant:
 		return "lease-grant"
-	case EvLeaseRenew:
-		return "lease-renew"
 	case EvLeaseComplete:
 		return "lease-complete"
 	case EvLeaseReclaim:
