@@ -95,21 +95,22 @@
 // Distributed exploration: -serve addr runs this process as the
 // coordinator — it owns the frontier of subtree work units, serves the
 // lease API on addr, and (with -checkpoint) persists the frontier so a
-// SIGKILL'd coordinator resumes losslessly. -join addr runs a worker
-// that leases units from the coordinator at addr one at a time, explores
-// each with its local -workers pool as an ordinary resumable run under an
-// execution budget of its own choosing (one execution at first, doubled
-// while leases finish well inside the TTL), reports the result and returns
-// what is left for the coordinator to split among whoever is waiting.
-// -max-execs, -max-time and -metrics-addr span the worker's lifetime, not
-// one lease. Every lease carries a deadline (-lease-ttl) and
-// an epoch: units leased to crashed or wedged workers are reclaimed and
-// re-issued, stale completions are rejected idempotently, and the
-// distributed run reports exactly the bug set and repro tokens a
-// single-process run of the same configuration does. -continue keeps
-// exploring after the first bug (any mode). With -chaos, dist modes also
-// inject network faults (drops, delays, duplicates, partitions, 5xx)
-// into the worker↔coordinator RPCs.
+// SIGKILL'd coordinator resumes losslessly, its workers carrying on once it
+// is back on the same address. -join addr runs a worker that leases units
+// from the coordinator one at a time, explores each with its local -workers
+// pool as an ordinary resumable run under an execution budget of its own
+// choosing (one execution at first, doubled while leases finish well inside
+// the TTL and no peer is waiting), and in one call reports the result, returns
+// what is left for the coordinator to split among whoever is waiting and takes
+// the next unit. -max-execs, -max-time and -metrics-addr span the worker's
+// lifetime, not one lease. A lease has a deadline (-lease-ttl) and is named by
+// the coordinator's start, the unit and an epoch: units of crashed or wedged
+// workers are reclaimed and re-issued, completions of an old epoch or start
+// are rejected idempotently, and the run reports exactly the bug set and
+// repro tokens a single-process run of the same configuration does.
+// -continue keeps exploring after the first bug (any mode). With -chaos, dist
+// modes also inject network faults (drops, delays, duplicates, partitions,
+// 5xx) into the worker↔coordinator RPCs.
 //
 // Checking as a service: -jobserver runs this process as a long-lived,
 // multi-tenant job server. Clients submit exploration jobs (a benchmark

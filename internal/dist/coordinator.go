@@ -2,6 +2,8 @@ package dist
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -40,18 +42,21 @@ type CoordinatorConfig struct {
 }
 
 // Coordinator owns the distributed frontier and serves the worker API —
-// /v2/join, /v2/lease, /v2/complete — on the status server every
-// cxlmc process has: /metrics (Prometheus text), /statusz (JSON) and
-// /debug/pprof come with it.
+// POST /v3/turn — on the status server every cxlmc process has: /metrics
+// (Prometheus text), /statusz (JSON) and /debug/pprof come with it.
 type Coordinator struct {
 	cfg        CoordinatorConfig
 	cfgDigest  string
 	progDigest string
-	f          *core.MemFrontier
-	srv        *obs.Server
-	reg        *obs.Registry
-	tracer     *obs.Tracer
-	start      time.Time
+	// run names this start of the coordinator, drawn at random: the frontier
+	// numbers units from 1 and epochs from 0 at every start, and a lease of
+	// the last start must not complete into the unit that bears its number now.
+	run    string
+	f      *core.MemFrontier
+	srv    *obs.Server
+	reg    *obs.Registry
+	tracer *obs.Tracer
+	start  time.Time
 
 	mu          sync.Mutex
 	stopFlag    bool
@@ -66,18 +71,20 @@ type Coordinator struct {
 	// units: the exploration is already complete and Wait returns at once
 	// (the frontier itself never reports Done without having held units).
 	emptySeed bool
-	// parked counts the lease requests waiting for a unit — the waiting set a
+	// parked counts the turns waiting for a unit — the waiting set a
 	// returned remainder is split for — and wake is closed (and replaced) by
 	// every completion and stop, for them and for Wait to look again.
 	parked int
 	wake   chan struct{}
-	// owing names the workers whose last answer told them to call lease
-	// (again) and who have not yet: on their way, between two calls. Wait
-	// does not return until they have arrived and heard the outcome, and
-	// none of the inflight requests is still being answered.
+	// owing names the workers whose park ran out, who were answered empty and
+	// have not yet asked again: on their way, between two calls. Wait does
+	// not return until they have arrived and heard the outcome, and none of
+	// the inflight requests is still being answered.
 	owing    map[string]bool
 	inflight int
-	idem     *idemCache
+	// foreign counts the completions that named another start's lease.
+	foreign int
+	idem    *idemCache
 
 	cpStop chan struct{}
 	cpDone chan struct{}
@@ -113,11 +120,16 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
+	var nonce [8]byte
+	if _, err := rand.Read(nonce[:]); err != nil {
+		return nil, fmt.Errorf("dist: drawing the run nonce: %w", err)
+	}
 	retire(nil)
 	c := &Coordinator{
 		cfg:        cfg,
 		cfgDigest:  cfgDigest,
 		progDigest: progDigest,
+		run:        hex.EncodeToString(nonce[:]),
 		reg:        cfg.Check.Obs,
 		start:      time.Now(),
 		wake:       make(chan struct{}),
@@ -149,9 +161,7 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c.f.Credit(inherited)
 
 	c.srv, err = obs.NewServerRoutes(cfg.Addr, c.reg, func() any { return c.statusz() },
-		obs.Route{Pattern: "POST /v2/join", Handler: c.api(c.handleJoin)},
-		obs.Route{Pattern: "POST /v2/lease", Handler: c.api(c.handleLease)},
-		obs.Route{Pattern: "POST /v2/complete", Handler: c.api(c.handleComplete)})
+		obs.Route{Pattern: "POST /v3/turn", Handler: c.api(c.handleTurn)})
 	if err != nil {
 		c.f.Close()
 		return nil, fmt.Errorf("dist: %w", err)
@@ -185,7 +195,7 @@ func (c *Coordinator) seedUnits() (units [][]byte, inherited core.Tally, err err
 		units = append(units, tr.Snapshot())
 	}
 	// Nothing left: Wait finishes immediately with the checkpointed
-	// result, and joining workers are told Done on their first lease.
+	// result, and arriving workers are told Done on their first turn.
 	c.emptySeed = len(units) == 0
 	return units, inherited, nil
 }
@@ -215,7 +225,7 @@ func (c *Coordinator) onLeaseEvent(class string, unit, epoch uint64) {
 // Addr returns the bound "host:port" address.
 func (c *Coordinator) Addr() string { return c.srv.Addr() }
 
-// api wraps a worker-API handler. Server-side fault injection: a chaos 5xx
+// api wraps the worker-API handler. Server-side fault injection: a chaos 5xx
 // makes the coordinator answer 503 without processing the request, exercising
 // the workers' retry path. And the count of requests being answered, which
 // Wait lets reach zero — each answer flushed to its connection first — before
@@ -254,19 +264,10 @@ func (c *Coordinator) statusz() map[string]any {
 		"queued":     queued,
 		"leased":     leased,
 		"reclaims":   fs.Reclaims,
-		"stale":      fs.StaleRejects,
+		"stale":      fs.StaleRejects + c.foreign,
 		"stopping":   c.stopFlag,
 		"elapsed_ms": (c.prior + time.Since(c.start)).Milliseconds(),
 	}
-}
-
-// decode parses a JSON request body, answering 400 on garbage.
-func decode[T any](w http.ResponseWriter, r *http.Request, req *T) bool {
-	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(req); err != nil {
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
-		return false
-	}
-	return true
 }
 
 // reply sends resp as JSON, remembering it under the request's ID so a
@@ -287,10 +288,7 @@ func (c *Coordinator) reply(w http.ResponseWriter, reqID string, resp any) {
 
 // replayed answers a remembered response for a duplicate request ID.
 func (c *Coordinator) replayed(w http.ResponseWriter, reqID string) bool {
-	if reqID == "" {
-		return false
-	}
-	raw, ok := c.idem.get(reqID)
+	raw, ok := c.idem.get(reqID) // reply remembers nothing under an empty ID
 	if !ok {
 		return false
 	}
@@ -299,108 +297,10 @@ func (c *Coordinator) replayed(w http.ResponseWriter, reqID string) bool {
 	return true
 }
 
-func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
-	var req joinRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if req.Seed != c.cfg.Check.Seed {
-		http.Error(w, fmt.Sprintf("seed mismatch: coordinator explores seed %d, worker %q offers %d",
-			c.cfg.Check.Seed, req.Worker, req.Seed), http.StatusConflict)
-		return
-	}
-	if req.ConfigDigest != c.cfgDigest || req.ProgramDigest != c.progDigest {
-		http.Error(w, fmt.Sprintf("digest mismatch: coordinator explores %s/%s, worker %q offers %s/%s — configuration or program differs",
-			c.cfgDigest, c.progDigest, req.Worker, req.ConfigDigest, req.ProgramDigest), http.StatusConflict)
-		return
-	}
-	resp := joinResponse{
-		LeaseTTLMs:       c.cfg.LeaseTTL.Milliseconds(),
-		ContinueAfterBug: c.cfg.Check.ContinueAfterBug,
-	}
-	resp.Done, resp.Stop = c.outcome(req.Worker, true)
-	c.reply(w, "", resp)
-}
-
-// outcome reports how the run has resolved, if it has: explored to the end
-// (done) or stopping. While it has not, a worker whose answer sends it off to
-// call lease (again) is recorded as owing that call. One critical section
-// decides both, and Wait reads owing in another once it has seen the run
-// resolve — so a worker is either told the outcome or waited for, never
-// sent off to an address that is about to close.
-func (c *Coordinator) outcome(worker string, again bool) (done, stop bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	stop = c.stopFlag
-	done = !stop && (c.emptySeed || c.f.Done())
-	if again && !done && !stop {
-		c.owing[worker] = true
-	}
-	return done, stop
-}
-
-// wakeLocked wakes every parked lease request and Wait. Called with c.mu held.
+// wakeLocked wakes every parked turn and Wait. Called with c.mu held.
 func (c *Coordinator) wakeLocked() {
 	close(c.wake)
 	c.wake = make(chan struct{})
-}
-
-// handleLease answers with a unit, Done or Stop as soon as one exists. Until
-// then the request parks here, as engine.take parks on its cond: every
-// completion and stop wakes it to look again, and when the park the caller
-// allowed runs out it is answered empty and asks again. Nobody parks longer
-// than a lease lives — an expired lease is reclaimed by whoever looks next,
-// and a parked request is who looks.
-func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	var req leaseRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	if c.replayed(w, req.ReqID) {
-		return
-	}
-	c.mu.Lock()
-	if c.owing[req.Worker] {
-		if delete(c.owing, req.Worker); len(c.owing) == 0 {
-			c.wakeLocked() // the last call Wait may be waiting for
-		}
-	}
-	c.mu.Unlock()
-	park := time.Duration(req.ParkMs) * time.Millisecond
-	if park > c.cfg.LeaseTTL {
-		park = c.cfg.LeaseTTL
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), park)
-	defer cancel()
-	var resp leaseResponse
-	for {
-		// The wake-up is read before looking, so a completion that lands
-		// between the look and the wait is not slept through.
-		c.mu.Lock()
-		wake := c.wake
-		c.mu.Unlock()
-		if u, _ := c.f.TryLease(req.Worker); u != nil {
-			resp.Unit = &wireUnit{ID: u.ID, Epoch: u.Epoch, Snapshot: u.Snapshot}
-			break
-		}
-		// Out of park, the answer is empty and the worker asks again —
-		// unless the run has resolved, and the answer is that.
-		spent := ctx.Err() != nil
-		if resp.Done, resp.Stop = c.outcome(req.Worker, spent); resp.Done || resp.Stop || spent {
-			break
-		}
-		c.mu.Lock()
-		c.parked++
-		c.mu.Unlock()
-		select {
-		case <-wake:
-		case <-ctx.Done():
-		}
-		c.mu.Lock()
-		c.parked--
-		c.mu.Unlock()
-	}
-	c.reply(w, req.ReqID, resp)
 }
 
 // restoreUnits decodes unit snapshots; one that does not decode fails them
@@ -416,21 +316,110 @@ func restoreUnits(snaps [][]byte) ([]*decision.Tree, error) {
 	return trees, nil
 }
 
-func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
-	var req completeRequest
-	if !decode(w, r, &req) {
+// handleTurn is the whole worker API. A request that does not explore what
+// this coordinator explores is refused before anything else; one already
+// answered is answered the same again. Then the lease handed back, if any, is
+// folded in, and a request that wants a unit is answered with one, Done or
+// Stop as soon as one exists. Until then it parks here, as engine.take parks
+// on its cond: every completion and stop wakes it to look again, and when the
+// park the caller allowed runs out it is answered empty and asks again.
+// Nobody parks longer than a lease lives — an expired lease is reclaimed by
+// whoever looks next, and a parked request is who looks.
+func (c *Coordinator) handleTurn(w http.ResponseWriter, r *http.Request) {
+	var req turnRequest
+	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(&req); err != nil {
+		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
+		return
+	}
+	if req.Seed != c.cfg.Check.Seed {
+		http.Error(w, fmt.Sprintf("seed mismatch: coordinator explores seed %d, worker %q offers %d",
+			c.cfg.Check.Seed, req.Worker, req.Seed), http.StatusConflict)
+		return
+	}
+	if req.ConfigDigest != c.cfgDigest || req.ProgramDigest != c.progDigest {
+		http.Error(w, fmt.Sprintf("digest mismatch: coordinator explores %s/%s, worker %q offers %s/%s — configuration or program differs",
+			c.cfgDigest, c.progDigest, req.Worker, req.ConfigDigest, req.ProgramDigest), http.StatusConflict)
+		return
+	}
+	if req.Done == nil && !req.Want {
+		http.Error(w, "bad request: a turn hands back a lease (done), asks for one (want), or both", http.StatusBadRequest)
 		return
 	}
 	if c.replayed(w, req.ReqID) {
 		return
 	}
-	// A returned snapshot nobody can restore would fail whichever worker
-	// leased it next: every one decodes or nothing is applied, and the lease
-	// stays out for its holder to retry, or to expire and be reclaimed.
-	trees, err := restoreUnits(req.Report.Remainder)
+	resp := turnResponse{
+		Run:              c.run,
+		LeaseTTLMs:       c.cfg.LeaseTTL.Milliseconds(),
+		ContinueAfterBug: c.cfg.Check.ContinueAfterBug,
+	}
+	if req.Done != nil {
+		var err error
+		if resp.Stale, err = c.complete(req.Done); err != nil {
+			http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
+			return
+		}
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), min(time.Duration(req.ParkMs)*time.Millisecond, c.cfg.LeaseTTL))
+	defer cancel()
+	c.mu.Lock()
+	// The call this worker owed, if it did, has arrived; Wait looks again
+	// when the last request in flight — this one at the earliest — is answered.
+	delete(c.owing, req.Worker)
+	for {
+		// The wake-up is read before looking, so a completion that lands
+		// between the look and the wait is not slept through.
+		wake := c.wake
+		if req.Want {
+			resp.Unit, _ = c.f.TryLease(req.Worker)
+		}
+		if resp.Unit == nil {
+			resp.Stop = c.stopFlag
+			resp.Done = !c.stopFlag && (c.emptySeed || c.f.Done())
+		}
+		if resp.Unit != nil || resp.Done || resp.Stop || !req.Want {
+			break
+		}
+		if ctx.Err() != nil {
+			// Out of park and the run unresolved: the answer is empty and the
+			// worker asks again — the one worker that wants a unit and is not
+			// inside a call. This critical section decides the answer is not
+			// final and Wait reads owing in another, after seeing the run
+			// resolve: a worker is either told the outcome or waited for, never
+			// sent off to an address that is about to close.
+			c.owing[req.Worker] = true
+			break
+		}
+		c.parked++
+		c.mu.Unlock()
+		select {
+		case <-wake:
+		case <-ctx.Done():
+		}
+		c.mu.Lock()
+		c.parked--
+	}
+	resp.Waiting = c.parked
+	c.mu.Unlock()
+	c.reply(w, req.ReqID, resp)
+}
+
+// complete folds the lease d hands back into the frontier and reports whether
+// it was stale: expired and re-issued, or another start's, which changes
+// nothing here. A returned snapshot nobody can restore would fail whichever
+// worker leased it next: every one decodes or nothing is applied (the error),
+// and the lease stays out for its holder to retry, or to expire and be reclaimed.
+func (c *Coordinator) complete(d *turnDone) (stale bool, err error) {
+	if d.Run != c.run {
+		c.mu.Lock()
+		c.foreign++
+		c.mu.Unlock()
+		c.onLeaseEvent("stale", d.Unit, d.Epoch)
+		return true, nil
+	}
+	trees, err := restoreUnits(d.Report.Remainder)
 	if err != nil {
-		http.Error(w, fmt.Sprintf("bad request: remainder %v", err), http.StatusBadRequest)
-		return
+		return false, fmt.Errorf("remainder %w", err)
 	}
 	returned := len(trees)
 	if returned > 0 {
@@ -438,9 +427,9 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		// split what came back until there is a unit for each, or nothing
 		// splits further.
 		c.mu.Lock()
-		want := c.parked + 1
+		mouths := c.parked + 1
 		c.mu.Unlock()
-		for i := 0; i < len(trees) && len(trees) < want; {
+		for i := 0; i < len(trees) && len(trees) < mouths; {
 			if kids := trees[i].Split(); len(kids) > 0 {
 				trees = append(trees, kids...)
 			} else {
@@ -448,19 +437,18 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if len(trees) > returned {
-			req.Report.Remainder = req.Report.Remainder[:0]
+			d.Report.Remainder = d.Report.Remainder[:0]
 			for _, tr := range trees {
-				req.Report.Remainder = append(req.Report.Remainder, tr.Snapshot())
+				d.Report.Remainder = append(d.Report.Remainder, tr.Snapshot())
 			}
 		}
 	}
-	var resp completeResponse
-	resp.Stale = c.f.CompleteReport(req.UnitID, req.Epoch, req.Report)
+	stale = c.f.CompleteReport(d.Unit, d.Epoch, d.Report)
 	c.mu.Lock()
-	if !resp.Stale {
-		c.mRPCRetries.Add(int64(req.Report.RPCRetries))
+	if !stale {
+		c.mRPCRetries.Add(int64(d.Report.RPCRetries))
 		c.mDonated.Add(int64(returned))
-		if len(req.Report.Bugs) > 0 && !c.cfg.Check.ContinueAfterBug {
+		if len(d.Report.Bugs) > 0 && !c.cfg.Check.ContinueAfterBug {
 			// Mirror the single-process engine: first bug stops the run.
 			c.stopFlag = true
 			c.f.Stop()
@@ -468,8 +456,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	c.wakeLocked()
 	c.mu.Unlock()
-	resp.Done, resp.Stop = c.outcome(req.Worker, req.Again)
-	c.reply(w, req.ReqID, resp)
+	return stale, nil
 }
 
 // checkpointLoop periodically persists the frontier.
@@ -537,8 +524,8 @@ func (c *Coordinator) Wait(stop <-chan struct{}) (*core.Result, error) {
 			_, _, leased := c.f.Progress()
 			resolved = leased == 0
 		}
-		// Resolved, every parked lease request has been woken to Done or Stop
-		// and the last completer heard it in its completion; whoever was
+		// Resolved, every parked turn has been woken to Done or Stop and the
+		// last to hand a lease back heard it in the same answer; whoever was
 		// between two calls is about to ask and be told.
 		if resolved && (!busy || spent) {
 			break
@@ -585,7 +572,7 @@ func (c *Coordinator) Wait(stop <-chan struct{}) (*core.Result, error) {
 		Resumed:          c.resumed,
 		LeaseReclaims:    fs.Reclaims,
 		RPCRetries:       fs.RPCRetries,
-		StaleCompletions: fs.StaleRejects,
+		StaleCompletions: fs.StaleRejects + c.foreign,
 	}
 	c.mu.Unlock()
 	core.SortBugs(t.Bugs)
@@ -608,12 +595,12 @@ func (c *Coordinator) Wait(stop <-chan struct{}) (*core.Result, error) {
 }
 
 // lingering is the last coordinator in this process to have finished. Its
-// address stays up — lease and join are answered with the outcome, nothing
-// else moves — until the next one starts or finishes, or the process exits.
+// address stays up — a turn is answered with the outcome, nothing else
+// moves — until the next one starts or finishes, or the process exits.
 // A worker started alongside a run of a few milliseconds may not have been
 // scheduled before the run was over, and there is no moment at which a
 // coordinator knows nobody else is coming; closing at once would turn that
-// worker's join into a connection error.
+// worker's first turn into a connection error.
 var lingering struct {
 	sync.Mutex
 	srv *obs.Server

@@ -118,32 +118,68 @@ func assertParity(t *testing.T, label string, res, base *core.Result) {
 	}
 }
 
-// tap stands between one worker and the coordinator at addr. While refuse
-// (when non-nil) returns true for a call's path the call is answered 503
-// and not forwarded — a partition, as that worker sees it; see is shown
-// every forwarded call with its response before the worker is. It returns
-// the address the worker should join.
-func tap(t *testing.T, addr string, refuse func(path string) bool, see func(path string, req, resp []byte)) string {
+// tap stands between workers and the coordinator at addr. sent (when
+// non-nil) is shown every turn as it sets out, see every turn with its answer
+// before the worker is. It returns the address the workers should be given.
+func tap(t *testing.T, addr string, sent func(turnRequest), see func(turnRequest, turnResponse)) string {
 	t.Helper()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		req, _ := io.ReadAll(r.Body)
-		if refuse != nil && refuse(r.URL.Path) {
-			http.Error(w, "tap: refused", http.StatusServiceUnavailable)
-			return
+		raw, _ := io.ReadAll(r.Body)
+		var req turnRequest
+		json.Unmarshal(raw, &req)
+		if sent != nil {
+			sent(req)
 		}
-		res, err := http.Post("http://"+addr+r.URL.Path, "application/json", bytes.NewReader(req))
+		res, err := http.Post("http://"+addr+r.URL.Path, "application/json", bytes.NewReader(raw))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadGateway)
 			return
 		}
 		defer res.Body.Close()
-		resp, _ := io.ReadAll(res.Body)
-		see(r.URL.Path, req, resp)
+		raw, _ = io.ReadAll(res.Body)
+		var resp turnResponse
+		if json.Unmarshal(raw, &resp) == nil {
+			see(req, resp)
+		}
 		w.WriteHeader(res.StatusCode)
-		w.Write(resp)
+		w.Write(raw)
 	}))
 	t.Cleanup(srv.Close)
 	return srv.URL
+}
+
+// talker is a hand-driven worker of c: each call of the returned func is one
+// delivery of one turn, under the request ID given.
+func talker(t testing.TB, c *Coordinator, name string) func(reqID string, done *turnDone, want bool) (turnResponse, error) {
+	tr := NewTransport(c.Addr(), nil, nil)
+	return func(reqID string, done *turnDone, want bool) (resp turnResponse, err error) {
+		t.Helper()
+		err = tr.Call("/v3/turn", turnRequest{
+			Worker: name, ReqID: reqID, Seed: c.cfg.Check.Seed, ConfigDigest: c.cfgDigest, ProgramDigest: c.progDigest,
+			Done: done, Want: want,
+		}, &resp)
+		return resp, err
+	}
+}
+
+// handBack completes the lease resp granted, with rep.
+func handBack(resp turnResponse, rep core.UnitReport) *turnDone {
+	return &turnDone{Run: resp.Run, Unit: resp.Unit.ID, Epoch: resp.Unit.Epoch, Report: rep}
+}
+
+// frontierState is everything a refused or stale request must leave alone.
+type frontierState struct {
+	counters             core.Counters
+	bugs                 int
+	queued, leased       int
+	unitsAdded, unitDone int
+}
+
+func readFrontier(c *Coordinator) (s frontierState) {
+	t, q, l := c.f.Progress()
+	s.counters, s.bugs, s.queued, s.leased = t.Counters, len(t.Bugs), q, l
+	s.unitsAdded, s.unitDone = c.f.UnitCounts()
+	return s
 }
 
 // TestTransportRetriesTransientFaults: 5xx and connection failures are
@@ -163,7 +199,8 @@ func TestTransportRetriesTransientFaults(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	tr := NewTransport(srv.URL, TransportConfig{Backoff: time.Millisecond})
+	tr := NewTransport(srv.URL, nil, nil)
+	tr.backoff = time.Millisecond
 	var resp struct {
 		OK bool `json:"ok"`
 	}
@@ -181,7 +218,7 @@ func TestTransportRetriesTransientFaults(t *testing.T) {
 		http.Error(w, "no", http.StatusConflict)
 	}))
 	defer rej.Close()
-	tr2 := NewTransport(rej.URL, TransportConfig{Backoff: time.Millisecond})
+	tr2 := NewTransport(rej.URL, nil, nil)
 	err := tr2.Call("/x", struct{}{}, nil)
 	if err == nil || !IsRejected(err) {
 		t.Fatalf("409 should be a permanent rejection, got %v", err)
@@ -247,8 +284,8 @@ func TestDistEndToEndParity(t *testing.T) {
 }
 
 // TestDistDigestMismatchRejected: a worker offering a different program
-// is turned away at join with a permanent rejection, not retried into
-// the frontier.
+// is turned away with a permanent rejection, not retried into the frontier —
+// on its first turn, and as much on a later one, with a lease in hand.
 func TestDistDigestMismatchRejected(t *testing.T) {
 	c, err := StartCoordinator(CoordinatorConfig{
 		Check: core.Config{}, Program: fixture(4), Addr: "127.0.0.1:0",
@@ -266,7 +303,63 @@ func TestDistDigestMismatchRejected(t *testing.T) {
 		Coordinator: c.Addr(), Name: "impostor",
 	})
 	if err == nil {
-		t.Fatal("join with a mismatched program digest succeeded")
+		t.Fatal("a worker with a mismatched program digest was served")
+	}
+
+	turn := talker(t, c, "turncoat")
+	lr, err := turn("turncoat-1", nil, true)
+	if err != nil || lr.Unit == nil {
+		t.Fatalf("first turn: %v, unit %v", err, lr.Unit)
+	}
+	before := readFrontier(c)
+	err = NewTransport(c.Addr(), nil, nil).Call("/v3/turn", turnRequest{
+		Worker: "turncoat", ReqID: "turncoat-2", Seed: c.cfg.Check.Seed, ConfigDigest: c.cfgDigest, ProgramDigest: "0123456789abcdef",
+		Done: handBack(lr, core.UnitReport{Tally: core.Tally{Counters: core.Counters{Executions: 3}}}), Want: true,
+	}, nil)
+	if !IsRejected(err) || !strings.Contains(err.Error(), "409") {
+		t.Fatalf("a later turn under another program digest was answered %v, want a 409", err)
+	}
+	if after := readFrontier(c); after != before {
+		t.Fatalf("the refused turn moved the frontier: %+v -> %+v", before, after)
+	}
+	// Handed back, so the stop above has no lease to wait out.
+	if _, err := turn("turncoat-3", handBack(lr, core.UnitReport{Remainder: [][]byte{lr.Unit.Snapshot}}), false); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTurnWithoutIdentityRefused: every turn says what its worker explores. A
+// request for a unit that leaves the seed or a digest out, or gets one wrong,
+// is a 409 and is granted nothing.
+func TestTurnWithoutIdentityRefused(t *testing.T) {
+	c, err := StartCoordinator(CoordinatorConfig{
+		Check: core.Config{Seed: 3}, Program: fixture(4), Addr: "127.0.0.1:0",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		stop := make(chan struct{})
+		close(stop)
+		c.Wait(stop)
+	}()
+	tr := NewTransport(c.Addr(), nil, nil)
+	for name, req := range map[string]turnRequest{
+		"no identity":    {},
+		"no digests":     {Seed: 3},
+		"config digest":  {Seed: 3, ConfigDigest: "0123456789abcdef", ProgramDigest: c.progDigest},
+		"program digest": {Seed: 3, ConfigDigest: c.cfgDigest, ProgramDigest: "0123456789abcdef"},
+		"seed":           {Seed: 0, ConfigDigest: c.cfgDigest, ProgramDigest: c.progDigest},
+	} {
+		req.Worker, req.ReqID, req.Want = "stranger", "stranger-"+name, true
+		var resp turnResponse
+		err := tr.Call("/v3/turn", req, &resp)
+		if !IsRejected(err) || !strings.Contains(err.Error(), "409") || resp.Unit != nil {
+			t.Errorf("%s: answered %v with unit %v, want a 409 and none", name, err, resp.Unit)
+		}
+	}
+	if _, _, leased := c.f.Progress(); leased != 0 || c.Registry().Snapshot()["cxlmc_lease_grants_total"] != 0 {
+		t.Fatalf("a stranger was granted a lease: %d out", leased)
 	}
 }
 
@@ -296,30 +389,22 @@ func TestDistAbandonedLeaseReclaim(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The victim's view of the wire: its first lease, and its completion of
-	// it with the coordinator's answer.
+	// The victim's view of the wire: its first lease, and the turn that hands
+	// it back with the coordinator's answer.
 	var (
 		mu        sync.Mutex
-		first     *wireUnit
-		abandoned *completeRequest
-		answer    completeResponse
+		first     *core.LeasedUnit
+		abandoned *turnRequest
+		answer    turnResponse
 	)
-	viaTap := tap(t, c.Addr(), nil, func(path string, req, resp []byte) {
+	viaTap := tap(t, c.Addr(), nil, func(req turnRequest, resp turnResponse) {
 		mu.Lock()
 		defer mu.Unlock()
-		switch path {
-		case "/v2/lease":
-			var lr leaseResponse
-			if first == nil && json.Unmarshal(resp, &lr) == nil {
-				first = lr.Unit
-			}
-		case "/v2/complete":
-			var cr completeRequest
-			if abandoned == nil && first != nil && json.Unmarshal(req, &cr) == nil &&
-				cr.UnitID == first.ID && cr.Epoch == first.Epoch {
-				abandoned = &cr
-				json.Unmarshal(resp, &answer)
-			}
+		if d := req.Done; abandoned == nil && first != nil && d != nil && d.Unit == first.ID && d.Epoch == first.Epoch {
+			abandoned, answer = &req, resp
+		}
+		if first == nil {
+			first = resp.Unit
 		}
 	})
 	// One engine worker, stalled 200ms at each of its first boundaries: twice
@@ -363,16 +448,14 @@ func TestDistAbandonedLeaseReclaim(t *testing.T) {
 	if !answer.Stale {
 		t.Fatal("the victim's completion of its reclaimed lease was accepted")
 	}
-	if abandoned.Report.Executions > 1 || len(abandoned.Report.Remainder) == 0 {
+	if rep := abandoned.Done.Report; rep.Executions > 1 || len(rep.Remainder) == 0 {
 		t.Fatalf("the reclaimed lease cost the victim %d executions and it returned %d units; want its budget of 1 and the unexplored rest",
-			abandoned.Report.Executions, len(abandoned.Report.Remainder))
+			rep.Executions, len(rep.Remainder))
 	}
 	// The same completion arrives once more, as a new request: still rejected.
-	again := *abandoned
+	again := abandoned.Done
 	mu.Unlock()
-	var cr completeResponse
-	again.ReqID = "victim-complete-again"
-	if err := NewTransport(c.Addr(), TransportConfig{}).Call("/v2/complete", again, &cr); err != nil || !cr.Stale {
+	if cr, err := talker(t, c, "victim")("victim-turn-again", again, false); err != nil || !cr.Stale {
 		t.Fatalf("replayed stale completion: err %v, stale %v; want a stale rejection", err, cr.Stale)
 	}
 
@@ -409,20 +492,18 @@ func TestDistBadRemainderRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTransport(c.Addr(), TransportConfig{})
-	var lr leaseResponse
-	if err := tr.Call("/v2/lease", leaseRequest{Worker: "mangler", ReqID: "mangler-lease-1"}, &lr); err != nil || lr.Unit == nil {
+	turn := talker(t, c, "mangler")
+	lr, err := turn("mangler-turn-1", nil, true)
+	if err != nil || lr.Unit == nil {
 		t.Fatalf("lease: %v, unit %v", err, lr.Unit)
 	}
 	flipped := append([]byte(nil), lr.Unit.Snapshot...)
 	flipped[0] ^= 0x01
 	complete := func(reqID string, remainder ...[]byte) error {
-		return tr.Call("/v2/complete", completeRequest{
-			Worker: "mangler", ReqID: reqID, UnitID: lr.Unit.ID, Epoch: lr.Unit.Epoch,
-			Report: core.UnitReport{Tally: core.Tally{Counters: core.Counters{Executions: 5}}, Remainder: remainder},
-		}, nil)
+		_, err := turn(reqID, handBack(lr, core.UnitReport{Tally: core.Tally{Counters: core.Counters{Executions: 5}}, Remainder: remainder}), false)
+		return err
 	}
-	if err := complete("mangler-complete-1", lr.Unit.Snapshot, flipped); !IsRejected(err) {
+	if err := complete("mangler-turn-2", lr.Unit.Snapshot, flipped); !IsRejected(err) {
 		t.Fatalf("a bit-flipped remainder was answered %v, want a 4xx rejection", err)
 	}
 	added, done := c.f.UnitCounts()
@@ -431,7 +512,7 @@ func TestDistBadRemainderRejected(t *testing.T) {
 		t.Fatalf("after the rejected completion: %d added, %d done, %d executions, %d queued, %d leased; want 1 0 0 0 1",
 			added, done, tally.Executions, queued, leased)
 	}
-	if err := complete("mangler-complete-2", lr.Unit.Snapshot); err != nil {
+	if err := complete("mangler-turn-3", lr.Unit.Snapshot); err != nil {
 		t.Fatal(err)
 	}
 	go RunWorker(WorkerConfig{Check: check, Program: prog, Coordinator: c.Addr(), Name: "finisher"})
@@ -452,22 +533,22 @@ func budgetTap(t *testing.T, addr string) (string, func() []string) {
 	var mu sync.Mutex
 	var bad []string
 	reports := map[string]int{}
-	via := tap(t, addr, nil, func(path string, req, _ []byte) {
-		var cr completeRequest
-		if path != "/v2/complete" || json.Unmarshal(req, &cr) != nil {
+	via := tap(t, addr, nil, func(req turnRequest, _ turnResponse) {
+		if req.Done == nil {
 			return
 		}
+		rep := req.Done.Report
 		mu.Lock()
 		defer mu.Unlock()
-		k := reports[cr.Worker]
-		reports[cr.Worker]++
-		if k < 30 && cr.Report.Executions > 1<<k {
-			bad = append(bad, fmt.Sprintf("%s: %d executions on the worker's lease %d, budget at most %d", cr.ReqID, cr.Report.Executions, k, 1<<k))
+		k := reports[req.Worker]
+		reports[req.Worker]++
+		if k < 30 && rep.Executions > 1<<k {
+			bad = append(bad, fmt.Sprintf("%s: %d executions on the worker's lease %d, budget at most %d", req.ReqID, rep.Executions, k, 1<<k))
 		}
-		counters := reflect.ValueOf(cr.Report.Counters)
+		counters := reflect.ValueOf(rep.Counters)
 		for i := 0; i < counters.NumField(); i++ {
 			if counters.Field(i).Int() < 0 {
-				bad = append(bad, fmt.Sprintf("%s: %s = %d", cr.ReqID, counters.Type().Field(i).Name, counters.Field(i).Int()))
+				bad = append(bad, fmt.Sprintf("%s: %s = %d", req.ReqID, counters.Type().Field(i).Name, counters.Field(i).Int()))
 			}
 		}
 	})
@@ -608,10 +689,10 @@ func TestNobodyLingers(t *testing.T) {
 	}
 }
 
-// TestLeaseParks: a lease request waits where the work is. With the only
-// unit out, an idle worker's request parks at the coordinator for half its
+// TestLeaseParks: a request for a unit waits where the work is. With the only
+// unit out, an idle worker's turn parks at the coordinator for half its
 // transport timeout — a call a second, not forty — and the completion that
-// returns the unit answers the request parked at that moment: no further ask
+// returns the unit answers the turn parked at that moment: no further ask
 // is needed.
 func TestLeaseParks(t *testing.T) {
 	check := core.Config{ContinueAfterBug: true}
@@ -624,31 +705,29 @@ func TestLeaseParks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	holder := NewTransport(c.Addr(), TransportConfig{})
-	var lr leaseResponse
-	if err := holder.Call("/v2/lease", leaseRequest{Worker: "holder", ReqID: "holder-lease-1"}, &lr); err != nil || lr.Unit == nil {
+	holder := talker(t, c, "holder")
+	lr, err := holder("holder-turn-1", nil, true)
+	if err != nil || lr.Unit == nil {
 		t.Fatalf("lease: %v, unit %v", err, lr.Unit)
 	}
 
 	var mu sync.Mutex
-	var asks []time.Time // when each of the idle worker's lease requests set out
+	var asks []time.Time // when each of the idle worker's requests for a unit set out
 	var grantedAt time.Time
 	grantedAsk := 0 // how many it had made when one was granted
 	secondAsk := make(chan struct{})
 	via := tap(t, c.Addr(),
-		func(path string) bool {
-			if path == "/v2/lease" {
+		func(req turnRequest) {
+			if req.Want {
 				mu.Lock()
 				if asks = append(asks, time.Now()); len(asks) == 2 {
 					close(secondAsk)
 				}
 				mu.Unlock()
 			}
-			return false
 		},
-		func(path string, _, resp []byte) {
-			var got leaseResponse
-			if path == "/v2/lease" && json.Unmarshal(resp, &got) == nil && got.Unit != nil {
+		func(_ turnRequest, resp turnResponse) {
+			if resp.Unit != nil {
 				mu.Lock()
 				if grantedAt.IsZero() {
 					grantedAt, grantedAsk = time.Now(), len(asks)
@@ -666,10 +745,7 @@ func TestLeaseParks(t *testing.T) {
 	// The second request has just parked, with its whole park ahead of it:
 	// hand the unit back now.
 	completed := time.Now()
-	if err := holder.Call("/v2/complete", completeRequest{
-		Worker: "holder", ReqID: "holder-complete-1", UnitID: lr.Unit.ID, Epoch: lr.Unit.Epoch,
-		Report: core.UnitReport{Remainder: [][]byte{lr.Unit.Snapshot}},
-	}, nil); err != nil {
+	if _, err := holder("holder-turn-2", handBack(lr, core.UnitReport{Remainder: [][]byte{lr.Unit.Snapshot}}), false); err != nil {
 		t.Fatal(err)
 	}
 	res, err := c.Wait(nil)
@@ -728,38 +804,47 @@ func TestDistIdempotentRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTransport(c.Addr(), TransportConfig{})
+	turn := talker(t, c, "w")
 
-	// Three deliveries of one lease request grant one lease...
-	var lr leaseResponse
+	// Three deliveries of one request for a unit grant one lease...
+	var lr turnResponse
 	for i := 0; i < 3; i++ {
-		if err := tr.Call("/v2/lease", leaseRequest{Worker: "w", ReqID: "dup-lease-1"}, &lr); err != nil {
+		if lr, err = turn("dup-turn-1", nil, true); err != nil {
 			t.Fatal(err)
 		}
 		if lr.Unit == nil {
-			t.Fatalf("delivery %d of the lease request got no unit", i+1)
+			t.Fatalf("delivery %d of the first turn got no unit", i+1)
 		}
 	}
 	if grants := c.Registry().Snapshot()["cxlmc_lease_grants_total"]; grants != 1 {
-		t.Fatalf("3 deliveries of one lease request granted %v leases, want 1", grants)
+		t.Fatalf("3 deliveries of one turn granted %v leases, want 1", grants)
 	}
-	// ...and three of its completion requeue the remainder once.
+	// ...and three of the turn that hands it back and asks for the next
+	// requeue the remainder once and grant one more: the same unit every time.
 	addedBefore, _ := c.f.UnitCounts()
-	var cr completeResponse
+	var next turnResponse
 	for i := 0; i < 3; i++ {
-		if err := tr.Call("/v2/complete", completeRequest{
-			Worker: "w", ReqID: "dup-complete-1", UnitID: lr.Unit.ID, Epoch: lr.Unit.Epoch,
-			Report: core.UnitReport{Remainder: [][]byte{lr.Unit.Snapshot}},
-		}, &cr); err != nil {
+		cr, err := turn("dup-turn-2", handBack(lr, core.UnitReport{Remainder: [][]byte{lr.Unit.Snapshot}}), true)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if cr.Stale {
 			t.Fatalf("delivery %d of the completion was answered stale, not replayed", i+1)
 		}
+		if cr.Unit == nil || i > 0 && (cr.Unit.ID != next.Unit.ID || cr.Unit.Epoch != next.Unit.Epoch) {
+			t.Fatalf("delivery %d was granted %+v, delivery 1 %+v", i+1, cr.Unit, next.Unit)
+		}
+		next = cr
 	}
 	addedAfter, done := c.f.UnitCounts()
-	if addedAfter != addedBefore+1 || done != 1 {
-		t.Fatalf("3 deliveries of one completion: %d units added, %d done; want 1 and 1", addedAfter-addedBefore, done)
+	grants := c.Registry().Snapshot()["cxlmc_lease_grants_total"]
+	if addedAfter != addedBefore+1 || done != 1 || grants != 2 {
+		t.Fatalf("3 deliveries of one done+want: %d units added, %d done, %v leases granted in all; want 1, 1 and 2",
+			addedAfter-addedBefore, done, grants)
+	}
+	// Handed back, so the stop below has no lease to wait out.
+	if _, err := turn("dup-turn-3", handBack(next, core.UnitReport{Remainder: [][]byte{next.Unit.Snapshot}}), false); err != nil {
+		t.Fatal(err)
 	}
 
 	stop := make(chan struct{})
@@ -865,6 +950,73 @@ func TestDistCoordinatorCrashResume(t *testing.T) {
 		t.Fatal("resumed run not marked Resumed")
 	}
 	assertParity(t, "crash-resume", res, base)
+}
+
+// TestRestartedCoordinatorRefusesOldIncarnation: a lease belongs to the start
+// of the coordinator that granted it. A worker holds the whole tree when the
+// coordinator is killed; its successor, resumed from the periodic checkpoint
+// on the same file, numbers its units from 1 and its epochs from 0 again and
+// grants "unit 1, epoch 0" to someone else. The old holder's completion — of
+// a lease with those very numbers, claiming the tree explored — is answered
+// stale and changes nothing, and the run finishes to the serial totals.
+func TestRestartedCoordinatorRefusesOldIncarnation(t *testing.T) {
+	check := core.Config{ContinueAfterBug: true}
+	prog := ccehProgram(10)
+	base, err := core.Run(check, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	persisted := check
+	persisted.CheckpointPath, persisted.CheckpointInterval = filepath.Join(t.TempDir(), "dist.cp"), time.Hour
+	c1, err := StartCoordinator(CoordinatorConfig{Check: persisted, Program: prog, Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := talker(t, c1, "old")("old-turn-1", nil, true)
+	if err != nil || old.Unit == nil {
+		t.Fatalf("lease from the first coordinator: %v, unit %v", err, old.Unit)
+	}
+	if err := c1.writeCheckpoint(false); err != nil {
+		t.Fatal(err)
+	}
+	// SIGKILL: no Wait, no final checkpoint.
+	c1.srv.Close()
+	close(c1.cpStop)
+	c1.f.Close()
+
+	c2, err := StartCoordinator(CoordinatorConfig{Check: persisted, Program: prog, Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	holder := talker(t, c2, "new")
+	cur, err := holder("new-turn-1", nil, true)
+	if err != nil || cur.Unit == nil {
+		t.Fatalf("lease from the second coordinator: %v, unit %v", err, cur.Unit)
+	}
+	if cur.Unit.ID != old.Unit.ID || cur.Unit.Epoch != old.Unit.Epoch || cur.Run == old.Run {
+		t.Fatalf("the scenario needs two leases alike but for the run: (%s, %d, %d) and (%s, %d, %d)",
+			old.Run, old.Unit.ID, old.Unit.Epoch, cur.Run, cur.Unit.ID, cur.Unit.Epoch)
+	}
+	before := readFrontier(c2)
+	late, err := talker(t, c2, "old")("old-turn-2", handBack(old, core.UnitReport{Tally: core.Tally{Counters: core.Counters{Executions: 7}}}), false)
+	if err != nil || !late.Stale || late.Done {
+		t.Fatalf("the old holder's completion: err %v, stale %v, done %v; want it rejected as stale", err, late.Stale, late.Done)
+	}
+	if after := readFrontier(c2); after != before {
+		t.Fatalf("a lease of the first coordinator moved the second's frontier: %+v -> %+v", before, after)
+	}
+	if _, err := holder("new-turn-2", handBack(cur, core.UnitReport{Remainder: [][]byte{cur.Unit.Snapshot}}), false); err != nil {
+		t.Fatal(err)
+	}
+	go RunWorker(WorkerConfig{Check: check, Program: prog, Coordinator: c2.Addr(), Name: "finisher"})
+	res, err := c2.Wait(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertParity(t, "after a restart under a live lease", res, base)
+	if res.StaleCompletions != 1 {
+		t.Fatalf("StaleCompletions = %d, want the old holder's one", res.StaleCompletions)
+	}
 }
 
 // TestCrossModeResume: the checkpoint format is one format. A mid-run
@@ -1059,10 +1211,11 @@ func TestDistChaosSweep(t *testing.T) {
 		})
 		go func(i int) {
 			defer wg.Done()
+			chaotic := check
+			chaotic.Chaos = injs[i]
 			if _, err := RunWorker(WorkerConfig{
-				Check: check, Program: prog,
+				Check: chaotic, Program: prog,
 				Coordinator: c.Addr(), Name: fmt.Sprintf("chaotic-%d", i),
-				Transport: TransportConfig{Attempts: 10, Backoff: time.Millisecond, Chaos: injs[i]},
 			}); err != nil {
 				t.Errorf("chaotic worker %d: %v", i, err)
 			}
@@ -1089,21 +1242,53 @@ func TestDistChaosSweep(t *testing.T) {
 		added, faults, res.RPCRetries, res.LeaseReclaims, res.StaleCompletions)
 }
 
-// TestDistWorkerGivesUpOnDeadCoordinator: an idle RemoteFrontier whose
-// coordinator has vanished stops retrying after its give-up window
-// instead of hanging the process forever.
+// TestDistWorkerGivesUpOnDeadCoordinator: an idle worker whose coordinator
+// has vanished stops retrying after its give-up window instead of hanging the
+// process forever.
 func TestDistWorkerGivesUpOnDeadCoordinator(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waits out the 2s give-up floor")
 	}
-	tr := NewTransport("127.0.0.1:1", TransportConfig{Attempts: 1, Backoff: time.Millisecond, Timeout: 50 * time.Millisecond})
-	rf := NewRemoteFrontier(tr, "orphan", 100*time.Millisecond)
+	tr := NewTransport("127.0.0.1:1", nil, nil)
+	tr.attempts, tr.backoff, tr.timeout = 1, time.Millisecond, 50*time.Millisecond
+	cv := &conversation{t: tr, id: turnRequest{Worker: "orphan"}, run: "gone", ttl: 100 * time.Millisecond}
 	start := time.Now()
-	u, err := rf.Lease(nil)
-	if u != nil || err != nil {
-		t.Fatalf("Lease = (%v, %v), want (nil, nil) give-up", u, err)
+	resp, err := cv.turn(nil, true, nil)
+	if resp.Unit != nil || err == nil || IsRejected(err) {
+		t.Fatalf("turn = (%+v, %v), want no unit and the transport's error", resp, err)
 	}
 	if d := time.Since(start); d < 2*time.Second || d > 30*time.Second {
 		t.Fatalf("gave up after %v; want a few seconds", d)
+	}
+}
+
+// TestNextBudget: the rule a worker sizes its next lease by.
+func TestNextBudget(t *testing.T) {
+	const ttl = 6 * time.Second
+	for _, c := range []struct {
+		name    string
+		budget  int
+		took    time.Duration
+		spent   bool
+		waiting int
+		want    int
+	}{
+		{"spent quickly, nobody waiting: doubles", 4, 500 * time.Millisecond, true, 0, 8},
+		{"first lease doubles too", 1, time.Millisecond, true, 0, 2},
+		{"a parked peer stops the growth", 4, 500 * time.Millisecond, true, 1, 4},
+		{"two parked peers as well", 4, 500 * time.Millisecond, true, 2, 4},
+		{"a parked peer does not stop a lease of a few milliseconds growing", 4, 20 * time.Millisecond, true, 1, 8},
+		{"a 256th of the TTL is where it does", 4, 24 * time.Millisecond, true, 1, 4},
+		{"unit ran out before the budget: stays", 4, 500 * time.Millisecond, false, 0, 4},
+		{"a sixth of the TTL is no longer quick", 4, time.Second, true, 0, 4},
+		{"between a sixth and a third: stays", 4, 1500 * time.Millisecond, true, 0, 4},
+		{"past a third: halves", 4, 2001 * time.Millisecond, true, 0, 2},
+		{"past a third with a peer parked: halves", 4, 2001 * time.Millisecond, true, 3, 2},
+		{"past a third, unspent: halves", 5, 3 * time.Second, false, 0, 2},
+		{"one execution is the floor", 1, 5 * time.Second, true, 0, 1},
+	} {
+		if got := nextBudget(c.budget, c.took, ttl, c.spent, c.waiting); got != c.want {
+			t.Errorf("%s: nextBudget(%d, %v, %v, %v, %d) = %d, want %d", c.name, c.budget, c.took, ttl, c.spent, c.waiting, got, c.want)
+		}
 	}
 }

@@ -1,21 +1,24 @@
 package dist
 
 import (
-	"bytes"
 	"net/http"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 )
 
-// FuzzCoordinatorBodies posts arbitrary bytes to the three RPC endpoints of a
-// live coordinator. Whatever arrives, no handler panics (the client would see
-// the connection drop) or answers 5xx, and a request that is refused leaves
-// the frontier exactly as it was. Seeds — valid bodies, a lease request that
-// parks, a truncated completion, one whose remainder is bit-flipped and one
-// whose remainder claims more nodes than it has bytes — are in testdata/fuzz.
+// FuzzCoordinatorBodies posts arbitrary bytes to the worker route of a live
+// coordinator. Whatever arrives, the handler neither panics (the client would
+// see the connection drop) nor answers 5xx, and a request that is refused
+// leaves the frontier exactly as it was. Seeds are in testdata/fuzz: a request
+// for a unit, one that parks, one under other digests, and turns that hand a
+// lease back — valid, truncated, with a bit-flipped remainder, with a remainder
+// claiming more nodes than it has bytes, and naming another coordinator's run.
+// @run, @cfg and @prog in a body stand for this coordinator's run and digests,
+// which no file can know.
 func FuzzCoordinatorBodies(f *testing.F) {
 	// A lease that never expires: nothing moves in the frontier but what the
 	// fuzzed requests move.
@@ -25,45 +28,36 @@ func FuzzCoordinatorBodies(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	// Torn down, not waited for: a fuzzed lease request may be holding the
-	// unit until the hour is up.
+	// Torn down, not waited for: a fuzzed request may be holding the unit
+	// until the hour is up.
 	f.Cleanup(func() {
 		c.srv.Close()
 		close(c.cpStop)
 		c.f.Close()
 	})
-	paths := []string{"/v2/join", "/v2/lease", "/v2/complete"}
-	// A lease request may ask to park for as long as a lease lives; hanging up
-	// is how a client stops waiting, and the handler must notice.
+	// The lease the seeds hand back: unit 1, epoch 0.
+	if resp, err := talker(f, c, "seed")("seed-turn-0", nil, true); err != nil || resp.Unit == nil {
+		f.Fatalf("first lease: %v, unit %v", err, resp.Unit)
+	}
+	own := strings.NewReplacer("@run", c.run, "@cfg", c.cfgDigest, "@prog", c.progDigest)
+	// A request may ask to park for as long as a lease lives; hanging up is
+	// how a client stops waiting, and the handler must notice.
 	client := &http.Client{Timeout: 100 * time.Millisecond}
-	type state struct {
-		counters             core.Counters
-		bugs                 int
-		queued, leased       int
-		unitsAdded, unitDone int
-	}
-	read := func() (s state) {
-		t, q, l := c.f.Progress()
-		s.counters, s.bugs, s.queued, s.leased = t.Counters, len(t.Bugs), q, l
-		s.unitsAdded, s.unitDone = c.f.UnitCounts()
-		return s
-	}
-	f.Fuzz(func(t *testing.T, endpoint uint8, body []byte) {
-		path := paths[int(endpoint)%len(paths)]
-		before := read()
-		res, err := client.Post("http://"+c.Addr()+path, "application/json", bytes.NewReader(body))
-		if os.IsTimeout(err) && path == "/v2/lease" {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		before := readFrontier(c)
+		res, err := client.Post("http://"+c.Addr()+"/v3/turn", "application/json", strings.NewReader(own.Replace(string(body))))
+		if os.IsTimeout(err) {
 			return
 		}
 		if err != nil {
-			t.Fatalf("POST %s: %v", path, err)
+			t.Fatal(err)
 		}
 		res.Body.Close()
 		if res.StatusCode >= 500 {
-			t.Fatalf("POST %s answered %d", path, res.StatusCode)
+			t.Fatalf("answered %d", res.StatusCode)
 		}
-		if after := read(); res.StatusCode/100 != 2 && after != before {
-			t.Fatalf("POST %s was refused (%d) but moved the frontier: %+v -> %+v", path, res.StatusCode, before, after)
+		if after := readFrontier(c); res.StatusCode/100 != 2 && after != before {
+			t.Fatalf("refused (%d) but moved the frontier: %+v -> %+v", res.StatusCode, before, after)
 		}
 	})
 }

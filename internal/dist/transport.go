@@ -14,11 +14,12 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/obs"
 )
 
 // Transport is the retrying HTTP client every worker↔coordinator call
-// goes through: bounded attempts, exponential backoff with jitter,
-// per-call timeouts, and a seam for the chaos injector's network fault
+// goes through: five attempts, exponential backoff from 10ms with jitter,
+// two seconds an attempt, and a seam for the chaos injector's network fault
 // classes (drop, delay, duplicate, partition — 5xx is injected server
 // side but retried here). Permanent failures (4xx protocol rejections)
 // surface immediately; everything else is presumed transient.
@@ -34,59 +35,31 @@ type Transport struct {
 	rng *rand.Rand
 
 	retries atomic.Int64
-	// onRetry observes each retry (for metrics/tracing); may be nil.
-	onRetry func(path string, err error)
-}
-
-// TransportConfig tunes a Transport; zero values pick the defaults.
-type TransportConfig struct {
-	// Attempts bounds tries per call (default 5).
-	Attempts int
-	// Backoff is the first retry delay, doubling per attempt with ±50%
-	// jitter, capped at 1s (default 10ms).
-	Backoff time.Duration
-	// Timeout bounds each individual attempt (default 2s).
-	Timeout time.Duration
-	// Chaos, when non-nil, injects network faults into outgoing calls.
-	Chaos *chaos.Injector
-	// OnRetry observes each retry with the call path and the error that
-	// caused it.
-	OnRetry func(path string, err error)
-	// Seed drives the backoff jitter; 0 derives one from the base URL so
-	// two workers never share a jitter sequence.
-	Seed int64
+	// retried counts the same retries where metrics are read; may be nil.
+	retried *obs.Counter
 }
 
 // NewTransport returns a transport for the coordinator at base
-// ("host:port" or "http://host:port").
-func NewTransport(base string, cfg TransportConfig) *Transport {
+// ("host:port" or "http://host:port"), injecting inj's network faults and
+// counting retries on retried (either may be nil). The backoff jitter is
+// seeded from base.
+func NewTransport(base string, inj *chaos.Injector, retried *obs.Counter) *Transport {
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
-	if cfg.Attempts <= 0 {
-		cfg.Attempts = 5
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = 10 * time.Millisecond
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 2 * time.Second
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		for _, c := range base {
-			seed = seed*131 + int64(c)
-		}
+	var seed int64
+	for _, c := range base {
+		seed = seed*131 + int64(c)
 	}
 	return &Transport{
 		base:     strings.TrimSuffix(base, "/"),
 		hc:       &http.Client{},
-		attempts: cfg.Attempts,
-		backoff:  cfg.Backoff,
-		timeout:  cfg.Timeout,
-		inj:      cfg.Chaos,
+		attempts: 5,
+		backoff:  10 * time.Millisecond,
+		timeout:  2 * time.Second,
+		inj:      inj,
 		rng:      rand.New(rand.NewSource(seed)),
-		onRetry:  cfg.OnRetry,
+		retried:  retried,
 	}
 }
 
@@ -105,25 +78,20 @@ func (e *remoteError) Error() string {
 	return fmt.Sprintf("coordinator returned %d: %s", e.status, strings.TrimSpace(e.body))
 }
 
-func (e *remoteError) transient() bool { return e.status >= 500 }
-
 // IsRejected reports whether err is a permanent coordinator rejection
 // (4xx), as opposed to a transport fault a retry could have absorbed.
 func IsRejected(err error) bool {
 	re, ok := err.(*remoteError)
-	return ok && !re.transient()
+	return ok && re.status < 500
 }
 
+// transient: 5xx, connection errors, timeouts and injected chaos faults are
+// all worth retrying; chaos marked permanent models a hard failure.
 func transient(err error) bool {
-	if re, ok := err.(*remoteError); ok {
-		return re.transient()
-	}
-	// Connection errors, timeouts and injected chaos faults are all
-	// worth retrying; chaos marked permanent models a hard failure.
 	if chaos.IsInjected(err) {
 		return chaos.IsTransient(err)
 	}
-	return true
+	return !IsRejected(err)
 }
 
 // Call POSTs req as JSON to path and decodes the response into resp,
@@ -139,9 +107,7 @@ func (t *Transport) Call(path string, req, resp any) error {
 	for attempt := 1; attempt <= t.attempts; attempt++ {
 		if attempt > 1 {
 			t.retries.Add(1)
-			if t.onRetry != nil {
-				t.onRetry(path, lastErr)
-			}
+			t.retried.Inc()
 			time.Sleep(t.retryDelay(attempt))
 		}
 		lastErr = t.once(path, body, resp)
@@ -157,10 +123,7 @@ func (t *Transport) Call(path string, req, resp any) error {
 
 // retryDelay is exponential backoff with ±50% jitter, capped at 1s.
 func (t *Transport) retryDelay(attempt int) time.Duration {
-	d := t.backoff << uint(attempt-2)
-	if d > time.Second {
-		d = time.Second
-	}
+	d := min(t.backoff<<uint(attempt-2), time.Second)
 	t.jmu.Lock()
 	j := time.Duration(t.rng.Int63n(int64(d) + 1))
 	t.jmu.Unlock()

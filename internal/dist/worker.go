@@ -14,7 +14,7 @@ import (
 // WorkerConfig configures RunWorker.
 type WorkerConfig struct {
 	// Check is the run's configuration, held once; its digests must match
-	// the coordinator's or the join is rejected. CheckpointPath must be
+	// the coordinator's or every turn is refused. CheckpointPath must be
 	// empty (the coordinator owns durable state). MaxExecutions, MaxTime,
 	// Stop and the MetricsAddr status server span the worker's lifetime,
 	// not one lease. Chaos also injects network faults into this worker's
@@ -27,85 +27,78 @@ type WorkerConfig struct {
 	// Name identifies this worker in leases and logs; defaults to
 	// "worker-<pid>".
 	Name string
-	// Transport tunes retry/backoff/timeouts; zero values are fine.
-	Transport TransportConfig
 }
 
-// RemoteFrontier is the worker's end of the coordinator's HTTP API, spoken
-// through the retrying transport: Lease fetches a unit, Complete hands it
-// back. It belongs to the one goroutine that calls them.
-type RemoteFrontier struct {
-	t    *Transport
-	name string
-	ttl  time.Duration
-
+// conversation is the worker's end of the coordinator's API, spoken through
+// the retrying transport. It belongs to the one goroutine that calls turn.
+type conversation struct {
+	t *Transport
+	// id is what every request repeats: the worker's name and the seed and
+	// digests of what it explores.
+	id      turnRequest
+	run     string        // the coordinator start the last answer came from; "" before the first
+	ttl     time.Duration // the lease TTL it announced
 	reqSeq  int
 	done    bool // the coordinator reported the exploration finished
-	stales  int  // completions rejected for a stale epoch
+	stales  int  // completions rejected as stale
 	lastRep int  // transport retries already reported upstream
 }
 
-// NewRemoteFrontier returns a client for the coordinator behind t. ttl is
-// the lease TTL the coordinator granted at join.
-func NewRemoteFrontier(t *Transport, name string, ttl time.Duration) *RemoteFrontier {
-	return &RemoteFrontier{t: t, name: name, ttl: ttl}
-}
-
-func (rf *RemoteFrontier) reqID(kind string) string {
-	rf.reqSeq++
-	return rf.name + "-" + kind + "-" + strconv.Itoa(rf.reqSeq)
-}
-
-// Lease asks the coordinator for a unit until one is granted, or there is
-// nothing to wait for (nil): the run is done or stopping, or stop fired. The
-// waiting happens at the coordinator — a request parks there for up to half a
-// transport timeout, and an empty answer means ask again now. Transport
-// errors degrade to capped-backoff retrying — an idle worker has nothing
-// better to do than wait for the coordinator to come back (a restarted
-// coordinator on the same address is rejoined transparently) — but an outage
-// outlasting several lease TTLs makes the worker give up and finish with its
-// local results: its leases have long been reclaimed, so nothing is lost, and
-// the process never hangs on a dead address.
-func (rf *RemoteFrontier) Lease(stop <-chan struct{}) (*core.LeasedUnit, error) {
-	backoff := 25 * time.Millisecond
-	giveUp := 4 * rf.ttl
-	if giveUp < 2*time.Second {
-		giveUp = 2 * time.Second
+// turn hands back the lease the worker holds (done; nil when it holds none)
+// and, if want, waits for the next unit: the answer carries one unless the
+// run is done or stopping, or stop fired. The waiting happens at the
+// coordinator — a request parks there for up to half a transport timeout, and
+// an empty answer means ask again now. done carries the transport retries
+// accrued since the last report, so the coordinator's sum stays exact. A call
+// the transport gives up on is made again, the same request under the same
+// ID, with capped backoff: the coordinator applies it once however often it
+// arrives, and one restarted meanwhile answers the old lease stale and grants
+// a unit of its own — there is nothing to rejoin. An outage outlasting several
+// lease TTLs, or a coordinator that never answered at all, is an error: the
+// leases involved are long reclaimed, and the process never hangs on a dead
+// address.
+func (cv *conversation) turn(done *turnDone, want bool, stop <-chan struct{}) (resp turnResponse, err error) {
+	req := cv.id
+	req.Done, req.Want, req.ParkMs = done, want, (cv.t.timeout / 2).Milliseconds()
+	if done != nil {
+		cur := cv.t.Retries()
+		done.Report.RPCRetries, cv.lastRep = cur-cv.lastRep, cur
 	}
+	req.ReqID = cv.reqID()
+	backoff := 25 * time.Millisecond
 	var failSince time.Time
-	for !fired(stop) {
-		var resp leaseResponse
-		err := rf.t.Call("/v2/lease", leaseRequest{
-			Worker: rf.name, ReqID: rf.reqID("lease"), ParkMs: (rf.t.timeout / 2).Milliseconds(),
-		}, &resp)
-		switch {
-		case IsRejected(err):
-			return nil, fmt.Errorf("dist: lease rejected: %w", err)
-		case err != nil:
+	for {
+		resp = turnResponse{}
+		if err = cv.t.Call("/v3/turn", req, &resp); err != nil {
 			if failSince.IsZero() {
 				failSince = time.Now()
-			} else if time.Since(failSince) > giveUp {
-				return nil, nil
 			}
-			t := time.NewTimer(backoff)
+			if IsRejected(err) || cv.run == "" || fired(stop) || time.Since(failSince) > max(4*cv.ttl, 2*time.Second) {
+				return resp, err
+			}
 			select {
 			case <-stop:
-			case <-t.C:
+			case <-time.After(backoff):
 			}
-			t.Stop()
-			if backoff *= 2; backoff > time.Second {
-				backoff = time.Second
-			}
-		case resp.Stop || resp.Done:
-			rf.done = resp.Done
-			return nil, nil
-		case resp.Unit != nil:
-			return &core.LeasedUnit{ID: resp.Unit.ID, Epoch: resp.Unit.Epoch, Snapshot: resp.Unit.Snapshot}, nil
-		default:
-			backoff, failSince = 25*time.Millisecond, time.Time{}
+			backoff = min(2*backoff, time.Second)
+			continue
 		}
+		cv.run, cv.ttl, cv.done = resp.Run, time.Duration(resp.LeaseTTLMs)*time.Millisecond, resp.Done
+		if resp.Stale {
+			cv.stales++
+		}
+		if resp.Unit != nil || resp.Done || resp.Stop || !want || fired(stop) {
+			return resp, nil
+		}
+		// The park ran out. The completion is in: only the asking is repeated.
+		req.ReqID, req.Done = cv.reqID(), nil
+		backoff, failSince = 25*time.Millisecond, time.Time{}
 	}
-	return nil, nil
+}
+
+func (cv *conversation) reqID() string {
+	cv.reqSeq++
+	return cv.id.Worker + "-turn-" + strconv.Itoa(cv.reqSeq)
 }
 
 // fired polls a stop channel; a nil channel never fires.
@@ -118,44 +111,35 @@ func fired(stop <-chan struct{}) bool {
 	}
 }
 
-// Complete ends lease l with its report, attaching the transport retries
-// accrued since the last report (so the coordinator's sum stays exact across
-// workers), and reports whether the coordinator said the run is over (done or
-// stopping): there is nothing further to lease. again tells the coordinator
-// this worker means to lease again unless so told. A stale rejection is counted,
-// not an error. A transport failure after retries is survivable — the lease
-// expires and the unit is re-issued — so it is swallowed too.
-func (rf *RemoteFrontier) Complete(l *core.LeasedUnit, rep core.UnitReport, again bool) (over bool) {
-	cur := rf.t.Retries()
-	rep.RPCRetries, rf.lastRep = cur-rf.lastRep, cur
-	var resp completeResponse
-	err := rf.t.Call("/v2/complete", completeRequest{
-		Worker: rf.name,
-		ReqID:  rf.reqID("complete"),
-		UnitID: l.ID,
-		Epoch:  l.Epoch,
-		Report: rep,
-		Again:  again,
-	}, &resp)
-	if err != nil {
-		return false
+// nextBudget is the execution budget of a worker's next lease, given the last
+// one: doubled when the lease spent its budget and was quick, halved when it
+// took more than a third of the TTL — so a lease is never extended and a live
+// worker's completion stays well inside the deadline. Quick is a sixth of the
+// TTL; with a peer parked at the coordinator for want of a unit, who waits out
+// a lease like this one, it is a 256th (20ms of the default 5s: below that a
+// lease costs what the waiting does), so a worker with nothing to explore
+// waits for one short lease, not one grown to the TTL.
+func nextBudget(budget int, took, ttl time.Duration, spent bool, waiting int) int {
+	quick := ttl / 6
+	if waiting > 0 {
+		quick = ttl / 256
 	}
-	if resp.Stale {
-		rf.stales++
+	switch {
+	case spent && took < quick:
+		return budget * 2
+	case took > ttl/3 && budget > 1:
+		return budget / 2
 	}
-	rf.done = resp.Done
-	return resp.Done || resp.Stop
+	return budget
 }
 
-// RunWorker joins the coordinator and works for it until there is nothing
-// left to lease or its own budget runs out: lease a unit, resume it as an
-// ordinary run from a one-unit checkpoint (core.Continue) under an execution
-// budget, report the final checkpoint's totals and return its units as the
-// remainder, lease again. The budget is the worker's own: one execution for
-// its first lease — so a fresh tree comes back, split for everyone waiting,
-// at once — doubled while a lease that spent it completes inside a sixth of
-// the TTL, halved when one takes more than a third; a lease is never extended
-// and a live worker's completion stays well inside the deadline. It returns
+// RunWorker works for the coordinator until there is nothing left to lease or
+// its own budget runs out: take a unit, resume it as an ordinary run from a
+// one-unit checkpoint (core.Continue) under an execution budget, and in one
+// call report the final checkpoint's totals, return its units as the remainder
+// and take the next. The budget is the worker's own: one execution for its
+// first lease — so a fresh tree comes back, split for everyone waiting, at
+// once — and from then on what nextBudget makes of the last lease. It returns
 // this worker's local view — the sum of what it reported; the coordinator's
 // Wait result is the authoritative global one.
 func RunWorker(cfg WorkerConfig) (*core.Result, error) {
@@ -165,41 +149,20 @@ func RunWorker(cfg WorkerConfig) (*core.Result, error) {
 	if cfg.Check.CheckpointPath != "" {
 		return nil, fmt.Errorf("dist: worker Check must not set CheckpointPath")
 	}
-	tcfg := cfg.Transport
-	if tcfg.Chaos == nil {
-		tcfg.Chaos = cfg.Check.Chaos
-	}
-	retryCounter := cfg.Check.Obs.Counter("cxlmc_rpc_retries_total", "transport calls retried after transient faults")
-	userRetry := tcfg.OnRetry
-	tcfg.OnRetry = func(path string, err error) {
-		retryCounter.Inc()
-		if userRetry != nil {
-			userRetry(path, err)
-		}
-	}
-	t := NewTransport(cfg.Coordinator, tcfg)
-
 	cfgDigest, progDigest, err := core.ExplorationDigests(cfg.Check, cfg.Program)
 	if err != nil {
 		return nil, err
 	}
-	var jr joinResponse
-	if err := t.Call("/v2/join", joinRequest{
-		Worker:        cfg.Name,
-		Seed:          cfg.Check.Seed,
-		ConfigDigest:  cfgDigest,
-		ProgramDigest: progDigest,
-	}, &jr); err != nil {
-		return nil, fmt.Errorf("dist: joining %s: %w", cfg.Coordinator, err)
+	cv := &conversation{
+		t: NewTransport(cfg.Coordinator, cfg.Check.Chaos,
+			cfg.Check.Obs.Counter("cxlmc_rpc_retries_total", "transport calls retried after transient faults")),
+		id: turnRequest{Worker: cfg.Name, Seed: cfg.Check.Seed, ConfigDigest: cfgDigest, ProgramDigest: progDigest},
 	}
-	rf := NewRemoteFrontier(t, cfg.Name, time.Duration(jr.LeaseTTLMs)*time.Millisecond)
-	rf.done = jr.Done
 
 	// check configures each lease's run. What spans the worker's lifetime is
 	// held here instead: the status server and its registry, the budgets
 	// (re-derived per lease below) and the local result.
 	check := cfg.Check
-	check.ContinueAfterBug = jr.ContinueAfterBug
 	var leases atomic.Int64
 	if check.MetricsAddr != "" {
 		if check.Obs == nil {
@@ -228,23 +191,32 @@ func RunWorker(cfg WorkerConfig) (*core.Result, error) {
 
 	start := time.Now()
 	var local core.Tally
-	degraded := false
-	for budget := 1; !jr.Done && !jr.Stop; {
+	var done *turnDone // the lease held, handed back by the next turn
+	var took time.Duration
+	degraded, spent, last := false, false, false
+	for budget := 1; ; {
+		resp, err := cv.turn(done, !last, cfg.Check.Stop)
+		if IsRejected(err) || err != nil && cv.run == "" {
+			return nil, fmt.Errorf("dist: %s: %w", cfg.Coordinator, err)
+		}
+		l := resp.Unit
+		if l == nil {
+			break // done, stopping, leaving, or an outage outlasted
+		}
+		if done != nil {
+			budget = nextBudget(budget, took, cv.ttl, spent, resp.Waiting)
+		}
+		check.ContinueAfterBug = resp.ContinueAfterBug
 		check.MaxExecutions = budget
 		if left := cfg.Check.MaxExecutions - local.Executions; cfg.Check.MaxExecutions > 0 && left < budget {
 			check.MaxExecutions = left
 		}
 		if cfg.Check.MaxTime > 0 {
+			// A unit that arrives as the time runs out stops at its first
+			// boundary and goes back whole.
 			if check.MaxTime = cfg.Check.MaxTime - time.Since(start); check.MaxTime <= 0 {
-				break
+				check.MaxTime = 1
 			}
-		}
-		l, err := rf.Lease(cfg.Check.Stop)
-		if err != nil {
-			return nil, err
-		}
-		if l == nil {
-			break
 		}
 		leases.Add(1)
 		leased := time.Now()
@@ -255,34 +227,27 @@ func RunWorker(cfg WorkerConfig) (*core.Result, error) {
 			// better, and nothing of it was reported.
 			return nil, fmt.Errorf("dist: leased unit %d: %w", l.ID, err)
 		}
-		rep := core.UnitReport{Remainder: cp.Units}
-		rep.Tally, _ = cp.Totals()
-		local.Fold(rep.Tally)
+		took = time.Since(leased)
+		done = &turnDone{Run: resp.Run, Unit: l.ID, Epoch: l.Epoch, Report: core.UnitReport{Remainder: cp.Units}}
+		done.Report.Tally, _ = cp.Totals()
+		local.Fold(done.Report.Tally)
 		degraded = degraded || res.Degraded
-		spent := rep.Executions >= check.MaxExecutions
+		spent = done.Report.Executions >= check.MaxExecutions
 		// The lease ended short of its budget on this worker's own account —
 		// Stop, its time budget, the memory governor, the first bug — so
-		// another would end the same; or its own execution budget is used up.
-		last := !res.Complete && !spent ||
+		// another would end the same; or its own execution budget is used up:
+		// the next turn hands the lease back and asks for nothing.
+		last = !res.Complete && !spent ||
 			cfg.Check.MaxExecutions > 0 && local.Executions >= cfg.Check.MaxExecutions
-		if over := rf.Complete(l, rep, !last); over || last {
-			break
-		}
-		switch took := time.Since(leased); {
-		case spent && took < rf.ttl/6:
-			budget *= 2
-		case took > rf.ttl/3 && budget > 1:
-			budget /= 2
-		}
 	}
 	core.SortBugs(local.Bugs)
 	stats := core.Stats{
 		Counters:         local.Counters,
 		Elapsed:          time.Since(start),
-		Complete:         rf.done,
+		Complete:         cv.done,
 		Interrupted:      fired(cfg.Check.Stop),
-		RPCRetries:       t.Retries(),
-		StaleCompletions: rf.stales,
+		RPCRetries:       cv.t.Retries(),
+		StaleCompletions: cv.stales,
 	}
 	stats.Degraded = degraded
 	return &core.Result{Stats: stats, Bugs: local.Bugs, Seed: check.Seed, GPF: check.GPF}, nil
