@@ -72,33 +72,30 @@ func runJobVerb(verb string, args []string) int {
 		source  = fs.String("source", "", "submit this Go source file (gofront/cxl API) as the job's program instead of -bench")
 		doWait  = fs.Bool("wait", false, "block until the submitted job is terminal")
 		// wait / submit -wait flags
-		poll    = fs.Duration("poll", 200*time.Millisecond, "status poll interval")
 		timeout = fs.Duration("timeout", time.Hour, "give up waiting after this long")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if verb == "status" || verb == "jobs" {
+		// A read is made again until it is answered, which rides through a
+		// restarting server; one that is not there at all is reported soon.
+		*timeout = min(*timeout, 10*time.Second)
+	}
 	client := jobs.NewClient(*addr)
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	// printStatus renders one status as indented JSON on stdout — the
-	// same shape GET /jobs/{id} returns, so scripts can treat the CLI
-	// and the raw API interchangeably.
-	printStatus := func(st jobs.Status) {
-		data, _ := json.MarshalIndent(st, "", "  ")
-		fmt.Println(string(data))
+	id := fs.Arg(0)
+	if id == "" && (verb == "status" || verb == "cancel" || verb == "wait") {
+		fmt.Fprintf(os.Stderr, "cxlmc: usage: cxlmc %s [-addr host:port] [-timeout d] JOB-ID\n", verb)
+		return 2
 	}
-	// terminalCode maps a terminal state to the exit-code contract:
-	// done 0, anything else 1.
-	terminalCode := func(st jobs.Status) int {
-		if st.State == jobs.StateDone {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "cxlmc: job %s %s%s\n", st.ID, st.State, jobs.ErrSuffix(st.Error))
-		return 1
-	}
-
+	var (
+		st   jobs.Status
+		list []jobs.Status
+		err  error
+	)
 	switch verb {
 	case "submit":
 		spec.Tenant = *tenant
@@ -116,76 +113,46 @@ func runJobVerb(verb string, args []string) int {
 			spec.Source = string(src)
 			spec.SourceName = filepath.Base(*source)
 		}
-		st, err := client.Submit(ctx, spec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cxlmc: %v\n", err)
-			return 1
+		if st, err = client.Submit(ctx, spec); err == nil && *doWait {
+			st, err = client.Wait(ctx, st.ID, 0)
 		}
-		if !*doWait {
-			fmt.Println(st.ID)
-			return 0
-		}
-		fin, err := client.Wait(ctx, st.ID, *poll)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cxlmc: %v\n", err)
-			return 1
-		}
-		printStatus(fin)
-		return terminalCode(fin)
-
 	case "status":
-		id := fs.Arg(0)
-		if id == "" {
-			fmt.Fprintf(os.Stderr, "cxlmc: usage: cxlmc status [-addr host:port] JOB-ID\n")
-			return 2
-		}
-		st, err := client.Status(ctx, id)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cxlmc: %v\n", err)
-			return 1
-		}
-		printStatus(st)
-		return 0
-
+		st, err = client.Status(ctx, id)
 	case "cancel":
-		id := fs.Arg(0)
-		if id == "" {
-			fmt.Fprintf(os.Stderr, "cxlmc: usage: cxlmc cancel [-addr host:port] JOB-ID\n")
-			return 2
-		}
-		st, err := client.Cancel(ctx, id)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cxlmc: %v\n", err)
-			return 1
-		}
-		fmt.Printf("%s %s\n", st.ID, st.State)
-		return 0
-
+		st, err = client.Cancel(ctx, id)
 	case "wait":
-		id := fs.Arg(0)
-		if id == "" {
-			fmt.Fprintf(os.Stderr, "cxlmc: usage: cxlmc wait [-addr host:port] [-poll d] [-timeout d] JOB-ID\n")
-			return 2
-		}
-		fin, err := client.Wait(ctx, id, *poll)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cxlmc: %v\n", err)
-			return 1
-		}
-		printStatus(fin)
-		return terminalCode(fin)
-
+		st, err = client.Wait(ctx, id, 0)
 	case "jobs":
-		list, err := client.List(ctx, *tenant)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cxlmc: %v\n", err)
-			return 1
-		}
+		list, err = client.List(ctx, *tenant)
+	default:
+		fmt.Fprintf(os.Stderr, "cxlmc: unknown verb %q\n", verb)
+		return 2
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cxlmc: %v\n", err)
+		return 1
+	}
+
+	switch {
+	case verb == "jobs":
 		for _, st := range list {
 			fmt.Printf("%s\t%s\t%s%s\n", st.ID, st.Tenant, st.State, jobs.ErrSuffix(st.Error))
 		}
-		return 0
+	case verb == "cancel":
+		fmt.Printf("%s %s\n", st.ID, st.State)
+	case verb == "submit" && !*doWait:
+		fmt.Println(st.ID)
+	default:
+		// One status as indented JSON on stdout — the shape GET /jobs/{id}
+		// returns, so scripts can treat the CLI and the raw API
+		// interchangeably. A wait's exit code is the terminal state's: done 0,
+		// anything else 1.
+		data, _ := json.MarshalIndent(st, "", "  ")
+		fmt.Println(string(data))
+		if verb != "status" && st.State != jobs.StateDone {
+			fmt.Fprintf(os.Stderr, "cxlmc: job %s %s%s\n", st.ID, st.State, jobs.ErrSuffix(st.Error))
+			return 1
+		}
 	}
-	fmt.Fprintf(os.Stderr, "cxlmc: unknown verb %q\n", verb)
-	return 2
+	return 0
 }

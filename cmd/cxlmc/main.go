@@ -115,9 +115,10 @@
 // Checking as a service: -jobserver runs this process as a long-lived,
 // multi-tenant job server. Clients submit exploration jobs (a benchmark
 // or generated recipe plus a whitelisted subset of the checker's
-// configuration) over a REST API — POST /jobs, GET /jobs/{id}, POST
-// /jobs/{id}/cancel, GET /jobs/{id}/events (server-sent events) — or
-// through the submit/status/cancel/wait/jobs verbs. Jobs are journaled
+// configuration) over a REST API — POST /jobs, GET /jobs/{id}[?wait=30s]
+// (with wait the request parks at the server until the job is terminal),
+// POST /jobs/{id}/cancel — or through the submit/status/cancel/wait/jobs
+// verbs; status, jobs and wait ride through a server restart. Jobs are journaled
 // to -jobs-dir together with per-job engine checkpoints: a kill -9
 // followed by a restart on the same directory resumes running jobs from
 // their last checkpoint and re-queues queued ones, losing and

@@ -209,7 +209,7 @@ func TestJobServerEndToEnd(t *testing.T) {
 
 	out, code := runCLI(t, "submit", "-addr", addr,
 		"-bench", "CCEH", "-keys", "4", "-insert-workers", "1",
-		"-bugs", "1", "-continue", "-wait", "-poll", "20ms")
+		"-bugs", "1", "-continue", "-wait")
 	if code != 0 {
 		t.Fatalf("submit -wait exited %d:\n%s", code, out)
 	}
@@ -307,7 +307,7 @@ func TestJobServerKill9Restart(t *testing.T) {
 	banner2 := waitLine(t, lines2, "job server on ", 10*time.Second)
 	addr2 := strings.Fields(strings.SplitN(banner2, "job server on ", 2)[1])[0]
 
-	out, code = runCLI(t, "wait", "-addr", addr2, "-poll", "20ms", id)
+	out, code = runCLI(t, "wait", "-addr", addr2, id)
 	if code != 0 {
 		t.Fatalf("wait after kill -9 exited %d:\n%s", code, out)
 	}
@@ -377,7 +377,7 @@ func TestLocalRunAndSubmittedJobAgree(t *testing.T) {
 	srv, lines := startCLI(t, "-jobserver", "127.0.0.1:0", "-jobs-dir", t.TempDir())
 	banner := waitLine(t, lines, "job server on ", 10*time.Second)
 	addr := strings.Fields(strings.SplitN(banner, "job server on ", 2)[1])[0]
-	out, code := runCLI(t, append([]string{"submit", "-addr", addr, "-wait", "-poll", "20ms"}, argv...)...)
+	out, code := runCLI(t, append([]string{"submit", "-addr", addr, "-wait"}, argv...)...)
 	if code != 0 {
 		t.Fatalf("submit -wait exited %d:\n%s", code, out)
 	}

@@ -160,7 +160,7 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}, units)
 	c.f.Credit(inherited)
 
-	c.srv, err = obs.NewServerRoutes(cfg.Addr, c.reg, func() any { return c.statusz() },
+	c.srv, err = obs.NewServer(cfg.Addr, c.reg, func() any { return c.statusz() },
 		obs.Route{Pattern: "POST /v3/turn", Handler: c.api(c.handleTurn)})
 	if err != nil {
 		c.f.Close()

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -151,15 +152,22 @@ func tap(t *testing.T, addr string, sent func(turnRequest), see func(turnRequest
 // talker is a hand-driven worker of c: each call of the returned func is one
 // delivery of one turn, under the request ID given.
 func talker(t testing.TB, c *Coordinator, name string) func(reqID string, done *turnDone, want bool) (turnResponse, error) {
-	tr := NewTransport(c.Addr(), nil, nil)
 	return func(reqID string, done *turnDone, want bool) (resp turnResponse, err error) {
 		t.Helper()
-		err = tr.Call("/v3/turn", turnRequest{
+		err = deliver(c.Addr(), turnRequest{
 			Worker: name, ReqID: reqID, Seed: c.cfg.Check.Seed, ConfigDigest: c.cfgDigest, ProgramDigest: c.progDigest,
 			Done: done, Want: want,
 		}, &resp)
 		return resp, err
 	}
+}
+
+// deliver sends one turn to the coordinator at addr, through the client a
+// worker uses.
+func deliver(addr string, req turnRequest, resp any) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	return obs.NewClient(addr, turnTimeout, nil, nil).Call(ctx, http.MethodPost, "/v3/turn", req, resp)
 }
 
 // handBack completes the lease resp granted, with rep.
@@ -180,52 +188,6 @@ func readFrontier(c *Coordinator) (s frontierState) {
 	s.counters, s.bugs, s.queued, s.leased = t.Counters, len(t.Bugs), q, l
 	s.unitsAdded, s.unitDone = c.f.UnitCounts()
 	return s
-}
-
-// TestTransportRetriesTransientFaults: 5xx and connection failures are
-// retried with backoff; a 4xx surfaces immediately as a rejection.
-func TestTransportRetriesTransientFaults(t *testing.T) {
-	var mu sync.Mutex
-	fails := 2
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		defer mu.Unlock()
-		if fails > 0 {
-			fails--
-			http.Error(w, "flaky", http.StatusServiceUnavailable)
-			return
-		}
-		w.Write([]byte(`{"ok":true}`))
-	}))
-	defer srv.Close()
-
-	tr := NewTransport(srv.URL, nil, nil)
-	tr.backoff = time.Millisecond
-	var resp struct {
-		OK bool `json:"ok"`
-	}
-	if err := tr.Call("/x", struct{}{}, &resp); err != nil {
-		t.Fatalf("Call after transient 503s: %v", err)
-	}
-	if !resp.OK {
-		t.Fatal("response not decoded")
-	}
-	if tr.Retries() != 2 {
-		t.Fatalf("Retries = %d, want 2", tr.Retries())
-	}
-
-	rej := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "no", http.StatusConflict)
-	}))
-	defer rej.Close()
-	tr2 := NewTransport(rej.URL, nil, nil)
-	err := tr2.Call("/x", struct{}{}, nil)
-	if err == nil || !IsRejected(err) {
-		t.Fatalf("409 should be a permanent rejection, got %v", err)
-	}
-	if tr2.Retries() != 0 {
-		t.Fatalf("a permanent 4xx was retried %d time(s)", tr2.Retries())
-	}
 }
 
 // TestDistEndToEndParity: a coordinator and two worker processes (in
@@ -312,11 +274,11 @@ func TestDistDigestMismatchRejected(t *testing.T) {
 		t.Fatalf("first turn: %v, unit %v", err, lr.Unit)
 	}
 	before := readFrontier(c)
-	err = NewTransport(c.Addr(), nil, nil).Call("/v3/turn", turnRequest{
+	err = deliver(c.Addr(), turnRequest{
 		Worker: "turncoat", ReqID: "turncoat-2", Seed: c.cfg.Check.Seed, ConfigDigest: c.cfgDigest, ProgramDigest: "0123456789abcdef",
 		Done: handBack(lr, core.UnitReport{Tally: core.Tally{Counters: core.Counters{Executions: 3}}}), Want: true,
 	}, nil)
-	if !IsRejected(err) || !strings.Contains(err.Error(), "409") {
+	if !obs.IsRejected(err) || !strings.Contains(err.Error(), "409") {
 		t.Fatalf("a later turn under another program digest was answered %v, want a 409", err)
 	}
 	if after := readFrontier(c); after != before {
@@ -343,7 +305,6 @@ func TestTurnWithoutIdentityRefused(t *testing.T) {
 		close(stop)
 		c.Wait(stop)
 	}()
-	tr := NewTransport(c.Addr(), nil, nil)
 	for name, req := range map[string]turnRequest{
 		"no identity":    {},
 		"no digests":     {Seed: 3},
@@ -353,8 +314,8 @@ func TestTurnWithoutIdentityRefused(t *testing.T) {
 	} {
 		req.Worker, req.ReqID, req.Want = "stranger", "stranger-"+name, true
 		var resp turnResponse
-		err := tr.Call("/v3/turn", req, &resp)
-		if !IsRejected(err) || !strings.Contains(err.Error(), "409") || resp.Unit != nil {
+		err := deliver(c.Addr(), req, &resp)
+		if !obs.IsRejected(err) || !strings.Contains(err.Error(), "409") || resp.Unit != nil {
 			t.Errorf("%s: answered %v with unit %v, want a 409 and none", name, err, resp.Unit)
 		}
 	}
@@ -503,7 +464,7 @@ func TestDistBadRemainderRejected(t *testing.T) {
 		_, err := turn(reqID, handBack(lr, core.UnitReport{Tally: core.Tally{Counters: core.Counters{Executions: 5}}, Remainder: remainder}), false)
 		return err
 	}
-	if err := complete("mangler-turn-2", lr.Unit.Snapshot, flipped); !IsRejected(err) {
+	if err := complete("mangler-turn-2", lr.Unit.Snapshot, flipped); !obs.IsRejected(err) {
 		t.Fatalf("a bit-flipped remainder was answered %v, want a 4xx rejection", err)
 	}
 	added, done := c.f.UnitCounts()
@@ -1019,6 +980,88 @@ func TestRestartedCoordinatorRefusesOldIncarnation(t *testing.T) {
 	}
 }
 
+// TestRestartedWorkerIsNotReplayed: a request ID names the worker process, not
+// only the name it was given. A worker restarted under its predecessor's name
+// counts its turns from 1 again; were the ID the name and the count, its first
+// turns would be answered from the idempotency cache with what the predecessor
+// was told — leases long completed. Its first turn is answered fresh: a unit
+// the predecessor never held, nothing stale, and the serial totals.
+func TestRestartedWorkerIsNotReplayed(t *testing.T) {
+	check := core.Config{ContinueAfterBug: true}
+	prog := ccehProgram(10)
+	base, err := core.Run(check, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := StartCoordinator(CoordinatorConfig{Check: check, Program: prog, Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type lease struct{ unit, epoch uint64 }
+	var (
+		mu       sync.Mutex
+		restart  bool
+		held     = map[lease]bool{} // by the first incarnation
+		ids      = map[string]bool{}
+		replayed []string
+	)
+	via := tap(t, c.Addr(),
+		func(req turnRequest) {
+			mu.Lock()
+			defer mu.Unlock()
+			if ids[req.ReqID] {
+				replayed = append(replayed, req.ReqID)
+			}
+			ids[req.ReqID] = true
+		},
+		func(_ turnRequest, resp turnResponse) {
+			mu.Lock()
+			defer mu.Unlock()
+			if resp.Unit == nil {
+				return
+			}
+			l := lease{resp.Unit.ID, resp.Unit.Epoch}
+			if !restart {
+				held[l] = true
+			} else if held[l] {
+				replayed = append(replayed, fmt.Sprintf("lease (%d, %d) granted again", l.unit, l.epoch))
+			}
+		})
+	// The first incarnation leaves on its own account after three executions:
+	// two leases, both handed back.
+	short := check
+	short.MaxExecutions = 3
+	first, err := RunWorker(WorkerConfig{Check: short, Program: prog, Coordinator: via, Name: "w"})
+	if err != nil || first.Executions != 3 {
+		t.Fatalf("first incarnation: %v, %+v", err, first)
+	}
+	mu.Lock()
+	restart = true
+	if len(held) < 2 {
+		t.Fatalf("the first incarnation held %d leases; the scenario needs its second turn answered too", len(held))
+	}
+	mu.Unlock()
+	second, err := RunWorker(WorkerConfig{Check: check, Program: prog, Coordinator: via, Name: "w"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Wait(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(replayed) > 0 {
+		t.Fatalf("the restarted worker was answered from its predecessor's conversation: %v", replayed)
+	}
+	if res.StaleCompletions != 0 || second.StaleCompletions != 0 {
+		t.Fatalf("stale completions: coordinator %d, worker %d, want none", res.StaleCompletions, second.StaleCompletions)
+	}
+	if !second.Complete || first.Executions+second.Executions != base.Executions {
+		t.Fatalf("the two incarnations explored %d + %d executions (complete %v), serial run %d",
+			first.Executions, second.Executions, second.Complete, base.Executions)
+	}
+	assertParity(t, "a worker restarted under its name", res, base)
+}
+
 // TestCrossModeResume: the checkpoint format is one format. A mid-run
 // checkpoint a coordinator wrote is finished by a plain single-process run,
 // and one the engine wrote is finished by a coordinator and a worker; either
@@ -1249,12 +1292,11 @@ func TestDistWorkerGivesUpOnDeadCoordinator(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waits out the 2s give-up floor")
 	}
-	tr := NewTransport("127.0.0.1:1", nil, nil)
-	tr.attempts, tr.backoff, tr.timeout = 1, time.Millisecond, 50*time.Millisecond
-	cv := &conversation{t: tr, id: turnRequest{Worker: "orphan"}, run: "gone", ttl: 100 * time.Millisecond}
+	cv := &conversation{c: obs.NewClient("127.0.0.1:1", 50*time.Millisecond, nil, nil),
+		id: turnRequest{Worker: "orphan"}, run: "gone", ttl: 100 * time.Millisecond}
 	start := time.Now()
-	resp, err := cv.turn(nil, true, nil)
-	if resp.Unit != nil || err == nil || IsRejected(err) {
+	resp, err := cv.turn(context.Background(), nil, true)
+	if resp.Unit != nil || err == nil || obs.IsRejected(err) {
 		t.Fatalf("turn = (%+v, %v), want no unit and the transport's error", resp, err)
 	}
 	if d := time.Since(start); d < 2*time.Second || d > 30*time.Second {

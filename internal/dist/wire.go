@@ -22,9 +22,10 @@
 // old epoch or another start's run is rejected idempotently — deterministic
 // re-execution makes both harmless, and a worker rides through a coordinator
 // restarted on the same address with no step of its own. Every call goes
-// through a transport with bounded retry, exponential backoff with jitter
-// and per-call timeouts, so transient network faults (which internal/chaos
-// can inject: drops, delays, duplicates, partitions, 5xx) never kill a run;
+// through obs.Client — the same request again, with jittered exponential
+// backoff and a timeout per attempt, for as long as the turn's context allows —
+// so transient network faults (which internal/chaos can inject: drops,
+// delays, duplicates, partitions, 5xx) never kill a run;
 // a holder that missed its deadline wastes at most one lease budget of work
 // before its completion is answered stale.
 // The coordinator checkpoints its frontier in the same version-2 format
@@ -36,7 +37,8 @@ import "repro/internal/core"
 
 // turnRequest is everything a worker ever says, POSTed as JSON to /v3/turn,
 // the coordinator's one worker route. Every request names the worker, carries
-// a client-generated request ID — the coordinator remembers recent IDs and
+// a client-generated request ID (the name, the worker's own incarnation and a
+// count) — the coordinator remembers recent IDs and
 // replays the original answer to a duplicate delivery, so retries and
 // chaos-injected duplicates cannot double-apply an effect — and identifies
 // what the worker explores: a seed or digest that is not the coordinator's is
@@ -53,7 +55,7 @@ type turnRequest struct {
 	Done *turnDone `json:"done,omitempty"`
 	// Want asks for the next unit: the coordinator may hold the request up to
 	// ParkMs waiting for a unit, Done or Stop before answering empty — half
-	// the caller's per-attempt transport timeout, so a parked request never
+	// the caller's per-attempt timeout, so a parked request never
 	// looks like a lost one.
 	Want   bool  `json:"want,omitempty"`
 	ParkMs int64 `json:"park_ms,omitempty"`

@@ -1,7 +1,11 @@
 package dist
 
 import (
+	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"fmt"
+	"net/http"
 	"os"
 	"strconv"
 	"sync/atomic"
@@ -18,7 +22,7 @@ type WorkerConfig struct {
 	// empty (the coordinator owns durable state). MaxExecutions, MaxTime,
 	// Stop and the MetricsAddr status server span the worker's lifetime,
 	// not one lease. Chaos also injects network faults into this worker's
-	// transport, and Obs also gets a cxlmc_rpc_retries_total counter.
+	// client, and Obs also gets a cxlmc_rpc_retries_total counter.
 	Check core.Config
 	// Program is the program under test.
 	Program func(*core.Program)
@@ -29,85 +33,71 @@ type WorkerConfig struct {
 	Name string
 }
 
+// turnTimeout is what one attempt at a turn may take; a turn parks for half of it.
+const turnTimeout = 2 * time.Second
+
 // conversation is the worker's end of the coordinator's API, spoken through
-// the retrying transport. It belongs to the one goroutine that calls turn.
+// the retrying client. It belongs to the one goroutine that calls turn.
 type conversation struct {
-	t *Transport
+	c *obs.Client
 	// id is what every request repeats: the worker's name and the seed and
 	// digests of what it explores.
-	id      turnRequest
+	id turnRequest
+	// inc names this RunWorker in its request IDs, drawn at random: a worker
+	// restarted under its predecessor's name counts its turns from 1 again and
+	// must not be replayed the answers the predecessor got.
+	inc     string
 	run     string        // the coordinator start the last answer came from; "" before the first
 	ttl     time.Duration // the lease TTL it announced
 	reqSeq  int
 	done    bool // the coordinator reported the exploration finished
 	stales  int  // completions rejected as stale
-	lastRep int  // transport retries already reported upstream
+	lastRep int  // client retries already reported upstream
 }
 
 // turn hands back the lease the worker holds (done; nil when it holds none)
 // and, if want, waits for the next unit: the answer carries one unless the
-// run is done or stopping, or stop fired. The waiting happens at the
-// coordinator — a request parks there for up to half a transport timeout, and
-// an empty answer means ask again now. done carries the transport retries
+// run is done or stopping, or ctx ended. The waiting happens at the
+// coordinator — a request parks there for up to half an attempt's timeout, and
+// an empty answer means ask again now. done carries the client's retries
 // accrued since the last report, so the coordinator's sum stays exact. A call
-// the transport gives up on is made again, the same request under the same
-// ID, with capped backoff: the coordinator applies it once however often it
-// arrives, and one restarted meanwhile answers the old lease stale and grants
-// a unit of its own — there is nothing to rejoin. An outage outlasting several
-// lease TTLs, or a coordinator that never answered at all, is an error: the
-// leases involved are long reclaimed, and the process never hangs on a dead
-// address.
-func (cv *conversation) turn(done *turnDone, want bool, stop <-chan struct{}) (resp turnResponse, err error) {
+// that fails is the client's to make again, the same request under the same
+// ID: the coordinator applies it once however often it arrives, and one
+// restarted meanwhile answers the old lease stale and grants a unit of its own
+// — there is nothing to rejoin. How long is the context's to say. It ends with
+// ctx, which is the worker's Stop — except that a lease in hand is handed back
+// by a stopping worker too — and when a call has failed for several lease TTLs
+// on end, or for two seconds if no coordinator ever answered: the leases
+// involved are long reclaimed, and the process never hangs on a dead address.
+func (cv *conversation) turn(ctx context.Context, done *turnDone, want bool) (resp turnResponse, err error) {
 	req := cv.id
-	req.Done, req.Want, req.ParkMs = done, want, (cv.t.timeout / 2).Milliseconds()
+	req.Done, req.Want, req.ParkMs = done, want, (turnTimeout / 2).Milliseconds()
+	stop := ctx
 	if done != nil {
-		cur := cv.t.Retries()
+		cur := cv.c.Retries()
 		done.Report.RPCRetries, cv.lastRep = cur-cv.lastRep, cur
+		ctx = context.WithoutCancel(ctx)
 	}
-	req.ReqID = cv.reqID()
-	backoff := 25 * time.Millisecond
-	var failSince time.Time
 	for {
+		cv.reqSeq++
+		req.ReqID = cv.id.Worker + "-" + cv.inc + "-turn-" + strconv.Itoa(cv.reqSeq)
 		resp = turnResponse{}
-		if err = cv.t.Call("/v3/turn", req, &resp); err != nil {
-			if failSince.IsZero() {
-				failSince = time.Now()
-			}
-			if IsRejected(err) || cv.run == "" || fired(stop) || time.Since(failSince) > max(4*cv.ttl, 2*time.Second) {
-				return resp, err
-			}
-			select {
-			case <-stop:
-			case <-time.After(backoff):
-			}
-			backoff = min(2*backoff, time.Second)
-			continue
+		call, cancel := context.WithTimeout(ctx, max(4*cv.ttl, 2*time.Second))
+		err = cv.c.Call(call, http.MethodPost, "/v3/turn", req, &resp)
+		cancel()
+		if err != nil {
+			return resp, err
 		}
 		cv.run, cv.ttl, cv.done = resp.Run, time.Duration(resp.LeaseTTLMs)*time.Millisecond, resp.Done
 		if resp.Stale {
 			cv.stales++
 		}
-		if resp.Unit != nil || resp.Done || resp.Stop || !want || fired(stop) {
+		if resp.Unit != nil || resp.Done || resp.Stop || !want {
 			return resp, nil
 		}
-		// The park ran out. The completion is in: only the asking is repeated.
-		req.ReqID, req.Done = cv.reqID(), nil
-		backoff, failSince = 25*time.Millisecond, time.Time{}
-	}
-}
-
-func (cv *conversation) reqID() string {
-	cv.reqSeq++
-	return cv.id.Worker + "-turn-" + strconv.Itoa(cv.reqSeq)
-}
-
-// fired polls a stop channel; a nil channel never fires.
-func fired(stop <-chan struct{}) bool {
-	select {
-	case <-stop:
-		return true
-	default:
-		return false
+		// The park ran out. The completion is in: only the asking is repeated
+		// (by a worker that has been stopped, not even that: the call fails).
+		req.Done, ctx = nil, stop
 	}
 }
 
@@ -153,11 +143,26 @@ func RunWorker(cfg WorkerConfig) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cv := &conversation{
-		t: NewTransport(cfg.Coordinator, cfg.Check.Chaos,
-			cfg.Check.Obs.Counter("cxlmc_rpc_retries_total", "transport calls retried after transient faults")),
-		id: turnRequest{Worker: cfg.Name, Seed: cfg.Check.Seed, ConfigDigest: cfgDigest, ProgramDigest: progDigest},
+	var inc [4]byte
+	if _, err := rand.Read(inc[:]); err != nil {
+		return nil, fmt.Errorf("dist: drawing the worker's incarnation: %w", err)
 	}
+	cv := &conversation{
+		c: obs.NewClient(cfg.Coordinator, turnTimeout, cfg.Check.Chaos,
+			cfg.Check.Obs.Counter("cxlmc_rpc_retries_total", "transport calls retried after transient faults")),
+		id:  turnRequest{Worker: cfg.Name, Seed: cfg.Check.Seed, ConfigDigest: cfgDigest, ProgramDigest: progDigest},
+		inc: hex.EncodeToString(inc[:]),
+	}
+	// ctx is Stop as a context: a turn parked or retrying when it fires ends there.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		select {
+		case <-cfg.Check.Stop:
+			cancel()
+		case <-ctx.Done():
+		}
+	}()
 
 	// check configures each lease's run. What spans the worker's lifetime is
 	// held here instead: the status server and its registry, the budgets
@@ -195,8 +200,8 @@ func RunWorker(cfg WorkerConfig) (*core.Result, error) {
 	var took time.Duration
 	degraded, spent, last := false, false, false
 	for budget := 1; ; {
-		resp, err := cv.turn(done, !last, cfg.Check.Stop)
-		if IsRejected(err) || err != nil && cv.run == "" {
+		resp, err := cv.turn(ctx, done, !last)
+		if obs.IsRejected(err) || err != nil && cv.run == "" {
 			return nil, fmt.Errorf("dist: %s: %w", cfg.Coordinator, err)
 		}
 		l := resp.Unit
@@ -245,8 +250,8 @@ func RunWorker(cfg WorkerConfig) (*core.Result, error) {
 		Counters:         local.Counters,
 		Elapsed:          time.Since(start),
 		Complete:         cv.done,
-		Interrupted:      fired(cfg.Check.Stop),
-		RPCRetries:       cv.t.Retries(),
+		Interrupted:      ctx.Err() != nil,
+		RPCRetries:       cv.c.Retries(),
 		StaleCompletions: cv.stales,
 	}
 	stats.Degraded = degraded

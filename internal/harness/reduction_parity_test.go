@@ -107,6 +107,9 @@ func TestReductionParityBenchmarks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if !par.Complete {
+				t.Fatal("workers=4 exploration incomplete: its counts compare with nothing (core.Stats)")
+			}
 			if par.Executions != on.Executions {
 				t.Fatalf("workers=4 execs %d != serial reduced execs %d", par.Executions, on.Executions)
 			}

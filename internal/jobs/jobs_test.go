@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -335,46 +334,6 @@ func TestCancel(t *testing.T) {
 	snap := s.Registry().Snapshot()
 	if snap["cxlmc_jobs_cancelled"] != 2 {
 		t.Fatalf("cancelled = %v, want 2", snap["cxlmc_jobs_cancelled"])
-	}
-}
-
-// The SSE stream reports state transitions and ends at the terminal one.
-func TestEventsSSE(t *testing.T) {
-	s := testServer(t, Config{})
-	c := NewClient(s.Addr())
-	ctx := ctxT(t, 30*time.Second)
-
-	st, err := c.Submit(ctx, fastSpec("a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+s.Addr()+"/jobs/"+st.ID+"/events", nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type %q", ct)
-	}
-	var states []string
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() { // the server closes the stream after the terminal event
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		var ev Status
-		if err := json.Unmarshal([]byte(line[len("data: "):]), &ev); err != nil {
-			continue // progress events decode too, but loosely; only track statuses
-		}
-		if ev.ID == st.ID && (len(states) == 0 || states[len(states)-1] != string(ev.State)) {
-			states = append(states, string(ev.State))
-		}
-	}
-	joined := strings.Join(states, ",")
-	if !strings.HasSuffix(joined, string(StateDone)) {
-		t.Fatalf("stream states %q do not end in done", joined)
 	}
 }
 

@@ -121,12 +121,6 @@ func newMetrics(reg *obs.Registry) metrics {
 	}
 }
 
-// sseEvent is one fanned-out server-sent event.
-type sseEvent struct {
-	name string
-	data []byte
-}
-
 // job is the server's in-memory view of one submitted exploration.
 type job struct {
 	id     string
@@ -135,6 +129,9 @@ type job struct {
 
 	stop     chan struct{}
 	stopOnce sync.Once
+	// done is closed when the job reaches a terminal state, which is
+	// absorbing: it is what a status request parks on.
+	done chan struct{}
 
 	mu        sync.Mutex
 	state     State
@@ -148,7 +145,6 @@ type job struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	subs      []chan sseEvent
 }
 
 func (j *job) requestStop() {
@@ -164,61 +160,28 @@ func (j *job) rearm() {
 	j.mu.Unlock()
 }
 
-func (j *job) status(withSpec bool) Status {
+// status is the job's summary — identity, state, times — or, full, the whole
+// record: the spec, the latest progress snapshot while it runs and the result
+// once it has one. A listing is summaries, so its size does not grow with
+// what the jobs found.
+func (j *job) status(full bool) Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := Status{
 		ID: j.id, Tenant: j.tenant, State: j.state, Retries: j.retries,
 		Error: j.errMsg, Submitted: j.submitted, Started: j.started, Finished: j.finished,
 	}
-	if withSpec {
-		sp := j.spec
-		st.Spec = &sp
+	if !full {
+		return st
 	}
+	sp := j.spec
+	st.Spec = &sp
 	if j.progress != nil && !j.state.Terminal() {
 		p := *j.progress
 		st.Progress = &p
 	}
-	if j.result != nil {
-		st.Result = j.result
-	}
+	st.Result = j.result
 	return st
-}
-
-// subscribe registers an SSE subscriber; the returned channel is closed
-// when the job reaches a terminal state.
-func (j *job) subscribe() chan sseEvent {
-	ch := make(chan sseEvent, 16)
-	j.mu.Lock()
-	terminal := j.state.Terminal()
-	if !terminal {
-		j.subs = append(j.subs, ch)
-	}
-	j.mu.Unlock()
-	if terminal {
-		close(ch)
-	}
-	return ch
-}
-
-// publish fans an event out to subscribers (dropping it for slow ones)
-// and closes the stream on terminal events. Callers must not hold j.mu.
-func (j *job) publish(ev sseEvent, terminal bool) {
-	j.mu.Lock()
-	subs := j.subs
-	if terminal {
-		j.subs = nil
-	}
-	j.mu.Unlock()
-	for _, ch := range subs {
-		select {
-		case ch <- ev:
-		default:
-		}
-		if terminal {
-			close(ch)
-		}
-	}
 }
 
 // Server is a running job server. Start one with Start, stop it with
@@ -238,6 +201,11 @@ type Server struct {
 	order    []string
 	nextID   int
 	draining bool
+	// quit is closed when the server stops, by Drain, Close or crash: a parked
+	// status request is answered with what it has instead of holding the
+	// listener open.
+	quit     chan struct{}
+	quitOnce sync.Once
 
 	// crashed simulates kill -9 for tests: journaling and terminal
 	// bookkeeping stop dead, exactly as if the process vanished.
@@ -261,9 +229,8 @@ func Start(cfg Config) (*Server, error) {
 		{Pattern: "GET /jobs/{id}", Handler: http.HandlerFunc(s.handleGet)},
 		{Pattern: "POST /jobs/{id}/cancel", Handler: http.HandlerFunc(s.handleCancel)},
 		{Pattern: "DELETE /jobs/{id}", Handler: http.HandlerFunc(s.handleCancel)},
-		{Pattern: "GET /jobs/{id}/events", Handler: http.HandlerFunc(s.handleEvents)},
 	}
-	srv, err := obs.NewServerRoutes(s.cfg.Addr, s.cfg.Base.Obs, s.statusz, routes...)
+	srv, err := obs.NewServer(s.cfg.Addr, s.cfg.Base.Obs, s.statusz, routes...)
 	if err != nil {
 		s.st.close()
 		return nil, err
@@ -291,6 +258,7 @@ func recoverServer(cfg Config) (*Server, error) {
 		q:      newFairQueue(cfg.QueueDepth),
 		jobs:   make(map[string]*job),
 		nextID: 1,
+		quit:   make(chan struct{}),
 	}
 	if cfg.Base.EventTrace != nil {
 		s.tracer = obs.NewTracer(1, 1024, cfg.Base.EventTrace)
@@ -328,12 +296,14 @@ func (s *Server) adopt(recs []record) {
 			result:    rec.Result,
 			submitted: *rec.Submitted,
 			stop:      make(chan struct{}),
+			done:      make(chan struct{}),
 		}
 		if rec.Started != nil {
 			j.started = *rec.Started
 		}
 		if rec.State.Terminal() {
 			j.finished = rec.Time
+			close(j.done)
 		}
 		if j.tenant == "" {
 			j.tenant = j.spec.Tenant
@@ -495,7 +465,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j := &job{
 		id: id, tenant: spec.Tenant, spec: spec,
 		state: StateQueued, submitted: time.Now().UTC(),
-		stop: make(chan struct{}),
+		stop: make(chan struct{}), done: make(chan struct{}),
 	}
 	if !s.q.push(j) {
 		s.nextID-- // id never escaped; reuse it
@@ -567,12 +537,43 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *job {
 	return j
 }
 
-// handleGet is GET /jobs/{id}: full status including the spec, the
-// latest progress snapshot, and the result once terminal.
+// maxPark caps how long a status request may park.
+const maxPark = 30 * time.Second
+
+// handleGet is GET /jobs/{id}[?wait=duration]: full status including the
+// spec, the latest progress snapshot, and the result once terminal. With wait,
+// a request for a job still on its way parks here — as a worker's turn parks
+// at the coordinator and an engine worker on its cond — and is answered the
+// moment the job is terminal, or with whatever state it is in when the wait
+// (capped at maxPark) runs out or the server stops. A server already stopping
+// parks nobody: the 503 sends the caller's retry to its successor.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(w, r)
 	if j == nil {
 		return
+	}
+	if wait := r.URL.Query().Get("wait"); wait != "" {
+		d, err := time.ParseDuration(wait)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "bad wait: %v", err)
+			return
+		}
+		select {
+		case <-s.quit:
+			if !j.status(false).State.Terminal() {
+				httpError(w, http.StatusServiceUnavailable, "server is stopping")
+				return
+			}
+		default:
+			t := time.NewTimer(min(d, maxPark))
+			defer t.Stop()
+			select {
+			case <-j.done:
+			case <-s.quit:
+			case <-t.C:
+			case <-r.Context().Done():
+			}
+		}
 	}
 	writeJSON(w, http.StatusOK, j.status(true))
 }
@@ -609,61 +610,6 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.status(false))
 }
 
-// handleEvents is GET /jobs/{id}/events: a server-sent-event stream of
-// state transitions and progress snapshots, ending with the terminal
-// event.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(w, r)
-	if j == nil {
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusNotImplemented, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	writeEv := func(ev sseEvent) {
-		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.name, ev.data)
-		fl.Flush()
-	}
-	// Lead with the current status so a late subscriber is never blind,
-	// then follow the live feed.
-	st := j.status(false)
-	data, _ := json.Marshal(st)
-	writeEv(sseEvent{name: "status", data: data})
-	if st.State.Terminal() {
-		return
-	}
-	ch := j.subscribe()
-	for {
-		select {
-		case ev, ok := <-ch:
-			if !ok {
-				return
-			}
-			writeEv(ev)
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-// publishState journals a transition's SSE event to subscribers.
-func (s *Server) publishState(j *job) {
-	st := j.status(false)
-	data, _ := json.Marshal(st)
-	j.publish(sseEvent{name: "status", data: data}, st.State.Terminal())
-}
-
-func (s *Server) publishProgress(j *job, p cxlmc.Progress) {
-	data, _ := json.Marshal(p)
-	j.publish(sseEvent{name: "progress", data: data}, false)
-}
-
 // worker is one pool worker: claim, run, classify, repeat.
 func (s *Server) worker() {
 	defer s.wg.Done()
@@ -679,7 +625,7 @@ func (s *Server) worker() {
 
 // finishJob moves a job to a terminal state: journal first, then drop
 // the now-useless checkpoint, then count, and only then let status
-// readers see the state and publish it. The ordering means a crash can
+// readers see the state and wake the parked ones. The ordering means a crash can
 // only ever leave extra work (a re-run from a complete checkpoint, which
 // returns the identical result), never a lost job — and that whoever has
 // seen the terminal state also finds it in the journal and in the
@@ -715,7 +661,7 @@ func (s *Server) finishJob(j *job, state State, res *cxlmc.Result, errMsg string
 		return
 	}
 	s.logf("jobs: %s %s%s", j.id, state, ErrSuffix(errMsg))
-	s.publishState(j)
+	close(j.done)
 }
 
 // ErrSuffix renders a job's error for the end of a log or listing line.
@@ -743,7 +689,6 @@ func (s *Server) retryJob(j *job, state State, why string, attempt int) {
 	s.journal(record{ID: j.id, Tenant: j.tenant, State: state, Retries: retries, Error: why, Time: time.Now().UTC()})
 	s.m.retried.Inc()
 	s.trace(obs.EvJobRetry, j.id)
-	s.publishState(j)
 
 	backoff := s.cfg.RetryBase << uint(min(attempt, 10))
 	if backoff > s.cfg.RetryCap {
@@ -771,7 +716,6 @@ func (s *Server) retryJob(j *job, state State, why string, attempt int) {
 		s.q.requeue(j)
 		s.m.queued.Inc()
 		s.m.queueDepth.Set(int64(s.q.len()))
-		s.publishState(j)
 	})
 }
 
@@ -810,7 +754,6 @@ func (s *Server) runJob(j *job) {
 	s.m.active.Add(1)
 	defer s.m.active.Add(-1)
 	s.trace(obs.EvJobStart, j.id)
-	s.publishState(j)
 
 	// normalize resolved the program at submit time; an error here means a
 	// hand-edited journal record.
@@ -824,10 +767,8 @@ func (s *Server) runJob(j *job) {
 	cfg.Stop = j.stop
 	cfg.OnProgress = func(p cxlmc.Progress) {
 		j.mu.Lock()
-		pp := p
-		j.progress = &pp
+		j.progress = &p
 		j.mu.Unlock()
-		s.publishProgress(j, p)
 	}
 	// Armed identically on every retry, so the config digest is stable
 	// across resumes; a pre-pass that fails fails on every retry too.
@@ -912,7 +853,8 @@ func (s *Server) classify(j *job, res *cxlmc.Result, err error) {
 // closes (queued jobs stay journaled as queued), every running job is
 // stopped at its next execution boundary — the engine writes its final
 // checkpoint — and journaled back to queued, the pool exits, and the
-// HTTP server drains in-flight requests. A restarted server picks all of
+// HTTP server drains in-flight requests (a parked status request is
+// answered at once, with the state its job is in). A restarted server picks all of
 // it up. Returns nil when everything drained before ctx expired.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
@@ -932,6 +874,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Unlock()
 
 	s.logf("jobs: draining (%d running, %d queued)", len(running), s.q.len())
+	s.quitOnce.Do(func() { close(s.quit) })
 	s.q.close()
 	for _, j := range running {
 		j.requestStop()
@@ -966,6 +909,7 @@ func (s *Server) Drain(ctx context.Context) error {
 // stop, nothing further is journaled beyond what already was. Prefer
 // Drain.
 func (s *Server) Close() error {
+	s.quitOnce.Do(func() { close(s.quit) })
 	s.q.close()
 	s.mu.Lock()
 	for _, j := range s.jobs {
@@ -986,15 +930,5 @@ func (s *Server) Close() error {
 // a real SIGKILL leaves behind.
 func (s *Server) crash() {
 	s.crashed.Store(true)
-	s.q.close()
-	s.mu.Lock()
-	for _, j := range s.jobs {
-		j.requestStop()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	s.http.Close()
-	s.jmu.Lock()
-	s.st.close()
-	s.jmu.Unlock()
+	s.Close()
 }

@@ -21,27 +21,21 @@ type Server struct {
 }
 
 // Route is one extra (pattern, handler) pair mounted on the status
-// server's mux by NewServerRoutes. Patterns use net/http.ServeMux
-// syntax, including method prefixes and wildcards ("POST /jobs",
-// "GET /jobs/{id}").
+// server's mux by NewServer. Patterns use net/http.ServeMux syntax,
+// including method prefixes and wildcards ("POST /jobs", "GET /jobs/{id}").
 type Route struct {
 	Pattern string
 	Handler http.Handler
 }
 
 // NewServer starts a status server on addr. reg may be nil (/metrics
-// serves an empty body); status may be nil (/statusz serves null). The
-// returned server is already listening; Addr reports the bound address,
+// serves an empty body); status may be nil (/statusz serves null). routes
+// are application endpoints mounted on the same mux — the coordinator and
+// the job server layer their APIs onto the status server this way, so one
+// listener serves /metrics, /statusz, pprof and the application together.
+// The returned server is already listening; Addr reports the bound address,
 // which is useful with a ":0" addr.
-func NewServer(addr string, reg *Registry, status func() any) (*Server, error) {
-	return NewServerRoutes(addr, reg, status)
-}
-
-// NewServerRoutes is NewServer with extra application routes mounted on
-// the same mux — the job server layers its REST API onto the status
-// server this way, so one listener serves /metrics, /statusz, pprof and
-// the application endpoints together.
-func NewServerRoutes(addr string, reg *Registry, status func() any, routes ...Route) (*Server, error) {
+func NewServer(addr string, reg *Registry, status func() any, routes ...Route) (*Server, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -97,9 +91,9 @@ func (s *Server) Addr() string {
 }
 
 // Shutdown drains the server gracefully: the listener stops accepting
-// new connections immediately, in-flight requests (a /metrics scrape, a
-// long SSE stream) run to completion, and Shutdown returns when they
-// have — or when ctx expires, at which point remaining connections are
+// new connections immediately, in-flight requests (a /metrics scrape)
+// run to completion — whoever parks requests wakes them first — and
+// Shutdown returns when they have — or when ctx expires, at which point remaining connections are
 // closed hard and ctx.Err is returned. Safe on a nil receiver.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s == nil {
