@@ -9,7 +9,7 @@
 //	      [-workers 0] [-cpuprofile file] [-memprofile file]
 //	      [-checkpoint file] [-checkpoint-every N] [-checkpoint-interval d]
 //	      [-wedge-timeout d] [-replay token]
-//	      [-mem-budget bytes] [-governor-every N] [-max-events N]
+//	      [-max-events N]
 //	      [-reduction on|off] [-prefix-fork on|off] [-race-detect on|off]
 //	      [-chaos] [-chaos-seed N]
 //	      [-metrics-addr host:port] [-progress d] [-event-log file]
@@ -56,12 +56,11 @@
 // checkpoint), and -replay re-runs the single execution a reported
 // bug's repro token witnessed, with tracing on.
 //
-// Resource governance: -mem-budget caps the exploration's heap — over
-// budget, pooled state is released, and if that is not enough by the next
-// sample (-governor-every executions later) the run stops degraded with
-// a valid checkpoint instead of OOMing. -max-events bounds the decision points
-// one execution may create, turning per-execution state-space blowup
-// into a structured resource-exhausted bug report.
+// Resource bounds: a run's memory is bounded by what it checks, not by how
+// long it runs (the checker keeps a decision path, never a state). -max-events
+// bounds the decision points one execution may create, turning
+// per-execution state-space blowup into a structured resource-exhausted bug
+// report.
 //
 // Algorithmic reduction: -reduction (default on) prunes failure
 // decision points no surviving thread could ever observe, exploring
@@ -85,12 +84,12 @@
 //
 // Observability: -metrics-addr serves /metrics (Prometheus text),
 // /statusz (JSON run status) and /debug/pprof for the duration of the
-// run; -progress prints a one-line status to stderr at the given
-// cadence; -event-log streams the structured exploration event trace
-// (execution boundaries, decisions, checkpoints, governor and chaos
-// activity) as JSON lines to a file; -metrics-snapshot writes the final
-// metric values as JSON when the run ends. SIGUSR1 dumps an on-demand
-// status report to stderr without stopping the run.
+// run; -progress prints a one-line status to stderr at the first execution
+// boundary after each period; -event-log streams the structured
+// exploration event trace (execution boundaries, decisions, checkpoints and
+// chaos activity) as JSON lines to a file; -metrics-snapshot writes the
+// final metric values as JSON when the run ends. SIGUSR1 dumps a status
+// report to stderr at the next execution boundary without stopping the run.
 //
 // Distributed exploration: -serve addr runs this process as the
 // coordinator — it owns the frontier of subtree work units, serves the
@@ -126,8 +125,10 @@
 // signal force-exits with code 3. The program and exploration flags
 // (-bench ... -race-detect) are declared once, by jobs.Spec.BindFlags, and
 // mean the same on the flag-driven run and on submit; given to -jobserver,
-// the budget ones (-workers, -max-time, -mem-budget, -governor-every,
-// -max-events) are the defaults of jobs whose spec leaves them unset.
+// the budget ones (-workers, -max-time, -max-events) are the defaults of jobs
+// whose spec leaves them unset. A submitted spec's workload is bounded
+// (insert_workers 1..8, and a generated program's shape), so one tenant's job
+// cannot take the memory the others run in.
 //
 // -stress N runs the self-fuzzing harness over N seeded random
 // programs (starting at -seed), checking the checker's own invariants:
@@ -335,7 +336,7 @@ func run() int {
 
 	if *jobServer != "" {
 		// Checking as a service: cfg is the base every job's run starts
-		// from (governor defaults, cadences, chaos, metrics); specs arrive
+		// from (budget defaults, cadences, chaos, metrics); specs arrive
 		// over the API.
 		return runJobServer(jobs.Config{Addr: *jobServer, Dir: *jobsDir, PoolWorkers: *jobWorkers, QueueDepth: *queueDepth, Base: cfg})
 	}
@@ -475,7 +476,7 @@ func run() int {
 	cfg.Stop = stop
 
 	// SIGUSR1 asks for an on-demand status dump: the engine snapshots its
-	// progress at the next monitor wakeup and the run continues untouched.
+	// progress at the next execution boundary and the run continues untouched.
 	var usr1Pending atomic.Bool
 	statusReq := make(chan struct{}, 1)
 	usr1 := make(chan os.Signal, 1)
@@ -527,9 +528,6 @@ func run() int {
 		}
 		if res.Quarantined {
 			fmt.Printf("quarantined corrupt checkpoint moved to %s.corrupt, started fresh\n", *checkpoint)
-		}
-		if res.Degraded {
-			fmt.Printf("degraded    memory governor acted (budget %d bytes)\n", spec.MemBudgetBytes)
 		}
 		if res.CheckpointErrors > 0 {
 			fmt.Printf("cp-errors   %d periodic checkpoint write(s) failed and were tolerated\n", res.CheckpointErrors)

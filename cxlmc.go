@@ -175,7 +175,7 @@ func NewChaos(cfg ChaosConfig) *ChaosInjector {
 
 // MetricsRegistry is the observability subsystem's metrics registry.
 // Pass one via Config.Obs to have a run instrument itself (execution,
-// step and bug counters, decision-point counters, frontier and governor
+// step and bug counters, decision-point counters, frontier and worker
 // gauges, step/depth histograms); read it back with Snapshot or serve
 // it with Config.MetricsAddr. A nil registry disables instrumentation
 // at near-zero cost. One registry may be shared across runs; counters

@@ -11,13 +11,12 @@ import (
 	"repro/internal/chaos"
 )
 
-// This file tests the resource governor (memory budgets, degraded stop)
-// and the chaos-facing resilience paths (checkpoint I/O retry,
+// This file tests the chaos-facing resilience paths (checkpoint I/O retry,
 // corrupt-checkpoint quarantine, fault-injected parity).
 
 // referenceRun explores prog to completion with no budget, no chaos and
-// no checkpointing — the ground truth the degraded/chaotic runs must
-// converge to.
+// no checkpointing — the ground truth the interrupted and chaotic runs
+// must converge to.
 func referenceRun(t *testing.T, prog func(*Program)) *Result {
 	t.Helper()
 	res, err := Run(Config{ContinueAfterBug: true}, prog)
@@ -47,68 +46,6 @@ func sameExploration(t *testing.T, label string, got, want *Result) {
 	if !sameStrings(bugSet(got.Bugs), bugSet(want.Bugs)) {
 		t.Fatalf("%s: bugs %v, want %v", label, bugSet(got.Bugs), bugSet(want.Bugs))
 	}
-}
-
-// TestGovernorDegradedStopAndResume: under an impossible memory budget
-// the governor must escalate to a degraded stop with a valid checkpoint
-// — never an OOM, never a lost frontier — and a resume without the
-// budget must finish the exact exploration an unconstrained run does.
-func TestGovernorDegradedStopAndResume(t *testing.T) {
-	want := referenceRun(t, resilientNoisy)
-
-	path := cpPath(t)
-	constrained := Config{
-		Workers:          2,
-		ContinueAfterBug: true,
-		MemBudgetBytes:   1, // always over budget: forces full escalation
-		GovernorEvery:    1,
-		CheckpointPath:   path,
-	}
-	res, err := Run(constrained, resilientNoisy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Degraded {
-		t.Fatal("impossible budget did not set Degraded")
-	}
-	if res.Complete {
-		t.Fatal("run under a 1-byte budget claims completion")
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("degraded stop left no checkpoint: %v", err)
-	}
-
-	// Resume with the budget lifted; the checkpoint carries the frontier.
-	resumed, err := Run(Config{
-		Workers:          2,
-		ContinueAfterBug: true,
-		CheckpointPath:   path,
-	}, resilientNoisy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resumed.Resumed || !resumed.Complete {
-		t.Fatalf("resumed=%v complete=%v", resumed.Resumed, resumed.Complete)
-	}
-	sameExploration(t, "degraded-then-resumed", resumed, want)
-}
-
-// TestGovernorUnderBudgetIsInvisible: a generous budget must not change
-// the exploration at all.
-func TestGovernorUnderBudgetIsInvisible(t *testing.T) {
-	want := referenceRun(t, resilientNoisy)
-	res, err := Run(Config{
-		ContinueAfterBug: true,
-		MemBudgetBytes:   16 << 30, // far above any real heap here
-		GovernorEvery:    1,
-	}, resilientNoisy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Degraded || !res.Complete {
-		t.Fatalf("degraded=%v complete=%v under a 16 GiB budget", res.Degraded, res.Complete)
-	}
-	sameExploration(t, "budgeted", res, want)
 }
 
 // TestChaosIOParity: with a single worker and a fixed chaos seed the run

@@ -56,8 +56,9 @@ type checkpointData struct {
 	// Cumulative resilience counters, carried across resumptions so
 	// Stats reports the whole exploration's history, not just the last
 	// process's. Added after version 2 shipped; omitted fields decode as
-	// zeros, so older checkpoints stay readable without a version bump.
-	Degraded         bool  `json:"degraded,omitempty"`
+	// zeros, so older checkpoints stay readable without a version bump — as
+	// do those carrying the "degraded" key of the deleted memory governor,
+	// which decodes as nothing.
 	CheckpointErrors int   `json:"checkpoint_errors,omitempty"`
 	Quarantined      bool  `json:"quarantined,omitempty"`
 	Bugs             []Bug `json:"bugs,omitempty"`
@@ -78,7 +79,7 @@ const numDecisionKinds = 3
 
 // configDigest fingerprints the configuration fields that shape the
 // decision tree. Budget and reporting knobs (MaxExecutions, MaxTime,
-// Stop, checkpoint cadence, tracing, MemBudgetBytes, Chaos) are
+// Stop, checkpoint cadence, tracing, Chaos) are
 // deliberately excluded: resuming with a different budget — or without
 // the chaos that interrupted the original run — is the point of
 // checkpoints. MaxEventsPerExec is included because, like
@@ -330,7 +331,7 @@ func (cp *checkpointData) SetTotals(t Tally, r Resilience) {
 	cp.Pruned, cp.PrefixForks, cp.StepsSaved = t.Pruned, t.PrefixForks, t.StepsSaved
 	cp.RaceReports = t.RaceReports
 	cp.Bugs = t.Bugs
-	cp.Degraded, cp.CheckpointErrors, cp.Quarantined = r.Degraded, r.CheckpointErrors, r.Quarantined
+	cp.CheckpointErrors, cp.Quarantined = r.CheckpointErrors, r.Quarantined
 }
 
 // Totals is the inverse of SetTotals. The tally owns a copy of the bug
@@ -350,11 +351,7 @@ func (cp *checkpointData) Totals() (Tally, Resilience) {
 		},
 		Bugs: append([]Bug(nil), cp.Bugs...),
 	}
-	return t, Resilience{
-		Degraded:         cp.Degraded,
-		CheckpointErrors: cp.CheckpointErrors,
-		Quarantined:      cp.Quarantined,
-	}
+	return t, Resilience{CheckpointErrors: cp.CheckpointErrors, Quarantined: cp.Quarantined}
 }
 
 // Checkpoint is the exported name of the version-2 checkpoint envelope,

@@ -180,25 +180,6 @@ type Config struct {
 	// worker count resumes under any other.
 	Workers int
 
-	// MemBudgetBytes is a soft heap budget for the whole exploration; 0
-	// means unbounded. When the process heap exceeds it, a governor in
-	// the parallel coordinator degrades gracefully rather than letting
-	// the run be OOM-killed: pooled per-execution arenas are released,
-	// and if the heap is still over budget at the next sample the run
-	// stops with a valid final checkpoint and Stats.Degraded set. (The
-	// frontier is not worth evicting: CXLMC is stateless, so a queued
-	// unit is a decision path of a few hundred bytes.) The budget governs
-	// the checker's own memory, not the simulated region (MemSize); it
-	// never changes WHAT is explored, only how much of it this process
-	// gets through.
-	MemBudgetBytes uint64
-
-	// GovernorEvery is the governor's sampling cadence in executions;
-	// the worker crossing the boundary samples heap use and escalates
-	// while the budget stays exceeded. 0 means the default of 256. Only
-	// meaningful with MemBudgetBytes set.
-	GovernorEvery int
-
 	// MaxEventsPerExec bounds the decision points a single execution may
 	// create; 0 means unlimited. A pathological program whose one
 	// execution's crash state-space blows up (thousands of failure and
@@ -235,7 +216,7 @@ type Config struct {
 
 	// Obs, when non-nil, is the metrics registry the run instruments
 	// itself into: execution/step/bug counters, decision-point counters by
-	// kind, frontier and governor gauges, checkpoint counters, and
+	// kind, frontier and worker gauges, checkpoint counters, and
 	// step/depth histograms. A nil registry is the zero-cost
 	// "observability off" mode — every instrument call is a nil check.
 	// The registry is caller-owned, so several runs may share one and the
@@ -260,30 +241,34 @@ type Config struct {
 
 	// EventTrace, when non-nil, enables the structured exploration event
 	// trace: execution boundaries, decision-point creation, backtracks,
-	// bugs, checkpoint/governor activity, chaos fault injections and
+	// bugs, checkpoint activity, chaos fault injections and
 	// worker scheduling events are recorded into bounded per-worker ring
 	// buffers (eventBufferSize events each) and drained to this writer as
-	// JSON lines. Unlike Observer it does not force Workers to 1 —
-	// events carry the worker index. The
-	// writer must be safe for use from the draining goroutine; a write
-	// error silences the sink without disturbing the run.
+	// JSON lines — when a ring fills, and at the first execution boundary a
+	// second after the last drain. Unlike Observer it does not force Workers
+	// to 1 — events carry the worker index. Writes come one at a time from
+	// whichever worker drains; a write error silences the sink without
+	// disturbing the run.
 	EventTrace io.Writer
 
-	// ProgressEvery emits a Progress snapshot to OnProgress at this
-	// wall-clock cadence; 0 disables periodic progress. A final snapshot
-	// is always emitted when the run stops, so a caller that only wants
-	// end-of-run numbers can set OnProgress alone.
+	// ProgressEvery emits a Progress snapshot to OnProgress at the first
+	// execution boundary this much wall-clock time after the last one; 0
+	// disables periodic progress. A final snapshot is always emitted when
+	// the run stops, so a caller that only wants end-of-run numbers can set
+	// OnProgress alone.
 	ProgressEvery time.Duration
 
 	// OnProgress, when non-nil, receives Progress snapshots: one per
-	// ProgressEvery tick, one per StatusRequests poke, and one when the
-	// run stops. Called from the engine's monitor goroutine; it must not
-	// block for long and must not call back into the run.
+	// ProgressEvery period, one per StatusRequests poke, and one when the
+	// run stops. Called at an execution boundary with the engine lock held;
+	// it must not block for long and must not call back into the run.
 	OnProgress func(Progress)
 
 	// StatusRequests, when non-nil, asks for an on-demand Progress
-	// snapshot each time a value arrives: the engine emits to OnProgress
-	// without stopping the run. cmd/cxlmc wires SIGUSR1 here.
+	// snapshot each time a value arrives: workers poll it at every
+	// execution boundary, as they poll Stop, and the one that takes the
+	// value emits to OnProgress without stopping the run. cmd/cxlmc wires
+	// SIGUSR1 here.
 	StatusRequests <-chan struct{}
 
 	// Reduction controls state-space reduction (default on): decision
@@ -385,9 +370,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.GovernorEvery <= 0 {
-		c.GovernorEvery = 256
 	}
 	if c.Observer != nil {
 		c.Workers = 1
@@ -537,8 +519,8 @@ func (b Bug) String() string {
 //     stops at its first bug or at MaxExecutions stops at the same
 //     execution every time, so all of the above, PrefixForks, StepsSaved
 //     and each Bug.Execution can be compared as well. Only the cutoffs
-//     that read the clock or the heap (MaxTime, Stop, the memory
-//     governor) move a serial run's stopping point.
+//     that read the clock (MaxTime, Stop) move a serial run's stopping
+//     point.
 //   - A parallel run that stops early promises only that what it reports
 //     is true: every bug is one the complete run reports too, with a repro
 //     token that replays. How far the other workers had got when one of
@@ -646,12 +628,6 @@ func (c Counters) Sub(o Counters) Counters {
 // Counters it describes the whole exploration, not the last process, so it
 // rides in every checkpoint and a resumed run starts from it.
 type Resilience struct {
-	// Degraded reports that the memory-budget governor had to act:
-	// pooled arenas were released, or the run was stopped early to stay
-	// within MemBudgetBytes. A degraded run with Complete false covered
-	// only part of the state space; its checkpoint resumes exactly where
-	// it stopped.
-	Degraded bool
 	// CheckpointErrors counts periodic checkpoint writes that failed
 	// even after retries. The run keeps exploring — the previous
 	// checkpoint file is still valid and a later cadence retries — but a

@@ -44,13 +44,11 @@ type coreMetrics struct {
 	cpErrors      *obs.Counter
 	cpQuarantines *obs.Counter
 
-	govEscalations *obs.Counter
-	chaosFaults    *obs.Counter
+	chaosFaults *obs.Counter
 
 	frontier    *obs.Gauge
 	activeG     *obs.Gauge
 	hungryG     *obs.Gauge
-	govStageG   *obs.Gauge
 	heapBytes   *obs.Gauge
 	workerCount *obs.Gauge
 
@@ -82,14 +80,12 @@ func newCoreMetrics(reg *obs.Registry) coreMetrics {
 		cpErrors:      reg.Counter("cxlmc_checkpoint_errors_total", "periodic checkpoint writes that failed after retries"),
 		cpQuarantines: reg.Counter("cxlmc_checkpoint_quarantines_total", "corrupt checkpoints quarantined at startup"),
 
-		govEscalations: reg.Counter("cxlmc_governor_escalations_total", "memory-governor stage escalations"),
-		chaosFaults:    reg.Counter("cxlmc_chaos_faults_total", "faults injected by the chaos engine"),
+		chaosFaults: reg.Counter("cxlmc_chaos_faults_total", "faults injected by the chaos engine"),
 
 		frontier:    reg.Gauge("cxlmc_frontier_units", "unexplored subtree units queued in memory"),
 		activeG:     reg.Gauge("cxlmc_active_workers", "workers currently exploring a unit"),
 		hungryG:     reg.Gauge("cxlmc_hungry_workers", "workers waiting for work"),
-		govStageG:   reg.Gauge("cxlmc_governor_stage", "current memory-governor degradation stage"),
-		heapBytes:   reg.Gauge("cxlmc_heap_bytes", "process heap in use at the last governor or progress sample"),
+		heapBytes:   reg.Gauge("cxlmc_heap_bytes", "process heap in use at the last progress sample"),
 		workerCount: reg.Gauge("cxlmc_workers", "configured worker count"),
 
 		execSteps: reg.Histogram("cxlmc_exec_steps", "scheduler steps per execution",
@@ -168,8 +164,6 @@ type Progress struct {
 	Queued   int `json:"queued"`
 	Active   int `json:"active_workers"`
 
-	GovernorStage    int    `json:"governor_stage"`
-	Degraded         bool   `json:"degraded"`
 	ChaosFaults      int    `json:"chaos_faults"`
 	CheckpointErrors int    `json:"checkpoint_errors"`
 	HeapBytes        uint64 `json:"heap_bytes"`
@@ -194,9 +188,6 @@ type Progress struct {
 func (p Progress) String() string {
 	s := fmt.Sprintf("execs=%d rate=%.0f/s steps=%d frontier=%d(q%d) workers=%d bugs=%d",
 		p.Executions, p.ExecRate, p.Steps, p.Frontier, p.Queued, p.Active, p.Bugs)
-	if p.GovernorStage > 0 || p.Degraded {
-		s += fmt.Sprintf(" gov=%d", p.GovernorStage)
-	}
 	if p.ChaosFaults > 0 {
 		s += fmt.Sprintf(" chaos=%d", p.ChaosFaults)
 	}
@@ -253,9 +244,9 @@ func (e *engine) initObs() (func(), error) {
 		}
 	}
 
-	stopMonitor := e.startMonitor()
+	e.watched = e.cfg.ProgressEvery > 0 || e.cfg.StatusRequests != nil || e.tracer != nil
+	e.lastProgress, e.lastFlush = e.start, e.start
 	teardown := func() {
-		stopMonitor()
 		e.tracer.Flush()
 		if e.cfg.OnProgress != nil {
 			e.cfg.OnProgress(e.progress())
@@ -266,60 +257,38 @@ func (e *engine) initObs() (func(), error) {
 	return teardown, nil
 }
 
-// startMonitor runs the engine's monitor goroutine: periodic progress
-// snapshots, on-demand status requests (SIGUSR1 in cmd/cxlmc), and
-// tracer flushes so the JSONL stream stays fresh. Returns a stop
-// function that blocks until the goroutine exits.
-func (e *engine) startMonitor() func() {
-	if e.cfg.ProgressEvery <= 0 && e.cfg.StatusRequests == nil && e.tracer == nil {
-		return func() {}
+// watchLocked reports on the run from an execution boundary, by the worker
+// that is there: a Progress snapshot to OnProgress when ProgressEvery has
+// passed since the last one or a status request is waiting, and a tracer
+// drain with it or a second after the last one, so the event log stays
+// fresh. Snapshots are serial because the lock is held.
+func (e *engine) watchLocked() {
+	now := time.Now()
+	due := e.cfg.ProgressEvery > 0 && now.Sub(e.lastProgress) >= e.cfg.ProgressEvery ||
+		stopRequested(e.cfg.StatusRequests)
+	if due {
+		e.lastProgress = now
+		if e.cfg.OnProgress != nil {
+			e.cfg.OnProgress(e.progressLocked())
+		}
 	}
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		var tick <-chan time.Time
-		cadence := e.cfg.ProgressEvery
-		if cadence <= 0 && e.tracer != nil {
-			// No progress cadence, but the tracer still wants periodic
-			// flushes so a tail -f on the event log sees events live.
-			cadence = time.Second
-		}
-		if cadence > 0 {
-			t := time.NewTicker(cadence)
-			defer t.Stop()
-			tick = t.C
-		}
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick:
-				if e.cfg.ProgressEvery > 0 && e.cfg.OnProgress != nil {
-					e.cfg.OnProgress(e.progress())
-				}
-				e.tracer.Flush()
-			case <-e.cfg.StatusRequests:
-				if e.cfg.OnProgress != nil {
-					e.cfg.OnProgress(e.progress())
-				}
-				e.tracer.Flush()
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		<-finished
+	if e.tracer != nil && (due || now.Sub(e.lastFlush) >= time.Second) {
+		e.lastFlush = now
+		e.tracer.Flush()
 	}
 }
 
-// progress assembles a Progress snapshot under the engine lock. Called
-// from the monitor goroutine and the status server's /statusz handler.
+// progress is the status server's /statusz snapshot and the final one.
 func (e *engine) progress() Progress {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.progressLocked()
+}
+
+// progressLocked assembles a Progress snapshot.
+func (e *engine) progressLocked() Progress {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
 	sinceStart := time.Since(e.start)
 	p := Progress{
 		Executions:       e.total.Executions,
@@ -328,8 +297,6 @@ func (e *engine) progress() Progress {
 		Queued:           len(e.queue),
 		Active:           e.active,
 		Frontier:         len(e.queue) + e.active,
-		GovernorStage:    e.govStage,
-		Degraded:         e.res.Degraded,
 		CheckpointErrors: e.res.CheckpointErrors,
 		HeapBytes:        ms.HeapAlloc,
 		Elapsed:          e.prior + sinceStart,
@@ -364,5 +331,4 @@ func (e *engine) syncGaugesLocked() {
 	e.om.frontier.Set(int64(len(e.queue)))
 	e.om.activeG.Set(int64(e.active))
 	e.om.hungryG.Set(int64(e.hungry))
-	e.om.govStageG.Set(int64(e.govStage))
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -17,67 +18,83 @@ import (
 )
 
 // This file tests the observability wiring: the live status server on a
-// real parallel governed run under chaos, the structured event trace,
+// real parallel run under chaos, the structured event trace,
 // on-demand status requests, and — the regression the subsystem fixed —
 // cumulative Stats counters surviving a checkpoint/resume cycle.
 
-func httpBody(t *testing.T, url string) string {
-	t.Helper()
+func get(url string) (string, error) {
 	client := &http.Client{Timeout: 5 * time.Second}
 	resp, err := client.Get(url)
 	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
+		return "", fmt.Errorf("GET %s: %v", url, err)
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatalf("GET %s: read: %v", url, err)
+		return "", fmt.Errorf("GET %s: read: %v", url, err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
+		return "", fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
 	}
-	return string(b)
+	return string(b), nil
 }
 
 // TestStatusServerServesLiveRun scrapes /metrics and /statusz while a
-// parallel, governed, chaos-stalled exploration is actually running,
-// and afterwards checks the registry agrees exactly with the Result —
-// metrics are the run, not an approximation of it.
+// parallel, chaos-stalled exploration is actually running, and afterwards
+// checks the registry agrees exactly with the Result — metrics are the run,
+// not an approximation of it.
 func TestStatusServerServesLiveRun(t *testing.T) {
 	want := referenceRun(t, resilientNoisy)
 
 	reg := obs.NewRegistry()
 	inj := chaos.New(chaos.Config{StallPct: 50, StallDur: time.Millisecond, Seed: 7, MaxFaults: 100})
-	var addr string
-	var scraped atomic.Bool
-	var metricsBody, statusBody string
+	var addr, metricsBody, statusBody string
+	var scrapeErr error
+	// OnProgress runs under the engine lock, so it only says when real work
+	// is visible; the scrape happens beside the run, while the next program
+	// setup holds its worker — and with it the worker's unit, so the run
+	// cannot end — until the scrape is done.
+	var seen atomic.Bool
+	visible, scraped := make(chan struct{}), make(chan struct{})
 	cfg := Config{
 		Workers:          2,
 		ContinueAfterBug: true,
 		Obs:              reg,
 		MetricsAddr:      "127.0.0.1:0",
-		OnStatusServer:   func(a string) { addr = a },
-		Chaos:            inj,
-		MemBudgetBytes:   16 << 30,
-		GovernorEvery:    1,
-		ProgressEvery:    time.Millisecond,
+		OnStatusServer: func(a string) {
+			addr = a
+			go func() {
+				defer close(scraped)
+				<-visible
+				if metricsBody, scrapeErr = get("http://" + a + "/metrics"); scrapeErr == nil {
+					statusBody, scrapeErr = get("http://" + a + "/statusz")
+				}
+			}()
+		},
+		Chaos:         inj,
+		ProgressEvery: time.Nanosecond, // every boundary
 		OnProgress: func(p Progress) {
-			// Scrape exactly once, the first time real work is visible.
-			// The engine guarantees a final OnProgress before the server
-			// closes, so this always fires at least once.
-			if p.Executions == 0 || !scraped.CompareAndSwap(false, true) {
-				return
+			if p.Executions > 0 && seen.CompareAndSwap(false, true) {
+				close(visible)
 			}
-			metricsBody = httpBody(t, "http://"+addr+"/metrics")
-			statusBody = httpBody(t, "http://"+addr+"/statusz")
 		},
 	}
-	res, err := Run(cfg, resilientNoisy)
+	res, err := Run(cfg, func(p *Program) {
+		if seen.Load() {
+			select {
+			case <-scraped:
+			case <-time.After(10 * time.Second):
+				panic("the scrape of a live run never finished")
+			}
+		}
+		resilientNoisy(p)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !scraped.Load() {
-		t.Fatal("no OnProgress with executions > 0 was ever delivered")
+	<-scraped
+	if scrapeErr != nil {
+		t.Fatal(scrapeErr)
 	}
 	if !strings.Contains(metricsBody, "cxlmc_workers 2") ||
 		!strings.Contains(metricsBody, "cxlmc_executions_total") ||
@@ -242,22 +259,23 @@ func TestBadMetricsAddrFailsRun(t *testing.T) {
 }
 
 // TestResumeCarriesCumulativeStats is the regression test for the
-// checkpoint fix: Degraded observed before an interruption must still be
-// visible on the resumed run's Stats, not silently reset.
+// checkpoint fix: what a parallel run counted and how long it took before
+// an interruption must still be in the resumed run's Stats, not silently
+// reset.
 func TestResumeCarriesCumulativeStats(t *testing.T) {
+	want := referenceRun(t, resilientNoisy)
 	path := cpPath(t)
 	leg1, err := Run(Config{
 		Workers:          2,
 		ContinueAfterBug: true,
-		MemBudgetBytes:   1, // forces full escalation and a degraded stop
-		GovernorEvery:    1,
+		MaxExecutions:    want.Executions / 2,
 		CheckpointPath:   path,
 	}, resilientNoisy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !leg1.Degraded || leg1.Complete {
-		t.Fatalf("leg 1: degraded=%v complete=%v under a 1-byte budget", leg1.Degraded, leg1.Complete)
+	if leg1.Complete || leg1.Executions == 0 {
+		t.Fatalf("leg 1: complete=%v after %d executions; the cut did not bite", leg1.Complete, leg1.Executions)
 	}
 
 	resumed, err := Run(Config{
@@ -271,9 +289,10 @@ func TestResumeCarriesCumulativeStats(t *testing.T) {
 	if !resumed.Resumed || !resumed.Complete {
 		t.Fatalf("resumed=%v complete=%v", resumed.Resumed, resumed.Complete)
 	}
-	if !resumed.Degraded {
-		t.Fatal("Degraded from leg 1 was lost across resume")
+	if resumed.Elapsed < leg1.Elapsed {
+		t.Fatalf("resumed Elapsed %v < leg 1's %v: time reset across resume", resumed.Elapsed, leg1.Elapsed)
 	}
+	sameExploration(t, "cut-then-resumed", resumed, want)
 }
 
 // TestResumeCarriesCheckpointErrors: checkpoint write failures suffered

@@ -20,23 +20,23 @@ package core
 // than one worker ran.
 //
 // Every engine decision is taken at an execution boundary, under the one
-// lock, by the worker that is there; nothing waits for a peer and the
-// only goroutines the engine starts are the workers (and, with
-// observability on, the monitor). Checkpointing follows from one
-// invariant: with the lock free, every unexplored unit is in the queue or
-// in held — the snapshot its owner took when it claimed the unit and
-// again at each boundary, after Advance and Split. A due cadence writes
-// held ∪ queue next to total on the spot. That is a consistent frontier:
-// total holds exactly the executions merged at those same boundaries, an
-// execution in flight is still pending in its owner's held snapshot, and
-// the finished units' decision-point counts are already in total.
+// lock, by the worker that is there — progress snapshots and tracer drains
+// included; nothing waits for a peer, nothing watches the clock or the
+// heap, and the only goroutines the engine starts are the workers.
+// Checkpointing follows from one invariant: with the lock free, every
+// unexplored unit is in the queue or in held — the snapshot its owner took
+// when it claimed the unit and again at each boundary, after Advance and
+// Split. A due cadence writes held ∪ queue next to total on the spot. That
+// is a consistent frontier: total holds exactly the executions merged at
+// those same boundaries, an execution in flight is still pending in its
+// owner's held snapshot, and the finished units' decision-point counts are
+// already in total.
 //
 // A single worker degenerates to the serial loop — same boundary-check
 // order, no donation (nobody is hungry), exact MaxExecutions cutoff —
 // so there is exactly one exploration code path for all worker counts.
 
 import (
-	"runtime"
 	"sync"
 	"time"
 
@@ -70,7 +70,7 @@ type engine struct {
 	// the decision points of every unit explored to the end. Units still
 	// queued or being explored carry their points inside.
 	total Tally
-	// res is the cumulative resilience record: this process's governor,
+	// res is the cumulative resilience record: this process's
 	// checkpoint-error and quarantine history on top of a resumed
 	// checkpoint's.
 	res Resilience
@@ -98,30 +98,23 @@ type engine struct {
 	lastCPExecs int
 	lastCPTime  time.Time
 
-	// Resource-governor state. The governor runs in the execution-boundary
-	// critical section every GovernorEvery executions (boundary-driven, not
-	// a timer, so budget behaviour is deterministic in tests) and escalates
-	// through govStage while the heap stays over MemBudgetBytes: release
-	// pooled arenas, then stop with a valid checkpoint.
-	govStage     int
-	lastGovExecs int
-	// poolEpoch asks workers to drop their pooled per-checker arenas: each
-	// worker compares its own epoch at the next boundary and marks its
-	// checker dirty, which makes resetExecution rebuild from scratch.
-	poolEpoch int
-
 	// Observability plumbing (see observe.go). om's instruments are nil
 	// (valid no-ops) when neither Config.Obs nor Config.MetricsAddr is
 	// set; tracer is nil without Config.EventTrace. workers is the live
 	// per-worker status served by /statusz, mutated only under mu at
 	// execution boundaries. unitsDone feeds the crude ETA: units fully
-	// explored this process.
-	om        coreMetrics
-	reg       *obs.Registry
-	tracer    *obs.Tracer
-	server    *obs.Server
-	workers   []WorkerStatus
-	unitsDone int
+	// explored this process. watched says a boundary has progress to
+	// report or a tracer to drain (watchLocked), lastProgress and
+	// lastFlush when it last did.
+	om           coreMetrics
+	reg          *obs.Registry
+	tracer       *obs.Tracer
+	server       *obs.Server
+	workers      []WorkerStatus
+	unitsDone    int
+	watched      bool
+	lastProgress time.Time
+	lastFlush    time.Time
 
 	// inMemory makes from stand in for the checkpoint file: the run resumes
 	// it (nil: nothing to resume) instead of reading CheckpointPath and
@@ -141,9 +134,6 @@ type worker struct {
 	// merged is how much of the private checker's tally has been folded
 	// into the engine, so boundary merges are incremental.
 	merged mark
-	// poolEpoch lags engine.poolEpoch; a mismatch at a boundary means the
-	// governor asked for pooled arenas to be released.
-	poolEpoch int
 }
 
 func newEngine(cfg Config, program func(*Program), progDigest string) *engine {
@@ -165,9 +155,9 @@ func newEngine(cfg Config, program func(*Program), progDigest string) *engine {
 // seedFrontier resumes any checkpoint — the file, or the one handed to
 // Continue — and seeds the initial work queue. done reports that the
 // checkpointed exploration had already finished (nothing left to explore).
-// It holds e.mu throughout: once initObs has run, the monitor goroutine and
-// the status server may call progress() at any moment, so even startup-time
-// engine mutations need the lock.
+// It holds e.mu throughout: once initObs has run, the status server may call
+// progress() at any moment, so even startup-time engine mutations need the
+// lock.
 func (e *engine) seedFrontier() (done bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -432,13 +422,6 @@ func (e *engine) runUnit(w *worker, tr *decision.Tree) {
 		if e.cfg.Chaos.SpuriousWake() {
 			e.cond.Broadcast()
 		}
-		// The governor asked for pooled arenas to be dropped: mark the
-		// private checker dirty so its next reset rebuilds from scratch
-		// instead of reusing the pooled scheduler/arena/memory state.
-		if w.poolEpoch != e.poolEpoch {
-			w.poolEpoch = e.poolEpoch
-			ck.dirty = true
-		}
 		leave, spent := false, false
 		if !first {
 			leave, spent = e.boundaryLocked(w, tr)
@@ -480,6 +463,9 @@ func (e *engine) runUnit(w *worker, tr *decision.Tree) {
 func (e *engine) boundaryLocked(w *worker, tr *decision.Tree) (leave, spent bool) {
 	ck := w.ck
 	e.mergeLocked(w)
+	if e.watched {
+		e.watchLocked()
+	}
 	if ck.internalErr != nil {
 		e.failLocked(ck.internalErr)
 		return true, true
@@ -522,8 +508,8 @@ func (e *engine) boundaryLocked(w *worker, tr *decision.Tree) (leave, spent bool
 
 // cutoffLocked reports whether the run is over at this execution boundary,
 // raising the stop flag if this worker is the first to notice. The order —
-// execution budget, time budget, Config.Stop, a peer's stop, the resource
-// governor — is the serial loop's, and a documented contract.
+// execution budget, time budget, Config.Stop, a peer's stop — is the serial
+// loop's, and a documented contract.
 func (e *engine) cutoffLocked() bool {
 	switch {
 	case e.cfg.MaxExecutions > 0 && e.nextExec >= e.cfg.MaxExecutions:
@@ -533,16 +519,7 @@ func (e *engine) cutoffLocked() bool {
 	case e.stopFlag || e.failErr != nil:
 		return true // another worker stopped the run
 	default:
-		// Resource governor: sample the heap against the budget every
-		// GovernorEvery executions, at a boundary so its reactions are
-		// deterministic under a fixed schedule. It may stop the run (stage
-		// 2); the unit then returns to the queue for the final checkpoint
-		// like any other stop.
-		if e.cfg.MemBudgetBytes > 0 && e.total.Executions-e.lastGovExecs >= e.cfg.GovernorEvery {
-			e.lastGovExecs = e.total.Executions
-			e.governLocked()
-		}
-		return e.stopFlag
+		return false
 	}
 	e.stopLocked()
 	return true
@@ -584,36 +561,6 @@ func (e *engine) endUnitLocked(w *worker, tr *decision.Tree, pushback bool) {
 	e.active--
 	e.held[w.id] = e.held[w.id][:0]
 	e.cond.Broadcast()
-}
-
-// governLocked is the resource governor's decision step. While the heap
-// stays over MemBudgetBytes it escalates one stage per invocation, the
-// gentler measure first and given a governor period to take effect:
-//
-//	stage 1: release pooled per-worker arenas (poolEpoch bump) and GC
-//	stage 2: stop the run; the normal stop path writes a valid
-//	         checkpoint, so progress survives and a later run (with a
-//	         bigger budget, or more machines) resumes it
-//
-// Dropping back under budget resets the escalation.
-func (e *engine) governLocked() {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	if ms.HeapAlloc <= e.cfg.MemBudgetBytes {
-		e.govStage = 0
-		return
-	}
-	e.res.Degraded = true
-	e.govStage++
-	e.om.govEscalations.Inc()
-	e.om.heapBytes.Set(int64(ms.HeapAlloc))
-	e.tracer.Record(-1, obs.EvGovernor, int64(e.govStage), int64(ms.HeapAlloc))
-	if e.govStage == 1 {
-		e.poolEpoch++
-		runtime.GC()
-	} else {
-		e.stopLocked()
-	}
 }
 
 // dueLocked reports whether either checkpoint cadence is due.

@@ -51,7 +51,7 @@ type turnRequest struct {
 	ConfigDigest  string `json:"config_digest"`
 	ProgramDigest string `json:"program_digest"`
 	// Done hands back the lease the worker holds. A worker leaving on its own
-	// account (its budget, Stop, the memory governor) sends it without Want.
+	// account (its budget, Stop) sends it without Want.
 	Done *turnDone `json:"done,omitempty"`
 	// Want asks for the next unit: the coordinator may hold the request up to
 	// ParkMs waiting for a unit, Done or Stop before answering empty — half

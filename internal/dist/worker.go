@@ -198,7 +198,7 @@ func RunWorker(cfg WorkerConfig) (*core.Result, error) {
 	var local core.Tally
 	var done *turnDone // the lease held, handed back by the next turn
 	var took time.Duration
-	degraded, spent, last := false, false, false
+	spent, last := false, false
 	for budget := 1; ; {
 		resp, err := cv.turn(ctx, done, !last)
 		if obs.IsRejected(err) || err != nil && cv.run == "" {
@@ -236,12 +236,11 @@ func RunWorker(cfg WorkerConfig) (*core.Result, error) {
 		done = &turnDone{Run: resp.Run, Unit: l.ID, Epoch: l.Epoch, Report: core.UnitReport{Remainder: cp.Units}}
 		done.Report.Tally, _ = cp.Totals()
 		local.Fold(done.Report.Tally)
-		degraded = degraded || res.Degraded
 		spent = done.Report.Executions >= check.MaxExecutions
 		// The lease ended short of its budget on this worker's own account —
-		// Stop, its time budget, the memory governor, the first bug — so
-		// another would end the same; or its own execution budget is used up:
-		// the next turn hands the lease back and asks for nothing.
+		// Stop, its time budget, the first bug — so another would end the
+		// same; or its own execution budget is used up: the next turn hands
+		// the lease back and asks for nothing.
 		last = !res.Complete && !spent ||
 			cfg.Check.MaxExecutions > 0 && local.Executions >= cfg.Check.MaxExecutions
 	}
@@ -254,6 +253,5 @@ func RunWorker(cfg WorkerConfig) (*core.Result, error) {
 		RPCRetries:       cv.c.Retries(),
 		StaleCompletions: cv.stales,
 	}
-	stats.Degraded = degraded
 	return &core.Result{Stats: stats, Bugs: local.Bugs, Seed: check.Seed, GPF: check.GPF}, nil
 }

@@ -27,6 +27,7 @@ func FuzzSpecJSON(f *testing.F) {
 		`{"gen":{"seed":1,"machines":1000000000,"ops_per_thread":1000000000}}`,
 		`{"source":"package p\n\nimport \"repro/gofront/cxl\"\n\nfunc Program(p *cxl.Program) {}\n","entry":"Program"}`,
 		`{"bench":"CCEH","keys":-1}`,
+		`{"bench":"CCEH","insert_workers":20000}`,
 		`{"bench":"CCEH","workers":99999,"max_time":-5}`,
 		`{"bench":"nope"}`,
 		`{"bench":"CCEH","gen":{"seed":1}}`,
@@ -45,8 +46,9 @@ func FuzzSpecJSON(f *testing.F) {
 			}
 			return
 		}
-		if !validTenant(spec.Tenant) || spec.Workers < 0 || spec.Workers > maxWorkersPerJob {
-			t.Fatalf("normalize let through tenant %q, workers %d", spec.Tenant, spec.Workers)
+		if !validTenant(spec.Tenant) || spec.Workers < 0 || spec.Workers > maxWorkersPerJob ||
+			spec.InsertWorkers < 0 || spec.InsertWorkers > 8 {
+			t.Fatalf("normalize let through tenant %q, workers %d, insert workers %d", spec.Tenant, spec.Workers, spec.InsertWorkers)
 		}
 		cfg := spec.Config(base)
 		if cfg.Workers < 1 || cfg.MaxExecutions < 0 || cfg.MaxTime <= 0 || cfg.MaxTime > base.MaxTime {
@@ -68,7 +70,8 @@ func FuzzSpecJSON(f *testing.F) {
 // longer does never reaches a pool worker (TestRecoveredSpecIsRevalidated
 // reads the message it is failed with). Seeds in testdata/fuzz: the journal TestRestartParity's crash
 // leaves, the same with its last line torn and with a middle line
-// bit-flipped, and records with hostile ids and a damaged spec.
+// bit-flipped, and records with hostile ids and damaged specs — one in
+// the "degraded" state a parent's governor wrote, one over the workload bounds.
 func FuzzJournalRecover(f *testing.F) {
 	f.Fuzz(func(t *testing.T, journal []byte) {
 		dir := t.TempDir()
@@ -114,7 +117,8 @@ func TestRecoveredSpecIsRevalidated(t *testing.T) {
 	dir := t.TempDir()
 	journal := mustLine(t, record{ID: "j-000001", State: StateRunning, Spec: &Spec{Tenant: "t", Bench: "NoSuchBench", Keys: 4}}) +
 		mustLine(t, record{ID: "j-000002", State: StateQueued, Spec: &Spec{Tenant: "t", Gen: &GenSpec{Seed: 1, Cells: 1}}}) +
-		mustLine(t, record{ID: "j-000003", State: StateDegraded, Spec: &Spec{Tenant: "../x", Bench: "CCEH", Keys: -3}}) +
+		// "degraded" is the state a parent's memory governor left behind.
+		mustLine(t, record{ID: "j-000003", State: "degraded", Spec: &Spec{Tenant: "../x", Bench: "CCEH", Keys: -3}}) +
 		mustLine(t, record{ID: "j-000004", State: StateQueued, Spec: testSpec("CCEH")})
 	if err := os.WriteFile(filepath.Join(dir, journalName), []byte(journal), 0o644); err != nil {
 		t.Fatal(err)

@@ -361,37 +361,101 @@ func TestTransientRetry(t *testing.T) {
 	}
 }
 
-// A job whose budget is far too small degrades repeatedly, resumes from
-// its checkpoint each time, and still finishes with the full result —
-// the governor pauses healthy work, it does not kill it.
-func TestDegradedJobCompletes(t *testing.T) {
-	s := testServer(t, Config{RetryBase: time.Millisecond, Base: cxlmc.Config{CheckpointEvery: 1}})
-	c := NewClient(s.Addr())
-	ctx := ctxT(t, 60*time.Second)
+// refuses posts body and requires a 400 whose error names field.
+func refuses(t *testing.T, s *Server, body, field string) {
+	t.Helper()
+	resp, err := http.Post("http://"+s.Addr()+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e struct{ Error string }
+	json.NewDecoder(resp.Body).Decode(&e)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, field) {
+		t.Errorf("%s: %d %q, want 400 naming %s", body, resp.StatusCode, e.Error, field)
+	}
+}
 
+// TestSpecBoundsWorkload: every insert worker is two simulated threads a pool
+// worker builds on every execution, so a submitted spec asks for 1..8 of them
+// (0 is the default, one), like a generated program's threads per machine.
+func TestSpecBoundsWorkload(t *testing.T) {
+	s := testServer(t, Config{})
+	for _, n := range []int{-1, 9, 20000} {
+		refuses(t, s, fmt.Sprintf(`{"bench":"CCEH","insert_workers":%d}`, n), "insert_workers")
+	}
+	for _, n := range []int{0, 1, 8} {
+		if sp := (Spec{Bench: "CCEH", InsertWorkers: n}); sp.normalize() != nil {
+			t.Errorf("insert_workers %d refused: %v", n, sp.normalize())
+		}
+	}
+	if snap := s.Registry().Snapshot(); snap["cxlmc_jobs_queued"] != 0 {
+		t.Fatalf("out-of-bounds specs were queued: %v", snap["cxlmc_jobs_queued"])
+	}
+}
+
+// TestGovernorFieldsRefused: the parent's memory-governor knobs are gone
+// from the spec, and a client that still sends them hears so.
+func TestGovernorFieldsRefused(t *testing.T) {
+	s := testServer(t, Config{})
+	refuses(t, s, `{"bench":"CCEH","mem_budget_bytes":131072}`, "mem_budget_bytes")
+	refuses(t, s, `{"bench":"CCEH","governor_every":1}`, "governor_every")
+}
+
+// TestParentJournalDegradedResumes: a journal the parent compacted while its
+// memory governor had paused a job holds the job as one "degraded" line,
+// next to a checkpoint carrying "degraded": true. The job is read — and
+// re-journaled — as running, resumes from that checkpoint, and finishes with
+// the serial control's executions and bug set.
+func TestParentJournalDegradedResumes(t *testing.T) {
+	dir := t.TempDir()
 	sp := fastSpec("a")
-	sp.MemBudgetBytes = 128 << 10
-	sp.GovernorEvery = 1
-	st, err := c.Submit(ctx, sp)
+	program, err := sp.Program()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fin, err := c.Wait(ctx, st.ID, 10*time.Millisecond)
+	control, err := cxlmc.Run(sp.Config(cxlmc.Config{Workers: 1}), program)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fin.State != StateDone {
-		t.Fatalf("state = %s (%s), want done", fin.State, fin.Error)
+	cut := sp.Config(cxlmc.Config{Workers: 1})
+	cut.CheckpointPath = (&store{dir: dir}).checkpointPath("j-000001")
+	cut.MaxExecutions = control.Executions / 2
+	if _, err := cxlmc.Run(cut, program); err != nil {
+		t.Fatal(err)
 	}
-	if fin.Retries == 0 {
-		t.Fatal("tiny-budget job finished without a single degraded resume; shrink the budget")
+	raw, err := os.ReadFile(cut.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fin.Result == nil || !fin.Result.Complete || len(fin.Result.Bugs) == 0 {
-		t.Fatalf("degraded job result incomplete: %+v", fin.Result)
+	raw = bytes.Replace(raw, []byte(`{`), []byte(`{"degraded":true,`), 1)
+	if err := os.WriteFile(cut.CheckpointPath, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	snap := s.Registry().Snapshot()
-	if snap["cxlmc_jobs_degraded"] == 0 || snap["cxlmc_jobs_retried"] == 0 {
-		t.Fatalf("degraded=%v retried=%v, want both > 0", snap["cxlmc_jobs_degraded"], snap["cxlmc_jobs_retried"])
+	then := time.Now().UTC().Add(-time.Minute)
+	line := mustLine(t, record{ID: "j-000001", Tenant: "a", State: "degraded", Spec: &sp, Retries: 1,
+		Error: "governor stopped the run at 12 executions to hold its budget", Time: then, Submitted: &then, Started: &then})
+	if err := os.WriteFile(filepath.Join(dir, journalName), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := testServer(t, Config{Dir: dir})
+	if recs := journalRecords(t, dir); recs[0].State != StateRunning {
+		t.Fatalf("the parent's degraded line was compacted as %q, want running", recs[0].State)
+	}
+	fin, err := NewClient(s.Addr()).Wait(ctxT(t, 30*time.Second), "j-000001", 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.State != StateDone || fin.Result == nil || !fin.Result.Resumed || !fin.Result.Complete {
+		t.Fatalf("state %s (%s), result %+v: want done, resumed and complete", fin.State, fin.Error, fin.Result)
+	}
+	if fin.Result.Executions != control.Executions || !equalSets(bugSet(fin.Result.Bugs), bugSet(control.Bugs)) {
+		t.Fatalf("resumed to %d executions and %v, control %d and %v",
+			fin.Result.Executions, bugSet(fin.Result.Bugs), control.Executions, bugSet(control.Bugs))
+	}
+	if got := s.Registry().Snapshot()["cxlmc_jobs_resumed"]; got != 1 {
+		t.Fatalf("resumed = %v, want 1", got)
 	}
 }
 

@@ -32,10 +32,8 @@ type Config struct {
 	// queue answers 429 with Retry-After. Default 32.
 	QueueDepth int
 
-	// MaxRetries bounds retries of transiently-failed runs (chaos I/O,
-	// and degraded stops that made no progress); default 3. Degraded
-	// stops that DID advance the exploration are always resumed — they
-	// are the governor working as designed, not a failure.
+	// MaxRetries bounds retries of transiently-failed runs (chaos I/O);
+	// default 3.
 	MaxRetries int
 	// RetryBase/RetryCap shape the capped exponential backoff between
 	// retries; defaults 100ms and 5s.
@@ -48,8 +46,7 @@ type Config struct {
 	// feed. Its zero fields take the server's defaults: CheckpointEvery 64
 	// and CheckpointInterval 2s, ProgressEvery 250ms, WedgeTimeout 30s,
 	// and Workers 1, so concurrent jobs share the host's cores instead of
-	// each grabbing GOMAXPROCS. MaxTime caps every job's deadline and
-	// MemBudgetBytes is the governor budget of specs that set none. Chaos
+	// each grabbing GOMAXPROCS. MaxTime caps every job's deadline. Chaos
 	// also injects faults into the journal's I/O and the pool's
 	// scheduling; Obs is the server's registry (nil creates a private one,
 	// read back with Registry); EventTrace receives the job lifecycle
@@ -98,10 +95,9 @@ func (c *Config) fillDefaults() {
 
 // metrics is the server's cxlmc_jobs_* instrument set.
 type metrics struct {
-	queued, running, done, failed, cancelled *obs.Counter
-	retried, resumed, rejected, degraded     *obs.Counter
-	journalRetries                           *obs.Counter
-	queueDepth, active                       *obs.Gauge
+	queued, running, done, failed, cancelled   *obs.Counter
+	retried, resumed, rejected, journalRetries *obs.Counter
+	queueDepth, active                         *obs.Gauge
 }
 
 func newMetrics(reg *obs.Registry) metrics {
@@ -111,10 +107,9 @@ func newMetrics(reg *obs.Registry) metrics {
 		done:           reg.Counter("cxlmc_jobs_done", "jobs finished successfully"),
 		failed:         reg.Counter("cxlmc_jobs_failed", "jobs failed permanently"),
 		cancelled:      reg.Counter("cxlmc_jobs_cancelled", "jobs cancelled by a client"),
-		retried:        reg.Counter("cxlmc_jobs_retried", "job runs retried after a transient failure or degraded stop"),
+		retried:        reg.Counter("cxlmc_jobs_retried", "job runs retried after a transient failure"),
 		resumed:        reg.Counter("cxlmc_jobs_resumed", "jobs adopted from the journal at startup (restart recovery)"),
 		rejected:       reg.Counter("cxlmc_jobs_rejected", "submissions rejected with 429 (queue full)"),
-		degraded:       reg.Counter("cxlmc_jobs_degraded", "job runs stopped degraded by the memory governor"),
 		journalRetries: reg.Counter("cxlmc_jobs_journal_retries", "journal writes retried after injected or transient I/O faults"),
 		queueDepth:     reg.Gauge("cxlmc_jobs_queue_depth", "jobs currently queued across all tenants"),
 		active:         reg.Gauge("cxlmc_jobs_active", "jobs currently running on the pool"),
@@ -136,11 +131,9 @@ type job struct {
 	mu        sync.Mutex
 	state     State
 	retries   int
-	strikes   int // degraded attempts without progress
 	errMsg    string
 	result    *cxlmc.Result
 	progress  *cxlmc.Progress
-	lastExecs int // executions at the previous degraded stop
 	cancelled bool
 	submitted time.Time
 	started   time.Time
@@ -281,7 +274,7 @@ func recoverServer(cfg Config) (*Server, error) {
 }
 
 // adopt turns recovered journal records back into live jobs: terminal
-// jobs are kept for status queries; running/degraded jobs resume from
+// jobs are kept for status queries; running jobs resume from
 // their checkpoint; queued jobs re-enter the queue. Nothing is lost and
 // nothing reruns from scratch unnecessarily.
 func (s *Server) adopt(recs []record) {
@@ -324,7 +317,7 @@ func (s *Server) adopt(recs []record) {
 		// its last checkpoint; one that was still queued starts fresh.
 		// Both re-enter the queue — the checkpoint file, not the journal
 		// state, decides how much work is left.
-		if rec.State == StateRunning || rec.State == StateDegraded {
+		if rec.State == StateRunning {
 			s.m.resumed.Inc()
 			s.trace(obs.EvJobResume, j.id)
 		}
@@ -672,21 +665,18 @@ func ErrSuffix(msg string) string {
 	return ": " + msg
 }
 
-// retryJob re-queues a job after a transient failure or a degraded stop.
-// attempt drives the capped exponential backoff: escalating failures
-// pass their retry count, while a degraded stop that advanced the
-// exploration passes 0 — the governor pausing a healthy job should cost
-// one base interval, not a growing penalty.
-func (s *Server) retryJob(j *job, state State, why string, attempt int) {
+// retryJob re-queues a job after a transient failure, after a capped
+// exponential backoff driven by its attempt count.
+func (s *Server) retryJob(j *job, why string, attempt int) {
 	j.mu.Lock()
-	j.state = state
+	j.state = StateQueued
 	j.errMsg = why
 	retries := j.retries
 	j.mu.Unlock()
 	if s.crashed.Load() {
 		return
 	}
-	s.journal(record{ID: j.id, Tenant: j.tenant, State: state, Retries: retries, Error: why, Time: time.Now().UTC()})
+	s.journal(record{ID: j.id, Tenant: j.tenant, State: StateQueued, Retries: retries, Error: why, Time: time.Now().UTC()})
 	s.m.retried.Inc()
 	s.trace(obs.EvJobRetry, j.id)
 
@@ -694,7 +684,7 @@ func (s *Server) retryJob(j *job, state State, why string, attempt int) {
 	if backoff > s.cfg.RetryCap {
 		backoff = s.cfg.RetryCap
 	}
-	s.logf("jobs: %s %s (%s); retrying in %v", j.id, state, why, backoff)
+	s.logf("jobs: %s queued (%s); retrying in %v", j.id, why, backoff)
 	j.rearm()
 	time.AfterFunc(backoff, func() {
 		if s.crashed.Load() {
@@ -790,9 +780,6 @@ func (s *Server) runJob(j *job) {
 //     mismatch) fails;
 //   - interrupted: a client cancel ends the job; a server drain leaves
 //     it journaled for the next process;
-//   - degraded stop: the governor's budget hit — resume from the
-//     checkpoint as long as the run is advancing, strike out after
-//     MaxRetries attempts with no progress;
 //   - otherwise: done, with the full Result (bugs and repro tokens).
 func (s *Server) classify(j *job, res *cxlmc.Result, err error) {
 	if err != nil {
@@ -805,7 +792,7 @@ func (s *Server) classify(j *job, res *cxlmc.Result, err error) {
 				s.finishJob(j, StateFailed, nil, fmt.Sprintf("transient failures exhausted %d retries: %v", s.cfg.MaxRetries, err))
 				return
 			}
-			s.retryJob(j, StateQueued, fmt.Sprintf("transient: %v", err), attempt)
+			s.retryJob(j, fmt.Sprintf("transient: %v", err), attempt)
 			return
 		}
 		s.finishJob(j, StateFailed, nil, err.Error())
@@ -823,27 +810,6 @@ func (s *Server) classify(j *job, res *cxlmc.Result, err error) {
 		// Drain: the engine already checkpointed; hand the job to the
 		// next process.
 		s.setQueuedForRestart(j)
-	case res.Degraded && !res.Complete:
-		s.m.degraded.Inc()
-		j.mu.Lock()
-		progressed := res.Executions > j.lastExecs
-		j.lastExecs = res.Executions
-		if progressed {
-			j.strikes = 0
-		} else {
-			j.strikes++
-		}
-		strikes := j.strikes
-		j.retries++
-		j.mu.Unlock()
-		if strikes > s.cfg.MaxRetries {
-			s.finishJob(j, StateFailed, res, fmt.Sprintf("degraded with no progress after %d attempts (budget too small at %d executions)", strikes, res.Executions))
-			return
-		}
-		// A progressing degraded job resumes at the base interval no
-		// matter how many times it has been paused (strikes == 0 then);
-		// only consecutive no-progress attempts escalate.
-		s.retryJob(j, StateDegraded, fmt.Sprintf("governor stopped the run at %d executions to hold its budget", res.Executions), strikes)
 	default:
 		s.finishJob(j, StateDone, res, "")
 	}
@@ -866,7 +832,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	running := make([]*job, 0, len(s.jobs))
 	for _, j := range s.jobs {
 		j.mu.Lock()
-		if j.state == StateRunning || j.state == StateDegraded {
+		if j.state == StateRunning {
 			running = append(running, j)
 		}
 		j.mu.Unlock()

@@ -2,21 +2,20 @@
 // multi-tenant job server that accepts exploration jobs over a REST API
 // layered onto internal/obs's status server, queues them with per-tenant
 // fairness and bounded depth, and runs them concurrently on a shared
-// worker pool where every job gets its own governor budget, wedge
-// watchdog and MaxTime deadline.
+// worker pool where every job gets its own wedge watchdog and MaxTime
+// deadline, and a spec's workload fields are bounded at submit.
 //
 // Robustness is the design center. Every job's state machine
-// (queued → running → degraded/done/failed/cancelled) is journaled to a
+// (queued → running → done/failed/cancelled) is journaled to a
 // durable store — an append-only JSONL journal plus one engine
 // checkpoint file per job, reusing the checker's existing checkpoint
 // format — so a kill -9 of the server followed by a restart resumes
 // running jobs from their last checkpoint and re-queues queued ones with
 // no loss and no duplicate results. A per-job retry policy with capped
 // exponential backoff distinguishes transient failures (chaos-injected
-// I/O, a governor degraded-stop that is still making progress) from
-// permanent ones (a bad recipe, a checkpoint identity mismatch), and
-// SIGTERM drains: stop accepting, checkpoint every running job, persist
-// the queue, exit clean.
+// I/O) from permanent ones (a bad recipe, a checkpoint identity
+// mismatch), and SIGTERM drains: stop accepting, checkpoint every running
+// job, persist the queue, exit clean.
 package jobs
 
 import (
@@ -121,8 +120,6 @@ type Spec struct {
 	Workers          int          `json:"workers,omitempty"`
 	MaxExecutions    int          `json:"max_executions,omitempty"`
 	MaxTime          Duration     `json:"max_time,omitempty"`
-	MemBudgetBytes   uint64       `json:"mem_budget_bytes,omitempty"`
-	GovernorEvery    int          `json:"governor_every,omitempty"`
 	MaxEventsPerExec int          `json:"max_events_per_exec,omitempty"`
 	ContinueAfterBug bool         `json:"continue,omitempty"`
 	Reduction        cxlmc.Switch `json:"reduction,omitempty"`
@@ -159,8 +156,6 @@ func (sp *Spec) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&sp.Workers, "workers", sp.Workers, "parallel exploration workers (0 = GOMAXPROCS; for a submitted job, the server's default)")
 	fs.IntVar(&sp.MaxExecutions, "max-execs", sp.MaxExecutions, "cap on explored executions (0 = exhaustive)")
 	fs.DurationVar((*time.Duration)(&sp.MaxTime), "max-time", time.Duration(sp.MaxTime), "wall-clock budget for the exploration (0 = unlimited)")
-	fs.Uint64Var(&sp.MemBudgetBytes, "mem-budget", sp.MemBudgetBytes, "soft heap budget in bytes; over it the run degrades gracefully instead of OOMing (0 = off)")
-	fs.IntVar(&sp.GovernorEvery, "governor-every", sp.GovernorEvery, "sample the heap against -mem-budget every N executions (0 = 256)")
 	fs.IntVar(&sp.MaxEventsPerExec, "max-events", sp.MaxEventsPerExec, "cap on decision points per execution; exceeding it is reported as a resource-exhausted bug (0 = off)")
 	fs.BoolVar(&sp.ContinueAfterBug, "continue", sp.ContinueAfterBug, "keep exploring after the first bug instead of stopping")
 	fs.TextVar(&sp.Reduction, "reduction", sp.Reduction, "state-space reduction: prune failure points no surviving thread can observe (on|off)")
@@ -211,20 +206,24 @@ func (sp *Spec) normalize() error {
 	if programs != 1 {
 		return fmt.Errorf("jobs: a spec names exactly one program: set bench, gen or source")
 	}
+	// A workload is built once per execution, so its size is checked before
+	// anything is built: each insert worker is two simulated threads, and the
+	// generator rolls the whole program when asked for it. It needs three
+	// cells when it plants its writer/reader pattern on the first two.
+	type bound struct {
+		name        string
+		v, min, max int
+	}
+	bounds := []bound{{"insert_workers", sp.InsertWorkers, 1, 8}}
 	if g := sp.Gen; g != nil {
-		// The generator rolls the whole program when asked for it: its bounds
-		// are checked before it is. It needs three cells when it plants its
-		// writer/reader pattern on the first two.
-		for _, f := range []struct {
-			name        string
-			v, min, max int
-		}{
-			{"machines", g.Machines, 1, 8}, {"threads_per_machine", g.ThreadsPerMachine, 1, 8},
-			{"ops_per_thread", g.OpsPerThread, 1, 64}, {"cells", g.Cells, 3, 64}, {"flushes", g.Flushes, 1, 16},
-		} {
-			if f.v != 0 && (f.v < f.min || f.v > f.max) {
-				return fmt.Errorf("jobs: gen.%s = %d: want 0 (the default) or %d..%d", f.name, f.v, f.min, f.max)
-			}
+		bounds = append(bounds, []bound{
+			{"gen.machines", g.Machines, 1, 8}, {"gen.threads_per_machine", g.ThreadsPerMachine, 1, 8},
+			{"gen.ops_per_thread", g.OpsPerThread, 1, 64}, {"gen.cells", g.Cells, 3, 64}, {"gen.flushes", g.Flushes, 1, 16},
+		}...)
+	}
+	for _, f := range bounds {
+		if f.v != 0 && (f.v < f.min || f.v > f.max) {
+			return fmt.Errorf("jobs: %s = %d: want 0 (the default) or %d..%d", f.name, f.v, f.min, f.max)
 		}
 	}
 	if sp.Source == "" && (sp.SourceName != "" || sp.Entry != "") {
@@ -249,9 +248,8 @@ func (sp *Spec) normalize() error {
 	if _, err := sp.Program(); err != nil {
 		return fmt.Errorf("jobs: %w", err)
 	}
-	if sp.Keys < 0 || sp.InsertWorkers < 0 || sp.Stride < 0 ||
-		sp.Workers < 0 || sp.MaxExecutions < 0 || sp.MaxTime < 0 ||
-		sp.GovernorEvery < 0 || sp.MaxEventsPerExec < 0 {
+	if sp.Keys < 0 || sp.Stride < 0 || sp.Workers < 0 ||
+		sp.MaxExecutions < 0 || sp.MaxTime < 0 || sp.MaxEventsPerExec < 0 {
 		return fmt.Errorf("jobs: negative spec field")
 	}
 	if sp.Workers > maxWorkersPerJob {
@@ -324,12 +322,6 @@ func (sp *Spec) Config(base cxlmc.Config) cxlmc.Config {
 	if sp.MaxTime > 0 && (base.MaxTime == 0 || time.Duration(sp.MaxTime) < base.MaxTime) {
 		cfg.MaxTime = time.Duration(sp.MaxTime)
 	}
-	if sp.MemBudgetBytes > 0 {
-		cfg.MemBudgetBytes = sp.MemBudgetBytes
-	}
-	if sp.GovernorEvery > 0 {
-		cfg.GovernorEvery = sp.GovernorEvery
-	}
 	if sp.MaxEventsPerExec > 0 {
 		cfg.MaxEventsPerExec = sp.MaxEventsPerExec
 	}
@@ -339,13 +331,10 @@ func (sp *Spec) Config(base cxlmc.Config) cxlmc.Config {
 // State is one job's position in the lifecycle state machine.
 type State string
 
-// Job states. Degraded is the transient "the governor stopped this run
-// to stay inside its budget; it will be resumed" state; done, failed
-// and cancelled are terminal.
+// Job states. Done, failed and cancelled are terminal.
 const (
 	StateQueued    State = "queued"
 	StateRunning   State = "running"
-	StateDegraded  State = "degraded"
 	StateDone      State = "done"
 	StateFailed    State = "failed"
 	StateCancelled State = "cancelled"
@@ -360,7 +349,7 @@ func (s State) Terminal() bool {
 // decoding journal records).
 func (s State) valid() bool {
 	switch s {
-	case StateQueued, StateRunning, StateDegraded, StateDone, StateFailed, StateCancelled:
+	case StateQueued, StateRunning, StateDone, StateFailed, StateCancelled:
 		return true
 	}
 	return false

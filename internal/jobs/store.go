@@ -120,7 +120,13 @@ func (st *store) recover() ([]record, error) {
 			continue
 		}
 		var rec record
-		if err := json.Unmarshal(line, &rec); err != nil || !rec.State.valid() {
+		err := json.Unmarshal(line, &rec)
+		if rec.State == "degraded" {
+			// A job the parent's memory governor had paused resumes like a
+			// running one, from its checkpoint.
+			rec.State = StateRunning
+		}
+		if err != nil || !rec.State.valid() {
 			// The final line tearing is the expected kill -9 artifact;
 			// anything else is skipped the same way — later records for
 			// the same job carry the truth.

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -269,7 +270,10 @@ func TestDrainWakesParkedWaits(t *testing.T) {
 	if o.err != nil || o.code != http.StatusOK {
 		t.Fatalf("the parked wait was answered (%d, %v), want a 200", o.code, o.err)
 	}
-	if strings.Contains(o.body, `"state": "done"`) || !strings.Contains(o.body, `"id": "`+st.ID+`"`) {
+	// The job's own state, not a substring: the progress snapshot inside lists
+	// its engine workers, which are "done" once the drain has stopped them.
+	var got Status
+	if err := json.Unmarshal([]byte(o.body), &got); err != nil || got.ID != st.ID || got.State.Terminal() {
 		t.Fatalf("the parked wait was answered %s, want the job short of terminal", o.body)
 	}
 }

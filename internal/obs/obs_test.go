@@ -165,27 +165,6 @@ zz_total 7
 	}
 }
 
-// TestTracerRingWraparound fills a sinkless ring past capacity and
-// checks it keeps exactly the most recent events, in order.
-func TestTracerRingWraparound(t *testing.T) {
-	tr := NewTracer(1, 8, nil)
-	for i := 0; i < 20; i++ {
-		tr.Record(0, EvExecStart, int64(i), 0)
-	}
-	evs := tr.Events(0)
-	if len(evs) != 8 {
-		t.Fatalf("ring holds %d events, want capacity 8", len(evs))
-	}
-	for i, ev := range evs {
-		if want := int64(12 + i); ev.A != want {
-			t.Fatalf("event %d: A=%d want %d (oldest-first after wrap)", i, ev.A, want)
-		}
-	}
-	if tr.Total() != 20 {
-		t.Fatalf("Total=%d want 20", tr.Total())
-	}
-}
-
 // TestTracerSinkDrain checks the JSONL sink receives every event once a
 // ring fills (plus the Flush tail) as valid one-object lines.
 func TestTracerSinkDrain(t *testing.T) {

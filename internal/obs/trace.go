@@ -12,7 +12,7 @@ type EventKind uint8
 
 // Exploration event kinds. The engine records these at well-defined
 // points: execution boundaries, decision-tree structure changes, the
-// checkpoint/governor/chaos machinery, and worker scheduling.
+// checkpoint/chaos machinery, and worker scheduling.
 const (
 	EvExecStart EventKind = iota
 	EvExecEnd
@@ -22,7 +22,6 @@ const (
 	EvCheckpointWrite
 	EvCheckpointRetry
 	EvCheckpointQuarantine
-	EvGovernor
 	EvChaosFault
 	EvSteal
 	EvPark
@@ -38,7 +37,7 @@ const (
 	EvDataRace
 	// Job-server events: the lifecycle of one submitted exploration job
 	// (submit, start on a pool worker, terminal states, a retry after a
-	// transient failure or degraded stop, and a restart-recovery
+	// transient failure, and a restart-recovery
 	// adoption), plus journal appends that survived only after retries.
 	EvJobSubmit
 	EvJobStart
@@ -69,8 +68,6 @@ func (k EventKind) String() string {
 		return "checkpoint-retry"
 	case EvCheckpointQuarantine:
 		return "checkpoint-quarantine"
-	case EvGovernor:
-		return "governor"
 	case EvChaosFault:
 		return "chaos-fault"
 	case EvSteal:
@@ -119,22 +116,20 @@ type Event struct {
 	S      string
 }
 
-// ring is one worker's bounded event buffer. With no sink the ring wraps,
-// keeping the most recent events; with a sink it drains to JSONL when
-// full, so recording stays O(1) and allocation-free between drains.
+// ring is one worker's bounded event buffer. It drains to the sink as
+// JSONL when full, so recording stays O(1) and allocation-free between
+// drains.
 type ring struct {
 	mu  sync.Mutex
 	buf []Event
-	// n is the total number of events ever recorded; buf[n % cap] is the
-	// next write position once the ring has wrapped.
-	n int
+	n   int // the total number of events ever recorded
 }
 
 // Tracer records structured exploration events into one bounded ring per
-// worker (plus one for the engine itself), optionally draining them to a
-// JSONL sink. Record and RecordS never allocate; JSON encoding happens
-// only when a ring drains or Flush is called. All methods are safe for
-// concurrent use and safe on a nil receiver.
+// worker (plus one for the engine itself) and drains them to a JSONL sink.
+// Record and RecordS never allocate; JSON encoding happens only when a
+// ring drains or Flush is called. All methods are safe for concurrent use
+// and safe on a nil receiver.
 type Tracer struct {
 	start time.Time
 	rings []ring // rings[0] is the engine; rings[i+1] is worker i
@@ -146,9 +141,8 @@ type Tracer struct {
 }
 
 // NewTracer returns a tracer for the given worker count, with capacity
-// events buffered per ring. sink, when non-nil, receives drained events
-// as JSON lines; when nil, each ring keeps its most recent capacity
-// events (wrapping) for Events to inspect.
+// events buffered per ring, draining as JSON lines to sink, which must not
+// be nil.
 func NewTracer(workers, capacity int, sink io.Writer) *Tracer {
 	if workers < 0 {
 		workers = 0
@@ -194,19 +188,11 @@ func (t *Tracer) record(worker int, ev Event) {
 	r := t.ringFor(worker)
 	r.mu.Lock()
 	if len(r.buf) == cap(r.buf) {
-		if t.sink != nil {
-			// Full and drainable: ship the buffered events out as JSONL
-			// and start the ring over. The sink lock is only ever taken
-			// with one ring lock held, so rings never deadlock each other.
-			t.drain(r.buf)
-			r.buf = r.buf[:0]
-		} else {
-			// Full and unsinkable: wrap, overwriting the oldest event.
-			r.buf[r.n%cap(r.buf)] = ev
-			r.n++
-			r.mu.Unlock()
-			return
-		}
+		// Full: ship the buffered events out as JSONL and start the ring
+		// over. The sink lock is only ever taken with one ring lock held,
+		// so rings never deadlock each other.
+		t.drain(r.buf)
+		r.buf = r.buf[:0]
 	}
 	r.buf = append(r.buf, ev)
 	r.n++
@@ -225,7 +211,7 @@ func (t *Tracer) drain(events []Event) {
 		t.sinkNB = appendEventJSON(t.sinkNB[:0], &events[i])
 		if _, err := t.sink.Write(t.sinkNB); err != nil {
 			// A broken sink must not break the exploration: latch the
-			// error and stop writing. Events keep ringing in memory.
+			// error and stop writing. Recording goes on; drains discard.
 			t.err = err
 			return
 		}
@@ -257,11 +243,10 @@ func appendEventJSON(b []byte, ev *Event) []byte {
 	return b
 }
 
-// Flush drains every ring to the sink (if any). Call it at progress
-// ticks and at run end so the JSONL stream stays fresh without the rings
-// having to fill first.
+// Flush drains every ring to the sink. Call it now and then and at run end
+// so the JSONL stream stays fresh without the rings having to fill first.
 func (t *Tracer) Flush() {
-	if t == nil || t.sink == nil {
+	if t == nil {
 		return
 	}
 	for i := range t.rings {
@@ -285,29 +270,8 @@ func (t *Tracer) Err() error {
 	return t.err
 }
 
-// Events returns a snapshot of worker's ring in recording order (oldest
-// first), reconstructing the order across a wrapped ring. Worker -1 is
-// the engine ring. Intended for tests and post-mortems, not hot paths.
-func (t *Tracer) Events(worker int) []Event {
-	if t == nil {
-		return nil
-	}
-	r := t.ringFor(worker)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, 0, len(r.buf))
-	if r.n > len(r.buf) && len(r.buf) == cap(r.buf) && t.sink == nil {
-		// Wrapped: buf[n % cap] is the oldest event.
-		at := r.n % cap(r.buf)
-		out = append(out, r.buf[at:]...)
-		out = append(out, r.buf[:at]...)
-		return out
-	}
-	return append(out, r.buf...)
-}
-
 // Total returns the total number of events ever recorded across all
-// rings (including events already drained or overwritten).
+// rings (including events already drained).
 func (t *Tracer) Total() int {
 	if t == nil {
 		return 0
