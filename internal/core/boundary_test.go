@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -63,36 +64,32 @@ func checkpointExecs(path string) int {
 // whichever worker was at a boundary, while its peers were mid-execution or
 // had just claimed a unit — must resume to the uninterrupted exploration.
 func TestResumeFromPeriodicCheckpoint(t *testing.T) {
-	prog := twoWriters(nil)
-	want := referenceRun(t, prog)
+	plain := twoWriters(nil)
+	want := referenceRun(t, plain)
 	path := cpPath(t)
 
-	// The copier keeps every distinct file it manages to see. Reads race
-	// the atomic rename harmlessly: each sees one whole file or the other.
+	// Every execution's reader copies the file as it stands, keeping each
+	// that differs from the last copied: a cut some worker installed at its
+	// boundary while this one is mid-execution, however few Ps the run has.
+	// Reads race the atomic rename harmlessly: each sees one whole file or
+	// the other.
+	var mu sync.Mutex
 	var cuts [][]byte
-	stop, copied := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(copied)
-		for {
-			if raw, err := os.ReadFile(path); err == nil && (len(cuts) == 0 || !bytes.Equal(raw, cuts[len(cuts)-1])) {
-				cuts = append(cuts, raw)
-			}
-			select {
-			case <-stop:
-				return
-			default:
-			}
+	prog := twoWriters(func() {
+		raw, err := os.ReadFile(path)
+		mu.Lock()
+		defer mu.Unlock()
+		if err == nil && (len(cuts) == 0 || !bytes.Equal(raw, cuts[len(cuts)-1])) {
+			cuts = append(cuts, raw)
 		}
-	}()
+	})
 	res, err := Run(Config{Workers: 4, CheckpointPath: path, CheckpointEvery: 1}, prog)
-	close(stop)
-	<-copied
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameExploration(t, "checkpointing run", res, want)
 	if len(cuts) < 3 {
-		t.Fatalf("copier saw %d checkpoint files; the test needs mid-run cuts", len(cuts))
+		t.Fatalf("the readers copied %d checkpoint files; the test needs mid-run cuts", len(cuts))
 	}
 	t.Logf("resuming %d distinct cuts of a %d-execution run", len(cuts), want.Executions)
 
@@ -102,7 +99,7 @@ func TestResumeFromPeriodicCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		from := checkpointExecs(cut)
-		got, err := Run(Config{Workers: 2, CheckpointPath: cut}, prog)
+		got, err := Run(Config{Workers: 2, CheckpointPath: cut}, plain)
 		if err != nil {
 			t.Fatalf("cut %d (at %d executions): %v", i, from, err)
 		}

@@ -53,7 +53,8 @@ type Checker struct {
 
 	// Per-execution state, reset in place by resetExecution. The memory,
 	// scheduler, machine/thread/mutex arenas and RNG are reused across
-	// executions so the hot path is allocation-free after warm-up.
+	// executions so the hot path is allocation-free after warm-up; whoever
+	// ends the checker's life calls closeScheduler.
 	mem      *memmodel.Memory
 	sch      *sched.Scheduler
 	rng      *rand.Rand
@@ -120,10 +121,76 @@ type Checker struct {
 	loadPos     int
 	pathStep    []int
 
+	// stream is rng's source, memoised and rewound per execution rather
+	// than re-seeded. It sits after the per-step fields so they keep their
+	// offsets.
+	stream scheduleStream
+
 	// cfg sits last: it is large and read-mostly, and the per-step fields
 	// above should not all move when Config gains or loses a field (a
 	// 16-byte shift of them has measured as 2 % of a table5 round).
 	cfg Config
+}
+
+// streamCap bounds the draws a scheduleStream memoises: 512 KB, about 32 k
+// steps of one execution. A longer execution draws past it live.
+// streamInit sizes the buffer for a Table 5 execution (~390 steps, at most
+// ~1 900 draws), so memoising one costs a single allocation.
+const (
+	streamCap  = 1 << 16
+	streamInit = 1 << 11
+)
+
+// scheduleStream is the rand.Source under the seeded schedule. Every
+// execution's schedule starts from the same seed (§3.2), so every execution
+// draws the same raw sequence: the stream keeps what its source produced,
+// buf[i] being the i-th Int63 of a source freshly seeded with seed, and an
+// execution reads buf from the start, then draws live and appends. Both
+// are lazy: src is seeded at the first draw, so a checker that draws
+// nothing (the program digest's) seeds nothing, and the first execution
+// appends nothing (buf is nil until the first rewind), so one that runs a
+// single execution — a replay, the vet dry run — pays for no buffer.
+type scheduleStream struct {
+	src  rand.Source
+	seed int64
+	buf  []int64
+	pos  int
+}
+
+// Int63 returns the stream's next value.
+func (s *scheduleStream) Int63() int64 {
+	if s.pos < len(s.buf) {
+		v := s.buf[s.pos]
+		s.pos++
+		return v
+	}
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed)
+	}
+	v := s.src.Int63()
+	if s.buf != nil && s.pos < streamCap {
+		s.buf = append(s.buf, v)
+	}
+	s.pos++
+	return v
+}
+
+// Seed is never called: rewind stands in for it.
+func (s *scheduleStream) Seed(int64) { internalPanic("scheduleStream is rewound, not re-seeded") }
+
+// rewind starts the next execution's stream. Where the last execution drew
+// past buf — the first one, or one past the cap — src is ahead of buf, so
+// it is re-seeded and buf refilled.
+func (s *scheduleStream) rewind() {
+	if s.pos > len(s.buf) {
+		s.src.Seed(s.seed)
+		if s.buf == nil {
+			s.buf = make([]int64, 0, streamInit)
+		} else {
+			s.buf = s.buf[:0]
+		}
+	}
+	s.pos = 0
 }
 
 // stepRec is one recorded scheduler step: what the step did and the RNG
@@ -241,16 +308,17 @@ func (ck *Checker) newInternalError(msg string) *InternalError {
 
 // resetExecution rebuilds all per-execution state and re-runs program
 // setup. State from the previous execution — the memory, the scheduler
-// and its goroutine-backed threads, the machine/thread/mutex arenas, the
-// RNG — is reset in place rather than reallocated, so after the first
-// execution the setup path allocates nothing. The one exception is a
-// dirty execution (the watchdog abandoned a thread): its goroutine may
-// still hold references into all of that state, so everything reusable
-// is discarded and rebuilt fresh.
+// and its threads' parked carrier goroutines, the machine/thread/mutex
+// arenas, the schedule stream — is reset in place rather than reallocated,
+// so after the first execution the setup path allocates nothing. The one
+// exception is a dirty execution (the watchdog abandoned a thread): its
+// goroutine may still hold references into all of that state, so
+// everything reusable is discarded and rebuilt fresh, the scheduler closed
+// first so that only the wedged goroutine outlives it.
 func (ck *Checker) resetExecution() {
 	if ck.dirty {
 		ck.mem = nil
-		ck.sch = nil
+		ck.closeScheduler()
 		ck.machines = nil
 		ck.threads = nil
 		ck.mutexes = nil
@@ -278,9 +346,10 @@ func (ck *Checker) resetExecution() {
 		ck.sch.Reset()
 	}
 	if ck.rng == nil {
-		ck.rng = rand.New(rand.NewSource(ck.cfg.Seed))
+		ck.stream = scheduleStream{seed: ck.cfg.Seed}
+		ck.rng = rand.New(&ck.stream)
 	} else {
-		ck.rng.Seed(ck.cfg.Seed)
+		ck.stream.rewind()
 	}
 	ck.machines = ck.machines[:0]
 	ck.threads = ck.threads[:0]
@@ -308,6 +377,15 @@ func (ck *Checker) resetExecution() {
 		ck.race.begin(len(ck.threads), len(ck.mutexes))
 	} else {
 		ck.race.on = false
+	}
+}
+
+// closeScheduler ends the checker's scheduler and with it the carrier
+// goroutines its threads left parked.
+func (ck *Checker) closeScheduler() {
+	if ck.sch != nil {
+		ck.sch.Close()
+		ck.sch = nil
 	}
 }
 

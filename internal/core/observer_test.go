@@ -65,6 +65,7 @@ func TestObserverSeesOnlyExploredExecutions(t *testing.T) {
 	walk := cfg
 	walk.fillDefaults()
 	ck := &Checker{cfg: walk, program: leakProbe, tree: decision.NewTree()}
+	defer ck.closeScheduler()
 	var replayed opCounter
 	obs.Observer = &replayed
 	obs.fillDefaults()

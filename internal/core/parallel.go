@@ -237,6 +237,7 @@ func (e *engine) run() (*Checkpoint, *Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer w.ck.closeScheduler()
 			for {
 				tr := e.take(w)
 				if tr == nil {

@@ -119,6 +119,7 @@ func replayPath(cfg Config, program func(*Program), progDigest string, steps []d
 		ck.deadline = start.Add(cfg.MaxTime)
 	}
 	defer func() {
+		ck.closeScheduler()
 		if v := recover(); v != nil {
 			if se, ok := v.(setupError); ok {
 				result, executed, err = nil, nil, se

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -256,6 +257,26 @@ func TestQueuedIsJournaledFirst(t *testing.T) {
 		if rec := first[id]; rec.State != StateQueued || rec.Spec == nil {
 			t.Errorf("%s: first journal line is %q (spec %v), want queued with the spec", id, rec.State, rec.Spec != nil)
 		}
+	}
+}
+
+// TestDrainClosesUnusedConnection: a client connection dialled and never
+// used — what a pooling client leaves behind now and then — does not hold
+// Drain for the 5 s net/http grants a new connection.
+func TestDrainClosesUnusedConnection(t *testing.T) {
+	s := testServer(t, Config{})
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	time.Sleep(20 * time.Millisecond) // accepted
+	start := time.Now()
+	if err := s.Drain(ctxT(t, 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Fatalf("Drain took %v with one unused connection open", d)
 	}
 }
 

@@ -1,10 +1,13 @@
 package obs
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -349,5 +352,66 @@ func TestServerShutdownDrains(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("Shutdown: %v", err)
+	}
+}
+
+// TestShutdownClosesUnusedConnections: a connection dialled and never used
+// does not hold Shutdown for net/http's 5 s grace on a new connection; one
+// whose first request is still being read is answered, not cut.
+func TestShutdownClosesUnusedConnections(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0", NewRegistry(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unused, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer unused.Close()
+	partial, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer partial.Close()
+	if _, err := io.WriteString(partial, "GET /metrics HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	// Both connections are accepted, and the partial one's first bytes read.
+	for accepted, reading := 0, 0; accepted != 2 || reading != 1; time.Sleep(time.Millisecond) {
+		srv.mu.Lock()
+		accepted, reading = len(srv.unused), 0
+		for c := range srv.unused {
+			if c.read.Load() {
+				reading++
+			}
+		}
+		srv.mu.Unlock()
+	}
+
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() { done <- srv.Shutdown(context.Background()) }()
+	unused.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := unused.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("the unused connection read %v, want it closed (EOF)", err)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("Shutdown returned (%v) while a request was being read", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if _, err := io.WriteString(partial, "\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(partial), nil)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("the request being read got (%v, %v), want a 200", resp, err)
+	}
+	resp.Body.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Shutdown took %v", d)
 	}
 }

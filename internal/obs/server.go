@@ -7,6 +7,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -18,6 +20,68 @@ import (
 type Server struct {
 	ln   net.Listener
 	http *http.Server
+
+	// unused holds the accepted connections still in http.StateNew, which
+	// Shutdown would otherwise wait out for 5 s each; shut is set once the
+	// listener is closed.
+	mu     sync.Mutex
+	unused map[*conn]struct{}
+	shut   bool
+}
+
+// conn is an accepted connection that records whether any byte has been
+// read from it: a StateNew connection may be reading its first request.
+type conn struct {
+	net.Conn
+	read atomic.Bool
+}
+
+func (c *conn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.read.Store(true)
+	}
+	return n, err
+}
+
+type listener struct{ net.Listener }
+
+func (l listener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &conn{Conn: c}, nil
+}
+
+// track follows each connection's state; a connection accepted after the
+// listener closed is closed at once.
+func (s *Server) track(nc net.Conn, st http.ConnState) {
+	c := nc.(*conn)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case st != http.StateNew:
+		delete(s.unused, c)
+	case s.shut:
+		c.Close()
+	default:
+		s.unused[c] = struct{}{}
+	}
+}
+
+// dropUnused runs once the listener is closed: it closes every connection
+// that was dialled and never sent a byte. A request already being read is
+// left to finish.
+func (s *Server) dropUnused() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.shut = true
+	for c := range s.unused {
+		if !c.read.Load() {
+			c.Close()
+		}
+	}
 }
 
 // Route is one extra (pattern, handler) pair mounted on the status
@@ -71,14 +135,14 @@ func NewServer(addr string, reg *Registry, status func() any, routes ...Route) (
 	if err != nil {
 		return nil, fmt.Errorf("obs: status server on %s: %w", addr, err)
 	}
-	s := &Server{
-		ln: ln,
-		http: &http.Server{
-			Handler:           mux,
-			ReadHeaderTimeout: 5 * time.Second,
-		},
+	s := &Server{ln: ln, unused: make(map[*conn]struct{})}
+	s.http = &http.Server{
+		Handler:           mux,
+		ReadHeaderTimeout: 5 * time.Second,
+		ConnState:         s.track,
 	}
-	go s.http.Serve(ln)
+	s.http.RegisterOnShutdown(s.dropUnused)
+	go s.http.Serve(listener{ln})
 	return s, nil
 }
 
@@ -91,9 +155,10 @@ func (s *Server) Addr() string {
 }
 
 // Shutdown drains the server gracefully: the listener stops accepting
-// new connections immediately, in-flight requests (a /metrics scrape)
-// run to completion — whoever parks requests wakes them first — and
-// Shutdown returns when they have — or when ctx expires, at which point remaining connections are
+// new connections immediately, connections dialled but never used are
+// closed, in-flight requests (a /metrics scrape) run to completion —
+// whoever parks requests wakes them first — and Shutdown returns when they
+// have — or when ctx expires, at which point remaining connections are
 // closed hard and ctx.Err is returned. Safe on a nil receiver.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s == nil {

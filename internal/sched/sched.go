@@ -1,17 +1,24 @@
 // Package sched provides the deterministic cooperative scheduler CXLMC
 // runs simulated threads on. The paper's implementation (§5) forks real
 // processes and context-switches ucontext threads under a scheduler so
-// every execution replays deterministically; here each simulated thread is
-// a goroutine, and exactly one goroutine — the one holding the baton — is
-// ever running. The engine goroutine enters an execution with Grant; from
-// then on the thread holding the baton decides at each of its instruction
-// boundaries who runs next and either keeps the baton (Continue), hands
-// it straight to that thread (SwitchTo, one goroutine switch) or, when
-// the execution is over, returns it to the engine (Pause). All checker
-// state can therefore be accessed without locks, and a fixed seed fixes
-// the entire schedule (paper §3.2: only crash non-determinism is model
-// checked; the thread interleaving is a deterministic function of the
-// seed).
+// every execution replays deterministically; here each simulated thread
+// runs on a carrier goroutine, and exactly one goroutine — the one holding
+// the baton — is ever running. The engine goroutine enters an execution
+// with Grant; from then on the thread holding the baton decides at each of
+// its instruction boundaries who runs next and either keeps the baton
+// (Continue), hands it straight to that thread (SwitchTo, one goroutine
+// switch) or, when the execution is over, returns it to the engine
+// (Pause). All checker state can therefore be accessed without locks, and
+// a fixed seed fixes the entire schedule (paper §3.2: only crash
+// non-determinism is model checked; the thread interleaving is a
+// deterministic function of the seed).
+//
+// The fork-and-restart of §5 is a carrier's lifecycle. A carrier belongs to
+// a Thread struct, not to an execution: its thread's fn ends with the
+// execution (returned, or unwound by Teardown), and the carrier parks until
+// a later execution's NewThread reuses the struct and grants it, so a
+// restart spawns no goroutine and grows no fresh stack. Carriers never
+// outlive their scheduler's Close.
 package sched
 
 import (
@@ -33,7 +40,7 @@ const (
 	// Finished threads ran their function to completion.
 	Finished
 	// Killed threads belong to a failed machine or were torn down; their
-	// goroutines unwind on their next grant.
+	// fn unwinds on its next grant.
 	Killed
 )
 
@@ -67,11 +74,14 @@ type Thread struct {
 	fn     func(*Thread)
 	state  State
 	resume chan struct{}
-	// exited is set by the goroutine wrapper before it passes the baton on
-	// for the last time: the goroutine is gone and must never be granted
-	// again.
-	exited  bool
+	// exited is set by the carrier before it passes the baton on for the
+	// last time this execution: fn is over and must never be granted again.
+	exited bool
+	// started marks a thread granted this execution; carried, a struct with
+	// a carrier goroutine, parked on resume between executions. NewThread
+	// clears the first and keeps the second.
 	started bool
+	carried bool
 	// unwinding is set when the kill sentinel is thrown. A thread can be
 	// Killed without unwinding yet: the baton carrier whose machine fails
 	// during a scheduler step it runs keeps carrying, parks like any other
@@ -107,13 +117,15 @@ const (
 )
 
 // Scheduler coordinates the baton. It is reused across executions via
-// Teardown and Reset; goroutines never outlive an execution.
+// Teardown and Reset; carriers never outlive its Close.
 type Scheduler struct {
 	threads []*Thread
 	yield   chan *Thread
-	// free holds exited Thread structs (and their resume channels) from
-	// torn-down executions, reused by NewThread so the per-execution hot
-	// path does not reallocate them.
+	// ended receives one value from each carrier Close ends, as it returns.
+	ended chan struct{}
+	// free holds Thread structs from torn-down executions — with their
+	// resume channels and parked carriers — reused by NewThread so the
+	// per-execution hot path neither reallocates them nor spawns goroutines.
 	free []*Thread
 	// watchdog is the reusable GrantWatched timer, lazily created so the
 	// no-timeout hot path stays allocation free.
@@ -136,21 +148,46 @@ type Scheduler struct {
 
 // New returns an empty scheduler.
 func New() *Scheduler {
-	return &Scheduler{yield: make(chan *Thread)}
+	return &Scheduler{yield: make(chan *Thread), ended: make(chan struct{})}
 }
 
 // Reset prepares the scheduler for the next execution after Teardown:
-// every thread struct moves to the free list for reuse. It must not be
-// called if a thread wedged this execution — the abandoned goroutine
-// still holds its Thread and reads the scheduler's heartbeat word, so the
-// whole scheduler must be discarded instead.
+// every thread struct, with its parked carrier, moves to the free list for
+// reuse. It must not be called if a thread wedged this execution — the
+// abandoned goroutine still holds its Thread and reads the scheduler's
+// heartbeat word, so the whole scheduler must be closed and discarded
+// instead.
 func (s *Scheduler) Reset() {
 	s.free = append(s.free, s.threads...)
 	s.threads = s.threads[:0]
 }
 
-// NewThread registers a simulated thread running fn. The goroutine starts
-// parked and runs only when granted.
+// Close ends the scheduler's life after Teardown and returns once every
+// parked carrier has returned. A wedged thread's carrier is not parked: it
+// ends on its own at its next instruction boundary, or never, and Close
+// does not wait for it. The scheduler must not be used again.
+func (s *Scheduler) Close() {
+	var wedged *Thread
+	if v := s.beat.Load(); v&beatAbandoned != 0 {
+		wedged = s.threads[v&beatHolder]
+	}
+	parked := 0
+	for _, ts := range [][]*Thread{s.threads, s.free} {
+		for _, t := range ts {
+			if t != wedged && t.carried {
+				parked++
+			}
+			close(t.resume)
+		}
+	}
+	for ; parked > 0; parked-- {
+		<-s.ended
+	}
+	s.threads, s.free = nil, nil
+}
+
+// NewThread registers a simulated thread running fn. It runs only when
+// granted, on the struct's carrier if an earlier execution left one.
 func (s *Scheduler) NewThread(machine int, name string, fn func(*Thread)) *Thread {
 	if len(s.threads) > beatHolder {
 		panic("sched: too many threads")
@@ -159,7 +196,7 @@ func (s *Scheduler) NewThread(machine int, name string, fn func(*Thread)) *Threa
 	if n := len(s.free); n > 0 {
 		t = s.free[n-1]
 		s.free = s.free[:n-1]
-		*t = Thread{resume: t.resume}
+		*t = Thread{resume: t.resume, carried: t.carried}
 	} else {
 		t = &Thread{resume: make(chan struct{})}
 	}
@@ -172,25 +209,48 @@ func (s *Scheduler) NewThread(machine int, name string, fn func(*Thread)) *Threa
 	return t
 }
 
-// run is the goroutine wrapper: it converts kill sentinels into clean
-// exits, routes real panics to OnPanic, and always passes the baton on.
-func (t *Thread) run() {
-	defer func() { t.exit(recover()) }()
-	t.park()
+// carry is a carrier goroutine: each grant that finds it parked here runs
+// the struct's current fn, and Close ends it. The channels are passed in
+// because NewThread rewrites the struct while the carrier waits.
+func (t *Thread) carry(resume chan struct{}, ended chan<- struct{}) {
+	for range resume {
+		if !t.run() {
+			return // wedged: nobody waits for it
+		}
+	}
+	ended <- struct{}{}
+}
+
+// run runs fn once: it converts kill sentinels into clean exits, routes
+// real panics to OnPanic, and always passes the baton on. It reports
+// whether the carrier may park for a later execution.
+func (t *Thread) run() (carry bool) {
+	returned := false
+	defer func() { carry = t.exit(recover(), returned) }()
+	if t.state == Killed {
+		t.unwind()
+	}
 	t.fn(t)
+	returned = true
+	return
 }
 
 // exit finalizes the thread's state and passes the baton on — to the
 // successor OnExit names, else to the engine goroutine — unless the
-// watchdog abandoned the thread, in which case it exits silently without
-// touching scheduler state (nobody is listening).
-func (t *Thread) exit(v any) {
+// watchdog abandoned the thread, in which case it returns false without
+// touching scheduler state (nobody is listening) and the carrier ends.
+// An exit that is neither a return nor a panic (v nil, returned false) is
+// runtime.Goexit: the goroutine ends after this deferred call, so the
+// struct's claim on it is dropped before the baton moves, and its next
+// grant spawns a new carrier.
+func (t *Thread) exit(v any, returned bool) bool {
 	if t.Wedged() {
-		return
+		return false
 	}
 	s := t.sch
 	if v == nil {
 		t.state = Finished
+		t.carried = returned
 	} else if _, isKill := v.(killSentinel); !isKill {
 		t.state = Killed
 		if s.OnPanic != nil {
@@ -200,7 +260,7 @@ func (t *Thread) exit(v any) {
 	t.exited = true
 	if s.tearing {
 		s.yield <- t
-		return
+		return true
 	}
 	next := t.successor()
 	if next == nil {
@@ -210,6 +270,7 @@ func (t *Thread) exit(v any) {
 	} else if t.beatTo(next) {
 		next.wake()
 	}
+	return true
 }
 
 // successor asks OnExit for the next baton holder. The hook runs inside
@@ -247,14 +308,16 @@ func (t *Thread) park() {
 	}
 }
 
-// wake passes the baton to t, starting its goroutine on the first grant.
+// wake passes the baton to t, spawning a carrier only for a struct that
+// has none.
 func (t *Thread) wake() {
 	if t.exited {
 		panic(fmt.Sprintf("sched: grant to exited thread %d (%s)", t.ID, t.Name))
 	}
-	if !t.started {
-		t.started = true
-		go t.run()
+	t.started = true
+	if !t.carried {
+		t.carried = true
+		go t.carry(t.resume, t.sch.ended)
 	}
 	t.resume <- struct{}{}
 }
@@ -366,8 +429,8 @@ func (t *Thread) Continue() {
 	}
 }
 
-// SwitchTo hands the baton directly to u — one goroutine switch, starting
-// u's goroutine if this is its first grant — and parks until t is granted
+// SwitchTo hands the baton directly to u — one goroutine switch, spawning
+// a carrier only if u's struct has none — and parks until t is granted
 // again. If t was killed while parked, SwitchTo unwinds the goroutine
 // instead of returning. It must be called from t's goroutine, after
 // Boundary; u must not be t and must not have exited.
@@ -430,11 +493,12 @@ func (t *Thread) KillSelf() {
 	t.unwind()
 }
 
-// Teardown unwinds every goroutine that has not exited. Call it at the
-// end of each execution so goroutines never leak across executions.
-// A wedged thread is skipped: its goroutine is not parked at the baton
-// and unwinds on its own at the next instruction boundary (or leaks, if
-// it stays blocked in user code forever).
+// Teardown unwinds every thread that has not exited. Call it at the end of
+// each execution: no thread's fn outlives its execution, and every carrier
+// is left parked for the next one (or for Close). A wedged thread is
+// skipped: its goroutine is not parked at the baton and unwinds on its own
+// at the next instruction boundary (or leaks, if it stays blocked in user
+// code forever).
 func (s *Scheduler) Teardown() {
 	s.tearing = true
 	for _, t := range s.threads {

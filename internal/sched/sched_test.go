@@ -361,10 +361,25 @@ func TestSuccessorHookPanicRouted(t *testing.T) {
 	s.Teardown()
 }
 
+// settle waits for the goroutine count to fall to at most want: a carrier
+// that returned is not counted out until it has run off its stack.
+func settle(t *testing.T, want int) {
+	t.Helper()
+	for wait := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > want; {
+		if time.Now().After(wait) {
+			t.Fatalf("goroutines: %d, want at most %d", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestManyExecutionsNoGoroutineLeak(t *testing.T) {
 	// Simulates the checker's execution restart loop: every execution
-	// creates fresh threads and tears them down; parked goroutines must
-	// be unwound each time, whichever goroutine the execution ended on.
+	// creates its threads and tears them down; each fn must be unwound each
+	// time, whichever goroutine the execution ended on, and the carriers
+	// are reused rather than spawned afresh — the count never exceeds one
+	// carrier per thread of the largest execution — until Close ends them.
+	const most = 4
 	before := runtime.NumGoroutine()
 	s := New()
 	for exec := 0; exec < 200; exec++ {
@@ -415,15 +430,81 @@ func TestManyExecutionsNoGoroutineLeak(t *testing.T) {
 				t.Fatalf("exec %d: thread %d survived", exec, th.ID)
 			}
 		}
+		if n := runtime.NumGoroutine(); n > before+most {
+			t.Fatalf("exec %d: %d goroutines, want at most %d + %d carriers", exec, n, before, most)
+		}
 		s.Reset()
 	}
-	// The last send of an exiting goroutine precedes its return.
-	for wait := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
-		if time.Now().After(wait) {
-			t.Fatalf("goroutines: %d before, %d after", before, runtime.NumGoroutine())
-		}
-		time.Sleep(time.Millisecond)
+	s.Close()
+	settle(t, before)
+}
+
+// TestGoexitRetiresCarrier: a thread whose fn calls runtime.Goexit (as
+// t.Fatal does) ends its carrier; the struct must drop its claim on it, so
+// the next execution that reuses the struct runs on a fresh carrier
+// instead of blocking on a resume nobody receives.
+func TestGoexitRetiresCarrier(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New()
+	a := s.NewThread(0, "a", func(*Thread) { runtime.Goexit() })
+	s.Grant(a)
+	if a.State() != Finished {
+		t.Fatalf("state = %v, want finished", a.State())
 	}
+	s.Teardown()
+	s.Reset()
+	ran := false
+	b := s.NewThread(0, "b", func(*Thread) { ran = true })
+	if b != a {
+		t.Fatal("the second execution did not reuse the struct")
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Grant(b)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the second execution's grant never came back")
+	}
+	if !ran || b.State() != Finished {
+		t.Fatalf("ran = %v, state = %v", ran, b.State())
+	}
+	s.Teardown()
+	s.Close()
+	settle(t, before)
+}
+
+// TestCarrierSurvivesKillAndPanic: a carrier whose fn was unwound by the
+// kill sentinel, or panicked into OnPanic, parks and carries the struct's
+// next fn — no execution after the first spawns a goroutine.
+func TestCarrierSurvivesKillAndPanic(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New()
+	var panics int
+	s.OnPanic = func(*Thread, any) { panics++ }
+	zero := 0
+	fns := []func(*Thread){
+		func(th *Thread) { th.Pause() },    // left parked: Teardown unwinds it
+		func(th *Thread) { th.KillSelf() }, // unwinds itself
+		func(*Thread) { _ = 1 / zero },     // panics
+		func(*Thread) {},                   // returns
+		func(th *Thread) { th.Pause(); th.Pause() },
+	}
+	for exec, fn := range fns {
+		s.Grant(s.NewThread(0, "a", fn))
+		s.Teardown()
+		if n := runtime.NumGoroutine(); n > before+1 {
+			t.Fatalf("exec %d: %d goroutines, want at most %d + 1 carrier", exec, n, before)
+		}
+		s.Reset()
+	}
+	if panics != 1 {
+		t.Fatalf("OnPanic ran %d times, want 1", panics)
+	}
+	s.Close()
+	settle(t, before)
 }
 
 // TestWatchdogCountsBatonMovements: an execution far longer than the
@@ -505,6 +586,7 @@ func TestWatchdogBlamesCurrentHolder(t *testing.T) {
 	if a.State() != Killed {
 		t.Fatalf("a = %v after teardown", a.State())
 	}
+	s.Close() // ends a's carrier; waits for nothing of b's
 	close(unblock)
 	<-gone
 	if ranOn {
