@@ -83,13 +83,16 @@
 // under the same setting.
 //
 // Observability: -metrics-addr serves /metrics (Prometheus text),
-// /statusz (JSON run status) and /debug/pprof for the duration of the
-// run; -progress prints a one-line status to stderr at the first execution
-// boundary after each period; -event-log streams the structured
-// exploration event trace (execution boundaries, decisions, checkpoints and
-// chaos activity) as JSON lines to a file; -metrics-snapshot writes the
-// final metric values as JSON when the run ends. SIGUSR1 dumps a status
-// report to stderr at the next execution boundary without stopping the run.
+// /statusz (JSON run status) and /debug/pprof for the duration of a local,
+// -seeds, -replay or -join run (-serve and -jobserver serve them on their own
+// address, and refuse the flag); -progress prints a one-line status to stderr
+// at the first execution boundary after each period; -event-log streams the
+// structured exploration event trace (execution boundaries, decisions,
+// checkpoints and chaos activity) as JSON lines to a file; -metrics-snapshot
+// writes the final metric values as JSON when the run ends. SIGUSR1 dumps a
+// status report to stderr at once without stopping the run. /statusz and the
+// SIGUSR1 report are the last progress snapshot, taken every -progress period
+// (every second without the flag), so they can be up to one period old.
 //
 // Distributed exploration: -serve addr runs this process as the
 // coordinator — it owns the frontier of subtree work units, serves the
@@ -101,8 +104,9 @@
 // choosing (one execution at first, doubled while leases finish well inside
 // the TTL and no peer is waiting), and in one call reports the result, returns
 // what is left for the coordinator to split among whoever is waiting and takes
-// the next unit. -max-execs, -max-time and -metrics-addr span the worker's
-// lifetime, not one lease. A lease has a deadline (-lease-ttl) and is named by
+// the next unit. -max-execs and -max-time span the worker's lifetime, not one
+// lease; so does -metrics-addr's /metrics, while its /statusz is the current
+// lease's progress. A lease has a deadline (-lease-ttl) and is named by
 // the coordinator's start, the unit and an epoch: units of crashed or wedged
 // workers are reclaimed and re-issued, completions of an old epoch or start
 // are rejected idempotently, and the run reports exactly the bug set and
@@ -152,6 +156,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"syscall"
+	"time"
 
 	cxlmc "repro"
 	"repro/internal/analyze"
@@ -160,6 +165,7 @@ import (
 	"repro/internal/gofront"
 	"repro/internal/harness"
 	"repro/internal/jobs"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -219,8 +225,8 @@ func run() int {
 		jobWorkers = flag.Int("job-workers", 0, "jobs the server runs concurrently (with -jobserver; 0 = 2)")
 		queueDepth = flag.Int("queue-depth", 0, "queued jobs allowed per tenant before submissions get 429 (with -jobserver; 0 = 32)")
 
-		metricsAddr  = flag.String("metrics-addr", "", "serve /metrics, /statusz and /debug/pprof on this address for the duration of the run (\":0\" picks a port)")
-		progressEach = flag.Duration("progress", 0, "print a one-line progress report to stderr at this cadence (0 = off)")
+		metricsAddr  = flag.String("metrics-addr", "", "serve /metrics, /statusz and /debug/pprof on this address for the duration of a local, -replay or -join run (\":0\" picks a port)")
+		progressEach = flag.Duration("progress", 0, "print a one-line progress report to stderr at this cadence (0 = no lines; /statusz and SIGUSR1 then refresh every second)")
 		eventLog     = flag.String("event-log", "", "stream the structured exploration event trace to this file as JSON lines")
 		metricsSnap  = flag.String("metrics-snapshot", "", "write the final metric values to this file as JSON when the run ends")
 	)
@@ -279,6 +285,10 @@ func run() int {
 	}
 	if *vetOnly && (distMode || *replay != "") {
 		fmt.Fprintln(os.Stderr, "cxlmc: -vet is a local static pre-pass; drop -serve/-join/-replay")
+		return 2
+	}
+	if *metricsAddr != "" && (*serveAddr != "" || *jobServer != "") {
+		fmt.Fprintln(os.Stderr, "cxlmc: -serve and -jobserver already serve /metrics and /statusz on their own address; drop -metrics-addr")
 		return 2
 	}
 
@@ -343,12 +353,6 @@ func run() int {
 
 	if *trace {
 		cfg.Observer = cxlmc.TraceTo(os.Stdout)
-	}
-	cfg.MetricsAddr = *metricsAddr
-	if *metricsAddr != "" {
-		cfg.OnStatusServer = func(addr string) {
-			fmt.Fprintf(os.Stderr, "cxlmc: status server on http://%s/ (/metrics /statusz /debug/pprof)\n", addr)
-		}
 	}
 
 	if *cpuprofile != "" {
@@ -427,6 +431,47 @@ func run() int {
 		return runVet(cfg, program, nil, os.Stdout, os.Stderr)
 	}
 
+	// Status is served from the last snapshot the run handed OnProgress —
+	// every -progress period, every second without it, and at the end — so
+	// /statusz and the SIGUSR1 dump may be up to one period old. The server
+	// binds before anything is explored: a bad address costs no run.
+	var status atomic.Pointer[cxlmc.Progress]
+	status.Store(&cxlmc.Progress{})
+	if cfg.ProgressEvery <= 0 {
+		cfg.ProgressEvery = time.Second
+	}
+	cfg.OnProgress = func(p cxlmc.Progress) {
+		status.Store(&p)
+		if *progressEach > 0 {
+			fmt.Fprintf(os.Stderr, "cxlmc: progress %s\n", p)
+		}
+	}
+	// SIGUSR1 asks for a status dump, printed at once; the run goes on
+	// untouched. Once Stop returns nothing is delivered, so closing ends the
+	// printer.
+	usr1 := make(chan os.Signal, 1)
+	signal.Notify(usr1, syscall.SIGUSR1)
+	defer func() { signal.Stop(usr1); close(usr1) }()
+	go func() {
+		for range usr1 {
+			p := status.Load()
+			fmt.Fprintf(os.Stderr, "cxlmc: status  %s\n", p)
+			for _, w := range p.Workers {
+				fmt.Fprintf(os.Stderr, "cxlmc:   worker %d %-4s execs=%d depth=%d units=%d\n",
+					w.ID, w.State, w.Executions, w.Depth, w.Units)
+			}
+		}
+	}()
+	if *metricsAddr != "" {
+		srv, err := obs.NewServer(*metricsAddr, cfg.Obs, func() any { return status.Load() })
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "cxlmc: -metrics-addr: %v\n", err)
+			return 2
+		}
+		defer srv.Close()
+		fmt.Fprintf(os.Stderr, "cxlmc: status server on http://%s/ (/metrics /statusz /debug/pprof)\n", srv.Addr())
+	}
+
 	// The one arming step of every mode (run, replay, coordinator, worker;
 	// the job server takes it per job), so the config digests they stamp
 	// match.
@@ -474,37 +519,6 @@ func run() int {
 		os.Exit(3)
 	}()
 	cfg.Stop = stop
-
-	// SIGUSR1 asks for an on-demand status dump: the engine snapshots its
-	// progress at the next execution boundary and the run continues untouched.
-	var usr1Pending atomic.Bool
-	statusReq := make(chan struct{}, 1)
-	usr1 := make(chan os.Signal, 1)
-	signal.Notify(usr1, syscall.SIGUSR1)
-	defer signal.Stop(usr1)
-	go func() {
-		for range usr1 {
-			usr1Pending.Store(true)
-			select {
-			case statusReq <- struct{}{}:
-			default:
-			}
-		}
-	}()
-	cfg.StatusRequests = statusReq
-	cfg.OnProgress = func(p cxlmc.Progress) {
-		if usr1Pending.Swap(false) {
-			fmt.Fprintf(os.Stderr, "cxlmc: status  %s\n", p)
-			for _, w := range p.Workers {
-				fmt.Fprintf(os.Stderr, "cxlmc:   worker %d %-4s execs=%d depth=%d units=%d\n",
-					w.ID, w.State, w.Executions, w.Depth, w.Units)
-			}
-			return
-		}
-		if *progressEach > 0 {
-			fmt.Fprintf(os.Stderr, "cxlmc: progress %s\n", p)
-		}
-	}
 
 	// printResult renders one run's outcome, returning whether it found
 	// bugs; shared by local, coordinator and worker modes so their output

@@ -176,10 +176,11 @@ func NewChaos(cfg ChaosConfig) *ChaosInjector {
 // MetricsRegistry is the observability subsystem's metrics registry.
 // Pass one via Config.Obs to have a run instrument itself (execution,
 // step and bug counters, decision-point counters, frontier and worker
-// gauges, step/depth histograms); read it back with Snapshot or serve
-// it with Config.MetricsAddr. A nil registry disables instrumentation
-// at near-zero cost. One registry may be shared across runs; counters
-// then accumulate.
+// gauges, step/depth histograms); read it back with Snapshot, or serve
+// it while the run goes on — WritePrometheus renders the text format, and
+// cmd/cxlmc's -metrics-addr serves it at /metrics. A nil registry disables
+// instrumentation at near-zero cost. One registry may be shared across
+// runs; counters then accumulate.
 type MetricsRegistry = obs.Registry
 
 // NewMetricsRegistry returns an empty metrics registry.
@@ -188,8 +189,9 @@ func NewMetricsRegistry() *MetricsRegistry {
 }
 
 // Progress is a point-in-time snapshot of a running exploration,
-// delivered via Config.OnProgress and served at the status server's
-// /statusz endpoint.
+// delivered via Config.OnProgress every Config.ProgressEvery and when the
+// run stops. cmd/cxlmc serves the last one it received at /statusz and
+// prints it on SIGUSR1, so what it shows can be up to one period old.
 type Progress = core.Progress
 
 // WorkerStatus is one worker's slice of a Progress snapshot.
@@ -255,11 +257,12 @@ func Vet(cfg Config, setup func(*Program)) (*VetReport, error) {
 // Arm completes cfg for exploring or replaying the program setup builds:
 // with RaceDetect on, the Vet pre-pass runs once and the lines it flags
 // become Config.UnflushedLines, so a crash that exposes one is reported
-// (its findings are counted into cfg.Obs). The pre-pass is deterministic
-// and UnflushedLines is digest-relevant, so this is the one arming step
-// of every mode — local run, replay, dist coordinator and worker, a job
-// and each of its retries: the same knobs then stamp the same digest, and
-// tokens and checkpoints pass between modes. A pre-pass that fails is an
+// (its findings are counted into cfg.Obs; its dry execution is not the
+// run's, so it counts into no other metric and reaches no OnProgress). The
+// pre-pass is deterministic and UnflushedLines is digest-relevant, so this
+// is the one arming step of every mode — local run, replay, dist
+// coordinator and worker, a job and each of its retries: the same knobs
+// then stamp the same digest, and tokens and checkpoints pass between modes. A pre-pass that fails is an
 // error, never an unarmed run under a different digest.
 func Arm(cfg Config, setup func(*Program)) (Config, error) {
 	if cfg.RaceDetect != SwitchOn {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	cxlmc "repro"
 )
@@ -267,26 +268,6 @@ func TestPropertyDeterminism(t *testing.T) {
 	}
 }
 
-// TestPropertyLazyEagerEquivalent: the §4.5 lazy search and the eager
-// Algorithm 3 set produce identical observation sets and execution
-// counts.
-func TestPropertyLazyEagerEquivalent(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 25; trial++ {
-		prog, observe := randomProgram(rng.Int63())
-		lazy := map[string]bool{}
-		eager := map[string]bool{}
-		rl := mustRun(t, cxlmc.Config{}, prog(lazy, observe))
-		re := mustRun(t, cxlmc.Config{EagerReadSet: true}, prog(eager, observe))
-		if !reflect.DeepEqual(lazy, eager) {
-			t.Fatalf("trial %d: lazy %v vs eager %v", trial, lazy, eager)
-		}
-		if rl.Executions != re.Executions {
-			t.Fatalf("trial %d: lazy %d execs vs eager %d", trial, rl.Executions, re.Executions)
-		}
-	}
-}
-
 // TestPropertyConsecutiveLoadsAgree: in every random program, two
 // back-to-back loads of the same address by the observer agree (§3.3).
 func TestPropertyConsecutiveLoadsAgree(t *testing.T) {
@@ -420,32 +401,6 @@ func TestPropertyCompletenessDroppedFlush(t *testing.T) {
 	}
 }
 
-// TestPropertyCompletenessDroppedFlushEager repeats the sweep under the
-// eager Algorithm 3 read path.
-func TestPropertyCompletenessDroppedFlushEager(t *testing.T) {
-	res := mustRun(t, cxlmc.Config{EagerReadSet: true}, func(p *cxlmc.Program) {
-		a := p.NewMachine("A")
-		b := p.NewMachine("B")
-		data := p.Alloc(8)
-		flag := p.AllocAligned(8, 64)
-		a.Thread("w", func(th *cxlmc.Thread) {
-			th.Store64(data, 42)
-			th.Store64(flag, 1)
-			th.CLFlush(flag)
-			th.SFence()
-		})
-		b.Thread("r", func(th *cxlmc.Thread) {
-			th.Join(a)
-			if th.Load64(flag) == 1 {
-				th.Assert(th.Load64(data) == 42, "lost")
-			}
-		})
-	})
-	if !res.Buggy() {
-		t.Fatal("eager path missed the dropped flush")
-	}
-}
-
 // TestPropertyGPFDeleteWorkloads: the delete-enabled workloads stay
 // clean under GPF mode too (no cached value is ever lost, so both
 // insert and delete commits are trivially durable).
@@ -516,5 +471,41 @@ func TestLitmusIRIW(t *testing.T) {
 		if res.Buggy() {
 			t.Fatalf("seed %d: %v", seed, res.Bugs)
 		}
+	}
+}
+
+// TestArmDryRunIsNotTheCallersRun: Arm's vet pre-pass is one dry execution
+// that is not part of the run being armed, so it counts into none of the
+// caller's metrics and hands its OnProgress nothing.
+func TestArmDryRunIsNotTheCallersRun(t *testing.T) {
+	reg := cxlmc.NewMetricsRegistry()
+	calls := 0
+	// RaceDetect on: Arm runs the pre-pass.
+	_, err := cxlmc.Arm(cxlmc.Config{
+		RaceDetect:    cxlmc.SwitchOn,
+		Obs:           reg,
+		ProgressEvery: time.Nanosecond,
+		OnProgress:    func(cxlmc.Progress) { calls++ },
+	}, func(p *cxlmc.Program) {
+		a := p.NewMachine("A")
+		b := p.NewMachine("B")
+		data := p.Alloc(8)
+		flag := p.AllocAligned(8, 64)
+		a.Thread("w", func(th *cxlmc.Thread) {
+			th.Store64(data, 42)
+			th.Store64(flag, 1)
+			th.CLFlush(flag)
+			th.SFence()
+		})
+		b.Thread("r", func(th *cxlmc.Thread) {
+			th.Join(a)
+			th.Load64(flag)
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Snapshot()["cxlmc_executions_total"]; n != 0 || calls != 0 {
+		t.Fatalf("after Arm: cxlmc_executions_total=%v and %d OnProgress calls, want 0 and 0", n, calls)
 	}
 }

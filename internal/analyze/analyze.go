@@ -150,13 +150,17 @@ func Vet(cfg core.Config, program func(*core.Program)) (*Report, error) {
 	cfg.MaxExecutions = 1
 	cfg.MaxTime = 0
 	// One execution, no exploration: the detector and all
-	// persistence/observability plumbing are exploration concerns.
+	// persistence/observability plumbing are exploration concerns. The dry
+	// run is not part of the caller's run, so it counts into none of its
+	// metrics and reports no progress.
 	cfg.RaceDetect = core.SwitchOff
 	cfg.UnflushedLines = nil
 	cfg.ContinueAfterBug = true
 	cfg.CheckpointPath = ""
-	cfg.MetricsAddr = ""
+	cfg.Obs = nil
 	cfg.EventTrace = nil
+	cfg.ProgressEvery = 0
+	cfg.OnProgress = nil
 	cfg.Stop = nil
 	if _, err := core.Run(cfg, program); err != nil {
 		return nil, fmt.Errorf("cxlvet: dry run failed: %w", err)

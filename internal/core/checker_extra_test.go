@@ -32,7 +32,7 @@ func TestEagerReadSetEquivalentDetection(t *testing.T) {
 		})
 	}
 	lazy := run(t, Config{}, prog)
-	eager := run(t, Config{EagerReadSet: true}, prog)
+	eager := run(t, Config{eagerReadSet: true}, prog)
 	if !lazy.Buggy() || !eager.Buggy() {
 		t.Fatalf("bug missed: lazy=%v eager=%v", lazy.Bugs, eager.Bugs)
 	}

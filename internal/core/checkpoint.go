@@ -118,7 +118,7 @@ var digestFields = []struct {
 	{"MaxStepsPerExec", "maxsteps", func(c *Config) any { return c.MaxStepsPerExec }},
 	{"MemSize", "memsize", func(c *Config) any { return c.MemSize }},
 	{"CommitChance", "commit", func(c *Config) any { return c.CommitChance }},
-	{"EagerReadSet", "eager", func(c *Config) any { return c.EagerReadSet }},
+	{"eagerReadSet", "eager", func(c *Config) any { return c.eagerReadSet }},
 	{"MaxEventsPerExec", "maxevents", func(c *Config) any { return c.MaxEventsPerExec }},
 	{"Reduction", "reduction", func(c *Config) any { return c.reductionOn() }},
 	{"RaceDetect", "racedetect", func(c *Config) any { return c.raceDetectOn() }},

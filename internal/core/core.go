@@ -132,12 +132,14 @@ type Config struct {
 	// default of 25.
 	CommitChance int
 
-	// EagerReadSet disables the paper's §4.5 optimization: loads
+	// eagerReadSet disables the paper's §4.5 optimization: loads
 	// materialize the full Algorithm 3 read-from set (with per-candidate
 	// failure sets) and branch n-ary over it, instead of searching
 	// lazily with binary decision points. Exploration is equivalent;
-	// only the cost per load differs. Exists for the ablation benchmark.
-	EagerReadSet bool
+	// only the cost per load differs. It is the reference the lazy search
+	// is tested against, set only by tests (export_test.go), and stays in
+	// the configuration digest as "eager".
+	eagerReadSet bool
 
 	// CheckpointPath names a file the checker writes crash-safe
 	// exploration checkpoints to (temp file + rename). When the file
@@ -220,24 +222,10 @@ type Config struct {
 	// step/depth histograms. A nil registry is the zero-cost
 	// "observability off" mode — every instrument call is a nil check.
 	// The registry is caller-owned, so several runs may share one and the
-	// caller can read or serve it after Run returns. Observability knobs
-	// never participate in the checkpoint configuration digest: a run
-	// resumes identically with metrics on or off.
+	// caller can read or serve it while the run goes on and after Run
+	// returns. Observability knobs never participate in the checkpoint
+	// configuration digest: a run resumes identically with metrics on or off.
 	Obs *obs.Registry
-
-	// MetricsAddr, when non-empty, starts a live status server on the
-	// address for the duration of the run, serving /metrics (Prometheus
-	// text format), /statusz (the engine's Progress snapshot as JSON) and
-	// /debug/pprof. The server binds before exploration starts, so a bad
-	// address fails the run up front. Use ":0" to bind an ephemeral port
-	// and OnStatusServer to learn it. Implies Obs: when MetricsAddr is set
-	// and Obs is nil, the run creates a private registry.
-	MetricsAddr string
-
-	// OnStatusServer, when non-nil, is called once with the status
-	// server's bound "host:port" address before exploration starts. Only
-	// meaningful with MetricsAddr set.
-	OnStatusServer func(addr string)
 
 	// EventTrace, when non-nil, enables the structured exploration event
 	// trace: execution boundaries, decision-point creation, backtracks,
@@ -259,17 +247,13 @@ type Config struct {
 	ProgressEvery time.Duration
 
 	// OnProgress, when non-nil, receives Progress snapshots: one per
-	// ProgressEvery period, one per StatusRequests poke, and one when the
-	// run stops. Called at an execution boundary with the engine lock held;
-	// it must not block for long and must not call back into the run.
+	// ProgressEvery period and one when the run stops. Called at an
+	// execution boundary with the engine lock held; it must not block for
+	// long and must not call back into the run. A caller that serves status
+	// on demand (cmd/cxlmc's /statusz and SIGUSR1) keeps the last snapshot
+	// it received, which is up to one ProgressEvery (and the execution in
+	// flight) old.
 	OnProgress func(Progress)
-
-	// StatusRequests, when non-nil, asks for an on-demand Progress
-	// snapshot each time a value arrives: workers poll it at every
-	// execution boundary, as they poll Stop, and the one that takes the
-	// value emits to OnProgress without stopping the run. cmd/cxlmc wires
-	// SIGUSR1 here.
-	StatusRequests <-chan struct{}
 
 	// Reduction controls state-space reduction (default on): decision
 	// points whose alternative branch provably cannot change the bug set

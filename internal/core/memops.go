@@ -295,11 +295,11 @@ func (ck *Checker) recordedRun(span int) loadRec {
 // placing one binary decision point per non-final candidate: take it, or
 // keep searching (§4.5). The final candidate is forced.
 //
-// With Config.EagerReadSet the full Algorithm 3 set is materialized
+// With Config.eagerReadSet the full Algorithm 3 set is materialized
 // instead and the choice is one n-ary decision point — the
-// pre-optimization behaviour, kept for the ablation benchmark.
+// pre-optimization behaviour, kept as the tests' reference.
 func (ck *Checker) chooseCandidate(rc *memmodel.ReadContext, b Addr) memmodel.Candidate {
-	if ck.cfg.EagerReadSet {
+	if ck.cfg.eagerReadSet {
 		r := rc.BuildMayReadFrom(b)
 		if len(r) == 0 {
 			internalPanic("empty read-from set")

@@ -2,11 +2,11 @@ package core
 
 // This file wires the exploration engine into the observability
 // subsystem (repro/internal/obs): metric registration, the structured
-// event tracer, the live status server, progress snapshots, and the
-// decision-tree hook. Everything here is built to cost nothing when
-// observability is off — coreMetrics is a value struct of nil-safe
-// instrument pointers, so an uninstrumented run pays one nil check per
-// site and allocates nothing new on the hot path.
+// event tracer, progress snapshots, and the decision-tree hook. Serving
+// them is the caller's: the engine starts no server. Everything here is
+// built to cost nothing when observability is off — coreMetrics is a value
+// struct of nil-safe instrument pointers, so an uninstrumented run pays one
+// nil check per site and allocates nothing new on the hot path.
 
 import (
 	"fmt"
@@ -153,7 +153,7 @@ type WorkerStatus struct {
 }
 
 // Progress is a point-in-time snapshot of a running exploration — the
-// payload of Config.OnProgress and the status server's /statusz.
+// payload of Config.OnProgress, and what cmd/cxlmc serves at /statusz.
 type Progress struct {
 	Executions int   `json:"executions"`
 	Steps      int64 `json:"steps"`
@@ -201,26 +201,18 @@ func (p Progress) String() string {
 }
 
 // initObs builds the run's observability plumbing from the Config: the
-// registry-backed instruments, the event tracer, the chaos fault
-// observer, and the status server (which binds immediately so a bad
-// address fails the run before exploration starts). It returns a
-// teardown function; on error nothing is left running.
-func (e *engine) initObs() (func(), error) {
-	reg := e.cfg.Obs
-	if reg == nil && e.cfg.MetricsAddr != "" {
-		// A status server without a registry would serve an empty
-		// /metrics forever; give it a private one.
-		reg = obs.NewRegistry()
-	}
-	e.reg = reg
-	if reg != nil {
-		e.om = newCoreMetrics(reg)
+// registry-backed instruments, the event tracer and the chaos fault
+// observer. It returns the teardown, which drains the tracer and hands
+// OnProgress the final snapshot once no worker is left.
+func (e *engine) initObs() func() {
+	if e.cfg.Obs != nil {
+		e.om = newCoreMetrics(e.cfg.Obs)
 		e.om.workerCount.Set(int64(e.cfg.Workers))
 	}
 	if e.cfg.EventTrace != nil {
 		e.tracer = obs.NewTracer(e.cfg.Workers, eventBufferSize, e.cfg.EventTrace)
 	}
-	if e.cfg.Chaos != nil && (reg != nil || e.tracer != nil) {
+	if e.cfg.Chaos != nil && (e.cfg.Obs != nil || e.tracer != nil) {
 		om, tr := e.om, e.tracer
 		// Called with the injector's lock held: atomics and a ring append
 		// only, never back into the injector or the engine lock.
@@ -230,42 +222,25 @@ func (e *engine) initObs() (func(), error) {
 		})
 	}
 
-	var srv *obs.Server
-	if e.cfg.MetricsAddr != "" {
-		var err error
-		srv, err = obs.NewServer(e.cfg.MetricsAddr, reg, func() any { return e.progress() })
-		if err != nil {
-			e.cfg.Chaos.SetOnFault(nil)
-			return nil, err
-		}
-		e.server = srv
-		if e.cfg.OnStatusServer != nil {
-			e.cfg.OnStatusServer(srv.Addr())
-		}
-	}
-
-	e.watched = e.cfg.ProgressEvery > 0 || e.cfg.StatusRequests != nil || e.tracer != nil
+	e.watched = e.cfg.ProgressEvery > 0 || e.tracer != nil
 	e.lastProgress, e.lastFlush = e.start, e.start
-	teardown := func() {
+	return func() {
 		e.tracer.Flush()
 		if e.cfg.OnProgress != nil {
-			e.cfg.OnProgress(e.progress())
+			e.cfg.OnProgress(e.progressLocked())
 		}
-		srv.Close()
 		e.cfg.Chaos.SetOnFault(nil)
 	}
-	return teardown, nil
 }
 
 // watchLocked reports on the run from an execution boundary, by the worker
 // that is there: a Progress snapshot to OnProgress when ProgressEvery has
-// passed since the last one or a status request is waiting, and a tracer
-// drain with it or a second after the last one, so the event log stays
-// fresh. Snapshots are serial because the lock is held.
+// passed since the last one, and a tracer drain with it or a second after
+// the last one, so the event log stays fresh. Snapshots are serial because
+// the lock is held.
 func (e *engine) watchLocked() {
 	now := time.Now()
-	due := e.cfg.ProgressEvery > 0 && now.Sub(e.lastProgress) >= e.cfg.ProgressEvery ||
-		stopRequested(e.cfg.StatusRequests)
+	due := e.cfg.ProgressEvery > 0 && now.Sub(e.lastProgress) >= e.cfg.ProgressEvery
 	if due {
 		e.lastProgress = now
 		if e.cfg.OnProgress != nil {
@@ -278,14 +253,8 @@ func (e *engine) watchLocked() {
 	}
 }
 
-// progress is the status server's /statusz snapshot and the final one.
-func (e *engine) progress() Progress {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.progressLocked()
-}
-
-// progressLocked assembles a Progress snapshot.
+// progressLocked assembles a Progress snapshot: under e.mu at a boundary, or
+// at teardown, when no worker is left.
 func (e *engine) progressLocked() Progress {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

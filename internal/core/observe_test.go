@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"strings"
 	"sync/atomic"
@@ -17,105 +15,33 @@ import (
 	"repro/internal/obs"
 )
 
-// This file tests the observability wiring: the live status server on a
-// real parallel run under chaos, the structured event trace,
-// on-demand status requests, and — the regression the subsystem fixed —
-// cumulative Stats counters surviving a checkpoint/resume cycle.
+// This file tests the observability wiring: the registry on a real parallel
+// run under chaos, the structured event trace, progress snapshots, and — the
+// regression the subsystem fixed — cumulative Stats counters surviving a
+// checkpoint/resume cycle.
 
-func get(url string) (string, error) {
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get(url)
-	if err != nil {
-		return "", fmt.Errorf("GET %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", fmt.Errorf("GET %s: read: %v", url, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
-	}
-	return string(b), nil
-}
-
-// TestStatusServerServesLiveRun scrapes /metrics and /statusz while a
-// parallel, chaos-stalled exploration is actually running, and afterwards
-// checks the registry agrees exactly with the Result — metrics are the run,
-// not an approximation of it.
-func TestStatusServerServesLiveRun(t *testing.T) {
+// TestMetricsEqualResultUnderChaos runs a parallel, chaos-stalled
+// exploration into a registry and checks the registry agrees exactly with the
+// Result — metrics are the run, not an approximation of it — and that every
+// injected fault was counted.
+func TestMetricsEqualResultUnderChaos(t *testing.T) {
 	want := referenceRun(t, resilientNoisy)
 
 	reg := obs.NewRegistry()
 	inj := chaos.New(chaos.Config{StallPct: 50, StallDur: time.Millisecond, Seed: 7, MaxFaults: 100})
-	var addr, metricsBody, statusBody string
-	var scrapeErr error
-	// OnProgress runs under the engine lock, so it only says when real work
-	// is visible; the scrape happens beside the run, while the next program
-	// setup holds its worker — and with it the worker's unit, so the run
-	// cannot end — until the scrape is done.
-	var seen atomic.Bool
-	visible, scraped := make(chan struct{}), make(chan struct{})
-	cfg := Config{
+	res, err := Run(Config{
 		Workers:          2,
 		ContinueAfterBug: true,
 		Obs:              reg,
-		MetricsAddr:      "127.0.0.1:0",
-		OnStatusServer: func(a string) {
-			addr = a
-			go func() {
-				defer close(scraped)
-				<-visible
-				if metricsBody, scrapeErr = get("http://" + a + "/metrics"); scrapeErr == nil {
-					statusBody, scrapeErr = get("http://" + a + "/statusz")
-				}
-			}()
-		},
-		Chaos:         inj,
-		ProgressEvery: time.Nanosecond, // every boundary
-		OnProgress: func(p Progress) {
-			if p.Executions > 0 && seen.CompareAndSwap(false, true) {
-				close(visible)
-			}
-		},
-	}
-	res, err := Run(cfg, func(p *Program) {
-		if seen.Load() {
-			select {
-			case <-scraped:
-			case <-time.After(10 * time.Second):
-				panic("the scrape of a live run never finished")
-			}
-		}
-		resilientNoisy(p)
-	})
+		Chaos:            inj,
+	}, resilientNoisy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-scraped
-	if scrapeErr != nil {
-		t.Fatal(scrapeErr)
-	}
-	if !strings.Contains(metricsBody, "cxlmc_workers 2") ||
-		!strings.Contains(metricsBody, "cxlmc_executions_total") ||
-		!strings.Contains(metricsBody, "# TYPE cxlmc_exec_steps histogram") {
-		t.Fatalf("/metrics scrape missing core series:\n%s", metricsBody)
-	}
-	var p Progress
-	if err := json.Unmarshal([]byte(statusBody), &p); err != nil {
-		t.Fatalf("/statusz is not JSON: %v\n%s", err, statusBody)
-	}
-	if p.Executions == 0 || len(p.Workers) != 2 {
-		t.Fatalf("/statusz not live: executions=%d workers=%d", p.Executions, len(p.Workers))
-	}
-
-	// The server must be gone once Run returns.
-	if _, err := (&http.Client{Timeout: time.Second}).Get("http://" + addr + "/metrics"); err == nil {
-		t.Fatal("status server still serving after Run returned")
-	}
-
-	// Registry ⇔ Result parity, and chaos faults really were counted.
 	snap := reg.Snapshot()
+	if got := int(snap["cxlmc_workers"]); got != 2 {
+		t.Fatalf("cxlmc_workers=%d, want 2", got)
+	}
 	if got := int(snap["cxlmc_executions_total"]); got != res.Executions {
 		t.Fatalf("cxlmc_executions_total=%d, Result.Executions=%d", got, res.Executions)
 	}
@@ -125,7 +51,7 @@ func TestStatusServerServesLiveRun(t *testing.T) {
 	if got := int(snap["cxlmc_bugs_total"]); got != len(res.Bugs) {
 		t.Fatalf("cxlmc_bugs_total=%d, len(Bugs)=%d", got, len(res.Bugs))
 	}
-	if got, want := int(snap["cxlmc_chaos_faults_total"]), inj.Stats().Total(); got != want {
+	if got, want := int(snap["cxlmc_chaos_faults_total"]), inj.Stats().Total(); got != want || got == 0 {
 		t.Fatalf("cxlmc_chaos_faults_total=%d, injector says %d", got, want)
 	}
 	if int(snap["cxlmc_decisions_failure_total"]) != res.FailurePoints ||
@@ -198,19 +124,19 @@ func TestEventTraceKeepsParallelism(t *testing.T) {
 	sameExploration(t, "traced-parallel", res, want)
 }
 
-// TestStatusRequestsAndFinalProgress: a pre-queued status request must
-// produce an on-demand Progress snapshot mid-run, and the engine must
-// always deliver one final snapshot whose numbers match the Result.
+// TestStatusRequestsAndFinalProgress: what a caller answers a status
+// request from (cmd/cxlmc's /statusz and SIGUSR1) is the last snapshot
+// OnProgress got, so a ProgressEvery cadence must deliver snapshots mid-run,
+// and the engine must always deliver one final snapshot whose numbers match
+// the Result.
 func TestStatusRequestsAndFinalProgress(t *testing.T) {
-	req := make(chan struct{}, 1)
-	req <- struct{}{} // queued before the run starts: served mid-run
 	var calls atomic.Int32
 	var last atomic.Value
 	inj := chaos.New(chaos.Config{StallPct: 100, StallDur: 2 * time.Millisecond, Seed: 3, MaxFaults: 50})
 	res, err := Run(Config{
 		ContinueAfterBug: true,
 		Chaos:            inj,
-		StatusRequests:   req,
+		ProgressEvery:    time.Millisecond,
 		OnProgress: func(p Progress) {
 			calls.Add(1)
 			last.Store(p)
@@ -220,7 +146,7 @@ func TestStatusRequestsAndFinalProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	if calls.Load() < 2 {
-		t.Fatalf("OnProgress called %d times, want the on-demand snapshot plus the final one", calls.Load())
+		t.Fatalf("OnProgress called %d times, want a periodic snapshot plus the final one", calls.Load())
 	}
 	final := last.Load().(Progress)
 	if final.Executions != res.Executions || final.Bugs != len(res.Bugs) {
@@ -232,8 +158,8 @@ func TestStatusRequestsAndFinalProgress(t *testing.T) {
 	}
 }
 
-// TestFinalProgressAlwaysEmitted: OnProgress alone — no server, no
-// cadence, no requests — still gets exactly one final snapshot.
+// TestFinalProgressAlwaysEmitted: OnProgress alone — no cadence — still
+// gets exactly one final snapshot.
 func TestFinalProgressAlwaysEmitted(t *testing.T) {
 	var calls int
 	var final Progress
@@ -246,15 +172,6 @@ func TestFinalProgressAlwaysEmitted(t *testing.T) {
 	}
 	if final.Executions != res.Executions {
 		t.Fatalf("final snapshot has %d executions, run did %d", final.Executions, res.Executions)
-	}
-}
-
-// TestBadMetricsAddrFailsRun: an unbindable address must fail the run
-// up front, not after hours of exploration.
-func TestBadMetricsAddrFailsRun(t *testing.T) {
-	_, err := Run(Config{MetricsAddr: "256.256.256.256:1"}, resilientClean)
-	if err == nil {
-		t.Fatal("unbindable MetricsAddr did not fail the run")
 	}
 }
 

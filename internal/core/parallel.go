@@ -99,17 +99,14 @@ type engine struct {
 	lastCPTime  time.Time
 
 	// Observability plumbing (see observe.go). om's instruments are nil
-	// (valid no-ops) when neither Config.Obs nor Config.MetricsAddr is
-	// set; tracer is nil without Config.EventTrace. workers is the live
-	// per-worker status served by /statusz, mutated only under mu at
-	// execution boundaries. unitsDone feeds the crude ETA: units fully
-	// explored this process. watched says a boundary has progress to
-	// report or a tracer to drain (watchLocked), lastProgress and
-	// lastFlush when it last did.
+	// (valid no-ops) when Config.Obs is not set; tracer is nil without
+	// Config.EventTrace. workers is the per-worker status a Progress
+	// snapshot carries, mutated only under mu at execution boundaries.
+	// unitsDone feeds the crude ETA: units fully explored this process.
+	// watched says a boundary has progress to report or a tracer to drain
+	// (watchLocked), lastProgress and lastFlush when it last did.
 	om           coreMetrics
-	reg          *obs.Registry
 	tracer       *obs.Tracer
-	server       *obs.Server
 	workers      []WorkerStatus
 	unitsDone    int
 	watched      bool
@@ -155,12 +152,8 @@ func newEngine(cfg Config, program func(*Program), progDigest string) *engine {
 // seedFrontier resumes any checkpoint — the file, or the one handed to
 // Continue — and seeds the initial work queue. done reports that the
 // checkpointed exploration had already finished (nothing left to explore).
-// It holds e.mu throughout: once initObs has run, the status server may call
-// progress() at any moment, so even startup-time engine mutations need the
-// lock.
+// It runs before any worker starts, so it takes no lock.
 func (e *engine) seedFrontier() (done bool, err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	var r *Resume
 	var quarantined bool
 	if !e.inMemory {
@@ -205,10 +198,7 @@ func (e *engine) run() (*Checkpoint, *Result, error) {
 	if e.cfg.MaxTime > 0 {
 		e.deadline = e.start.Add(e.cfg.MaxTime)
 	}
-	obsDown, err := e.initObs()
-	if err != nil {
-		return nil, nil, err
-	}
+	obsDown := e.initObs()
 	defer obsDown()
 	if done, err := e.seedFrontier(); err != nil {
 		return nil, nil, err
@@ -231,7 +221,7 @@ func (e *engine) run() (*Checkpoint, *Result, error) {
 				workerID:   i,
 			},
 		}
-		if e.reg != nil || e.tracer != nil {
+		if e.cfg.Obs != nil || e.tracer != nil {
 			w.hook = &checkerHook{om: e.om, tracer: e.tracer, worker: i}
 		}
 		wg.Add(1)

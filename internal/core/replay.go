@@ -56,7 +56,7 @@ func decodeReproToken(s string) (*reproToken, error) {
 // observing it so the result's bug carries the last traceDepth lines of its
 // text trace (cfg.Observer, if set, sees the whole stream). The token pins
 // the seed; the remaining exploration-relevant
-// configuration (GPF, Poison, EagerReadSet, CommitChance,
+// configuration (GPF, Poison, CommitChance,
 // MaxStepsPerExec, MemSize, MaxEventsPerExec, Reduction, RaceDetect and
 // its UnflushedLines) and the program
 // structure must match the recording run, and a mismatch is rejected

@@ -66,7 +66,7 @@ var shapes = []struct {
 }{
 	{name: "straddles two lines", prog: straddle,
 		want: shapeWant{10, 139, 1, 8, 0, straddleBugs, "54647bfcb65c02c9"}},
-	{name: "straddles two lines, eager read set", cfg: Config{EagerReadSet: true}, prog: straddle,
+	{name: "straddles two lines, eager read set", cfg: Config{eagerReadSet: true}, prog: straddle,
 		want: shapeWant{10, 139, 1, 6, 0, straddleBugs, "81c0a2a7eacc8907"}},
 	{
 		// The newest store covers one byte of the word: the bytes below it

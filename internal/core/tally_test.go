@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // distinct fills every field of the struct v points to with a different
@@ -124,7 +125,7 @@ func TestConfigDigestPinned(t *testing.T) {
 	var defaults Config
 	defaults.fillDefaults()
 	nondefault := Config{GPF: true, Poison: true, MaxStepsPerExec: 1234, MemSize: 1 << 20, CommitChance: 40,
-		EagerReadSet: true, MaxEventsPerExec: 99, Reduction: SwitchOff, RaceDetect: SwitchOn,
+		eagerReadSet: true, MaxEventsPerExec: 99, Reduction: SwitchOff, RaceDetect: SwitchOn,
 		UnflushedLines: []uint64{9, 3, 3}}
 	nondefault.fillDefaults()
 	for _, tc := range []struct {
@@ -174,7 +175,9 @@ func TestDigestMismatchMessagesNameEveryField(t *testing.T) {
 		if !fv.IsValid() {
 			t.Fatalf("digestFields names %s, which is not a Config field", f.name)
 		}
-		switch v := fv.Addr().Interface().(type) {
+		// NewAt, not Addr: reflection may not hand out an unexported
+		// field's address (the test-only eagerReadSet row).
+		switch v := reflect.NewAt(fv.Type(), unsafe.Pointer(fv.UnsafeAddr())).Interface().(type) {
 		case *bool:
 			*v = !*v
 		case *int:

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -20,9 +19,10 @@ type WorkerConfig struct {
 	// Check is the run's configuration, held once; its digests must match
 	// the coordinator's or every turn is refused. CheckpointPath must be
 	// empty (the coordinator owns durable state). MaxExecutions, MaxTime,
-	// Stop and the MetricsAddr status server span the worker's lifetime,
-	// not one lease. Chaos also injects network faults into this worker's
-	// client, and Obs also gets a cxlmc_rpc_retries_total counter.
+	// Stop and Obs span the worker's lifetime, not one lease; each lease is
+	// a run of its own, so OnProgress sees one run's snapshots per lease.
+	// Chaos also injects network faults into this worker's client, and Obs
+	// also gets a cxlmc_rpc_retries_total counter.
 	Check core.Config
 	// Program is the program under test.
 	Program func(*core.Program)
@@ -165,35 +165,9 @@ func RunWorker(cfg WorkerConfig) (*core.Result, error) {
 	}()
 
 	// check configures each lease's run. What spans the worker's lifetime is
-	// held here instead: the status server and its registry, the budgets
-	// (re-derived per lease below) and the local result.
+	// held here instead: the budgets (re-derived per lease below) and the
+	// local result.
 	check := cfg.Check
-	var leases atomic.Int64
-	if check.MetricsAddr != "" {
-		if check.Obs == nil {
-			check.Obs = obs.NewRegistry()
-		}
-		reg := check.Obs
-		srv, err := obs.NewServer(check.MetricsAddr, reg, func() any {
-			snap := reg.Snapshot()
-			return map[string]any{
-				"role":       "worker",
-				"name":       cfg.Name,
-				"leases":     leases.Load(),
-				"executions": snap["cxlmc_executions_total"],
-				"steps":      snap["cxlmc_steps_total"],
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer srv.Close()
-		if check.OnStatusServer != nil {
-			check.OnStatusServer(srv.Addr())
-		}
-		check.MetricsAddr, check.OnStatusServer = "", nil
-	}
-
 	start := time.Now()
 	var local core.Tally
 	var done *turnDone // the lease held, handed back by the next turn
@@ -223,7 +197,6 @@ func RunWorker(cfg WorkerConfig) (*core.Result, error) {
 				check.MaxTime = 1
 			}
 		}
-		leases.Add(1)
 		leased := time.Now()
 		cp, res, err := core.Continue(check, cfg.Program, core.NewCheckpoint(check.Seed, cfgDigest, progDigest,
 			[][]byte{l.Snapshot}, core.Tally{}, core.Resilience{}, 0, false, false))
