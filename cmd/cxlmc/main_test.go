@@ -174,10 +174,12 @@ func exitCode(t *testing.T, cmd *exec.Cmd) int {
 // force-exits immediately with the distinct exit code 3, so supervisors
 // can tell an abandoned drain from a failed run.
 func TestSecondSignalForceExit(t *testing.T) {
-	// A long exploration (reduction off blows P-BwTree up to ~2.7k
-	// executions) so both signals land mid-run.
+	// A long exploration (reduction off blows P-BwTree up to ~13.5k
+	// executions, two seconds and more) so both signals land mid-run; the
+	// ~2.7k of 8 keys were over in about 100 ms on a fast host, before the
+	// signals. The forced exit ends it at once either way.
 	cmd, lines := startCLI(t,
-		"-bench", "P-BwTree", "-keys", "8", "-insert-workers", "2",
+		"-bench", "P-BwTree", "-keys", "16", "-insert-workers", "2",
 		"-bugs", "1", "-continue", "-reduction", "off")
 	time.Sleep(100 * time.Millisecond) // let the exploration start
 	// Both signals go out at once, and as two different signals (pending

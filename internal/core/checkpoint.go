@@ -136,16 +136,13 @@ func digestFieldList() string {
 
 // fingerprint hashes the structural events of program setup (machines,
 // threads, allocations, initial writes, mutexes) into the program
-// digest. A nil fingerprint records nothing, so the per-execution setup
-// path pays nothing once the digest is known.
+// digest. Only programDigestOf records: every call site tests ck.fp for
+// nil before it builds record's operands, so the per-execution setup
+// path boxes and allocates nothing once the digest is known
+// (TestSetupAllocatesNothing holds every site to that).
 type fingerprint struct{ h hash.Hash }
 
-func (f *fingerprint) record(parts ...any) {
-	if f == nil {
-		return
-	}
-	fmt.Fprintln(f.h, parts...)
-}
+func (f *fingerprint) record(parts ...any) { fmt.Fprintln(f.h, parts...) }
 
 // programDigestOf fingerprints the program's setup-time structure by
 // running setup once against a scratch checker (threads are registered

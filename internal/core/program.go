@@ -54,7 +54,9 @@ func (p *Program) NewMachine(name string) *Machine {
 	m.id = MachineID(n)
 	m.name = name
 	m.failed = false
-	ck.fp.record("machine", name)
+	if ck.fp != nil {
+		ck.fp.record("machine", name)
+	}
 	return m
 }
 
@@ -75,7 +77,8 @@ func (m *Machine) Failed() bool { return m.failed }
 
 // Thread adds a simulated thread running fn on the machine. Threads are
 // scheduled deterministically under the run's seed. Thread structs (and
-// their buffer state) are pooled across executions like machines.
+// their buffer state, and the function the scheduler runs) are pooled
+// across executions like machines.
 func (m *Machine) Thread(name string, fn func(*Thread)) *Thread {
 	ck := m.ck
 	n := len(ck.threads)
@@ -86,15 +89,19 @@ func (m *Machine) Thread(name string, fn func(*Thread)) *Thread {
 		t.tb.Reset()
 	} else {
 		t = &Thread{tb: memmodel.NewThreadBuf()}
+		t.run = func(*sched.Thread) { t.fn(t) }
 		ck.threads = append(ck.threads, t)
 	}
 	t.ck = ck
 	t.idx = n
 	t.mach = m
 	t.name = name
-	t.st = ck.sch.NewThread(int(m.id), name, func(*sched.Thread) { fn(t) })
+	t.fn = fn
+	t.st = ck.sch.NewThread(int(m.id), name, t.run)
 	m.threads = append(m.threads, t)
-	ck.fp.record("thread", m.name, name)
+	if ck.fp != nil {
+		ck.fp.record("thread", m.name, name)
+	}
 	return t
 }
 
@@ -123,7 +130,9 @@ func (p *Program) Init64(addr Addr, val uint64) {
 	if p.ck.checkRange(addr, 8) {
 		p.ck.mem.InitWrite(addr, 8, val)
 	}
-	p.ck.fp.record("init", addr, val)
+	if p.ck.fp != nil {
+		p.ck.fp.record("init", addr, val)
+	}
 }
 
 // NewMutex creates a mutex with the paper's failure-aware semantics (§5):
@@ -150,7 +159,9 @@ func (p *Program) NewMutex(name string) *Mutex {
 	mu.idx = n
 	mu.owner = nil
 	mu.releasedByFailure = false
-	ck.fp.record("mutex", name)
+	if ck.fp != nil {
+		ck.fp.record("mutex", name)
+	}
 	return mu
 }
 
@@ -169,7 +180,9 @@ func (ck *Checker) alloc(size, align uint64) Addr {
 		panic(fmt.Sprintf("cxlmc: simulated CXL region exhausted (%d bytes; raise Config.MemSize)", ck.cfg.MemSize))
 	}
 	ck.heapNext = Addr(next + size)
-	ck.fp.record("alloc", size, align)
+	if ck.fp != nil {
+		ck.fp.record("alloc", size, align)
+	}
 	return Addr(next)
 }
 

@@ -20,6 +20,10 @@ type Thread struct {
 	idx  int // creation index: position in ck.threads
 	st   *sched.Thread
 	tb   *memmodel.ThreadBuf
+	// fn is the program's body for the thread this execution; run, made
+	// once per struct, is what the scheduler calls to run it.
+	fn  func(*Thread)
+	run func(*sched.Thread)
 }
 
 // enter marks an instruction boundary; every simulated instruction starts

@@ -13,25 +13,44 @@ import (
 // serial, every execution rather than up to the first bug.
 var ccehConfig = core.Config{Workers: 1, ContinueAfterBug: true}
 
-// TestSourceCCEHAllocBudget is the tier-1 ceiling on what compiled code
-// allocates: one full exploration of examples/src/cceh.go (54
-// executions, 14 196 steps). The tree-walking interpreter this replaced
-// made 412 189 allocations here; the hand-ported twin makes 3 856.
+// TestSourceCCEHAllocBudget is the tier-1 ceiling on what an
+// exploration of examples/src/cceh.go (54 executions, 14 196 steps)
+// allocates, ~10 % over the count, next to the ceiling on its
+// hand-ported twin's, which shares everything but the front-end: a
+// regression in core shows on both, one in gofront on the first alone.
+// The tree-walking interpreter compiled code replaced made 412 189
+// allocations here, compiled code on fresh machines 13 952 (the twin
+// then 3 172); on pooled machines it makes 3 315 and the twin 2 205.
+// The race detector's sync.Pool drops a quarter of what is put back at
+// random (7 000–7 350 and 2 320–2 360 under -race), so there the shape
+// is checked the same but against looser race ceilings.
 func TestSourceCCEHAllocBudget(t *testing.T) {
-	prog := loadExampleCCEH(t)
-	var res *core.Result
-	allocs := testing.AllocsPerRun(3, func() {
-		var err error
-		if res, err = core.Run(ccehConfig, prog); err != nil {
-			t.Fatalf("Run: %v", err)
+	for _, c := range []struct {
+		name         string
+		prog         func(*core.Program)
+		budget, race float64
+	}{
+		{"source", loadExampleCCEH(t), 3650, 8500},
+		{"hand-ported", handPortedCCEH(), 2430, 2700},
+	} {
+		var res *core.Result
+		allocs := testing.AllocsPerRun(3, func() {
+			var err error
+			if res, err = core.Run(ccehConfig, c.prog); err != nil {
+				t.Fatalf("Run(%s): %v", c.name, err)
+			}
+		})
+		if res.Stats.Executions != 54 || res.Stats.Steps != 14196 || len(res.Bugs) != 1 {
+			t.Fatalf("%s: explored %d executions, %d steps, %d bugs; want 54, 14196, 1",
+				c.name, res.Stats.Executions, res.Stats.Steps, len(res.Bugs))
 		}
-	})
-	if res.Stats.Executions != 54 || res.Stats.Steps != 14196 || len(res.Bugs) != 1 {
-		t.Fatalf("explored %d executions, %d steps, %d bugs; want 54, 14196, 1",
-			res.Stats.Executions, res.Stats.Steps, len(res.Bugs))
-	}
-	if allocs > 80000 {
-		t.Errorf("one source-CCEH exploration made %.0f allocations, budget 80000", allocs)
+		budget := c.budget
+		if raceEnabled {
+			budget = c.race
+		}
+		if allocs > budget {
+			t.Errorf("one %s CCEH exploration made %.0f allocations, budget %.0f", c.name, allocs, budget)
+		}
 	}
 }
 

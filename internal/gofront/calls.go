@@ -468,17 +468,21 @@ func (fc *fnCompiler) cxlFunc(name string, ops []expr, spread bool, t types.Type
 			n, al := size(fr), align(fr)
 			return uint64(fr.m.thread(name, pos).AllocAligned(n, al))
 		}}
-	case "Assert":
-		cond, format, rest := ops[0].b, ops[1].r, boxers(ops[2:])
+	case "Assert", "Fail":
+		cond := func(*frame) bool { return false }
+		if name == "Assert" {
+			cond, ops = ops[0].b, ops[1:]
+		}
+		format, rest := ops[0].r, fmtOperands(ops[1:])
 		return expr{t: t, do: func(fr *frame) {
-			c, f, args := cond(fr), format(fr).(string), evalAll(rest, fr)
-			fr.m.thread(name, pos).Assert(c, f, args...)
-		}}
-	case "Fail":
-		format, rest := ops[0].r, boxers(ops[1:])
-		return expr{t: t, do: func(fr *frame) {
-			f, args := format(fr).(string), evalAll(rest, fr)
-			fr.m.thread(name, pos).Fail(f, args...)
+			c, f, base := cond(fr), format(fr).(string), evalOperands(rest, fr)
+			m := fr.m
+			th := m.thread(name, pos)
+			vals := m.args[base:]
+			m.args = m.args[:base]
+			if !c {
+				th.Fail(f, boxOperands(rest, vals)...)
+			}
 		}}
 	case "Join":
 		mach := ops[0].r
@@ -491,20 +495,28 @@ func (fc *fnCompiler) cxlFunc(name string, ops []expr, spread bool, t types.Type
 			return th.Join(target)
 		}}
 	case "JoinAll":
-		refs := make([]refFn, len(ops))
+		refs := make([]operand, len(ops))
 		for k, op := range ops {
-			refs[k] = op.r
+			refs[k] = operand{r: op.r}
 		}
 		return expr{t: t, do: func(fr *frame) {
-			vals := evalAll(refs, fr)
-			if spread {
-				vals = append(vals[:len(vals)-1:len(vals)-1], vals[len(vals)-1].([]any)...)
+			base := evalOperands(refs, fr)
+			m := fr.m
+			th := m.thread(name, pos)
+			targets := m.targets[:0]
+			for k, v := range m.args[base:] {
+				if spread && k == len(refs)-1 {
+					for _, x := range v.r.([]any) {
+						targets = append(targets, x.(*core.Thread))
+					}
+				} else {
+					targets = append(targets, v.r.(*core.Thread))
+				}
 			}
-			th := fr.m.thread(name, pos)
-			targets := make([]*core.Thread, len(vals))
-			for i, v := range vals {
-				if targets[i] = v.(*core.Thread); targets[i] == nil {
-					fr.m.faultf(pos, "cxl.JoinAll argument %d is not a *cxl.Thread", i+1)
+			m.args, m.targets = m.args[:base], targets
+			for i, target := range targets {
+				if target == nil {
+					m.faultf(pos, "cxl.JoinAll argument %d is not a *cxl.Thread", i+1)
 				}
 			}
 			th.JoinThreads(targets...)
@@ -517,29 +529,74 @@ func (fc *fnCompiler) cxlFunc(name string, ops []expr, spread bool, t types.Type
 	return expr{}
 }
 
-// boxers compiles Assert/Fail's variadic arguments to the Go values
-// compiled code passing the same expressions would hand to fmt.
-func boxers(ops []expr) []refFn {
-	out := make([]refFn, len(ops))
+// operand is one variadic operand of Assert, Fail or JoinAll,
+// evaluated where the call is and boxed only if it reports: an integer
+// of kind, a bool, or a reference, passed on as is unless byName says
+// it prints as its type's name.
+type operand struct {
+	i      intFn
+	kind   types.BasicKind
+	b      boolFn
+	r      refFn
+	byName string
+}
+
+// fmtOperands compiles Assert/Fail's variadic arguments.
+func fmtOperands(ops []expr) []operand {
+	out := make([]operand, len(ops))
 	for k, op := range ops {
 		switch {
 		case op.i != nil:
-			val, kind := op.i, types.Uint64
-			if k, ok := intKind(op.t); ok {
-				kind = k
+			out[k] = operand{i: op.i, kind: types.Uint64}
+			if kind, ok := intKind(op.t); ok {
+				out[k].kind = kind
 			}
-			out[k] = func(fr *frame) any { return boxInt(val(fr), kind) }
 		case op.b != nil:
-			val := op.b
-			out[k] = func(fr *frame) any { return val(fr) }
+			out[k] = operand{b: op.b}
 		default:
-			val := op.r
-			if _, ok := op.t.Underlying().(*types.Basic); ok {
-				out[k] = val // a string, or the untyped nil
-				break
+			out[k] = operand{r: op.r}
+			if _, ok := op.t.Underlying().(*types.Basic); !ok { // not a string or the untyped nil
+				out[k].byName = op.t.String()
 			}
-			name := op.t.String()
-			out[k] = func(fr *frame) any { val(fr); return name }
+		}
+	}
+	return out
+}
+
+// evalOperands evaluates ops in Go's order onto the machine's args
+// stack, unboxed, and returns where they start there. The caller pops
+// them: a call among the operands pushes and pops its own above them.
+func evalOperands(ops []operand, fr *frame) (base int) {
+	base = len(fr.m.args)
+	for k := range ops {
+		var v cell
+		switch op := &ops[k]; {
+		case op.i != nil:
+			v.n = op.i(fr)
+		case op.b != nil:
+			v.n = b2u(op.b(fr))
+		default:
+			v.r = op.r(fr)
+		}
+		fr.m.args = append(fr.m.args, v)
+	}
+	return base
+}
+
+// boxOperands turns evaluated operands into the Go values compiled code
+// passing the same expressions would hand to fmt.
+func boxOperands(ops []operand, vals []cell) []any {
+	out := make([]any, len(ops))
+	for k := range ops {
+		switch op := &ops[k]; {
+		case op.i != nil:
+			out[k] = boxInt(vals[k].n, op.kind)
+		case op.b != nil:
+			out[k] = vals[k].n != 0
+		case op.byName != "":
+			out[k] = op.byName
+		default:
+			out[k] = vals[k].r
 		}
 	}
 	return out
@@ -598,8 +655,12 @@ func (fc *fnCompiler) cxlMethod(fn *types.Func, ops []expr, t types.Type, pos to
 				m.faultf(pos, "cxl: Machine.Spawn needs a func() argument")
 			}
 			m.grow(1, pos)
+			// The thread starts after setup has given m back.
+			src, sites := m.src, m.sites
 			return mach.Thread(n, func(t *core.Thread) {
-				m.src.newMachine(m.prog, t, m.sites).call(cl, pos)
+				tm := src.newMachine(t, sites)
+				defer tm.release()
+				tm.call(cl, pos)
 			})
 		}}
 

@@ -101,6 +101,8 @@ type compiler struct {
 	boxed      map[*types.Var]bool     // locals some func literal captures
 	nfuncs     int
 	maxResults int
+	deferInts  int
+	deferRefs  int
 }
 
 // varRef is where a local lives: a slot of its repr's array, or — for a
@@ -169,6 +171,7 @@ func (s *Source) compile(file *ast.File, info *types.Info) DiagnosticList {
 		fc.compileBody(fd.Recv, fd.Type, fd.Body)
 	}
 	s.nfuncs, s.maxResults = c.nfuncs, c.maxResults
+	s.deferInts, s.deferRefs = c.deferInts, c.deferRefs
 	sort.SliceStable(c.diags, func(i, j int) bool {
 		a, b := c.diags[i].Pos, c.diags[j].Pos
 		return a.Line < b.Line || a.Line == b.Line && a.Column < b.Column
@@ -776,8 +779,9 @@ func result(j int, t types.Type) expr {
 }
 
 // deferStmt evaluates callee and arguments now, into a small frame of
-// the deferred call's own (a defer statement in a loop runs many times
-// before any of its calls do), and queues the call for the unwind.
+// the deferred call's own that the machine lends it until the call has
+// run (a defer statement in a loop runs many times before any of its
+// calls do), and queues the call for the unwind.
 func (fc *fnCompiler) deferStmt(st *ast.DeferStmt) stmt {
 	var lay layout
 	var saves []func(from, to *frame)
@@ -791,12 +795,14 @@ func (fc *fnCompiler) deferStmt(st *ast.DeferStmt) stmt {
 		return out
 	}).run()
 	fc.code.hasDefer = true
+	fc.deferInts, fc.deferRefs = max(fc.deferInts, lay.nInts), max(fc.deferRefs, lay.nRefs)
 	pos := st.Pos()
 	return func(fr *frame) ctl {
-		if fr.m.pending++; fr.m.pending > maxPendingDefers {
-			fr.m.faultf(pos, "more than %d deferred calls pending: possible defer in an unbounded loop", maxPendingDefers)
+		m := fr.m
+		if m.pending++; m.pending > maxPendingDefers {
+			m.faultf(pos, "more than %d deferred calls pending: possible defer in an unbounded loop", maxPendingDefers)
 		}
-		d := &frame{m: fr.m, ints: make([]uint64, lay.nInts), refs: make([]any, lay.nRefs)}
+		d := m.deferred.take(m, m.src.deferInts, m.src.deferRefs)
 		for _, save := range saves {
 			save(fr, d)
 		}

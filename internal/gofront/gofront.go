@@ -90,6 +90,12 @@ type Source struct {
 	funcs      map[string]entryFunc
 	nfuncs     int // compiled functions, func literals included
 	maxResults int // widest result list, which sizes a machine's registers
+	// deferInts and deferRefs are the widest deferred call's operand
+	// slots, which size every deferred-call frame.
+	deferInts, deferRefs int
+	// machines pools the machines phases run on, for every exploration
+	// worker running this Source's programs.
+	machines sync.Pool
 }
 
 // entryFunc is one package-level function: its code, and whether its
@@ -199,7 +205,9 @@ func (s *Source) entrySignature(sig *types.Signature) bool {
 // Program returns the checker program for entry (a function with
 // signature func(*cxl.Region)). The returned func is safe to run many
 // times and from many exploration workers: the compiled code is
-// immutable, and every call runs it on fresh machines.
+// immutable, and each phase of a call — the setup, each spawned thread —
+// runs it on a machine no other phase holds, taken from the Source's
+// pool and given back, reset, when the phase ends.
 func (s *Source) Program(entry string) (func(*core.Program), error) {
 	return s.program(entry, nil)
 }
@@ -227,7 +235,8 @@ func (s *Source) program(entry string, sites *SiteMap) (func(*core.Program), err
 		}}
 	}
 	return func(p *core.Program) {
-		m := s.newMachine(p, nil, sites)
+		m := s.newMachine(nil, sites)
+		defer m.release()
 		fr := m.get(f.code)
 		fr.refs[0] = p
 		m.exec(f.code, fr, f.code.pos)

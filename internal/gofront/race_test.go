@@ -1,0 +1,5 @@
+//go:build race
+
+package gofront_test
+
+const raceEnabled = true

@@ -74,14 +74,37 @@ type fnCode struct {
 	saveInts, saveRefs int
 }
 
-// frame is one call activation. Frames never outlive their call (what a
-// func literal captures lives in cells), so a machine recycles them per
-// function.
+// frame is one call activation. No value outlives the call in a frame
+// (what a func literal captures lives in cells), so frames belong to
+// their machine, not to a call or an execution: a released frame keeps
+// the references its last call left in its slots until it is used
+// again, which bounds what a pooled machine holds on to by the deepest
+// stack each function reached on it.
 type frame struct {
 	m      *machine
 	ints   []uint64
 	refs   []any
 	defers []deferred
+}
+
+// frameStack is one function's frames on a machine (or its deferred
+// calls'): the first used are taken by calls still running, or by calls
+// a kill, a fault or Teardown unwound, which never give theirs back.
+// release resets used wholesale, so a call pays for no bookkeeping
+// beyond the count.
+type frameStack struct {
+	all  []*frame
+	used int
+}
+
+// take returns the stack's next frame, making one of nInts and nRefs
+// slots if the stack never grew this deep.
+func (st *frameStack) take(m *machine, nInts, nRefs int) *frame {
+	if st.used == len(st.all) {
+		st.all = append(st.all, &frame{m: m, ints: make([]uint64, nInts), refs: make([]any, nRefs)})
+	}
+	st.used++
+	return st.all[st.used-1]
 }
 
 // deferred is one pending deferred call: callee and arguments were
@@ -91,13 +114,18 @@ type deferred struct {
 	fr  *frame
 }
 
-// machine is the state of one phase of one execution: setup (t nil,
-// Region methods legal, thread operations not) or one simulated thread.
-// Compiled code is immutable and shared by every machine of every
-// exploration worker.
+// machine runs one phase of one execution: setup (t nil, Region methods
+// legal, thread operations not) or one simulated thread. Compiled code
+// is immutable and shared by every machine of every exploration worker.
+// A machine outlives its phase the way a scheduler's carrier outlives
+// its execution: newMachine takes one from the Source's pool and release
+// gives it back, with its frames, registers and scratch stacks, when the
+// phase ends however it ended. A wedged thread's machine goes back only
+// if its abandoned goroutine later unwinds at an instruction boundary;
+// otherwise it is leaked with the goroutine.
 type machine struct {
-	src     *Source
-	prog    *core.Program
+	src *Source
+	// The phase's state, reset by release.
 	t       *core.Thread
 	sites   *SiteMap
 	depth   int
@@ -106,11 +134,19 @@ type machine struct {
 	pending int    // deferred calls not yet run, bounded by maxPendingDefers
 	// failedDefers counts the deferred calls that panicked.
 	failedDefers int
-	free         [][]*frame // recycled frames, by fnCode.id
+	// The machine's frames: each function's by fnCode.id, and the
+	// deferred calls' (one stack for every defer statement, sized for the
+	// widest, since deferred calls run last in first out).
+	frames   []frameStack
+	deferred frameStack
 	// Result registers: a call leaves result j in ri[j] or rr[j] by its
 	// repr; the caller reads them before evaluating anything else.
 	ri []uint64
 	rr []any
+	// args stacks the variadic operands of Assert, Fail and JoinAll while
+	// the later ones are evaluated, and targets is JoinAll's argument list.
+	args    []cell
+	targets []*core.Thread
 }
 
 // maxInterpDepth bounds call recursion; maxInterpSteps bounds calls
@@ -138,13 +174,34 @@ const (
 // must cost a positioned fault, not the host's memory.
 const maxHostElems = 1 << 24
 
-func (s *Source) newMachine(p *core.Program, t *core.Thread, sites *SiteMap) *machine {
-	return &machine{
-		src: s, prog: p, t: t, sites: sites,
-		free: make([][]*frame, s.nfuncs),
-		ri:   make([]uint64, s.maxResults),
-		rr:   make([]any, s.maxResults),
+// newMachine takes a machine from the pool for one phase.
+func (s *Source) newMachine(t *core.Thread, sites *SiteMap) *machine {
+	m, _ := s.machines.Get().(*machine)
+	if m == nil {
+		m = &machine{
+			src:    s,
+			frames: make([]frameStack, s.nfuncs),
+			ri:     make([]uint64, s.maxResults),
+			rr:     make([]any, s.maxResults),
+		}
 	}
+	m.t, m.sites = t, sites
+	return m
+}
+
+// release ends m's phase and gives it back to the pool: every frame is
+// free again, those a kill, a fault or Teardown unwound through
+// included, and the counters the phase's budgets read start from zero.
+func (m *machine) release() {
+	for i := range m.frames {
+		m.frames[i].used = 0
+	}
+	m.deferred.used = 0
+	m.args = m.args[:0]
+	m.t, m.sites = nil, nil
+	m.depth, m.steps, m.elems = 0, 0, 0
+	m.pending, m.failedDefers = 0, 0
+	m.src.machines.Put(m)
 }
 
 // faultf panics with a positioned run-time fault. During setup the
@@ -170,12 +227,7 @@ func (m *machine) grow(n uint64, pos token.Pos) {
 }
 
 func (m *machine) get(fn *fnCode) *frame {
-	if l := m.free[fn.id]; len(l) > 0 {
-		fr := l[len(l)-1]
-		m.free[fn.id] = l[:len(l)-1]
-		return fr
-	}
-	return &frame{m: m, ints: make([]uint64, fn.nInts), refs: make([]any, fn.nRefs)}
+	return m.frames[fn.id].take(m, fn.nInts, fn.nRefs)
 }
 
 // exec runs fn on a frame whose parameter slots are filled, leaving the
@@ -196,7 +248,7 @@ func (m *machine) exec(fn *fnCode, fr *frame, pos token.Pos) {
 		fn.body(fr)
 	}
 	m.depth--
-	m.free[fn.id] = append(m.free[fn.id], fr)
+	m.frames[fn.id].used--
 }
 
 func (fr *frame) runDeferring(fn *fnCode) {
@@ -222,7 +274,9 @@ func (fr *frame) unwind(fn *fnCode, depth int) {
 // host never frees the stack of a panic that a deferred call's own panic
 // replaced, so a machine is allowed maxFailedDefers of those; past that
 // (code that faults again in every deferred call it keeps making) the
-// calls still pending are dropped.
+// calls still pending are dropped. A deferred call's frame goes back to
+// the machine once the call has run: any taken after it belonged to
+// calls that have ended by then.
 func (fr *frame) runDefers() {
 	for len(fr.defers) > 0 {
 		if fr.m.failedDefers > maxFailedDefers {
@@ -247,6 +301,7 @@ func (fr *frame) runLastDefer() {
 		}
 	}()
 	d.run(d.fr)
+	fr.m.deferred.used--
 	returned = true
 }
 
