@@ -295,19 +295,6 @@ func BenchmarkParallelScaling(b *testing.B) {
 
 // --- Ablations ------------------------------------------------------------
 
-// BenchmarkAblationCommitChance sweeps the store-buffer drain bias: the
-// knob controlling how long TSO reorder windows stay open in the fixed
-// schedule.
-func BenchmarkAblationCommitChance(b *testing.B) {
-	prog := recipe.Program(harness.Benchmarks[0], harness.Table5Config())
-	for _, chance := range []int{10, 25, 50, 75} {
-		chance := chance
-		b.Run(fmt.Sprintf("chance%02d", chance), func(b *testing.B) {
-			exploreOnce(b, cxlmc.Config{CommitChance: chance}, prog)
-		})
-	}
-}
-
 // BenchmarkAblationSeeds runs the same fixed benchmark under several
 // schedules (§4.6 fuzzing mode): exploration size varies with the seed,
 // soundness does not.

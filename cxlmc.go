@@ -134,9 +134,9 @@ const (
 	BugDeadlock = core.BugDeadlock
 	// BugPoison is a read of a poisoned cache line (Config.Poison).
 	BugPoison = core.BugPoison
-	// BugLivelock is an execution that exceeded Config.MaxStepsPerExec:
-	// threads kept running without terminating (distinct from
-	// BugDeadlock, where nothing could make progress).
+	// BugLivelock is an execution that exceeded the step limit (2,000,000
+	// scheduler steps): threads kept running without terminating (distinct
+	// from BugDeadlock, where nothing could make progress).
 	BugLivelock = core.BugLivelock
 	// BugWedged is a checked-program callback that blocked outside the
 	// simulated API longer than Config.WedgeTimeout, abandoned by the

@@ -480,8 +480,8 @@ func (ck *Checker) advance() *Thread {
 	for !ck.aborted && !ck.timedOut {
 		ck.stepNo++
 		ck.stats.Steps++
-		if ck.stepNo > ck.cfg.MaxStepsPerExec {
-			ck.reportBug(BugLivelock, fmt.Sprintf("step limit exceeded (%d): livelock in checked program?", ck.cfg.MaxStepsPerExec), nil)
+		if ck.stepNo > ck.cfg.maxSteps {
+			ck.reportBug(BugLivelock, fmt.Sprintf("step limit exceeded (%d): livelock in checked program?", ck.cfg.maxSteps), nil)
 			return nil
 		}
 		// A per-execution decision-event budget turns state-space blowup in
@@ -534,7 +534,7 @@ func (ck *Checker) advance() *Thread {
 			commit = false
 		default:
 			chance = true
-			commit = ck.rng.Intn(100) < ck.cfg.CommitChance
+			commit = ck.rng.Intn(100) < ck.cfg.commitChance
 		}
 		if !commit {
 			i := ck.rng.Intn(len(runnable))
@@ -574,7 +574,7 @@ func (ck *Checker) advance() *Thread {
 // injection and pruning decision is recomputed exactly as recorded.
 func (ck *Checker) replayStep(rec stepRec) *Thread {
 	if rec.chance {
-		commit := ck.rng.Intn(100) < ck.cfg.CommitChance
+		commit := ck.rng.Intn(100) < ck.cfg.commitChance
 		if commit != (rec.op != opGrant) {
 			internalPanic("prefix-fork: commit-chance draw diverged from the recorded prefix")
 		}
@@ -598,10 +598,24 @@ func (ck *Checker) replayStep(rec stepRec) *Thread {
 
 // choose resolves a decision point through the tree, recording the
 // scheduler step each decision depth occurred at — the map armFork uses
-// to translate the pending decision into a fast-replay boundary.
+// to translate the pending decision into a fast-replay boundary. A point
+// the tree counts as fresh (its Created count moved; a replayed one does
+// not) is also counted into the metrics and the event trace, at the depth
+// it was chosen at.
 func (ck *Checker) choose(kind decision.Kind, n int) int {
 	d := ck.tree.Depth()
+	// Only a checker with somewhere to record a point reads the count, so
+	// an uninstrumented one (obs off, replay, minimization) pays one test.
+	counted := ck.tracer != nil || ck.om.decisions[kind] != nil
+	var created int
+	if counted {
+		created = ck.tree.Created(kind)
+	}
 	r := ck.tree.Choose(kind, n)
+	if counted && ck.tree.Created(kind) != created {
+		ck.om.decisions[kind].Inc()
+		ck.tracer.Record(ck.workerID, obs.EvDecision, int64(kind), int64(d))
+	}
 	if ck.forkEnabled {
 		if d < len(ck.pathStep) {
 			ck.pathStep[d] = ck.stepNo

@@ -277,7 +277,7 @@ func TestCommitChanceExtremes(t *testing.T) {
 		})
 	}
 	for _, chance := range []int{1, 99} {
-		res := run(t, Config{CommitChance: chance}, prog)
+		res := run(t, Config{commitChance: chance}, prog)
 		if res.Buggy() {
 			t.Fatalf("chance %d: %v", chance, res.Bugs)
 		}
@@ -290,7 +290,7 @@ func TestCommitChanceExtremes(t *testing.T) {
 // TestStepLimitReportsLivelock converts a runaway spin into a diagnosable
 // report instead of a hang.
 func TestStepLimitReportsLivelock(t *testing.T) {
-	res, err := Run(Config{MaxStepsPerExec: 500, MaxExecutions: 1}, func(p *Program) {
+	res, err := Run(Config{maxSteps: 500, MaxExecutions: 1}, func(p *Program) {
 		a := p.NewMachine("A")
 		a.Thread("spin", func(th *Thread) {
 			for {

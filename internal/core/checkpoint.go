@@ -82,9 +82,10 @@ const numDecisionKinds = 3
 // Stop, checkpoint cadence, tracing, Chaos) are
 // deliberately excluded: resuming with a different budget — or without
 // the chaos that interrupted the original run — is the point of
-// checkpoints. MaxEventsPerExec is included because, like
-// MaxStepsPerExec, it prunes the tree and therefore changes what a
-// checkpoint or repro token means. Reduction is included for the same
+// checkpoints. MaxEventsPerExec is included because, like the step limit
+// (maxSteps), it prunes the tree and therefore changes what a checkpoint or
+// repro token means; so are the drain bias (commitChance) and the eager
+// read path, which only tests set. Reduction is included for the same
 // reason: a reduced tree has fewer failure nodes, so a path recorded in
 // one mode could silently consume a wrong node in the other. PrefixFork
 // is deliberately excluded — it replays the identical executions, just
@@ -115,9 +116,9 @@ var digestFields = []struct {
 }{
 	{"GPF", "gpf", func(c *Config) any { return c.GPF }},
 	{"Poison", "poison", func(c *Config) any { return c.Poison }},
-	{"MaxStepsPerExec", "maxsteps", func(c *Config) any { return c.MaxStepsPerExec }},
+	{"maxSteps", "maxsteps", func(c *Config) any { return c.maxSteps }},
 	{"MemSize", "memsize", func(c *Config) any { return c.MemSize }},
-	{"CommitChance", "commit", func(c *Config) any { return c.CommitChance }},
+	{"commitChance", "commit", func(c *Config) any { return c.commitChance }},
 	{"eagerReadSet", "eager", func(c *Config) any { return c.eagerReadSet }},
 	{"MaxEventsPerExec", "maxevents", func(c *Config) any { return c.MaxEventsPerExec }},
 	{"Reduction", "reduction", func(c *Config) any { return c.reductionOn() }},

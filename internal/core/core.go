@@ -113,10 +113,6 @@ type Config struct {
 	// the budget (Complete stays false).
 	MaxTime time.Duration
 
-	// MaxStepsPerExec guards against runaway executions (livelock in the
-	// checked program); 0 means the default of 2,000,000.
-	MaxStepsPerExec int
-
 	// ContinueAfterBug keeps exploring after the first bug (deduplicated
 	// by message). The paper's tool stops at the first bug, which is the
 	// default.
@@ -126,11 +122,18 @@ type Config struct {
 	// the default of 16 MiB.
 	MemSize uint64
 
-	// CommitChance is the percentage chance (0–100) that a scheduler step
-	// drains a buffered store/flush instead of running a thread, when
-	// both are possible. It shapes the TSO reordering window; 0 means the
-	// default of 25.
-	CommitChance int
+	// maxSteps guards against runaway executions (livelock in the checked
+	// program): an execution that takes more scheduler steps is a
+	// BugLivelock. 0 means the default of 2,000,000. Set only by tests,
+	// and in the configuration digest as "maxsteps".
+	maxSteps int
+
+	// commitChance is the percentage chance (0–100) that a scheduler step
+	// drains a buffered store/flush instead of running a thread, when both
+	// are possible. It shapes the TSO reordering window; 0 means the
+	// default of 25. Set only by tests (export_test.go), and in the
+	// configuration digest as "commit".
+	commitChance int
 
 	// eagerReadSet disables the paper's §4.5 optimization: loads
 	// materialize the full Algorithm 3 read-from set (with per-candidate
@@ -187,7 +190,7 @@ type Config struct {
 	// execution's crash state-space blows up (thousands of failure and
 	// read-from points before the program even terminates) becomes a
 	// structured BugResourceExhausted diagnosis instead of an
-	// out-of-memory wedge. Like MaxStepsPerExec it is part of the
+	// out-of-memory wedge. Like the step limit it is part of the
 	// exploration semantics (it prunes the tree), so it participates in
 	// the checkpoint/repro-token configuration digest.
 	MaxEventsPerExec int
@@ -335,19 +338,19 @@ const (
 )
 
 func (c *Config) fillDefaults() {
-	if c.MaxStepsPerExec == 0 {
-		c.MaxStepsPerExec = 2_000_000
+	if c.maxSteps == 0 {
+		c.maxSteps = 2_000_000
 	}
 	if c.MemSize == 0 {
 		c.MemSize = 16 << 20
 	}
-	if c.CommitChance <= 0 {
-		c.CommitChance = 25
+	if c.commitChance <= 0 {
+		c.commitChance = 25
 	}
-	if c.CommitChance > 99 {
+	if c.commitChance > 99 {
 		// Leave a residual chance of running threads or the scheduler
 		// could starve programs whose buffers never empty.
-		c.CommitChance = 99
+		c.commitChance = 99
 	}
 	if c.CheckpointPath != "" && c.CheckpointEvery == 0 && c.CheckpointInterval == 0 {
 		c.CheckpointInterval = 30 * time.Second
@@ -407,9 +410,10 @@ const (
 	BugDeadlock
 	// BugPoison is a read of a poisoned cache line (Poison mode).
 	BugPoison
-	// BugLivelock means an execution exceeded MaxStepsPerExec: threads
-	// kept running without the program terminating. Distinct from
-	// BugDeadlock, where no thread could make progress at all.
+	// BugLivelock means an execution exceeded the step limit (2,000,000
+	// scheduler steps): threads kept running without the program
+	// terminating. Distinct from BugDeadlock, where no thread could make
+	// progress at all.
 	BugLivelock
 	// BugWedged means a checked-program callback blocked outside the
 	// simulated API for longer than the watchdog permits (WedgeTimeout),

@@ -10,8 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/recipe"
-	"repro/internal/recipe/cceh"
 )
 
 // randomObserved builds a two-machine program: machine A runs a seeded
@@ -158,29 +156,5 @@ func TestPropertyCompletenessDroppedFlushEager(t *testing.T) {
 		if !res.Buggy() {
 			t.Fatalf("eager path missed the dropped flush of record %d", dropped)
 		}
-	}
-}
-
-// BenchmarkAblationReadSet compares the paper's §4.5 lazy read-from search
-// against eagerly materializing the full Algorithm 3 set on the Table 5 CCEH
-// workload: same exploration, different per-load cost.
-func BenchmarkAblationReadSet(b *testing.B) {
-	prog := recipe.Program(cceh.Benchmark, recipe.Config{Keys: 10, Workers: 1})
-	for _, leg := range []struct {
-		name string
-		cfg  core.Config
-	}{{"lazy", core.Config{}}, {"eager", core.WithEagerReadSet(core.Config{})}} {
-		b.Run(leg.name, func(b *testing.B) {
-			var last *core.Result
-			for i := 0; i < b.N; i++ {
-				res, err := core.Run(leg.cfg, prog)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(float64(last.Executions), "execs-per-exploration")
-			b.ReportMetric(float64(last.ReadFromPoints), "rfpoints")
-		})
 	}
 }

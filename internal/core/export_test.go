@@ -8,3 +8,12 @@ func WithEagerReadSet(cfg Config) Config {
 	cfg.eagerReadSet = true
 	return cfg
 }
+
+// WithCommitChance returns cfg with the store-buffer drain bias set to
+// chance percent (0 means the default of 25, and more than 99 means 99).
+// Like the eager read path it is in the configuration digest, and no
+// program outside the tests can set it.
+func WithCommitChance(cfg Config, chance int) Config {
+	cfg.commitChance = chance
+	return cfg
+}

@@ -155,7 +155,7 @@ func (ck *Checker) pruneFailurePoint(t *Thread) bool {
 	if ck.cfg.MaxEventsPerExec > 0 && ck.tree.Depth()+buffered+2 > ck.cfg.MaxEventsPerExec {
 		return false
 	}
-	if ck.stepNo+buffered+8 > ck.cfg.MaxStepsPerExec {
+	if ck.stepNo+buffered+8 > ck.cfg.maxSteps {
 		return false
 	}
 	return true

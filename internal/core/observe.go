@@ -2,7 +2,7 @@ package core
 
 // This file wires the exploration engine into the observability
 // subsystem (repro/internal/obs): metric registration, the structured
-// event tracer, progress snapshots, and the decision-tree hook. Serving
+// event tracer and progress snapshots. Serving
 // them is the caller's: the engine starts no server. Everything here is
 // built to cost nothing when observability is off — coreMetrics is a value
 // struct of nil-safe instrument pointers, so an uninstrumented run pays one
@@ -103,7 +103,8 @@ func newCoreMetrics(reg *obs.Registry) coreMetrics {
 // engine calls it with exactly what it folds into its total — a worker's
 // merge at an execution boundary, a resumed checkpoint's inheritance — so
 // these series cannot disagree with Stats. Decision points are published
-// by checkerHook as they are created, not from here.
+// where they are chosen (Checker.choose) and backtracks where the tree
+// advances (boundaryLocked), not from here.
 func (m coreMetrics) publish(d Counters, bugs int) {
 	m.execs.Add(int64(d.Executions))
 	m.steps.Add(d.Steps)
@@ -112,28 +113,6 @@ func (m coreMetrics) publish(d Counters, bugs int) {
 	m.stepsSaved.Add(d.StepsSaved)
 	m.races.Add(d.RaceReports)
 	m.bugs.Add(int64(bugs))
-}
-
-// checkerHook forwards decision-tree structure events (fresh decision
-// points, backtracks) into the metrics and the event trace. One hook is
-// boxed per worker at pool start, so attaching it to each claimed unit
-// allocates nothing.
-type checkerHook struct {
-	om     coreMetrics
-	tracer *obs.Tracer
-	worker int
-}
-
-func (h *checkerHook) DecisionCreated(kind decision.Kind, depth int) {
-	if int(kind) < len(h.om.decisions) {
-		h.om.decisions[kind].Inc()
-	}
-	h.tracer.Record(h.worker, obs.EvDecision, int64(kind), int64(depth))
-}
-
-func (h *checkerHook) Backtracked(depth int) {
-	h.om.backtracks.Inc()
-	h.tracer.Record(h.worker, obs.EvBacktrack, int64(depth), 0)
 }
 
 // WorkerStatus is one worker's slice of a Progress snapshot.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"strings"
@@ -63,48 +64,79 @@ func TestMetricsEqualResultUnderChaos(t *testing.T) {
 	sameExploration(t, "instrumented", res, want)
 }
 
-// TestEventTraceStructure runs with a JSONL event sink and checks the
-// stream is well-formed and consistent with the result: every execution
-// has a start and an end, decisions and backtracks were seen, and each
-// distinct bug appears.
+// TestEventTraceStructure runs with a JSONL event sink, serially with a
+// registry and with two workers whose rings overflow into one sink and no
+// registry, and checks the stream is well-formed and consistent with the
+// result: every execution has a start and an end, each distinct bug
+// appears, there is one decision event per decision point created (none for
+// a replayed one, none for a donated unit's prefix), and one backtrack event
+// per execution that was not its unit's last — every claimed unit (a steal
+// event) runs to exhaustion in a complete run. Serially that is one unit,
+// so one backtrack per execution after the first, as many as the backtrack
+// metric counts.
 func TestEventTraceStructure(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := Config{ContinueAfterBug: true}
-	cfg.fillDefaults()
-	digest, err := programDigestOf(cfg, resilientBuggy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An 8-event ring instead of Config.EventTrace's eventBufferSize, so
-	// the rings overflow into the sink many times mid-run.
-	e := newEngine(cfg, resilientBuggy, digest)
-	e.tracer = obs.NewTracer(cfg.Workers, 8, &buf)
-	_, res, err := e.run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := map[string]int{}
-	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		var ev struct {
-			W  int    `json:"w"`
-			Ev string `json:"ev"`
-			A  int64  `json:"a"`
-			S  string `json:"s"`
-		}
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("bad trace line %q: %v", line, err)
-		}
-		counts[ev.Ev]++
-	}
-	if counts["exec-start"] != res.Executions || counts["exec-end"] != res.Executions {
-		t.Fatalf("trace has %d starts / %d ends for %d executions",
-			counts["exec-start"], counts["exec-end"], res.Executions)
-	}
-	if counts["decision"] == 0 || counts["backtrack"] == 0 {
-		t.Fatalf("trace missing structure events: %v", counts)
-	}
-	if counts["bug"] != len(res.Bugs) {
-		t.Fatalf("trace has %d bug events for %d distinct bugs", counts["bug"], len(res.Bugs))
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var buf bytes.Buffer
+			var reg *obs.Registry
+			if workers == 1 {
+				reg = obs.NewRegistry()
+			}
+			cfg := Config{ContinueAfterBug: true, Workers: workers, Obs: reg}
+			cfg.fillDefaults()
+			digest, err := programDigestOf(cfg, resilientBuggy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// An 8-event ring instead of Config.EventTrace's eventBufferSize,
+			// so the rings overflow into the sink many times mid-run.
+			e := newEngine(cfg, resilientBuggy, digest)
+			e.tracer = obs.NewTracer(cfg.Workers, 8, &buf)
+			_, res, err := e.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts := map[string]int{}
+			for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+				var ev struct {
+					W  int    `json:"w"`
+					Ev string `json:"ev"`
+					A  int64  `json:"a"`
+					S  string `json:"s"`
+				}
+				if err := json.Unmarshal([]byte(line), &ev); err != nil {
+					t.Fatalf("bad trace line %q: %v", line, err)
+				}
+				counts[ev.Ev]++
+			}
+			if counts["exec-start"] != res.Executions || counts["exec-end"] != res.Executions {
+				t.Fatalf("trace has %d starts / %d ends for %d executions",
+					counts["exec-start"], counts["exec-end"], res.Executions)
+			}
+			if counts["bug"] != len(res.Bugs) {
+				t.Fatalf("trace has %d bug events for %d distinct bugs", counts["bug"], len(res.Bugs))
+			}
+			if !res.Complete || res.Executions < 2 {
+				t.Fatalf("want a complete run of several executions, got %+v", res.Stats)
+			}
+			if want := res.FailurePoints + res.ReadFromPoints + res.PoisonPoints; counts["decision"] != want {
+				t.Fatalf("trace has %d decision events for %d decision points", counts["decision"], want)
+			}
+			units := counts["steal"]
+			if workers == 1 && units != 1 {
+				t.Fatalf("a serial run claimed %d units, want 1", units)
+			}
+			if counts["backtrack"] != res.Executions-units {
+				t.Fatalf("trace has %d backtrack events for %d executions in %d units",
+					counts["backtrack"], res.Executions, units)
+			}
+			if reg != nil {
+				if got := int(reg.Snapshot()["cxlmc_backtracks_total"]); got != counts["backtrack"] {
+					t.Fatalf("cxlmc_backtracks_total=%d, trace has %d backtrack events", got, counts["backtrack"])
+				}
+			}
+			t.Logf("%d executions in %d units", res.Executions, units)
+		})
 	}
 }
 

@@ -124,10 +124,6 @@ type engine struct {
 type worker struct {
 	id int
 	ck *Checker
-	// hook forwards decision-tree events to the observability subsystem;
-	// nil when observability is off. Boxed once here so attaching it to
-	// each claimed unit costs nothing.
-	hook decision.Hook
 	// merged is how much of the private checker's tally has been folded
 	// into the engine, so boundary merges are incremental.
 	merged mark
@@ -220,9 +216,6 @@ func (e *engine) run() (*Checkpoint, *Result, error) {
 				tracer:     e.tracer,
 				workerID:   i,
 			},
-		}
-		if e.cfg.Obs != nil || e.tracer != nil {
-			w.hook = &checkerHook{om: e.om, tracer: e.tracer, worker: i}
 		}
 		wg.Add(1)
 		go func() {
@@ -372,10 +365,6 @@ func (e *engine) runUnit(w *worker, tr *decision.Tree) {
 	// Adopting a unit invalidates any prefix-fork log: the recorded steps
 	// belong to the previous unit's pending path, not this tree's.
 	ck.invalidateFork()
-	// (Re)attach this worker's event hook: hooks are never serialized, so
-	// a unit restored from a checkpoint or handed over by Split arrives
-	// bare.
-	tr.SetHook(w.hook)
 	released := false
 	defer func() {
 		v := recover()
@@ -473,6 +462,9 @@ func (e *engine) boundaryLocked(w *worker, tr *decision.Tree) (leave, spent bool
 		e.finishUnitLocked(tr)
 		return true, true
 	}
+	// A backtrack, at the depth of the decision point that advanced.
+	e.om.backtracks.Inc()
+	e.tracer.Record(w.id, obs.EvBacktrack, int64(tr.PendingDepth()), 0)
 	// The next pending path shares a prefix with the one just run: arm the
 	// prefix-fork so the shared steps fast-replay. (Split below only carves
 	// off un-taken branches; the pending path — and therefore the armed

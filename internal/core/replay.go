@@ -55,11 +55,10 @@ func decodeReproToken(s string) (*reproToken, error) {
 // Replay re-runs exactly the execution a Bug's ReproToken witnessed,
 // observing it so the result's bug carries the last traceDepth lines of its
 // text trace (cfg.Observer, if set, sees the whole stream). The token pins
-// the seed; the remaining exploration-relevant
-// configuration (GPF, Poison, CommitChance,
-// MaxStepsPerExec, MemSize, MaxEventsPerExec, Reduction, RaceDetect and
-// its UnflushedLines) and the program
-// structure must match the recording run, and a mismatch is rejected
+// the seed; the remaining exploration-relevant configuration (GPF, Poison,
+// MemSize, MaxEventsPerExec, Reduction, RaceDetect and its UnflushedLines,
+// and the step limit and drain bias, which only tests change) and the
+// program structure must match the recording run, and a mismatch is rejected
 // with a descriptive error. PrefixFork is not part of the digest — a
 // replay always re-executes in full regardless of its setting. The
 // replay is a single execution; Stats.Executions is 1.

@@ -393,7 +393,7 @@ func TestWedgedCallbackReported(t *testing.T) {
 // phantom bug.
 func TestMaxTimeStopsMidExecution(t *testing.T) {
 	start := time.Now()
-	res, err := Run(Config{MaxTime: 50 * time.Millisecond, MaxStepsPerExec: 1 << 30}, func(p *Program) {
+	res, err := Run(Config{MaxTime: 50 * time.Millisecond, maxSteps: 1 << 30}, func(p *Program) {
 		a := p.NewMachine("A")
 		a.Thread("spin", func(th *Thread) {
 			for {
@@ -605,7 +605,7 @@ func TestPrefixForkInvariantOnExitPath(t *testing.T) {
 // TestLivelockReportKeepsDeadlockDistinct: the step-limit report is
 // BugLivelock while a genuine no-progress state stays BugDeadlock.
 func TestLivelockReportKeepsDeadlockDistinct(t *testing.T) {
-	live, err := Run(Config{MaxStepsPerExec: 200, MaxExecutions: 1}, func(p *Program) {
+	live, err := Run(Config{maxSteps: 200, MaxExecutions: 1}, func(p *Program) {
 		a := p.NewMachine("A")
 		a.Thread("spin", func(th *Thread) {
 			for {

@@ -91,7 +91,7 @@ var shapes = []struct {
 		// buffer when it loads the word: a runnable thread is all but always
 		// preferred to a commit.
 		name: "word half covered by the store buffer",
-		cfg:  Config{CommitChance: 1},
+		cfg:  Config{commitChance: 1},
 		prog: func(p *Program) {
 			x := p.AllocAligned(8, 64)
 			twoMachines(p, func(th *Thread) {

@@ -124,7 +124,7 @@ func TestTallyDedupSurvivesCopies(t *testing.T) {
 func TestConfigDigestPinned(t *testing.T) {
 	var defaults Config
 	defaults.fillDefaults()
-	nondefault := Config{GPF: true, Poison: true, MaxStepsPerExec: 1234, MemSize: 1 << 20, CommitChance: 40,
+	nondefault := Config{GPF: true, Poison: true, maxSteps: 1234, MemSize: 1 << 20, commitChance: 40,
 		eagerReadSet: true, MaxEventsPerExec: 99, Reduction: SwitchOff, RaceDetect: SwitchOn,
 		UnflushedLines: []uint64{9, 3, 3}}
 	nondefault.fillDefaults()
@@ -153,12 +153,12 @@ func TestDigestMismatchMessagesNameEveryField(t *testing.T) {
 		t.Fatalf("seeding run: %v, %d bugs", err, len(res.Bugs))
 	}
 	other := cfg
-	other.CommitChance = 60
+	other.commitChance = 60
 	_, cpErr := Run(other, resilientBuggy)
-	_, tokErr := Replay(res.Bugs[0].ReproToken, Config{CommitChance: 60}, resilientBuggy)
+	_, tokErr := Replay(res.Bugs[0].ReproToken, Config{commitChance: 60}, resilientBuggy)
 	for what, err := range map[string]error{"checkpoint": cpErr, "token": tokErr} {
 		if err == nil {
-			t.Fatalf("%s accepted under a different CommitChance", what)
+			t.Fatalf("%s accepted under a different drain bias", what)
 		}
 		for _, f := range digestFields {
 			if !strings.Contains(err.Error(), f.name) {

@@ -67,28 +67,7 @@ type Tree struct {
 	// stale suffix is truncated and exploration continues with default
 	// branches. Used by path minimization, which perturbs recorded paths.
 	lenient bool
-	// hook observes structural tree events (fresh decision points,
-	// backtracks) for the observability subsystem. Never serialized: a
-	// snapshot restores with a nil hook, and the worker that picks the
-	// unit up re-attaches its own.
-	hook Hook
 }
-
-// Hook observes the tree's structural events. Implementations must be
-// cheap and must not call back into the tree; with no hook installed the
-// cost at each site is a single nil check.
-type Hook interface {
-	// DecisionCreated fires when Choose records a genuinely fresh
-	// decision point (replayed and Split-inherited nodes, whose creation
-	// a previous run already accounted, do not fire).
-	DecisionCreated(kind Kind, depth int)
-	// Backtracked fires when Advance moves to the next branch, with the
-	// depth of the decision point that advanced.
-	Backtracked(depth int)
-}
-
-// SetHook installs (or, with nil, removes) the tree's event hook.
-func (t *Tree) SetHook(h Hook) { t.hook = h }
 
 // Divergence is panicked by Choose when a replayed execution requests a
 // decision that disagrees with the recorded node — the checker lost
@@ -149,9 +128,6 @@ func (t *Tree) Choose(kind Kind, n int) int {
 	// genuinely fresh decision points count.
 	if t.depth >= t.recorded {
 		t.created[kind]++
-		if t.hook != nil {
-			t.hook.DecisionCreated(kind, t.depth)
-		}
 	}
 	t.depth++
 	return 0
@@ -181,9 +157,6 @@ func (t *Tree) Advance() bool {
 		last := &t.nodes[len(t.nodes)-1]
 		if last.chosen+1 < last.n {
 			last.chosen++
-			if t.hook != nil {
-				t.hook.Backtracked(len(t.nodes) - 1)
-			}
 			return true
 		}
 		t.nodes = t.nodes[:len(t.nodes)-1]
@@ -217,7 +190,8 @@ func (t *Tree) FastForward(k int) bool {
 func (t *Tree) Executions() int { return t.execs }
 
 // Created returns how many decision points of the given kind have been
-// created over the whole exploration.
+// created over the whole exploration. Replayed and preloaded nodes do not
+// count, so a Choose that moved it recorded a fresh point.
 func (t *Tree) Created(kind Kind) int { return t.created[kind] }
 
 // Depth returns the replay cursor's current depth (decision points hit so

@@ -207,16 +207,12 @@ func runTable5Row(b recipe.Benchmark, gpf bool, seed int64, reduction cxlmc.Swit
 	}, nil
 }
 
-// RunTable5 explores every fixed benchmark, without and with GPF mode,
-// mirroring the paper's Table 5.
-func RunTable5(seed int64) ([]Table5Row, error) {
-	return RunTable5Reduction(seed, cxlmc.SwitchDefault)
-}
-
-// RunTable5Reduction is RunTable5 with the state-space-reduction and
-// prefix-fork knobs set explicitly. SwitchOff reproduces the unreduced
-// exhaustive exploration — the apples-to-apples comparison against the
-// paper's reported #Execs, which predate any reduction.
+// RunTable5Reduction explores every fixed benchmark, without and with GPF
+// mode, mirroring the paper's Table 5, with the state-space-reduction and
+// prefix-fork knobs set to reduction. SwitchDefault is the checker's
+// default; SwitchOff reproduces the unreduced exhaustive exploration — the
+// apples-to-apples comparison against the paper's reported #Execs, which
+// predate any reduction.
 func RunTable5Reduction(seed int64, reduction cxlmc.Switch) ([]Table5Row, error) {
 	var rows []Table5Row
 	for _, gpf := range []bool{false, true} {

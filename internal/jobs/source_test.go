@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -63,8 +64,9 @@ func Program(r *cxl.Region) {
 `
 
 // sourceControl runs spec's source program straight through the engine
-// with the effective config the server builds, as the parity baseline.
-func sourceControl(t *testing.T, sp Spec) *cxlmc.Result {
+// with the effective config the server builds, as the parity baseline,
+// its op stream going to observer (which may be nil).
+func sourceControl(t *testing.T, sp Spec, observer cxlmc.OpObserver) *cxlmc.Result {
 	t.Helper()
 	program, err := cxlmc.ProgramFromSource(sp.SourceName, []byte(sp.Source), sp.Entry)
 	if err != nil {
@@ -72,7 +74,7 @@ func sourceControl(t *testing.T, sp Spec) *cxlmc.Result {
 	}
 	res, err := cxlmc.Run(cxlmc.Config{
 		Seed: sp.Seed, Workers: 1, ContinueAfterBug: sp.ContinueAfterBug,
-		Reduction: sp.Reduction,
+		Reduction: sp.Reduction, Observer: observer,
 	}, program)
 	if err != nil {
 		t.Fatalf("control: %v", err)
@@ -93,7 +95,7 @@ func TestSourceJobEndToEnd(t *testing.T) {
 		Tenant: "alice", Source: string(srcBytes), SourceName: "cceh.go",
 		Entry: "Program", Seed: 1, ContinueAfterBug: true,
 	}
-	control := sourceControl(t, sp)
+	control := sourceControl(t, sp, nil)
 	if len(control.Bugs) == 0 {
 		t.Fatal("control found no bugs; the seeded CCEH bug should surface")
 	}
@@ -180,28 +182,51 @@ func TestSourceSpecValidation(t *testing.T) {
 	}
 }
 
+// parkAt is an op observer that counts the events it sees and, at the at-th,
+// parks the run until release is closed, after closing parked. With at 0 it
+// only counts.
+type parkAt struct {
+	n               atomic.Int64
+	at              int64
+	parked, release chan struct{}
+}
+
+func (p *parkAt) Op(cxlmc.OpEvent) {
+	if p.n.Add(1) == p.at {
+		close(p.parked)
+		<-p.release
+	}
+}
+
 // TestSourceJobRestartParity is the source half of the kill -9
 // contract: crash the server while a source job is mid-run, restart on
 // the same directory, and require the journal to have round-tripped the
 // inline program — the job completes with the control's bug set and
 // execution count.
+//
+// The crash point is fixed in the op stream, not found by polling: the
+// first server's run parks at the middle event of the control's serial
+// stream and goes on only once the crash has asked it to stop, so it stops
+// at the end of that execution, however the goroutines are scheduled.
 func TestSourceJobRestartParity(t *testing.T) {
 	dir := t.TempDir()
 	sp := Spec{
 		Tenant: "alice", Source: slowSource, SourceName: "slow.go",
 		Entry: "Program", Seed: 1, ContinueAfterBug: true, Reduction: cxlmc.SwitchOff,
 	}
-	control := sourceControl(t, sp)
+	count := &parkAt{}
+	control := sourceControl(t, sp, count)
 	if len(control.Bugs) == 0 {
 		t.Fatal("control found no bugs; the unflushed publish should surface under crashes")
 	}
+	gate := &parkAt{at: count.n.Load() / 2, parked: make(chan struct{}), release: make(chan struct{})}
 
 	cfg := Config{
 		Addr: "127.0.0.1:0", Dir: dir, PoolWorkers: 1,
 		RetryBase: 5 * time.Millisecond,
 		Base: cxlmc.Config{
 			CheckpointEvery: 10, CheckpointInterval: 20 * time.Millisecond,
-			ProgressEvery: 5 * time.Millisecond,
+			Observer: gate,
 		},
 	}
 	s1, err := Start(cfg)
@@ -214,26 +239,30 @@ func TestSourceJobRestartParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("job never reached mid-run progress")
-		}
-		cur, err := c1.Status(ctx, st.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cur.State == StateRunning && cur.Progress != nil && cur.Progress.Executions >= 20 {
-			break
-		}
-		if cur.State.Terminal() {
-			t.Fatalf("job finished before the crash (%s); slow the program down", cur.State)
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-gate.parked:
+	case <-time.After(60 * time.Second):
+		t.Fatalf("the job never reached op event %d of the control's %d", gate.at, count.n.Load())
 	}
+	s1.mu.Lock()
+	j := s1.jobs[st.ID]
+	s1.mu.Unlock()
+	j.mu.Lock()
+	stop := j.stop
+	j.mu.Unlock()
+	go func() {
+		<-stop
+		close(gate.release)
+	}()
 	s1.crash()
 	if s1.Registry().Snapshot()["cxlmc_jobs_done"] != 0 {
 		t.Fatal("job completed before the crash; the crash proves nothing")
+	}
+	j.mu.Lock()
+	p := j.progress
+	j.mu.Unlock()
+	if p == nil || p.Executions == 0 || p.Executions >= control.Executions {
+		t.Fatalf("the crashed run's last progress is %+v; want some of the control's %d executions, not all", p, control.Executions)
 	}
 
 	s2, err := Start(cfg)

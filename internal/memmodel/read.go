@@ -223,16 +223,9 @@ type CandidateIter struct {
 	exhausted bool
 }
 
-// Candidates starts a lazy newest-first enumeration of the read-from set
-// for byte b.
-func (rc *ReadContext) Candidates(b Addr) *CandidateIter {
-	it := &CandidateIter{}
-	rc.CandidatesInto(it, b)
-	return it
-}
-
-// CandidatesInto (re)initializes it in place for byte b, so a caller can
-// reuse one iterator across loads instead of allocating per byte.
+// CandidatesInto starts a lazy newest-first enumeration of the read-from
+// set for byte b in it, (re)initialized in place, so a caller can reuse one
+// iterator across loads instead of allocating per byte.
 func (rc *ReadContext) CandidatesInto(it *CandidateIter, b Addr) {
 	it.rc = rc
 	it.b = b

@@ -302,8 +302,9 @@ func TestGPFReadsAreTSO(t *testing.T) {
 	if got := vals(rc.BuildMayReadFrom(xAddr)); !reflect.DeepEqual(got, []byte{2}) {
 		t.Fatalf("GPF candidates = %v, want [2]", got)
 	}
-	it := rc.Candidates(xAddr)
-	if got := vals(collect(it)); !reflect.DeepEqual(got, []byte{2}) {
+	var it CandidateIter
+	rc.CandidatesInto(&it, xAddr)
+	if got := vals(collect(&it)); !reflect.DeepEqual(got, []byte{2}) {
 		t.Fatalf("GPF iterator = %v, want [2]", got)
 	}
 }
@@ -368,7 +369,9 @@ func TestCandidateIterMatchesReference(t *testing.T) {
 				b := a + byteOff
 				rc := s.rc(curr)
 				ref := rc.BuildMayReadFrom(b)
-				got := collect(rc.Candidates(b))
+				var it CandidateIter
+				rc.CandidatesInto(&it, b)
+				got := collect(&it)
 				sortCands(ref)
 				sortCands(got)
 				if !reflect.DeepEqual(ref, got) {
@@ -393,7 +396,8 @@ func TestCandidateIterHasMore(t *testing.T) {
 	s.store(0, xAddr, 1)
 	s.fail(0)
 	rc := s.rc(1)
-	it := rc.Candidates(xAddr)
+	var it CandidateIter
+	rc.CandidatesInto(&it, xAddr)
 	if !it.HasMore() {
 		t.Fatal("iterator should start with a candidate")
 	}
