@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/base64"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -52,12 +53,15 @@ type Checker struct {
 	replayDiverged *decision.Divergence
 
 	// Per-execution state, reset in place by resetExecution. The memory,
-	// scheduler, machine/thread/mutex arenas and RNG are reused across
+	// scheduler and machine/thread/mutex arenas are reused across
 	// executions so the hot path is allocation-free after warm-up; whoever
 	// ends the checker's life calls closeScheduler.
-	mem      *memmodel.Memory
-	sch      *sched.Scheduler
-	rng      *rand.Rand
+	mem *memmodel.Memory
+	sch *sched.Scheduler
+	// nRun and nPend count the bits set in runBits and pendBits, the
+	// scheduler's books (see touch).
+	nRun     int32
+	nPend    int32
 	machines []*Machine
 	threads  []*Thread
 	mutexes  []*Mutex
@@ -72,12 +76,17 @@ type Checker struct {
 	dirty bool
 	// prog is the reusable Program handle passed to setup each execution.
 	prog Program
-	// Scratch buffers reused by the scheduler step loop and load path.
-	runnableBuf []*Thread
-	blockedBuf  []*Thread
-	commitBuf   []commitTarget
-	readCtx     memmodel.ReadContext
-	readIter    memmodel.CandidateIter
+	// The scheduler's books, one word per 64 bits whatever the thread
+	// count: bit i of runBits is set while thread i is Runnable on a live
+	// machine, bits 2i and 2i+1 of pendBits while its store buffer and its
+	// flush buffer are non-empty on a live machine. touch keeps them; a
+	// step reads them instead of walking the threads.
+	runBits  []uint64
+	pendBits []uint64
+	// Scratch buffers reused by the deadlock report and the load path.
+	blockedBuf []*Thread
+	readCtx    memmodel.ReadContext
+	readIter   memmodel.CandidateIter
 
 	// stepNo is the current execution's scheduler step counter (1-based
 	// inside the loop); shared by the livelock check, the prefix-fork
@@ -121,9 +130,9 @@ type Checker struct {
 	loadPos     int
 	pathStep    []int
 
-	// stream is rng's source, memoised and rewound per execution rather
-	// than re-seeded. It sits after the per-step fields so they keep their
-	// offsets.
+	// stream is the seeded schedule, memoised and rewound per execution
+	// rather than re-seeded. It sits after the per-step fields so they keep
+	// their offsets.
 	stream scheduleStream
 
 	// cfg sits last: it is large and read-mostly, and the per-step fields
@@ -141,15 +150,15 @@ const (
 	streamInit = 1 << 11
 )
 
-// scheduleStream is the rand.Source under the seeded schedule. Every
-// execution's schedule starts from the same seed (§3.2), so every execution
-// draws the same raw sequence: the stream keeps what its source produced,
-// buf[i] being the i-th Int63 of a source freshly seeded with seed, and an
-// execution reads buf from the start, then draws live and appends. Both
-// are lazy: src is seeded at the first draw, so a checker that draws
-// nothing (the program digest's) seeds nothing, and the first execution
-// appends nothing (buf is nil until the first rewind), so one that runs a
-// single execution — a replay, the vet dry run — pays for no buffer.
+// scheduleStream is the seeded schedule. Every execution's schedule starts
+// from the same seed (§3.2), so every execution draws the same raw
+// sequence: the stream keeps what its source produced, buf[i] being the
+// i-th Int63 of a source freshly seeded with seed, and an execution reads
+// buf from the start, then draws live and appends. Both are lazy: src is
+// seeded at the first draw, so a checker that draws nothing (the program
+// digest's) seeds nothing, and the first execution appends nothing (buf is
+// nil until the first rewind), so one that runs a single execution — a
+// replay, the vet dry run — pays for no buffer.
 type scheduleStream struct {
 	src  rand.Source
 	seed int64
@@ -157,13 +166,18 @@ type scheduleStream struct {
 	pos  int
 }
 
-// Int63 returns the stream's next value.
-func (s *scheduleStream) Int63() int64 {
+// int63 returns the stream's next value.
+func (s *scheduleStream) int63() int64 {
 	if s.pos < len(s.buf) {
-		v := s.buf[s.pos]
 		s.pos++
-		return v
+		return s.buf[s.pos-1]
 	}
+	return s.live()
+}
+
+// live draws the next value from the source, memoising it while the
+// buffer has room.
+func (s *scheduleStream) live() int64 {
 	if s.src == nil {
 		s.src = rand.NewSource(s.seed)
 	}
@@ -175,8 +189,40 @@ func (s *scheduleStream) Int63() int64 {
 	return v
 }
 
-// Seed is never called: rewind stands in for it.
-func (s *scheduleStream) Seed(int64) { internalPanic("scheduleStream is rewound, not re-seeded") }
+// intn is math/rand's (*Rand).Intn(n) over the stream, draw for draw, for
+// 0 < n < 1<<31: a power of two masks the top 31 bits of one value (so
+// n == 1 takes one and returns 0); any other n rejects the values at or
+// above the largest multiple of n below 1<<31 and reduces the first one
+// left (reduce).
+func (s *scheduleStream) intn(n int) int {
+	m := int32(n)
+	if m&(m-1) == 0 {
+		return int(int32(s.int63()>>32) & (m - 1))
+	}
+	for {
+		if r, ok := reduce(int32(s.int63()>>32), m); ok {
+			return int(r)
+		}
+	}
+}
+
+// chance is intn(100), the commit-chance draw, with the divisor a constant
+// the compiler turns into a multiplication.
+func (s *scheduleStream) chance() int {
+	for {
+		if r, ok := reduce(int32(s.int63()>>32), 100); ok {
+			return int(r)
+		}
+	}
+}
+
+// reduce returns v % m, and whether v lies below the largest multiple of m
+// below 1<<31 — exactly when the block of m that v - v%m starts fits whole,
+// which takes one division where Int31n's bound takes another.
+func reduce(v, m int32) (int32, bool) {
+	r := v % m
+	return r, v-r <= 1<<31-1-(m-1)
+}
 
 // rewind starts the next execution's stream. Where the last execution drew
 // past buf — the first one, or one past the cap — src is ahead of buf, so
@@ -325,9 +371,9 @@ func (ck *Checker) resetExecution() {
 		// The race detector's word table is keyed by the memory's line
 		// slots, which a fresh memory numbers afresh.
 		ck.race = raceDetector{}
-		ck.runnableBuf = nil
+		ck.runBits = nil
+		ck.pendBits = nil
 		ck.blockedBuf = nil
-		ck.commitBuf = nil
 		ck.readCtx = memmodel.ReadContext{}
 		ck.dirty = false
 	}
@@ -345,12 +391,15 @@ func (ck *Checker) resetExecution() {
 	} else {
 		ck.sch.Reset()
 	}
-	if ck.rng == nil {
+	if ck.stream.src == nil {
+		// Seeded lazily: until something draws there is nothing to rewind.
 		ck.stream = scheduleStream{seed: ck.cfg.Seed}
-		ck.rng = rand.New(&ck.stream)
 	} else {
 		ck.stream.rewind()
 	}
+	clear(ck.runBits)
+	clear(ck.pendBits)
+	ck.nRun, ck.nPend = 0, 0
 	ck.machines = ck.machines[:0]
 	ck.threads = ck.threads[:0]
 	ck.mutexes = ck.mutexes[:0]
@@ -498,11 +547,14 @@ func (ck *Checker) advance() *Thread {
 			ck.timedOut = true
 			return nil
 		}
+		if stepHook != nil {
+			stepHook(ck)
+		}
 
 		if ck.fast {
 			if ck.stepNo < ck.fastUntil {
 				ck.stats.StepsSaved++
-				if t := ck.replayStep(ck.stepLog[ck.stepNo-1]); t != nil {
+				if t := ck.replayStep(&ck.stepLog[ck.stepNo-1]); t != nil {
 					ck.current = t
 					return t
 				}
@@ -515,11 +567,9 @@ func (ck *Checker) advance() *Thread {
 			ck.loadLog = ck.loadLog[:ck.loadPos]
 		}
 
-		runnable := ck.runnableThreads()
-		committable := ck.committableBuffers()
 		var chance, commit bool
 		switch {
-		case len(runnable) == 0 && len(committable) == 0:
+		case ck.nRun == 0 && ck.nPend == 0:
 			if blocked := ck.liveBlockedThreads(); len(blocked) > 0 {
 				names := ""
 				for _, t := range blocked {
@@ -528,41 +578,112 @@ func (ck *Checker) advance() *Thread {
 				ck.reportBug(BugDeadlock, "deadlock: all live threads blocked:"+names, nil)
 			}
 			return nil
-		case len(runnable) == 0:
+		case ck.nRun == 0:
 			commit = true
-		case len(committable) == 0:
+		case ck.nPend == 0:
 			commit = false
 		default:
 			chance = true
-			commit = ck.rng.Intn(100) < ck.cfg.commitChance
+			commit = ck.stream.chance() < ck.cfg.commitChance
 		}
+		// The i-th candidate is the i-th set bit in ascending order: threads
+		// in creation order, and each thread's store buffer before its flush
+		// buffer.
 		if !commit {
-			i := ck.rng.Intn(len(runnable))
-			t := runnable[i]
+			i := 0
+			if ck.nRun == 1 {
+				// A forced step: Intn(1) takes one value and is 0.
+				ck.stream.int63()
+			} else {
+				i = ck.stream.intn(int(ck.nRun))
+			}
+			t := ck.threads[nthBit(ck.runBits, i)]
 			if ck.forkEnabled {
-				ck.stepLog = append(ck.stepLog, stepRec{
-					op: opGrant, chance: chance, pickN: int32(len(runnable)), pick: int32(i),
-					thread: int32(t.st.ID),
-				})
+				ck.logStep(opGrant, chance, ck.nRun, i, t)
 			}
 			ck.current = t
 			return t
 		}
-		i := ck.rng.Intn(len(committable))
-		c := committable[i]
+		i := ck.stream.intn(int(ck.nPend))
+		b := nthBit(ck.pendBits, i)
+		t, fb := ck.threads[b>>1], b&1 == 1
 		if ck.forkEnabled {
 			op := opCommitSB
-			if c.fb {
+			if fb {
 				op = opCommitFB
 			}
-			ck.stepLog = append(ck.stepLog, stepRec{
-				op: op, chance: chance, pickN: int32(len(committable)), pick: int32(i),
-				thread: int32(c.t.st.ID),
-			})
+			ck.logStep(op, chance, ck.nPend, i, t)
 		}
-		ck.commitTo(c)
+		ck.commitTo(t, fb)
 	}
 	return nil
+}
+
+// logStep records a live step for the prefix-fork fast path. The record
+// is written in place, field by field: built whole and copied in, its
+// field stores would be read back as one 16-byte load the CPU cannot
+// forward, a stall on every step.
+func (ck *Checker) logStep(op uint8, chance bool, n int32, pick int, t *Thread) {
+	ck.stepLog = append(ck.stepLog, stepRec{})
+	r := &ck.stepLog[len(ck.stepLog)-1]
+	r.op, r.chance, r.pickN, r.pick, r.thread = op, chance, n, int32(pick), int32(t.idx)
+}
+
+// stepHook, when set, runs at the top of every scheduler step. It is nil
+// outside the tests, which audit the books behind it.
+var stepHook func(*Checker)
+
+// touch re-derives thread t's bits in the scheduler's books. It is called
+// wherever they can change: when the thread is created (Machine.Thread),
+// at its instruction boundaries (Thread.enter, after its own instruction
+// or a block) and its exit (onThreadExit), when one of its buffers commits
+// (commitTo) or its machine fails (failMachine), and when a join or a
+// mutex wakes it (wakeJoiners, Mutex.wakeAll).
+func (ck *Checker) touch(t *Thread) {
+	var run, pend uint64
+	if !t.mach.failed {
+		if t.st.State() == sched.Runnable {
+			run = 1
+		}
+		if len(t.tb.SB) > 0 {
+			pend = 1
+		}
+		if len(t.tb.FB) > 0 {
+			pend |= 2
+		}
+	}
+	ck.nRun += setBits(ck.runBits, t.idx, 1, run)
+	ck.nPend += setBits(ck.pendBits, 2*t.idx, 3, pend)
+}
+
+// setBits sets the one or two bits of set under mask, shifted to position
+// i, to v (mask and v shifted alike; i is even when there are two, so they
+// share a word), and returns how many more bits are set than before.
+func setBits(set []uint64, i int, mask, v uint64) int32 {
+	w, sh := i>>6, uint(i&63)
+	old := set[w] >> sh & mask
+	if old == v {
+		return 0
+	}
+	set[w] ^= (old ^ v) << sh
+	return int32(v&1+v>>1) - int32(old&1+old>>1)
+}
+
+// nthBit returns the position of the i-th set bit of set (from 0, in
+// ascending order).
+func nthBit(set []uint64, i int) int {
+	for w, word := range set {
+		if c := bits.OnesCount64(word); i >= c {
+			i -= c
+			continue
+		}
+		for ; i > 0; i-- {
+			word &= word - 1
+		}
+		return w<<6 | bits.TrailingZeros64(word)
+	}
+	internalPanic("scheduler books: fewer bits set than counted")
+	return 0
 }
 
 // replayStep re-executes one recorded scheduler step on the fast path:
@@ -572,14 +693,14 @@ func (ck *Checker) advance() *Thread {
 // — a commit here, a grant by returning the thread for advance's caller
 // to pass the baton to — so every memory-model mutation, failure
 // injection and pruning decision is recomputed exactly as recorded.
-func (ck *Checker) replayStep(rec stepRec) *Thread {
+func (ck *Checker) replayStep(rec *stepRec) *Thread {
 	if rec.chance {
-		commit := ck.rng.Intn(100) < ck.cfg.commitChance
+		commit := ck.stream.chance() < ck.cfg.commitChance
 		if commit != (rec.op != opGrant) {
 			internalPanic("prefix-fork: commit-chance draw diverged from the recorded prefix")
 		}
 	}
-	if int32(ck.rng.Intn(int(rec.pickN))) != rec.pick {
+	if int32(ck.stream.intn(int(rec.pickN))) != rec.pick {
 		internalPanic("prefix-fork: selection draw diverged from the recorded prefix")
 	}
 	if int(rec.thread) >= len(ck.threads) {
@@ -592,7 +713,7 @@ func (ck *Checker) replayStep(rec stepRec) *Thread {
 		}
 		return t
 	}
-	ck.commitTo(commitTarget{t: t, fb: rec.op == opCommitFB})
+	ck.commitTo(t, rec.op == opCommitFB)
 	return nil
 }
 
@@ -652,19 +773,6 @@ func (ck *Checker) invalidateFork() {
 	ck.forkStep = 0
 }
 
-// runnableThreads returns live, runnable simulated threads in creation
-// order. The result aliases a scratch buffer valid until the next call.
-func (ck *Checker) runnableThreads() []*Thread {
-	out := ck.runnableBuf[:0]
-	for _, t := range ck.threads {
-		if !t.mach.failed && t.st.State() == sched.Runnable {
-			out = append(out, t)
-		}
-	}
-	ck.runnableBuf = out
-	return out
-}
-
 // liveBlockedThreads returns blocked threads on live machines. The result
 // aliases a scratch buffer valid until the next call.
 func (ck *Checker) liveBlockedThreads() []*Thread {
@@ -678,39 +786,14 @@ func (ck *Checker) liveBlockedThreads() []*Thread {
 	return out
 }
 
-// commitTarget identifies one pending buffer head: thread t's store
-// buffer (fb=false) or flush buffer (fb=true).
-type commitTarget struct {
-	t  *Thread
-	fb bool
-}
-
-// committableBuffers lists every buffer head that could take effect on
-// the cache now, in deterministic order. The result aliases a scratch
-// buffer valid until the next call.
-func (ck *Checker) committableBuffers() []commitTarget {
-	out := ck.commitBuf[:0]
-	for _, t := range ck.threads {
-		if t.mach.failed {
-			continue
-		}
-		if len(t.tb.SB) > 0 {
-			out = append(out, commitTarget{t, false})
-		}
-		if len(t.tb.FB) > 0 {
-			out = append(out, commitTarget{t, true})
-		}
-	}
-	ck.commitBuf = out
-	return out
-}
-
 // onThreadExit is the scheduler's successor hook: st's goroutine is
 // exiting — its function returned, a failure or bug unwound it, or it
 // panicked — while holding the baton, so it runs the scheduler steps that
 // pick who gets it next.
 func (ck *Checker) onThreadExit(st *sched.Thread) *sched.Thread {
-	if t := ck.threads[st.ID]; t.quiesced() {
+	t := ck.threads[st.ID]
+	ck.touch(t)
+	if t.quiesced() {
 		ck.wakeJoiners(t.mach)
 	}
 	if next := ck.advance(); next != nil {
@@ -738,15 +821,17 @@ func (ck *Checker) grantBudget() time.Duration {
 	return m
 }
 
-// commitTo commits buffer head c.
-func (ck *Checker) commitTo(c commitTarget) {
-	if c.fb {
-		ck.commitFBHead(c.t)
+// commitTo commits the head of thread t's flush buffer (fb) or store
+// buffer.
+func (ck *Checker) commitTo(t *Thread, fb bool) {
+	if fb {
+		ck.commitFBHead(t)
 	} else {
-		ck.commitSBHead(c.t)
+		ck.commitSBHead(t)
 	}
-	if c.t.quiesced() {
-		ck.wakeJoiners(c.t.mach)
+	ck.touch(t)
+	if t.quiesced() {
+		ck.wakeJoiners(t.mach)
 	}
 }
 
@@ -773,6 +858,7 @@ func (m *Machine) quiesced() bool {
 func (ck *Checker) wakeJoiners(m *Machine) {
 	for _, w := range m.joiners {
 		w.st.Wake()
+		ck.touch(w)
 	}
 	m.joiners = m.joiners[:0]
 }
@@ -799,6 +885,7 @@ func (ck *Checker) failMachine(m *Machine, by *Thread, why OpEvent) {
 	var self *Thread
 	for _, t := range m.threads {
 		t.tb.Discard()
+		ck.touch(t)
 		if t == ck.current {
 			self = t
 			continue

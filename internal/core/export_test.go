@@ -17,3 +17,7 @@ func WithCommitChance(cfg Config, chance int) Config {
 	cfg.commitChance = chance
 	return cfg
 }
+
+// AuditedSteps returns how many scheduler steps this test binary has
+// audited the books at (books_test.go).
+func AuditedSteps() int64 { return auditedSteps.Load() }

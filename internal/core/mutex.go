@@ -113,6 +113,7 @@ func (mu *Mutex) forceRelease() {
 func (mu *Mutex) wakeAll() {
 	for _, w := range mu.waiters {
 		w.st.Wake()
+		mu.ck.touch(w)
 	}
 	mu.waiters = mu.waiters[:0]
 }

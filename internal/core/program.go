@@ -99,6 +99,13 @@ func (m *Machine) Thread(name string, fn func(*Thread)) *Thread {
 	t.fn = fn
 	t.st = ck.sch.NewThread(int(m.id), name, t.run)
 	m.threads = append(m.threads, t)
+	for len(ck.runBits) <= n>>6 {
+		ck.runBits = append(ck.runBits, 0)
+	}
+	for len(ck.pendBits) <= (2*n+1)>>6 {
+		ck.pendBits = append(ck.pendBits, 0)
+	}
+	ck.touch(t)
 	if ck.fp != nil {
 		ck.fp.record("thread", m.name, name)
 	}

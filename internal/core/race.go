@@ -174,45 +174,71 @@ func (rd *raceDetector) conflict(eps []raceEpoch, tid int32, vc vclock, lo, hi u
 	return nil
 }
 
-// onRead checks and records a plain load of [a, a+size). Called in thread
-// context; a detected race reports a bug and unwinds the thread.
+// raceRead checks and records a plain load of [a, a+size). Called in
+// thread context; a detected race reports a bug and unwinds the thread.
 func (ck *Checker) raceRead(t *Thread, a Addr, size uint8) {
+	end := a + Addr(size) - 1
+	for w := a >> 3; w <= end>>3; w++ {
+		lo, hi := wordBytes(w, a, end)
+		ck.raceReadWord(t, a, size, w, lo, hi)
+	}
+}
+
+// raceReadWord is raceRead on word w, whose bytes [lo,hi] the load touches.
+func (ck *Checker) raceReadWord(t *Thread, a Addr, size uint8, w Addr, lo, hi uint8) {
+	rw := ck.wordFor(w)
+	if rw.isSync {
+		return
+	}
 	rd := &ck.race
-	tid := int32(t.idx)
-	vc := rd.tvc[t.idx]
-	eachWordRange(a, size, func(w Addr, lo, hi uint8) {
-		rw := ck.wordFor(w)
-		if rw.isSync {
-			return
-		}
-		if e := rd.conflict(rw.writes, tid, vc, lo, hi); e != nil {
-			ck.reportRace(t, "load", a, size, "store", e, w)
-			return
-		}
-		rw.reads = recordEpoch(rw.reads, tid, vc[tid], lo, hi)
-	})
+	tid, vc := int32(t.idx), rd.tvc[t.idx]
+	if e := rd.conflict(rw.writes, tid, vc, lo, hi); e != nil {
+		ck.reportRace(t, "load", a, size, "store", e, w)
+		return
+	}
+	rw.reads = recordEpoch(rw.reads, tid, vc[tid], lo, hi)
 }
 
 // raceWrite checks and records a plain store of [a, a+size).
 func (ck *Checker) raceWrite(t *Thread, a Addr, size uint8) {
+	end := a + Addr(size) - 1
+	for w := a >> 3; w <= end>>3; w++ {
+		lo, hi := wordBytes(w, a, end)
+		ck.raceWriteWord(t, a, size, w, lo, hi)
+	}
+}
+
+// raceWriteWord is raceWrite on word w, whose bytes [lo,hi] the store
+// touches.
+func (ck *Checker) raceWriteWord(t *Thread, a Addr, size uint8, w Addr, lo, hi uint8) {
+	rw := ck.wordFor(w)
+	if rw.isSync {
+		return
+	}
 	rd := &ck.race
-	tid := int32(t.idx)
-	vc := rd.tvc[t.idx]
-	eachWordRange(a, size, func(w Addr, lo, hi uint8) {
-		rw := ck.wordFor(w)
-		if rw.isSync {
-			return
-		}
-		if e := rd.conflict(rw.writes, tid, vc, lo, hi); e != nil {
-			ck.reportRace(t, "store", a, size, "store", e, w)
-			return
-		}
-		if e := rd.conflict(rw.reads, tid, vc, lo, hi); e != nil {
-			ck.reportRace(t, "store", a, size, "load", e, w)
-			return
-		}
-		rw.writes = recordEpoch(rw.writes, tid, vc[tid], lo, hi)
-	})
+	tid, vc := int32(t.idx), rd.tvc[t.idx]
+	if e := rd.conflict(rw.writes, tid, vc, lo, hi); e != nil {
+		ck.reportRace(t, "store", a, size, "store", e, w)
+		return
+	}
+	if e := rd.conflict(rw.reads, tid, vc, lo, hi); e != nil {
+		ck.reportRace(t, "store", a, size, "load", e, w)
+		return
+	}
+	rw.writes = recordEpoch(rw.writes, tid, vc[tid], lo, hi)
+}
+
+// wordBytes returns the bytes [lo,hi] of word w that the access [a, end]
+// touches. An access is at most 8 bytes, so it touches one word or two.
+func wordBytes(w, a, end Addr) (lo, hi uint8) {
+	lo, hi = 0, 7
+	if w == a>>3 {
+		lo = uint8(a & 7)
+	}
+	if w == end>>3 {
+		hi = uint8(end & 7)
+	}
+	return lo, hi
 }
 
 // raceRMW treats a locked RMW on the word at a as a synchronization
@@ -261,19 +287,6 @@ func (ck *Checker) raceRelease(owner *Thread, mu *Mutex) {
 // Called when a Join/JoinThreads observes target finished or failed.
 func (ck *Checker) raceJoinThread(t *Thread, target *Thread) {
 	ck.race.tvc[t.idx].joinVC(ck.race.tvc[target.idx])
-}
-
-// eachWordRange decomposes [a, a+size) into per-word byte ranges. size is
-// at most 8, so at most two words are touched.
-func eachWordRange(a Addr, size uint8, fn func(w Addr, lo, hi uint8)) {
-	end := a + Addr(size) - 1
-	w0, w1 := a>>3, end>>3
-	if w0 == w1 {
-		fn(w0, uint8(a&7), uint8(end&7))
-		return
-	}
-	fn(w0, uint8(a&7), 7)
-	fn(w1, 0, uint8(end&7))
 }
 
 // reportRace reports a data race between t's current access and a prior

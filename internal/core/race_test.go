@@ -314,3 +314,60 @@ func TestRaceParityAcrossWorkers(t *testing.T) {
 		t.Fatalf("race bug sets differ: serial %v, parallel %v", base.Bugs, par.Bugs)
 	}
 }
+
+// raceMessages runs prog with the detector on and returns its race
+// messages in the order found.
+func raceMessages(t *testing.T, prog func(*Program)) []string {
+	t.Helper()
+	res := run(t, Config{RaceDetect: SwitchOn, ContinueAfterBug: true, MaxExecutions: 2000, Workers: 1}, prog)
+	var out []string
+	for _, b := range raceKindBugs(res) {
+		out = append(out, b.Message)
+	}
+	return out
+}
+
+// TestRaceStraddlingAccess: an 8-byte store at an address ≡ 4 (mod 8)
+// touches the last four bytes of one word and the first four of the next,
+// and races with a load of either word. Each report names the load's own
+// range and, for the store, the bytes of the load's word it touched.
+func TestRaceStraddlingAccess(t *testing.T) {
+	for _, tc := range []struct {
+		word Addr // offset of the loaded word from x
+		want string
+	}{
+		{0, "data race: load of [0x40,0x48) by A/r is unordered with store of [0x44,0x48) by A/w"},
+		{8, "data race: load of [0x48,0x50) by A/r is unordered with store of [0x48,0x4c) by A/w"},
+	} {
+		msgs := raceMessages(t, func(p *Program) {
+			a := p.NewMachine("A")
+			x := p.AllocAligned(16, 64)
+			a.Thread("w", func(th *Thread) { th.Store64(x+4, 1) })
+			a.Thread("r", func(th *Thread) { th.Load64(x + tc.word) })
+		})
+		if len(msgs) != 1 || msgs[0] != tc.want {
+			t.Errorf("load of word +%d: race messages %q, want %q", tc.word, msgs, tc.want)
+		}
+	}
+}
+
+// TestRaceDisjointBytesOfOneWord: the detector keeps one write epoch per
+// thread and word, covering every byte the thread wrote there, so a 2-byte
+// store to bytes no other thread wrote still races with a thread whose
+// earlier 2-byte stores to the word lie on either side of it — the
+// documented per-word approximation.
+func TestRaceDisjointBytesOfOneWord(t *testing.T) {
+	msgs := raceMessages(t, func(p *Program) {
+		a := p.NewMachine("A")
+		x := p.AllocAligned(8, 64)
+		a.Thread("t1", func(th *Thread) {
+			th.Store16(x, 1)
+			th.Store16(x+6, 1)
+		})
+		a.Thread("t2", func(th *Thread) { th.Store16(x+2, 2) })
+	})
+	want := "data race: store of [0x42,0x44) by A/t2 is unordered with store of [0x40,0x48) by A/t1"
+	if len(msgs) != 1 || msgs[0] != want {
+		t.Errorf("race messages %q, want %q", msgs, want)
+	}
+}

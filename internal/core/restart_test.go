@@ -20,17 +20,31 @@ type countingSource struct {
 
 func (c *countingSource) Int63() int64 { c.n++; return c.Source.Int63() }
 
+// streamNs are the bounds TestScheduleStreamIsTheSeededStream draws
+// under: 1..100, every power of two with its neighbours, the largest n,
+// and 3<<29, which rejects about a quarter of the values it meets.
+func streamNs() []int {
+	var ns []int
+	for n := 1; n <= 100; n++ {
+		ns = append(ns, n)
+	}
+	for p := 2; p <= 1<<30; p <<= 1 {
+		ns = append(ns, p-1, p, p+1)
+	}
+	return append(ns, 1<<31-1, 3<<29)
+}
+
 // TestScheduleStreamIsTheSeededStream: over many executions of random
 // length — some past the memoised cap, in pairs, so a rewind after an
-// overflow is followed by another — every Intn draw equals what a source
-// freshly seeded for that execution returns, and the source is only drawn
-// from past what the stream memoised.
+// overflow is followed by another — every intn and chance draw equals what
+// Intn on a source freshly seeded for that execution returns, and the source is only
+// drawn from past what the stream memoised.
 func TestScheduleStreamIsTheSeededStream(t *testing.T) {
 	lengths := rand.New(rand.NewSource(1))
+	ns := streamNs()
 	for _, seed := range []int64{0, 1, 42, -7} {
 		src := &countingSource{Source: rand.NewSource(seed)}
 		s := &scheduleStream{src: src, seed: seed}
-		rng := rand.New(s)
 		prev := 0 // raw values the last execution drew
 		for exec := 0; exec < 500; exec++ {
 			if exec == 1 && s.buf != nil {
@@ -51,9 +65,15 @@ func TestScheduleStreamIsTheSeededStream(t *testing.T) {
 			raw := &countingSource{Source: rand.NewSource(seed)}
 			want := rand.New(raw)
 			for i := 0; i < n; i++ {
-				k := 1 + lengths.Intn(100)
-				if got, w := rng.Intn(k), want.Intn(k); got != w {
-					t.Fatalf("seed %d, execution %d, draw %d: Intn(%d) = %d, the seeded stream's is %d", seed, exec, i, k, got, w)
+				if lengths.Intn(4) == 0 {
+					if got, w := s.chance(), want.Intn(100); got != w {
+						t.Fatalf("seed %d, execution %d, draw %d: chance() = %d, the seeded stream's Intn(100) is %d", seed, exec, i, got, w)
+					}
+					continue
+				}
+				k := ns[lengths.Intn(len(ns))]
+				if got, w := s.intn(k), want.Intn(k); got != w {
+					t.Fatalf("seed %d, execution %d, draw %d: intn(%d) = %d, the seeded stream's Intn is %d", seed, exec, i, k, got, w)
 				}
 			}
 			if live := max(0, raw.n-memo); src.n != live {

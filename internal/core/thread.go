@@ -33,9 +33,12 @@ type Thread struct {
 // handed to it directly and t parks until it is granted again), or finds
 // the execution over (the baton goes back to the engine goroutine and t
 // parks until teardown unwinds it). A thread unwinding from a kill, or one
-// the watchdog abandoned, unwinds inside Boundary instead.
+// the watchdog abandoned, unwinds inside Boundary instead. The books are
+// brought up to date first: t's own last instruction, or a block that just
+// marked it blocked, changed its bits.
 func (t *Thread) enter() {
 	t.st.Boundary()
+	t.ck.touch(t)
 	switch next := t.ck.advance(); next {
 	case t:
 		t.st.Continue()

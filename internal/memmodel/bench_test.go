@@ -95,6 +95,32 @@ func flushOp() func(i int) {
 	}
 }
 
+// windowOp: a store buffer filled with sixteen stores, half drained,
+// refilled — the window sits at the end of its array with room in front —
+// and drained; the memory and buffer recycled every 64.
+func windowOp() func(i int) {
+	m, tb := NewMemory(), NewThreadBuf()
+	fill := func(n int) {
+		for j := 0; j < n; j++ {
+			tb.ExecStore(Addr(64*(1+j%4)), 8, uint64(j))
+		}
+	}
+	return func(i int) {
+		if i%64 == 0 {
+			m.Reset()
+			tb.Reset()
+		}
+		fill(16)
+		for j := 0; j < 8; j++ {
+			m.CommitStore(tb, 0)
+		}
+		fill(8)
+		for len(tb.SB) > 0 {
+			m.CommitStore(tb, 0)
+		}
+	}
+}
+
 // resetOps: a line of 64 stores built once, and built then Reset; the
 // difference is the Reset of a memory holding that line.
 func resetOps() (build, full func()) {
@@ -263,8 +289,8 @@ func BenchmarkReset(b *testing.B) {
 
 // TestHotPathAllocatesNothing: after one warm-up pass has created the
 // line records and grown the logs, committing a store to a known line,
-// committing flushes, enumerating and refining a byte load on a 64-store
-// line, loading a word a run at a time, and resetting the memory and the
+// committing flushes, filling a store buffer, half draining and refilling
+// it, enumerating and refining a byte load on a 64-store line, loading a word a run at a time, and resetting the memory and the
 // thread buffers allocate nothing.
 func TestHotPathAllocatesNothing(t *testing.T) {
 	guard := func(name string, op func(i int)) {
@@ -279,6 +305,7 @@ func TestHotPathAllocatesNothing(t *testing.T) {
 	}
 	guard("CommitStore to a known line", commitStoreOp())
 	guard("clflush / clflushopt+sfence+CommitFB", flushOp())
+	guard("a store buffer filled, half drained, refilled", windowOp())
 	for _, s := range loadByteShapes {
 		_, full := loadByteOps(s.stores, s.machines)
 		guard("CandidatesInto+drain+ApplyReadConstraint, "+s.name, func(int) { full() })

@@ -65,8 +65,15 @@ type FBEntry struct {
 // and the bookkeeping timestamps t_τ (last sfence) and t_{τ,line} (last
 // store or clflush per cache line) used to order clflushopt.
 type ThreadBuf struct {
+	// SB and FB are S_τ and F_τ, oldest entry first: each a window over
+	// its backing array (sb, fb). A pop advances the window's start; a push
+	// to a drained buffer rewinds it to the array's start, and one that
+	// finds the window at the array's end with room in front moves the
+	// entries there first, so the array only grows when it is full.
 	SB []SBEntry
 	FB []FBEntry
+	sb []SBEntry
+	fb []FBEntry
 	// TSfence is t_τ: the timestamp of the last sfence committed by the
 	// thread.
 	TSfence Seq
@@ -95,7 +102,9 @@ func (tb *ThreadBuf) Reset() {
 // (x86 stores used by the benchmarks are naturally aligned, so a single
 // store never straddles cache lines).
 func (tb *ThreadBuf) ExecStore(a Addr, size uint8, val uint64) {
-	tb.SB = append(tb.SB, SBEntry{Kind: SBStore, St: Store{Addr: a, Size: size, Val: val}})
+	e := tb.pushSB()
+	e.Kind = SBStore
+	e.St.Addr, e.St.Size, e.St.Val = a, size, val
 }
 
 // ExecClflush enqueues a clflush (Algorithm 1). clflush is ordered with
@@ -103,19 +112,21 @@ func (tb *ThreadBuf) ExecStore(a Addr, size uint8, val uint64) {
 // conservatively preserved by FIFO S_τ order (Table 1 marks W→clflush and
 // clflush→W as ordered).
 func (tb *ThreadBuf) ExecClflush(a Addr) {
-	tb.SB = append(tb.SB, SBEntry{Kind: SBClflush, Addr: a})
+	e := tb.pushSB()
+	e.Kind, e.Addr = SBClflush, a
 }
 
 // ExecClflushopt enqueues a clflushopt, recording σ_curr at execution time
 // (now); the commit path combines it with t_τ and t_{τ,line} to compute
 // the earliest timestamp at which the flush may take effect.
 func (tb *ThreadBuf) ExecClflushopt(a Addr, now Seq) {
-	tb.SB = append(tb.SB, SBEntry{Kind: SBClflushopt, Addr: a, ExecSeq: now})
+	e := tb.pushSB()
+	e.Kind, e.Addr, e.ExecSeq = SBClflushopt, a, now
 }
 
 // ExecSfence enqueues an sfence (Algorithm 1).
 func (tb *ThreadBuf) ExecSfence() {
-	tb.SB = append(tb.SB, SBEntry{Kind: SBSfence})
+	tb.pushSB().Kind = SBSfence
 }
 
 // BypassByte implements TSO local bypassing for one byte (Algorithm 3,
@@ -169,21 +180,51 @@ func (tb *ThreadBuf) Head() *SBEntry {
 	return &tb.SB[0]
 }
 
+// pushSB appends a zero entry to S_τ and returns it for the caller to
+// fill in place (a whole entry built first and copied in is read back with
+// loads its narrower field stores cannot forward to).
+func (tb *ThreadBuf) pushSB() *SBEntry {
+	tb.SB = window(tb.SB, tb.sb)
+	tb.SB = append(tb.SB, SBEntry{})
+	if cap(tb.SB) > cap(tb.sb) {
+		tb.sb = tb.SB[:0] // append moved the window to a new array
+	}
+	return &tb.SB[len(tb.SB)-1]
+}
+
+// pushFB appends e to F_τ.
+func (tb *ThreadBuf) pushFB(e FBEntry) {
+	tb.FB = window(tb.FB, tb.fb)
+	tb.FB = append(tb.FB, e)
+	if cap(tb.FB) > cap(tb.fb) {
+		tb.fb = tb.FB[:0]
+	}
+}
+
+// window readies buf, a window over arr, for one more entry: an empty
+// window restarts at arr's start, and a full one with room in front of it
+// moves there.
+func window[E any](buf, arr []E) []E {
+	switch n := len(buf); {
+	case n == 0:
+		return arr[:0]
+	case n == cap(buf) && n < cap(arr):
+		return arr[:copy(arr[:cap(arr)], buf)]
+	}
+	return buf
+}
+
 // popSB removes and returns the head of S_τ; it must not be empty.
 func (tb *ThreadBuf) popSB() SBEntry {
 	e := tb.SB[0]
-	// Shift rather than re-slice so the backing array doesn't pin every
-	// committed entry for the rest of the execution.
-	copy(tb.SB, tb.SB[1:])
-	tb.SB = tb.SB[:len(tb.SB)-1]
+	tb.SB = tb.SB[1:]
 	return e
 }
 
 // popFB removes and returns the head of F_τ; it must not be empty.
 func (tb *ThreadBuf) popFB() FBEntry {
 	e := tb.FB[0]
-	copy(tb.FB, tb.FB[1:])
-	tb.FB = tb.FB[:len(tb.FB)-1]
+	tb.FB = tb.FB[1:]
 	return e
 }
 

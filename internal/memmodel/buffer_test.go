@@ -1,6 +1,9 @@
 package memmodel
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func TestStoreBufferFIFO(t *testing.T) {
 	tb := NewThreadBuf()
@@ -208,4 +211,104 @@ func TestOrderingMatrix(t *testing.T) {
 			t.Fatalf("independent clflushopt should share effective window: %d vs %d", e1.NewBegin, e2.NewBegin)
 		}
 	})
+}
+
+// TestThreadBufWindowIsAFIFO: random sequences of Exec*, commits, Discard
+// and Reset, against plain slices that shift on every pop. After every
+// operation Head, BypassRun, Buffered and Empty agree with the reference,
+// and once a warm-up has filled each buffer to the most the sequence holds
+// in it, the backing arrays stop growing.
+func TestThreadBufWindowIsAFIFO(t *testing.T) {
+	const ops, most = 20000, 12
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m, tb := NewMemory(), NewThreadBuf()
+		for i := 0; i < most; i++ {
+			tb.ExecClflushopt(64, 0)
+		}
+		for i := 0; i < most; i++ {
+			m.CommitClflushopt(tb)
+			tb.ExecStore(64, 8, 0)
+		}
+		tb.Discard()
+		capSB, capFB := cap(tb.sb), cap(tb.fb)
+		var sb []SBEntry
+		var fb []FBEntry
+		addr := func() Addr { return Addr(64 * (1 + rng.Intn(3))) }
+		for op := 0; op < ops; op++ {
+			switch r := rng.Intn(100); {
+			case r < 1:
+				tb.Discard()
+				sb, fb = nil, nil
+			case r < 2:
+				m.Reset()
+				tb.Reset()
+				sb, fb = nil, nil
+			case r < 52 && len(sb) < most:
+				a := addr() + Addr(rng.Intn(8))
+				switch rng.Intn(5) {
+				case 0:
+					tb.ExecClflush(a)
+					sb = append(sb, SBEntry{Kind: SBClflush, Addr: a})
+				case 1:
+					tb.ExecClflushopt(a, m.Seq())
+					sb = append(sb, SBEntry{Kind: SBClflushopt, Addr: a, ExecSeq: m.Seq()})
+				case 2:
+					tb.ExecSfence()
+					sb = append(sb, SBEntry{Kind: SBSfence})
+				default:
+					size := uint8(1 << rng.Intn(4))
+					a = a &^ Addr(size-1)
+					v := rng.Uint64() & (1<<(8*uint64(size)) - 1)
+					if size == 8 {
+						v = rng.Uint64()
+					}
+					tb.ExecStore(a, size, v)
+					sb = append(sb, SBEntry{Kind: SBStore, St: Store{Addr: a, Size: size, Val: v}})
+				}
+			case r < 80 && len(sb) > 0 && (sb[0].Kind != SBClflushopt || len(fb) < most):
+				switch sb[0].Kind {
+				case SBStore:
+					if st := m.CommitStore(tb, 0); st.Addr != sb[0].St.Addr || st.Val != sb[0].St.Val {
+						t.Fatalf("seed %d op %d: committed %+v, the FIFO's head is %+v", seed, op, st, sb[0])
+					}
+				case SBClflush:
+					m.CommitClflush(tb, 0)
+				case SBClflushopt:
+					m.CommitClflushopt(tb)
+					if e := tb.FB[len(tb.FB)-1]; e.Addr != sb[0].Addr {
+						t.Fatalf("seed %d op %d: flush buffer took %+v from %+v", seed, op, e, sb[0])
+					} else {
+						fb = append(fb, e)
+					}
+				case SBSfence:
+					m.CommitSfence(tb)
+				}
+				sb = sb[1:]
+			case len(fb) > 0:
+				if eff := m.PreviewFB(tb, 0); eff.Line != LineOf(fb[0].Addr) || eff.NewBegin != fb[0].EffSeq {
+					t.Fatalf("seed %d op %d: flush-buffer head previews %+v, the FIFO's is %+v", seed, op, eff, fb[0])
+				}
+				m.CommitFB(tb, 0)
+				fb = fb[1:]
+			}
+			ref := &ThreadBuf{SB: sb, FB: fb}
+			if h, w := tb.Head(), ref.Head(); (h == nil) != (w == nil) || h != nil && *h != *w {
+				t.Fatalf("seed %d op %d: Head %+v, the FIFO's %+v", seed, op, h, w)
+			}
+			if tb.Buffered() != ref.Buffered() || tb.Empty() != ref.Empty() {
+				t.Fatalf("seed %d op %d: Buffered %d Empty %v, the FIFO's %d %v", seed, op, tb.Buffered(), tb.Empty(), ref.Buffered(), ref.Empty())
+			}
+			for b := Addr(64); b < 64*4; b++ {
+				v, k, ok := tb.BypassRun(b, 8)
+				if wv, wk, wok := ref.BypassRun(b, 8); v != wv || k != wk || ok != wok {
+					t.Fatalf("seed %d op %d: BypassRun(%#x) = %#x,%d,%v, the FIFO's %#x,%d,%v", seed, op, b, v, k, ok, wv, wk, wok)
+				}
+			}
+			if cap(tb.sb) != capSB || cap(tb.fb) != capFB {
+				t.Fatalf("seed %d op %d: backing arrays grew to %d/%d after warm-up (%d/%d), holding at most %d entries",
+					seed, op, cap(tb.sb), cap(tb.fb), capSB, capFB, most)
+			}
+		}
+	}
 }

@@ -422,7 +422,7 @@ func (m *Memory) CommitClflushopt(tb *ThreadBuf) {
 	if tb.TSfence > eff {
 		eff = tb.TSfence
 	}
-	tb.FB = append(tb.FB, FBEntry{Addr: e.Addr, EffSeq: eff})
+	tb.pushFB(FBEntry{Addr: e.Addr, EffSeq: eff})
 }
 
 // CommitSfence commits the sfence at the head of tb.SB (Algorithm 2,
