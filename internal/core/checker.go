@@ -206,16 +206,6 @@ func (s *scheduleStream) intn(n int) int {
 	}
 }
 
-// chance is intn(100), the commit-chance draw, with the divisor a constant
-// the compiler turns into a multiplication.
-func (s *scheduleStream) chance() int {
-	for {
-		if r, ok := reduce(int32(s.int63()>>32), 100); ok {
-			return int(r)
-		}
-	}
-}
-
 // reduce returns v % m, and whether v lies below the largest multiple of m
 // below 1<<31 — exactly when the block of m that v - v%m starts fits whole,
 // which takes one division where Int31n's bound takes another.
@@ -584,19 +574,13 @@ func (ck *Checker) advance() *Thread {
 			commit = false
 		default:
 			chance = true
-			commit = ck.stream.chance() < ck.cfg.commitChance
+			commit = ck.stream.intn(100) < ck.cfg.commitChance
 		}
 		// The i-th candidate is the i-th set bit in ascending order: threads
 		// in creation order, and each thread's store buffer before its flush
 		// buffer.
 		if !commit {
-			i := 0
-			if ck.nRun == 1 {
-				// A forced step: Intn(1) takes one value and is 0.
-				ck.stream.int63()
-			} else {
-				i = ck.stream.intn(int(ck.nRun))
-			}
+			i := ck.stream.intn(int(ck.nRun))
 			t := ck.threads[nthBit(ck.runBits, i)]
 			if ck.forkEnabled {
 				ck.logStep(opGrant, chance, ck.nRun, i, t)
@@ -695,7 +679,7 @@ func nthBit(set []uint64, i int) int {
 // injection and pruning decision is recomputed exactly as recorded.
 func (ck *Checker) replayStep(rec *stepRec) *Thread {
 	if rec.chance {
-		commit := ck.stream.chance() < ck.cfg.commitChance
+		commit := ck.stream.intn(100) < ck.cfg.commitChance
 		if commit != (rec.op != opGrant) {
 			internalPanic("prefix-fork: commit-chance draw diverged from the recorded prefix")
 		}

@@ -36,8 +36,8 @@ func streamNs() []int {
 
 // TestScheduleStreamIsTheSeededStream: over many executions of random
 // length — some past the memoised cap, in pairs, so a rewind after an
-// overflow is followed by another — every intn and chance draw equals what
-// Intn on a source freshly seeded for that execution returns, and the source is only
+// overflow is followed by another — every intn draw equals what Intn on a
+// source freshly seeded for that execution returns, and the source is only
 // drawn from past what the stream memoised.
 func TestScheduleStreamIsTheSeededStream(t *testing.T) {
 	lengths := rand.New(rand.NewSource(1))
@@ -65,12 +65,6 @@ func TestScheduleStreamIsTheSeededStream(t *testing.T) {
 			raw := &countingSource{Source: rand.NewSource(seed)}
 			want := rand.New(raw)
 			for i := 0; i < n; i++ {
-				if lengths.Intn(4) == 0 {
-					if got, w := s.chance(), want.Intn(100); got != w {
-						t.Fatalf("seed %d, execution %d, draw %d: chance() = %d, the seeded stream's Intn(100) is %d", seed, exec, i, got, w)
-					}
-					continue
-				}
 				k := ns[lengths.Intn(len(ns))]
 				if got, w := s.intn(k), want.Intn(k); got != w {
 					t.Fatalf("seed %d, execution %d, draw %d: intn(%d) = %d, the seeded stream's Intn is %d", seed, exec, i, k, got, w)

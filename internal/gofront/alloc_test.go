@@ -115,6 +115,20 @@ func BenchmarkSourceCCEH(b *testing.B) {
 	}
 }
 
+// BenchmarkSourceCCEHSetup is one set-up pass of cxlbench's source_cceh
+// workload: read, load and compile examples/src/cceh.go, then explore the
+// fresh program once (the warm-up op). The workload's setup_s is its
+// fastest pass plus the child process's start latency; this times the pass
+// alone, so a move in setup_s can be told from one in process start.
+func BenchmarkSourceCCEHSetup(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Run(ccehConfig, loadExampleCCEH(b)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkHandPortedCCEH(b *testing.B) {
 	prog := handPortedCCEH()
 	b.ReportAllocs()
