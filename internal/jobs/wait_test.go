@@ -85,21 +85,42 @@ func untilRunning(t *testing.T, c *Client, id string, execs int) {
 
 // TestWaitParksUntilTerminal: waiting is one request parked at the server and
 // answered when the job finishes — not a status request every poll interval,
-// and not an answer up to an interval late.
+// and not an answer up to an interval late. The job waited for is queued
+// behind a slow one, which is cancelled once the Wait is parked, so the
+// queued job ends inside that one park however fast the host runs the slow
+// one.
 func TestWaitParksUntilTerminal(t *testing.T) {
 	s := testServer(t, Config{PoolWorkers: 1})
 	direct := NewClient(s.Addr())
 	ctx := ctxT(t, 60*time.Second)
-	if _, err := direct.Submit(ctx, slowSpec("a")); err != nil {
+	first, err := direct.Submit(ctx, slowSpec("a"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	queued, err := direct.Submit(ctx, fastSpec("a"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	untilRunning(t, direct, first.ID, 100)
 	via, requests := tap(t, s.Addr(), nil)
-	fin, err := NewClient(via).Wait(ctx, queued.ID, 0)
-	lag := time.Since(fin.Finished)
+	type waited struct {
+		st  Status
+		err error
+		lag time.Duration
+	}
+	done := make(chan waited, 1)
+	go func() {
+		fin, err := NewClient(via).Wait(ctx, queued.ID, 0)
+		done <- waited{fin, err, time.Since(fin.Finished)}
+	}()
+	for requests.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := direct.Cancel(ctx, first.ID); err != nil {
+		t.Fatal(err)
+	}
+	w := <-done
+	fin, lag, err := w.st, w.lag, w.err
 	if err != nil {
 		t.Fatal(err)
 	}
