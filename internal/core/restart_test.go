@@ -3,13 +3,14 @@ package core
 import (
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // What an execution restart reuses from the last one: the schedule stream
-// and the threads' carrier goroutines. Neither may change what an
+// and the threads' carrier coroutines. Neither may change what an
 // execution draws, and neither may outlive the run.
 
 // countingSource counts the values drawn from it.
@@ -114,12 +115,32 @@ func panicky(p *Program) {
 	})
 }
 
+// schedGoroutines counts, from the goroutines' stacks, the scheduler
+// drivers and thread carriers alive.
+func schedGoroutines() (drivers, carriers int) {
+	buf := make([]byte, 1<<16)
+	for n := runtime.Stack(buf, true); n == len(buf); n = runtime.Stack(buf, true) {
+		buf = make([]byte, 2*len(buf))
+	}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		switch {
+		case strings.Contains(g, "sched.(*Scheduler).drive("):
+			drivers++
+		case strings.Contains(g, "sched.(*Thread).carry("):
+			carriers++
+		}
+	}
+	return drivers, carriers
+}
+
 // TestRunLeavesNoGoroutines: every way a run, a replay or a continuation
 // ends closes the schedulers its checkers used, so the carriers they kept
-// across executions end with them; a wedged run leaves only the wedged
-// goroutine, until it unwinds.
+// across executions end with them, and their drivers; a wedged run leaves
+// exactly the wedged thread's carrier and the driver stuck resuming it,
+// until the thread unwinds.
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
+	drivers, carriers := schedGoroutines()
 	for _, workers := range []int{1, 4} {
 		res, err := Run(Config{Workers: workers}, resilientNoisy)
 		if err != nil || !res.Buggy() {
@@ -185,7 +206,10 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 	if err != nil || len(res.Bugs) != 1 || res.Bugs[0].Kind != BugWedged || res.Bugs[0].Execution >= res.Executions {
 		t.Fatalf("wedge: %v, %d executions, bugs %v", err, res.Executions, res.Bugs)
 	}
-	settle(t, "BugWedged", before+1)
+	settle(t, "BugWedged", before+2)
+	if d, c := schedGoroutines(); d != drivers+1 || c != carriers+1 {
+		t.Fatalf("wedged: %d drivers and %d carriers, want %d and %d", d, c, drivers+1, carriers+1)
+	}
 	close(unblock)
 	settle(t, "the wedged goroutine's unwind", before)
 }

@@ -2,27 +2,38 @@
 // runs simulated threads on. The paper's implementation (§5) forks real
 // processes and context-switches ucontext threads under a scheduler so
 // every execution replays deterministically; here each simulated thread
-// runs on a carrier goroutine, and exactly one goroutine — the one holding
+// runs on a carrier coroutine (iter.Pull), one driver goroutine per
+// scheduler runs the coroutines, and exactly one of them — the one holding
 // the baton — is ever running. The engine goroutine enters an execution
-// with Grant; from then on the thread holding the baton decides at each of
-// its instruction boundaries who runs next and either keeps the baton
-// (Continue), hands it straight to that thread (SwitchTo, one goroutine
-// switch) or, when the execution is over, returns it to the engine
-// (Pause). All checker state can therefore be accessed without locks, and
-// a fixed seed fixes the entire schedule (paper §3.2: only crash
-// non-determinism is model checked; the thread interleaving is a
-// deterministic function of the seed).
+// with Grant, one channel round trip to the driver; from then on the
+// thread holding the baton decides at each of its instruction boundaries
+// who runs next and either keeps the baton (Continue, no switch), hands it
+// to that thread (SwitchTo: it yields to the driver, which resumes the
+// other — two coroutine switches) or, when the execution is over, returns
+// it to the engine (Pause). All checker state can therefore be accessed
+// without locks, and a fixed seed fixes the entire schedule (paper §3.2:
+// only crash non-determinism is model checked; the thread interleaving is
+// a deterministic function of the seed).
+//
+// The driver, not the engine, resumes the coroutines for two reasons. A
+// coroutine cannot be walked away from, and GrantWatched must be able to
+// abandon a thread blocked in user code: the engine abandons the driver
+// instead, which is stuck with it. And a runtime.Goexit in a thread's fn
+// is re-raised in the goroutine that resumed it: the driver it ends hands
+// the grant or teardown it was serving to a fresh driver.
 //
 // The fork-and-restart of §5 is a carrier's lifecycle. A carrier belongs to
 // a Thread struct, not to an execution: its thread's fn ends with the
-// execution (returned, or unwound by Teardown), and the carrier parks until
-// a later execution's NewThread reuses the struct and grants it, so a
-// restart spawns no goroutine and grows no fresh stack. Carriers never
-// outlive their scheduler's Close.
+// execution (returned, or unwound by Teardown), and the carrier waits at
+// its yield until a later execution's NewThread reuses the struct and
+// grants it, so a restart starts no goroutine and grows no fresh stack.
+// Carriers and the driver never outlive their scheduler's Close.
 package sched
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -64,24 +75,27 @@ type killSentinel struct{}
 
 // Thread is one simulated thread. Fields are only touched while holding
 // the baton (or by the engine goroutine while no thread runs), so no
-// locking is needed; the baton channels provide the happens-before edges.
+// locking is needed; the driver's request channels and the coroutine
+// switches provide the happens-before edges.
 type Thread struct {
 	ID      int
 	Machine int
 	Name    string
 
-	sch    *Scheduler
-	fn     func(*Thread)
-	state  State
-	resume chan struct{}
+	sch   *Scheduler
+	fn    func(*Thread)
+	state State
+	// resume and stop drive the struct's carrier coroutine, made on its
+	// first grant and kept across executions; yield is the carrier's side
+	// of the switch. NewThread keeps all three.
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
 	// exited is set by the carrier before it passes the baton on for the
 	// last time this execution: fn is over and must never be granted again.
 	exited bool
-	// started marks a thread granted this execution; carried, a struct with
-	// a carrier goroutine, parked on resume between executions. NewThread
-	// clears the first and keeps the second.
+	// started marks a thread granted this execution.
 	started bool
-	carried bool
 	// unwinding is set when the kill sentinel is thrown. A thread can be
 	// Killed without unwinding yet: the baton carrier whose machine fails
 	// during a scheduler step it runs keeps carrying, parks like any other
@@ -117,16 +131,21 @@ const (
 )
 
 // Scheduler coordinates the baton. It is reused across executions via
-// Teardown and Reset; carriers never outlive its Close.
+// Teardown and Reset; carriers and the driver never outlive its Close.
 type Scheduler struct {
 	threads []*Thread
-	yield   chan *Thread
-	// ended receives one value from each carrier Close ends, as it returns.
-	ended chan struct{}
 	// free holds Thread structs from torn-down executions — with their
-	// resume channels and parked carriers — reused by NewThread so the
-	// per-execution hot path neither reallocates them nor spawns goroutines.
+	// carriers — reused by NewThread so the per-execution hot path neither
+	// reallocates them nor makes coroutines.
 	free []*Thread
+	// next is whom the baton goes to when its holder yields to the driver;
+	// nil returns it to the engine.
+	next *Thread
+	// req carries the engine's requests to the driver — a grant of next, or
+	// a teardown while tearing is set — and back the driver's answer that
+	// the baton is back. Both are made with the driver, on the first
+	// request.
+	req, back chan struct{}
 	// watchdog is the reusable GrantWatched timer, lazily created so the
 	// no-timeout hot path stays allocation free.
 	watchdog *time.Timer
@@ -139,22 +158,20 @@ type Scheduler struct {
 	// bugs like division by zero) or its OnExit hook. The kill sentinel is
 	// filtered out.
 	OnPanic func(t *Thread, v any)
-	// OnExit, when set, is asked by an exiting thread's goroutine — after
-	// its state is final and OnPanic has run — which thread gets the baton
-	// next; nil returns it to the engine goroutine, as does an unset hook.
-	// It is not consulted for threads unwound by Teardown.
+	// OnExit, when set, is asked by an exiting thread — after its state is
+	// final and OnPanic has run — which thread gets the baton next; nil
+	// returns it to the engine goroutine, as does an unset hook. It is not
+	// consulted for threads unwound by Teardown.
 	OnExit func(t *Thread) *Thread
 }
 
-// New returns an empty scheduler.
-func New() *Scheduler {
-	return &Scheduler{yield: make(chan *Thread), ended: make(chan struct{})}
-}
+// New returns an empty scheduler. Its driver starts with the first grant.
+func New() *Scheduler { return &Scheduler{} }
 
 // Reset prepares the scheduler for the next execution after Teardown:
-// every thread struct, with its parked carrier, moves to the free list for
-// reuse. It must not be called if a thread wedged this execution — the
-// abandoned goroutine still holds its Thread and reads the scheduler's
+// every thread struct, with its waiting carrier, moves to the free list
+// for reuse. It must not be called if a thread wedged this execution — the
+// abandoned thread still holds its Thread and reads the scheduler's
 // heartbeat word, so the whole scheduler must be closed and discarded
 // instead.
 func (s *Scheduler) Reset() {
@@ -162,26 +179,25 @@ func (s *Scheduler) Reset() {
 	s.threads = s.threads[:0]
 }
 
-// Close ends the scheduler's life after Teardown and returns once every
-// parked carrier has returned. A wedged thread's carrier is not parked: it
-// ends on its own at its next instruction boundary, or never, and Close
-// does not wait for it. The scheduler must not be used again.
+// Close ends the scheduler's life after Teardown: every waiting carrier is
+// stopped before it returns, and the driver ends. A wedged thread's carrier
+// is not waiting: it ends on its own at its next instruction boundary, or
+// never, and with it the driver stuck resuming it; Close waits for neither.
+// The scheduler must not be used again.
 func (s *Scheduler) Close() {
 	var wedged *Thread
 	if v := s.beat.Load(); v&beatAbandoned != 0 {
 		wedged = s.threads[v&beatHolder]
 	}
-	parked := 0
 	for _, ts := range [][]*Thread{s.threads, s.free} {
 		for _, t := range ts {
-			if t != wedged && t.carried {
-				parked++
+			if t != wedged && t.stop != nil {
+				t.stop()
 			}
-			close(t.resume)
 		}
 	}
-	for ; parked > 0; parked-- {
-		<-s.ended
+	if s.req != nil {
+		close(s.req)
 	}
 	s.threads, s.free = nil, nil
 }
@@ -196,9 +212,9 @@ func (s *Scheduler) NewThread(machine int, name string, fn func(*Thread)) *Threa
 	if n := len(s.free); n > 0 {
 		t = s.free[n-1]
 		s.free = s.free[:n-1]
-		*t = Thread{resume: t.resume, carried: t.carried}
+		*t = Thread{resume: t.resume, stop: t.stop, yield: t.yield}
 	} else {
-		t = &Thread{resume: make(chan struct{})}
+		t = &Thread{}
 	}
 	t.ID = len(s.threads)
 	t.Machine = machine
@@ -209,21 +225,18 @@ func (s *Scheduler) NewThread(machine int, name string, fn func(*Thread)) *Threa
 	return t
 }
 
-// carry is a carrier goroutine: each grant that finds it parked here runs
-// the struct's current fn, and Close ends it. The channels are passed in
-// because NewThread rewrites the struct while the carrier waits.
-func (t *Thread) carry(resume chan struct{}, ended chan<- struct{}) {
-	for range resume {
-		if !t.run() {
-			return // wedged: nobody waits for it
-		}
+// carry is a carrier coroutine's body: each resume that finds it waiting at
+// its yield runs the struct's current fn, and Close's stop ends it. So
+// does the end of a wedged thread's fn: nobody resumes it again.
+func (t *Thread) carry(yield func(struct{}) bool) {
+	t.yield = yield
+	for t.run() && yield(struct{}{}) {
 	}
-	ended <- struct{}{}
 }
 
 // run runs fn once: it converts kill sentinels into clean exits, routes
-// real panics to OnPanic, and always passes the baton on. It reports
-// whether the carrier may park for a later execution.
+// real panics to OnPanic, and always names the baton's next holder. It
+// reports whether the carrier may wait for a later execution.
 func (t *Thread) run() (carry bool) {
 	returned := false
 	defer func() { carry = t.exit(recover(), returned) }()
@@ -235,14 +248,14 @@ func (t *Thread) run() (carry bool) {
 	return
 }
 
-// exit finalizes the thread's state and passes the baton on — to the
-// successor OnExit names, else to the engine goroutine — unless the
-// watchdog abandoned the thread, in which case it returns false without
-// touching scheduler state (nobody is listening) and the carrier ends.
-// An exit that is neither a return nor a panic (v nil, returned false) is
-// runtime.Goexit: the goroutine ends after this deferred call, so the
-// struct's claim on it is dropped before the baton moves, and its next
-// grant spawns a new carrier.
+// exit finalizes the thread's state and names the baton's next holder —
+// the successor OnExit names, else the engine — unless the watchdog
+// abandoned the thread, in which case it returns false without touching
+// scheduler state (nobody is listening) and the carrier ends. An exit that
+// is neither a return nor a panic (v nil, returned false) is
+// runtime.Goexit: the carrier ends after this deferred call and its resume
+// re-raises the Goexit in the driver, so the struct drops its claim on it
+// and its next grant makes a new one.
 func (t *Thread) exit(v any, returned bool) bool {
 	if t.Wedged() {
 		return false
@@ -250,7 +263,9 @@ func (t *Thread) exit(v any, returned bool) bool {
 	s := t.sch
 	if v == nil {
 		t.state = Finished
-		t.carried = returned
+		if !returned {
+			t.resume, t.stop, t.yield = nil, nil, nil
+		}
 	} else if _, isKill := v.(killSentinel); !isKill {
 		t.state = Killed
 		if s.OnPanic != nil {
@@ -258,17 +273,8 @@ func (t *Thread) exit(v any, returned bool) bool {
 		}
 	}
 	t.exited = true
-	if s.tearing {
-		s.yield <- t
-		return true
-	}
-	next := t.successor()
-	if next == nil {
-		if t.beatTo(t) {
-			s.yield <- t
-		}
-	} else if t.beatTo(next) {
-		next.wake()
+	if !s.tearing {
+		s.handTo(t.successor())
 	}
 	return true
 }
@@ -299,41 +305,136 @@ func (t *Thread) unwind() {
 	panic(killSentinel{})
 }
 
-// park blocks until the thread is granted the baton, and unwinds the
-// goroutine instead of returning if the thread was killed meanwhile.
+// park yields the baton to the driver, which passes it to whomever
+// Scheduler.next names, and returns when the thread is resumed; it unwinds
+// the thread instead if it was killed meanwhile or its carrier is being
+// stopped.
 func (t *Thread) park() {
-	<-t.resume
-	if t.state == Killed {
+	if !t.yield(struct{}{}) || t.state == Killed {
 		t.unwind()
 	}
 }
 
-// wake passes the baton to t, spawning a carrier only for a struct that
-// has none.
-func (t *Thread) wake() {
-	if t.exited {
-		panic(fmt.Sprintf("sched: grant to exited thread %d (%s)", t.ID, t.Name))
+// handTo names u the baton's next holder (nil: the engine).
+func (s *Scheduler) handTo(u *Thread) {
+	if u != nil && u.exited {
+		panic(fmt.Sprintf("sched: grant to exited thread %d (%s)", u.ID, u.Name))
 	}
-	t.started = true
-	if !t.carried {
-		t.carried = true
-		go t.carry(t.resume, t.sch.ended)
-	}
-	t.resume <- struct{}{}
+	s.next = u
 }
 
-// beatTo records on the heartbeat word that the baton moves from t to
-// holder (or stays, or goes back to the engine, when holder is t). It
-// returns false when the watchdog abandoned t first: the engine has moved
-// on and t must not touch scheduler state again.
-func (t *Thread) beatTo(holder *Thread) bool {
-	b := &t.sch.beat
-	v := b.Load()
+// pull resumes t's carrier until t yields the baton, making the carrier on
+// the struct's first grant.
+func (t *Thread) pull() {
+	t.started = true
+	if t.resume == nil {
+		t.resume, t.stop = iter.Pull(t.carry)
+	}
+	t.resume()
+}
+
+// beatTo records on the heartbeat word that the baton moves to holder (nil:
+// stays with the holder it names). It returns false when the watchdog
+// abandoned the holder first: the engine has moved on.
+func (s *Scheduler) beatTo(holder *Thread) bool {
+	v := s.beat.Load()
 	if v == 0 {
 		return true
 	}
-	next := (v>>beatHolderBits+1)<<beatHolderBits | uint64(holder.ID)
-	return v&beatAbandoned == 0 && b.CompareAndSwap(v, next)
+	h := v & beatHolder
+	if holder != nil {
+		h = uint64(holder.ID)
+	}
+	return v&beatAbandoned == 0 && s.beat.CompareAndSwap(v, (v>>beatHolderBits+1)<<beatHolderBits|h)
+}
+
+// call hands the driver a request — a grant of t, or a teardown when t is
+// nil — starting the driver on the first one.
+func (s *Scheduler) call(t *Thread) {
+	if t != nil {
+		s.handTo(t)
+	}
+	if s.req == nil {
+		s.req, s.back = make(chan struct{}), make(chan struct{})
+		go s.drive(false)
+	}
+	s.req <- struct{}{}
+}
+
+// drive is the driver goroutine. It serves the engine's requests one at a
+// time — a teardown unwinds the parked threads, a grant relays the baton —
+// and answers each once the baton is back; a resumed driver first finishes
+// the request a thread's runtime.Goexit took its predecessor from. It ends
+// when Close closes req, or when the watchdog has abandoned the holder:
+// nobody waits for the answer.
+func (s *Scheduler) drive(resumed bool) {
+	returned := false
+	defer func() {
+		// A runtime.Goexit re-raised by a resume: hand the request on,
+		// unless the engine has abandoned it.
+		if !returned && s.beat.Load()&beatAbandoned == 0 {
+			go s.drive(true)
+		}
+	}()
+	for ; ; resumed = false {
+		if !resumed {
+			if _, open := <-s.req; !open {
+				break
+			}
+		}
+		if s.tearing {
+			s.unwindParked()
+		} else if !s.relay(resumed) {
+			break
+		}
+		s.back <- struct{}{}
+	}
+	returned = true
+}
+
+// relay resumes threads in turn — whomever the last one named — until the
+// baton goes back to the engine, and reports whether it did. Every move
+// beats the heartbeat first, which also orders each earlier switch before
+// an abandonment. A failed beat means the watchdog abandoned held, the
+// holder the word names (unknown to a resumed driver until it moves the
+// baton, and gone with the Goexit): its carrier is waiting or over, so
+// relay stops it and leaves the rest to the engine.
+func (s *Scheduler) relay(resumed bool) bool {
+	var held *Thread
+	if !resumed {
+		held = s.next
+	}
+	for t := s.next; t != nil && s.beatTo(t); t = s.next {
+		held = t
+		t.pull()
+	}
+	if s.beatTo(nil) {
+		return true
+	}
+	if held != nil && held.stop != nil {
+		held.stop()
+	}
+	return false
+}
+
+// parked reports whether t was granted this execution and waits in its
+// carrier for the baton, not exited and not wedged.
+func (t *Thread) parked() bool {
+	return !t.Wedged() && t.started && !t.exited
+}
+
+// unwindParked resumes every parked thread killed, so that it unwinds.
+func (s *Scheduler) unwindParked() {
+	for _, t := range s.threads {
+		if !t.parked() {
+			continue
+		}
+		t.state = Killed
+		t.pull()
+		if !t.exited {
+			panic(fmt.Sprintf("sched: thread %d (%s) survived teardown", t.ID, t.Name))
+		}
+	}
 }
 
 // Grant enters an execution: the baton goes to t, and Grant returns when
@@ -341,8 +442,8 @@ func (t *Thread) beatTo(holder *Thread) bool {
 // exiting without a successor. Granting a killed thread unwinds it. The
 // thread must not have exited.
 func (s *Scheduler) Grant(t *Thread) {
-	t.wake()
-	<-s.yield
+	s.call(t)
+	<-s.back
 }
 
 // GrantTimeout is GrantWatched with a fixed budget d, reporting whether
@@ -353,17 +454,18 @@ func (s *Scheduler) GrantTimeout(t *Thread, d time.Duration) bool {
 
 // GrantWatched is Grant under a wall-clock watchdog. The baton moves
 // between threads without passing the engine goroutine, so the watchdog
-// cannot time one thread's turn; instead every baton movement (SwitchTo,
-// Continue, Pause, a thread's exit) beats a counter, and a timer of
+// cannot time one thread's turn; instead every baton movement (Continue,
+// and each resume by the driver) beats a counter, and a timer of
 // budget() checks it: a changed count re-arms the timer with a fresh
 // budget(), an unchanged one means the holder did not reach an
 // instruction boundary for a whole period — checked code blocked outside
 // the simulated API (a channel receive, a syscall). The holder is then
-// marked wedged, abandoned and returned; a stall is detected after more
-// than one and at most two periods. The caller must end the execution and
-// discard the scheduler: the wedged goroutine may still be running and
-// only unwinds — without touching scheduler state — when it next reaches
-// an instruction boundary; a goroutine that never does is leaked. nil
+// marked wedged, abandoned and returned with the driver stuck resuming it;
+// a stall is detected after more than one and at most two periods. The
+// caller must end the execution and discard the scheduler: the wedged
+// thread may still be running and only unwinds — without touching
+// scheduler state — when it next reaches an instruction boundary, and the
+// driver then ends; a thread that never does leaks both. nil
 // means the baton came back. A first budget() <= 0 means no watchdog;
 // later ones must be positive.
 //
@@ -379,7 +481,7 @@ func (s *Scheduler) GrantWatched(t *Thread, budget func() time.Duration) (wedged
 	}
 	seen := 1<<beatHolderBits | uint64(t.ID)
 	s.beat.Store(seen)
-	t.wake()
+	s.call(t)
 	if s.watchdog == nil {
 		s.watchdog = time.NewTimer(d)
 	} else {
@@ -387,13 +489,8 @@ func (s *Scheduler) GrantWatched(t *Thread, budget func() time.Duration) (wedged
 	}
 	for {
 		select {
-		case <-s.yield:
-			if !s.watchdog.Stop() {
-				select {
-				case <-s.watchdog.C:
-				default:
-				}
-			}
+		case <-s.back:
+			s.watchdog.Stop()
 			s.beat.Store(0)
 			return nil
 		case <-s.watchdog.C:
@@ -421,39 +518,33 @@ func (t *Thread) Boundary() {
 }
 
 // Continue keeps the baton: the scheduler step picked the calling thread
-// itself. It costs no goroutine switch. It must be called from t's
-// goroutine, after Boundary.
+// itself. It costs no switch. It must be called from t's carrier, after
+// Boundary.
 func (t *Thread) Continue() {
-	if !t.beatTo(t) {
+	if !t.sch.beatTo(t) {
 		t.unwind()
 	}
 }
 
-// SwitchTo hands the baton directly to u — one goroutine switch, spawning
-// a carrier only if u's struct has none — and parks until t is granted
-// again. If t was killed while parked, SwitchTo unwinds the goroutine
-// instead of returning. It must be called from t's goroutine, after
+// SwitchTo hands the baton to u — t yields to the driver, which resumes
+// u's carrier, making it only if u's struct has none — and parks until t
+// is granted again. If t was killed while parked, SwitchTo unwinds it
+// instead of returning. It must be called from t's carrier, after
 // Boundary; u must not be t and must not have exited.
 func (t *Thread) SwitchTo(u *Thread) {
-	if !t.beatTo(u) {
-		t.unwind()
-	}
-	u.wake()
+	t.sch.handTo(u)
 	t.park()
 }
 
 // Pause yields the baton back to the engine goroutine and parks until the
-// next grant. If the thread was killed while parked, Pause unwinds the
-// goroutine instead of returning. A thread unwinding from a kill that
-// calls Pause — e.g. in a deferred unlock — re-panics immediately without
-// yielding, so unwinding never escapes back to the engine. It must be
-// called from t's goroutine.
+// next grant. If the thread was killed while parked, Pause unwinds it
+// instead of returning. A thread unwinding from a kill that calls Pause —
+// e.g. in a deferred unlock — re-panics immediately without yielding, so
+// unwinding never escapes back to the engine. It must be called from t's
+// carrier.
 func (t *Thread) Pause() {
 	t.Boundary()
-	if !t.beatTo(t) {
-		t.unwind()
-	}
-	t.sch.yield <- t
+	t.sch.handTo(nil)
 	t.park()
 }
 
@@ -495,26 +586,22 @@ func (t *Thread) KillSelf() {
 
 // Teardown unwinds every thread that has not exited. Call it at the end of
 // each execution: no thread's fn outlives its execution, and every carrier
-// is left parked for the next one (or for Close). A wedged thread is
-// skipped: its goroutine is not parked at the baton and unwinds on its own
-// at the next instruction boundary (or leaks, if it stays blocked in user
-// code forever).
+// is left waiting for the next one (or for Close). The driver does the
+// unwinding, one round trip, and only if a thread is parked. After a wedge
+// the driver is stuck with the wedged thread, so the engine goroutine
+// resumes the parked ones itself; the wedged one is skipped: it unwinds on
+// its own at the next instruction boundary (or leaks, if it stays blocked
+// in user code forever).
 func (s *Scheduler) Teardown() {
+	if !slices.ContainsFunc(s.threads, (*Thread).parked) {
+		return
+	}
 	s.tearing = true
-	for _, t := range s.threads {
-		if t.exited || !t.started || t.Wedged() {
-			continue
-		}
-		t.state = Killed
-		t.resume <- struct{}{}
-		for <-s.yield != t {
-			// A wedged thread beat the watchdog to its heartbeat, then took
-			// more than a watchdog period to yield; its baton is stale —
-			// ignore it.
-		}
-		if !t.exited {
-			panic(fmt.Sprintf("sched: thread %d (%s) survived teardown", t.ID, t.Name))
-		}
+	if s.beat.Load()&beatAbandoned != 0 {
+		s.unwindParked()
+	} else {
+		s.call(nil)
+		<-s.back
 	}
 	s.tearing = false
 }

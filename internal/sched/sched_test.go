@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -361,13 +362,38 @@ func TestSuccessorHookPanicRouted(t *testing.T) {
 	s.Teardown()
 }
 
-// settle waits for the goroutine count to fall to at most want: a carrier
-// that returned is not counted out until it has run off its stack.
-func settle(t *testing.T, want int) {
+// census counts the package's goroutines by role, from their stacks, so a
+// count is exact whatever else the test binary runs.
+type census struct{ drivers, carriers int }
+
+func count() census {
+	buf := make([]byte, 1<<16)
+	for n := runtime.Stack(buf, true); n == len(buf); n = runtime.Stack(buf, true) {
+		buf = make([]byte, 2*len(buf))
+	}
+	var c census
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		switch {
+		case strings.Contains(g, "sched.(*Scheduler).drive("):
+			c.drivers++
+		case strings.Contains(g, "sched.(*Thread).carry("):
+			c.carriers++
+		}
+	}
+	return c
+}
+
+func (c census) plus(drivers, carriers int) census {
+	return census{c.drivers + drivers, c.carriers + carriers}
+}
+
+// settle waits for the census to reach exactly want: a driver that
+// returned is counted until it has run off its stack.
+func settle(t *testing.T, want census) {
 	t.Helper()
-	for wait := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > want; {
+	for wait := time.Now().Add(2 * time.Second); count() != want; {
 		if time.Now().After(wait) {
-			t.Fatalf("goroutines: %d, want at most %d", runtime.NumGoroutine(), want)
+			t.Fatalf("goroutines: %+v, want %+v", count(), want)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -376,11 +402,12 @@ func settle(t *testing.T, want int) {
 func TestManyExecutionsNoGoroutineLeak(t *testing.T) {
 	// Simulates the checker's execution restart loop: every execution
 	// creates its threads and tears them down; each fn must be unwound each
-	// time, whichever goroutine the execution ended on, and the carriers
-	// are reused rather than spawned afresh — the count never exceeds one
-	// carrier per thread of the largest execution — until Close ends them.
+	// time, whichever thread the execution ended on, and the carriers are
+	// reused rather than made afresh — from the first execution on there is
+	// exactly one carrier per thread of the largest execution, and the one
+	// driver — until Close ends them.
 	const most = 4
-	before := runtime.NumGoroutine()
+	before := count()
 	s := New()
 	for exec := 0; exec < 200; exec++ {
 		switch exec % 3 {
@@ -430,8 +457,8 @@ func TestManyExecutionsNoGoroutineLeak(t *testing.T) {
 				t.Fatalf("exec %d: thread %d survived", exec, th.ID)
 			}
 		}
-		if n := runtime.NumGoroutine(); n > before+most {
-			t.Fatalf("exec %d: %d goroutines, want at most %d + %d carriers", exec, n, before, most)
+		if got := count(); got != before.plus(1, most) {
+			t.Fatalf("exec %d: %+v, want one driver and %d carriers more than %+v", exec, got, most, before)
 		}
 		s.Reset()
 	}
@@ -444,7 +471,7 @@ func TestManyExecutionsNoGoroutineLeak(t *testing.T) {
 // the next execution that reuses the struct runs on a fresh carrier
 // instead of blocking on a resume nobody receives.
 func TestGoexitRetiresCarrier(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := count()
 	s := New()
 	a := s.NewThread(0, "a", func(*Thread) { runtime.Goexit() })
 	s.Grant(a)
@@ -477,10 +504,10 @@ func TestGoexitRetiresCarrier(t *testing.T) {
 }
 
 // TestCarrierSurvivesKillAndPanic: a carrier whose fn was unwound by the
-// kill sentinel, or panicked into OnPanic, parks and carries the struct's
-// next fn — no execution after the first spawns a goroutine.
+// kill sentinel, or panicked into OnPanic, waits and carries the struct's
+// next fn — no execution after the first starts a goroutine.
 func TestCarrierSurvivesKillAndPanic(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := count()
 	s := New()
 	var panics int
 	s.OnPanic = func(*Thread, any) { panics++ }
@@ -495,8 +522,8 @@ func TestCarrierSurvivesKillAndPanic(t *testing.T) {
 	for exec, fn := range fns {
 		s.Grant(s.NewThread(0, "a", fn))
 		s.Teardown()
-		if n := runtime.NumGoroutine(); n > before+1 {
-			t.Fatalf("exec %d: %d goroutines, want at most %d + 1 carrier", exec, n, before)
+		if got := count(); got != before.plus(1, 1) {
+			t.Fatalf("exec %d: %+v, want one driver and one carrier more than %+v", exec, got, before)
 		}
 		s.Reset()
 	}
@@ -504,6 +531,107 @@ func TestCarrierSurvivesKillAndPanic(t *testing.T) {
 		t.Fatalf("OnPanic ran %d times, want 1", panics)
 	}
 	s.Close()
+	settle(t, before)
+}
+
+// TestGoexitMidRelayFinishesOnFreshDriver: a Goexit in a thread the baton
+// reached by a switch ends the driver that resumed it; the execution goes on
+// from the successor the exiting thread named, on a fresh driver, and the
+// thread parked before the switch is still unwound by Teardown. Nothing is
+// left after Close.
+func TestGoexitMidRelayFinishesOnFreshDriver(t *testing.T) {
+	before := count()
+	s := New()
+	var trace []string
+	var a, b, c *Thread
+	a = s.NewThread(0, "a", func(th *Thread) {
+		defer func() { trace = append(trace, "a unwound") }()
+		trace = append(trace, "a")
+		th.Boundary()
+		th.SwitchTo(b)
+		trace = append(trace, "a resumed")
+	})
+	b = s.NewThread(1, "b", func(*Thread) {
+		trace = append(trace, "b")
+		runtime.Goexit()
+	})
+	c = s.NewThread(1, "c", func(*Thread) { trace = append(trace, "c") })
+	s.OnExit = func(th *Thread) *Thread {
+		if th == b {
+			return c
+		}
+		return nil
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Grant(a)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the grant never came back")
+	}
+	if want := []string{"a", "b", "c"}; !reflect.DeepEqual(trace, want) {
+		t.Fatalf("trace = %v, want %v", trace, want)
+	}
+	if b.State() != Finished || c.State() != Finished || a.State() != Runnable {
+		t.Fatalf("states a %v, b %v, c %v", a.State(), b.State(), c.State())
+	}
+	// a's and c's carriers and one driver; b's carrier went with the Goexit.
+	if got := count(); got != before.plus(1, 2) {
+		t.Fatalf("%+v, want one driver and two carriers more than %+v", got, before)
+	}
+	s.Teardown()
+	if want := []string{"a", "b", "c", "a unwound"}; !reflect.DeepEqual(trace, want) || a.State() != Killed {
+		t.Fatalf("after teardown: trace = %v, a %v", trace, a.State())
+	}
+	s.Close()
+	settle(t, before)
+}
+
+// TestWedgeWithParkedThreads: after the watchdog abandons the holder, the
+// driver is stuck with it, so Teardown unwinds the two threads parked
+// behind it from the engine goroutine and Close ends their carriers. Only
+// the wedged carrier and the driver resuming it are left, and they end
+// when the wedged thread reaches its next boundary.
+func TestWedgeWithParkedThreads(t *testing.T) {
+	const d = 20 * time.Millisecond
+	before := count()
+	s := New()
+	unblock := make(chan struct{})
+	gone := make(chan struct{})
+	var unwound []string
+	var a, b, c *Thread
+	a = s.NewThread(0, "a", func(th *Thread) {
+		defer func() { unwound = append(unwound, "a") }()
+		th.Boundary()
+		th.SwitchTo(b)
+	})
+	b = s.NewThread(1, "b", func(th *Thread) {
+		defer func() { unwound = append(unwound, "b") }()
+		th.Boundary()
+		th.SwitchTo(c)
+	})
+	c = s.NewThread(2, "c", func(th *Thread) {
+		defer close(gone)
+		<-unblock // blocks outside the simulated API
+		th.Boundary()
+		t.Error("the abandoned thread ran past its next boundary")
+	})
+	if wedged := s.GrantWatched(a, func() time.Duration { return d }); wedged != c {
+		t.Fatalf("wedged = %v, want c", wedged)
+	}
+	s.Teardown()
+	if !reflect.DeepEqual(unwound, []string{"a", "b"}) || a.State() != Killed || b.State() != Killed {
+		t.Fatalf("teardown unwound %v; a %v, b %v", unwound, a.State(), b.State())
+	}
+	s.Close()
+	if got := count(); got != before.plus(1, 1) {
+		t.Fatalf("%+v after Close, want the wedged carrier and its driver more than %+v", got, before)
+	}
+	close(unblock)
+	<-gone
 	settle(t, before)
 }
 
@@ -550,6 +678,7 @@ func TestWatchdogCountsBatonMovements(t *testing.T) {
 // its successor hook unasked — when it reaches its next boundary.
 func TestWatchdogBlamesCurrentHolder(t *testing.T) {
 	const d = 100 * time.Millisecond
+	before := count()
 	s := New()
 	s.OnExit = func(th *Thread) *Thread {
 		t.Errorf("OnExit consulted for %s", th.Name)
@@ -592,6 +721,7 @@ func TestWatchdogBlamesCurrentHolder(t *testing.T) {
 	if ranOn {
 		t.Fatal("abandoned thread ran past its next boundary")
 	}
+	settle(t, before) // b's carrier and the driver stuck resuming it end
 }
 
 func TestStateString(t *testing.T) {
@@ -603,4 +733,28 @@ func TestStateString(t *testing.T) {
 			t.Errorf("State(%d) = %q, want %q", st, st.String(), want)
 		}
 	}
+}
+
+// BenchmarkSwitchTo prices one handoff: a ring of threads, each passing
+// the baton to the next at every boundary.
+func BenchmarkSwitchTo(b *testing.B) {
+	const ring = 4
+	s := New()
+	ths := make([]*Thread, ring)
+	left := b.N
+	for i := range ths {
+		next := (i + 1) % ring
+		ths[i] = s.NewThread(0, "r", func(th *Thread) {
+			for left > 0 {
+				left--
+				th.Boundary()
+				th.SwitchTo(ths[next])
+			}
+		})
+	}
+	b.ResetTimer()
+	s.Grant(ths[0])
+	b.StopTimer()
+	s.Teardown()
+	s.Close()
 }
