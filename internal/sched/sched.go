@@ -105,12 +105,12 @@ type Thread struct {
 	BlockNote string
 }
 
-// Wedged reports whether the watchdog abandoned the thread: its goroutine
-// is stuck in user code outside the simulated API. It is the one question
-// a goroutine that no longer runs in lock-step may ask of the scheduler,
-// hence answered from the atomic heartbeat word alone. A wedged goroutine
-// that later resumes unwinds at its next instruction boundary without
-// touching scheduler state.
+// Wedged reports whether the watchdog abandoned the thread: its carrier is
+// stuck in user code outside the simulated API. It is the one question a
+// carrier that no longer runs in lock-step may ask of the scheduler, hence
+// answered from the atomic heartbeat word alone. A wedged thread that
+// later resumes unwinds at its next instruction boundary without touching
+// scheduler state.
 func (t *Thread) Wedged() bool {
 	v := t.sch.beat.Load()
 	return v&beatAbandoned != 0 && int(v&beatHolder) == t.ID
@@ -507,7 +507,7 @@ func (s *Scheduler) GrantWatched(t *Thread, budget func() time.Duration) (wedged
 // own code and is about to run scheduler steps. A thread that is
 // unwinding from a kill — e.g. in a deferred unlock — re-panics
 // immediately, so unwinding never runs scheduler steps; so does a thread
-// the watchdog abandoned. It must be called from t's goroutine.
+// the watchdog abandoned. It must be called from t's carrier.
 func (t *Thread) Boundary() {
 	if t.unwinding {
 		panic(killSentinel{})
@@ -565,7 +565,7 @@ func (t *Thread) Wake() {
 	}
 }
 
-// Kill marks the thread killed. A parked goroutine unwinds on its next
+// Kill marks the thread killed. A parked thread unwinds on its next
 // grant; an exited thread is left alone. Kill must not be called on a
 // thread running its own code — use KillSelf for that — but may be on the
 // thread carrying the baton through a scheduler step: it parks like any
@@ -578,7 +578,7 @@ func (t *Thread) Kill() {
 }
 
 // KillSelf unwinds the calling thread immediately. It must be called from
-// t's goroutine; it does not return.
+// t's carrier; it does not return.
 func (t *Thread) KillSelf() {
 	t.state = Killed
 	t.unwind()
