@@ -344,13 +344,14 @@ func (ck *Checker) newInternalError(msg string) *InternalError {
 
 // resetExecution rebuilds all per-execution state and re-runs program
 // setup. State from the previous execution — the memory, the scheduler
-// and its threads' parked carrier goroutines, the machine/thread/mutex
-// arenas, the schedule stream — is reset in place rather than reallocated,
-// so after the first execution the setup path allocates nothing. The one
-// exception is a dirty execution (the watchdog abandoned a thread): its
-// goroutine may still hold references into all of that state, so
-// everything reusable is discarded and rebuilt fresh, the scheduler closed
-// first so that only the wedged goroutine outlives it.
+// with its driver and its threads' parked carrier coroutines, the
+// machine/thread/mutex arenas, the schedule stream — is reset in place
+// rather than reallocated, so after the first execution the setup path
+// allocates nothing. The one exception is a dirty execution (the watchdog
+// abandoned a thread): its carrier coroutine may still hold references
+// into all of that state, so everything reusable is discarded and rebuilt
+// fresh, the scheduler closed first so that only the wedged carrier and
+// the driver stuck resuming it outlive it.
 func (ck *Checker) resetExecution() {
 	if ck.dirty {
 		ck.mem = nil
@@ -419,8 +420,8 @@ func (ck *Checker) resetExecution() {
 	}
 }
 
-// closeScheduler ends the checker's scheduler and with it the carrier
-// goroutines its threads left parked.
+// closeScheduler ends the checker's scheduler and with it its driver and
+// the carrier coroutines its threads left parked.
 func (ck *Checker) closeScheduler() {
 	if ck.sch != nil {
 		ck.sch.Close()

@@ -1,8 +1,9 @@
 package harness
 
-// Self-fuzzing stress harness: a seeded random-program generator over
-// the public cxlmc.Thread API plus a swarm runner that checks the
-// checker's own invariants on every generated program —
+// Self-fuzzing stress harness: Build, which turns a program progir
+// generates into one over the public cxlmc.Thread API, plus a swarm
+// runner that checks the checker's own invariants on every generated
+// program —
 //
 //   - Run never panics and never returns an error on a well-formed
 //     program (bugs are reports, not failures);
@@ -22,244 +23,83 @@ package harness
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"path/filepath"
 
 	cxlmc "repro"
 	"repro/internal/chaos"
+	"repro/internal/progir"
 )
 
-// GenConfig bounds the random-program generator. Zero fields take the
-// defaults below; the bounds are deliberately small — the value of the
-// swarm is many tiny state spaces explored to completion, not a few
-// huge ones truncated by execution caps.
-type GenConfig struct {
-	MaxMachines          int // worker machines, excluding the observer
-	MaxThreadsPerMachine int
-	MaxOpsPerThread      int
-	MaxCells             int // 8-byte shared cells
-	FlushBudget          int // random flushes per program (crash branches multiply per flush)
-}
+// GenConfig is progir's: bench/ names it here.
+type GenConfig = progir.GenConfig
 
-func (gc GenConfig) withDefaults() GenConfig {
-	if gc.MaxMachines <= 0 {
-		gc.MaxMachines = 3
-	}
-	if gc.MaxThreadsPerMachine <= 0 {
-		gc.MaxThreadsPerMachine = 2
-	}
-	if gc.MaxOpsPerThread <= 0 {
-		gc.MaxOpsPerThread = 6
-	}
-	if gc.MaxCells <= 0 {
-		gc.MaxCells = 4
-	}
-	if gc.FlushBudget <= 0 {
-		gc.FlushBudget = 3
-	}
-	return gc
-}
-
-// Op codes for generated thread bodies.
-const (
-	opStore = iota
-	opLoad
-	opFlush
-	opFlushOpt
-	opSFence
-	opMFence
-	opCAS
-	opFetchAdd
-	opYield
-	opCritical // lock; inner ops; unlock
-)
-
-type genOp struct {
-	code  int
-	cell  int
-	size  int // 1, 2, 4 or 8 for loads/stores
-	val   uint64
-	inner []genOp // opCritical body
-}
-
-// genPlan is a fully precomputed program: Generate rolls all the dice up
-// front, so the setup closure rebuilds the identical program on every
-// one of the checker's executions (the determinism Run requires).
-type genPlan struct {
-	machines [][][]genOp // [machine][thread]ops
-	cells    int
-	useMutex bool
-	// The canonical writer/reader pattern on cells 0 (data) and 1 (flag),
-	// excluded from random ops: with patternFlush the protocol is correct;
-	// without it the generator has planted a genuine crash-consistency
-	// bug, giving the swarm steady bug-report and token-replay coverage.
-	pattern      bool
-	patternFlush bool
-}
-
-// Generate builds a deterministic random program for seed. The returned
-// setup function is safe to pass to cxlmc.Run any number of times.
+// Generate builds the checker program of the random program progir
+// generates for seed. The returned setup function is safe to pass to
+// cxlmc.Run any number of times.
 func Generate(seed int64, gc GenConfig) func(*cxlmc.Program) {
-	gc = gc.withDefaults()
-	rng := rand.New(rand.NewSource(seed))
-	plan := &genPlan{
-		pattern: rng.Intn(2) == 0,
-	}
-	plan.patternFlush = rng.Intn(2) == 0
-	base := 0
-	if plan.pattern {
-		base = 2 // cells 0,1 belong to the pattern
-	}
-	plan.cells = base + 1 + rng.Intn(gc.MaxCells-base)
-
-	flushes := gc.FlushBudget
-	nm := 1 + rng.Intn(gc.MaxMachines)
-	for m := 0; m < nm; m++ {
-		nt := 1 + rng.Intn(gc.MaxThreadsPerMachine)
-		threads := make([][]genOp, nt)
-		for t := 0; t < nt; t++ {
-			nops := rng.Intn(gc.MaxOpsPerThread + 1)
-			ops := make([]genOp, 0, nops)
-			for len(ops) < nops {
-				ops = append(ops, genTopOp(rng, plan, base, &flushes))
-			}
-			threads[t] = ops
-		}
-		plan.machines = append(plan.machines, threads)
-	}
-	return plan.setup
+	return Build(progir.Generate(seed, gc))
 }
 
-// genTopOp rolls one thread-body op, honoring the flush budget and
-// forbidding nested critical sections.
-func genTopOp(rng *rand.Rand, plan *genPlan, base int, flushes *int) genOp {
-	for {
-		code := rng.Intn(10)
-		if (code == opFlush || code == opFlushOpt) && *flushes == 0 {
-			continue
+// Build turns a generated program into the checker's: each cell 8 bytes
+// on its own cache line, the mutex if a Critical needs it, a machine per
+// IR machine, and an observer machine that joins them all, asserts the
+// pattern and loads every cell. Called once per explored execution, the
+// setup rebuilds the identical program every time, as Run requires.
+func Build(ir *progir.Program) func(*cxlmc.Program) {
+	return func(p *cxlmc.Program) {
+		cells := make([]cxlmc.Addr, ir.Cells)
+		for i := range cells {
+			cells[i] = p.AllocAligned(8, 64)
 		}
-		op := genOp{code: code}
-		switch code {
-		case opStore, opLoad:
-			op.cell = base + rng.Intn(plan.cells-base)
-			op.size = 1 << uint(rng.Intn(4))
-			op.val = uint64(rng.Intn(256))
-		case opFlush, opFlushOpt:
-			*flushes--
-			op.cell = base + rng.Intn(plan.cells-base)
-		case opCAS, opFetchAdd:
-			op.cell = base + rng.Intn(plan.cells-base)
-			op.val = uint64(rng.Intn(256))
-		case opCritical:
-			plan.useMutex = true
-			n := 1 + rng.Intn(2)
-			for i := 0; i < n; i++ {
-				op.inner = append(op.inner, genInnerOp(rng, plan, base, flushes))
-			}
+		var mu *cxlmc.Mutex
+		if ir.Mutex {
+			mu = p.NewMutex("stress")
 		}
-		return op
-	}
-}
 
-// genInnerOp rolls a critical-section body op (no nesting, no yields —
-// short sections keep lock-induced blocking bounded).
-func genInnerOp(rng *rand.Rand, plan *genPlan, base int, flushes *int) genOp {
-	for {
-		code := rng.Intn(8) // excludes opYield (8) and opCritical (9)
-		if (code == opFlush || code == opFlushOpt) && *flushes == 0 {
-			continue
-		}
-		op := genOp{code: code}
-		switch code {
-		case opStore, opLoad:
-			op.cell = base + rng.Intn(plan.cells-base)
-			op.size = 1 << uint(rng.Intn(4))
-			op.val = uint64(rng.Intn(256))
-		case opFlush, opFlushOpt:
-			*flushes--
-			op.cell = base + rng.Intn(plan.cells-base)
-		case opCAS, opFetchAdd:
-			op.cell = base + rng.Intn(plan.cells-base)
-			op.val = uint64(rng.Intn(256))
-		}
-		return op
-	}
-}
-
-// setup rebuilds the planned program; called once per explored
-// execution, it must be (and is) deterministic.
-func (plan *genPlan) setup(p *cxlmc.Program) {
-	cells := make([]cxlmc.Addr, plan.cells)
-	for i := range cells {
-		cells[i] = p.AllocAligned(8, 64)
-	}
-	var mu *cxlmc.Mutex
-	if plan.useMutex {
-		mu = p.NewMutex("stress")
-	}
-
-	run := func(th *cxlmc.Thread, ops []genOp) {
-		for _, op := range ops {
-			execOp(th, mu, cells, op)
-		}
-	}
-
-	workers := make([]*cxlmc.Machine, len(plan.machines))
-	for m, threads := range plan.machines {
-		mach := p.NewMachine(fmt.Sprintf("m%d", m))
-		workers[m] = mach
-		for t, ops := range threads {
-			ops := ops
-			isPatternWriter := plan.pattern && m == 0 && t == 0
-			mach.Thread(fmt.Sprintf("t%d", t), func(th *cxlmc.Thread) {
-				if isPatternWriter {
-					th.Store64(cells[0], 42)
-					if plan.patternFlush {
-						th.CLFlush(cells[0])
-						th.SFence()
+		workers := make([]*cxlmc.Machine, len(ir.Machines))
+		for m, threads := range ir.Machines {
+			workers[m] = p.NewMachine(fmt.Sprintf("m%d", m))
+			for t, ops := range threads {
+				workers[m].Thread(fmt.Sprintf("t%d", t), func(th *cxlmc.Thread) {
+					for _, op := range ops {
+						execOp(th, mu, cells, op)
 					}
-					th.Store64(cells[1], 1)
-					th.CLFlush(cells[1])
-					th.SFence()
-				}
-				run(th, ops)
-			})
+				})
+			}
 		}
-	}
 
-	obs := p.NewMachine("observer")
-	obs.Thread("check", func(th *cxlmc.Thread) {
-		for _, w := range workers {
-			th.Join(w)
-		}
-		if plan.pattern {
-			if th.Load64(cells[1]) == 1 {
+		obs := p.NewMachine("observer")
+		obs.Thread("check", func(th *cxlmc.Thread) {
+			for _, w := range workers {
+				th.Join(w)
+			}
+			if ir.Pattern && th.Load64(cells[1]) == 1 {
 				th.Assert(th.Load64(cells[0]) == 42, "pattern: flag set but data lost")
 			}
-		}
-		for _, c := range cells {
-			th.Load64(c)
-		}
-	})
+			for _, c := range cells {
+				th.Load64(c)
+			}
+		})
+	}
 }
 
-func execOp(th *cxlmc.Thread, mu *cxlmc.Mutex, cells []cxlmc.Addr, op genOp) {
-	a := cells[op.cell]
-	switch op.code {
-	case opStore:
-		switch op.size {
+func execOp(th *cxlmc.Thread, mu *cxlmc.Mutex, cells []cxlmc.Addr, op progir.Op) {
+	a := cells[op.Cell]
+	switch op.Code {
+	case progir.Store:
+		switch op.Size {
 		case 1:
-			th.Store8(a, uint8(op.val))
+			th.Store8(a, uint8(op.Val))
 		case 2:
-			th.Store16(a, uint16(op.val))
+			th.Store16(a, uint16(op.Val))
 		case 4:
-			th.Store32(a, uint32(op.val))
+			th.Store32(a, uint32(op.Val))
 		default:
-			th.Store64(a, op.val)
+			th.Store64(a, op.Val)
 		}
-	case opLoad:
-		switch op.size {
+	case progir.Load:
+		switch op.Size {
 		case 1:
 			th.Load8(a)
 		case 2:
@@ -269,24 +109,24 @@ func execOp(th *cxlmc.Thread, mu *cxlmc.Mutex, cells []cxlmc.Addr, op genOp) {
 		default:
 			th.Load64(a)
 		}
-	case opFlush:
+	case progir.Flush:
 		th.CLFlush(a)
-	case opFlushOpt:
+	case progir.FlushOpt:
 		th.CLFlushOpt(a)
 		th.SFence()
-	case opSFence:
+	case progir.SFence:
 		th.SFence()
-	case opMFence:
+	case progir.MFence:
 		th.MFence()
-	case opCAS:
-		th.CAS64(a, 0, op.val)
-	case opFetchAdd:
-		th.FetchAdd64(a, op.val)
-	case opYield:
+	case progir.CAS:
+		th.CAS64(a, 0, op.Val)
+	case progir.FetchAdd:
+		th.FetchAdd64(a, op.Val)
+	case progir.Yield:
 		th.Yield()
-	case opCritical:
+	case progir.Critical:
 		mu.Lock(th)
-		for _, in := range op.inner {
+		for _, in := range op.Inner {
 			execOp(th, mu, cells, in)
 		}
 		mu.Unlock(th)

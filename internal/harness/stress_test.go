@@ -81,3 +81,14 @@ func FuzzRandomProgram(f *testing.F) {
 		}
 	})
 }
+
+// TestSwarmWithFewCells: one or two cells leave no room for the planted
+// pattern's two cells and a random one, so the generator leaves the
+// pattern out; three cells take it.
+func TestSwarmWithFewCells(t *testing.T) {
+	for cells := 1; cells <= 3; cells++ {
+		for _, sr := range Swarm(nil, 0, 30, StressOptions{Gen: GenConfig{MaxCells: cells}}) {
+			t.Errorf("cells=%d seed %d: %v", cells, sr.Seed, sr.Violations)
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	cxlmc "repro"
+	"repro/internal/progir"
 )
 
 // FuzzSpecJSON feeds arbitrary bytes to what POST /jobs does with a body
@@ -116,7 +117,7 @@ func FuzzJournalRecover(f *testing.F) {
 func TestRecoveredSpecIsRevalidated(t *testing.T) {
 	dir := t.TempDir()
 	journal := mustLine(t, record{ID: "j-000001", State: StateRunning, Spec: &Spec{Tenant: "t", Bench: "NoSuchBench", Keys: 4}}) +
-		mustLine(t, record{ID: "j-000002", State: StateQueued, Spec: &Spec{Tenant: "t", Gen: &GenSpec{Seed: 1, Cells: 1}}}) +
+		mustLine(t, record{ID: "j-000002", State: StateQueued, Spec: &Spec{Tenant: "t", Gen: &GenSpec{Seed: 1, GenConfig: progir.GenConfig{MaxCells: 1}}}}) +
 		// "degraded" is the state a parent's memory governor left behind.
 		mustLine(t, record{ID: "j-000003", State: "degraded", Spec: &Spec{Tenant: "../x", Bench: "CCEH", Keys: -3}}) +
 		mustLine(t, record{ID: "j-000004", State: StateQueued, Spec: testSpec("CCEH")})
