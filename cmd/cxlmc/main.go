@@ -86,19 +86,23 @@
 // /statusz (JSON run status) and /debug/pprof for the duration of a local,
 // -seeds, -replay or -join run (-serve and -jobserver serve them on their own
 // address, and refuse the flag); -progress prints a one-line status to stderr
-// at the first execution boundary after each period; -event-log streams the
+// at the first execution boundary after each period (not with -serve, which
+// explores nothing itself); -event-log streams the
 // structured exploration event trace (execution boundaries, decisions,
 // checkpoints and chaos activity) as JSON lines to a file; -metrics-snapshot
 // writes the final metric values as JSON when the run ends. SIGUSR1 dumps a
 // status report to stderr at once without stopping the run. /statusz and the
 // SIGUSR1 report are the last progress snapshot, taken every -progress period
-// (every second without the flag), so they can be up to one period old.
+// (every second without the flag), so they can be up to one period old; a
+// coordinator has no such snapshot, and SIGUSR1 points at its /statusz.
 //
 // Distributed exploration: -serve addr runs this process as the
 // coordinator — it owns the frontier of subtree work units, serves the
 // lease API on addr, and (with -checkpoint) persists the frontier so a
 // SIGKILL'd coordinator resumes losslessly, its workers carrying on once it
-// is back on the same address. -join addr runs a worker that leases units
+// is back on the same address; it writes at a completed lease on the local
+// cadence (neither -checkpoint-every nor -checkpoint-interval: every 2s), and
+// a final write that fails fails the run. -join addr runs a worker that leases units
 // from the coordinator one at a time, explores each with its local -workers
 // pool as an ordinary resumable run under an execution budget of its own
 // choosing (one execution at first, doubled while leases finish well inside
@@ -291,6 +295,10 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "cxlmc: -serve and -jobserver already serve /metrics and /statusz on their own address; drop -metrics-addr")
 		return 2
 	}
+	if *progressEach > 0 && *serveAddr != "" {
+		fmt.Fprintln(os.Stderr, "cxlmc: a coordinator explores nothing itself and has no progress to print; its /statusz is the live status, drop -progress")
+		return 2
+	}
 
 	// The plumbing flags make the base; the spec lays its knobs over it —
 	// as it does over the job server's base for a submitted job.
@@ -448,12 +456,16 @@ func run() int {
 	}
 	// SIGUSR1 asks for a status dump, printed at once; the run goes on
 	// untouched. Once Stop returns nothing is delivered, so closing ends the
-	// printer.
+	// printer. A coordinator has no snapshot: it points at its /statusz.
 	usr1 := make(chan os.Signal, 1)
 	signal.Notify(usr1, syscall.SIGUSR1)
 	defer func() { signal.Stop(usr1); close(usr1) }()
 	go func() {
 		for range usr1 {
+			if *serveAddr != "" {
+				fmt.Fprintln(os.Stderr, "cxlmc: status  a coordinator serves its status at /statusz on its own address")
+				continue
+			}
 			p := status.Load()
 			fmt.Fprintf(os.Stderr, "cxlmc: status  %s\n", p)
 			for _, w := range p.Workers {

@@ -108,6 +108,16 @@ func TestVetRejectsDistModes(t *testing.T) {
 	}
 }
 
+// TestProgressRejectedOnCoordinator: a coordinator explores nothing itself
+// and hands no progress snapshot to print, so -progress with -serve is a
+// usage error (exit 2), as -metrics-addr is.
+func TestProgressRejectedOnCoordinator(t *testing.T) {
+	_, code := runCLI(t, "-bench", "CCEH", "-serve", "127.0.0.1:0", "-progress", "1s")
+	if code != 2 {
+		t.Errorf("-serve -progress exited %d, want 2", code)
+	}
+}
+
 // startCLI re-execs the test binary as cxlmc with args, returning the
 // running command and a line-buffered channel of its stderr — for tests
 // that interact with a live process (signals, servers).

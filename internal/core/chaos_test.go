@@ -207,7 +207,7 @@ func TestCorruptCheckpointQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := json.Marshal(&checkpointData{
+	raw, err := json.Marshal(&Checkpoint{
 		Version:       checkpointVersion,
 		Seed:          cfg.Seed,
 		ConfigDigest:  configDigest(full),

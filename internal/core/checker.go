@@ -21,7 +21,7 @@ type Checker struct {
 	tree    *decision.Tree
 	// stats is everything this checker has counted and found; the engine
 	// drains it incrementally at execution boundaries. The tree counts the
-	// decision points; whoever retires the tree adds them (TreeCounters).
+	// decision points; whoever retires the tree adds them (treeCounters).
 	// execNo is the current execution's 1-based ordinal in the whole run,
 	// the engine's to assign.
 	stats  Tally

@@ -32,10 +32,12 @@ import (
 // points already accounted by completed units.
 const checkpointVersion = 2
 
-// checkpointData is the JSON envelope written to CheckpointPath. The
-// unit snapshots inside it use the decision package's own versioned
-// binary encoding (JSON base64s the bytes).
-type checkpointData struct {
+// Checkpoint is the JSON envelope written to CheckpointPath, the one format
+// every Ledger writes: a single-process run resumes a coordinator's
+// checkpoint and vice versa, and a dist worker hands each leased unit to
+// Continue as a one-unit checkpoint. The unit snapshots inside it use the
+// decision package's own versioned binary encoding (JSON base64s the bytes).
+type Checkpoint struct {
 	Version       int    `json:"version"`
 	Seed          int64  `json:"seed"`
 	ConfigDigest  string `json:"config_digest"`
@@ -173,7 +175,7 @@ func programDigestOf(cfg Config, program func(*Program)) (digest string, err err
 
 // errCorruptCheckpoint marks a checkpoint that cannot be decoded —
 // truncated, bit-flipped, or carrying undecodable unit snapshots.
-// ResumeCheckpoint reacts by quarantining the file and starting fresh,
+// resumeCheckpoint reacts by quarantining the file and starting fresh,
 // because a corrupt checkpoint is recoverable state loss, not an
 // unrecoverable configuration problem. Identity mismatches (wrong
 // seed/config/program) and version skew stay hard errors: those files are
@@ -206,23 +208,23 @@ func LoadCheckpoint(path string, inj *chaos.Injector) (*Checkpoint, error) {
 	return &cp, nil
 }
 
-// Resume is a checkpoint ready to be continued from, as ResumeCheckpoint
-// returns it.
-type Resume struct {
-	// Units are the subtree units still to be explored, decoded. The
+// inheritance is what a checkpoint hands down to the exploration that
+// resumes it.
+type inheritance struct {
+	// units are the subtree units still to be explored, decoded. The
 	// decision points a unit created in its past life are embedded in it
-	// and are NOT in Total: whoever explores the unit to the end adds
-	// TreeCounters of it then.
-	Units []*decision.Tree
-	// Total and Res are the checkpointed totals, with the points of units
+	// and are NOT in total: whoever explores the unit to the end adds
+	// treeCounters of it then.
+	units []*decision.Tree
+	// total and res are the checkpointed totals, with the points of units
 	// that arrived already finished folded in.
-	Total    Tally
-	Res      Resilience
-	Elapsed  time.Duration
-	Complete bool
+	total    Tally
+	res      Resilience
+	elapsed  time.Duration
+	complete bool
 }
 
-// ResumeCheckpoint is the one way an exploration picks up a checkpoint
+// resumeCheckpoint is the one way an exploration picks up a checkpoint
 // file. It returns nil when there is nothing to resume: no path, no file, or an
 // undecodable file — which is moved to <path>.corrupt (preserved for
 // post-mortems, the path free for new checkpoints) and reported through
@@ -231,7 +233,7 @@ type Resume struct {
 // error. Every unit decodes or none is used: one bad snapshot marks the
 // whole file corrupt, and a half-restored frontier never leaks into the
 // fresh start that follows.
-func ResumeCheckpoint(path string, seed int64, cfgDigest, progDigest string, inj *chaos.Injector) (r *Resume, quarantined bool, err error) {
+func resumeCheckpoint(path string, seed int64, cfgDigest, progDigest string, inj *chaos.Injector) (r *inheritance, quarantined bool, err error) {
 	if path == "" {
 		return nil, false, nil
 	}
@@ -249,15 +251,15 @@ func ResumeCheckpoint(path string, seed int64, cfgDigest, progDigest string, inj
 }
 
 // resume checks that cp — read from path, or however path describes it —
-// belongs to the exploration (CheckIdentity) and decodes its units and totals
-// into a Resume. The file and a checkpoint held in memory (Continue) both
-// come through here.
-func (cp *Checkpoint) resume(path string, seed int64, cfgDigest, progDigest string) (*Resume, error) {
-	if err := cp.CheckIdentity(path, seed, cfgDigest, progDigest); err != nil {
+// belongs to the exploration (checkIdentity) and decodes its units and totals
+// into an inheritance. The file and a checkpoint held in memory (Continue)
+// both come through here.
+func (cp *Checkpoint) resume(path string, seed int64, cfgDigest, progDigest string) (*inheritance, error) {
+	if err := cp.checkIdentity(path, seed, cfgDigest, progDigest); err != nil {
 		return nil, err
 	}
-	r := &Resume{Elapsed: cp.Elapsed, Complete: cp.Complete}
-	r.Total, r.Res = cp.Totals()
+	r := &inheritance{elapsed: cp.Elapsed, complete: cp.Complete}
+	r.total, r.res = cp.Totals()
 	for _, raw := range cp.Units {
 		tr := decision.NewTree()
 		if err := tr.Restore(raw); err != nil {
@@ -265,9 +267,9 @@ func (cp *Checkpoint) resume(path string, seed int64, cfgDigest, progDigest stri
 		}
 		if tr.Done() {
 			// A finished unit's points still belong in the totals.
-			r.Total.Add(TreeCounters(tr))
+			r.total.Add(treeCounters(tr))
 		} else {
-			r.Units = append(r.Units, tr)
+			r.units = append(r.units, tr)
 		}
 	}
 	return r, nil
@@ -276,7 +278,7 @@ func (cp *Checkpoint) resume(path string, seed int64, cfgDigest, progDigest stri
 // writeCheckpointFile installs cp at path through ReplaceFile (temp file,
 // fsync, atomic rename; transient faults retried with backoff), counting
 // and tracing each retry and the installed file.
-func writeCheckpointFile(path string, cp *checkpointData, inj *chaos.Injector, om coreMetrics, tracer *obs.Tracer) error {
+func writeCheckpointFile(path string, cp *Checkpoint, inj *chaos.Injector, om coreMetrics, tracer *obs.Tracer) error {
 	raw, err := json.Marshal(cp)
 	if err != nil {
 		return fmt.Errorf("cxlmc: encoding checkpoint: %w", err)
@@ -295,10 +297,10 @@ func writeCheckpointFile(path string, cp *checkpointData, inj *chaos.Injector, o
 	return nil
 }
 
-// CheckIdentity reports whether the checkpoint read from path belongs to
+// checkIdentity reports whether the checkpoint read from path belongs to
 // the exploration identified by seed and the two digests; the error says
 // which of the three differs and what to do about it.
-func (cp *checkpointData) CheckIdentity(path string, seed int64, cfgDigest, progDigest string) error {
+func (cp *Checkpoint) checkIdentity(path string, seed int64, cfgDigest, progDigest string) error {
 	if cp.Seed != seed {
 		return fmt.Errorf("cxlmc: checkpoint %s was written for seed %d, this run uses seed %d: delete the checkpoint or match the seed",
 			path, cp.Seed, seed)
@@ -314,27 +316,10 @@ func (cp *checkpointData) CheckIdentity(path string, seed int64, cfgDigest, prog
 	return nil
 }
 
-// SetTotals stores an exploration's cumulative tally and resilience record
-// in the envelope; Totals reads them back. This pair is the only place the
-// checkpoint keys meet the Counters fields: the engine and the dist
-// coordinator both write and resume through it, so a counter carried here
-// survives every kind of resume. Point counts go to BaseCreated, which by
-// the format's contract excludes what the outstanding Units embed — the
-// caller passes totals net of those.
-func (cp *checkpointData) SetTotals(t Tally, r Resilience) {
-	cp.BaseCreated[decision.KindReadFrom] = t.ReadFromPoints
-	cp.BaseCreated[decision.KindFailure] = t.FailurePoints
-	cp.BaseCreated[decision.KindPoison] = t.PoisonPoints
-	cp.Executions, cp.Steps = t.Executions, t.Steps
-	cp.Pruned, cp.PrefixForks, cp.StepsSaved = t.Pruned, t.PrefixForks, t.StepsSaved
-	cp.RaceReports = t.RaceReports
-	cp.Bugs = t.Bugs
-	cp.CheckpointErrors, cp.Quarantined = r.CheckpointErrors, r.Quarantined
-}
-
-// Totals is the inverse of SetTotals. The tally owns a copy of the bug
-// list, so merging into it never writes through to the decoded envelope.
-func (cp *checkpointData) Totals() (Tally, Resilience) {
+// Totals reads back the tally and resilience record NewCheckpoint stored.
+// The tally owns a copy of the bug list, so merging into it never writes
+// through to the decoded envelope.
+func (cp *Checkpoint) Totals() (Tally, Resilience) {
 	t := Tally{
 		Counters: Counters{
 			Executions:     cp.Executions,
@@ -352,17 +337,13 @@ func (cp *checkpointData) Totals() (Tally, Resilience) {
 	return t, Resilience{CheckpointErrors: cp.CheckpointErrors, Quarantined: cp.Quarantined}
 }
 
-// Checkpoint is the exported name of the version-2 checkpoint envelope,
-// for callers outside the engine: the distributed coordinator, which
-// persists its frontier in the same format so a single-process run can
-// resume a coordinator's checkpoint and vice versa, and its workers, which
-// hand each leased unit to Continue as a one-unit checkpoint.
-type Checkpoint = checkpointData
-
 // NewCheckpoint assembles the current-version envelope of an exploration
 // at rest: its identity, the snapshots of the units still outstanding, the
-// totals net of the points those units embed (see SetTotals), the
-// wall-clock time spent so far and how the exploration stands.
+// totals, the wall-clock time spent so far and how the exploration stands.
+// NewCheckpoint and Totals are the only place the checkpoint keys meet the
+// Counters fields, so a counter carried here survives every kind of resume.
+// Point counts go to BaseCreated, which by the format's contract excludes
+// what the outstanding units embed: the caller passes totals net of those.
 func NewCheckpoint(seed int64, cfgDigest, progDigest string, units [][]byte,
 	t Tally, r Resilience, elapsed time.Duration, complete, interrupted bool) *Checkpoint {
 	cp := &Checkpoint{
@@ -374,8 +355,20 @@ func NewCheckpoint(seed int64, cfgDigest, progDigest string, units [][]byte,
 		Elapsed:       elapsed,
 		Complete:      complete,
 		Interrupted:   interrupted,
+		Executions:    t.Executions,
+		Steps:         t.Steps,
+		Pruned:        t.Pruned,
+		PrefixForks:   t.PrefixForks,
+		StepsSaved:    t.StepsSaved,
+		RaceReports:   t.RaceReports,
+		Bugs:          t.Bugs,
+
+		CheckpointErrors: r.CheckpointErrors,
+		Quarantined:      r.Quarantined,
 	}
-	cp.SetTotals(t, r)
+	cp.BaseCreated[decision.KindReadFrom] = t.ReadFromPoints
+	cp.BaseCreated[decision.KindFailure] = t.FailurePoints
+	cp.BaseCreated[decision.KindPoison] = t.PoisonPoints
 	return cp
 }
 

@@ -21,3 +21,7 @@ func WithCommitChance(cfg Config, chance int) Config {
 // AuditedSteps returns how many scheduler steps this test binary has
 // audited the books at (books_test.go).
 func AuditedSteps() int64 { return auditedSteps.Load() }
+
+// ResumeCheckpoint is the checkpoint reader every Ledger resumes through,
+// for FuzzLoadCheckpoint to hold to its contract.
+var ResumeCheckpoint = resumeCheckpoint

@@ -15,6 +15,8 @@ package core
 // and re-execution after a crash is harmless.
 
 import (
+	"maps"
+	"slices"
 	"sync"
 	"time"
 )
@@ -152,13 +154,6 @@ func (f *MemFrontier) addLocked(snaps [][]byte) {
 	}
 }
 
-// Add registers fresh work-unit snapshots.
-func (f *MemFrontier) Add(snaps [][]byte) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.addLocked(snaps)
-}
-
 // TryLease hands out the next queued unit under a fresh lease, without
 // blocking. done reports that the exploration is over: nothing queued,
 // nothing leased (or the frontier is stopping and nothing is queued for
@@ -228,12 +223,13 @@ func (f *MemFrontier) Stop() {
 	f.mu.Unlock()
 }
 
-// Done reports whether every unit has been completed (nothing queued,
-// nothing leased) without Stop having cut the run short.
+// Done reports whether nothing is left to explore (nothing queued, nothing
+// leased) without Stop having cut the run short — from the start, for a
+// frontier seeded with no units.
 func (f *MemFrontier) Done() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return !f.stopping && len(f.queue) == 0 && len(f.leased) == 0 && f.unitsAdded > 0
+	return !f.stopping && len(f.queue) == 0 && len(f.leased) == 0
 }
 
 // Credit folds results obtained before this frontier existed — a resumed
@@ -275,7 +271,8 @@ func (f *MemFrontier) UnitCounts() (added, done int) {
 // neither the tally nor the list. Leased units are included with their
 // *pre-lease* snapshot: their holder's progress is unreported until
 // completion, so the checkpoint conservatively re-explores them on resume
-// rather than losing them.
+// rather than losing them. Queued units come first, then leased ones by id,
+// so the same frontier always lists its units in the same order.
 func (f *MemFrontier) Outstanding() (t Tally, units [][]byte) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -283,8 +280,8 @@ func (f *MemFrontier) Outstanding() (t Tally, units [][]byte) {
 	for _, u := range f.queue {
 		units = append(units, u.snap)
 	}
-	for _, u := range f.leased {
-		units = append(units, u.snap)
+	for _, id := range slices.Sorted(maps.Keys(f.leased)) {
+		units = append(units, f.leased[id].snap)
 	}
 	return f.tallyLocked(), units
 }

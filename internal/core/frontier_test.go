@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -211,5 +212,40 @@ func TestFrontierOutstandingIsOneRead(t *testing.T) {
 			t.Fatalf("read %d: %d executions in the tally + %d units outstanding = %d, want %d",
 				reads, tally.Executions, len(out), tally.Executions+len(out), n)
 		}
+	}
+}
+
+// TestOutstandingIsDeterministic: a checkpoint lists the same frontier's
+// units in the same order every time — the queued ones, then the leased ones
+// by id — however the lease table iterates.
+func TestOutstandingIsDeterministic(t *testing.T) {
+	f := NewMemFrontier(MemFrontierConfig{LeaseTTL: time.Minute}, [][]byte{{1}, {2}, {3}, {4}, {5}, {6}})
+	defer f.Close()
+	for range 5 {
+		if u, _ := f.TryLease("w"); u == nil {
+			t.Fatal("a queued unit was not granted")
+		}
+	}
+	_, first := f.Outstanding()
+	for range 20 {
+		if _, again := f.Outstanding(); !reflect.DeepEqual(again, first) {
+			t.Fatalf("Outstanding = %v, then %v", first, again)
+		}
+	}
+	if want := [][]byte{{6}, {1}, {2}, {3}, {4}, {5}}; !reflect.DeepEqual(first, want) {
+		t.Fatalf("Outstanding = %v, want the queued unit, then the leased ones by id: %v", first, want)
+	}
+}
+
+// TestEmptyFrontierIsDone: a frontier seeded with nothing — a resumed
+// checkpoint of a complete exploration — is done from the start.
+func TestEmptyFrontierIsDone(t *testing.T) {
+	f := NewMemFrontier(MemFrontierConfig{}, nil)
+	defer f.Close()
+	if !f.Done() {
+		t.Fatal("an empty frontier is not done")
+	}
+	if u, done := f.TryLease("w"); u != nil || !done {
+		t.Fatalf("TryLease = (%v, %v), want (nil, true)", u, done)
 	}
 }

@@ -39,10 +39,7 @@ type coreMetrics struct {
 	unitClaims    *obs.Counter
 	unitsFinished *obs.Counter
 
-	cpWrites      *obs.Counter
-	cpRetries     *obs.Counter
-	cpErrors      *obs.Counter
-	cpQuarantines *obs.Counter
+	checkpointMetrics
 
 	chaosFaults *obs.Counter
 
@@ -75,10 +72,7 @@ func newCoreMetrics(reg *obs.Registry) coreMetrics {
 		unitClaims:    reg.Counter("cxlmc_unit_claims_total", "subtree work units claimed by workers"),
 		unitsFinished: reg.Counter("cxlmc_units_finished_total", "subtree work units fully explored"),
 
-		cpWrites:      reg.Counter("cxlmc_checkpoint_writes_total", "checkpoint files installed"),
-		cpRetries:     reg.Counter("cxlmc_checkpoint_retries_total", "checkpoint write attempts retried after transient faults"),
-		cpErrors:      reg.Counter("cxlmc_checkpoint_errors_total", "periodic checkpoint writes that failed after retries"),
-		cpQuarantines: reg.Counter("cxlmc_checkpoint_quarantines_total", "corrupt checkpoints quarantined at startup"),
+		checkpointMetrics: newCheckpointMetrics(reg),
 
 		chaosFaults: reg.Counter("cxlmc_chaos_faults_total", "faults injected by the chaos engine"),
 
@@ -97,6 +91,22 @@ func newCoreMetrics(reg *obs.Registry) coreMetrics {
 	m.decisions[decision.KindFailure] = reg.Counter("cxlmc_decisions_failure_total", "failure-injection decision points created")
 	m.decisions[decision.KindPoison] = reg.Counter("cxlmc_decisions_poison_total", "poison decision points created")
 	return m
+}
+
+// checkpointMetrics are the instruments of checkpoint I/O, which every
+// Ledger counts — the engine's among the rest of its instruments, the
+// distributed coordinator's alone.
+type checkpointMetrics struct {
+	cpWrites, cpRetries, cpErrors, cpQuarantines *obs.Counter
+}
+
+func newCheckpointMetrics(reg *obs.Registry) checkpointMetrics {
+	return checkpointMetrics{
+		cpWrites:      reg.Counter("cxlmc_checkpoint_writes_total", "checkpoint files installed"),
+		cpRetries:     reg.Counter("cxlmc_checkpoint_retries_total", "checkpoint write attempts retried after transient faults"),
+		cpErrors:      reg.Counter("cxlmc_checkpoint_errors_total", "periodic checkpoint writes that failed after retries"),
+		cpQuarantines: reg.Counter("cxlmc_checkpoint_quarantines_total", "corrupt checkpoints quarantined at startup"),
+	}
 }
 
 // publish adds a delta of the run's tally to the scraped counters. The

@@ -86,7 +86,11 @@ func TestObserverSeesOnlyExploredExecutions(t *testing.T) {
 		t.Fatalf("events delivered: Run %d, Continue %d, its %d paths replayed singly %d", ran.n, continued.n, paths, replayed.n)
 	}
 
-	MinimizeBugs(cfg, leakProbe, raw.Bugs)
+	l, _, _, err := OpenLedger(cfg, leakProbe, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	minimizeBugTokens(l.cfg, leakProbe, l.progDigest, raw.Bugs)
 	if len(raw.Bugs) != 1 || len(res.Bugs) != 1 || res.Bugs[0].ReproToken != raw.Bugs[0].ReproToken {
 		t.Fatalf("Run reports %+v, Continue's bugs minimize to %+v", res.Bugs, raw.Bugs)
 	}

@@ -44,17 +44,10 @@ import (
 	"repro/internal/obs"
 )
 
-// engine coordinates the worker pool for one Run.
+// engine coordinates the worker pool for one Run. Its queue is the frontier
+// the embedded Ledger keeps the books of.
 type engine struct {
-	cfg        Config
-	program    func(*Program)
-	cfgDigest  string
-	progDigest string
-
-	start time.Time
-	// prior is the wall-clock time credited from resumed checkpoints, so
-	// Stats.Elapsed stays cumulative across interruptions.
-	prior    time.Duration
+	Ledger
 	deadline time.Time
 
 	mu   sync.Mutex
@@ -70,10 +63,6 @@ type engine struct {
 	// the decision points of every unit explored to the end. Units still
 	// queued or being explored carry their points inside.
 	total Tally
-	// res is the cumulative resilience record: this process's
-	// checkpoint-error and quarantine history on top of a resumed
-	// checkpoint's.
-	res Resilience
 	// nextExec numbers executions: workers reserve an ordinal under mu
 	// before each one, which makes MaxExecutions an exact global cutoff (no
 	// overshoot even with many workers). It runs ahead of total.Executions
@@ -83,7 +72,6 @@ type engine struct {
 	// bug-stop, MaxExecutions, MaxTime, Stop and failure.
 	stopFlag    bool
 	interrupted bool
-	resumed     bool
 	failErr     error
 	// panicked stores a panic escaping a worker goroutine, re-raised on
 	// Run's goroutine after the pool drains.
@@ -94,30 +82,21 @@ type engine struct {
 	// execution boundary; empty while it owns none or the run keeps no
 	// checkpoint file. The buffers are reused, so a boundary allocates
 	// nothing.
-	held        [][]byte
-	lastCPExecs int
-	lastCPTime  time.Time
+	held [][]byte
 
-	// Observability plumbing (see observe.go). om's instruments are nil
-	// (valid no-ops) when Config.Obs is not set; tracer is nil without
-	// Config.EventTrace. workers is the per-worker status a Progress
+	// Observability plumbing (see observe.go). The Ledger's om and tracer
+	// are the engine's: om's instruments are nil (valid no-ops) when
+	// Config.Obs is not set; tracer is nil without Config.EventTrace.
+	// workers is the per-worker status a Progress
 	// snapshot carries, mutated only under mu at execution boundaries.
 	// unitsDone feeds the crude ETA: units fully explored this process.
 	// watched says a boundary has progress to report or a tracer to drain
 	// (watchLocked), lastProgress and lastFlush when it last did.
-	om           coreMetrics
-	tracer       *obs.Tracer
 	workers      []WorkerStatus
 	unitsDone    int
 	watched      bool
 	lastProgress time.Time
 	lastFlush    time.Time
-
-	// inMemory makes from stand in for the checkpoint file: the run resumes
-	// it (nil: nothing to resume) instead of reading CheckpointPath and
-	// returns what it would have written at the end. See Continue.
-	inMemory bool
-	from     *Checkpoint
 }
 
 // worker is the per-goroutine exploration state.
@@ -130,12 +109,13 @@ type worker struct {
 }
 
 func newEngine(cfg Config, program func(*Program), progDigest string) *engine {
-	e := &engine{
+	e := &engine{Ledger: Ledger{
 		cfg:        cfg,
 		program:    program,
 		cfgDigest:  configDigest(cfg),
 		progDigest: progDigest,
-	}
+		merged:     cfg.Workers > 1,
+	}}
 	e.cond = sync.NewCond(&e.mu)
 	e.held = make([][]byte, cfg.Workers)
 	e.workers = make([]WorkerStatus, cfg.Workers)
@@ -143,48 +123,6 @@ func newEngine(cfg Config, program func(*Program), progDigest string) *engine {
 		e.workers[i] = WorkerStatus{ID: i, State: "wait"}
 	}
 	return e
-}
-
-// seedFrontier resumes any checkpoint — the file, or the one handed to
-// Continue — and seeds the initial work queue. done reports that the
-// checkpointed exploration had already finished (nothing left to explore).
-// It runs before any worker starts, so it takes no lock.
-func (e *engine) seedFrontier() (done bool, err error) {
-	var r *Resume
-	var quarantined bool
-	if !e.inMemory {
-		r, quarantined, err = ResumeCheckpoint(e.cfg.CheckpointPath, e.cfg.Seed, e.cfgDigest, e.progDigest, e.cfg.Chaos)
-	} else if e.from != nil {
-		r, err = e.from.resume("handed to Continue", e.cfg.Seed, e.cfgDigest, e.progDigest)
-	}
-	if err != nil {
-		return false, err
-	}
-	if quarantined {
-		e.res.Quarantined = true
-		e.om.cpQuarantines.Inc()
-		e.tracer.RecordS(-1, obs.EvCheckpointQuarantine, 0, e.cfg.CheckpointPath)
-	}
-	if r == nil {
-		e.queue = []*decision.Tree{decision.NewTree()}
-	} else {
-		e.queue = r.Units
-		e.total, e.res = r.Total, r.Res
-		e.nextExec = e.total.Executions
-		e.prior = r.Elapsed
-		e.resumed = true
-		// Seed the process-lifetime metrics with the inherited totals so
-		// /statusz and /metrics agree with Stats.
-		e.om.publish(e.total.Counters, len(e.total.Bugs))
-		e.om.cpErrors.Add(int64(e.res.CheckpointErrors))
-		if r.Complete || len(e.queue) == 0 {
-			// The checkpointed exploration already finished: there is nothing
-			// to re-explore.
-			return true, nil
-		}
-	}
-	e.lastCPExecs, e.lastCPTime = e.total.Executions, e.start
-	return false, nil
 }
 
 // run drives the whole exploration and assembles the Result, next to the
@@ -196,10 +134,21 @@ func (e *engine) run() (*Checkpoint, *Result, error) {
 	}
 	obsDown := e.initObs()
 	defer obsDown()
-	if done, err := e.seedFrontier(); err != nil {
+	// Resume any checkpoint — the file, or the one handed to Continue — and
+	// seed the work queue; no worker has started, so no lock is taken.
+	units, total, err := e.resume()
+	if err != nil {
 		return nil, nil, err
-	} else if done {
-		return e.envelope(nil, true), e.result(true), nil
+	}
+	e.queue, e.total, e.nextExec = units, total, total.Executions
+	if e.resumed {
+		// Seed the process-lifetime metrics with the inherited totals so
+		// /statusz and /metrics agree with Stats.
+		e.om.publish(e.total.Counters, len(e.total.Bugs))
+	}
+	if len(units) == 0 {
+		// The checkpointed exploration already finished.
+		return e.envelope(e.total, nil, true, false), e.result(e.total, nil, true, false), nil
 	}
 
 	var wg sync.WaitGroup
@@ -238,56 +187,13 @@ func (e *engine) run() (*Checkpoint, *Result, error) {
 	if e.failErr != nil {
 		return nil, nil, e.failErr
 	}
-	complete := !e.stopFlag && len(e.queue) == 0
-	if e.cfg.Workers > 1 {
-		// Discovery order is nondeterministic across workers; report bugs
-		// in a stable order instead.
-		SortBugs(e.total.Bugs)
-	}
-	if !e.inMemory {
-		// Whoever chains Continue calls minimizes the merged bug set once,
-		// at the end, instead of paying the replays in every call.
-		minimizeBugTokens(e.cfg, e.program, e.progDigest, e.total.Bugs)
-	}
-	res := e.result(complete)
-	var cp *Checkpoint
-	if e.inMemory || e.cfg.CheckpointPath != "" {
-		cp = e.envelope(e.frontierSnapshotsLocked(), complete)
-		if !e.inMemory {
-			// The final checkpoint must succeed: without it the run's
-			// remaining frontier would be lost.
-			if err := writeCheckpointFile(e.cfg.CheckpointPath, cp, e.cfg.Chaos, e.om, e.tracer); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	return cp, res, nil
+	return e.Close(e.total, e.queue, !e.stopFlag && len(e.queue) == 0, e.interrupted)
 }
 
-// result assembles the Result from the engine's final state. Point
-// counters are the completed units' totals plus whatever the still-queued
-// units created before being released.
-func (e *engine) result(complete bool) *Result {
-	c := e.total.Counters
-	for _, tr := range e.queue {
-		c.Add(TreeCounters(tr))
-	}
-	stats := Stats{
-		Counters:    c,
-		Resilience:  e.res,
-		Elapsed:     e.prior + time.Since(e.start),
-		Complete:    complete,
-		Interrupted: e.interrupted,
-		Resumed:     e.resumed,
-	}
-	return &Result{Stats: stats, Bugs: e.total.Bugs, Seed: e.cfg.Seed, GPF: e.cfg.GPF}
-}
-
-// frontierSnapshotsLocked collects the full unexplored frontier as unit
-// snapshots: held ∪ queue. The held entries alias the engine's reused
-// buffers, so the caller encodes them before it lets go of the lock (at run
-// end no worker is left and none is held).
-func (e *engine) frontierSnapshotsLocked() [][]byte {
+// frontierLocked is the engine's frontier as a checkpoint takes it: the
+// totals and held ∪ queue. The held entries alias the engine's reused
+// buffers, so the caller encodes them before it lets go of the lock.
+func (e *engine) frontierLocked() (Tally, [][]byte) {
 	units := make([][]byte, 0, len(e.held)+len(e.queue))
 	for _, snap := range e.held {
 		if len(snap) > 0 {
@@ -297,12 +203,7 @@ func (e *engine) frontierSnapshotsLocked() [][]byte {
 	for _, tr := range e.queue {
 		units = append(units, tr.Snapshot())
 	}
-	return units
-}
-
-func (e *engine) envelope(units [][]byte, complete bool) *checkpointData {
-	return NewCheckpoint(e.cfg.Seed, e.cfgDigest, e.progDigest, units,
-		e.total, e.res, e.prior+time.Since(e.start), complete, e.interrupted)
+	return e.total, units
 }
 
 // take blocks until a unit is available (returning it) or the run is
@@ -483,8 +384,11 @@ func (e *engine) boundaryLocked(w *worker, tr *decision.Tree) (leave, spent bool
 		}
 	}
 	e.holdLocked(w, tr)
-	if e.dueLocked() {
-		e.writePeriodicLocked()
+	if e.Due(e.total.Executions) {
+		// A failed periodic write is counted and tolerated: the file
+		// installed before it is intact, and only the final write is
+		// load-bearing.
+		e.Checkpoint(e.frontierLocked)
 	}
 	return false, false
 }
@@ -528,7 +432,7 @@ func (e *engine) mergeLocked(w *worker) {
 // finishUnitLocked accounts an exhausted unit: its decision-point counters
 // move to the engine's completed totals.
 func (e *engine) finishUnitLocked(tr *decision.Tree) {
-	e.total.Add(TreeCounters(tr))
+	e.total.Add(treeCounters(tr))
 	e.unitsDone++
 	e.om.unitsFinished.Inc()
 }
@@ -546,38 +450,12 @@ func (e *engine) endUnitLocked(w *worker, tr *decision.Tree, pushback bool) {
 	e.cond.Broadcast()
 }
 
-// dueLocked reports whether either checkpoint cadence is due.
-func (e *engine) dueLocked() bool {
-	if e.cfg.CheckpointPath == "" {
-		return false
-	}
-	if e.cfg.CheckpointEvery > 0 && e.total.Executions-e.lastCPExecs >= e.cfg.CheckpointEvery {
-		return true
-	}
-	return e.cfg.CheckpointInterval > 0 && time.Since(e.lastCPTime) >= e.cfg.CheckpointInterval
-}
-
 // holdLocked records w's unit as it stands at this boundary (see the held
 // ∪ queue invariant in the file header). Runs that keep no checkpoint file
 // skip the snapshot.
 func (e *engine) holdLocked(w *worker, tr *decision.Tree) {
 	if e.cfg.CheckpointPath != "" {
 		e.held[w.id] = tr.AppendSnapshot(e.held[w.id][:0])
-	}
-}
-
-// writePeriodicLocked writes the checkpoint as of now: held ∪ queue and the
-// totals merged so far. A failed periodic write is tolerated — the
-// previously installed checkpoint is still intact thanks to the atomic
-// rename, so the run keeps exploring and just counts the miss; only the
-// final write (in run) is load-bearing.
-func (e *engine) writePeriodicLocked() {
-	cp := e.envelope(e.frontierSnapshotsLocked(), false)
-	err := writeCheckpointFile(e.cfg.CheckpointPath, cp, e.cfg.Chaos, e.om, e.tracer)
-	e.lastCPExecs, e.lastCPTime = e.total.Executions, time.Now()
-	if err != nil {
-		e.res.CheckpointErrors++
-		e.om.cpErrors.Inc()
 	}
 }
 

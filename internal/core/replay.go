@@ -151,7 +151,7 @@ func replayPath(cfg Config, program func(*Program), progDigest string, steps []d
 	if ck.internalErr != nil {
 		return nil, nil, ck.internalErr
 	}
-	ck.stats.Add(TreeCounters(ck.tree))
+	ck.stats.Add(treeCounters(ck.tree))
 	stats := Stats{Counters: ck.stats.Counters, Elapsed: time.Since(start)}
 	return &Result{Stats: stats, Bugs: ck.stats.Bugs, Seed: cfg.Seed, GPF: cfg.GPF}, ck.tree.Path(), nil
 }

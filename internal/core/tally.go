@@ -88,10 +88,10 @@ func SortBugs(bugs []Bug) {
 	})
 }
 
-// TreeCounters reads the decision points a subtree unit has created so far
+// treeCounters reads the decision points a subtree unit has created so far
 // — the only counters a unit carries inside its snapshot — as Counters, so
 // they add and subtract like everything else.
-func TreeCounters(tr *decision.Tree) Counters {
+func treeCounters(tr *decision.Tree) Counters {
 	return Counters{
 		FailurePoints:  tr.Created(decision.KindFailure),
 		ReadFromPoints: tr.Created(decision.KindReadFrom),

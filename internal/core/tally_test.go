@@ -87,7 +87,7 @@ func TestCountersEveryFieldTravels(t *testing.T) {
 	cfg.fillDefaults()
 	e := newEngine(cfg, resilientClean, "prog")
 	e.total.Counters, e.res = c, r
-	if st := e.result(true).Stats; st.Counters != c || st.Resilience != r {
+	if st := e.result(e.total, nil, true, false).Stats; st.Counters != c || st.Resilience != r {
 		t.Errorf("Stats fill: got %+v, want %+v %+v", st, c, r)
 	}
 }

@@ -22,9 +22,11 @@ type CoordinatorConfig struct {
 	// part (seed, GPF/Poison, step limits, ...) is what every worker must
 	// match; the coordinator explores nothing itself, so of the rest it
 	// reads only the plumbing: CheckpointPath persists the frontier in the
-	// version-2 checkpoint format every CheckpointInterval (0 means 2s) —
-	// SIGKILL-ing the coordinator mid-run loses at most that much, and the
-	// file is interchangeable with single-process checkpoints; Chaos
+	// version-2 checkpoint format, interchangeable with single-process
+	// checkpoints, on the engine's cadence — at the first accepted
+	// completion once CheckpointEvery executions or CheckpointInterval have
+	// passed (neither set means every 2s) — so SIGKILL-ing the coordinator
+	// mid-run loses at most that much; Chaos
 	// injects 5xx responses on the API and I/O faults on checkpoint writes;
 	// EventTrace receives lease-lifecycle events as JSONL; Obs is the
 	// registry the lease metrics go to (nil creates a private one, read
@@ -51,26 +53,19 @@ type Coordinator struct {
 	// run names this start of the coordinator, drawn at random: the frontier
 	// numbers units from 1 and epochs from 0 at every start, and a lease of
 	// the last start must not complete into the unit that bears its number now.
-	run    string
-	f      *core.MemFrontier
+	run string
+	f   *core.MemFrontier
+	// ledger keeps the books of the frontier f holds, as the engine's keeps
+	// those of its queue. f is credited with the resumed tally, so
+	// f.Progress is always the whole exploration.
+	ledger *core.Ledger
 	srv    *obs.Server
 	reg    *obs.Registry
 	tracer *obs.Tracer
-	start  time.Time
 
 	mu          sync.Mutex
 	stopFlag    bool
 	interrupted bool
-	// What a resumed checkpoint handed down, other than its tally (which
-	// the frontier is credited with, so f.Progress is always the whole
-	// exploration): elapsed time and the resilience record.
-	prior   time.Duration
-	resumed bool
-	res     core.Resilience
-	// emptySeed marks a resume from a checkpoint with no outstanding
-	// units: the exploration is already complete and Wait returns at once
-	// (the frontier itself never reports Done without having held units).
-	emptySeed bool
 	// parked counts the turns waiting for a unit — the waiting set a
 	// returned remainder is split for — and wake is closed (and replaced) by
 	// every completion and stop, for them and for Wait to look again.
@@ -86,9 +81,6 @@ type Coordinator struct {
 	foreign int
 	idem    *idemCache
 
-	cpStop chan struct{}
-	cpDone chan struct{}
-
 	mLeaseActive *obs.Gauge
 	mReclaims    *obs.Counter
 	mStales      *obs.Counter
@@ -96,13 +88,11 @@ type Coordinator struct {
 	mCompletes   *obs.Counter
 	mGrants      *obs.Counter
 	mDonated     *obs.Counter
-	mQuarantines *obs.Counter
 }
 
 // StartCoordinator seeds the frontier (resuming Check.CheckpointPath if it
 // holds a valid checkpoint; a corrupt one is quarantined), starts the
-// HTTP server and the checkpoint loop, and returns immediately. Call
-// Wait for the result.
+// HTTP server and returns immediately. Call Wait for the result.
 func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Program == nil {
 		return nil, fmt.Errorf("dist: nil program")
@@ -110,13 +100,17 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = core.DefaultLeaseTTL
 	}
-	if cfg.Check.CheckpointInterval <= 0 {
+	if cfg.Check.CheckpointEvery <= 0 && cfg.Check.CheckpointInterval <= 0 {
 		cfg.Check.CheckpointInterval = 2 * time.Second
 	}
 	if cfg.Check.Obs == nil {
 		cfg.Check.Obs = obs.NewRegistry()
 	}
-	cfgDigest, progDigest, err := core.ExplorationDigests(cfg.Check, cfg.Program)
+	var tracer *obs.Tracer
+	if cfg.Check.EventTrace != nil {
+		tracer = obs.NewTracer(0, 1024, cfg.Check.EventTrace)
+	}
+	ledger, units, inherited, err := core.OpenLedger(cfg.Check, cfg.Program, tracer)
 	if err != nil {
 		return nil, err
 	}
@@ -126,21 +120,16 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	retire(nil)
 	c := &Coordinator{
-		cfg:        cfg,
-		cfgDigest:  cfgDigest,
-		progDigest: progDigest,
-		run:        hex.EncodeToString(nonce[:]),
-		reg:        cfg.Check.Obs,
-		start:      time.Now(),
-		wake:       make(chan struct{}),
-		owing:      make(map[string]bool),
-		idem:       newIdemCache(512),
-		cpStop:     make(chan struct{}),
-		cpDone:     make(chan struct{}),
+		cfg:    cfg,
+		run:    hex.EncodeToString(nonce[:]),
+		ledger: ledger,
+		reg:    cfg.Check.Obs,
+		tracer: tracer,
+		wake:   make(chan struct{}),
+		owing:  make(map[string]bool),
+		idem:   newIdemCache(512),
 	}
-	if cfg.Check.EventTrace != nil {
-		c.tracer = obs.NewTracer(0, 1024, cfg.Check.EventTrace)
-	}
+	c.cfgDigest, c.progDigest = ledger.Digests()
 	c.mLeaseActive = c.reg.Gauge("cxlmc_lease_active", "work-unit leases currently held by workers")
 	c.mReclaims = c.reg.Counter("cxlmc_lease_reclaims_total", "leases reclaimed after their holder missed the deadline")
 	c.mStales = c.reg.Counter("cxlmc_lease_stale_completions_total", "completion reports rejected for a stale lease epoch")
@@ -148,12 +137,7 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c.mCompletes = c.reg.Counter("cxlmc_lease_completions_total", "work units completed by workers")
 	c.mGrants = c.reg.Counter("cxlmc_lease_grants_total", "work-unit leases granted")
 	c.mDonated = c.reg.Counter("cxlmc_units_donated_total", "unexplored work units returned by workers completing a lease early")
-	c.mQuarantines = c.reg.Counter("cxlmc_checkpoint_quarantines_total", "corrupt checkpoints quarantined at startup")
 
-	units, inherited, err := c.seedUnits()
-	if err != nil {
-		return nil, err
-	}
 	c.f = core.NewMemFrontier(core.MemFrontierConfig{
 		LeaseTTL: cfg.LeaseTTL,
 		OnEvent:  c.onLeaseEvent,
@@ -166,38 +150,7 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		c.f.Close()
 		return nil, fmt.Errorf("dist: %w", err)
 	}
-	go c.checkpointLoop()
 	return c, nil
-}
-
-// seedUnits loads the initial frontier: the checkpoint's outstanding
-// units when resuming, otherwise a single fresh whole-tree unit. It also
-// returns the tally the checkpoint had reached, for the frontier to be
-// credited with.
-func (c *Coordinator) seedUnits() (units [][]byte, inherited core.Tally, err error) {
-	path := c.cfg.Check.CheckpointPath
-	r, quarantined, err := core.ResumeCheckpoint(path, c.cfg.Check.Seed, c.cfgDigest, c.progDigest, c.cfg.Check.Chaos)
-	if err != nil {
-		return nil, inherited, err
-	}
-	if quarantined {
-		c.res.Quarantined = true
-		c.mQuarantines.Inc()
-		c.tracer.RecordS(-1, obs.EvCheckpointQuarantine, 0, path)
-	}
-	if r == nil {
-		return [][]byte{decision.NewTree().Snapshot()}, inherited, nil
-	}
-	inherited, c.res = r.Total, r.Res
-	c.prior = r.Elapsed
-	c.resumed = true
-	for _, tr := range r.Units {
-		units = append(units, tr.Snapshot())
-	}
-	// Nothing left: Wait finishes immediately with the checkpointed
-	// result, and arriving workers are told Done on their first turn.
-	c.emptySeed = len(units) == 0
-	return units, inherited, nil
 }
 
 // onLeaseEvent observes MemFrontier lease-table transitions (called with
@@ -266,7 +219,7 @@ func (c *Coordinator) statusz() map[string]any {
 		"reclaims":   fs.Reclaims,
 		"stale":      fs.StaleRejects + c.foreign,
 		"stopping":   c.stopFlag,
-		"elapsed_ms": (c.prior + time.Since(c.start)).Milliseconds(),
+		"elapsed_ms": c.ledger.Elapsed().Milliseconds(),
 	}
 }
 
@@ -375,7 +328,7 @@ func (c *Coordinator) handleTurn(w http.ResponseWriter, r *http.Request) {
 		}
 		if resp.Unit == nil {
 			resp.Stop = c.stopFlag
-			resp.Done = !c.stopFlag && (c.emptySeed || c.f.Done())
+			resp.Done = !c.stopFlag && c.f.Done()
 		}
 		if resp.Unit != nil || resp.Done || resp.Stop || !req.Want {
 			break
@@ -456,43 +409,19 @@ func (c *Coordinator) complete(d *turnDone) (stale bool, err error) {
 	}
 	c.wakeLocked()
 	c.mu.Unlock()
+	if !stale {
+		c.checkpoint()
+	}
 	return stale, nil
 }
 
-// checkpointLoop periodically persists the frontier.
-func (c *Coordinator) checkpointLoop() {
-	defer close(c.cpDone)
-	if c.cfg.Check.CheckpointPath == "" {
-		return
+// checkpoint is the coordinator's boundary, reached at every accepted
+// completion — the only event that changes what f.Outstanding returns: the
+// periodic checkpoint is written here when the engine's cadence is due.
+func (c *Coordinator) checkpoint() {
+	if t, _, _ := c.f.Progress(); c.ledger.Due(t.Executions) {
+		c.ledger.Checkpoint(c.f.Outstanding)
 	}
-	t := time.NewTicker(c.cfg.Check.CheckpointInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.cpStop:
-			return
-		case <-t.C:
-			if err := c.writeCheckpoint(false); err != nil {
-				c.mu.Lock()
-				c.res.CheckpointErrors++
-				c.mu.Unlock()
-			}
-		}
-	}
-}
-
-// writeCheckpoint persists the current frontier in the single-process
-// checkpoint format. The frontier's tally is the sum of the workers' final
-// checkpoints' totals, so like those it excludes the points the outstanding
-// units embed — exactly what the format asks for. Tally and units come from
-// one locked read, so a completion can never fall between them.
-func (c *Coordinator) writeCheckpoint(complete bool) error {
-	t, units := c.f.Outstanding()
-	c.mu.Lock()
-	cp := core.NewCheckpoint(c.cfg.Check.Seed, c.cfgDigest, c.progDigest, units,
-		t, c.res, c.prior+time.Since(c.start), complete, c.interrupted)
-	c.mu.Unlock()
-	return core.WriteCheckpoint(c.cfg.Check.CheckpointPath, cp, c.cfg.Check.Chaos)
 }
 
 // Wait blocks until the exploration completes (every unit explored and
@@ -515,7 +444,7 @@ func (c *Coordinator) Wait(stop <-chan struct{}) (*core.Result, error) {
 		wake, stopping := c.wake, c.stopFlag
 		busy := len(c.owing) > 0 || c.inflight > 0
 		c.mu.Unlock()
-		complete = c.emptySeed || c.f.Done()
+		complete = c.f.Done()
 		resolved := complete
 		if stopping && !complete {
 			// Stopping: outstanding leases resolve first (complete, or expire
@@ -549,49 +478,24 @@ func (c *Coordinator) Wait(stop <-chan struct{}) (*core.Result, error) {
 			spent = true
 		}
 	}
-	close(c.cpStop)
-	<-c.cpDone
-	t, units := c.f.Outstanding()
 	// Like the engine's result, Stats counts the points of the units a
 	// stopped run leaves unexplored. (Every unit in the frontier decodes:
-	// ResumeCheckpoint and handleComplete let no other in.)
+	// the ledger and complete let no other in.)
+	t, units := c.f.Outstanding()
 	left, _ := restoreUnits(units)
-	for _, tr := range left {
-		t.Add(core.TreeCounters(tr))
-	}
 	fs := c.f.Stats()
 	c.f.Close()
 	retire(c.srv)
 	c.mu.Lock()
-	stats := core.Stats{
-		Counters:         t.Counters,
-		Resilience:       c.res,
-		Elapsed:          c.prior + time.Since(c.start),
-		Complete:         complete,
-		Interrupted:      c.interrupted,
-		Resumed:          c.resumed,
-		LeaseReclaims:    fs.Reclaims,
-		RPCRetries:       fs.RPCRetries,
-		StaleCompletions: fs.StaleRejects + c.foreign,
-	}
+	interrupted, stales := c.interrupted, fs.StaleRejects+c.foreign
 	c.mu.Unlock()
-	core.SortBugs(t.Bugs)
-	core.MinimizeBugs(c.cfg.Check, c.cfg.Program, t.Bugs)
-	if c.cfg.Check.CheckpointPath != "" {
-		if err := c.writeCheckpoint(complete); err != nil {
-			// Like the engine, only a failed FINAL write fails the run:
-			// without it the remaining frontier would be lost.
-			if !complete {
-				return nil, err
-			}
-			c.mu.Lock()
-			c.res.CheckpointErrors++
-			stats.CheckpointErrors = c.res.CheckpointErrors
-			c.mu.Unlock()
-		}
-	}
+	_, res, err := c.ledger.Close(t, left, complete, interrupted)
 	c.tracer.Flush()
-	return &core.Result{Stats: stats, Bugs: t.Bugs, Seed: c.cfg.Check.Seed, GPF: c.cfg.Check.GPF}, nil
+	if err != nil {
+		return nil, err
+	}
+	res.LeaseReclaims, res.RPCRetries, res.StaleCompletions = fs.Reclaims, fs.RPCRetries, stales
+	return res, nil
 }
 
 // lingering is the last coordinator in this process to have finished. Its

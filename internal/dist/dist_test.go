@@ -853,7 +853,7 @@ func killedCoordinatorCheckpoint(t *testing.T, check core.Config, prog func(*cor
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if err := c1.writeCheckpoint(false); err != nil {
+	if err := c1.ledger.Checkpoint(c1.f.Outstanding); err != nil {
 		t.Fatal(err)
 	}
 	mid, _, _ := c1.f.Progress()
@@ -862,7 +862,6 @@ func killedCoordinatorCheckpoint(t *testing.T, check core.Config, prog func(*cor
 	}
 	// SIGKILL: no Wait, no final checkpoint, no graceful anything.
 	c1.srv.Close()
-	close(c1.cpStop)
 	c1.f.Close()
 	return cpPath
 }
@@ -937,12 +936,11 @@ func TestRestartedCoordinatorRefusesOldIncarnation(t *testing.T) {
 	if err != nil || old.Unit == nil {
 		t.Fatalf("lease from the first coordinator: %v, unit %v", err, old.Unit)
 	}
-	if err := c1.writeCheckpoint(false); err != nil {
+	if err := c1.ledger.Checkpoint(c1.f.Outstanding); err != nil {
 		t.Fatal(err)
 	}
 	// SIGKILL: no Wait, no final checkpoint.
 	c1.srv.Close()
-	close(c1.cpStop)
 	c1.f.Close()
 
 	c2, err := StartCoordinator(CoordinatorConfig{Check: persisted, Program: prog, Addr: "127.0.0.1:0"})

@@ -32,7 +32,6 @@ func FuzzCoordinatorBodies(f *testing.F) {
 	// until the hour is up.
 	f.Cleanup(func() {
 		c.srv.Close()
-		close(c.cpStop)
 		c.f.Close()
 	})
 	// The lease the seeds hand back: unit 1, epoch 0.

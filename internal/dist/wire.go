@@ -28,9 +28,10 @@
 // delays, duplicates, partitions, 5xx) never kill a run;
 // a holder that missed its deadline wastes at most one lease budget of work
 // before its completion is answered stale.
-// The coordinator checkpoints its frontier in the same version-2 format
-// single-process runs use, so a SIGKILL'd coordinator resumes losslessly
-// — and a single-process run can even resume a coordinator's checkpoint.
+// The coordinator keeps its frontier's books in a core.Ledger, as the engine
+// does: it checkpoints at accepted completions on the engine's cadence, in the
+// format single-process runs use, so a SIGKILL'd coordinator resumes losslessly
+// and a single-process run can resume a coordinator's checkpoint.
 package dist
 
 import "repro/internal/core"
