@@ -1,13 +1,14 @@
 package cxlmc_test
 
 import (
-	"fmt"
-	"math/rand"
-	"reflect"
+	"maps"
+	"strings"
 	"testing"
 	"time"
 
 	cxlmc "repro"
+	"repro/internal/harness"
+	"repro/internal/progir"
 )
 
 func mustRun(t *testing.T, cfg cxlmc.Config, prog func(*cxlmc.Program)) *cxlmc.Result {
@@ -234,20 +235,45 @@ func TestBrokenCopyOnWriteDetected(t *testing.T) {
 
 // --- Randomized property tests --------------------------------------------
 
+// propertyPrograms rolls the property tests' n programs: one machine of one
+// thread of up to 12 ops from progir's whole alphabet, over up to four
+// cells two to a line, which the observer loads once it finished or failed.
+// Seeds that plant the pattern, whose observer asserts, are passed over.
+func propertyPrograms(n int) []*progir.Program {
+	var ps []*progir.Program
+	for seed := int64(0); len(ps) < n; seed++ {
+		p := progir.Generate(seed, progir.GenConfig{MaxMachines: 1, MaxThreadsPerMachine: 1,
+			MaxOpsPerThread: 12, MaxCells: 4, FlushBudget: 12})
+		if !p.Pattern {
+			p.Lines = make([]int, p.Cells)
+			for c := range p.Lines {
+				p.Lines[c] = c / 2
+			}
+			ps = append(ps, p)
+		}
+	}
+	return ps
+}
+
+func mustOutcomes(t *testing.T, cfg cxlmc.Config, p *progir.Program) (map[string]bool, *cxlmc.Result) {
+	t.Helper()
+	set, res, err := harness.Outcomes(cfg, p)
+	if err != nil {
+		t.Fatalf("%+v: %v", p, err)
+	}
+	return set, res
+}
+
 // TestPropertyGPFObservationsSubset: any value set observable under GPF
 // must also be observable without GPF (GPF executions are a subset of
 // the failure behaviours).
 func TestPropertyGPFObservationsSubset(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 25; trial++ {
-		prog, observe := randomProgram(rng.Int63())
-		plain := map[string]bool{}
-		gpf := map[string]bool{}
-		mustRun(t, cxlmc.Config{}, prog(plain, observe))
-		mustRun(t, cxlmc.Config{GPF: true}, prog(gpf, observe))
+	for trial, p := range propertyPrograms(50) {
+		plain, _ := mustOutcomes(t, cxlmc.Config{}, p)
+		gpf, _ := mustOutcomes(t, cxlmc.Config{GPF: true}, p)
 		for o := range gpf {
 			if !plain[o] {
-				t.Fatalf("trial %d: observation %q reachable under GPF but not without", trial, o)
+				t.Fatalf("trial %d: observation %s reachable under GPF but not without", trial, o)
 			}
 		}
 	}
@@ -255,14 +281,10 @@ func TestPropertyGPFObservationsSubset(t *testing.T) {
 
 // TestPropertyDeterminism: identical configs explore identical spaces.
 func TestPropertyDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 25; trial++ {
-		prog, observe := randomProgram(rng.Int63())
-		a := map[string]bool{}
-		b := map[string]bool{}
-		ra := mustRun(t, cxlmc.Config{Seed: 3}, prog(a, observe))
-		rb := mustRun(t, cxlmc.Config{Seed: 3}, prog(b, observe))
-		if ra.Executions != rb.Executions || !reflect.DeepEqual(a, b) {
+	for trial, p := range propertyPrograms(50) {
+		a, ra := mustOutcomes(t, cxlmc.Config{Seed: 3}, p)
+		b, rb := mustOutcomes(t, cxlmc.Config{Seed: 3}, p)
+		if ra.Executions != rb.Executions || !maps.Equal(a, b) {
 			t.Fatalf("trial %d: non-deterministic exploration (%d vs %d execs)", trial, ra.Executions, rb.Executions)
 		}
 	}
@@ -271,77 +293,20 @@ func TestPropertyDeterminism(t *testing.T) {
 // TestPropertyConsecutiveLoadsAgree: in every random program, two
 // back-to-back loads of the same address by the observer agree (§3.3).
 func TestPropertyConsecutiveLoadsAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(1234))
-	for trial := 0; trial < 25; trial++ {
-		seed := rng.Int63()
-		res := mustRun(t, cxlmc.Config{}, func(p *cxlmc.Program) {
-			a := p.NewMachine("A")
-			b := p.NewMachine("B")
-			base := p.AllocAligned(128, 64)
-			writer := randomWriter(seed, base)
-			a.Thread("w", writer)
-			b.Thread("r", func(th *cxlmc.Thread) {
-				th.Join(a)
-				for off := cxlmc.Addr(0); off < 128; off += 32 {
-					v1 := th.Load64(base + off)
-					v2 := th.Load64(base + off)
-					th.Assert(v1 == v2, "consecutive loads at +%d disagree: %d vs %d", off, v1, v2)
-				}
-			})
-		})
-		if res.Buggy() {
-			t.Fatalf("trial %d (seed %d): %v", trial, seed, res.Bugs)
+	for trial, p := range propertyPrograms(50) {
+		for c := range p.Cells {
+			p.Observe = append(p.Observe, c, c)
 		}
-	}
-}
-
-// randomWriter emits a deterministic pseudo-random sequence of stores,
-// flushes and fences over [base, base+128).
-func randomWriter(seed int64, base cxlmc.Addr) func(*cxlmc.Thread) {
-	return func(th *cxlmc.Thread) {
-		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < 12; i++ {
-			a := base + cxlmc.Addr(rng.Intn(4)*32)
-			switch rng.Intn(6) {
-			case 0:
-				th.CLFlush(a)
-			case 1:
-				th.CLFlushOpt(a)
-				th.SFence()
-			case 2:
-				th.SFence()
-			case 3:
-				th.MFence()
-			default:
-				th.Store64(a, uint64(rng.Intn(50)+1))
+		set, _ := mustOutcomes(t, cxlmc.Config{}, p)
+		for o := range set {
+			v := strings.Fields(strings.Trim(o, "[]"))
+			for i := 0; i < len(v); i += 2 {
+				if v[i] != v[i+1] {
+					t.Fatalf("trial %d: consecutive loads of cell %d disagree in %s", trial, i/2, o)
+				}
 			}
 		}
-		th.MFence()
 	}
-}
-
-// randomProgram builds a two-machine program with a seeded random writer
-// and an observer that records what it reads into the provided set.
-func randomProgram(seed int64) (func(map[string]bool, int) func(*cxlmc.Program), int) {
-	return func(sink map[string]bool, _ int) func(*cxlmc.Program) {
-		return func(p *cxlmc.Program) {
-			a := p.NewMachine("A")
-			b := p.NewMachine("B")
-			base := p.AllocAligned(128, 64)
-			a.Thread("w", randomWriter(seed, base))
-			b.Thread("r", func(th *cxlmc.Thread) {
-				th.Join(a)
-				obs := ""
-				for off := cxlmc.Addr(0); off < 128; off += 32 {
-					obs += fmt.Sprintf("%d,", th.Load64(base+off))
-				}
-				if a.Failed() {
-					obs += "F"
-				}
-				sink[obs] = true
-			})
-		}
-	}, 0
 }
 
 // TestPropertyCompletenessDroppedFlush is a constructive completeness

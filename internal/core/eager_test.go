@@ -4,83 +4,45 @@ package core_test
 // Algorithm 3 path, through the test-only WithEagerReadSet hook.
 
 import (
-	"fmt"
-	"math/rand"
-	"reflect"
+	"maps"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/harness"
+	"repro/internal/progir"
 )
 
-// randomObserved builds a two-machine program: machine A runs a seeded
-// random sequence of stores, flushes and fences over four words 32 bytes
-// apart, and machine B, after A quiesced or failed, records what it reads
-// (and whether A failed) into sink.
-func randomObserved(seed int64, sink map[string]bool) func(*core.Program) {
-	return func(p *core.Program) {
-		a := p.NewMachine("A")
-		b := p.NewMachine("B")
-		base := p.AllocAligned(128, 64)
-		a.Thread("w", func(th *core.Thread) {
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 12; i++ {
-				at := base + core.Addr(rng.Intn(4)*32)
-				switch rng.Intn(6) {
-				case 0:
-					th.CLFlush(at)
-				case 1:
-					th.CLFlushOpt(at)
-					th.SFence()
-				case 2:
-					th.SFence()
-				case 3:
-					th.MFence()
-				default:
-					th.Store64(at, uint64(rng.Intn(50)+1))
-				}
-			}
-			th.MFence()
-		})
-		b.Thread("r", func(th *core.Thread) {
-			th.Join(a)
-			obs := ""
-			for off := core.Addr(0); off < 128; off += 32 {
-				obs += fmt.Sprintf("%d,", th.Load64(base+off))
-			}
-			if a.Failed() {
-				obs += "F"
-			}
-			sink[obs] = true
-		})
-	}
-}
-
 // TestPropertyLazyEagerEquivalent: the §4.5 lazy search and the eager
-// Algorithm 3 set produce identical observation sets and execution
-// counts.
+// Algorithm 3 set produce identical outcome sets and execution counts, on
+// fifty generated programs of one writer of up to 12 ops over up to four
+// cells two to a line.
 func TestPropertyLazyEagerEquivalent(t *testing.T) {
-	explore := func(cfg core.Config, prog func(*core.Program)) *core.Result {
+	explore := func(cfg core.Config, p *progir.Program) (map[string]bool, *core.Result) {
 		t.Helper()
-		// Serial: the observer writes a map its closure captures.
-		cfg.Workers, cfg.MaxExecutions = 1, 200000
-		res, err := core.Run(cfg, prog)
+		set, res, err := harness.Outcomes(cfg, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return set, res
 	}
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 25; trial++ {
-		seed := rng.Int63()
-		lazy := map[string]bool{}
-		eager := map[string]bool{}
-		rl := explore(core.Config{}, randomObserved(seed, lazy))
-		re := explore(core.WithEagerReadSet(core.Config{}), randomObserved(seed, eager))
-		if !reflect.DeepEqual(lazy, eager) {
-			t.Fatalf("trial %d: lazy %v vs eager %v", trial, lazy, eager)
+	for trial, seed := 0, int64(0); trial < 50; seed++ {
+		p := progir.Generate(seed, progir.GenConfig{MaxMachines: 1, MaxThreadsPerMachine: 1,
+			MaxOpsPerThread: 12, MaxCells: 4, FlushBudget: 12})
+		if p.Pattern {
+			continue // its observer asserts
+		}
+		trial++
+		p.Lines = make([]int, p.Cells)
+		for c := range p.Lines {
+			p.Lines[c] = c / 2
+		}
+		lazy, rl := explore(core.Config{}, p)
+		eager, re := explore(core.WithEagerReadSet(core.Config{}), p)
+		if !maps.Equal(lazy, eager) {
+			t.Fatalf("seed %d: lazy %v vs eager %v", seed, lazy, eager)
 		}
 		if rl.Executions != re.Executions {
-			t.Fatalf("trial %d: lazy %d execs vs eager %d", trial, rl.Executions, re.Executions)
+			t.Fatalf("seed %d: lazy %d execs vs eager %d", seed, rl.Executions, re.Executions)
 		}
 	}
 }

@@ -7,6 +7,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"time"
 
 	cxlmc "repro"
@@ -345,16 +346,8 @@ func IterativeFix(b recipe.Benchmark, base cxlmc.Config) ([]FixStep, error) {
 			break
 		}
 		if !fixedOne {
-			return steps, fmt.Errorf("harness: %d seeded bug bits remain but no configuration reproduces them", popcount(uint32(remaining)))
+			return steps, fmt.Errorf("harness: %d seeded bug bits remain but no configuration reproduces them", bits.OnesCount32(uint32(remaining)))
 		}
 	}
 	return steps, nil
-}
-
-func popcount(x uint32) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }

@@ -28,6 +28,7 @@ import (
 
 	cxlmc "repro"
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/progir"
 )
 
@@ -41,16 +42,25 @@ func Generate(seed int64, gc GenConfig) func(*cxlmc.Program) {
 	return Build(progir.Generate(seed, gc))
 }
 
-// Build turns a generated program into the checker's: each cell 8 bytes
-// on its own cache line, the mutex if a Critical needs it, a machine per
-// IR machine, and an observer machine that joins them all, asserts the
-// pattern and loads every cell. Called once per explored execution, the
-// setup rebuilds the identical program every time, as Run requires.
+// Build turns a generated program into the checker's: each cell 8 bytes,
+// on its own cache line or on the line Lines gives it, the mutex if a
+// Critical needs it, a machine per IR machine, and an observer machine that
+// joins them all, asserts the pattern and loads the cells Observe lists.
+// Called once per explored execution, the setup rebuilds the identical
+// program every time, as Run requires.
 func Build(ir *progir.Program) func(*cxlmc.Program) {
 	return func(p *cxlmc.Program) {
 		cells := make([]cxlmc.Addr, ir.Cells)
+		free := map[int]cxlmc.Addr{} // each line's next free word
 		for i := range cells {
-			cells[i] = p.AllocAligned(8, 64)
+			a, ok := free[ir.Line(i)]
+			switch {
+			case ir.Lines == nil:
+				a = p.AllocAligned(8, 64) // as Generate's programs have always had it
+			case !ok:
+				a = p.AllocAligned(64, 64)
+			}
+			cells[i], free[ir.Line(i)] = a, a+8
 		}
 		var mu *cxlmc.Mutex
 		if ir.Mutex {
@@ -63,7 +73,7 @@ func Build(ir *progir.Program) func(*cxlmc.Program) {
 			for t, ops := range threads {
 				workers[m].Thread(fmt.Sprintf("t%d", t), func(th *cxlmc.Thread) {
 					for _, op := range ops {
-						execOp(th, mu, cells, op)
+						execOp(th, mu, cells, workers, op)
 					}
 				})
 			}
@@ -77,14 +87,14 @@ func Build(ir *progir.Program) func(*cxlmc.Program) {
 			if ir.Pattern && th.Load64(cells[1]) == 1 {
 				th.Assert(th.Load64(cells[0]) == 42, "pattern: flag set but data lost")
 			}
-			for _, c := range cells {
-				th.Load64(c)
+			for _, c := range ir.Observed() {
+				th.Load64(cells[c])
 			}
 		})
 	}
 }
 
-func execOp(th *cxlmc.Thread, mu *cxlmc.Mutex, cells []cxlmc.Addr, op progir.Op) {
+func execOp(th *cxlmc.Thread, mu *cxlmc.Mutex, cells []cxlmc.Addr, workers []*cxlmc.Machine, op progir.Op) {
 	a := cells[op.Cell]
 	switch op.Code {
 	case progir.Store:
@@ -127,9 +137,41 @@ func execOp(th *cxlmc.Thread, mu *cxlmc.Mutex, cells []cxlmc.Addr, op progir.Op)
 	case progir.Critical:
 		mu.Lock(th)
 		for _, in := range op.Inner {
-			execOp(th, mu, cells, in)
+			execOp(th, mu, cells, workers, in)
 		}
 		mu.Unlock(th)
+	case progir.Join:
+		th.Join(workers[op.Machine])
+	}
+}
+
+// Outcomes explores Build(ir) under cfg and returns the set of its
+// outcomes, keyed as the oracle keys them: the values the observer loaded,
+// in load order, as fmt.Sprint prints a []uint64. It takes cfg.Observer for
+// the collection, which makes the run serial. Every execution must end
+// with the observer's loads, so a pattern or a reported bug is an error.
+func Outcomes(cfg cxlmc.Config, ir *progir.Program) (map[string]bool, *cxlmc.Result, error) {
+	o := &outcomes{n: len(ir.Observed()), set: map[string]bool{}}
+	cfg.Observer = o
+	res, err := cxlmc.Run(cfg, Build(ir))
+	if err == nil && (ir.Pattern || res.Buggy() || len(o.vals) != 0) {
+		err = fmt.Errorf("harness: not every execution ended with the observer's loads (pattern %v, bugs %v)", ir.Pattern, res.Bugs)
+	}
+	return o.set, res, err
+}
+
+type outcomes struct {
+	n    int
+	vals []uint64
+	set  map[string]bool
+}
+
+func (o *outcomes) Op(ev cxlmc.OpEvent) {
+	if ev.Kind == core.OpLoaded && ev.MachineName == "observer" {
+		if o.vals = append(o.vals, ev.Val); len(o.vals) == o.n {
+			o.set[fmt.Sprint(o.vals)] = true
+			o.vals = o.vals[:0]
+		}
 	}
 }
 

@@ -1,11 +1,15 @@
-// Package progir is the generated-program IR: a small random program as
-// plain data — machines of threads of ops over a few 8-byte shared cells.
-// harness.Build turns one into a checker program. The package imports only
-// the standard library, so code that judges the checker by a program's
-// text need not depend on the checker.
+// Package progir is the program IR: a small program as plain data —
+// machines of threads of ops over a few 8-byte shared cells — rolled at
+// random (Generate) or enumerated exhaustively (Corpus). harness.Build
+// turns one into a checker program. The package imports only the standard
+// library, so code that judges the checker by a program's text need not
+// depend on the checker.
 package progir
 
-import "math/rand"
+import (
+	"iter"
+	"math/rand"
+)
 
 // Code names one op of a generated thread body.
 type Code int
@@ -21,6 +25,7 @@ const (
 	FetchAdd
 	Yield
 	Critical // lock; Inner; unlock
+	Join     // wait until machine Machine, a lower-numbered one, finished or failed
 )
 
 // Op is one op of a thread body. Ops without a cell leave Cell 0.
@@ -30,14 +35,20 @@ type Op struct {
 	Size int // 1, 2, 4 or 8 for loads and stores
 	Val  uint64
 	// Inner is a Critical's body: no Critical and no Yield.
-	Inner []Op
+	Inner   []Op
+	Machine int // a Join's
 }
 
 // Program is a generated program. Every worker thread runs its ops; an
-// observer machine then joins every worker machine and loads every cell.
+// observer machine then joins every worker machine and loads the cells
+// Observe lists, in order.
 type Program struct {
 	Machines [][][]Op // [machine][thread]ops
 	Cells    int
+	// Lines maps each cell to its cache line; nil puts each cell on its own.
+	Lines []int
+	// Observe lists the cells the observer loads; nil loads every cell once.
+	Observe []int
 	// Mutex is set iff some op is a Critical: the one mutex they share.
 	Mutex bool
 	// Pattern plants a writer/reader pattern on cells 0 (data) and 1
@@ -159,3 +170,65 @@ func (g *gen) rollOp(n int) Op {
 }
 
 func (g *gen) cell() int { return g.base + g.rng.Intn(g.p.Cells-g.base) }
+
+// Line returns cell's cache line.
+func (p *Program) Line(cell int) int {
+	if p.Lines == nil {
+		return cell
+	}
+	return p.Lines[cell]
+}
+
+// Observed returns the cells the observer loads, in order.
+func (p *Program) Observed() []int {
+	if p.Observe != nil {
+		return p.Observe
+	}
+	cells := make([]int, p.Cells)
+	for c := range cells {
+		cells[c] = c
+	}
+	return cells
+}
+
+// Corpus enumerates the oracle's exhaustive small scope: every program of
+// two writer machines of one thread each, each running up to k ops drawn
+// from eight symbols — an 8-byte store to cell 0 or 1, a Flush or FlushOpt
+// of either cell, an SFence, an MFence. Each store writes a value distinct
+// for k < 10: 10·(machine+1) plus its position, counted from 1. Writers come
+// in unordered pairs, crossed with {one line per cell, both cells on one
+// line} and {unjoined, the second writer first joins the first}: 10 804
+// programs at k = 2, 685 620 at k = 3.
+func Corpus(k int) iter.Seq[*Program] {
+	symbols := []Op{{Code: Store, Cell: 0, Size: 8}, {Code: Store, Cell: 1, Size: 8},
+		{Code: Flush}, {Code: Flush, Cell: 1}, {Code: FlushOpt}, {Code: FlushOpt, Cell: 1},
+		{Code: SFence}, {Code: MFence}}
+	var writers [2][][]Op // each machine's, in the same order
+	for m := range writers {
+		writers[m] = [][]Op{nil}
+		for i := 0; i < len(writers[m]); i++ {
+			if w := writers[m][i]; len(w) < k {
+				for _, op := range symbols {
+					if op.Code == Store {
+						op.Val = uint64(10*(m+1) + len(w) + 1)
+					}
+					writers[m] = append(writers[m], append(w[:len(w):len(w)], op))
+				}
+			}
+		}
+	}
+	return func(yield func(*Program) bool) {
+		for i, a := range writers[0] {
+			for _, b := range writers[1][i:] {
+				for _, lines := range [][]int{nil, {0, 0}} {
+					for _, join := range [][]Op{nil, {{Code: Join}}} {
+						p := &Program{Machines: [][][]Op{{a}, {append(join, b...)}}, Cells: 2, Lines: lines}
+						if !yield(p) {
+							return
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -113,3 +113,27 @@ func checkBounds(p *Program, gc GenConfig) string {
 	}
 	return ""
 }
+
+// TestCorpus: the corpus holds the number of programs its doc gives, each
+// store writing a value no other store of its program writes.
+func TestCorpus(t *testing.T) {
+	n := 0
+	for p := range Corpus(2) {
+		n++
+		vals := map[uint64]bool{}
+		for _, threads := range p.Machines {
+			for _, op := range threads[0] {
+				if op.Code != Store {
+					continue
+				}
+				if vals[op.Val] {
+					t.Fatalf("two stores of %d in %+v", op.Val, p)
+				}
+				vals[op.Val] = true
+			}
+		}
+	}
+	if n != 10804 {
+		t.Fatalf("%d programs at k = 2, want 10 804", n)
+	}
+}
