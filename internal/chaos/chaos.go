@@ -97,14 +97,6 @@ type Config struct {
 	// guarantees chaotic runs terminate: the injector goes quiet once it
 	// is spent.
 	MaxFaults int
-
-	// OnFault, when non-nil, is invoked after every injected fault with a
-	// short class label ("read", "write", "short-write", "sync", "rename",
-	// "corrupt", "stall", "wake"). It is called with the injector's lock
-	// held: the callback must be fast and must not call back into the
-	// injector. internal/core wires the observability subsystem here (see
-	// also SetOnFault).
-	OnFault func(class string)
 }
 
 // Stats counts injected faults by class.
@@ -135,6 +127,8 @@ type Injector struct {
 	// partUntil is the end of the currently open network partition
 	// window; zero when no partition is active.
 	partUntil time.Time
+	// onFault is the observer SetOnFault installs.
+	onFault func(class string)
 }
 
 // New returns an injector for the given fault mix.
@@ -201,23 +195,26 @@ func (in *Injector) ioErr(op string) error {
 	return &injectedError{op: op, permanent: in.cfg.Permanent}
 }
 
-// note reports one delivered fault to the OnFault observer, if any.
-// Called with in.mu held.
+// note reports one delivered fault to the observer SetOnFault installed,
+// if any. Called with in.mu held.
 func (in *Injector) note(class string) {
-	if in.cfg.OnFault != nil {
-		in.cfg.OnFault(class)
+	if in.onFault != nil {
+		in.onFault(class)
 	}
 }
 
-// SetOnFault installs (or, with nil, removes) the fault observer on an
-// existing injector — the engine uses this to observe a caller-provided
-// injector without rebuilding it. Safe on a nil receiver.
+// SetOnFault installs (or, with nil, removes) the fault observer: f is
+// invoked after every injected fault with a short class label ("read",
+// "write", "short-write", "sync", "rename", "corrupt", "stall", "wake").
+// It is called with the injector's lock held, so it must be fast and must
+// not call back into the injector. The engine uses this to observe a
+// caller-provided injector without rebuilding it. Safe on a nil receiver.
 func (in *Injector) SetOnFault(f func(class string)) {
 	if in == nil {
 		return
 	}
 	in.mu.Lock()
-	in.cfg.OnFault = f
+	in.onFault = f
 	in.mu.Unlock()
 }
 
@@ -428,14 +425,4 @@ func (in *Injector) Stats() Stats {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.stats
-}
-
-// Exhausted reports whether the fault budget is spent.
-func (in *Injector) Exhausted() bool {
-	if in == nil {
-		return true
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.cfg.MaxFaults > 0 && in.spent >= in.cfg.MaxFaults
 }

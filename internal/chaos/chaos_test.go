@@ -131,3 +131,13 @@ func TestCorruptFlipsExactlyOneBit(t *testing.T) {
 		t.Fatalf("%d bits flipped, want exactly 1 (%x -> %x)", diff, orig, data)
 	}
 }
+
+// Exhausted reports whether the fault budget is spent.
+func (in *Injector) Exhausted() bool {
+	if in == nil {
+		return true
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.cfg.MaxFaults > 0 && in.spent >= in.cfg.MaxFaults
+}

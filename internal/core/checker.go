@@ -371,7 +371,7 @@ func (ck *Checker) resetExecution() {
 	if ck.mem == nil {
 		ck.mem = memmodel.NewMemory()
 		// Bound the line tables by the region before set-up touches them.
-		ck.mem.Reserve(heapBase, Addr(ck.cfg.MemSize))
+		ck.mem.Reserve(heapBase, Addr(ck.cfg.memSize))
 	} else {
 		ck.mem.Reset()
 	}
@@ -408,7 +408,7 @@ func (ck *Checker) resetExecution() {
 	ck.program(&ck.prog)
 	// The bump allocator's mark is known now: size the line index for the
 	// whole allocation in one step rather than by doubling under the loads.
-	ck.mem.Reserve(ck.heapNext, Addr(ck.cfg.MemSize))
+	ck.mem.Reserve(ck.heapNext, Addr(ck.cfg.memSize))
 
 	// Detector state sizes to the threads and mutexes setup just created.
 	ck.observing = ck.cfg.Observer != nil

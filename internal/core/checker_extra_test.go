@@ -166,7 +166,7 @@ func TestTooManyMachines(t *testing.T) {
 // TestRegionExhaustion verifies allocator exhaustion surfaces as a setup
 // error rather than corruption.
 func TestRegionExhaustion(t *testing.T) {
-	_, err := Run(Config{MemSize: 4096}, func(p *Program) {
+	_, err := Run(WithMemSize(Config{}, 4096), func(p *Program) {
 		p.Alloc(8192)
 	})
 	if err == nil {

@@ -119,7 +119,7 @@ var digestFields = []struct {
 	{"GPF", "gpf", func(c *Config) any { return c.GPF }},
 	{"Poison", "poison", func(c *Config) any { return c.Poison }},
 	{"maxSteps", "maxsteps", func(c *Config) any { return c.maxSteps }},
-	{"MemSize", "memsize", func(c *Config) any { return c.MemSize }},
+	{"memSize", "memsize", func(c *Config) any { return c.memSize }},
 	{"commitChance", "commit", func(c *Config) any { return c.commitChance }},
 	{"eagerReadSet", "eager", func(c *Config) any { return c.eagerReadSet }},
 	{"MaxEventsPerExec", "maxevents", func(c *Config) any { return c.MaxEventsPerExec }},

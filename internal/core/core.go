@@ -118,9 +118,10 @@ type Config struct {
 	// default.
 	ContinueAfterBug bool
 
-	// MemSize is the size of the simulated CXL region in bytes; 0 means
-	// the default of 16 MiB.
-	MemSize uint64
+	// memSize is the size of the simulated CXL region in bytes; 0 means
+	// the default of 16 MiB. Set only by tests (export_test.go), and in the
+	// configuration digest as "memsize".
+	memSize uint64
 
 	// maxSteps guards against runaway executions (livelock in the checked
 	// program): an execution that takes more scheduler steps is a
@@ -341,8 +342,8 @@ func (c *Config) fillDefaults() {
 	if c.maxSteps == 0 {
 		c.maxSteps = 2_000_000
 	}
-	if c.MemSize == 0 {
-		c.MemSize = 16 << 20
+	if c.memSize == 0 {
+		c.memSize = 16 << 20
 	}
 	if c.commitChance <= 0 {
 		c.commitChance = 25

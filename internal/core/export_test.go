@@ -18,6 +18,14 @@ func WithCommitChance(cfg Config, chance int) Config {
 	return cfg
 }
 
+// WithMemSize returns cfg with a simulated CXL region of size bytes (0
+// means the default of 16 MiB). It is in the configuration digest, and no
+// program outside the tests can set it.
+func WithMemSize(cfg Config, size uint64) Config {
+	cfg.memSize = size
+	return cfg
+}
+
 // AuditedSteps returns how many scheduler steps this test binary has
 // audited the books at (books_test.go).
 func AuditedSteps() int64 { return auditedSteps.Load() }

@@ -275,8 +275,8 @@ func (e *engine) progressLocked() Progress {
 		p.ETA = time.Duration(float64(p.Frontier) * perUnit / p.ExecRate * float64(time.Second))
 	}
 	if e.cfg.Chaos != nil {
-		// The injector lock nests strictly inside e.mu here; OnFault never
-		// takes e.mu, so the order is acyclic.
+		// The injector lock nests strictly inside e.mu here; the fault
+		// observer never takes e.mu, so the order is acyclic.
 		p.ChaosFaults = e.cfg.Chaos.Stats().Total()
 	}
 	return p

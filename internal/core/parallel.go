@@ -1,11 +1,10 @@
 package core
 
 // This file implements the parallel exploration engine: the decision
-// tree is partitioned into subtree work units (decision.NewSubtree /
-// Split), a pool of workers — each owning a private Checker, so the
-// simulation itself stays single-threaded and lock-free — explores them
-// concurrently, and a coordinator merges statistics and deduplicates
-// bugs. Work-stealing is donation-based: a worker at an execution
+// tree is partitioned into subtree work units (decision.Split), a pool of
+// workers — each owning a private Checker, so the simulation itself stays
+// single-threaded and lock-free — explores them concurrently, and a
+// coordinator merges statistics and deduplicates bugs. Work-stealing is donation-based: a worker at an execution
 // boundary that sees hungry peers and an empty queue splits its own
 // unit at the shallowest advanceable decision point, handing off the
 // largest subtrees.

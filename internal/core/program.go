@@ -183,8 +183,8 @@ func (ck *Checker) alloc(size, align uint64) Addr {
 		size = 1
 	}
 	next := (uint64(ck.heapNext) + align - 1) &^ (align - 1)
-	if next+size > ck.cfg.MemSize {
-		panic(fmt.Sprintf("cxlmc: simulated CXL region exhausted (%d bytes; raise Config.MemSize)", ck.cfg.MemSize))
+	if next+size > ck.cfg.memSize {
+		panic(fmt.Sprintf("cxlmc: simulated CXL region exhausted (%d bytes)", ck.cfg.memSize))
 	}
 	ck.heapNext = Addr(next + size)
 	if ck.fp != nil {

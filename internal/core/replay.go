@@ -56,8 +56,8 @@ func decodeReproToken(s string) (*reproToken, error) {
 // observing it so the result's bug carries the last traceDepth lines of its
 // text trace (cfg.Observer, if set, sees the whole stream). The token pins
 // the seed; the remaining exploration-relevant configuration (GPF, Poison,
-// MemSize, MaxEventsPerExec, Reduction, RaceDetect and its UnflushedLines,
-// and the step limit and drain bias, which only tests change) and the
+// MaxEventsPerExec, Reduction, RaceDetect and its UnflushedLines, and the
+// region size, step limit and drain bias, which only tests change) and the
 // program structure must match the recording run, and a mismatch is rejected
 // with a descriptive error. PrefixFork is not part of the digest — a
 // replay always re-executes in full regardless of its setting. The
@@ -181,24 +181,6 @@ func minimizeBugTokens(cfg Config, program func(*Program), progDigest string, bu
 		}
 		bugs[i].ReproToken = minimizeToken(cfg, program, progDigest, bugs[i])
 	}
-}
-
-// MinimizeBugs rewrites bugs' repro tokens in place, pruning injected
-// failures the bugs do not need — the same pass a single-process run
-// applies at the end of exploration. The distributed coordinator calls
-// it over the globally merged bug set so distributed runs report tokens
-// identical to single-process ones. The program digest is recomputed
-// here; errors leave the tokens unminimized but valid.
-func MinimizeBugs(cfg Config, program func(*Program), bugs []Bug) {
-	if program == nil || len(bugs) == 0 {
-		return
-	}
-	cfg.fillDefaults()
-	progDigest, err := programDigestOf(cfg, program)
-	if err != nil {
-		return
-	}
-	minimizeBugTokens(cfg, program, progDigest, bugs)
 }
 
 // minimizeToken returns bug's token with unneeded injected failures

@@ -124,9 +124,9 @@ func TestTallyDedupSurvivesCopies(t *testing.T) {
 func TestConfigDigestPinned(t *testing.T) {
 	var defaults Config
 	defaults.fillDefaults()
-	nondefault := Config{GPF: true, Poison: true, maxSteps: 1234, MemSize: 1 << 20, commitChance: 40,
+	nondefault := WithMemSize(Config{GPF: true, Poison: true, maxSteps: 1234, commitChance: 40,
 		eagerReadSet: true, MaxEventsPerExec: 99, Reduction: SwitchOff, RaceDetect: SwitchOn,
-		UnflushedLines: []uint64{9, 3, 3}}
+		UnflushedLines: []uint64{9, 3, 3}}, 1<<20)
 	nondefault.fillDefaults()
 	for _, tc := range []struct {
 		name string

@@ -56,8 +56,8 @@ type Tree struct {
 	execs   int
 	done    bool
 	// fixed is the length of the immutable prefix: nodes[:fixed] never
-	// advance or pop. A subtree work unit (NewSubtree, Split) owns only
-	// the executions beneath its prefix; the root tree has fixed == 0.
+	// advance or pop. A subtree work unit (Split) owns only the
+	// executions beneath its prefix; the root tree has fixed == 0.
 	fixed int
 	// recorded is the number of preloaded nodes whose creation was
 	// already accounted for elsewhere (a replayed path's recording run, a
@@ -200,21 +200,6 @@ func (t *Tree) Depth() int { return t.depth }
 
 // Done reports whether the tree is fully explored.
 func (t *Tree) Done() bool { return t.done }
-
-// NewSubtree returns a work unit covering exactly the executions beneath
-// prefix: the preloaded nodes are fixed (they replay but never advance),
-// so the unit's DFS exhausts the subtree rooted at the prefix's last
-// branch and then reports done. Prefix nodes count toward neither this
-// unit's creation statistics nor its fresh-decision accounting — their
-// creator already counted them.
-func NewSubtree(prefix []Step) *Tree {
-	t := &Tree{fixed: len(prefix), recorded: len(prefix)}
-	t.nodes = make([]node, len(prefix))
-	for i, s := range prefix {
-		t.nodes[i] = node{kind: s.Kind, n: s.N, chosen: s.Chosen}
-	}
-	return t
-}
 
 // Split donates unexplored branches to new work units. It scans for the
 // shallowest advanceable decision point outside the fixed prefix and

@@ -187,3 +187,18 @@ func TestLenientReplayCountsOnlyFreshDecisions(t *testing.T) {
 		t.Fatalf("replayed node counted: created[failure] = %d, want 0", got)
 	}
 }
+
+// NewSubtree returns a work unit covering exactly the executions beneath
+// prefix: the preloaded nodes are fixed (they replay but never advance),
+// so the unit's DFS exhausts the subtree rooted at the prefix's last
+// branch and then reports done. Prefix nodes count toward neither this
+// unit's creation statistics nor its fresh-decision accounting — their
+// creator already counted them.
+func NewSubtree(prefix []Step) *Tree {
+	t := &Tree{fixed: len(prefix), recorded: len(prefix)}
+	t.nodes = make([]node, len(prefix))
+	for i, s := range prefix {
+		t.nodes[i] = node{kind: s.Kind, n: s.N, chosen: s.Chosen}
+	}
+	return t
+}

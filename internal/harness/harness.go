@@ -7,7 +7,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"math/bits"
 	"time"
 
 	cxlmc "repro"
@@ -187,11 +186,7 @@ type Table5Row struct {
 	Bugs     []cxlmc.Bug
 }
 
-// RunTable5Row explores one fixed benchmark to completion.
-func RunTable5Row(b recipe.Benchmark, gpf bool, seed int64) (Table5Row, error) {
-	return runTable5Row(b, gpf, seed, cxlmc.SwitchDefault)
-}
-
+// runTable5Row explores one fixed benchmark to completion.
 func runTable5Row(b recipe.Benchmark, gpf bool, seed int64, reduction cxlmc.Switch) (Table5Row, error) {
 	res, err := cxlmc.Run(
 		cxlmc.Config{GPF: gpf, Seed: seed, MaxExecutions: 2_000_000,
@@ -269,85 +264,4 @@ func PrintTable5(w io.Writer, rows []Table5Row) {
 		fmt.Fprintf(w, "%-16s %8d %10v %9d %9d\n",
 			name, r.Execs, r.Elapsed.Round(10*time.Millisecond), r.FPoints, r.RFPoints)
 	}
-}
-
-// FuzzRow summarizes one seed of a fuzzing sweep (§4.6: varying the
-// thread-selection policy explores different interleavings).
-type FuzzRow struct {
-	Seed int64
-	Table5Row
-}
-
-// RunFuzz explores a benchmark under several schedules. Soundness holds
-// for each seed independently; together they widen interleaving
-// coverage.
-func RunFuzz(b recipe.Benchmark, cfg recipe.Config, gpf bool, seeds []int64) ([]FuzzRow, error) {
-	var rows []FuzzRow
-	for _, seed := range seeds {
-		res, err := cxlmc.Run(
-			cxlmc.Config{GPF: gpf, Seed: seed, MaxExecutions: 2_000_000},
-			recipe.Program(b, cfg),
-		)
-		if err != nil {
-			return nil, fmt.Errorf("%s seed %d: %w", b.Name, seed, err)
-		}
-		rows = append(rows, FuzzRow{Seed: seed, Table5Row: Table5Row{
-			Name: b.Name, GPF: gpf, Execs: res.Executions, Elapsed: res.Elapsed,
-			FPoints: res.FailurePoints, RFPoints: res.ReadFromPoints,
-			Complete: res.Complete, Bugs: res.Bugs,
-		}})
-	}
-	return rows, nil
-}
-
-// FixStep records one round of the paper's §6.1 methodology: run the
-// checker, fix the bug it found, rerun until no more bugs are found.
-type FixStep struct {
-	Remaining recipe.Bug // bugs still present when the run started
-	Found     cxlmc.Bug  // what the checker reported
-	Fixed     int        // Table 3 number of the seeded bug attributed
-}
-
-// IterativeFix simulates the paper's debugging loop on a benchmark with
-// every seeded bug present: each round runs the checker under the
-// configurations of the still-present bugs, attributes the finding to a
-// seeded bug (by checking which single remaining bug reproduces on its
-// own), "fixes" it by clearing the bit, and repeats until the benchmark
-// is clean.
-func IterativeFix(b recipe.Benchmark, base cxlmc.Config) ([]FixStep, error) {
-	if base.MaxExecutions == 0 {
-		base.MaxExecutions = DefaultMaxExecutions
-	}
-	remaining := recipe.Bug(0)
-	for _, bi := range b.Bugs {
-		remaining |= bi.Bit
-	}
-	var steps []FixStep
-	for remaining != 0 {
-		fixedOne := false
-		for _, bi := range b.Bugs {
-			if remaining&bi.Bit == 0 {
-				continue
-			}
-			cfg := recipe.Config{Keys: bi.Keys, Workers: bi.Workers, Stride: bi.Stride, Bugs: remaining}
-			res, err := cxlmc.Run(base, recipe.Program(b, cfg))
-			if err != nil {
-				return nil, err
-			}
-			if !res.Buggy() {
-				// This bug's trigger configuration is masked by another
-				// still-present bug failing first elsewhere, or needs a
-				// configuration later in the list; try the next one.
-				continue
-			}
-			steps = append(steps, FixStep{Remaining: remaining, Found: res.Bugs[0], Fixed: bi.Table})
-			remaining &^= bi.Bit
-			fixedOne = true
-			break
-		}
-		if !fixedOne {
-			return steps, fmt.Errorf("harness: %d seeded bug bits remain but no configuration reproduces them", bits.OnesCount32(uint32(remaining)))
-		}
-	}
-	return steps, nil
 }

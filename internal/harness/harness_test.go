@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math/bits"
 	"os"
 	"testing"
 
@@ -131,7 +132,7 @@ func TestTable5FixedBenchmarksClean(t *testing.T) {
 	for _, b := range Benchmarks {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			row, err := RunTable5Row(b, false, 0)
+			row, err := runTable5Row(b, false, 0, cxlmc.SwitchDefault)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,11 +158,11 @@ func TestTable5GPFShape(t *testing.T) {
 	}
 	ratios := map[string]float64{}
 	for _, b := range Benchmarks {
-		plain, err := RunTable5Row(b, false, 0)
+		plain, err := runTable5Row(b, false, 0, cxlmc.SwitchDefault)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gpf, err := RunTable5Row(b, true, 0)
+		gpf, err := runTable5Row(b, true, 0, cxlmc.SwitchDefault)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,11 +187,11 @@ func TestTable5GPFShape(t *testing.T) {
 // statistics across runs — the property §5's deterministic replay
 // depends on.
 func TestDeterministicHarness(t *testing.T) {
-	a, err := RunTable5Row(Benchmarks[0], false, 7)
+	a, err := runTable5Row(Benchmarks[0], false, 7, cxlmc.SwitchDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunTable5Row(Benchmarks[0], false, 7)
+	b, err := runTable5Row(Benchmarks[0], false, 7, cxlmc.SwitchDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestDeterministicHarness(t *testing.T) {
 func TestSeedsVaryExploration(t *testing.T) {
 	execs := map[int]bool{}
 	for seed := int64(0); seed < 3; seed++ {
-		row, err := RunTable5Row(Benchmarks[0], false, seed)
+		row, err := runTable5Row(Benchmarks[0], false, seed, cxlmc.SwitchDefault)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,13 +367,13 @@ func TestReproTokensReplay(t *testing.T) {
 // TestRunFuzz sweeps several schedules over a fixed benchmark (§4.6):
 // every seed must complete cleanly.
 func TestRunFuzz(t *testing.T) {
-	rows, err := RunFuzz(Benchmarks[0], Table5Config(), false, []int64{0, 1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
+	for seed := int64(0); seed < 4; seed++ {
+		r, err := runTable5Row(Benchmarks[0], false, seed, cxlmc.SwitchDefault)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(r.Bugs) > 0 || !r.Complete {
-			t.Errorf("seed %d: bugs=%v complete=%v", r.Seed, r.Bugs, r.Complete)
+			t.Errorf("seed %d: bugs=%v complete=%v", seed, r.Bugs, r.Complete)
 		}
 	}
 }
@@ -399,6 +400,58 @@ func TestIterativeFix(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FixStep records one round of the paper's §6.1 methodology: run the
+// checker, fix the bug it found, rerun until no more bugs are found.
+type FixStep struct {
+	Remaining recipe.Bug // bugs still present when the run started
+	Found     cxlmc.Bug  // what the checker reported
+	Fixed     int        // Table 3 number of the seeded bug attributed
+}
+
+// IterativeFix simulates the paper's debugging loop on a benchmark with
+// every seeded bug present: each round runs the checker under the
+// configurations of the still-present bugs, attributes the finding to a
+// seeded bug (by checking which single remaining bug reproduces on its
+// own), "fixes" it by clearing the bit, and repeats until the benchmark
+// is clean.
+func IterativeFix(b recipe.Benchmark, base cxlmc.Config) ([]FixStep, error) {
+	if base.MaxExecutions == 0 {
+		base.MaxExecutions = DefaultMaxExecutions
+	}
+	remaining := recipe.Bug(0)
+	for _, bi := range b.Bugs {
+		remaining |= bi.Bit
+	}
+	var steps []FixStep
+	for remaining != 0 {
+		fixedOne := false
+		for _, bi := range b.Bugs {
+			if remaining&bi.Bit == 0 {
+				continue
+			}
+			cfg := recipe.Config{Keys: bi.Keys, Workers: bi.Workers, Stride: bi.Stride, Bugs: remaining}
+			res, err := cxlmc.Run(base, recipe.Program(b, cfg))
+			if err != nil {
+				return nil, err
+			}
+			if !res.Buggy() {
+				// This bug's trigger configuration is masked by another
+				// still-present bug failing first elsewhere, or needs a
+				// configuration later in the list; try the next one.
+				continue
+			}
+			steps = append(steps, FixStep{Remaining: remaining, Found: res.Bugs[0], Fixed: bi.Table})
+			remaining &^= bi.Bit
+			fixedOne = true
+			break
+		}
+		if !fixedOne {
+			return steps, fmt.Errorf("harness: %d seeded bug bits remain but no configuration reproduces them", bits.OnesCount32(uint32(remaining)))
+		}
+	}
+	return steps, nil
 }
 
 // TestConcurrentReaders races lock-free lookups against inserts and

@@ -7,6 +7,7 @@ import (
 
 	cxlmc "repro"
 	"repro/internal/dist"
+	"repro/internal/recipe"
 )
 
 // The race-detector parity suite: the RaceVariant programs (one insert
@@ -147,4 +148,86 @@ func TestRaceParityDistributed(t *testing.T) {
 	}
 	replayAll(t, "distributed", res, cxlmc.Config{RaceDetect: cxlmc.SwitchOn}, seeded)
 	t.Logf("distributed race parity: %d report(s) across %d execs", res.RaceReports, res.Executions)
+}
+
+// RaceVariant builds a two-machine program over benchmark b's index for
+// exercising the happens-before race detector. node0 constructs the
+// index, publishes it with a flushed ready flag, and runs one insert
+// worker using the commit-store pattern; node1 runs a fully-joined
+// checker plus an observer thread that loads the ready flag, the commit
+// flags and the index.
+//
+// With seeded=true the observer synchronizes only with construction, so
+// its loads of the commit flags (plain Store64s by the worker) race by
+// construction — every exploration of the variant must report at least
+// one data race. With seeded=false the observer additionally joins the
+// worker, fully ordering its loads: the variant must report none.
+//
+// The observer asserts nothing and the seeded races are benign under
+// x86-TSO (the worker flushes each commit flag after the index stores
+// it covers), so both variants surface the same — empty — set of
+// crash-consistency bugs from the fixed (bugs=0) structures; the only
+// delta between them is the detector's.
+func RaceVariant(b recipe.Benchmark, keys int, seeded bool) func(*cxlmc.Program) {
+	if keys <= 0 {
+		keys = 3
+	}
+	return func(p *cxlmc.Program) {
+		idx := b.New(p, 0)
+		ready := p.AllocAligned(8, 64)
+		progress := p.AllocAligned(uint64(keys)*8, 64)
+		node0 := p.NewMachine("node0")
+		node1 := p.NewMachine("node1")
+
+		initT := node0.Thread("init", func(t *cxlmc.Thread) {
+			idx.Init(t)
+			t.Store64(ready, 1)
+			t.CLFlush(ready)
+			t.SFence()
+		})
+		worker := node0.Thread("w0", func(t *cxlmc.Thread) {
+			t.JoinThreads(initT)
+			if t.Load64(ready) != 1 {
+				return
+			}
+			for k := keys; k >= 1; k-- {
+				key := uint64(k)
+				idx.Insert(t, key, recipe.Value(key))
+				t.Store64(progress+cxlmc.Addr((k-1)*8), 1)
+				t.CLFlush(progress + cxlmc.Addr((k-1)*8))
+				t.SFence()
+			}
+		})
+
+		node1.Thread("obs", func(t *cxlmc.Thread) {
+			if seeded {
+				t.JoinThreads(initT) // not the worker: commit-flag loads race
+			} else {
+				t.JoinThreads(initT, worker)
+			}
+			if t.Load64(ready) != 1 {
+				return
+			}
+			for k := 1; k <= keys; k++ {
+				if t.Load64(progress+cxlmc.Addr((k-1)*8)) == 1 {
+					idx.Lookup(t, uint64(k))
+				}
+			}
+		})
+		node1.Thread("check", func(t *cxlmc.Thread) {
+			t.JoinThreads(initT, worker)
+			if t.Load64(ready) != 1 {
+				return
+			}
+			for k := 1; k <= keys; k++ {
+				key := uint64(k)
+				if t.Load64(progress+cxlmc.Addr((k-1)*8)) != 1 {
+					continue
+				}
+				v, found := idx.Lookup(t, key)
+				t.Assert(found, "committed key %d missing after failure", k)
+				t.Assert(v == recipe.Value(key), "committed key %d has value %#x, want %#x", k, v, recipe.Value(key))
+			}
+		})
+	}
 }

@@ -11,8 +11,10 @@ package harness
 //     points and the distinct-bug set (worker-count invariance);
 //   - every repro token replays and reproduces its bug;
 //   - state-space reduction and prefix-fork replay change the execution
-//     count but never the bug set (reduction soundness, fuzzed on every
-//     seed with the knobs on vs off);
+//     count but never the bug set: each seed is explored again with both
+//     off, which checks prefix-fork parity on every seed and reduction
+//     only on the seeds where something was pruned (Swarm prints the
+//     count as pruned=);
 //   - interrupting a run and resuming it under fault injection converges
 //     to exactly the uninterrupted exploration (with reduction on and
 //     off).
@@ -177,17 +179,19 @@ func (o *outcomes) Op(ev cxlmc.OpEvent) {
 
 // StressOptions configures one stress probe.
 type StressOptions struct {
-	Gen GenConfig
-	// MaxExecutions caps each exploration; defaults to 30000. Programs
-	// that hit the cap still check the no-panic and replay invariants,
-	// but skip the count-parity ones (an incomplete frontier's counters
-	// are order-dependent).
-	MaxExecutions int
 	// Chaos adds the interrupt-and-resume-under-fault-injection leg.
 	Chaos bool
-	// ChaosDir is where the chaos leg keeps its checkpoint; defaults to a
-	// fresh os.MkdirTemp directory (removed afterwards).
-	ChaosDir string
+
+	// The rest is set only by tests. gen bounds the generated programs.
+	// maxExecutions caps each exploration; defaults to 30000. Programs
+	// that hit the cap still check the no-panic and replay invariants,
+	// but skip the count-parity ones (an incomplete frontier's counters
+	// are order-dependent). chaosDir is where the chaos leg keeps its
+	// checkpoint; defaults to a fresh os.MkdirTemp directory (removed
+	// afterwards).
+	gen           GenConfig
+	maxExecutions int
+	chaosDir      string
 }
 
 // StressResult is one seed's outcome.
@@ -199,6 +203,9 @@ type StressResult struct {
 	// Violations lists checker-invariant breaches — each one is a bug in
 	// cxlmc itself, not in the generated program. Empty means healthy.
 	Violations []string
+	// pruned is how many failure points the reduced serial run pruned:
+	// zero means the reduction-off leg checked prefix-fork parity alone.
+	pruned int64
 }
 
 // StressOne generates the program for seed and checks every harness
@@ -211,10 +218,10 @@ func StressOne(seed int64, opts StressOptions) (sr StressResult) {
 			sr.Violations = append(sr.Violations, fmt.Sprintf("panic escaped the checker: %v", v))
 		}
 	}()
-	if opts.MaxExecutions <= 0 {
-		opts.MaxExecutions = 30000
+	if opts.maxExecutions <= 0 {
+		opts.maxExecutions = 30000
 	}
-	prog := Generate(seed, opts.Gen)
+	prog := Generate(seed, opts.gen)
 	violatef := func(format string, args ...any) {
 		sr.Violations = append(sr.Violations, fmt.Sprintf(format, args...))
 	}
@@ -222,7 +229,7 @@ func StressOne(seed int64, opts StressOptions) (sr StressResult) {
 	serialCfg := cxlmc.Config{
 		Workers:          1,
 		ContinueAfterBug: true,
-		MaxExecutions:    opts.MaxExecutions,
+		MaxExecutions:    opts.maxExecutions,
 		MaxEventsPerExec: 1 << 16,
 	}
 	serial, err := cxlmc.Run(serialCfg, prog)
@@ -231,6 +238,7 @@ func StressOne(seed int64, opts StressOptions) (sr StressResult) {
 		return sr
 	}
 	sr.Executions = serial.Executions
+	sr.pruned = serial.Pruned
 	sr.Bugs = len(serial.Bugs)
 	sr.Complete = serial.Complete
 
@@ -345,7 +353,7 @@ func StressOne(seed int64, opts StressOptions) (sr StressResult) {
 // must equal the uninterrupted serial run's.
 func stressChaosLeg(seed int64, opts StressOptions, prog func(*cxlmc.Program), base cxlmc.Config, want *cxlmc.Result) []string {
 	var v []string
-	dir := opts.ChaosDir
+	dir := opts.chaosDir
 	if dir == "" {
 		var err error
 		dir, err = os.MkdirTemp("", "cxlmc-stress")
@@ -384,7 +392,7 @@ func stressChaosLeg(seed int64, opts StressOptions, prog func(*cxlmc.Program), b
 	resume := base
 	resume.CheckpointPath = path
 	resume.CheckpointEvery = 4
-	resume.MaxExecutions = opts.MaxExecutions
+	resume.MaxExecutions = opts.maxExecutions
 	resume.Chaos = inj
 	for attempt := 0; attempt < 25; attempt++ {
 		res, err := cxlmc.Run(resume, prog)
@@ -457,8 +465,8 @@ func Swarm(w io.Writer, start int64, n int, opts StressOptions) []StressResult {
 			if len(sr.Violations) > 0 {
 				status = "VIOLATION"
 			}
-			fmt.Fprintf(w, "stress seed=%d execs=%d bugs=%d complete=%v %s\n",
-				sr.Seed, sr.Executions, sr.Bugs, sr.Complete, status)
+			fmt.Fprintf(w, "stress seed=%d execs=%d pruned=%d bugs=%d complete=%v %s\n",
+				sr.Seed, sr.Executions, sr.pruned, sr.Bugs, sr.Complete, status)
 			for _, violation := range sr.Violations {
 				fmt.Fprintf(w, "  %s\n", violation)
 			}

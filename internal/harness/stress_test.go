@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -60,7 +62,7 @@ func TestStressSwarm(t *testing.T) {
 	if testing.Short() {
 		chaosN = 4
 	}
-	if bad := Swarm(nil, 5000, chaosN, StressOptions{Chaos: true, ChaosDir: t.TempDir()}); len(bad) > 0 {
+	if bad := Swarm(nil, 5000, chaosN, StressOptions{Chaos: true, chaosDir: t.TempDir()}); len(bad) > 0 {
 		for _, sr := range bad {
 			t.Errorf("chaos seed %d: %v", sr.Seed, sr.Violations)
 		}
@@ -75,7 +77,7 @@ func FuzzRandomProgram(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		sr := StressOne(seed, StressOptions{MaxExecutions: 5000})
+		sr := StressOne(seed, StressOptions{maxExecutions: 5000})
 		for _, v := range sr.Violations {
 			t.Errorf("seed %d: %s", seed, v)
 		}
@@ -87,8 +89,28 @@ func FuzzRandomProgram(f *testing.F) {
 // pattern out; three cells take it.
 func TestSwarmWithFewCells(t *testing.T) {
 	for cells := 1; cells <= 3; cells++ {
-		for _, sr := range Swarm(nil, 0, 30, StressOptions{Gen: GenConfig{MaxCells: cells}}) {
+		for _, sr := range Swarm(nil, 0, 30, StressOptions{gen: GenConfig{MaxCells: cells}}) {
 			t.Errorf("cells=%d seed %d: %v", cells, sr.Seed, sr.Violations)
+		}
+	}
+}
+
+// TestSwarmLineShowsPruned: each seed's progress line says how many failure
+// points the reduced run pruned, the count that tells whether the
+// reduction-off leg checked reduction or only prefix-fork parity.
+func TestSwarmLineShowsPruned(t *testing.T) {
+	var out strings.Builder
+	if bad := Swarm(&out, 1, 3, StressOptions{}); len(bad) > 0 {
+		t.Fatalf("violations: %v", bad)
+	}
+	line := regexp.MustCompile(`^stress seed=\d+ execs=\d+ pruned=\d+ bugs=\d+ complete=(true|false) ok$`)
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("got %d lines, want 3:\n%s", len(lines), out.String())
+	}
+	for _, l := range lines {
+		if !line.MatchString(l) {
+			t.Errorf("line %q does not match %v", l, line)
 		}
 	}
 }

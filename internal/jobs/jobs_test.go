@@ -28,11 +28,11 @@ func testServer(t *testing.T, cfg Config) *Server {
 	if cfg.Dir == "" {
 		cfg.Dir = t.TempDir()
 	}
-	if cfg.RetryBase == 0 {
-		cfg.RetryBase = 5 * time.Millisecond
+	if cfg.retryBase == 0 {
+		cfg.retryBase = 5 * time.Millisecond
 	}
-	if cfg.RetryCap == 0 {
-		cfg.RetryCap = 100 * time.Millisecond
+	if cfg.retryCap == 0 {
+		cfg.retryCap = 100 * time.Millisecond
 	}
 	if cfg.Base.CheckpointEvery == 0 {
 		cfg.Base.CheckpointEvery = 8
@@ -362,7 +362,7 @@ func TestCancel(t *testing.T) {
 // and still completes with the right bugs.
 func TestTransientRetry(t *testing.T) {
 	inj := chaos.New(chaos.Config{Seed: 7, WriteErrPct: 20, RenameErrPct: 20})
-	s := testServer(t, Config{Base: cxlmc.Config{Chaos: inj}, MaxRetries: 8})
+	s := testServer(t, Config{Base: cxlmc.Config{Chaos: inj}, maxRetries: 8})
 	c := NewClient(s.Addr())
 	ctx := ctxT(t, 60*time.Second)
 

@@ -32,13 +32,12 @@ type Config struct {
 	// queue answers 429 with Retry-After. Default 32.
 	QueueDepth int
 
-	// MaxRetries bounds retries of transiently-failed runs (chaos I/O);
-	// default 3.
-	MaxRetries int
-	// RetryBase/RetryCap shape the capped exponential backoff between
-	// retries; defaults 100ms and 5s.
-	RetryBase time.Duration
-	RetryCap  time.Duration
+	// maxRetries bounds retries of transiently-failed runs (chaos I/O);
+	// default 3. retryBase/retryCap shape the capped exponential backoff
+	// between retries; defaults 100ms and 5s. Set only by tests.
+	maxRetries int
+	retryBase  time.Duration
+	retryCap   time.Duration
 
 	// Base is the engine configuration every job's run starts from: the
 	// spec's knobs are laid over it (Spec.Config), then the server's own
@@ -64,14 +63,14 @@ func (c *Config) fillDefaults() {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 32
 	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 3
+	if c.maxRetries <= 0 {
+		c.maxRetries = 3
 	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 100 * time.Millisecond
+	if c.retryBase <= 0 {
+		c.retryBase = 100 * time.Millisecond
 	}
-	if c.RetryCap <= 0 {
-		c.RetryCap = 5 * time.Second
+	if c.retryCap <= 0 {
+		c.retryCap = 5 * time.Second
 	}
 	if c.Base.CheckpointEvery <= 0 {
 		c.Base.CheckpointEvery = 64
@@ -680,9 +679,9 @@ func (s *Server) retryJob(j *job, why string, attempt int) {
 	s.m.retried.Inc()
 	s.trace(obs.EvJobRetry, j.id)
 
-	backoff := s.cfg.RetryBase << uint(min(attempt, 10))
-	if backoff > s.cfg.RetryCap {
-		backoff = s.cfg.RetryCap
+	backoff := s.cfg.retryBase << uint(min(attempt, 10))
+	if backoff > s.cfg.retryCap {
+		backoff = s.cfg.retryCap
 	}
 	s.logf("jobs: %s queued (%s); retrying in %v", j.id, why, backoff)
 	j.rearm()
@@ -776,7 +775,7 @@ func (s *Server) runJob(j *job) {
 // classify turns one run's outcome into the job's next state:
 //
 //   - engine error: transient (injected I/O and friends) retries with
-//     backoff up to MaxRetries, permanent (bad program, identity
+//     backoff up to maxRetries, permanent (bad program, identity
 //     mismatch) fails;
 //   - interrupted: a client cancel ends the job; a server drain leaves
 //     it journaled for the next process;
@@ -788,8 +787,8 @@ func (s *Server) classify(j *job, res *cxlmc.Result, err error) {
 			j.retries++
 			attempt := j.retries
 			j.mu.Unlock()
-			if attempt > s.cfg.MaxRetries {
-				s.finishJob(j, StateFailed, nil, fmt.Sprintf("transient failures exhausted %d retries: %v", s.cfg.MaxRetries, err))
+			if attempt > s.cfg.maxRetries {
+				s.finishJob(j, StateFailed, nil, fmt.Sprintf("transient failures exhausted %d retries: %v", s.cfg.maxRetries, err))
 				return
 			}
 			s.retryJob(j, fmt.Sprintf("transient: %v", err), attempt)

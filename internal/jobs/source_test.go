@@ -223,7 +223,7 @@ func TestSourceJobRestartParity(t *testing.T) {
 
 	cfg := Config{
 		Addr: "127.0.0.1:0", Dir: dir, PoolWorkers: 1,
-		RetryBase: 5 * time.Millisecond,
+		retryBase: 5 * time.Millisecond,
 		Base: cxlmc.Config{
 			CheckpointEvery: 10, CheckpointInterval: 20 * time.Millisecond,
 			Observer: gate,

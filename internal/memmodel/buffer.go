@@ -129,26 +129,14 @@ func (tb *ThreadBuf) ExecSfence() {
 	tb.pushSB().Kind = SBSfence
 }
 
-// BypassByte implements TSO local bypassing for one byte (Algorithm 3,
-// lines 8–10): the newest store in S_τ covering byte b supplies the value.
-// ok is false when no buffered store covers b and the load must go to the
-// cache.
-func (tb *ThreadBuf) BypassByte(b Addr) (val byte, ok bool) {
-	for i := len(tb.SB) - 1; i >= 0; i-- {
-		e := &tb.SB[i]
-		if e.Kind == SBStore && e.St.Covers(b) {
-			return e.St.Byte(b), true
-		}
-	}
-	return 0, false
-}
-
-// BypassRun is BypassByte for the n bytes at b at once. The newest store in
-// S_τ covering b supplies every byte up to its own end, or up to the first
-// byte a still newer buffered store covers: ok is true and val holds those k
-// bytes, exactly the bytes BypassByte would return one by one. When no
-// buffered store covers b, ok is false and k counts the bytes from b on that
-// none covers — the run the load must take to the cache.
+// BypassRun implements TSO local bypassing (Algorithm 3, lines 8–10) for
+// the n bytes at b at once. The newest store in S_τ covering b supplies
+// every byte up to its own end, or up to the first byte a still newer
+// buffered store covers: ok is true and val holds those k bytes, exactly
+// the bytes §4.4's single-byte bypasses would return one by one (the
+// tests keep that byte-level reference). When no buffered store covers b,
+// ok is false and k counts the bytes from b on that none covers — the run
+// the load must take to the cache.
 func (tb *ThreadBuf) BypassRun(b Addr, n int) (val uint64, k int, ok bool) {
 	end := b + Addr(n)
 	for i := len(tb.SB) - 1; i >= 0; i-- {

@@ -312,3 +312,17 @@ func TestThreadBufWindowIsAFIFO(t *testing.T) {
 		}
 	}
 }
+
+// BypassByte implements TSO local bypassing for one byte (Algorithm 3,
+// lines 8–10): the newest store in S_τ covering byte b supplies the value.
+// ok is false when no buffered store covers b and the load must go to the
+// cache.
+func (tb *ThreadBuf) BypassByte(b Addr) (val byte, ok bool) {
+	for i := len(tb.SB) - 1; i >= 0; i-- {
+		e := &tb.SB[i]
+		if e.Kind == SBStore && e.St.Covers(b) {
+			return e.St.Byte(b), true
+		}
+	}
+	return 0, false
+}

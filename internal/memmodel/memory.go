@@ -190,14 +190,6 @@ func (m *Memory) InitWrite(a Addr, size uint8, val uint64) {
 	}
 }
 
-// InitialByte returns the device-resident initial value of byte b.
-func (m *Memory) InitialByte(b Addr) byte {
-	if r := m.rec(LineOf(b)); r != nil {
-		return r.img[b%LineSize]
-	}
-	return 0
-}
-
 // constraint returns mach's constraint for the record's line.
 func (r *lineRec) constraint(mach MachineID) Constraint {
 	if uint(mach) < uint(len(r.cons)) {

@@ -267,3 +267,11 @@ func TestUnboundedIndexGrowsByDoubling(t *testing.T) {
 		t.Fatalf("slots %d, %d: growth must keep assignments", m.Slot(0), m.Slot(1000))
 	}
 }
+
+// InitialByte returns the device-resident initial value of byte b.
+func (m *Memory) InitialByte(b Addr) byte {
+	if r := m.rec(LineOf(b)); r != nil {
+		return r.img[b%LineSize]
+	}
+	return 0
+}

@@ -158,8 +158,3 @@ func (s *Store) run(b, end Addr) (val uint64, newEnd Addr, covers bool) {
 	}
 	return val, end, true
 }
-
-// ValidSize reports whether sz is a supported access size.
-func ValidSize(sz uint8) bool {
-	return sz == 1 || sz == 2 || sz == 4 || sz == 8
-}

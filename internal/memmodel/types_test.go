@@ -135,3 +135,8 @@ func TestSBKindString(t *testing.T) {
 		t.Error("unknown kind should stringify as unknown")
 	}
 }
+
+// ValidSize reports whether sz is a supported access size.
+func ValidSize(sz uint8) bool {
+	return sz == 1 || sz == 2 || sz == 4 || sz == 8
+}

@@ -127,19 +127,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
-// BucketCount returns the cumulative count of samples ≤ the i-th bound
-// (Prometheus "le" semantics); i == len(bounds) is the +Inf bucket.
-func (h *Histogram) BucketCount(i int) int64 {
-	if h == nil {
-		return 0
-	}
-	var total int64
-	for j := 0; j <= i && j < len(h.counts); j++ {
-		total += h.counts[j].Load()
-	}
-	return total
-}
-
 // Registry names and serves a set of instruments. The zero value is not
 // usable; use NewRegistry. A nil *Registry is the "observability off"
 // mode: its constructors return nil instruments and its exporters write

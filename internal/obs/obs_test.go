@@ -415,3 +415,16 @@ func TestShutdownClosesUnusedConnections(t *testing.T) {
 		t.Fatalf("Shutdown took %v", d)
 	}
 }
+
+// BucketCount returns the cumulative count of samples ≤ the i-th bound
+// (Prometheus "le" semantics); i == len(bounds) is the +Inf bucket.
+func (h *Histogram) BucketCount(i int) int64 {
+	if h == nil {
+		return 0
+	}
+	var total int64
+	for j := 0; j <= i && j < len(h.counts); j++ {
+		total += h.counts[j].Load()
+	}
+	return total
+}

@@ -46,7 +46,7 @@ func TestFixedCleanWithDeletes(t *testing.T) { recipetest.FixedClean(t, Benchmar
 // TestDirectoryDoubling forces enough splits to double the directory
 // several times and checks routing stays exact.
 func TestDirectoryDoubling(t *testing.T) {
-	res, err := cxlmc.Run(cxlmc.Config{MaxExecutions: 1, MemSize: 64 << 20}, func(p *cxlmc.Program) {
+	res, err := cxlmc.Run(cxlmc.Config{MaxExecutions: 1}, func(p *cxlmc.Program) {
 		a := p.NewMachine("A")
 		c := New(p, 0)
 		a.Thread("t", func(th *cxlmc.Thread) {

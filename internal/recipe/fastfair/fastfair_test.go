@@ -23,7 +23,7 @@ func TestFixedCleanWithDeletes(t *testing.T) {
 // many splits, every key is reachable both top-down and along the leaf
 // chain (the scan path).
 func TestSiblingChainAfterSplits(t *testing.T) {
-	res, err := cxlmc.Run(cxlmc.Config{MaxExecutions: 1, MemSize: 64 << 20}, func(p *cxlmc.Program) {
+	res, err := cxlmc.Run(cxlmc.Config{MaxExecutions: 1}, func(p *cxlmc.Program) {
 		m := p.NewMachine("M")
 		tr := fastfair.New(p, 0)
 		m.Thread("t", func(th *cxlmc.Thread) {

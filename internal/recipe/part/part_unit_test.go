@@ -11,7 +11,7 @@ import (
 // TestFunctionalSingleMachine validates plain correctness across node
 // growth (N4→N16→N256) and prefix splits, with no failures explored.
 func TestFunctionalSingleMachine(t *testing.T) {
-	res, err := cxlmc.Run(cxlmc.Config{MaxExecutions: 1, MemSize: 64 << 20}, func(p *cxlmc.Program) {
+	res, err := cxlmc.Run(cxlmc.Config{MaxExecutions: 1}, func(p *cxlmc.Program) {
 		a := p.NewMachine("A")
 		art := New(p, 0)
 		a.Thread("t", func(th *cxlmc.Thread) {
@@ -56,7 +56,7 @@ func TestFixedCleanWithDeletes(t *testing.T) { recipetest.FixedClean(t, Benchmar
 // TestPrefixSplitAndDeepKeys exercises path compression across byte
 // boundaries with deletes mixed in.
 func TestPrefixSplitAndDeepKeys(t *testing.T) {
-	res, err := cxlmc.Run(cxlmc.Config{MaxExecutions: 1, MemSize: 64 << 20}, func(p *cxlmc.Program) {
+	res, err := cxlmc.Run(cxlmc.Config{MaxExecutions: 1}, func(p *cxlmc.Program) {
 		a := p.NewMachine("A")
 		art := New(p, 0)
 		a.Thread("t", func(th *cxlmc.Thread) {

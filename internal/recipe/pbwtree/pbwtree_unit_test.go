@@ -11,7 +11,7 @@ import (
 // TestFunctionalSingleMachine validates plain correctness across delta
 // chains, consolidation and GC, with no failures explored.
 func TestFunctionalSingleMachine(t *testing.T) {
-	res, err := cxlmc.Run(cxlmc.Config{MaxExecutions: 1, MemSize: 64 << 20}, func(p *cxlmc.Program) {
+	res, err := cxlmc.Run(cxlmc.Config{MaxExecutions: 1}, func(p *cxlmc.Program) {
 		a := p.NewMachine("A")
 		bw := New(p, 0)
 		a.Thread("t", func(th *cxlmc.Thread) {
@@ -49,7 +49,7 @@ func TestFixedCleanWithDeletes(t *testing.T) { recipetest.FixedClean(t, Benchmar
 // TestDeleteDeltaAndConsolidation interleaves inserts and deletes so
 // delete deltas survive (and are honoured by) consolidation.
 func TestDeleteDeltaAndConsolidation(t *testing.T) {
-	res, err := cxlmc.Run(cxlmc.Config{MaxExecutions: 1, MemSize: 64 << 20}, func(p *cxlmc.Program) {
+	res, err := cxlmc.Run(cxlmc.Config{MaxExecutions: 1}, func(p *cxlmc.Program) {
 		a := p.NewMachine("A")
 		bw := New(p, 0)
 		a.Thread("t", func(th *cxlmc.Thread) {

@@ -22,7 +22,7 @@ func TestFixedCleanWithDeletes(t *testing.T) {
 // TestOverflowChains fills buckets far past three slots so chained
 // overflow buckets are exercised, then deletes through the chains.
 func TestOverflowChains(t *testing.T) {
-	res, err := cxlmc.Run(cxlmc.Config{MaxExecutions: 1, MemSize: 64 << 20}, func(p *cxlmc.Program) {
+	res, err := cxlmc.Run(cxlmc.Config{MaxExecutions: 1}, func(p *cxlmc.Program) {
 		m := p.NewMachine("M")
 		c := pclht.New(p, 0)
 		m.Thread("t", func(th *cxlmc.Thread) {

@@ -16,7 +16,7 @@ import (
 // every third, verify, and scan if supported.
 func Functional(t *testing.T, b recipe.Benchmark, n int) {
 	t.Helper()
-	res, err := cxlmc.Run(cxlmc.Config{MaxExecutions: 1, MemSize: 64 << 20}, func(p *cxlmc.Program) {
+	res, err := cxlmc.Run(cxlmc.Config{MaxExecutions: 1}, func(p *cxlmc.Program) {
 		m := p.NewMachine("M")
 		idx := b.New(p, 0)
 		m.Thread("t", func(th *cxlmc.Thread) {
