@@ -3,6 +3,7 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -419,23 +420,28 @@ func TestMaxTimeStopsMidExecution(t *testing.T) {
 }
 
 // TestMaxTimeUnblocksFromBlockedCallback: MaxTime is honored even while
-// a callback holds the baton without yielding (here: a real sleep) — the
-// baton watchdog doubles as the deadline enforcement, and the expiry is
-// not misreported as a wedge bug.
+// a callback holds the baton without yielding (here: until the run has
+// returned) — the baton watchdog doubles as the deadline enforcement, and
+// the expiry is not misreported as a wedge bug. Released, the abandoned
+// thread unwinds, so no goroutine outlives the test.
 func TestMaxTimeUnblocksFromBlockedCallback(t *testing.T) {
+	before := runtime.NumGoroutine()
+	release := make(chan struct{})
 	start := time.Now()
 	res, err := Run(Config{MaxTime: 50 * time.Millisecond}, func(p *Program) {
 		a := p.NewMachine("A")
 		x := p.Alloc(8)
 		a.Thread("sleepy", func(th *Thread) {
 			th.Store64(x, 1)
-			time.Sleep(2 * time.Second)
+			<-release
 			th.Yield()
 		})
 	})
+	close(release)
 	if err != nil {
 		t.Fatal(err)
 	}
+	settle(t, "the blocked thread's unwind", before)
 	if took := time.Since(start); took > 10*time.Second {
 		t.Fatalf("run took %v despite a 50ms budget", took)
 	}
