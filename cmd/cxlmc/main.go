@@ -208,9 +208,9 @@ func run() int {
 		seeds      = flag.Int("seeds", 1, "fuzz across this many schedule seeds (§4.6)")
 		list       = flag.Bool("list", false, "list benchmarks and their seeded bugs")
 		checkpoint = flag.String("checkpoint", "", "checkpoint file: resume from it if present, write progress to it")
-		cpEvery    = flag.Int("checkpoint-every", 0, "checkpoint every N executions (0 = off)")
-		cpInterval = flag.Duration("checkpoint-interval", 0, "checkpoint every interval (0 = default 30s when -checkpoint is set)")
-		wedge      = flag.Duration("wedge-timeout", 0, "watchdog for callbacks blocking outside the simulated API: a thread stalled this long is reported within twice it (0 = off)")
+		cpEvery    = flag.Int("checkpoint-every", 0, "checkpoint every N executions (0 = off; with -jobserver, 0 = 64)")
+		cpInterval = flag.Duration("checkpoint-interval", 0, "checkpoint every interval (0 = 2s with -jobserver; without -checkpoint-every, 0 = 30s with -checkpoint and 2s with -serve)")
+		wedge      = flag.Duration("wedge-timeout", 0, "watchdog for callbacks blocking outside the simulated API: a thread stalled this long is reported within twice it (0 = off, though -max-time still arms it to stop at the deadline; with -jobserver, 0 = 30s)")
 		replay     = flag.String("replay", "", "replay a bug's repro token against -bench instead of exploring")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the exploration to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile (after the exploration) to this file")

@@ -200,17 +200,18 @@ func TestDeterministicHarness(t *testing.T) {
 	}
 }
 
-// TestSeedsVaryExploration spot-checks §4.6: different seeds give
-// different (still complete, still clean) schedules.
+// TestSeedsVaryExploration sweeps several schedules over a fixed benchmark
+// (§4.6): every seed must complete cleanly. It notes when every seed gives the
+// same exploration size.
 func TestSeedsVaryExploration(t *testing.T) {
 	execs := map[int]bool{}
-	for seed := int64(0); seed < 3; seed++ {
+	for seed := int64(0); seed < 4; seed++ {
 		row, err := runTable5Row(Benchmarks[0], false, seed, cxlmc.SwitchDefault)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(row.Bugs) > 0 {
-			t.Fatalf("seed %d found bugs in fixed benchmark: %v", seed, row.Bugs)
+		if len(row.Bugs) > 0 || !row.Complete {
+			t.Errorf("seed %d: bugs=%v complete=%v", seed, row.Bugs, row.Complete)
 		}
 		execs[row.Execs] = true
 	}
@@ -361,20 +362,6 @@ func TestReproTokensReplay(t *testing.T) {
 	other := recipe.Program(Benchmarks[0], recipe.Config{Keys: 4, Workers: 1})
 	if _, err := cxlmc.Replay(res.Bugs[0].ReproToken, cxlmc.Config{}, other); err == nil {
 		t.Fatal("token replayed against a different program without a digest error")
-	}
-}
-
-// TestRunFuzz sweeps several schedules over a fixed benchmark (§4.6):
-// every seed must complete cleanly.
-func TestRunFuzz(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		r, err := runTable5Row(Benchmarks[0], false, seed, cxlmc.SwitchDefault)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(r.Bugs) > 0 || !r.Complete {
-			t.Errorf("seed %d: bugs=%v complete=%v", seed, r.Bugs, r.Complete)
-		}
 	}
 }
 

@@ -28,12 +28,6 @@ func testServer(t *testing.T, cfg Config) *Server {
 	if cfg.Dir == "" {
 		cfg.Dir = t.TempDir()
 	}
-	if cfg.retryBase == 0 {
-		cfg.retryBase = 5 * time.Millisecond
-	}
-	if cfg.retryCap == 0 {
-		cfg.retryCap = 100 * time.Millisecond
-	}
 	if cfg.Base.CheckpointEvery == 0 {
 		cfg.Base.CheckpointEvery = 8
 	}
@@ -358,11 +352,13 @@ func TestCancel(t *testing.T) {
 	}
 }
 
-// A run killed by an injected transient fault is retried with backoff
-// and still completes with the right bugs.
-func TestTransientRetry(t *testing.T) {
-	inj := chaos.New(chaos.Config{Seed: 7, WriteErrPct: 20, RenameErrPct: 20})
-	s := testServer(t, Config{Base: cxlmc.Config{Chaos: inj}, maxRetries: 8})
+// TestJobSurvivesBoundedChaos: injected write and rename faults on the
+// checkpoint and journal files are absorbed by the file layer's retry, and
+// the job completes with its bugs. Four faults are fewer than chaos.Retry's
+// attempts, so no single file operation can use its retries up.
+func TestJobSurvivesBoundedChaos(t *testing.T) {
+	inj := chaos.New(chaos.Config{Seed: 7, WriteErrPct: 20, RenameErrPct: 20, MaxFaults: 4})
+	s := testServer(t, Config{Base: cxlmc.Config{Chaos: inj}})
 	c := NewClient(s.Addr())
 	ctx := ctxT(t, 60*time.Second)
 
@@ -379,6 +375,31 @@ func TestTransientRetry(t *testing.T) {
 	}
 	if fin.Result == nil || len(fin.Result.Bugs) == 0 {
 		t.Fatal("chaos-survived job lost its bugs")
+	}
+}
+
+// TestRunErrorFailsJob: a run that returns an error fails its job on that
+// first run. Every file read fails, so the engine's checkpoint read uses up
+// chaos.Retry's attempts; the journal's recovery reads with os.ReadFile and
+// the server starts. The job server runs the job once and re-runs nothing.
+func TestRunErrorFailsJob(t *testing.T) {
+	s := testServer(t, Config{Base: cxlmc.Config{Chaos: chaos.New(chaos.Config{ReadErrPct: 100})}})
+	c := NewClient(s.Addr())
+	ctx := ctxT(t, 30*time.Second)
+
+	st, err := c.Submit(ctx, fastSpec("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin, err := c.Wait(ctx, st.ID, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin.State != StateFailed || !strings.Contains(fin.Error, "reading checkpoint") {
+		t.Fatalf("state %s (%s), want failed reading its checkpoint", fin.State, fin.Error)
+	}
+	if got := s.Registry().Snapshot()["cxlmc_jobs_running"]; got != 1 {
+		t.Fatalf("the job ran %v times, want 1", got)
 	}
 }
 
@@ -454,8 +475,10 @@ func TestParentJournalDegradedResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	then := time.Now().UTC().Add(-time.Minute)
-	line := mustLine(t, record{ID: "j-000001", Tenant: "a", State: "degraded", Spec: &sp, Retries: 1,
-		Error: "governor stopped the run at 12 executions to hold its budget", Time: then, Submitted: &then, Started: &then})
+	// Older servers also wrote a retries field, which recovery ignores.
+	line := strings.Replace(mustLine(t, record{ID: "j-000001", Tenant: "a", State: "degraded", Spec: &sp,
+		Error: "governor stopped the run at 12 executions to hold its budget", Time: then, Submitted: &then, Started: &then}),
+		`{`, `{"retries":1,`, 1)
 	if err := os.WriteFile(filepath.Join(dir, journalName), []byte(line), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,8 @@ import (
 // fairQueue is the server's admission queue: one FIFO per tenant,
 // drained round-robin across tenants so a tenant submitting a burst of
 // jobs cannot starve the others, with a bounded per-tenant depth —
-// overflow is the caller's 429. Re-queues (retries, recovery) bypass the
-// bound: a job the server already accepted is never dropped.
+// overflow is the caller's 429. Re-queues (jobs recovered from the journal)
+// bypass the bound: a job the server already accepted is never dropped.
 type fairQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -41,8 +41,8 @@ func (q *fairQueue) push(j *job) bool {
 	return true
 }
 
-// requeue enqueues a job the server already owns (a retry or a
-// recovered job); it never rejects.
+// requeue enqueues a job the server already owns (one recovered from the
+// journal); it never rejects.
 func (q *fairQueue) requeue(j *job) {
 	q.mu.Lock()
 	defer q.mu.Unlock()

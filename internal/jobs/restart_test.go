@@ -85,7 +85,6 @@ func TestRestartParity(t *testing.T) {
 	// and one queued, then crash.
 	cfg := Config{
 		Addr: "127.0.0.1:0", Dir: dir, PoolWorkers: 2,
-		retryBase: 5 * time.Millisecond,
 		Base: cxlmc.Config{
 			CheckpointEvery: 25, CheckpointInterval: 50 * time.Millisecond,
 			ProgressEvery: 10 * time.Millisecond,

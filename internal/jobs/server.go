@@ -13,7 +13,6 @@ import (
 	"time"
 
 	cxlmc "repro"
-	"repro/internal/chaos"
 	"repro/internal/obs"
 )
 
@@ -31,13 +30,6 @@ type Config struct {
 	// QueueDepth bounds each tenant's queued (not running) jobs; a full
 	// queue answers 429 with Retry-After. Default 32.
 	QueueDepth int
-
-	// maxRetries bounds retries of transiently-failed runs (chaos I/O);
-	// default 3. retryBase/retryCap shape the capped exponential backoff
-	// between retries; defaults 100ms and 5s. Set only by tests.
-	maxRetries int
-	retryBase  time.Duration
-	retryCap   time.Duration
 
 	// Base is the engine configuration every job's run starts from: the
 	// spec's knobs are laid over it (Spec.Config), then the server's own
@@ -63,15 +55,6 @@ func (c *Config) fillDefaults() {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 32
 	}
-	if c.maxRetries <= 0 {
-		c.maxRetries = 3
-	}
-	if c.retryBase <= 0 {
-		c.retryBase = 100 * time.Millisecond
-	}
-	if c.retryCap <= 0 {
-		c.retryCap = 5 * time.Second
-	}
 	if c.Base.CheckpointEvery <= 0 {
 		c.Base.CheckpointEvery = 64
 	}
@@ -94,19 +77,18 @@ func (c *Config) fillDefaults() {
 
 // metrics is the server's cxlmc_jobs_* instrument set.
 type metrics struct {
-	queued, running, done, failed, cancelled   *obs.Counter
-	retried, resumed, rejected, journalRetries *obs.Counter
-	queueDepth, active                         *obs.Gauge
+	queued, running, done, failed, cancelled *obs.Counter
+	resumed, rejected, journalRetries        *obs.Counter
+	queueDepth, active                       *obs.Gauge
 }
 
 func newMetrics(reg *obs.Registry) metrics {
 	return metrics{
-		queued:         reg.Counter("cxlmc_jobs_queued", "jobs accepted into the queue (submissions, retries and recovered re-queues)"),
+		queued:         reg.Counter("cxlmc_jobs_queued", "jobs accepted into the queue (submissions and recovered re-queues)"),
 		running:        reg.Counter("cxlmc_jobs_running", "job runs started on the pool"),
 		done:           reg.Counter("cxlmc_jobs_done", "jobs finished successfully"),
-		failed:         reg.Counter("cxlmc_jobs_failed", "jobs failed permanently"),
+		failed:         reg.Counter("cxlmc_jobs_failed", "jobs failed"),
 		cancelled:      reg.Counter("cxlmc_jobs_cancelled", "jobs cancelled by a client"),
-		retried:        reg.Counter("cxlmc_jobs_retried", "job runs retried after a transient failure"),
 		resumed:        reg.Counter("cxlmc_jobs_resumed", "jobs adopted from the journal at startup (restart recovery)"),
 		rejected:       reg.Counter("cxlmc_jobs_rejected", "submissions rejected with 429 (queue full)"),
 		journalRetries: reg.Counter("cxlmc_jobs_journal_retries", "journal writes retried after injected or transient I/O faults"),
@@ -129,7 +111,6 @@ type job struct {
 
 	mu        sync.Mutex
 	state     State
-	retries   int
 	errMsg    string
 	result    *cxlmc.Result
 	progress  *cxlmc.Progress
@@ -143,15 +124,6 @@ func (j *job) requestStop() {
 	j.stopOnce.Do(func() { close(j.stop) })
 }
 
-// rearm replaces a consumed stop channel before a retry re-queues the
-// job (a cancelled channel must not instantly stop the next run).
-func (j *job) rearm() {
-	j.mu.Lock()
-	j.stop = make(chan struct{})
-	j.stopOnce = sync.Once{}
-	j.mu.Unlock()
-}
-
 // status is the job's summary — identity, state, times — or, full, the whole
 // record: the spec, the latest progress snapshot while it runs and the result
 // once it has one. A listing is summaries, so its size does not grow with
@@ -160,7 +132,7 @@ func (j *job) status(full bool) Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := Status{
-		ID: j.id, Tenant: j.tenant, State: j.state, Retries: j.retries,
+		ID: j.id, Tenant: j.tenant, State: j.state,
 		Error: j.errMsg, Submitted: j.submitted, Started: j.started, Finished: j.finished,
 	}
 	if !full {
@@ -283,7 +255,6 @@ func (s *Server) adopt(recs []record) {
 			tenant:    rec.Tenant,
 			spec:      *rec.Spec,
 			state:     rec.State,
-			retries:   rec.Retries,
 			errMsg:    rec.Error,
 			result:    rec.Result,
 			submitted: *rec.Submitted,
@@ -626,10 +597,7 @@ func (s *Server) finishJob(j *job, state State, res *cxlmc.Result, errMsg string
 	finished := time.Now().UTC()
 	crashed := s.crashed.Load()
 	if !crashed {
-		j.mu.Lock()
-		retries := j.retries
-		j.mu.Unlock()
-		s.journal(record{ID: j.id, Tenant: j.tenant, State: state, Retries: retries, Error: errMsg, Result: res, Time: finished})
+		s.journal(record{ID: j.id, Tenant: j.tenant, State: state, Error: errMsg, Result: res, Time: finished})
 		s.st.removeCheckpoint(j.id)
 		switch state {
 		case StateDone:
@@ -664,58 +632,13 @@ func ErrSuffix(msg string) string {
 	return ": " + msg
 }
 
-// retryJob re-queues a job after a transient failure, after a capped
-// exponential backoff driven by its attempt count.
-func (s *Server) retryJob(j *job, why string, attempt int) {
-	j.mu.Lock()
-	j.state = StateQueued
-	j.errMsg = why
-	retries := j.retries
-	j.mu.Unlock()
-	if s.crashed.Load() {
-		return
-	}
-	s.journal(record{ID: j.id, Tenant: j.tenant, State: StateQueued, Retries: retries, Error: why, Time: time.Now().UTC()})
-	s.m.retried.Inc()
-	s.trace(obs.EvJobRetry, j.id)
-
-	backoff := s.cfg.retryBase << uint(min(attempt, 10))
-	if backoff > s.cfg.retryCap {
-		backoff = s.cfg.retryCap
-	}
-	s.logf("jobs: %s queued (%s); retrying in %v", j.id, why, backoff)
-	j.rearm()
-	time.AfterFunc(backoff, func() {
-		if s.crashed.Load() {
-			return
-		}
-		s.mu.Lock()
-		draining := s.draining
-		s.mu.Unlock()
-		if draining {
-			// The drain path already journaled the queue; leave the job
-			// queued for the next process.
-			s.setQueuedForRestart(j)
-			return
-		}
-		j.mu.Lock()
-		j.state = StateQueued
-		j.mu.Unlock()
-		s.journal(record{ID: j.id, Tenant: j.tenant, State: StateQueued, Retries: retries, Time: time.Now().UTC()})
-		s.q.requeue(j)
-		s.m.queued.Inc()
-		s.m.queueDepth.Set(int64(s.q.len()))
-	})
-}
-
 // setQueuedForRestart journals a job back to queued without re-queueing
 // it in this process — the drain path, where the queue itself is closed.
 func (s *Server) setQueuedForRestart(j *job) {
 	j.mu.Lock()
 	j.state = StateQueued
-	retries := j.retries
 	j.mu.Unlock()
-	s.journal(record{ID: j.id, Tenant: j.tenant, State: StateQueued, Retries: retries, Time: time.Now().UTC()})
+	s.journal(record{ID: j.id, Tenant: j.tenant, State: StateQueued, Time: time.Now().UTC()})
 }
 
 // runJob runs one claimed job to its next lifecycle edge.
@@ -735,10 +658,9 @@ func (s *Server) runJob(j *job) {
 	if j.started.IsZero() {
 		j.started = now
 	}
-	retries := j.retries
 	j.mu.Unlock()
 
-	s.journal(record{ID: j.id, Tenant: j.tenant, State: StateRunning, Retries: retries, Time: now})
+	s.journal(record{ID: j.id, Tenant: j.tenant, State: StateRunning, Time: now})
 	s.m.running.Inc()
 	s.m.active.Add(1)
 	defer s.m.active.Add(-1)
@@ -759,8 +681,8 @@ func (s *Server) runJob(j *job) {
 		j.progress = &p
 		j.mu.Unlock()
 	}
-	// Armed identically on every retry, so the config digest is stable
-	// across resumes; a pre-pass that fails fails on every retry too.
+	// Armed identically on every run, so the config digest is stable
+	// across resumes; a pre-pass that fails fails on a resume too.
 	if cfg, err = cxlmc.Arm(cfg, program); err != nil {
 		s.finishJob(j, StateFailed, nil, err.Error())
 		return
@@ -774,26 +696,14 @@ func (s *Server) runJob(j *job) {
 
 // classify turns one run's outcome into the job's next state:
 //
-//   - engine error: transient (injected I/O and friends) retries with
-//     backoff up to maxRetries, permanent (bad program, identity
-//     mismatch) fails;
+//   - engine error: the job fails with it. The file layer under the
+//     engine (chaos.Retry) has already retried what is worth retrying,
+//     so the job server re-runs nothing;
 //   - interrupted: a client cancel ends the job; a server drain leaves
 //     it journaled for the next process;
 //   - otherwise: done, with the full Result (bugs and repro tokens).
 func (s *Server) classify(j *job, res *cxlmc.Result, err error) {
 	if err != nil {
-		if chaos.IsTransient(err) {
-			j.mu.Lock()
-			j.retries++
-			attempt := j.retries
-			j.mu.Unlock()
-			if attempt > s.cfg.maxRetries {
-				s.finishJob(j, StateFailed, nil, fmt.Sprintf("transient failures exhausted %d retries: %v", s.cfg.maxRetries, err))
-				return
-			}
-			s.retryJob(j, fmt.Sprintf("transient: %v", err), attempt)
-			return
-		}
 		s.finishJob(j, StateFailed, nil, err.Error())
 		return
 	}

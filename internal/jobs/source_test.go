@@ -223,7 +223,6 @@ func TestSourceJobRestartParity(t *testing.T) {
 
 	cfg := Config{
 		Addr: "127.0.0.1:0", Dir: dir, PoolWorkers: 1,
-		retryBase: 5 * time.Millisecond,
 		Base: cxlmc.Config{
 			CheckpointEvery: 10, CheckpointInterval: 20 * time.Millisecond,
 			Observer: gate,

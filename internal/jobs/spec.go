@@ -11,11 +11,10 @@
 // checkpoint file per job, reusing the checker's existing checkpoint
 // format — so a kill -9 of the server followed by a restart resumes
 // running jobs from their last checkpoint and re-queues queued ones with
-// no loss and no duplicate results. A per-job retry policy with capped
-// exponential backoff distinguishes transient failures (chaos-injected
-// I/O) from permanent ones (a bad recipe, a checkpoint identity
-// mismatch), and SIGTERM drains: stop accepting, checkpoint every running
-// job, persist the queue, exit clean.
+// no loss and no duplicate results. A run that errors fails its job: the
+// durable-state layer under the engine (chaos.Retry) is the one retry
+// policy, and the server re-runs nothing. SIGTERM drains: stop accepting,
+// checkpoint every running job, persist the queue, exit clean.
 package jobs
 
 import (
@@ -350,11 +349,10 @@ func (s State) valid() bool {
 // the latest Progress snapshot while running, and the final Result —
 // bugs with repro tokens included — once terminal.
 type Status struct {
-	ID      string `json:"id"`
-	Tenant  string `json:"tenant"`
-	State   State  `json:"state"`
-	Retries int    `json:"retries,omitempty"`
-	Error   string `json:"error,omitempty"`
+	ID     string `json:"id"`
+	Tenant string `json:"tenant"`
+	State  State  `json:"state"`
+	Error  string `json:"error,omitempty"`
 
 	Submitted time.Time `json:"submitted"`
 	Started   time.Time `json:"started,omitempty"`

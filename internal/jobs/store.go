@@ -29,14 +29,13 @@ import (
 // spec; later transitions carry only the fields that changed. Recovery
 // merges them last-writer-wins.
 type record struct {
-	ID      string        `json:"id"`
-	Tenant  string        `json:"tenant,omitempty"`
-	State   State         `json:"state"`
-	Spec    *Spec         `json:"spec,omitempty"`
-	Retries int           `json:"retries,omitempty"`
-	Error   string        `json:"error,omitempty"`
-	Result  *cxlmc.Result `json:"result,omitempty"`
-	Time    time.Time     `json:"t"`
+	ID     string        `json:"id"`
+	Tenant string        `json:"tenant,omitempty"`
+	State  State         `json:"state"`
+	Spec   *Spec         `json:"spec,omitempty"`
+	Error  string        `json:"error,omitempty"`
+	Result *cxlmc.Result `json:"result,omitempty"`
+	Time   time.Time     `json:"t"`
 	// Submitted and Started are written on a compacted line only, which
 	// stands for every record of its job: the time of the job's first record
 	// and of its first running one. Recovery derives them from the appended
@@ -152,7 +151,6 @@ func (st *store) recover() ([]record, error) {
 		// Last writer wins for lifecycle fields; identity fields stick
 		// from whichever record carried them.
 		prev.State = rec.State
-		prev.Retries = rec.Retries
 		prev.Error = rec.Error
 		prev.Time = rec.Time
 		if rec.Spec != nil {

@@ -89,15 +89,15 @@ func TestStoreTornTrailingLine(t *testing.T) {
 }
 
 // Duplicate entries for one job id merge last-writer-wins: the final
-// state, retries and error win; the spec and tenant stick from the
+// state and error win; the spec and tenant stick from the
 // record that carried them.
 func TestStoreDuplicateIDLastWriterWins(t *testing.T) {
 	dir := t.TempDir()
 	sp := testSpec("CCEH")
 	journal := mustLine(t, record{ID: "j-000001", Tenant: "alice", State: StateQueued, Spec: sp, Time: time.Now().UTC()}) +
 		mustLine(t, record{ID: "j-000002", Tenant: "bob", State: StateQueued, Spec: testSpec("FAST_FAIR")}) +
-		mustLine(t, record{ID: "j-000001", State: StateRunning}) +
-		mustLine(t, record{ID: "j-000001", State: StateQueued, Retries: 2, Error: "transient: injected"}) +
+		mustLine(t, record{ID: "j-000001", State: StateRunning, Error: "stale"}) +
+		mustLine(t, record{ID: "j-000001", State: StateQueued, Error: "interrupted"}) +
 		mustLine(t, record{ID: "j-000002", State: StateFailed, Error: "unknown benchmark"})
 	writeJournal(t, dir, journal)
 
@@ -111,8 +111,8 @@ func TestStoreDuplicateIDLastWriterWins(t *testing.T) {
 	}
 	sortRecords(recs)
 	j1, j2 := recs[0], recs[1]
-	if j1.State != StateQueued || j1.Retries != 2 || j1.Tenant != "alice" {
-		t.Fatalf("j-000001 merged wrong: state=%s retries=%d tenant=%s", j1.State, j1.Retries, j1.Tenant)
+	if j1.State != StateQueued || j1.Error != "interrupted" || j1.Tenant != "alice" {
+		t.Fatalf("j-000001 merged wrong: state=%s error=%q tenant=%s", j1.State, j1.Error, j1.Tenant)
 	}
 	if j1.Spec == nil || j1.Spec.Bench != "CCEH" {
 		t.Fatalf("j-000001 spec lost: %+v", j1.Spec)
@@ -180,7 +180,7 @@ func TestStoreCompaction(t *testing.T) {
 	journal.WriteString(mustLine(t, record{ID: "j-000001", Tenant: "a", State: StateQueued, Spec: sp}))
 	for i := 0; i < 20; i++ {
 		journal.WriteString(mustLine(t, record{ID: "j-000001", State: StateRunning}))
-		journal.WriteString(mustLine(t, record{ID: "j-000001", State: StateQueued, Retries: i}))
+		journal.WriteString(mustLine(t, record{ID: "j-000001", State: StateQueued, Error: fmt.Sprintf("run %d", i)}))
 	}
 	writeJournal(t, dir, journal.String())
 
@@ -206,7 +206,7 @@ func TestStoreCompaction(t *testing.T) {
 		t.Fatalf("re-open: %v", err)
 	}
 	defer st2.close()
-	if len(recs2) != 1 || recs2[0].Retries != 19 || recs2[0].Spec == nil {
+	if len(recs2) != 1 || recs2[0].Error != "run 19" || recs2[0].Spec == nil {
 		t.Fatalf("round-trip lost data: %+v", recs2)
 	}
 }

@@ -36,15 +36,14 @@ const (
 	// publish) reported by the dynamic detector.
 	EvDataRace
 	// Job-server events: the lifecycle of one submitted exploration job
-	// (submit, start on a pool worker, terminal states, a retry after a
-	// transient failure, and a restart-recovery
-	// adoption), plus journal appends that survived only after retries.
+	// (submit, start on a pool worker, terminal states and a
+	// restart-recovery adoption), plus journal appends that survived only
+	// after retries.
 	EvJobSubmit
 	EvJobStart
 	EvJobDone
 	EvJobFail
 	EvJobCancel
-	EvJobRetry
 	EvJobResume
 	EvJobJournalRetry
 	numEventKinds
@@ -94,8 +93,6 @@ func (k EventKind) String() string {
 		return "job-fail"
 	case EvJobCancel:
 		return "job-cancel"
-	case EvJobRetry:
-		return "job-retry"
 	case EvJobResume:
 		return "job-resume"
 	case EvJobJournalRetry:
