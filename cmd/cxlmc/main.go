@@ -8,8 +8,7 @@
 //	      [-gpf] [-poison] [-seed 0] [-max-execs 0] [-max-time 0] [-trace]
 //	      [-workers 0] [-cpuprofile file] [-memprofile file]
 //	      [-checkpoint file] [-checkpoint-every N] [-checkpoint-interval d]
-//	      [-wedge-timeout d] [-replay token]
-//	      [-max-events N]
+//	      [-replay token] [-max-events N]
 //	      [-reduction on|off] [-prefix-fork on|off] [-race-detect on|off]
 //	      [-chaos] [-chaos-seed N]
 //	      [-metrics-addr host:port] [-progress d] [-event-log file]
@@ -54,7 +53,12 @@
 // are portable across -workers counts), Ctrl-C or SIGTERM stops
 // gracefully at the next execution boundary (writing a final
 // checkpoint), and -replay re-runs the single execution a reported
-// bug's repro token witnessed, with tracing on.
+// bug's repro token witnessed, with tracing on. -max-time is checked every
+// 1024 scheduler steps and at execution boundaries, a stop at execution
+// boundaries. There is no watchdog: nothing a run checks blocks outside
+// the simulated API (the benchmarks make no blocking call, and -check
+// source has no go, select or channels), and a callback that did would
+// hang the run, as in the paper's runtime.
 //
 // Resource bounds: a run's memory is bounded by what it checks, not by how
 // long it runs (the checker keeps a decision path, never a state). -max-events
@@ -210,7 +214,6 @@ func run() int {
 		checkpoint = flag.String("checkpoint", "", "checkpoint file: resume from it if present, write progress to it")
 		cpEvery    = flag.Int("checkpoint-every", 0, "checkpoint every N executions (0 = off; with -jobserver, 0 = 64)")
 		cpInterval = flag.Duration("checkpoint-interval", 0, "checkpoint every interval (0 = 2s with -jobserver; without -checkpoint-every, 0 = 30s with -checkpoint and 2s with -serve)")
-		wedge      = flag.Duration("wedge-timeout", 0, "watchdog for callbacks blocking outside the simulated API: a thread stalled this long is reported within twice it (0 = off, though -max-time still arms it to stop at the deadline; with -jobserver, 0 = 30s)")
 		replay     = flag.String("replay", "", "replay a bug's repro token against -bench instead of exploring")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the exploration to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile (after the exploration) to this file")
@@ -304,7 +307,7 @@ func run() int {
 	// as it does over the job server's base for a submitted job.
 	cfg := spec.Config(cxlmc.Config{
 		CheckpointPath: *checkpoint, CheckpointEvery: *cpEvery, CheckpointInterval: *cpInterval,
-		WedgeTimeout: *wedge, ProgressEvery: *progressEach,
+		ProgressEvery: *progressEach,
 	})
 	if *chaosOn {
 		ccfg := cxlmc.ChaosConfig{

@@ -138,10 +138,6 @@ const (
 	// scheduler steps): threads kept running without terminating (distinct
 	// from BugDeadlock, where nothing could make progress).
 	BugLivelock = core.BugLivelock
-	// BugWedged is a checked-program callback that blocked outside the
-	// simulated API longer than Config.WedgeTimeout, abandoned by the
-	// watchdog instead of hanging the run.
-	BugWedged = core.BugWedged
 	// BugResourceExhausted is a single execution that exceeded
 	// Config.MaxEventsPerExec decision points: per-execution state-space
 	// blowup, diagnosed structurally instead of walked unboundedly.
@@ -206,11 +202,14 @@ type InternalError = core.InternalError
 // returns the bugs found together with exploration statistics. setup is
 // invoked once per execution.
 //
+// Callbacks must not block outside the simulated API: as in the paper's
+// runtime, a callback that blocks hangs the run. Config.MaxTime is checked
+// every 1024 scheduler steps and at execution boundaries, and Config.Stop
+// at execution boundaries.
+//
 // Long runs can be made resilient: Config.CheckpointPath persists
-// progress crash-safely and resumes transparently, Config.Stop requests
-// graceful interruption at the next execution boundary, and
-// Config.WedgeTimeout guards against callbacks that block outside the
-// simulated API.
+// progress crash-safely and resumes transparently, and Config.Stop
+// requests graceful interruption at the next execution boundary.
 func Run(cfg Config, setup func(*Program)) (*Result, error) {
 	return core.Run(cfg, setup)
 }

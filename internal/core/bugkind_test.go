@@ -29,3 +29,21 @@ func TestBugKindStringExhaustive(t *testing.T) {
 		}
 	}
 }
+
+// TestBugKindNumbersPinned: bugs are serialized by number — in journals,
+// checkpoints and job results — so a renumbering would silently turn old
+// records into other kinds. Slot 6 is the retired wedge kind: it keeps its
+// number and its name so that records holding it still decode and print.
+func TestBugKindNumbersPinned(t *testing.T) {
+	for k, want := range map[BugKind]int{
+		BugAssertion: 0, BugSegfault: 1, BugPanic: 2, BugDeadlock: 3, BugPoison: 4, BugLivelock: 5,
+		bugWedged: 6, BugResourceExhausted: 7, BugDataRace: 8, BugUnflushedPublish: 9,
+	} {
+		if int(k) != want {
+			t.Errorf("%s = %d, want %d", k, k, want)
+		}
+	}
+	if got := BugKind(6).String(); got != "wedged" {
+		t.Errorf("BugKind(6).String() = %q, want \"wedged\"", got)
+	}
+}

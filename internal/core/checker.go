@@ -69,11 +69,6 @@ type Checker struct {
 	heapNext Addr
 	current  *Thread // thread running its own code, nil while scheduler steps run
 	aborted  bool    // current execution ended early (bug)
-	// dirty quarantines reusable state after a watchdog abandoned a
-	// thread: the wedged goroutine may still hold references into the
-	// scheduler, arenas and memory, so the next reset discards them all
-	// instead of reusing them.
-	dirty bool
 	// prog is the reusable Program handle passed to setup each execution.
 	prog Program
 	// The scheduler's books, one word per 64 bits whatever the thread
@@ -347,27 +342,8 @@ func (ck *Checker) newInternalError(msg string) *InternalError {
 // with its driver and its threads' parked carrier coroutines, the
 // machine/thread/mutex arenas, the schedule stream — is reset in place
 // rather than reallocated, so after the first execution the setup path
-// allocates nothing. The one exception is a dirty execution (the watchdog
-// abandoned a thread): its carrier coroutine may still hold references
-// into all of that state, so everything reusable is discarded and rebuilt
-// fresh, the scheduler closed first so that only the wedged carrier and
-// the driver stuck resuming it outlive it.
+// allocates nothing.
 func (ck *Checker) resetExecution() {
-	if ck.dirty {
-		ck.mem = nil
-		ck.closeScheduler()
-		ck.machines = nil
-		ck.threads = nil
-		ck.mutexes = nil
-		// The race detector's word table is keyed by the memory's line
-		// slots, which a fresh memory numbers afresh.
-		ck.race = raceDetector{}
-		ck.runBits = nil
-		ck.pendBits = nil
-		ck.blockedBuf = nil
-		ck.readCtx = memmodel.ReadContext{}
-		ck.dirty = false
-	}
 	if ck.mem == nil {
 		ck.mem = memmodel.NewMemory()
 		// Bound the line tables by the region before set-up touches them.
@@ -455,7 +431,7 @@ func (ck *Checker) runExecutionLoop() {
 	// truncated to the consumed prefix at the fork point; without a fork
 	// they restart empty.
 	ck.fastUntil = 0
-	if ck.forkOK && ck.forkStep > 1 && ck.forkEnabled && !ck.dirty {
+	if ck.forkOK && ck.forkStep > 1 && ck.forkEnabled {
 		ck.fastUntil = ck.forkStep
 		if ck.fastUntil-1 > len(ck.stepLog) {
 			internalPanic("prefix-fork: step log shorter than the armed fork point")
@@ -472,39 +448,18 @@ func (ck *Checker) runExecutionLoop() {
 	ck.stepNo = 0
 	defer func() {
 		// The logs now describe this execution end-to-end (recording is
-		// unconditional while forkEnabled), unless a watchdog abandoned a
-		// thread mid-step and poisoned the state.
+		// unconditional while forkEnabled).
 		ck.fast = false
-		ck.forkOK = ck.forkEnabled && !ck.dirty
+		ck.forkOK = ck.forkEnabled
 	}()
 
 	// The engine goroutine runs the scheduler steps up to the first grant
 	// and hands that thread the baton. From there the thread holding the
 	// baton runs the steps itself (Thread.enter, onThreadExit), and the
-	// baton only comes back here when the execution is over — or never,
-	// when the watchdog finds its holder stalled.
-	first := ck.advance()
-	if first == nil {
-		return
+	// baton only comes back here when the execution is over.
+	if first := ck.advance(); first != nil {
+		ck.sch.Grant(first.st)
 	}
-	stalled := ck.sch.GrantWatched(first.st, ck.grantBudget)
-	if stalled == nil {
-		return
-	}
-	// The abandoned goroutine may still touch the scheduler, arenas and
-	// memory; quarantine them all at the next reset.
-	ck.current = nil
-	ck.dirty = true
-	if !ck.deadline.IsZero() && !time.Now().Before(ck.deadline) {
-		// The deadline was the binding budget: the run is out of time,
-		// whatever the holder is doing.
-		ck.timedOut = true
-		return
-	}
-	t := ck.threads[stalled.ID]
-	ck.reportBug(BugWedged, fmt.Sprintf(
-		"thread %s/%s did not yield within %v: callback blocking outside the simulated API?",
-		t.mach.name, t.name, ck.cfg.WedgeTimeout), t)
 }
 
 // advance runs scheduler steps under the seeded schedule — buffer commits
@@ -785,25 +740,6 @@ func (ck *Checker) onThreadExit(st *sched.Thread) *sched.Thread {
 		return next.st
 	}
 	return nil
-}
-
-// grantBudget returns the watchdog's current period: WedgeTimeout or the
-// time left until the run deadline, whichever is shorter. The watchdog
-// asks again each time it re-arms. 0 means no watchdog: the plain,
-// timer-free path.
-func (ck *Checker) grantBudget() time.Duration {
-	w := ck.cfg.WedgeTimeout
-	if ck.deadline.IsZero() {
-		return w
-	}
-	m := time.Until(ck.deadline)
-	if m < time.Millisecond {
-		m = time.Millisecond
-	}
-	if w > 0 && w < m {
-		return w
-	}
-	return m
 }
 
 // commitTo commits the head of thread t's flush buffer (fb) or store

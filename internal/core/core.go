@@ -109,8 +109,10 @@ type Config struct {
 	MaxExecutions int
 
 	// MaxTime bounds the exploration's wall-clock time; 0 means
-	// unlimited. The run stops after the first execution that exceeds
-	// the budget (Complete stays false).
+	// unlimited. The deadline is checked every 1024 scheduler steps and
+	// at execution boundaries, and the run stops at the first check past
+	// it (Complete stays false). A callback that blocks outside the
+	// simulated API makes no scheduler steps, so it is not cut short.
 	MaxTime time.Duration
 
 	// ContinueAfterBug keeps exploring after the first bug (deduplicated
@@ -169,8 +171,9 @@ type Config struct {
 	// boundary, writes a final checkpoint (if CheckpointPath is set) and
 	// returns with Stats.Interrupted true. Nothing watches the channel:
 	// workers poll it at every execution boundary and before claiming a
-	// unit, so a stop is noticed within one execution (WedgeTimeout bounds
-	// that). cmd/cxlmc wires SIGINT here.
+	// unit, so a stop is noticed once the running execution ends; a
+	// callback that blocks outside the simulated API hangs that execution,
+	// and the stop with it. cmd/cxlmc wires SIGINT here.
 	Stop <-chan struct{}
 
 	// Workers is the number of exploration workers that check independent
@@ -203,22 +206,6 @@ type Config struct {
 	// error paths work — chaos never changes the explored execution set,
 	// only how bumpy the road there is. See package repro/internal/chaos.
 	Chaos *chaos.Injector
-
-	// WedgeTimeout bounds the wall-clock time a simulated thread may run
-	// between instruction boundaries. A checked-program callback that
-	// blocks outside the simulated API (a real channel receive, a syscall)
-	// hangs the lock-step scheduler forever without it; with it, the
-	// watchdog abandons the thread, reports a BugWedged, and the run
-	// continues. The watchdog does not time each turn: it looks once per
-	// WedgeTimeout whether the baton has moved since its last look, so a
-	// thread stalled for d is reported after more than d and at most 2d,
-	// and an execution of many short instructions may take any multiple of
-	// it. It must be generous relative to a single callback's compute time
-	// (the watchdog cannot tell "blocked" from "still computing"); values
-	// under a second are for tests. 0 disables the watchdog, unless
-	// MaxTime is set — the same mechanism makes MaxTime effective
-	// mid-execution.
-	WedgeTimeout time.Duration
 
 	// Obs, when non-nil, is the metrics registry the run instruments
 	// itself into: execution/step/bug counters, decision-point counters by
@@ -416,10 +403,11 @@ const (
 	// terminating. Distinct from BugDeadlock, where no thread could make
 	// progress at all.
 	BugLivelock
-	// BugWedged means a checked-program callback blocked outside the
-	// simulated API for longer than the watchdog permits (WedgeTimeout),
-	// so the lock-step scheduler abandoned it instead of hanging.
-	BugWedged
+	// bugWedged is retired: it was reported by a wedge watchdog the
+	// checker no longer has. Bugs are serialized by number, so the slot
+	// stays — later kinds keep theirs, and old journals, checkpoints and
+	// job results still decode and render it as "wedged".
+	bugWedged
 	// BugResourceExhausted means a single execution created more
 	// decision points than MaxEventsPerExec allows: the program's
 	// per-execution crash state-space is blowing up, and the checker
@@ -454,7 +442,7 @@ func (k BugKind) String() string {
 		return "poison"
 	case BugLivelock:
 		return "livelock"
-	case BugWedged:
+	case bugWedged:
 		return "wedged"
 	case BugResourceExhausted:
 		return "resource-exhausted"

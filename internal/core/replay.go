@@ -160,9 +160,7 @@ func replayPath(cfg Config, program func(*Program), progDigest string, steps []d
 // exploration finished: injected failures (KindFailure branches taken)
 // that the bug does not need are greedily pruned, deepest first, as long
 // as the bug still reproduces with the same kind and message. Each
-// candidate pruning costs one replayed execution. Wedged bugs are
-// skipped — replaying them would re-wedge a real goroutine per attempt.
-// It runs after the parallel engine merged all workers' bugs, so it is a
+// candidate pruning costs one replayed execution. It runs after the parallel engine merged all workers' bugs, so it is a
 // free function over the merged slice rather than a Checker method.
 func minimizeBugTokens(cfg Config, program func(*Program), progDigest string, bugs []Bug) {
 	if len(bugs) == 0 || progDigest == "" {
@@ -176,7 +174,7 @@ func minimizeBugTokens(cfg Config, program func(*Program), progDigest string, bu
 	cfg.CheckpointPath = ""
 	cfg.MaxTime = 0
 	for i := range bugs {
-		if bugs[i].Kind == BugWedged || bugs[i].ReproToken == "" {
+		if bugs[i].ReproToken == "" {
 			continue
 		}
 		bugs[i].ReproToken = minimizeToken(cfg, program, progDigest, bugs[i])

@@ -3,7 +3,6 @@ package core
 import (
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -351,44 +350,6 @@ func TestInternalInvariantBecomesInternalError(t *testing.T) {
 	}
 }
 
-// TestWedgedCallbackReported: a callback blocking outside the simulated
-// API is abandoned by the watchdog and reported as BugWedged; the run
-// terminates promptly instead of hanging forever.
-func TestWedgedCallbackReported(t *testing.T) {
-	unblock := make(chan struct{})
-	defer close(unblock) // let the abandoned goroutine unwind eventually
-	type outcome struct {
-		res *Result
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := Run(Config{WedgeTimeout: 50 * time.Millisecond, MaxExecutions: 1}, func(p *Program) {
-			a := p.NewMachine("A")
-			x := p.Alloc(8)
-			a.Thread("stuck", func(th *Thread) {
-				th.Store64(x, 1)
-				<-unblock // blocks outside the simulated API
-			})
-		})
-		done <- outcome{res, err}
-	}()
-	select {
-	case o := <-done:
-		if o.err != nil {
-			t.Fatal(o.err)
-		}
-		if !o.res.Buggy() || o.res.Bugs[0].Kind != BugWedged {
-			t.Fatalf("bugs = %v, want a wedged report", o.res.Bugs)
-		}
-		if !strings.Contains(o.res.Bugs[0].Message, "did not yield") {
-			t.Fatalf("message = %q", o.res.Bugs[0].Message)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("run did not terminate: watchdog failed")
-	}
-}
-
 // TestMaxTimeStopsMidExecution: the wall-clock budget interrupts an
 // execution whose step loop would run far past it, without reporting a
 // phantom bug.
@@ -416,115 +377,6 @@ func TestMaxTimeStopsMidExecution(t *testing.T) {
 	}
 	if res.Executions != 1 {
 		t.Fatalf("executions = %d, want 1", res.Executions)
-	}
-}
-
-// TestMaxTimeUnblocksFromBlockedCallback: MaxTime is honored even while
-// a callback holds the baton without yielding (here: until the run has
-// returned) — the baton watchdog doubles as the deadline enforcement, and
-// the expiry is not misreported as a wedge bug. Released, the abandoned
-// thread unwinds, so no goroutine outlives the test.
-func TestMaxTimeUnblocksFromBlockedCallback(t *testing.T) {
-	before := runtime.NumGoroutine()
-	release := make(chan struct{})
-	start := time.Now()
-	res, err := Run(Config{MaxTime: 50 * time.Millisecond}, func(p *Program) {
-		a := p.NewMachine("A")
-		x := p.Alloc(8)
-		a.Thread("sleepy", func(th *Thread) {
-			th.Store64(x, 1)
-			<-release
-			th.Yield()
-		})
-	})
-	close(release)
-	if err != nil {
-		t.Fatal(err)
-	}
-	settle(t, "the blocked thread's unwind", before)
-	if took := time.Since(start); took > 10*time.Second {
-		t.Fatalf("run took %v despite a 50ms budget", took)
-	}
-	if res.Buggy() {
-		t.Fatalf("deadline expiry misreported as bugs: %v", res.Bugs)
-	}
-	if res.Complete {
-		t.Fatal("timed-out run claimed completeness")
-	}
-}
-
-// TestWatchdogToleratesLongExecutionOfShortSteps: WedgeTimeout bounds the
-// time between instruction boundaries, not an execution's — the baton
-// never passes the engine goroutine mid-execution, so the watchdog counts
-// its movements instead of timing turns. A step sleeps a twenty-fifth of
-// the watchdog period: on a host whose cores are all busy a 10 ms sleep
-// can overrun severalfold, and only a stall of a whole period may trip
-// the watchdog.
-func TestWatchdogToleratesLongExecutionOfShortSteps(t *testing.T) {
-	const d = 250 * time.Millisecond
-	start := time.Now()
-	res, err := Run(Config{WedgeTimeout: d, MaxExecutions: 1, Workers: 1}, func(p *Program) {
-		for _, name := range []string{"A", "B"} {
-			p.NewMachine(name).Thread("slow", func(th *Thread) {
-				for i := 0; i < 60; i++ {
-					time.Sleep(d / 25)
-					th.Yield()
-				}
-			})
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if took := time.Since(start); took < 4*d {
-		t.Fatalf("execution took %v, want several watchdog periods", took)
-	}
-	if res.Buggy() {
-		t.Fatalf("a live execution was reported: %v", res.Bugs)
-	}
-}
-
-// TestWedgedSecondThreadBlamed: the thread the watchdog blames is the one
-// holding the baton when it stopped moving — here the thread that got it
-// by direct handoff, not the one the engine goroutine granted — and the
-// stall is reported within two watchdog periods.
-func TestWedgedSecondThreadBlamed(t *testing.T) {
-	const d = 100 * time.Millisecond
-	unblock := make(chan struct{})
-	defer close(unblock) // let the abandoned goroutine unwind eventually
-	type stall struct {
-		machine string
-		at      time.Time
-	}
-	stuck := make(chan stall, 1)
-	started := 0
-	res, err := Run(Config{WedgeTimeout: d, MaxExecutions: 1, Workers: 1}, func(p *Program) {
-		for _, name := range []string{"A", "B"} {
-			p.NewMachine(name).Thread("t", func(th *Thread) {
-				started++
-				if started == 2 {
-					stuck <- stall{th.Machine().Name(), time.Now()}
-					<-unblock // blocks outside the simulated API
-				}
-				for i := 0; i < 50; i++ {
-					th.Yield()
-				}
-			})
-		}
-	})
-	want := <-stuck
-	took := time.Since(want.at)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Bugs) != 1 || res.Bugs[0].Kind != BugWedged {
-		t.Fatalf("bugs = %v, want one wedged report", res.Bugs)
-	}
-	if res.Bugs[0].Machine != want.machine || res.Bugs[0].Thread != "t" {
-		t.Fatalf("blamed %s/%s, want %s/t", res.Bugs[0].Machine, res.Bugs[0].Thread, want.machine)
-	}
-	if took <= d || took > 2*d+250*time.Millisecond {
-		t.Fatalf("stall reported after %v, want within (%v, %v]", took, d, 2*d)
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -115,32 +114,11 @@ func panicky(p *Program) {
 	})
 }
 
-// schedGoroutines counts, from the goroutines' stacks, the scheduler
-// drivers and thread carriers alive.
-func schedGoroutines() (drivers, carriers int) {
-	buf := make([]byte, 1<<16)
-	for n := runtime.Stack(buf, true); n == len(buf); n = runtime.Stack(buf, true) {
-		buf = make([]byte, 2*len(buf))
-	}
-	for _, g := range strings.Split(string(buf), "\n\n") {
-		switch {
-		case strings.Contains(g, "sched.(*Scheduler).drive("):
-			drivers++
-		case strings.Contains(g, "sched.(*Thread).carry("):
-			carriers++
-		}
-	}
-	return drivers, carriers
-}
-
 // TestRunLeavesNoGoroutines: every way a run, a replay or a continuation
 // ends closes the schedulers its checkers used, so the carriers they kept
-// across executions end with them, and their drivers; a wedged run leaves
-// exactly the wedged thread's carrier and the driver stuck resuming it,
-// until the thread unwinds.
+// across executions end with them, and their drivers.
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
-	drivers, carriers := schedGoroutines()
 	for _, workers := range []int{1, 4} {
 		res, err := Run(Config{Workers: workers}, resilientNoisy)
 		if err != nil || !res.Buggy() {
@@ -177,39 +155,4 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		t.Fatalf("Stop: %v, interrupted %v, complete %v", err, res.Interrupted, res.Complete)
 	}
 	settle(t, "Stop", before)
-
-	// The first execution whose writer failed wedges, and the next one
-	// resets the dirty state, closing the quarantined scheduler. The thread
-	// blocks right after a Yield: nothing it read of the checker, which the
-	// engine goes on writing without it, is unordered with those writes.
-	unblock := make(chan struct{})
-	var wedged atomic.Bool
-	res, err = Run(Config{WedgeTimeout: 50 * time.Millisecond, Workers: 1, ContinueAfterBug: true}, func(p *Program) {
-		a := p.NewMachine("A")
-		x, y := p.AllocAligned(8, 64), p.AllocAligned(8, 64)
-		a.Thread("w", func(th *Thread) {
-			th.Store64(x, 1)
-			th.CLFlush(x)
-			th.Store64(y, 1)
-			th.CLFlush(y)
-		})
-		p.NewMachine("B").Thread("stuck", func(th *Thread) {
-			failed := th.Join(a)
-			th.Yield()
-			if failed && !wedged.Swap(true) {
-				<-unblock
-			}
-			th.Load64(x) // unwinds if the watchdog abandoned it
-			th.Load64(y)
-		})
-	})
-	if err != nil || len(res.Bugs) != 1 || res.Bugs[0].Kind != BugWedged || res.Bugs[0].Execution >= res.Executions {
-		t.Fatalf("wedge: %v, %d executions, bugs %v", err, res.Executions, res.Bugs)
-	}
-	settle(t, "BugWedged", before+2)
-	if d, c := schedGoroutines(); d != drivers+1 || c != carriers+1 {
-		t.Fatalf("wedged: %d drivers and %d carriers, want %d and %d", d, c, drivers+1, carriers+1)
-	}
-	close(unblock)
-	settle(t, "the wedged goroutine's unwind", before)
 }

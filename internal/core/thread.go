@@ -33,16 +33,15 @@ type Thread struct {
 // yields to the scheduler's driver, which resumes the other's, and t stays
 // parked until it is granted again), or finds the execution over (the
 // baton goes back to the engine goroutine and t parks until teardown
-// unwinds it). A thread unwinding from a kill, or one the watchdog
-// abandoned, unwinds inside Boundary instead. The books are brought up to
-// date first: t's own last instruction, or a block that just marked it
-// blocked, changed its bits.
+// unwinds it). A thread unwinding from a kill unwinds inside Boundary
+// instead. The books are brought up to date first: t's own last
+// instruction, or a block that just marked it blocked, changed its bits.
 func (t *Thread) enter() {
 	t.st.Boundary()
 	t.ck.touch(t)
 	switch next := t.ck.advance(); next {
 	case t:
-		t.st.Continue()
+		// t keeps the baton.
 	case nil:
 		t.st.Pause()
 	default:
@@ -55,16 +54,6 @@ func (t *Thread) enter() {
 func (t *Thread) block(note string) {
 	t.st.SetBlocked(note)
 	t.enter()
-}
-
-// guard unwinds a watchdog-abandoned thread before it can touch shared
-// checker state. It backs the few Thread methods that deliberately do
-// not yield (Assert, Fail, Alloc) — everything else is covered by the
-// same check inside enter's Boundary.
-func (t *Thread) guard() {
-	if t.st.Wedged() {
-		t.st.KillSelf()
-	}
 }
 
 // Name returns the thread's name.
@@ -184,10 +173,10 @@ func (t *Thread) FetchAdd32(a Addr, delta uint32) (prev uint32) {
 // metadata; its crash consistency is not part of the checked program
 // (benchmarks that check allocator recovery, like CXL-SHM, keep their
 // metadata in simulated memory explicitly).
-func (t *Thread) Alloc(size uint64) Addr { t.guard(); return t.ck.alloc(size, 8) }
+func (t *Thread) Alloc(size uint64) Addr { return t.ck.alloc(size, 8) }
 
 // AllocAligned is Alloc with explicit power-of-two alignment.
-func (t *Thread) AllocAligned(size, align uint64) Addr { t.guard(); return t.ck.alloc(size, align) }
+func (t *Thread) AllocAligned(size, align uint64) Addr { return t.ck.alloc(size, align) }
 
 // Assert reports a bug and halts the execution when cond is false — the
 // analogue of an assert() in an instrumented C program.
@@ -195,13 +184,11 @@ func (t *Thread) Assert(cond bool, format string, args ...any) {
 	if cond {
 		return
 	}
-	t.guard()
 	t.ck.reportBugHere(BugAssertion, fmt.Sprintf(format, args...))
 }
 
 // Fail reports a bug unconditionally and halts the execution.
 func (t *Thread) Fail(format string, args ...any) {
-	t.guard()
 	t.ck.reportBugHere(BugAssertion, fmt.Sprintf(format, args...))
 }
 

@@ -140,9 +140,9 @@ func (t *Tree) Advance() bool {
 	if t.done {
 		return false
 	}
-	// An execution abandoned inside the fixed prefix (a wedge watchdog
-	// firing nondeterministically early) cannot be backtracked within
-	// this unit; give the subtree up rather than corrupt its prefix.
+	// An execution cut short inside the fixed prefix cannot be
+	// backtracked within this unit; give the subtree up rather than
+	// corrupt its prefix.
 	if t.depth < t.fixed {
 		t.done = true
 		return false

@@ -120,9 +120,7 @@ type deferred struct {
 // A machine outlives its phase the way a scheduler's carrier outlives
 // its execution: newMachine takes one from the Source's pool and release
 // gives it back, with its frames, registers and scratch stacks, when the
-// phase ends however it ended. A wedged thread's machine goes back only
-// if its abandoned goroutine later unwinds at an instruction boundary;
-// otherwise it is leaked with the goroutine.
+// phase ends however it ended.
 type machine struct {
 	src *Source
 	// The phase's state, reset by release.

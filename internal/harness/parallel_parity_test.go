@@ -112,9 +112,6 @@ func TestParallelParityBuggyBenchmarks(t *testing.T) {
 				}
 			}
 			for i, bug := range par.Bugs {
-				if bug.Kind == cxlmc.BugWedged {
-					continue // wedged bugs carry no replayable token by design
-				}
 				if bug.ReproToken == "" {
 					t.Fatalf("parallel bug %d carries no repro token: %v", i, bug)
 				}

@@ -28,14 +28,11 @@ func reductionOff(cfg cxlmc.Config) cxlmc.Config {
 	return cfg
 }
 
-// replayAll replays every (non-wedged) bug token under replayCfg and
+// replayAll replays every bug token under replayCfg and
 // fails unless it reproduces the same bug.
 func replayAll(t *testing.T, label string, res *cxlmc.Result, replayCfg cxlmc.Config, program func(*cxlmc.Program)) {
 	t.Helper()
 	for i, bug := range res.Bugs {
-		if bug.Kind == cxlmc.BugWedged {
-			continue // wedged bugs carry no replayable token by design
-		}
 		if bug.ReproToken == "" {
 			t.Fatalf("%s: bug %d carries no repro token: %v", label, i, bug)
 		}

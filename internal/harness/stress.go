@@ -280,7 +280,7 @@ func StressOne(seed int64, opts StressOptions) (sr StressResult) {
 
 	for _, b := range serial.Bugs {
 		if b.ReproToken == "" {
-			continue // wedge reports carry no token by design
+			continue // a run without a program digest mints no token
 		}
 		rep, err := cxlmc.Replay(b.ReproToken, serialCfg, prog)
 		if err != nil {

@@ -35,8 +35,7 @@ type Config struct {
 	// spec's knobs are laid over it (Spec.Config), then the server's own
 	// wiring of one job — its checkpoint file, stop channel and progress
 	// feed. Its zero fields take the server's defaults: CheckpointEvery 64
-	// and CheckpointInterval 2s, ProgressEvery 250ms, WedgeTimeout 30s,
-	// and Workers 1, so concurrent jobs share the host's cores instead of
+	// and CheckpointInterval 2s, ProgressEvery 250ms, and Workers 1, so concurrent jobs share the host's cores instead of
 	// each grabbing GOMAXPROCS. MaxTime caps every job's deadline. Chaos
 	// also injects faults into the journal's I/O and the pool's
 	// scheduling; Obs is the server's registry (nil creates a private one,
@@ -63,9 +62,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Base.ProgressEvery <= 0 {
 		c.Base.ProgressEvery = 250 * time.Millisecond
-	}
-	if c.Base.WedgeTimeout <= 0 {
-		c.Base.WedgeTimeout = 30 * time.Second
 	}
 	if c.Base.Workers <= 0 {
 		c.Base.Workers = 1

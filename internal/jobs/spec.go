@@ -2,8 +2,10 @@
 // multi-tenant job server that accepts exploration jobs over a REST API
 // layered onto internal/obs's status server, queues them with per-tenant
 // fairness and bounded depth, and runs them concurrently on a shared
-// worker pool where every job gets its own wedge watchdog and MaxTime
-// deadline, and a spec's workload fields are bounded at submit.
+// worker pool where every job gets its own MaxTime deadline, and a
+// spec's workload fields are bounded at submit. A job is a built-in
+// benchmark, gofront source or a generated program, none of which can
+// block outside the simulated API, so no job needs a watchdog.
 //
 // Robustness is the design center. Every job's state machine
 // (queued → running → done/failed/cancelled) is journaled to a

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	cxlmc "repro"
 	"repro/internal/chaos"
 )
 
@@ -59,6 +60,39 @@ func TestStoreEmptyAndZeroByte(t *testing.T) {
 				t.Fatalf("nextIDAfter = %d, want 1", got)
 			}
 		})
+	}
+}
+
+// A journal written while the checker still had a wedge watchdog may hold
+// a done job whose result carries a kind-6 ("wedged") bug. Bug kinds are
+// journaled by number, so it recovers as written: the retired kind still
+// renders "wedged" and the kind after it keeps its number.
+func TestStoreRecoversRetiredWedgedKind(t *testing.T) {
+	dir := t.TempDir()
+	res := &cxlmc.Result{Bugs: []cxlmc.Bug{
+		{Kind: 6, Message: "thread A/t did not yield within 30s: callback blocking outside the simulated API?"},
+		{Kind: 7, Message: "decision-event limit exceeded (4): per-execution state-space blowup in checked program?"},
+	}}
+	line := mustLine(t, record{ID: "j-000001", Tenant: "a", State: StateDone, Spec: testSpec("CCEH"), Result: res, Time: time.Now().UTC()})
+	if !strings.Contains(line, `"Kind":6`) {
+		t.Fatalf("bug kinds are not journaled by number: %s", line)
+	}
+	writeJournal(t, dir, line)
+
+	st, recs, err := openStore(dir, nil, nil)
+	if err != nil {
+		t.Fatalf("openStore: %v", err)
+	}
+	defer st.close()
+	if len(recs) != 1 || recs[0].State != StateDone || recs[0].Result == nil || len(recs[0].Result.Bugs) != 2 {
+		t.Fatalf("recovered %+v, want the done job with both bugs", recs)
+	}
+	bugs := recs[0].Result.Bugs
+	if got := bugs[0].Kind.String(); got != "wedged" {
+		t.Fatalf("kind 6 renders %q, want \"wedged\"", got)
+	}
+	if bugs[1].Kind != cxlmc.BugResourceExhausted {
+		t.Fatalf("kind 7 recovered as %v, want resource-exhausted", bugs[1].Kind)
 	}
 }
 

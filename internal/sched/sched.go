@@ -7,7 +7,7 @@
 // the baton — is ever running. The engine goroutine enters an execution
 // with Grant, one channel round trip to the driver; from then on the
 // thread holding the baton decides at each of its instruction boundaries
-// who runs next and either keeps the baton (Continue, no switch), hands it
+// who runs next and either keeps the baton (no call, no switch), hands it
 // to that thread (SwitchTo: it yields to the driver, which resumes the
 // other — two coroutine switches) or, when the execution is over, returns
 // it to the engine (Pause). All checker state can therefore be accessed
@@ -15,12 +15,13 @@
 // only crash non-determinism is model checked; the thread interleaving is
 // a deterministic function of the seed).
 //
-// The driver, not the engine, resumes the coroutines for two reasons. A
-// coroutine cannot be walked away from, and GrantWatched must be able to
-// abandon a thread blocked in user code: the engine abandons the driver
-// instead, which is stuck with it. And a runtime.Goexit in a thread's fn
-// is re-raised in the goroutine that resumed it: the driver it ends hands
-// the grant or teardown it was serving to a fresh driver.
+// The driver, not the engine, resumes the coroutines because a
+// runtime.Goexit in a thread's fn is re-raised in the goroutine that
+// resumed it: the driver it ends hands the grant or teardown it was
+// serving to a fresh driver, and the engine's goroutine lives on.
+//
+// There is no watchdog, as in the paper's runtime: a thread's fn must not
+// block outside the simulated API, and one that does hangs its execution.
 //
 // The fork-and-restart of §5 is a carrier's lifecycle. A carrier belongs to
 // a Thread struct, not to an execution: its thread's fn ends with the
@@ -34,7 +35,6 @@ import (
 	"fmt"
 	"iter"
 	"slices"
-	"sync/atomic"
 	"time"
 )
 
@@ -105,30 +105,8 @@ type Thread struct {
 	BlockNote string
 }
 
-// Wedged reports whether the watchdog abandoned the thread: its carrier is
-// stuck in user code outside the simulated API. It is the one question a
-// carrier that no longer runs in lock-step may ask of the scheduler, hence
-// answered from the atomic heartbeat word alone. A wedged thread that
-// later resumes unwinds at its next instruction boundary without touching
-// scheduler state.
-func (t *Thread) Wedged() bool {
-	v := t.sch.beat.Load()
-	return v&beatAbandoned != 0 && int(v&beatHolder) == t.ID
-}
-
 // State returns the thread's scheduling state.
 func (t *Thread) State() State { return t.state }
-
-// The heartbeat word (Scheduler.beat): the low bits name the thread that
-// holds the baton, the bits above count baton movements, and the top bit
-// is set once by the watchdog when it gives up on the holder. Packing all
-// three into one word makes "the holder moved on" against "the watchdog
-// gave up" a single compare-and-swap race with exactly one winner.
-const (
-	beatHolderBits = 20
-	beatHolder     = 1<<beatHolderBits - 1
-	beatAbandoned  = 1 << 63
-)
 
 // Scheduler coordinates the baton. It is reused across executions via
 // Teardown and Reset; carriers and the driver never outlive its Close.
@@ -146,12 +124,6 @@ type Scheduler struct {
 	// the baton is back. Both are made with the driver, on the first
 	// request.
 	req, back chan struct{}
-	// watchdog is the reusable GrantWatched timer, lazily created so the
-	// no-timeout hot path stays allocation free.
-	watchdog *time.Timer
-	// beat is the watchdog heartbeat, zero unless a watched grant is in
-	// progress, so the unwatched hot path pays one load per baton movement.
-	beat atomic.Uint64
 	// tearing is set while Teardown unwinds the threads.
 	tearing bool
 	// OnPanic receives panics escaping a thread's function (real program
@@ -170,28 +142,19 @@ func New() *Scheduler { return &Scheduler{} }
 
 // Reset prepares the scheduler for the next execution after Teardown:
 // every thread struct, with its waiting carrier, moves to the free list
-// for reuse. It must not be called if a thread wedged this execution — the
-// abandoned thread still holds its Thread and reads the scheduler's
-// heartbeat word, so the whole scheduler must be closed and discarded
-// instead.
+// for reuse.
 func (s *Scheduler) Reset() {
 	s.free = append(s.free, s.threads...)
 	s.threads = s.threads[:0]
 }
 
 // Close ends the scheduler's life after Teardown: every waiting carrier is
-// stopped before it returns, and the driver ends. A wedged thread's carrier
-// is not waiting: it ends on its own at its next instruction boundary, or
-// never, and with it the driver stuck resuming it; Close waits for neither.
-// The scheduler must not be used again.
+// stopped before it returns, and the driver ends. The scheduler must not
+// be used again.
 func (s *Scheduler) Close() {
-	var wedged *Thread
-	if v := s.beat.Load(); v&beatAbandoned != 0 {
-		wedged = s.threads[v&beatHolder]
-	}
 	for _, ts := range [][]*Thread{s.threads, s.free} {
 		for _, t := range ts {
-			if t != wedged && t.stop != nil {
+			if t.stop != nil {
 				t.stop()
 			}
 		}
@@ -205,9 +168,6 @@ func (s *Scheduler) Close() {
 // NewThread registers a simulated thread running fn. It runs only when
 // granted, on the struct's carrier if an earlier execution left one.
 func (s *Scheduler) NewThread(machine int, name string, fn func(*Thread)) *Thread {
-	if len(s.threads) > beatHolder {
-		panic("sched: too many threads")
-	}
 	var t *Thread
 	if n := len(s.free); n > 0 {
 		t = s.free[n-1]
@@ -226,40 +186,36 @@ func (s *Scheduler) NewThread(machine int, name string, fn func(*Thread)) *Threa
 }
 
 // carry is a carrier coroutine's body: each resume that finds it waiting at
-// its yield runs the struct's current fn, and Close's stop ends it. So
-// does the end of a wedged thread's fn: nobody resumes it again.
+// its yield runs the struct's current fn, and Close's stop ends it.
 func (t *Thread) carry(yield func(struct{}) bool) {
 	t.yield = yield
-	for t.run() && yield(struct{}{}) {
+	for {
+		t.run()
+		if !yield(struct{}{}) {
+			return
+		}
 	}
 }
 
 // run runs fn once: it converts kill sentinels into clean exits, routes
-// real panics to OnPanic, and always names the baton's next holder. It
-// reports whether the carrier may wait for a later execution.
-func (t *Thread) run() (carry bool) {
+// real panics to OnPanic, and always names the baton's next holder.
+func (t *Thread) run() {
 	returned := false
-	defer func() { carry = t.exit(recover(), returned) }()
+	defer func() { t.exit(recover(), returned) }()
 	if t.state == Killed {
 		t.unwind()
 	}
 	t.fn(t)
 	returned = true
-	return
 }
 
 // exit finalizes the thread's state and names the baton's next holder —
-// the successor OnExit names, else the engine — unless the watchdog
-// abandoned the thread, in which case it returns false without touching
-// scheduler state (nobody is listening) and the carrier ends. An exit that
-// is neither a return nor a panic (v nil, returned false) is
-// runtime.Goexit: the carrier ends after this deferred call and its resume
-// re-raises the Goexit in the driver, so the struct drops its claim on it
-// and its next grant makes a new one.
-func (t *Thread) exit(v any, returned bool) bool {
-	if t.Wedged() {
-		return false
-	}
+// the successor OnExit names, else the engine. An exit that is neither a
+// return nor a panic (v nil, returned false) is runtime.Goexit: the carrier
+// ends after this deferred call and its resume re-raises the Goexit in the
+// driver, so the struct drops its claim on it and its next grant makes a
+// new one.
+func (t *Thread) exit(v any, returned bool) {
 	s := t.sch
 	if v == nil {
 		t.state = Finished
@@ -276,7 +232,6 @@ func (t *Thread) exit(v any, returned bool) bool {
 	if !s.tearing {
 		s.handTo(t.successor())
 	}
-	return true
 }
 
 // successor asks OnExit for the next baton holder. The hook runs inside
@@ -333,21 +288,6 @@ func (t *Thread) pull() {
 	t.resume()
 }
 
-// beatTo records on the heartbeat word that the baton moves to holder (nil:
-// stays with the holder it names). It returns false when the watchdog
-// abandoned the holder first: the engine has moved on.
-func (s *Scheduler) beatTo(holder *Thread) bool {
-	v := s.beat.Load()
-	if v == 0 {
-		return true
-	}
-	h := v & beatHolder
-	if holder != nil {
-		h = uint64(holder.ID)
-	}
-	return v&beatAbandoned == 0 && s.beat.CompareAndSwap(v, (v>>beatHolderBits+1)<<beatHolderBits|h)
-}
-
 // call hands the driver a request — a grant of t, or a teardown when t is
 // nil — starting the driver on the first one.
 func (s *Scheduler) call(t *Thread) {
@@ -365,14 +305,12 @@ func (s *Scheduler) call(t *Thread) {
 // time — a teardown unwinds the parked threads, a grant relays the baton —
 // and answers each once the baton is back; a resumed driver first finishes
 // the request a thread's runtime.Goexit took its predecessor from. It ends
-// when Close closes req, or when the watchdog has abandoned the holder:
-// nobody waits for the answer.
+// when Close closes req.
 func (s *Scheduler) drive(resumed bool) {
 	returned := false
 	defer func() {
-		// A runtime.Goexit re-raised by a resume: hand the request on,
-		// unless the engine has abandoned it.
-		if !returned && s.beat.Load()&beatAbandoned == 0 {
+		// A runtime.Goexit re-raised by a resume: hand the request on.
+		if !returned {
 			go s.drive(true)
 		}
 	}()
@@ -384,8 +322,8 @@ func (s *Scheduler) drive(resumed bool) {
 		}
 		if s.tearing {
 			s.unwindParked()
-		} else if !s.relay(resumed) {
-			break
+		} else {
+			s.relay()
 		}
 		s.back <- struct{}{}
 	}
@@ -393,34 +331,17 @@ func (s *Scheduler) drive(resumed bool) {
 }
 
 // relay resumes threads in turn — whomever the last one named — until the
-// baton goes back to the engine, and reports whether it did. Every move
-// beats the heartbeat first, which also orders each earlier switch before
-// an abandonment. A failed beat means the watchdog abandoned held, the
-// holder the word names (unknown to a resumed driver until it moves the
-// baton, and gone with the Goexit): its carrier is waiting or over, so
-// relay stops it and leaves the rest to the engine.
-func (s *Scheduler) relay(resumed bool) bool {
-	var held *Thread
-	if !resumed {
-		held = s.next
-	}
-	for t := s.next; t != nil && s.beatTo(t); t = s.next {
-		held = t
+// baton goes back to the engine.
+func (s *Scheduler) relay() {
+	for t := s.next; t != nil; t = s.next {
 		t.pull()
 	}
-	if s.beatTo(nil) {
-		return true
-	}
-	if held != nil && held.stop != nil {
-		held.stop()
-	}
-	return false
 }
 
 // parked reports whether t was granted this execution and waits in its
-// carrier for the baton, not exited and not wedged.
+// carrier for the baton, not exited.
 func (t *Thread) parked() bool {
-	return !t.Wedged() && t.started && !t.exited
+	return t.started && !t.exited
 }
 
 // unwindParked resumes every parked thread killed, so that it unwinds.
@@ -446,83 +367,22 @@ func (s *Scheduler) Grant(t *Thread) {
 	<-s.back
 }
 
-// GrantTimeout is GrantWatched with a fixed budget d, reporting whether
-// the baton came back. d <= 0 means no watchdog.
+// GrantTimeout is Grant, reporting true: there is no watchdog, and d is
+// ignored. It keeps the signature the cxlbench sched.handoff_timeout_ns
+// probe calls, so that probe now times a plain grant.
 func (s *Scheduler) GrantTimeout(t *Thread, d time.Duration) bool {
-	return s.GrantWatched(t, func() time.Duration { return d }) == nil
-}
-
-// GrantWatched is Grant under a wall-clock watchdog. The baton moves
-// between threads without passing the engine goroutine, so the watchdog
-// cannot time one thread's turn; instead every baton movement (Continue,
-// and each resume by the driver) beats a counter, and a timer of
-// budget() checks it: a changed count re-arms the timer with a fresh
-// budget(), an unchanged one means the holder did not reach an
-// instruction boundary for a whole period — checked code blocked outside
-// the simulated API (a channel receive, a syscall). The holder is then
-// marked wedged, abandoned and returned with the driver stuck resuming it;
-// a stall is detected after more than one and at most two periods. The
-// caller must end the execution and discard the scheduler: the wedged
-// thread may still be running and only unwinds — without touching
-// scheduler state — when it next reaches an instruction boundary, and the
-// driver then ends; a thread that never does leaks both. nil
-// means the baton came back. A first budget() <= 0 means no watchdog;
-// later ones must be positive.
-//
-// The budget must be generous relative to a single simulated
-// instruction's compute time: the watchdog cannot distinguish "blocked in
-// user code" from "instruction still executing", and abandoning the
-// latter races with subsequent executions.
-func (s *Scheduler) GrantWatched(t *Thread, budget func() time.Duration) (wedged *Thread) {
-	d := budget()
-	if d <= 0 {
-		s.Grant(t)
-		return nil
-	}
-	seen := 1<<beatHolderBits | uint64(t.ID)
-	s.beat.Store(seen)
-	s.call(t)
-	if s.watchdog == nil {
-		s.watchdog = time.NewTimer(d)
-	} else {
-		s.watchdog.Reset(d)
-	}
-	for {
-		select {
-		case <-s.back:
-			s.watchdog.Stop()
-			s.beat.Store(0)
-			return nil
-		case <-s.watchdog.C:
-			if s.beat.CompareAndSwap(seen, seen|beatAbandoned) {
-				return s.threads[seen&beatHolder]
-			}
-			seen = s.beat.Load()
-			s.watchdog.Reset(budget())
-		}
-	}
+	s.Grant(t)
+	return true
 }
 
 // Boundary marks an instruction boundary: the thread stops running its
 // own code and is about to run scheduler steps. A thread that is
 // unwinding from a kill — e.g. in a deferred unlock — re-panics
-// immediately, so unwinding never runs scheduler steps; so does a thread
-// the watchdog abandoned. It must be called from t's carrier.
+// immediately, so unwinding never runs scheduler steps. It must be called
+// from t's carrier.
 func (t *Thread) Boundary() {
 	if t.unwinding {
 		panic(killSentinel{})
-	}
-	if t.Wedged() {
-		t.unwind()
-	}
-}
-
-// Continue keeps the baton: the scheduler step picked the calling thread
-// itself. It costs no switch. It must be called from t's carrier, after
-// Boundary.
-func (t *Thread) Continue() {
-	if !t.sch.beatTo(t) {
-		t.unwind()
 	}
 }
 
@@ -587,21 +447,13 @@ func (t *Thread) KillSelf() {
 // Teardown unwinds every thread that has not exited. Call it at the end of
 // each execution: no thread's fn outlives its execution, and every carrier
 // is left waiting for the next one (or for Close). The driver does the
-// unwinding, one round trip, and only if a thread is parked. After a wedge
-// the driver is stuck with the wedged thread, so the engine goroutine
-// resumes the parked ones itself; the wedged one is skipped: it unwinds on
-// its own at the next instruction boundary (or leaks, if it stays blocked
-// in user code forever).
+// unwinding, one round trip, and only if a thread is parked.
 func (s *Scheduler) Teardown() {
 	if !slices.ContainsFunc(s.threads, (*Thread).parked) {
 		return
 	}
 	s.tearing = true
-	if s.beat.Load()&beatAbandoned != 0 {
-		s.unwindParked()
-	} else {
-		s.call(nil)
-		<-s.back
-	}
+	s.call(nil)
+	<-s.back
 	s.tearing = false
 }
