@@ -89,23 +89,24 @@
 // Observability: -metrics-addr serves /metrics (Prometheus text),
 // /statusz (JSON run status) and /debug/pprof for the duration of a local,
 // -seeds, -replay or -join run (-serve and -jobserver serve them on their own
-// address, and refuse the flag); -progress prints a one-line status to stderr
-// at the first execution boundary after each period (not with -serve, which
-// explores nothing itself); -event-log streams the
+// address, and refuse the flag); -progress d prints a one-line status to
+// stderr once d has passed since the last line (not with -serve, which
+// explores nothing itself, nor with -jobserver, whose jobs report through
+// GET /jobs/{id}); -event-log streams the
 // structured exploration event trace (execution boundaries, decisions,
 // checkpoints and chaos activity) as JSON lines to a file; -metrics-snapshot
 // writes the final metric values as JSON when the run ends. SIGUSR1 dumps a
 // status report to stderr at once without stopping the run. /statusz and the
-// SIGUSR1 report are the last progress snapshot, taken every -progress period
-// (every second without the flag), so they can be up to one period old; a
-// coordinator has no such snapshot, and SIGUSR1 points at its /statusz.
+// SIGUSR1 report are the last progress snapshot, which the engine takes every
+// 250 ms, so they can be up to that old; a coordinator has no such snapshot,
+// and SIGUSR1 points at its /statusz.
 //
 // Distributed exploration: -serve addr runs this process as the
 // coordinator — it owns the frontier of subtree work units, serves the
 // lease API on addr, and (with -checkpoint) persists the frontier so a
 // SIGKILL'd coordinator resumes losslessly, its workers carrying on once it
 // is back on the same address; it writes at a completed lease on the local
-// cadence (neither -checkpoint-every nor -checkpoint-interval: every 2s), and
+// cadence (-checkpoint-every, -checkpoint-interval, every 2s when neither), and
 // a final write that fails fails the run. -join addr runs a worker that leases units
 // from the coordinator one at a time, explores each with its local -workers
 // pool as an ordinary resumable run under an execution budget of its own
@@ -212,8 +213,8 @@ func run() int {
 		seeds      = flag.Int("seeds", 1, "fuzz across this many schedule seeds (§4.6)")
 		list       = flag.Bool("list", false, "list benchmarks and their seeded bugs")
 		checkpoint = flag.String("checkpoint", "", "checkpoint file: resume from it if present, write progress to it")
-		cpEvery    = flag.Int("checkpoint-every", 0, "checkpoint every N executions (0 = off; with -jobserver, 0 = 64)")
-		cpInterval = flag.Duration("checkpoint-interval", 0, "checkpoint every interval (0 = 2s with -jobserver; without -checkpoint-every, 0 = 30s with -checkpoint and 2s with -serve)")
+		cpEvery    = flag.Int("checkpoint-every", 0, "checkpoint every N executions (0 = off)")
+		cpInterval = flag.Duration("checkpoint-interval", 0, "checkpoint every interval (0 = every 2 s when -checkpoint-every is 0 too, else off)")
 		replay     = flag.String("replay", "", "replay a bug's repro token against -bench instead of exploring")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the exploration to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile (after the exploration) to this file")
@@ -233,7 +234,7 @@ func run() int {
 		queueDepth = flag.Int("queue-depth", 0, "queued jobs allowed per tenant before submissions get 429 (with -jobserver; 0 = 32)")
 
 		metricsAddr  = flag.String("metrics-addr", "", "serve /metrics, /statusz and /debug/pprof on this address for the duration of a local, -replay or -join run (\":0\" picks a port)")
-		progressEach = flag.Duration("progress", 0, "print a one-line progress report to stderr at this cadence (0 = no lines; /statusz and SIGUSR1 then refresh every second)")
+		progressEach = flag.Duration("progress", 0, "print a one-line progress report to stderr this often (0 = no lines; not with -serve or -jobserver)")
 		eventLog     = flag.String("event-log", "", "stream the structured exploration event trace to this file as JSON lines")
 		metricsSnap  = flag.String("metrics-snapshot", "", "write the final metric values to this file as JSON when the run ends")
 	)
@@ -302,12 +303,15 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "cxlmc: a coordinator explores nothing itself and has no progress to print; its /statusz is the live status, drop -progress")
 		return 2
 	}
+	if *progressEach > 0 && *jobServer != "" {
+		fmt.Fprintln(os.Stderr, "cxlmc: a job server prints no progress; each job's is in GET /jobs/{id}, drop -progress")
+		return 2
+	}
 
 	// The plumbing flags make the base; the spec lays its knobs over it —
 	// as it does over the job server's base for a submitted job.
 	cfg := spec.Config(cxlmc.Config{
 		CheckpointPath: *checkpoint, CheckpointEvery: *cpEvery, CheckpointInterval: *cpInterval,
-		ProgressEvery: *progressEach,
 	})
 	if *chaosOn {
 		ccfg := cxlmc.ChaosConfig{
@@ -443,17 +447,17 @@ func run() int {
 	}
 
 	// Status is served from the last snapshot the run handed OnProgress —
-	// every -progress period, every second without it, and at the end — so
-	// /statusz and the SIGUSR1 dump may be up to one period old. The server
-	// binds before anything is explored: a bad address costs no run.
+	// every 250 ms and at the end — so /statusz and the SIGUSR1 dump may be
+	// up to that old. -progress prints one of them once its period has
+	// passed since the last line. The server binds before anything is
+	// explored: a bad address costs no run.
 	var status atomic.Pointer[cxlmc.Progress]
 	status.Store(&cxlmc.Progress{})
-	if cfg.ProgressEvery <= 0 {
-		cfg.ProgressEvery = time.Second
-	}
+	lastLine := time.Now()
 	cfg.OnProgress = func(p cxlmc.Progress) {
 		status.Store(&p)
-		if *progressEach > 0 {
+		if *progressEach > 0 && time.Since(lastLine) >= *progressEach {
+			lastLine = time.Now()
 			fmt.Fprintf(os.Stderr, "cxlmc: progress %s\n", p)
 		}
 	}

@@ -185,9 +185,10 @@ func NewMetricsRegistry() *MetricsRegistry {
 }
 
 // Progress is a point-in-time snapshot of a running exploration,
-// delivered via Config.OnProgress every Config.ProgressEvery and when the
-// run stops. cmd/cxlmc serves the last one it received at /statusz and
-// prints it on SIGUSR1, so what it shows can be up to one period old.
+// delivered via Config.OnProgress every 250 ms, at an execution boundary,
+// and when the run stops. cmd/cxlmc serves the last one it received at
+// /statusz and prints it on SIGUSR1, so what it shows can be up to 250 ms
+// old.
 type Progress = core.Progress
 
 // WorkerStatus is one worker's slice of a Progress snapshot.

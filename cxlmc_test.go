@@ -4,7 +4,6 @@ import (
 	"maps"
 	"strings"
 	"testing"
-	"time"
 
 	cxlmc "repro"
 	"repro/internal/harness"
@@ -447,10 +446,9 @@ func TestArmDryRunIsNotTheCallersRun(t *testing.T) {
 	calls := 0
 	// RaceDetect on: Arm runs the pre-pass.
 	_, err := cxlmc.Arm(cxlmc.Config{
-		RaceDetect:    cxlmc.SwitchOn,
-		Obs:           reg,
-		ProgressEvery: time.Nanosecond,
-		OnProgress:    func(cxlmc.Progress) { calls++ },
+		RaceDetect: cxlmc.SwitchOn,
+		Obs:        reg,
+		OnProgress: func(cxlmc.Progress) { calls++ },
 	}, func(p *cxlmc.Program) {
 		a := p.NewMachine("A")
 		b := p.NewMachine("B")

@@ -159,7 +159,6 @@ func Vet(cfg core.Config, program func(*core.Program)) (*Report, error) {
 	cfg.CheckpointPath = ""
 	cfg.Obs = nil
 	cfg.EventTrace = nil
-	cfg.ProgressEvery = 0
 	cfg.OnProgress = nil
 	cfg.Stop = nil
 	if _, err := core.Run(cfg, program); err != nil {

@@ -218,8 +218,8 @@ func (in *Injector) SetOnFault(f func(class string)) {
 	in.mu.Unlock()
 }
 
-// ReadFault returns an error to inject before a file read, or nil.
-func (in *Injector) ReadFault() error {
+// readFault returns an error to inject before a file read, or nil.
+func (in *Injector) readFault() error {
 	if in == nil {
 		return nil
 	}
@@ -271,8 +271,8 @@ func (in *Injector) SyncFault() error {
 	return in.ioErr("sync")
 }
 
-// RenameFault returns an error to inject at a rename, or nil.
-func (in *Injector) RenameFault() error {
+// renameFault returns an error to inject at a rename, or nil.
+func (in *Injector) renameFault() error {
 	if in == nil {
 		return nil
 	}
@@ -286,9 +286,9 @@ func (in *Injector) RenameFault() error {
 	return in.ioErr("rename")
 }
 
-// Corrupt possibly flips one bit of data in place, returning data. The
+// corrupt possibly flips one bit of data in place, returning data. The
 // caller owns the slice.
-func (in *Injector) Corrupt(data []byte) []byte {
+func (in *Injector) corrupt(data []byte) []byte {
 	if in == nil || len(data) == 0 {
 		return data
 	}

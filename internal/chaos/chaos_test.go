@@ -11,7 +11,7 @@ import (
 // because that is exactly how "chaos off" is wired through the engine.
 func TestNilInjectorIsQuiet(t *testing.T) {
 	var in *Injector
-	if err := in.ReadFault(); err != nil {
+	if err := in.readFault(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := in.WriteFault(100); err != nil {
@@ -20,12 +20,12 @@ func TestNilInjectorIsQuiet(t *testing.T) {
 	if err := in.SyncFault(); err != nil {
 		t.Fatal(err)
 	}
-	if err := in.RenameFault(); err != nil {
+	if err := in.renameFault(); err != nil {
 		t.Fatal(err)
 	}
 	data := []byte{1, 2, 3}
-	if got := in.Corrupt(data); !bytes.Equal(got, []byte{1, 2, 3}) {
-		t.Fatalf("nil Corrupt changed data: %v", got)
+	if got := in.corrupt(data); !bytes.Equal(got, []byte{1, 2, 3}) {
+		t.Fatalf("nil corrupt changed data: %v", got)
 	}
 	in.Stall()
 	if in.SpuriousWake() {
@@ -47,7 +47,7 @@ func TestDeterministicSequence(t *testing.T) {
 		if (aerr == nil) != (berr == nil) || an != bn {
 			t.Fatalf("call %d diverged: (%d,%v) vs (%d,%v)", i, an, aerr, bn, berr)
 		}
-		if (a.ReadFault() == nil) != (b.ReadFault() == nil) {
+		if (a.readFault() == nil) != (b.readFault() == nil) {
 			t.Fatalf("call %d read decisions diverged", i)
 		}
 	}
@@ -119,7 +119,7 @@ func TestCorruptFlipsExactlyOneBit(t *testing.T) {
 	in := New(Config{Seed: 9, CorruptPct: 100})
 	orig := []byte{0x00, 0xFF, 0x55, 0xAA}
 	data := append([]byte(nil), orig...)
-	data = in.Corrupt(data)
+	data = in.corrupt(data)
 	diff := 0
 	for i := range orig {
 		x := orig[i] ^ data[i]

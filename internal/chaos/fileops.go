@@ -49,13 +49,13 @@ func Retry(onRetry func(), op func() error) error {
 }
 
 // ReadFile reads a whole file, retrying transient faults; the bytes pass
-// through Corrupt. A missing file is a permanent error, so it comes back
+// through corrupt. A missing file is a permanent error, so it comes back
 // after one read as the os error (errors.Is fs.ErrNotExist) and "nothing
 // there yet" stays distinguishable from a fault.
 func (in *Injector) ReadFile(path string) ([]byte, error) {
 	var raw []byte
 	err := Retry(nil, func() (err error) {
-		if err = in.ReadFault(); err == nil {
+		if err = in.readFault(); err == nil {
 			raw, err = os.ReadFile(path)
 		}
 		return err
@@ -63,7 +63,7 @@ func (in *Injector) ReadFile(path string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return in.Corrupt(raw), nil
+	return in.corrupt(raw), nil
 }
 
 // Rename renames oldpath to newpath, retrying transient faults.
@@ -72,7 +72,7 @@ func (in *Injector) Rename(oldpath, newpath string) error {
 }
 
 func (in *Injector) rename(oldpath, newpath string) error {
-	if err := in.RenameFault(); err != nil {
+	if err := in.renameFault(); err != nil {
 		return err
 	}
 	return os.Rename(oldpath, newpath)

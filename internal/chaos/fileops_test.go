@@ -54,7 +54,7 @@ func TestRetryPolicy(t *testing.T) {
 // TestReadFileMissingIsOneAttempt: a missing file is not a fault. The
 // attempt that reaches the file system returns fs.ErrNotExist and is the
 // last one, whatever faults were injected before it: the injector's dice
-// end exactly where a twin's do after that many ReadFault draws.
+// end exactly where a twin's do after that many readFault draws.
 func TestReadFileMissingIsOneAttempt(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "nope")
 	var none *Injector
@@ -72,13 +72,13 @@ func TestReadFileMissingIsOneAttempt(t *testing.T) {
 			t.Fatalf("seed %d: %v, want fs.ErrNotExist", seed, err)
 		}
 		for i := in.Stats().Reads; i > 0; i-- {
-			twin.ReadFault()
+			twin.readFault()
 		}
-		if err := twin.ReadFault(); err != nil {
+		if err := twin.readFault(); err != nil {
 			t.Fatalf("seed %d: twin's attempt %d faulted; the sequences diverged", seed, in.Stats().Reads+1)
 		}
 		for i := 0; i < 64; i++ {
-			if (in.ReadFault() == nil) != (twin.ReadFault() == nil) {
+			if (in.readFault() == nil) != (twin.readFault() == nil) {
 				t.Fatalf("seed %d: ReadFile drew past the attempt that found the file missing", seed)
 			}
 		}

@@ -163,7 +163,7 @@ type Config struct {
 	// CheckpointInterval writes a checkpoint whenever this much
 	// wall-clock time has passed since the last one; 0 disables the
 	// timed cadence. When CheckpointPath is set and both cadences are 0,
-	// a 30-second interval is used.
+	// a 2-second interval is used, in every mode.
 	CheckpointInterval time.Duration
 
 	// Stop, when non-nil, requests graceful interruption: when the
@@ -223,27 +223,21 @@ type Config struct {
 	// bugs, checkpoint activity, chaos fault injections and
 	// worker scheduling events are recorded into bounded per-worker ring
 	// buffers (eventBufferSize events each) and drained to this writer as
-	// JSON lines — when a ring fills, and at the first execution boundary a
-	// second after the last drain. Unlike Observer it does not force Workers
+	// JSON lines — when a ring fills, and at the first execution boundary
+	// 250 ms after the last report. Unlike Observer it does not force Workers
 	// to 1 — events carry the worker index. Writes come one at a time from
 	// whichever worker drains; a write error silences the sink without
 	// disturbing the run.
 	EventTrace io.Writer
 
-	// ProgressEvery emits a Progress snapshot to OnProgress at the first
-	// execution boundary this much wall-clock time after the last one; 0
-	// disables periodic progress. A final snapshot is always emitted when
-	// the run stops, so a caller that only wants end-of-run numbers can set
-	// OnProgress alone.
-	ProgressEvery time.Duration
-
-	// OnProgress, when non-nil, receives Progress snapshots: one per
-	// ProgressEvery period and one when the run stops. Called at an
-	// execution boundary with the engine lock held; it must not block for
-	// long and must not call back into the run. A caller that serves status
-	// on demand (cmd/cxlmc's /statusz and SIGUSR1) keeps the last snapshot
-	// it received, which is up to one ProgressEvery (and the execution in
-	// flight) old.
+	// OnProgress, when non-nil, receives Progress snapshots: one at the
+	// first execution boundary 250 ms after the last report, and one when
+	// the run stops. Called at an execution boundary with the engine lock
+	// held; it must not block for long and must not call back into the
+	// run. A caller that serves status on demand (cmd/cxlmc's /statusz and
+	// SIGUSR1) keeps the last snapshot it received, which is up to 250 ms
+	// (and the execution in flight) old; one that prints keeps its own
+	// pace.
 	OnProgress func(Progress)
 
 	// Reduction controls state-space reduction (default on): decision
@@ -341,7 +335,7 @@ func (c *Config) fillDefaults() {
 		c.commitChance = 99
 	}
 	if c.CheckpointPath != "" && c.CheckpointEvery == 0 && c.CheckpointInterval == 0 {
-		c.CheckpointInterval = 30 * time.Second
+		c.CheckpointInterval = 2 * time.Second
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)

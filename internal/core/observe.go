@@ -211,8 +211,8 @@ func (e *engine) initObs() func() {
 		})
 	}
 
-	e.watched = e.cfg.ProgressEvery > 0 || e.tracer != nil
-	e.lastProgress, e.lastFlush = e.start, e.start
+	e.watched = e.cfg.OnProgress != nil || e.tracer != nil
+	e.lastReport = e.start
 	return func() {
 		e.tracer.Flush()
 		if e.cfg.OnProgress != nil {
@@ -222,24 +222,24 @@ func (e *engine) initObs() func() {
 	}
 }
 
+// reportPeriod is how often an execution boundary reports on the run: a
+// snapshot to OnProgress and a drain of the event trace.
+const reportPeriod = 250 * time.Millisecond
+
 // watchLocked reports on the run from an execution boundary, by the worker
-// that is there: a Progress snapshot to OnProgress when ProgressEvery has
-// passed since the last one, and a tracer drain with it or a second after
-// the last one, so the event log stays fresh. Snapshots are serial because
-// the lock is held.
+// that is there, once reportPeriod has passed since the last report: a
+// Progress snapshot to OnProgress and a tracer drain, so the event log stays
+// fresh. Snapshots are serial because the lock is held.
 func (e *engine) watchLocked() {
 	now := time.Now()
-	due := e.cfg.ProgressEvery > 0 && now.Sub(e.lastProgress) >= e.cfg.ProgressEvery
-	if due {
-		e.lastProgress = now
-		if e.cfg.OnProgress != nil {
-			e.cfg.OnProgress(e.progressLocked())
-		}
+	if now.Sub(e.lastReport) < reportPeriod {
+		return
 	}
-	if e.tracer != nil && (due || now.Sub(e.lastFlush) >= time.Second) {
-		e.lastFlush = now
-		e.tracer.Flush()
+	e.lastReport = now
+	if e.cfg.OnProgress != nil {
+		e.cfg.OnProgress(e.progressLocked())
 	}
+	e.tracer.Flush()
 }
 
 // progressLocked assembles a Progress snapshot: under e.mu at a boundary, or

@@ -158,17 +158,17 @@ func TestEventTraceKeepsParallelism(t *testing.T) {
 
 // TestStatusRequestsAndFinalProgress: what a caller answers a status
 // request from (cmd/cxlmc's /statusz and SIGUSR1) is the last snapshot
-// OnProgress got, so a ProgressEvery cadence must deliver snapshots mid-run,
-// and the engine must always deliver one final snapshot whose numbers match
-// the Result.
+// OnProgress got, so the engine must deliver snapshots mid-run, every
+// reportPeriod, and always one final snapshot whose numbers match the
+// Result. Chaos stalls stretch the run well past one period.
 func TestStatusRequestsAndFinalProgress(t *testing.T) {
 	var calls atomic.Int32
 	var last atomic.Value
-	inj := chaos.New(chaos.Config{StallPct: 100, StallDur: 2 * time.Millisecond, Seed: 3, MaxFaults: 50})
+	inj := chaos.New(chaos.Config{StallPct: 100, StallDur: 100 * time.Millisecond, Seed: 3, MaxFaults: 50})
 	res, err := Run(Config{
+		Workers:          1,
 		ContinueAfterBug: true,
 		Chaos:            inj,
-		ProgressEvery:    time.Millisecond,
 		OnProgress: func(p Progress) {
 			calls.Add(1)
 			last.Store(p)
@@ -176,6 +176,9 @@ func TestStatusRequestsAndFinalProgress(t *testing.T) {
 	}, resilientClean)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Elapsed < 2*reportPeriod {
+		t.Fatalf("the run took %v, too short to span a report period", res.Elapsed)
 	}
 	if calls.Load() < 2 {
 		t.Fatalf("OnProgress called %d times, want a periodic snapshot plus the final one", calls.Load())
@@ -190,8 +193,9 @@ func TestStatusRequestsAndFinalProgress(t *testing.T) {
 	}
 }
 
-// TestFinalProgressAlwaysEmitted: OnProgress alone — no cadence — still
-// gets exactly one final snapshot.
+// TestFinalProgressAlwaysEmitted: a run shorter than one report period
+// still hands OnProgress the final snapshot, and the last snapshot is the
+// Result's numbers.
 func TestFinalProgressAlwaysEmitted(t *testing.T) {
 	var calls int
 	var final Progress
@@ -199,8 +203,11 @@ func TestFinalProgressAlwaysEmitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 1 {
-		t.Fatalf("OnProgress called %d times, want exactly the final snapshot", calls)
+	if res.Elapsed < reportPeriod && calls != 1 {
+		t.Fatalf("OnProgress called %d times in a %v run, want exactly the final snapshot", calls, res.Elapsed)
+	}
+	if calls == 0 {
+		t.Fatal("OnProgress never called, want the final snapshot")
 	}
 	if final.Executions != res.Executions {
 		t.Fatalf("final snapshot has %d executions, run did %d", final.Executions, res.Executions)

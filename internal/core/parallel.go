@@ -90,12 +90,11 @@ type engine struct {
 	// snapshot carries, mutated only under mu at execution boundaries.
 	// unitsDone feeds the crude ETA: units fully explored this process.
 	// watched says a boundary has progress to report or a tracer to drain
-	// (watchLocked), lastProgress and lastFlush when it last did.
-	workers      []WorkerStatus
-	unitsDone    int
-	watched      bool
-	lastProgress time.Time
-	lastFlush    time.Time
+	// (watchLocked), lastReport when it last did.
+	workers    []WorkerStatus
+	unitsDone  int
+	watched    bool
+	lastReport time.Time
 }
 
 // worker is the per-goroutine exploration state.

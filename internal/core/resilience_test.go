@@ -635,3 +635,27 @@ func TestReplayRejectsBadTokens(t *testing.T) {
 		t.Fatal("replay did not capture a trace")
 	}
 }
+
+// TestCheckpointCadenceDefaults pins the one place the checkpoint cadence
+// gets its default: a run with a checkpoint file and no cadence writes every
+// 2 s, whichever mode runs it; a cadence given alone is kept alone; no file
+// means no cadence.
+func TestCheckpointCadenceDefaults(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		every    int
+		interval time.Duration
+	}{
+		{"path only", Config{CheckpointPath: "x.ck"}, 0, 2 * time.Second},
+		{"every alone", Config{CheckpointPath: "x.ck", CheckpointEvery: 64}, 64, 0},
+		{"interval alone", Config{CheckpointPath: "x.ck", CheckpointInterval: time.Minute}, 0, time.Minute},
+		{"no path", Config{}, 0, 0},
+	} {
+		tc.cfg.fillDefaults()
+		if tc.cfg.CheckpointEvery != tc.every || tc.cfg.CheckpointInterval != tc.interval {
+			t.Errorf("%s: every=%d interval=%v, want every=%d interval=%v", tc.name,
+				tc.cfg.CheckpointEvery, tc.cfg.CheckpointInterval, tc.every, tc.interval)
+		}
+	}
+}

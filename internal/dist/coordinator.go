@@ -100,9 +100,6 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = core.DefaultLeaseTTL
 	}
-	if cfg.Check.CheckpointEvery <= 0 && cfg.Check.CheckpointInterval <= 0 {
-		cfg.Check.CheckpointInterval = 2 * time.Second
-	}
 	if cfg.Check.Obs == nil {
 		cfg.Check.Obs = obs.NewRegistry()
 	}

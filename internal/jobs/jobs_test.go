@@ -34,9 +34,6 @@ func testServer(t *testing.T, cfg Config) *Server {
 	if cfg.Base.CheckpointInterval == 0 {
 		cfg.Base.CheckpointInterval = 50 * time.Millisecond
 	}
-	if cfg.Base.ProgressEvery == 0 {
-		cfg.Base.ProgressEvery = 20 * time.Millisecond
-	}
 	s, err := Start(cfg)
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -345,6 +342,19 @@ func TestCancel(t *testing.T) {
 	// Cancelling a terminal job is a conflict.
 	if _, err := c.Cancel(ctx, running.ID); err == nil || !strings.Contains(err.Error(), "409") {
 		t.Fatalf("cancel terminal: err=%v, want 409", err)
+	}
+	// Cancel is POST /jobs/{id}/cancel alone: DELETE is no alias of it.
+	req, err := http.NewRequest(http.MethodDelete, "http://"+s.Addr()+"/jobs/"+running.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("DELETE /jobs/{id} = %d, want 405", resp.StatusCode)
 	}
 	snap := s.Registry().Snapshot()
 	if snap["cxlmc_jobs_cancelled"] != 2 {

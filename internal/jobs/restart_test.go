@@ -87,7 +87,6 @@ func TestRestartParity(t *testing.T) {
 		Addr: "127.0.0.1:0", Dir: dir, PoolWorkers: 2,
 		Base: cxlmc.Config{
 			CheckpointEvery: 25, CheckpointInterval: 50 * time.Millisecond,
-			ProgressEvery: 10 * time.Millisecond,
 		},
 	}
 	s1, err := Start(cfg)
@@ -213,7 +212,6 @@ func TestCrashBeforeFirstCheckpoint(t *testing.T) {
 		// A checkpoint cadence the short run will never reach.
 		Base: cxlmc.Config{
 			CheckpointEvery: 1 << 20, CheckpointInterval: time.Hour,
-			ProgressEvery: 5 * time.Millisecond,
 		},
 	}
 	s1, err := Start(cfg)

@@ -34,9 +34,11 @@ type Config struct {
 	// Base is the engine configuration every job's run starts from: the
 	// spec's knobs are laid over it (Spec.Config), then the server's own
 	// wiring of one job — its checkpoint file, stop channel and progress
-	// feed. Its zero fields take the server's defaults: CheckpointEvery 64
-	// and CheckpointInterval 2s, ProgressEvery 250ms, and Workers 1, so concurrent jobs share the host's cores instead of
-	// each grabbing GOMAXPROCS. MaxTime caps every job's deadline. Chaos
+	// feed. The engine owns the cadences: a job's checkpoint is written
+	// every 2s unless CheckpointEvery or CheckpointInterval says otherwise,
+	// and its progress snapshot is refreshed every 250ms. A zero Workers
+	// means 1, so concurrent jobs share the host's cores instead of each
+	// grabbing GOMAXPROCS. MaxTime caps every job's deadline. Chaos
 	// also injects faults into the journal's I/O and the pool's
 	// scheduling; Obs is the server's registry (nil creates a private one,
 	// read back with Registry); EventTrace receives the job lifecycle
@@ -53,15 +55,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 32
-	}
-	if c.Base.CheckpointEvery <= 0 {
-		c.Base.CheckpointEvery = 64
-	}
-	if c.Base.CheckpointInterval <= 0 {
-		c.Base.CheckpointInterval = 2 * time.Second
-	}
-	if c.Base.ProgressEvery <= 0 {
-		c.Base.ProgressEvery = 250 * time.Millisecond
 	}
 	if c.Base.Workers <= 0 {
 		c.Base.Workers = 1
@@ -188,7 +181,6 @@ func Start(cfg Config) (*Server, error) {
 		{Pattern: "GET /jobs", Handler: http.HandlerFunc(s.handleList)},
 		{Pattern: "GET /jobs/{id}", Handler: http.HandlerFunc(s.handleGet)},
 		{Pattern: "POST /jobs/{id}/cancel", Handler: http.HandlerFunc(s.handleCancel)},
-		{Pattern: "DELETE /jobs/{id}", Handler: http.HandlerFunc(s.handleCancel)},
 	}
 	srv, err := obs.NewServer(s.cfg.Addr, s.cfg.Base.Obs, s.statusz, routes...)
 	if err != nil {
@@ -537,8 +529,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.status(true))
 }
 
-// handleCancel is POST /jobs/{id}/cancel (or DELETE /jobs/{id}): a
-// queued job is cancelled on the spot; a running one is stopped at its
+// handleCancel is POST /jobs/{id}/cancel: a queued job is cancelled on the spot; a running one is stopped at its
 // next execution boundary and journaled cancelled by the pool worker.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(w, r)

@@ -195,7 +195,6 @@ func TestWaitRidesThroughRestart(t *testing.T) {
 		Addr: "127.0.0.1:0", Dir: t.TempDir(), PoolWorkers: 1,
 		Base: cxlmc.Config{
 			CheckpointEvery: 25, CheckpointInterval: 50 * time.Millisecond,
-			ProgressEvery: 10 * time.Millisecond,
 		},
 	}
 	s1, err := Start(cfg)

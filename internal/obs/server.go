@@ -101,11 +101,9 @@ type Route struct {
 // which is useful with a ":0" addr.
 func NewServer(addr string, reg *Registry, status func() any, routes ...Route) (*Server, error) {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/" {
-			http.NotFound(w, r)
-			return
-		}
+	// The index is "/" exactly, so a known path under the wrong method is
+	// the mux's 405, not a catch-all's 404.
+	mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, "cxlmc status server\n\n/metrics\t\tPrometheus text format\n/statusz\t\tJSON run status\n/debug/pprof/\tGo profiling\n")
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
