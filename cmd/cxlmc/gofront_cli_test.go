@@ -94,12 +94,15 @@ func TestCheckUnsupportedGolden(t *testing.T) {
 
 // TestCheckFlagValidation covers the -check flag contract: mutual
 // exclusion with -bench, -entry requiring -check, and a readable error
-// for a missing file.
+// for a missing file. The retired distributed flags are usage errors too:
+// one process explores.
 func TestCheckFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-check", "testdata/vet_src.go", "-bench", "CCEH"},
 		{"-entry", "Program", "-bench", "CCEH"},
 		{"-check", "testdata/does_not_exist.go"},
+		{"-bench", "CCEH", "-serve", ":0"},
+		{"-bench", "CCEH", "-join", "127.0.0.1:1"},
 	}
 	for _, args := range cases {
 		if _, _, code := runCLI2(t, args...); code != 2 {

@@ -12,8 +12,7 @@
 //	      [-reduction on|off] [-prefix-fork on|off] [-race-detect on|off]
 //	      [-chaos] [-chaos-seed N]
 //	      [-metrics-addr host:port] [-progress d] [-event-log file]
-//	      [-metrics-snapshot file]
-//	      [-serve addr | -join addr] [-lease-ttl d] [-continue] [-worker-name s]
+//	      [-metrics-snapshot file] [-continue]
 //	cxlmc -check file.go [-entry Program] [exploration flags]
 //	cxlmc -vet -bench NAME | -vet -check file.go
 //	cxlmc -stress N [-seed 0] [-chaos]
@@ -88,41 +87,18 @@
 //
 // Observability: -metrics-addr serves /metrics (Prometheus text),
 // /statusz (JSON run status) and /debug/pprof for the duration of a local,
-// -seeds, -replay or -join run (-serve and -jobserver serve them on their own
-// address, and refuse the flag); -progress d prints a one-line status to
-// stderr once d has passed since the last line (not with -serve, which
-// explores nothing itself, nor with -jobserver, whose jobs report through
-// GET /jobs/{id}); -event-log streams the
+// -seeds or -replay run (-jobserver serves them on its own address, and
+// refuses the flag); -progress d prints a one-line status to stderr once d
+// has passed since the last line (not with -jobserver, whose jobs report
+// through GET /jobs/{id}); -event-log streams the
 // structured exploration event trace (execution boundaries, decisions,
-// checkpoints and chaos activity) as JSON lines to a file; -metrics-snapshot
+// bugs and checkpoints) as JSON lines to a file; -metrics-snapshot
 // writes the final metric values as JSON when the run ends. SIGUSR1 dumps a
 // status report to stderr at once without stopping the run. /statusz and the
 // SIGUSR1 report are the last progress snapshot, which the engine takes every
-// 250 ms, so they can be up to that old; a coordinator has no such snapshot,
-// and SIGUSR1 points at its /statusz.
+// 250 ms, so they can be up to that old.
 //
-// Distributed exploration: -serve addr runs this process as the
-// coordinator — it owns the frontier of subtree work units, serves the
-// lease API on addr, and (with -checkpoint) persists the frontier so a
-// SIGKILL'd coordinator resumes losslessly, its workers carrying on once it
-// is back on the same address; it writes at a completed lease on the local
-// cadence (-checkpoint-every, -checkpoint-interval, every 2s when neither), and
-// a final write that fails fails the run. -join addr runs a worker that leases units
-// from the coordinator one at a time, explores each with its local -workers
-// pool as an ordinary resumable run under an execution budget of its own
-// choosing (one execution at first, doubled while leases finish well inside
-// the TTL and no peer is waiting), and in one call reports the result, returns
-// what is left for the coordinator to split among whoever is waiting and takes
-// the next unit. -max-execs and -max-time span the worker's lifetime, not one
-// lease; so does -metrics-addr's /metrics, while its /statusz is the current
-// lease's progress. A lease has a deadline (-lease-ttl) and is named by
-// the coordinator's start, the unit and an epoch: units of crashed or wedged
-// workers are reclaimed and re-issued, completions of an old epoch or start
-// are rejected idempotently, and the run reports exactly the bug set and
-// repro tokens a single-process run of the same configuration does.
-// -continue keeps exploring after the first bug (any mode). With -chaos, dist
-// modes also inject network faults (drops, delays, duplicates, partitions,
-// 5xx) into the worker↔coordinator RPCs.
+// -continue keeps exploring after the first bug (any mode).
 //
 // Checking as a service: -jobserver runs this process as a long-lived,
 // multi-tenant job server. Clients submit exploration jobs (a benchmark
@@ -170,7 +146,6 @@ import (
 	cxlmc "repro"
 	"repro/internal/analyze"
 	"repro/internal/cxlshm"
-	"repro/internal/dist"
 	"repro/internal/gofront"
 	"repro/internal/harness"
 	"repro/internal/jobs"
@@ -223,18 +198,13 @@ func run() int {
 		chaosSeed  = flag.Int64("chaos-seed", 1, "seed for the -chaos fault injector")
 		stress     = flag.Int("stress", 0, "self-fuzz N seeded random programs (starting at -seed) instead of running a benchmark")
 
-		serveAddr  = flag.String("serve", "", "run as distributed coordinator: own the work-unit frontier and serve the lease API on this address (\":0\" picks a port)")
-		joinAddr   = flag.String("join", "", "run as distributed worker: lease work units from the coordinator at this address")
-		leaseTTL   = flag.Duration("lease-ttl", 0, "a lease not completed within this long is reclaimed and re-issued; a worker sizes its leases to fit, but one execution must (with -serve; 0 = 5s)")
-		workerName = flag.String("worker-name", "", "name this worker reports to the coordinator (with -join; default worker-<pid>)")
-
 		jobServer  = flag.String("jobserver", "", "run as a multi-tenant job server: accept exploration jobs over a REST API on this address (\":0\" picks a port)")
 		jobsDir    = flag.String("jobs-dir", "", "durable job store directory — journal plus per-job checkpoints (required with -jobserver)")
 		jobWorkers = flag.Int("job-workers", 0, "jobs the server runs concurrently (with -jobserver; 0 = 2)")
 		queueDepth = flag.Int("queue-depth", 0, "queued jobs allowed per tenant before submissions get 429 (with -jobserver; 0 = 32)")
 
-		metricsAddr  = flag.String("metrics-addr", "", "serve /metrics, /statusz and /debug/pprof on this address for the duration of a local, -replay or -join run (\":0\" picks a port)")
-		progressEach = flag.Duration("progress", 0, "print a one-line progress report to stderr this often (0 = no lines; not with -serve or -jobserver)")
+		metricsAddr  = flag.String("metrics-addr", "", "serve /metrics, /statusz and /debug/pprof on this address for the duration of a local or -replay run (\":0\" picks a port)")
+		progressEach = flag.Duration("progress", 0, "print a one-line progress report to stderr this often (0 = no lines; not with -jobserver)")
 		eventLog     = flag.String("event-log", "", "stream the structured exploration event trace to this file as JSON lines")
 		metricsSnap  = flag.String("metrics-snapshot", "", "write the final metric values to this file as JSON when the run ends")
 	)
@@ -266,41 +236,20 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "cxlmc: -entry names a function in the -check file; it needs -check")
 		return 2
 	}
-	if *jobServer != "" && (*serveAddr != "" || *joinAddr != "" || *replay != "" || *vetOnly || spec.Bench != "" || *checkFile != "") {
-		fmt.Fprintln(os.Stderr, "cxlmc: -jobserver is a standalone mode; submit programs as jobs (cxlmc submit) instead of -bench/-check/-serve/-join/-replay/-vet")
+	if *jobServer != "" && (*replay != "" || *vetOnly || spec.Bench != "" || *checkFile != "") {
+		fmt.Fprintln(os.Stderr, "cxlmc: -jobserver is a standalone mode; submit programs as jobs (cxlmc submit) instead of -bench/-check/-replay/-vet")
 		return 2
 	}
 	if *checkpoint != "" && *seeds > 1 {
 		fmt.Fprintln(os.Stderr, "cxlmc: -checkpoint tracks a single exploration; use -seeds 1 (one checkpoint file per seed)")
 		return 2
 	}
-	if *serveAddr != "" && *joinAddr != "" {
-		fmt.Fprintln(os.Stderr, "cxlmc: -serve and -join are mutually exclusive (one process is either the coordinator or a worker)")
+	if *vetOnly && *replay != "" {
+		fmt.Fprintln(os.Stderr, "cxlmc: -vet is a static pre-pass; drop -replay")
 		return 2
 	}
-	distMode := *serveAddr != "" || *joinAddr != ""
-	if distMode && *seeds > 1 {
-		fmt.Fprintln(os.Stderr, "cxlmc: distributed runs explore a single seed; use -seeds 1")
-		return 2
-	}
-	if distMode && *replay != "" {
-		fmt.Fprintln(os.Stderr, "cxlmc: -replay is a local single-execution re-run; drop -serve/-join")
-		return 2
-	}
-	if *joinAddr != "" && *checkpoint != "" {
-		fmt.Fprintln(os.Stderr, "cxlmc: workers hold no durable state; put -checkpoint on the coordinator")
-		return 2
-	}
-	if *vetOnly && (distMode || *replay != "") {
-		fmt.Fprintln(os.Stderr, "cxlmc: -vet is a local static pre-pass; drop -serve/-join/-replay")
-		return 2
-	}
-	if *metricsAddr != "" && (*serveAddr != "" || *jobServer != "") {
-		fmt.Fprintln(os.Stderr, "cxlmc: -serve and -jobserver already serve /metrics and /statusz on their own address; drop -metrics-addr")
-		return 2
-	}
-	if *progressEach > 0 && *serveAddr != "" {
-		fmt.Fprintln(os.Stderr, "cxlmc: a coordinator explores nothing itself and has no progress to print; its /statusz is the live status, drop -progress")
+	if *metricsAddr != "" && *jobServer != "" {
+		fmt.Fprintln(os.Stderr, "cxlmc: -jobserver already serves /metrics and /statusz on its own address; drop -metrics-addr")
 		return 2
 	}
 	if *progressEach > 0 && *jobServer != "" {
@@ -314,7 +263,7 @@ func run() int {
 		CheckpointPath: *checkpoint, CheckpointEvery: *cpEvery, CheckpointInterval: *cpInterval,
 	})
 	if *chaosOn {
-		ccfg := cxlmc.ChaosConfig{
+		cfg.Chaos = cxlmc.NewChaos(cxlmc.ChaosConfig{
 			Seed:          *chaosSeed,
 			WriteErrPct:   20,
 			ReadErrPct:    10,
@@ -323,17 +272,7 @@ func run() int {
 			ShortWritePct: 50,
 			StallPct:      5,
 			MaxFaults:     200,
-		}
-		if distMode {
-			// Dist modes extend chaos to the wire: the transport and the
-			// coordinator's handlers consult these classes.
-			ccfg.NetDropPct = 5
-			ccfg.NetDelayPct = 10
-			ccfg.NetDupPct = 5
-			ccfg.Net5xxPct = 5
-			ccfg.NetPartitionPct = 2
-		}
-		cfg.Chaos = cxlmc.NewChaos(ccfg)
+		})
 	}
 
 	if *metricsAddr != "" || *metricsSnap != "" {
@@ -463,16 +402,12 @@ func run() int {
 	}
 	// SIGUSR1 asks for a status dump, printed at once; the run goes on
 	// untouched. Once Stop returns nothing is delivered, so closing ends the
-	// printer. A coordinator has no snapshot: it points at its /statusz.
+	// printer.
 	usr1 := make(chan os.Signal, 1)
 	signal.Notify(usr1, syscall.SIGUSR1)
 	defer func() { signal.Stop(usr1); close(usr1) }()
 	go func() {
 		for range usr1 {
-			if *serveAddr != "" {
-				fmt.Fprintln(os.Stderr, "cxlmc: status  a coordinator serves its status at /statusz on its own address")
-				continue
-			}
 			p := status.Load()
 			fmt.Fprintf(os.Stderr, "cxlmc: status  %s\n", p)
 			for _, w := range p.Workers {
@@ -491,9 +426,8 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "cxlmc: status server on http://%s/ (/metrics /statusz /debug/pprof)\n", srv.Addr())
 	}
 
-	// The one arming step of every mode (run, replay, coordinator, worker;
-	// the job server takes it per job), so the config digests they stamp
-	// match.
+	// The one arming step of every mode (run and replay; the job server
+	// takes it per job), so the config digests they stamp match.
 	if cfg, err = cxlmc.Arm(cfg, program); err != nil {
 		fmt.Fprintf(os.Stderr, "cxlmc: %v\n", strings.TrimPrefix(err.Error(), "cxlmc: "))
 		return 1
@@ -540,8 +474,7 @@ func run() int {
 	cfg.Stop = stop
 
 	// printResult renders one run's outcome, returning whether it found
-	// bugs; shared by local, coordinator and worker modes so their output
-	// is comparable line for line.
+	// bugs.
 	printResult := func(res *cxlmc.Result, s int64) bool {
 		fmt.Printf("benchmark   %s (bugs=%#x, gpf=%v, seed=%d)\n", benchName, spec.Bugs, spec.GPF, s)
 		fmt.Printf("executions  %d (complete=%v)\n", res.Executions, res.Complete)
@@ -565,10 +498,6 @@ func run() int {
 		if res.CheckpointErrors > 0 {
 			fmt.Printf("cp-errors   %d periodic checkpoint write(s) failed and were tolerated\n", res.CheckpointErrors)
 		}
-		if distMode || res.LeaseReclaims > 0 || res.RPCRetries > 0 || res.StaleCompletions > 0 {
-			fmt.Printf("dist        reclaims=%d rpc-retries=%d stale-completions=%d\n",
-				res.LeaseReclaims, res.RPCRetries, res.StaleCompletions)
-		}
 		if res.Interrupted {
 			where := "progress discarded (no -checkpoint)"
 			if *checkpoint != "" {
@@ -588,44 +517,6 @@ func run() int {
 		}
 		fmt.Println("no bugs found")
 		return false
-	}
-
-	if *serveAddr != "" {
-		// Coordinator: own the frontier, serve the lease API, persist the
-		// checkpoint — all of it read off the one configuration.
-		coord, err := dist.StartCoordinator(dist.CoordinatorConfig{
-			Check: cfg, Program: program, Addr: *serveAddr, LeaseTTL: *leaseTTL,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cxlmc: %v\n", strings.TrimPrefix(err.Error(), "dist: "))
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "cxlmc: coordinator serving the frontier on %s (workers: %s -join %s)\n",
-			coord.Addr(), reproFlags, coord.Addr())
-		res, err := coord.Wait(nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cxlmc: %v\n", strings.TrimPrefix(err.Error(), "dist: "))
-			return 1
-		}
-		if printResult(res, spec.Seed) {
-			return 1
-		}
-		return 0
-	}
-
-	if *joinAddr != "" {
-		res, err := dist.RunWorker(dist.WorkerConfig{
-			Check: cfg, Program: program, Coordinator: *joinAddr, Name: *workerName,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cxlmc: %v\n", strings.TrimPrefix(err.Error(), "dist: "))
-			return 1
-		}
-		fmt.Println("worker      local view below; the coordinator reports the authoritative global result")
-		if printResult(res, spec.Seed) {
-			return 1
-		}
-		return 0
 	}
 
 	buggy := false

@@ -100,25 +100,20 @@ func TestVetCleanExitsZero(t *testing.T) {
 	}
 }
 
-// TestVetRejectsDistModes: -vet is local and static; combining it with
-// the dist or replay modes is a usage error (exit 2).
-func TestVetRejectsDistModes(t *testing.T) {
-	_, code := runCLI(t, "-vet", "-bench", "vet-demo", "-serve", ":0")
+// TestVetRejectsReplay: -vet is a static pre-pass that explores nothing, so
+// there is no execution for a repro token to re-run (exit 2).
+func TestVetRejectsReplay(t *testing.T) {
+	_, code := runCLI(t, "-vet", "-bench", "vet-demo", "-replay", "tok")
 	if code != 2 {
-		t.Errorf("-vet -serve exited %d, want 2", code)
+		t.Errorf("-vet -replay exited %d, want 2", code)
 	}
 }
 
-// TestProgressRejectedOnCoordinator: a coordinator explores nothing itself
-// and hands no progress snapshot to print, and a job server prints none (each
-// job's is in its status), so -progress with -serve or -jobserver is a usage
-// error (exit 2), as -metrics-addr is.
-func TestProgressRejectedOnCoordinator(t *testing.T) {
-	_, code := runCLI(t, "-bench", "CCEH", "-serve", "127.0.0.1:0", "-progress", "1s")
-	if code != 2 {
-		t.Errorf("-serve -progress exited %d, want 2", code)
-	}
-	_, code = runCLI(t, "-jobserver", "127.0.0.1:0", "-jobs-dir", t.TempDir(), "-progress", "1s")
+// TestProgressRejectedOnJobServer: a job server prints no progress (each
+// job's is in its status), so -progress with -jobserver is a usage error
+// (exit 2), as -metrics-addr is.
+func TestProgressRejectedOnJobServer(t *testing.T) {
+	_, code := runCLI(t, "-jobserver", "127.0.0.1:0", "-jobs-dir", t.TempDir(), "-progress", "1s")
 	if code != 2 {
 		t.Errorf("-jobserver -progress exited %d, want 2", code)
 	}

@@ -111,17 +111,12 @@ func TestBadMetricsAddrFailsRun(t *testing.T) {
 	}
 }
 
-// TestMetricsAddrRefusedWhereTheModeServes: the coordinator and the job
-// server serve /metrics and /statusz on their own address, so a
-// -metrics-addr beside them would be ignored; it is refused instead.
+// TestMetricsAddrRefusedWhereTheModeServes: the job server serves /metrics
+// and /statusz on its own address, so a -metrics-addr beside it would be
+// ignored; it is refused instead.
 func TestMetricsAddrRefusedWhereTheModeServes(t *testing.T) {
-	for _, args := range [][]string{
-		{"-bench", "CCEH", "-serve", "127.0.0.1:0", "-metrics-addr", "127.0.0.1:0"},
-		{"-jobserver", "127.0.0.1:0", "-jobs-dir", t.TempDir(), "-metrics-addr", "127.0.0.1:0"},
-	} {
-		if _, code := runCLI(t, args...); code != 2 {
-			t.Errorf("%v exited %d, want 2", args, code)
-		}
+	if _, code := runCLI(t, "-jobserver", "127.0.0.1:0", "-jobs-dir", t.TempDir(), "-metrics-addr", "127.0.0.1:0"); code != 2 {
+		t.Errorf("-jobserver -metrics-addr exited %d, want 2", code)
 	}
 }
 

@@ -74,8 +74,8 @@ import (
 type Config = core.Config
 
 // Switch is a three-valued on/off knob whose zero value means "use the
-// default" — used by Config.Reduction and Config.PrefixFork, both of
-// which default to on.
+// default" — used by Config.Reduction and Config.PrefixFork, which default
+// to on, and Config.RaceDetect, which defaults to off.
 type Switch = core.Switch
 
 // Switch values.
@@ -260,10 +260,10 @@ func Vet(cfg Config, setup func(*Program)) (*VetReport, error) {
 // (its findings are counted into cfg.Obs; its dry execution is not the
 // run's, so it counts into no other metric and reaches no OnProgress). The
 // pre-pass is deterministic and UnflushedLines is digest-relevant, so this
-// is the one arming step of every mode — local run, replay, dist
-// coordinator and worker, a job and each of its retries: the same knobs
-// then stamp the same digest, and tokens and checkpoints pass between modes. A pre-pass that fails is an
-// error, never an unarmed run under a different digest.
+// is the one arming step of every mode — local run, replay and a submitted
+// job: the same knobs then stamp the same digest, and tokens and
+// checkpoints pass between modes. A pre-pass that fails is an error, never
+// an unarmed run under a different digest.
 func Arm(cfg Config, setup func(*Program)) (Config, error) {
 	if cfg.RaceDetect != SwitchOn {
 		return cfg, nil
@@ -282,9 +282,9 @@ func Arm(cfg Config, setup func(*Program)) (Config, error) {
 // checks it against the supported subset, and returns the checker
 // program for the named entry function (signature func(*cxl.Region);
 // "" means "Program"). The returned program is an ordinary setup
-// function: Run, Replay, Vet, the distributed modes and the job server
-// all work on it unchanged, and its repro tokens are interchangeable
-// with a hand-ported program whose setup stream is identical.
+// function: Run, Replay, Vet and the job server all work on it
+// unchanged, and its repro tokens are interchangeable with a hand-ported
+// program whose setup stream is identical.
 //
 // Errors are positioned file:line diagnostics (parse errors, type
 // errors, unsupported constructs, a missing or mis-typed entry), never

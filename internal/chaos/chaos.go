@@ -127,8 +127,6 @@ type Injector struct {
 	// partUntil is the end of the currently open network partition
 	// window; zero when no partition is active.
 	partUntil time.Time
-	// onFault is the observer SetOnFault installs.
-	onFault func(class string)
 }
 
 // New returns an injector for the given fault mix.
@@ -195,29 +193,6 @@ func (in *Injector) ioErr(op string) error {
 	return &injectedError{op: op, permanent: in.cfg.Permanent}
 }
 
-// note reports one delivered fault to the observer SetOnFault installed,
-// if any. Called with in.mu held.
-func (in *Injector) note(class string) {
-	if in.onFault != nil {
-		in.onFault(class)
-	}
-}
-
-// SetOnFault installs (or, with nil, removes) the fault observer: f is
-// invoked after every injected fault with a short class label ("read",
-// "write", "short-write", "sync", "rename", "corrupt", "stall", "wake").
-// It is called with the injector's lock held, so it must be fast and must
-// not call back into the injector. The engine uses this to observe a
-// caller-provided injector without rebuilding it. Safe on a nil receiver.
-func (in *Injector) SetOnFault(f func(class string)) {
-	if in == nil {
-		return
-	}
-	in.mu.Lock()
-	in.onFault = f
-	in.mu.Unlock()
-}
-
 // readFault returns an error to inject before a file read, or nil.
 func (in *Injector) readFault() error {
 	if in == nil {
@@ -229,7 +204,6 @@ func (in *Injector) readFault() error {
 		return nil
 	}
 	in.stats.Reads++
-	in.note("read")
 	return in.ioErr("read")
 }
 
@@ -249,10 +223,8 @@ func (in *Injector) WriteFault(size int) (n int, err error) {
 	in.stats.Writes++
 	if size > 0 && in.rng.Intn(100) < in.cfg.ShortWritePct {
 		in.stats.ShortWrites++
-		in.note("short-write")
 		return in.rng.Intn(size), in.ioErr("write")
 	}
-	in.note("write")
 	return -1, in.ioErr("write")
 }
 
@@ -267,7 +239,6 @@ func (in *Injector) SyncFault() error {
 		return nil
 	}
 	in.stats.Syncs++
-	in.note("sync")
 	return in.ioErr("sync")
 }
 
@@ -282,7 +253,6 @@ func (in *Injector) renameFault() error {
 		return nil
 	}
 	in.stats.Renames++
-	in.note("rename")
 	return in.ioErr("rename")
 }
 
@@ -298,7 +268,6 @@ func (in *Injector) corrupt(data []byte) []byte {
 		return data
 	}
 	in.stats.Corruptions++
-	in.note("corrupt")
 	i := in.rng.Intn(len(data))
 	data[i] ^= 1 << uint(in.rng.Intn(8))
 	return data
@@ -314,7 +283,6 @@ func (in *Injector) Stall() {
 	stall := in.hit(in.cfg.StallPct)
 	if stall {
 		in.stats.Stalls++
-		in.note("stall")
 	}
 	d := in.cfg.StallDur
 	in.mu.Unlock()
@@ -335,7 +303,6 @@ func (in *Injector) SpuriousWake() bool {
 		return false
 	}
 	in.stats.Wakes++
-	in.note("wake")
 	return true
 }
 
@@ -356,7 +323,6 @@ func (in *Injector) NetDrop() error {
 	}
 	if in.hit(in.cfg.NetPartitionPct) {
 		in.stats.NetPartitions++
-		in.note("net-partition")
 		in.partUntil = now.Add(in.cfg.NetPartitionDur)
 		return in.ioErr("net-partition")
 	}
@@ -364,7 +330,6 @@ func (in *Injector) NetDrop() error {
 		return nil
 	}
 	in.stats.NetDrops++
-	in.note("net-drop")
 	return in.ioErr("net-drop")
 }
 
@@ -381,7 +346,6 @@ func (in *Injector) NetDelay() time.Duration {
 		return 0
 	}
 	in.stats.NetDelays++
-	in.note("net-delay")
 	return in.cfg.NetDelayDur
 }
 
@@ -397,7 +361,6 @@ func (in *Injector) NetDup() bool {
 		return false
 	}
 	in.stats.NetDups++
-	in.note("net-dup")
 	return true
 }
 
@@ -413,7 +376,6 @@ func (in *Injector) Net5xx() bool {
 		return false
 	}
 	in.stats.Net5xxs++
-	in.note("net-5xx")
 	return true
 }
 

@@ -41,8 +41,6 @@ type coreMetrics struct {
 
 	checkpointMetrics
 
-	chaosFaults *obs.Counter
-
 	frontier    *obs.Gauge
 	activeG     *obs.Gauge
 	hungryG     *obs.Gauge
@@ -73,8 +71,6 @@ func newCoreMetrics(reg *obs.Registry) coreMetrics {
 		unitsFinished: reg.Counter("cxlmc_units_finished_total", "subtree work units fully explored"),
 
 		checkpointMetrics: newCheckpointMetrics(reg),
-
-		chaosFaults: reg.Counter("cxlmc_chaos_faults_total", "faults injected by the chaos engine"),
 
 		frontier:    reg.Gauge("cxlmc_frontier_units", "unexplored subtree units queued in memory"),
 		activeG:     reg.Gauge("cxlmc_active_workers", "workers currently exploring a unit"),
@@ -161,12 +157,6 @@ type Progress struct {
 	// process's executions per second.
 	Elapsed  time.Duration `json:"elapsed_ns"`
 	ExecRate float64       `json:"exec_rate"`
-	// ETA is a crude completion estimate: remaining frontier units times
-	// the mean executions per finished unit, divided by the execution
-	// rate. Zero when unknown (no unit finished yet, or rate is zero).
-	// Subtree sizes are wildly skewed, so treat it as an order of
-	// magnitude, not a promise.
-	ETA time.Duration `json:"eta_ns,omitempty"`
 
 	TraceEvents int `json:"trace_events,omitempty"`
 
@@ -183,16 +173,13 @@ func (p Progress) String() string {
 	if p.CheckpointErrors > 0 {
 		s += fmt.Sprintf(" cperr=%d", p.CheckpointErrors)
 	}
-	if p.ETA > 0 {
-		s += fmt.Sprintf(" eta~%s", p.ETA.Round(time.Second))
-	}
 	return s
 }
 
 // initObs builds the run's observability plumbing from the Config: the
-// registry-backed instruments, the event tracer and the chaos fault
-// observer. It returns the teardown, which drains the tracer and hands
-// OnProgress the final snapshot once no worker is left.
+// registry-backed instruments and the event tracer. It returns the
+// teardown, which drains the tracer and hands OnProgress the final snapshot
+// once no worker is left.
 func (e *engine) initObs() func() {
 	if e.cfg.Obs != nil {
 		e.om = newCoreMetrics(e.cfg.Obs)
@@ -201,16 +188,6 @@ func (e *engine) initObs() func() {
 	if e.cfg.EventTrace != nil {
 		e.tracer = obs.NewTracer(e.cfg.Workers, eventBufferSize, e.cfg.EventTrace)
 	}
-	if e.cfg.Chaos != nil && (e.cfg.Obs != nil || e.tracer != nil) {
-		om, tr := e.om, e.tracer
-		// Called with the injector's lock held: atomics and a ring append
-		// only, never back into the injector or the engine lock.
-		e.cfg.Chaos.SetOnFault(func(class string) {
-			om.chaosFaults.Inc()
-			tr.RecordS(-1, obs.EvChaosFault, 0, class)
-		})
-	}
-
 	e.watched = e.cfg.OnProgress != nil || e.tracer != nil
 	e.lastReport = e.start
 	return func() {
@@ -218,7 +195,6 @@ func (e *engine) initObs() func() {
 		if e.cfg.OnProgress != nil {
 			e.cfg.OnProgress(e.progressLocked())
 		}
-		e.cfg.Chaos.SetOnFault(nil)
 	}
 }
 
@@ -270,13 +246,9 @@ func (e *engine) progressLocked() Progress {
 	if sec := sinceStart.Seconds(); sec > 0 {
 		p.ExecRate = float64(localExecs) / sec
 	}
-	if e.unitsDone > 0 && p.ExecRate > 0 && p.Frontier > 0 {
-		perUnit := float64(localExecs) / float64(e.unitsDone)
-		p.ETA = time.Duration(float64(p.Frontier) * perUnit / p.ExecRate * float64(time.Second))
-	}
 	if e.cfg.Chaos != nil {
-		// The injector lock nests strictly inside e.mu here; the fault
-		// observer never takes e.mu, so the order is acyclic.
+		// The injector lock nests strictly inside e.mu here; the injector
+		// never takes e.mu, so the order is acyclic.
 		p.ChaosFaults = e.cfg.Chaos.Stats().Total()
 	}
 	return p

@@ -88,11 +88,9 @@ type engine struct {
 	// Config.Obs is not set; tracer is nil without Config.EventTrace.
 	// workers is the per-worker status a Progress
 	// snapshot carries, mutated only under mu at execution boundaries.
-	// unitsDone feeds the crude ETA: units fully explored this process.
 	// watched says a boundary has progress to report or a tracer to drain
 	// (watchLocked), lastReport when it last did.
 	workers    []WorkerStatus
-	unitsDone  int
 	watched    bool
 	lastReport time.Time
 }
@@ -431,7 +429,6 @@ func (e *engine) mergeLocked(w *worker) {
 // move to the engine's completed totals.
 func (e *engine) finishUnitLocked(tr *decision.Tree) {
 	e.total.Add(treeCounters(tr))
-	e.unitsDone++
 	e.om.unitsFinished.Inc()
 }
 

@@ -38,9 +38,10 @@ type CoordinatorConfig struct {
 	Program func(*core.Program)
 	// Addr is the listen address (":0" picks a free port; see Addr).
 	Addr string
-	// LeaseTTL bounds how long a worker may take to complete a lease; 0
-	// means core.DefaultLeaseTTL. Expired leases are reclaimed and re-issued.
-	LeaseTTL time.Duration
+	// leaseTTL bounds how long a worker may take to complete a lease; 0
+	// means core.DefaultLeaseTTL. Expired leases are reclaimed and
+	// re-issued. Only tests shorten or lengthen it.
+	leaseTTL time.Duration
 }
 
 // Coordinator owns the distributed frontier and serves the worker API —
@@ -97,8 +98,8 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Program == nil {
 		return nil, fmt.Errorf("dist: nil program")
 	}
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = core.DefaultLeaseTTL
+	if cfg.leaseTTL <= 0 {
+		cfg.leaseTTL = core.DefaultLeaseTTL
 	}
 	if cfg.Check.Obs == nil {
 		cfg.Check.Obs = obs.NewRegistry()
@@ -136,7 +137,7 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c.mDonated = c.reg.Counter("cxlmc_units_donated_total", "unexplored work units returned by workers completing a lease early")
 
 	c.f = core.NewMemFrontier(core.MemFrontierConfig{
-		LeaseTTL: cfg.LeaseTTL,
+		LeaseTTL: cfg.leaseTTL,
 		OnEvent:  c.onLeaseEvent,
 	}, units)
 	c.f.Credit(inherited)
@@ -300,7 +301,7 @@ func (c *Coordinator) handleTurn(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := turnResponse{
 		Run:              c.run,
-		LeaseTTLMs:       c.cfg.LeaseTTL.Milliseconds(),
+		LeaseTTLMs:       c.cfg.leaseTTL.Milliseconds(),
 		ContinueAfterBug: c.cfg.Check.ContinueAfterBug,
 	}
 	if req.Done != nil {
@@ -310,7 +311,7 @@ func (c *Coordinator) handleTurn(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), min(time.Duration(req.ParkMs)*time.Millisecond, c.cfg.LeaseTTL))
+	ctx, cancel := context.WithTimeout(r.Context(), min(time.Duration(req.ParkMs)*time.Millisecond, c.cfg.leaseTTL))
 	defer cancel()
 	c.mu.Lock()
 	// The call this worker owed, if it did, has arrived; Wait looks again
@@ -460,7 +461,7 @@ func (c *Coordinator) Wait(stop <-chan struct{}) (*core.Result, error) {
 			stopCh, cfgStop = nil, nil // a stop has nothing left to stop
 		}
 		if (resolved || stopping) && patience == nil {
-			patience = time.After(c.cfg.LeaseTTL)
+			patience = time.After(c.cfg.leaseTTL)
 		}
 		select {
 		case <-stopCh:

@@ -344,7 +344,7 @@ func TestDistAbandonedLeaseReclaim(t *testing.T) {
 
 	c, err := StartCoordinator(CoordinatorConfig{
 		Check: check, Program: prog, Addr: "127.0.0.1:0",
-		LeaseTTL: 100 * time.Millisecond,
+		leaseTTL: 100 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -1231,7 +1231,7 @@ func TestDistChaosSweep(t *testing.T) {
 		Check: served, Program: prog, Addr: "127.0.0.1:0",
 		// Long enough that no live worker's lease lapses under injected
 		// delays — reclaim-under-fire is the abandoned-lease test's job.
-		LeaseTTL: 500 * time.Millisecond,
+		leaseTTL: 500 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,7 @@ func FuzzCoordinatorBodies(f *testing.F) {
 	// A lease that never expires: nothing moves in the frontier but what the
 	// fuzzed requests move.
 	c, err := StartCoordinator(CoordinatorConfig{
-		Check: core.Config{}, Program: fixture(2), Addr: "127.0.0.1:0", LeaseTTL: time.Hour,
+		Check: core.Config{}, Program: fixture(2), Addr: "127.0.0.1:0", leaseTTL: time.Hour,
 	})
 	if err != nil {
 		f.Fatal(err)

@@ -176,7 +176,7 @@ func TestTracerSinkDrain(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.Record(i%2, EvExecEnd, int64(i), int64(2*i))
 	}
-	tr.RecordS(-1, EvChaosFault, 0, `cla"ss`)
+	tr.RecordS(-1, EvBugFound, 0, `cla"ss`)
 	tr.Flush()
 	if err := tr.Err(); err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestTracerSinkDrain(t *testing.T) {
 			t.Fatalf("not a JSON object line: %q", ln)
 		}
 	}
-	if !strings.Contains(buf.String(), `"ev":"chaos-fault"`) || !strings.Contains(buf.String(), `"s":"cla\"ss"`) {
+	if !strings.Contains(buf.String(), `"ev":"bug"`) || !strings.Contains(buf.String(), `"s":"cla\"ss"`) {
 		t.Fatalf("string event not encoded: %s", buf.String())
 	}
 }

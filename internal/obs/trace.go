@@ -12,7 +12,7 @@ type EventKind uint8
 
 // Exploration event kinds. The engine records these at well-defined
 // points: execution boundaries, decision-tree structure changes, the
-// checkpoint/chaos machinery, and worker scheduling.
+// checkpoint machinery, and worker scheduling.
 const (
 	EvExecStart EventKind = iota
 	EvExecEnd
@@ -22,7 +22,6 @@ const (
 	EvCheckpointWrite
 	EvCheckpointRetry
 	EvCheckpointQuarantine
-	EvChaosFault
 	EvSteal
 	EvPark
 	// Distributed-exploration events: work-unit lease lifecycle on the
@@ -67,8 +66,6 @@ func (k EventKind) String() string {
 		return "checkpoint-retry"
 	case EvCheckpointQuarantine:
 		return "checkpoint-quarantine"
-	case EvChaosFault:
-		return "chaos-fault"
 	case EvSteal:
 		return "steal"
 	case EvPark:
@@ -104,7 +101,7 @@ func (k EventKind) String() string {
 // Event is one recorded exploration event. A and B are kind-specific
 // scalar payloads (e.g. the execution ordinal and step count of an
 // EvExecEnd); S is a kind-specific string used only by rare events (bug
-// messages, chaos fault classes), never on the per-step hot path.
+// messages, checkpoint paths, job ids), never on the per-step hot path.
 type Event struct {
 	T      time.Duration // since the tracer was created
 	Worker int           // worker index; -1 is the engine/coordinator

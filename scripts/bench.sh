@@ -11,10 +11,8 @@
 # rows parsed from `go test -bench` output, plus a final PeakRSS row
 # with the bench process's peak resident set (VmHWM), a MetricsSnapshot
 # row holding the observability registry's final counter values from a
-# real CLI run, a DistributedSmoke row from a coordinator + two
-# workers exploring CCEH over HTTP, and a JobServerSmoke row timing the
-# same CCEH run submitted through the job server's REST API against the
-# direct engine; the raw output is kept next to it
+# real CLI run, and a JobServerSmoke row timing a CCEH run submitted
+# through the job server's REST API against the direct engine; the raw output is kept next to it
 # as BENCH_<date>.txt. The PeakRSS row survives a failed or degraded
 # bench run — only the live rows need a working build.
 set -eu
@@ -102,9 +100,7 @@ END {
 if [ "$status" -eq 0 ]; then
     cli="$(mktemp "${TMPDIR:-/tmp}/cxlmc-cli.XXXXXX")"
     snap="$(mktemp "${TMPDIR:-/tmp}/cxlmc-snap.XXXXXX")"
-    dout="$(mktemp "${TMPDIR:-/tmp}/cxlmc-dout.XXXXXX")"
-    derr="$(mktemp "${TMPDIR:-/tmp}/cxlmc-derr.XXXXXX")"
-    trap 'rm -f "$bin" "$cli" "$snap" "$dout" "$derr"' EXIT
+    trap 'rm -f "$bin" "$cli" "$snap"' EXIT
     go build -o "$cli" ./cmd/cxlmc
 
     # A live metrics snapshot from a real CLI run — the same counters
@@ -116,51 +112,14 @@ if [ "$status" -eq 0 ]; then
         printf '}'
     } >> "$json"
 
-    # Distributed mode: a coordinator and two joined workers on the
-    # Table 5 CCEH benchmark. The row records the coordinator's global
-    # result — executions plus the lease/RPC resilience counters.
-    "$cli" -bench CCEH -bugs 0x1 -continue -serve 127.0.0.1:0 > "$dout" 2> "$derr" &
-    cpid=$!
-    addr=""
-    tries=0
-    while [ "$tries" -lt 100 ]; do
-        addr="$(sed -n 's/^cxlmc: coordinator serving the frontier on \([^ ]*\).*/\1/p' "$derr")"
-        [ -n "$addr" ] && break
-        kill -0 "$cpid" 2>/dev/null || break
-        tries=$((tries + 1))
-        sleep 0.1
-    done
-    if [ -n "$addr" ]; then
-        "$cli" -bench CCEH -bugs 0x1 -continue -join "$addr" > /dev/null 2>&1 &
-        w1=$!
-        "$cli" -bench CCEH -bugs 0x1 -continue -join "$addr" > /dev/null 2>&1 &
-        w2=$!
-        # Exit 1 means bugs found — expected with the seeded bug.
-        wait "$w1" 2>/dev/null || true
-        wait "$w2" 2>/dev/null || true
-        wait "$cpid" 2>/dev/null || true
-        dist_execs="$(awk '/^executions/{print $2}' "$dout")"
-        dist_counters="$(sed -n 's/^dist  *reclaims=\([0-9]*\) rpc-retries=\([0-9]*\) stale-completions=\([0-9]*\).*/"lease_reclaims":\1,"rpc_retries":\2,"stale_completions":\3/p' "$dout")"
-        if [ -n "$dist_execs" ] && [ -n "$dist_counters" ]; then
-            printf ',\n  {"benchmark":"DistributedSmoke","metrics":{"executions":%s,%s}}' \
-                "$dist_execs" "$dist_counters" >> "$json"
-        else
-            kill "$cpid" 2>/dev/null || true
-            echo "warning: distributed smoke produced no parseable result; row skipped" >&2
-        fi
-    else
-        kill "$cpid" 2>/dev/null || true
-        echo "warning: coordinator never reported its address; DistributedSmoke row skipped" >&2
-    fi
-
     # Checking-as-a-service overhead: the Table 5 CCEH run submitted
     # through the job server's REST API (submit -wait) next to the same
     # run straight through the engine. The delta is the cost of the
-    # journal, checkpoint plumbing and HTTP polling.
+    # journal, checkpoint plumbing and HTTP round trips.
     jdir="$(mktemp -d "${TMPDIR:-/tmp}/cxlmc-jobs.XXXXXX")"
     jerr="$(mktemp "${TMPDIR:-/tmp}/cxlmc-jerr.XXXXXX")"
     jout="$(mktemp "${TMPDIR:-/tmp}/cxlmc-jout.XXXXXX")"
-    trap 'rm -rf "$bin" "$cli" "$snap" "$dout" "$derr" "$jdir" "$jerr" "$jout"' EXIT
+    trap 'rm -rf "$bin" "$cli" "$snap" "$jdir" "$jerr" "$jout"' EXIT
     now_ms() { date +%s%3N; }
     t0="$(now_ms)"
     "$cli" -bench CCEH -bugs 0x1 -continue > /dev/null || true
@@ -179,7 +138,7 @@ if [ "$status" -eq 0 ]; then
     if [ -n "$jaddr" ]; then
         t0="$(now_ms)"
         "$cli" submit -addr "$jaddr" -bench CCEH -bugs 0x1 -continue -race-detect on \
-            -wait -poll 50ms > "$jout" || true
+            -wait > "$jout" || true
         api_ms=$(( $(now_ms) - t0 ))
         job_execs="$(sed -n 's/.*"Executions": \([0-9]*\),.*/\1/p' "$jout" | head -1)"
         kill -TERM "$jpid" 2>/dev/null || true
