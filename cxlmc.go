@@ -203,8 +203,10 @@ type InternalError = core.InternalError
 // returns the bugs found together with exploration statistics. setup is
 // invoked once per execution.
 //
-// Callbacks must not block outside the simulated API: as in the paper's
-// runtime, a callback that blocks hangs the run. Config.MaxTime is checked
+// Callbacks must not block outside the simulated API and must not call
+// runtime.Goexit: as in the paper's runtime, a callback that blocks hangs
+// the run, and one that calls Goexit fails it with an error naming
+// runtime.Goexit. Config.MaxTime is checked
 // every 1024 scheduler steps and at execution boundaries, and Config.Stop
 // at execution boundaries.
 //

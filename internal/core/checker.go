@@ -339,7 +339,7 @@ func (ck *Checker) newInternalError(msg string) *InternalError {
 
 // resetExecution rebuilds all per-execution state and re-runs program
 // setup. State from the previous execution — the memory, the scheduler
-// with its driver and its threads' parked carrier coroutines, the
+// with its threads' parked carrier coroutines, the
 // machine/thread/mutex arenas, the schedule stream — is reset in place
 // rather than reallocated, so after the first execution the setup path
 // allocates nothing.
@@ -396,8 +396,8 @@ func (ck *Checker) resetExecution() {
 	}
 }
 
-// closeScheduler ends the checker's scheduler and with it its driver and
-// the carrier coroutines its threads left parked.
+// closeScheduler ends the checker's scheduler and with it the carrier
+// coroutines its threads left parked.
 func (ck *Checker) closeScheduler() {
 	if ck.sch != nil {
 		ck.sch.Close()

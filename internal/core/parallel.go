@@ -36,6 +36,7 @@ package core
 // so there is exactly one exploration code path for all worker counts.
 
 import (
+	"errors"
 	"sync"
 	"time"
 
@@ -265,7 +266,7 @@ func (e *engine) runUnit(w *worker, tr *decision.Tree) {
 	released := false
 	defer func() {
 		v := recover()
-		if v == nil {
+		if v == nil && released {
 			return
 		}
 		e.mu.Lock()
@@ -273,6 +274,10 @@ func (e *engine) runUnit(w *worker, tr *decision.Tree) {
 			e.endUnitLocked(w, tr, false)
 		}
 		switch x := v.(type) {
+		case nil:
+			// Neither a return nor a panic: a thread called runtime.Goexit,
+			// which its carrier re-raised here and which ends this worker.
+			e.failLocked(errors.New("cxlmc: a checked thread called runtime.Goexit, which thread code must not"))
 		case setupError:
 			e.failLocked(x)
 		case internalInvariant:

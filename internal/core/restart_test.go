@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -116,7 +118,7 @@ func panicky(p *Program) {
 
 // TestRunLeavesNoGoroutines: every way a run, a replay or a continuation
 // ends closes the schedulers its checkers used, so the carriers they kept
-// across executions end with them, and their drivers.
+// across executions end with them.
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for _, workers := range []int{1, 4} {
@@ -155,4 +157,40 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 		t.Fatalf("Stop: %v, interrupted %v, complete %v", err, res.Interrupted, res.Complete)
 	}
 	settle(t, "Stop", before)
+}
+
+// TestGoexitFailsTheRun: thread code must not call runtime.Goexit. Its
+// carrier re-raises the Goexit in the engine worker that resumed the
+// thread, which releases its unit and fails the run on the way out. So Run
+// returns an error naming runtime.Goexit at one worker and at two, rather
+// than a verdict short of an execution or a peer waiting for the lost
+// unit, and the run leaves no goroutine behind.
+func TestGoexitFailsTheRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, workers := range []int{1, 2} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(Config{Workers: workers}, func(p *Program) {
+				a := p.NewMachine("A")
+				b := p.NewMachine("B")
+				data := p.Alloc(8)
+				a.Thread("w", func(th *Thread) {
+					th.Store64(data, 42)
+					th.CLFlush(data)
+					runtime.Goexit()
+				})
+				b.Thread("r", func(th *Thread) { th.Load64(data) })
+			})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "runtime.Goexit") {
+				t.Fatalf("Workers %d: Run returned %v, want an error naming runtime.Goexit", workers, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Workers %d: Run did not return", workers)
+		}
+		settle(t, fmt.Sprintf("Workers %d", workers), before)
+	}
 }

@@ -30,8 +30,8 @@ type Thread struct {
 // here. The thread holds the baton, so it runs the scheduler steps itself:
 // buffer commits happen inline, and the step that grants a thread either
 // picks t again (no switch), picks another thread (t's carrier coroutine
-// yields to the scheduler's driver, which resumes the other's, and t stays
-// parked until it is granted again), or finds the execution over (the
+// yields to the goroutine that called Grant, which resumes the other's, and
+// t stays parked until it is granted again), or finds the execution over (the
 // baton goes back to the engine goroutine and t parks until teardown
 // unwinds it). A thread unwinding from a kill unwinds inside Boundary
 // instead. The books are brought up to date first: t's own last

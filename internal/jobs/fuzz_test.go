@@ -10,6 +10,7 @@ import (
 
 	cxlmc "repro"
 	"repro/internal/progir"
+	"repro/internal/recipe"
 )
 
 // FuzzSpecJSON feeds arbitrary bytes to what POST /jobs does with a body
@@ -28,6 +29,7 @@ func FuzzSpecJSON(f *testing.F) {
 		`{"gen":{"seed":1,"machines":1000000000,"ops_per_thread":1000000000}}`,
 		`{"source":"package p\n\nimport \"repro/gofront/cxl\"\n\nfunc Program(p *cxl.Program) {}\n","entry":"Program"}`,
 		`{"bench":"CCEH","keys":-1}`,
+		`{"bench":"CCEH","keys":2305843009213693952}`,
 		`{"bench":"CCEH","insert_workers":20000}`,
 		`{"bench":"CCEH","workers":99999,"max_time":-5}`,
 		`{"bench":"nope"}`,
@@ -48,8 +50,9 @@ func FuzzSpecJSON(f *testing.F) {
 			return
 		}
 		if !validTenant(spec.Tenant) || spec.Workers < 0 || spec.Workers > maxWorkersPerJob ||
-			spec.InsertWorkers < 0 || spec.InsertWorkers > 8 {
-			t.Fatalf("normalize let through tenant %q, workers %d, insert workers %d", spec.Tenant, spec.Workers, spec.InsertWorkers)
+			spec.InsertWorkers < 0 || spec.InsertWorkers > 8 || spec.Keys < 0 || spec.Keys > recipe.MaxKeys {
+			t.Fatalf("normalize let through tenant %q, workers %d, insert workers %d, keys %d",
+				spec.Tenant, spec.Workers, spec.InsertWorkers, spec.Keys)
 		}
 		cfg := spec.Config(base)
 		if cfg.Workers < 1 || cfg.MaxExecutions < 0 || cfg.MaxTime <= 0 || cfg.MaxTime > base.MaxTime {

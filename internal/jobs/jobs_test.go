@@ -16,6 +16,7 @@ import (
 
 	cxlmc "repro"
 	"repro/internal/chaos"
+	"repro/internal/recipe"
 )
 
 // testServer starts a server on an ephemeral port with test-friendly
@@ -430,7 +431,8 @@ func refuses(t *testing.T, s *Server, body, field string) {
 
 // TestSpecBoundsWorkload: every insert worker is two simulated threads a pool
 // worker builds on every execution, so a submitted spec asks for 1..8 of them
-// (0 is the default, one), like a generated program's threads per machine.
+// (0 is the default, one), like a generated program's threads per machine,
+// and at most recipe.MaxKeys keys (0 is the default, ten).
 func TestSpecBoundsWorkload(t *testing.T) {
 	s := testServer(t, Config{})
 	for _, n := range []int{-1, 9, 20000} {
@@ -439,6 +441,16 @@ func TestSpecBoundsWorkload(t *testing.T) {
 	for _, n := range []int{0, 1, 8} {
 		if sp := (Spec{Bench: "CCEH", InsertWorkers: n}); sp.normalize() != nil {
 			t.Errorf("insert_workers %d refused: %v", n, sp.normalize())
+		}
+	}
+	// A key count whose progress array's byte size wraps to 0 (1<<61 × 8)
+	// is refused with the rest: no spec here is ever run.
+	for _, n := range []int{-1, recipe.MaxKeys + 1, 1 << 61} {
+		refuses(t, s, fmt.Sprintf(`{"bench":"CCEH","keys":%d}`, n), "keys")
+	}
+	for _, n := range []int{0, 1, recipe.MaxKeys} {
+		if sp := (Spec{Bench: "CCEH", Keys: n}); sp.normalize() != nil {
+			t.Errorf("keys %d refused: %v", n, sp.normalize())
 		}
 	}
 	if snap := s.Registry().Snapshot(); snap["cxlmc_jobs_queued"] != 0 {

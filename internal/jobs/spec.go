@@ -143,7 +143,7 @@ func (b *bugsFlag) Set(s string) error {
 // Config document, and cmd/cxlmc binds a spec with RaceDetect on.
 func (sp *Spec) BindFlags(fs *flag.FlagSet) {
 	fs.StringVar(&sp.Bench, "bench", sp.Bench, "benchmark name (CCEH, FAST_FAIR, P-ART, P-BwTree, P-CLHT, P-MassTree, kv, test_stress, vet-demo)")
-	fs.IntVar(&sp.Keys, "keys", sp.Keys, "total keys inserted (0 = 10)")
+	fs.IntVar(&sp.Keys, "keys", sp.Keys, fmt.Sprintf("total keys inserted (0 = 10; at most %d)", recipe.MaxKeys))
 	fs.IntVar(&sp.InsertWorkers, "insert-workers", sp.InsertWorkers, "insert workers per machine, the simulated workload's shape (0 = 1)")
 	fs.IntVar(&sp.Stride, "stride", sp.Stride, "key stride (0 = 1)")
 	fs.Var((*bugsFlag)(&sp.Bugs), "bugs", "seeded-bug bitmask (e.g. 0x3); 0 = all fixed")
@@ -205,15 +205,16 @@ func (sp *Spec) normalize() error {
 		return fmt.Errorf("jobs: a spec names exactly one program: set bench, gen or source")
 	}
 	// A workload is built once per execution, so its size is checked before
-	// anything is built: each insert worker is two simulated threads, and the
-	// generator rolls the whole program when asked for it. gen.cells keeps
+	// anything is built: each insert worker is two simulated threads, every
+	// key a progress flag, and the generator rolls the whole program when
+	// asked for it. gen.cells keeps
 	// the floor of three its writer/reader pattern needs: the range is the
 	// wire's, though the generator leaves the pattern out below it.
 	type bound struct {
 		name        string
 		v, min, max int
 	}
-	bounds := []bound{{"insert_workers", sp.InsertWorkers, 1, 8}}
+	bounds := []bound{{"insert_workers", sp.InsertWorkers, 1, 8}, {"keys", sp.Keys, 1, recipe.MaxKeys}}
 	if g := sp.Gen; g != nil {
 		bounds = append(bounds, []bound{
 			{"gen.machines", g.MaxMachines, 1, 8}, {"gen.threads_per_machine", g.MaxThreadsPerMachine, 1, 8},

@@ -1,6 +1,7 @@
 package cceh
 
 import (
+	"strings"
 	"testing"
 
 	cxlmc "repro"
@@ -97,4 +98,16 @@ func TestSplitRecoveryUnderCrashes(t *testing.T) {
 		t.Fatalf("incomplete after %d executions", res.Executions)
 	}
 	t.Logf("keys=20: %d execs, %d fpoints (%v)", res.Executions, res.FailurePoints, res.Elapsed)
+}
+
+// TestKeysBeyondMaxRefused: the driver sizes a progress flag per key, so a
+// key count over recipe.MaxKeys — 1<<61 among them, whose byte size wraps
+// to 0 — fails set-up before anything is allocated, whoever passes it.
+func TestKeysBeyondMaxRefused(t *testing.T) {
+	for _, keys := range []int{recipe.MaxKeys + 1, 1 << 61} {
+		_, err := cxlmc.Run(cxlmc.Config{Workers: 1}, recipe.Program(Benchmark, recipe.Config{Keys: keys}))
+		if err == nil || !strings.Contains(err.Error(), "keys") {
+			t.Errorf("Keys %d: Run returned %v, want a set-up error naming keys", keys, err)
+		}
+	}
 }

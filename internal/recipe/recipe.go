@@ -84,9 +84,15 @@ type Benchmark struct {
 	Bugs []BugInfo
 }
 
+// MaxKeys bounds Keys: the driver allocates a progress flag per key, so a
+// huge count (or one whose byte size wraps) would exhaust the host. The
+// largest workload any benchmark or hunt runs is 256 keys.
+const MaxKeys = 1 << 16
+
 // Config parameterizes one driver run.
 type Config struct {
-	// Keys is the total number of keys inserted (split across workers).
+	// Keys is the total number of keys inserted (split across workers);
+	// Program's set-up fails above MaxKeys.
 	Keys int
 	// Workers is the number of insert threads per machine. Together with
 	// the checker this gives Workers+1 threads per machine; the paper's
@@ -133,8 +139,11 @@ func Program(b Benchmark, cfg Config) func(*cxlmc.Program) {
 		cfg.Machines = 2
 	}
 	return func(p *cxlmc.Program) {
-		idx := b.New(p, cfg.Bugs)
 		keys := cfg.Keys
+		if keys > MaxKeys {
+			panic(fmt.Sprintf("recipe: %d keys: a run inserts at most %d", keys, MaxKeys))
+		}
+		idx := b.New(p, cfg.Bugs)
 		ready := p.AllocAligned(8, 64)
 		progress := p.AllocAligned(uint64(keys)*8, 64)
 		nodes := make([]*cxlmc.Machine, cfg.Machines)

@@ -2,39 +2,35 @@
 // runs simulated threads on. The paper's implementation (§5) forks real
 // processes and context-switches ucontext threads under a scheduler so
 // every execution replays deterministically; here each simulated thread
-// runs on a carrier coroutine (iter.Pull), one driver goroutine per
-// scheduler runs the coroutines, and exactly one of them — the one holding
-// the baton — is ever running. The engine goroutine enters an execution
-// with Grant, one channel round trip to the driver; from then on the
-// thread holding the baton decides at each of its instruction boundaries
-// who runs next and either keeps the baton (no call, no switch), hands it
-// to that thread (SwitchTo: it yields to the driver, which resumes the
-// other — two coroutine switches) or, when the execution is over, returns
-// it to the engine (Pause). All checker state can therefore be accessed
-// without locks, and a fixed seed fixes the entire schedule (paper §3.2:
-// only crash non-determinism is model checked; the thread interleaving is
-// a deterministic function of the seed).
-//
-// The driver, not the engine, resumes the coroutines because a
-// runtime.Goexit in a thread's fn is re-raised in the goroutine that
-// resumed it: the driver it ends hands the grant or teardown it was
-// serving to a fresh driver, and the engine's goroutine lives on.
+// runs on a carrier coroutine (iter.Pull), and exactly one of them — the
+// one holding the baton — is ever running. The engine goroutine enters an
+// execution with Grant, which resumes the granted thread's carrier; from
+// then on the thread holding the baton decides at each of its instruction
+// boundaries who runs next and either keeps the baton (no call, no
+// switch), hands it to that thread (SwitchTo: it yields to Grant, which
+// resumes the other — two coroutine switches) or, when the execution is
+// over, returns it to the engine (Pause). All checker state can therefore
+// be accessed without locks, and a fixed seed fixes the entire schedule
+// (paper §3.2: only crash non-determinism is model checked; the thread
+// interleaving is a deterministic function of the seed).
 //
 // There is no watchdog, as in the paper's runtime: a thread's fn must not
-// block outside the simulated API, and one that does hangs its execution.
+// block outside the simulated API (one that does hangs its execution) and
+// must not call runtime.Goexit, which iter.Pull re-raises in the goroutine
+// that called Grant or Teardown.
 //
 // The fork-and-restart of §5 is a carrier's lifecycle. A carrier belongs to
 // a Thread struct, not to an execution: its thread's fn ends with the
 // execution (returned, or unwound by Teardown), and the carrier waits at
 // its yield until a later execution's NewThread reuses the struct and
 // grants it, so a restart starts no goroutine and grows no fresh stack.
-// Carriers and the driver never outlive their scheduler's Close.
+// Carriers never outlive their scheduler's Close, and the package starts
+// no goroutine of its own.
 package sched
 
 import (
 	"fmt"
 	"iter"
-	"slices"
 	"time"
 )
 
@@ -75,8 +71,8 @@ type killSentinel struct{}
 
 // Thread is one simulated thread. Fields are only touched while holding
 // the baton (or by the engine goroutine while no thread runs), so no
-// locking is needed; the driver's request channels and the coroutine
-// switches provide the happens-before edges.
+// locking is needed; the coroutine switches provide the happens-before
+// edges.
 type Thread struct {
 	ID      int
 	Machine int
@@ -109,21 +105,16 @@ type Thread struct {
 func (t *Thread) State() State { return t.state }
 
 // Scheduler coordinates the baton. It is reused across executions via
-// Teardown and Reset; carriers and the driver never outlive its Close.
+// Teardown and Reset; carriers never outlive its Close.
 type Scheduler struct {
 	threads []*Thread
 	// free holds Thread structs from torn-down executions — with their
 	// carriers — reused by NewThread so the per-execution hot path neither
 	// reallocates them nor makes coroutines.
 	free []*Thread
-	// next is whom the baton goes to when its holder yields to the driver;
-	// nil returns it to the engine.
+	// next is whom the baton goes to when its holder yields; nil returns it
+	// to the engine.
 	next *Thread
-	// req carries the engine's requests to the driver — a grant of next, or
-	// a teardown while tearing is set — and back the driver's answer that
-	// the baton is back. Both are made with the driver, on the first
-	// request.
-	req, back chan struct{}
 	// tearing is set while Teardown unwinds the threads.
 	tearing bool
 	// OnPanic receives panics escaping a thread's function (real program
@@ -137,7 +128,7 @@ type Scheduler struct {
 	OnExit func(t *Thread) *Thread
 }
 
-// New returns an empty scheduler. Its driver starts with the first grant.
+// New returns an empty scheduler.
 func New() *Scheduler { return &Scheduler{} }
 
 // Reset prepares the scheduler for the next execution after Teardown:
@@ -149,8 +140,7 @@ func (s *Scheduler) Reset() {
 }
 
 // Close ends the scheduler's life after Teardown: every waiting carrier is
-// stopped before it returns, and the driver ends. The scheduler must not
-// be used again.
+// stopped before it returns. The scheduler must not be used again.
 func (s *Scheduler) Close() {
 	for _, ts := range [][]*Thread{s.threads, s.free} {
 		for _, t := range ts {
@@ -158,9 +148,6 @@ func (s *Scheduler) Close() {
 				t.stop()
 			}
 		}
-	}
-	if s.req != nil {
-		close(s.req)
 	}
 	s.threads, s.free = nil, nil
 }
@@ -200,28 +187,19 @@ func (t *Thread) carry(yield func(struct{}) bool) {
 // run runs fn once: it converts kill sentinels into clean exits, routes
 // real panics to OnPanic, and always names the baton's next holder.
 func (t *Thread) run() {
-	returned := false
-	defer func() { t.exit(recover(), returned) }()
+	defer func() { t.exit(recover()) }()
 	if t.state == Killed {
 		t.unwind()
 	}
 	t.fn(t)
-	returned = true
 }
 
 // exit finalizes the thread's state and names the baton's next holder —
-// the successor OnExit names, else the engine. An exit that is neither a
-// return nor a panic (v nil, returned false) is runtime.Goexit: the carrier
-// ends after this deferred call and its resume re-raises the Goexit in the
-// driver, so the struct drops its claim on it and its next grant makes a
-// new one.
-func (t *Thread) exit(v any, returned bool) {
+// the successor OnExit names, else the engine.
+func (t *Thread) exit(v any) {
 	s := t.sch
 	if v == nil {
 		t.state = Finished
-		if !returned {
-			t.resume, t.stop, t.yield = nil, nil, nil
-		}
 	} else if _, isKill := v.(killSentinel); !isKill {
 		t.state = Killed
 		if s.OnPanic != nil {
@@ -260,7 +238,7 @@ func (t *Thread) unwind() {
 	panic(killSentinel{})
 }
 
-// park yields the baton to the driver, which passes it to whomever
+// park yields the baton to Grant, which passes it to whomever
 // Scheduler.next names, and returns when the thread is resumed; it unwinds
 // the thread instead if it was killed meanwhile or its carrier is being
 // stopped.
@@ -288,48 +266,6 @@ func (t *Thread) pull() {
 	t.resume()
 }
 
-// call hands the driver a request — a grant of t, or a teardown when t is
-// nil — starting the driver on the first one.
-func (s *Scheduler) call(t *Thread) {
-	if t != nil {
-		s.handTo(t)
-	}
-	if s.req == nil {
-		s.req, s.back = make(chan struct{}), make(chan struct{})
-		go s.drive(false)
-	}
-	s.req <- struct{}{}
-}
-
-// drive is the driver goroutine. It serves the engine's requests one at a
-// time — a teardown unwinds the parked threads, a grant relays the baton —
-// and answers each once the baton is back; a resumed driver first finishes
-// the request a thread's runtime.Goexit took its predecessor from. It ends
-// when Close closes req.
-func (s *Scheduler) drive(resumed bool) {
-	returned := false
-	defer func() {
-		// A runtime.Goexit re-raised by a resume: hand the request on.
-		if !returned {
-			go s.drive(true)
-		}
-	}()
-	for ; ; resumed = false {
-		if !resumed {
-			if _, open := <-s.req; !open {
-				break
-			}
-		}
-		if s.tearing {
-			s.unwindParked()
-		} else {
-			s.relay()
-		}
-		s.back <- struct{}{}
-	}
-	returned = true
-}
-
 // relay resumes threads in turn — whomever the last one named — until the
 // baton goes back to the engine.
 func (s *Scheduler) relay() {
@@ -338,16 +274,11 @@ func (s *Scheduler) relay() {
 	}
 }
 
-// parked reports whether t was granted this execution and waits in its
-// carrier for the baton, not exited.
-func (t *Thread) parked() bool {
-	return t.started && !t.exited
-}
-
-// unwindParked resumes every parked thread killed, so that it unwinds.
+// unwindParked resumes every parked thread — granted this execution and
+// not exited — killed, so that it unwinds.
 func (s *Scheduler) unwindParked() {
 	for _, t := range s.threads {
-		if !t.parked() {
+		if !t.started || t.exited {
 			continue
 		}
 		t.state = Killed
@@ -360,11 +291,12 @@ func (s *Scheduler) unwindParked() {
 
 // Grant enters an execution: the baton goes to t, and Grant returns when
 // a thread hands it back to the engine goroutine, with Pause or by
-// exiting without a successor. Granting a killed thread unwinds it. The
-// thread must not have exited.
+// exiting without a successor. In between, Grant resumes whichever thread
+// the baton holder names. Granting a killed thread unwinds it. The thread
+// must not have exited.
 func (s *Scheduler) Grant(t *Thread) {
-	s.call(t)
-	<-s.back
+	s.handTo(t)
+	s.relay()
 }
 
 // GrantTimeout is Grant, reporting true: there is no watchdog, and d is
@@ -386,8 +318,8 @@ func (t *Thread) Boundary() {
 	}
 }
 
-// SwitchTo hands the baton to u — t yields to the driver, which resumes
-// u's carrier, making it only if u's struct has none — and parks until t
+// SwitchTo hands the baton to u — t yields to Grant, which resumes u's
+// carrier, making it only if u's struct has none — and parks until t
 // is granted again. If t was killed while parked, SwitchTo unwinds it
 // instead of returning. It must be called from t's carrier, after
 // Boundary; u must not be t and must not have exited.
@@ -446,14 +378,9 @@ func (t *Thread) KillSelf() {
 
 // Teardown unwinds every thread that has not exited. Call it at the end of
 // each execution: no thread's fn outlives its execution, and every carrier
-// is left waiting for the next one (or for Close). The driver does the
-// unwinding, one round trip, and only if a thread is parked.
+// is left waiting for the next one (or for Close).
 func (s *Scheduler) Teardown() {
-	if !slices.ContainsFunc(s.threads, (*Thread).parked) {
-		return
-	}
 	s.tearing = true
-	s.call(nil)
-	<-s.back
+	s.unwindParked()
 	s.tearing = false
 }
