@@ -110,12 +110,19 @@ func (fc *fnCompiler) as(e expr, t types.Type) expr {
 }
 
 // callSite is one compiled call of interpreted code: a static callee,
-// or a function value evaluated at the call.
+// or a function value evaluated at the call. Its arguments are split at
+// compile time by how they reach the callee's parameter slots: a
+// slotted integer or reference (a local, a constant, a temporary) is
+// copied slot to slot with no call, after the others — reading a slot
+// commutes with every call — and the rest run their closures in Go's
+// order.
 type callSite struct {
-	pos  token.Pos
-	fn   *fnCode
-	fnv  refFn
-	args []argCode
+	pos      token.Pos
+	fn       *fnCode
+	fnv      refFn
+	evals    []argCode
+	intMoves []move
+	refMoves []move
 }
 
 // argCode evaluates one argument into its parameter slot.
@@ -125,70 +132,115 @@ type argCode struct {
 	r    refFn
 }
 
-func (cs *callSite) invoke(fr *frame) {
-	m := fr.m
-	fn := cs.fn
-	var cl *closure
-	if fn == nil {
-		if cl = cs.fnv(fr).(*closure); cl == nil {
-			for k := range cs.args { // the arguments' effects come first, as in Go
-				if a := &cs.args[k]; a.i != nil {
-					a.i(fr)
-				} else {
-					a.r(fr)
+// move copies the caller's slot from into the callee's slot to.
+type move struct{ to, from int }
+
+// run returns the call as one closure: a call statement runs it as it
+// is, a call expression reads the result register after it. It is kept
+// out of line because the copy of a closure that inlining its maker
+// makes gets none of its own calls inlined, and this one's take and
+// enter are on every call's path.
+//
+//go:noinline
+func (cs *callSite) run() stmt {
+	return func(fr *frame) ctl {
+		m, fn := fr.m, cs.fn
+		var cl *closure
+		if fn == nil {
+			if cl = cs.fnv(fr).(*closure); cl == nil {
+				for k := range cs.evals { // the arguments' effects come first, as in Go
+					if a := &cs.evals[k]; a.i != nil {
+						a.i(fr)
+					} else {
+						a.r(fr)
+					}
 				}
+				m.fault(cs.pos, "call of nil function")
 			}
-			m.faultf(cs.pos, "call of nil function")
+			fn = cl.fn
 		}
-		fn = cl.fn
-	}
-	cf := m.get(fn)
-	for k := range cs.args {
-		if a := &cs.args[k]; a.i != nil {
-			cf.ints[a.slot] = a.i(fr)
+		st := &m.frames[fn.id]
+		cf := st.take(m, fn.nInts, fn.nRefs, fn.ints)
+		for k := range cs.evals {
+			if a := &cs.evals[k]; a.i != nil {
+				cf.ints[a.slot] = a.i(fr)
+			} else {
+				cf.refs[a.slot] = a.r(fr)
+			}
+		}
+		for _, mv := range cs.intMoves {
+			cf.ints[mv.to] = fr.ints[mv.from]
+		}
+		for _, mv := range cs.refMoves {
+			cf.refs[mv.to] = fr.refs[mv.from]
+		}
+		if cl != nil {
+			for j, s := range fn.capSlots {
+				cf.refs[s] = cl.caps[j]
+			}
+		}
+		// m.exec(fn, cf, cs.pos), inlined: one Go frame less per call.
+		m.enter(cs.pos)
+		if fn.hasDefer {
+			cf.runDeferring(fn)
 		} else {
-			cf.refs[a.slot] = a.r(fr)
+			fn.body(cf)
 		}
+		m.depth--
+		st.used--
+		return ctlNext
 	}
-	if cl != nil {
-		for j, s := range fn.capSlots {
-			cf.refs[s] = cl.caps[j]
-		}
-	}
-	m.exec(fn, cf, cs.pos)
 }
 
 // invoke builds the call of fn (or of the function value fnv) over
-// compiled arguments, receiver first.
+// compiled arguments, receiver first. A call with one result reads it
+// from the registers straight after the call, and keeps the call itself
+// as do for a call statement.
 func (fc *fnCompiler) invoke(fn *fnCode, fnv refFn, args []expr, sig *types.Signature, pos token.Pos) expr {
-	cs := &callSite{pos: pos, fn: fn, fnv: fnv, args: make([]argCode, len(args))}
+	cs := &callSite{pos: pos, fn: fn, fnv: fnv}
 	var lay layout
-	for k, a := range args {
+	for _, a := range args {
 		if a.t != nil {
 			if _, isTuple := a.t.(*types.Tuple); isTuple {
 				fc.errorf(pos, "a multi-value call as an argument list is unsupported")
 				return expr{}
 			}
 		}
-		if a.r != nil {
-			cs.args[k] = argCode{slot: lay.slot(rRef), r: a.r}
-		} else {
-			cs.args[k] = argCode{slot: lay.slot(rInt), i: a.slotInt()}
+		switch {
+		case a.r != nil && a.inSlot:
+			cs.refMoves = append(cs.refMoves, move{to: lay.slot(rRef), from: a.slot})
+		case a.r != nil:
+			cs.evals = append(cs.evals, argCode{slot: lay.slot(rRef), r: a.r})
+		case a.inSlot:
+			cs.intMoves = append(cs.intMoves, move{to: lay.slot(rInt), from: a.slot})
+		default:
+			cs.evals = append(cs.evals, argCode{slot: lay.slot(rInt), i: a.slotInt()})
 		}
 	}
-	res := sig.Results()
+	res, call := sig.Results(), cs.run()
+	e := expr{t: res, do: call}
 	switch res.Len() {
 	case 0:
-		return expr{t: res, do: cs.invoke}
+		return e
 	case 1:
-		return stored(res.At(0).Type(),
-			func(fr *frame) uint64 { cs.invoke(fr); return fr.m.ri[0] },
-			func(fr *frame) any { cs.invoke(fr); return fr.m.rr[0] })
+		e.t = res.At(0).Type()
+		switch rep, _ := reprOf(e.t); rep {
+		case rRef:
+			e.r = func(fr *frame) any { call(fr); return fr.m.rr[0] }
+			e.into = func(s int) stmt { return func(fr *frame) ctl { call(fr); fr.refs[s] = fr.m.rr[0]; return ctlNext } }
+			return e
+		case rBool:
+			e.b = func(fr *frame) bool { call(fr); return fr.m.ri[0] != 0 }
+		default:
+			e.i = func(fr *frame) uint64 { call(fr); return fr.m.ri[0] }
+		}
+		e.into = func(s int) stmt { return func(fr *frame) ctl { call(fr); fr.ints[s] = fr.m.ri[0]; return ctlNext } }
+		return e
 	}
 	if res.Len() > fc.maxResults {
 		fc.compiler.maxResults = res.Len()
 	}
-	return expr{t: res, do: cs.invoke}
+	return e
 }
 
 func (fc *fnCompiler) convert(v expr, t types.Type, pos token.Pos) expr {
@@ -196,17 +248,23 @@ func (fc *fnCompiler) convert(v expr, t types.Type, pos token.Pos) expr {
 		return fc.as(v, t)
 	}
 	if k, ok := intKind(t); ok && v.i != nil {
-		// Both forms are canonical, so converting is renormalising.
-		return expr{t: t, i: normalised(v.i, k)}
+		// Both forms are canonical, so converting is renormalising, which
+		// to a 64-bit kind changes nothing: the operand, slot and all.
+		v.t = t
+		if kindWidth(k) == 64 {
+			return v
+		}
+		i, c := v.i, canonOf(k)
+		return expr{t: t, i: func(fr *frame) uint64 { return c.of(i(fr)) }}
 	}
 	rep, ok := reprOf(t)
 	_, basic := t.Underlying().(*types.Basic)
 	switch {
-	case ok && basic && rep == rBool && v.b != nil:
-		return expr{t: t, b: v.b}
-	case ok && basic && rep == rRef && v.r != nil && types.Identical(t.Underlying(), v.t.Underlying()):
-		return expr{t: t, r: v.r}
-	case v.i != nil || v.b != nil || v.r != nil:
+	case ok && basic && rep == rBool && v.b != nil,
+		ok && basic && rep == rRef && v.r != nil && types.Identical(t.Underlying(), v.t.Underlying()):
+		v.t = t
+		return v
+	case !v.failed():
 		fc.errorf(pos, "unsupported conversion to %s", t)
 	}
 	return expr{}
@@ -409,53 +467,68 @@ func (fc *fnCompiler) cxlFunc(name string, ops []expr, spread bool, t types.Type
 	for k, op := range ops {
 		ints[k] = op.i
 	}
+	// The address operand is read in place when slotted.
+	var p opnd
+	if len(ops) > 0 {
+		p = ops[0].opnd()
+	}
 	if f, ok := cxlLoads[name]; ok {
-		p := ints[0]
-		return expr{t: t, i: func(fr *frame) uint64 { a := core.Addr(p(fr)); return f(fr.m.thread(name, pos), a) }}
+		return expr{t: t,
+			i: func(fr *frame) uint64 { a := core.Addr(p.get(fr)); return f(fr.m.thread(name, pos), a) },
+			into: func(d int) stmt {
+				return func(fr *frame) ctl {
+					a := core.Addr(p.get(fr))
+					fr.ints[d] = f(fr.m.thread(name, pos), a)
+					return ctlNext
+				}
+			}}
 	}
 	if f, ok := cxlStores[name]; ok {
-		p, val := ints[0], ints[1]
-		return expr{t: t, do: func(fr *frame) {
-			a, v := core.Addr(p(fr)), val(fr)
+		val := ints[1]
+		return expr{t: t, do: func(fr *frame) ctl {
+			a, v := core.Addr(p.get(fr)), val(fr)
 			th := fr.m.thread(name, pos)
 			fr.m.sites.recordStore(a, pos)
 			f(th, a, v)
+			return ctlNext
 		}}
 	}
 	if f, ok := cxlFlushes[name]; ok {
-		p := ints[0]
-		return expr{t: t, do: func(fr *frame) {
-			a := core.Addr(p(fr))
+		return expr{t: t, do: func(fr *frame) ctl {
+			a := core.Addr(p.get(fr))
 			th := fr.m.thread(name, pos)
 			fr.m.sites.recordFlush(a, pos)
 			f(th, a)
+			return ctlNext
 		}}
 	}
 	if f, ok := cxlFences[name]; ok {
-		var arg func(*frame)
+		var arg stmt
 		if len(ops) > 0 {
 			arg = ops[0].run() // Failpoint's name
 		}
-		return expr{t: t, do: func(fr *frame) {
+		return expr{t: t, do: func(fr *frame) ctl {
 			if arg != nil {
 				arg(fr)
 			}
 			f(fr.m.thread(name, pos))
+			return ctlNext
 		}}
 	}
 	if f, ok := cxlRMWs[name]; ok {
-		p, val := ints[0], ints[1]
+		val := ints[1]
 		return expr{t: t, i: func(fr *frame) uint64 {
-			a, v := core.Addr(p(fr)), val(fr)
+			a, v := core.Addr(p.get(fr)), val(fr)
 			return f(fr.m.thread(name, pos), a, v)
 		}}
 	}
 	if f, ok := cxlCASes[name]; ok {
-		p, old, new := ints[0], ints[1], ints[2]
-		return expr{t: t, do: func(fr *frame) {
-			a, o, n := core.Addr(p(fr)), old(fr), new(fr)
+		old, new := ints[1], ints[2]
+		return expr{t: t, do: func(fr *frame) ctl {
+			a, o, n := core.Addr(p.get(fr)), old(fr), new(fr)
 			prev, swapped := f(fr.m.thread(name, pos), a, o, n)
 			fr.m.ri[0], fr.m.ri[1] = prev, b2u(swapped)
+			return ctlNext
 		}}
 	}
 	switch name {
@@ -474,7 +547,7 @@ func (fc *fnCompiler) cxlFunc(name string, ops []expr, spread bool, t types.Type
 			cond, ops = ops[0].b, ops[1:]
 		}
 		format, rest := ops[0].r, fmtOperands(ops[1:])
-		return expr{t: t, do: func(fr *frame) {
+		return expr{t: t, do: func(fr *frame) ctl {
 			c, f, base := cond(fr), format(fr).(string), evalOperands(rest, fr)
 			m := fr.m
 			th := m.thread(name, pos)
@@ -483,6 +556,7 @@ func (fc *fnCompiler) cxlFunc(name string, ops []expr, spread bool, t types.Type
 			if !c {
 				th.Fail(f, boxOperands(rest, vals)...)
 			}
+			return ctlNext
 		}}
 	case "Join":
 		mach := ops[0].r
@@ -499,7 +573,7 @@ func (fc *fnCompiler) cxlFunc(name string, ops []expr, spread bool, t types.Type
 		for k, op := range ops {
 			refs[k] = operand{r: op.r}
 		}
-		return expr{t: t, do: func(fr *frame) {
+		return expr{t: t, do: func(fr *frame) ctl {
 			base := evalOperands(refs, fr)
 			m := fr.m
 			th := m.thread(name, pos)
@@ -520,6 +594,7 @@ func (fc *fnCompiler) cxlFunc(name string, ops []expr, spread bool, t types.Type
 				}
 			}
 			th.JoinThreads(targets...)
+			return ctlNext
 		}}
 	case "RunNative":
 		fc.errorf(pos, "cxl.RunNative is native-only: the checker calls the entry function directly (keep RunNative inside func main)")
@@ -625,9 +700,10 @@ func (fc *fnCompiler) cxlMethod(fn *types.Func, ops []expr, t types.Type, pos to
 		}}
 	case "Region.Init64":
 		addr, val := arg(1), arg(2)
-		return expr{t: t, do: func(fr *frame) {
+		return expr{t: t, do: func(fr *frame) ctl {
 			r, a, v := self(fr), addr(fr), val(fr)
 			region(r, fr, name, pos).Init64(core.Addr(a), v)
+			return ctlNext
 		}}
 	case "Region.NewMachine":
 		mname := str(1)
@@ -667,13 +743,14 @@ func (fc *fnCompiler) cxlMethod(fn *types.Func, ops []expr, t types.Type, pos to
 	case "Mutex.Lock":
 		return expr{t: t, b: func(fr *frame) bool { mu := self(fr); return mutex(mu, fr, pos).Lock(fr.m.thread(name, pos)) }}
 	case "Mutex.TryLock":
-		return expr{t: t, do: func(fr *frame) {
+		return expr{t: t, do: func(fr *frame) ctl {
 			mu := self(fr)
 			acquired, ownerFailed := mutex(mu, fr, pos).TryLock(fr.m.thread(name, pos))
 			fr.m.ri[0], fr.m.ri[1] = b2u(acquired), b2u(ownerFailed)
+			return ctlNext
 		}}
 	case "Mutex.Unlock":
-		return expr{t: t, do: func(fr *frame) { mu := self(fr); mutex(mu, fr, pos).Unlock(fr.m.thread(name, pos)) }}
+		return expr{t: t, do: func(fr *frame) ctl { mu := self(fr); mutex(mu, fr, pos).Unlock(fr.m.thread(name, pos)); return ctlNext }}
 	case "Mutex.OwnerFailed":
 		return expr{t: t, b: func(fr *frame) bool {
 			mu := self(fr)

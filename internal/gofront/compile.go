@@ -37,40 +37,105 @@ const (
 
 // expr is one compiled expression: its static type and the closure
 // matching the type's repr, or do for a call yielding no value or
-// several (which it leaves in the machine's result registers). An expr
-// with no closure is the residue of a reported diagnostic.
+// several (which it leaves in the machine's result registers). A call
+// yielding one value has do as well: the call for its effects alone,
+// which is what a call statement runs. An expr with no closure is the
+// residue of a reported diagnostic.
+//
+// inSlot is the operand form: the value already sits in the frame, in
+// fr.ints[slot] for an integer or a bool, fr.refs[slot] for a reference,
+// and a consumer reads it there instead of calling i, b or r. That is an
+// unboxed local, a spilled temporary, or a folded integer or bool
+// constant, which gets an int slot of its own that every frame of its
+// function is made with (fnCode.ints), so one form serves variables and
+// constants alike. Reading a slot has no effects, and nothing another
+// operand's evaluation does can change one (a callee runs on frames of
+// its own, and a local a func literal captures lives in a cell, never in
+// a slot), so a slotted operand may be read before or after its
+// neighbours' calls: the operators below swap operands freely when one
+// of them is slotted.
+//
+// Two consumers take a fused form instead of the closure: into, set on a
+// call of one result, a cxl load and a result register read, compiles
+// "store the value into slot s" as one closure (the call then the read
+// of its result register; the load straight into the slot), which an
+// assignment to an unboxed variable uses; test is a comparison of two slotted operands,
+// which an if or a for statement makes in place instead of calling b.
 type expr struct {
-	t  types.Type
-	i  intFn
-	b  boolFn
-	r  refFn
-	do func(*frame)
+	t      types.Type
+	i      intFn
+	b      boolFn
+	r      refFn
+	do     stmt
+	slot   int
+	inSlot bool
+	into   func(s int) stmt
+	test   *test
 }
 
-// run returns the closure evaluating e for its effects alone.
-func (e expr) run() func(*frame) {
-	switch {
-	case e.i != nil:
-		return func(fr *frame) { e.i(fr) }
-	case e.b != nil:
-		return func(fr *frame) { e.b(fr) }
-	case e.r != nil:
-		return func(fr *frame) { e.r(fr) }
+// test is x op y over two int slots, op one of ==, !=, < and <= (> and
+// >= come with the slots swapped), each side xor flip: the sign bit for
+// a signed ordering, which orders two's complement as unsigned does.
+type test struct {
+	op   token.Token
+	x, y int
+	flip uint64
+}
+
+func (t *test) holds(fr *frame) bool {
+	x, y := fr.ints[t.x]^t.flip, fr.ints[t.y]^t.flip
+	switch t.op {
+	case token.EQL:
+		return x == y
+	case token.NEQ:
+		return x != y
+	case token.LSS:
+		return x < y
 	}
-	return e.do
+	return x <= y
+}
+
+// slotted returns e with the operand form: its value is in slot s.
+func (e expr) slotted(s int) expr {
+	e.slot, e.inSlot = s, true
+	return e
+}
+
+// failed says e is the residue of a diagnostic.
+func (e expr) failed() bool { return e.i == nil && e.b == nil && e.r == nil && e.do == nil }
+
+// run returns the statement evaluating e for its effects alone.
+func (e expr) run() stmt {
+	switch {
+	case e.do != nil:
+		return e.do
+	case e.i != nil:
+		i := e.i
+		return func(fr *frame) ctl { i(fr); return ctlNext }
+	case e.b != nil:
+		b := e.b
+		return func(fr *frame) ctl { b(fr); return ctlNext }
+	case e.r != nil:
+		r := e.r
+		return func(fr *frame) ctl { r(fr); return ctlNext }
+	}
+	return nil
 }
 
 // slotInt returns e as the integer a slot stores (bools as 0 or 1).
 func (e expr) slotInt() intFn {
 	if b := e.b; b != nil {
+		if s := e.slot; e.inSlot {
+			return func(fr *frame) uint64 { return fr.ints[s] }
+		}
 		return func(fr *frame) uint64 { return b2u(b(fr)) }
 	}
 	return e.i
 }
 
 // stored is the expr reading a value of type t back from where values
-// are kept — a slot, a cell, a slice element, a register: i reads an
-// integer or a bool (kept as 0 or 1), r anything else.
+// are kept — a cell, a slice element, a register: i reads an integer or
+// a bool (kept as 0 or 1), r anything else.
 func stored(t types.Type, i intFn, r refFn) expr {
 	switch rep, _ := reprOf(t); rep {
 	case rRef:
@@ -79,6 +144,21 @@ func stored(t types.Type, i intFn, r refFn) expr {
 		return expr{t: t, b: func(fr *frame) bool { return i(fr) != 0 }}
 	}
 	return expr{t: t, i: i}
+}
+
+// inFrame is the expr reading a value of type t from slot s of the
+// frame, in the operand form.
+func inFrame(t types.Type, s int) expr {
+	e := expr{t: t}
+	switch rep, _ := reprOf(t); rep {
+	case rRef:
+		e.r = func(fr *frame) any { return fr.refs[s] }
+	case rBool:
+		e.b = func(fr *frame) bool { return fr.ints[s] != 0 }
+	default:
+		e.i = func(fr *frame) uint64 { return fr.ints[s] }
+	}
+	return e.slotted(s)
 }
 
 // layout counts the slots of a frame.
@@ -122,7 +202,8 @@ type fnCompiler struct {
 	parent  *fnCompiler // the enclosing function of a func literal
 	sig     *types.Signature
 	vars    map[*types.Var]varRef
-	capFrom []int // per captured cell, the parent's refs slot holding it
+	capFrom []int          // per captured cell, the parent's refs slot holding it
+	consts  map[uint64]int // the int slot of each folded constant
 }
 
 // errorf reports what cannot be lowered: one diagnostic per source line,
@@ -280,7 +361,7 @@ func (fc *fnCompiler) compileBody(recv *ast.FieldList, ft *ast.FuncType, body *a
 	}
 	for _, v := range boxedParams {
 		raw := fc.vars[v]
-		prologue = append(prologue, plain(fc.initVar(fc.declare(v, v.Pos()), fc.loadVar(raw))))
+		prologue = append(prologue, fc.initVar(fc.declare(v, v.Pos()), fc.loadVar(raw)))
 	}
 	if res := fc.sig.Results(); res != nil {
 		if res.Len() > fc.maxResults {
@@ -299,6 +380,24 @@ func (fc *fnCompiler) compileBody(recv *ast.FieldList, ft *ast.FuncType, body *a
 		fc.lay.nRefs += code.nResults
 	}
 	fc.code.nInts, fc.code.nRefs = fc.lay.nInts, fc.lay.nRefs
+	fc.code.ints = make([]uint64, fc.lay.nInts)
+	for v, s := range fc.consts {
+		fc.code.ints[s] = v
+	}
+}
+
+// constSlot returns the int slot holding v in every frame of the
+// function.
+func (fc *fnCompiler) constSlot(v uint64) int {
+	s, ok := fc.consts[v]
+	if !ok {
+		if fc.consts == nil {
+			fc.consts = map[uint64]int{}
+		}
+		s = fc.lay.slot(rInt)
+		fc.consts[v] = s
+	}
+	return s
 }
 
 // declare gives a newly declared local its slot.
@@ -343,41 +442,50 @@ func (fc *fnCompiler) loadVar(ref varRef) expr {
 			func(fr *frame) uint64 { return fr.refs[s].(*cell).n },
 			func(fr *frame) any { return fr.refs[s].(*cell).r })
 	}
-	return stored(ref.t,
-		func(fr *frame) uint64 { return fr.ints[s] },
-		func(fr *frame) any { return fr.refs[s] })
+	return inFrame(ref.t, s)
 }
 
-func (fc *fnCompiler) storeVar(ref varRef, v expr) func(*frame) {
-	s := ref.slot
+// storeVar compiles ref = v. A slotted v is copied slot to slot, and
+// one with a fused store makes it.
+func (fc *fnCompiler) storeVar(ref varRef, v expr) stmt {
+	s, from := ref.slot, v.slot
+	if v.into != nil && !ref.boxed {
+		return v.into(s)
+	}
 	if ref.rep == rRef {
 		val := v.r
-		if ref.boxed {
-			return func(fr *frame) { fr.refs[s].(*cell).r = val(fr) }
+		switch {
+		case ref.boxed:
+			return func(fr *frame) ctl { fr.refs[s].(*cell).r = val(fr); return ctlNext }
+		case v.inSlot:
+			return func(fr *frame) ctl { fr.refs[s] = fr.refs[from]; return ctlNext }
 		}
-		return func(fr *frame) { fr.refs[s] = val(fr) }
+		return func(fr *frame) ctl { fr.refs[s] = val(fr); return ctlNext }
 	}
 	val := v.slotInt()
-	if ref.boxed {
-		return func(fr *frame) { fr.refs[s].(*cell).n = val(fr) }
+	switch {
+	case ref.boxed:
+		return func(fr *frame) ctl { fr.refs[s].(*cell).n = val(fr); return ctlNext }
+	case v.inSlot:
+		return func(fr *frame) ctl { fr.ints[s] = fr.ints[from]; return ctlNext }
 	}
-	return func(fr *frame) { fr.ints[s] = val(fr) }
+	return func(fr *frame) ctl { fr.ints[s] = val(fr); return ctlNext }
 }
 
 // initVar is storeVar for a declaration: a captured variable gets a
 // fresh cell each time its declaration runs, so closures made by an
 // earlier iteration keep theirs.
-func (fc *fnCompiler) initVar(ref varRef, v expr) func(*frame) {
+func (fc *fnCompiler) initVar(ref varRef, v expr) stmt {
 	if !ref.boxed {
 		return fc.storeVar(ref, v)
 	}
 	s := ref.slot
 	if ref.rep == rRef {
 		val := v.r
-		return func(fr *frame) { fr.refs[s] = &cell{r: val(fr)} }
+		return func(fr *frame) ctl { fr.refs[s] = &cell{r: val(fr)}; return ctlNext }
 	}
 	val := v.slotInt()
-	return func(fr *frame) { fr.refs[s] = &cell{n: val(fr)} }
+	return func(fr *frame) ctl { fr.refs[s] = &cell{n: val(fr)}; return ctlNext }
 }
 
 // spill compiles "evaluate e once into a fresh slot of lay": save does
@@ -387,15 +495,15 @@ func (fc *fnCompiler) initVar(ref varRef, v expr) func(*frame) {
 func spill(e expr, lay *layout) (save func(from, to *frame), tmp expr) {
 	if val := e.r; val != nil {
 		s := lay.slot(rRef)
-		return func(from, to *frame) { to.refs[s] = val(from) },
-			expr{t: e.t, r: func(fr *frame) any { return fr.refs[s] }}
+		tmp = expr{t: e.t, r: func(fr *frame) any { return fr.refs[s] }}
+		return func(from, to *frame) { to.refs[s] = val(from) }, tmp.slotted(s)
 	}
 	s, val := lay.slot(rInt), e.slotInt()
 	tmp = expr{t: e.t, i: func(fr *frame) uint64 { return fr.ints[s] }}
 	if e.b != nil {
 		tmp = expr{t: e.t, b: func(fr *frame) bool { return fr.ints[s] != 0 }}
 	}
-	return func(from, to *frame) { to.ints[s] = val(from) }, tmp
+	return func(from, to *frame) { to.ints[s] = val(from) }, tmp.slotted(s)
 }
 
 // ---- statements ----
@@ -415,11 +523,6 @@ func seq(list []stmt) stmt {
 		}
 		return ctlNext
 	}
-}
-
-// plain lifts an effect into a statement that falls through.
-func plain(f func(*frame)) stmt {
-	return func(fr *frame) ctl { f(fr); return ctlNext }
 }
 
 func (fc *fnCompiler) stmts(list []ast.Stmt) []stmt {
@@ -442,7 +545,7 @@ func (fc *fnCompiler) stmt(s ast.Stmt) stmt {
 	case *ast.BlockStmt:
 		return fc.block(st)
 	case *ast.ExprStmt:
-		return plain(fc.expr(st.X).run())
+		return fc.expr(st.X).run()
 	case *ast.DeclStmt:
 		return fc.declStmt(st)
 	case *ast.AssignStmt:
@@ -505,7 +608,7 @@ func (fc *fnCompiler) declStmt(st *ast.DeclStmt) stmt {
 			if name.Name == "_" {
 				continue
 			}
-			out = append(out, plain(fc.initVar(fc.declare(v, name.Pos()), fc.zero(v.Type()))))
+			out = append(out, fc.initVar(fc.declare(v, name.Pos()), fc.zero(v.Type())))
 		}
 	}
 	return seq(out)
@@ -516,11 +619,23 @@ func (fc *fnCompiler) ifStmt(st *ast.IfStmt) stmt {
 	if st.Init != nil {
 		init = fc.stmt(st.Init)
 	}
-	cond := fc.cond(st.Cond)
+	c := fc.expr(st.Cond)
+	cond, t := c.b, c.test
 	then := fc.block(st.Body)
 	var els stmt
 	if st.Else != nil {
 		els = fc.stmt(st.Else)
+	}
+	if t != nil && init == nil {
+		return func(fr *frame) ctl {
+			if t.holds(fr) {
+				return then(fr)
+			}
+			if els != nil {
+				return els(fr)
+			}
+			return ctlNext
+		}
 	}
 	return func(fr *frame) ctl {
 		if init != nil {
@@ -557,8 +672,10 @@ func (fc *fnCompiler) forStmt(st *ast.ForStmt) stmt {
 		}
 	}
 	var cond boolFn
+	var t *test
 	if st.Cond != nil {
-		cond = fc.cond(st.Cond)
+		c := fc.expr(st.Cond)
+		cond, t = c.b, c.test
 	}
 	if st.Post != nil {
 		post = fc.stmt(st.Post)
@@ -571,7 +688,11 @@ func (fc *fnCompiler) forStmt(st *ast.ForStmt) stmt {
 		}
 		for {
 			fr.m.tick(pos)
-			if cond != nil && !cond(fr) {
+			if t != nil {
+				if !t.holds(fr) {
+					return ctlNext
+				}
+			} else if cond != nil && !cond(fr) {
 				return ctlNext
 			}
 			switch body(fr) {
@@ -599,7 +720,7 @@ func (fc *fnCompiler) rangeStmt(st *ast.RangeStmt) stmt {
 	x := fc.expr(st.X)
 	// bind declares a := range variable and returns its initialiser
 	// from the per-iteration value.
-	bind := func(e ast.Expr, val func(t types.Type) expr) func(*frame) {
+	bind := func(e ast.Expr, val func(t types.Type) expr) stmt {
 		id, ok := e.(*ast.Ident)
 		if !ok || id.Name == "_" {
 			return nil
@@ -609,9 +730,9 @@ func (fc *fnCompiler) rangeStmt(st *ast.RangeStmt) stmt {
 	}
 	// The iteration state lives in two temporaries of the frame.
 	iSlot := fc.lay.slot(rInt)
-	index := func(t types.Type) expr { return expr{t: t, i: func(fr *frame) uint64 { return fr.ints[iSlot] }} }
+	index := func(t types.Type) expr { return inFrame(t, iSlot) }
 	pos := st.Pos()
-	loop := func(n func(*frame) int, setKey, setVal func(*frame), body stmt) stmt {
+	loop := func(n func(*frame) int, setKey, setVal, body stmt) stmt {
 		return func(fr *frame) ctl {
 			for i, end := 0, n(fr); i < end; i++ {
 				fr.m.tick(pos)
@@ -689,7 +810,7 @@ func (fc *fnCompiler) switchStmt(st *ast.SwitchStmt) stmt {
 		}
 		for _, e := range cc.List {
 			if st.Tag != nil {
-				cl.match = append(cl.match, fc.equal(tag, fc.expr(e), e.Pos()))
+				cl.match = append(cl.match, fc.equal(tag, fc.expr(e), false, e.Pos()))
 			} else {
 				cl.match = append(cl.match, fc.cond(e))
 			}
@@ -735,12 +856,13 @@ func (fc *fnCompiler) returnStmt(st *ast.ReturnStmt) stmt {
 		return func(fr *frame) ctl { do(fr); return ctlReturn }
 	}
 	// All but the last result wait in temporaries while the later ones
-	// are evaluated (their calls overwrite the registers).
+	// are evaluated (their calls overwrite the registers); one already in
+	// a slot stays there.
 	var saves []func(from, to *frame)
-	sets := make([]func(*frame), n)
+	sets := make([]stmt, n)
 	for j, res := range st.Results {
 		e := fc.as(fc.expr(res), fc.sig.Results().At(j).Type())
-		if j < n-1 {
+		if j < n-1 && !e.inSlot {
 			var save func(from, to *frame)
 			save, e = spill(e, &fc.lay)
 			saves = append(saves, save)
@@ -748,8 +870,7 @@ func (fc *fnCompiler) returnStmt(st *ast.ReturnStmt) stmt {
 		sets[j] = setResult(j, e)
 	}
 	if n == 1 {
-		set := sets[0]
-		return func(fr *frame) ctl { set(fr); return ctlReturn }
+		return sets[0]
 	}
 	return func(fr *frame) ctl {
 		for _, save := range saves {
@@ -762,20 +883,34 @@ func (fc *fnCompiler) returnStmt(st *ast.ReturnStmt) stmt {
 	}
 }
 
-// setResult stores e into result register j.
-func setResult(j int, e expr) func(*frame) {
+// setResult compiles "store e into result register j and return".
+func setResult(j int, e expr) stmt {
+	s := e.slot
 	if val := e.r; val != nil {
-		return func(fr *frame) { v := val(fr); fr.m.rr[j] = v }
+		if e.inSlot {
+			return func(fr *frame) ctl { fr.m.rr[j] = fr.refs[s]; return ctlReturn }
+		}
+		return func(fr *frame) ctl { v := val(fr); fr.m.rr[j] = v; return ctlReturn }
+	}
+	if e.inSlot {
+		return func(fr *frame) ctl { fr.m.ri[j] = fr.ints[s]; return ctlReturn }
 	}
 	val := e.slotInt()
-	return func(fr *frame) { v := val(fr); fr.m.ri[j] = v }
+	return func(fr *frame) ctl { v := val(fr); fr.m.ri[j] = v; return ctlReturn }
 }
 
-// result reads result register j as a value of type t.
+// result reads result register j as a value of type t; a store to an
+// unboxed variable copies the register in one closure.
 func result(j int, t types.Type) expr {
-	return stored(t,
+	e := stored(t,
 		func(fr *frame) uint64 { return fr.m.ri[j] },
 		func(fr *frame) any { return fr.m.rr[j] })
+	if e.r != nil {
+		e.into = func(s int) stmt { return func(fr *frame) ctl { fr.refs[s] = fr.m.rr[j]; return ctlNext } }
+	} else {
+		e.into = func(s int) stmt { return func(fr *frame) ctl { fr.ints[s] = fr.m.ri[j]; return ctlNext } }
+	}
+	return e
 }
 
 // deferStmt evaluates callee and arguments now, into a small frame of
@@ -802,7 +937,7 @@ func (fc *fnCompiler) deferStmt(st *ast.DeferStmt) stmt {
 		if m.pending++; m.pending > maxPendingDefers {
 			m.faultf(pos, "more than %d deferred calls pending: possible defer in an unbounded loop", maxPendingDefers)
 		}
-		d := m.deferred.take(m, m.src.deferInts, m.src.deferRefs)
+		d := m.deferred.take(m, m.src.deferInts, m.src.deferRefs, nil)
 		for _, save := range saves {
 			save(fr, d)
 		}
@@ -822,7 +957,7 @@ type place struct {
 	t     types.Type
 	ops   []expr
 	load  func(ops []expr) expr
-	store func(ops []expr, v expr) func(*frame)
+	store func(ops []expr, v expr) stmt
 }
 
 // target compiles an assignment target. define says := declared it.
@@ -832,11 +967,11 @@ func (fc *fnCompiler) target(lhs ast.Expr, define bool) place {
 		return fc.target(e.X, define)
 	case *ast.Ident:
 		if e.Name == "_" {
-			return place{store: func(_ []expr, v expr) func(*frame) { return v.run() }}
+			return place{store: func(_ []expr, v expr) stmt { return v.run() }}
 		}
 		if v, ok := fc.info.Defs[e].(*types.Var); ok && define {
 			ref := fc.declare(v, e.Pos())
-			return place{t: ref.t, store: func(_ []expr, val expr) func(*frame) { return fc.initVar(ref, val) }}
+			return place{t: ref.t, store: func(_ []expr, val expr) stmt { return fc.initVar(ref, val) }}
 		}
 		v, _ := fc.info.Uses[e].(*types.Var)
 		ref, ok := fc.lookup(v)
@@ -847,7 +982,7 @@ func (fc *fnCompiler) target(lhs ast.Expr, define bool) place {
 		return place{
 			t:     ref.t,
 			load:  func([]expr) expr { return fc.loadVar(ref) },
-			store: func(_ []expr, val expr) func(*frame) { return fc.storeVar(ref, val) },
+			store: func(_ []expr, val expr) stmt { return fc.storeVar(ref, val) },
 		}
 	case *ast.SelectorExpr:
 		obj, idx, ok := fc.field(e)
@@ -859,7 +994,7 @@ func (fc *fnCompiler) target(lhs ast.Expr, define bool) place {
 			t:     t,
 			ops:   []expr{obj},
 			load:  func(ops []expr) expr { return fieldLoad(ops[0], idx, t, e.Pos()) },
-			store: func(ops []expr, v expr) func(*frame) { return fieldStore(ops[0], idx, v, e.Pos()) },
+			store: func(ops []expr, v expr) stmt { return fieldStore(ops[0], idx, v, e.Pos()) },
 		}
 	case *ast.IndexExpr:
 		s, idx := fc.expr(e.X), fc.expr(e.Index)
@@ -872,7 +1007,7 @@ func (fc *fnCompiler) target(lhs ast.Expr, define bool) place {
 			t:     t,
 			ops:   []expr{s, idx},
 			load:  func(ops []expr) expr { return indexLoad(ops[0], ops[1], t, pos) },
-			store: func(ops []expr, v expr) func(*frame) { return indexStore(ops[0], ops[1], v, pos) },
+			store: func(ops []expr, v expr) stmt { return indexStore(ops[0], ops[1], v, pos) },
 		}
 	}
 	fc.errorf(lhs.Pos(), "unsupported assignment target")
@@ -913,7 +1048,7 @@ func (fc *fnCompiler) assign(lhs, rhs []ast.Expr, define bool, pos token.Pos) st
 		}
 	}
 	if len(lhs) == 1 && len(rhs) == 1 {
-		return plain(places[0].store(places[0].ops, vals[0]))
+		return places[0].store(places[0].ops, vals[0])
 	}
 
 	// Several targets: every operand and value is evaluated into a
@@ -930,7 +1065,7 @@ func (fc *fnCompiler) assign(lhs, rhs []ast.Expr, define bool, pos token.Pos) st
 			ops[k] = append(ops[k], temp(op))
 		}
 	}
-	var call func(*frame)
+	var call stmt
 	if len(rhs) == 1 {
 		// One call yielding a value per target, read from the registers.
 		tuple, ok := vals[0].t.(*types.Tuple)
@@ -950,7 +1085,7 @@ func (fc *fnCompiler) assign(lhs, rhs []ast.Expr, define bool, pos token.Pos) st
 			vals[k] = temp(vals[k])
 		}
 	}
-	stores := make([]func(*frame), len(places))
+	stores := make([]stmt, len(places))
 	for k, p := range places {
 		stores[k] = p.store(ops[k], vals[k])
 	}
@@ -985,9 +1120,19 @@ func (fc *fnCompiler) opAssign(lhs ast.Expr, op token.Token, v expr, pos token.P
 		save, ops[k] = spill(operand, &fc.lay)
 		saves = append(saves, save)
 	}
-	store := p.store(ops, fc.binop(op, p.load(ops), v, p.t, pos))
+	cur := p.load(ops)
+	if k, ok := intKind(p.t); ok && kindWidth(k) == 64 && cur.inSlot && v.inSlot && (op == token.ADD || op == token.SUB) {
+		// x += y, x -= y, x++ and x-- on an unboxed variable: one closure
+		// reading both operands from the frame.
+		d, s := cur.slot, v.slot
+		if op == token.ADD {
+			return func(fr *frame) ctl { fr.ints[d] += fr.ints[s]; return ctlNext }
+		}
+		return func(fr *frame) ctl { fr.ints[d] -= fr.ints[s]; return ctlNext }
+	}
+	store := p.store(ops, fc.binop(op, cur, v, p.t, pos))
 	if len(saves) == 0 {
-		return plain(store)
+		return store
 	}
 	return func(fr *frame) ctl {
 		for _, save := range saves {
@@ -1037,37 +1182,50 @@ func (fc *fnCompiler) field(x *ast.SelectorExpr) (obj expr, idx int, ok bool) {
 func fields(v any, fr *frame, pos token.Pos) []cell {
 	o := v.(*object)
 	if o == nil {
-		fr.m.faultf(pos, "field access on nil or non-struct value")
+		fr.m.fault(pos, "field access on nil or non-struct value")
 	}
 	return o.f
 }
 
+// fieldLoad reads field idx of obj; a slotted obj is read in place.
 func fieldLoad(obj expr, idx int, t types.Type, pos token.Pos) expr {
-	o := obj.r
+	o, s := obj.r, obj.slot
+	if obj.inSlot {
+		return stored(t,
+			func(fr *frame) uint64 { return fields(fr.refs[s], fr, pos)[idx].n },
+			func(fr *frame) any { return fields(fr.refs[s], fr, pos)[idx].r })
+	}
 	return stored(t,
 		func(fr *frame) uint64 { return fields(o(fr), fr, pos)[idx].n },
 		func(fr *frame) any { return fields(o(fr), fr, pos)[idx].r })
 }
 
-func fieldStore(obj expr, idx int, v expr, pos token.Pos) func(*frame) {
+func fieldStore(obj expr, idx int, v expr, pos token.Pos) stmt {
 	o := obj.r
 	if val := v.r; val != nil {
-		return func(fr *frame) { p, x := o(fr), val(fr); fields(p, fr, pos)[idx].r = x }
+		return func(fr *frame) ctl { p, x := o(fr), val(fr); fields(p, fr, pos)[idx].r = x; return ctlNext }
 	}
 	val := v.slotInt()
-	return func(fr *frame) { p, x := o(fr), val(fr); fields(p, fr, pos)[idx].n = x }
+	return func(fr *frame) ctl { p, x := o(fr), val(fr); fields(p, fr, pos)[idx].n = x; return ctlNext }
 }
 
 // at bounds-checks an index against a length.
 func at(i uint64, n int, fr *frame, pos token.Pos) uint64 {
 	if i >= uint64(n) {
-		fr.m.faultf(pos, "index out of range [%d] with length %d", int64(i), n)
+		fr.m.indexFault(pos, i, n)
 	}
 	return i
 }
 
+// indexLoad reads s[idx]; slice and index both slotted are read in
+// place.
 func indexLoad(s, idx expr, t types.Type, pos token.Pos) expr {
 	sl, i := s.r, idx.i
+	if a, k := s.slot, idx.slot; s.inSlot && idx.inSlot {
+		return stored(t,
+			func(fr *frame) uint64 { x := fr.refs[a].([]uint64); return x[at(fr.ints[k], len(x), fr, pos)] },
+			func(fr *frame) any { x := fr.refs[a].([]any); return x[at(fr.ints[k], len(x), fr, pos)] })
+	}
 	return stored(t,
 		func(fr *frame) uint64 { a := sl(fr).([]uint64); return a[at(i(fr), len(a), fr, pos)] },
 		func(fr *frame) any { a := sl(fr).([]any); return a[at(i(fr), len(a), fr, pos)] })
@@ -1076,13 +1234,21 @@ func indexLoad(s, idx expr, t types.Type, pos token.Pos) expr {
 // indexStore evaluates slice, index and value, then checks and stores:
 // the value's calls happen even when the index is out of range, as in
 // compiled Go.
-func indexStore(s, idx, v expr, pos token.Pos) func(*frame) {
+func indexStore(s, idx, v expr, pos token.Pos) stmt {
 	sl, i := s.r, idx.i
 	if val := v.r; val != nil {
-		return func(fr *frame) { a, k, x := sl(fr).([]any), i(fr), val(fr); a[at(k, len(a), fr, pos)] = x }
+		return func(fr *frame) ctl {
+			a, k, x := sl(fr).([]any), i(fr), val(fr)
+			a[at(k, len(a), fr, pos)] = x
+			return ctlNext
+		}
 	}
 	val := v.slotInt()
-	return func(fr *frame) { a, k, x := sl(fr).([]uint64), i(fr), val(fr); a[at(k, len(a), fr, pos)] = x }
+	return func(fr *frame) ctl {
+		a, k, x := sl(fr).([]uint64), i(fr), val(fr)
+		a[at(k, len(a), fr, pos)] = x
+		return ctlNext
+	}
 }
 
 // ---- expressions ----
@@ -1123,7 +1289,7 @@ func (fc *fnCompiler) expr(e ast.Expr) expr {
 	case *ast.CompositeLit:
 		out = fc.compositeLit(x, false)
 	}
-	if out.i == nil && out.b == nil && out.r == nil && out.do == nil && len(fc.diags) == before {
+	if out.failed() && len(fc.diags) == before {
 		fc.errorf(e.Pos(), "unsupported expression")
 	}
 	if out.t == nil {
@@ -1135,15 +1301,15 @@ func (fc *fnCompiler) expr(e ast.Expr) expr {
 	return out
 }
 
-// constant folds a type-checker constant into a closure of its type's
-// repr.
+// constant folds a type-checker constant: an integer or a bool into its
+// slot (and a closure reading it), a string into a closure.
 func (fc *fnCompiler) constant(cv constant.Value, t types.Type, pos token.Pos) expr {
 	e := expr{t: t}
 	switch cv.Kind() {
 	case constant.Bool:
 		v := constant.BoolVal(cv)
 		e.b = func(*frame) bool { return v }
-		return e
+		return e.slotted(fc.constSlot(b2u(v)))
 	case constant.String:
 		var v any = constant.StringVal(cv)
 		e.r = func(*frame) any { return v }
@@ -1157,9 +1323,9 @@ func (fc *fnCompiler) constant(cv constant.Value, t types.Type, pos token.Pos) e
 				i, _ := constant.Int64Val(cv)
 				bits = uint64(i)
 			}
-			v := norm(bits, k)
+			v := canonOf(k).of(bits)
 			e.i = func(*frame) uint64 { return v }
-			return e
+			return e.slotted(fc.constSlot(v))
 		}
 	}
 	if _, ok := reprOf(t); !ok {
@@ -1176,8 +1342,10 @@ func (fc *fnCompiler) zero(t types.Type) expr {
 	switch rep, _ := reprOf(t); rep {
 	case rInt:
 		e.i = func(*frame) uint64 { return 0 }
+		return e.slotted(fc.constSlot(0))
 	case rBool:
 		e.b = func(*frame) bool { return false }
+		return e.slotted(fc.constSlot(0))
 	default:
 		v := zeroRef(t)
 		e.r = func(*frame) any { return v }
@@ -1270,39 +1438,30 @@ func (fc *fnCompiler) unary(x *ast.UnaryExpr) expr {
 	v := fc.expr(x.X)
 	t := fc.info.TypeOf(x)
 	if x.Op == token.NOT {
-		b := v.b
+		b, s := v.b, v.slot
+		if v.inSlot {
+			return expr{t: t, b: func(fr *frame) bool { return fr.ints[s] == 0 }}
+		}
 		return expr{t: t, b: func(fr *frame) bool { return !b(fr) }}
 	}
 	k, ok := intKind(t)
 	if !ok || v.i == nil {
-		if v.i != nil || v.b != nil || v.r != nil {
+		if !v.failed() {
 			fc.errorf(x.Pos(), "unary %s on non-integer value", x.Op)
 		}
 		return expr{}
 	}
-	i := v.i
-	var f intFn
+	i, c := v.i, canonOf(k)
 	switch x.Op {
 	case token.ADD:
 		return v
 	case token.SUB:
-		f = func(fr *frame) uint64 { return -i(fr) }
+		return expr{t: t, i: func(fr *frame) uint64 { return c.of(-i(fr)) }}
 	case token.XOR:
-		f = func(fr *frame) uint64 { return ^i(fr) }
-	default:
-		fc.errorf(x.Pos(), "unsupported unary operator %s", x.Op)
-		return expr{}
+		return expr{t: t, i: func(fr *frame) uint64 { return c.of(^i(fr)) }}
 	}
-	return expr{t: t, i: normalised(f, k)}
-}
-
-// normalised wraps f to return kind k's canonical form.
-func normalised(f intFn, k types.BasicKind) intFn {
-	n := normFn(k)
-	if n == nil {
-		return f
-	}
-	return func(fr *frame) uint64 { return n(f(fr)) }
+	fc.errorf(x.Pos(), "unsupported unary operator %s", x.Op)
+	return expr{}
 }
 
 func (fc *fnCompiler) binary(x *ast.BinaryExpr) expr {
@@ -1319,15 +1478,16 @@ func (fc *fnCompiler) binary(x *ast.BinaryExpr) expr {
 
 // binop compiles l op r, of type t, for already compiled operands.
 func (fc *fnCompiler) binop(op token.Token, l, r expr, t types.Type, pos token.Pos) expr {
-	if l.i == nil && l.b == nil && l.r == nil || r.i == nil && r.b == nil && r.r == nil {
+	if l.failed() || r.failed() {
 		return expr{} // an operand already failed
 	}
 	switch op {
-	case token.EQL:
-		return expr{t: t, b: fc.equal(l, r, pos)}
-	case token.NEQ:
-		eq := fc.equal(l, r, pos)
-		return expr{t: t, b: func(fr *frame) bool { return !eq(fr) }}
+	case token.EQL, token.NEQ:
+		e := expr{t: t, b: fc.equal(l, r, op == token.NEQ, pos)}
+		if l.inSlot && r.inSlot && l.r == nil && r.r == nil {
+			e.test = &test{op: op, x: l.slot, y: r.slot}
+		}
+		return e
 	}
 	if l.r != nil && r.r != nil && op == token.ADD {
 		if b, ok := l.t.Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
@@ -1344,93 +1504,228 @@ func (fc *fnCompiler) binop(op token.Token, l, r expr, t types.Type, pos token.P
 		fc.errorf(pos, "unsupported binary operator %s", op)
 		return expr{}
 	}
-	x, y := l.i, r.i
 	signed := kindSigned(k)
-	var f intFn
-	var cmp boolFn
+	switch op {
+	case token.LSS, token.LEQ, token.GTR, token.GEQ:
+		// A signed ordering compares with the sign bits flipped, which
+		// orders two's complement as unsigned does, so one closure serves
+		// both; > and >= are < and <= with the operands swapped when
+		// either is slotted.
+		var flip uint64
+		if signed {
+			flip = 1 << 63
+		}
+		if swap, ok := mirrored[op]; ok && (l.inSlot || r.inSlot) {
+			l, r, op = r, l, swap
+		}
+		e := expr{t: t, b: ordered(op, l, r, flip)}
+		if l.inSlot && r.inSlot {
+			e.test = &test{op: op, x: l.slot, y: r.slot, flip: flip}
+		}
+		return e
+	case token.QUO, token.REM, token.SHL, token.SHR:
+		return expr{t: t, i: faulting(op, l.opnd(), r.opnd(), signed, canonOf(k), r.t, pos)}
+	case token.ADD, token.SUB, token.MUL:
+		if kindWidth(k) < 64 {
+			return expr{t: t, i: wrapping(op, l.opnd(), r.opnd(), canonOf(k))}
+		}
+	}
+	if f := arith(op, l, r); f != nil {
+		return expr{t: t, i: f}
+	}
+	fc.errorf(pos, "unsupported binary operator %s", op)
+	return expr{}
+}
+
+// arith compiles l op r for the operators that cannot fault, of a
+// 64-bit kind or bitwise (the bitwise operators keep every kind's
+// canonical form). A commutative operator takes a slotted operand on the
+// left; each operator then has a closure per operand form — slot ⊕
+// slot, slot ⊕ closure, closure ⊕ slot for the two that do not commute,
+// and closure ⊕ closure — so an operand in the frame is read, never
+// called.
+func arith(op token.Token, l, r expr) intFn {
+	switch op {
+	case token.ADD, token.MUL, token.AND, token.OR, token.XOR:
+		if r.inSlot && !l.inSlot {
+			l, r = r, l
+		}
+	}
+	a, b, x, y := l.slot, r.slot, l.i, r.i
+	switch {
+	case l.inSlot && r.inSlot:
+		switch op {
+		case token.ADD:
+			return func(fr *frame) uint64 { return fr.ints[a] + fr.ints[b] }
+		case token.SUB:
+			return func(fr *frame) uint64 { return fr.ints[a] - fr.ints[b] }
+		case token.MUL:
+			return func(fr *frame) uint64 { return fr.ints[a] * fr.ints[b] }
+		case token.AND:
+			return func(fr *frame) uint64 { return fr.ints[a] & fr.ints[b] }
+		case token.OR:
+			return func(fr *frame) uint64 { return fr.ints[a] | fr.ints[b] }
+		case token.XOR:
+			return func(fr *frame) uint64 { return fr.ints[a] ^ fr.ints[b] }
+		case token.AND_NOT:
+			return func(fr *frame) uint64 { return fr.ints[a] &^ fr.ints[b] }
+		}
+	case l.inSlot:
+		switch op {
+		case token.ADD:
+			return func(fr *frame) uint64 { return fr.ints[a] + y(fr) }
+		case token.SUB:
+			return func(fr *frame) uint64 { return fr.ints[a] - y(fr) }
+		case token.MUL:
+			return func(fr *frame) uint64 { return fr.ints[a] * y(fr) }
+		case token.AND:
+			return func(fr *frame) uint64 { return fr.ints[a] & y(fr) }
+		case token.OR:
+			return func(fr *frame) uint64 { return fr.ints[a] | y(fr) }
+		case token.XOR:
+			return func(fr *frame) uint64 { return fr.ints[a] ^ y(fr) }
+		case token.AND_NOT:
+			return func(fr *frame) uint64 { return fr.ints[a] &^ y(fr) }
+		}
+	case r.inSlot:
+		switch op {
+		case token.SUB:
+			return func(fr *frame) uint64 { return x(fr) - fr.ints[b] }
+		case token.AND_NOT:
+			return func(fr *frame) uint64 { return x(fr) &^ fr.ints[b] }
+		}
+	default:
+		switch op {
+		case token.ADD:
+			return func(fr *frame) uint64 { return x(fr) + y(fr) }
+		case token.SUB:
+			return func(fr *frame) uint64 { return x(fr) - y(fr) }
+		case token.MUL:
+			return func(fr *frame) uint64 { return x(fr) * y(fr) }
+		case token.AND:
+			return func(fr *frame) uint64 { return x(fr) & y(fr) }
+		case token.OR:
+			return func(fr *frame) uint64 { return x(fr) | y(fr) }
+		case token.XOR:
+			return func(fr *frame) uint64 { return x(fr) ^ y(fr) }
+		case token.AND_NOT:
+			return func(fr *frame) uint64 { return x(fr) &^ y(fr) }
+		}
+	}
+	return nil
+}
+
+// wrapping compiles +, - and * for a kind narrower than 64 bits, whose
+// results wrap to the kind's width: one closure per operator, bringing
+// the sum back to the canonical form itself. Out of line for the reason
+// callSite.run is.
+//
+//go:noinline
+func wrapping(op token.Token, x, y opnd, c canon) intFn {
 	switch op {
 	case token.ADD:
-		f = func(fr *frame) uint64 { return x(fr) + y(fr) }
+		return func(fr *frame) uint64 { return c.of(x.get(fr) + y.get(fr)) }
 	case token.SUB:
-		f = func(fr *frame) uint64 { return x(fr) - y(fr) }
-	case token.MUL:
-		f = func(fr *frame) uint64 { return x(fr) * y(fr) }
-	case token.AND:
-		f = func(fr *frame) uint64 { return x(fr) & y(fr) }
-	case token.OR:
-		f = func(fr *frame) uint64 { return x(fr) | y(fr) }
-	case token.XOR:
-		f = func(fr *frame) uint64 { return x(fr) ^ y(fr) }
-	case token.AND_NOT:
-		f = func(fr *frame) uint64 { return x(fr) &^ y(fr) }
+		return func(fr *frame) uint64 { return c.of(x.get(fr) - y.get(fr)) }
+	}
+	return func(fr *frame) uint64 { return c.of(x.get(fr) * y.get(fr)) }
+}
+
+// opnd is an integer operand read in whichever form it has: in place
+// when slotted, by its closure otherwise. The operators too rare to earn
+// a closure per operand form take theirs this way.
+type opnd struct {
+	i      intFn
+	slot   int
+	inSlot bool
+}
+
+func (e expr) opnd() opnd { return opnd{i: e.i, slot: e.slot, inSlot: e.inSlot} }
+
+func (o *opnd) get(fr *frame) uint64 {
+	if o.inSlot {
+		return fr.ints[o.slot]
+	}
+	return o.i(fr)
+}
+
+// faulting compiles the operators that can fault: division by zero, and
+// a negative shift count. Go's run-time shift semantics: a count at or
+// beyond the width shifts out to 0 (or to the sign for signed >>) —
+// which the host's own 64-bit shifts of the canonical form give once the
+// result is brought back to it.
+func faulting(op token.Token, x, y opnd, signed bool, c canon, countType types.Type, pos token.Pos) intFn {
+	switch op {
 	case token.QUO, token.REM:
 		rem := op == token.REM
-		f = func(fr *frame) uint64 {
-			a, b := x(fr), y(fr)
+		return func(fr *frame) uint64 {
+			a, b := x.get(fr), y.get(fr)
 			if b == 0 {
-				fr.m.faultf(pos, "runtime error: integer divide by zero")
+				fr.m.fault(pos, "runtime error: integer divide by zero")
 			}
 			switch {
 			case signed && rem:
 				return uint64(int64(a) % int64(b))
 			case signed:
-				return uint64(int64(a) / int64(b))
+				return c.of(uint64(int64(a) / int64(b)))
 			case rem:
 				return a % b
 			}
 			return a / b
 		}
-	case token.SHL, token.SHR:
-		// Go's run-time shift semantics: a negative count is a fault, a
-		// count at or beyond the width shifts out to 0 (or to the sign
-		// for signed >>) — which the host's own 64-bit shifts of the
-		// canonical form give once the result is normalised.
-		ck, _ := intKind(r.t)
-		countSigned, left := kindSigned(ck), op == token.SHL
-		f = func(fr *frame) uint64 {
-			a, c := x(fr), y(fr)
-			if countSigned && int64(c) < 0 {
-				fr.m.faultf(pos, "negative shift amount")
-			}
-			switch {
-			case left:
-				return a << c
-			case signed:
-				return uint64(int64(a) >> c)
-			}
-			return a >> c
-		}
-	case token.LSS, token.LEQ, token.GTR, token.GEQ:
-		if signed {
-			cmp = ordered[int64](op, x, y)
-		} else {
-			cmp = ordered[uint64](op, x, y)
-		}
-	default:
-		fc.errorf(pos, "unsupported binary operator %s", op)
-		return expr{}
 	}
-	if cmp != nil {
-		return expr{t: t, b: cmp}
+	ck, _ := intKind(countType)
+	countSigned, left := kindSigned(ck), op == token.SHL
+	return func(fr *frame) uint64 {
+		a, n := x.get(fr), y.get(fr)
+		if countSigned && int64(n) < 0 {
+			fr.m.fault(pos, "negative shift amount")
+		}
+		switch {
+		case left:
+			return c.of(a << n)
+		case signed:
+			return uint64(int64(a) >> n)
+		}
+		return a >> n
 	}
-	return expr{t: t, i: normalised(f, k)}
 }
 
-// ordered compiles x op y for an ordering operator, comparing as T.
-func ordered[T int64 | uint64](op token.Token, x, y intFn) boolFn {
+var mirrored = map[token.Token]token.Token{token.GTR: token.LSS, token.GEQ: token.LEQ}
+
+// ordered compiles an ordering comparison of the operands xor f; > and
+// >= only come with neither operand slotted.
+func ordered(op token.Token, l, r expr, f uint64) boolFn {
+	a, b, x, y := l.slot, r.slot, l.i, r.i
+	switch {
+	case l.inSlot && r.inSlot && op == token.LSS:
+		return func(fr *frame) bool { return fr.ints[a]^f < fr.ints[b]^f }
+	case l.inSlot && r.inSlot:
+		return func(fr *frame) bool { return fr.ints[a]^f <= fr.ints[b]^f }
+	case l.inSlot && op == token.LSS:
+		return func(fr *frame) bool { return fr.ints[a]^f < y(fr)^f }
+	case l.inSlot:
+		return func(fr *frame) bool { return fr.ints[a]^f <= y(fr)^f }
+	case r.inSlot && op == token.LSS:
+		return func(fr *frame) bool { return x(fr)^f < fr.ints[b]^f }
+	case r.inSlot:
+		return func(fr *frame) bool { return x(fr)^f <= fr.ints[b]^f }
+	}
 	switch op {
 	case token.LSS:
-		return func(fr *frame) bool { return T(x(fr)) < T(y(fr)) }
+		return func(fr *frame) bool { return x(fr)^f < y(fr)^f }
 	case token.LEQ:
-		return func(fr *frame) bool { return T(x(fr)) <= T(y(fr)) }
+		return func(fr *frame) bool { return x(fr)^f <= y(fr)^f }
 	case token.GTR:
-		return func(fr *frame) bool { return T(x(fr)) > T(y(fr)) }
+		return func(fr *frame) bool { return x(fr)^f > y(fr)^f }
 	}
-	return func(fr *frame) bool { return T(x(fr)) >= T(y(fr)) }
+	return func(fr *frame) bool { return x(fr)^f >= y(fr)^f }
 }
 
-// equal compiles l == r for any comparable pair the subset has.
-func (fc *fnCompiler) equal(l, r expr, pos token.Pos) boolFn {
+// equal compiles l == r, or l != r when neq, for any comparable pair the
+// subset has. Integers and bools compare as the uint64 their slots keep,
+// with a slotted operand read in place.
+func (fc *fnCompiler) equal(l, r expr, neq bool, pos token.Pos) boolFn {
 	// The type checker leaves a nil operand of a comparison untyped: it
 	// is the other operand's typed nil.
 	if isUntypedNil(l.t) && r.r != nil {
@@ -1438,19 +1733,48 @@ func (fc *fnCompiler) equal(l, r expr, pos token.Pos) boolFn {
 	} else if isUntypedNil(r.t) && l.r != nil {
 		r = fc.zero(l.t)
 	}
-	switch {
-	case l.i != nil && r.i != nil:
-		x, y := l.i, r.i
+	if l.i != nil && r.i != nil || l.b != nil && r.b != nil {
+		if r.inSlot && !l.inSlot {
+			l, r = r, l
+		}
+		if x, y := l.b, r.b; x != nil && !l.inSlot {
+			if neq {
+				return func(fr *frame) bool { return x(fr) != y(fr) }
+			}
+			return func(fr *frame) bool { return x(fr) == y(fr) }
+		}
+		a, b, x, y := l.slot, r.slot, l.slotInt(), r.slotInt()
+		switch {
+		case l.inSlot && r.inSlot && neq:
+			return func(fr *frame) bool { return fr.ints[a] != fr.ints[b] }
+		case l.inSlot && r.inSlot:
+			return func(fr *frame) bool { return fr.ints[a] == fr.ints[b] }
+		case l.inSlot && neq:
+			return func(fr *frame) bool { return fr.ints[a] != y(fr) }
+		case l.inSlot:
+			return func(fr *frame) bool { return fr.ints[a] == y(fr) }
+		case neq:
+			return func(fr *frame) bool { return x(fr) != y(fr) }
+		}
 		return func(fr *frame) bool { return x(fr) == y(fr) }
-	case l.b != nil && r.b != nil:
-		x, y := l.b, r.b
-		return func(fr *frame) bool { return x(fr) == y(fr) }
-	case l.r == nil || r.r == nil:
-		if (l.i != nil || l.b != nil || l.r != nil) && (r.i != nil || r.b != nil || r.r != nil) {
+	}
+	if l.r == nil || r.r == nil {
+		if !l.failed() && !r.failed() {
 			fc.errorf(pos, "mixed operand types in comparison")
 		}
 		return nil
 	}
+	eq := refEqual(l, r)
+	if eq == nil {
+		fc.errorf(pos, "unsupported comparison")
+	} else if neq {
+		return func(fr *frame) bool { return !eq(fr) }
+	}
+	return eq
+}
+
+// refEqual compiles l == r for two references.
+func refEqual(l, r expr) boolFn {
 	x, y := l.r, r.r
 	switch u := l.t.Underlying().(type) {
 	case *types.Basic: // strings
@@ -1469,7 +1793,6 @@ func (fc *fnCompiler) equal(l, r expr, pos token.Pos) boolFn {
 	case *types.Signature:
 		return func(fr *frame) bool { a, b := x(fr), y(fr); return a.(*closure) == nil && b.(*closure) == nil }
 	}
-	fc.errorf(pos, "unsupported comparison")
 	return nil
 }
 

@@ -528,27 +528,41 @@ func Program(r *cxl.Region) {
 }
 
 // TestRuntimeFaultPositioned: dynamic faults carry file:line, never a
-// bare panic.
+// bare panic, at the operation that faults — whichever operand form the
+// compiler gave its operands, and for the budgets at the call or loop
+// that exceeds them.
 func TestRuntimeFaultPositioned(t *testing.T) {
-	res := run(t, `package main
+	for _, c := range []struct{ name, body, pos, msg string }{
+		{"index", `xs := []uint64{1, 2}
+		i := len(xs) + 1
+		cxl.Store64(cxl.Ptr(0), xs[i])`, "prog.go:8:30", "index out of range [3] with length 2"},
+		{"divide", `var z uint64
+		cxl.Store64(cxl.Ptr(0), 5/z)`, "prog.go:7:27", "integer divide by zero"},
+		{"shift", `n := -1
+		cxl.Store64(cxl.Ptr(0), uint64(1)<<n)`, "prog.go:7:27", "negative shift amount"},
+		{"steps", `for i := 0; i >= 0; i++ {
+		}`, "prog.go:6:3", "statement budget exceeded"},
+		{"depth", `var down func(n int) int
+		down = func(n int) int { return down(n + 1) }
+		cxl.Store64(cxl.Ptr(0), uint64(down(0)))`, "prog.go:7:35", "interpreted call stack exceeds 4096 frames"},
+	} {
+		res := run(t, `package main
 import "cxl"
 func Program(r *cxl.Region) {
 	m := r.NewMachine("m0")
 	m.Spawn("t", func() {
-		xs := []uint64{1, 2}
-		i := len(xs) + 1
-		cxl.Store64(cxl.Ptr(0), xs[i])
+		`+c.body+`
 	})
 }
 `, core.Config{})
-	found := false
-	for _, b := range res.Bugs {
-		if b.Kind == core.BugPanic && strings.Contains(b.Message, "prog.go:8:30") &&
-			strings.Contains(b.Message, "index out of range [3] with length 2") {
-			found = true
+		found := false
+		for _, b := range res.Bugs {
+			if b.Kind == core.BugPanic && strings.Contains(b.Message, c.pos) && strings.Contains(b.Message, c.msg) {
+				found = true
+			}
 		}
-	}
-	if !found {
-		t.Fatalf("bugs = %+v, want positioned index-out-of-range BugPanic", res.Bugs)
+		if !found {
+			t.Errorf("%s: bugs = %+v, want a BugPanic at %s: %s", c.name, res.Bugs, c.pos, c.msg)
+		}
 	}
 }

@@ -62,7 +62,8 @@ type fnCode struct {
 	pos      token.Pos
 	nInts    int
 	nRefs    int
-	capSlots []int // refs slots the captured cells are copied into
+	ints     []uint64 // what a new frame's int slots start as: the folded constants in theirs
+	capSlots []int    // refs slots the captured cells are copied into
 	body     stmt
 	self     *closure // the capture-free function value, for named functions
 	// A function that defers keeps the results its return statement left
@@ -98,10 +99,13 @@ type frameStack struct {
 }
 
 // take returns the stack's next frame, making one of nInts and nRefs
-// slots if the stack never grew this deep.
-func (st *frameStack) take(m *machine, nInts, nRefs int) *frame {
+// slots if the stack never grew this deep, its int slots starting as
+// ints (zero past its end).
+func (st *frameStack) take(m *machine, nInts, nRefs int, ints []uint64) *frame {
 	if st.used == len(st.all) {
-		st.all = append(st.all, &frame{m: m, ints: make([]uint64, nInts), refs: make([]any, nRefs)})
+		fr := &frame{m: m, ints: make([]uint64, nInts), refs: make([]any, nRefs)}
+		copy(fr.ints, ints)
+		st.all = append(st.all, fr)
 	}
 	st.used++
 	return st.all[st.used-1]
@@ -110,7 +114,7 @@ func (st *frameStack) take(m *machine, nInts, nRefs int) *frame {
 // deferred is one pending deferred call: callee and arguments were
 // evaluated into fr at defer time, run performs the call at unwind.
 type deferred struct {
-	run func(*frame)
+	run stmt
 	fr  *frame
 }
 
@@ -206,14 +210,47 @@ func (m *machine) release() {
 // checker converts it into a setup error; on a simulated thread it
 // becomes a BugPanic with the position in the message.
 func (m *machine) faultf(pos token.Pos, format string, args ...any) {
-	panic(Diagnostic{Pos: m.src.pos(pos), Msg: fmt.Sprintf(format, args...)})
+	m.fault(pos, fmt.Sprintf(format, args...))
+}
+
+// fault is faultf with the message made. The checks on hot paths call
+// it, or a helper like indexFault kept out of line, so that they stay
+// small enough to inline.
+//
+//go:noinline
+func (m *machine) fault(pos token.Pos, msg string) {
+	panic(Diagnostic{Pos: m.src.pos(pos), Msg: msg})
+}
+
+//go:noinline
+func (m *machine) indexFault(pos token.Pos, i uint64, n int) {
+	m.faultf(pos, "index out of range [%d] with length %d", int64(i), n)
+}
+
+// enter counts a call against maxInterpDepth and maxInterpSteps, tick
+// a loop iteration against maxInterpSteps.
+func (m *machine) enter(pos token.Pos) {
+	m.depth++
+	if m.steps++; m.depth > maxInterpDepth || m.steps > maxInterpSteps {
+		m.budgetFault(pos)
+	}
 }
 
 func (m *machine) tick(pos token.Pos) {
-	m.steps++
-	if m.steps > maxInterpSteps {
-		m.faultf(pos, "statement budget exceeded (%d): possible infinite loop with no cxl operations", maxInterpSteps)
+	if m.steps++; m.steps > maxInterpSteps {
+		m.budgetFault(pos)
 	}
+}
+
+// budgetFault reports the budget enter or tick found exceeded, the
+// call depth first.
+//
+//go:noinline
+func (m *machine) budgetFault(pos token.Pos) {
+	if m.depth > maxInterpDepth {
+		m.faultf(pos, "interpreted call stack exceeds %d frames", maxInterpDepth)
+	}
+	m.faultf(pos, "statement budget exceeded (%d): possible infinite loop with no cxl operations", maxInterpSteps)
 }
 
 // grow charges n elements of host memory to the machine.
@@ -225,7 +262,7 @@ func (m *machine) grow(n uint64, pos token.Pos) {
 }
 
 func (m *machine) get(fn *fnCode) *frame {
-	return m.frames[fn.id].take(m, fn.nInts, fn.nRefs)
+	return m.frames[fn.id].take(m, fn.nInts, fn.nRefs, fn.ints)
 }
 
 // exec runs fn on a frame whose parameter slots are filled, leaving the
@@ -235,11 +272,7 @@ func (m *machine) get(fn *fnCode) *frame {
 // the hand-ported benchmarks' Go defers do — mutexes get unlocked during
 // bug unwinding, keeping op streams and decision trees identical.
 func (m *machine) exec(fn *fnCode, fr *frame, pos token.Pos) {
-	m.depth++
-	if m.depth > maxInterpDepth {
-		m.faultf(pos, "interpreted call stack exceeds %d frames", maxInterpDepth)
-	}
-	m.tick(pos)
+	m.enter(pos)
 	if fn.hasDefer {
 		fr.runDeferring(fn)
 	} else {
@@ -357,28 +390,27 @@ func kindSigned(k types.BasicKind) bool {
 	return false
 }
 
-// normFn returns the function bringing a 64-bit result back to kind k's
-// canonical form, or nil when k is 64 bits wide and every result
-// already is.
-func normFn(k types.BasicKind) func(uint64) uint64 {
-	w := kindWidth(k)
-	if w == 64 {
-		return nil
-	}
-	if kindSigned(k) {
-		shift := 64 - w
-		return func(x uint64) uint64 { return uint64(int64(x<<shift) >> shift) }
-	}
-	mask := uint64(1)<<w - 1
-	return func(x uint64) uint64 { return x & mask }
+// canon brings a 64-bit result back to a kind's canonical form with no
+// branch and no call: sign-extend from the kind's top bit, then clear
+// the bits an unsigned kind keeps zero. For a 64-bit kind it is the
+// identity (no shift, every bit kept), so the closures that apply it —
+// narrow arithmetic, shifts, division, negation, conversion — serve
+// every kind.
+type canon struct {
+	shift uint8
+	mask  uint64
 }
 
-func norm(x uint64, k types.BasicKind) uint64 {
-	if f := normFn(k); f != nil {
-		return f(x)
+func canonOf(k types.BasicKind) canon {
+	w := kindWidth(k)
+	c := canon{shift: uint8(64 - w), mask: ^uint64(0)}
+	if !kindSigned(k) && w < 64 {
+		c.mask = 1<<w - 1
 	}
-	return x
+	return c
 }
+
+func (c canon) of(x uint64) uint64 { return uint64(int64(x<<c.shift)>>c.shift) & c.mask }
 
 // boxInt boxes a canonical integer as the Go value of its own kind, so
 // fmt formatting of Assert/Fail arguments matches what compiled code

@@ -30,6 +30,7 @@ func FuzzSpecJSON(f *testing.F) {
 		`{"source":"package p\n\nimport \"repro/gofront/cxl\"\n\nfunc Program(p *cxl.Program) {}\n","entry":"Program"}`,
 		`{"bench":"CCEH","keys":-1}`,
 		`{"bench":"CCEH","keys":2305843009213693952}`,
+		`{"bench":"P-ART","stride":4611686018427387904}`,
 		`{"bench":"CCEH","insert_workers":20000}`,
 		`{"bench":"CCEH","workers":99999,"max_time":-5}`,
 		`{"bench":"nope"}`,
@@ -50,9 +51,10 @@ func FuzzSpecJSON(f *testing.F) {
 			return
 		}
 		if !validTenant(spec.Tenant) || spec.Workers < 0 || spec.Workers > maxWorkersPerJob ||
-			spec.InsertWorkers < 0 || spec.InsertWorkers > 8 || spec.Keys < 0 || spec.Keys > recipe.MaxKeys {
-			t.Fatalf("normalize let through tenant %q, workers %d, insert workers %d, keys %d",
-				spec.Tenant, spec.Workers, spec.InsertWorkers, spec.Keys)
+			spec.InsertWorkers < 0 || spec.InsertWorkers > 8 || spec.Keys < 0 || spec.Keys > recipe.MaxKeys ||
+			spec.Stride < 0 || spec.Stride > recipe.MaxStride {
+			t.Fatalf("normalize let through tenant %q, workers %d, insert workers %d, keys %d, stride %d",
+				spec.Tenant, spec.Workers, spec.InsertWorkers, spec.Keys, spec.Stride)
 		}
 		cfg := spec.Config(base)
 		if cfg.Workers < 1 || cfg.MaxExecutions < 0 || cfg.MaxTime <= 0 || cfg.MaxTime > base.MaxTime {

@@ -432,7 +432,8 @@ func refuses(t *testing.T, s *Server, body, field string) {
 // TestSpecBoundsWorkload: every insert worker is two simulated threads a pool
 // worker builds on every execution, so a submitted spec asks for 1..8 of them
 // (0 is the default, one), like a generated program's threads per machine,
-// and at most recipe.MaxKeys keys (0 is the default, ten).
+// at most recipe.MaxKeys keys (0 is the default, ten) and a stride of at
+// most recipe.MaxStride (0 is the default, one).
 func TestSpecBoundsWorkload(t *testing.T) {
 	s := testServer(t, Config{})
 	for _, n := range []int{-1, 9, 20000} {
@@ -451,6 +452,14 @@ func TestSpecBoundsWorkload(t *testing.T) {
 	for _, n := range []int{0, 1, recipe.MaxKeys} {
 		if sp := (Spec{Bench: "CCEH", Keys: n}); sp.normalize() != nil {
 			t.Errorf("keys %d refused: %v", n, sp.normalize())
+		}
+	}
+	for _, n := range []int{-1, recipe.MaxStride + 1} {
+		refuses(t, s, fmt.Sprintf(`{"bench":"P-ART","stride":%d}`, n), "stride")
+	}
+	for _, n := range []int{0, 1, recipe.MaxStride} {
+		if sp := (Spec{Bench: "P-ART", Stride: n}); sp.normalize() != nil {
+			t.Errorf("stride %d refused: %v", n, sp.normalize())
 		}
 	}
 	if snap := s.Registry().Snapshot(); snap["cxlmc_jobs_queued"] != 0 {

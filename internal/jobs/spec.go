@@ -145,7 +145,7 @@ func (sp *Spec) BindFlags(fs *flag.FlagSet) {
 	fs.StringVar(&sp.Bench, "bench", sp.Bench, "benchmark name (CCEH, FAST_FAIR, P-ART, P-BwTree, P-CLHT, P-MassTree, kv, test_stress, vet-demo)")
 	fs.IntVar(&sp.Keys, "keys", sp.Keys, fmt.Sprintf("total keys inserted (0 = 10; at most %d)", recipe.MaxKeys))
 	fs.IntVar(&sp.InsertWorkers, "insert-workers", sp.InsertWorkers, "insert workers per machine, the simulated workload's shape (0 = 1)")
-	fs.IntVar(&sp.Stride, "stride", sp.Stride, "key stride (0 = 1)")
+	fs.IntVar(&sp.Stride, "stride", sp.Stride, fmt.Sprintf("key stride (0 = 1; at most %d)", recipe.MaxStride))
 	fs.Var((*bugsFlag)(&sp.Bugs), "bugs", "seeded-bug bitmask (e.g. 0x3); 0 = all fixed")
 	fs.StringVar(&sp.Entry, "entry", sp.Entry, "entry function in the source file, signature func(*cxl.Region) (default Program)")
 	fs.Int64Var(&sp.Seed, "seed", sp.Seed, "schedule seed")
@@ -206,15 +206,16 @@ func (sp *Spec) normalize() error {
 	}
 	// A workload is built once per execution, so its size is checked before
 	// anything is built: each insert worker is two simulated threads, every
-	// key a progress flag, and the generator rolls the whole program when
-	// asked for it. gen.cells keeps
+	// key a progress flag, a stride past recipe.MaxStride wraps keys, and the
+	// generator rolls the whole program when asked for it. gen.cells keeps
 	// the floor of three its writer/reader pattern needs: the range is the
 	// wire's, though the generator leaves the pattern out below it.
 	type bound struct {
 		name        string
 		v, min, max int
 	}
-	bounds := []bound{{"insert_workers", sp.InsertWorkers, 1, 8}, {"keys", sp.Keys, 1, recipe.MaxKeys}}
+	bounds := []bound{{"insert_workers", sp.InsertWorkers, 1, 8}, {"keys", sp.Keys, 1, recipe.MaxKeys},
+		{"stride", sp.Stride, 1, recipe.MaxStride}}
 	if g := sp.Gen; g != nil {
 		bounds = append(bounds, []bound{
 			{"gen.machines", g.MaxMachines, 1, 8}, {"gen.threads_per_machine", g.MaxThreadsPerMachine, 1, 8},

@@ -1,6 +1,7 @@
 package part
 
 import (
+	"strings"
 	"testing"
 
 	cxlmc "repro"
@@ -87,5 +88,31 @@ func TestPrefixSplitAndDeepKeys(t *testing.T) {
 	}
 	if res.Buggy() {
 		t.Fatalf("bugs: %v", res.Bugs)
+	}
+}
+
+// TestStrideBeyondMaxRefused: key k is k*Stride, so a stride past
+// recipe.MaxStride wraps keys — 1<<62 makes key 4 wrap to 0, which
+// `cxlmc -bench P-ART -stride 4611686018427387904 -workers 1 -max-execs
+// 200` used to report as "committed key 0 missing from scan" on the fixed
+// program. The run that command makes now fails set-up, naming the stride,
+// before any execution.
+func TestStrideBeyondMaxRefused(t *testing.T) {
+	for _, stride := range []int{recipe.MaxStride + 1, 1 << 62} {
+		cfg := cxlmc.Config{Workers: 1, MaxExecutions: 200}
+		res, err := cxlmc.Run(cfg, recipe.Program(Benchmark, recipe.Config{Stride: stride}))
+		if err == nil || !strings.Contains(err.Error(), "stride") {
+			t.Errorf("Stride %d: Run returned %v, want a set-up error naming stride", stride, err)
+		}
+		if res != nil && len(res.Bugs) > 0 {
+			t.Errorf("Stride %d: reported %s", stride, res.Bugs[0].Message)
+		}
+	}
+	// At the bound every key stays positive and distinct: the fixed
+	// program explores clean.
+	res, err := cxlmc.Run(cxlmc.Config{Workers: 1, MaxExecutions: 200},
+		recipe.Program(Benchmark, recipe.Config{Stride: recipe.MaxStride}))
+	if err != nil || len(res.Bugs) > 0 {
+		t.Fatalf("Stride MaxStride: %v, %d bugs", err, len(res.Bugs))
 	}
 }

@@ -89,6 +89,11 @@ type Benchmark struct {
 // largest workload any benchmark or hunt runs is 256 keys.
 const MaxKeys = 1 << 16
 
+// MaxStride bounds Stride: key k is k*Stride, so with MaxKeys × MaxStride
+// below 2^63 no key wraps — to 0 above all, which the indexes assume no
+// inserted key is.
+const MaxStride = 1 << 46
+
 // Config parameterizes one driver run.
 type Config struct {
 	// Keys is the total number of keys inserted (split across workers);
@@ -100,7 +105,8 @@ type Config struct {
 	Workers int
 	// Stride spaces the inserted keys (key i is i*Stride); 0 means 1.
 	// A stride of 16 drives P-ART keys past one byte boundary with few
-	// keys, exercising prefix splits cheaply.
+	// keys, exercising prefix splits cheaply. Program's set-up fails
+	// above MaxStride.
 	Stride int
 	// Deletes adds a delete phase: each worker removes every third key of
 	// its partition after inserting, with its own commit flags, and the
@@ -142,6 +148,9 @@ func Program(b Benchmark, cfg Config) func(*cxlmc.Program) {
 		keys := cfg.Keys
 		if keys > MaxKeys {
 			panic(fmt.Sprintf("recipe: %d keys: a run inserts at most %d", keys, MaxKeys))
+		}
+		if cfg.Stride > MaxStride {
+			panic(fmt.Sprintf("recipe: stride %d: keys are spaced at most %d apart", cfg.Stride, MaxStride))
 		}
 		idx := b.New(p, cfg.Bugs)
 		ready := p.AllocAligned(8, 64)
