@@ -103,6 +103,10 @@ func TestCheckFlagValidation(t *testing.T) {
 		{"-check", "testdata/does_not_exist.go"},
 		{"-bench", "CCEH", "-serve", ":0"},
 		{"-bench", "CCEH", "-join", "127.0.0.1:1"},
+		// The workload bounds a submitted spec is held to (a 400 there).
+		{"-bench", "P-ART", "-stride", "4611686018427387904"},
+		{"-bench", "CCEH", "-keys", "70000"},
+		{"-bench", "CCEH", "-insert-workers", "99"},
 	}
 	for _, args := range cases {
 		if _, _, code := runCLI2(t, args...); code != 2 {

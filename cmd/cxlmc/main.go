@@ -256,6 +256,11 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "cxlmc: a job server prints no progress; each job's is in GET /jobs/{id}, drop -progress")
 		return 2
 	}
+	// The workload's bounds are the ones a submitted spec is held to.
+	if err := spec.CheckBounds(); err != nil {
+		fmt.Fprintf(os.Stderr, "cxlmc: %v\n", err)
+		return 2
+	}
 
 	// The plumbing flags make the base; the spec lays its knobs over it —
 	// as it does over the job server's base for a submitted job.

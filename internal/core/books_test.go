@@ -75,7 +75,7 @@ func TestBooksAllocateNothing(t *testing.T) {
 	ck := &Checker{cfg: Config{}, program: resilientClean}
 	ck.cfg.fillDefaults()
 	ck.resetExecution()
-	defer ck.closeScheduler()
+	defer ck.release()
 	if n := testing.AllocsPerRun(100, func() { auditBooks(ck) }); n != 0 {
 		t.Fatalf("auditBooks: %v allocations per call, want 0", n)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -124,6 +125,10 @@ func TestSlowExecutionDoesNotStallCheckpoints(t *testing.T) {
 	var before, after int
 	prog := twoWriters(func() {
 		if calls.Add(1) != 12 {
+			// On one P the peer runs only when this worker yields: let it
+			// go hungry, so that it is handed a unit at a boundary before
+			// the slow execution. A peer with no work cannot move the file.
+			runtime.Gosched()
 			return
 		}
 		// The slow execution: it ends when the file has moved on without it,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"sync"
 	"time"
 
 	"repro/internal/decision"
@@ -15,7 +16,9 @@ import (
 
 // Checker holds the exploration state across executions (decision tree,
 // the tally of counters and distinct bugs) and the per-execution simulation
-// state (memory, scheduler, machines, threads).
+// state (memory, scheduler, machines, threads). Checkers come from a
+// process-wide pool (newChecker) and go back to it (release) keeping only
+// their scratch, the memory the next Run reuses.
 type Checker struct {
 	program func(*Program)
 	tree    *decision.Tree
@@ -52,36 +55,21 @@ type Checker struct {
 	replaying      bool
 	replayDiverged *decision.Divergence
 
-	// Per-execution state, reset in place by resetExecution. The memory,
-	// scheduler and machine/thread/mutex arenas are reused across
-	// executions so the hot path is allocation-free after warm-up; whoever
-	// ends the checker's life calls closeScheduler.
-	mem *memmodel.Memory
-	sch *sched.Scheduler
-	// nRun and nPend count the bits set in runBits and pendBits, the
-	// scheduler's books (see touch).
+	// scratch is the memory reused across executions and across Runs.
+	scratch
+
+	// Per-execution state, reset in place by resetExecution. nRun and
+	// nPend count the bits set in runBits and pendBits, the scheduler's
+	// books (see touch).
 	nRun     int32
 	nPend    int32
-	machines []*Machine
-	threads  []*Thread
-	mutexes  []*Mutex
 	failed   memmodel.FailSet
 	heapNext Addr
 	current  *Thread // thread running its own code, nil while scheduler steps run
 	aborted  bool    // current execution ended early (bug)
-	// prog is the reusable Program handle passed to setup each execution.
-	prog Program
-	// The scheduler's books, one word per 64 bits whatever the thread
-	// count: bit i of runBits is set while thread i is Runnable on a live
-	// machine, bits 2i and 2i+1 of pendBits while its store buffer and its
-	// flush buffer are non-empty on a live machine. touch keeps them; a
-	// step reads them instead of walking the threads.
-	runBits  []uint64
-	pendBits []uint64
-	// Scratch buffers reused by the deadlock report and the load path.
-	blockedBuf []*Thread
-	readCtx    memmodel.ReadContext
-	readIter   memmodel.CandidateIter
+	// Scratch state reused by the load path.
+	readCtx  memmodel.ReadContext
+	readIter memmodel.CandidateIter
 
 	// stepNo is the current execution's scheduler step counter (1-based
 	// inside the loop); shared by the livelock check, the prefix-fork
@@ -95,12 +83,9 @@ type Checker struct {
 	fbChain        bool
 	fbChainDecided bool
 
-	// Happens-before race detection (Config.RaceDetect) and op-stream
-	// observation (Config.Observer). race is pooled across executions;
 	// inRMW suppresses the plain-load race check and load observation
 	// while rmw's internal load runs (the RMW itself is reported as one
 	// synchronization op); observing caches Observer != nil.
-	race      raceDetector
 	inRMW     bool
 	observing bool
 
@@ -113,27 +98,118 @@ type Checker struct {
 	// everything before it from the logs — skipping the thread/buffer
 	// scans and the per-load candidate search — and switches to live
 	// execution there. forkOK marks the logs as describing the previous
-	// execution completely; unit adoption, dirty resets and strict replay
-	// clear it.
+	// execution completely; a new checker, unit adoption, dirty resets and
+	// strict replay clear it.
 	forkEnabled bool
 	forkOK      bool
 	forkStep    int
 	fast        bool
 	fastUntil   int
-	stepLog     []stepRec
-	loadLog     []loadRec
 	loadPos     int
-	pathStep    []int
-
-	// stream is the seeded schedule, memoised and rewound per execution
-	// rather than re-seeded. It sits after the per-step fields so they keep
-	// their offsets.
-	stream scheduleStream
 
 	// cfg sits last: it is large and read-mostly, and the per-step fields
 	// above should not all move when Config gains or loses a field (a
 	// 16-byte shift of them has measured as 2 % of a table5 round).
 	cfg Config
+}
+
+// scratch is what a Checker keeps when it goes back to the pool: storage
+// whose contents every execution rebuilds in place, so a checker taken from
+// the pool starts its first execution as warm as its previous owner's last.
+// Nothing in it carries meaning from one execution to the next except the
+// schedule stream's memoised draws, which the stream keeps only for the
+// seed that drew them.
+type scratch struct {
+	// The memory, the scheduler (its thread structs; never its carriers,
+	// which end at release), and the machine, thread and mutex arenas:
+	// resetExecution truncates the slices, and the structs past their
+	// length are reused, with their ThreadBufs, by the next set-up.
+	mem      *memmodel.Memory
+	sch      *sched.Scheduler
+	machines []*Machine
+	threads  []*Thread
+	mutexes  []*Mutex
+	// prog is the Program handle set-up is passed each execution; what a
+	// front-end keeps on it (Program.Local) travels with the scratch.
+	prog Program
+	// The scheduler's books, one word per 64 bits whatever the thread
+	// count: bit i of runBits is set while thread i is Runnable on a live
+	// machine, bits 2i and 2i+1 of pendBits while its store buffer and its
+	// flush buffer are non-empty on a live machine. touch keeps them; a
+	// step reads them instead of walking the threads.
+	runBits  []uint64
+	pendBits []uint64
+	// blockedBuf is the deadlock report's buffer.
+	blockedBuf []*Thread
+	// race is the happens-before detector (Config.RaceDetect): its slab,
+	// word table, clocks and epoch slices.
+	race raceDetector
+	// The prefix-fork logs (see Checker.forkEnabled).
+	stepLog  []stepRec
+	loadLog  []loadRec
+	pathStep []int
+	// spare is the decision tree whose node storage the digest pass, a
+	// replay or a fresh exploration's root unit starts from (spareTree).
+	spare *decision.Tree
+	// stream is the seeded schedule, memoised and rewound per execution
+	// rather than re-seeded.
+	stream scheduleStream
+}
+
+// checkers pools Checkers between Runs for their scratch. It holds memory
+// and no goroutine: a checker's carriers end at release, before it is put
+// back. What it retains is at most one scratch per checker that was live at
+// once — each the size of the largest execution it ran — and sync.Pool
+// gives idle ones to the collector within two GC cycles.
+var checkers sync.Pool
+
+// coldCheckers makes every checker new and keeps none: the fresh state the
+// tests hold warm runs to (export_test.go).
+var coldCheckers bool
+
+// newChecker returns a Checker for cfg and program from the pool — its
+// scratch warm from an earlier Run — or a new one. Everything but the
+// scratch starts from zero.
+func newChecker(cfg Config, program func(*Program)) *Checker {
+	var ck *Checker
+	if !coldCheckers {
+		ck, _ = checkers.Get().(*Checker)
+	}
+	if ck == nil {
+		ck = &Checker{}
+	}
+	ck.cfg, ck.program = cfg, program
+	return ck
+}
+
+// release ends the checker's scheduler — and with it the carrier
+// coroutines its threads left parked — and gives the checker back to the
+// pool with nothing but its scratch. The checker must not be used again.
+func (ck *Checker) release() {
+	if ck.sch != nil {
+		ck.sch.Close()
+	}
+	// The thread structs keep nothing of the program's.
+	for _, t := range ck.threads[:cap(ck.threads)] {
+		if t != nil {
+			t.fn = nil
+		}
+	}
+	*ck = Checker{scratch: ck.scratch}
+	if !coldCheckers {
+		checkers.Put(ck)
+	}
+}
+
+// spareTree returns the scratch's decision tree reset to a replay of steps
+// (the empty tree for none): the first tree a checker explores reuses the
+// node storage an earlier one grew.
+func (ck *Checker) spareTree(steps []decision.Step, lenient bool) *decision.Tree {
+	if ck.spare == nil {
+		ck.spare = decision.NewTree()
+	}
+	ck.spare.Reset(steps, lenient)
+	return ck.spare
 }
 
 // streamCap bounds the draws a scheduleStream memoises: 512 KB, about 32 k
@@ -150,15 +226,18 @@ const (
 // sequence: the stream keeps what its source produced, buf[i] being the
 // i-th Int63 of a source freshly seeded with seed, and an execution reads
 // buf from the start, then draws live and appends. Both are lazy: src is
-// seeded at the first draw, so a checker that draws nothing (the program
-// digest's) seeds nothing, and the first execution appends nothing (buf is
-// nil until the first rewind), so one that runs a single execution — a
-// replay, the vet dry run — pays for no buffer.
+// seeded at the first live draw (seeded), so a checker that draws nothing
+// (the program digest's) seeds nothing, and a stream's first execution
+// appends nothing (buf is nil until the first rewind), so one that runs a
+// single execution — a replay, the vet dry run — pays for no buffer. The
+// stream outlives its checker in the scratch: the source is kept whatever
+// the next seed, the memoised draws only for the same seed (restart).
 type scheduleStream struct {
-	src  rand.Source
-	seed int64
-	buf  []int64
-	pos  int
+	src    rand.Source
+	seed   int64
+	seeded bool
+	buf    []int64
+	pos    int
 }
 
 // int63 returns the stream's next value.
@@ -173,8 +252,13 @@ func (s *scheduleStream) int63() int64 {
 // live draws the next value from the source, memoising it while the
 // buffer has room.
 func (s *scheduleStream) live() int64 {
-	if s.src == nil {
-		s.src = rand.NewSource(s.seed)
+	if !s.seeded {
+		if s.src == nil {
+			s.src = rand.NewSource(s.seed)
+		} else {
+			s.src.Seed(s.seed)
+		}
+		s.seeded = true
 	}
 	v := s.src.Int63()
 	if s.buf != nil && s.pos < streamCap {
@@ -209,12 +293,16 @@ func reduce(v, m int32) (int32, bool) {
 	return r, v-r <= 1<<31-1-(m-1)
 }
 
-// rewind starts the next execution's stream. Where the last execution drew
-// past buf — the first one, or one past the cap — src is ahead of buf, so
-// it is re-seeded and buf refilled.
-func (s *scheduleStream) rewind() {
+// restart starts the next execution's stream under seed. Where the last
+// execution drew past buf — a stream's first, or one past the cap — src is
+// ahead of buf, so it is re-seeded at the next live draw and buf refilled;
+// where the seed is not the one buf was drawn under, buf starts over too.
+func (s *scheduleStream) restart(seed int64) {
+	if seed != s.seed {
+		s.seed, s.seeded, s.buf = seed, false, s.buf[:0]
+	}
 	if s.pos > len(s.buf) {
-		s.src.Seed(s.seed)
+		s.seeded = false
 		if s.buf == nil {
 			s.buf = make([]int64, 0, streamInit)
 		} else {
@@ -341,16 +429,17 @@ func (ck *Checker) newInternalError(msg string) *InternalError {
 // setup. State from the previous execution — the memory, the scheduler
 // with its threads' parked carrier coroutines, the
 // machine/thread/mutex arenas, the schedule stream — is reset in place
-// rather than reallocated, so after the first execution the setup path
-// allocates nothing.
+// rather than reallocated, and a checker from the pool inherits all of it
+// but the carriers, so after the first Run the setup path allocates
+// nothing.
 func (ck *Checker) resetExecution() {
 	if ck.mem == nil {
 		ck.mem = memmodel.NewMemory()
-		// Bound the line tables by the region before set-up touches them.
-		ck.mem.Reserve(heapBase, Addr(ck.cfg.memSize))
 	} else {
 		ck.mem.Reset()
 	}
+	// Bound the line tables by the region before set-up touches them.
+	ck.mem.Reserve(heapBase, Addr(ck.cfg.memSize))
 	if ck.sch == nil {
 		ck.sch = sched.New()
 		ck.sch.OnPanic = ck.onThreadPanic
@@ -358,12 +447,7 @@ func (ck *Checker) resetExecution() {
 	} else {
 		ck.sch.Reset()
 	}
-	if ck.stream.src == nil {
-		// Seeded lazily: until something draws there is nothing to rewind.
-		ck.stream = scheduleStream{seed: ck.cfg.Seed}
-	} else {
-		ck.stream.rewind()
-	}
+	ck.stream.restart(ck.cfg.Seed)
 	clear(ck.runBits)
 	clear(ck.pendBits)
 	ck.nRun, ck.nPend = 0, 0
@@ -393,15 +477,6 @@ func (ck *Checker) resetExecution() {
 		ck.race.begin(len(ck.threads), len(ck.mutexes))
 	} else {
 		ck.race.on = false
-	}
-}
-
-// closeScheduler ends the checker's scheduler and with it the carrier
-// coroutines its threads left parked.
-func (ck *Checker) closeScheduler() {
-	if ck.sch != nil {
-		ck.sch.Close()
-		ck.sch = nil
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash"
 	"io/fs"
+	"strconv"
 	"strings"
 	"time"
 
@@ -143,23 +144,37 @@ func digestFieldList() string {
 // nil before it builds record's operands, so the per-execution setup
 // path boxes and allocates nothing once the digest is known
 // (TestSetupAllocatesNothing holds every site to that).
-type fingerprint struct{ h hash.Hash }
+type fingerprint struct {
+	h   hash.Hash
+	buf []byte
+}
 
-func (f *fingerprint) record(parts ...any) { fmt.Fprintln(f.h, parts...) }
+// names hashes the line fmt.Println(kind, names...) prints, and nums the
+// one fmt.Println(kind, a, b) prints, without boxing an operand.
+func (f *fingerprint) names(kind string, names ...string) {
+	f.buf = append(f.buf[:0], kind...)
+	for _, n := range names {
+		f.buf = append(append(f.buf, ' '), n...)
+	}
+	f.h.Write(append(f.buf, '\n'))
+}
+
+func (f *fingerprint) nums(kind string, a, b uint64) {
+	f.buf = append(append(f.buf[:0], kind...), ' ')
+	f.buf = append(strconv.AppendUint(f.buf, a, 10), ' ')
+	f.h.Write(append(strconv.AppendUint(f.buf, b, 10), '\n'))
+}
 
 // programDigestOf fingerprints the program's setup-time structure by
 // running setup once against a scratch checker (threads are registered
 // but never started, so nothing simulated runs). A panic during setup is
 // returned as the same setupError a real run would produce.
 func programDigestOf(cfg Config, program func(*Program)) (digest string, err error) {
-	fp := &fingerprint{h: sha256.New()}
-	ck := &Checker{
-		cfg:     cfg,
-		program: program,
-		tree:    decision.NewTree(),
-		fp:      fp,
-	}
+	fp := &fingerprint{h: sha256.New(), buf: make([]byte, 0, 64)}
+	ck := newChecker(cfg, program)
+	ck.tree, ck.fp = ck.spareTree(nil, false), fp
 	defer func() {
+		ck.release()
 		if v := recover(); v != nil {
 			if se, ok := v.(setupError); ok {
 				err = se

@@ -33,3 +33,12 @@ func AuditedSteps() int64 { return auditedSteps.Load() }
 // ResumeCheckpoint is the checkpoint reader every Ledger resumes through,
 // for FuzzLoadCheckpoint to hold to its contract.
 var ResumeCheckpoint = resumeCheckpoint
+
+// ColdCheckers runs f with every checker new, as in a process that never
+// ran one, and none kept for later: the fresh state TestWarmRunsAreIsolated
+// holds warm runs to. Nothing else may run beside f.
+func ColdCheckers(f func()) {
+	coldCheckers = true
+	defer func() { coldCheckers = false }()
+	f()
+}

@@ -57,7 +57,7 @@ func OpenLedger(cfg Config, program func(*Program), tracer *obs.Tracer) (*Ledger
 		om:     coreMetrics{checkpointMetrics: newCheckpointMetrics(cfg.Obs)},
 		tracer: tracer, start: time.Now(), merged: true,
 	}
-	trees, t, err := l.resume()
+	trees, t, err := l.resume(decision.NewTree())
 	if err != nil {
 		return nil, nil, Tally{}, err
 	}
@@ -78,9 +78,9 @@ func (l *Ledger) Elapsed() time.Duration { return l.prior + time.Since(l.start) 
 
 // resume takes up the checkpoint — the file, or the one handed to Continue —
 // and returns the units to explore and the tally they were reached at: the
-// whole tree when there is nothing to resume, none when the checkpointed
-// exploration is complete.
-func (l *Ledger) resume() (units []*decision.Tree, t Tally, err error) {
+// whole tree, root (empty), when there is nothing to resume, none when the
+// checkpointed exploration is complete.
+func (l *Ledger) resume(root *decision.Tree) (units []*decision.Tree, t Tally, err error) {
 	var r *inheritance
 	var quarantined bool
 	if !l.inMemory {
@@ -98,7 +98,7 @@ func (l *Ledger) resume() (units []*decision.Tree, t Tally, err error) {
 	}
 	l.lastCPTime = l.start
 	if r == nil {
-		return []*decision.Tree{decision.NewTree()}, t, nil
+		return []*decision.Tree{root}, t, nil
 	}
 	t, l.res, l.prior, l.resumed = r.total, r.res, r.elapsed, true
 	l.lastCPExecs = t.Executions

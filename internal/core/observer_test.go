@@ -65,7 +65,7 @@ func TestObserverSeesOnlyExploredExecutions(t *testing.T) {
 	walk := cfg
 	walk.fillDefaults()
 	ck := &Checker{cfg: walk, program: leakProbe, tree: decision.NewTree()}
-	defer ck.closeScheduler()
+	defer ck.release()
 	var replayed opCounter
 	obs.Observer = &replayed
 	obs.fillDefaults()

@@ -131,9 +131,24 @@ func (e *engine) run() (*Checkpoint, *Result, error) {
 	}
 	obsDown := e.initObs()
 	defer obsDown()
+	// Each worker explores on a private checker from the pool. They go back
+	// after Close, which has read every unit by then: the root unit of a
+	// fresh exploration is worker 0's spare tree.
+	workers := make([]worker, e.cfg.Workers)
+	for i := range workers {
+		ck := newChecker(e.cfg, e.program)
+		ck.cfgDigest, ck.progDigest, ck.deadline = e.cfgDigest, e.progDigest, e.deadline
+		ck.om, ck.tracer, ck.workerID = e.om, e.tracer, i
+		workers[i] = worker{id: i, ck: ck}
+	}
+	defer func() {
+		for i := range workers {
+			workers[i].ck.release()
+		}
+	}()
 	// Resume any checkpoint — the file, or the one handed to Continue — and
 	// seed the work queue; no worker has started, so no lock is taken.
-	units, total, err := e.resume()
+	units, total, err := e.resume(workers[0].ck.spareTree(nil, false))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -149,24 +164,11 @@ func (e *engine) run() (*Checkpoint, *Result, error) {
 	}
 
 	var wg sync.WaitGroup
-	for i := 0; i < e.cfg.Workers; i++ {
-		w := &worker{
-			id: i,
-			ck: &Checker{
-				cfg:        e.cfg,
-				program:    e.program,
-				cfgDigest:  e.cfgDigest,
-				progDigest: e.progDigest,
-				deadline:   e.deadline,
-				om:         e.om,
-				tracer:     e.tracer,
-				workerID:   i,
-			},
-		}
+	for i := range workers {
+		w := &workers[i]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer w.ck.closeScheduler()
 			for {
 				tr := e.take(w)
 				if tr == nil {

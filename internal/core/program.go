@@ -13,16 +13,27 @@ import (
 // once per execution, so everything it creates is rebuilt from scratch
 // each time — exactly like re-running a real program.
 type Program struct {
-	ck *Checker
+	ck    *Checker
+	local any
 }
+
+// Local is a slot for whatever builds the program to keep state in from
+// one execution to the next: gofront keeps there the arena its
+// execution-scoped values come from. A checker passes its set-up the same
+// *Program every execution, and starts the next set-up only once every
+// thread of the previous execution has been torn down; a checker's next
+// Run inherits the slot with the rest of its scratch. No two executions
+// run on one handle at once.
+func (p *Program) Local() *any { return &p.local }
 
 // Machine is a simulated compute node with an independent failure domain.
 type Machine struct {
-	ck      *Checker
-	id      MachineID
-	name    string
-	failed  bool
-	threads []*Thread
+	ck       *Checker
+	id       MachineID
+	name     string
+	joinNote string // "join "+name, what a thread blocked in Join shows in a deadlock report
+	failed   bool
+	threads  []*Thread
 	// joiners are threads blocked in Join on this machine.
 	joiners []*Thread
 }
@@ -31,9 +42,10 @@ type Machine struct {
 // whose failures are explored and one that survives to observe the
 // post-failure memory.
 //
-// Machine structs are pooled across executions: resetExecution truncates
-// ck.machines to length 0 keeping the backing array, and the slots past
-// the length still hold last execution's structs for reuse here.
+// Machine structs are pooled across executions and Runs (they are in the
+// checker's scratch): resetExecution truncates ck.machines to length 0
+// keeping the backing array, and the slots past the length still hold the
+// last execution's structs for reuse here.
 func (p *Program) NewMachine(name string) *Machine {
 	ck := p.ck
 	n := len(ck.machines)
@@ -52,10 +64,13 @@ func (p *Program) NewMachine(name string) *Machine {
 	}
 	m.ck = ck
 	m.id = MachineID(n)
+	if m.name != name || m.joinNote == "" {
+		m.joinNote = "join " + name
+	}
 	m.name = name
 	m.failed = false
 	if ck.fp != nil {
-		ck.fp.record("machine", name)
+		ck.fp.names("machine", name)
 	}
 	return m
 }
@@ -78,7 +93,7 @@ func (m *Machine) Failed() bool { return m.failed }
 // Thread adds a simulated thread running fn on the machine. Threads are
 // scheduled deterministically under the run's seed. Thread structs (and
 // their buffer state, and the function the scheduler runs) are pooled
-// across executions like machines.
+// across executions and Runs like machines.
 func (m *Machine) Thread(name string, fn func(*Thread)) *Thread {
 	ck := m.ck
 	n := len(ck.threads)
@@ -107,7 +122,7 @@ func (m *Machine) Thread(name string, fn func(*Thread)) *Thread {
 	}
 	ck.touch(t)
 	if ck.fp != nil {
-		ck.fp.record("thread", m.name, name)
+		ck.fp.names("thread", m.name, name)
 	}
 	return t
 }
@@ -138,7 +153,7 @@ func (p *Program) Init64(addr Addr, val uint64) {
 		p.ck.mem.InitWrite(addr, 8, val)
 	}
 	if p.ck.fp != nil {
-		p.ck.fp.record("init", addr, val)
+		p.ck.fp.nums("init", uint64(addr), val)
 	}
 }
 
@@ -167,7 +182,7 @@ func (p *Program) NewMutex(name string) *Mutex {
 	mu.owner = nil
 	mu.releasedByFailure = false
 	if ck.fp != nil {
-		ck.fp.record("mutex", name)
+		ck.fp.names("mutex", name)
 	}
 	return mu
 }
@@ -188,7 +203,7 @@ func (ck *Checker) alloc(size, align uint64) Addr {
 	}
 	ck.heapNext = Addr(next + size)
 	if ck.fp != nil {
-		ck.fp.record("alloc", size, align)
+		ck.fp.nums("alloc", size, align)
 	}
 	return Addr(next)
 }

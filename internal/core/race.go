@@ -63,8 +63,8 @@ type raceWord struct {
 	key int32
 }
 
-// raceDetector holds all detector state. It is pooled on the Checker and
-// reset per execution; when RaceDetect is off, `on` stays false and every
+// raceDetector holds all detector state. It is in the Checker's scratch,
+// kept across executions and Runs and reset per execution; when RaceDetect is off, `on` stays false and every
 // hot-path hook is a single branch with zero allocations.
 type raceDetector struct {
 	on bool

@@ -105,20 +105,15 @@ func Replay(token string, cfg Config, program func(*Program)) (*Result, error) {
 // (which, under lenient replay, may differ from the input). The executed
 // path is what makes a minimized token exactly replayable.
 func replayPath(cfg Config, program func(*Program), progDigest string, steps []decision.Step, lenient bool) (result *Result, executed []decision.Step, err error) {
-	ck := &Checker{
-		cfg:        cfg,
-		program:    program,
-		tree:       decision.NewReplayTree(steps, lenient),
-		cfgDigest:  configDigest(cfg),
-		progDigest: progDigest,
-		replaying:  !lenient,
-	}
+	ck := newChecker(cfg, program)
+	ck.tree = ck.spareTree(steps, lenient)
+	ck.cfgDigest, ck.progDigest, ck.replaying = configDigest(cfg), progDigest, !lenient
 	start := time.Now()
 	if cfg.MaxTime > 0 {
 		ck.deadline = start.Add(cfg.MaxTime)
 	}
 	defer func() {
-		ck.closeScheduler()
+		defer ck.release()
 		if v := recover(); v != nil {
 			if se, ok := v.(setupError); ok {
 				result, executed, err = nil, nil, se

@@ -53,7 +53,7 @@ func TestScheduleStreamIsTheSeededStream(t *testing.T) {
 				t.Fatal("the first execution memoised its draws: a one-execution checker would pay for the buffer")
 			}
 			if exec > 0 {
-				s.rewind()
+				s.restart(seed)
 			}
 			n := lengths.Intn(2000)
 			if exec%100 == 50 || exec%100 == 51 {
@@ -80,6 +80,47 @@ func TestScheduleStreamIsTheSeededStream(t *testing.T) {
 		if len(s.buf) > streamCap {
 			t.Fatalf("seed %d: %d draws memoised, cap %d", seed, len(s.buf), streamCap)
 		}
+	}
+}
+
+// TestScheduleStreamRestartsUnderAnySeed: a stream handed from one
+// checker to the next — the same seed or another, after an execution
+// inside its memo or past the cap — draws exactly the stream freshly
+// seeded for the new seed, and a restart under the same seed draws
+// nothing from the source for what it memoised.
+func TestScheduleStreamRestartsUnderAnySeed(t *testing.T) {
+	lengths := rand.New(rand.NewSource(2))
+	ns := streamNs()
+	src := &countingSource{Source: rand.NewSource(0)}
+	s := &scheduleStream{src: src}
+	seeds := []int64{0, 0, 5, 5, 5, -3, 0, 7, 7}
+	prev := 0 // raw values the last execution drew
+	for exec, seed := range seeds {
+		memo := 0
+		if exec > 0 && seed == seeds[exec-1] && prev <= len(s.buf) {
+			memo = len(s.buf)
+		}
+		s.restart(seed)
+		if len(s.buf) != memo {
+			t.Fatalf("execution %d under seed %d: %d draws kept, want %d", exec, seed, len(s.buf), memo)
+		}
+		n := lengths.Intn(2000)
+		if exec == 3 {
+			n = streamCap + 10
+		}
+		src.n = 0
+		raw := &countingSource{Source: rand.NewSource(seed)}
+		want := rand.New(raw)
+		for i := 0; i < n; i++ {
+			k := ns[lengths.Intn(len(ns))]
+			if got, w := s.intn(k), want.Intn(k); got != w {
+				t.Fatalf("execution %d under seed %d, draw %d: intn(%d) = %d, the seeded stream's Intn is %d", exec, seed, i, k, got, w)
+			}
+		}
+		if live := max(0, raw.n-memo); src.n != live {
+			t.Fatalf("execution %d under seed %d: %d values drawn from the source, want the %d past the %d memoised", exec, seed, src.n, live, memo)
+		}
+		prev = raw.n
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/memmodel"
 	"repro/internal/sched"
@@ -208,7 +209,7 @@ func (t *Thread) Join(m *Machine) (failedMachine bool) {
 			return false
 		}
 		m.joiners = append(m.joiners, t)
-		t.block("join " + m.name)
+		t.block(m.joinNote)
 	}
 }
 
@@ -248,12 +249,11 @@ func (t *Thread) JoinThreads(targets ...*Thread) {
 			}
 			return
 		}
-		// Register with every involved machine; joiner lists are cleared
-		// on each wake, so re-registration per round is correct.
-		seen := map[*Machine]bool{}
+		// Register with every involved machine not already waking t;
+		// joiner lists are cleared on each wake, so re-registration per
+		// round is correct.
 		for _, tgt := range targets {
-			if !seen[tgt.mach] {
-				seen[tgt.mach] = true
+			if !slices.Contains(tgt.mach.joiners, t) {
 				tgt.mach.joiners = append(tgt.mach.joiners, t)
 			}
 		}

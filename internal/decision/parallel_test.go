@@ -167,7 +167,7 @@ func TestLenientReplayCountsOnlyFreshDecisions(t *testing.T) {
 		{Kind: KindFailure, N: 2, Chosen: 0},
 		{Kind: KindReadFrom, N: 3, Chosen: 2}, // unreachable after the flip below
 	}
-	tr := NewReplayTree(recorded, true)
+	tr := newReplayTree(recorded, true)
 	tr.Begin()
 	tr.Choose(KindFailure, 2)
 	// Divergence: the replayed program asks for a poison decision where a

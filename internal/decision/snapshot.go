@@ -213,21 +213,20 @@ func DecodePath(data []byte) ([]Step, error) {
 	return steps, nil
 }
 
-// NewReplayTree returns a tree preloaded with a recorded path, ready to
-// replay exactly that execution: Begin then Choose return the recorded
-// branches, and decision points past the recorded prefix default to
-// their first branch. With lenient set, a Choose that disagrees with the
-// recorded node (kind or arity) truncates the remaining recorded suffix
-// and continues fresh instead of panicking — the mode path minimization
-// uses when it perturbs a recorded path.
-func NewReplayTree(steps []Step, lenient bool) *Tree {
+// Reset makes t a tree preloaded with a recorded path, ready to replay
+// exactly that execution: Begin then Choose return the recorded branches,
+// and decision points past the recorded prefix default to their first
+// branch. With lenient set, a Choose that disagrees with the recorded node
+// (kind or arity) truncates the remaining recorded suffix and continues
+// fresh instead of panicking — the mode path minimization uses when it
+// perturbs a recorded path. With no steps t is the empty tree NewTree
+// returns. The node storage t grew is reused.
+func (t *Tree) Reset(steps []Step, lenient bool) {
 	// The recording run already counted every preloaded decision point;
 	// a replay's creation counters cover only genuinely fresh decisions,
 	// even when a lenient divergence truncates and re-derives a suffix.
-	t := &Tree{lenient: lenient, recorded: len(steps)}
-	t.nodes = make([]node, len(steps))
-	for i, s := range steps {
-		t.nodes[i] = node{kind: s.Kind, n: s.N, chosen: s.Chosen}
+	*t = Tree{nodes: t.nodes[:0], lenient: lenient, recorded: len(steps)}
+	for _, s := range steps {
+		t.nodes = append(t.nodes, node{kind: s.Kind, n: s.N, chosen: s.Chosen})
 	}
-	return t
 }

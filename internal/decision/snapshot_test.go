@@ -199,7 +199,7 @@ func TestReplayTreeReplaysExactPath(t *testing.T) {
 		{Kind: KindFailure, N: 2, Chosen: 1},
 		{Kind: KindReadFrom, N: 3, Chosen: 2},
 	}
-	tr := NewReplayTree(steps, false)
+	tr := newReplayTree(steps, false)
 	tr.Begin()
 	if got := tr.Choose(KindFailure, 2); got != 1 {
 		t.Fatalf("step 0 = %d, want 1", got)
@@ -215,7 +215,7 @@ func TestReplayTreeReplaysExactPath(t *testing.T) {
 // TestReplayTreeStrictDivergence: in strict mode a disagreeing Choose
 // panics with a Divergence describing the mismatch.
 func TestReplayTreeStrictDivergence(t *testing.T) {
-	tr := NewReplayTree([]Step{{Kind: KindFailure, N: 2, Chosen: 1}}, false)
+	tr := newReplayTree([]Step{{Kind: KindFailure, N: 2, Chosen: 1}}, false)
 	tr.Begin()
 	defer func() {
 		d, ok := recover().(Divergence)
@@ -237,7 +237,7 @@ func TestReplayTreeLenientDivergence(t *testing.T) {
 		{Kind: KindFailure, N: 2, Chosen: 0},
 		{Kind: KindReadFrom, N: 3, Chosen: 2}, // becomes unreachable after the flip
 	}
-	tr := NewReplayTree(steps, true)
+	tr := newReplayTree(steps, true)
 	tr.Begin()
 	tr.Choose(KindFailure, 2)
 	if got := tr.Choose(KindPoison, 2); got != 0 {
@@ -247,4 +247,11 @@ func TestReplayTreeLenientDivergence(t *testing.T) {
 	if len(p) != 2 || p[1].Kind != KindPoison {
 		t.Fatalf("executed path = %v, want the trimmed+fresh sequence", p)
 	}
+}
+
+// newReplayTree is a new tree Reset to replay steps.
+func newReplayTree(steps []Step, lenient bool) *Tree {
+	t := NewTree()
+	t.Reset(steps, lenient)
+	return t
 }

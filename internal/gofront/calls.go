@@ -732,12 +732,9 @@ func (fc *fnCompiler) cxlMethod(fn *types.Func, ops []expr, t types.Type, pos to
 			}
 			m.grow(1, pos)
 			// The thread starts after setup has given m back.
-			src, sites := m.src, m.sites
-			return mach.Thread(n, func(t *core.Thread) {
-				tm := src.newMachine(t, sites)
-				defer tm.release()
-				tm.call(cl, pos)
-			})
+			sp := m.arena.spawn()
+			sp.src, sp.sites, sp.arena, sp.cl, sp.pos = m.src, m.sites, m.arena, cl, pos
+			return mach.Thread(n, sp.run)
 		}}
 
 	case "Mutex.Lock":

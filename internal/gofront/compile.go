@@ -482,10 +482,20 @@ func (fc *fnCompiler) initVar(ref varRef, v expr) stmt {
 	s := ref.slot
 	if ref.rep == rRef {
 		val := v.r
-		return func(fr *frame) ctl { fr.refs[s] = &cell{r: val(fr)}; return ctlNext }
+		return func(fr *frame) ctl {
+			x := val(fr)
+			c := fr.m.arena.cells.one()
+			c.r, fr.refs[s] = x, c
+			return ctlNext
+		}
 	}
 	val := v.slotInt()
-	return func(fr *frame) ctl { fr.refs[s] = &cell{n: val(fr)}; return ctlNext }
+	return func(fr *frame) ctl {
+		x := val(fr)
+		c := fr.m.arena.cells.one()
+		c.n, fr.refs[s] = x, c
+		return ctlNext
+	}
 }
 
 // spill compiles "evaluate e once into a fresh slot of lay": save does
@@ -702,8 +712,8 @@ func (fc *fnCompiler) forStmt(st *ast.ForStmt) stmt {
 				return ctlReturn
 			}
 			for _, s := range fresh {
-				prev := fr.refs[s].(*cell)
-				fr.refs[s] = &cell{n: prev.n, r: prev.r}
+				c := fr.m.arena.cells.one()
+				*c, fr.refs[s] = *fr.refs[s].(*cell), c
 			}
 			if post != nil {
 				post(fr)
@@ -731,35 +741,16 @@ func (fc *fnCompiler) rangeStmt(st *ast.RangeStmt) stmt {
 	// The iteration state lives in two temporaries of the frame.
 	iSlot := fc.lay.slot(rInt)
 	index := func(t types.Type) expr { return inFrame(t, iSlot) }
-	pos := st.Pos()
-	loop := func(n func(*frame) int, setKey, setVal, body stmt) stmt {
-		return func(fr *frame) ctl {
-			for i, end := 0, n(fr); i < end; i++ {
-				fr.m.tick(pos)
-				fr.ints[iSlot] = uint64(i)
-				if setKey != nil {
-					setKey(fr)
-				}
-				if setVal != nil {
-					setVal(fr)
-				}
-				switch body(fr) {
-				case ctlBreak:
-					return ctlNext
-				case ctlReturn:
-					return ctlReturn
-				}
-			}
-			return ctlNext
-		}
-	}
+	lp := &rangeLoop{pos: st.Pos(), iSlot: iSlot}
 
 	if _, ok := intKind(x.t); ok && x.i != nil {
 		// Range over an integer: the key takes 0..n-1, a negative n
 		// iterates zero times.
-		setKey := bind(st.Key, index)
+		lp.setKey = bind(st.Key, index)
 		count := x.i
-		return loop(func(fr *frame) int { return int(int64(count(fr))) }, setKey, nil, fc.block(st.Body))
+		lp.n = func(fr *frame) int { return int(int64(count(fr))) }
+		lp.body = fc.block(st.Body)
+		return lp.run()
 	}
 	sl, ok := x.t.Underlying().(*types.Slice)
 	if !ok || x.r == nil {
@@ -768,21 +759,60 @@ func (fc *fnCompiler) rangeStmt(st *ast.RangeStmt) stmt {
 		}
 		return nil
 	}
-	// The slice is evaluated once; each iteration reads its element
-	// from the shared backing array as it then is.
+	// The slice is evaluated once, and kept in the frame as the value it
+	// came as (reboxing its header would allocate); each iteration reads
+	// its element from the shared backing array as it then is.
 	sSlot := fc.lay.slot(rRef)
 	src := x.r
-	setKey := bind(st.Key, index)
-	setVal := bind(st.Value, func(t types.Type) expr {
+	lp.setKey = bind(st.Key, index)
+	lp.setVal = bind(st.Value, func(t types.Type) expr {
 		return stored(t,
 			func(fr *frame) uint64 { return fr.refs[sSlot].([]uint64)[fr.ints[iSlot]] },
 			func(fr *frame) any { return fr.refs[sSlot].([]any)[fr.ints[iSlot]] })
 	})
-	length := func(fr *frame) int { s := src(fr).([]uint64); fr.refs[sSlot] = s; return len(s) }
+	lp.n = func(fr *frame) int { s := src(fr); fr.refs[sSlot] = s; return len(s.([]uint64)) }
 	if rep, _ := reprOf(sl.Elem()); rep == rRef {
-		length = func(fr *frame) int { s := src(fr).([]any); fr.refs[sSlot] = s; return len(s) }
+		lp.n = func(fr *frame) int { s := src(fr); fr.refs[sSlot] = s; return len(s.([]any)) }
 	}
-	return loop(length, setKey, setVal, fc.block(st.Body))
+	lp.body = fc.block(st.Body)
+	return lp.run()
+}
+
+// rangeLoop is one compiled range statement: n evaluates the range
+// operand and returns the trip count, and each iteration sets the index
+// temporary, the key and the value, then runs the body.
+type rangeLoop struct {
+	pos                  token.Pos
+	iSlot                int
+	n                    func(*frame) int
+	setKey, setVal, body stmt
+}
+
+// run returns the loop as one closure, kept out of line for the reason
+// callSite.run is: a copy of a closure made by inlining its maker gets
+// none of its own calls inlined, and tick is on every iteration's path.
+//
+//go:noinline
+func (lp *rangeLoop) run() stmt {
+	return func(fr *frame) ctl {
+		for i, end := 0, lp.n(fr); i < end; i++ {
+			fr.m.tick(lp.pos)
+			fr.ints[lp.iSlot] = uint64(i)
+			if lp.setKey != nil {
+				lp.setKey(fr)
+			}
+			if lp.setVal != nil {
+				lp.setVal(fr)
+			}
+			switch lp.body(fr) {
+			case ctlBreak:
+				return ctlNext
+			case ctlReturn:
+				return ctlReturn
+			}
+		}
+		return ctlNext
+	}
 }
 
 func (fc *fnCompiler) switchStmt(st *ast.SwitchStmt) stmt {
@@ -1418,11 +1448,13 @@ func (fc *fnCompiler) funcLit(lit *ast.FuncLit) expr {
 	pos := lit.Pos()
 	return expr{t: sig, r: func(fr *frame) any {
 		fr.m.grow(uint64(len(from)), pos)
-		caps := make([]any, len(from))
+		a := fr.m.arena
+		cl := a.closures.one()
+		cl.fn, cl.caps = code, a.refs.take(len(from))
 		for j, s := range from {
-			caps[j] = fr.refs[s]
+			cl.caps[j] = fr.refs[s]
 		}
-		return &closure{fn: code, caps: caps}
+		return cl
 	}}
 }
 
@@ -1823,9 +1855,9 @@ func (fc *fnCompiler) compositeLit(cl *ast.CompositeLit, addressed bool) expr {
 			}
 		}
 		if rep == rRef {
-			return expr{t: t, r: func(fr *frame) any { return evalAll(refs, fr) }}
+			return expr{t: t, r: func(fr *frame) any { return literal(refs, fr) }}
 		}
-		return expr{t: t, r: func(fr *frame) any { return evalAll(ints, fr) }}
+		return expr{t: t, r: func(fr *frame) any { return literal(ints, fr) }}
 
 	case *types.Struct:
 		if !addressed {
@@ -1862,21 +1894,24 @@ func (fc *fnCompiler) compositeLit(cl *ast.CompositeLit, addressed bool) expr {
 		pos := cl.Pos()
 		return expr{t: types.NewPointer(t), r: func(fr *frame) any {
 			fr.m.grow(uint64(len(zero))+1, pos)
-			f := make([]cell, len(zero))
-			copy(f, zero)
+			a := fr.m.arena
+			o := a.objects.one()
+			o.f = a.cells.take(len(zero))
+			copy(o.f, zero)
 			for _, set := range sets {
-				set(fr, f)
+				set(fr, o.f)
 			}
-			return &object{f: f}
+			return o
 		}}
 	}
 	fc.errorf(cl.Pos(), "unsupported composite literal type %s", t)
 	return expr{}
 }
 
-// evalAll evaluates element closures into a new slice.
+// evalAll evaluates element closures into a slice from the execution's
+// arena: append's element list.
 func evalAll[T any](elems []func(*frame) T, fr *frame) []T {
-	out := make([]T, len(elems))
+	out := slabOf[T](fr.m.arena).take(len(elems))
 	for i, e := range elems {
 		out[i] = e(fr)
 	}

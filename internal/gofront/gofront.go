@@ -235,7 +235,7 @@ func (s *Source) program(entry string, sites *SiteMap) (func(*core.Program), err
 		}}
 	}
 	return func(p *core.Program) {
-		m := s.newMachine(nil, sites)
+		m := s.newMachine(nil, sites, arenaOf(p))
 		defer m.release()
 		fr := m.get(f.code)
 		fr.refs[0] = p

@@ -53,7 +53,7 @@ func TestReleaseResetsTheMachine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	m := s.newMachine(nil, nil)
+	m := s.newMachine(nil, nil, &arena{})
 	deep := s.funcs["Deep"].code
 	func() {
 		defer func() {
@@ -96,7 +96,7 @@ func TestReturnsGiveFramesBack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	m := s.newMachine(nil, nil)
+	m := s.newMachine(nil, nil, &arena{})
 	defer m.release()
 	loop := s.funcs["Loop"].code
 	m.call(loop.self, loop.pos)

@@ -127,9 +127,10 @@ type deferred struct {
 // phase ends however it ended.
 type machine struct {
 	src *Source
-	// The phase's state, reset by release.
+	// The phase's state, reset by release. arena is the execution's.
 	t       *core.Thread
 	sites   *SiteMap
+	arena   *arena
 	depth   int
 	steps   int
 	elems   uint64 // charged against maxHostElems
@@ -176,8 +177,9 @@ const (
 // must cost a positioned fault, not the host's memory.
 const maxHostElems = 1 << 24
 
-// newMachine takes a machine from the pool for one phase.
-func (s *Source) newMachine(t *core.Thread, sites *SiteMap) *machine {
+// newMachine takes a machine from the pool for one phase of the execution
+// whose values come from a.
+func (s *Source) newMachine(t *core.Thread, sites *SiteMap, a *arena) *machine {
 	m, _ := s.machines.Get().(*machine)
 	if m == nil {
 		m = &machine{
@@ -187,7 +189,7 @@ func (s *Source) newMachine(t *core.Thread, sites *SiteMap) *machine {
 			rr:     make([]any, s.maxResults),
 		}
 	}
-	m.t, m.sites = t, sites
+	m.t, m.sites, m.arena = t, sites, a
 	return m
 }
 
@@ -200,7 +202,7 @@ func (m *machine) release() {
 	}
 	m.deferred.used = 0
 	m.args = m.args[:0]
-	m.t, m.sites = nil, nil
+	m.t, m.sites, m.arena = nil, nil, nil
 	m.depth, m.steps, m.elems = 0, 0, 0
 	m.pending, m.failedDefers = 0, 0
 	m.src.machines.Put(m)

@@ -185,6 +185,36 @@ func validTenant(t string) bool {
 	return true
 }
 
+// CheckBounds checks the spec's workload shape against its bounds: the
+// one table both a submitted spec (normalize) and cmd/cxlmc's flag-driven
+// run are held to. A workload is built once per execution, so its size is
+// checked before anything is built: each insert worker is two simulated
+// threads, every key a progress flag, a stride past recipe.MaxStride wraps
+// keys, and the generator rolls the whole program when asked for it.
+// gen.cells keeps the floor of three its writer/reader pattern needs: the
+// range is the wire's, though the generator leaves the pattern out below
+// it.
+func (sp *Spec) CheckBounds() error {
+	type bound struct {
+		name        string
+		v, min, max int
+	}
+	bounds := []bound{{"insert_workers", sp.InsertWorkers, 1, 8}, {"keys", sp.Keys, 1, recipe.MaxKeys},
+		{"stride", sp.Stride, 1, recipe.MaxStride}}
+	if g := sp.Gen; g != nil {
+		bounds = append(bounds, []bound{
+			{"gen.machines", g.MaxMachines, 1, 8}, {"gen.threads_per_machine", g.MaxThreadsPerMachine, 1, 8},
+			{"gen.ops_per_thread", g.MaxOpsPerThread, 1, 64}, {"gen.cells", g.MaxCells, 3, 64}, {"gen.flushes", g.FlushBudget, 1, 16},
+		}...)
+	}
+	for _, f := range bounds {
+		if f.v != 0 && (f.v < f.min || f.v > f.max) {
+			return fmt.Errorf("jobs: %s = %d: want 0 (the default) or %d..%d", f.name, f.v, f.min, f.max)
+		}
+	}
+	return nil
+}
+
 // normalize validates the spec and fills its defaults. It is called at
 // submit time so a bad spec is a 400, never a queued job that fails
 // later.
@@ -204,28 +234,8 @@ func (sp *Spec) normalize() error {
 	if programs != 1 {
 		return fmt.Errorf("jobs: a spec names exactly one program: set bench, gen or source")
 	}
-	// A workload is built once per execution, so its size is checked before
-	// anything is built: each insert worker is two simulated threads, every
-	// key a progress flag, a stride past recipe.MaxStride wraps keys, and the
-	// generator rolls the whole program when asked for it. gen.cells keeps
-	// the floor of three its writer/reader pattern needs: the range is the
-	// wire's, though the generator leaves the pattern out below it.
-	type bound struct {
-		name        string
-		v, min, max int
-	}
-	bounds := []bound{{"insert_workers", sp.InsertWorkers, 1, 8}, {"keys", sp.Keys, 1, recipe.MaxKeys},
-		{"stride", sp.Stride, 1, recipe.MaxStride}}
-	if g := sp.Gen; g != nil {
-		bounds = append(bounds, []bound{
-			{"gen.machines", g.MaxMachines, 1, 8}, {"gen.threads_per_machine", g.MaxThreadsPerMachine, 1, 8},
-			{"gen.ops_per_thread", g.MaxOpsPerThread, 1, 64}, {"gen.cells", g.MaxCells, 3, 64}, {"gen.flushes", g.FlushBudget, 1, 16},
-		}...)
-	}
-	for _, f := range bounds {
-		if f.v != 0 && (f.v < f.min || f.v > f.max) {
-			return fmt.Errorf("jobs: %s = %d: want 0 (the default) or %d..%d", f.name, f.v, f.min, f.max)
-		}
+	if err := sp.CheckBounds(); err != nil {
+		return err
 	}
 	if sp.Source == "" && (sp.SourceName != "" || sp.Entry != "") {
 		return fmt.Errorf("jobs: source_name and entry describe an inline source program; set source")

@@ -105,7 +105,8 @@ type Thread struct {
 func (t *Thread) State() State { return t.state }
 
 // Scheduler coordinates the baton. It is reused across executions via
-// Teardown and Reset; carriers never outlive its Close.
+// Teardown and Reset, and across Runs via Close; carriers never outlive
+// its Close.
 type Scheduler struct {
 	threads []*Thread
 	// free holds Thread structs from torn-down executions — with their
@@ -139,17 +140,18 @@ func (s *Scheduler) Reset() {
 	s.threads = s.threads[:0]
 }
 
-// Close ends the scheduler's life after Teardown: every waiting carrier is
-// stopped before it returns. The scheduler must not be used again.
+// Close ends the carriers after Teardown: every waiting carrier is stopped
+// before it returns. The thread structs stay on the free list without
+// them, so a scheduler used again after Close — a checker's next Run —
+// reuses the structs and makes a fresh carrier for each on its first grant.
 func (s *Scheduler) Close() {
-	for _, ts := range [][]*Thread{s.threads, s.free} {
-		for _, t := range ts {
-			if t.stop != nil {
-				t.stop()
-			}
+	s.Reset()
+	for _, t := range s.free {
+		if t.stop != nil {
+			t.stop()
 		}
+		*t = Thread{}
 	}
-	s.threads, s.free = nil, nil
 }
 
 // NewThread registers a simulated thread running fn. It runs only when
