@@ -37,7 +37,6 @@ func exploreOnce(b *testing.B, cfg cxlmc.Config, prog func(*cxlmc.Program)) {
 	b.ReportMetric(float64(last.Executions), "execs-per-exploration")
 	b.ReportMetric(float64(last.FailurePoints), "fpoints")
 	b.ReportMetric(float64(last.ReadFromPoints), "rfpoints")
-	b.ReportMetric(float64(last.StepsSaved), "steps-saved")
 	b.ReportMetric(float64(last.RaceReports), "races")
 }
 
@@ -222,16 +221,12 @@ func BenchmarkTable5(b *testing.B) {
 		}
 	}
 	// The algorithmic-win comparison row: CCEH with state-space reduction
-	// and prefix-fork replay disabled (race detection stays on so the
-	// delta against the CCEH row above is the reduction alone).
-	// BENCH_*.json then records the unreduced exec count next to the
-	// reduced CCEH row, so the reduction's effect is a tracked metric
-	// rather than a one-off measurement.
+	// disabled (race detection stays on so the delta against the CCEH row
+	// above is the reduction alone). BENCH_*.json then records the
+	// unreduced exec count next to the reduced CCEH row, so the reduction's
+	// effect is a tracked metric rather than a one-off measurement.
 	b.Run("CCEH_ReductionOff", func(b *testing.B) {
-		cfg := cxlmc.Config{
-			Reduction: cxlmc.SwitchOff, PrefixFork: cxlmc.SwitchOff,
-			RaceDetect: cxlmc.SwitchOn,
-		}
+		cfg := cxlmc.Config{Reduction: cxlmc.SwitchOff, RaceDetect: cxlmc.SwitchOn}
 		exploreOnce(b, cfg, recipe.Program(harness.Benchmarks[0], harness.Table5Config()))
 	})
 	// The detector-cost comparison row: CCEH with race detection off —

@@ -22,7 +22,7 @@ import (
 func main() {
 	table := flag.String("table", "all", "which table to regenerate: 3, 4, 5 or all")
 	seed := flag.Int64("seed", 0, "schedule seed")
-	reduction := flag.String("reduction", "on", "state-space reduction + prefix-fork replay for Table 5: on|off (off reproduces the unreduced exploration the paper reports)")
+	reduction := flag.String("reduction", "on", "state-space reduction for Table 5: on|off (off reproduces the unreduced exploration the paper reports)")
 	flag.Parse()
 	redSw := cxlmc.SwitchOn
 	switch *reduction {

@@ -9,7 +9,7 @@
 //	      [-workers 0] [-cpuprofile file] [-memprofile file]
 //	      [-checkpoint file] [-checkpoint-every N] [-checkpoint-interval d]
 //	      [-replay token] [-max-events N]
-//	      [-reduction on|off] [-prefix-fork on|off] [-race-detect on|off]
+//	      [-reduction on|off] [-race-detect on|off]
 //	      [-chaos] [-chaos-seed N]
 //	      [-metrics-addr host:port] [-progress d] [-event-log file]
 //	      [-metrics-snapshot file] [-continue]
@@ -31,8 +31,8 @@
 // benchmark: the file is written against the public gofront/cxl API
 // (import "cxl" or "repro/gofront/cxl"), type-checked against the
 // supported subset, and compiled once at load so every load, store,
-// flush, fence, atomic and lock is a checker event — reduction, prefix-fork,
-// race detection, repro tokens and -replay all work unchanged. -entry
+// flush, fence, atomic and lock is a checker event — reduction, race
+// detection, repro tokens and -replay all work unchanged. -entry
 // names the entry function (signature func(*cxl.Region); default
 // Program). Parse errors, type errors and unsupported constructs are
 // reported as file:line diagnostics with exit code 2, never a panic.
@@ -67,12 +67,10 @@
 //
 // Algorithmic reduction: -reduction (default on) prunes failure
 // decision points no surviving thread could ever observe, exploring
-// fewer executions with a provably identical bug set; -prefix-fork
-// (default on) resumes each execution from the decision prefix it
-// shares with its predecessor instead of re-running it. Both are pure
-// optimizations; -reduction=off -prefix-fork=off restores the
-// exhaustive baseline (repro tokens record the -reduction setting and
-// replay under the same setting).
+// fewer executions with a provably identical bug set; -reduction=off
+// restores the exhaustive baseline (repro tokens record the -reduction
+// setting and replay under the same setting). Every execution re-runs the
+// program from set-up.
 //
 // Static analysis and race detection: -vet runs only the cxlvet static
 // pre-pass — one instrumented deterministic dry run of the program —
@@ -176,7 +174,7 @@ func dispatch() int {
 // their flags to: what a flag means when absent is the same in every mode
 // (cmd/cxlmc explores with race detection on).
 func cliSpec() jobs.Spec {
-	return jobs.Spec{Reduction: cxlmc.SwitchOn, PrefixFork: cxlmc.SwitchOn, RaceDetect: cxlmc.SwitchOn}
+	return jobs.Spec{Reduction: cxlmc.SwitchOn, RaceDetect: cxlmc.SwitchOn}
 }
 
 func run() int {
@@ -485,9 +483,8 @@ func run() int {
 		fmt.Printf("executions  %d (complete=%v)\n", res.Executions, res.Complete)
 		fmt.Printf("fpoints     %d\n", res.FailurePoints)
 		fmt.Printf("rfpoints    %d\n", res.ReadFromPoints)
-		if res.Pruned > 0 || res.PrefixForks > 0 {
-			fmt.Printf("reduction   pruned=%d prefix-forks=%d steps-saved=%d\n",
-				res.Pruned, res.PrefixForks, res.StepsSaved)
+		if res.Pruned > 0 {
+			fmt.Printf("reduction   pruned=%d\n", res.Pruned)
 		}
 		if res.RaceReports > 0 {
 			fmt.Printf("races       %d report(s) from the happens-before detector (distinct races under BUGS FOUND)\n",

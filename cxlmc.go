@@ -74,8 +74,8 @@ import (
 type Config = core.Config
 
 // Switch is a three-valued on/off knob whose zero value means "use the
-// default" — used by Config.Reduction and Config.PrefixFork, which default
-// to on, and Config.RaceDetect, which defaults to off.
+// default" — used by Config.Reduction, which defaults to on, and
+// Config.RaceDetect, which defaults to off.
 type Switch = core.Switch
 
 // Switch values.

@@ -72,8 +72,8 @@ type Checker struct {
 	readIter memmodel.CandidateIter
 
 	// stepNo is the current execution's scheduler step counter (1-based
-	// inside the loop); shared by the livelock check, the prefix-fork
-	// step map and the reduction headroom proof.
+	// inside the loop); shared by the livelock check and the reduction
+	// headroom proof.
 	stepNo int
 
 	// State-space reduction (Config.Reduction). reduce caches the
@@ -88,24 +88,6 @@ type Checker struct {
 	// synchronization op); observing caches Observer != nil.
 	inRMW     bool
 	observing bool
-
-	// Prefix-fork fast replay (Config.PrefixFork). While forkEnabled,
-	// every execution records its steps (stepLog), resolved read-from
-	// candidates (loadLog) and the scheduler step of each decision depth
-	// (pathStep). After a backtrack, armFork translates the pending
-	// decision's depth into the step the next execution first diverges
-	// at (forkStep); the next execution adopts it as fastUntil and replays
-	// everything before it from the logs — skipping the thread/buffer
-	// scans and the per-load candidate search — and switches to live
-	// execution there. forkOK marks the logs as describing the previous
-	// execution completely; a new checker, unit adoption, dirty resets and
-	// strict replay clear it.
-	forkEnabled bool
-	forkOK      bool
-	forkStep    int
-	fast        bool
-	fastUntil   int
-	loadPos     int
 
 	// cfg sits last: it is large and read-mostly, and the per-step fields
 	// above should not all move when Config gains or loses a field (a
@@ -144,10 +126,6 @@ type scratch struct {
 	// race is the happens-before detector (Config.RaceDetect): its slab,
 	// word table, clocks and epoch slices.
 	race raceDetector
-	// The prefix-fork logs (see Checker.forkEnabled).
-	stepLog  []stepRec
-	loadLog  []loadRec
-	pathStep []int
 	// spare is the decision tree whose node storage the digest pass, a
 	// replay or a fresh exploration's root unit starts from (spareTree).
 	spare *decision.Tree
@@ -312,41 +290,6 @@ func (s *scheduleStream) restart(seed int64) {
 	s.pos = 0
 }
 
-// stepRec is one recorded scheduler step: what the step did and the RNG
-// draws that selected it, so the fast path can validate that its RNG
-// stream stays aligned with the recording execution's.
-type stepRec struct {
-	op     uint8 // opGrant, opCommitSB, opCommitFB
-	chance bool  // a commit-chance draw preceded the selection
-	pickN  int32 // size of the candidate list the selection drew from
-	pick   int32 // result of that Intn draw
-	thread int32 // index into ck.threads
-}
-
-// Recorded step operations.
-const (
-	opGrant uint8 = iota
-	opCommitSB
-	opCommitFB
-)
-
-// loadRec is one recorded run of a load's bytes that did not come from the
-// store buffer. A settled run (memmodel.SettledRun) is n bytes worth val
-// from one possible source, σ c.Seq, and touched nothing, so the fast path
-// takes val and n as they stand. Otherwise the record is a byte step: n is
-// 1, c is the candidate the lazy search resolved and chain counts the
-// read-from decision points the search consumed. The fast path skips the
-// search, fast-forwards the decision cursor past the chain, and re-applies
-// the constraint refinement live — ApplyReadConstraint is deterministic
-// given the candidate, so no memory-model state needs snapshotting.
-type loadRec struct {
-	c       memmodel.Candidate
-	val     uint64
-	chain   int32
-	n       uint8
-	settled bool
-}
-
 // Run explores the program under cfg and returns the aggregated result.
 // program is invoked once per execution to (re)build machines, threads
 // and initial memory.
@@ -499,34 +442,7 @@ func (ck *Checker) runExecutionLoop() {
 	defer ck.sch.Teardown()
 
 	ck.reduce = ck.cfg.reductionOn()
-	ck.forkEnabled = ck.cfg.prefixForkOn() && !ck.replaying
-
-	// Prefix-fork: adopt the armed fast-replay boundary, if any. The
-	// logs stay untouched while fast — they ARE the prefix — and are
-	// truncated to the consumed prefix at the fork point; without a fork
-	// they restart empty.
-	ck.fastUntil = 0
-	if ck.forkOK && ck.forkStep > 1 && ck.forkEnabled {
-		ck.fastUntil = ck.forkStep
-		if ck.fastUntil-1 > len(ck.stepLog) {
-			internalPanic("prefix-fork: step log shorter than the armed fork point")
-		}
-		ck.fast = true
-		ck.stats.PrefixForks++
-	} else {
-		ck.stepLog = ck.stepLog[:0]
-		ck.loadLog = ck.loadLog[:0]
-	}
-	ck.forkStep = 0
-	ck.forkOK = false
-	ck.loadPos = 0
 	ck.stepNo = 0
-	defer func() {
-		// The logs now describe this execution end-to-end (recording is
-		// unconditional while forkEnabled).
-		ck.fast = false
-		ck.forkOK = ck.forkEnabled
-	}()
 
 	// The engine goroutine runs the scheduler steps up to the first grant
 	// and hands that thread the baton. From there the thread holding the
@@ -538,12 +454,12 @@ func (ck *Checker) runExecutionLoop() {
 }
 
 // advance runs scheduler steps under the seeded schedule — buffer commits
-// and their fast-replayed recordings inline — until a step grants a
-// thread, which it returns; nil means the execution is over (a bug
-// aborted it, nothing can make progress, or a limit was hit). It is
-// called by whichever goroutine holds the baton, at its instruction
-// boundary; ck.current is nil while it runs and the granted thread when
-// it returns, and the caller passes the baton to that thread.
+// inline — until a step grants a thread, which it returns; nil means the
+// execution is over (a bug aborted it, nothing can make progress, or a
+// limit was hit). It is called by whichever goroutine holds the baton, at
+// its instruction boundary; ck.current is nil while it runs and the
+// granted thread when it returns, and the caller passes the baton to that
+// thread.
 func (ck *Checker) advance() *Thread {
 	ck.current = nil
 	// timedOut also ends the loop: the run is out of time mid-execution.
@@ -572,23 +488,7 @@ func (ck *Checker) advance() *Thread {
 			stepHook(ck)
 		}
 
-		if ck.fast {
-			if ck.stepNo < ck.fastUntil {
-				ck.stats.StepsSaved++
-				if t := ck.replayStep(&ck.stepLog[ck.stepNo-1]); t != nil {
-					ck.current = t
-					return t
-				}
-				continue
-			}
-			// Fork point reached: drop the log suffix belonging to the
-			// previous execution and record live from here on.
-			ck.fast = false
-			ck.stepLog = ck.stepLog[:ck.fastUntil-1]
-			ck.loadLog = ck.loadLog[:ck.loadPos]
-		}
-
-		var chance, commit bool
+		var commit bool
 		switch {
 		case ck.nRun == 0 && ck.nPend == 0:
 			if blocked := ck.liveBlockedThreads(); len(blocked) > 0 {
@@ -604,7 +504,6 @@ func (ck *Checker) advance() *Thread {
 		case ck.nPend == 0:
 			commit = false
 		default:
-			chance = true
 			commit = ck.stream.intn(100) < ck.cfg.commitChance
 		}
 		// The i-th candidate is the i-th set bit in ascending order: threads
@@ -613,35 +512,14 @@ func (ck *Checker) advance() *Thread {
 		if !commit {
 			i := ck.stream.intn(int(ck.nRun))
 			t := ck.threads[nthBit(ck.runBits, i)]
-			if ck.forkEnabled {
-				ck.logStep(opGrant, chance, ck.nRun, i, t)
-			}
 			ck.current = t
 			return t
 		}
 		i := ck.stream.intn(int(ck.nPend))
 		b := nthBit(ck.pendBits, i)
-		t, fb := ck.threads[b>>1], b&1 == 1
-		if ck.forkEnabled {
-			op := opCommitSB
-			if fb {
-				op = opCommitFB
-			}
-			ck.logStep(op, chance, ck.nPend, i, t)
-		}
-		ck.commitTo(t, fb)
+		ck.commitTo(ck.threads[b>>1], b&1 == 1)
 	}
 	return nil
-}
-
-// logStep records a live step for the prefix-fork fast path. The record
-// is written in place, field by field: built whole and copied in, its
-// field stores would be read back as one 16-byte load the CPU cannot
-// forward, a stall on every step.
-func (ck *Checker) logStep(op uint8, chance bool, n int32, pick int, t *Thread) {
-	ck.stepLog = append(ck.stepLog, stepRec{})
-	r := &ck.stepLog[len(ck.stepLog)-1]
-	r.op, r.chance, r.pickN, r.pick, r.thread = op, chance, n, int32(pick), int32(t.idx)
 }
 
 // stepHook, when set, runs at the top of every scheduler step. It is nil
@@ -701,43 +579,10 @@ func nthBit(set []uint64, i int) int {
 	return 0
 }
 
-// replayStep re-executes one recorded scheduler step on the fast path:
-// the RNG draws are reproduced and validated against the recording (the
-// streams must be identical or the prefix property is broken), the
-// thread/buffer scans are skipped, and the step's effect runs fully live
-// — a commit here, a grant by returning the thread for advance's caller
-// to pass the baton to — so every memory-model mutation, failure
-// injection and pruning decision is recomputed exactly as recorded.
-func (ck *Checker) replayStep(rec *stepRec) *Thread {
-	if rec.chance {
-		commit := ck.stream.intn(100) < ck.cfg.commitChance
-		if commit != (rec.op != opGrant) {
-			internalPanic("prefix-fork: commit-chance draw diverged from the recorded prefix")
-		}
-	}
-	if int32(ck.stream.intn(int(rec.pickN))) != rec.pick {
-		internalPanic("prefix-fork: selection draw diverged from the recorded prefix")
-	}
-	if int(rec.thread) >= len(ck.threads) {
-		internalPanic("prefix-fork: recorded thread index out of range")
-	}
-	t := ck.threads[rec.thread]
-	if rec.op == opGrant {
-		if t.mach.failed || t.st.State() != sched.Runnable {
-			internalPanic("prefix-fork: recorded grant of a thread that cannot run")
-		}
-		return t
-	}
-	ck.commitTo(t, rec.op == opCommitFB)
-	return nil
-}
-
-// choose resolves a decision point through the tree, recording the
-// scheduler step each decision depth occurred at — the map armFork uses
-// to translate the pending decision into a fast-replay boundary. A point
-// the tree counts as fresh (its Created count moved; a replayed one does
-// not) is also counted into the metrics and the event trace, at the depth
-// it was chosen at.
+// choose resolves a decision point through the tree. A point the tree
+// counts as fresh (its Created count moved; a replayed one does not) is
+// also counted into the metrics and the event trace, at the depth it was
+// chosen at.
 func (ck *Checker) choose(kind decision.Kind, n int) int {
 	d := ck.tree.Depth()
 	// Only a checker with somewhere to record a point reads the count, so
@@ -752,40 +597,7 @@ func (ck *Checker) choose(kind decision.Kind, n int) int {
 		ck.om.decisions[kind].Inc()
 		ck.tracer.Record(ck.workerID, obs.EvDecision, int64(kind), int64(d))
 	}
-	if ck.forkEnabled {
-		if d < len(ck.pathStep) {
-			ck.pathStep[d] = ck.stepNo
-		} else {
-			ck.pathStep = append(ck.pathStep, ck.stepNo)
-		}
-	}
 	return r
-}
-
-// armFork arms the prefix-fork fast path for the next execution. Called
-// at the execution boundary right after Advance moved the deepest
-// pending decision to its next branch: every scheduler step before that
-// decision's step replays identically, so the next execution may replay
-// the logged prefix instead of re-deriving it. A no-op when the logs do
-// not describe the previous execution (fresh or adopted unit, dirty
-// state, feature off).
-func (ck *Checker) armFork() {
-	if !ck.forkOK {
-		return
-	}
-	d := ck.tree.PendingDepth()
-	if d < 0 || d >= len(ck.pathStep) {
-		return
-	}
-	ck.forkStep = ck.pathStep[d]
-}
-
-// invalidateFork drops the fork logs' claim to describe the next
-// execution's prefix — required whenever the checker switches to a
-// different decision tree (unit adoption, lease adoption).
-func (ck *Checker) invalidateFork() {
-	ck.forkOK = false
-	ck.forkStep = 0
 }
 
 // liveBlockedThreads returns blocked threads on live machines. The result

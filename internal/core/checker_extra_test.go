@@ -83,9 +83,8 @@ func traceProgramRMW(p *Program) {
 
 // TestTraceOutput pins the text trace to what the last commit with
 // Config.Trace printed for two programs, every execution of each: the goldens
-// are that commit's output, byte for byte. With PrefixFork on the replayed
-// prefixes must say the same as a full re-execution, and removing the
-// observeOp call of any effect kind turns a golden red.
+// are that commit's output, byte for byte: removing the observeOp call of
+// any effect kind turns a golden red.
 func TestTraceOutput(t *testing.T) {
 	for _, c := range []struct {
 		golden string
@@ -99,20 +98,14 @@ func TestTraceOutput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, fork := range []Switch{SwitchOn, SwitchOff} {
-			var buf bytes.Buffer
-			cfg := c.cfg
-			cfg.Observer, cfg.PrefixFork = TraceTo(&buf), fork
-			res, err := Run(cfg, c.prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if forked := res.PrefixForks > 0; forked != (fork == SwitchOn) {
-				t.Errorf("%s, PrefixFork %v: %d prefix forks", c.golden, fork, res.PrefixForks)
-			}
-			if got := buf.String(); got != string(want) {
-				t.Errorf("%s, PrefixFork %v: trace differs from the golden\n got:\n%s\nwant:\n%s", c.golden, fork, got, want)
-			}
+		var buf bytes.Buffer
+		cfg := c.cfg
+		cfg.Observer = TraceTo(&buf)
+		if _, err := Run(cfg, c.prog); err != nil {
+			t.Fatal(err)
+		}
+		if got := buf.String(); got != string(want) {
+			t.Errorf("%s: trace differs from the golden\n got:\n%s\nwant:\n%s", c.golden, got, want)
 		}
 	}
 }

@@ -65,13 +65,12 @@ type Checkpoint struct {
 	CheckpointErrors int   `json:"checkpoint_errors,omitempty"`
 	Quarantined      bool  `json:"quarantined,omitempty"`
 	Bugs             []Bug `json:"bugs,omitempty"`
-	// Cumulative reduction/prefix-fork counters, same omitempty contract
-	// as the resilience counters above. Eligibility itself is never
-	// serialized: pruning is recomputed deterministically during unit
-	// replay and fork logs are rebuilt once per adopted unit.
-	Pruned      int64 `json:"pruned,omitempty"`
-	PrefixForks int64 `json:"prefix_forks,omitempty"`
-	StepsSaved  int64 `json:"steps_saved,omitempty"`
+	// Cumulative reduction counter, same omitempty contract as the
+	// resilience counters above. Eligibility itself is never serialized:
+	// pruning is recomputed deterministically during unit replay. The
+	// "prefix_forks" and "steps_saved" keys of the deleted prefix-fork
+	// replay decode as nothing.
+	Pruned int64 `json:"pruned,omitempty"`
 	// Cumulative race-detector reports, same omitempty contract.
 	RaceReports int64 `json:"race_reports,omitempty"`
 }
@@ -90,9 +89,7 @@ const numDecisionKinds = 3
 // repro token means; so are the drain bias (commitChance) and the eager
 // read path, which only tests set. Reduction is included for the same
 // reason: a reduced tree has fewer failure nodes, so a path recorded in
-// one mode could silently consume a wrong node in the other. PrefixFork
-// is deliberately excluded — it replays the identical executions, just
-// cheaper, so tokens and checkpoints are portable across its settings.
+// one mode could silently consume a wrong node in the other.
 // RaceDetect (and the UnflushedLines set it arms) is included: a race
 // report aborts its execution, so the detector changes the reachable
 // tree shape and a token recorded in one mode must not replay in the
@@ -343,8 +340,6 @@ func (cp *Checkpoint) Totals() (Tally, Resilience) {
 			PoisonPoints:   cp.BaseCreated[decision.KindPoison],
 			Steps:          cp.Steps,
 			Pruned:         cp.Pruned,
-			PrefixForks:    cp.PrefixForks,
-			StepsSaved:     cp.StepsSaved,
 			RaceReports:    cp.RaceReports,
 		},
 		Bugs: append([]Bug(nil), cp.Bugs...),
@@ -373,8 +368,6 @@ func NewCheckpoint(seed int64, cfgDigest, progDigest string, units [][]byte,
 		Executions:    t.Executions,
 		Steps:         t.Steps,
 		Pruned:        t.Pruned,
-		PrefixForks:   t.PrefixForks,
-		StepsSaved:    t.StepsSaved,
 		RaceReports:   t.RaceReports,
 		Bugs:          t.Bugs,
 

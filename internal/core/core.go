@@ -265,19 +265,10 @@ type Config struct {
 	// mismatched decision nodes.
 	Reduction Switch
 
-	// PrefixFork controls prefix-fork incremental replay (default on):
-	// sibling executions share their decision prefix up to the deepest
-	// backtrack point, so instead of re-deriving every scheduler choice
-	// from scratch, the checker logs each step's effect during the
-	// previous execution and fast-replays the shared prefix from the log
-	// — skipping the runnable/committable scans and the per-load
-	// candidate search, while still applying every memory-model mutation
-	// deterministically. The executions themselves are bit-identical
-	// (the fast path validates the RNG stream and decision cursor as it
-	// goes), so PrefixFork is pure performance and deliberately excluded
-	// from the configuration digest — unlike Reduction it cannot change
-	// the tree shape. Strict Replay and Poison mode fall back to full
-	// re-execution. Saved work is visible as Stats.PrefixForks/StepsSaved.
+	// Deprecated: PrefixFork has no effect. Prefix-fork replay was deleted
+	// because it saved no time: every execution re-runs the program from
+	// set-up. The field stays only because bench/ names it; ROADMAP item 5
+	// deletes it.
 	PrefixFork Switch
 
 	// RaceDetect controls the dynamic happens-before race detector
@@ -346,9 +337,6 @@ func (c *Config) fillDefaults() {
 	if c.Reduction == SwitchDefault {
 		c.Reduction = SwitchOn
 	}
-	if c.PrefixFork == SwitchDefault {
-		c.PrefixFork = SwitchOn
-	}
 	if c.RaceDetect == SwitchDefault {
 		c.RaceDetect = SwitchOff
 	}
@@ -368,11 +356,6 @@ func (c *Config) reductionOn() bool { return c.Reduction != SwitchOff }
 // raceDetectOn reports whether the happens-before race detector is
 // enabled (after fillDefaults resolved the Switch).
 func (c *Config) raceDetectOn() bool { return c.RaceDetect == SwitchOn }
-
-// prefixForkOn reports whether prefix-fork fast replay may be used.
-// Poison mode mutates constraints during the load path's poison check, so
-// it forces full replay.
-func (c *Config) prefixForkOn() bool { return c.PrefixFork != SwitchOff && !c.Poison }
 
 // BugKind classifies a reported bug.
 type BugKind uint8
@@ -483,25 +466,23 @@ func (b Bug) String() string {
 //   - A complete run (Complete true) visits every execution exactly once,
 //     so Executions, FailurePoints, ReadFromPoints, PoisonPoints, Steps,
 //     Pruned, RaceReports and the set of distinct bugs (kind and message)
-//     are identical for every worker count and host, with PrefixFork on or
-//     off, interrupted and resumed or not, in one process or distributed.
+//     are identical for every worker count and host, interrupted and
+//     resumed or not, in one process or distributed.
 //   - A serial run (Workers: 1 — the zero value means GOMAXPROCS, not
 //     serial) is deterministic whether it completes or not: a run that
 //     stops at its first bug or at MaxExecutions stops at the same
-//     execution every time, so all of the above, PrefixForks, StepsSaved
-//     and each Bug.Execution can be compared as well. Only the cutoffs
-//     that read the clock (MaxTime, Stop) move a serial run's stopping
-//     point.
+//     execution every time, so all of the above and each Bug.Execution
+//     can be compared as well. Only the cutoffs that read the clock
+//     (MaxTime, Stop) move a serial run's stopping point.
 //   - A parallel run that stops early promises only that what it reports
 //     is true: every bug is one the complete run reports too, with a repro
 //     token that replays. How far the other workers had got when one of
 //     them stopped the run — Executions and every other counter — depends
 //     on timing and must not be compared between runs.
-//   - Never invariant: Elapsed; across worker counts PrefixForks and
-//     StepsSaved (a worker adopting a subtree starts without a prefix
-//     log), Bug.Execution and the order bugs are discovered in (Result.Bugs
-//     is sorted for that reason); and the operational fields from
-//     Interrupted down, which describe how bumpy the road was.
+//   - Never invariant: Elapsed; across worker counts Bug.Execution and the
+//     order bugs are discovered in (Result.Bugs is sorted for that reason);
+//     and the operational fields from Interrupted down, which describe how
+//     bumpy the road was.
 //
 // The counts arrive here through one carrier, Counters (below); DESIGN.md,
 // "How a count travels", follows one from the checker to this struct.
@@ -530,6 +511,10 @@ type Stats struct {
 	// stale lease epoch — a worker finishing a unit that had already been
 	// reclaimed and re-issued. Rejection is idempotent and harmless.
 	StaleCompletions int
+	// Deprecated: StepsSaved is always zero. It counted the steps
+	// prefix-fork replay skipped, and that replay was deleted. The field
+	// stays only because bench/ names it; ROADMAP item 5 deletes it.
+	StepsSaved int64 `json:"-"`
 }
 
 // Counters are the additive exploration counts: the numbers that mean the
@@ -551,21 +536,13 @@ type Counters struct {
 	ReadFromPoints int
 	// PoisonPoints is the number of poison decision points created.
 	PoisonPoints int
-	// Steps is the total number of scheduler steps across all executions.
-	// Steps replayed through the prefix-fork fast path count normally —
-	// they are real simulated steps, merely executed cheaper — so Steps
-	// is invariant across worker counts and PrefixFork settings.
+	// Steps is the total number of scheduler steps across all executions;
+	// every one runs live, so Steps is invariant across worker counts.
 	Steps int64
 	// Pruned counts decision points skipped by state-space reduction
 	// (Config.Reduction): each one is a subtree proven incapable of
 	// changing the bug set, and for failure points, one execution saved.
 	Pruned int64
-	// PrefixForks counts executions that resumed from a shared decision
-	// prefix via the fast-replay path instead of re-running it in full.
-	PrefixForks int64
-	// StepsSaved counts scheduler steps that went through the prefix-fork
-	// fast path — steps whose scans and candidate searches were skipped.
-	StepsSaved int64
 	// RaceReports counts happens-before race detector reports (data races
 	// and crash-exposed unflushed publishes) before deduplication, so the
 	// count is invariant across worker counts for runs that complete.
@@ -581,8 +558,6 @@ func (c *Counters) addScaled(o Counters, k int) {
 	c.PoisonPoints += k * o.PoisonPoints
 	c.Steps += int64(k) * o.Steps
 	c.Pruned += int64(k) * o.Pruned
-	c.PrefixForks += int64(k) * o.PrefixForks
-	c.StepsSaved += int64(k) * o.StepsSaved
 	c.RaceReports += int64(k) * o.RaceReports
 }
 

@@ -126,9 +126,8 @@ func serialPin(t *testing.T, in pinnedInput) string {
 	if err != nil {
 		t.Fatalf("%s: %v", in.name, err)
 	}
-	c := res.Counters
-	return fmt.Sprintf("%s serial %s forks=%d saved=%d events=%d stream=%x tokens=%s",
-		in.name, counts(res), c.PrefixForks, c.StepsSaved, d.n, d.h.Sum(nil)[:16], bugDigest(res.Bugs, true))
+	return fmt.Sprintf("%s serial %s events=%d stream=%x tokens=%s",
+		in.name, counts(res), d.n, d.h.Sum(nil)[:16], bugDigest(res.Bugs, true))
 }
 
 // parallelPin runs in at four workers and renders what a complete run

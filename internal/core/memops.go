@@ -225,38 +225,14 @@ func (ck *Checker) load(t *Thread, a Addr, size uint8) uint64 {
 // publish: taken together they leave tree and memory model where the bytes
 // taken singly would (DESIGN.md, "Runs"). Poison asks its question of every
 // byte, so it forms no such runs. Any other byte is a run of one, resolved as
-// §4.5 says, and the bytes after it are tried as a run again. Either way the
-// run is one loadLog record, and on the prefix-fork fast path one replayed.
+// §4.5 says, and the bytes after it are tried as a run again.
 func (ck *Checker) cacheRun(t *Thread, rc *memmodel.ReadContext, b Addr, span int) (uint64, int) {
-	var rec loadRec
-	if ck.fast {
-		rec = ck.recordedRun(span)
-	} else if !ck.cfg.Poison {
-		var k int
-		rec.val, k, rec.c.Seq = rc.SettledRun(b, span)
-		rec.n, rec.settled = uint8(k), k > 0
-	}
-	if rec.settled {
-		ck.logRun(rec)
-		return rec.val, int(rec.n)
-	}
 	if ck.cfg.Poison {
 		ck.poisonCheck(t, b)
+	} else if v, k := rc.SettledRun(b, span); k > 0 {
+		return v, k
 	}
-	c := rec.c
-	if ck.fast {
-		// The recorded candidate is taken as-is and the decision cursor
-		// fast-forwards past the read-from chain the search consumed; the
-		// refinement below runs live, so memory-model state evolves exactly
-		// as in the recording.
-		if !ck.tree.FastForward(int(rec.chain)) {
-			internalPanic("prefix-fork: recorded read-from chain runs past the decision prefix")
-		}
-	} else {
-		d := ck.tree.Depth()
-		c = ck.chooseCandidate(rc, b)
-		ck.logRun(loadRec{c: c, chain: int32(ck.tree.Depth() - d), n: 1})
-	}
+	c := ck.chooseCandidate(rc, b)
 	for need := uint64(c.Fail.Diff(ck.failed)); need != 0; need &= need - 1 {
 		ck.failMachine(ck.machines[bits.TrailingZeros64(need)], t, OpEvent{Cause: OpLoad, Addr: b, Ref: c.Seq})
 	}
@@ -266,29 +242,6 @@ func (ck *Checker) cacheRun(t *Thread, rc *memmodel.ReadContext, b Addr, span in
 		ck.raceCheckExposed(t, b, c)
 	}
 	return uint64(c.Val), 1
-}
-
-// logRun records a run resolved live for the prefix-fork fast path.
-func (ck *Checker) logRun(rec loadRec) {
-	if ck.forkEnabled && !ck.fast {
-		ck.loadLog = append(ck.loadLog, rec)
-	}
-}
-
-// recordedRun consumes the loadLog record of the run the recording execution
-// resolved where the fast path now stands, span bytes left to it. A record
-// that cannot be that run — none left, no or too many bytes, a σ not yet
-// committed — means the log and the replay have parted ways.
-func (ck *Checker) recordedRun(span int) loadRec {
-	if ck.loadPos >= len(ck.loadLog) {
-		internalPanic("prefix-fork: load log exhausted before the fork point")
-	}
-	rec := ck.loadLog[ck.loadPos]
-	ck.loadPos++
-	if rec.n == 0 || int(rec.n) > span || rec.c.Seq > ck.mem.Seq() {
-		internalPanic("prefix-fork: recorded run does not fit the load replaying it")
-	}
-	return rec
 }
 
 // chooseCandidate walks the lazy candidate enumeration newest-first,

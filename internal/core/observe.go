@@ -29,9 +29,7 @@ type coreMetrics struct {
 	decisions  [numDecisionKinds]*obs.Counter
 	backtracks *obs.Counter
 
-	pruned      *obs.Counter
-	prefixForks *obs.Counter
-	stepsSaved  *obs.Counter
+	pruned *obs.Counter
 
 	races       *obs.Counter
 	vetFindings *obs.Counter
@@ -60,9 +58,7 @@ func newCoreMetrics(reg *obs.Registry) coreMetrics {
 		bugs:       reg.Counter("cxlmc_bugs_total", "distinct bugs found"),
 		backtracks: reg.Counter("cxlmc_backtracks_total", "decision-tree backtracks"),
 
-		pruned:      reg.Counter("cxlmc_pruned_total", "failure decision points pruned by state-space reduction"),
-		prefixForks: reg.Counter("cxlmc_prefix_forks_total", "executions resumed from a shared decision prefix"),
-		stepsSaved:  reg.Counter("cxlmc_prefix_steps_saved_total", "scheduler steps fast-replayed from the prefix log"),
+		pruned: reg.Counter("cxlmc_pruned_total", "failure decision points pruned by state-space reduction"),
 
 		races:       reg.Counter("cxlmc_races_total", "happens-before race detector reports (pre-dedup)"),
 		vetFindings: reg.Counter("cxlmc_vet_findings_total", "cxlvet static analysis findings"),
@@ -115,8 +111,6 @@ func (m coreMetrics) publish(d Counters, bugs int) {
 	m.execs.Add(int64(d.Executions))
 	m.steps.Add(d.Steps)
 	m.pruned.Add(d.Pruned)
-	m.prefixForks.Add(d.PrefixForks)
-	m.stepsSaved.Add(d.StepsSaved)
 	m.races.Add(d.RaceReports)
 	m.bugs.Add(int64(bugs))
 }

@@ -106,7 +106,7 @@ func TestObserverSeesOnlyExploredExecutions(t *testing.T) {
 func TestObservationOffAllocatesNothing(t *testing.T) {
 	const rounds = 20
 	allocs := -1.0
-	res := run(t, Config{Workers: 1, MaxExecutions: 1, PrefixFork: SwitchOff}, func(p *Program) {
+	res := run(t, Config{Workers: 1, MaxExecutions: 1}, func(p *Program) {
 		x := p.Alloc(8)
 		y := p.Alloc(8)
 		var spare []*Machine

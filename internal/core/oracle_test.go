@@ -23,14 +23,14 @@ import (
 var oracleK = flag.Int("oracle-k", 2, "ops per writer in TestOracleProperties's corpus")
 
 // oracleConfigs are the configurations the checker must agree with the
-// oracle under.
+// oracle under. One that sets no Workers runs serially.
 var oracleConfigs = []struct {
 	name string
 	cfg  core.Config
 }{
 	{"default", core.Config{}},
 	{"reduction-off", core.Config{Reduction: core.SwitchOff}},
-	{"prefix-fork-off", core.Config{PrefixFork: core.SwitchOff}},
+	{"workers-2", core.Config{Workers: 2}},
 	{"eager-read-set", core.WithEagerReadSet(core.Config{})},
 }
 
@@ -113,6 +113,7 @@ func TestOracleProperties(t *testing.T) {
 			t.Parallel()
 			cfg := c.cfg
 			cfg.RaceDetect = core.SwitchOff
+			cfg.Workers = max(cfg.Workers, 1)
 			start := time.Now()
 			var programs, included, equal, shared, short int
 			for p := range progir.Corpus(*oracleK) {

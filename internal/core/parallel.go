@@ -262,9 +262,6 @@ func (e *engine) take(w *worker) *decision.Tree {
 func (e *engine) runUnit(w *worker, tr *decision.Tree) {
 	ck := w.ck
 	ck.tree = tr
-	// Adopting a unit invalidates any prefix-fork log: the recorded steps
-	// belong to the previous unit's pending path, not this tree's.
-	ck.invalidateFork()
 	released := false
 	defer func() {
 		v := recover()
@@ -369,11 +366,6 @@ func (e *engine) boundaryLocked(w *worker, tr *decision.Tree) (leave, spent bool
 	// A backtrack, at the depth of the decision point that advanced.
 	e.om.backtracks.Inc()
 	e.tracer.Record(w.id, obs.EvBacktrack, int64(tr.PendingDepth()), 0)
-	// The next pending path shares a prefix with the one just run: arm the
-	// prefix-fork so the shared steps fast-replay. (Split below only carves
-	// off un-taken branches; the pending path — and therefore the armed
-	// fork — survives it.)
-	ck.armFork()
 	if e.cutoffLocked() {
 		return true, false
 	}

@@ -59,9 +59,8 @@ func decodeReproToken(s string) (*reproToken, error) {
 // MaxEventsPerExec, Reduction, RaceDetect and its UnflushedLines, and the
 // region size, step limit and drain bias, which only tests change) and the
 // program structure must match the recording run, and a mismatch is rejected
-// with a descriptive error. PrefixFork is not part of the digest — a
-// replay always re-executes in full regardless of its setting. The
-// replay is a single execution; Stats.Executions is 1.
+// with a descriptive error. The replay is a single execution;
+// Stats.Executions is 1.
 func Replay(token string, cfg Config, program func(*Program)) (*Result, error) {
 	if program == nil {
 		return nil, setupError{"nil program"}

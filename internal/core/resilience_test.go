@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/decision"
+	"repro/internal/sched"
 )
 
 // Test programs for the resilience suite. resilientClean fully explores
@@ -222,8 +223,6 @@ func TestStopRacingTheFinish(t *testing.T) {
 		if err == nil && !res.Complete {
 			_, res, err = Continue(Config{Workers: 1}, resilientClean, cp)
 		}
-		// A resumed run rebuilds its prefix log, so it forks less.
-		res.PrefixForks, res.StepsSaved = full.PrefixForks, full.StepsSaved
 		if err != nil || !res.Complete || res.Counters != full.Counters {
 			t.Fatalf("stop after %v: %v, complete=%v, %+v; uninterrupted %+v", delay, err, res.Complete, res.Counters, full.Counters)
 		}
@@ -415,48 +414,44 @@ func TestStaleTokenDivergesOnExitPath(t *testing.T) {
 	}
 }
 
-// TestPrefixForkInvariantOnExitPath: a prefix-fork log check that fails in
-// a scheduler step run by an exiting thread's goroutine surfaces as an
-// InternalError. The program forces it by breaking the one thing the
-// checker assumes of it — that setup rebuilds it identically: from the
-// second execution on, the thread the recorded prefix grants next is gone
-// or has already returned.
-func TestPrefixForkInvariantOnExitPath(t *testing.T) {
-	onExitPath := false
-	for seed := int64(0); seed < 16 && !onExitPath; seed++ {
-		var rFirst, wStarted, wDone, returned bool
-		_, err := Run(Config{Seed: seed, Workers: 1}, func(p *Program) {
-			a := p.NewMachine("A")
-			b := p.NewMachine("B")
-			x := p.Alloc(8)
-			if wDone { // every execution after the first
-				b.Thread("r", func(*Thread) { returned = true })
-				return
-			}
-			b.Thread("r", func(th *Thread) {
-				rFirst = !wStarted
-				th.Join(a)
-				th.Load64(x)
-			})
-			a.Thread("w", func(th *Thread) {
-				wStarted = true
-				th.Store64(x, 1)
-				th.CLFlush(x)
-				th.SFence()
-				wDone = true
-			})
-		})
-		ie, ok := err.(*InternalError)
-		if !ok || !strings.Contains(ie.Msg, "prefix-fork: recorded") {
-			t.Fatalf("seed %d: err = %v, want the prefix-fork invariant as an InternalError", seed, err)
+// TestInvariantOnExitPathIsAnInternalError: a checker invariant that fails
+// in a scheduler step run by an exiting thread's goroutine (onThreadExit →
+// advance) surfaces as an InternalError carrying the invariant's own
+// message — not a crash, not a Bug, and not the generic "panic in a
+// scheduler step" a panic of unknown kind there becomes. The step hook
+// raises the invariant at the first step after the only thread returned,
+// and that step can only run on its exit path.
+func TestInvariantOnExitPathIsAnInternalError(t *testing.T) {
+	const msg = "invariant raised on the exit path"
+	var r *Thread
+	returned, onExitPath := false, false
+	audit := stepHook
+	stepHook = func(ck *Checker) {
+		audit(ck)
+		if returned && ck.current == nil && r.st.State() == sched.Finished {
+			onExitPath = true
+			internalPanic(msg)
 		}
-		// The recorded prefix granted r first: in the second execution the
-		// engine goroutine replays that grant, r returns at once, and the
-		// replay of the next step — another grant — runs in r's exit.
-		onExitPath = rFirst && returned
 	}
+	defer func() { stepHook = audit }()
+
+	res, err := Run(Config{Workers: 1}, func(p *Program) {
+		x := p.Alloc(8)
+		returned = false
+		r = p.NewMachine("A").Thread("r", func(th *Thread) {
+			th.Store64(x, 1)
+			returned = true
+		})
+	})
 	if !onExitPath {
-		t.Fatal("no seed put the failing step on a thread's exit path")
+		t.Fatal("the hook never ran a step on the thread's exit path")
+	}
+	ie, ok := err.(*InternalError)
+	if !ok || ie.Msg != msg {
+		t.Fatalf("err = %v, want the invariant as an InternalError with message %q", err, msg)
+	}
+	if res != nil && len(res.Bugs) > 0 {
+		t.Fatalf("the invariant was reported as a bug: %v", res.Bugs)
 	}
 }
 

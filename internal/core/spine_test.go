@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -113,8 +114,8 @@ func jsonKeys(t *testing.T, raw []byte) []string {
 // commit before Counters existed (Workers: 4, stopped by MaxExecutions
 // halfway through spineProgram; finished units, four outstanding ones,
 // seven bugs, every counter non-zero) must load, resume to the result that
-// commit resumed it to, re-encode under the same JSON keys, and carry
-// repro tokens that still replay.
+// commit resumed it to, re-encode under the same JSON keys but the two of
+// the deleted prefix-fork replay, and carry repro tokens that still replay.
 func TestParentCheckpointFixture(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v2_parent.json"))
 	if err != nil {
@@ -133,7 +134,7 @@ func TestParentCheckpointFixture(t *testing.T) {
 	// BaseCreated is [4 0 0] in the file: four read-from points (kind 0)
 	// from finished units, the rest still embedded in the outstanding ones.
 	wantMid := core.Counters{Executions: 25, ReadFromPoints: 4, Steps: 3236,
-		Pruned: 15, PrefixForks: 16, StepsSaved: 2106, RaceReports: 15}
+		Pruned: 15, RaceReports: 15}
 	if tally.Counters != wantMid || len(tally.Bugs) != 6 || len(cp.Units) != 4 {
 		t.Fatalf("fixture decodes to %+v, %d bugs, %d units; want %+v, 6 bugs, 4 units",
 			tally.Counters, len(tally.Bugs), len(cp.Units), wantMid)
@@ -142,7 +143,8 @@ func TestParentCheckpointFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := jsonKeys(t, again), jsonKeys(t, raw); !reflect.DeepEqual(got, want) {
+	forkKey := func(k string) bool { return k == "prefix_forks" || k == "steps_saved" }
+	if got, want := jsonKeys(t, again), slices.DeleteFunc(jsonKeys(t, raw), forkKey); !reflect.DeepEqual(got, want) {
 		t.Fatalf("re-encoded checkpoint keys:\n got %v\nwant %v", got, want)
 	}
 	for _, b := range tally.Bugs {
@@ -160,7 +162,7 @@ func TestParentCheckpointFixture(t *testing.T) {
 	}
 	// What the parent commit's own serial resume of this file reports.
 	want := core.Counters{Executions: 51, FailurePoints: 17, ReadFromPoints: 33, Steps: 6743,
-		Pruned: 25, PrefixForks: 38, StepsSaved: 4752, RaceReports: 25}
+		Pruned: 25, RaceReports: 25}
 	if res.Counters != want || !res.Resumed || !res.Complete || len(res.Bugs) != 8 {
 		t.Fatalf("resumed to %+v (resumed=%v complete=%v, %d bugs), want %+v and 8 bugs",
 			res.Counters, res.Resumed, res.Complete, len(res.Bugs), want)
@@ -171,8 +173,7 @@ func TestParentCheckpointFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inv := func(c core.Counters) core.Counters { c.PrefixForks, c.StepsSaved = 0, 0; return c }
-	if inv(full.Counters) != inv(res.Counters) || !reflect.DeepEqual(bugSet(full.Bugs), bugSet(res.Bugs)) {
+	if full.Counters != res.Counters || !reflect.DeepEqual(bugSet(full.Bugs), bugSet(res.Bugs)) {
 		t.Fatalf("resumed %+v %v\n   full %+v %v", res.Counters, bugSet(res.Bugs), full.Counters, bugSet(full.Bugs))
 	}
 }
@@ -184,18 +185,16 @@ func TestParentCheckpointFixture(t *testing.T) {
 func TestMetricsEqualStats(t *testing.T) {
 	check := func(t *testing.T, reg *obs.Registry, res *core.Result) {
 		t.Helper()
-		if !res.Complete || res.Pruned == 0 || res.RaceReports == 0 || res.StepsSaved == 0 || len(res.Bugs) == 0 {
+		if !res.Complete || res.Pruned == 0 || res.RaceReports == 0 || len(res.Bugs) == 0 {
 			t.Fatalf("run does not exercise every series: %+v", res.Stats)
 		}
 		snap := reg.Snapshot()
 		for name, want := range map[string]int64{
-			"cxlmc_executions_total":         int64(res.Executions),
-			"cxlmc_steps_total":              res.Steps,
-			"cxlmc_pruned_total":             res.Pruned,
-			"cxlmc_prefix_forks_total":       res.PrefixForks,
-			"cxlmc_prefix_steps_saved_total": res.StepsSaved,
-			"cxlmc_races_total":              res.RaceReports,
-			"cxlmc_bugs_total":               int64(len(res.Bugs)),
+			"cxlmc_executions_total": int64(res.Executions),
+			"cxlmc_steps_total":      res.Steps,
+			"cxlmc_pruned_total":     res.Pruned,
+			"cxlmc_races_total":      res.RaceReports,
+			"cxlmc_bugs_total":       int64(len(res.Bugs)),
 		} {
 			if got := int64(snap[name]); got != want {
 				t.Errorf("%s = %d, Stats says %d", name, got, want)
@@ -228,10 +227,6 @@ func TestMetricsEqualStats(t *testing.T) {
 	check(t, cfg.Obs, res)
 }
 
-// invariant drops the two counters the contract on core.Stats calls
-// schedule-dependent: a run that adopts a unit starts without a prefix log.
-func invariant(c core.Counters) core.Counters { c.PrefixForks, c.StepsSaved = 0, 0; return c }
-
 // TestContinueRoundTrip: Continue is the checkpoint round trip without the
 // file. Chained calls that each stop after seven more executions and hand
 // their checkpoint to the next reach the uninterrupted run's counters —
@@ -245,7 +240,7 @@ func TestContinueRoundTrip(t *testing.T) {
 	}
 	sameAsFull := func(t *testing.T, what string, res *core.Result) {
 		t.Helper()
-		if !res.Complete || invariant(res.Counters) != invariant(full.Counters) ||
+		if !res.Complete || res.Counters != full.Counters ||
 			!reflect.DeepEqual(bugSet(res.Bugs), bugSet(full.Bugs)) {
 			t.Fatalf("%s: complete=%v %+v %v\n  uninterrupted: %+v %v",
 				what, res.Complete, res.Counters, bugSet(res.Bugs), full.Counters, bugSet(full.Bugs))

@@ -39,7 +39,6 @@ var warmVariants = []struct {
 	{"seed=3", func(c *core.Config) { c.Seed = 3 }},
 	{"gpf", func(c *core.Config) { c.GPF = !c.GPF }},
 	{"race-off", func(c *core.Config) { c.RaceDetect = core.SwitchOff }},
-	{"prefix-fork-off", func(c *core.Config) { c.PrefixFork = core.SwitchOff }},
 	{"reduction-off", func(c *core.Config) { c.Reduction = core.SwitchOff }},
 	{"workers=2", func(c *core.Config) { c.Workers = 2 }},
 }
@@ -50,13 +49,7 @@ func exploreCase(name string, cfg core.Config, prog func(*core.Program)) warmCas
 		if err != nil {
 			return "", err
 		}
-		c := res.Counters
-		serial := cfg.Workers == 1
-		out := fmt.Sprintf("%s bugs=%s", counts(res), bugDigest(res.Bugs, serial))
-		if serial {
-			out += fmt.Sprintf(" forks=%d saved=%d", c.PrefixForks, c.StepsSaved)
-		}
-		return out, nil
+		return fmt.Sprintf("%s bugs=%s", counts(res), bugDigest(res.Bugs, cfg.Workers == 1)), nil
 	}}
 }
 

@@ -172,20 +172,6 @@ func (t *Tree) Advance() bool {
 // is the prefix the two executions share. Returns -1 on an empty tree.
 func (t *Tree) PendingDepth() int { return len(t.nodes) - 1 }
 
-// FastForward advances the replay cursor k decision points without
-// re-validating kind or arity, for callers that reproduce the recorded
-// prefix by other means (the checker's prefix-fork fast path replays
-// logged step effects instead of re-deriving each decision). It reports
-// whether the skipped nodes all lie within the recorded path; on false
-// the cursor is unchanged.
-func (t *Tree) FastForward(k int) bool {
-	if k < 0 || t.depth+k > len(t.nodes) {
-		return false
-	}
-	t.depth += k
-	return true
-}
-
 // Executions returns the number of executions begun.
 func (t *Tree) Executions() int { return t.execs }
 

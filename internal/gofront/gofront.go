@@ -6,10 +6,9 @@
 // flushes and locks are bound directly to core.Thread events: locals are
 // frame slots, constants are folded, integers and bools never leave a
 // uint64 or a bool, and running a program walks no syntax. The checker's
-// machinery — state-space reduction, prefix-fork replay, the race
-// detector, repro tokens, Replay — works unchanged on source-loaded
-// programs, because by the time the engine sees them they are just
-// another func(*core.Program).
+// machinery — state-space reduction, the race detector, repro tokens,
+// Replay — works unchanged on source-loaded programs, because by the time
+// the engine sees them they are just another func(*core.Program).
 //
 // The supported subset is deliberately small and fully diagnosed. What
 // is outside it fails at load time with positioned file:line

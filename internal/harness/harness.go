@@ -189,8 +189,7 @@ type Table5Row struct {
 // runTable5Row explores one fixed benchmark to completion.
 func runTable5Row(b recipe.Benchmark, gpf bool, seed int64, reduction cxlmc.Switch) (Table5Row, error) {
 	res, err := cxlmc.Run(
-		cxlmc.Config{GPF: gpf, Seed: seed, MaxExecutions: 2_000_000,
-			Reduction: reduction, PrefixFork: reduction},
+		cxlmc.Config{GPF: gpf, Seed: seed, MaxExecutions: 2_000_000, Reduction: reduction},
 		recipe.Program(b, Table5Config()),
 	)
 	if err != nil {
@@ -204,8 +203,8 @@ func runTable5Row(b recipe.Benchmark, gpf bool, seed int64, reduction cxlmc.Swit
 }
 
 // RunTable5Reduction explores every fixed benchmark, without and with GPF
-// mode, mirroring the paper's Table 5, with the state-space-reduction and
-// prefix-fork knobs set to reduction. SwitchDefault is the checker's
+// mode, mirroring the paper's Table 5, with the state-space-reduction knob
+// set to reduction. SwitchDefault is the checker's
 // default; SwitchOff reproduces the unreduced exhaustive exploration — the
 // apples-to-apples comparison against the paper's reported #Execs, which
 // predate any reduction.

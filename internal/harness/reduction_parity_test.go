@@ -10,21 +10,18 @@ import (
 	"repro/internal/recipe"
 )
 
-// The reduction-parity suite: state-space reduction and prefix-fork
-// replay are pure optimizations, so for every RECIPE benchmark the
-// distinct-bug set must be identical with both knobs on and both off —
-// serially, under four workers, and across a distributed
-// coordinator/worker pair — and every repro token minted in a mode must
-// replay in that mode. (Tokens do not replay across modes by design:
-// Reduction participates in the config digest, because a path recorded
-// with pruning on lacks the decision points an unreduced replay would
-// re-create. PrefixFork is deliberately not in the digest — it changes
-// how executions are reached, never which ones exist.)
+// The reduction-parity suite: state-space reduction is a pure
+// optimization, so for every RECIPE benchmark the distinct-bug set must be
+// identical with it on and off — serially, under four workers, and across
+// a distributed coordinator/worker pair — and every repro token minted in
+// a mode must replay in that mode. (Tokens do not replay across modes by
+// design: Reduction participates in the config digest, because a path
+// recorded with pruning on lacks the decision points an unreduced replay
+// would re-create.)
 
-// reductionOff returns cfg with both reduction knobs forced off.
+// reductionOff returns cfg with reduction forced off.
 func reductionOff(cfg cxlmc.Config) cxlmc.Config {
 	cfg.Reduction = cxlmc.SwitchOff
-	cfg.PrefixFork = cxlmc.SwitchOff
 	return cfg
 }
 
@@ -68,9 +65,9 @@ func sameBugs(t *testing.T, labelA string, a *cxlmc.Result, labelB string, b *cx
 }
 
 // TestReductionParityBenchmarks: every seeded-bug RECIPE benchmark
-// surfaces the identical distinct-bug set with reduction+prefix-fork on
-// and off, serially and under four workers, with fewer (or equal)
-// executions in the reduced runs, and every token replays in its mode.
+// surfaces the identical distinct-bug set with reduction on and off,
+// serially and under four workers, with fewer (or equal) executions in the
+// reduced runs, and every token replays in its mode.
 func TestReductionParityBenchmarks(t *testing.T) {
 	for _, b := range Benchmarks {
 		b := b
@@ -116,8 +113,8 @@ func TestReductionParityBenchmarks(t *testing.T) {
 			replayAll(t, "reduction-off", off, cxlmc.Config{Reduction: cxlmc.SwitchOff}, program)
 			replayAll(t, "reduction-on workers=4", par, cxlmc.Config{}, program)
 
-			t.Logf("parity: %d distinct bugs; execs on=%d off=%d (pruned %d, forks %d, steps saved %d)",
-				len(distinctBugs(on.Bugs)), on.Executions, off.Executions, on.Pruned, on.PrefixForks, on.StepsSaved)
+			t.Logf("parity: %d distinct bugs; execs on=%d off=%d (pruned %d)",
+				len(distinctBugs(on.Bugs)), on.Executions, off.Executions, on.Pruned)
 		})
 	}
 }

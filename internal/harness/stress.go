@@ -10,11 +10,11 @@ package harness
 //   - serial and parallel exploration agree on executions, decision
 //     points and the distinct-bug set (worker-count invariance);
 //   - every repro token replays and reproduces its bug;
-//   - state-space reduction and prefix-fork replay change the execution
-//     count but never the bug set: each seed is explored again with both
-//     off, which checks prefix-fork parity on every seed and reduction
-//     only on the seeds where something was pruned (Swarm prints the
-//     count as pruned=);
+//   - state-space reduction changes the execution count but never the
+//     bug set: each seed is explored again with it off, which checks
+//     reduction on the seeds where something was pruned (Swarm prints the
+//     count as pruned=) and that a second exploration of the same tree
+//     agrees with the first on the others;
 //   - interrupting a run and resuming it under fault injection converges
 //     to exactly the uninterrupted exploration (with reduction on and
 //     off).
@@ -27,10 +27,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 
 	cxlmc "repro"
 	"repro/internal/chaos"
-	"repro/internal/core"
 	"repro/internal/progir"
 )
 
@@ -50,19 +50,46 @@ func Generate(seed int64, gc GenConfig) func(*cxlmc.Program) {
 // joins them all, asserts the pattern and loads the cells Observe lists.
 // Called once per explored execution, the setup rebuilds the identical
 // program every time, as Run requires.
-func Build(ir *progir.Program) func(*cxlmc.Program) {
+func Build(ir *progir.Program) func(*cxlmc.Program) { return build(ir, nil) }
+
+// build is Build with a recorder: when record is non-nil, the observer hands
+// it the values it loaded, in load order, each time it finishes its loads.
+// Engine workers run the setup concurrently, so record must be safe for
+// concurrent use. What does not depend on the execution — the names, where
+// each cell goes on its line, the observed cells — is worked out once, here.
+func build(ir *progir.Program, record func([]uint64)) func(*cxlmc.Program) {
+	// prev[i] is the cell before i on i's line, whose word i follows, or -1
+	// where i opens its line.
+	prev := make([]int, ir.Cells)
+	last := map[int]int{}
+	for i := range prev {
+		p, ok := last[ir.Line(i)]
+		if !ok {
+			p = -1
+		}
+		prev[i], last[ir.Line(i)] = p, i
+	}
+	machNames := make([]string, len(ir.Machines))
+	threadNames := make([][]string, len(ir.Machines))
+	for m, threads := range ir.Machines {
+		machNames[m] = fmt.Sprintf("m%d", m)
+		for t := range threads {
+			threadNames[m] = append(threadNames[m], fmt.Sprintf("t%d", t))
+		}
+	}
+	observed := ir.Observed()
+
 	return func(p *cxlmc.Program) {
 		cells := make([]cxlmc.Addr, ir.Cells)
-		free := map[int]cxlmc.Addr{} // each line's next free word
-		for i := range cells {
-			a, ok := free[ir.Line(i)]
+		for i, from := range prev {
 			switch {
 			case ir.Lines == nil:
-				a = p.AllocAligned(8, 64) // as Generate's programs have always had it
-			case !ok:
-				a = p.AllocAligned(64, 64)
+				cells[i] = p.AllocAligned(8, 64) // as Generate's programs have always had it
+			case from < 0:
+				cells[i] = p.AllocAligned(64, 64)
+			default:
+				cells[i] = cells[from] + 8
 			}
-			cells[i], free[ir.Line(i)] = a, a+8
 		}
 		var mu *cxlmc.Mutex
 		if ir.Mutex {
@@ -71,9 +98,9 @@ func Build(ir *progir.Program) func(*cxlmc.Program) {
 
 		workers := make([]*cxlmc.Machine, len(ir.Machines))
 		for m, threads := range ir.Machines {
-			workers[m] = p.NewMachine(fmt.Sprintf("m%d", m))
+			workers[m] = p.NewMachine(machNames[m])
 			for t, ops := range threads {
-				workers[m].Thread(fmt.Sprintf("t%d", t), func(th *cxlmc.Thread) {
+				workers[m].Thread(threadNames[m][t], func(th *cxlmc.Thread) {
 					for _, op := range ops {
 						execOp(th, mu, cells, workers, op)
 					}
@@ -89,9 +116,17 @@ func Build(ir *progir.Program) func(*cxlmc.Program) {
 			if ir.Pattern && th.Load64(cells[1]) == 1 {
 				th.Assert(th.Load64(cells[0]) == 42, "pattern: flag set but data lost")
 			}
-			for _, c := range ir.Observed() {
-				th.Load64(cells[c])
+			if record == nil {
+				for _, c := range observed {
+					th.Load64(cells[c])
+				}
+				return
 			}
+			vals := make([]uint64, len(observed))
+			for i, c := range observed {
+				vals[i] = th.Load64(cells[c])
+			}
+			record(vals)
 		})
 	}
 }
@@ -149,32 +184,27 @@ func execOp(th *cxlmc.Thread, mu *cxlmc.Mutex, cells []cxlmc.Addr, workers []*cx
 
 // Outcomes explores Build(ir) under cfg and returns the set of its
 // outcomes, keyed as the oracle keys them: the values the observer loaded,
-// in load order, as fmt.Sprint prints a []uint64. It takes cfg.Observer for
-// the collection, which makes the run serial. Every execution must end
-// with the observer's loads, so a pattern or a reported bug is an error.
+// in load order, as fmt.Sprint prints a []uint64. It runs at any
+// cfg.Workers. Every execution must end with the observer's loads, so a
+// pattern or a reported bug is an error.
 func Outcomes(cfg cxlmc.Config, ir *progir.Program) (map[string]bool, *cxlmc.Result, error) {
-	o := &outcomes{n: len(ir.Observed()), set: map[string]bool{}}
-	cfg.Observer = o
-	res, err := cxlmc.Run(cfg, Build(ir))
-	if err == nil && (ir.Pattern || res.Buggy() || len(o.vals) != 0) {
-		err = fmt.Errorf("harness: not every execution ended with the observer's loads (pattern %v, bugs %v)", ir.Pattern, res.Bugs)
+	var (
+		mu    sync.Mutex
+		set   = map[string]bool{}
+		ended int
+	)
+	res, err := cxlmc.Run(cfg, build(ir, func(vals []uint64) {
+		key := fmt.Sprint(vals)
+		mu.Lock()
+		set[key] = true
+		ended++
+		mu.Unlock()
+	}))
+	if err == nil && (ir.Pattern || res.Buggy() || ended != res.Executions) {
+		err = fmt.Errorf("harness: not every execution ended with the observer's loads (pattern %v, bugs %v, %d of %d executions)",
+			ir.Pattern, res.Bugs, ended, res.Executions)
 	}
-	return o.set, res, err
-}
-
-type outcomes struct {
-	n    int
-	vals []uint64
-	set  map[string]bool
-}
-
-func (o *outcomes) Op(ev cxlmc.OpEvent) {
-	if ev.Kind == core.OpLoaded && ev.MachineName == "observer" {
-		if o.vals = append(o.vals, ev.Val); len(o.vals) == o.n {
-			o.set[fmt.Sprint(o.vals)] = true
-			o.vals = o.vals[:0]
-		}
-	}
+	return set, res, err
 }
 
 // StressOptions configures one stress probe.
@@ -204,7 +234,7 @@ type StressResult struct {
 	// cxlmc itself, not in the generated program. Empty means healthy.
 	Violations []string
 	// pruned is how many failure points the reduced serial run pruned:
-	// zero means the reduction-off leg checked prefix-fork parity alone.
+	// zero means the reduction-off leg explored the same tree again.
 	pruned int64
 }
 
@@ -293,13 +323,12 @@ func StressOne(seed int64, opts StressOptions) (sr StressResult) {
 	}
 
 	// Reduction-soundness leg: the same seed explored with state-space
-	// reduction and prefix-fork replay off must surface exactly the same
-	// bug set. Pruning only ever removes executions, so the reduced run
-	// completing while the exhaustive one hits the execution cap is
-	// expected; the reverse is a checker bug.
+	// reduction off must surface exactly the same bug set. Pruning only
+	// ever removes executions, so the reduced run completing while the
+	// exhaustive one hits the execution cap is expected; the reverse is a
+	// checker bug.
 	offCfg := serialCfg
 	offCfg.Reduction = cxlmc.SwitchOff
-	offCfg.PrefixFork = cxlmc.SwitchOff
 	off, err := cxlmc.Run(offCfg, prog)
 	if err != nil {
 		violatef("reduction-off run failed: %v", err)

@@ -97,7 +97,7 @@ func TestSwarmWithFewCells(t *testing.T) {
 
 // TestSwarmLineShowsPruned: each seed's progress line says how many failure
 // points the reduced run pruned, the count that tells whether the
-// reduction-off leg checked reduction or only prefix-fork parity.
+// reduction-off leg checked reduction or explored the same tree again.
 func TestSwarmLineShowsPruned(t *testing.T) {
 	var out strings.Builder
 	if bad := Swarm(&out, 1, 3, StressOptions{}); len(bad) > 0 {

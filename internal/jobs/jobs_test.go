@@ -467,12 +467,51 @@ func TestSpecBoundsWorkload(t *testing.T) {
 	}
 }
 
-// TestGovernorFieldsRefused: the parent's memory-governor knobs are gone
-// from the spec, and a client that still sends them hears so.
+// TestGovernorFieldsRefused: deleted knobs — the memory governor's and the
+// prefix-fork switch — are gone from the spec, and a client that still sends
+// them hears so.
 func TestGovernorFieldsRefused(t *testing.T) {
 	s := testServer(t, Config{})
 	refuses(t, s, `{"bench":"CCEH","mem_budget_bytes":131072}`, "mem_budget_bytes")
 	refuses(t, s, `{"bench":"CCEH","governor_every":1}`, "governor_every")
+	refuses(t, s, `{"bench":"CCEH","prefix_fork":"off"}`, "prefix_fork")
+}
+
+// TestParentJournalPrefixForkRecovers: a journal written while the spec had
+// a prefix_fork key holds it in the job's spec. Recovery adopts such a job
+// and finishes it with the same Result as the same job journaled without
+// the key.
+func TestParentJournalPrefixForkRecovers(t *testing.T) {
+	dir := t.TempDir()
+	sp := fastSpec("a")
+	then := time.Now().UTC().Add(-time.Minute)
+	plain := mustLine(t, record{ID: "j-000001", Tenant: "a", State: StateQueued, Spec: &sp, Time: then})
+	forked := strings.Replace(mustLine(t, record{ID: "j-000002", Tenant: "a", State: StateQueued, Spec: &sp, Time: then}),
+		`"spec":{`, `"spec":{"prefix_fork":"off",`, 1)
+	if !strings.Contains(forked, `"prefix_fork":"off"`) {
+		t.Fatalf("journal line carries no prefix_fork key: %s", forked)
+	}
+	if err := os.WriteFile(filepath.Join(dir, journalName), []byte(plain+forked), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := testServer(t, Config{Dir: dir})
+	c := NewClient(s.Addr())
+	var res [2]*cxlmc.Result
+	for i, id := range []string{"j-000001", "j-000002"} {
+		fin, err := c.Wait(ctxT(t, 30*time.Second), id, 10*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fin.State != StateDone || fin.Result == nil || !fin.Result.Complete {
+			t.Fatalf("%s: state %s (%s), result %+v: want done and complete", id, fin.State, fin.Error, fin.Result)
+		}
+		res[i] = fin.Result
+	}
+	if res[0].Counters != res[1].Counters || !equalSets(bugSet(res[0].Bugs), bugSet(res[1].Bugs)) {
+		t.Fatalf("with prefix_fork %+v %v, without %+v %v",
+			res[1].Counters, bugSet(res[1].Bugs), res[0].Counters, bugSet(res[0].Bugs))
+	}
 }
 
 // TestParentJournalDegradedResumes: a journal the parent compacted while its

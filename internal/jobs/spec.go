@@ -121,7 +121,6 @@ type Spec struct {
 	MaxEventsPerExec int          `json:"max_events_per_exec,omitempty"`
 	ContinueAfterBug bool         `json:"continue,omitempty"`
 	Reduction        cxlmc.Switch `json:"reduction,omitempty"`
-	PrefixFork       cxlmc.Switch `json:"prefix_fork,omitempty"`
 	RaceDetect       cxlmc.Switch `json:"race_detect,omitempty"`
 }
 
@@ -157,7 +156,6 @@ func (sp *Spec) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&sp.MaxEventsPerExec, "max-events", sp.MaxEventsPerExec, "cap on decision points per execution; exceeding it is reported as a resource-exhausted bug (0 = off)")
 	fs.BoolVar(&sp.ContinueAfterBug, "continue", sp.ContinueAfterBug, "keep exploring after the first bug instead of stopping")
 	fs.TextVar(&sp.Reduction, "reduction", sp.Reduction, "state-space reduction: prune failure points no surviving thread can observe (on|off)")
-	fs.TextVar(&sp.PrefixFork, "prefix-fork", sp.PrefixFork, "prefix-fork replay: resume sibling executions from the shared decision prefix instead of re-running it (on|off)")
 	fs.TextVar(&sp.RaceDetect, "race-detect", sp.RaceDetect, "happens-before data-race detection during exploration (on|off)")
 }
 
@@ -321,7 +319,6 @@ func (sp *Spec) Config(base cxlmc.Config) cxlmc.Config {
 	cfg.MaxExecutions = sp.MaxExecutions
 	cfg.ContinueAfterBug = sp.ContinueAfterBug
 	cfg.Reduction = sp.Reduction
-	cfg.PrefixFork = sp.PrefixFork
 	cfg.RaceDetect = sp.RaceDetect
 	if sp.MaxTime > 0 && (base.MaxTime == 0 || time.Duration(sp.MaxTime) < base.MaxTime) {
 		cfg.MaxTime = time.Duration(sp.MaxTime)

@@ -227,7 +227,7 @@ func loadWordOps(shape string) (build, runs, bytes func()) {
 			b := benchAddr + Addr(i)
 			v, k, buffered := loader.BypassRun(b, 8-i)
 			if !buffered {
-				if v, k, _ = rc.SettledRun(b, k); k == 0 {
+				if v, k = rc.SettledRun(b, k); k == 0 {
 					v, k = uint64(takeNewest(&rc, &it, b)), 1
 				}
 			}

@@ -247,10 +247,9 @@ func (rc *ReadContext) CandidatesInto(it *CandidateIter, b Addr) {
 // yields that one candidate, and ApplyReadConstraint on it changes nothing:
 // no newer store covers the byte and Begin already stands at or above σ. So
 // val is the per-byte sequence's value, little-endian, with no decision to
-// place and no state to write; seq is the source's σ (0: the device). k is 0
-// when b's newest covering store does not settle it: the byte needs the
-// candidate search.
-func (rc *ReadContext) SettledRun(b Addr, n int) (val uint64, k int, seq Seq) {
+// place and no state to write. k is 0 when b's newest covering store does
+// not settle it: the byte needs the candidate search.
+func (rc *ReadContext) SettledRun(b Addr, n int) (val uint64, k int) {
 	r := rc.line(LineOf(b))
 	end := b + Addr(n)
 	for i := len(r.stores) - 1; i >= 0; i-- {
@@ -261,15 +260,15 @@ func (rc *ReadContext) SettledRun(b Addr, n int) (val uint64, k int, seq Seq) {
 		}
 		phi := rc.Failed
 		if !rc.mayPersist(r, s, phi) || rc.revocable(r, s, phi) || !rc.overwrites(r, s, phi) {
-			return 0, 0, 0
+			return 0, 0
 		}
-		return val, int(end - b), s.Seq
+		return val, int(end - b)
 	}
 	k = int(end - b)
 	for i := k - 1; i >= 0; i-- {
 		val = val<<8 | uint64(r.img[(b+Addr(i))%LineSize])
 	}
-	return val, k, 0
+	return val, k
 }
 
 // advance computes the next candidate into it.pending.

@@ -93,7 +93,7 @@ func (r *runRig) loadRuns(curr MachineID, a Addr, size int, pick func(Addr, int)
 		n := 0
 		if !buffered {
 			rc.Failed = r.failed
-			v, k, _ = rc.SettledRun(b, min(k, LineSize-int(b%LineSize)))
+			v, k = rc.SettledRun(b, min(k, LineSize-int(b%LineSize)))
 			n = 1
 			if k == 0 {
 				var bv byte
