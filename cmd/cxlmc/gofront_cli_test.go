@@ -95,7 +95,7 @@ func TestCheckUnsupportedGolden(t *testing.T) {
 // TestCheckFlagValidation covers the -check flag contract: mutual
 // exclusion with -bench, -entry requiring -check, and a readable error
 // for a missing file. The retired distributed flags are usage errors too:
-// one process explores.
+// one process explores. So is -chaos outside -stress.
 func TestCheckFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-check", "testdata/vet_src.go", "-bench", "CCEH"},
@@ -107,6 +107,10 @@ func TestCheckFlagValidation(t *testing.T) {
 		{"-bench", "P-ART", "-stride", "4611686018427387904"},
 		{"-bench", "CCEH", "-keys", "70000"},
 		{"-bench", "CCEH", "-insert-workers", "99"},
+		// -chaos is the swarm's resume-under-chaos leg; a checked run has
+		// no fault injector of its own.
+		{"-bench", "CCEH", "-chaos"},
+		{"-bench", "CCEH", "-chaos-seed", "7"},
 	}
 	for _, args := range cases {
 		if _, _, code := runCLI2(t, args...); code != 2 {

@@ -10,7 +10,6 @@
 //	      [-checkpoint file] [-checkpoint-every N] [-checkpoint-interval d]
 //	      [-replay token] [-max-events N]
 //	      [-reduction on|off] [-race-detect on|off]
-//	      [-chaos] [-chaos-seed N]
 //	      [-metrics-addr host:port] [-progress d] [-event-log file]
 //	      [-metrics-snapshot file] [-continue]
 //	cxlmc -check file.go [-entry Program] [exploration flags]
@@ -122,8 +121,8 @@
 // no panics, serial/parallel parity, every repro token replays. With
 // -chaos each sampled program additionally interrupts and resumes the
 // exploration under seeded fault injection and requires convergence to
-// the uninterrupted result. -chaos also works with -bench, injecting
-// faults (seeded by -chaos-seed) into that run's checkpoint I/O.
+// the uninterrupted result. -chaos is a -stress option only: a checked
+// run's faults come from the library's Config.Chaos, not from the CLI.
 package main
 
 import (
@@ -192,8 +191,7 @@ func run() int {
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the exploration to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile (after the exploration) to this file")
 		vetOnly    = flag.Bool("vet", false, "run only the cxlvet static pre-pass and print its findings (exit 1 if any)")
-		chaosOn    = flag.Bool("chaos", false, "inject seeded faults into checkpoint I/O and worker scheduling (with -stress: add the resume-under-chaos leg)")
-		chaosSeed  = flag.Int64("chaos-seed", 1, "seed for the -chaos fault injector")
+		chaosOn    = flag.Bool("chaos", false, "with -stress: add the resume-under-chaos leg, which interrupts and resumes each program under seeded fault injection")
 		stress     = flag.Int("stress", 0, "self-fuzz N seeded random programs (starting at -seed) instead of running a benchmark")
 
 		jobServer  = flag.String("jobserver", "", "run as a multi-tenant job server: accept exploration jobs over a REST API on this address (\":0\" picks a port)")
@@ -221,6 +219,10 @@ func run() int {
 		fmt.Printf("stress      %d programs (seeds %d..%d), zero checker-invariant violations\n",
 			*stress, spec.Seed, spec.Seed+int64(*stress)-1)
 		return 0
+	}
+	if *chaosOn {
+		fmt.Fprintln(os.Stderr, "cxlmc: -chaos adds the swarm's resume-under-chaos leg; it needs -stress")
+		return 2
 	}
 	if spec.Bench == "" && *checkFile == "" && *jobServer == "" {
 		fmt.Fprintln(os.Stderr, "cxlmc: -bench or -check is required (try -list)")
@@ -265,19 +267,6 @@ func run() int {
 	cfg := spec.Config(cxlmc.Config{
 		CheckpointPath: *checkpoint, CheckpointEvery: *cpEvery, CheckpointInterval: *cpInterval,
 	})
-	if *chaosOn {
-		cfg.Chaos = cxlmc.NewChaos(cxlmc.ChaosConfig{
-			Seed:          *chaosSeed,
-			WriteErrPct:   20,
-			ReadErrPct:    10,
-			SyncErrPct:    10,
-			RenameErrPct:  10,
-			ShortWritePct: 50,
-			StallPct:      5,
-			MaxFaults:     200,
-		})
-	}
-
 	if *metricsAddr != "" || *metricsSnap != "" {
 		cfg.Obs = cxlmc.NewMetricsRegistry()
 	}
@@ -303,7 +292,7 @@ func run() int {
 
 	if *jobServer != "" {
 		// Checking as a service: cfg is the base every job's run starts
-		// from (budget defaults, cadences, chaos, metrics); specs arrive
+		// from (budget defaults, cadences, metrics); specs arrive
 		// over the API.
 		return runJobServer(jobs.Config{Addr: *jobServer, Dir: *jobsDir, PoolWorkers: *jobWorkers, QueueDepth: *queueDepth, Base: cfg})
 	}

@@ -209,13 +209,15 @@ type Config struct {
 
 	// Obs, when non-nil, is the metrics registry the run instruments
 	// itself into: execution/step/bug counters, decision-point counters by
-	// kind, frontier and worker gauges, checkpoint counters, and
-	// step/depth histograms. A nil registry is the zero-cost
-	// "observability off" mode — every instrument call is a nil check.
-	// The registry is caller-owned, so several runs may share one and the
-	// caller can read or serve it while the run goes on and after Run
-	// returns. Observability knobs never participate in the checkpoint
-	// configuration digest: a run resumes identically with metrics on or off.
+	// kind, checkpoint counters, and step/depth histograms. A nil registry
+	// is the zero-cost "observability off" mode — every instrument call is
+	// a nil check. The registry is caller-owned, so several runs may share
+	// one and the caller can read or serve it while the run goes on and
+	// after Run returns; the run adds to it and sets nothing, so a shared
+	// registry holds the sums over its runs. A run's live state (queue,
+	// workers, heap) is in its Progress snapshots, not here. Observability
+	// knobs never participate in the checkpoint configuration digest: a run
+	// resumes identically with metrics on or off.
 	Obs *obs.Registry
 
 	// EventTrace, when non-nil, enables the structured exploration event

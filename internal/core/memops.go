@@ -113,8 +113,8 @@ func (ck *Checker) maybeInjectFailure(t *Thread, eff memmodel.FlushEffect) bool 
 // pending flush can be skipped without changing the explored bug set
 // (Config.Reduction). Both rules are conservative, and both are
 // recomputed deterministically wherever a recorded path re-executes
-// (prefix replay, split units, token replay, minimization), so a pruned
-// site never consumes a decision node anywhere.
+// (each execution of a unit from set-up, split units, token replay,
+// minimization), so a pruned site never consumes a decision node anywhere.
 func (ck *Checker) pruneFailurePoint(t *Thread) bool {
 	// Flush-chain subsumption: within one synchronous flush-buffer drain
 	// (sfence/mfence), only the first constraint-narrowing writeback

@@ -31,19 +31,12 @@ type coreMetrics struct {
 
 	pruned *obs.Counter
 
-	races       *obs.Counter
-	vetFindings *obs.Counter
+	races *obs.Counter
 
 	unitClaims    *obs.Counter
 	unitsFinished *obs.Counter
 
 	checkpointMetrics
-
-	frontier    *obs.Gauge
-	activeG     *obs.Gauge
-	hungryG     *obs.Gauge
-	heapBytes   *obs.Gauge
-	workerCount *obs.Gauge
 
 	execSteps *obs.Histogram
 	execDepth *obs.Histogram
@@ -60,19 +53,12 @@ func newCoreMetrics(reg *obs.Registry) coreMetrics {
 
 		pruned: reg.Counter("cxlmc_pruned_total", "failure decision points pruned by state-space reduction"),
 
-		races:       reg.Counter("cxlmc_races_total", "happens-before race detector reports (pre-dedup)"),
-		vetFindings: reg.Counter("cxlmc_vet_findings_total", "cxlvet static analysis findings"),
+		races: reg.Counter("cxlmc_races_total", "happens-before race detector reports (pre-dedup)"),
 
 		unitClaims:    reg.Counter("cxlmc_unit_claims_total", "subtree work units claimed by workers"),
 		unitsFinished: reg.Counter("cxlmc_units_finished_total", "subtree work units fully explored"),
 
 		checkpointMetrics: newCheckpointMetrics(reg),
-
-		frontier:    reg.Gauge("cxlmc_frontier_units", "unexplored subtree units queued in memory"),
-		activeG:     reg.Gauge("cxlmc_active_workers", "workers currently exploring a unit"),
-		hungryG:     reg.Gauge("cxlmc_hungry_workers", "workers waiting for work"),
-		heapBytes:   reg.Gauge("cxlmc_heap_bytes", "process heap in use at the last progress sample"),
-		workerCount: reg.Gauge("cxlmc_workers", "configured worker count"),
 
 		execSteps: reg.Histogram("cxlmc_exec_steps", "scheduler steps per execution",
 			[]float64{16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576}),
@@ -133,6 +119,8 @@ type WorkerStatus struct {
 
 // Progress is a point-in-time snapshot of a running exploration — the
 // payload of Config.OnProgress, and what cmd/cxlmc serves at /statusz.
+// It is the one home of a run's live state — queue, active and waiting
+// workers, heap — which Config.Obs, a registry runs may share, does not hold.
 type Progress struct {
 	Executions int   `json:"executions"`
 	Steps      int64 `json:"steps"`
@@ -143,7 +131,6 @@ type Progress struct {
 	Queued   int `json:"queued"`
 	Active   int `json:"active_workers"`
 
-	ChaosFaults      int    `json:"chaos_faults"`
 	CheckpointErrors int    `json:"checkpoint_errors"`
 	HeapBytes        uint64 `json:"heap_bytes"`
 
@@ -161,9 +148,6 @@ type Progress struct {
 func (p Progress) String() string {
 	s := fmt.Sprintf("execs=%d rate=%.0f/s steps=%d frontier=%d(q%d) workers=%d bugs=%d",
 		p.Executions, p.ExecRate, p.Steps, p.Frontier, p.Queued, p.Active, p.Bugs)
-	if p.ChaosFaults > 0 {
-		s += fmt.Sprintf(" chaos=%d", p.ChaosFaults)
-	}
 	if p.CheckpointErrors > 0 {
 		s += fmt.Sprintf(" cperr=%d", p.CheckpointErrors)
 	}
@@ -177,7 +161,6 @@ func (p Progress) String() string {
 func (e *engine) initObs() func() {
 	if e.cfg.Obs != nil {
 		e.om = newCoreMetrics(e.cfg.Obs)
-		e.om.workerCount.Set(int64(e.cfg.Workers))
 	}
 	if e.cfg.EventTrace != nil {
 		e.tracer = obs.NewTracer(e.cfg.Workers, eventBufferSize, e.cfg.EventTrace)
@@ -231,7 +214,6 @@ func (e *engine) progressLocked() Progress {
 		TraceEvents:      e.tracer.Total(),
 		Workers:          append([]WorkerStatus(nil), e.workers...),
 	}
-	e.om.heapBytes.Set(int64(ms.HeapAlloc))
 	// The rate is this process's: what it started, not what it inherited.
 	localExecs := 0
 	for _, w := range e.workers {
@@ -240,19 +222,5 @@ func (e *engine) progressLocked() Progress {
 	if sec := sinceStart.Seconds(); sec > 0 {
 		p.ExecRate = float64(localExecs) / sec
 	}
-	if e.cfg.Chaos != nil {
-		// The injector lock nests strictly inside e.mu here; the injector
-		// never takes e.mu, so the order is acyclic.
-		p.ChaosFaults = e.cfg.Chaos.Stats().Total()
-	}
 	return p
-}
-
-// syncGaugesLocked refreshes the frontier/worker gauges from the
-// engine's state. Called at execution boundaries under e.mu; with
-// observability off every Set is a nil check.
-func (e *engine) syncGaugesLocked() {
-	e.om.frontier.Set(int64(len(e.queue)))
-	e.om.activeG.Set(int64(e.active))
-	e.om.hungryG.Set(int64(e.hungry))
 }

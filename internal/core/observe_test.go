@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,47 +22,99 @@ import (
 // regression the subsystem fixed — cumulative Stats counters surviving a
 // checkpoint/resume cycle.
 
-// TestMetricsEqualResultUnderChaos runs a parallel, chaos-stalled
-// exploration into a registry and checks the registry agrees exactly with the
-// Result — metrics are the run, not an approximation of it — while the
-// injector does inject faults.
+// TestMetricsEqualResultUnderChaos runs parallel, chaos-stalled
+// explorations into a registry and checks the registry agrees exactly with
+// the Results — metrics are the runs, not an approximation of them — while
+// the injectors do inject faults. Alone in its registry a run's counters are
+// its Result; two runs sharing one registry (as a job server's pool does)
+// leave the sums over both, and no gauge, which would hold whichever run
+// wrote last.
 func TestMetricsEqualResultUnderChaos(t *testing.T) {
 	want := referenceRun(t, resilientNoisy)
+	explore := func(reg *obs.Registry, workers int, seed int64) (*Result, error) {
+		inj := chaos.New(chaos.Config{StallPct: 50, StallDur: time.Millisecond, Seed: seed, MaxFaults: 100})
+		res, err := Run(Config{
+			Workers:          workers,
+			ContinueAfterBug: true,
+			Obs:              reg,
+			Chaos:            inj,
+		}, resilientNoisy)
+		if err == nil && inj.Stats().Total() == 0 {
+			err = errors.New("the injector injected no fault")
+		}
+		return res, err
+	}
 
-	reg := obs.NewRegistry()
-	inj := chaos.New(chaos.Config{StallPct: 50, StallDur: time.Millisecond, Seed: 7, MaxFaults: 100})
-	res, err := Run(Config{
-		Workers:          2,
-		ContinueAfterBug: true,
-		Obs:              reg,
-		Chaos:            inj,
-	}, resilientNoisy)
-	if err != nil {
-		t.Fatal(err)
+	t.Run("one-run", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		res, err := explore(reg, 2, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		registryHoldsSums(t, reg, res)
+		// And the instrumented run explored exactly the reference state space.
+		sameExploration(t, "instrumented", res, want)
+	})
+
+	t.Run("shared-registry", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		workers := []int{2, 1}
+		results := make([]*Result, len(workers))
+		errs := make([]error, len(workers))
+		var wg sync.WaitGroup
+		for i, n := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results[i], errs[i] = explore(reg, n, int64(7+i))
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers[i], err)
+			}
+			sameExploration(t, fmt.Sprintf("workers=%d", workers[i]), results[i], want)
+		}
+		registryHoldsSums(t, reg, results...)
+	})
+}
+
+// registryHoldsSums checks that reg's counters are the sums of what the
+// runs that shared it returned, and that it exposes no gauge.
+func registryHoldsSums(t *testing.T, reg *obs.Registry, results ...*Result) {
+	t.Helper()
+	var sum Result
+	for _, res := range results {
+		sum.Executions += res.Executions
+		sum.Steps += res.Steps
+		sum.FailurePoints += res.FailurePoints
+		sum.ReadFromPoints += res.ReadFromPoints
+		sum.Bugs = append(sum.Bugs, res.Bugs...)
 	}
 	snap := reg.Snapshot()
-	if got := int(snap["cxlmc_workers"]); got != 2 {
-		t.Fatalf("cxlmc_workers=%d, want 2", got)
+	if got := int(snap["cxlmc_executions_total"]); got != sum.Executions {
+		t.Fatalf("cxlmc_executions_total=%d, Result.Executions summed=%d", got, sum.Executions)
 	}
-	if got := int(snap["cxlmc_executions_total"]); got != res.Executions {
-		t.Fatalf("cxlmc_executions_total=%d, Result.Executions=%d", got, res.Executions)
+	if got := int64(snap["cxlmc_steps_total"]); got != sum.Steps {
+		t.Fatalf("cxlmc_steps_total=%d, Result.Steps summed=%d", got, sum.Steps)
 	}
-	if got := int64(snap["cxlmc_steps_total"]); got != res.Steps {
-		t.Fatalf("cxlmc_steps_total=%d, Result.Steps=%d", got, res.Steps)
+	if got := int(snap["cxlmc_bugs_total"]); got != len(sum.Bugs) {
+		t.Fatalf("cxlmc_bugs_total=%d, len(Bugs) summed=%d", got, len(sum.Bugs))
 	}
-	if got := int(snap["cxlmc_bugs_total"]); got != len(res.Bugs) {
-		t.Fatalf("cxlmc_bugs_total=%d, len(Bugs)=%d", got, len(res.Bugs))
+	if int(snap["cxlmc_decisions_failure_total"]) != sum.FailurePoints ||
+		int(snap["cxlmc_decisions_read_from_total"]) != sum.ReadFromPoints {
+		t.Fatalf("decision counters disagree with stats: %v vs %+v summed", snap, sum.Stats)
 	}
-	if inj.Stats().Total() == 0 {
-		t.Fatal("the injector injected no fault")
+	var text bytes.Buffer
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
 	}
-	if int(snap["cxlmc_decisions_failure_total"]) != res.FailurePoints ||
-		int(snap["cxlmc_decisions_read_from_total"]) != res.ReadFromPoints {
-		t.Fatalf("decision counters disagree with stats: %v vs %+v", snap, res.Stats)
+	for _, line := range strings.Split(text.String(), "\n") {
+		if strings.HasPrefix(line, "# TYPE cxlmc_") && strings.HasSuffix(line, " gauge") {
+			t.Errorf("the engine exposes a gauge, which runs sharing the registry overwrite: %q", line)
+		}
 	}
-
-	// And the instrumented run explored exactly the reference state space.
-	sameExploration(t, "instrumented", res, want)
 }
 
 // TestEventTraceStructure runs with a JSONL event sink, serially with a

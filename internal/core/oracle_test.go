@@ -31,6 +31,7 @@ var oracleConfigs = []struct {
 	{"default", core.Config{}},
 	{"reduction-off", core.Config{Reduction: core.SwitchOff}},
 	{"workers-2", core.Config{Workers: 2}},
+	{"workers-4", core.Config{Workers: 4}},
 	{"eager-read-set", core.WithEagerReadSet(core.Config{})},
 }
 

@@ -421,7 +421,6 @@ func (e *engine) mergeLocked(w *worker) {
 	// Bugs are counted post-dedup, so the metric matches len(Result.Bugs).
 	e.om.publish(d, added)
 	e.workers[w.id].Depth = w.ck.tree.Depth()
-	e.syncGaugesLocked()
 }
 
 // finishUnitLocked accounts an exhausted unit: its decision-point counters
