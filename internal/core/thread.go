@@ -180,7 +180,9 @@ func (t *Thread) Alloc(size uint64) Addr { return t.ck.alloc(size, 8) }
 func (t *Thread) AllocAligned(size, align uint64) Addr { return t.ck.alloc(size, align) }
 
 // Assert reports a bug and halts the execution when cond is false — the
-// analogue of an assert() in an instrumented C program.
+// analogue of an assert() in an instrumented C program. Its arguments are
+// boxed at the call even when cond holds, so a check that runs every
+// execution with non-constant arguments is written if !cond { t.Fail(…) }.
 func (t *Thread) Assert(cond bool, format string, args ...any) {
 	if cond {
 		return

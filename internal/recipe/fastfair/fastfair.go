@@ -354,7 +354,7 @@ func (tr *Tree) Scan(t *cxlmc.Thread) ([]uint64, []uint64) {
 	for t.Load64(pg+hdrLevel) > 0 {
 		pg = cxlmc.Addr(t.Load64(pg + hdrLeft))
 	}
-	var ks, vs []uint64
+	ks, vs := recipe.ScanSlices()
 	for pg != 0 {
 		high, sib := unpackRoute(t.Load64(pg + hdrRoute))
 		for i := 0; i < maxRecs+1; i++ {

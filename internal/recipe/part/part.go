@@ -581,63 +581,73 @@ func (a *ART) Delete(t *cxlmc.Thread, key uint64) bool {
 // Scan returns all live leaves in key order (depth-first over the radix
 // structure; ART's big-endian byte paths make that key order).
 func (a *ART) Scan(t *cxlmc.Thread) ([]uint64, []uint64) {
-	var ks, vs []uint64
-	var walk func(n cxlmc.Addr)
-	walk = func(n cxlmc.Addr) {
-		typ := t.Load64(n + offType)
-		visit := func(child uint64) {
-			if child == 0 {
-				return
-			}
-			if child&leafTag != 0 {
-				l := cxlmc.Addr(child &^ leafTag)
-				k := t.Load64(l)
-				if k != 0 { // tombstoned leaves are deleted
-					ks = append(ks, k)
-					vs = append(vs, t.Load64(l+8))
-				}
-				return
-			}
-			walk(cxlmc.Addr(child))
+	s := scan{t: t}
+	s.ks, s.vs = recipe.ScanSlices()
+	s.walk(cxlmc.Addr(t.Load64(a.meta)))
+	return s.ks, s.vs
+}
+
+// scan is one Scan's walk: the thread it reads on and what it has found.
+type scan struct {
+	t      *cxlmc.Thread
+	ks, vs []uint64
+}
+
+func (s *scan) walk(n cxlmc.Addr) {
+	t := s.t
+	typ := t.Load64(n + offType)
+	switch typ {
+	case typeN256:
+		for b := 0; b < 256; b++ {
+			s.visit(t.Load64(n + childrenOff(typ) + cxlmc.Addr(b)*8))
 		}
-		switch typ {
-		case typeN256:
-			for b := 0; b < 256; b++ {
-				visit(t.Load64(n + childrenOff(typ) + cxlmc.Addr(b)*8))
+	case typeN48:
+		for b := 0; b < 256; b++ {
+			idx := t.Load8(n + n48IndexOff + cxlmc.Addr(b))
+			if idx == 0 {
+				continue
 			}
-		case typeN48:
-			for b := 0; b < 256; b++ {
-				idx := t.Load8(n + n48IndexOff + cxlmc.Addr(b))
-				if idx == 0 {
-					continue
-				}
-				visit(t.Load64(n + childrenOff(typ) + cxlmc.Addr(idx-1)*8))
+			s.visit(t.Load64(n + childrenOff(typ) + cxlmc.Addr(idx-1)*8))
+		}
+	default:
+		// N4/N16 keys are append-ordered, not sorted: collect the
+		// (byte, slot) pairs and visit in byte order.
+		limit, _ := counters(t.Load64(n + offCounters))
+		if limit > fanout(typ) {
+			limit = fanout(typ)
+		}
+		type ent struct {
+			b    uint8
+			slot int
+		}
+		var buf [16]ent // an N16's; a corrupt type word's 256 spill to the heap
+		ents := buf[:0]
+		for i := 0; i < limit; i++ {
+			ents = append(ents, ent{t.Load8(n + offKeys + cxlmc.Addr(i)), i})
+		}
+		for i := 1; i < len(ents); i++ {
+			for j := i; j > 0 && ents[j-1].b > ents[j].b; j-- {
+				ents[j-1], ents[j] = ents[j], ents[j-1]
 			}
-		default:
-			// N4/N16 keys are append-ordered, not sorted: collect the
-			// (byte, slot) pairs and visit in byte order.
-			limit, _ := counters(t.Load64(n + offCounters))
-			if limit > fanout(typ) {
-				limit = fanout(typ)
-			}
-			type ent struct {
-				b    uint8
-				slot int
-			}
-			var ents []ent
-			for i := 0; i < limit; i++ {
-				ents = append(ents, ent{t.Load8(n + offKeys + cxlmc.Addr(i)), i})
-			}
-			for i := 1; i < len(ents); i++ {
-				for j := i; j > 0 && ents[j-1].b > ents[j].b; j-- {
-					ents[j-1], ents[j] = ents[j], ents[j-1]
-				}
-			}
-			for _, e := range ents {
-				visit(t.Load64(n + childrenOff(typ) + cxlmc.Addr(e.slot)*8))
-			}
+		}
+		for _, e := range ents {
+			s.visit(t.Load64(n + childrenOff(typ) + cxlmc.Addr(e.slot)*8))
 		}
 	}
-	walk(cxlmc.Addr(t.Load64(a.meta)))
-	return ks, vs
+}
+
+func (s *scan) visit(child uint64) {
+	if child == 0 {
+		return
+	}
+	if child&leafTag != 0 {
+		l := cxlmc.Addr(child &^ leafTag)
+		k := s.t.Load64(l)
+		if k != 0 { // tombstoned leaves are deleted
+			s.ks = append(s.ks, k)
+			s.vs = append(s.vs, s.t.Load64(l+8))
+		}
+		return
+	}
+	s.walk(cxlmc.Addr(child))
 }

@@ -241,10 +241,12 @@ func (tr *Tree) chainLen(t *cxlmc.Thread, node cxlmc.Addr) int {
 func (tr *Tree) consolidate(t *cxlmc.Thread, slot cxlmc.Addr) {
 	old := cxlmc.Addr(t.Load64(slot))
 
-	// Collect records: newest delta wins per key.
-	var keys []uint64
-	var cells []cxlmc.Addr
-	var deleted []uint64
+	// Collect records: newest delta wins per key. A well-formed chain
+	// fits the arrays; an overflowing one spills to the heap until the
+	// check below fails it.
+	var keyBuf, delBuf [maxBaseRecs]uint64
+	var cellBuf [maxBaseRecs]cxlmc.Addr
+	keys, cells, deleted := keyBuf[:0], cellBuf[:0], delBuf[:0]
 	node := old
 	for node != 0 {
 		switch t.Load64(node) {

@@ -117,7 +117,8 @@ func (tr *Tree) recoverAll(t *cxlmc.Thread) {
 }
 
 func (tr *Tree) recoverLeaf(t *cxlmc.Thread, leaf cxlmc.Addr) {
-	var recs []uint64
+	var buf [maxRecs]uint64
+	recs := buf[:0]
 	dirty := false
 	var prev uint64
 	for i := 0; i < maxRecs; i++ {
@@ -268,7 +269,7 @@ func (tr *Tree) Scan(t *cxlmc.Thread) ([]uint64, []uint64) {
 	tr.checkFailure(t, ownerFailed)
 	defer tr.mu.Unlock(t)
 
-	var ks, vs []uint64
+	ks, vs := recipe.ScanSlices()
 	leaf := cxlmc.Addr(t.Load64(tr.meta))
 	for leaf != 0 {
 		high, next := unpackRoute(t.Load64(leaf + hdrRoute))

@@ -17,6 +17,8 @@ package recipe
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	cxlmc "repro"
 )
@@ -67,6 +69,18 @@ type Index interface {
 type Scanner interface {
 	// Scan returns all (key, value) pairs in key order.
 	Scan(t *cxlmc.Thread) ([]uint64, []uint64)
+}
+
+// scanCap is the number of records ScanSlices makes room for: the ten
+// keys of the Table 5 workload with some to spare.
+const scanCap = 16
+
+// ScanSlices returns the empty key and value slices a Scan appends to,
+// both presized to scanCap records from one allocation; a longer scan
+// grows them by append.
+func ScanSlices() (ks, vs []uint64) {
+	buf := make([]uint64, 2*scanCap)
+	return buf[:0:scanCap], buf[scanCap : scanCap : 2*scanCap]
 }
 
 // Deleter is implemented by structures supporting removal; with
@@ -131,6 +145,13 @@ type Config struct {
 func Value(key uint64) uint64 { return key*0x9E3779B97F4A7C15 | 1 }
 
 // Program builds the checker program for one structure under cfg.
+//
+// The set-up it returns re-runs for every execution, so it makes only what
+// an execution owns: the index, its addresses, the threads and the slice
+// the checkers join on. The machine and worker names and each worker's key
+// partition do not depend on the execution. The first set-up that passes
+// the bounds checks builds them (not Program: Workers and Machines have no
+// bound of their own), and every exploration worker then only reads them.
 func Program(b Benchmark, cfg Config) func(*cxlmc.Program) {
 	if cfg.Keys <= 0 {
 		cfg.Keys = 10
@@ -144,6 +165,7 @@ func Program(b Benchmark, cfg Config) func(*cxlmc.Program) {
 	if cfg.Machines <= 0 {
 		cfg.Machines = 2
 	}
+	shape := sync.OnceValue(func() *layout { return newLayout(cfg) })
 	return func(p *cxlmc.Program) {
 		keys := cfg.Keys
 		if keys > MaxKeys {
@@ -152,12 +174,13 @@ func Program(b Benchmark, cfg Config) func(*cxlmc.Program) {
 		if cfg.Stride > MaxStride {
 			panic(fmt.Sprintf("recipe: stride %d: keys are spaced at most %d apart", cfg.Stride, MaxStride))
 		}
+		l := shape()
 		idx := b.New(p, cfg.Bugs)
 		ready := p.AllocAligned(8, 64)
 		progress := p.AllocAligned(uint64(keys)*8, 64)
-		nodes := make([]*cxlmc.Machine, cfg.Machines)
-		for i := range nodes {
-			nodes[i] = p.NewMachine(fmt.Sprintf("node%d", i))
+		nodes := make([]*cxlmc.Machine, 0, 4) // on the stack up to four machines
+		for _, name := range l.machines {
+			nodes = append(nodes, p.NewMachine(name))
 		}
 
 		initT := nodes[0].Thread("init", func(t *cxlmc.Thread) {
@@ -168,94 +191,123 @@ func Program(b Benchmark, cfg Config) func(*cxlmc.Program) {
 			t.SFence()
 		})
 
-		totalWorkers := cfg.Workers * len(nodes)
-		var workers []*cxlmc.Thread
-		w := 0
-		for _, m := range nodes {
-			for wi := 0; wi < cfg.Workers; wi++ {
-				id := w
-				workers = append(workers, m.Thread(fmt.Sprintf("w%d", id), func(t *cxlmc.Thread) {
-					t.JoinThreads(initT)
-					if t.Load64(ready) != 1 {
-						return // construction never committed
+		all := make([]*cxlmc.Thread, 1+len(l.parts))
+		all[0] = initT
+		for w, part := range l.parts {
+			all[1+w] = nodes[w/cfg.Workers].Thread(l.workers[w], func(t *cxlmc.Thread) {
+				t.JoinThreads(initT)
+				if t.Load64(ready) != 1 {
+					return // construction never committed
+				}
+				// Each worker inserts its partition in descending
+				// order so ordered indexes exercise mid-node
+				// insertion (shifts) under any schedule — the
+				// paper notes Jaaru missed bug #7 because its
+				// schedules never produced this pattern.
+				for i := len(part) - 1; i >= 0; i-- {
+					k := part[i]
+					key := uint64(k * cfg.Stride)
+					idx.Insert(t, key, Value(key))
+					// Commit store: the key is durable once its
+					// progress flag is flushed.
+					t.Store64(progress+cxlmc.Addr((k-1)*8), 1)
+					t.CLFlush(progress + cxlmc.Addr((k-1)*8))
+					t.SFence()
+				}
+				if cfg.Deletes {
+					del, ok := idx.(Deleter)
+					if !ok {
+						t.Fail("recipe: Deletes configured but %T lacks Delete", idx)
+						return
 					}
-					// Each worker inserts its partition in descending
-					// order so ordered indexes exercise mid-node
-					// insertion (shifts) under any schedule — the
-					// paper notes Jaaru missed bug #7 because its
-					// schedules never produced this pattern.
-					var part []int
-					for k := id + 1; k <= keys; k += totalWorkers {
-						part = append(part, k)
-					}
-					for i := len(part) - 1; i >= 0; i-- {
-						k := part[i]
-						key := uint64(k * cfg.Stride)
-						idx.Insert(t, key, Value(key))
-						// Commit store: the key is durable once its
-						// progress flag is flushed.
-						t.Store64(progress+cxlmc.Addr((k-1)*8), 1)
+					for _, k := range part {
+						if k%3 != 0 {
+							continue
+						}
+						del.Delete(t, uint64(k*cfg.Stride))
+						t.Store64(progress+cxlmc.Addr((k-1)*8), 2)
 						t.CLFlush(progress + cxlmc.Addr((k-1)*8))
 						t.SFence()
 					}
-					if cfg.Deletes {
-						del, ok := idx.(Deleter)
-						if !ok {
-							t.Fail("recipe: Deletes configured but %T lacks Delete", idx)
-							return
-						}
-						for _, k := range part {
-							if k%3 != 0 {
-								continue
-							}
-							del.Delete(t, uint64(k*cfg.Stride))
-							t.Store64(progress+cxlmc.Addr((k-1)*8), 2)
-							t.CLFlush(progress + cxlmc.Addr((k-1)*8))
-							t.SFence()
-						}
-					}
-				}))
-				w++
-			}
+				}
+			})
 		}
 
-		all := append([]*cxlmc.Thread{initT}, workers...)
 		if cfg.ConcurrentReaders {
-			for _, m := range nodes {
-				m.Thread("reader", func(t *cxlmc.Thread) {
-					t.JoinThreads(initT)
-					if t.Load64(ready) != 1 {
-						return
-					}
-					// One racing pass over the key space: committed keys
-					// must be visible and correct even mid-mutation.
-					for k := 1; k <= keys; k++ {
-						key := uint64(k * cfg.Stride)
-						committed := t.Load64(progress+cxlmc.Addr((k-1)*8)) == 1
-						v, found := idx.Lookup(t, key)
-						if committed && !(cfg.Deletes && k%3 == 0) {
-							t.Assert(found, "racing reader: committed key %d missing", k)
-							t.Assert(v == Value(key), "racing reader: key %d value %#x", k, v)
-						}
-					}
-				})
-			}
-		}
-		for _, m := range nodes {
-			m.Thread("check", func(t *cxlmc.Thread) {
-				t.JoinThreads(all...)
+			reader := func(t *cxlmc.Thread) {
+				t.JoinThreads(initT)
 				if t.Load64(ready) != 1 {
 					return
 				}
-				verify(t, idx, progress, keys, cfg.Stride, cfg.Deletes)
-			})
+				// One racing pass over the key space: committed keys
+				// must be visible and correct even mid-mutation.
+				for k := 1; k <= keys; k++ {
+					key := uint64(k * cfg.Stride)
+					committed := t.Load64(progress+cxlmc.Addr((k-1)*8)) == 1
+					v, found := idx.Lookup(t, key)
+					if committed && !(cfg.Deletes && k%3 == 0) {
+						if !found {
+							t.Fail("racing reader: committed key %d missing", k)
+						}
+						if v != Value(key) {
+							t.Fail("racing reader: key %d value %#x", k, v)
+						}
+					}
+				}
+			}
+			for _, m := range nodes {
+				m.Thread("reader", reader)
+			}
+		}
+		check := func(t *cxlmc.Thread) {
+			t.JoinThreads(all...)
+			if t.Load64(ready) != 1 {
+				return
+			}
+			verify(t, idx, progress, keys, cfg.Stride, cfg.Deletes)
+		}
+		for _, m := range nodes {
+			m.Thread("check", check)
 		}
 	}
 }
 
+// layout is what every execution of a program shares: the names of its
+// machines and workers, and each worker's keys. Worker w of n inserts
+// keys w+1, w+1+n, …; workers 0 to Workers-1 run on the first machine.
+type layout struct {
+	machines []string
+	workers  []string
+	parts    [][]int
+}
+
+func newLayout(cfg Config) *layout {
+	n := cfg.Workers * cfg.Machines
+	l := &layout{
+		machines: make([]string, cfg.Machines),
+		workers:  make([]string, n),
+		parts:    make([][]int, n),
+	}
+	for i := range l.machines {
+		l.machines[i] = fmt.Sprintf("node%d", i)
+	}
+	flat := make([]int, 0, cfg.Keys)
+	for w := range l.parts {
+		l.workers[w] = fmt.Sprintf("w%d", w)
+		start := len(flat)
+		for k := w + 1; k <= cfg.Keys; k += n {
+			flat = append(flat, k)
+		}
+		l.parts[w] = flat[start:len(flat):len(flat)]
+	}
+	return l
+}
+
 // verify asserts the post-failure contract: every committed key is
 // present with the right value, every lookup is crash-safe, and ordered
-// structures scan without duplicates.
+// structures scan without duplicates. It runs in every execution, so a
+// check whose message takes arguments is written if !cond { t.Fail(…) }:
+// Assert would box them whether or not the check holds.
 func verify(t *cxlmc.Thread, idx Index, progress cxlmc.Addr, keys, stride int, deletes bool) {
 	// With the delete phase on, keys with k%3==0 are delete targets: an
 	// insert-committed flag (1) no longer implies presence, because the
@@ -271,35 +323,46 @@ func verify(t *cxlmc.Thread, idx Index, progress cxlmc.Addr, keys, stride int, d
 		case 1:
 			if deleteTarget(k) {
 				// Present or mid-delete; the value must be right if seen.
-				t.Assert(!found || v == Value(key), "key %d has value %#x, want %#x", k, v, Value(key))
+				if found && v != Value(key) {
+					t.Fail("key %d has value %#x, want %#x", k, v, Value(key))
+				}
 				break
 			}
-			t.Assert(found, "committed key %d missing after failure", k)
-			t.Assert(v == Value(key), "committed key %d has value %#x, want %#x", k, v, Value(key))
+			if !found {
+				t.Fail("committed key %d missing after failure", k)
+			}
+			if v != Value(key) {
+				t.Fail("committed key %d has value %#x, want %#x", k, v, Value(key))
+			}
 		case 2:
-			t.Assert(!found, "deleted key %d resurrected after failure (value %#x)", k, v)
+			if found {
+				t.Fail("deleted key %d resurrected after failure (value %#x)", k, v)
+			}
 		}
 	}
 	if sc, ok := idx.(Scanner); ok {
 		ks, vs := sc.Scan(t)
-		seen := make(map[uint64]bool, len(ks))
 		for i := range ks {
-			if i > 0 {
-				t.Assert(ks[i] > ks[i-1], "scan not strictly increasing at %d: %d after %d (duplicate or disorder)", i, ks[i], ks[i-1])
+			if i > 0 && ks[i] <= ks[i-1] {
+				t.Fail("scan not strictly increasing at %d: %d after %d (duplicate or disorder)", i, ks[i], ks[i-1])
 			}
-			if ks[i] != 0 {
-				t.Assert(vs[i] == Value(ks[i]), "scan: key %d carries value %#x, want %#x", ks[i], vs[i], Value(ks[i]))
+			if ks[i] != 0 && vs[i] != Value(ks[i]) {
+				t.Fail("scan: key %d carries value %#x, want %#x", ks[i], vs[i], Value(ks[i]))
 			}
-			seen[ks[i]] = true
 		}
+		// Membership searches the whole scan: a buggy one need not be
+		// in order.
 		for k := 1; k <= keys; k++ {
+			key := uint64(k * stride)
 			switch t.Load64(progress + cxlmc.Addr((k-1)*8)) {
 			case 1:
-				if !deleteTarget(k) {
-					t.Assert(seen[uint64(k*stride)], "committed key %d missing from scan", k*stride)
+				if !deleteTarget(k) && !slices.Contains(ks, key) {
+					t.Fail("committed key %d missing from scan", key)
 				}
 			case 2:
-				t.Assert(!seen[uint64(k*stride)], "deleted key %d present in scan", k*stride)
+				if slices.Contains(ks, key) {
+					t.Fail("deleted key %d present in scan", key)
+				}
 			}
 		}
 	}

@@ -26,31 +26,42 @@ func Functional(t *testing.T, b recipe.Benchmark, n int) {
 			}
 			for k := 1; k <= n; k++ {
 				v, ok := idx.Lookup(th, uint64(k))
-				th.Assert(ok, "key %d missing", k)
-				th.Assert(v == recipe.Value(uint64(k)), "key %d: value %#x", k, v)
+				if !ok {
+					th.Fail("key %d missing", k)
+				}
+				if v != recipe.Value(uint64(k)) {
+					th.Fail("key %d: value %#x", k, v)
+				}
 			}
 			if del, ok := idx.(recipe.Deleter); ok {
 				for k := 3; k <= n; k += 3 {
-					th.Assert(del.Delete(th, uint64(k)), "delete %d failed", k)
+					if !del.Delete(th, uint64(k)) {
+						th.Fail("delete %d failed", k)
+					}
 				}
 				th.Assert(!del.Delete(th, 9999), "phantom delete")
 				for k := 1; k <= n; k++ {
 					_, ok := idx.Lookup(th, uint64(k))
-					if k%3 == 0 {
-						th.Assert(!ok, "deleted key %d still present", k)
-					} else {
-						th.Assert(ok, "key %d lost by unrelated delete", k)
+					if k%3 == 0 && ok {
+						th.Fail("deleted key %d still present", k)
+					}
+					if k%3 != 0 && !ok {
+						th.Fail("key %d lost by unrelated delete", k)
 					}
 				}
 			}
 			if sc, ok := idx.(recipe.Scanner); ok {
 				ks, vs := sc.Scan(th)
 				for i := range ks {
-					if i > 0 {
-						th.Assert(ks[i] > ks[i-1], "scan disorder at %d", i)
+					if i > 0 && ks[i] <= ks[i-1] {
+						th.Fail("scan disorder at %d", i)
 					}
-					th.Assert(vs[i] == recipe.Value(ks[i]), "scan value for %d", ks[i])
-					th.Assert(ks[i]%3 != 0, "deleted key %d in scan", ks[i])
+					if vs[i] != recipe.Value(ks[i]) {
+						th.Fail("scan value for %d", ks[i])
+					}
+					if ks[i]%3 == 0 {
+						th.Fail("deleted key %d in scan", ks[i])
+					}
 				}
 			}
 			_, ok := idx.Lookup(th, 9999)
